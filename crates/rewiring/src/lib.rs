@@ -26,6 +26,7 @@
 //! paper's `-RWR` ablation measures (Fig. 13b).
 
 pub mod clock;
+pub mod crc;
 pub mod file;
 mod heap;
 #[cfg(target_os = "linux")]

@@ -5,7 +5,7 @@
 //! requests, reassembles (possibly chunked) responses, and supports
 //! pipelining several requests before collecting.
 
-use crate::wire::{self, Frame};
+use crate::wire::{self, Frame, RecvBuf};
 use rma_db::{Op, Reply};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -33,7 +33,7 @@ struct Partial {
 /// A blocking client connection to a [`NetServer`](crate::NetServer).
 pub struct WireClient {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    rbuf: RecvBuf,
     next_corr: u32,
     pending: HashMap<u32, Partial>,
     done: VecDeque<Completed>,
@@ -47,7 +47,7 @@ impl WireClient {
         stream.set_nodelay(true)?;
         Ok(WireClient {
             stream,
-            rbuf: Vec::new(),
+            rbuf: RecvBuf::default(),
             next_corr: 0,
             pending: HashMap::new(),
             done: VecDeque::new(),
@@ -87,13 +87,12 @@ impl WireClient {
                 "recv with no request in flight",
             ));
         }
-        let mut tmp = [0u8; 16 * 1024];
         loop {
             // Drain whole frames already buffered.
             let mut at = 0usize;
             let mut finished = None;
             while finished.is_none() {
-                match wire::split_frame(&self.rbuf[at..]).map_err(to_io)? {
+                match wire::split_frame(&self.rbuf.unparsed()[at..]).map_err(to_io)? {
                     Frame::Incomplete => break,
                     Frame::Payload { payload, consumed } => {
                         let frame = wire::decode_response(payload).map_err(to_io)?;
@@ -103,21 +102,19 @@ impl WireClient {
                 }
             }
             if at > 0 {
-                self.rbuf.copy_within(at.., 0);
-                let len = self.rbuf.len() - at;
-                self.rbuf.truncate(len);
+                self.rbuf.consume(at);
             }
             if let Some(c) = finished {
                 return Ok(c);
             }
-            let n = self.stream.read(&mut tmp)?;
+            let n = self.stream.read(self.rbuf.spare())?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed with requests in flight",
                 ));
             }
-            self.rbuf.extend_from_slice(&tmp[..n]);
+            self.rbuf.fill(n);
         }
     }
 

@@ -41,7 +41,7 @@
 
 use crate::stats::NetStats;
 use crate::sys::{Epoll, EventFd, IoStep, Listener};
-use crate::wire::{self, Frame, FRAME_HEADER, MAX_FRAME_PAYLOAD};
+use crate::wire::{self, Frame, RecvBuf};
 use rewiring::libc::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use rma_db::{Db, Op, Reply, Session, Ticket};
 use rma_obs::EventKind;
@@ -233,7 +233,7 @@ struct Conn {
     fd: crate::sys::OwnedFd,
     token: u64,
     /// Received-but-unparsed bytes.
-    rbuf: Vec<u8>,
+    rbuf: RecvBuf,
     /// Encoded-but-unsent reply bytes; `wpos` is the send offset.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -287,11 +287,14 @@ fn lookup(conns: &[Option<Conn>], token: u64) -> Option<usize> {
 /// unparsed backlog (epoll is level-triggered: unread kernel bytes
 /// re-arm the loop).
 fn read_socket(conn: &mut Conn, stats: &NetStats) {
-    let mut tmp = [0u8; 16 * 1024];
-    while conn.rbuf.len() < MAX_FRAME_PAYLOAD + FRAME_HEADER {
-        match conn.fd.read(&mut tmp) {
+    loop {
+        let spare = conn.rbuf.spare();
+        if spare.is_empty() {
+            break;
+        }
+        match conn.fd.read(spare) {
             Ok(IoStep::Bytes(n)) => {
-                conn.rbuf.extend_from_slice(&tmp[..n]);
+                conn.rbuf.fill(n);
                 NetStats::add(&stats.bytes_in, n as u64);
             }
             Ok(IoStep::WouldBlock) => break,
@@ -469,7 +472,7 @@ impl EventLoop<'_> {
             self.conns[idx] = Some(Conn {
                 fd,
                 token,
-                rbuf: Vec::new(),
+                rbuf: RecvBuf::default(),
                 wbuf: Vec::new(),
                 wpos: 0,
                 reqs: HashMap::new(),
@@ -644,7 +647,7 @@ impl EventLoop<'_> {
                 if conn.reqs.len() >= cfg.max_inflight || conn.unsent() >= cfg.write_buf_cap {
                     break;
                 }
-                let (payload, consumed) = match wire::split_frame(&conn.rbuf[at..]) {
+                let (payload, consumed) = match wire::split_frame(&conn.rbuf.unparsed()[at..]) {
                     Ok(Frame::Incomplete) => break,
                     Ok(Frame::Payload { payload, consumed }) => (payload, consumed),
                     Err(e) => {
@@ -754,9 +757,7 @@ impl EventLoop<'_> {
                 });
             }
             if at > 0 {
-                conn.rbuf.copy_within(at.., 0);
-                let len = conn.rbuf.len() - at;
-                conn.rbuf.truncate(len);
+                conn.rbuf.consume(at);
             }
         }
         submit_batch(
@@ -844,7 +845,7 @@ impl EventLoop<'_> {
                     if conn.unsent() < cfg.write_buf_cap
                         && (!conn.conts.is_empty()
                             || (conn.reqs.len() < cfg.max_inflight
-                                && !matches!(wire::split_frame(&conn.rbuf), Ok(Frame::Incomplete))))
+                                && !matches!(wire::frame_len(conn.rbuf.unparsed()), Ok(None))))
                     {
                         rearm = true;
                     }

@@ -132,36 +132,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3), table-driven — the same checksum the WAL
-/// frames use, re-stated locally because 30 lines beat a cross-crate
-/// dependency on the durability subsystem. Public so tests can craft
-/// checksum-valid malformed frames.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// The frame checksum: CRC-32 (IEEE), shared with the WAL's on-disk
+/// formats. Re-exported so tests can craft checksum-valid malformed
+/// frames.
+pub use rewiring::crc::crc32;
 
 // ----------------------------------------------------- frame split --
 
@@ -180,21 +154,29 @@ pub enum Frame<'a> {
     },
 }
 
-/// Splits the first frame off `buf`. `Ok(Frame::Incomplete)` asks for
-/// more bytes; an error is unrecoverable for the stream.
-pub fn split_frame(buf: &[u8]) -> Result<Frame<'_>, WireError> {
+/// Total bytes (header included) of the frame at the head of `buf`,
+/// judged from its header alone: `Ok(None)` until the whole frame is
+/// buffered, an error when the length prefix is implausible. The
+/// payload is not checksummed — that is [`split_frame`]'s job.
+pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
     if buf.len() < FRAME_HEADER {
-        return Ok(Frame::Incomplete);
+        return Ok(None);
     }
     let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
     if len as usize > MAX_FRAME_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    let want = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
     let end = FRAME_HEADER + len as usize;
-    if buf.len() < end {
+    Ok((buf.len() >= end).then_some(end))
+}
+
+/// Splits the first frame off `buf`. `Ok(Frame::Incomplete)` asks for
+/// more bytes; an error is unrecoverable for the stream.
+pub fn split_frame(buf: &[u8]) -> Result<Frame<'_>, WireError> {
+    let Some(end) = frame_len(buf)? else {
         return Ok(Frame::Incomplete);
-    }
+    };
+    let want = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
     let payload = &buf[FRAME_HEADER..end];
     if crc32(payload) != want {
         return Err(WireError::BadCrc);
@@ -203,6 +185,52 @@ pub fn split_frame(buf: &[u8]) -> Result<Frame<'_>, WireError> {
         payload,
         consumed: end,
     })
+}
+
+/// A connection's receive buffer, read into directly: the vector
+/// stays initialised at its grown length and `filled` marks how much
+/// of it holds received, not yet consumed bytes — no staging copy, no
+/// re-zeroing per read. It grows geometrically up to one maximal frame
+/// of backlog, which always leaves room to complete the frame at its
+/// head.
+#[derive(Default)]
+pub(crate) struct RecvBuf {
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl RecvBuf {
+    const MIN: usize = 16 * 1024;
+    const CAP: usize = FRAME_HEADER + MAX_FRAME_PAYLOAD;
+
+    /// The received bytes not yet consumed.
+    pub(crate) fn unparsed(&self) -> &[u8] {
+        &self.buf[..self.filled]
+    }
+
+    /// Room for the next read; empty only with a full backlog.
+    pub(crate) fn spare(&mut self) -> &mut [u8] {
+        if self.filled == self.buf.len() && self.filled < Self::CAP {
+            let grown = (2 * self.filled).clamp(Self::MIN, Self::CAP);
+            self.buf.resize(grown, 0);
+        }
+        &mut self.buf[self.filled..]
+    }
+
+    /// Records that a read put `n` bytes at the front of [`spare`](Self::spare).
+    pub(crate) fn fill(&mut self, n: usize) {
+        assert!(
+            n <= self.buf.len() - self.filled,
+            "read past the spare room"
+        );
+        self.filled += n;
+    }
+
+    /// Drops the first `n` unparsed bytes.
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.buf.copy_within(n..self.filled, 0);
+        self.filled -= n;
+    }
 }
 
 /// Frames `payload` (already holding opcode + body) into `out`:
@@ -364,9 +392,12 @@ pub fn encode_response(out: &mut Vec<u8>, corr: u32, last: bool, items: &[(u16, 
             Reply::Entries(entries) => {
                 out.push(REPLY_ENTRIES);
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (k, v) in entries {
-                    out.extend_from_slice(&k.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
+                let at = out.len();
+                out.resize(at + 16 * entries.len(), 0);
+                let (cells, _) = out[at..].as_chunks_mut::<16>();
+                for (cell, (k, v)) in cells.iter_mut().zip(entries) {
+                    cell[..8].copy_from_slice(&k.to_le_bytes());
+                    cell[8..].copy_from_slice(&v.to_le_bytes());
                 }
             }
             Reply::Refused => {
@@ -415,12 +446,22 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
                 Reply::Entry(present.then_some((k, v)))
             }
             REPLY_ENTRIES => {
+                // The count is the peer's claim: hold it against the
+                // bytes actually present before allocating for it.
                 let count = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    entries.push((r.i64()?, r.i64()?));
-                }
-                Reply::Entries(entries)
+                let body = r.take(count.checked_mul(16).ok_or(WireError::Truncated)?)?;
+                let (cells, _) = body.as_chunks::<16>();
+                Reply::Entries(
+                    cells
+                        .iter()
+                        .map(|cell| {
+                            (
+                                i64::from_le_bytes(cell[..8].try_into().expect("8 bytes")),
+                                i64::from_le_bytes(cell[8..].try_into().expect("8 bytes")),
+                            )
+                        })
+                        .collect(),
+                )
             }
             REPLY_REFUSED => {
                 let code = r.u8()?;
@@ -500,12 +541,6 @@ mod tests {
             Frame::Payload { payload, consumed } => (payload, consumed),
             Frame::Incomplete => panic!("expected a whole frame"),
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -592,24 +627,33 @@ mod tests {
         // the flip hit the length prefix and the frame re-shapes (reads
         // as incomplete/oversized — a stalled or killed connection,
         // never silent corruption).
+        //
+        // Two frames, one per checksum kernel: a short request (under
+        // 64 payload bytes, table path) and a 20-entry scan reply (over
+        // 256, folding path where the CPU has it).
         let ops = vec![Op::Insert(123, 456), Op::Scan { start: 9, count: 3 }];
-        let mut clean = Vec::new();
-        encode_request(&mut clean, 77, &ops);
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut bad = clean.clone();
-                bad[byte] ^= 1 << bit;
-                match split_frame(&bad) {
-                    Ok(Frame::Payload { payload, .. }) => {
+        let mut short = Vec::new();
+        encode_request(&mut short, 77, &ops);
+        assert!(short.len() - FRAME_HEADER < 64);
+        let entries = (0..20).map(|i| (i * 1_000_003, !i)).collect();
+        let mut long = Vec::new();
+        encode_response(&mut long, 78, true, &[(0, Reply::Entries(entries))]);
+        assert!(long.len() - FRAME_HEADER >= 256);
+        for clean in [short, long] {
+            for byte in 0..clean.len() {
+                for bit in 0..8 {
+                    let mut bad = clean.clone();
+                    bad[byte] ^= 1 << bit;
+                    match split_frame(&bad) {
                         // CRC passed — only possible when the flip is
                         // inside the CRC field itself compensating...
                         // which CRC-32 never does for single-bit flips.
-                        panic!(
-                            "flip {byte}:{bit} produced a clean frame: {:?}",
-                            decode_request(payload)
-                        );
+                        Ok(Frame::Payload { .. }) => panic!(
+                            "flip {byte}:{bit} of a {}-byte frame produced a clean frame",
+                            clean.len()
+                        ),
+                        Ok(Frame::Incomplete) | Err(_) => {}
                     }
-                    Ok(Frame::Incomplete) | Err(_) => {}
                 }
             }
         }

@@ -37,10 +37,10 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
+use rewiring::crc::crc32;
 use rma_core::{Key, Value};
 
 use crate::fault::{inj_fsync, inj_rename, inj_write, FaultInjector, IoClass};
-use crate::record::crc32;
 use crate::segment::check_alive;
 
 /// Magic first line; bump the version on any format change.

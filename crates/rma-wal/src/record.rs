@@ -15,42 +15,13 @@
 //! corrupted region (a bit flip) — either way, nothing after that
 //! point is trustworthy.
 
+use rewiring::crc::crc32;
 use rma_shard::DurabilityOp;
 
 /// Payload bytes of the one record shape in use.
 pub(crate) const PAYLOAD_LEN: usize = 8 + 1 + 8 + 8;
 /// Full framed size of one record.
 pub(crate) const FRAME_LEN: usize = 4 + 4 + PAYLOAD_LEN;
-
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven. Local
-/// implementation — the build environment has no registry, and 30
-/// lines beat a vendored crate.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// One decoded log record: the per-partition sequence number plus the
 /// logical operation it acknowledged.
@@ -125,13 +96,6 @@ pub(crate) fn decode(buf: &[u8]) -> Decoded {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for "123456789" under CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn roundtrips_both_kinds() {

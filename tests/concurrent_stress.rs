@@ -14,7 +14,11 @@
 use rma_core::{RewiringMode, RmaConfig};
 use rma_db::Db;
 use rma_shard::{MaintainerConfig, ShardConfig};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicBool, AtomicI64, AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
+use std::sync::Barrier;
 use std::time::Duration;
 use workloads::SplitMix64;
 
@@ -328,55 +332,71 @@ fn writer_progress_during_incremental_drain() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Seqlock protocol, observed from outside: a writer inserts
-    /// strictly increasing values as duplicates of one key (a new
-    /// duplicate lands at the lower-bound slot, so `get` always
-    /// returns the freshest value; rebalances move elements stably
-    /// and preserve that order). A lock-free reader sampling the key
-    /// must see a non-decreasing sequence — a torn read would
-    /// surface as garbage, a stale-snapshot read as a rollback — and
-    /// the reader must keep terminating (optimistic retries are
-    /// bounded; the lock fallback always completes).
+    /// Seqlock protocol, observed from outside, on *unique* keys:
+    /// version `v` lives under its own key and the writer publishes
+    /// `v` (Release) only after that insert has returned. A lock-free
+    /// reader that loads the published version (Acquire) must find
+    /// every version up to it — a lost or stale-snapshot read surfaces
+    /// as `None`, a torn one as a foreign value — and the number of
+    /// elements a scan visits from the first version on must never
+    /// shrink, since nothing is ever removed. (Which member of a
+    /// duplicate run `get` returns is deliberately not exercised: that
+    /// contract is still open.) The reader must also keep terminating:
+    /// optimistic retries are bounded, the lock fallback completes.
     #[test]
     fn optimistic_reads_are_monotone_under_mutation(
         writes in 64i64..512,
         key in 0i64..1000,
-        filler in 1i64..100_000, // non-zero: the churn key must differ from `key`
+        filler in 1i64..100_000,
     ) {
+        const STRIDE: i64 = 3;
+        // Versions sit on even keys, churn on the odd keys in between.
+        let slot = |v: i64| 2 * (key + v * STRIDE);
         let db = Db::builder()
             .router_workers(1) // engine-only stress: no session traffic
-        .shard_config(stress_cfg(2))
+            .shard_config(stress_cfg(2))
             .splitter_keys(vec![500_000])
             .build()
             .expect("valid stress config");
         let index = db.engine();
-        index.insert(key, 0);
-        let done = AtomicBool::new(false);
+        index.insert(slot(0), 0);
+        let published = AtomicI64::new(0);
+        let start = Barrier::new(2);
         std::thread::scope(|sc| {
-            let (index, done) = (index, &done);
+            let (index, published, start) = (index, &published, &start);
             let reader = sc.spawn(move || {
-                let mut last = 0i64;
-                let mut samples = 0u64;
-                // At least a few samples even if the writer outruns us
-                // (single-cpu hosts may not interleave at all).
-                while samples < 32 || !done.load(Relaxed) {
-                    let v = index.get(key).expect("key never absent");
-                    assert!(v >= last, "rollback: saw {v} after {last}");
-                    last = v;
-                    samples += 1;
+                start.wait();
+                let mut floor = 0usize;
+                loop {
+                    // Pairs with the writer's Release store: every
+                    // insert up to `p` happened before this load.
+                    let p = published.load(Acquire);
+                    for v in 0..=p {
+                        assert_eq!(
+                            index.get(slot(v)),
+                            Some(v),
+                            "version {v} unreadable with {p} published"
+                        );
+                    }
+                    let (visited, _) = index.sum_range(slot(0), usize::MAX);
+                    assert!(visited as i64 > p, "scan saw {visited} elements, {p} published");
+                    assert!(visited >= floor, "scan shrank: {visited} after {floor}");
+                    floor = visited;
+                    if p == writes {
+                        break;
+                    }
                 }
-                last
             });
+            start.wait();
             for v in 1..=writes {
-                index.insert(key, v);
-                // Interleave churn around the key so segments shift
+                index.insert(slot(v), v);
+                published.store(v, Release);
+                // Churn between the versions so their segments shift
                 // and rebalance under the reader's feet.
-                index.insert((key + filler) % 500_000, -v);
+                index.insert(2 * (key + (v * filler) % (writes * STRIDE)) + 1, -v);
             }
-            done.store(true, Relaxed);
-            let final_seen = reader.join().unwrap();
-            prop_assert!(final_seen <= writes);
+            reader.join().unwrap();
         });
-        prop_assert_eq!(index.get(key), Some(writes));
+        prop_assert_eq!(index.get(slot(writes)), Some(writes));
     }
 }

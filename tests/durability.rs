@@ -428,6 +428,78 @@ fn degraded_mode_refuses_writes_serves_reads_and_journals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The files the parent of the shared-checksum change left behind
+/// after: three inserts, one checkpoint wave, one more insert, clean
+/// drop — one partition, `small_shards()`. Byte literals, not
+/// regenerated: they pin the checksum *values* on disk.
+const FIXTURE_MANIFEST: &[u8] =
+    b"rma-wal v1\npartitions=1\nsplitters=\nckpt=0,3,ckpt_0_3.seg,3,07d8cebf\ncrc=0ef16e49\n";
+const FIXTURE_SEGMENT: &[u8] = &[
+    0xd6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbc, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+];
+/// One framed log record: lsn 4, `Insert(123, 456)`.
+const FIXTURE_LOG: &[u8] = &[
+    0x19, 0x00, 0x00, 0x00, 0xe6, 0x8b, 0xfb, 0x98, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x7b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc8, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00,
+];
+
+/// On-disk formats are value-compatible across checksum kernels: the
+/// same operations re-encode the older version's files bit-for-bit,
+/// and those files recover.
+#[test]
+fn files_written_by_an_earlier_version_reencode_and_recover() {
+    let files = [
+        ("MANIFEST", FIXTURE_MANIFEST),
+        ("ckpt_0_3.seg", FIXTURE_SEGMENT),
+        ("wal_0_4.log", FIXTURE_LOG),
+    ];
+    let pairs = [(-42i64, 99i64), (7, 700), (123, 456), (1 << 53, -1)];
+
+    let fresh = scratch("fixture-fresh");
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .router_workers(1)
+        .durability(
+            DurabilityConfig::new(&fresh)
+                .policy(CommitPolicy::Always)
+                .partitions(1),
+        )
+        .build()
+        .expect("valid durable config");
+    for (k, v) in [pairs[0], pairs[1], pairs[3]] {
+        db.try_insert(k, v).expect("healthy");
+    }
+    let mut plan = db.engine().plan_checkpoints();
+    db.engine().drain_plan(&mut plan);
+    db.try_insert(pairs[2].0, pairs[2].1).expect("healthy");
+    drop(db);
+    let mut left: Vec<String> = std::fs::read_dir(&fresh)
+        .expect("wal dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    left.sort();
+    assert_eq!(left, ["MANIFEST", "ckpt_0_3.seg", "wal_0_4.log"]);
+    for (name, bytes) in files {
+        assert_eq!(
+            std::fs::read(fresh.join(name)).expect("readable"),
+            bytes,
+            "{name} differs from the earlier version's bytes"
+        );
+    }
+    std::fs::remove_dir_all(&fresh).ok();
+
+    let old = scratch("fixture-old");
+    std::fs::create_dir_all(&old).expect("scratch dir");
+    for (name, bytes) in files {
+        std::fs::write(old.join(name), bytes).expect("writable");
+    }
+    assert_eq!(recover_pairs(&old), pairs);
+    std::fs::remove_dir_all(&old).ok();
+}
+
 mod replay_idempotence {
     use super::*;
     use proptest::prelude::*;

@@ -12,6 +12,8 @@ use rma_repro::net::{wire, NetConfig, NetServer, WireClient};
 use rma_repro::rewiring::libc;
 use rma_repro::rma::{RewiringMode, RmaConfig};
 use rma_repro::shard::ShardConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -113,6 +115,122 @@ fn pipelined_requests_all_complete() {
     }
     assert_eq!(c.in_flight(), 0);
     assert_eq!(srv.stats().frames_in, 16);
+}
+
+/// Frames the parent of the shared-checksum change produced. Byte
+/// literals, not regenerated: they pin the checksum *values* on the
+/// wire. A 41-byte request (table kernel) and a 343-byte response
+/// holding one 20-entry `Entries` reply (folding kernel).
+const FIXTURE_REQUEST: &[u8] = &[
+    0x21, 0x00, 0x00, 0x00, 0x07, 0xc0, 0x0e, 0x45, 0x01, 0x09, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+const FIXTURE_RESPONSE: &[u8] = &[
+    0x4f, 0x01, 0x00, 0x00, 0xa1, 0x57, 0x25, 0xae, 0x02, 0x01, 0xee, 0xff, 0xc0, 0x01, 0x01, 0x00,
+    0x03, 0x00, 0x05, 0x14, 0x00, 0x00, 0x00, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3c, 0x42, 0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x7f, 0x84, 0x1e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+    0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0xc2, 0xc6, 0x2d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+    0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, 0x05, 0x09, 0x3d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04,
+    0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x48, 0x4b, 0x4c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x32, 0x00, 0x00, 0x00, 0x8b, 0x8d, 0x5b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06,
+    0x00, 0x00, 0x00, 0x48, 0x00, 0x00, 0x00, 0xce, 0xcf, 0x6a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,
+    0x00, 0x00, 0x00, 0x62, 0x00, 0x00, 0x00, 0x11, 0x12, 0x7a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08,
+    0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x54, 0x54, 0x89, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+    0x00, 0x00, 0x00, 0xa2, 0x00, 0x00, 0x00, 0x97, 0x96, 0x98, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a,
+    0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, 0xda, 0xd8, 0xa7, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b,
+    0x00, 0x00, 0x00, 0xf2, 0x00, 0x00, 0x00, 0x1d, 0x1b, 0xb7, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c,
+    0x00, 0x00, 0x00, 0x20, 0x01, 0x00, 0x00, 0x60, 0x5d, 0xc6, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0d,
+    0x00, 0x00, 0x00, 0x52, 0x01, 0x00, 0x00, 0xa3, 0x9f, 0xd5, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0e,
+    0x00, 0x00, 0x00, 0x88, 0x01, 0x00, 0x00, 0xe6, 0xe1, 0xe4, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0f,
+    0x00, 0x00, 0x00, 0xc2, 0x01, 0x00, 0x00, 0x29, 0x24, 0xf4, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x6c, 0x66, 0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x11,
+    0x00, 0x00, 0x00, 0x42, 0x02, 0x00, 0x00, 0xaf, 0xa8, 0x12, 0x01, 0x00, 0x00, 0x00, 0x00, 0x12,
+    0x00, 0x00, 0x00, 0x88, 0x02, 0x00, 0x00, 0xf2, 0xea, 0x21, 0x01, 0x00, 0x00, 0x00, 0x00, 0x13,
+    0x00, 0x00, 0x00, 0xd2, 0x02, 0x00, 0x00,
+];
+
+#[test]
+fn frames_from_an_earlier_version_verify_and_reencode() {
+    let wire::Frame::Payload { payload, consumed } =
+        wire::split_frame(FIXTURE_REQUEST).expect("checksum verifies")
+    else {
+        panic!("whole frame expected");
+    };
+    assert_eq!(consumed, FIXTURE_REQUEST.len());
+    let (corr, ops) = wire::decode_request(payload).expect("decodes");
+    assert_eq!((corr, &ops[..]), (9, &[Op::Insert(1, 2), Op::Get(3)][..]));
+    let mut again = Vec::new();
+    wire::encode_request(&mut again, corr, &ops);
+    assert_eq!(again, FIXTURE_REQUEST);
+
+    let wire::Frame::Payload { payload, consumed } =
+        wire::split_frame(FIXTURE_RESPONSE).expect("checksum verifies")
+    else {
+        panic!("whole frame expected");
+    };
+    assert_eq!(consumed, FIXTURE_RESPONSE.len());
+    let frame = wire::decode_response(payload).expect("decodes");
+    let entries: Vec<(i64, i64)> = (0..20i64)
+        .map(|i| (i * 1_000_003 - 7, (i * i) << 33 | i))
+        .collect();
+    assert_eq!((frame.corr, frame.last), (0xC0FF_EE01, true));
+    assert_eq!(frame.items, [(3, Reply::Entries(entries))]);
+    let mut again = Vec::new();
+    wire::encode_response(&mut again, frame.corr, frame.last, &frame.items);
+    assert_eq!(again, FIXTURE_RESPONSE);
+}
+
+/// Passes through to the system allocator, remembering the largest
+/// single request each thread has made.
+struct WatchAlloc;
+
+thread_local! {
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the bookkeeping touches only a
+// const-initialised, destructor-free thread-local and never allocates.
+unsafe impl GlobalAlloc for WatchAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(layout.size())));
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: WatchAlloc = WatchAlloc;
+
+/// A hostile `Entries` count is held against the bytes present
+/// *before* anything is allocated for it.
+#[test]
+fn entries_count_beyond_the_payload_is_truncated_without_allocating() {
+    for claimed in [1u32 << 16, u32::MAX] {
+        let mut payload = vec![wire::OPCODE_RESPONSE];
+        payload.extend_from_slice(&7u32.to_le_bytes()); // corr
+        payload.push(1); // last
+        payload.extend_from_slice(&1u16.to_le_bytes()); // one item
+        payload.extend_from_slice(&0u16.to_le_bytes()); // slot 0
+        payload.push(5); // Entries
+        payload.extend_from_slice(&claimed.to_le_bytes());
+        payload.extend_from_slice(&[0u8; 16]); // one entry, not `claimed`
+        LARGEST_ALLOC.with(|c| c.set(0));
+        let got = wire::decode_response(&payload);
+        let largest = LARGEST_ALLOC.with(|c| c.get());
+        assert_eq!(got.unwrap_err(), wire::WireError::Truncated);
+        assert!(
+            largest < 4096,
+            "decoding allocated {largest} bytes for a claimed count of {claimed}"
+        );
+    }
 }
 
 /// Frames `payload` with a correct length prefix and CRC.
