@@ -249,20 +249,8 @@ impl ArtTree {
 
     #[inline]
     fn prefetch(&self, id: u32) {
-        if id == NIL {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            let leaf = self.leaves.get(id);
-            core::arch::x86_64::_mm_prefetch(
-                leaf.vals.as_ptr() as *const i8,
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = id;
+        if id != NIL {
+            rewiring::prefetch(&self.leaves.get(id).vals, 0);
         }
     }
 

@@ -9,6 +9,11 @@ use crate::stats::RmaStats;
 use crate::storage::Storage;
 use crate::{Key, Value};
 
+/// Keys [`Rma::get_batch`] stages together: enough lookups in flight
+/// to fill the core's miss buffers, few enough that the first key's
+/// lines are still cached when its turn to be searched comes.
+const LOOKUP_GROUP: usize = 16;
+
 /// A sorted key/value container over a sparse array with fixed-size
 /// clustered segments, a static index, rewired rebalances and
 /// adaptive rebalancing. See the crate docs for the feature overview.
@@ -106,13 +111,89 @@ impl Rma {
     // read path — readers run these methods lock-free while writers
     // are fenced out, so nothing here may cache state or mutate
     // through interior mutability.
+    //
+    // A point lookup is three stages, each ending in the prefetch of
+    // what the next one reads: *locate* (index search → the segment's
+    // key run), *search* (lower bound in the run → the one value
+    // line), *fetch*. `get` runs them back to back for one key;
+    // `get_batch` runs each stage across a group of keys, so the
+    // misses of a group are in flight together.
+
+    /// Stage 1: the segment `k` routes to, with its key run on the
+    /// way. The value column is a second page, so its translation miss
+    /// is started here too rather than after the search: a lookup
+    /// running `alone` has nothing else to overlap the value miss with
+    /// and asks for the whole value run; inside a group the other
+    /// keys' misses fill that time, so one line (enough to walk the
+    /// page table: a segment of the default size lies within one page)
+    /// keeps the group's footprint inside the L1.
+    #[inline]
+    fn locate(&self, k: Key, alone: bool) -> usize {
+        let seg = self.index.search(k);
+        self.storage.prefetch_keys(seg);
+        if alone {
+            self.storage.prefetch_vals(seg);
+        } else {
+            self.storage.prefetch_val(seg, self.storage.card(seg) / 2);
+        }
+        seg
+    }
+
+    /// The run-prefetch of the paths that go on to read or shift both
+    /// columns of `seg`: insert, remove and the lower-bound locate.
+    #[inline]
+    fn prefetch_run(&self, seg: usize) {
+        self.storage.prefetch_keys(seg);
+        self.storage.prefetch_vals(seg);
+    }
+
+    /// Stage 2: the sorted position of `k` in `seg`, if it is stored
+    /// there, its value line prefetched.
+    #[inline]
+    fn search(&self, seg: usize, k: Key) -> Option<usize> {
+        let pos = self.storage.seg_lower_bound(seg, k);
+        let keys = self.storage.seg_keys(seg);
+        (pos < keys.len() && keys[pos] == k).then(|| {
+            self.storage.prefetch_val(seg, pos);
+            pos
+        })
+    }
+
+    /// Stage 3: the value at a position `search` returned.
+    #[inline]
+    fn fetch(&self, seg: usize, pos: usize) -> Value {
+        self.storage.seg_vals(seg)[pos]
+    }
 
     /// Returns a value stored under `k`, if any.
     pub fn get(&self, k: Key) -> Option<Value> {
-        let seg = self.index.search(k);
-        let pos = self.storage.seg_lower_bound(seg, k);
-        let keys = self.storage.seg_keys(seg);
-        (pos < keys.len() && keys[pos] == k).then(|| self.storage.seg_vals(seg)[pos])
+        let seg = self.locate(k, true);
+        self.search(seg, k).map(|pos| self.fetch(seg, pos))
+    }
+
+    /// `out[i] = self.get(keys[i])` for every `i`, with the lookups of
+    /// each group of 16 keys (`LOOKUP_GROUP`) staged so their cache
+    /// misses overlap. Overwrites all of `out`.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` and `out` differ in length.
+    pub fn get_batch(&self, keys: &[Key], out: &mut [Option<Value>]) {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        for (keys, out) in keys.chunks(LOOKUP_GROUP).zip(out.chunks_mut(LOOKUP_GROUP)) {
+            let mut segs = [0usize; LOOKUP_GROUP];
+            let mut found = [None; LOOKUP_GROUP];
+            let alone = keys.len() == 1;
+            for (seg, &k) in segs.iter_mut().zip(keys) {
+                *seg = self.locate(k, alone);
+            }
+            for ((pos, &seg), &k) in found.iter_mut().zip(&segs).zip(keys) {
+                *pos = self.search(seg, k);
+            }
+            for ((o, &seg), pos) in out.iter_mut().zip(&segs).zip(found) {
+                *o = pos.map(|pos| self.fetch(seg, pos));
+            }
+        }
     }
 
     /// First element with key `>= k` in sorted order.
@@ -133,6 +214,7 @@ impl Rma {
         // the first segment that can hold an element >= k, or
         // duplicate runs spanning segments would be skipped.
         let mut seg = self.index.search_lower_bound(k);
+        self.prefetch_run(seg);
         let pos = self.storage.seg_lower_bound(seg, k);
         if pos < self.storage.card(seg) {
             return Some((seg, pos));
@@ -221,6 +303,7 @@ impl Rma {
     /// `O(log²N / B)` slot moves per insertion.
     pub fn insert(&mut self, k: Key, v: Value) {
         let mut seg = self.index.search(k);
+        self.prefetch_run(seg);
         if self.storage.card(seg) == self.cfg.segment_size {
             // τ₁ = 1: the segment filled completely; rebalance now.
             self.rebalance_for_insert(seg);
@@ -270,11 +353,8 @@ impl Rma {
             return None;
         }
         let seg = self.index.search(k);
-        let pos = self.storage.seg_lower_bound(seg, k);
-        let keys = self.storage.seg_keys(seg);
-        if pos >= keys.len() || keys[pos] != k {
-            return None;
-        }
+        self.prefetch_run(seg);
+        let pos = self.search(seg, k)?;
         Some(self.remove_at(seg, pos).1)
     }
 

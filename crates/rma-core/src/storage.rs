@@ -196,6 +196,28 @@ impl Storage {
         self.seg_keys(seg).partition_point(|&x| x < k)
     }
 
+    /// Starts the cache misses of every line of segment `seg`'s keys,
+    /// so they overlap instead of queueing behind one another — and
+    /// behind the binary search's dependent probes. Clustering is what
+    /// makes this possible: the run's address range is known from
+    /// `cards[seg]` alone, before any key has been compared.
+    #[inline]
+    pub fn prefetch_keys(&self, seg: usize) {
+        prefetch_lines(self.keys.as_slice(), self.seg_range(seg));
+    }
+
+    /// As [`prefetch_keys`](Self::prefetch_keys), for the value run.
+    #[inline]
+    pub fn prefetch_vals(&self, seg: usize) {
+        prefetch_lines(self.vals.as_slice(), self.seg_range(seg));
+    }
+
+    /// Hints the line of the value at sorted position `pos` of `seg`.
+    #[inline]
+    pub fn prefetch_val(&self, seg: usize, pos: usize) {
+        rewiring::prefetch(self.vals.as_slice(), self.seg_range(seg).start + pos);
+    }
+
     /// Checks the clustering invariants; test helper.
     pub fn check_invariants(&self) {
         assert_eq!(self.keys.len(), self.capacity());
@@ -218,6 +240,22 @@ impl Storage {
             }
         }
     }
+}
+
+/// Prefetches every cache line `col[run]` touches. Stepping one line
+/// of elements from the run's start reaches all but possibly the last
+/// line when the column base is not line-aligned (the heap backend),
+/// so the last element is hinted as well.
+#[inline]
+fn prefetch_lines(col: &[i64], run: std::ops::Range<usize>) {
+    const LINE_ELEMS: usize = 64 / std::mem::size_of::<i64>();
+    if run.is_empty() {
+        return;
+    }
+    for i in run.clone().step_by(LINE_ELEMS) {
+        rewiring::prefetch(col, i);
+    }
+    rewiring::prefetch(col, run.end - 1);
 }
 
 impl std::fmt::Debug for Storage {

@@ -87,7 +87,7 @@ mod session;
 
 pub use builder::{ConfigError, DbBuilder};
 pub use metrics::{MetricsSnapshot, ObsConfig, WalMetrics, OP_LATENCY_NAMES};
-pub use session::{Op, Reply, Session, Ticket};
+pub use session::{Op, Ready, Reply, Session, Ticket};
 // The durability vocabulary callers need to configure
 // [`DbBuilder::durability`], re-exported so `rma-db` is a one-import
 // facade.
@@ -746,6 +746,16 @@ mod tests {
             .expect("valid");
         for k in 0..2000i64 {
             db.insert(k % 64, k);
+        }
+        // An optimised build finishes the inserts before the thread's
+        // first poll: wait for one rather than race it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while db.stats().maintainer.is_none_or(|m| m.polls == 0) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "maintainer never polled"
+            );
+            std::thread::yield_now();
         }
         // Stop deterministically; the final counters stay readable.
         let final_stats = db.stop_maintenance().expect("was running");

@@ -12,9 +12,14 @@
 //! double-digit percent throughput, while the sampled distribution
 //! converges to the same quantiles at a steady-state cost of
 //! `2/sample_every` clock reads per op (and zero when observability
-//! is disabled). Everything else (batch sizes, queue depth, ticket
-//! wait) is one relaxed atomic or clock read per *batch*, not per op,
-//! and is never sampled.
+//! is disabled). A run of consecutive `Get`s executes as one
+//! `get_many` call: the countdown advances by the run's length, and
+//! when it expires inside the run the whole call is timed once and
+//! every expiry records `elapsed / run length` — so the sample *count*
+//! stays exactly one per `sample_every` ops, while a batched get's
+//! sample is the **run mean**, not one key's own time. Everything
+//! else (batch sizes, queue depth, ticket wait) is one relaxed atomic
+//! or clock read per *batch*, not per op, and is never sampled.
 
 use crate::session::Op;
 use crate::{DbSnapshot, MaintainerSnapshot};
@@ -82,7 +87,8 @@ pub(crate) struct RouterObs {
     pub(crate) sample_every: u32,
     /// Per-op-type service latency (worker-side, excludes queue
     /// wait), nanoseconds; indexed by [`op_index`]. Populated from
-    /// one in [`Self::sample_every`] operations.
+    /// one in [`Self::sample_every`] operations; a `Get` sampled
+    /// inside a batched run records the run's mean per-key time.
     pub(crate) op_latency: [Histogram; 6],
     /// Operations per submitted batch.
     pub(crate) batch_size: Histogram,
@@ -120,7 +126,8 @@ pub struct MetricsSnapshot {
     /// The counter snapshot ([`Db::stats`](crate::Db::stats)).
     pub db: DbSnapshot,
     /// Per-op-type worker service latency, nanoseconds, in
-    /// `get, insert, remove, sum_range, first_ge, scan` order.
+    /// `get, insert, remove, sum_range, first_ge, scan` order. A `get`
+    /// sample taken inside a batched run is the run's mean.
     pub op_latency: [HistogramSnapshot; 6],
     /// Operations per submitted batch.
     pub batch_size: HistogramSnapshot,

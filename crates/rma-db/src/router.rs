@@ -169,6 +169,127 @@ impl Executed {
     }
 }
 
+/// Shortest run of consecutive [`Op::Get`]s a worker sends through
+/// [`ShardedRma::get_many`]; a lone `Get` takes the single-key path.
+const GET_RUN_MIN: usize = 2;
+
+/// What a worker carries from op to op: the sampling countdown and
+/// the reusable buffers of its `Get` runs.
+struct OpRunner<'a> {
+    engine: &'a ShardedRma,
+    obs: &'a RouterObs,
+    /// Ops until the next timed one, carried across batches so the
+    /// sampled op rate is exactly 1-in-`sample_every` regardless of
+    /// batch sizes. Starts at 1 so short-lived workloads still get a
+    /// sample.
+    countdown: u32,
+    keys: Vec<rma_core::Key>,
+    vals: Vec<Option<rma_core::Value>>,
+}
+
+impl OpRunner<'_> {
+    /// Advances the sampling countdown by `n` ops and returns how
+    /// many of them it expired on (always 0 with observability off).
+    fn expiries(&mut self, n: usize) -> usize {
+        if !self.obs.enabled {
+            return 0;
+        }
+        let every = self.obs.sample_every as usize;
+        let left = self.countdown as usize;
+        if n < left {
+            self.countdown = (left - n) as u32;
+            return 0;
+        }
+        let past = n - left;
+        self.countdown = (every - past % every) as u32;
+        1 + past / every
+    }
+
+    /// Executes one op, bracketed by a clock-read pair when it is the
+    /// one in `sample_every` that gets timed. A clock read costs a
+    /// meaningful fraction of a point lookup, so the untimed arm must
+    /// stay a decrement and a branch.
+    fn one(&mut self, op: Op) -> Reply {
+        if self.expiries(1) == 0 {
+            return exec(self.engine, op);
+        }
+        let idx = op_index(&op);
+        let t0 = rma_obs::now_ns();
+        let reply = exec(self.engine, op);
+        let t1 = rma_obs::now_ns();
+        self.obs.op_latency[idx].record(t1.saturating_sub(t0));
+        reply
+    }
+
+    /// Executes the `Get`s of `self.keys` as one
+    /// [`ShardedRma::get_many`] call, leaving the values in
+    /// `self.vals`. The countdown advances by the run length; when it
+    /// expires inside the run the whole call is timed once and every
+    /// expiry records the run's mean per-key time.
+    fn get_run(&mut self) {
+        let n = self.keys.len();
+        self.vals.clear();
+        self.vals.resize(n, None);
+        let expiries = self.expiries(n);
+        if expiries == 0 {
+            self.engine.get_many(&self.keys, &mut self.vals);
+            return;
+        }
+        let t0 = rma_obs::now_ns();
+        self.engine.get_many(&self.keys, &mut self.vals);
+        let mean = rma_obs::now_ns().saturating_sub(t0) / n as u64;
+        for _ in 0..expiries {
+            self.obs.op_latency[op_index(&Op::Get(0))].record(mean);
+        }
+    }
+
+    /// Executes a chunk in order and returns one `wrap(item, reply)`
+    /// per item. Every maximal run of at least [`GET_RUN_MIN`]
+    /// consecutive `Get`s is read in one `get_many` call; any other op
+    /// ends the run, so a read never moves across a write of this
+    /// chunk — the session ordering contract. With `refuse` set,
+    /// writes are answered [`Reply::Refused`] unexecuted.
+    fn chunk<T: Copy, U>(
+        &mut self,
+        items: &[T],
+        refuse: bool,
+        op_of: impl Fn(&T) -> Op,
+        wrap: impl Fn(T, Reply) -> U,
+    ) -> Vec<U> {
+        let mut out = Vec::with_capacity(items.len());
+        let mut i = 0;
+        while i < items.len() {
+            self.keys.clear();
+            self.keys
+                .extend(items[i..].iter().map_while(|t| match op_of(t) {
+                    Op::Get(k) => Some(k),
+                    _ => None,
+                }));
+            let run = self.keys.len();
+            if run >= GET_RUN_MIN {
+                self.get_run();
+                out.extend(
+                    items[i..i + run]
+                        .iter()
+                        .zip(&self.vals)
+                        .map(|(&t, &v)| wrap(t, Reply::Found(v))),
+                );
+                i += run;
+                continue;
+            }
+            let op = op_of(&items[i]);
+            let reply = if refuse && op.is_write() {
+                Reply::Refused
+            } else {
+                self.one(op)
+            };
+            out.push(wrap(items[i], reply));
+            i += 1;
+        }
+        out
+    }
+}
+
 fn worker_loop(
     engine: &ShardedRma,
     rx: &Receiver<WorkItem>,
@@ -177,31 +298,12 @@ fn worker_loop(
     wal: &Option<Arc<Wal>>,
 ) {
     let timed = obs.enabled;
-    let sample_every = obs.sample_every;
-    // Sampling countdown, carried across batches so the sampled op
-    // rate is exactly 1-in-`sample_every` regardless of batch sizes.
-    // Starts at 1 so short-lived workloads still get a sample.
-    let mut countdown: u32 = 1;
-    // Brackets `run()` with a clock-read pair when this op is the one
-    // in `sample_every` that gets timed; otherwise just runs it. A
-    // clock read costs a meaningful fraction of a point lookup, so
-    // the untimed arm must stay a decrement and a branch.
-    let mut exec_op = |engine: &ShardedRma, op: Op| -> Reply {
-        if !timed {
-            return exec(engine, op);
-        }
-        countdown -= 1;
-        if countdown == 0 {
-            countdown = sample_every;
-            let idx = op_index(&op);
-            let t0 = rma_obs::now_ns();
-            let reply = exec(engine, op);
-            let t1 = rma_obs::now_ns();
-            obs.op_latency[idx].record(t1.saturating_sub(t0));
-            reply
-        } else {
-            exec(engine, op)
-        }
+    let mut runner = OpRunner {
+        engine,
+        obs,
+        countdown: 1,
+        keys: Vec::new(),
+        vals: Vec::new(),
     };
     while let Ok(first) = rx.recv() {
         let mut group = vec![first];
@@ -237,26 +339,22 @@ fn worker_loop(
         });
         let mut executed: Vec<Executed> = Vec::with_capacity(group.len());
         for WorkItem { ticket, chunk } in group {
-            let mut run = |op: Op| -> Reply {
-                if refuse && op.is_write() {
-                    return Reply::Refused;
-                }
-                exec_op(engine, op)
-            };
             // An engine panic mid-chunk must not strand the batch's
             // waiters on the condvar forever: poison the ticket so
             // `wait()` propagates the failure, and keep executing the
             // group's other chunks.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match chunk {
                 WorkChunk::Whole(ops) => {
-                    let replies: Vec<Reply> = ops.into_iter().map(&mut run).collect();
+                    let replies = runner.chunk(&ops, refuse, |&op| op, |_, reply| reply);
                     Executed::Whole(Arc::clone(&ticket), replies)
                 }
                 WorkChunk::Partial(ops) => {
-                    let mut filled = Vec::with_capacity(ops.len());
-                    for (slot, op) in ops {
-                        filled.push((slot, run(op)));
-                    }
+                    let filled = runner.chunk(
+                        &ops,
+                        refuse,
+                        |&(_, op)| op,
+                        |(slot, _), reply| (slot, reply),
+                    );
                     Executed::Partial(Arc::clone(&ticket), filled)
                 }
             }));
@@ -336,7 +434,8 @@ pub(crate) fn exec(engine: &ShardedRma, op: Op) -> Reply {
         }
         Op::FirstGe(k) => Reply::Entry(engine.first_ge(k)),
         Op::Scan { start, count } => {
-            let mut out = Vec::new();
+            // Bounded, so a peer's `count` never sizes an allocation.
+            let mut out = Vec::with_capacity(count.min(4096));
             engine.scan(start, count, |k, v| out.push((k, v)));
             Reply::Entries(out)
         }

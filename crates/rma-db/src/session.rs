@@ -19,6 +19,16 @@
 //! the same per-shard consistency the engine itself provides. For a
 //! strict happens-before edge between two batches, `wait()` the
 //! first ticket before submitting the second.
+//!
+//! The run rule: a worker reads every maximal run of two or more
+//! consecutive [`Op::Get`]s of its chunk in one
+//! [`ShardedRma::get_many`] call, which may answer the run's keys in
+//! any order. Reads of one run commute, and any other operation ends
+//! the run, so no read ever moves across a write of its worker — the
+//! order above between a read and a write of one key is untouched.
+//! What a run promises is what its `Get`s promise one by one: each
+//! key read at a stable version of its shard, keys of different
+//! shards not one snapshot.
 
 use crate::metrics::RouterObs;
 use crate::router::{RouterCounters, WorkChunk, WorkItem};
@@ -372,28 +382,33 @@ impl Ticket {
 
     /// Removes and returns every reply that has landed since the last
     /// call, as `(slot, reply)` pairs (`slot` is the op's position in
-    /// the submitted batch). Non-blocking; returns an empty vector
-    /// when nothing new completed. Never panics on a poisoned ticket
-    /// — event loops must keep running — check
-    /// [`is_poisoned`](Self::is_poisoned) to detect that case.
-    pub fn take_ready(&mut self) -> Vec<(u32, Reply)> {
+    /// the submitted batch), together with the ticket's state as of
+    /// the same lock acquisition — so an event loop polling many
+    /// tickets takes one lock per ticket per pass, not three.
+    /// Non-blocking; `replies` is empty when nothing new completed.
+    /// Never panics on a poisoned ticket — event loops must keep
+    /// running — check [`Ready::poisoned`] to detect that case.
+    pub fn take_ready(&mut self) -> Ready {
         let mut s = self.state.slots.lock().expect("ticket lock poisoned");
-        if let Some(replies) = s.whole.take() {
-            s.taken += replies.len();
-            return replies
+        let replies: Vec<(u32, Reply)> = match s.whole.take() {
+            Some(replies) => replies
                 .into_iter()
                 .enumerate()
                 .map(|(i, r)| (i as u32, r))
-                .collect();
+                .collect(),
+            None => s
+                .sparse
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, slot)| Some((i as u32, slot.take()?)))
+                .collect(),
+        };
+        s.taken += replies.len();
+        Ready {
+            replies,
+            drained: s.taken == s.total,
+            poisoned: s.poisoned,
         }
-        let mut out = Vec::new();
-        for (i, slot) in s.sparse.iter_mut().enumerate() {
-            if let Some(r) = slot.take() {
-                out.push((i as u32, r));
-            }
-        }
-        s.taken += out.len();
-        out
     }
 
     /// True once every reply has been consumed through
@@ -434,6 +449,22 @@ impl Ticket {
             f();
         }
     }
+}
+
+/// What [`Ticket::take_ready`] found, all read under one acquisition
+/// of the ticket's lock.
+#[derive(Debug)]
+pub struct Ready {
+    /// The replies that landed since the previous call, as
+    /// `(slot, reply)` pairs.
+    pub replies: Vec<(u32, Reply)>,
+    /// Every reply of the batch has now been taken (what
+    /// [`Ticket::is_drained`] reports).
+    pub drained: bool,
+    /// A router worker panicked executing the batch: the missing
+    /// replies will never arrive (what [`Ticket::is_poisoned`]
+    /// reports).
+    pub poisoned: bool,
 }
 
 /// One client's pipelined conversation with the [`Db`](crate::Db):
@@ -589,17 +620,21 @@ mod tests {
     #[test]
     fn take_ready_streams_partial_completions_in_any_order() {
         let mut t = pending_ticket(3);
-        assert_eq!(t.take_ready(), vec![], "nothing landed yet");
+        assert_eq!(t.take_ready().replies, vec![], "nothing landed yet");
         assert!(!t.is_drained());
         t.state.complete(vec![(2, Reply::Inserted)]);
-        assert_eq!(t.take_ready(), vec![(2, Reply::Inserted)]);
-        assert_eq!(t.take_ready(), vec![], "already consumed");
+        let ready = t.take_ready();
+        assert_eq!(ready.replies, vec![(2, Reply::Inserted)]);
+        assert!(!ready.drained && !ready.poisoned);
+        assert_eq!(t.take_ready().replies, vec![], "already consumed");
         t.state
             .complete(vec![(0, Reply::Found(None)), (1, Reply::Removed(Some(9)))]);
+        let ready = t.take_ready();
         assert_eq!(
-            t.take_ready(),
+            ready.replies,
             vec![(0, Reply::Found(None)), (1, Reply::Removed(Some(9)))]
         );
+        assert!(ready.drained, "the call that takes the last reply says so");
         assert!(t.is_drained());
     }
 
@@ -608,10 +643,12 @@ mod tests {
         let mut t = pending_ticket(2);
         t.state
             .complete_whole(vec![Reply::Inserted, Reply::Found(Some(5))]);
+        let ready = t.take_ready();
         assert_eq!(
-            t.take_ready(),
+            ready.replies,
             vec![(0, Reply::Inserted), (1, Reply::Found(Some(5)))]
         );
+        assert!(ready.drained);
         assert!(t.is_drained());
     }
 
@@ -630,7 +667,9 @@ mod tests {
         let mut t = pending_ticket(2);
         t.state.poison();
         assert!(t.is_poisoned());
-        assert_eq!(t.take_ready(), vec![], "no replies, but no panic either");
+        let ready = t.take_ready();
+        assert_eq!(ready.replies, vec![], "no replies, but no panic either");
+        assert!(ready.poisoned && !ready.drained);
     }
 
     #[test]

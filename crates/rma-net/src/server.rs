@@ -501,7 +501,10 @@ impl EventLoop<'_> {
     fn route_completions(&mut self) {
         let mut k = 0;
         while k < self.pendings.len() {
-            if self.pendings[k].ticket.is_poisoned() {
+            // One acquisition of the ticket's lock tells the whole
+            // story: what landed, whether anything is still to come.
+            let ready = self.pendings[k].ticket.take_ready();
+            if ready.poisoned {
                 // A router worker died mid-batch; the affected
                 // requests can never be answered. Close their
                 // connections rather than leave them hanging.
@@ -513,13 +516,10 @@ impl EventLoop<'_> {
                 }
                 continue;
             }
-            let ready = self.pendings[k].ticket.take_ready();
-            if !ready.is_empty() {
-                self.route_ready(k, ready);
+            if !ready.replies.is_empty() {
+                self.route_ready(k, ready.replies);
             }
-            if self.pendings[k].ticket.is_drained()
-                && self.pendings[k].parts.iter().all(|p| p.scans.is_empty())
-            {
+            if ready.drained && self.pendings[k].parts.iter().all(|p| p.scans.is_empty()) {
                 self.pendings.swap_remove(k);
             } else {
                 k += 1;

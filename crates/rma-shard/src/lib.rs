@@ -55,6 +55,9 @@
 //!   resize can unmap pages) while keeping readers wait-free: a
 //!   reader never spins on a writer; after a few failed attempts it
 //!   falls back to the shard's `RwLock`.
+//! * **Batched lookups** ([`ShardedRma::get_many`]) go through the
+//!   same bracket once per shard instead of once per key: one topology
+//!   pin per call, one optimistic section per shard's group of keys.
 //!
 //! The result: maintenance no longer stalls the read fleet — and,
 //! since the plan engine, no longer stalls the *write* fleet either:
@@ -141,6 +144,30 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Shard-local operations between advances of the shared decay clock
 /// (batching keeps the global cache line off the per-op hot path).
 pub(crate) const DECAY_TICK_BATCH: u64 = 64;
+
+/// Keys [`ShardedRma::get_many`] routes and groups by shard in one
+/// pass — one bit of a `u64` mask each. With the default eight shards
+/// a full block hands `Rma::get_batch` about eight keys a shard, where
+/// the overlap of their misses has flattened out.
+const GET_MANY_BLOCK: usize = u64::BITS as usize;
+
+/// The positions of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The bits of `pending` whose key routes to `shard`.
+fn members(pending: u64, shard_of: &[u32; GET_MANY_BLOCK], shard: u32) -> u64 {
+    bits(pending)
+        .filter(|&i| shard_of[i] == shard)
+        .fold(0, |group, i| group | 1 << i)
+}
 
 /// Bounds on the adaptive decay period so a rate estimate taken
 /// during a lull (or a burst) cannot disable decay or thrash it.
@@ -552,14 +579,99 @@ impl ShardedRma {
     pub fn get(&self, k: Key) -> Option<Value> {
         let topo = self.topo();
         let shard = &topo.shards[topo.splitters.route(k)];
-        let prev = shard.reads.fetch_add(1, Relaxed);
-        shard.stats.record(k);
-        if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-            self.tick_decay(&topo, DECAY_TICK_BATCH);
+        self.read_keys(&topo, shard, &[k], |rma| rma.get(k))
+    }
+
+    /// `out[i] = self.get(keys[i])` for every `i`, paying the per-call
+    /// costs of [`get`](Self::get) once per shard instead of once per
+    /// key: the topology is pinned once, the keys are grouped by
+    /// shard, and each group is recorded with one counter update and
+    /// read in **one** optimistic section through
+    /// [`Rma::get_batch`](rma_core::Rma::get_batch), which overlaps
+    /// the group's cache misses.
+    ///
+    /// Promises exactly what `keys.len()` separate `get`s do: each
+    /// key is read at a stable version of its shard; keys in
+    /// different shards are *not* one snapshot. Overwrites all of
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` and `out` differ in length.
+    pub fn get_many(&self, keys: &[Key], out: &mut [Option<Value>]) {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        let topo = self.topo();
+        // Routing and grouping happen on the stack, a block of keys at
+        // a time, so the two-key runs of a small-request workload pay
+        // no allocation for them.
+        let mut shard_of = [0u32; GET_MANY_BLOCK];
+        for (keys, out) in keys
+            .chunks(GET_MANY_BLOCK)
+            .zip(out.chunks_mut(GET_MANY_BLOCK))
+        {
+            for (s, &k) in shard_of.iter_mut().zip(keys) {
+                *s = topo.splitters.route(k) as u32;
+            }
+            // Bit `i` set: `keys[i]` has not been read yet.
+            let mut pending = u64::MAX >> (GET_MANY_BLOCK - keys.len());
+            while pending != 0 {
+                let first = pending.trailing_zeros() as usize;
+                let shard = &topo.shards[shard_of[first] as usize];
+                let group = members(pending, &shard_of, shard_of[first]);
+                pending &= !group;
+                let n = group.count_ones() as usize;
+                if n == 1 {
+                    // Nothing to gather or to overlap: a short run
+                    // spread over the shards is mostly these, and must
+                    // not cost more than the `get`s it replaces.
+                    let k = keys[first];
+                    out[first] = self.read_keys(&topo, shard, &[k], |rma| rma.get(k));
+                    continue;
+                }
+                let mut group_keys = [0 as Key; GET_MANY_BLOCK];
+                let mut group_vals = [None; GET_MANY_BLOCK];
+                for (gk, i) in group_keys.iter_mut().zip(bits(group)) {
+                    *gk = keys[i];
+                }
+                let (group_keys, group_vals) = (&group_keys[..n], &mut group_vals[..n]);
+                // The section may rerun after writer interference:
+                // `get_batch` overwrites every slot, so a rerun leaves
+                // nothing of the failed attempt behind.
+                self.read_keys(&topo, shard, group_keys, |rma| {
+                    rma.get_batch(group_keys, group_vals)
+                });
+                for (i, &v) in bits(group).zip(group_vals.iter()) {
+                    out[i] = v;
+                }
+            }
         }
-        match shard.try_optimistic(|rma| rma.get(k)) {
-            Some(found) => found,
-            None => shard.read().get(k),
+    }
+
+    /// The bracket every point read runs in — `get` with one key,
+    /// `get_many` with a shard's group: records the accesses (one
+    /// counter update, the per-key histogram, one decay tick when the
+    /// shard-local count crosses a [`DECAY_TICK_BATCH`] boundary),
+    /// then runs `read` optimistically, under the shard's read lock
+    /// only after repeated writer interference.
+    fn read_keys<R>(
+        &self,
+        topo: &Topology,
+        shard: &shard::Shard,
+        keys: &[Key],
+        mut read: impl FnMut(&rma_core::Rma) -> R,
+    ) -> R {
+        let n = keys.len() as u64;
+        let prev = shard.reads.fetch_add(n, Relaxed);
+        for &k in keys {
+            shard.stats.record(k);
+        }
+        let crossed = (prev + n) / DECAY_TICK_BATCH - prev / DECAY_TICK_BATCH;
+        if crossed > 0 {
+            self.tick_decay(topo, crossed * DECAY_TICK_BATCH);
+        }
+        match shard.try_optimistic(&mut read) {
+            Some(out) => out,
+            None => read(&shard.read()),
         }
     }
 
@@ -821,6 +933,12 @@ mod tests {
         for k in (0..1000).step_by(3) {
             assert_eq!(s.get(k), Some(k));
         }
+        let keys: Vec<Key> = (-5..1005).step_by(3).collect();
+        let mut vals = vec![None; keys.len()];
+        s.get_many(&keys, &mut vals);
+        for (&k, v) in keys.iter().zip(vals) {
+            assert_eq!(v, (0..1000).contains(&k).then_some(k), "get_many {k}");
+        }
         let (reads_after, writes_after) = s.lock_acquisitions();
         assert_eq!(
             reads_after - reads_before,
@@ -828,6 +946,31 @@ mod tests {
             "uncontended gets must not take the read lock"
         );
         assert_eq!(writes_after - writes_before, 0);
+    }
+
+    #[test]
+    fn get_many_records_accesses_like_per_key_gets() {
+        let mut cfg = small_cfg(2);
+        cfg.decay_every = 64;
+        let many = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
+        let single = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
+        // One key → one bucket: exact halving arithmetic. 150 reads of
+        // it cross the 64-op tick boundary twice, whether they arrive
+        // one by one or as three calls spanning several blocks.
+        let keys = [7; 150];
+        for chunk in keys.chunks(70) {
+            many.get_many(chunk, &mut vec![None; chunk.len()]);
+        }
+        for k in keys {
+            single.get(k);
+        }
+        assert_eq!(single.op_count(), 128);
+        assert_eq!(many.op_count(), single.op_count());
+        let masses = |s: &ShardedRma| s.access_masses().iter().sum::<u64>();
+        // The halvings fall at different reads (a batch is recorded
+        // before its tick), so the masses agree only to within the
+        // reads of one block.
+        assert!(masses(&many).abs_diff(masses(&single)) <= GET_MANY_BLOCK as u64);
     }
 
     #[test]

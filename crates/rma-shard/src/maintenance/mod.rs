@@ -614,24 +614,34 @@ mod tests {
                 let _ = s.get(k);
             }
         }
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        let stop = AtomicBool::new(false);
+        let sweeps = AtomicU64::new(0);
         std::thread::scope(|sc| {
-            let s = &s;
-            let stop_ref = &stop;
+            let (s, stop, sweeps) = (&s, &stop, &sweeps);
             let reader = sc.spawn(move || {
-                let mut checked = 0u64;
-                while !stop_ref.load(std::sync::atomic::Ordering::Relaxed) {
-                    for k in (0..4000i64).step_by(97) {
+                while !stop.load(Relaxed) {
+                    // Mostly the hot band, so that however many sweeps
+                    // an optimised build fits in before the planner
+                    // reads the histograms, the reads feed the
+                    // imbalance it is to act on and never dilute it.
+                    for k in (2100..2200i64).chain([500, 1500, 3500]) {
                         assert_eq!(s.get(k), Some(k));
-                        checked += 1;
                     }
+                    sweeps.fetch_add(1, Relaxed);
                 }
-                checked
             });
+            // The reader must be mid-flight when the drain starts, not
+            // still being spawned.
+            while sweeps.load(Relaxed) == 0 {
+                std::thread::yield_now();
+            }
             let report = s.relearn_splitters();
+            // Stop the reader before asserting: a failed assertion
+            // must fail the test, not leave the scope waiting forever.
+            stop.store(true, Relaxed);
+            reader.join().unwrap();
             assert!(report.relearned, "{report:?}");
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            assert!(reader.join().unwrap() > 0);
         });
         s.check_invariants();
     }

@@ -329,6 +329,114 @@ fn writer_progress_during_incremental_drain() {
     index.check_invariants();
 }
 
+/// `get_many` beside writers and the background maintainer, on the
+/// unique-key scheme of the proptest below: writer `w` stores version
+/// `v` under a key of its own and publishes `v` (Release) only after
+/// that insert has returned, so a reader that loads the published
+/// versions (Acquire) must get `Some(v)` for every version up to them
+/// — from one `get_many` call whose keys span every shard, several
+/// routing blocks and, as the ascending inserts keep the last shard
+/// hot, the shards the maintainer is splitting at that moment. A
+/// group read from a torn or retired-and-stale shard surfaces as
+/// `None` or as a foreign value.
+#[test]
+fn get_many_sees_every_published_version_under_writers_and_maintainer() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    let writes = (stress_ops() / 8).max(64) as i64;
+    // Versions on even keys, interleaved between the writers; churn
+    // on the odd keys in between.
+    let slot = |w: usize, v: i64| 2 * (v * WRITERS as i64 + w as i64);
+    let db = Db::builder()
+        .router_workers(1) // engine-only stress: no session traffic
+        .shard_config(stress_cfg(8))
+        .splitter_keys((1..8).map(|i| i * writes / 2).collect())
+        .maintenance(MaintainerConfig {
+            poll_interval: Duration::from_millis(1),
+            imbalance_trigger: 1.1,
+            min_ops_between: 256,
+            step_pause: Duration::from_micros(100),
+            ..Default::default()
+        })
+        .build()
+        .expect("valid stress config");
+    let index = db.engine();
+    for w in 0..WRITERS {
+        index.insert(slot(w, 0), 0);
+    }
+    let published: [AtomicI64; WRITERS] = std::array::from_fn(|_| AtomicI64::new(0));
+    let start = Barrier::new(WRITERS + READERS);
+    let calls = AtomicU64::new(0);
+    std::thread::scope(|sc| {
+        let (published, start, calls) = (&published, &start, &calls);
+        for r in 0..READERS {
+            sc.spawn(move || {
+                let mut rng = SplitMix64::new(0x6E7 + r as u64);
+                let mut keys = Vec::new();
+                let mut want = Vec::new();
+                let mut got = Vec::new();
+                start.wait();
+                loop {
+                    // Pairs with the writers' Release stores: every
+                    // insert up to `p[w]` happened before these loads.
+                    let p: [i64; WRITERS] = std::array::from_fn(|w| published[w].load(Acquire));
+                    keys.clear();
+                    want.clear();
+                    for (w, &p) in p.iter().enumerate() {
+                        // The newest versions (where the writer and
+                        // the maintainer are), and a sample of the old.
+                        let newest = (p - 24).max(0)..=p;
+                        let sample = (0..100).map(|_| rng.next_below(p as u64 + 1) as i64);
+                        for v in newest.chain(sample) {
+                            keys.push(slot(w, v));
+                            want.push(Some(v));
+                        }
+                    }
+                    // A short run every other pass: the two-key groups
+                    // of a small-request workload.
+                    if calls.fetch_add(1, Relaxed) % 2 == 1 {
+                        keys.truncate(3);
+                        want.truncate(3);
+                    }
+                    got.clear();
+                    got.resize(keys.len(), None);
+                    index.get_many(&keys, &mut got);
+                    assert_eq!(got, want, "with {p:?} published, keys {keys:?}");
+                    if p.iter().all(|&p| p == writes) {
+                        break;
+                    }
+                }
+            });
+        }
+        for (w, published) in published.iter().enumerate() {
+            let index = &index;
+            sc.spawn(move || {
+                let mut rng = SplitMix64::new(0xC0DE + w as u64);
+                start.wait();
+                for v in 1..=writes {
+                    index.insert(slot(w, v), v);
+                    published.store(v, Release);
+                    // Churn around the versions so their segments
+                    // shift and rebalance under the readers' feet.
+                    index.insert(slot(w, rng.next_below(v as u64) as i64) + 1, -v);
+                }
+            });
+        }
+    });
+    let stats = db.stop_maintenance().expect("maintainer was running");
+    index.check_invariants();
+    assert_eq!(index.len(), WRITERS * (2 * writes as usize + 1));
+    // Not asserted (timing-dependent on 1-cpu hosts); surfaced for
+    // debugging.
+    eprintln!(
+        "get_many stress: calls={} maintainer runs={} steps={} shards={}",
+        calls.load(Relaxed),
+        stats.runs,
+        stats.steps,
+        index.num_shards()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

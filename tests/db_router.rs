@@ -204,6 +204,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A stretch of ops over sixteen keys spread across the four shards:
+/// a long run of `Get`s, or one write of a key those runs read. The
+/// workers read every run of `Get`s in one `get_many` call, so a
+/// stream of these has a run ending at — and the next one starting
+/// after — a write of one of its own keys, over and over: a run that
+/// let a read slip across the write answers with the wrong side of it.
+fn get_run_or_write() -> impl Strategy<Value = Vec<Op>> {
+    let key = || (0i64..16).prop_map(|i| i * 37);
+    prop_oneof![
+        2 => prop::collection::vec(key().prop_map(Op::Get), 2..40),
+        2 => (key(), 0i64..1_000_000).prop_map(|(k, v)| vec![Op::Insert(k, v)]),
+        1 => key().prop_map(|k| vec![Op::Remove(k)]),
+    ]
+}
+
 /// Executes `op` through the direct-call surface — the reference the
 /// router path is differenced against.
 fn exec_direct(db: &Db, op: Op) -> Reply {
@@ -260,6 +275,41 @@ proptest! {
         }
         routed_db.engine().check_invariants();
         prop_assert_eq!(routed_db.len(), direct_db.len());
+        prop_assert_eq!(
+            routed_db.engine().collect_all(),
+            direct_db.engine().collect_all()
+        );
+    }
+
+    /// `Get` runs keep their place between the writes around them.
+    /// Point ops only, so the replies depend on nothing but each
+    /// shard's own op order — which one worker pins outright and two
+    /// workers pin per shard (a shard's ops all reach one worker, in
+    /// submission order); awaiting each ticket serializes the batches.
+    #[test]
+    fn get_runs_never_cross_a_write_of_their_keys(
+        stretches in prop::collection::vec(get_run_or_write(), 1..40),
+        batch_len in 1usize..90,
+        workers in 1usize..3,
+    ) {
+        let routed_db = Db::builder()
+            .shard_config(small_cfg(4))
+            .splitter_keys(vec![150, 300, 450])
+            .router_workers(workers)
+            .build()
+            .expect("valid test config");
+        let direct_db = Db::builder()
+            .shard_config(small_cfg(4))
+            .splitter_keys(vec![150, 300, 450])
+            .build()
+            .expect("valid test config");
+        let ops: Vec<Op> = stretches.into_iter().flatten().collect();
+        let mut session = routed_db.session();
+        for batch in ops.chunks(batch_len) {
+            let got = session.submit(batch).wait();
+            let want: Vec<Reply> = batch.iter().map(|&op| exec_direct(&direct_db, op)).collect();
+            prop_assert_eq!(got, want);
+        }
         prop_assert_eq!(
             routed_db.engine().collect_all(),
             direct_db.engine().collect_all()

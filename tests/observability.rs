@@ -222,6 +222,10 @@ fn op_latency_sampling_records_one_in_n() {
     let sampled: u64 = m.op_latency.iter().map(|h| h.count()).sum();
     // 399 ops, first sampled then every 4th: ceil(399 / 4) = 100.
     assert_eq!(sampled, 100, "one timing sample per 4 ops");
+    // The 99 `Get`s ran as one `get_many` call, timed once: every
+    // expiry of the countdown inside the run still counts (ops 301,
+    // 305, …, 397), each recording the run's mean.
+    assert_eq!(m.op_latency[0].count(), 25, "samples of the Get run");
     // Batch-granular series are never sampled.
     assert_eq!(m.batch_size.count(), 2);
     assert_eq!(m.ticket_wait.count(), 2);

@@ -212,6 +212,97 @@ fn removes_after_split_merge_cycles_match_btreemap() {
     assert_eq!(got, want, "content after split/merge/remove cycles");
 }
 
+/// `get_many` against per-key `get` (bit for bit: the same member of
+/// a duplicate run) and against the oracle's presence. Values are a
+/// function of the key, so the oracle predicts them whichever member
+/// is returned.
+fn assert_get_many_matches(
+    sharded: &rma_repro::shard::ShardedRma,
+    oracle: &BTreeMap<i64, usize>,
+    probes: &[i64],
+    when: &str,
+) {
+    let mut got = vec![Some(i64::MIN); probes.len()];
+    sharded.get_many(probes, &mut got);
+    for (&k, &v) in probes.iter().zip(&got) {
+        assert_eq!(v, sharded.get(k), "{when}: get_many({k}) vs get");
+        assert_eq!(
+            v,
+            oracle.contains_key(&k).then(|| k * 3),
+            "{when}: get_many({k}) vs oracle"
+        );
+    }
+}
+
+/// `get_many` with keys spanning every shard, on the topology before
+/// a split, between the split and the merge, and after the merge.
+#[test]
+fn get_many_matches_get_and_btreemap_across_split_and_merge() {
+    let db = sharded_db(small_sharded(4), vec![4000, 8000, 12000]);
+    let sharded = db.engine();
+    let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
+    let mut rng = rma_repro::workloads::SplitMix64::new(0x6E7);
+    // Hits, misses, duplicates of both, below the minimum and above
+    // the maximum, in no order, more than one routing block of them.
+    let probes: Vec<i64> = (0..300)
+        .map(|_| rng.next_below(16_400) as i64 - 200)
+        .chain([i64::MIN, i64::MAX, 3999, 4000, 4001])
+        .collect();
+
+    for _ in 0..2000 {
+        let k = rng.next_below(16_000) as i64;
+        sharded.insert(k, k * 3);
+        oracle_insert(&mut oracle, k);
+    }
+    assert_get_many_matches(sharded, &oracle, &probes, "four even shards");
+
+    // Hammer one quarter so its shard splits.
+    for _ in 0..3000 {
+        let k = rng.next_below(2000) as i64;
+        sharded.insert(k, k * 3);
+        oracle_insert(&mut oracle, k);
+    }
+    let report = sharded.rebalance_shards();
+    assert!(report.splits >= 1, "skew must split: {report:?}");
+    sharded.check_invariants();
+    assert_get_many_matches(sharded, &oracle, &probes, "after the split");
+
+    // Drain most keys, then consolidate back towards four shards.
+    let victims: Vec<i64> = oracle.keys().copied().filter(|&k| k % 5 != 0).collect();
+    for k in victims {
+        while oracle_remove_exact(&mut oracle, k) {
+            assert!(sharded.remove(k).is_some(), "drain({k})");
+        }
+    }
+    let shards = sharded.num_shards();
+    assert!(sharded.compact() >= 1, "{shards} shards must merge");
+    sharded.check_invariants();
+    assert_get_many_matches(sharded, &oracle, &probes, "after the merge");
+}
+
+/// More shards than one routing block of `get_many` has keys: every
+/// group is a single key, and shard ids run past the block size.
+#[test]
+fn get_many_spans_a_topology_of_more_than_64_shards() {
+    const SHARDS: i64 = 80;
+    let splitter_keys: Vec<i64> = (1..SHARDS).map(|i| i * 100).collect();
+    let db = sharded_db(small_sharded(SHARDS as usize), splitter_keys);
+    let sharded = db.engine();
+    assert_eq!(sharded.num_shards(), SHARDS as usize);
+    let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
+    for k in (0..SHARDS * 100).step_by(7) {
+        sharded.insert(k, k * 3);
+        oracle_insert(&mut oracle, k);
+    }
+    // Descending, so consecutive probes never share a shard.
+    let probes: Vec<i64> = (-50..SHARDS * 100 + 50).rev().step_by(33).collect();
+    assert!(probes.len() > 200);
+    assert_get_many_matches(sharded, &oracle, &probes, "80 shards");
+    let (reads, _) = sharded.lock_acquisitions();
+    assert_get_many_matches(sharded, &oracle, &probes, "80 shards, again");
+    assert_eq!(sharded.lock_acquisitions().0, reads, "uncontended reads");
+}
+
 /// Removes one instance of exactly `k`; false when absent.
 fn oracle_remove_exact(o: &mut BTreeMap<i64, usize>, k: i64) -> bool {
     match o.get_mut(&k) {
