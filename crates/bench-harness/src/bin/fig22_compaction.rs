@@ -141,8 +141,11 @@ fn write_json(
         cli.scale
     ));
     json.push_str(&format!(
-        "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n",
-        cli.seed, cli.seg, cli.reps
+        "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {},\n",
+        cli.seed,
+        cli.seg,
+        cli.reps,
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     json.push_str(&format!(
         "  \"compact_target_factor\": {TARGET_FACTOR},\n  \"quiet_ms\": {},\n",

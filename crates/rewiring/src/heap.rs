@@ -78,11 +78,23 @@ impl HeapRegion {
         Ok(())
     }
 
-    /// Unwires pages; the backing storage is retained for reuse.
+    /// Unwires pages. When that un-wires the tail of the allocation,
+    /// the allocation shrinks to the highest page still wired — the
+    /// heap's answer to a hole punch, so the region holds the memory
+    /// [`wired_pages`](Self::wired_pages) says it holds.
     pub fn unwire(&mut self, first: usize, count: usize) -> std::io::Result<()> {
         assert!(first + count <= self.max_pages());
         for vp in first..first + count {
             self.wired[vp] = false;
+        }
+        let backed = self.bytes.len() / self.page_bytes;
+        let keep = self.wired[..backed]
+            .iter()
+            .rposition(|&w| w)
+            .map_or(0, |vp| vp + 1);
+        if keep < backed {
+            self.bytes.truncate(keep * self.page_bytes);
+            self.bytes.shrink_to(keep * self.page_bytes);
         }
         Ok(())
     }
@@ -155,6 +167,27 @@ mod tests {
         r.unwire(0, 1).unwrap();
         r.wire(0, 1).unwrap();
         unsafe { assert_eq!(r.page_ptr(0).read(), 0) };
+    }
+
+    #[test]
+    fn unwiring_the_tail_gives_the_memory_back() {
+        let mut r = HeapRegion::new(64, 64 * 8);
+        r.wire(0, 6).unwrap();
+        unsafe { r.page_ptr(1).write(5) };
+        // A hole in the middle frees nothing: the slice stays whole.
+        r.unwire(2, 2).unwrap();
+        assert_eq!(r.bytes.len(), 6 * 64);
+        // The tail does, down to the highest page still wired.
+        r.unwire(4, 2).unwrap();
+        assert_eq!(r.bytes.len(), 2 * 64);
+        assert!(r.bytes.capacity() < 6 * 64);
+        assert_eq!(r.wired_pages() * 64, r.bytes.len());
+        unsafe { assert_eq!(r.page_ptr(1).read(), 5) };
+        r.unwire(0, 2).unwrap();
+        assert_eq!(r.bytes.capacity(), 0);
+        // Re-wiring past the end grows it again, zeroed.
+        r.wire(0, 3).unwrap();
+        unsafe { assert_eq!(r.page_ptr(1).read(), 0) };
     }
 
     #[test]

@@ -26,11 +26,30 @@ pub struct MmapRegion {
     /// Page table: virtual page index → file page index, or
     /// `UNMAPPED`.
     table: Vec<u64>,
-    /// Free file pages available for reuse.
-    free_file_pages: Vec<u64>,
+    /// Free file pages available for reuse, most recently freed last.
+    free_file_pages: Vec<FreePage>,
+    /// Makes every hole punch report failure (and skip the syscall), so
+    /// a test can watch `wire` zero a page that still holds old bytes.
+    #[cfg(test)]
+    fail_punch: bool,
 }
 
 const UNMAPPED: u64 = u64::MAX;
+
+/// A file page no virtual page is wired to.
+#[derive(Debug, Clone, Copy)]
+struct FreePage {
+    fp: u64,
+    /// The hole punch that freed it succeeded: the kernel dropped the
+    /// content and the next mapping reads as zeroes without our help.
+    zeroed: bool,
+}
+
+/// Length of the leading run of `fps` that is contiguous in the file —
+/// what one `mmap` or one `fallocate` can cover.
+fn file_run_len(fps: &[u64]) -> usize {
+    1 + fps.windows(2).take_while(|w| w[1] == w[0] + 1).count()
+}
 
 // The region owns its mapping and fd exclusively; raw pointers are
 // only dereferenced through &self/&mut self methods. There is no
@@ -115,6 +134,8 @@ impl MmapRegion {
             file_pages: 0,
             table: vec![UNMAPPED; reserve_bytes / page_bytes],
             free_file_pages: Vec::new(),
+            #[cfg(test)]
+            fail_punch: false,
         })
     }
 
@@ -150,80 +171,103 @@ impl MmapRegion {
         self.file_pages - self.free_file_pages.len()
     }
 
-    fn alloc_file_page(&mut self) -> io::Result<u64> {
-        if let Some(fp) = self.free_file_pages.pop() {
-            return Ok(fp);
-        }
-        let fp = self.file_pages as u64;
-        let new_size = (self.file_pages + 1) * self.page_bytes;
-        let rc = unsafe { libc::ftruncate(self.fd, new_size as libc::off_t) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        self.file_pages += 1;
-        Ok(fp)
-    }
-
-    fn map_at(&self, vp: usize, fp: u64) -> io::Result<()> {
-        let addr = unsafe { self.page_ptr(vp) };
-        // MAP_POPULATE pre-faults the mapping: without it, every
-        // rewired page would pay one soft fault per kernel page on
-        // first touch, which at 4 KiB kernel pages erases the benefit
-        // of skipping the copy (the paper avoids this with 2 MiB huge
-        // pages, where a remap costs a single fault).
-        let got = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                self.page_bytes,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED | libc::MAP_FIXED | libc::MAP_POPULATE,
-                self.fd,
-                (fp as usize * self.page_bytes) as libc::off_t,
-            )
-        };
-        if got == libc::MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        debug_assert_eq!(got as *mut u8, addr);
-        Ok(())
-    }
-
     /// Wires `count` virtual pages starting at `first`, committing
-    /// fresh (zeroed) physical pages for any that are unmapped.
+    /// zeroed physical pages for any that are unmapped: the file grows
+    /// once for the whole call and each virtually contiguous gap is
+    /// mapped through [`map_run`](Self::map_run).
+    ///
+    /// Free pages are reused newest first but *in the order they were
+    /// freed*, so un-wiring a range and wiring it again restores the
+    /// same mapping — file-contiguous, one `mmap`, if it was before. A
+    /// punched page comes back from the kernel as zeroes; only a page
+    /// whose punch failed is cleared here.
     pub fn wire(&mut self, first: usize, count: usize) -> io::Result<()> {
-        assert!(first + count <= self.max_pages());
-        for vp in first..first + count {
+        let end = first + count;
+        assert!(end <= self.max_pages());
+        let unmapped = self.table[first..end]
+            .iter()
+            .filter(|&&fp| fp == UNMAPPED)
+            .count();
+        let reused = unmapped.min(self.free_file_pages.len());
+        let fresh = unmapped - reused;
+        if fresh > 0 {
+            let new_size = (self.file_pages + fresh) * self.page_bytes;
+            // SAFETY: plain syscall on the fd this region owns.
+            let rc = unsafe { libc::ftruncate(self.fd, new_size as libc::off_t) };
+            if rc != 0 {
+                return Err(io::Error::last_os_error());
+            }
+        }
+        let mut pages = self
+            .free_file_pages
+            .split_off(self.free_file_pages.len() - reused);
+        pages.extend(
+            (self.file_pages..self.file_pages + fresh).map(|fp| FreePage {
+                fp: fp as u64,
+                zeroed: true,
+            }),
+        );
+        self.file_pages += fresh;
+
+        let mut taken = 0;
+        let mut vp = first;
+        while vp < end {
             if self.table[vp] != UNMAPPED {
+                vp += 1;
                 continue;
             }
-            let reused = !self.free_file_pages.is_empty();
-            let fp = self.alloc_file_page()?;
-            self.map_at(vp, fp)?;
-            self.table[vp] = fp;
-            if reused {
-                // PUNCH_HOLE is best-effort (not all kernels support it
-                // on memfds); guarantee zeroed content on reuse.
-                unsafe { ptr::write_bytes(self.page_ptr(vp), 0, self.page_bytes) };
+            let gap = self.table[vp..end]
+                .iter()
+                .take_while(|&&fp| fp == UNMAPPED)
+                .count();
+            let run = &pages[taken..taken + gap];
+            let fps: Vec<u64> = run.iter().map(|p| p.fp).collect();
+            if let Err(e) = self.map_run(vp, &fps) {
+                // The gap may be partly mapped, but its table entries
+                // stay UNMAPPED so nothing reads through it; its pages
+                // go back on the free list with the rest.
+                self.free_file_pages.extend_from_slice(&pages[taken..]);
+                return Err(e);
             }
+            self.table[vp..vp + gap].copy_from_slice(&fps);
+            for (i, page) in run.iter().enumerate() {
+                if !page.zeroed {
+                    // SAFETY: `vp + i` was mapped read-write for
+                    // `page_bytes` bytes by the `map_run` above, and
+                    // `&mut self` excludes every other access to it.
+                    unsafe { ptr::write_bytes(self.page_ptr(vp + i), 0, self.page_bytes) };
+                }
+            }
+            taken += gap;
+            vp += gap;
         }
         Ok(())
     }
 
     /// Unwires `count` virtual pages starting at `first`, returning
     /// their physical pages to the free pool and punching holes so the
-    /// kernel can reclaim the memory.
+    /// kernel can reclaim the memory: one `PROT_NONE` mapping per
+    /// virtually contiguous run, one hole per file-contiguous run.
     pub fn unwire(&mut self, first: usize, count: usize) -> io::Result<()> {
-        assert!(first + count <= self.max_pages());
-        for vp in first..first + count {
-            let fp = self.table[vp];
-            if fp == UNMAPPED {
+        let end = first + count;
+        assert!(end <= self.max_pages());
+        let mut vp = first;
+        while vp < end {
+            if self.table[vp] == UNMAPPED {
+                vp += 1;
                 continue;
             }
-            let addr = unsafe { self.page_ptr(vp) };
+            let run = self.table[vp..end]
+                .iter()
+                .take_while(|&&fp| fp != UNMAPPED)
+                .count();
+            // SAFETY: the range lies inside this region's reservation;
+            // MAP_FIXED replaces our own mappings there and nothing
+            // else, and `&mut self` means no slice into them is live.
             let got = unsafe {
                 libc::mmap(
-                    addr as *mut libc::c_void,
-                    self.page_bytes,
+                    self.page_ptr(vp) as *mut libc::c_void,
+                    run * self.page_bytes,
                     libc::PROT_NONE,
                     libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE | libc::MAP_FIXED,
                     -1,
@@ -233,18 +277,41 @@ impl MmapRegion {
             if got == libc::MAP_FAILED {
                 return Err(io::Error::last_os_error());
             }
-            unsafe {
-                libc::fallocate(
-                    self.fd,
-                    libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
-                    (fp as usize * self.page_bytes) as libc::off_t,
-                    self.page_bytes as libc::off_t,
-                );
+            let run_end = vp + run;
+            while vp < run_end {
+                let n = file_run_len(&self.table[vp..run_end]);
+                let zeroed = self.punch(self.table[vp], n);
+                for slot in &mut self.table[vp..vp + n] {
+                    self.free_file_pages.push(FreePage { fp: *slot, zeroed });
+                    *slot = UNMAPPED;
+                }
+                vp += n;
             }
-            self.free_file_pages.push(fp);
-            self.table[vp] = UNMAPPED;
         }
         Ok(())
+    }
+
+    /// Punches `pages` file pages out of the memfd starting at `fp`;
+    /// true if the kernel dropped their content. Best-effort: not every
+    /// kernel punches holes in a memfd, and [`wire`](Self::wire) clears
+    /// by hand whatever this could not.
+    fn punch(&self, fp: u64, pages: usize) -> bool {
+        #[cfg(test)]
+        if self.fail_punch {
+            return false;
+        }
+        // SAFETY: plain syscall on the fd this region owns; the range
+        // is no longer mapped anywhere (the caller just replaced its
+        // mapping), so no live reference observes the content going.
+        let rc = unsafe {
+            libc::fallocate(
+                self.fd,
+                libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
+                (fp as usize * self.page_bytes) as libc::off_t,
+                (pages * self.page_bytes) as libc::off_t,
+            )
+        };
+        rc == 0
     }
 
     /// Swaps the physical pages behind virtual pages `a` and `b` — the
@@ -255,8 +322,8 @@ impl MmapRegion {
         if a == b {
             return Ok(());
         }
-        self.map_at(a, fb)?;
-        self.map_at(b, fa)?;
+        self.map_run(a, &[fb])?;
+        self.map_run(b, &[fa])?;
         self.table.swap(a, b);
         Ok(())
     }
@@ -289,12 +356,14 @@ impl MmapRegion {
     fn map_run(&self, vp_first: usize, fps: &[u64]) -> io::Result<()> {
         let mut i = 0;
         while i < fps.len() {
-            let mut j = i + 1;
-            while j < fps.len() && fps[j] == fps[j - 1] + 1 {
-                j += 1;
-            }
+            let j = i + file_run_len(&fps[i..]);
             let addr = unsafe { self.page_ptr(vp_first + i) };
             let bytes = (j - i) * self.page_bytes;
+            // MAP_POPULATE pre-faults the mapping: without it, every
+            // rewired page would pay one soft fault per kernel page on
+            // first touch, which at 4 KiB kernel pages erases the
+            // benefit of skipping the copy (the paper avoids this with
+            // 2 MiB huge pages, where a remap costs a single fault).
             let got = unsafe {
                 libc::mmap(
                     addr as *mut libc::c_void,
@@ -378,6 +447,71 @@ mod tests {
         r.wire(0, 1).unwrap();
         // PUNCH_HOLE discards old content; page must read as zero.
         unsafe { assert_eq!(r.page_ptr(0).read(), 0) };
+    }
+
+    #[test]
+    fn a_failed_punch_is_zeroed_by_hand_on_rewire() {
+        let Some(mut r) = region(4) else { return };
+        r.fail_punch = true;
+        r.wire(0, 2).unwrap();
+        for vp in 0..2 {
+            unsafe { ptr::write_bytes(r.page_ptr(vp), 0x5A, r.page_bytes()) };
+        }
+        r.unwire(0, 2).unwrap();
+        assert!(r.free_file_pages.iter().all(|p| !p.zeroed));
+        // The old bytes are still in the file: a second mapping of the
+        // freed page shows them, so only `wire` stands between them
+        // and the next user.
+        r.wire(2, 1).unwrap();
+        let p = unsafe { std::slice::from_raw_parts(r.page_ptr(2), r.page_bytes()) };
+        assert!(p.iter().all(|&b| b == 0), "stale page handed out");
+        r.fail_punch = false;
+        r.unwire(2, 1).unwrap();
+        assert!(r.free_file_pages.last().is_some_and(|p| p.zeroed));
+    }
+
+    #[test]
+    fn unwire_then_rewire_restores_the_same_mapping() {
+        let Some(mut r) = region(16) else { return };
+        r.wire(0, 8).unwrap();
+        // Scramble, so the mapping is not the identity.
+        r.swap_range(0, 4, 3).unwrap();
+        let before = r.table.clone();
+        r.unwire(2, 5).unwrap();
+        assert_eq!(r.wired_pages(), 3);
+        assert!((2..7).all(|vp| !r.is_wired(vp)));
+        r.wire(2, 5).unwrap();
+        assert_eq!(r.table, before);
+        assert_eq!(r.file_pages, 8);
+    }
+
+    #[test]
+    fn wire_fills_only_the_gaps_and_grows_the_file_once() {
+        let Some(mut r) = region(16) else { return };
+        r.wire(2, 2).unwrap();
+        r.wire(6, 1).unwrap();
+        unsafe {
+            r.page_ptr(2).write(7);
+            r.page_ptr(6).write(9);
+        }
+        r.wire(0, 10).unwrap();
+        assert_eq!(r.wired_pages(), 10);
+        assert_eq!(r.file_pages, 10);
+        // The gaps took the fresh file pages in ascending order.
+        assert_eq!(r.table[..10], [3, 4, 0, 1, 5, 6, 2, 7, 8, 9]);
+        unsafe {
+            assert_eq!(r.page_ptr(2).read(), 7);
+            assert_eq!(r.page_ptr(6).read(), 9);
+            for vp in [0, 1, 4, 5, 7, 8, 9] {
+                r.page_ptr(vp).write(vp as u8);
+                assert_eq!(r.page_ptr(vp).read(), vp as u8);
+            }
+        }
+        // Freed pages are reused before the file grows again.
+        r.unwire(0, 10).unwrap();
+        r.wire(0, 12).unwrap();
+        assert_eq!(r.file_pages, 12);
+        assert_eq!(r.table[..12], [3, 4, 0, 1, 5, 6, 2, 7, 8, 9, 10, 11]);
     }
 
     #[test]

@@ -16,6 +16,18 @@
 //! whole array into a buffer of the new capacity and swaps it in
 //! ([`RewiredVec::commit_resize_swap`]). Both perform exactly one copy
 //! per element on the mmap backend.
+//!
+//! Buffer pages are wired only while they are used. They are wired on
+//! demand by [`RewiredVec::array_and_buffer_mut`], and every commit
+//! ends by un-wiring all but `array_pages / 8` of them (hole-punched
+//! on the mmap backend, truncated away on the heap one), so between
+//! operations `wired_bytes ≤ (array_pages + array_pages / 8) ·
+//! page_bytes`. Why an eighth: a calibrator window of an eighth of the
+//! array or less — every level but the top three — then rebalances
+//! through pages that are already wired, and the windows that do pay
+//! a re-wire are the ones whose amortised frequency falls with their
+//! size; an array under 8 pages keeps no spares and re-wires for each
+//! of its (rare) page-sized rebalances.
 
 use crate::heap::HeapRegion;
 #[cfg(target_os = "linux")]
@@ -126,6 +138,14 @@ impl Backend {
             Backend::Heap(r) => r.wired_pages(),
         }
     }
+    #[cfg(test)]
+    fn is_wired(&self, vp: usize) -> bool {
+        match self {
+            #[cfg(target_os = "linux")]
+            Backend::Mmap(r) => r.is_wired(vp),
+            Backend::Heap(r) => r.is_wired(vp),
+        }
+    }
     /// # Safety
     /// `vp` must be wired before the pointer is dereferenced.
     unsafe fn page_ptr(&self, vp: usize) -> *mut u8 {
@@ -136,6 +156,11 @@ impl Backend {
         }
     }
 }
+
+/// Spare pages kept wired between operations, as a fraction of the
+/// array: one page per `SPARE_DIVISOR` array pages (see the module
+/// docs for why an eighth).
+const SPARE_DIVISOR: usize = 8;
 
 /// A contiguous, growable array of [`Scalar`]s backed by a rewirable
 /// region, plus a spare buffer area used by rebalances.
@@ -218,6 +243,11 @@ impl<T: Scalar> RewiredVec<T> {
     /// Pages occupied by the array part.
     pub fn array_pages(&self) -> usize {
         self.pages_for(self.len)
+    }
+
+    /// Buffer pages currently wired right after the array part.
+    pub fn spare_pages(&self) -> usize {
+        self.spare_wired
     }
 
     /// Resizes the array part in place. Newly exposed elements hold
@@ -314,6 +344,7 @@ impl<T: Scalar> RewiredVec<T> {
         self.backend
             .swap_range(first_page, buf_first, pages)
             .expect("swap pages");
+        self.trim_spares();
     }
 
     /// Completes a resize-through-buffer: the first
@@ -334,10 +365,10 @@ impl<T: Scalar> RewiredVec<T> {
         // [old_pages, old_pages + new_pages) when growing; chunks of
         // `old_pages` pages are pairwise disjoint and, processed in
         // ascending order, equivalent to the per-page ascending swap.
-        let chunk = old_pages.max(1);
+        // (An empty array's buffer already starts at page 0.)
         let mut i = 0;
-        while i < new_pages {
-            let count = chunk.min(new_pages - i);
+        while old_pages > 0 && i < new_pages {
+            let count = old_pages.min(new_pages - i);
             self.backend
                 .swap_range(i, old_pages + i, count)
                 .expect("swap pages");
@@ -349,25 +380,33 @@ impl<T: Scalar> RewiredVec<T> {
         let total_wired = old_pages + self.spare_wired;
         self.len = new_len;
         self.spare_wired = total_wired - new_pages;
-        // Trim the spare pool so it never exceeds the array itself —
-        // the paper's bound on dedicated buffer space.
-        let keep = self.spare_wired.min(new_pages);
-        if self.spare_wired > keep {
-            self.backend
-                .unwire(new_pages + keep, self.spare_wired - keep)
-                .expect("trim spare pages");
-            self.spare_wired = keep;
-        }
+        // The resize buffer was as large as the new array and is not
+        // needed again until the next resize, an array's lifetime of
+        // insertions away: keeping it wired is what made a store cost
+        // two copies of itself. Back to at most `new_pages / 8`
+        // spares — enough for every window up to an eighth of the
+        // array, the rebalances frequent enough to mind a re-wire.
+        self.trim_spares();
     }
 
-    /// Drops all spare buffer pages (used by footprint measurements).
+    /// The one spare-pool rule, applied at the end of every commit:
+    /// at most `array_pages / SPARE_DIVISOR` buffer pages stay wired.
+    fn trim_spares(&mut self) {
+        self.unwire_spares_beyond(self.array_pages() / SPARE_DIVISOR);
+    }
+
+    /// Un-wires every spare buffer page now, whatever the pool rule
+    /// would keep — for a caller that knows no rebalance is coming.
     pub fn release_spares(&mut self) {
-        let first = self.array_pages();
-        if self.spare_wired > 0 {
+        self.unwire_spares_beyond(0);
+    }
+
+    fn unwire_spares_beyond(&mut self, keep: usize) {
+        if self.spare_wired > keep {
             self.backend
-                .unwire(first, self.spare_wired)
-                .expect("release spares");
-            self.spare_wired = 0;
+                .unwire(self.array_pages() + keep, self.spare_wired - keep)
+                .expect("unwire spare pages");
+            self.spare_wired = keep;
         }
     }
 }
@@ -526,6 +565,31 @@ mod tests {
     }
 
     #[test]
+    fn commits_leave_an_eighth_of_the_array_in_spares() {
+        for opts in backends() {
+            let epp = 4096 / 8;
+            let mut v = RewiredVec::<i64>::new(opts);
+            v.resize_in_place(16 * epp);
+            // A window of half the array wires 8 buffer pages; the
+            // commit gives 6 of them back.
+            let _ = v.array_and_buffer_mut(8 * epp);
+            assert_eq!(v.spare_pages(), 8);
+            v.commit_window_swap(0, 8 * epp);
+            assert_eq!(v.spare_pages(), 2);
+            assert_eq!(v.wired_bytes(), 18 * 4096);
+            // A window that fits the pool wires nothing.
+            let _ = v.array_and_buffer_mut(2 * epp);
+            v.commit_window_swap(4 * epp, 2 * epp);
+            assert_eq!(v.wired_bytes(), 18 * 4096);
+            // Under 8 pages nothing is kept.
+            let _ = v.array_and_buffer_mut(4 * epp);
+            v.commit_resize_swap(4 * epp);
+            assert_eq!(v.spare_pages(), 0);
+            assert_eq!(v.wired_bytes(), 4 * 4096);
+        }
+    }
+
+    #[test]
     fn partial_page_lengths_work() {
         for opts in backends() {
             let mut v = RewiredVec::<i64>::new(opts);
@@ -541,5 +605,96 @@ mod tests {
     fn heap_fallback_is_forced() {
         let v = RewiredVec::<i64>::new(small_opts(true));
         assert_eq!(v.backend_kind(), BackendKind::Heap);
+    }
+
+    /// Drives a vector and a `Vec` model through `steps` random grows,
+    /// shrinks (through the buffer and in place) and window swaps,
+    /// checking after each one the content, the spare-pool bound and
+    /// that the wired pages are exactly the array followed by its
+    /// spares.
+    fn churn(opts: RewireOptions, seed: u64, steps: usize) {
+        const MAX_PAGES: usize = 40;
+        let epp = opts.page_bytes / 8;
+        let mut rng = proptest::TestRng::new(seed);
+        let mut v = RewiredVec::<i64>::new(opts);
+        let mut model: Vec<i64> = Vec::new();
+        let mut stamp = 0i64;
+        let mut fresh = move || {
+            stamp += 1;
+            stamp
+        };
+        for step in 0..steps {
+            match rng.below(4) {
+                // Resize through the buffer: keep a prefix, fill the rest.
+                0 | 1 => {
+                    let new_len = rng.below((MAX_PAGES * epp) as u64) as usize + 1;
+                    let kept = new_len.min(model.len());
+                    model.truncate(kept);
+                    model.resize_with(new_len, &mut fresh);
+                    let (arr, buf) = v.array_and_buffer_mut(new_len);
+                    buf[..kept].copy_from_slice(&arr[..kept]);
+                    buf[kept..].copy_from_slice(&model[kept..]);
+                    v.commit_resize_swap(new_len);
+                }
+                // Resize in place; newly exposed slots are unspecified.
+                2 => {
+                    let new_len = rng.below((MAX_PAGES * epp) as u64) as usize + 1;
+                    let kept = new_len.min(model.len());
+                    model.truncate(kept);
+                    model.resize_with(new_len, &mut fresh);
+                    v.resize_in_place(new_len);
+                    v.as_mut_slice()[kept..].copy_from_slice(&model[kept..]);
+                }
+                // Rewrite a page-aligned window through the buffer.
+                _ => {
+                    let whole = model.len() / epp;
+                    if whole == 0 {
+                        continue;
+                    }
+                    let pages = rng.below(whole as u64) as usize + 1;
+                    let first = rng.below((whole - pages + 1) as u64) as usize;
+                    let window = first * epp..(first + pages) * epp;
+                    model[window.clone()].fill_with(&mut fresh);
+                    let (_, buf) = v.array_and_buffer_mut(window.len());
+                    buf.copy_from_slice(&model[window.clone()]);
+                    v.commit_window_swap(window.start, window.len());
+                }
+            }
+            let array = v.array_pages();
+            assert_eq!(v.as_slice(), &model[..], "step {step}");
+            assert!(v.spare_pages() <= array / SPARE_DIVISOR, "step {step}");
+            assert_eq!(
+                v.wired_bytes(),
+                (array + v.spare_pages()) * opts.page_bytes,
+                "step {step}"
+            );
+            for vp in 0..v.backend.max_pages() {
+                assert_eq!(
+                    v.backend.is_wired(vp),
+                    vp < array + v.spare_pages(),
+                    "step {step}, page {vp}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn spare_pool_stays_bounded_under_churn(seed in proptest::any::<u64>()) {
+            for force_heap in [false, true] {
+                churn(
+                    RewireOptions {
+                        page_bytes: 4096,
+                        reserve_bytes: 4096 * 128,
+                        force_heap,
+                        huge_pages: false,
+                    },
+                    seed,
+                    300,
+                );
+            }
+        }
     }
 }

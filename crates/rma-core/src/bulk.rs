@@ -21,6 +21,13 @@
 //!
 //! Batches with deletions run an initial deletion pass with rebalances
 //! disabled, then load the insertions.
+//!
+//! A batch that overflows an **empty** array has nothing to merge
+//! with: it is laid straight into the array at the capacity that fits
+//! it, in the even spread a whole-array rebalance would produce, one
+//! write per element per column and no buffer page or scratch touched.
+//! Everything that builds a store — `ShardedRma::load_bulk`, recovery,
+//! a maintenance step filling a fresh shard — comes through here.
 
 use crate::rma::Rma;
 use crate::{Key, Value};
@@ -370,24 +377,18 @@ impl Rma {
             self.storage.vals.commit_window_swap(first_slot, slots);
         } else {
             self.stats.copied_commits += 1;
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                let n = dst.len();
-                self.storage.keys.as_mut_slice()[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_keys[cursor..cursor + n]);
-                self.storage.vals.as_mut_slice()[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_vals[cursor..cursor + n]);
-                cursor += n;
-            }
+            self.scatter_from_scratch(first_slot, &dst_ranges);
         }
         for (i, s) in segs.clone().enumerate() {
             self.storage.cards[s] = targets[i] as u32;
         }
         self.refresh_separators(segs);
+        self.trim_scratch();
     }
 
     /// Fallback for batches that overflow the whole array: resize to a
-    /// capacity that fits, then load normally.
+    /// capacity that fits, then load normally — or, when there is
+    /// nothing to merge with, build the array from the batch.
     pub(crate) fn rebuild_with_batch(&mut self, batch: &[(Key, Value)]) {
         let b = self.cfg.segment_size;
         let needed = self.len + batch.len();
@@ -409,8 +410,53 @@ impl Rma {
             segs *= 2;
         }
         self.stats.grows += 1;
+        if self.len == 0 {
+            self.build_from_batch(segs, batch);
+            return;
+        }
         self.resize_to(segs);
         self.load_bulk(batch);
+    }
+
+    /// Lays a sorted batch straight into an empty array of `segs`
+    /// segments: the even spread a whole-array rebalance would leave,
+    /// written once per element per column into the array's own pages.
+    /// An empty array has nothing to read while it is rewritten, so it
+    /// needs neither buffer pages nor scratch.
+    fn build_from_batch(&mut self, segs: usize, batch: &[(Key, Value)]) {
+        debug_assert_eq!(self.len, 0, "direct build would drop elements");
+        let b = self.cfg.segment_size;
+        let mut targets = even_targets(batch.len(), segs);
+        cap_targets(&mut targets, b, batch.len());
+        self.stats.elements_moved += batch.len() as u64;
+
+        self.storage.keys.resize_in_place(segs * b);
+        self.storage.vals.resize_in_place(segs * b);
+        let keys = self.storage.keys.as_mut_slice();
+        let vals = self.storage.vals.as_mut_slice();
+        let mut rest = batch;
+        for dst in window_layout(0, b, &targets) {
+            let (run, tail) = rest.split_at(dst.len());
+            for (slot, &(k, v)) in dst.zip(run) {
+                keys[slot] = k;
+                vals[slot] = v;
+            }
+            rest = tail;
+        }
+        self.len = batch.len();
+        self.install_layout(&targets);
+    }
+
+    /// Gives back scratch capacity beyond one logical page of
+    /// elements, so a whole-array merge does not leave a heap copy of
+    /// the array behind; page-sized and smaller rebalances keep their
+    /// buffer.
+    pub(crate) fn trim_scratch(&mut self) {
+        let keep = self.storage.keys.elems_per_page();
+        for scratch in [&mut self.scratch_keys, &mut self.scratch_vals] {
+            scratch.clear();
+            scratch.shrink_to(keep);
+        }
     }
 
     /// Deletion pass with rebalances disabled (§III, batch deletes).
@@ -460,7 +506,9 @@ fn merge_into(
 #[cfg(test)]
 mod tests {
     use crate::config::{RewiringMode, RmaConfig};
-    use crate::rma::Rma;
+    use crate::rma::{cap_targets, even_targets, Rma};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn cfg() -> RmaConfig {
         RmaConfig {
@@ -613,5 +661,193 @@ mod tests {
         r.load_bulk(&batch);
         r.check_invariants();
         assert_eq!(r.len(), 20_000);
+    }
+
+    /// `⌊0.75·cap⌋` for a capacity of `segs` segments: the largest
+    /// batch an empty array of that size takes without doubling again.
+    fn root_max(segs: usize, b: usize) -> usize {
+        (segs * b * 3 / 4).min(segs * (b - 1))
+    }
+
+    /// After every operation each column holds its array pages and at
+    /// most an eighth as many spares.
+    fn assert_footprint_bound(r: &Rma) {
+        for col in [&r.storage.keys, &r.storage.vals] {
+            let page_bytes = col.elems_per_page() * 8;
+            let array = col.array_pages();
+            assert!(
+                col.wired_bytes() <= (array + array / 8) * page_bytes,
+                "{} bytes wired for {array} array pages",
+                col.wired_bytes()
+            );
+        }
+    }
+
+    fn sorted_pairs(r: &Rma) -> Vec<(i64, i64)> {
+        let mut pairs: Vec<(i64, i64)> = r.iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn direct_build_matches_inserts_and_oracle() {
+        let mut sizes_checked = 0;
+        // (The heap backend counts wired pages by walking its
+        // reservation; a small one keeps the per-op bound check cheap.)
+        let copy_cfg = RmaConfig {
+            reserve_bytes: 1 << 21,
+            ..cfg()
+        };
+        for cfg in [copy_cfg, rewired_cfg()] {
+            let b = cfg.segment_size;
+            let mut sizes = vec![0, 1, b - 1, b, b + 1];
+            for segs in [2usize, 8, 64, 512] {
+                let edge = root_max(segs, b);
+                sizes.extend([edge - 1, edge, edge + 1]);
+            }
+            for &n in &sizes {
+                // Distinct keys, runs of seven equal keys, one key.
+                for spread in [3i64, 0, -1] {
+                    let key = |i: i64| match spread {
+                        3 => i * 3,
+                        0 => i / 7,
+                        _ => 42,
+                    };
+                    let batch: Vec<(i64, i64)> = (0..n as i64).map(|i| (key(i), i)).collect();
+                    let mut bulk = Rma::new(cfg);
+                    bulk.load_bulk(&batch);
+                    bulk.check_invariants();
+                    let mut single = Rma::new(cfg);
+                    // Multiset oracle: values are unique, so pairs are.
+                    let mut oracle: BTreeMap<(i64, i64), ()> = BTreeMap::new();
+                    for &(k, v) in &batch {
+                        single.insert(k, v);
+                        oracle.insert((k, v), ());
+                    }
+                    let want: Vec<(i64, i64)> = oracle.keys().copied().collect();
+                    assert_eq!(sorted_pairs(&bulk), want, "n {n} spread {spread}");
+                    assert_eq!(sorted_pairs(&single), want, "n {n} spread {spread}");
+                    // The batch order survives among equal keys.
+                    assert_eq!(bulk.iter().collect::<Vec<_>>(), batch);
+
+                    if n >= b {
+                        // Built directly: one grow, nothing committed,
+                        // no page wired beyond the array, and the even
+                        // spread of a whole-array rebalance.
+                        let st = bulk.stats();
+                        assert_eq!((st.grows, st.rebalances), (1, 0), "n {n}");
+                        assert_eq!((st.rewired_commits, st.copied_commits), (0, 0), "n {n}");
+                        assert_eq!(st.elements_moved, n as u64);
+                        assert_eq!(bulk.storage.keys.spare_pages(), 0);
+                        assert_eq!(bulk.storage.vals.spare_pages(), 0);
+                        assert!(bulk.scratch_keys.capacity() == 0);
+                        let segs = bulk.num_segments();
+                        assert!(n <= root_max(segs, b) && (segs == 1 || n > root_max(segs / 2, b)));
+                        let mut want_cards = even_targets(n, segs);
+                        cap_targets(&mut want_cards, b, n);
+                        let cards: Vec<usize> = (0..segs).map(|s| bulk.storage.card(s)).collect();
+                        assert_eq!(cards, want_cards, "n {n}");
+                        sizes_checked += 1;
+                    }
+                    assert_footprint_bound(&bulk);
+
+                    // The built array is an ordinary one afterwards.
+                    let mut live = oracle;
+                    let mut rng = TestRng::new(n as u64 ^ (spread as u64) << 32);
+                    let key_space = 3 * n as u64 + 16;
+                    for step in 0..10_000i64 {
+                        let k = rng.below(key_space) as i64;
+                        let stored = live.range((k, i64::MIN)..).next().map(|(&(k, _), _)| k);
+                        match stored {
+                            Some(k) if rng.below(3) == 0 => {
+                                let v = bulk.remove(k).expect("stored key");
+                                assert!(
+                                    live.remove(&(k, v)).is_some(),
+                                    "removed a pair never stored"
+                                );
+                            }
+                            _ => {
+                                bulk.insert(k, -step - 1);
+                                live.insert((k, -step - 1), ());
+                            }
+                        }
+                        assert_footprint_bound(&bulk);
+                    }
+                    bulk.check_invariants();
+                    let live: Vec<(i64, i64)> = live.keys().copied().collect();
+                    assert_eq!(sorted_pairs(&bulk), live, "n {n} spread {spread}");
+                }
+            }
+        }
+        assert!(sizes_checked >= 2 * 3 * 14, "{sizes_checked} direct builds");
+    }
+
+    #[test]
+    fn direct_build_reuses_an_emptied_array() {
+        for cfg in [cfg(), rewired_cfg()] {
+            let mut r = Rma::new(cfg);
+            let base: Vec<(i64, i64)> = (0..3000).map(|i| (i, i)).collect();
+            r.load_bulk(&base);
+            for k in 0..3000 {
+                assert_eq!(r.remove(k), Some(k));
+            }
+            assert!(r.is_empty());
+            let batch: Vec<(i64, i64)> = (0..50_000).map(|i| (i * 2, -i)).collect();
+            r.load_bulk_top_down(&batch);
+            r.check_invariants();
+            assert_footprint_bound(&r);
+            assert_eq!(r.iter().collect::<Vec<_>>(), batch);
+        }
+    }
+
+    #[test]
+    fn whole_array_merge_gives_its_scratch_back() {
+        let mut r = Rma::new(rewired_cfg());
+        r.insert(0, 0);
+        let batch: Vec<(i64, i64)> = (1..200_000).map(|i| (i, i)).collect();
+        r.load_bulk(&batch);
+        r.check_invariants();
+        assert_eq!(r.stats().rebalances, 1, "merged, not built");
+        let page = r.storage.keys.elems_per_page();
+        assert!(r.scratch_keys.capacity() <= page && r.scratch_vals.capacity() <= page);
+        assert_footprint_bound(&r);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// 4 KiB pages hold 32 of these segments, so page-sized
+        /// rebalances, grows and shrinks — each a trim, most a re-wire
+        /// — come by the thousand; the bound holds after every one.
+        #[test]
+        fn footprint_stays_bounded_under_churn(seed in any::<u64>()) {
+            let mut r = Rma::new(RmaConfig {
+                reserve_bytes: 1 << 23,
+                ..rewired_cfg()
+            });
+            let mut rng = TestRng::new(seed);
+            let mut len = 0usize;
+            for phase in 0..8 {
+                // Odd phases drain, even phases fill; both hammer a
+                // moving band so windows of every size rebalance.
+                let draining = phase % 2 == 1;
+                let band = rng.below(1 << 20) as i64;
+                for _ in 0..12_000 {
+                    let k = band + rng.below(1 << 12) as i64;
+                    if draining && rng.below(8) != 0 {
+                        len -= usize::from(r.remove_successor(k).is_some());
+                    } else {
+                        r.insert(k, k);
+                        len += 1;
+                    }
+                    assert_footprint_bound(&r);
+                }
+                r.check_invariants();
+                prop_assert_eq!(r.len(), len);
+            }
+            let st = r.stats();
+            prop_assert!(st.rewired_commits > 500, "{:?}", st);
+            prop_assert!(st.grows > 5 && st.shrinks > 0, "{:?}", st);
+        }
     }
 }

@@ -549,28 +549,44 @@ impl Rma {
             self.stats.copied_commits += 1;
             // Copy path: gather into scratch (first copy), scatter
             // back (second copy) — the paper's two-pass scheme.
-            self.scratch_keys.clear();
-            self.scratch_vals.clear();
-            for r in &src_ranges {
-                self.scratch_keys
-                    .extend_from_slice(&self.storage.keys.as_slice()[r.clone()]);
-                self.scratch_vals
-                    .extend_from_slice(&self.storage.vals.as_slice()[r.clone()]);
-            }
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                let n = dst.len();
-                let keys = self.storage.keys.as_mut_slice();
-                keys[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_keys[cursor..cursor + n]);
-                let vals = self.storage.vals.as_mut_slice();
-                vals[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_vals[cursor..cursor + n]);
-                cursor += n;
-            }
+            self.gather_to_scratch(&src_ranges);
+            self.scatter_from_scratch(first_slot, &dst_ranges);
+            self.trim_scratch();
         }
         for (i, s) in segs.enumerate() {
             self.storage.cards[s] = targets[i] as u32;
+        }
+    }
+
+    /// First pass of the copy path: the elements of `src_ranges`
+    /// (absolute slots), in order, into scratch.
+    fn gather_to_scratch(&mut self, src_ranges: &[std::ops::Range<usize>]) {
+        self.scratch_keys.clear();
+        self.scratch_vals.clear();
+        for r in src_ranges {
+            self.scratch_keys
+                .extend_from_slice(&self.storage.keys.as_slice()[r.clone()]);
+            self.scratch_vals
+                .extend_from_slice(&self.storage.vals.as_slice()[r.clone()]);
+        }
+    }
+
+    /// Second pass: scratch, in order, out to `dst_ranges` (relative
+    /// to `first_slot`).
+    pub(crate) fn scatter_from_scratch(
+        &mut self,
+        first_slot: usize,
+        dst_ranges: &[std::ops::Range<usize>],
+    ) {
+        let keys = self.storage.keys.as_mut_slice();
+        let vals = self.storage.vals.as_mut_slice();
+        let mut cursor = 0usize;
+        for dst in dst_ranges {
+            let n = dst.len();
+            let at = first_slot + dst.start..first_slot + dst.end;
+            keys[at.clone()].copy_from_slice(&self.scratch_keys[cursor..cursor + n]);
+            vals[at].copy_from_slice(&self.scratch_vals[cursor..cursor + n]);
+            cursor += n;
         }
     }
 
@@ -643,7 +659,8 @@ impl Rma {
 
     /// Rebuilds the array at `new_segs` segments with an even spread,
     /// swapping pages in via rewiring when enabled (one copy per
-    /// element) or writing into fresh storage otherwise.
+    /// element; an array of less than a page goes through scratch
+    /// instead) or writing into fresh storage otherwise.
     pub(crate) fn resize_to(&mut self, new_segs: usize) {
         let b = self.cfg.segment_size;
         let old_segs = self.storage.seg_count();
@@ -657,7 +674,8 @@ impl Rma {
         let dst_ranges = window_layout(0, b, &targets);
         let new_slots = new_segs * b;
 
-        if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
+        let rewiring = matches!(self.cfg.rewiring, RewiringMode::Enabled { .. });
+        if rewiring && new_slots >= self.storage.keys.elems_per_page() {
             self.stats.rewired_commits += 1;
             for col in [Column::Keys, Column::Vals] {
                 let vec = match col {
@@ -674,6 +692,18 @@ impl Rma {
                 }
                 vec.commit_resize_swap(new_slots);
             }
+        } else if rewiring {
+            // Less than a page has no page to swap in: a buffer page
+            // would be wired, zeroed by the kernel and punched again
+            // to carry a fraction of itself. Through scratch instead,
+            // like a rebalance of less than a page — two copies per
+            // element and no system call.
+            self.stats.copied_commits += 1;
+            self.gather_to_scratch(&src_ranges);
+            self.storage.keys.resize_in_place(new_slots);
+            self.storage.vals.resize_in_place(new_slots);
+            self.scatter_from_scratch(0, &dst_ranges);
+            self.trim_scratch();
         } else {
             self.stats.copied_commits += 1;
             // Standard resize: fresh storage, one copy per element
@@ -704,14 +734,17 @@ impl Rma {
             }
             self.storage = new_storage;
         }
-        self.storage.cards.resize(new_segs, 0);
-        for (s, t) in targets.iter().enumerate() {
-            self.storage.cards[s] = *t as u32;
-        }
-        // The index is static: a resize rebuilds it from scratch.
+        self.install_layout(&targets);
+    }
+
+    /// Last step of anything that rewrites the whole array: records
+    /// the new cardinalities and rebuilds what is sized by the segment
+    /// count — the index is static, the detector per-segment.
+    pub(crate) fn install_layout(&mut self, targets: &[usize]) {
+        self.storage.cards = targets.iter().map(|&t| t as u32).collect();
         self.rebuild_index();
         if let Some(det) = &mut self.detector {
-            det.reset(new_segs);
+            det.reset(targets.len());
         }
     }
 
@@ -1016,6 +1049,43 @@ mod tests {
             a, b,
             "rewired and copy paths must produce identical content"
         );
+    }
+
+    #[test]
+    fn an_array_under_a_page_resizes_without_wiring_a_buffer() {
+        let mut r = Rma::new(RmaConfig {
+            segment_size: 16,
+            rewiring: RewiringMode::Enabled { page_bytes: 4096 },
+            adaptive: None,
+            reserve_bytes: 1 << 22,
+            ..Default::default()
+        });
+        let page = r.storage.keys.elems_per_page();
+        let mut k = 0i64;
+        // Grows up to one page of slots go through scratch ...
+        while r.capacity() < page / 2 {
+            r.insert(k * 7919 % 10_007, k);
+            k += 1;
+            assert_eq!(r.storage.keys.wired_bytes(), 4096);
+        }
+        assert!(r.stats().grows >= 4);
+        assert_eq!(r.stats().rewired_commits, 0);
+        // ... from one page on, through rewired buffer pages ...
+        while r.capacity() < 4 * page {
+            r.insert(k * 7919 % 10_007, k);
+            k += 1;
+        }
+        let rewired_grows = r.stats().rewired_commits;
+        assert!(rewired_grows >= 3);
+        r.check_invariants();
+        // ... and so back down: the shrink below a page copies.
+        while r.capacity() >= page {
+            r.remove_successor(0);
+        }
+        assert!(r.stats().shrinks > 0);
+        assert_eq!(r.storage.keys.wired_bytes(), 4096);
+        r.check_invariants();
+        assert_eq!(r.iter().count(), r.len());
     }
 
     #[test]

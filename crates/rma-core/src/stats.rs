@@ -13,9 +13,12 @@ pub struct RmaStats {
     pub grows: u64,
     /// Resizes that shrank the array.
     pub shrinks: u64,
-    /// Elements copied during rebalances and resizes.
+    /// Elements copied during rebalances and resizes, and written by
+    /// a bulk build into an empty array.
     pub elements_moved: u64,
-    /// Rebalances/resizes that committed through page rewiring.
+    /// Rebalances/resizes that committed through page rewiring. (A
+    /// bulk build into an empty array writes in place: it counts as a
+    /// grow and as neither kind of commit.)
     pub rewired_commits: u64,
     /// Rebalances/resizes that fell back to the copy path.
     pub copied_commits: u64,
