@@ -13,6 +13,7 @@
 //! `O(log²N / B)` bound.
 
 use crate::detector::Detector;
+use crate::rma::height_for;
 use crate::storage::Storage;
 use crate::thresholds::Thresholds;
 
@@ -149,11 +150,6 @@ pub fn adaptive_targets(
     targets
 }
 
-/// Level of a calibrator node covering `m` segments (1 = segment).
-fn level_of(m: usize) -> usize {
-    (usize::BITS - (m - 1).leading_zeros()) as usize + 1
-}
-
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     seg_size: usize,
@@ -190,7 +186,7 @@ fn recurse(
     };
 
     // Lines 9–14: sanitise against the child density thresholds.
-    let child_level = level_of(half).max(level_of(m - half));
+    let child_level = height_for(half).max(height_for(m - half));
     let child_level = child_level.min(height.saturating_sub(1)).max(1);
     let min_left = thresholds
         .min_card(child_level, height, left_cap)

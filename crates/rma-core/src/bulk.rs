@@ -23,9 +23,17 @@
 //! disabled, then load the insertions.
 //!
 //! A batch that overflows an **empty** array has nothing to merge
-//! with: it is laid straight into the array at the capacity that fits
-//! it, in the even spread a whole-array rebalance would produce, one
-//! write per element per column and no buffer page or scratch touched.
+//! with: it is laid straight into the array, in the even spread a
+//! whole-array rebalance would produce, one write per element per
+//! column and no buffer page or scratch touched. The array is sized by
+//! the batch and the thresholds, not by doubling: the fewest segments
+//! whose root window holds the batch under `τ_h`, rounded up to whole
+//! logical pages (so every window of a page or more can still be
+//! rewired) or, below one page, to a power of two. Under the
+//! update-oriented preset that is a density between 0.75 and, for a
+//! batch just past `n` pages, `0.75·n/(n+1)` — 2^19 pairs take 3 pages
+//! of 2 MiB a column where doubling took 4. A batch that overflows a
+//! **non-empty** array still doubles it until both fit, then merges.
 //! Everything that builds a store — `ShardedRma::load_bulk`, recovery,
 //! a maintenance step filling a fresh shard — comes through here.
 
@@ -45,19 +53,13 @@ impl Rma {
         // Pass 1: final cardinality per segment.
         let runs = self.route_batch(batch);
         let m = self.num_segments_internal();
-        let b = self.segment_size_internal();
         let new_cards: Vec<usize> = (0..m)
             .map(|s| self.card_internal(s) + runs[s].len())
             .collect();
 
         // Global overflow: fall back to a rebuild at grown capacity.
         let total: usize = new_cards.iter().sum();
-        let height = self.height_internal();
-        let root_max = self
-            .thresholds_internal()
-            .max_card(height, height, m * b)
-            .min(m * (b - 1));
-        if total > root_max {
+        if total > self.root_max(m) {
             self.rebuild_with_batch(batch);
             return;
         }
@@ -97,22 +99,16 @@ impl Rma {
         }
         let runs = self.route_batch(batch);
         let m = self.num_segments_internal();
-        let b = self.segment_size_internal();
         let total: usize = (0..m)
             .map(|s| self.card_internal(s) + runs[s].len())
             .collect::<Vec<_>>()
             .iter()
             .sum();
-        let height = self.height_internal();
-        let root_max = self
-            .thresholds_internal()
-            .max_card(height, height, m * b)
-            .min(m * (b - 1));
-        if total > root_max {
+        if total > self.root_max(m) {
             self.rebuild_with_batch(batch);
             return;
         }
-        self.top_down_rec(0..m, height, batch, &runs);
+        self.top_down_rec(0..m, self.height_internal(), batch, &runs);
         self.note_bulk_inserted(batch.len());
     }
 
@@ -174,7 +170,7 @@ impl Rma {
 // Internal passes shared by the bottom-up and top-down schemes.      //
 // ----------------------------------------------------------------- //
 
-use crate::rma::{cap_targets, even_targets, window_layout};
+use crate::rma::{cap_targets, even_targets, height_for, window_layout};
 
 impl Rma {
     pub(crate) fn num_segments_internal(&self) -> usize {
@@ -386,33 +382,55 @@ impl Rma {
         self.trim_scratch();
     }
 
+    /// The most an array of `segs` segments holds with its root window
+    /// within `τ_h` and a free slot left in every segment.
+    pub(crate) fn root_max(&self, segs: usize) -> usize {
+        let b = self.cfg.segment_size;
+        let height = height_for(segs);
+        self.cfg
+            .thresholds
+            .max_card(height, height, segs * b)
+            .min(segs * (b - 1))
+    }
+
+    /// The size of an array built from `needed` elements: the fewest
+    /// segments whose root threshold holds them, rounded up to whole
+    /// logical pages from one page on and to a power of two below
+    /// that. 2^19 pairs in 2 MiB pages take 3 pages a column (density
+    /// 0.667), where the next power of two takes 4 (0.5).
+    fn build_segments(&self, needed: usize) -> usize {
+        let mut hi = 1usize;
+        while needed > self.root_max(hi) {
+            hi *= 2;
+        }
+        // `root_max` grows with the segment count, so the fewest that
+        // fit lie in (hi / 2, hi].
+        let mut lo = hi / 2;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if needed <= self.root_max(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        self.page_granular(hi)
+    }
+
     /// Fallback for batches that overflow the whole array: resize to a
     /// capacity that fits, then load normally — or, when there is
-    /// nothing to merge with, build the array from the batch.
+    /// nothing to merge with, build the array from the batch at the
+    /// size the batch asks for.
     pub(crate) fn rebuild_with_batch(&mut self, batch: &[(Key, Value)]) {
-        let b = self.cfg.segment_size;
-        let needed = self.len + batch.len();
-        let mut segs = self.storage.seg_count().max(1);
-        loop {
-            let height = if segs <= 1 {
-                1
-            } else {
-                (usize::BITS - (segs - 1).leading_zeros()) as usize + 1
-            };
-            let root_max = self
-                .cfg
-                .thresholds
-                .max_card(height, height, segs * b)
-                .min(segs * (b - 1));
-            if needed <= root_max {
-                break;
-            }
-            segs *= 2;
-        }
         self.stats.grows += 1;
         if self.len == 0 {
-            self.build_from_batch(segs, batch);
+            self.build_from_batch(self.build_segments(batch.len()), batch);
             return;
+        }
+        let needed = self.len + batch.len();
+        let mut segs = self.storage.seg_count();
+        while needed > self.root_max(segs) {
+            segs *= 2;
         }
         self.resize_to(segs);
         self.load_bulk(batch);
@@ -664,7 +682,7 @@ mod tests {
     }
 
     /// `⌊0.75·cap⌋` for a capacity of `segs` segments: the largest
-    /// batch an empty array of that size takes without doubling again.
+    /// batch an array of that size holds.
     fn root_max(segs: usize, b: usize) -> usize {
         (segs * b * 3 / 4).min(segs * (b - 1))
     }
@@ -701,7 +719,8 @@ mod tests {
         for cfg in [copy_cfg, rewired_cfg()] {
             let b = cfg.segment_size;
             let mut sizes = vec![0, 1, b - 1, b, b + 1];
-            for segs in [2usize, 8, 64, 512] {
+            // (96 and 352 segments are 3 and 11 of the rewired pages.)
+            for segs in [2usize, 8, 64, 96, 352, 512] {
                 let edge = root_max(segs, b);
                 sizes.extend([edge - 1, edge, edge + 1]);
             }
@@ -741,8 +760,14 @@ mod tests {
                         assert_eq!(bulk.storage.keys.spare_pages(), 0);
                         assert_eq!(bulk.storage.vals.spare_pages(), 0);
                         assert!(bulk.scratch_keys.capacity() == 0);
+                        // Sized by the batch: the fewest whole pages
+                        // that hold it under τ_h, a power of two below
+                        // a page.
                         let segs = bulk.num_segments();
-                        assert!(n <= root_max(segs, b) && (segs == 1 || n > root_max(segs / 2, b)));
+                        let spp = bulk.segs_per_page();
+                        let smaller = if segs > spp { segs - spp } else { segs / 2 };
+                        assert!(n <= root_max(segs, b) && n > root_max(smaller, b), "n {n}");
+                        assert!(segs.is_multiple_of(spp) || segs.is_power_of_two(), "n {n}");
                         let mut want_cards = even_targets(n, segs);
                         cap_targets(&mut want_cards, b, n);
                         let cards: Vec<usize> = (0..segs).map(|s| bulk.storage.card(s)).collect();
@@ -779,7 +804,7 @@ mod tests {
                 }
             }
         }
-        assert!(sizes_checked >= 2 * 3 * 14, "{sizes_checked} direct builds");
+        assert!(sizes_checked >= 2 * 3 * 20, "{sizes_checked} direct builds");
     }
 
     #[test]
@@ -848,6 +873,113 @@ mod tests {
             let st = r.stats();
             prop_assert!(st.rewired_commits > 500, "{:?}", st);
             prop_assert!(st.grows > 5 && st.shrinks > 0, "{:?}", st);
+        }
+
+        /// 4 KiB pages hold 8 of these segments. An array built at 3,
+        /// 5, 7 or 11 pages has a ragged last window on every level
+        /// from a page up; it is then filled until it grows, drained
+        /// until it shrinks and filled again, beside small bulk loads,
+        /// and stays a whole number of pages (3 → 6, 3 → 2) and equal
+        /// to a sorted multimap throughout.
+        #[test]
+        fn arrays_of_odd_page_counts_survive_churn(seed in any::<u64>()) {
+            for pages in [3usize, 5, 7, 11] {
+                let mut r = Rma::new(RmaConfig {
+                    segment_size: 64,
+                    adaptive: (seed & 1 == 0).then(Default::default),
+                    reserve_bytes: 1 << 22,
+                    ..rewired_cfg()
+                });
+                let (b, spp) = (64, r.segs_per_page());
+                prop_assert_eq!(spp, 8);
+                let mut rng = TestRng::new(seed ^ pages as u64);
+                let mut oracle: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+                let mut next_val = 0i64;
+                let mut fresh = |k: i64, oracle: &mut BTreeMap<i64, Vec<i64>>| {
+                    next_val += 1;
+                    oracle.entry(k).or_default().push(next_val);
+                    (k, next_val)
+                };
+
+                let n = root_max(pages * spp, b) - rng.below(b as u64) as usize;
+                let mut batch: Vec<(i64, i64)> = (0..n)
+                    .map(|_| fresh(rng.below(1 << 16) as i64, &mut oracle))
+                    .collect();
+                batch.sort_by_key(|p| p.0);
+                r.load_bulk(&batch);
+                r.check_invariants();
+                prop_assert_eq!(r.num_segments(), pages * spp);
+
+                // Fill, drain, fill: each phase ends at its resize.
+                let mut odd_rewires = 0;
+                for (phase, resizes) in [(0, 1), (1, 2), (2, 2)] {
+                    let draining = phase == 1;
+                    let before = r.stats().grows + r.stats().shrinks;
+                    // The first fill appends, which drives rebalances
+                    // up through the ragged windows on the right edge.
+                    let band = if phase == 0 { 1 << 16 } else { rng.below(1 << 16) as i64 };
+                    let mut ops = 0;
+                    while r.stats().grows + r.stats().shrinks < before + resizes {
+                        ops += 1;
+                        prop_assert!(ops < 200_000, "phase {} never resized", phase);
+                        let (segs, rewired) = (r.num_segments(), r.stats().rewired_commits);
+                        let k = if rng.below(4) == 0 {
+                            rng.below(1 << 16) as i64
+                        } else {
+                            band + rng.below(1 << 10) as i64
+                        };
+                        let stored = oracle.range(k..).next().map(|(&k, _)| k);
+                        match (rng.below(256), stored) {
+                            (0, _) => {
+                                let mut batch: Vec<(i64, i64)> = (0..rng.below(96))
+                                    .map(|_| fresh(k + rng.below(512) as i64, &mut oracle))
+                                    .collect();
+                                batch.sort_by_key(|p| p.0);
+                                r.load_bulk(&batch);
+                            }
+                            (die, Some(k)) if draining == (die < 224) => {
+                                let v = r.remove(k).expect("stored key");
+                                let vals = oracle.get_mut(&k).expect("stored key");
+                                let at = vals.iter().position(|&x| x == v);
+                                vals.swap_remove(at.expect("a value stored under the key"));
+                                if vals.is_empty() {
+                                    oracle.remove(&k);
+                                }
+                                // `Double` from a whole number of pages.
+                                let half = segs / 2;
+                                let shrunk = if half > spp { half.next_multiple_of(spp) } else { half };
+                                prop_assert!([segs, shrunk].contains(&r.num_segments()));
+                            }
+                            _ => {
+                                let (k, v) = fresh(k, &mut oracle);
+                                r.insert(k, v);
+                                prop_assert!([segs, 2 * segs].contains(&r.num_segments()));
+                            }
+                        }
+                        if r.num_segments() != segs {
+                            let segs = r.num_segments();
+                            prop_assert!(
+                                segs.is_multiple_of(spp) || segs.is_power_of_two(),
+                                "{} segments", segs
+                            );
+                            r.check_invariants();
+                        } else if !segs.is_power_of_two() {
+                            odd_rewires += r.stats().rewired_commits - rewired;
+                        }
+                    }
+                    r.check_invariants();
+                    let mut want: Vec<(i64, i64)> = oracle
+                        .iter()
+                        .flat_map(|(&k, vals)| vals.iter().map(move |&v| (k, v)))
+                        .collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(sorted_pairs(&r), want);
+                }
+                let st = r.stats();
+                prop_assert!(st.grows >= 3 && st.shrinks >= 2, "{:?}", st);
+                // Rebalances rewired while the page count was odd.
+                prop_assert!(odd_rewires > 0, "{:?}", st);
+            }
         }
     }
 }

@@ -94,11 +94,26 @@ impl Rma {
 
     /// Calibrator tree height for the current segment count.
     pub(crate) fn height(&self) -> usize {
-        let m = self.storage.seg_count();
-        if m <= 1 {
-            1
+        height_for(self.storage.seg_count())
+    }
+
+    /// Segments in one logical page of a column: from this count up an
+    /// array is sized in whole pages, so that every calibrator window
+    /// of a page or more — the ragged last one included — starts and
+    /// ends on a page boundary and can be rewired.
+    pub(crate) fn segs_per_page(&self) -> usize {
+        (self.storage.keys.elems_per_page() / self.cfg.segment_size).max(1)
+    }
+
+    /// `segs` rounded up to a count a bulk build and `Double` give an
+    /// array: a power of two below one logical page, whole pages from
+    /// there.
+    pub(crate) fn page_granular(&self, segs: usize) -> usize {
+        let spp = self.segs_per_page();
+        if segs < spp {
+            segs.next_power_of_two()
         } else {
-            (usize::BITS - (m - 1).leading_zeros()) as usize + 1
+            segs.next_multiple_of(spp)
         }
     }
 
@@ -631,7 +646,10 @@ impl Rma {
     fn shrink_target_segments(&self) -> usize {
         let b = self.cfg.segment_size;
         match self.cfg.thresholds.policy {
-            crate::thresholds::ResizePolicy::Double => (self.storage.seg_count() / 2).max(1),
+            // Half, in whole pages: 3 pages shrink to 2, not to 1.5.
+            crate::thresholds::ResizePolicy::Double => {
+                self.page_granular((self.storage.seg_count() / 2).max(1))
+            }
             crate::thresholds::ResizePolicy::Proportional => {
                 let denom = self.cfg.thresholds.tau_h + self.cfg.thresholds.rho_h;
                 let slots = (2.0 * self.len as f64 / denom).ceil() as usize;
@@ -802,6 +820,18 @@ impl Rma {
 enum Column {
     Keys,
     Vals,
+}
+
+/// Height of the calibrator tree over `segs` segments (1 = a single
+/// segment), which is also the level of a window of that many
+/// segments: `⌈log₂ segs⌉ + 1`, the last window of a level ragged when
+/// `segs` is not a power of two.
+pub(crate) fn height_for(segs: usize) -> usize {
+    if segs <= 1 {
+        1
+    } else {
+        (usize::BITS - (segs - 1).leading_zeros()) as usize + 1
+    }
 }
 
 /// Even spread: `total` elements over `m` segments, remainder to the

@@ -9,7 +9,8 @@
 //!
 //! Two presets follow the paper:
 //! * **update-oriented** (`ρ₁=0.08, ρ_h=0.3, τ_h=0.75, τ₁=1`): looser
-//!   constraints, fewer rebalances, capacity doubles/halves on resize;
+//!   constraints, fewer rebalances, capacity doubles/halves on resize
+//!   (in whole logical pages once it is more than one);
 //! * **scan-oriented** (`ρ₁=0, ρ_h=τ_h=0.75, τ₁=1`): array kept ~75%
 //!   full, capacity set to `2N/(τ_h+ρ_h)` on resize, plus a forced
 //!   shrink when the fill factor drops below 50%.
@@ -18,7 +19,13 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResizePolicy {
     /// Capacity doubles on growth and halves on shrink (the paper's
-    /// first strategy; favours updates).
+    /// first strategy; favours updates). A bulk-built array need not
+    /// be a power of two — it is a whole number of logical pages —
+    /// and stays so: 3 pages double to 6, and halve to 2, not 1.5
+    /// (the half is rounded up to whole pages while it is more than
+    /// one; from one page down the counts are powers of two). The
+    /// calibrator tree over such an array has a ragged last window on
+    /// its upper levels, as under `Proportional`.
     Double,
     /// Capacity becomes `2N / (τ_h + ρ_h)` (the paper's second
     /// strategy; favours scans). A fill factor below 50% forces a

@@ -24,6 +24,7 @@
 use crate::session::Op;
 use crate::{DbSnapshot, MaintainerSnapshot};
 use rma_obs::{Event, Histogram, HistogramSnapshot};
+use rma_shard::ShardFill;
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
 
@@ -192,7 +193,9 @@ impl MetricsSnapshot {
     /// Prometheus-style text exposition: one `summary` family per
     /// latency/size distribution (p50/p95/p99 plus `_sum`, `_count`,
     /// `_max`), `gauge`/`counter` lines for every [`DbSnapshot`]
-    /// number, and the journal tail as trailing comment lines. Every
+    /// number — length, capacity and wired bytes once per shard,
+    /// labelled `shard="i"` in key order — and the journal tail as
+    /// trailing comment lines. Every
     /// op type is always emitted (zeros when unused) so the schema is
     /// stable for scrapers.
     pub fn render_text(&self) -> String {
@@ -244,6 +247,15 @@ impl MetricsSnapshot {
             "# TYPE rma_access_imbalance gauge\nrma_access_imbalance {}",
             e.access_imbalance
         );
+        let mut per_shard = |name: &str, field: fn(&ShardFill) -> usize| {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            for (i, s) in e.shards.iter().enumerate() {
+                let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", field(s));
+            }
+        };
+        per_shard("rma_shard_len", |s| s.len);
+        per_shard("rma_shard_capacity", |s| s.capacity);
+        per_shard("rma_shard_wired_bytes", |s| s.wired_bytes);
 
         let m = &e.maintenance;
         let r = &self.db.router;

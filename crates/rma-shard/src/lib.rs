@@ -206,6 +206,30 @@ pub struct EngineSnapshot {
     pub seqlock_retries: u64,
     /// The incremental maintenance engine's lifetime counters.
     pub maintenance: MaintenanceStats,
+    /// What every shard holds and what it costs, in key order; `len`
+    /// and `memory_footprint` above are the sums.
+    pub shards: Vec<ShardFill>,
+}
+
+/// One shard of an [`EngineSnapshot`]: how full its array is and the
+/// memory behind it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardFill {
+    /// Stored elements.
+    pub len: usize,
+    /// Slots of the shard's sparse array.
+    pub capacity: usize,
+    /// Resident bytes: the wired pages of both columns plus the
+    /// shard's index, cardinalities and detector.
+    pub wired_bytes: usize,
+}
+
+impl ShardFill {
+    /// `len / capacity`: between `ρ_h` and `τ_h` of the shard's
+    /// thresholds, unless the shard is nearly empty.
+    pub fn density(&self) -> f64 {
+        self.len as f64 / self.capacity as f64
+    }
 }
 
 /// A concurrent, key-range-sharded collection of [`rma_core::Rma`]s.
@@ -504,18 +528,19 @@ impl ShardedRma {
         let seqlock_retries = self.lock_stats.opt_retries.load(Relaxed);
         let maintenance = self.maintenance_stats();
         let topo = self.topo();
-        let mut len = 0usize;
-        let mut memory_footprint = 0usize;
+        let fill = |rma: &rma_core::Rma| ShardFill {
+            len: rma.len(),
+            capacity: rma.capacity(),
+            wired_bytes: rma.memory_footprint(),
+        };
+        let mut shards = Vec::with_capacity(topo.shards.len());
         let mut masses = Vec::with_capacity(topo.shards.len());
         for shard in &topo.shards {
-            let (l, m) = shard
-                .try_optimistic(|rma| (rma.len(), rma.memory_footprint()))
-                .unwrap_or_else(|| {
-                    let g = shard.read();
-                    (g.len(), g.memory_footprint())
-                });
-            len += l;
-            memory_footprint += m;
+            shards.push(
+                shard
+                    .try_optimistic(fill)
+                    .unwrap_or_else(|| fill(&shard.read())),
+            );
             masses.push(shard.stats.total());
         }
         let total_mass: u64 = masses.iter().sum();
@@ -526,9 +551,9 @@ impl ShardedRma {
             *masses.iter().max().expect("at least one shard") as f64 / mean
         };
         EngineSnapshot {
-            len,
-            num_shards: topo.shards.len(),
-            memory_footprint,
+            len: shards.iter().map(|s| s.len).sum(),
+            num_shards: shards.len(),
+            memory_footprint: shards.iter().map(|s| s.wired_bytes).sum(),
             splitter_bytes: std::mem::size_of_val(topo.splitters.keys()),
             op_count: self.op_count(),
             access_imbalance,
@@ -536,6 +561,7 @@ impl ShardedRma {
             write_locks,
             seqlock_retries,
             maintenance,
+            shards,
         }
     }
 

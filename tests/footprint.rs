@@ -8,11 +8,6 @@ use rma_repro::rewiring::rewiring_available;
 use rma_repro::shard::{ShardConfig, ShardedRma};
 use rma_repro::workloads::SplitMix64;
 
-/// Bytes per element the loaded store may cost: 32 B of array (16-byte
-/// pairs at density 0.5), an eighth of that in spare pages at most,
-/// detector, index and cardinalities on top.
-const BOUND: f64 = 36.0;
-
 /// Resident shared-memory bytes of this process — memfd pages mapped
 /// into it — as the kernel counts them.
 fn rss_shmem() -> Option<usize> {
@@ -26,10 +21,17 @@ fn bytes_per_elem(s: &ShardedRma) -> f64 {
     s.memory_footprint() as f64 / s.len() as f64
 }
 
-#[test]
-fn bulk_loaded_store_costs_its_array_and_little_more() {
+/// Slots of every shard's array.
+fn capacities(s: &ShardedRma) -> Vec<usize> {
+    let shards = s.stats_snapshot().shards;
+    shards.iter().map(|shard| shard.capacity).collect()
+}
+
+/// Loads `n` pairs into 8 shards, checks the store costs at most
+/// `bound` bytes per element and that the kernel agrees with the
+/// counter, then again after `inserts` uniform inserts.
+fn load_and_measure(n: usize, bound: f64, inserts: usize) {
     const SHARDS: usize = 8;
-    const N: usize = 1 << 20;
     let cfg = ShardConfig {
         num_shards: SHARDS,
         ..Default::default()
@@ -41,17 +43,21 @@ fn bulk_loaded_store_costs_its_array_and_little_more() {
     let memfd = rewiring_available();
     let rss_before = rss_shmem();
 
-    let batch: Vec<(i64, i64)> = (0..N as i64).map(|i| (i * 4, i)).collect();
+    let batch: Vec<(i64, i64)> = (0..n as i64).map(|i| (i * 4, i)).collect();
     let s = ShardedRma::load_bulk(cfg, &batch);
-    assert_eq!(s.len(), N);
+    drop(batch);
+    assert_eq!(s.len(), n);
     assert_eq!(s.num_shards(), SHARDS);
-    println!("after load: {} B/elem", bytes_per_elem(&s));
-    assert!(bytes_per_elem(&s) <= BOUND);
+    println!("2^{} after load: {} B/elem", n.ilog2(), bytes_per_elem(&s));
+    assert!(bytes_per_elem(&s) <= bound);
 
-    // 2^17 pairs a shard land in 2^18 slots: 2 MiB a column, and not
-    // a page more — the kernel's count against ours.
-    let slots_per_shard = (N / SHARDS * 2).next_power_of_two();
-    let wired = SHARDS * 2 * (slots_per_shard * 8).next_multiple_of(page_bytes);
+    // Two columns of whole pages a shard, and not a page more — the
+    // kernel's count against ours.
+    let loaded = capacities(&s);
+    let wired: usize = loaded
+        .iter()
+        .map(|slots| 2 * (slots * 8).next_multiple_of(page_bytes))
+        .sum();
     assert!(s.memory_footprint() >= wired);
     let check_rss = |when: &str| {
         let (Some(before), Some(now), true) = (rss_before, rss_shmem(), memfd) else {
@@ -66,15 +72,28 @@ fn bulk_loaded_store_costs_its_array_and_little_more() {
     };
     check_rss("after load");
 
-    // Uniform inserts, to density 0.625: any page-sized rebalance
-    // they cause wires its buffer pages and gives them back.
+    // Uniform inserts that stay under τ_h, so no shard grows: any
+    // page-sized rebalance they cause wires its buffer pages and
+    // gives them back.
     let mut rng = SplitMix64::new(17);
-    for i in 0..(N as i64 / 4) {
-        s.insert((rng.next_u64() % (4 * N as u64)) as i64, -i);
+    for i in 0..inserts as i64 {
+        s.insert((rng.next_u64() % (4 * n as u64)) as i64, -i);
     }
-    assert_eq!(s.len(), N + N / 4);
+    assert_eq!(s.len(), n + inserts);
+    assert_eq!(capacities(&s), loaded, "no shard grew");
     println!("after inserts: {} B/elem", bytes_per_elem(&s));
-    assert!(bytes_per_elem(&s) <= BOUND);
+    assert!(bytes_per_elem(&s) <= bound);
     check_rss("after inserts");
     s.check_invariants();
+}
+
+#[test]
+fn bulk_loaded_store_costs_its_array_and_little_more() {
+    // 2^17 pairs a shard sit on the one-page floor: 2^18 slots, 2 MiB
+    // a column — 32 B of array at density 0.5, an eighth of that in
+    // spare pages at most, detector, index and cardinalities on top.
+    load_and_measure(1 << 20, 36.0, 1 << 18);
+    // 2^19 pairs a shard are sized by τ_h: 3 pages a column where the
+    // next power of two is 4 — 24 B of array at density 0.667.
+    load_and_measure(1 << 22, 27.0, 1 << 18);
 }

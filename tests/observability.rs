@@ -304,3 +304,61 @@ fn snapshots_render_after_stop_maintenance() {
     assert!(text.contains("# TYPE rma_maintainer_tick_ns summary"));
     assert!(m.to_string().contains("maintainer: "));
 }
+
+/// A bulk-loaded store is sized by its data: every shard of a fresh
+/// 8-shard load reports its length, capacity and wired bytes, at a
+/// density just under `τ_h` = 0.75 (a power-of-two batch would sit at
+/// 0.5 if capacities were rounded to powers of two), and the
+/// exposition carries the three gauges once per shard.
+#[test]
+fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
+    let batch: Vec<(i64, i64)> = (0..1 << 16).map(|i| (i * 3, i)).collect();
+    let db = Db::builder()
+        .shards(8)
+        .rma(RmaConfig {
+            segment_size: 64,
+            rewiring: RewiringMode::Enabled { page_bytes: 4096 },
+            reserve_bytes: 1 << 24,
+            ..Default::default()
+        })
+        .router_workers(1)
+        .build_bulk(&batch)
+        .expect("valid");
+
+    let m = db.metrics();
+    let e = &m.db.engine;
+    assert_eq!(e.shards.len(), 8);
+    assert_eq!(e.len, batch.len());
+    assert_eq!(e.shards.iter().map(|s| s.len).sum::<usize>(), e.len);
+    assert_eq!(
+        e.shards.iter().map(|s| s.wired_bytes).sum::<usize>(),
+        e.memory_footprint
+    );
+    for (i, s) in e.shards.iter().enumerate() {
+        assert_eq!(s.len, batch.len() / 8, "quantile splitters balance");
+        assert!(
+            s.density() > 0.6 && s.density() <= 0.75,
+            "shard {i}: {} in {} slots",
+            s.len,
+            s.capacity
+        );
+        // Two 8-byte columns of whole 4 KiB pages, and a little
+        // beside them.
+        assert_eq!(s.capacity % 512, 0, "shard {i} is whole pages");
+        assert!(s.wired_bytes >= 16 * s.capacity && s.wired_bytes < 20 * s.capacity);
+    }
+    let text = m.render_text();
+    for family in [
+        "rma_shard_len",
+        "rma_shard_capacity",
+        "rma_shard_wired_bytes",
+    ] {
+        assert_eq!(text.matches(&format!("# TYPE {family} gauge")).count(), 1);
+        assert_eq!(text.matches(&format!("{family}{{shard=")).count(), 8);
+    }
+    let last = e.shards[7];
+    assert!(text.contains(&format!(
+        "rma_shard_capacity{{shard=\"7\"}} {}",
+        last.capacity
+    )));
+}
