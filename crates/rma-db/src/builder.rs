@@ -107,12 +107,6 @@ impl DbBuilder {
         self
     }
 
-    /// Buckets per shard in the access histogram.
-    pub fn hist_buckets(mut self, n: usize) -> Self {
-        self.shard.hist_buckets = n;
-        self
-    }
-
     /// Operations between global histogram halvings (`0` disables
     /// decay).
     pub fn decay_every(mut self, ops: u64) -> Self {

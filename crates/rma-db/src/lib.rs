@@ -534,10 +534,6 @@ mod tests {
             ConfigError::Engine(EngineError::ZeroShards)
         );
         assert_eq!(
-            Db::builder().hist_buckets(0).build().unwrap_err(),
-            ConfigError::Engine(EngineError::ZeroHistBuckets)
-        );
-        assert_eq!(
             Db::builder().max_step_elems(0).build().unwrap_err(),
             ConfigError::Engine(EngineError::ZeroMaxStepElems)
         );

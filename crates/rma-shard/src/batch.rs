@@ -68,7 +68,6 @@ impl ShardedRma {
                     r.expect("worker filled every slot"),
                     lo,
                     hi,
-                    &cfg,
                     Arc::clone(&lock_stats),
                 ))
             })

@@ -72,16 +72,10 @@ pub struct ShardConfig {
     /// [`BalancePolicy::ByLen`]) exceeds `split_factor` times the mean
     /// shard weight (and the shard is at least `min_split_len` long).
     pub split_factor: f64,
-    /// Two adjacent shards merge when their combined weight falls
-    /// below `merge_factor` times the mean shard weight.
-    pub merge_factor: f64,
     /// Shards shorter than this never split, regardless of imbalance.
     pub min_split_len: usize,
     /// What maintenance balances on: access mass (default) or length.
     pub balance: BalancePolicy,
-    /// Buckets per shard in the [`AccessStats`](crate::AccessStats)
-    /// histogram.
-    pub hist_buckets: usize,
     /// Recorded operations (across the whole index) between histogram
     /// halvings: all shard histograms decay *together* so their
     /// relative masses survive; `0` disables decay. When
@@ -99,15 +93,6 @@ pub struct ShardConfig {
     /// Whether [`maintain`](crate::ShardedRma::maintain) re-learns
     /// splitters multi-way from the access histogram.
     pub relearn: bool,
-    /// Re-learning only engages when the access imbalance (max/mean
-    /// shard mass) is at least this factor — below it the topology is
-    /// considered balanced and left alone.
-    pub relearn_trigger: f64,
-    /// Re-learning is skipped unless the predicted post-re-learn
-    /// imbalance improves on the current one by at least this
-    /// fraction (the stability guard against churn for marginal
-    /// gains).
-    pub relearn_min_gain: f64,
     /// How re-learning restructures the topology: incrementally
     /// (default), in one monolithic pass (the PR-3 baseline), or by
     /// boundary nudges only.
@@ -143,15 +128,11 @@ impl Default for ShardConfig {
             num_shards: 8,
             rma: RmaConfig::default(),
             split_factor: 2.0,
-            merge_factor: 0.5,
             min_split_len: 1024,
             balance: BalancePolicy::ByAccess,
-            hist_buckets: 32,
             decay_every: 8192,
             adaptive_decay: None,
             relearn: true,
-            relearn_trigger: 1.25,
-            relearn_min_gain: 0.1,
             relearn_strategy: RelearnStrategy::default(),
             nudge_gain_fraction: 0.75,
             max_step_elems: 1 << 16,
@@ -193,26 +174,11 @@ impl ShardConfig {
         if self.split_factor <= 1.0 {
             return Err(ConfigError::SplitFactorNotAboveOne(self.split_factor));
         }
-        if self.merge_factor >= self.split_factor {
-            return Err(ConfigError::MergeFactorNotBelowSplit {
-                merge: self.merge_factor,
-                split: self.split_factor,
-            });
-        }
-        if self.hist_buckets < 1 {
-            return Err(ConfigError::ZeroHistBuckets);
-        }
         if let Some(hl) = self.adaptive_decay {
             // NaN must fail too, so compare through the negation.
             if hl.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
                 return Err(ConfigError::NonPositiveDecayHalfLife(hl));
             }
-        }
-        if self.relearn_trigger < 1.0 {
-            return Err(ConfigError::RelearnTriggerBelowOne(self.relearn_trigger));
-        }
-        if !(0.0..1.0).contains(&self.relearn_min_gain) {
-            return Err(ConfigError::RelearnMinGainOutOfRange(self.relearn_min_gain));
         }
         if !(0.0..=1.0).contains(&self.nudge_gain_fraction) {
             return Err(ConfigError::NudgeGainFractionOutOfRange(
@@ -245,23 +211,8 @@ pub enum ConfigError {
     ZeroShards,
     /// `split_factor <= 1`: a shard at the mean weight would split.
     SplitFactorNotAboveOne(f64),
-    /// `merge_factor >= split_factor`: a freshly split pair would
-    /// immediately re-merge and maintenance would oscillate.
-    MergeFactorNotBelowSplit {
-        /// The offending merge factor.
-        merge: f64,
-        /// The split factor it must stay below.
-        split: f64,
-    },
-    /// `hist_buckets == 0`: the access histogram needs a bucket.
-    ZeroHistBuckets,
     /// `adaptive_decay <= 0` (or NaN): the half-life is a duration.
     NonPositiveDecayHalfLife(f64),
-    /// `relearn_trigger < 1`: re-learning would churn on balanced
-    /// load.
-    RelearnTriggerBelowOne(f64),
-    /// `relearn_min_gain` outside `[0, 1)`.
-    RelearnMinGainOutOfRange(f64),
     /// `nudge_gain_fraction` outside `[0, 1]` (an inverted fraction).
     NudgeGainFractionOutOfRange(f64),
     /// `max_step_elems == 0`: a maintenance step must be allowed to
@@ -294,9 +245,6 @@ pub enum ConfigError {
     /// would merge below the configured shard target and oscillate
     /// against the split pass.
     CompactTargetFactorBelowOne(f64),
-    /// Maintainer `stale_drift` is zero, negative or NaN: every plan
-    /// would be dropped before its first step.
-    StaleDriftNotPositive(f64),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -306,21 +254,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SplitFactorNotAboveOne(x) => {
                 write!(f, "split factor must exceed 1 (got {x})")
             }
-            ConfigError::MergeFactorNotBelowSplit { merge, split } => write!(
-                f,
-                "merge factor must stay below split factor or maintenance \
-                 oscillates (merge {merge}, split {split})"
-            ),
-            ConfigError::ZeroHistBuckets => f.write_str("need at least one histogram bucket"),
             ConfigError::NonPositiveDecayHalfLife(x) => {
                 write!(f, "adaptive decay half-life must be positive (got {x})")
-            }
-            ConfigError::RelearnTriggerBelowOne(x) => write!(
-                f,
-                "relearn trigger below 1 would churn on balanced load (got {x})"
-            ),
-            ConfigError::RelearnMinGainOutOfRange(x) => {
-                write!(f, "relearn min gain must be a fraction in [0, 1) (got {x})")
             }
             ConfigError::NudgeGainFractionOutOfRange(x) => write!(
                 f,
@@ -355,9 +290,6 @@ impl std::fmt::Display for ConfigError {
                 "compact target factor below 1 would merge past the \
                  configured shard target (got {x})"
             ),
-            ConfigError::StaleDriftNotPositive(x) => {
-                write!(f, "stale drift bound must be positive (got {x})")
-            }
         }
     }
 }
@@ -405,30 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_factor_above_split_rejected() {
-        let cfg = ShardConfig {
-            merge_factor: 3.0,
-            ..base()
-        };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::MergeFactorNotBelowSplit {
-                merge: 3.0,
-                split: 2.0
-            })
-        );
-    }
-
-    #[test]
-    fn zero_hist_buckets_rejected() {
-        let cfg = ShardConfig {
-            hist_buckets: 0,
-            ..base()
-        };
-        assert_eq!(cfg.try_validate(), Err(ConfigError::ZeroHistBuckets));
-    }
-
-    #[test]
     fn non_positive_half_life_rejected() {
         for bad in [0.0, -1.0, f64::NAN] {
             let cfg = ShardConfig {
@@ -441,32 +349,6 @@ mod tests {
                     Err(ConfigError::NonPositiveDecayHalfLife(_))
                 ),
                 "half-life {bad} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn relearn_trigger_below_one_rejected() {
-        let cfg = ShardConfig {
-            relearn_trigger: 0.9,
-            ..base()
-        };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::RelearnTriggerBelowOne(0.9))
-        );
-    }
-
-    #[test]
-    fn relearn_min_gain_out_of_range_rejected() {
-        for bad in [-0.1, 1.0, 2.0] {
-            let cfg = ShardConfig {
-                relearn_min_gain: bad,
-                ..base()
-            };
-            assert_eq!(
-                cfg.try_validate(),
-                Err(ConfigError::RelearnMinGainOutOfRange(bad))
             );
         }
     }
@@ -526,12 +408,8 @@ mod tests {
     fn display_matches_the_historic_panic_messages() {
         // Downstream should_panic tests match on these substrings;
         // the typed errors must keep printing them.
-        let text = ConfigError::MergeFactorNotBelowSplit {
-            merge: 3.0,
-            split: 2.0,
-        }
-        .to_string();
-        assert!(text.contains("merge factor"), "{text}");
+        let text = ConfigError::SplitFactorNotAboveOne(1.0).to_string();
+        assert!(text.contains("split factor"), "{text}");
         let text = ConfigError::NonPositiveDecayHalfLife(0.0).to_string();
         assert!(text.contains("half-life"), "{text}");
     }

@@ -300,9 +300,8 @@ pub struct MaintenanceStats {
     /// bound, so the plan's remaining tail was discarded and the
     /// caller re-planned instead.
     pub steps_dropped: u64,
-    /// Elements moved into rebuilt shards across all executed steps
-    /// (a nudge counts only the migrated range; a rebuild counts the
-    /// rebuilt range's residents).
+    /// Elements rebuilt under the locks of all executed steps — see
+    /// [`StepReport::migrated`] for the one definition.
     pub keys_migrated: u64,
     /// Executed [`MaintenanceStep::NudgeBoundary`] steps.
     pub nudges: u64,
@@ -1029,10 +1028,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "merge factor")]
+    #[should_panic(expected = "split factor")]
     fn invalid_config_panics() {
         let cfg = ShardConfig {
-            merge_factor: 3.0,
+            split_factor: 1.0,
             ..ShardConfig::default()
         };
         let _ = ShardedRma::new(cfg);

@@ -36,8 +36,9 @@
 //!    back toward its target in the troughs between bursts.
 //!
 //! Plans drain highest-score-first, and an in-flight plan whose
-//! world drifted past [`MaintainerConfig::stale_drift`] has its tail
-//! dropped and is re-planned — a re-plan supersedes, never appends.
+//! world drifted past the staleness bound
+//! ([`ShardedRma::execute_step`]) has its tail dropped and is
+//! re-planned — a re-plan supersedes, never appends.
 //!
 //! Under [`RelearnStrategy::Monolithic`](crate::RelearnStrategy) the
 //! plan engine is bypassed and the thread runs the old synchronous
@@ -109,12 +110,6 @@ pub struct MaintainerConfig {
     /// an on-target topology from oscillating merge/split. Must be
     /// ≥ 1.0.
     pub compact_target_factor: f64,
-    /// Relative drift bound for the scheduler's staleness check
-    /// ([`ShardedRma::execute_step_with`]): an in-flight plan whose
-    /// live shard count or access masses moved more than this
-    /// fraction since its last executed step has its remaining tail
-    /// dropped and is re-planned from fresh signals.
-    pub stale_drift: f64,
 }
 
 impl Default for MaintainerConfig {
@@ -128,7 +123,6 @@ impl Default for MaintainerConfig {
             checkpoint_interval: None,
             idle_ops_threshold: 1000.0,
             compact_target_factor: 2.0,
-            stale_drift: crate::maintenance::executor::DEFAULT_STALE_DRIFT,
         }
     }
 }
@@ -166,9 +160,6 @@ impl MaintainerConfig {
             return Err(ConfigError::CompactTargetFactorBelowOne(
                 self.compact_target_factor,
             ));
-        }
-        if self.stale_drift.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(ConfigError::StaleDriftNotPositive(self.stale_drift));
         }
         Ok(())
     }
@@ -344,7 +335,7 @@ fn drain_tick(
                     break 'drain false;
                 }
             }
-            let Some(report) = index.execute_step_with(plan, cfg.stale_drift) else {
+            let Some(report) = index.execute_step(plan) else {
                 break 'drain true;
             };
             if report.executed {
@@ -781,17 +772,6 @@ mod tests {
                     Err(ConfigError::IdleOpsThresholdNotPositive(_))
                 ),
                 "idle_ops_threshold={bad} must be rejected"
-            );
-            let cfg = MaintainerConfig {
-                stale_drift: bad,
-                ..Default::default()
-            };
-            assert!(
-                matches!(
-                    cfg.try_validate(),
-                    Err(ConfigError::StaleDriftNotPositive(_))
-                ),
-                "stale_drift={bad} must be rejected"
             );
         }
         for bad in [0.0, 0.99, -1.0, f64::NAN] {

@@ -2,13 +2,17 @@
 //! publishing its own copy-on-write topology through the epoch
 //! handle.
 //!
-//! Execution protocol per step (under the maintenance mutex, which
-//! serializes publications but is held only for the *one* step):
+//! Every restructuring step is the same operation — *re-cut a
+//! contiguous run of shards at new boundaries* — so there is one
+//! executor: `resolve` turns the step into the key range it names on
+//! the live topology, `recut` does the work. Per step (under the
+//! maintenance mutex, which serializes publications but is held only
+//! for the *one* step):
 //!
-//! 1. re-validate the step against the live topology — the plan may
-//!    be stale (a concurrent planner, or earlier steps of this very
-//!    plan, moved the boundaries); invalid steps are **skipped**,
-//!    never mis-applied;
+//! 1. resolve the step's keys against the live topology — the plan
+//!    may be stale (a concurrent planner, or earlier steps of this
+//!    very plan, moved the boundaries); a step whose keys no longer
+//!    name what it was planned for is **skipped**, never mis-applied;
 //! 2. write-lock only the shards inside the step's key range
 //!    ([`StepGuards`], ascending order), drain them, and build the
 //!    replacement shards through the paper's bulk-load machinery,
@@ -16,6 +20,9 @@
 //! 3. retire the drained shards, publish the successor topology
 //!    (untouched shards shared by `Arc`), release the locks, and wait
 //!    out the reader grace period.
+//!
+//! [`CheckpointShard`](MaintenanceStep::CheckpointShard) stays apart:
+//! it reads its shards and publishes nothing.
 //!
 //! Writers therefore only ever queue behind the shards of the step in
 //! flight; a writer blocked when a step begins is released when that
@@ -34,7 +41,7 @@ use std::sync::Arc;
 /// a plan whose live shard count or total decayed access mass has
 /// moved more than this fraction from its anchor since the last
 /// progress point has its remaining steps dropped, not executed.
-pub(crate) const DEFAULT_STALE_DRIFT: f64 = 0.5;
+const DEFAULT_STALE_DRIFT: f64 = 0.5;
 
 /// The journal kind for a step.
 fn step_kind(step: &MaintenanceStep) -> EventKind {
@@ -55,8 +62,13 @@ pub struct StepReport {
     /// False when the step was skipped as stale (or would have
     /// exceeded the per-step element cap).
     pub executed: bool,
-    /// Elements moved into rebuilt shards by this step (for a nudge:
-    /// just the migrated range).
+    /// Elements rebuilt under the step's locks: every resident of
+    /// every shard the step drained, whichever side of a boundary it
+    /// ends up on — the measure the planner caps (`union_residents`)
+    /// and the executor admits on, and what
+    /// [`MaintenanceStats::keys_migrated`](crate::MaintenanceStats)
+    /// sums. For a checkpoint, which rebuilds nothing, the elements
+    /// it sealed.
     pub migrated: u64,
 }
 
@@ -125,65 +137,49 @@ impl ShardedRma {
         }
         let step = plan.pop()?;
         let obs_on = self.obs().enabled();
-        // Anchor the journal entry to the step's pre-execution shard
-        // index (execution replaces the topology underneath it).
-        let anchor = if obs_on { self.step_anchor(&step) } else { 0 };
         let t0 = if obs_on { rma_obs::now_ns() } else { 0 };
-        // Consolidation plans run behind the idle gate, so their
-        // merges are allowed the wider idle bound.
-        let merge_cap = if plan.consolidation_planned() {
-            self.consolidation_bound()
-        } else {
-            self.merge_bound()
-        };
-        let migrated = {
+        // `anchor` is the shard index the journal entry names, on the
+        // topology current *before* execution (which replaces it): the
+        // first shard of the re-cut range, or the partition index for
+        // a checkpoint, which is partition-scoped.
+        let (migrated, anchor) = {
             let _maint = self.maintenance_guard();
-            match step {
-                MaintenanceStep::SplitShard { at } => self.exec_split(at),
-                MaintenanceStep::MergePair { splitter } => self.exec_merge(splitter, merge_cap),
-                MaintenanceStep::NudgeBoundary {
-                    from,
-                    to,
-                    target_key,
-                    boundary,
-                } => self.exec_nudge(from, to, target_key, boundary),
-                MaintenanceStep::RebuildShard { lo, hi } => self.exec_rebuild(lo, hi),
-                MaintenanceStep::CheckpointShard { partition } => self.exec_checkpoint(partition),
+            if let MaintenanceStep::CheckpointShard { partition } = step {
+                (self.exec_checkpoint(partition), partition)
+            } else {
+                let topo = self.topo_handle().load_exclusive();
+                let range = self.resolve(step, topo, plan.consolidation_planned());
+                // Read off `topo` first: `recut` publishes and frees it.
+                let lo = range.and_then(|r| r.0);
+                let anchor = lo.map_or(0, |lo| topo.splitters.route(lo));
+                let migrated = range.and_then(|(lo, hi, bound)| self.recut(lo, hi, bound));
+                (migrated, anchor)
             }
         };
         let counters = self.maint_counters();
-        let report = match migrated {
-            Some(moved) => {
-                counters.steps_executed.fetch_add(1, Relaxed);
-                counters.keys_migrated.fetch_add(moved, Relaxed);
-                if matches!(step, MaintenanceStep::NudgeBoundary { .. }) {
-                    counters.nudges.fetch_add(1, Relaxed);
-                }
-                if obs_on {
-                    let dur = rma_obs::now_ns().saturating_sub(t0);
-                    self.obs().record_step(dur);
-                    self.obs().log(step_kind(&step), anchor, dur, moved);
-                }
-                StepReport {
-                    step,
-                    executed: true,
-                    migrated: moved,
-                }
+        if let Some(moved) = migrated {
+            counters.steps_executed.fetch_add(1, Relaxed);
+            counters.keys_migrated.fetch_add(moved, Relaxed);
+            if matches!(step, MaintenanceStep::NudgeBoundary { .. }) {
+                counters.nudges.fetch_add(1, Relaxed);
             }
-            None => {
-                counters.steps_skipped.fetch_add(1, Relaxed);
-                StepReport {
-                    step,
-                    executed: false,
-                    migrated: 0,
-                }
+            if obs_on {
+                let dur = rma_obs::now_ns().saturating_sub(t0);
+                self.obs().record_step(dur);
+                self.obs().log(step_kind(&step), anchor as u32, dur, moved);
             }
-        };
+        } else {
+            counters.steps_skipped.fetch_add(1, Relaxed);
+        }
         // Re-anchor at the post-step state: the step itself may have
         // changed the shard count, and the plan's own progress must
         // never read as drift.
         plan.reanchor(self.num_shards(), self.access_masses().iter().sum());
-        Some(report)
+        Some(StepReport {
+            step,
+            executed: migrated.is_some(),
+            migrated: migrated.unwrap_or(0),
+        })
     }
 
     /// Executes every remaining step back-to-back (the synchronous
@@ -204,26 +200,6 @@ impl ShardedRma {
             }
         }
         report
-    }
-
-    /// The shard index a step's journal entry is anchored to, on the
-    /// topology current *before* execution (the left shard for merges
-    /// and nudges).
-    fn step_anchor(&self, step: &MaintenanceStep) -> u32 {
-        let topo = self.topo();
-        match *step {
-            MaintenanceStep::SplitShard { at } => topo.splitters.route(at) as u32,
-            MaintenanceStep::MergePair { splitter } => {
-                topo.splitters.route(splitter).saturating_sub(1) as u32
-            }
-            MaintenanceStep::NudgeBoundary { from, .. } => from as u32,
-            MaintenanceStep::RebuildShard { lo, .. } => {
-                lo.map_or(0, |l| topo.splitters.route(l)) as u32
-            }
-            // Checkpoints are partition-scoped, not shard-scoped: the
-            // journal's `shard` field carries the partition index.
-            MaintenanceStep::CheckpointShard { partition } => partition as u32,
-        }
     }
 
     /// Retires the drained shards, publishes the successor topology,
@@ -251,32 +227,6 @@ impl ShardedRma {
         // writers must be able to wake and re-route.
         drop(guards);
         self.topo_handle().reclaim(retired);
-    }
-
-    /// Split the shard containing `at` so `at` becomes a splitter.
-    fn exec_split(&self, at: Key) -> Option<u64> {
-        let topo = self.topo_handle().load_exclusive();
-        let i = topo.splitters.route(at);
-        let (lower, _) = topo.splitters.range_of(i);
-        if lower == Some(at) {
-            return None; // already a boundary: stale step
-        }
-        // Shells first: the memfd + reservation setup runs while
-        // writers still own the shard.
-        let (left_shell, right_shell) = (self.shard_shell(), self.shard_shell());
-        let parent_wb = topo.shards[i].stats.weighted_buckets();
-        let mut splitters = topo.splitters.clone();
-        splitters.split_shard(i, at);
-        let guards = StepGuards::lock(&topo.shards, i..=i);
-        let elems = guards.collect_elems();
-        let cut = elems.partition_point(|p| p.0 < at);
-        let left = self.finish_shard(left_shell, &splitters, i, &elems[..cut], &parent_wb);
-        let right = self.finish_shard(right_shell, &splitters, i + 1, &elems[cut..], &parent_wb);
-        let mut shards = topo.shards.clone();
-        shards[i] = left;
-        shards.insert(i + 1, right);
-        self.publish_step(guards, Topology { splitters, shards });
-        Some(elems.len() as u64)
     }
 
     /// The largest shard a merge may produce: twice the per-step work
@@ -307,202 +257,155 @@ impl ShardedRma {
         self.cfg.max_shard_len.map_or(widened, |m| widened.min(m))
     }
 
-    /// Remove `splitter`, merging its two adjacent shards — unless it
-    /// vanished (stale) or the merged shard would exceed `bound`
-    /// ([`merge_bound`](Self::merge_bound) for load-driven plans, the
-    /// wider [`consolidation_bound`](Self::consolidation_bound) for
-    /// idle consolidation).
-    fn exec_merge(&self, splitter: Key, bound: usize) -> Option<u64> {
-        let topo = self.topo_handle().load_exclusive();
-        let l = topo.splitters.keys().binary_search(&splitter).ok()?;
-        // Cheap pre-check against the lock-free lengths before paying
-        // for a shell or the locks.
-        let rough: usize = topo.shards[l..=l + 1]
-            .iter()
-            .map(|s| s.try_optimistic(|rma| rma.len()).unwrap_or(0))
-            .sum();
-        if rough > bound {
-            return None; // would blow the per-step work bound
-        }
-        let shell = self.shard_shell();
-        let pair_wb = super::pair_weighted_buckets(topo, l);
-        let mut splitters = topo.splitters.clone();
-        splitters.merge_with_next(l);
-        let guards = StepGuards::lock(&topo.shards, l..=l + 1);
-        let elems = guards.collect_elems();
-        if elems.len() > bound {
-            return None; // re-check under the locks (lengths moved)
-        }
-        let merged = self.finish_shard(shell, &splitters, l, &elems, &pair_wb);
-        let mut shards = topo.shards.clone();
-        shards[l] = merged;
-        shards.remove(l + 1);
-        self.publish_step(guards, Topology { splitters, shards });
-        Some(elems.len() as u64)
-    }
-
-    /// Move the boundary between adjacent shards `from`/`to` to
-    /// `target`, migrating the key range in between: bulk-extract it
-    /// from the donor's sorted run and bulk-append it into the
-    /// receiver's rebuild. Both shards are replaced copy-on-write (an
-    /// in-place move would let a reader pinned to the previous
-    /// topology see the migrated keys twice — or not at all).
-    fn exec_nudge(&self, from: usize, to: usize, target: Key, expected: Key) -> Option<u64> {
-        let topo = self.topo_handle().load_exclusive();
-        let n = topo.shards.len();
-        if from >= n || to >= n || from.abs_diff(to) != 1 {
-            return None;
-        }
-        let l = from.min(to);
-        let boundary = *topo.splitters.keys().get(l)?;
-        if boundary != expected {
-            return None; // the topology shifted under the plan: stale
-        }
-        let (pair_lo, _) = topo.splitters.range_of(l);
-        let (_, pair_hi) = topo.splitters.range_of(l + 1);
-        if target == boundary
-            || pair_lo.is_some_and(|lo| target <= lo)
-            || pair_hi.is_some_and(|hi| target >= hi)
-        {
-            return None;
-        }
-        // Direction re-validation: moving the boundary left sheds
-        // `[target, boundary)` from the left shard; the planned donor
-        // must agree or the plan is stale.
-        if (target < boundary) != (from == l) {
-            return None;
-        }
-        let pair_wb = super::pair_weighted_buckets(topo, l);
-        let (left_shell, right_shell) = (self.shard_shell(), self.shard_shell());
-        let guards = StepGuards::lock(&topo.shards, l..=l + 1);
-        let mut left_elems = Vec::new();
-        guards.guards()[0].rma().collect_into(&mut left_elems);
-        let mut right_elems = Vec::new();
-        guards.guards()[1].rma().collect_into(&mut right_elems);
-        let (new_left, new_right, moved) = if target < boundary {
-            // Left shard donates its suffix `[target, boundary)`.
-            let cut = left_elems.partition_point(|p| p.0 < target);
-            let mut receiver = left_elems.split_off(cut);
-            let moved = receiver.len();
-            receiver.extend_from_slice(&right_elems);
-            (left_elems, receiver, moved)
-        } else {
-            // Right shard donates its prefix `[boundary, target)`.
-            let cut = right_elems.partition_point(|p| p.0 < target);
-            let rest = right_elems.split_off(cut);
-            let moved = right_elems.len();
-            left_elems.extend_from_slice(&right_elems);
-            (left_elems, rest, moved)
+    /// Names the key range a restructuring step re-cuts on the live
+    /// topology: `(lo, hi, bound)` such that
+    /// [`recut`](Self::recut)`(lo, hi, bound)` *is* the step, or
+    /// `None` when the step is stale. A split of `[a, b)` at `at` is
+    /// `[a, at)`; a merge across `s` of `[a, s) [s, b)` is `[a, b)`; a
+    /// nudge of `s` to `t` is `[t, b)` when `t < s` and `[a, t)` when
+    /// `t > s`. Every variant finds its shards by key, so a merge
+    /// removes its own boundary whatever its neighbours have become
+    /// since the plan was made — which a range fixed at plan time
+    /// could not promise.
+    ///
+    /// Splits and nudges pass no bound: a split is how an oversized
+    /// shard shrinks, and a nudge rebuilds the pair it finds. On
+    /// shards far above `max_step_elems` the locked window of those
+    /// two steps is therefore set by shard size, not by the cap
+    /// (`max_shard_len` is what keeps a shard inside one step's
+    /// budget).
+    fn resolve(
+        &self,
+        step: MaintenanceStep,
+        topo: &Topology,
+        consolidation: bool,
+    ) -> Option<(Option<Key>, Option<Key>, usize)> {
+        let sp = &topo.splitters;
+        // Outer bounds of the two shards either side of splitter `key`.
+        let pair = |key: Key| {
+            let l = sp.keys().binary_search(&key).ok()?;
+            Some((sp.range_of(l).0, sp.range_of(l + 1).1))
         };
-        let mut keys = topo.splitters.keys().to_vec();
-        keys[l] = target;
-        let splitters = Splitters::new(keys);
-        let left = self.finish_shard(left_shell, &splitters, l, &new_left, &pair_wb);
-        let right = self.finish_shard(right_shell, &splitters, l + 1, &new_right, &pair_wb);
-        let mut shards = topo.shards.clone();
-        shards[l] = left;
-        shards[l + 1] = right;
-        self.publish_step(guards, Topology { splitters, shards });
-        Some(moved as u64)
+        match step {
+            MaintenanceStep::SplitShard { at } => {
+                let (lower, _) = sp.range_of(sp.route(at));
+                // Already a boundary: stale.
+                (lower != Some(at)).then_some((lower, Some(at), usize::MAX))
+            }
+            MaintenanceStep::MergePair { splitter } => {
+                let (lo, hi) = pair(splitter)?;
+                // Consolidation plans run behind the idle gate, so
+                // their merges are allowed the wider idle bound.
+                let bound = if consolidation {
+                    self.consolidation_bound()
+                } else {
+                    self.merge_bound()
+                };
+                Some((lo, hi, bound))
+            }
+            MaintenanceStep::NudgeBoundary {
+                target_key: t,
+                boundary,
+            } => {
+                let (lo, hi) = pair(boundary)?;
+                if t == boundary || lo.is_some_and(|lo| t <= lo) || hi.is_some_and(|hi| t >= hi) {
+                    return None;
+                }
+                Some(if t < boundary {
+                    (Some(t), hi, usize::MAX)
+                } else {
+                    (lo, Some(t), usize::MAX)
+                })
+            }
+            MaintenanceStep::RebuildShard { lo, hi } => {
+                // The planner capped the union's residency at
+                // `max_step_elems` from slightly stale lengths;
+                // refusing on a small drift would just re-plan the
+                // same range forever, hence the slack. In SLO
+                // deployments the admission additionally clamps to
+                // the `max_shard_len` backstop — their whole point is
+                // that no locked window outgrows the step budget.
+                let cap = self.cfg.max_step_elems;
+                let admit = cap + cap / 2;
+                let admit = self
+                    .cfg
+                    .max_shard_len
+                    .map_or(admit, |m| admit.min(m.max(cap)));
+                Some((lo, hi, admit))
+            }
+            // Publishes nothing: not a re-cut.
+            MaintenanceStep::CheckpointShard { .. } => None,
+        }
     }
 
-    /// Rebuild the key range `[lo, hi)` into exactly one shard,
-    /// carving partial overlaps out of the edge shards (which are
-    /// rebuilt as the prefix/suffix remainders).
-    fn exec_rebuild(&self, lo: Option<Key>, hi: Option<Key>) -> Option<u64> {
+    /// The one restructuring step: make the key range `[lo, hi)`
+    /// (`None` = unbounded) exactly one shard, carving partial
+    /// overlaps out of the edge shards, which are rebuilt as the
+    /// prefix/suffix remainders. Locks the overlapped shards, drains
+    /// them, cuts the sorted run at `lo`/`hi`, builds the one to three
+    /// successors with histograms seeded from the drained shards', and
+    /// publishes. Refused (`None`) when the overlapped shards hold
+    /// more than `bound` elements; otherwise returns how many elements
+    /// were rebuilt under the locks.
+    fn recut(&self, lo: Option<Key>, hi: Option<Key>, bound: usize) -> Option<u64> {
         if let (Some(l), Some(h)) = (lo, hi) {
             if h <= l {
                 return None; // degenerate range: malformed step
             }
         }
         let topo = self.topo_handle().load_exclusive();
-        let n = topo.shards.len();
-        let j0 = lo.map_or(0, |l| topo.splitters.route(l));
-        let j1 = hi.map_or(n - 1, |h| topo.splitters.route(h.saturating_sub(1)));
-        if j1 < j0 {
-            return None;
-        }
+        let (j0, j1) = topo.splitters.overlapping(lo, hi);
         let (union_lo, _) = topo.splitters.range_of(j0);
         let (_, union_hi) = topo.splitters.range_of(j1);
-        if j0 == j1 && union_lo == lo && union_hi == hi {
+        // Where `lo`/`hi` cut an edge shard in two: the successor
+        // boundaries inside the union.
+        let cuts: Vec<Key> = (lo.filter(|_| lo != union_lo).into_iter())
+            .chain(hi.filter(|_| hi != union_hi))
+            .collect();
+        if j0 == j1 && cuts.is_empty() {
             return Some(0); // the range already is exactly one shard
         }
-        let need_prefix = lo != union_lo;
-        let need_suffix = hi != union_hi;
-        // Cheap lock-free pre-check before paying for shells or the
-        // locks, on the same measure the planner capped (the union's
-        // total residency) with the same slack as the locked re-check
-        // below: if the overlapped shards already exceed it, the step
-        // is stale and re-planning is cheaper than draining.
-        let cap = self.cfg.max_step_elems;
+        // Cheap pre-check against the lock-free lengths before paying
+        // for shells or the locks: if the overlapped shards already
+        // exceed the bound, re-planning is cheaper than draining.
         let rough: usize = topo.shards[j0..=j1]
             .iter()
             .map(|s| s.try_optimistic(|rma| rma.len()).unwrap_or(0))
             .sum();
-        if rough > cap + cap / 2 {
+        if rough > bound {
             return None;
         }
-        let shells: Vec<_> = (0..1 + usize::from(need_prefix) + usize::from(need_suffix))
-            .map(|_| self.shard_shell())
-            .collect();
+        // Shells first: the memfd + reservation setup runs while
+        // writers still own the shards.
+        let shells: Vec<_> = (0..=cuts.len()).map(|_| self.shard_shell()).collect();
         let guards = StepGuards::lock(&topo.shards, j0..=j1);
         let elems = guards.collect_elems();
-        // Re-check the actual residents under the locks, with slack:
-        // the planner capped the same measure (the union's residency)
-        // from slightly stale lengths, and skipping on a small drift
-        // would just re-plan the same range forever. In SLO
-        // deployments the admission additionally clamps to the
-        // `max_shard_len` backstop — their whole point is that no
-        // locked window outgrows the step budget. Anything past that
-        // is a monolithic stall in the making and is refused (the
-        // planner falls back to split/merge alignment for the range
-        // on its next pass).
-        let admit = cap + cap / 2;
-        let admit = self
-            .cfg
-            .max_shard_len
-            .map_or(admit, |m| admit.min(m.max(cap)));
-        if elems.len() > admit {
+        // Re-check under the locks (the lengths moved). Anything past
+        // the bound is a monolithic stall in the making and is
+        // refused; the planner re-plans the range on its next pass.
+        if elems.len() > bound {
             return None;
         }
-        let p = lo.map_or(0, |l| elems.partition_point(|e| e.0 < l));
-        let q = hi.map_or(elems.len(), |h| elems.partition_point(|e| e.0 < h));
-        let union_wb: Vec<(Key, Key, u64)> = topo.shards[j0..=j1]
-            .iter()
-            .flat_map(|s| s.stats.weighted_buckets())
-            .collect();
-        // Successor splitters: drop the union's internal boundaries,
-        // then pin `lo`/`hi` where they cut an edge shard in two.
+        // Successor `k` holds `elems[at[k]..at[k + 1]]`.
+        let mut at = vec![0];
+        at.extend(cuts.iter().map(|&c| elems.partition_point(|e| e.0 < c)));
+        at.push(elems.len());
+        let union_wb = super::weighted_buckets_of(&topo.shards[j0..=j1]);
+        // Successor splitters: the union's internal boundaries go,
+        // the cuts come.
         let mut keys = topo.splitters.keys().to_vec();
-        keys.drain(j0..j1);
-        let mut insert_at = j0;
-        if need_prefix {
-            keys.insert(insert_at, lo.expect("bounded prefix edge"));
-            insert_at += 1;
-        }
-        if need_suffix {
-            keys.insert(insert_at, hi.expect("bounded suffix edge"));
-        }
+        keys.splice(j0..j1, cuts);
         let splitters = Splitters::new(keys);
-        let mut built: Vec<Arc<Shard>> = Vec::with_capacity(3);
-        let mut shells = shells.into_iter();
-        let mut idx = j0;
-        if need_prefix {
-            let shell = shells.next().expect("one shell per built shard");
-            built.push(self.finish_shard(shell, &splitters, idx, &elems[..p], &union_wb));
-            idx += 1;
-        }
-        let shell = shells.next().expect("one shell per built shard");
-        built.push(self.finish_shard(shell, &splitters, idx, &elems[p..q], &union_wb));
-        idx += 1;
-        if need_suffix {
-            let shell = shells.next().expect("one shell per built shard");
-            built.push(self.finish_shard(shell, &splitters, idx, &elems[q..], &union_wb));
-        }
+        let built: Vec<Arc<Shard>> = (shells.into_iter().enumerate())
+            .map(|(k, shell)| {
+                let part = &elems[at[k]..at[k + 1]];
+                self.finish_shard(shell, &splitters, j0 + k, part, &union_wb)
+            })
+            .collect();
         let mut shards = topo.shards.clone();
         shards.splice(j0..=j1, built);
         self.publish_step(guards, Topology { splitters, shards });
-        Some((q - p) as u64)
+        Some(elems.len() as u64)
     }
 
     /// Seal a checkpoint of durability partition `p`: under write
@@ -520,9 +423,7 @@ impl ShardedRma {
         }
         let (lo, hi) = sink.partition_range(p);
         let topo = self.topo_handle().load_exclusive();
-        let n = topo.shards.len();
-        let j0 = lo.map_or(0, |l| topo.splitters.route(l));
-        let j1 = hi.map_or(n - 1, |h| topo.splitters.route(h.saturating_sub(1)));
+        let (j0, j1) = topo.splitters.overlapping(lo, hi);
         let (cut, elems) = {
             let guards = StepGuards::lock(&topo.shards, j0..=j1);
             let cut = sink.checkpoint_cut(p);
@@ -540,13 +441,14 @@ impl ShardedRma {
 #[cfg(test)]
 mod tests {
     use crate::maintenance::plan::MaintenanceStep;
+    use crate::shard::Shard;
     use crate::tests::small_cfg;
     use crate::{RelearnStrategy, ShardedRma, Splitters};
+    use std::sync::Arc;
 
-    /// Hand-built plans exercise each step kind through the public
-    /// plan type? No — plans only come from planners; these tests
-    /// drive the executor through planner output and direct
-    /// single-step execution.
+    /// Drains a planner's output one step at a time: no step may
+    /// publish more than one topology, and every intermediate
+    /// topology is consistent.
     #[test]
     fn each_executed_step_publishes_one_topology() {
         let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![1000, 2000, 3000]));
@@ -652,8 +554,62 @@ mod tests {
     }
 
     #[test]
+    fn nudge_step_migrates_the_boundary_range_rightwards() {
+        // The mirror image needs a bounded shard to the right of the
+        // boundary (an open-ended one models the whole key domain and
+        // cannot say where inside it the mass sits), hence three.
+        let mut cfg = small_cfg(3);
+        cfg.relearn_strategy = RelearnStrategy::NudgeOnly;
+        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000]));
+        for k in 0..3000i64 {
+            s.insert(k, k);
+        }
+        s.reset_access_stats();
+        // All mass in shard 1's bottom quarter: the boundary below it
+        // should nudge right, into the band.
+        for _ in 0..50 {
+            for k in 1000..1200i64 {
+                let _ = s.get(k);
+            }
+        }
+        let before = s.collect_all();
+        let mut plan = s.plan_relearn();
+        assert!(
+            plan.steps().any(|st| matches!(
+                *st,
+                MaintenanceStep::NudgeBoundary { target_key, boundary: 1000 } if target_key > 1000
+            )),
+            "the lower boundary must be planned rightwards: {plan:?}"
+        );
+        while let Some(report) = s.execute_step(&mut plan) {
+            let MaintenanceStep::NudgeBoundary { target_key, .. } = report.step else {
+                panic!("NudgeOnly must plan only nudges: {report:?}");
+            };
+            assert!(report.executed, "{report:?}");
+            let l = (s.splitters().keys().binary_search(&target_key))
+                .expect("the boundary now sits at its target");
+            // Whichever way the boundary went, both shards of the
+            // pair were rebuilt: that is what `migrated` counts.
+            let stats = s.shard_stats();
+            assert_eq!(
+                report.migrated as usize,
+                stats[l].len + stats[l + 1].len,
+                "{report:?}"
+            );
+        }
+        s.check_invariants();
+        assert_eq!(s.collect_all(), before, "nudge must not lose data");
+        let moved = s.splitters().keys()[0];
+        assert!(
+            (1001..=1210).contains(&moved),
+            "boundary should chase the hot band: {moved}"
+        );
+        assert_eq!(s.num_shards(), 3, "nudges never change the shard count");
+    }
+
+    #[test]
     fn rebuild_step_consolidates_a_range_spanning_shards() {
-        // Directly exercise exec_rebuild through a relearn whose
+        // Exercise range rebuilds through a relearn whose
         // target ranges span multiple current shards: hammer one band
         // across a fragmented topology.
         let mut cfg = small_cfg(8);
@@ -874,5 +830,186 @@ mod tests {
             "cap must leave extra shards: {}",
             s.num_shards()
         );
+    }
+
+    /// The four-shard fixture of the resolver table: keys `0..4000`
+    /// over splitters 1000 / 2000 / 3000, with some access mass in
+    /// every shard so histogram re-seeding has something to carry.
+    fn four_shards(max_step_elems: usize) -> ShardedRma {
+        let mut cfg = small_cfg(4);
+        cfg.max_step_elems = max_step_elems;
+        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
+        for k in 0..4000i64 {
+            s.insert(k, k);
+        }
+        s.reset_access_stats();
+        for k in (0..4000i64).step_by(7) {
+            let _ = s.get(k);
+        }
+        s
+    }
+
+    #[test]
+    fn every_step_kind_is_one_recut_and_stale_steps_publish_nothing() {
+        use MaintenanceStep::*;
+        let some = Some::<i64>;
+        // (step, successor splitters, shards drained, shards built)
+        let live: [(MaintenanceStep, &[i64], usize, usize); 8] = [
+            (SplitShard { at: 1500 }, &[1000, 1500, 2000, 3000], 1, 2),
+            (MergePair { splitter: 2000 }, &[1000, 3000], 2, 1),
+            (
+                NudgeBoundary {
+                    target_key: 1700,
+                    boundary: 2000,
+                },
+                &[1000, 1700, 3000],
+                2,
+                2,
+            ),
+            (
+                NudgeBoundary {
+                    target_key: 2300,
+                    boundary: 2000,
+                },
+                &[1000, 2300, 3000],
+                2,
+                2,
+            ),
+            (
+                RebuildShard {
+                    lo: some(1000),
+                    hi: some(3000),
+                },
+                &[1000, 3000],
+                2,
+                1,
+            ),
+            (
+                RebuildShard {
+                    lo: None,
+                    hi: some(1500),
+                },
+                &[1500, 2000, 3000],
+                2,
+                2,
+            ),
+            (
+                RebuildShard {
+                    lo: some(500),
+                    hi: some(2500),
+                },
+                &[500, 2500, 3000],
+                3,
+                3,
+            ),
+            (
+                RebuildShard {
+                    lo: some(2500),
+                    hi: None,
+                },
+                &[1000, 2000, 2500],
+                2,
+                2,
+            ),
+        ];
+        for (step, splitters, drained, built) in live {
+            let s = four_shards(1 << 16);
+            let content = s.collect_all();
+            let mass: u64 = s.access_masses().iter().sum();
+            let old = s.topo().shards.clone();
+            let published = s.maintenance_stats().topologies_published;
+            let report = s
+                .execute_step(&mut s.plan_of(&[step], false))
+                .expect("one step planned");
+            assert!(report.executed, "{step:?}");
+            assert_eq!(s.splitters().keys(), splitters, "{step:?}");
+            let new = s.topo().shards.clone();
+            let kept = |a: &[Arc<Shard>], b: &[Arc<Shard>]| {
+                a.iter()
+                    .filter(|x| !b.iter().any(|y| Arc::ptr_eq(x, y)))
+                    .count()
+            };
+            assert_eq!(kept(&old, &new), drained, "shards drained by {step:?}");
+            assert_eq!(kept(&new, &old), built, "shards built by {step:?}");
+            assert_eq!(
+                report.migrated,
+                1000 * drained as u64,
+                "migrated counts every resident of the drained shards: {step:?}"
+            );
+            assert_eq!(
+                s.maintenance_stats().topologies_published,
+                published + 1,
+                "{step:?}"
+            );
+            s.check_invariants();
+            assert_eq!(s.collect_all(), content, "{step:?} must not lose data");
+            // Clipping a bucket at a cut rounds each side down: at
+            // most one unit of mass lost per built shard.
+            let after: u64 = s.access_masses().iter().sum();
+            assert!(
+                after <= mass && mass - after <= built as u64,
+                "{step:?} must carry the histogram mass: {mass} -> {after}"
+            );
+        }
+
+        let nudge = |target_key, boundary| NudgeBoundary {
+            target_key,
+            boundary,
+        };
+        // (step, per-step cap)
+        let stale = [
+            (SplitShard { at: 2000 }, 1 << 16),      // already a boundary
+            (MergePair { splitter: 1500 }, 1 << 16), // splitter gone
+            (nudge(1600, 1500), 1 << 16),            // boundary gone
+            (nudge(2000, 2000), 1 << 16),            // no move
+            (nudge(1000, 2000), 1 << 16),            // on the pair's lower edge
+            (nudge(3000, 2000), 1 << 16),            // on its upper edge
+            (nudge(3500, 2000), 1 << 16),            // beyond it
+            (
+                RebuildShard {
+                    lo: some(2000),
+                    hi: some(2000),
+                },
+                1 << 16,
+            ), // empty range
+            // Over the bound: 2000 residents against 2 x 256, and
+            // against a rebuild's 1.5 x 256 admission.
+            (MergePair { splitter: 2000 }, 256),
+            (
+                RebuildShard {
+                    lo: some(1000),
+                    hi: some(3000),
+                },
+                256,
+            ),
+        ];
+        for (step, cap) in stale {
+            let s = four_shards(cap);
+            let content = s.collect_all();
+            let before = s.maintenance_stats();
+            let report = s
+                .execute_step(&mut s.plan_of(&[step], false))
+                .expect("one step planned");
+            assert!(!report.executed, "{step:?} is stale and must be skipped");
+            assert_eq!(report.migrated, 0);
+            let after = s.maintenance_stats();
+            assert_eq!(
+                after.topologies_published, before.topologies_published,
+                "{step:?} must publish nothing"
+            );
+            assert_eq!(after.steps_skipped, before.steps_skipped + 1);
+            assert_eq!(s.splitters().keys(), [1000, 2000, 3000], "{step:?}");
+            assert_eq!(s.collect_all(), content);
+        }
+
+        // The same over-bound merge is admitted when the idle-time
+        // consolidation chain planned it: two natural target shards.
+        let s = four_shards(256);
+        let report = s
+            .execute_step(&mut s.plan_of(&[MergePair { splitter: 2000 }], true))
+            .expect("one step planned");
+        assert!(report.executed, "consolidation merges get the idle bound");
+        assert_eq!(s.splitters().keys(), [1000, 3000]);
+        s.check_invariants();
     }
 }

@@ -14,20 +14,22 @@
 //! * **planners** ([`ShardedRma::plan_maintenance`],
 //!   [`ShardedRma::plan_relearn`], [`ShardedRma::plan_rebalance`],
 //!   in `plan.rs`) read the access histograms and emit a
-//!   [`MaintenancePlan`] of bounded steps — [`SplitShard`]
-//!   (one shard; its work is bounded by that shard's size, which the
-//!   opt-in `ShardConfig::max_shard_len` backstop keeps within a
-//!   step's budget), [`MergePair`] / [`NudgeBoundary`] (two adjacent
+//!   [`MaintenancePlan`] of bounded steps, each the key-identified
+//!   name of a range to re-cut — [`SplitShard`] (one shard; its work
+//!   is bounded by that shard's size, which the opt-in
+//!   `ShardConfig::max_shard_len` backstop keeps within a step's
+//!   budget), [`MergePair`] / [`NudgeBoundary`] (two adjacent
 //!   shards), [`RebuildShard`] (one target key range, capped at
 //!   `ShardConfig::max_step_elems` residents);
 //! * the **executor** ([`ShardedRma::execute_step`] /
 //!   [`ShardedRma::drain_plan`], in `executor.rs`) applies one step at
-//!   a time: it locks only the shards inside the step's key range,
-//!   drains them, publishes a successor topology that reuses every
-//!   untouched shard's `Arc`, and waits out the read grace period —
-//!   so a full re-learn proceeds shard-by-shard and **a writer only
-//!   ever waits out the one step currently restructuring its shard,
-//!   never the whole topology**;
+//!   a time through one procedure for every kind: it resolves the
+//!   step's keys to a range on the live topology, locks only the
+//!   shards inside it, drains them, publishes a successor topology
+//!   that reuses every untouched shard's `Arc`, and waits out the
+//!   read grace period — so a full re-learn proceeds shard-by-shard
+//!   and **a writer only ever waits out the one step currently
+//!   restructuring its shard, never the whole topology**;
 //! * the **monolithic baseline**
 //!   ([`ShardedRma::relearn_splitters_monolithic`], in
 //!   `monolithic.rs`) keeps the PR-3 single-swap rebuild as an
@@ -35,9 +37,8 @@
 //!
 //! [`NudgeBoundary`] is the cheap path for *drifting* hotspots: when
 //! the histogram CDF says one boundary move recovers most of the
-//! predicted re-learn gain, the planner migrates just the key range
-//! between the old and new boundary (bulk extract from the donor,
-//! bulk append into the receiver) instead of rebuilding the topology.
+//! predicted re-learn gain, the plan is that one two-shard step
+//! instead of a rebuild of the topology.
 //!
 //! The public entry points [`ShardedRma::rebalance_shards`],
 //! [`ShardedRma::relearn_splitters`] and [`ShardedRma::maintain`]
@@ -71,7 +72,7 @@ pub(crate) mod plan;
 pub use executor::{DrainReport, StepReport};
 pub use plan::{MaintenancePlan, MaintenanceStep};
 
-use crate::shard::{Shard, Topology};
+use crate::shard::Shard;
 use crate::{BalancePolicy, RelearnStrategy, ShardedRma, Splitters};
 use rma_core::{Key, Rma, Value};
 use std::sync::atomic::Ordering::Relaxed;
@@ -127,6 +128,28 @@ pub struct RelearnReport {
     pub shards_after: usize,
 }
 
+/// Re-learning only engages when the access imbalance (max/mean
+/// shard mass) is at least this factor — below it the topology is
+/// considered balanced and left alone.
+pub(crate) const RELEARN_TRIGGER: f64 = 1.25;
+
+/// Re-learning is skipped unless the predicted post-re-learn
+/// imbalance improves on the current one by at least this fraction
+/// (the stability guard against churn for marginal gains).
+pub(crate) const RELEARN_MIN_GAIN: f64 = 0.1;
+
+impl RelearnReport {
+    /// The report of a plan made against `n` shards, before any
+    /// decision is filled in.
+    pub(super) fn at(n: usize) -> Self {
+        RelearnReport {
+            shards_before: n,
+            shards_after: n,
+            ..Default::default()
+        }
+    }
+}
+
 /// Clips weighted buckets to `[lo, hi)`, scaling each straddling
 /// bucket's mass by its overlap fraction (piecewise-uniform model).
 pub(super) fn clip_weights(
@@ -169,14 +192,13 @@ pub(super) fn predicted_masses(wb: &[(Key, Key, u64)], splitters: &Splitters) ->
     masses
 }
 
-/// Concatenated weighted histogram of the adjacent shard pair
-/// `(l, l + 1)` — the signal both the nudge planner and the
-/// merge/nudge executors seed successor shards from (one home, so
-/// planner predictions and executor seeding can never diverge).
-pub(super) fn pair_weighted_buckets(topo: &Topology, l: usize) -> Vec<(Key, Key, u64)> {
-    let mut pair_wb = topo.shards[l].stats.weighted_buckets();
-    pair_wb.extend(topo.shards[l + 1].stats.weighted_buckets());
-    pair_wb
+/// Concatenated weighted histograms of a contiguous run of shards —
+/// the signal planners predict from and the executor seeds successor
+/// shards from.
+pub(super) fn weighted_buckets_of(shards: &[Arc<Shard>]) -> Vec<(Key, Key, u64)> {
+    (shards.iter())
+        .flat_map(|s| s.stats.weighted_buckets())
+        .collect()
 }
 
 /// Max/mean of a mass vector; `1.0` for empty or all-zero input.
@@ -256,26 +278,14 @@ impl ShardedRma {
     ) -> Arc<Shard> {
         shell.load_bulk(elems);
         let (lo, hi) = splitters.range_of(i);
-        let shard = Shard::new(shell, lo, hi, &self.cfg, Arc::clone(self.lock_stats_arc()));
+        let shard = Shard::new(shell, lo, hi, Arc::clone(self.lock_stats_arc()));
         shard.stats.seed(&clip_weights(wb, lo, hi));
         Arc::new(shard)
     }
 
-    /// Builds a successor shard over `elems` covering shard range `i`
-    /// of `splitters`, histogram seeded from `wb`.
-    pub(super) fn build_shard(
-        &self,
-        splitters: &Splitters,
-        i: usize,
-        elems: &[(Key, Value)],
-        wb: &[(Key, Key, u64)],
-    ) -> Arc<Shard> {
-        self.finish_shard(self.shard_shell(), splitters, i, elems, wb)
-    }
-
     /// Splits shards whose balance weight exceeds `split_factor ×` the
     /// mean and merges adjacent pairs whose combined weight falls
-    /// below the `merge_factor ×` mean floor, by planning and
+    /// below half the mean, by planning and
     /// immediately draining bounded rounds of [`MaintenanceStep`]s.
     /// Under the default [`BalancePolicy::ByAccess`], split points
     /// come from the shard histogram's equal-access CDF point and
@@ -306,9 +316,8 @@ impl ShardedRma {
 
     /// Re-learns the splitter set from the global access histogram —
     /// multi-way equal-access quantiles, guarded twice (observed
-    /// imbalance must reach `relearn_trigger` **and** the predicted
-    /// imbalance must improve by `relearn_min_gain`), so uniform
-    /// workloads cause zero churn.
+    /// imbalance must reach 1.25 **and** the predicted imbalance must
+    /// improve by a tenth), so uniform workloads cause zero churn.
     ///
     /// Under the default [`RelearnStrategy::Incremental`] the rebuild
     /// is planned as bounded steps and drained immediately — each

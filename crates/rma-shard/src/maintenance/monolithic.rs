@@ -5,10 +5,12 @@
 //! stall it causes (every shard's write lock held for the whole
 //! rebuild) against the plan engine's bounded steps.
 
-use super::{imbalance_of, predicted_masses, RelearnReport};
-use crate::shard::{Shard, Topology};
+use super::{
+    imbalance_of, predicted_masses, weighted_buckets_of, RelearnReport, RELEARN_MIN_GAIN,
+    RELEARN_TRIGGER,
+};
+use crate::shard::{Shard, StepGuards, Topology};
 use crate::{ShardedRma, Splitters};
-use rma_core::{Key, Value};
 use std::sync::Arc;
 
 impl ShardedRma {
@@ -28,11 +30,7 @@ impl ShardedRma {
         let _maint = self.maintenance_guard();
         let topo = self.topo_handle().load_exclusive();
         let n = topo.shards.len();
-        let mut report = RelearnReport {
-            shards_before: n,
-            shards_after: n,
-            ..Default::default()
-        };
+        let mut report = RelearnReport::at(n);
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
         let total: u64 = masses.iter().sum();
         if total == 0 {
@@ -41,41 +39,32 @@ impl ShardedRma {
         let mean = total as f64 / n as f64;
         let imbalance = *masses.iter().max().expect("at least one shard") as f64 / mean;
         report.imbalance_before = imbalance;
-        if imbalance < self.cfg.relearn_trigger {
+        if imbalance < RELEARN_TRIGGER {
             return report; // already balanced: no churn
         }
-        let wb: Vec<(Key, Key, u64)> = topo
-            .shards
-            .iter()
-            .flat_map(|s| s.stats.weighted_buckets())
-            .collect();
+        let wb = weighted_buckets_of(&topo.shards);
         let candidate = Splitters::from_weighted_histogram(&wb, self.cfg.num_shards);
         if candidate == topo.splitters {
             return report;
         }
         let predicted = imbalance_of(&predicted_masses(&wb, &candidate));
         report.imbalance_predicted = predicted;
-        if predicted >= (1.0 - self.cfg.relearn_min_gain) * imbalance {
+        if predicted >= (1.0 - RELEARN_MIN_GAIN) * imbalance {
             return report; // gain too small to justify the churn
         }
 
         // Rebuild: drain every shard under its write lock (ascending
         // order). Shards are contiguous and sorted, so concatenating
         // them yields the full sorted content.
-        let guards: Vec<_> = topo.shards.iter().map(|s| s.write()).collect();
-        let mut elems: Vec<(Key, Value)> = Vec::new();
-        for guard in &guards {
-            guard.rma().collect_into(&mut elems);
-        }
-        let parts = candidate.partition_sorted(&elems);
-        let shards: Vec<Arc<Shard>> = (0..candidate.num_shards())
-            .map(|i| self.build_shard(&candidate, i, &elems[parts[i].clone()], &wb))
+        let guards = StepGuards::lock(&topo.shards, 0..=n - 1);
+        let elems = guards.collect_elems();
+        let parts = candidate.partition_sorted(&elems).into_iter().enumerate();
+        let shards: Vec<Arc<Shard>> = parts
+            .map(|(i, r)| self.finish_shard(self.shard_shell(), &candidate, i, &elems[r], &wb))
             .collect();
         report.shards_after = shards.len();
         report.relearned = true;
-        for guard in &guards {
-            guard.retire();
-        }
+        guards.retire_all();
         let retired = self.topo_handle().publish(Topology {
             splitters: candidate,
             shards,

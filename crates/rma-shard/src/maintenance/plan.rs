@@ -1,15 +1,12 @@
 //! Maintenance planning: turning the access-histogram signal into a
 //! [`MaintenancePlan`] of bounded, key-identified steps.
 //!
-//! Steps are identified by **keys**, not shard indices, wherever the
-//! topology can shift between planning and execution — a plan is
-//! advisory, and the executor re-validates every step against the
-//! live topology (stale steps are skipped, never mis-applied). The
-//! one exception is [`MaintenanceStep::NudgeBoundary`], which names
-//! the donor/receiver shard *indices* for observability; nudges never
-//! change the shard count, so an all-nudge plan keeps its indices
-//! valid, and the executor still re-derives and re-validates the
-//! boundary from the live splitters before touching anything.
+//! Every step is identified by **keys**, never by shard indices: the
+//! topology can shift between planning and execution, a plan is
+//! advisory, and the executor resolves each step's keys against the
+//! live topology (stale steps are skipped, never mis-applied). Each
+//! variant is the drift-proof *name* of a key range to re-cut — the
+//! executor has one procedure for all of them.
 //!
 //! Three planners:
 //!
@@ -46,7 +43,10 @@
 //! [`NudgeBoundary`]: MaintenanceStep::NudgeBoundary
 //! [`RebuildShard`]: MaintenanceStep::RebuildShard
 
-use super::{imbalance_of, predicted_masses, RelearnReport};
+use super::{
+    imbalance_of, predicted_masses, weighted_buckets_of, RelearnReport, RELEARN_MIN_GAIN,
+    RELEARN_TRIGGER,
+};
 use crate::shard::{Shard, Topology};
 use crate::{BalancePolicy, RelearnStrategy, ShardedRma, Splitters};
 use rma_core::Key;
@@ -77,23 +77,17 @@ pub enum MaintenanceStep {
         /// The splitter key to remove.
         splitter: Key,
     },
-    /// Move the boundary between adjacent shards `from` and `to` to
-    /// `target_key`, migrating the key range between the old and new
-    /// boundary out of `from` into `to` (bulk extract + bulk append
-    /// through the per-shard RMA's bottom-up build). The cheap path
-    /// for drifting hotspots. Touches two shards.
+    /// Move the splitter `boundary` to `target_key`: the two shards
+    /// either side of it are rebuilt with the key range between the
+    /// old and new boundary changing sides. The cheap path for
+    /// drifting hotspots. Touches two shards.
     NudgeBoundary {
-        /// Donor shard index (at plan time): loses the migrated range.
-        from: usize,
-        /// Receiver shard index: gains the migrated range.
-        to: usize,
-        /// Where the boundary moves to.
+        /// Where the boundary moves to. Skipped unless it lies
+        /// strictly inside the pair's key range.
         target_key: Key,
-        /// The splitter key between `from` and `to` at plan time —
-        /// the step's identity. The executor refuses the step if the
-        /// boundary between those indices is no longer this key, so a
-        /// concurrent topology change can never make a stale nudge
-        /// move the wrong boundary.
+        /// The splitter to move — the step's identity. Skipped if it
+        /// no longer exists, so a concurrent topology change can
+        /// never make a stale nudge move the wrong boundary.
         boundary: Key,
     },
     /// Rebuild the key range `[lo, hi)` (`None` = unbounded) into a
@@ -148,6 +142,12 @@ pub(crate) enum PlanKind {
     /// The idle-time shard-count consolidation chain.
     Consolidation,
 }
+
+/// Two adjacent shards merge when their combined weight falls below
+/// this fraction of the mean shard weight. It has to stay below
+/// `split_factor` (which is validated `> 1`), or a freshly split pair
+/// would immediately re-merge and maintenance would oscillate.
+const MERGE_FACTOR: f64 = 0.5;
 
 /// Ordering-class offset: dominates any gain/cost ratio, so steps in
 /// a higher tier always execute before a lower tier regardless of
@@ -307,9 +307,8 @@ impl ShardedRma {
     /// for every shard whose balance weight exceeds `split_factor ×`
     /// the mean (cut at the histogram CDF midpoint under `ByAccess`,
     /// the key median under `ByLen`), a [`MergePair`] for every
-    /// leftmost non-overlapping adjacent pair under the
-    /// `merge_factor ×` mean floor. Balanced topologies plan zero
-    /// steps.
+    /// leftmost non-overlapping adjacent pair under the floor of half
+    /// the mean. Balanced topologies plan zero steps.
     ///
     /// [`SplitShard`]: MaintenanceStep::SplitShard
     /// [`MergePair`]: MaintenanceStep::MergePair
@@ -321,11 +320,7 @@ impl ShardedRma {
         let weights = Self::balance_weights(&lens, &masses, policy);
         let total: u64 = weights.iter().sum();
         let n = weights.len();
-        let report = RelearnReport {
-            shards_before: n,
-            shards_after: n,
-            ..Default::default()
-        };
+        let report = RelearnReport::at(n);
         let mut steps = Vec::new();
         if total == 0 {
             return self.finish_plan(steps, PlanKind::Rebalance, report);
@@ -369,11 +364,11 @@ impl ShardedRma {
                     // Never merge past the length backstop: the next
                     // round would split the result right back.
                     && self.cfg.max_shard_len.is_none_or(|m| combined_len <= m);
-                if combined < self.cfg.merge_factor * mean as f64 && len_ok {
+                if combined < MERGE_FACTOR * mean as f64 && len_ok {
                     // Merges recover footprint, not imbalance: tier
                     // below the splits, coldest-per-migrated-key
                     // first within it.
-                    let slack = (self.cfg.merge_factor * mean as f64 - combined).max(0.0);
+                    let slack = (MERGE_FACTOR * mean as f64 - combined).max(0.0);
                     steps.push((
                         MaintenanceStep::MergePair {
                             splitter: topo.splitters.keys()[i],
@@ -391,18 +386,14 @@ impl ShardedRma {
 
     /// The multi-way splitter re-learn as a plan, behind the same
     /// two-stage stability guard as always: empty unless the observed
-    /// max/mean access imbalance reaches `relearn_trigger` **and**
-    /// the chosen plan's predicted imbalance improves on it by at
-    /// least `relearn_min_gain` — uniform workloads plan zero steps.
+    /// max/mean access imbalance reaches 1.25 **and** the chosen
+    /// plan's predicted imbalance improves on it by at least a tenth
+    /// — uniform workloads plan zero steps.
     /// See the module docs for the nudge-vs-rebuild decision.
     pub fn plan_relearn(&self) -> MaintenancePlan {
         let topo = self.topo();
         let n = topo.shards.len();
-        let mut report = RelearnReport {
-            shards_before: n,
-            shards_after: n,
-            ..Default::default()
-        };
+        let mut report = RelearnReport::at(n);
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
         let total: u64 = masses.iter().sum();
         if total == 0 {
@@ -412,22 +403,18 @@ impl ShardedRma {
         let mean = total as f64 / n as f64;
         let imbalance = *masses.iter().max().expect("at least one shard") as f64 / mean;
         report.imbalance_before = imbalance;
-        if imbalance < self.cfg.relearn_trigger {
+        if imbalance < RELEARN_TRIGGER {
             // Already balanced.
             return self.finish_plan(Vec::new(), PlanKind::Relearn, report);
         }
-        let wb: Vec<(Key, Key, u64)> = topo
-            .shards
-            .iter()
-            .flat_map(|s| s.stats.weighted_buckets())
-            .collect();
-        let gain_bar = (1.0 - self.cfg.relearn_min_gain) * imbalance;
+        let wb = weighted_buckets_of(&topo.shards);
+        let gain_bar = (1.0 - RELEARN_MIN_GAIN) * imbalance;
 
         if self.cfg.relearn_strategy == RelearnStrategy::NudgeOnly {
             // Nudge sweeps are guarded by the trigger plus their own
             // fixpoint (a sweep whose targets all coincide with the
             // current boundaries plans nothing) — NOT by the
-            // `relearn_min_gain` bar. A Lloyd iteration's *marginal*
+            // `RELEARN_MIN_GAIN` bar. A Lloyd iteration's *marginal*
             // per-round improvement shrinks long before the fixpoint,
             // so gain-gating sweeps would freeze the boundary chase
             // mid-convergence (and make the background maintainer,
@@ -435,7 +422,7 @@ impl ShardedRma {
             // synchronous cascade in `relearn_splitters`). Nudges are
             // bounded two-shard steps; the trigger alone throttles
             // them adequately.
-            let (sweep, predicted) = self.nudge_sweep(&topo, &masses, &wb);
+            let (sweep, predicted) = self.nudge_sweep(&topo, &wb);
             report.imbalance_predicted = predicted;
             // A sweep's moves share one joint prediction, so each
             // step gets the same per-sweep score and the stable sort
@@ -495,11 +482,7 @@ impl ShardedRma {
     /// installed.
     pub fn plan_checkpoints(&self) -> MaintenancePlan {
         let n = self.num_shards();
-        let report = RelearnReport {
-            shards_before: n,
-            shards_after: n,
-            ..Default::default()
-        };
+        let report = RelearnReport::at(n);
         let steps = self.durability().map_or(Vec::new(), |sink| {
             // Checkpoints are a cadence, not a recovery of imbalance:
             // uniform score, partition order preserved by the stable
@@ -527,11 +510,7 @@ impl ShardedRma {
     pub fn plan_consolidation(&self) -> MaintenancePlan {
         let topo = self.topo();
         let n = topo.shards.len();
-        let report = RelearnReport {
-            shards_before: n,
-            shards_after: n,
-            ..Default::default()
-        };
+        let report = RelearnReport::at(n);
         let target = self.cfg.num_shards.max(1);
         if n <= target {
             return self.finish_plan(Vec::new(), PlanKind::Consolidation, report);
@@ -675,7 +654,6 @@ impl ShardedRma {
         lens: &[usize],
         gain: f64,
     ) -> Vec<(MaintenanceStep, f64)> {
-        let n = topo.shards.len();
         let cap = self.cfg.max_step_elems;
         let cur = topo.splitters.keys();
         let mut splits: BTreeSet<Key> = BTreeSet::new();
@@ -683,8 +661,7 @@ impl ShardedRma {
         let mut merges = Vec::new();
         for i in 0..target.num_shards() {
             let (lo, hi) = target.range_of(i);
-            let j0 = lo.map_or(0, |l| topo.splitters.route(l));
-            let j1 = hi.map_or(n - 1, |h| topo.splitters.route(h.saturating_sub(1)));
+            let (j0, j1) = topo.splitters.overlapping(lo, hi);
             if j0 == j1 && topo.splitters.range_of(j0) == (lo, hi) {
                 continue; // this range already is a shard: no churn
             }
@@ -735,27 +712,18 @@ impl ShardedRma {
         masses: &[u64],
         wb: &[(Key, Key, u64)],
     ) -> Option<(MaintenanceStep, f64)> {
-        let n = topo.shards.len();
-        if n < 2 {
-            return None;
-        }
         let (hot, _) = masses
             .iter()
             .enumerate()
             .max_by_key(|&(_, &m)| m)
             .expect("at least one shard");
-        let mut best: Option<(MaintenanceStep, f64)> = None;
-        for l in [hot.checked_sub(1), (hot + 1 < n).then_some(hot)]
+        // The boundaries below and above the hottest shard; one that
+        // does not exist (an edge shard) yields no candidate.
+        [hot.checked_sub(1), Some(hot)]
             .into_iter()
             .flatten()
-        {
-            if let Some(cand) = self.nudge_candidate(topo, wb, l) {
-                if best.as_ref().is_none_or(|&(_, p)| cand.1 < p) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best
+            .filter_map(|l| self.nudge_candidate(topo, wb, l))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
     /// Nudge candidate for the boundary between shards `l` and
@@ -769,7 +737,7 @@ impl ShardedRma {
         l: usize,
     ) -> Option<(MaintenanceStep, f64)> {
         let boundary = *topo.splitters.keys().get(l)?;
-        let pair_wb = super::pair_weighted_buckets(topo, l);
+        let pair_wb = weighted_buckets_of(&topo.shards[l..=l + 1]);
         let two_way = Splitters::from_weighted_histogram(&pair_wb, 2);
         let &target = two_way.keys().first()?;
         let (pair_lo, _) = topo.splitters.range_of(l);
@@ -783,15 +751,8 @@ impl ShardedRma {
         let mut keys = topo.splitters.keys().to_vec();
         keys[l] = target;
         let predicted = imbalance_of(&predicted_masses(wb, &Splitters::new(keys)));
-        let (from, to) = if target < boundary {
-            (l, l + 1) // boundary moves left: the left shard donates
-        } else {
-            (l + 1, l)
-        };
         Some((
             MaintenanceStep::NudgeBoundary {
-                from,
-                to,
                 target_key: target,
                 boundary,
             },
@@ -806,16 +767,9 @@ impl ShardedRma {
     /// its (evolving) neighbours. A small move lands in one round; a
     /// splitter cluster sliding after a drifting band converges over
     /// the bounded rounds [`ShardedRma::relearn_splitters`] runs.
-    /// Unlike the full re-learn, a sweep never changes the shard
-    /// count, so its steps stay index-valid against each other.
     /// Returns the steps plus the predicted global imbalance under
     /// all of them applied.
-    fn nudge_sweep(
-        &self,
-        topo: &Topology,
-        _masses: &[u64],
-        wb: &[(Key, Key, u64)],
-    ) -> (Vec<MaintenanceStep>, f64) {
+    fn nudge_sweep(&self, topo: &Topology, wb: &[(Key, Key, u64)]) -> (Vec<MaintenanceStep>, f64) {
         let mut steps = Vec::new();
         let mut keys = topo.splitters.keys().to_vec();
         let targets = Splitters::from_weighted_histogram(wb, keys.len() + 1);
@@ -841,20 +795,37 @@ impl ShardedRma {
             if target == boundary {
                 continue;
             }
-            let (from, to) = if target < boundary {
-                (l, l + 1) // boundary moves left: the left shard donates
-            } else {
-                (l + 1, l)
-            };
             keys[l] = target;
             steps.push(MaintenanceStep::NudgeBoundary {
-                from,
-                to,
                 target_key: target,
                 boundary,
             });
         }
         let predicted = imbalance_of(&predicted_masses(wb, &Splitters::new(keys)));
         (steps, predicted)
+    }
+}
+
+#[cfg(test)]
+impl ShardedRma {
+    /// A plan of exactly `steps`, popped in the given order, as the
+    /// consolidation planner (`consolidation`) or the rebalance
+    /// planner would have emitted it — planners cannot be made to
+    /// produce stale steps on demand, the executor tests need them.
+    pub(crate) fn plan_of(
+        &self,
+        steps: &[MaintenanceStep],
+        consolidation: bool,
+    ) -> MaintenancePlan {
+        let kind = if consolidation {
+            PlanKind::Consolidation
+        } else {
+            PlanKind::Rebalance
+        };
+        let n = self.num_shards();
+        let report = RelearnReport::at(n);
+        // Equal scores: the stable sort keeps the given order.
+        let steps = steps.iter().map(|&s| (s, 0.0)).collect();
+        self.finish_plan(steps, kind, report)
     }
 }

@@ -102,14 +102,16 @@ const _: () = {
     assert_send_sync::<Rma>();
 };
 
+/// Buckets per shard in the [`AccessStats`] histogram.
+const HIST_BUCKETS: usize = 32;
+
 impl Shard {
     /// A shard over `rma` whose histogram models the key range
-    /// `[lo, hi)` with the configured bucket count.
+    /// `[lo, hi)` in [`HIST_BUCKETS`] buckets.
     pub(crate) fn new(
         rma: Rma,
         lo: Option<Key>,
         hi: Option<Key>,
-        cfg: &ShardConfig,
         lock_stats: Arc<LockStats>,
     ) -> Self {
         Shard {
@@ -120,7 +122,7 @@ impl Shard {
             cell: UnsafeCell::new(rma),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            stats: AccessStats::new(lo, hi, cfg.hist_buckets),
+            stats: AccessStats::new(lo, hi, HIST_BUCKETS),
             lock_stats,
         }
     }
@@ -272,11 +274,6 @@ impl<'a> StepGuards<'a> {
         self.locked_at.elapsed()
     }
 
-    /// The guards, in ascending shard order.
-    pub(crate) fn guards(&self) -> &[ShardWriteGuard<'a>] {
-        &self.guards
-    }
-
     /// Concatenated elements of every locked shard, in key order
     /// (shards cover contiguous disjoint ranges).
     pub(crate) fn collect_elems(&self) -> Vec<(Key, rma_core::Value)> {
@@ -318,7 +315,6 @@ impl Topology {
                     Rma::new(cfg.rma),
                     lo,
                     hi,
-                    cfg,
                     Arc::clone(lock_stats),
                 ))
             })

@@ -172,6 +172,14 @@ impl Splitters {
         (lo, hi)
     }
 
+    /// First and last index of the shards overlapping the key range
+    /// `[lo, hi)` (`None` = unbounded), which must not be empty.
+    pub(crate) fn overlapping(&self, lo: Option<Key>, hi: Option<Key>) -> (usize, usize) {
+        let first = lo.map_or(0, |l| self.route(l));
+        let last = hi.map_or(self.keys.len(), |h| self.route(h.saturating_sub(1)));
+        (first, last)
+    }
+
     /// Partitions a *sorted* batch into one contiguous index range per
     /// shard (zero-copy: callers slice the batch with these ranges).
     /// Delegates to [`workloads::partition_sorted`], the single home
