@@ -52,9 +52,9 @@ impl Rma {
         }
         // Pass 1: final cardinality per segment.
         let runs = self.route_batch(batch);
-        let m = self.num_segments_internal();
+        let m = self.storage.seg_count();
         let new_cards: Vec<usize> = (0..m)
-            .map(|s| self.card_internal(s) + runs[s].len())
+            .map(|s| self.storage.card(s) + runs[s].len())
             .collect();
 
         // Global overflow: fall back to a rebuild at grown capacity.
@@ -85,7 +85,7 @@ impl Rma {
                 self.merge_segment(s, &batch[runs[s].clone()]);
             }
         }
-        self.note_bulk_inserted(batch.len());
+        self.len += batch.len();
     }
 
     /// Top-down bulk load (the DRF12 baseline).
@@ -98,9 +98,9 @@ impl Rma {
             return;
         }
         let runs = self.route_batch(batch);
-        let m = self.num_segments_internal();
+        let m = self.storage.seg_count();
         let total: usize = (0..m)
-            .map(|s| self.card_internal(s) + runs[s].len())
+            .map(|s| self.storage.card(s) + runs[s].len())
             .collect::<Vec<_>>()
             .iter()
             .sum();
@@ -108,8 +108,8 @@ impl Rma {
             self.rebuild_with_batch(batch);
             return;
         }
-        self.top_down_rec(0..m, self.height_internal(), batch, &runs);
-        self.note_bulk_inserted(batch.len());
+        self.top_down_rec(0..m, self.height(), batch, &runs);
+        self.len += batch.len();
     }
 
     /// Batch with both insertions and deletions: deletions first (no
@@ -129,7 +129,7 @@ impl Rma {
         runs: &[std::ops::Range<usize>],
     ) {
         let m = segs.len();
-        let b = self.segment_size_internal();
+        let b = self.cfg.segment_size;
         if m == 1 {
             let s = segs.start;
             if !runs[s].is_empty() {
@@ -140,17 +140,18 @@ impl Rma {
         // Check each child; a violated child threshold rebalances the
         // *current* window with the batch merged in.
         let half = 1usize << (usize::BITS - 1 - (m - 1).leading_zeros());
-        let height = self.height_internal();
+        let height = self.height();
         let children = [segs.start..segs.start + half, segs.start + half..segs.end];
         for child in &children {
             let cap = child.len() * b;
             let new_total: usize = child
                 .clone()
-                .map(|s| self.card_internal(s) + runs[s].len())
+                .map(|s| self.storage.card(s) + runs[s].len())
                 .sum();
             let child_level = level.saturating_sub(1).max(1);
             let max = self
-                .thresholds_internal()
+                .cfg
+                .thresholds
                 .max_card(child_level, height, cap)
                 .min(child.len() * if child.len() == 1 { b } else { b - 1 });
             if new_total > max {
@@ -173,30 +174,6 @@ impl Rma {
 use crate::rma::{cap_targets, even_targets, height_for, window_layout};
 
 impl Rma {
-    pub(crate) fn num_segments_internal(&self) -> usize {
-        self.storage.seg_count()
-    }
-
-    pub(crate) fn segment_size_internal(&self) -> usize {
-        self.cfg.segment_size
-    }
-
-    pub(crate) fn card_internal(&self, s: usize) -> usize {
-        self.storage.card(s)
-    }
-
-    pub(crate) fn height_internal(&self) -> usize {
-        self.height()
-    }
-
-    pub(crate) fn thresholds_internal(&self) -> &crate::thresholds::Thresholds {
-        &self.cfg.thresholds
-    }
-
-    pub(crate) fn note_bulk_inserted(&mut self, n: usize) {
-        self.len += n;
-    }
-
     /// Pass 1: the contiguous batch run destined for each segment.
     pub(crate) fn route_batch(&self, batch: &[(Key, Value)]) -> Vec<std::ops::Range<usize>> {
         let m = self.storage.seg_count();

@@ -5,9 +5,7 @@ use crate::metrics::ObsConfig;
 use crate::Db;
 use rma_core::{Key, RmaConfig, Value};
 use rma_obs::EventKind;
-use rma_shard::{
-    BalancePolicy, MaintainerConfig, RelearnStrategy, ShardConfig, ShardedRma, Splitters,
-};
+use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma, Splitters};
 use rma_wal::{DurabilityConfig, Wal};
 use std::sync::Arc;
 
@@ -23,8 +21,8 @@ pub enum ConfigError {
     ZeroRouterWorkers,
     /// Explicit splitter keys combined with a constructor that learns
     /// its own splitters ([`DbBuilder::build_bulk`] /
-    /// [`DbBuilder::build_from_sample`]) — one of the two must win,
-    /// so the combination is rejected rather than silently ignored.
+    /// [`DbBuilder::recover`]) — one of the two must win, so the
+    /// combination is rejected rather than silently ignored.
     SplittersConflictWithLearned,
     /// Explicit splitter keys are not strictly increasing (unsorted
     /// or duplicated), so they cannot partition the key space.
@@ -65,8 +63,8 @@ impl From<rma_shard::ConfigError> for ConfigError {
 /// [`Db::builder`], chain the knobs you care about, and finish with
 /// [`build`](Self::build) (empty), [`build_bulk`](Self::build_bulk)
 /// (sorted batch, splitters learned from its quantiles) or
-/// [`build_from_sample`](Self::build_from_sample) (splitters learned
-/// from a key sample). Every finisher validates *all* inputs first
+/// [`recover`](Self::recover) (reopened from its write-ahead log).
+/// Every finisher validates *all* inputs first
 /// and returns a typed [`ConfigError`] — nothing panics
 /// mid-construction and no thread spawns on a rejected
 /// configuration.
@@ -101,43 +99,10 @@ impl DbBuilder {
         self
     }
 
-    /// What maintenance balances on: access mass (default) or length.
-    pub fn balance(mut self, policy: BalancePolicy) -> Self {
-        self.shard.balance = policy;
-        self
-    }
-
-    /// Operations between global histogram halvings (`0` disables
-    /// decay).
-    pub fn decay_every(mut self, ops: u64) -> Self {
-        self.shard.decay_every = ops;
-        self
-    }
-
     /// Adaptive decay half-life in seconds (see
     /// [`ShardConfig::adaptive_decay`]).
     pub fn adaptive_decay(mut self, half_life_secs: f64) -> Self {
         self.shard.adaptive_decay = Some(half_life_secs);
-        self
-    }
-
-    /// Whether maintenance re-learns splitters from the access
-    /// histogram (default on).
-    pub fn relearn(mut self, on: bool) -> Self {
-        self.shard.relearn = on;
-        self
-    }
-
-    /// How re-learning restructures the topology (incremental plan
-    /// engine by default).
-    pub fn relearn_strategy(mut self, strategy: RelearnStrategy) -> Self {
-        self.shard.relearn_strategy = strategy;
-        self
-    }
-
-    /// Shards shorter than this never split.
-    pub fn min_split_len(mut self, n: usize) -> Self {
-        self.shard.min_split_len = n;
         self
     }
 
@@ -297,23 +262,6 @@ impl DbBuilder {
         };
         Ok(Db::assemble(
             engine,
-            workers,
-            self.maintenance,
-            self.observability.unwrap_or_default(),
-            wal,
-        ))
-    }
-
-    /// Opens an empty database with splitters learned from a key
-    /// sample (the sample is sorted in place).
-    pub fn build_from_sample(self, sample: &mut [Key]) -> Result<Db, ConfigError> {
-        let workers = self.validate()?;
-        if self.splitter_keys.is_some() {
-            return Err(ConfigError::SplittersConflictWithLearned);
-        }
-        let wal = self.create_wal()?;
-        Ok(Db::assemble(
-            ShardedRma::from_sample(self.shard, sample),
             workers,
             self.maintenance,
             self.observability.unwrap_or_default(),

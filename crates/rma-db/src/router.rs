@@ -3,12 +3,14 @@
 //!
 //! One `std::sync::mpsc` channel per worker; a
 //! [`Session`](crate::Session) partitions each submitted batch by
-//! the shard its keys route to and appends every shard's chunk to
-//! the worker owning that shard range. Workers execute their chunk's
-//! operations in order against the shared
-//! [`ShardedRma`](rma_shard::ShardedRma) and fill the batch's ticket
-//! slots in one lock acquisition, so the per-operation overhead on
-//! top of the engine call is a vector push.
+//! the shard its keys route to and sends every worker its share in
+//! the one shape a batch has on this path: `(slot, op)` pairs in
+//! submission order, `slot` being the op's position in the batch.
+//! A worker executes its share in order against the shared
+//! [`ShardedRma`](rma_shard::ShardedRma) and lands the `(slot, reply)`
+//! run on the batch's ticket with one append under the ticket's lock
+//! — no per-slot indexing on the worker thread; whoever collects the
+//! replies orders them by slot (see [`crate::session`]).
 //!
 //! Shutdown is structural: dropping the router drops every sender,
 //! each worker drains what is already queued (tickets never leak
@@ -25,22 +27,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// One worker's share of a submitted batch: the ticket to fill and
-/// the operations routed to this worker.
+/// One worker's share of a submitted batch: the ticket to land on and
+/// the operations routed to this worker, as `(slot, op)` pairs in
+/// submission order.
 pub(crate) struct WorkItem {
     pub(crate) ticket: Arc<TicketState>,
-    pub(crate) chunk: WorkChunk,
-}
-
-/// The two routing shapes of a chunk. `Whole` is the hot path — the
-/// batch routed to a single worker (always, with one worker; often,
-/// with shard-affine batches) — and carries the ops in submission
-/// order with no slot bookkeeping.
-pub(crate) enum WorkChunk {
-    /// The entire batch, in submission order.
-    Whole(Vec<Op>),
-    /// A shard-routed subset as (slot, op) pairs.
-    Partial(Vec<(u32, Op)>),
+    pub(crate) ops: Vec<(u32, Op)>,
 }
 
 /// Router lifetime counters (all monotonic), surfaced through
@@ -152,22 +144,10 @@ pub(crate) fn journal_degraded(engine: &ShardedRma, wal: &Wal) {
 /// latency-sensitive callers behind an ever-growing pass.
 const GROUP_COMMIT_WINDOW: usize = 32;
 
-/// A chunk executed but not yet acknowledged: replies are parked
-/// here across the group's durability barrier, because completing
-/// the ticket *is* the acknowledgement.
-enum Executed {
-    Whole(Arc<TicketState>, Vec<Reply>),
-    Partial(Arc<TicketState>, Vec<(u32, Reply)>),
-}
-
-impl Executed {
-    fn len(&self) -> usize {
-        match self {
-            Executed::Whole(_, r) => r.len(),
-            Executed::Partial(_, r) => r.len(),
-        }
-    }
-}
+/// A chunk executed but not yet acknowledged: its `(slot, reply)` run
+/// is parked here across the group's durability barrier, because
+/// landing it on the ticket *is* the acknowledgement.
+type Executed = (Arc<TicketState>, Vec<(u32, Reply)>);
 
 /// Shortest run of consecutive [`Op::Get`]s a worker sends through
 /// [`ShardedRma::get_many`]; a lone `Get` takes the single-key path.
@@ -243,25 +223,19 @@ impl OpRunner<'_> {
         }
     }
 
-    /// Executes a chunk in order and returns one `wrap(item, reply)`
-    /// per item. Every maximal run of at least [`GET_RUN_MIN`]
-    /// consecutive `Get`s is read in one `get_many` call; any other op
-    /// ends the run, so a read never moves across a write of this
-    /// chunk — the session ordering contract. With `refuse` set,
-    /// writes are answered [`Reply::Refused`] unexecuted.
-    fn chunk<T: Copy, U>(
-        &mut self,
-        items: &[T],
-        refuse: bool,
-        op_of: impl Fn(&T) -> Op,
-        wrap: impl Fn(T, Reply) -> U,
-    ) -> Vec<U> {
-        let mut out = Vec::with_capacity(items.len());
+    /// Executes a chunk in order and returns one `(slot, reply)` per
+    /// op, in the chunk's order. Every maximal run of at least
+    /// [`GET_RUN_MIN`] consecutive `Get`s is read in one `get_many`
+    /// call; any other op ends the run, so a read never moves across a
+    /// write of this chunk — the session ordering contract. With
+    /// `refuse` set, writes are answered [`Reply::Refused`] unexecuted.
+    fn chunk(&mut self, ops: &[(u32, Op)], refuse: bool) -> Vec<(u32, Reply)> {
+        let mut out = Vec::with_capacity(ops.len());
         let mut i = 0;
-        while i < items.len() {
+        while i < ops.len() {
             self.keys.clear();
             self.keys
-                .extend(items[i..].iter().map_while(|t| match op_of(t) {
+                .extend(ops[i..].iter().map_while(|&(_, op)| match op {
                     Op::Get(k) => Some(k),
                     _ => None,
                 }));
@@ -269,21 +243,21 @@ impl OpRunner<'_> {
             if run >= GET_RUN_MIN {
                 self.get_run();
                 out.extend(
-                    items[i..i + run]
+                    ops[i..i + run]
                         .iter()
                         .zip(&self.vals)
-                        .map(|(&t, &v)| wrap(t, Reply::Found(v))),
+                        .map(|(&(slot, _), &v)| (slot, Reply::Found(v))),
                 );
                 i += run;
                 continue;
             }
-            let op = op_of(&items[i]);
+            let (slot, op) = ops[i];
             let reply = if refuse && op.is_write() {
                 Reply::Refused
             } else {
                 self.one(op)
             };
-            out.push(wrap(items[i], reply));
+            out.push((slot, reply));
             i += 1;
         }
         out
@@ -338,28 +312,16 @@ fn worker_loop(
             degraded
         });
         let mut executed: Vec<Executed> = Vec::with_capacity(group.len());
-        for WorkItem { ticket, chunk } in group {
+        for WorkItem { ticket, ops } in group {
             // An engine panic mid-chunk must not strand the batch's
             // waiters on the condvar forever: poison the ticket so
             // `wait()` propagates the failure, and keep executing the
             // group's other chunks.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match chunk {
-                WorkChunk::Whole(ops) => {
-                    let replies = runner.chunk(&ops, refuse, |&op| op, |_, reply| reply);
-                    Executed::Whole(Arc::clone(&ticket), replies)
-                }
-                WorkChunk::Partial(ops) => {
-                    let filled = runner.chunk(
-                        &ops,
-                        refuse,
-                        |&(_, op)| op,
-                        |(slot, _), reply| (slot, reply),
-                    );
-                    Executed::Partial(Arc::clone(&ticket), filled)
-                }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                runner.chunk(&ops, refuse)
             }));
             match outcome {
-                Ok(done) => executed.push(done),
+                Ok(replies) => executed.push((ticket, replies)),
                 Err(_) => {
                     // One poisoned ticket per panicking chunk:
                     // journal it so the event shows up next to the
@@ -382,23 +344,15 @@ fn worker_loop(
             // may reach a ticket before the log is committed.
             if w.commit().is_err() {
                 journal_degraded(engine, w);
-                for done in &mut executed {
-                    match done {
-                        Executed::Whole(_, replies) => unacknowledge(replies.iter_mut()),
-                        Executed::Partial(_, filled) => {
-                            unacknowledge(filled.iter_mut().map(|(_, r)| r));
-                        }
-                    }
+                for (_, replies) in &mut executed {
+                    unacknowledge(replies);
                 }
             }
         }
-        let ops: usize = executed.iter().map(Executed::len).sum();
+        let ops: usize = executed.iter().map(|(_, replies)| replies.len()).sum();
         counters.ops_executed.fetch_add(ops as u64, Relaxed);
-        for done in executed {
-            match done {
-                Executed::Whole(ticket, replies) => ticket.complete_whole(replies),
-                Executed::Partial(ticket, filled) => ticket.complete(filled),
-            }
+        for (ticket, replies) in executed {
+            ticket.complete(replies);
         }
     }
 }
@@ -408,8 +362,8 @@ fn worker_loop(
 /// crash, so acknowledging them would break the durability contract.
 /// `Removed(None)` stays — a remove that found nothing has no durable
 /// effect to lose.
-fn unacknowledge<'a>(replies: impl Iterator<Item = &'a mut Reply>) {
-    for r in replies {
+fn unacknowledge(replies: &mut [(u32, Reply)]) {
+    for (_, r) in replies {
         if matches!(r, Reply::Inserted | Reply::Removed(Some(_))) {
             *r = Reply::Refused;
         }

@@ -29,9 +29,23 @@
 //! What a run promises is what its `Get`s promise one by one: each
 //! key read at a stable version of its shard, keys of different
 //! shards not one snapshot.
+//!
+//! # How replies land, and who orders them
+//!
+//! A batch has one shape from [`Session::submit`] to the reply:
+//! `(slot, op)` pairs go to the workers, `(slot, reply)` pairs come
+//! back, `slot` being the op's position in the submitted batch. A
+//! ticket is a landing queue: each worker appends its whole run —
+//! slot-ascending, because it executed its share in submission order
+//! — under one acquisition of the ticket's lock, and does no per-slot
+//! work there. The runs of different workers land in whatever order
+//! the workers finish, so the queue is in *landing order*, and the
+//! consumer orders by slot on its own thread: [`Ticket::wait`] /
+//! [`Ticket::try_wait`] sort once every reply is in, and a streaming
+//! consumer gets the queue as it is from [`Ticket::take_ready`].
 
 use crate::metrics::RouterObs;
-use crate::router::{RouterCounters, WorkChunk, WorkItem};
+use crate::router::{RouterCounters, WorkItem};
 use rma_core::{Key, Value};
 use rma_shard::{ShardedRma, Splitters};
 use std::sync::atomic::Ordering::Relaxed;
@@ -124,7 +138,7 @@ pub enum Reply {
 }
 
 /// Completion state shared between a [`Ticket`] and the router
-/// workers filling its slots.
+/// workers landing replies on it.
 pub(crate) struct TicketState {
     slots: Mutex<TicketSlots>,
     done: Condvar,
@@ -140,14 +154,9 @@ struct TicketSlots {
     /// Set when a worker panicked while executing this batch: waiters
     /// must propagate the failure instead of blocking forever.
     poisoned: bool,
-    /// Fast path: the batch routed to one worker, which executed it
-    /// in submission order and published the reply vector wholesale —
-    /// no slot bookkeeping at all.
-    whole: Option<Vec<Reply>>,
-    /// General path: sparse slot storage, sized lazily on the first
-    /// partial completion (a whole-batch completion never touches
-    /// it).
-    sparse: Vec<Option<Reply>>,
+    /// Replies landed and not yet collected, in landing order: every
+    /// worker's run appended whole, slot-ascending within the run.
+    landed: Vec<(u32, Reply)>,
     /// Replies already consumed through [`Ticket::take_ready`] —
     /// once non-zero, the ticket is in streaming mode and
     /// [`Ticket::wait`]/[`Ticket::try_wait`] may no longer be used.
@@ -159,21 +168,23 @@ struct TicketSlots {
 }
 
 impl TicketSlots {
+    /// The complete batch's replies in submission order. The sort
+    /// runs on the waiter's thread and is the stable one, which
+    /// merges the workers' ascending runs (one run: a single pass).
     fn take_replies(&mut self) -> Vec<Reply> {
         debug_assert_eq!(self.remaining, 0);
         assert_eq!(
             self.taken, 0,
             "wait()/try_wait() cannot follow take_ready(): \
-             drain a streaming ticket with take_ready() until is_drained()"
+             drain a streaming ticket with take_ready() until Ready::drained"
         );
-        match self.whole.take() {
-            Some(replies) => replies,
-            None => self
-                .sparse
-                .iter_mut()
-                .map(|r| r.take().expect("complete ticket has every reply"))
-                .collect(),
-        }
+        let mut landed = std::mem::take(&mut self.landed);
+        landed.sort_by_key(|&(slot, _)| slot);
+        debug_assert!(
+            landed.len() == self.total && (0u32..).zip(&landed).all(|(i, &(slot, _))| i == slot),
+            "complete ticket has every slot exactly once"
+        );
+        landed.into_iter().map(|(_, reply)| reply).collect()
     }
 }
 
@@ -184,8 +195,7 @@ impl TicketState {
                 total: n,
                 remaining: n,
                 poisoned: false,
-                whole: None,
-                sparse: Vec::new(),
+                landed: Vec::new(),
                 taken: 0,
                 waker: None,
             }),
@@ -218,38 +228,18 @@ impl TicketState {
         }
     }
 
-    /// Publishes the replies of a chunk that covered the whole batch
-    /// in submission order — one move, no per-slot work.
-    pub(crate) fn complete_whole(&self, replies: Vec<Reply>) {
+    /// Lands one worker's run of `(slot, reply)` pairs — the only way
+    /// replies reach a ticket. One lock acquisition, one move (the
+    /// first run to land) or append, no per-slot work; wakes waiters
+    /// when the batch is complete.
+    pub(crate) fn complete(&self, mut run: Vec<(u32, Reply)>) {
         let waker = {
             let mut s = self.slots.lock().expect("ticket lock poisoned");
-            debug_assert_eq!(replies.len(), s.total, "whole chunk must cover the batch");
-            s.remaining -= replies.len();
-            s.whole = Some(replies);
-            if s.remaining == 0 {
-                self.record_wait();
-                self.done.notify_all();
-            }
-            s.waker.clone()
-        };
-        if let Some(w) = waker {
-            w();
-        }
-    }
-
-    /// Fills a worker's chunk of slots in one lock acquisition and
-    /// wakes waiters when the batch is complete.
-    pub(crate) fn complete(&self, filled: Vec<(u32, Reply)>) {
-        let waker = {
-            let mut s = self.slots.lock().expect("ticket lock poisoned");
-            if s.sparse.is_empty() {
-                let n = s.total;
-                s.sparse = (0..n).map(|_| None).collect();
-            }
-            s.remaining -= filled.len();
-            for (slot, reply) in filled {
-                let prev = s.sparse[slot as usize].replace(reply);
-                debug_assert!(prev.is_none(), "slot {slot} completed twice");
+            s.remaining -= run.len();
+            if s.landed.is_empty() {
+                s.landed = run;
+            } else {
+                s.landed.append(&mut run);
             }
             if s.remaining == 0 {
                 self.record_wait();
@@ -322,38 +312,6 @@ impl Ticket {
         s.take_replies()
     }
 
-    /// Blocks until every reply has arrived or `timeout` elapses:
-    /// `Ok(replies)` on completion, or the ticket handed back on
-    /// timeout so the caller can keep waiting (or drop it — the
-    /// operations still execute). Panics (like [`wait`](Self::wait))
-    /// if a router worker died executing the batch.
-    pub fn wait_timeout(self, timeout: std::time::Duration) -> Result<Vec<Reply>, Ticket> {
-        let deadline = std::time::Instant::now() + timeout;
-        {
-            let mut s = self.state.slots.lock().expect("ticket lock poisoned");
-            while s.remaining > 0 && !s.poisoned {
-                let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
-                    drop(s);
-                    return Err(self);
-                };
-                let (guard, _timed_out) = self
-                    .state
-                    .done
-                    .wait_timeout(s, left)
-                    .expect("ticket lock poisoned");
-                s = guard;
-            }
-            assert!(
-                !s.poisoned,
-                "a router worker panicked while executing this batch"
-            );
-            if s.remaining == 0 {
-                return Ok(s.take_replies());
-            }
-        }
-        Err(self)
-    }
-
     /// Returns the replies if the batch already completed, or hands
     /// the ticket back to try again later. Panics (like
     /// [`wait`](Self::wait)) if a router worker died executing the
@@ -384,50 +342,22 @@ impl Ticket {
     /// call, as `(slot, reply)` pairs (`slot` is the op's position in
     /// the submitted batch), together with the ticket's state as of
     /// the same lock acquisition — so an event loop polling many
-    /// tickets takes one lock per ticket per pass, not three.
+    /// tickets takes one lock per ticket per pass. The pairs come in
+    /// landing order, not slot order: each worker's run is contiguous
+    /// and slot-ascending, the runs in the order the workers finished
+    /// — a consumer that needs slot order sorts what it was handed.
     /// Non-blocking; `replies` is empty when nothing new completed.
     /// Never panics on a poisoned ticket — event loops must keep
     /// running — check [`Ready::poisoned`] to detect that case.
     pub fn take_ready(&mut self) -> Ready {
         let mut s = self.state.slots.lock().expect("ticket lock poisoned");
-        let replies: Vec<(u32, Reply)> = match s.whole.take() {
-            Some(replies) => replies
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, r))
-                .collect(),
-            None => s
-                .sparse
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(i, slot)| Some((i as u32, slot.take()?)))
-                .collect(),
-        };
+        let replies = std::mem::take(&mut s.landed);
         s.taken += replies.len();
         Ready {
             replies,
             drained: s.taken == s.total,
             poisoned: s.poisoned,
         }
-    }
-
-    /// True once every reply has been consumed through
-    /// [`take_ready`](Self::take_ready) (or the batch was empty).
-    pub fn is_drained(&self) -> bool {
-        let s = self.state.slots.lock().expect("ticket lock poisoned");
-        s.taken == s.total
-    }
-
-    /// True when a router worker panicked executing this batch: the
-    /// missing replies will never arrive. The blocking collectors
-    /// ([`wait`](Self::wait)/[`try_wait`](Self::try_wait)) panic on
-    /// this state; streaming consumers poll this instead.
-    pub fn is_poisoned(&self) -> bool {
-        self.state
-            .slots
-            .lock()
-            .expect("ticket lock poisoned")
-            .poisoned
     }
 
     /// Registers `f` to be invoked every time a worker lands replies
@@ -456,14 +386,16 @@ impl Ticket {
 #[derive(Debug)]
 pub struct Ready {
     /// The replies that landed since the previous call, as
-    /// `(slot, reply)` pairs.
+    /// `(slot, reply)` pairs in landing order (each worker's run
+    /// slot-ascending).
     pub replies: Vec<(u32, Reply)>,
-    /// Every reply of the batch has now been taken (what
-    /// [`Ticket::is_drained`] reports).
+    /// Every reply of the batch has now been taken (always true for
+    /// an empty batch): the ticket has nothing more to say.
     pub drained: bool,
     /// A router worker panicked executing the batch: the missing
-    /// replies will never arrive (what [`Ticket::is_poisoned`]
-    /// reports).
+    /// replies will never arrive. The blocking collectors
+    /// ([`Ticket::wait`]/[`Ticket::try_wait`]) panic on this state;
+    /// a streaming consumer reads it here.
     pub poisoned: bool,
 }
 
@@ -506,38 +438,21 @@ impl Session<'_> {
             self.obs.batch_size.record(ops.len() as u64);
         }
         let workers = self.senders.len();
-        if workers == 1 {
-            self.send(0, &state, WorkChunk::Whole(ops.to_vec()));
-            return Ticket { state };
-        }
         let shards = self.splitters.num_shards();
         let mut per_worker: Vec<Vec<(u32, Op)>> = vec![Vec::new(); workers];
         for (i, &op) in ops.iter().enumerate() {
             let w = self.splitters.route(op.routing_key()) * workers / shards;
             per_worker[w].push((i as u32, op));
         }
-        let mut non_empty = per_worker.iter().enumerate().filter(|(_, c)| !c.is_empty());
-        if let (Some((w, _)), None) = (non_empty.next(), non_empty.next()) {
-            // Shard-affine batches often land entirely on one worker:
-            // strip the slot ids (the pairs are in submission order)
-            // and take the no-bookkeeping path.
-            let chunk = per_worker.swap_remove(w);
-            self.send(
-                w,
-                &state,
-                WorkChunk::Whole(chunk.into_iter().map(|(_, op)| op).collect()),
-            );
-            return Ticket { state };
-        }
-        for (w, chunk) in per_worker.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                self.send(w, &state, WorkChunk::Partial(chunk));
+        for (w, share) in per_worker.into_iter().enumerate() {
+            if !share.is_empty() {
+                self.send(w, &state, share);
             }
         }
         Ticket { state }
     }
 
-    fn send(&self, worker: usize, state: &Arc<TicketState>, chunk: WorkChunk) {
+    fn send(&self, worker: usize, state: &Arc<TicketState>, ops: Vec<(u32, Op)>) {
         if self.obs.enabled {
             // Depth *after* this send: how much work a new arrival
             // queues behind, the saturation signal.
@@ -547,7 +462,7 @@ impl Session<'_> {
         self.senders[worker]
             .send(WorkItem {
                 ticket: Arc::clone(state),
-                chunk,
+                ops,
             })
             .expect("router worker alive while the Db lives");
     }
@@ -575,21 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_hands_the_ticket_back_then_completes() {
-        let t = pending_ticket(1);
-        let state = Arc::clone(&t.state);
-        let t = t
-            .wait_timeout(Duration::from_millis(5))
-            .expect_err("nothing completed the batch yet");
-        state.complete_whole(vec![Reply::Inserted]);
-        assert_eq!(
-            t.wait_timeout(Duration::from_secs(5)).expect("complete"),
-            vec![Reply::Inserted]
-        );
-    }
-
-    #[test]
-    fn wait_timeout_wakes_on_cross_thread_completion() {
+    fn wait_wakes_on_cross_thread_completion() {
         let t = pending_ticket(2);
         let state = Arc::clone(&t.state);
         std::thread::spawn(move || {
@@ -597,8 +498,7 @@ mod tests {
             state.complete(vec![(1, Reply::Inserted)]);
             state.complete(vec![(0, Reply::Found(None))]);
         });
-        let replies = t.wait_timeout(Duration::from_secs(10)).expect("completes");
-        assert_eq!(replies, vec![Reply::Found(None), Reply::Inserted]);
+        assert_eq!(t.wait(), vec![Reply::Found(None), Reply::Inserted]);
     }
 
     #[test]
@@ -609,19 +509,64 @@ mod tests {
         let _ = t.wait();
     }
 
+    /// A worker's run in the table test below: slot `s` is answered
+    /// `Found(Some(s))`.
+    fn run_of(slots: &[u32]) -> Vec<(u32, Reply)> {
+        (slots.iter())
+            .map(|&s| (s, Reply::Found(Some(s as Value))))
+            .collect()
+    }
+
     #[test]
-    #[should_panic(expected = "router worker panicked")]
-    fn poisoned_ticket_fails_wait_timeout_instead_of_blocking() {
-        let t = pending_ticket(2);
-        t.state.poison();
-        let _ = t.wait_timeout(Duration::from_secs(5));
+    fn runs_land_whole_in_either_order_and_the_consumer_orders_by_slot() {
+        let runs = [[0u32, 2, 5], [1, 3, 4]];
+        let in_slot_order: Vec<Reply> = (0..6).map(|s| Reply::Found(Some(s))).collect();
+        for (first, second) in [(0, 1), (1, 0)] {
+            let (first, second) = (run_of(&runs[first]), run_of(&runs[second]));
+
+            // The blocking consumer: slot order, whatever landed first.
+            let t = pending_ticket(6);
+            t.state.complete(first.clone());
+            t.state.complete(Vec::new()); // an empty run lands nothing
+            assert!(!t.is_ready());
+            t.state.complete(second.clone());
+            assert_eq!(t.wait(), in_slot_order);
+
+            // The streaming consumer between the landings: exactly the
+            // run that landed, then exactly the rest.
+            let mut t = pending_ticket(6);
+            t.state.complete(first.clone());
+            let ready = t.take_ready();
+            assert_eq!(ready.replies, first);
+            assert!(!ready.drained);
+            t.state.complete(Vec::new());
+            let ready = t.take_ready();
+            assert!(ready.replies.is_empty() && !ready.drained);
+            t.state.complete(second.clone());
+            let ready = t.take_ready();
+            assert_eq!(ready.replies, second);
+            assert!(ready.drained && !ready.poisoned);
+            // A streamed ticket stays streamed.
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.wait()));
+            assert!(waited.is_err(), "wait() after take_ready() must panic");
+
+            // The streaming consumer after both: landing order, each
+            // run contiguous and slot-ascending.
+            let mut t = pending_ticket(6);
+            t.state.complete(first.clone());
+            t.state.complete(second.clone());
+            let ready = t.take_ready();
+            assert_eq!(ready.replies, [first, second].concat());
+            assert!(ready.drained);
+        }
     }
 
     #[test]
     fn take_ready_streams_partial_completions_in_any_order() {
         let mut t = pending_ticket(3);
-        assert_eq!(t.take_ready().replies, vec![], "nothing landed yet");
-        assert!(!t.is_drained());
+        let ready = t.take_ready();
+        assert_eq!(ready.replies, vec![], "nothing landed yet");
+        assert!(!ready.drained);
         t.state.complete(vec![(2, Reply::Inserted)]);
         let ready = t.take_ready();
         assert_eq!(ready.replies, vec![(2, Reply::Inserted)]);
@@ -635,21 +580,21 @@ mod tests {
             vec![(0, Reply::Found(None)), (1, Reply::Removed(Some(9)))]
         );
         assert!(ready.drained, "the call that takes the last reply says so");
-        assert!(t.is_drained());
+        assert!(t.take_ready().drained, "and so does every call after it");
     }
 
     #[test]
     fn take_ready_consumes_a_whole_completion_in_slot_order() {
         let mut t = pending_ticket(2);
         t.state
-            .complete_whole(vec![Reply::Inserted, Reply::Found(Some(5))]);
+            .complete(vec![(0, Reply::Inserted), (1, Reply::Found(Some(5)))]);
         let ready = t.take_ready();
         assert_eq!(
             ready.replies,
             vec![(0, Reply::Inserted), (1, Reply::Found(Some(5)))]
         );
         assert!(ready.drained);
-        assert!(t.is_drained());
+        assert!(t.take_ready().drained);
     }
 
     #[test]
@@ -666,7 +611,6 @@ mod tests {
     fn take_ready_reports_poison_without_panicking() {
         let mut t = pending_ticket(2);
         t.state.poison();
-        assert!(t.is_poisoned());
         let ready = t.take_ready();
         assert_eq!(ready.replies, vec![], "no replies, but no panic either");
         assert!(ready.poisoned && !ready.drained);

@@ -15,18 +15,24 @@
 //!   socket or the router has something for it.
 //! * **Wire-side group commit.** All small requests decoded in one
 //!   loop iteration — across *all* connections — are merged into a
-//!   single router submit (up to
-//!   [`merge_window_ops`](NetConfig::merge_window_ops) ops). Under
-//!   high connection counts this turns N tiny batches into one
+//!   single router submit (up to `MERGE_WINDOW_OPS` = 1024 ops).
+//!   Under high connection counts this turns N tiny batches into one
 //!   worker pass, the same trick the WAL plays with group commit,
 //!   applied one layer up.
+//! * **One walk from replies to frames.** A merged submit remembers
+//!   its requests as `Part`s — one `(connection, corr)` each,
+//!   disjoint and in the order their ops sit in the batch. A ticket
+//!   hands back what landed in landing order
+//!   ([`Ticket::take_ready`]); the loop sorts that by batch slot and
+//!   walks it against the parts once, building one response frame per
+//!   part that had anything land — no lookup per reply.
 //! * **Backpressure, two ways.** A connection stops being read (its
-//!   `EPOLLIN` interest is dropped) while it has
-//!   [`max_inflight`](NetConfig::max_inflight) unanswered requests or
-//!   more than [`write_buf_cap`](NetConfig::write_buf_cap) unsent
-//!   reply bytes. The kernel socket buffer then fills and the
-//!   client's own writes block — backpressure propagates without the
-//!   server buffering unboundedly.
+//!   `EPOLLIN` interest is dropped) while it has `MAX_INFLIGHT` = 8
+//!   unanswered requests or more than
+//!   [`write_buf_cap`](NetConfig::write_buf_cap) unsent reply bytes.
+//!   The kernel socket buffer then fills and the client's own writes
+//!   block — backpressure propagates without the server buffering
+//!   unboundedly.
 //! * **Chunked scans.** A `Scan` asking for more than
 //!   [`scan_chunk`](NetConfig::scan_chunk) entries is clamped, and
 //!   each completed chunk schedules a continuation from the last key
@@ -58,18 +64,12 @@ pub struct NetConfig {
     /// TCP port to bind on `127.0.0.1`; `0` asks the kernel for an
     /// ephemeral port (read it back with [`NetServer::port`]).
     pub port: u16,
-    /// Unanswered requests one connection may have in flight before
-    /// its reads pause.
-    pub max_inflight: usize,
     /// Entries per scan reply chunk; scans asking for more stream in
     /// chunks of this size.
     pub scan_chunk: usize,
     /// Unsent reply bytes one connection may buffer before its reads
     /// (and its scan continuations) pause.
     pub write_buf_cap: usize,
-    /// Cap on ops merged into one router submit by wire-side group
-    /// commit.
-    pub merge_window_ops: usize,
     /// Kernel send-buffer size (`SO_SNDBUF`) for accepted
     /// connections; `0` keeps the kernel's autotuned default. Setting
     /// it bounds how many reply bytes the *kernel* absorbs past
@@ -82,10 +82,8 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             port: 0,
-            max_inflight: 8,
             scan_chunk: 1024,
             write_buf_cap: 256 * 1024,
-            merge_window_ops: 1024,
             sndbuf: 0,
         }
     }
@@ -187,16 +185,6 @@ struct ScanPlan {
     drop: usize,
 }
 
-/// One response frame being accumulated while routing a ticket's
-/// completions: everything answered for a (connection, request) pair
-/// in this pass, plus how many of its slots were finally answered.
-struct ReplyGroup {
-    token: u64,
-    corr: u32,
-    items: Vec<(u16, Reply)>,
-    finalized: usize,
-}
-
 /// One request's (or continuation's) span inside a submitted batch.
 struct Part {
     /// Owning connection (slot | generation), checked on completion
@@ -214,7 +202,8 @@ struct Part {
 }
 
 /// A submitted ticket with the parts mapping its batch slots back to
-/// connections.
+/// connections: disjoint spans in `ops_start` order, each its own
+/// `(token, corr)`, together covering the batch.
 struct Pending {
     ticket: Ticket,
     parts: Vec<Part>,
@@ -248,9 +237,20 @@ struct Conn {
     close: bool,
 }
 
+/// Unanswered requests one connection may have in flight before its
+/// reads pause.
+const MAX_INFLIGHT: usize = 8;
+
 impl Conn {
     fn unsent(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// Backpressure: no further request is parsed off this connection
+    /// while it has [`MAX_INFLIGHT`] unanswered ones or `write_buf_cap`
+    /// unsent reply bytes.
+    fn paused(&self, write_buf_cap: usize) -> bool {
+        self.reqs.len() >= MAX_INFLIGHT || self.unsent() >= write_buf_cap
     }
 }
 
@@ -275,12 +275,19 @@ fn jlog(db: &Db, on: bool, kind: EventKind, shard: u32, dur_ns: u64, keys: u64) 
     }
 }
 
-fn lookup(conns: &[Option<Conn>], token: u64) -> Option<usize> {
+/// What a peer that breaks the protocol gets — a frame that does not
+/// parse, a request that does not decode, a correlation id still in
+/// flight: counted, journaled with the error's code, and its
+/// connection closed (the caller stops parsing it).
+fn reject(db: &Db, on: bool, stats: &NetStats, idx: usize, conn: &mut Conn, e: wire::WireError) {
+    NetStats::bump(&stats.decode_errors);
+    jlog(db, on, EventKind::ProtoError, idx as u32, 0, e.code());
+    conn.close = true;
+}
+
+fn lookup(conns: &mut [Option<Conn>], token: u64) -> Option<&mut Conn> {
     let idx = (token & 0xFFFF_FFFF) as usize;
-    match conns.get(idx) {
-        Some(Some(c)) if c.token == token => Some(idx),
-        _ => None,
-    }
+    conns.get_mut(idx)?.as_mut().filter(|c| c.token == token)
 }
 
 /// Drains the socket into `rbuf`, bounded at one max frame of
@@ -385,29 +392,17 @@ fn scan_step(
     )
 }
 
-fn submit_batch(
-    session: &mut Session<'_>,
-    batch: &mut Vec<Op>,
-    parts: &mut Vec<Part>,
-    pendings: &mut Vec<Pending>,
-    wake: &Arc<EventFd>,
-    stats: &NetStats,
-) {
-    if parts.is_empty() {
-        return;
-    }
-    let ticket = session.submit(batch);
+/// Ops merged into one router submit by wire-side group commit, at
+/// most (a single larger request still goes out whole).
+const MERGE_WINDOW_OPS: usize = 1024;
+
+/// Submits `ops` with the ticket's progress hook posting the loop's
+/// eventfd.
+fn submit_woken(session: &mut Session<'_>, wake: &Arc<EventFd>, ops: &[Op]) -> Ticket {
+    let ticket = session.submit(ops);
     let w = Arc::clone(wake);
     ticket.on_progress(move || w.signal());
-    if parts.len() > 1 {
-        NetStats::bump(&stats.merged_submits);
-        NetStats::add(&stats.merged_requests, parts.len() as u64);
-    }
-    pendings.push(Pending {
-        ticket,
-        parts: std::mem::take(parts),
-    });
-    batch.clear();
+    ticket
 }
 
 impl EventLoop<'_> {
@@ -424,10 +419,9 @@ impl EventLoop<'_> {
                     TOKEN_WAKE => self.wake.drain(),
                     TOKEN_LISTENER => self.accept_all(),
                     t => {
-                        let Some(idx) = lookup(&self.conns, t) else {
+                        let Some(conn) = lookup(&mut self.conns, t) else {
                             continue;
                         };
-                        let conn = self.conns[idx].as_mut().expect("looked up");
                         if ev & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
                             conn.close = true;
                             continue;
@@ -510,8 +504,8 @@ impl EventLoop<'_> {
                 // connections rather than leave them hanging.
                 let dead = self.pendings.swap_remove(k);
                 for part in &dead.parts {
-                    if let Some(idx) = lookup(&self.conns, part.token) {
-                        self.conns[idx].as_mut().expect("looked up").close = true;
+                    if let Some(conn) = lookup(&mut self.conns, part.token) {
+                        conn.close = true;
                     }
                 }
                 continue;
@@ -527,38 +521,32 @@ impl EventLoop<'_> {
         }
     }
 
-    fn route_ready(&mut self, k: usize, ready: Vec<(u32, Reply)>) {
-        // One response frame is emitted per (token, corr) group.
-        let mut groups: Vec<ReplyGroup> = Vec::new();
-        let mut conts: Vec<(u64, ScanPlan)> = Vec::new();
+    /// Turns what landed on `pendings[k]` into response frames. The
+    /// ticket hands replies over in landing order; sorted by batch
+    /// slot they line up with the parts (disjoint, in `ops_start`
+    /// order), so one forward walk gives every part its replies and
+    /// every part that got any exactly one frame.
+    fn route_ready(&mut self, k: usize, mut ready: Vec<(u32, Reply)>) {
+        // Stable, because that sort merges the workers' ascending
+        // runs where an unstable one would sort from scratch.
+        ready.sort_by_key(|&(bslot, _)| bslot);
+        let mut ready = ready.into_iter().peekable();
         let scan_chunk = self.cfg.scan_chunk;
-        {
-            let pending = &mut self.pendings[k];
-            for (bslot, reply) in ready {
-                let bslot = bslot as usize;
-                let part = pending
-                    .parts
-                    .iter_mut()
-                    .find(|p| bslot >= p.ops_start && bslot < p.ops_start + p.ops_len)
-                    .expect("batch slot maps to a part");
-                let local = bslot - part.ops_start;
+        let mut items: Vec<(u16, Reply)> = Vec::new();
+        for part in &mut self.pendings[k].parts {
+            let end = part.ops_start + part.ops_len;
+            let in_part = |&(bslot, _): &(u32, Reply)| (bslot as usize) < end;
+            if !ready.peek().is_some_and(in_part) {
+                continue; // nothing of this part landed in this pass
+            }
+            // `None`: the connection closed while the batch ran. Its
+            // replies are still walked, to retire the part's scans.
+            let mut conn = lookup(&mut self.conns, part.token);
+            let mut finalized = 0;
+            items.clear();
+            while let Some((bslot, reply)) = ready.next_if(in_part) {
+                let local = bslot as usize - part.ops_start;
                 let wire_slot = part.wire_base + local as u16;
-                let gi = match groups
-                    .iter()
-                    .position(|g| g.token == part.token && g.corr == part.corr)
-                {
-                    Some(i) => i,
-                    None => {
-                        groups.push(ReplyGroup {
-                            token: part.token,
-                            corr: part.corr,
-                            items: Vec::new(),
-                            finalized: 0,
-                        });
-                        groups.len() - 1
-                    }
-                };
-                let g = &mut groups[gi];
                 if let Some(pos) = part.scans.iter().position(|(l, _)| *l == local) {
                     let (_, plan) = part.scans.swap_remove(pos);
                     let es = match reply {
@@ -570,51 +558,42 @@ impl EventLoop<'_> {
                         }
                     };
                     let (emit, next) = scan_step(plan, es, scan_chunk);
-                    g.items.push((wire_slot, Reply::Entries(emit)));
+                    items.push((wire_slot, Reply::Entries(emit)));
                     match next {
-                        Some(p) => conts.push((part.token, p)),
-                        None => g.finalized += 1,
+                        Some(plan) => {
+                            if let Some(conn) = conn.as_deref_mut() {
+                                conn.conts.push_back(plan);
+                            }
+                        }
+                        None => finalized += 1,
                     }
                 } else {
                     if reply == Reply::Refused {
                         NetStats::bump(&self.stats.refused_ops);
                     }
-                    g.items.push((wire_slot, reply));
-                    g.finalized += 1;
+                    items.push((wire_slot, reply));
+                    finalized += 1;
                 }
             }
-        }
-        for g in groups {
-            let Some(idx) = lookup(&self.conns, g.token) else {
-                continue; // connection closed while the batch ran
+            let Some(conn) = conn else {
+                continue;
             };
-            let conn = self.conns[idx].as_mut().expect("looked up");
-            let (last, t0) = match conn.reqs.get_mut(&g.corr) {
-                Some(req) => {
-                    req.unanswered -= g.finalized;
-                    (req.unanswered == 0, req.t0)
-                }
-                None => continue,
+            let Some(req) = conn.reqs.get_mut(&part.corr) else {
+                continue;
             };
-            wire::encode_response(&mut conn.wbuf, g.corr, last, &g.items);
+            req.unanswered -= finalized;
+            let (last, t0) = (req.unanswered == 0, req.t0);
+            wire::encode_response(&mut conn.wbuf, part.corr, last, &items);
             NetStats::bump(&self.stats.frames_out);
             self.stats.track_peak(conn.unsent());
             if last {
                 self.stats
                     .frame_service_ns
                     .record(rma_obs::now_ns().saturating_sub(t0));
-                conn.reqs.remove(&g.corr);
+                conn.reqs.remove(&part.corr);
             }
         }
-        for (token, plan) in conts {
-            if let Some(idx) = lookup(&self.conns, token) {
-                self.conns[idx]
-                    .as_mut()
-                    .expect("looked up")
-                    .conts
-                    .push_back(plan);
-            }
-        }
+        debug_assert!(ready.next().is_none(), "a reply beyond the last part");
     }
 
     /// The per-iteration steady-state pass: parse newly read bytes
@@ -635,6 +614,23 @@ impl EventLoop<'_> {
         }
         let mut batch: Vec<Op> = Vec::new();
         let mut parts: Vec<Part> = Vec::new();
+        let (session, pendings, stats) = (&mut self.session, &mut self.pendings, &*self.stats);
+        // One router submit, one ticket, for the requests in `parts`.
+        let mut submit_batch = |batch: &mut Vec<Op>, parts: &mut Vec<Part>| {
+            if parts.is_empty() {
+                return;
+            }
+            let ticket = submit_woken(session, &self.wake, batch);
+            if parts.len() > 1 {
+                NetStats::bump(&stats.merged_submits);
+                NetStats::add(&stats.merged_requests, parts.len() as u64);
+            }
+            pendings.push(Pending {
+                ticket,
+                parts: std::mem::take(parts),
+            });
+            batch.clear();
+        };
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
@@ -644,39 +640,21 @@ impl EventLoop<'_> {
             }
             let mut at = 0usize;
             loop {
-                if conn.reqs.len() >= cfg.max_inflight || conn.unsent() >= cfg.write_buf_cap {
+                if conn.paused(cfg.write_buf_cap) {
                     break;
                 }
                 let (payload, consumed) = match wire::split_frame(&conn.rbuf.unparsed()[at..]) {
                     Ok(Frame::Incomplete) => break,
                     Ok(Frame::Payload { payload, consumed }) => (payload, consumed),
                     Err(e) => {
-                        NetStats::bump(&self.stats.decode_errors);
-                        jlog(
-                            self.db,
-                            self.journal_on,
-                            EventKind::ProtoError,
-                            idx as u32,
-                            0,
-                            e.code(),
-                        );
-                        conn.close = true;
+                        reject(self.db, self.journal_on, &self.stats, idx, conn, e);
                         break;
                     }
                 };
                 let (corr, mut ops) = match wire::decode_request(payload) {
                     Ok(req) => req,
                     Err(e) => {
-                        NetStats::bump(&self.stats.decode_errors);
-                        jlog(
-                            self.db,
-                            self.journal_on,
-                            EventKind::ProtoError,
-                            idx as u32,
-                            0,
-                            e.code(),
-                        );
-                        conn.close = true;
+                        reject(self.db, self.journal_on, &self.stats, idx, conn, e);
                         break;
                     }
                 };
@@ -687,16 +665,8 @@ impl EventLoop<'_> {
                     // Reusing an in-flight correlation id would cross
                     // two requests' replies — same treatment as a
                     // malformed frame.
-                    NetStats::bump(&self.stats.decode_errors);
-                    jlog(
-                        self.db,
-                        self.journal_on,
-                        EventKind::ProtoError,
-                        idx as u32,
-                        0,
-                        wire::WireError::DuplicateCorr.code(),
-                    );
-                    conn.close = true;
+                    let e = wire::WireError::DuplicateCorr;
+                    reject(self.db, self.journal_on, &self.stats, idx, conn, e);
                     break;
                 }
                 let t0 = rma_obs::now_ns();
@@ -734,15 +704,8 @@ impl EventLoop<'_> {
                         t0,
                     },
                 );
-                if !batch.is_empty() && batch.len() + ops.len() > cfg.merge_window_ops {
-                    submit_batch(
-                        &mut self.session,
-                        &mut batch,
-                        &mut parts,
-                        &mut self.pendings,
-                        &self.wake,
-                        &self.stats,
-                    );
+                if !batch.is_empty() && batch.len() + ops.len() > MERGE_WINDOW_OPS {
+                    submit_batch(&mut batch, &mut parts);
                 }
                 let ops_start = batch.len();
                 let ops_len = ops.len();
@@ -760,14 +723,7 @@ impl EventLoop<'_> {
                 conn.rbuf.consume(at);
             }
         }
-        submit_batch(
-            &mut self.session,
-            &mut batch,
-            &mut parts,
-            &mut self.pendings,
-            &self.wake,
-            &self.stats,
-        );
+        submit_batch(&mut batch, &mut parts);
 
         // Scan continuations, gated on write-buffer headroom so a
         // blocked reader holds bounded reply bytes.
@@ -788,9 +744,7 @@ impl EventLoop<'_> {
                     start: plan.start,
                     count,
                 };
-                let ticket = self.session.submit(std::slice::from_ref(&op));
-                let w = Arc::clone(&self.wake);
-                ticket.on_progress(move || w.signal());
+                let ticket = submit_woken(&mut self.session, &self.wake, &[op]);
                 NetStats::bump(&self.stats.scan_chunks);
                 self.pendings.push(Pending {
                     ticket,
@@ -817,8 +771,7 @@ impl EventLoop<'_> {
                     flush(conn, &self.stats);
                 }
                 if !conn.close {
-                    let paused =
-                        conn.reqs.len() >= cfg.max_inflight || conn.unsent() >= cfg.write_buf_cap;
+                    let paused = conn.paused(cfg.write_buf_cap);
                     let mut want = 0u32;
                     if !paused {
                         want |= EPOLLIN | EPOLLRDHUP;
@@ -844,7 +797,7 @@ impl EventLoop<'_> {
                     // event to retry on. Schedule one more pass.
                     if conn.unsent() < cfg.write_buf_cap
                         && (!conn.conts.is_empty()
-                            || (conn.reqs.len() < cfg.max_inflight
+                            || (conn.reqs.len() < MAX_INFLIGHT
                                 && !matches!(wire::frame_len(conn.rbuf.unparsed()), Ok(None))))
                     {
                         rearm = true;

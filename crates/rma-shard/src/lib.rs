@@ -542,20 +542,13 @@ impl ShardedRma {
             );
             masses.push(shard.stats.total());
         }
-        let total_mass: u64 = masses.iter().sum();
-        let access_imbalance = if total_mass == 0 {
-            1.0
-        } else {
-            let mean = total_mass as f64 / masses.len() as f64;
-            *masses.iter().max().expect("at least one shard") as f64 / mean
-        };
         EngineSnapshot {
             len: shards.iter().map(|s| s.len).sum(),
             num_shards: shards.len(),
             memory_footprint: shards.iter().map(|s| s.wired_bytes).sum(),
             splitter_bytes: std::mem::size_of_val(topo.splitters.keys()),
             op_count: self.op_count(),
-            access_imbalance,
+            access_imbalance: maintenance::imbalance_of(masses.iter().map(|&m| m as f64)),
             read_locks,
             write_locks,
             seqlock_retries,
@@ -672,21 +665,19 @@ impl ShardedRma {
         }
     }
 
-    /// The bracket every point read runs in — `get` with one key,
-    /// `get_many` with a shard's group: records the accesses (one
-    /// counter update, the per-key histogram, one decay tick when the
-    /// shard-local count crosses a [`DECAY_TICK_BATCH`] boundary),
-    /// then runs `read` optimistically, under the shard's read lock
-    /// only after repeated writer interference.
-    fn read_keys<R>(
+    /// The one way an access is recorded: `keys.len()` on `counter`
+    /// (the shard's `reads` or `writes`) in one update, every key in
+    /// the shard's histogram, and one decay tick per
+    /// [`DECAY_TICK_BATCH`] boundary the shard-local count crossed.
+    pub(crate) fn record_access(
         &self,
         topo: &Topology,
         shard: &shard::Shard,
+        counter: &AtomicU64,
         keys: &[Key],
-        mut read: impl FnMut(&rma_core::Rma) -> R,
-    ) -> R {
+    ) {
         let n = keys.len() as u64;
-        let prev = shard.reads.fetch_add(n, Relaxed);
+        let prev = counter.fetch_add(n, Relaxed);
         for &k in keys {
             shard.stats.record(k);
         }
@@ -694,6 +685,20 @@ impl ShardedRma {
         if crossed > 0 {
             self.tick_decay(topo, crossed * DECAY_TICK_BATCH);
         }
+    }
+
+    /// The bracket every point read runs in — `get` with one key,
+    /// `get_many` with a shard's group: records the accesses, then
+    /// runs `read` optimistically, under the shard's read lock only
+    /// after repeated writer interference.
+    fn read_keys<R>(
+        &self,
+        topo: &Topology,
+        shard: &shard::Shard,
+        keys: &[Key],
+        mut read: impl FnMut(&rma_core::Rma) -> R,
+    ) -> R {
+        self.record_access(topo, shard, &shard.reads, keys);
         match shard.try_optimistic(&mut read) {
             Some(out) => out,
             None => read(&shard.read()),
@@ -740,11 +745,7 @@ impl ShardedRma {
                 self.maint_counters.write_reroutes.fetch_add(1, Relaxed);
                 return None;
             }
-            let prev = shard.writes.fetch_add(1, Relaxed);
-            shard.stats.record(k);
-            if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-                self.tick_decay(topo, DECAY_TICK_BATCH);
-            }
+            self.record_access(topo, shard, &shard.writes, &[k]);
             Some(op(&mut guard))
         })
     }
@@ -801,13 +802,7 @@ impl ShardedRma {
     /// Max/mean access imbalance across shards: `1.0` is perfectly
     /// balanced; returns `1.0` when no access has been recorded.
     pub fn access_imbalance(&self) -> f64 {
-        let masses = self.access_masses();
-        let total: u64 = masses.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / masses.len() as f64;
-        *masses.iter().max().expect("at least one shard") as f64 / mean
+        maintenance::imbalance_of(self.access_masses().iter().map(|&m| m as f64))
     }
 
     /// Zeroes every shard's access histogram and the decay clock

@@ -201,14 +201,19 @@ pub(super) fn weighted_buckets_of(shards: &[Arc<Shard>]) -> Vec<(Key, Key, u64)>
         .collect()
 }
 
-/// Max/mean of a mass vector; `1.0` for empty or all-zero input.
-pub(super) fn imbalance_of(masses: &[f64]) -> f64 {
-    let total: f64 = masses.iter().sum();
-    if total <= 0.0 || masses.is_empty() {
+/// Max/mean of a mass vector, observed or predicted; `1.0` for empty
+/// or all-zero input.
+pub(crate) fn imbalance_of(masses: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut n, mut total, mut max) = (0usize, 0f64, 0f64);
+    for m in masses {
+        n += 1;
+        total += m;
+        max = max.max(m);
+    }
+    if total <= 0.0 {
         return 1.0;
     }
-    let mean = total / masses.len() as f64;
-    masses.iter().cloned().fold(0f64, f64::max) / mean
+    max / (total / n as f64)
 }
 
 impl ShardedRma {

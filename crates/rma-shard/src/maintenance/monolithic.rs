@@ -47,7 +47,7 @@ impl ShardedRma {
         if candidate == topo.splitters {
             return report;
         }
-        let predicted = imbalance_of(&predicted_masses(&wb, &candidate));
+        let predicted = imbalance_of(predicted_masses(&wb, &candidate));
         report.imbalance_predicted = predicted;
         if predicted >= (1.0 - RELEARN_MIN_GAIN) * imbalance {
             return report; // gain too small to justify the churn

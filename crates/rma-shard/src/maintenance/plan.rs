@@ -395,13 +395,11 @@ impl ShardedRma {
         let n = topo.shards.len();
         let mut report = RelearnReport::at(n);
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
-        let total: u64 = masses.iter().sum();
-        if total == 0 {
+        if masses.iter().all(|&m| m == 0) {
             // No signal to learn from.
             return self.finish_plan(Vec::new(), PlanKind::Relearn, report);
         }
-        let mean = total as f64 / n as f64;
-        let imbalance = *masses.iter().max().expect("at least one shard") as f64 / mean;
+        let imbalance = imbalance_of(masses.iter().map(|&m| m as f64));
         report.imbalance_before = imbalance;
         if imbalance < RELEARN_TRIGGER {
             // Already balanced.
@@ -435,7 +433,7 @@ impl ShardedRma {
 
         let candidate = Splitters::from_weighted_histogram(&wb, self.cfg.num_shards);
         let full_pred =
-            (candidate != topo.splitters).then(|| imbalance_of(&predicted_masses(&wb, &candidate)));
+            (candidate != topo.splitters).then(|| imbalance_of(predicted_masses(&wb, &candidate)));
         let nudge = self.best_nudge(&topo, &masses, &wb);
         let full_ok = full_pred.is_some_and(|p| p < gain_bar);
         let nudge_ok = nudge.as_ref().is_some_and(|&(_, p)| p < gain_bar);
@@ -750,7 +748,7 @@ impl ShardedRma {
         }
         let mut keys = topo.splitters.keys().to_vec();
         keys[l] = target;
-        let predicted = imbalance_of(&predicted_masses(wb, &Splitters::new(keys)));
+        let predicted = imbalance_of(predicted_masses(wb, &Splitters::new(keys)));
         Some((
             MaintenanceStep::NudgeBoundary {
                 target_key: target,
@@ -801,7 +799,7 @@ impl ShardedRma {
                 boundary,
             });
         }
-        let predicted = imbalance_of(&predicted_masses(wb, &Splitters::new(keys)));
+        let predicted = imbalance_of(predicted_masses(wb, &Splitters::new(keys)));
         (steps, predicted)
     }
 }

@@ -11,9 +11,8 @@
 //! falling back to the shard read lock otherwise — see the crate docs
 //! for the consistency contract.
 
-use crate::{DurabilityOp, ShardedRma, DECAY_TICK_BATCH};
+use crate::{DurabilityOp, ShardedRma};
 use rma_core::{Key, Value};
-use std::sync::atomic::Ordering::Relaxed;
 
 /// Scans asked to visit more than this many elements in one shard
 /// skip the optimistic attempt: the attempt buffers its visits (the
@@ -32,12 +31,8 @@ impl ShardedRma {
             if visited >= count {
                 break;
             }
-            let prev = shard.reads.fetch_add(1, Relaxed);
             let from = if i == first { start } else { Key::MIN };
-            shard.stats.record(from);
-            if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-                self.tick_decay(&topo, DECAY_TICK_BATCH);
-            }
+            self.record_access(&topo, shard, &shard.reads, &[from]);
             let want = count - visited;
             // Optimistic attempt buffers the visits so the caller's
             // closure only ever sees the validated pass. The size
@@ -79,12 +74,8 @@ impl ShardedRma {
             if visited >= count {
                 break;
             }
-            let prev = shard.reads.fetch_add(1, Relaxed);
             let from = if i == first { start } else { Key::MIN };
-            shard.stats.record(from);
-            if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-                self.tick_decay(&topo, DECAY_TICK_BATCH);
-            }
+            self.record_access(&topo, shard, &shard.reads, &[from]);
             let want = count - visited;
             let (n, s) = shard
                 .try_optimistic(|rma| rma.sum_range(from, want))
@@ -101,12 +92,8 @@ impl ShardedRma {
         let topo = self.topo();
         let first = topo.splitters.route(k);
         for (i, shard) in topo.shards.iter().enumerate().skip(first) {
-            let prev = shard.reads.fetch_add(1, Relaxed);
             let from = if i == first { k } else { Key::MIN };
-            shard.stats.record(from);
-            if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-                self.tick_decay(&topo, DECAY_TICK_BATCH);
-            }
+            self.record_access(&topo, shard, &shard.reads, &[from]);
             let hit = shard
                 .try_optimistic(|rma| rma.first_ge(from))
                 .unwrap_or_else(|| shard.read().first_ge(from));
@@ -137,11 +124,7 @@ impl ShardedRma {
                 }
                 let from = if i == start { k } else { Key::MIN };
                 if g.rma().first_ge(from).is_some() {
-                    let prev = shard.writes.fetch_add(1, Relaxed);
-                    shard.stats.record(from);
-                    if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-                        self.tick_decay(topo, DECAY_TICK_BATCH);
-                    }
+                    self.record_access(topo, shard, &shard.writes, &[from]);
                     let out = g.mutate(|rma| rma.remove_successor(from));
                     // Effect-log under the same lock: the WAL records
                     // the key actually removed, not the probe key.
@@ -160,11 +143,7 @@ impl ShardedRma {
                     return None;
                 }
                 if !g.rma().is_empty() {
-                    let prev = shard.writes.fetch_add(1, Relaxed);
-                    shard.stats.record(Key::MAX);
-                    if (prev + 1).is_multiple_of(DECAY_TICK_BATCH) {
-                        self.tick_decay(topo, DECAY_TICK_BATCH);
-                    }
+                    self.record_access(topo, shard, &shard.writes, &[Key::MAX]);
                     let out = g.mutate(|rma| rma.remove_successor(Key::MAX));
                     if let (Some((rk, _)), Some(wal)) = (out, self.durability()) {
                         wal.append(DurabilityOp::Remove(rk));

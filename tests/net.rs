@@ -117,6 +117,76 @@ fn pipelined_requests_all_complete() {
     assert_eq!(srv.stats().frames_in, 16);
 }
 
+/// A request whose ops are split over both router workers lands on
+/// its ticket as two runs, in either order, in one loop pass or two —
+/// and, sent in a burst, shares that ticket with its neighbours.
+/// Looked at frame by frame (the reassembling `WireClient` would hide
+/// it): every slot of every request is answered exactly once, with
+/// its own reply, in at most one frame per landing, and only a
+/// request's final frame says `last`.
+#[test]
+fn requests_split_over_two_workers_answer_every_slot_once() {
+    // Shards 0–1 (keys < 200) belong to worker 0, shards 2–3 to
+    // worker 1.
+    let db = Db::builder()
+        .splitter_keys(vec![100, 200, 300])
+        .router_workers(2)
+        .build()
+        .expect("static config");
+    let load: Vec<Op> = (0..400).map(|k| Op::Insert(k, k * 3)).collect();
+    db.session().submit(&load).wait();
+    let srv = NetServer::spawn(Arc::new(db), NetConfig::default()).expect("spawn");
+    let mut s = TcpStream::connect(("127.0.0.1", srv.port())).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+
+    // Slots alternate between the workers, ending on an uneven tail.
+    let keys: Vec<i64> = (0..48)
+        .map(|i| if i % 2 == 0 || i > 40 { i } else { 399 - i })
+        .collect();
+    let ops: Vec<Op> = keys.iter().map(|&k| Op::Get(k)).collect();
+    const BURST: usize = 4;
+    const ROUNDS: usize = 50;
+    let mut buf = Vec::new();
+    let mut frames = 0u64;
+    for round in 0..ROUNDS {
+        // One write, so the loop decodes the burst in one pass and
+        // merges it into one submit of `BURST` parts.
+        let mut burst = Vec::new();
+        for corr in 0..BURST {
+            wire::encode_request(&mut burst, (round * BURST + corr) as u32, &ops);
+        }
+        s.write_all(&burst).expect("burst");
+        let mut seen = vec![vec![false; ops.len()]; BURST];
+        let mut frames_of = [0; BURST];
+        let mut open = BURST;
+        while open > 0 {
+            let resp = read_response(&mut s, &mut buf);
+            frames += 1;
+            let r = (resp.corr as usize)
+                .checked_sub(round * BURST)
+                .expect("a request of this burst");
+            frames_of[r] += 1;
+            assert!(frames_of[r] <= 2, "one frame per landing at most");
+            assert!(!resp.items.is_empty(), "a frame carries what landed");
+            for (slot, reply) in resp.items {
+                let slot = slot as usize;
+                let twice = std::mem::replace(&mut seen[r][slot], true);
+                assert!(!twice, "request {r} slot {slot} answered twice");
+                assert_eq!(reply, Reply::Found(Some(keys[slot] * 3)), "slot {slot}");
+            }
+            let complete = seen[r].iter().all(|&s| s);
+            assert_eq!(resp.last, complete, "`last` on the final frame only");
+            open -= complete as usize;
+        }
+    }
+    assert!(buf.is_empty(), "no frame beyond the last");
+    let stats = srv.stats();
+    assert_eq!(stats.frames_in, (ROUNDS * BURST) as u64);
+    assert_eq!(stats.frames_out, frames);
+    assert!(stats.merged_submits > 0, "bursts share a ticket");
+}
+
 /// Frames the parent of the shared-checksum change produced. Byte
 /// literals, not regenerated: they pin the checksum *values* on the
 /// wire. A 41-byte request (table kernel) and a 343-byte response
@@ -241,15 +311,17 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reads whole frames off a raw stream until one parses, returning
-/// its payload.
-fn read_payload(stream: &mut TcpStream) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Reads off a raw stream until `buf` holds a whole frame, and
+/// returns it decoded; bytes past it stay in `buf` for the next call.
+fn read_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> wire::ResponseFrame {
     let mut tmp = [0u8; 4096];
     loop {
-        if let wire::Frame::Payload { payload, .. } = wire::split_frame(&buf).expect("clean frame")
+        if let wire::Frame::Payload { payload, consumed } =
+            wire::split_frame(buf).expect("clean frame")
         {
-            return payload.to_vec();
+            let resp = wire::decode_response(payload).expect("decodes");
+            buf.drain(..consumed);
+            return resp;
         }
         let n = stream.read(&mut tmp).expect("read");
         assert_ne!(n, 0, "server closed before answering");
@@ -305,7 +377,7 @@ fn malformed_frames_close_only_the_offender() {
         let mut req = Vec::new();
         wire::encode_request(&mut req, 0, &[Op::Get(3)]);
         s.write_all(&req).expect("valid request");
-        let resp = wire::decode_response(&read_payload(&mut s)).expect("decodes");
+        let resp = read_response(&mut s, &mut Vec::new());
         assert_eq!(resp.items, vec![(0, Reply::Found(Some(3)))]);
         // Poison it. The server must close this connection (EOF), not
         // panic, not answer.
