@@ -270,6 +270,35 @@ impl Rma {
         visited
     }
 
+    /// Appends up to `count` elements in key order, starting from the
+    /// first element `>= start`, to `out`; returns the number
+    /// appended. [`scan`](Self::scan) for a caller that wants the
+    /// entries themselves: each segment's key and value runs go in
+    /// zipped, as slices, with one capacity check a segment and no
+    /// call per element. What `out` already holds stays below them.
+    pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
+        let Some((mut seg, mut pos)) = self.locate_lower_bound(start) else {
+            return 0;
+        };
+        let base = out.len();
+        let mut left = count;
+        while left > 0 && seg < self.storage.seg_count() {
+            let keys = self.storage.seg_keys(seg);
+            let vals = self.storage.seg_vals(seg);
+            let end = keys.len().min(pos.saturating_add(left));
+            out.extend(
+                keys[pos..end]
+                    .iter()
+                    .copied()
+                    .zip(vals[pos..end].iter().copied()),
+            );
+            left -= end - pos;
+            seg += 1;
+            pos = 0;
+        }
+        out.len() - base
+    }
+
     /// Sums up to `count` values starting at the first key `>= start`
     /// — the scan kernel of Fig. 1, 10c and 12b.
     pub fn sum_range(&self, start: Key, count: usize) -> (usize, i64) {
@@ -305,11 +334,7 @@ impl Rma {
     /// maintenance when it rebuilds topologies.
     pub fn collect_into(&self, out: &mut Vec<(Key, Value)>) {
         out.reserve(self.len);
-        for seg in 0..self.storage.seg_count() {
-            let keys = self.storage.seg_keys(seg);
-            let vals = self.storage.seg_vals(seg);
-            out.extend(keys.iter().copied().zip(vals.iter().copied()));
-        }
+        self.scan_into(Key::MIN, usize::MAX, out);
     }
 
     // ------------------------------------------------------ insert --
@@ -1018,6 +1043,36 @@ mod tests {
         r.scan(2990, 100, |k, _| seen.push(k));
         assert_eq!(seen, (2990..3000).collect::<Vec<i64>>());
         assert_eq!(r.sum_range(99999, 5).0, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// `scan_into` is `scan` with the entries kept. Forty keys
+        /// over up to 400 inserts in segments of 8: every duplicate
+        /// run spans segments; the probes start below, inside and
+        /// past the stored keys and ask for nothing, a few and more
+        /// than there is; what `out` held stays in front.
+        #[test]
+        fn scan_into_equals_scan(
+            keys in proptest::collection::vec(0i64..40, 0..400),
+            probes in proptest::collection::vec((-2i64..44, 0usize..500), 1..24),
+            held in 0usize..4,
+        ) {
+            let mut r = Rma::new(small_cfg());
+            for (i, &k) in keys.iter().enumerate() {
+                r.insert(k, i as i64);
+            }
+            let held: Vec<(Key, Value)> = (0..held).map(|i| (-7, i as i64)).collect();
+            let edges = [(i64::MIN, usize::MAX), (i64::MAX, 5), (0, 0)];
+            for (start, count) in probes.into_iter().chain(edges) {
+                let mut want = held.clone();
+                let n = r.scan(start, count, |k, v| want.push((k, v)));
+                let mut got = held.clone();
+                proptest::prop_assert_eq!(r.scan_into(start, count, &mut got), n);
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

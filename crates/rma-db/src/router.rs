@@ -390,7 +390,7 @@ pub(crate) fn exec(engine: &ShardedRma, op: Op) -> Reply {
         Op::Scan { start, count } => {
             // Bounded, so a peer's `count` never sizes an allocation.
             let mut out = Vec::with_capacity(count.min(4096));
-            engine.scan(start, count, |k, v| out.push((k, v)));
+            engine.scan_into(start, count, &mut out);
             Reply::Entries(out)
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::wire::{self, Frame, RecvBuf};
 use rma_db::{Op, Reply};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
 
@@ -26,16 +26,27 @@ pub struct Completed {
 }
 
 struct Partial {
+    corr: u32,
     slots: Vec<Option<Reply>>,
+    /// `(slot, count)` of the request's scans, `count` bounded by
+    /// [`SCAN_RESERVE_MAX`]: what a slot answered over several frames
+    /// reserves when its first chunk arrives.
+    scans: Vec<(u16, usize)>,
     frames: u32,
 }
+
+/// Most entries reserved ahead for one streaming scan, so the op's own
+/// `count` (which may be `usize::MAX`) never sizes an allocation.
+const SCAN_RESERVE_MAX: usize = 1 << 16;
 
 /// A blocking client connection to a [`NetServer`](crate::NetServer).
 pub struct WireClient {
     stream: TcpStream,
     rbuf: RecvBuf,
     next_corr: u32,
-    pending: HashMap<u32, Partial>,
+    /// Requests awaiting their final frame — as many as the caller
+    /// pipelines, a handful: found by a walk over their ids.
+    pending: Vec<Partial>,
     done: VecDeque<Completed>,
     sbuf: Vec<u8>,
 }
@@ -49,7 +60,7 @@ impl WireClient {
             stream,
             rbuf: RecvBuf::default(),
             next_corr: 0,
-            pending: HashMap::new(),
+            pending: Vec::new(),
             done: VecDeque::new(),
             sbuf: Vec::new(),
         })
@@ -66,13 +77,16 @@ impl WireClient {
         self.sbuf.clear();
         wire::encode_request(&mut self.sbuf, corr, ops);
         self.stream.write_all(&self.sbuf)?;
-        self.pending.insert(
+        let scans = ops.iter().enumerate().filter_map(|(slot, op)| match *op {
+            Op::Scan { count, .. } => Some((slot as u16, count.min(SCAN_RESERVE_MAX))),
+            _ => None,
+        });
+        self.pending.push(Partial {
             corr,
-            Partial {
-                slots: vec![None; ops.len()],
-                frames: 0,
-            },
-        );
+            slots: vec![None; ops.len()],
+            scans: scans.collect(),
+            frames: 0,
+        });
         Ok(corr)
     }
 
@@ -139,12 +153,13 @@ impl WireClient {
     }
 
     fn apply(&mut self, frame: wire::ResponseFrame) -> io::Result<Option<Completed>> {
-        let Some(p) = self.pending.get_mut(&frame.corr) else {
+        let Some(at) = self.pending.iter().position(|p| p.corr == frame.corr) else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response for unknown correlation id {}", frame.corr),
             ));
         };
+        let p = &mut self.pending[at];
         p.frames += 1;
         for (slot, reply) in frame.items {
             let Some(cell) = p.slots.get_mut(slot as usize) else {
@@ -164,13 +179,22 @@ impl WireClient {
                         format!("slot {slot} answered twice"),
                     ));
                 }
+                // A scan's first chunk with more to come: make room
+                // for the rest now, so the chunks that follow append
+                // without regrowing.
+                (None, Reply::Entries(mut first)) if !frame.last => {
+                    if let Some(&(_, count)) = p.scans.iter().find(|(s, _)| *s == slot) {
+                        first.reserve(count.saturating_sub(first.len()));
+                    }
+                    *cell = Some(Reply::Entries(first));
+                }
                 (None, reply) => *cell = Some(reply),
             }
         }
         if !frame.last {
             return Ok(None);
         }
-        let p = self.pending.remove(&frame.corr).expect("present");
+        let p = self.pending.swap_remove(at);
         let mut replies = Vec::with_capacity(p.slots.len());
         for (i, slot) in p.slots.into_iter().enumerate() {
             match slot {

@@ -33,25 +33,32 @@
 //!   The kernel socket buffer then fills and the client's own writes
 //!   block — backpressure propagates without the server buffering
 //!   unboundedly.
-//! * **Chunked scans.** A `Scan` asking for more than
-//!   [`scan_chunk`](NetConfig::scan_chunk) entries is clamped, and
-//!   each completed chunk schedules a continuation from the last key
-//!   seen — but only while the connection's write buffer is under its
-//!   cap, so one huge scan to a slow reader holds a bounded number of
-//!   reply bytes and never blocks other connections. Duplicates of
-//!   the boundary key already sent are dropped from the next chunk; a
-//!   run of duplicates of a *single* key longer than `scan_chunk`
-//!   cannot make progress that way and is truncated at the chunk
-//!   boundary (the documented inexactness of chunked streaming —
-//!   chunks are not one snapshot, concurrent writers may interleave).
+//! * **Chunked scans, sized by the budget that bounds them.** One
+//!   reply chunk is a quarter of
+//!   [`write_buf_cap`](NetConfig::write_buf_cap) in bytes — 4096
+//!   entries, 64 KiB, at the default. A `Scan` asking for more is
+//!   clamped to a chunk, and each completed chunk schedules a
+//!   continuation from the last key seen — but only while the
+//!   connection's write buffer is under its cap, so one huge scan to
+//!   a slow reader holds at most `cap + cap/4` reply bytes (plus a
+//!   frame's few header bytes) and never blocks other connections. A
+//!   scan that fits a chunk is one router submit and one frame; every
+//!   continuation is a loop → worker → eventfd → loop round trip with
+//!   its own ticket, which is why the chunk is as large as the bound
+//!   allows and not a knob of its own. Duplicates of the boundary key
+//!   already sent are dropped from the next chunk; a run of
+//!   duplicates of a *single* key longer than a chunk cannot make
+//!   progress that way and is truncated at the chunk boundary (the
+//!   documented inexactness of chunked streaming — chunks are not one
+//!   snapshot, concurrent writers may interleave).
 
 use crate::stats::NetStats;
 use crate::sys::{Epoll, EventFd, IoStep, Listener};
-use crate::wire::{self, Frame, RecvBuf};
+use crate::wire::{self, Frame, RecvBuf, ResponseEncoder};
 use rewiring::libc::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use rma_db::{Db, Op, Reply, Session, Ticket};
 use rma_obs::EventKind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -64,11 +71,12 @@ pub struct NetConfig {
     /// TCP port to bind on `127.0.0.1`; `0` asks the kernel for an
     /// ephemeral port (read it back with [`NetServer::port`]).
     pub port: u16,
-    /// Entries per scan reply chunk; scans asking for more stream in
-    /// chunks of this size.
-    pub scan_chunk: usize,
     /// Unsent reply bytes one connection may buffer before its reads
-    /// (and its scan continuations) pause.
+    /// (and its scan continuations) pause. Also sizes a scan's reply
+    /// chunk: a quarter of this, in 16-byte entries — scans asking
+    /// for more stream in chunks of that size, and a connection holds
+    /// at most `write_buf_cap + write_buf_cap / 4` reply bytes for
+    /// one.
     pub write_buf_cap: usize,
     /// Kernel send-buffer size (`SO_SNDBUF`) for accepted
     /// connections; `0` keeps the kernel's autotuned default. Setting
@@ -82,10 +90,19 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             port: 0,
-            scan_chunk: 1024,
             write_buf_cap: 256 * 1024,
             sndbuf: 0,
         }
+    }
+}
+
+impl NetConfig {
+    /// Entries in one scan reply chunk: a quarter of `write_buf_cap`
+    /// in bytes, at least one entry, and no more than fits a frame
+    /// with room to spare however large the cap is set.
+    fn scan_chunk(&self) -> usize {
+        const ENTRY: usize = 16;
+        ((self.write_buf_cap / 4).min(wire::MAX_FRAME_PAYLOAD / 2) / ENTRY).max(1)
     }
 }
 
@@ -211,6 +228,7 @@ struct Pending {
 
 /// Per-request bookkeeping until its final frame is sent.
 struct ReqState {
+    corr: u32,
     /// Slots not yet finally answered (a streaming scan stays
     /// unanswered until its last chunk).
     unanswered: usize,
@@ -226,8 +244,9 @@ struct Conn {
     /// Encoded-but-unsent reply bytes; `wpos` is the send offset.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// In-flight requests by correlation id.
-    reqs: HashMap<u32, ReqState>,
+    /// In-flight requests, at most [`MAX_INFLIGHT`] of them: found
+    /// by a walk over their correlation ids.
+    reqs: Vec<ReqState>,
     /// Scan continuations waiting for write-buffer headroom.
     conts: VecDeque<ScanPlan>,
     /// Currently registered epoll interest bits.
@@ -244,6 +263,11 @@ const MAX_INFLIGHT: usize = 8;
 impl Conn {
     fn unsent(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// Where the in-flight request `corr` sits in `reqs`.
+    fn req(&self, corr: u32) -> Option<usize> {
+        self.reqs.iter().position(|r| r.corr == corr)
     }
 
     /// Backpressure: no further request is parsed off this connection
@@ -291,18 +315,24 @@ fn lookup(conns: &mut [Option<Conn>], token: u64) -> Option<&mut Conn> {
 }
 
 /// Drains the socket into `rbuf`, bounded at one max frame of
-/// unparsed backlog (epoll is level-triggered: unread kernel bytes
-/// re-arm the loop).
+/// unparsed backlog. A read that comes back short has emptied the
+/// socket, so the loop ends there and not on a second `read` that
+/// only returns `EAGAIN`; epoll is level-triggered, so whatever
+/// arrives in between (or did not fit) re-arms the loop.
 fn read_socket(conn: &mut Conn, stats: &NetStats) {
     loop {
         let spare = conn.rbuf.spare();
-        if spare.is_empty() {
+        let room = spare.len();
+        if room == 0 {
             break;
         }
         match conn.fd.read(spare) {
             Ok(IoStep::Bytes(n)) => {
                 conn.rbuf.fill(n);
                 NetStats::add(&stats.bytes_in, n as u64);
+                if n < room {
+                    break;
+                }
             }
             Ok(IoStep::WouldBlock) => break,
             Ok(IoStep::Closed) | Err(_) => {
@@ -339,13 +369,13 @@ fn flush(conn: &mut Conn, stats: &NetStats) {
     }
 }
 
-/// Applies one completed scan chunk to its plan: what to emit now,
-/// and the continuation plan if the scan keeps streaming.
+/// Applies one completed scan chunk to its plan: the part of `es` to
+/// emit now, and the continuation plan if the scan keeps streaming.
 fn scan_step(
     plan: ScanPlan,
-    mut es: Vec<(i64, i64)>,
+    es: &[(i64, i64)],
     scan_chunk: usize,
-) -> (Vec<(i64, i64)>, Option<ScanPlan>) {
+) -> (&[(i64, i64)], Option<ScanPlan>) {
     let submitted = plan.remaining.saturating_add(plan.drop).min(scan_chunk);
     let exhausted = es.len() < submitted;
     let lead = es
@@ -353,8 +383,8 @@ fn scan_step(
         .take_while(|(k, _)| *k == plan.start)
         .count()
         .min(plan.drop);
-    es.drain(..lead);
-    es.truncate(plan.remaining);
+    let es = &es[lead..];
+    let es = &es[..es.len().min(plan.remaining)];
     let emitted = es.len();
     let remaining = plan.remaining - emitted;
     if exhausted || remaining == 0 {
@@ -469,7 +499,7 @@ impl EventLoop<'_> {
                 rbuf: RecvBuf::default(),
                 wbuf: Vec::new(),
                 wpos: 0,
-                reqs: HashMap::new(),
+                reqs: Vec::with_capacity(MAX_INFLIGHT),
                 conts: VecDeque::new(),
                 interest: EPOLLIN | EPOLLRDHUP,
                 open_ns: rma_obs::now_ns(),
@@ -525,72 +555,65 @@ impl EventLoop<'_> {
     /// ticket hands replies over in landing order; sorted by batch
     /// slot they line up with the parts (disjoint, in `ops_start`
     /// order), so one forward walk gives every part its replies and
-    /// every part that got any exactly one frame.
+    /// every part that got any exactly one frame, encoded into the
+    /// connection's write buffer as the walk meets them.
     fn route_ready(&mut self, k: usize, mut ready: Vec<(u32, Reply)>) {
         // Stable, because that sort merges the workers' ascending
         // runs where an unstable one would sort from scratch.
         ready.sort_by_key(|&(bslot, _)| bslot);
         let mut ready = ready.into_iter().peekable();
-        let scan_chunk = self.cfg.scan_chunk;
-        let mut items: Vec<(u16, Reply)> = Vec::new();
+        let scan_chunk = self.cfg.scan_chunk();
         for part in &mut self.pendings[k].parts {
             let end = part.ops_start + part.ops_len;
             let in_part = |&(bslot, _): &(u32, Reply)| (bslot as usize) < end;
             if !ready.peek().is_some_and(in_part) {
                 continue; // nothing of this part landed in this pass
             }
-            // `None`: the connection closed while the batch ran. Its
-            // replies are still walked, to retire the part's scans.
-            let mut conn = lookup(&mut self.conns, part.token);
+            let conn = lookup(&mut self.conns, part.token);
+            let Some((conn, at)) = conn.and_then(|c| c.req(part.corr).map(|at| (c, at))) else {
+                // The connection closed while the batch ran: nobody
+                // to answer, and no scan of the part to continue.
+                while ready.next_if(in_part).is_some() {}
+                part.scans.clear();
+                continue;
+            };
+            let mut frame = ResponseEncoder::begin(&mut conn.wbuf, part.corr);
             let mut finalized = 0;
-            items.clear();
             while let Some((bslot, reply)) = ready.next_if(in_part) {
                 let local = bslot as usize - part.ops_start;
                 let wire_slot = part.wire_base + local as u16;
                 if let Some(pos) = part.scans.iter().position(|(l, _)| *l == local) {
                     let (_, plan) = part.scans.swap_remove(pos);
-                    let es = match reply {
-                        Reply::Entries(es) => es,
-                        other => {
-                            // A clamped scan can only answer with
-                            // Entries; anything else is an engine bug.
-                            unreachable!("scan answered with {other:?}")
-                        }
+                    let Reply::Entries(es) = reply else {
+                        // A clamped scan can only answer with
+                        // Entries; anything else is an engine bug.
+                        unreachable!("scan answered with {reply:?}")
                     };
-                    let (emit, next) = scan_step(plan, es, scan_chunk);
-                    items.push((wire_slot, Reply::Entries(emit)));
+                    let (emit, next) = scan_step(plan, &es, scan_chunk);
+                    frame.entries(&mut conn.wbuf, wire_slot, emit);
                     match next {
-                        Some(plan) => {
-                            if let Some(conn) = conn.as_deref_mut() {
-                                conn.conts.push_back(plan);
-                            }
-                        }
+                        Some(plan) => conn.conts.push_back(plan),
                         None => finalized += 1,
                     }
                 } else {
                     if reply == Reply::Refused {
                         NetStats::bump(&self.stats.refused_ops);
                     }
-                    items.push((wire_slot, reply));
+                    frame.reply(&mut conn.wbuf, wire_slot, &reply);
                     finalized += 1;
                 }
             }
-            let Some(conn) = conn else {
-                continue;
-            };
-            let Some(req) = conn.reqs.get_mut(&part.corr) else {
-                continue;
-            };
+            let req = &mut conn.reqs[at];
             req.unanswered -= finalized;
             let (last, t0) = (req.unanswered == 0, req.t0);
-            wire::encode_response(&mut conn.wbuf, part.corr, last, &items);
+            frame.finish(&mut conn.wbuf, last);
             NetStats::bump(&self.stats.frames_out);
             self.stats.track_peak(conn.unsent());
             if last {
                 self.stats
                     .frame_service_ns
                     .record(rma_obs::now_ns().saturating_sub(t0));
-                conn.reqs.remove(&part.corr);
+                conn.reqs.swap_remove(at);
             }
         }
         debug_assert!(ready.next().is_none(), "a reply beyond the last part");
@@ -601,7 +624,7 @@ impl EventLoop<'_> {
     /// write buffers, recompute epoll interest, reap closed
     /// connections.
     fn advance(&mut self) {
-        let cfg = self.cfg;
+        let (cfg, scan_chunk) = (self.cfg, self.cfg.scan_chunk());
         // Flush before anything gated on write-buffer headroom
         // (parsing, scan continuations): frames just emitted by
         // completion routing must not keep the gates closed after the
@@ -661,7 +684,7 @@ impl EventLoop<'_> {
                 at += consumed;
                 conn.frames_in += 1;
                 NetStats::bump(&self.stats.frames_in);
-                if conn.reqs.contains_key(&corr) {
+                if conn.req(corr).is_some() {
                     // Reusing an in-flight correlation id would cross
                     // two requests' replies — same treatment as a
                     // malformed frame.
@@ -679,10 +702,10 @@ impl EventLoop<'_> {
                 let mut scans = Vec::new();
                 for (j, op) in ops.iter_mut().enumerate() {
                     if let Op::Scan { start, count } = *op {
-                        if count > cfg.scan_chunk {
+                        if count > scan_chunk {
                             *op = Op::Scan {
                                 start,
-                                count: cfg.scan_chunk,
+                                count: scan_chunk,
                             };
                             scans.push((
                                 j,
@@ -697,13 +720,11 @@ impl EventLoop<'_> {
                         }
                     }
                 }
-                conn.reqs.insert(
+                conn.reqs.push(ReqState {
                     corr,
-                    ReqState {
-                        unanswered: ops.len(),
-                        t0,
-                    },
-                );
+                    unanswered: ops.len(),
+                    t0,
+                });
                 if !batch.is_empty() && batch.len() + ops.len() > MERGE_WINDOW_OPS {
                     submit_batch(&mut batch, &mut parts);
                 }
@@ -736,10 +757,10 @@ impl EventLoop<'_> {
             }
             while !conn.conts.is_empty() && conn.unsent() < cfg.write_buf_cap {
                 let plan = conn.conts.pop_front().expect("non-empty");
-                if !conn.reqs.contains_key(&plan.corr) {
+                if conn.req(plan.corr).is_none() {
                     continue;
                 }
-                let count = plan.remaining.saturating_add(plan.drop).min(cfg.scan_chunk);
+                let count = plan.remaining.saturating_add(plan.drop).min(scan_chunk);
                 let op = Op::Scan {
                     start: plan.start,
                     count,
@@ -853,7 +874,7 @@ mod tests {
     #[test]
     fn scan_step_finishes_on_short_chunk() {
         let es = vec![(1, 10), (2, 20)];
-        let (emit, next) = scan_step(plan(0, 100, 0), es.clone(), 4);
+        let (emit, next) = scan_step(plan(0, 100, 0), &es, 4);
         assert_eq!(emit, es);
         assert!(next.is_none(), "short chunk means the tree is exhausted");
     }
@@ -863,7 +884,7 @@ mod tests {
         // Chunk of 4 out of remaining 10: continue at key 4, which has
         // one emitted duplicate to drop next round.
         let es = vec![(1, 10), (2, 20), (4, 40), (4, 41)];
-        let (emit, next) = scan_step(plan(0, 10, 0), es.clone(), 4);
+        let (emit, next) = scan_step(plan(0, 10, 0), &es, 4);
         assert_eq!(emit, es);
         let next = next.expect("keeps streaming");
         assert_eq!(next.start, 4);
@@ -872,7 +893,7 @@ mod tests {
 
         // Next chunk re-reads the two dups, then advances.
         let es2 = vec![(4, 40), (4, 41), (5, 50), (6, 60)];
-        let (emit2, next2) = scan_step(next, es2, 4);
+        let (emit2, next2) = scan_step(next, &es2, 4);
         assert_eq!(emit2, vec![(5, 50), (6, 60)]);
         let next2 = next2.expect("still has remaining and full chunk");
         assert_eq!(next2.start, 6);
@@ -885,13 +906,13 @@ mod tests {
         // First chunk ends mid-run of key 7: drop counts grow across
         // consecutive chunks at the same boundary key.
         let es = vec![(7, 1), (7, 2)];
-        let (_, next) = scan_step(plan(7, 10, 0), es, 2);
+        let (_, next) = scan_step(plan(7, 10, 0), &es, 2);
         let next = next.expect("continues");
         assert_eq!((next.start, next.drop), (7, 2));
         let es2 = vec![(7, 1), (7, 2)];
         // Submitted = min(8 + 2, 4)... chunk 4: got only dups we
         // already sent and the chunk is short → exhausted → done.
-        let (emit, fin) = scan_step(next, es2, 4);
+        let (emit, fin) = scan_step(next, &es2, 4);
         assert!(emit.is_empty());
         assert!(fin.is_none());
     }
@@ -900,9 +921,9 @@ mod tests {
     fn scan_step_truncates_an_overlong_duplicate_run() {
         // Full chunk entirely of already-emitted dups: no progress is
         // possible at this key — step past it.
-        let (_, next) = scan_step(plan(7, 10, 0), vec![(7, 1), (7, 2)], 2);
+        let (_, next) = scan_step(plan(7, 10, 0), &[(7, 1), (7, 2)], 2);
         let next = next.expect("continues");
-        let (emit, next2) = scan_step(next, vec![(7, 1), (7, 2)], 2);
+        let (emit, next2) = scan_step(next, &[(7, 1), (7, 2)], 2);
         assert!(emit.is_empty());
         let next2 = next2.expect("skips forward");
         assert_eq!(next2.start, 8);
@@ -912,7 +933,7 @@ mod tests {
     #[test]
     fn scan_step_respects_remaining_budget() {
         let es = vec![(1, 10), (2, 20), (3, 30)];
-        let (emit, next) = scan_step(plan(0, 2, 0), es, 3);
+        let (emit, next) = scan_step(plan(0, 2, 0), &es, 3);
         assert_eq!(emit, vec![(1, 10), (2, 20)]);
         assert!(next.is_none(), "client budget exhausted");
     }

@@ -333,10 +333,11 @@ impl EventFd {
         let _ = self.fd.write(&one.to_ne_bytes());
     }
 
-    /// Consumes all pending wake-ups.
+    /// Consumes all pending wake-ups: the fd is not `EFD_SEMAPHORE`,
+    /// so one read returns the whole count and zeroes it.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
-        while matches!(self.fd.read(&mut buf), Ok(IoStep::Bytes(_))) {}
+        let _ = self.fd.read(&mut buf);
     }
 }
 

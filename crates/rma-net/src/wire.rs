@@ -36,6 +36,7 @@
 //! protocol-level answer, not a dropped connection.
 
 use rma_db::{Op, Reply};
+use std::mem::MaybeUninit;
 
 /// Hard cap on one frame's payload bytes. Bounds the memory one
 /// connection can demand before checksum validation, and therefore
@@ -356,57 +357,111 @@ pub struct ResponseFrame {
 
 /// Appends one framed response to `out`.
 pub fn encode_response(out: &mut Vec<u8>, corr: u32, last: bool, items: &[(u16, Reply)]) {
-    assert!(items.len() <= u16::MAX as usize, "frame exceeds u16 items");
-    out.extend_from_slice(&[0u8; FRAME_HEADER]);
-    let start = out.len();
-    out.push(OPCODE_RESPONSE);
-    out.extend_from_slice(&corr.to_le_bytes());
-    out.push(u8::from(last));
-    out.extend_from_slice(&(items.len() as u16).to_le_bytes());
+    let mut frame = ResponseEncoder::begin(out, corr);
     for (slot, reply) in items {
+        frame.reply(out, *slot, reply);
+    }
+    frame.finish(out, last);
+}
+
+/// A response frame being written at the tail of a buffer, item by
+/// item: what [`encode_response`] does for a slice of items, open to
+/// a caller — the event loop — that meets its items one at a time
+/// and holds a scan's entries as a sub-slice of a larger reply. Every
+/// call takes the buffer [`begin`](Self::begin) was given, and
+/// nothing else may be appended to it before
+/// [`finish`](Self::finish).
+pub(crate) struct ResponseEncoder {
+    /// Where the frame's payload starts in the buffer.
+    start: usize,
+    items: usize,
+}
+
+impl ResponseEncoder {
+    /// Payload offsets of the two fields only `finish` knows.
+    const LAST_AT: usize = 5;
+    const ITEMS_AT: usize = 6;
+
+    pub(crate) fn begin(out: &mut Vec<u8>, corr: u32) -> ResponseEncoder {
+        out.extend_from_slice(&[0u8; FRAME_HEADER]);
+        let start = out.len();
+        out.push(OPCODE_RESPONSE);
+        out.extend_from_slice(&corr.to_le_bytes());
+        out.extend_from_slice(&[0u8; 3]); // `last` and the item count
+        ResponseEncoder { start, items: 0 }
+    }
+
+    /// Counts one more item and writes what each starts with.
+    fn item(&mut self, out: &mut Vec<u8>, slot: u16, tag: u8) {
+        self.items += 1;
         out.extend_from_slice(&slot.to_le_bytes());
+        out.push(tag);
+    }
+
+    pub(crate) fn reply(&mut self, out: &mut Vec<u8>, slot: u16, reply: &Reply) {
         match reply {
             Reply::Found(v) => {
-                out.push(REPLY_FOUND);
+                self.item(out, slot, REPLY_FOUND);
                 out.push(u8::from(v.is_some()));
                 out.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
             }
-            Reply::Inserted => out.push(REPLY_INSERTED),
+            Reply::Inserted => self.item(out, slot, REPLY_INSERTED),
             Reply::Removed(v) => {
-                out.push(REPLY_REMOVED);
+                self.item(out, slot, REPLY_REMOVED);
                 out.push(u8::from(v.is_some()));
                 out.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
             }
             Reply::Sum { visited, sum } => {
-                out.push(REPLY_SUM);
+                self.item(out, slot, REPLY_SUM);
                 out.extend_from_slice(&(*visited as u64).to_le_bytes());
                 out.extend_from_slice(&sum.to_le_bytes());
             }
             Reply::Entry(e) => {
-                out.push(REPLY_ENTRY);
+                self.item(out, slot, REPLY_ENTRY);
                 out.push(u8::from(e.is_some()));
                 let (k, v) = e.unwrap_or((0, 0));
                 out.extend_from_slice(&k.to_le_bytes());
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            Reply::Entries(entries) => {
-                out.push(REPLY_ENTRIES);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                let at = out.len();
-                out.resize(at + 16 * entries.len(), 0);
-                let (cells, _) = out[at..].as_chunks_mut::<16>();
-                for (cell, (k, v)) in cells.iter_mut().zip(entries) {
-                    cell[..8].copy_from_slice(&k.to_le_bytes());
-                    cell[8..].copy_from_slice(&v.to_le_bytes());
-                }
-            }
+            Reply::Entries(entries) => self.entries(out, slot, entries),
             Reply::Refused => {
-                out.push(REPLY_REFUSED);
+                self.item(out, slot, REPLY_REFUSED);
                 out.push(ErrorCode::ReadOnly as u8);
             }
         }
     }
-    frame_into(out, start);
+
+    /// A [`Reply::Entries`] item holding `entries`.
+    pub(crate) fn entries(&mut self, out: &mut Vec<u8>, slot: u16, entries: &[(i64, i64)]) {
+        self.item(out, slot, REPLY_ENTRIES);
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        // The cells are written into the vector's spare capacity, not
+        // over a zero-filled tail: 4096 entries take 1.5–2.1 µs this
+        // way against 3.0–3.2 µs zero-filled first (and 5.8–6.3 µs as
+        // one `extend_from_slice` an entry, the safe way to skip the
+        // fill) — timed alone on the development host.
+        let bytes = 16 * entries.len();
+        out.reserve(bytes);
+        let (cells, _) = out.spare_capacity_mut()[..bytes].as_chunks_mut::<16>();
+        for (cell, (k, v)) in cells.iter_mut().zip(entries) {
+            let (key, val) = cell.split_at_mut(8);
+            key.copy_from_slice(&k.to_le_bytes().map(MaybeUninit::new));
+            val.copy_from_slice(&v.to_le_bytes().map(MaybeUninit::new));
+        }
+        // SAFETY: `reserve` made room for `bytes` more bytes, and the
+        // loop above initialised every one of them: `cells` covers
+        // `spare[..bytes]` exactly (16 divides `bytes`) and `zip`
+        // pairs its `entries.len()` cells with as many entries.
+        unsafe { out.set_len(out.len() + bytes) };
+    }
+
+    /// Fills in `last`, the item count and the frame header.
+    pub(crate) fn finish(self, out: &mut [u8], last: bool) {
+        assert!(self.items <= u16::MAX as usize, "frame exceeds u16 items");
+        out[self.start + Self::LAST_AT] = u8::from(last);
+        out[self.start + Self::ITEMS_AT..][..2].copy_from_slice(&(self.items as u16).to_le_bytes());
+        frame_into(out, self.start);
+    }
 }
 
 /// Decodes a response payload (the opcode byte included).

@@ -13,8 +13,10 @@
 //! * point operations route through a **branch-free** splitter search
 //!   and touch exactly one shard; a rebalance or resize inside one
 //!   shard never blocks its siblings;
-//! * [`scan`](ShardedRma::scan) / [`sum_range`](ShardedRma::sum_range)
-//!   stitch results across shard boundaries;
+//! * [`scan_into`](ShardedRma::scan_into) (and the closure form
+//!   [`scan`](ShardedRma::scan) over it) /
+//!   [`sum_range`](ShardedRma::sum_range) stitch results across shard
+//!   boundaries;
 //! * [`apply_batch`](ShardedRma::apply_batch) partitions a sorted
 //!   batch by shard and applies the sub-batches on parallel threads
 //!   through the paper's bottom-up bulk-load machinery;

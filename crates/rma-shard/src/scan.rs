@@ -5,61 +5,82 @@
 //! range operation starts at the routed shard and walks right,
 //! continuing from `Key::MIN` inside every subsequent shard (whose
 //! keys all exceed the previous shard's upper bound). Per-shard reads
-//! go through the optimistic seqlock path where the result can be
-//! buffered or is scalar ([`ShardedRma::sum_range`],
-//! [`ShardedRma::first_ge`], moderate [`ShardedRma::scan`] windows),
-//! falling back to the shard read lock otherwise — see the crate docs
-//! for the consistency contract.
+//! go through the optimistic seqlock path where a retried pass cannot
+//! be observed: the result is scalar ([`ShardedRma::sum_range`],
+//! [`ShardedRma::first_ge`]) or lands in a vector that is cut back
+//! before every attempt (moderate [`ShardedRma::scan_into`] windows);
+//! they fall back to the shard read lock otherwise — see the crate
+//! docs for the consistency contract.
+//!
+//! A scan has one data path. [`Rma::scan_into`](rma_core::Rma::scan_into)
+//! appends each segment's key and value runs zipped,
+//! [`ShardedRma::scan_into`] points every shard at the caller's
+//! vector, and the router worker hands that vector to the reply: an
+//! entry is moved once between the array and the wire encoder.
+//! [`ShardedRma::scan`] is the same path with a `for` over the result.
 
 use crate::{DurabilityOp, ShardedRma};
 use rma_core::{Key, Value};
 
 /// Scans asked to visit more than this many elements in one shard
-/// skip the optimistic attempt: the attempt buffers its visits (the
-/// caller's closure must not observe a retried pass), and an
-/// unbounded buffer would trade lock freedom for allocation storms.
+/// skip the optimistic attempt: a pass that fails validation is
+/// thrown away whole, and past this size re-reading costs more than
+/// the shard's read lock.
 const OPTIMISTIC_SCAN_MAX: usize = 1 << 16;
 
 impl ShardedRma {
     /// Visits up to `count` elements in key order starting from the
     /// first element `>= start`; returns the number visited.
+    /// [`scan_into`](Self::scan_into) a private vector, then `f` over
+    /// it — so `f` only ever sees validated passes, and a scan of the
+    /// whole index holds 16 bytes an element while it runs.
     pub fn scan<F: FnMut(Key, Value)>(&self, start: Key, count: usize, mut f: F) -> usize {
+        let mut out = Vec::new();
+        self.scan_into(start, count, &mut out);
+        for &(k, v) in &out {
+            f(k, v);
+        }
+        out.len()
+    }
+
+    /// Appends up to `count` elements in key order, starting from the
+    /// first element `>= start`, to `out`; returns the number
+    /// appended. Each shard's share is written straight into `out`
+    /// by [`Rma::scan_into`](rma_core::Rma::scan_into), inside the
+    /// optimistic section: `out` is cut back to where the shard
+    /// started before every attempt and before the read-lock
+    /// fallback, so a pass that failed validation leaves nothing
+    /// behind. What `out` held on entry stays below the result.
+    pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
         let topo = self.topo();
         let first = topo.splitters.route(start);
-        let mut visited = 0usize;
+        let begin = out.len();
         for (i, shard) in topo.shards.iter().enumerate().skip(first) {
-            if visited >= count {
+            let base = out.len();
+            if base - begin >= count {
                 break;
             }
             let from = if i == first { start } else { Key::MIN };
             self.record_access(&topo, shard, &shard.reads, &[from]);
-            let want = count - visited;
-            // Optimistic attempt buffers the visits so the caller's
-            // closure only ever sees the validated pass. The size
-            // gate compares against what the shard can actually
-            // yield, so open-ended scans (`count = usize::MAX`) stay
-            // lock-free as long as each shard is moderate.
-            let buffered = shard
-                .try_optimistic(|rma| {
-                    if want.min(rma.len()) > OPTIMISTIC_SCAN_MAX {
-                        return None;
-                    }
-                    let mut buf = Vec::new();
-                    rma.scan(from, want, |k, v| buf.push((k, v)));
-                    Some(buf)
-                })
-                .flatten();
-            match buffered {
-                Some(buf) => {
-                    visited += buf.len();
-                    for (k, v) in buf {
-                        f(k, v);
-                    }
+            let want = count - (base - begin);
+            // The size gate compares against what the shard can
+            // actually yield, so open-ended scans (`count =
+            // usize::MAX`) stay lock-free as long as each shard is
+            // moderate.
+            let validated = shard.try_optimistic(|rma| {
+                out.truncate(base);
+                if want.min(rma.len()) > OPTIMISTIC_SCAN_MAX {
+                    return false;
                 }
-                None => visited += shard.read().scan(from, want, &mut f),
+                rma.scan_into(from, want, out);
+                true
+            });
+            if validated != Some(true) {
+                out.truncate(base);
+                shard.read().scan_into(from, want, out);
             }
         }
-        visited
+        out.len() - begin
     }
 
     /// Sums up to `count` values starting at the first key `>= start`
@@ -188,6 +209,49 @@ mod tests {
         assert_eq!(n, 20);
         let want: Vec<i64> = (240..280).step_by(2).collect();
         assert_eq!(seen, want, "scan must cross the 250 boundary seamlessly");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// `scan_into` against one `Rma` read through its closure
+        /// scan (which shares no code with it). Forty keys, splitters
+        /// among them, segments of 8: duplicate runs span segments and
+        /// end on shard boundaries, some shards stay empty; the probes
+        /// start below, inside and past the stored keys and ask for
+        /// nothing, a few and more than there is; what `out` held
+        /// stays in front; and `scan` hands its closure the same.
+        #[test]
+        fn scan_into_equals_one_array(
+            mut splitters in proptest::collection::vec(0i64..40, 0..6),
+            keys in proptest::collection::vec(0i64..40, 0..400),
+            probes in proptest::collection::vec((-2i64..44, 0usize..500), 1..24),
+            held in 0usize..4,
+        ) {
+            splitters.sort_unstable();
+            splitters.dedup();
+            let cfg = small_cfg(splitters.len() + 1);
+            let mut single = rma_core::Rma::new(cfg.rma);
+            let s = ShardedRma::with_splitters(cfg, Splitters::new(splitters));
+            // Duplicates of a key carry one value: which of them a
+            // truncated scan keeps is not part of the contract.
+            for &k in &keys {
+                s.insert(k, k * 7 + 1);
+                single.insert(k, k * 7 + 1);
+            }
+            let held: Vec<(i64, i64)> = (0..held).map(|i| (-7, i as i64)).collect();
+            let edges = [(i64::MIN, usize::MAX), (i64::MAX, 5), (0, 0)];
+            for (start, count) in probes.into_iter().chain(edges) {
+                let mut want = held.clone();
+                let n = single.scan(start, count, |k, v| want.push((k, v)));
+                let mut got = held.clone();
+                proptest::prop_assert_eq!(s.scan_into(start, count, &mut got), n);
+                proptest::prop_assert_eq!(&got, &want);
+                let mut seen = held.clone();
+                proptest::prop_assert_eq!(s.scan(start, count, |k, v| seen.push((k, v))), n);
+                proptest::prop_assert_eq!(seen, want);
+            }
+        }
     }
 
     #[test]

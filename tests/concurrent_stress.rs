@@ -437,6 +437,119 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
     );
 }
 
+/// `scan_into` beside writers and the background maintainer, on the
+/// unique-key scheme of the `get_many` test above: versions on even
+/// keys, published (Release) only after their insert returned, churn
+/// with negative values on the odd keys between them. The entries go
+/// straight from the optimistic section into the reader's vector, so
+/// this is where a pass that failed validation would show if anything
+/// of it stayed behind: every result must be in key order, hold each
+/// version key at most once and with its own value, hold *every*
+/// version published before the call (when it ran to the end) or
+/// exactly `count` entries (when it did not), and leave what the
+/// vector held before the call untouched in front.
+#[test]
+fn scan_into_is_whole_and_sorted_under_writers_and_maintainer() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    const HELD: [(i64, i64); 2] = [(i64::MAX, 1), (i64::MIN, 2)];
+    let writes = (stress_ops() / 8).max(64) as i64;
+    let slot = |w: usize, v: i64| 2 * (v * WRITERS as i64 + w as i64);
+    let db = Db::builder()
+        .router_workers(1) // engine-only stress: no session traffic
+        .shard_config(stress_cfg(8))
+        .splitter_keys((1..8).map(|i| i * writes / 2).collect())
+        .maintenance(MaintainerConfig {
+            poll_interval: Duration::from_millis(1),
+            imbalance_trigger: 1.1,
+            min_ops_between: 256,
+            step_pause: Duration::from_micros(100),
+            ..Default::default()
+        })
+        .build()
+        .expect("valid stress config");
+    let index = db.engine();
+    for w in 0..WRITERS {
+        index.insert(slot(w, 0), 0);
+    }
+    let published: [AtomicI64; WRITERS] = std::array::from_fn(|_| AtomicI64::new(0));
+    let start = Barrier::new(WRITERS + READERS);
+    let calls = AtomicU64::new(0);
+    std::thread::scope(|sc| {
+        let (published, start, calls) = (&published, &start, &calls);
+        for r in 0..READERS {
+            sc.spawn(move || {
+                let mut rng = SplitMix64::new(0x5CA + r as u64);
+                let mut out = Vec::new();
+                start.wait();
+                loop {
+                    // Pairs with the writers' Release stores: every
+                    // insert up to `p[w]` happened before these loads.
+                    let p: [i64; WRITERS] = std::array::from_fn(|w| published[w].load(Acquire));
+                    let newest = slot(0, *p.iter().min().expect("writers"));
+                    let from = rng.next_below(newest as u64 + 1) as i64;
+                    // To the end every other pass, a window otherwise.
+                    let count = if calls.fetch_add(1, Relaxed) % 2 == 0 {
+                        usize::MAX
+                    } else {
+                        1 + rng.next_below(600) as usize
+                    };
+                    out.clear();
+                    out.extend_from_slice(&HELD);
+                    let n = index.scan_into(from, count, &mut out);
+                    assert_eq!(out[..HELD.len()], HELD, "entries below the scan moved");
+                    let got = &out[HELD.len()..];
+                    assert_eq!(got.len(), n);
+                    assert!(n <= count);
+                    assert!(got.first().is_none_or(|&(k, _)| k >= from));
+                    // Ascending, and strictly so into a version key
+                    // (even); churn keys (odd) may repeat.
+                    assert!(
+                        got.windows(2).all(|w| w[0].0 < w[1].0 + (w[1].0 & 1)),
+                        "out of order, or a version twice, from {from}: {got:?}"
+                    );
+                    let mut versions = 0;
+                    for &(k, v) in got {
+                        if k % 2 == 0 {
+                            assert_eq!(v, k / 2 / WRITERS as i64, "key {k}");
+                            versions += 1;
+                        } else {
+                            assert!(v < 0, "churn key {k} holds {v}");
+                        }
+                    }
+                    if n < count {
+                        // Ran off the end: nothing published is missing.
+                        let due: i64 = (0..WRITERS)
+                            .map(|w| (0..=p[w]).filter(|&v| slot(w, v) >= from).count() as i64)
+                            .sum();
+                        assert!(versions >= due, "{versions} of {due} versions from {from}");
+                    } else {
+                        assert_eq!(n, count, "more was there: {p:?} published, from {from}");
+                    }
+                    if p.iter().all(|&p| p == writes) {
+                        break;
+                    }
+                }
+            });
+        }
+        for (w, published) in published.iter().enumerate() {
+            let index = &index;
+            sc.spawn(move || {
+                let mut rng = SplitMix64::new(0xC0DE + w as u64);
+                start.wait();
+                for v in 1..=writes {
+                    index.insert(slot(w, v), v);
+                    published.store(v, Release);
+                    index.insert(slot(w, rng.next_below(v as u64) as i64) + 1, -v);
+                }
+            });
+        }
+    });
+    db.stop_maintenance().expect("maintainer was running");
+    index.check_invariants();
+    assert_eq!(index.len(), WRITERS * (2 * writes as usize + 1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

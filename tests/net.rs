@@ -359,6 +359,9 @@ fn malformed_frames_close_only_the_offender() {
         payload.push(0);
         frame(&payload)
     };
+    // Two requests under one correlation id, in one write: the second
+    // is parsed while the first is still in flight.
+    let duplicate_corr = [&valid[..], &valid[..]].concat();
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("oversized length prefix", oversized),
         ("bad crc", bad_crc),
@@ -366,6 +369,7 @@ fn malformed_frames_close_only_the_offender() {
         ("bad op tag", bad_op_tag),
         ("truncated interior", truncated_interior),
         ("trailing bytes", trailing),
+        ("correlation id still in flight", duplicate_corr),
     ];
     let n_cases = cases.len() as u64;
 
@@ -411,11 +415,51 @@ fn malformed_frames_close_only_the_offender() {
     assert_eq!(count("proto_error") as u64, n_cases);
 }
 
+/// Entries in one scan reply chunk under `cap`, as `NetConfig`
+/// derives it: a quarter of the cap, in 16-byte entries.
+fn chunk_entries(cap: usize) -> usize {
+    cap / 4 / 16
+}
+
+/// Bytes of a response frame that holds one `Entries` item of a full
+/// chunk: the frame header, `opcode · corr · last · items`, then
+/// `slot · tag · count` and the cells.
+fn chunk_frame_bytes(cap: usize) -> u64 {
+    (wire::FRAME_HEADER + 8 + 7 + 16 * chunk_entries(cap)) as u64
+}
+
+/// The chunk is sized by the write-buffer budget: a scan of exactly
+/// one chunk is one submit and one frame, flagged `last`; one entry
+/// more streams a second frame through one continuation.
+#[test]
+fn a_scan_of_one_chunk_is_one_frame_and_one_entry_more_is_two() {
+    let db = preloaded(5000, |k| k * 3);
+    for cap in [NetConfig::default().write_buf_cap, 4096] {
+        let chunk = chunk_entries(cap);
+        assert!((1..5000).contains(&chunk), "preload covers a chunk");
+        let cfg = NetConfig {
+            write_buf_cap: cap,
+            ..NetConfig::default()
+        };
+        let srv = NetServer::spawn(Arc::clone(&db), cfg).expect("spawn");
+        let mut c = WireClient::connect(srv.port()).expect("connect");
+        for (count, frames, continuations) in [(chunk, 1, 0), (chunk + 1, 2, 1)] {
+            c.send(&[Op::Scan { start: 7, count }]).expect("send");
+            let done = c.recv().expect("recv");
+            let expect: Vec<(i64, i64)> = (7..7 + count as i64).map(|k| (k, k * 3)).collect();
+            assert_eq!(done.replies, vec![Reply::Entries(expect)]);
+            assert_eq!(done.frames, frames, "cap {cap}, {count} entries");
+            assert_eq!(srv.stats().scan_chunks, continuations, "cap {cap}");
+        }
+        assert!(srv.stats().peak_conn_write_buf <= cap as u64 + chunk_frame_bytes(cap));
+    }
+}
+
 #[test]
 fn big_scan_streams_in_bounded_chunks() {
     let db = preloaded(5000, |k| k);
+    // A chunk of 64 entries.
     let cfg = NetConfig {
-        scan_chunk: 256,
         write_buf_cap: 4096,
         ..NetConfig::default()
     };
@@ -431,7 +475,7 @@ fn big_scan_streams_in_bounded_chunks() {
     assert_eq!(done.corr, corr);
     assert!(
         done.frames >= 2,
-        "a scan over {} entries with chunk 256 must stream in several \
+        "a scan over {} entries with chunk 64 must stream in several \
          frames, got {}",
         5000,
         done.frames
@@ -442,7 +486,7 @@ fn big_scan_streams_in_bounded_chunks() {
     assert!(stats.scan_chunks >= 1, "continuations were submitted");
     // Peak reply buffering stays within the cap plus one frame.
     assert!(
-        stats.peak_conn_write_buf <= 4096 + 8192,
+        stats.peak_conn_write_buf <= 4096 + chunk_frame_bytes(4096),
         "peak write buffer {} exceeds cap + one chunk frame",
         stats.peak_conn_write_buf
     );
@@ -486,8 +530,8 @@ fn tiny_rcvbuf_stream(port: u16) -> TcpStream {
 fn blocked_connection_does_not_stall_others() {
     const N: i64 = 20_000;
     let db = preloaded(N, |k| k);
+    // A chunk of 32 entries.
     let cfg = NetConfig {
-        scan_chunk: 128,
         write_buf_cap: 2048,
         // Clamp the kernel's send buffer so it cannot autotune itself
         // into absorbing the whole scan; the jam must reach the
@@ -527,7 +571,7 @@ fn blocked_connection_does_not_stall_others() {
         "the jammed connection must have paused"
     );
     assert!(
-        stats.peak_conn_write_buf <= 2048 + 8192,
+        stats.peak_conn_write_buf <= 2048 + chunk_frame_bytes(2048),
         "peak write buffer {} not bounded by cap + one chunk frame",
         stats.peak_conn_write_buf
     );
