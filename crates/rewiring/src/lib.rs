@@ -28,6 +28,7 @@
 pub mod clock;
 pub mod crc;
 pub mod file;
+pub mod frame;
 mod heap;
 #[cfg(target_os = "linux")]
 pub mod libc;

@@ -92,24 +92,9 @@ impl DbBuilder {
         self
     }
 
-    /// Replaces the whole engine configuration — the escape hatch for
-    /// knobs without a dedicated builder method.
+    /// Replaces the whole engine configuration.
     pub fn shard_config(mut self, cfg: ShardConfig) -> Self {
         self.shard = cfg;
-        self
-    }
-
-    /// Adaptive decay half-life in seconds (see
-    /// [`ShardConfig::adaptive_decay`]).
-    pub fn adaptive_decay(mut self, half_life_secs: f64) -> Self {
-        self.shard.adaptive_decay = Some(half_life_secs);
-        self
-    }
-
-    /// Upper bound on the elements one incremental maintenance step
-    /// may rebuild — the writer-stall bound.
-    pub fn max_step_elems(mut self, n: usize) -> Self {
-        self.shard.max_step_elems = n;
         self
     }
 
@@ -134,21 +119,6 @@ impl DbBuilder {
     /// thread runs; maintenance can still be driven explicitly
     /// through [`Db::engine`].
     pub fn maintenance(mut self, cfg: MaintainerConfig) -> Self {
-        self.maintenance = Some(cfg);
-        self
-    }
-
-    /// Tunes the maintainer's idle-time compaction gate without
-    /// restating the whole [`MaintainerConfig`]: consolidation
-    /// engages when the op rate drops below `idle_ops_threshold`
-    /// (ops/s) while the live shard count exceeds `target_factor ×`
-    /// the configured `num_shards`. Implies
-    /// [`maintenance`](Self::maintenance) with defaults when none was
-    /// set; both values are validated at [`build`](Self::build).
-    pub fn idle_compaction(mut self, idle_ops_threshold: f64, target_factor: f64) -> Self {
-        let mut cfg = self.maintenance.unwrap_or_default();
-        cfg.idle_ops_threshold = idle_ops_threshold;
-        cfg.compact_target_factor = target_factor;
         self.maintenance = Some(cfg);
         self
     }

@@ -534,7 +534,13 @@ mod tests {
             ConfigError::Engine(EngineError::ZeroShards)
         );
         assert_eq!(
-            Db::builder().max_step_elems(0).build().unwrap_err(),
+            Db::builder()
+                .shard_config(ShardConfig {
+                    max_step_elems: 0,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap_err(),
             ConfigError::Engine(EngineError::ZeroMaxStepElems)
         );
         assert_eq!(
@@ -555,7 +561,13 @@ mod tests {
             );
         }
         assert!(matches!(
-            Db::builder().adaptive_decay(-1.0).build().unwrap_err(),
+            Db::builder()
+                .shard_config(ShardConfig {
+                    adaptive_decay: Some(-1.0),
+                    ..Default::default()
+                })
+                .build()
+                .unwrap_err(),
             ConfigError::Engine(EngineError::NonPositiveDecayHalfLife(_))
         ));
     }
@@ -573,9 +585,9 @@ mod tests {
             // the synchronous `compact()` this test measures.
             .maintenance(rma_shard::MaintainerConfig {
                 poll_interval: std::time::Duration::from_secs(3600),
+                idle_ops_threshold: 500.0,
                 ..Default::default()
             })
-            .idle_compaction(500.0, 2.0)
             .build()
             .expect("valid config");
         for k in 0..1600i64 {
@@ -592,12 +604,17 @@ mod tests {
             "nothing drifted under a synchronous compact"
         );
         // Invalid idle knobs are rejected through the typed path.
+        let idle = |idle_ops_threshold, compact_target_factor| rma_shard::MaintainerConfig {
+            idle_ops_threshold,
+            compact_target_factor,
+            ..Default::default()
+        };
         assert!(matches!(
-            small().idle_compaction(0.0, 2.0).build().unwrap_err(),
+            small().maintenance(idle(0.0, 2.0)).build().unwrap_err(),
             ConfigError::Engine(EngineError::IdleOpsThresholdNotPositive(_))
         ));
         assert!(matches!(
-            small().idle_compaction(500.0, 0.5).build().unwrap_err(),
+            small().maintenance(idle(500.0, 0.5)).build().unwrap_err(),
             ConfigError::Engine(EngineError::CompactTargetFactorBelowOne(_))
         ));
     }

@@ -1,15 +1,7 @@
-//! The wire format: length-prefixed, CRC-checked binary frames
-//! carrying batches of typed [`Op`]s and their [`Reply`]s.
+//! The wire format: [`rewiring::frame`]s, their length capped at
+//! [`MAX_FRAME_PAYLOAD`], whose payload — an opcode byte and a body —
+//! carries batches of typed [`Op`]s and their [`Reply`]s.
 //!
-//! ```text
-//! ┌─────────┬─────────┬────────────────────────────────────────────┐
-//! │ len u32 │ crc u32 │ payload (len bytes): opcode u8 · body      │
-//! │ (LE)    │ (LE)    │                                            │
-//! └─────────┴─────────┴────────────────────────────────────────────┘
-//! ```
-//!
-//! `len` counts the payload bytes and is capped at
-//! [`MAX_FRAME_PAYLOAD`]; `crc` is the CRC-32 (IEEE) of the payload.
 //! A peer that reads an implausible length, an unknown opcode or a
 //! checksum mismatch has found a corrupted or hostile stream — there
 //! is no way to resynchronise a byte stream after a bad length
@@ -35,6 +27,7 @@
 //! typed [`Reply::Refused`] item carrying an [`ErrorCode`] — a
 //! protocol-level answer, not a dropped connection.
 
+use rewiring::frame;
 use rma_db::{Op, Reply};
 use std::mem::MaybeUninit;
 
@@ -43,8 +36,8 @@ use std::mem::MaybeUninit;
 /// also the decode buffer of a well-behaved peer.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 
-/// Bytes of the `len | crc` frame header.
-pub const FRAME_HEADER: usize = 8;
+/// Bytes of the `len | crc` frame header ([`rewiring::frame`]).
+pub const FRAME_HEADER: usize = frame::HEADER;
 
 /// Payload opcode of a request frame.
 pub const OPCODE_REQUEST: u8 = 1;
@@ -160,14 +153,13 @@ pub enum Frame<'a> {
 /// buffered, an error when the length prefix is implausible. The
 /// payload is not checksummed — that is [`split_frame`]'s job.
 pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
-    if buf.len() < FRAME_HEADER {
+    let Some(len) = frame::payload_len(buf) else {
         return Ok(None);
+    };
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(WireError::Oversized(len as u32));
     }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-    if len as usize > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let end = FRAME_HEADER + len as usize;
+    let end = FRAME_HEADER + len;
     Ok((buf.len() >= end).then_some(end))
 }
 
@@ -177,11 +169,7 @@ pub fn split_frame(buf: &[u8]) -> Result<Frame<'_>, WireError> {
     let Some(end) = frame_len(buf)? else {
         return Ok(Frame::Incomplete);
     };
-    let want = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let payload = &buf[FRAME_HEADER..end];
-    if crc32(payload) != want {
-        return Err(WireError::BadCrc);
-    }
+    let payload = frame::verify(&buf[..end]).ok_or(WireError::BadCrc)?;
     Ok(Frame::Payload {
         payload,
         consumed: end,
@@ -234,15 +222,10 @@ impl RecvBuf {
     }
 }
 
-/// Frames `payload` (already holding opcode + body) into `out`:
-/// prepends the length and CRC header.
-fn frame_into(out: &mut [u8], payload_start: usize) {
-    let len = out.len() - payload_start;
-    debug_assert!(len <= MAX_FRAME_PAYLOAD, "encoder produced oversized frame");
-    let crc = crc32(&out[payload_start..]);
-    let header_at = payload_start - FRAME_HEADER;
-    out[header_at..header_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    out[header_at + 4..header_at + 8].copy_from_slice(&crc.to_le_bytes());
+/// Seals the header left before the payload `out[start..]`.
+fn frame_into(out: &mut [u8], start: usize) {
+    debug_assert!(out.len() - start <= MAX_FRAME_PAYLOAD, "oversized frame");
+    frame::seal(out, start);
 }
 
 // -------------------------------------------------------- requests --

@@ -61,6 +61,9 @@ pub enum EventKind {
     /// bad opcode or bad checksum); the offending connection was
     /// closed (`keys` carries the wire error code).
     ProtoError = 15,
+    /// The split/merge pass planned a round (`keys` carries the steps
+    /// planned, as for a relearn or a consolidation).
+    Rebalance = 16,
 }
 
 impl EventKind {
@@ -82,6 +85,7 @@ impl EventKind {
             13 => EventKind::ConnOpen,
             14 => EventKind::ConnClose,
             15 => EventKind::ProtoError,
+            16 => EventKind::Rebalance,
             _ => return None,
         })
     }
@@ -105,6 +109,7 @@ impl EventKind {
             EventKind::ConnOpen => "conn_open",
             EventKind::ConnClose => "conn_close",
             EventKind::ProtoError => "proto_error",
+            EventKind::Rebalance => "rebalance",
         }
     }
 }
@@ -113,9 +118,9 @@ impl EventKind {
 /// left shard for splits/merges, `u32::MAX` when not applicable),
 /// `dur_ns` the step's wall duration, and `keys` a kind-specific
 /// magnitude: elements migrated for split/merge/nudge/rebuild, steps
-/// planned for a relearn, shards in the new topology for a topology
-/// publish, steps executed for a maintainer tick, in-flight tickets
-/// poisoned for a worker panic.
+/// planned for a relearn, a rebalance or a consolidation, shards in
+/// the new topology for a topology publish, steps executed for a
+/// maintainer tick, in-flight tickets poisoned for a worker panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Timestamp from [`crate::now_ns`] (monotonic, arbitrary zero).

@@ -67,11 +67,6 @@ pub struct ShardConfig {
     pub num_shards: usize,
     /// Configuration applied to every per-shard RMA.
     pub rma: RmaConfig,
-    /// A shard splits when its weight (access mass under
-    /// [`BalancePolicy::ByAccess`], length under
-    /// [`BalancePolicy::ByLen`]) exceeds `split_factor` times the mean
-    /// shard weight (and the shard is at least `min_split_len` long).
-    pub split_factor: f64,
     /// Shards shorter than this never split, regardless of imbalance.
     pub min_split_len: usize,
     /// What maintenance balances on: access mass (default) or length.
@@ -97,12 +92,6 @@ pub struct ShardConfig {
     /// (default), in one monolithic pass (the PR-3 baseline), or by
     /// boundary nudges only.
     pub relearn_strategy: RelearnStrategy,
-    /// Under [`RelearnStrategy::Incremental`], a single boundary nudge
-    /// is preferred over a full shard-by-shard rebuild when it
-    /// recovers at least this fraction of the rebuild's predicted
-    /// imbalance gain — the cheap path for drifting hotspots, where
-    /// one splitter chasing the band fixes most of the skew.
-    pub nudge_gain_fraction: f64,
     /// Upper bound on the elements a single incremental maintenance
     /// step may rebuild — the knob that bounds how long any one step
     /// holds its shard locks (and therefore the worst-case writer
@@ -127,14 +116,12 @@ impl Default for ShardConfig {
         ShardConfig {
             num_shards: 8,
             rma: RmaConfig::default(),
-            split_factor: 2.0,
             min_split_len: 1024,
             balance: BalancePolicy::ByAccess,
             decay_every: 8192,
             adaptive_decay: None,
             relearn: true,
             relearn_strategy: RelearnStrategy::default(),
-            nudge_gain_fraction: 0.75,
             max_step_elems: 1 << 16,
             max_shard_len: None,
         }
@@ -142,20 +129,6 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Default configuration with `n` shards.
-    pub fn with_shards(n: usize) -> Self {
-        ShardConfig {
-            num_shards: n,
-            ..Default::default()
-        }
-    }
-
-    /// Replaces the per-shard RMA configuration.
-    pub fn with_rma(mut self, rma: RmaConfig) -> Self {
-        self.rma = rma;
-        self
-    }
-
     /// Panicking form of [`try_validate`](Self::try_validate), used by
     /// the direct `ShardedRma` constructors (whose contract is to
     /// abort on programmer error).
@@ -171,19 +144,11 @@ impl ShardConfig {
         if self.num_shards < 1 {
             return Err(ConfigError::ZeroShards);
         }
-        if self.split_factor <= 1.0 {
-            return Err(ConfigError::SplitFactorNotAboveOne(self.split_factor));
-        }
         if let Some(hl) = self.adaptive_decay {
             // NaN must fail too, so compare through the negation.
             if hl.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
                 return Err(ConfigError::NonPositiveDecayHalfLife(hl));
             }
-        }
-        if !(0.0..=1.0).contains(&self.nudge_gain_fraction) {
-            return Err(ConfigError::NudgeGainFractionOutOfRange(
-                self.nudge_gain_fraction,
-            ));
         }
         if self.max_step_elems < 1 {
             return Err(ConfigError::ZeroMaxStepElems);
@@ -209,12 +174,8 @@ impl ShardConfig {
 pub enum ConfigError {
     /// `num_shards == 0`: the index needs at least one shard.
     ZeroShards,
-    /// `split_factor <= 1`: a shard at the mean weight would split.
-    SplitFactorNotAboveOne(f64),
     /// `adaptive_decay <= 0` (or NaN): the half-life is a duration.
     NonPositiveDecayHalfLife(f64),
-    /// `nudge_gain_fraction` outside `[0, 1]` (an inverted fraction).
-    NudgeGainFractionOutOfRange(f64),
     /// `max_step_elems == 0`: a maintenance step must be allowed to
     /// move at least one element.
     ZeroMaxStepElems,
@@ -251,16 +212,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroShards => f.write_str("need at least one shard"),
-            ConfigError::SplitFactorNotAboveOne(x) => {
-                write!(f, "split factor must exceed 1 (got {x})")
-            }
             ConfigError::NonPositiveDecayHalfLife(x) => {
                 write!(f, "adaptive decay half-life must be positive (got {x})")
             }
-            ConfigError::NudgeGainFractionOutOfRange(x) => write!(
-                f,
-                "nudge gain fraction must be a fraction in [0, 1] (got {x})"
-            ),
             ConfigError::ZeroMaxStepElems => {
                 f.write_str("a maintenance step must be allowed to move at least one element")
             }
@@ -325,18 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn split_factor_at_one_rejected() {
-        let cfg = ShardConfig {
-            split_factor: 1.0,
-            ..base()
-        };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::SplitFactorNotAboveOne(1.0))
-        );
-    }
-
-    #[test]
     fn non_positive_half_life_rejected() {
         for bad in [0.0, -1.0, f64::NAN] {
             let cfg = ShardConfig {
@@ -349,20 +291,6 @@ mod tests {
                     Err(ConfigError::NonPositiveDecayHalfLife(_))
                 ),
                 "half-life {bad} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn inverted_nudge_fraction_rejected() {
-        for bad in [-0.25, 1.25] {
-            let cfg = ShardConfig {
-                nudge_gain_fraction: bad,
-                ..base()
-            };
-            assert_eq!(
-                cfg.try_validate(),
-                Err(ConfigError::NudgeGainFractionOutOfRange(bad))
             );
         }
     }
@@ -408,8 +336,8 @@ mod tests {
     fn display_matches_the_historic_panic_messages() {
         // Downstream should_panic tests match on these substrings;
         // the typed errors must keep printing them.
-        let text = ConfigError::SplitFactorNotAboveOne(1.0).to_string();
-        assert!(text.contains("split factor"), "{text}");
+        let text = ConfigError::ZeroMaxStepElems.to_string();
+        assert!(text.contains("at least one element"), "{text}");
         let text = ConfigError::NonPositiveDecayHalfLife(0.0).to_string();
         assert!(text.contains("half-life"), "{text}");
     }

@@ -130,8 +130,7 @@ pub use config::{BalancePolicy, ConfigError, RelearnStrategy, ShardConfig};
 pub use durability::{DurabilityOp, DurabilitySink};
 pub use maintainer::{Maintainer, MaintainerConfig, MaintainerStats};
 pub use maintenance::{
-    DrainReport, MaintenancePlan, MaintenanceReport, MaintenanceStep, RelearnReport, ShardStats,
-    StepReport,
+    DrainReport, MaintenancePlan, MaintenanceStep, RelearnReport, ShardStats, StepReport,
 };
 pub use obs::EngineObs;
 pub use shard::LockStats;
@@ -177,10 +176,9 @@ const ADAPTIVE_DECAY_MIN: u64 = 256;
 const ADAPTIVE_DECAY_MAX: u64 = 1 << 26;
 
 /// One coherent snapshot of the engine's observable state, produced
-/// by [`ShardedRma::stats_snapshot`]. Everything the five historic
-/// getters returned, in one read: content totals, the access-balance
-/// signal, the lock-freedom proof counters, and the maintenance plan
-/// engine's lifetime counters.
+/// by [`ShardedRma::stats_snapshot`]: content totals, the
+/// access-balance signal, the lock-freedom proof counters, and the
+/// maintenance plan engine's lifetime counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Stored elements across all shards.
@@ -328,8 +326,7 @@ pub struct MaintenanceStats {
 impl ShardedRma {
     /// Empty index with splitters spread uniformly over the 62-bit
     /// positive key domain (the workload generators' domain). Prefer
-    /// [`from_sample`](Self::from_sample) or
-    /// [`load_bulk`](Self::load_bulk) when a key sample exists.
+    /// [`load_bulk`](Self::load_bulk) when the data exists.
     pub fn new(cfg: ShardConfig) -> Self {
         Self::with_splitters(cfg, Splitters::uniform(cfg.num_shards))
     }
@@ -383,15 +380,6 @@ impl ShardedRma {
     /// The installed durability sink, if any.
     pub fn durability(&self) -> Option<&Arc<dyn DurabilitySink>> {
         self.wal.as_ref()
-    }
-
-    /// Empty index with splitters learned from a key sample
-    /// (quantiles of the sorted sample).
-    pub fn from_sample(cfg: ShardConfig, sample: &mut [Key]) -> Self {
-        cfg.validate();
-        sample.sort_unstable();
-        let splitters = Splitters::from_sorted_sample(sample, cfg.num_shards);
-        Self::with_splitters(cfg, splitters)
     }
 
     /// Pins the current topology (lock-free; see
@@ -513,17 +501,13 @@ impl ShardedRma {
         }
     }
 
-    /// One coherent observability snapshot: gathers what used to take
-    /// five separate getters ([`maintenance_stats`](Self::maintenance_stats),
-    /// [`lock_acquisitions`](Self::lock_acquisitions),
-    /// [`access_imbalance`](Self::access_imbalance),
-    /// [`op_count`](Self::op_count),
-    /// [`memory_footprint`](Self::memory_footprint)) plus the shard
-    /// count and resident-element total, reading each shard once.
+    /// One coherent observability snapshot, reading each shard once.
     /// The lock counters are captured *before* the per-shard sweep,
-    /// and the sweep itself reads optimistically (read-lock fallback
-    /// only under writer interference), so a monitoring loop calling
-    /// this does not drift the lock-freedom proof counters.
+    /// and the sweep — like [`len`](Self::len) and
+    /// [`memory_footprint`](Self::memory_footprint) — reads
+    /// optimistically (read lock only under writer interference), so
+    /// a monitoring loop does not drift the lock-freedom proof
+    /// counters.
     pub fn stats_snapshot(&self) -> EngineSnapshot {
         let (read_locks, write_locks) = self.lock_acquisitions();
         let seqlock_retries = self.lock_stats.opt_retries.load(Relaxed);
@@ -534,23 +518,15 @@ impl ShardedRma {
             capacity: rma.capacity(),
             wired_bytes: rma.memory_footprint(),
         };
-        let mut shards = Vec::with_capacity(topo.shards.len());
-        let mut masses = Vec::with_capacity(topo.shards.len());
-        for shard in &topo.shards {
-            shards.push(
-                shard
-                    .try_optimistic(fill)
-                    .unwrap_or_else(|| fill(&shard.read())),
-            );
-            masses.push(shard.stats.total());
-        }
+        let shards: Vec<ShardFill> = topo.shards.iter().map(|s| s.peek(fill)).collect();
+        let masses = topo.shards.iter().map(|s| s.stats.total() as f64);
         EngineSnapshot {
             len: shards.iter().map(|s| s.len).sum(),
             num_shards: shards.len(),
             memory_footprint: shards.iter().map(|s| s.wired_bytes).sum(),
             splitter_bytes: std::mem::size_of_val(topo.splitters.keys()),
             op_count: self.op_count(),
-            access_imbalance: maintenance::imbalance_of(masses.iter().map(|&m| m as f64)),
+            access_imbalance: maintenance::imbalance_of(masses),
             read_locks,
             write_locks,
             seqlock_retries,
@@ -569,11 +545,12 @@ impl ShardedRma {
         self.topo().splitters.clone()
     }
 
-    /// Total stored elements. Sums per-shard lengths under read locks;
-    /// concurrent writers may move the value while it is being read.
+    /// Total stored elements: the per-shard lengths, each read at a
+    /// stable version of its shard (no lock while the shard is
+    /// quiescent); concurrent writers may move the value while it is
+    /// being summed.
     pub fn len(&self) -> usize {
-        let topo = self.topo();
-        topo.shards.iter().map(|s| s.read().len()).sum()
+        self.topo().lens().sum()
     }
 
     /// True when no shard stores any element.
@@ -584,9 +561,8 @@ impl ShardedRma {
     /// Resident bytes across all shards.
     pub fn memory_footprint(&self) -> usize {
         let topo = self.topo();
-        topo.shards
-            .iter()
-            .map(|s| s.read().memory_footprint())
+        (topo.shards.iter())
+            .map(|s| s.peek(rma_core::Rma::memory_footprint))
             .sum()
     }
 
@@ -698,13 +674,10 @@ impl ShardedRma {
         topo: &Topology,
         shard: &shard::Shard,
         keys: &[Key],
-        mut read: impl FnMut(&rma_core::Rma) -> R,
+        read: impl FnMut(&rma_core::Rma) -> R,
     ) -> R {
         self.record_access(topo, shard, &shard.reads, keys);
-        match shard.try_optimistic(&mut read) {
-            Some(out) => out,
-            None => read(&shard.read()),
-        }
+        shard.peek(read)
     }
 
     /// Runs `attempt` against a freshly pinned topology until it
@@ -788,17 +761,10 @@ impl ShardedRma {
         topo.shards.iter().map(|s| s.stats.total()).collect()
     }
 
-    /// Length of the largest shard (lock-free estimate: optimistic
-    /// per-shard reads, `0` for a shard under writer interference —
-    /// good enough for the maintenance trigger that watches the
-    /// [`ShardConfig::max_shard_len`] length backstop).
+    /// Length of the largest shard — what the maintenance trigger
+    /// holds against the [`ShardConfig::max_shard_len`] backstop.
     pub fn max_shard_len(&self) -> usize {
-        let topo = self.topo();
-        topo.shards
-            .iter()
-            .map(|s| s.try_optimistic(|rma| rma.len()).unwrap_or(0))
-            .max()
-            .unwrap_or(0)
+        self.topo().lens().max().unwrap_or(0)
     }
 
     /// Max/mean access imbalance across shards: `1.0` is perfectly
@@ -827,22 +793,23 @@ impl ShardedRma {
     pub fn check_invariants(&self) {
         let topo = self.topo();
         for (i, shard) in topo.shards.iter().enumerate() {
-            let g = shard.read();
-            g.check_invariants();
-            let (lo, hi) = topo.splitters.range_of(i);
-            if let Some((min, _)) = g.first_ge(Key::MIN) {
-                let max = g.iter().last().expect("non-empty shard").0;
-                assert!(
-                    lo.is_none_or(|l| l <= min),
-                    "shard {i} min {min} below lower bound {lo:?}"
-                );
-                assert!(
-                    hi.is_none_or(|h| max < h),
-                    "shard {i} max {max} at/above upper bound {hi:?}"
-                );
-                assert_eq!(topo.splitters.route(min), i, "min routes elsewhere");
-                assert_eq!(topo.splitters.route(max), i, "max routes elsewhere");
-            }
+            shard.locked(|g| {
+                g.check_invariants();
+                let (lo, hi) = topo.splitters.range_of(i);
+                if let Some((min, _)) = g.first_ge(Key::MIN) {
+                    let max = g.iter().last().expect("non-empty shard").0;
+                    assert!(
+                        lo.is_none_or(|l| l <= min),
+                        "shard {i} min {min} below lower bound {lo:?}"
+                    );
+                    assert!(
+                        hi.is_none_or(|h| max < h),
+                        "shard {i} max {max} at/above upper bound {hi:?}"
+                    );
+                    assert_eq!(topo.splitters.route(min), i, "min routes elsewhere");
+                    assert_eq!(topo.splitters.route(max), i, "max routes elsewhere");
+                }
+            });
         }
     }
 }
@@ -1025,10 +992,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "split factor")]
+    #[should_panic(expected = "at least one element")]
     fn invalid_config_panics() {
         let cfg = ShardConfig {
-            split_factor: 1.0,
+            max_step_elems: 0,
             ..ShardConfig::default()
         };
         let _ = ShardedRma::new(cfg);

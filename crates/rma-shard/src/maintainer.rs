@@ -35,8 +35,8 @@
 //!    the coldest neighbour pairs that steer an accreted topology
 //!    back toward its target in the troughs between bursts.
 //!
-//! Plans drain highest-score-first, and an in-flight plan whose
-//! world drifted past the staleness bound
+//! Plans drain in the order their planner emitted them, and an
+//! in-flight plan whose world drifted past the staleness bound
 //! ([`ShardedRma::execute_step`]) has its tail dropped and is
 //! re-planned — a re-plan supersedes, never appends.
 //!
@@ -56,7 +56,7 @@
 //! mid-drain — safe, because every executed step left a complete,
 //! consistent topology; the next maintainer simply re-plans.
 
-use crate::{ConfigError, MaintenancePlan, MaintenanceStep, RelearnStrategy, ShardedRma};
+use crate::{ConfigError, DrainReport, MaintenancePlan, RelearnStrategy, ShardedRma};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -321,6 +321,7 @@ fn drain_tick(
     plan: &mut MaintenancePlan,
 ) -> bool {
     let dropped_before = plan.dropped();
+    let mut tick = DrainReport::default();
     let done = 'drain: {
         for executed in 0..cfg.steps_per_tick {
             if stop.load(Relaxed) {
@@ -338,30 +339,20 @@ fn drain_tick(
             let Some(report) = index.execute_step(plan) else {
                 break 'drain true;
             };
-            if report.executed {
-                stats.steps.fetch_add(1, Relaxed);
-                match report.step {
-                    MaintenanceStep::SplitShard { .. } => {
-                        stats.splits.fetch_add(1, Relaxed);
-                    }
-                    MaintenanceStep::MergePair { .. } => {
-                        stats.merges.fetch_add(1, Relaxed);
-                        if plan.consolidation_planned() {
-                            stats.consolidations.fetch_add(1, Relaxed);
-                        }
-                    }
-                    MaintenanceStep::NudgeBoundary { .. } => {
-                        stats.nudges.fetch_add(1, Relaxed);
-                    }
-                    MaintenanceStep::RebuildShard { .. } => {}
-                    MaintenanceStep::CheckpointShard { .. } => {
-                        stats.checkpoints.fetch_add(1, Relaxed);
-                    }
-                }
-            }
+            tick.count(&report);
         }
         plan.is_empty()
     };
+    stats.steps.fetch_add(tick.executed() as u64, Relaxed);
+    stats.splits.fetch_add(tick.splits as u64, Relaxed);
+    stats.merges.fetch_add(tick.merges as u64, Relaxed);
+    stats.nudges.fetch_add(tick.nudges as u64, Relaxed);
+    stats
+        .checkpoints
+        .fetch_add(tick.checkpoints as u64, Relaxed);
+    if plan.consolidation_planned() {
+        stats.consolidations.fetch_add(tick.merges as u64, Relaxed);
+    }
     let newly_dropped = plan.dropped().saturating_sub(dropped_before);
     if newly_dropped > 0 {
         stats.steps_dropped.fetch_add(newly_dropped, Relaxed);

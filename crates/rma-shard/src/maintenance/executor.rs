@@ -64,8 +64,8 @@ pub struct StepReport {
     pub executed: bool,
     /// Elements rebuilt under the step's locks: every resident of
     /// every shard the step drained, whichever side of a boundary it
-    /// ends up on — the measure the planner caps (`union_residents`)
-    /// and the executor admits on, and what
+    /// ends up on — the measure the planner caps (a rebuild's resident
+    /// union) and the executor admits on, and what
     /// [`MaintenanceStats::keys_migrated`](crate::MaintenanceStats)
     /// sums. For a checkpoint, which rebuilds nothing, the elements
     /// it sealed.
@@ -95,6 +95,18 @@ impl DrainReport {
     /// no topology but did their work).
     pub fn executed(&self) -> usize {
         self.splits + self.merges + self.nudges + self.rebuilds + self.checkpoints
+    }
+
+    /// Counts one step under its kind, or as skipped.
+    pub(crate) fn count(&mut self, sr: &StepReport) {
+        *match sr.step {
+            _ if !sr.executed => &mut self.skipped,
+            MaintenanceStep::SplitShard { .. } => &mut self.splits,
+            MaintenanceStep::MergePair { .. } => &mut self.merges,
+            MaintenanceStep::NudgeBoundary { .. } => &mut self.nudges,
+            MaintenanceStep::RebuildShard { .. } => &mut self.rebuilds,
+            MaintenanceStep::CheckpointShard { .. } => &mut self.checkpoints,
+        } += 1;
     }
 }
 
@@ -186,20 +198,15 @@ impl ShardedRma {
     /// mode behind [`maintain`](Self::maintain) and the tests).
     pub fn drain_plan(&self, plan: &mut MaintenancePlan) -> DrainReport {
         let mut report = DrainReport::default();
-        while let Some(sr) = self.execute_step(plan) {
-            if !sr.executed {
-                report.skipped += 1;
-                continue;
-            }
-            match sr.step {
-                MaintenanceStep::SplitShard { .. } => report.splits += 1,
-                MaintenanceStep::MergePair { .. } => report.merges += 1,
-                MaintenanceStep::NudgeBoundary { .. } => report.nudges += 1,
-                MaintenanceStep::RebuildShard { .. } => report.rebuilds += 1,
-                MaintenanceStep::CheckpointShard { .. } => report.checkpoints += 1,
-            }
-        }
+        self.drain_into(plan, &mut report);
         report
+    }
+
+    /// [`drain_plan`](Self::drain_plan), counting into `report`.
+    pub(super) fn drain_into(&self, plan: &mut MaintenancePlan, report: &mut DrainReport) {
+        while let Some(sr) = self.execute_step(plan) {
+            report.count(&sr);
+        }
     }
 
     /// Retires the drained shards, publishes the successor topology,
@@ -365,12 +372,11 @@ impl ShardedRma {
         if j0 == j1 && cuts.is_empty() {
             return Some(0); // the range already is exactly one shard
         }
-        // Cheap pre-check against the lock-free lengths before paying
-        // for shells or the locks: if the overlapped shards already
-        // exceed the bound, re-planning is cheaper than draining.
-        let rough: usize = topo.shards[j0..=j1]
-            .iter()
-            .map(|s| s.try_optimistic(|rma| rma.len()).unwrap_or(0))
+        // Cheap pre-check before paying for shells or the write locks:
+        // if the overlapped shards already exceed the bound,
+        // re-planning is cheaper than draining.
+        let rough: usize = (topo.shards[j0..=j1].iter())
+            .map(|s| s.peek(rma_core::Rma::len))
             .sum();
         if rough > bound {
             return None;
@@ -641,8 +647,8 @@ mod tests {
     #[test]
     fn rebalance_plan_pops_splits_before_merges() {
         // Hot shard 0 plus cold pairs on the right: the plan must
-        // contain both kinds, and the priority queue must yield every
-        // split before any merge (splits live a tier above).
+        // contain both kinds, and every split must come before any
+        // merge (the planner emits the splits first).
         let s = ShardedRma::with_splitters(
             small_cfg(16),
             Splitters::new((1..16).map(|i| i * 100).collect()),

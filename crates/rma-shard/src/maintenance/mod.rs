@@ -1,50 +1,30 @@
 //! Shard maintenance: per-shard load statistics and the **incremental
-//! maintenance plan engine** — planners that emit bounded
-//! [`MaintenanceStep`]s and an executor that applies one step at a
-//! time, each publishing its own copy-on-write topology.
+//! maintenance plan engine**. Following the paper's
+//! incremental-rebalance philosophy (restructuring must not stall the
+//! data path, §V) one level up, maintenance is decomposed:
 //!
-//! PR 3 made *readers* immune to maintenance (optimistic seqlock
-//! shards behind an epoch-published topology), but writers could
-//! still stall ~100 ms at 2^20 scale: `relearn_splitters()` drained
-//! every shard under its write lock and published the rebuilt
-//! topology in one swap. Following the paper's incremental-rebalance
-//! philosophy (restructuring must not stall the data path, §V) one
-//! level up, this module decomposes maintenance:
-//!
-//! * **planners** ([`ShardedRma::plan_maintenance`],
-//!   [`ShardedRma::plan_relearn`], [`ShardedRma::plan_rebalance`],
-//!   in `plan.rs`) read the access histograms and emit a
-//!   [`MaintenancePlan`] of bounded steps, each the key-identified
-//!   name of a range to re-cut — [`SplitShard`] (one shard; its work
-//!   is bounded by that shard's size, which the opt-in
-//!   `ShardConfig::max_shard_len` backstop keeps within a step's
-//!   budget), [`MergePair`] / [`NudgeBoundary`] (two adjacent
-//!   shards), [`RebuildShard`] (one target key range, capped at
-//!   `ShardConfig::max_step_elems` residents);
+//! * **planners** (`plan.rs`) read the access histograms and emit a
+//!   [`MaintenancePlan`]: bounded steps, each the key-identified name
+//!   of a range to re-cut, in the order they are to run — there is no
+//!   scheduler between planner and executor;
 //! * the **executor** ([`ShardedRma::execute_step`] /
 //!   [`ShardedRma::drain_plan`], in `executor.rs`) applies one step at
-//!   a time through one procedure for every kind: it resolves the
-//!   step's keys to a range on the live topology, locks only the
-//!   shards inside it, drains them, publishes a successor topology
-//!   that reuses every untouched shard's `Arc`, and waits out the
-//!   read grace period — so a full re-learn proceeds shard-by-shard
-//!   and **a writer only ever waits out the one step currently
-//!   restructuring its shard, never the whole topology**;
+//!   a time through one procedure for every kind: it locks only the
+//!   shards inside the step's range, publishes a successor topology
+//!   that reuses every untouched shard's `Arc`, and waits out the read
+//!   grace period — so **a writer only ever waits out the one step
+//!   currently restructuring its shard, never the whole topology**;
 //! * the **monolithic baseline**
 //!   ([`ShardedRma::relearn_splitters_monolithic`], in
-//!   `monolithic.rs`) keeps the PR-3 single-swap rebuild as an
-//!   explicit comparison point for the `fig18_write_stall` benchmark.
+//!   `monolithic.rs`) keeps the single-swap rebuild as an explicit
+//!   comparison point for the `fig18_write_stall` benchmark.
 //!
-//! [`NudgeBoundary`] is the cheap path for *drifting* hotspots: when
-//! the histogram CDF says one boundary move recovers most of the
-//! predicted re-learn gain, the plan is that one two-shard step
-//! instead of a rebuild of the topology.
-//!
-//! The public entry points [`ShardedRma::rebalance_shards`],
-//! [`ShardedRma::relearn_splitters`] and [`ShardedRma::maintain`]
-//! keep their PR-2/PR-3 signatures — they now plan and immediately
-//! drain. The background maintainer ([`crate::maintainer`]) instead
-//! drains plans a few steps per tick with inter-step sleeps.
+//! The synchronous entry points [`ShardedRma::rebalance_shards`],
+//! [`ShardedRma::relearn_splitters`], [`ShardedRma::maintain`] and
+//! [`ShardedRma::compact`] plan and immediately drain, round after
+//! round, through one loop. The background maintainer
+//! ([`crate::maintainer`]) instead drains plans a few steps per tick
+//! with inter-step sleeps.
 //!
 //! # Maintenance vs. the lock-free read path
 //!
@@ -59,11 +39,6 @@
 //! rebuilt through the paper's bulk-load machinery and their
 //! histograms are **re-seeded** from the learned signal, so
 //! maintenance never resets what the workload taught the structure.
-//!
-//! [`SplitShard`]: MaintenanceStep::SplitShard
-//! [`MergePair`]: MaintenanceStep::MergePair
-//! [`NudgeBoundary`]: MaintenanceStep::NudgeBoundary
-//! [`RebuildShard`]: MaintenanceStep::RebuildShard
 
 pub(crate) mod executor;
 pub(crate) mod monolithic;
@@ -99,15 +74,6 @@ pub struct ShardStats {
     pub lower_bound: Option<Key>,
     /// Exclusive upper key bound (`None` = unbounded).
     pub upper_bound: Option<Key>,
-}
-
-/// What one [`ShardedRma::rebalance_shards`] call changed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MaintenanceReport {
-    /// Hot shards split in two.
-    pub splits: usize,
-    /// Cold adjacent pairs merged into one.
-    pub merges: usize,
 }
 
 /// What one [`ShardedRma::relearn_splitters`] call decided.
@@ -224,12 +190,12 @@ impl ShardedRma {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let g = s.read();
+                let (len, segments) = s.peek(|rma| (rma.len(), rma.num_segments()));
                 let (lower_bound, upper_bound) = topo.splitters.range_of(i);
                 ShardStats {
                     shard: i,
-                    len: g.len(),
-                    segments: g.num_segments(),
+                    len,
+                    segments,
                     reads: s.reads.load(Relaxed),
                     writes: s.writes.load(Relaxed),
                     access_mass: s.stats.total(),
@@ -288,10 +254,31 @@ impl ShardedRma {
         Arc::new(shard)
     }
 
-    /// Splits shards whose balance weight exceeds `split_factor ×` the
-    /// mean and merges adjacent pairs whose combined weight falls
-    /// below half the mean, by planning and
-    /// immediately draining bounded rounds of [`MaintenanceStep`]s.
+    /// Plans with `plan` and drains, again against the topology each
+    /// drain left, until a round executes nothing (an empty plan, or
+    /// every step stale) or `rounds` have run — so a pathological
+    /// distribution cannot spin here forever. The one loop under
+    /// every synchronous entry point.
+    fn drain_rounds(
+        &self,
+        rounds: usize,
+        mut plan: impl FnMut() -> MaintenancePlan,
+    ) -> DrainReport {
+        let mut total = DrainReport::default();
+        for _ in 0..rounds {
+            let before = total.executed();
+            self.drain_into(&mut plan(), &mut total);
+            if total.executed() == before {
+                break;
+            }
+        }
+        total
+    }
+
+    /// Splits shards whose balance weight exceeds twice the mean and
+    /// merges adjacent pairs whose combined weight falls below half
+    /// the mean, by planning ([`plan_rebalance`](Self::plan_rebalance))
+    /// and immediately draining up to 16 rounds of [`MaintenanceStep`]s.
     /// Under the default [`BalancePolicy::ByAccess`], split points
     /// come from the shard histogram's equal-access CDF point and
     /// restructured shards inherit their parents' (clipped)
@@ -299,24 +286,8 @@ impl ShardedRma {
     /// concurrent readers keep serving throughout, writers re-route
     /// past the replaced shards. Restructured shards restart their
     /// read/write counters.
-    pub fn rebalance_shards(&self) -> MaintenanceReport {
-        let mut report = MaintenanceReport::default();
-        // Bounded rounds: each round plans against the fresh topology
-        // and drains, so a pathological distribution cannot spin here
-        // forever.
-        for _ in 0..16 {
-            let mut plan = self.plan_rebalance();
-            if plan.is_empty() {
-                break;
-            }
-            let drained = self.drain_plan(&mut plan);
-            report.splits += drained.splits;
-            report.merges += drained.merges;
-            if drained.splits + drained.merges == 0 {
-                break; // every step went stale: re-plan next call
-            }
-        }
-        report
+    pub fn rebalance_shards(&self) -> DrainReport {
+        self.drain_rounds(16, || self.plan_rebalance())
     }
 
     /// Re-learns the splitter set from the global access histogram —
@@ -324,41 +295,32 @@ impl ShardedRma {
     /// imbalance must reach 1.25 **and** the predicted imbalance must
     /// improve by a tenth), so uniform workloads cause zero churn.
     ///
-    /// Under the default [`RelearnStrategy::Incremental`] the rebuild
-    /// is planned as bounded steps and drained immediately — each
-    /// step publishes its own topology, so writers only ever queue
-    /// behind the one step touching their shard. A single
-    /// [`MaintenanceStep::NudgeBoundary`] replaces the whole plan
-    /// when one boundary move recovers most of the predicted gain
-    /// (the drifting-hotspot fast path).
-    /// [`RelearnStrategy::Monolithic`] restores the PR-3 single-swap
-    /// drain; [`RelearnStrategy::NudgeOnly`] never rebuilds, it only
-    /// chases boundaries.
+    /// Under the default [`RelearnStrategy::Incremental`] this plans
+    /// ([`plan_relearn`](Self::plan_relearn)) and immediately drains.
+    /// [`RelearnStrategy::Monolithic`] is the single-swap drain;
+    /// [`RelearnStrategy::NudgeOnly`] never rebuilds, it only chases
+    /// boundaries, up to eight sweeps a call.
     pub fn relearn_splitters(&self) -> RelearnReport {
         if self.cfg.relearn_strategy == RelearnStrategy::Monolithic {
             return self.relearn_splitters_monolithic();
         }
-        let mut plan = self.plan_relearn();
-        let mut report = plan.relearn_report();
-        let mut executed = self.drain_plan(&mut plan).executed();
         // A nudge sweep is one round of *local* moves; convergence to
         // the equal-access topology comes from cascading them (each
         // round re-plans against the moved boundaries), like a Lloyd
-        // iteration. Bounded so a pathological histogram cannot spin.
-        if self.cfg.relearn_strategy == RelearnStrategy::NudgeOnly && executed > 0 {
-            for _ in 0..7 {
-                let mut next = self.plan_relearn();
-                if next.is_empty() {
-                    break;
-                }
-                let drained = self.drain_plan(&mut next).executed();
-                executed += drained;
-                if drained == 0 {
-                    break;
-                }
-            }
-        }
-        report.relearned = executed > 0;
+        // iteration. Every other plan is the whole jump: one round.
+        let rounds = match self.cfg.relearn_strategy {
+            RelearnStrategy::NudgeOnly => 8,
+            _ => 1,
+        };
+        // The decision reported is the first round's.
+        let mut first = None;
+        let drained = self.drain_rounds(rounds, || {
+            let plan = self.plan_relearn();
+            first.get_or_insert(plan.relearn_report());
+            plan
+        });
+        let mut report = first.expect("at least one round planned");
+        report.relearned = drained.executed() > 0;
         report.shards_after = self.num_shards();
         report
     }
@@ -368,7 +330,7 @@ impl ShardedRma {
     /// split/merge pass. Plans and drains synchronously; the
     /// background maintainer uses the plan/step API directly instead
     /// so it can pace the steps.
-    pub fn maintain(&self) -> (RelearnReport, MaintenanceReport) {
+    pub fn maintain(&self) -> (RelearnReport, DrainReport) {
         let relearn = if self.cfg.relearn {
             self.relearn_splitters()
         } else {
@@ -385,28 +347,14 @@ impl ShardedRma {
     /// one idle tick at a time; this is the on-demand form (quiesce a
     /// workload, then `compact()` before the next burst).
     pub fn compact(&self) -> usize {
-        let mut merges = 0;
-        // Bounded rounds, same rationale as `rebalance_shards`: each
-        // round re-plans against the fresh topology.
-        for _ in 0..64 {
-            let mut plan = self.plan_consolidation();
-            if plan.is_empty() {
-                break;
-            }
-            let drained = self.drain_plan(&mut plan).merges;
-            merges += drained;
-            if drained == 0 {
-                break; // every step went stale or over-bound
-            }
-        }
-        merges
+        self.drain_rounds(64, || self.plan_consolidation()).merges
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::tests::small_cfg;
-    use crate::{BalancePolicy, MaintenanceReport, ShardedRma, Splitters};
+    use crate::{BalancePolicy, DrainReport, ShardedRma, Splitters};
 
     #[test]
     fn stats_report_bounds_and_counters() {
@@ -447,10 +395,9 @@ mod tests {
     fn access_cut_splits_at_the_hot_point_not_the_median() {
         // Shard 0 holds keys 0..1000 but only the top decile is ever
         // touched after loading: the access CDF cut must land inside
-        // [900, 1000), not at the median 500.
-        let mut cfg = small_cfg(2);
-        cfg.split_factor = 1.5;
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![5000]));
+        // [900, 1000), not at the median 500. Three shards, so that
+        // one of them can weigh more than twice the mean.
+        let s = ShardedRma::with_splitters(small_cfg(3), Splitters::new(vec![5000, 10_000]));
         for k in 0..1000i64 {
             s.insert(k, k);
         }
@@ -499,7 +446,7 @@ mod tests {
     fn balanced_load_is_left_alone() {
         let batch: Vec<(i64, i64)> = (0..8000).map(|i| (i, i)).collect();
         let s = ShardedRma::load_bulk(small_cfg(8), &batch);
-        assert_eq!(s.rebalance_shards(), MaintenanceReport::default());
+        assert_eq!(s.rebalance_shards(), DrainReport::default());
         assert_eq!(s.num_shards(), 8);
     }
 
@@ -518,7 +465,7 @@ mod tests {
     #[test]
     fn empty_index_keeps_its_splitters() {
         let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![10, 20, 30]));
-        assert_eq!(s.rebalance_shards(), MaintenanceReport::default());
+        assert_eq!(s.rebalance_shards(), DrainReport::default());
         assert_eq!(s.num_shards(), 4);
     }
 

@@ -90,8 +90,6 @@ mod tests {
         let run = |strategy: RelearnStrategy| {
             let mut cfg = small_cfg(4);
             cfg.relearn_strategy = strategy;
-            // Force the full-rebuild path (not the single nudge).
-            cfg.nudge_gain_fraction = 1.0;
             let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
             for k in 0..4000i64 {
                 s.insert(k, k);
@@ -104,6 +102,11 @@ mod tests {
             }
             let report = s.relearn_splitters();
             assert!(report.relearned, "{strategy:?}: {report:?}");
+            // A band a tenth of one shard wide: moving either of that
+            // shard's boundaries leaves the band whole on one side, so
+            // no single nudge comes near the four-way rebuild and the
+            // full-rebuild path is taken.
+            assert_eq!(s.maintenance_stats().nudges, 0, "{strategy:?}");
             s.check_invariants();
             (s.splitters(), s.collect_all())
         };

@@ -8,40 +8,41 @@
 //! variant is the drift-proof *name* of a key range to re-cut — the
 //! executor has one procedure for all of them.
 //!
-//! Three planners:
+//! Four planners, and [`ShardedRma::plan_maintenance`] to pick
+//! between the first two:
 //!
 //! * [`ShardedRma::plan_rebalance`] — one round of the split/merge
-//!   pass: every shard over the `split_factor` trigger gets a
-//!   [`SplitShard`] at its histogram-CDF (or median) cut, every
-//!   leftmost non-overlapping cold pair a [`MergePair`];
+//!   pass: a [`SplitShard`] per hot shard, a [`MergePair`] per cold
+//!   pair;
 //! * [`ShardedRma::plan_relearn`] — the multi-way re-learn behind the
 //!   PR-2 two-stage stability guard. When the histogram CDF says a
-//!   single boundary move recovers at least `nudge_gain_fraction` of
+//!   single boundary move recovers at least [`NUDGE_GAIN_FRACTION`] of
 //!   the full rebuild's predicted gain, the plan is one
 //!   [`NudgeBoundary`] (the drifting-hotspot fast path); otherwise it
-//!   is a shard-by-shard sequence of [`RebuildShard`] range steps,
+//!   is a shard-by-shard run of [`RebuildShard`] range steps,
 //!   each capped at `max_step_elems` residents — target ranges whose
 //!   residents exceed the cap are aligned with edge [`SplitShard`]s
 //!   plus cap-bounded [`MergePair`]s instead, trading a few extra
 //!   splitters inside element-heavy cold ranges for a hard bound on
 //!   how long any step can hold its shard locks;
-//! * [`ShardedRma::plan_maintenance`] — what the background
-//!   maintainer drains: the relearn plan when it is non-empty, the
-//!   rebalance plan otherwise;
-//! * [`ShardedRma::plan_consolidation`] — the idle-time shard-count
-//!   consolidation chain: cap-bounded merges of the coldest neighbour
-//!   pairs, steering an accreted topology back toward the configured
-//!   `num_shards` target while the op rate is low.
+//! * [`ShardedRma::plan_consolidation`] — the idle-time chain of
+//!   merges back toward the configured `num_shards`;
+//! * [`ShardedRma::plan_checkpoints`] — one [`CheckpointShard`] per
+//!   durability partition.
 //!
-//! Every planned step carries a score — predicted gain per migrated
-//! key, offset into ordering-class tiers where one step class must
-//! run before another — and the plan drains highest-score-first (see
-//! [`MaintenancePlan`]).
+//! A plan is a list: each planner emits its steps in the order they
+//! are to run, and the plan pops them front to back. Where one class
+//! of step must precede another (a re-learn's edge splits before its
+//! rebuilds before its merges; a rebalance's splits before its merges)
+//! the planner emits the classes in that order; within a class it
+//! sorts by predicted gain per migrated key where it has one and
+//! keeps key order otherwise.
 //!
 //! [`SplitShard`]: MaintenanceStep::SplitShard
 //! [`MergePair`]: MaintenanceStep::MergePair
 //! [`NudgeBoundary`]: MaintenanceStep::NudgeBoundary
 //! [`RebuildShard`]: MaintenanceStep::RebuildShard
+//! [`CheckpointShard`]: MaintenanceStep::CheckpointShard
 
 use super::{
     imbalance_of, predicted_masses, weighted_buckets_of, RelearnReport, RELEARN_MIN_GAIN,
@@ -113,22 +114,6 @@ pub enum MaintenanceStep {
     },
 }
 
-/// One step plus the priority the planner computed for it.
-///
-/// The score is the scheduler's ordering key: `predicted gain per
-/// migrated key`, offset by an ordering-class tier (see
-/// [`TIER`]) where correctness requires one step class to run before
-/// another (e.g. the full re-learn's edge splits before its
-/// cap-bounded merges). Ties keep planner emission order.
-#[derive(Debug, Clone, Copy)]
-struct ScoredStep {
-    step: MaintenanceStep,
-    score: f64,
-    /// Emission index — the PR-4 FIFO position, kept for stable
-    /// tie-breaking and the [`MaintenancePlan::into_fifo`] hook.
-    seq: usize,
-}
-
 /// Which planner produced a plan — drives the plan-creation journal
 /// event and the flags snapshot readers see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,39 +128,48 @@ pub(crate) enum PlanKind {
     Consolidation,
 }
 
+/// A shard splits when its weight (access mass under
+/// [`BalancePolicy::ByAccess`], length under [`BalancePolicy::ByLen`])
+/// exceeds this many times the mean shard weight (and the shard is at
+/// least `min_split_len` long). Above 1, or a shard at the mean would
+/// split.
+const SPLIT_FACTOR: f64 = 2.0;
+
 /// Two adjacent shards merge when their combined weight falls below
 /// this fraction of the mean shard weight. It has to stay below
-/// `split_factor` (which is validated `> 1`), or a freshly split pair
-/// would immediately re-merge and maintenance would oscillate.
+/// [`SPLIT_FACTOR`], or a freshly split pair would immediately
+/// re-merge and maintenance would oscillate.
 const MERGE_FACTOR: f64 = 0.5;
 
-/// Ordering-class offset: dominates any gain/cost ratio, so steps in
-/// a higher tier always execute before a lower tier regardless of
-/// their individual scores. Gain/cost only orders *within* a tier.
-const TIER: f64 = 1e12;
+/// Under [`RelearnStrategy::Incremental`], a single boundary nudge is
+/// preferred over a full shard-by-shard rebuild when it recovers at
+/// least this fraction of the rebuild's predicted imbalance gain — the
+/// cheap path for drifting hotspots, where one splitter chasing the
+/// band fixes most of the skew.
+const NUDGE_GAIN_FRACTION: f64 = 0.75;
 
-/// A priority queue of scored [`MaintenanceStep`]s produced by one
-/// planner call, plus the planning decision snapshot. Steps pop
-/// highest score (predicted gain per migrated key) first — not FIFO —
-/// so when the maintainer's tick budget runs out before the plan
-/// does, the steps that mattered most have already run. Drained
-/// step-by-step by [`ShardedRma::execute_step`] (the background
-/// maintainer's paced mode) or all at once by
-/// [`ShardedRma::drain_plan`].
+/// The steps of `keyed`, largest key first; equal keys stay in the
+/// order they were pushed.
+fn descending(mut keyed: Vec<(f64, MaintenanceStep)>) -> impl Iterator<Item = MaintenanceStep> {
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+    keyed.into_iter().map(|(_, step)| step)
+}
+
+/// The [`MaintenanceStep`]s one planner call produced, in the order
+/// they are to run, plus the planning decision snapshot. When the
+/// maintainer's tick budget runs out before the plan does, what has
+/// run is what the planner put first. Drained step-by-step by
+/// [`ShardedRma::execute_step`] (the background maintainer's paced
+/// mode) or all at once by [`ShardedRma::drain_plan`].
 ///
 /// The plan also remembers the live topology it was planned against
 /// (shard count + total decayed access mass, re-anchored after every
-/// pop). When the world drifts past the scheduler's staleness bound
-/// between pops, the un-executed tail is **dropped** — counted in
-/// [`MaintenanceStats::steps_dropped`](crate::MaintenanceStats) and
-/// journaled as [`StepDropped`](rma_obs::EventKind::StepDropped) —
-/// and the caller re-plans from fresh signals instead of executing
-/// low-value leftovers.
+/// pop); when the world drifts too far from it between pops,
+/// [`ShardedRma::execute_step_with`] drops the un-executed tail.
 #[derive(Debug)]
 pub struct MaintenancePlan {
-    steps: VecDeque<ScoredStep>,
-    relearn_planned: bool,
-    consolidation: bool,
+    steps: VecDeque<MaintenanceStep>,
+    kind: PlanKind,
     report: RelearnReport,
     /// Staleness anchor: live shard count at the last progress point
     /// (plan creation or the most recent pop).
@@ -197,21 +191,21 @@ impl MaintenancePlan {
         self.steps.is_empty()
     }
 
-    /// The remaining steps, in execution order (highest score first).
+    /// The remaining steps, in execution order.
     pub fn steps(&self) -> impl Iterator<Item = &MaintenanceStep> {
-        self.steps.iter().map(|s| &s.step)
+        self.steps.iter()
     }
 
     /// Whether this plan came out of the re-learn planner (as opposed
     /// to the split/merge rebalance planner).
     pub fn relearn_planned(&self) -> bool {
-        self.relearn_planned
+        self.kind == PlanKind::Relearn
     }
 
     /// Whether this plan came out of the idle-time consolidation
     /// planner ([`ShardedRma::plan_consolidation`]).
     pub fn consolidation_planned(&self) -> bool {
-        self.consolidation
+        self.kind == PlanKind::Consolidation
     }
 
     /// The planning decision snapshot: observed and predicted
@@ -227,18 +221,8 @@ impl MaintenancePlan {
         self.dropped
     }
 
-    /// Restores planner emission order — the PR-4 FIFO drain order.
-    /// A differential-testing hook: the scored scheduler must produce
-    /// bit-for-bit the same content as the FIFO drain, and the
-    /// `sharded_differential` suite drains one plan each way to prove
-    /// it.
-    pub fn into_fifo(mut self) -> Self {
-        self.steps.make_contiguous().sort_by_key(|s| s.seq);
-        self
-    }
-
     pub(crate) fn pop(&mut self) -> Option<MaintenanceStep> {
-        self.steps.pop_front().map(|s| s.step)
+        self.steps.pop_front()
     }
 
     /// True when the live topology has drifted past `bound` (a
@@ -278,15 +262,6 @@ impl MaintenancePlan {
     }
 }
 
-/// The work one [`MaintenanceStep::RebuildShard`] over `[lo, hi)`
-/// would do: a rebuild drains and rebuilds *every* overlapped shard
-/// in full (partial edge overlaps become rebuilt prefix/suffix
-/// shards), so the step's cost is the union's total residency — not
-/// just the target range's. The executor enforces the same measure.
-fn union_residents(lens: &[usize], j0: usize, j1: usize) -> usize {
-    lens[j0..=j1].iter().sum()
-}
-
 impl ShardedRma {
     /// The plan the background maintainer drains on its tick budget:
     /// the re-learn plan when the stability guards admit one, the
@@ -304,30 +279,30 @@ impl ShardedRma {
     }
 
     /// One round of the split/merge pass as a plan: a [`SplitShard`]
-    /// for every shard whose balance weight exceeds `split_factor ×`
-    /// the mean (cut at the histogram CDF midpoint under `ByAccess`,
-    /// the key median under `ByLen`), a [`MergePair`] for every
-    /// leftmost non-overlapping adjacent pair under the floor of half
-    /// the mean. Balanced topologies plan zero steps.
+    /// for every shard whose balance weight exceeds twice the mean
+    /// (cut at the histogram CDF midpoint under `ByAccess`, the key
+    /// median under `ByLen`), a [`MergePair`] for every leftmost
+    /// non-overlapping adjacent pair under the floor of half the
+    /// mean. Balanced topologies plan zero steps.
     ///
     /// [`SplitShard`]: MaintenanceStep::SplitShard
     /// [`MergePair`]: MaintenanceStep::MergePair
     pub fn plan_rebalance(&self) -> MaintenancePlan {
         let topo = self.topo();
         let policy = self.cfg.balance;
-        let lens: Vec<usize> = topo.shards.iter().map(|s| s.read().len()).collect();
+        let lens: Vec<usize> = topo.lens().collect();
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
         let weights = Self::balance_weights(&lens, &masses, policy);
         let total: u64 = weights.iter().sum();
         let n = weights.len();
         let report = RelearnReport::at(n);
-        let mut steps = Vec::new();
         if total == 0 {
-            return self.finish_plan(steps, PlanKind::Rebalance, report);
+            return self.finish_plan(Vec::new(), PlanKind::Rebalance, report);
         }
         let mean = (total / n as u64).max(1);
+        let (mut splits, mut merges) = (Vec::new(), Vec::new());
         for i in 0..n {
-            let hot = (weights[i] as f64) > self.cfg.split_factor * mean as f64;
+            let hot = (weights[i] as f64) > SPLIT_FACTOR * mean as f64;
             // Optional length backstop (`ShardConfig::max_shard_len`):
             // a shard larger than one step may rebuild would make
             // *every* future restructuring of it — including the
@@ -337,12 +312,10 @@ impl ShardedRma {
             let oversized = self.cfg.max_shard_len.is_some_and(|m| lens[i] > m);
             if (hot || oversized) && lens[i] >= self.cfg.min_split_len {
                 if let Some(at) = self.split_point(&topo.shards[i]) {
-                    // Splits shed imbalance directly: tier above the
-                    // merges, hottest-per-resident first within it.
                     let excess = (weights[i] as f64 / mean as f64).max(0.0);
-                    steps.push((
+                    splits.push((
+                        excess / (lens[i] + 1) as f64,
                         MaintenanceStep::SplitShard { at },
-                        TIER + excess / (lens[i] + 1) as f64,
                     ));
                 }
             }
@@ -360,20 +333,17 @@ impl ShardedRma {
                 let combined = (weights[i] + weights[i + 1]) as f64;
                 let combined_len = lens[i] + lens[i + 1];
                 let len_ok = (policy == BalancePolicy::ByLen
-                    || (combined_len as f64) <= self.cfg.split_factor * mean_len as f64)
+                    || (combined_len as f64) <= SPLIT_FACTOR * mean_len as f64)
                     // Never merge past the length backstop: the next
                     // round would split the result right back.
                     && self.cfg.max_shard_len.is_none_or(|m| combined_len <= m);
                 if combined < MERGE_FACTOR * mean as f64 && len_ok {
-                    // Merges recover footprint, not imbalance: tier
-                    // below the splits, coldest-per-migrated-key
-                    // first within it.
                     let slack = (MERGE_FACTOR * mean as f64 - combined).max(0.0);
-                    steps.push((
+                    merges.push((
+                        slack / (combined_len + 1) as f64,
                         MaintenanceStep::MergePair {
                             splitter: topo.splitters.keys()[i],
                         },
-                        slack / (combined_len + 1) as f64,
                     ));
                     i += 2; // pairs must not overlap within one round
                 } else {
@@ -381,6 +351,10 @@ impl ShardedRma {
                 }
             }
         }
+        // Splits shed imbalance directly, so they all run before the
+        // merges, which only recover footprint: hottest per resident
+        // first, then coldest per migrated key first.
+        let steps = descending(splits).chain(descending(merges)).collect();
         self.finish_plan(steps, PlanKind::Rebalance, report)
     }
 
@@ -420,15 +394,10 @@ impl ShardedRma {
             // synchronous cascade in `relearn_splitters`). Nudges are
             // bounded two-shard steps; the trigger alone throttles
             // them adequately.
+            // Left to right, the order the sweep clamped its moves in.
             let (sweep, predicted) = self.nudge_sweep(&topo, &wb);
             report.imbalance_predicted = predicted;
-            // A sweep's moves share one joint prediction, so each
-            // step gets the same per-sweep score and the stable sort
-            // keeps the left-to-right emission order the clamping
-            // logic assumed.
-            let gain = (imbalance - predicted).max(0.0);
-            let steps = sweep.into_iter().map(|s| (s, gain)).collect();
-            return self.finish_plan(steps, PlanKind::Relearn, report);
+            return self.finish_plan(sweep, PlanKind::Relearn, report);
         }
 
         let candidate = Splitters::from_weighted_histogram(&wb, self.cfg.num_shards);
@@ -451,19 +420,18 @@ impl ShardedRma {
             && match (nudge.as_ref(), full_pred) {
                 (Some(&(_, np)), Some(fp)) if full_ok => {
                     np <= NUDGE_EQUIVALENCE * fp
-                        && (imbalance - np) >= self.cfg.nudge_gain_fraction * (imbalance - fp)
+                        && (imbalance - np) >= NUDGE_GAIN_FRACTION * (imbalance - fp)
                 }
                 _ => true,
             };
         let steps = if prefer_nudge {
             let (step, predicted) = nudge.expect("prefer_nudge implies a candidate");
             report.imbalance_predicted = predicted;
-            vec![(step, (imbalance - predicted).max(0.0))]
+            vec![step]
         } else if full_ok {
             let full = full_pred.expect("full_ok implies a prediction");
             report.imbalance_predicted = full;
-            let lens: Vec<usize> = topo.shards.iter().map(|s| s.read().len()).collect();
-            self.full_rebuild_steps(&topo, &candidate, &lens, (imbalance - full).max(0.0))
+            self.full_rebuild_steps(&topo, &candidate)
         } else {
             if let Some(p) = full_pred {
                 report.imbalance_predicted = p; // gain too small: no churn
@@ -482,11 +450,8 @@ impl ShardedRma {
         let n = self.num_shards();
         let report = RelearnReport::at(n);
         let steps = self.durability().map_or(Vec::new(), |sink| {
-            // Checkpoints are a cadence, not a recovery of imbalance:
-            // uniform score, partition order preserved by the stable
-            // sort.
             (0..sink.partitions())
-                .map(|partition| (MaintenanceStep::CheckpointShard { partition }, 0.0))
+                .map(|partition| MaintenanceStep::CheckpointShard { partition })
                 .collect()
         });
         self.finish_plan(steps, PlanKind::Checkpoint, report)
@@ -513,11 +478,12 @@ impl ShardedRma {
         if n <= target {
             return self.finish_plan(Vec::new(), PlanKind::Consolidation, report);
         }
-        let lens: Vec<usize> = topo.shards.iter().map(|s| s.read().len()).collect();
+        let lens: Vec<usize> = topo.lens().collect();
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
         let bound = self.consolidation_bound();
-        // Mergeable neighbour pairs, coldest combined mass first (ties
-        // break leftmost for determinism).
+        // Mergeable neighbour pairs, coldest combined mass first —
+        // least mass disturbed per merge while the index is idle
+        // anyway (ties break leftmost for determinism).
         let mut cands: Vec<(u64, usize)> = (0..n - 1)
             .filter(|&i| lens[i] + lens[i + 1] <= bound)
             .map(|i| (masses[i] + masses[i + 1], i))
@@ -526,7 +492,7 @@ impl ShardedRma {
         let max_merges = n - target;
         let mut taken = vec![false; n];
         let mut steps = Vec::new();
-        for (mass, i) in cands {
+        for (_, i) in cands {
             if steps.len() >= max_merges {
                 break;
             }
@@ -535,24 +501,18 @@ impl ShardedRma {
             }
             taken[i] = true;
             taken[i + 1] = true;
-            steps.push((
-                MaintenanceStep::MergePair {
-                    splitter: topo.splitters.keys()[i],
-                },
-                // Coldest pair pops first: least mass disturbed per
-                // merge while the index is idle anyway.
-                1.0 / (mass as f64 + 1.0),
-            ));
+            steps.push(MaintenanceStep::MergePair {
+                splitter: topo.splitters.keys()[i],
+            });
         }
         self.finish_plan(steps, PlanKind::Consolidation, report)
     }
 
     /// Records plan counters, journals the plan-creation event, and
-    /// wraps the scored steps into the priority queue (stable sort,
-    /// highest score first — ties keep planner emission order).
+    /// wraps the steps, which the planner emitted in execution order.
     fn finish_plan(
         &self,
-        steps: Vec<(MaintenanceStep, f64)>,
+        steps: Vec<MaintenanceStep>,
         kind: PlanKind,
         report: RelearnReport,
     ) -> MaintenancePlan {
@@ -560,31 +520,22 @@ impl ShardedRma {
             let c = self.maint_counters();
             c.plans.fetch_add(1, Relaxed);
             c.steps_planned.fetch_add(steps.len() as u64, Relaxed);
+            // A checkpoint plan is a cadence; its steps journal
+            // themselves.
             let journal = match kind {
+                PlanKind::Rebalance => Some(rma_obs::EventKind::Rebalance),
                 PlanKind::Relearn => Some(rma_obs::EventKind::Relearn),
                 PlanKind::Consolidation => Some(rma_obs::EventKind::Consolidate),
-                PlanKind::Rebalance | PlanKind::Checkpoint => None,
+                PlanKind::Checkpoint => None,
             };
             if let Some(ev) = journal {
                 self.obs()
                     .log(ev, rma_obs::Event::NO_SHARD, 0, steps.len() as u64);
             }
         }
-        let planned = !steps.is_empty();
-        let mut scored: Vec<ScoredStep> = steps
-            .into_iter()
-            .enumerate()
-            .map(|(seq, (step, score))| ScoredStep { step, score, seq })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         MaintenancePlan {
-            relearn_planned: kind == PlanKind::Relearn && planned,
-            consolidation: kind == PlanKind::Consolidation && planned,
-            steps: scored.into(),
+            steps: steps.into(),
+            kind,
             report,
             anchor_shards: report.shards_before.max(1),
             anchor_mass: self.access_masses().iter().sum(),
@@ -599,41 +550,42 @@ impl ShardedRma {
     /// half-shard iterator walk at worst — it never materializes the
     /// shard, which the executor will do anyway under the write lock.
     fn split_point(&self, shard: &Shard) -> Option<Key> {
-        let guard = shard.read();
-        let min = guard.first_ge(Key::MIN)?.0;
-        // Equal-access candidate: the histogram CDF midpoint, snapped
-        // up to the first resident key. Invalid (outside the resident
-        // range, or equal to the minimum — an empty left half) falls
-        // through to the median.
-        if self.cfg.balance == BalancePolicy::ByAccess {
-            let wb = shard.stats.weighted_buckets();
-            let two_way = Splitters::from_weighted_histogram(&wb, 2);
-            if let Some(key) = two_way
-                .keys()
-                .first()
-                .and_then(|&k| guard.first_ge(k))
-                .map(|p| p.0)
-                .filter(|&k| k > min)
-            {
-                return Some(key);
+        shard.locked(|guard| {
+            let min = guard.first_ge(Key::MIN)?.0;
+            // Equal-access candidate: the histogram CDF midpoint, snapped
+            // up to the first resident key. Invalid (outside the resident
+            // range, or equal to the minimum — an empty left half) falls
+            // through to the median.
+            if self.cfg.balance == BalancePolicy::ByAccess {
+                let wb = shard.stats.weighted_buckets();
+                let two_way = Splitters::from_weighted_histogram(&wb, 2);
+                if let Some(key) = two_way
+                    .keys()
+                    .first()
+                    .and_then(|&k| guard.first_ge(k))
+                    .map(|p| p.0)
+                    .filter(|&k| k > min)
+                {
+                    return Some(key);
+                }
             }
-        }
-        // Median fallback (the PR-1 ByLen cut): the middle element's
-        // key, or — when the front run of duplicates reaches the
-        // middle — the first key after that run.
-        let len = guard.len();
-        if len < 2 {
-            return None;
-        }
-        let median = guard.iter().nth(len / 2).expect("len/2 < len").0;
-        if median > min {
-            Some(median)
-        } else {
-            guard
-                .first_ge(min.saturating_add(1))
-                .map(|p| p.0)
-                .filter(|&k| k > min)
-        }
+            // Median fallback (the PR-1 ByLen cut): the middle element's
+            // key, or — when the front run of duplicates reaches the
+            // middle — the first key after that run.
+            let len = guard.len();
+            if len < 2 {
+                return None;
+            }
+            let median = guard.iter().nth(len / 2).expect("len/2 < len").0;
+            if median > min {
+                Some(median)
+            } else {
+                guard
+                    .first_ge(min.saturating_add(1))
+                    .map(|p| p.0)
+                    .filter(|&k| k > min)
+            }
+        })
     }
 
     /// Decomposes the jump from the current splitters to `target`
@@ -642,16 +594,8 @@ impl ShardedRma {
     /// oversized (element-heavy, access-cold) ranges — exact edge
     /// splits plus cap-bounded merges of the interior boundaries.
     /// Target ranges that already exist as shards plan nothing.
-    /// `gain` is the plan's total predicted imbalance recovery; each
-    /// rebuild is scored with its per-step share divided by its
-    /// resident-union cost.
-    fn full_rebuild_steps(
-        &self,
-        topo: &Topology,
-        target: &Splitters,
-        lens: &[usize],
-        gain: f64,
-    ) -> Vec<(MaintenanceStep, f64)> {
+    fn full_rebuild_steps(&self, topo: &Topology, target: &Splitters) -> Vec<MaintenanceStep> {
+        let lens: Vec<usize> = topo.lens().collect();
         let cap = self.cfg.max_step_elems;
         let cur = topo.splitters.keys();
         let mut splits: BTreeSet<Key> = BTreeSet::new();
@@ -663,11 +607,13 @@ impl ShardedRma {
             if j0 == j1 && topo.splitters.range_of(j0) == (lo, hi) {
                 continue; // this range already is a shard: no churn
             }
-            if union_residents(lens, j0, j1) <= cap {
-                rebuilds.push((
-                    MaintenanceStep::RebuildShard { lo, hi },
-                    union_residents(lens, j0, j1),
-                ));
+            // A rebuild drains and rebuilds *every* overlapped shard in
+            // full (partial edge overlaps become rebuilt prefix/suffix
+            // shards), so its cost is the union's residency, not just
+            // the target range's. The executor enforces the same measure.
+            let cost: usize = lens[j0..=j1].iter().sum();
+            if cost <= cap {
+                rebuilds.push((cost, MaintenanceStep::RebuildShard { lo, hi }));
             } else {
                 // Oversized: pin the target edges with 1-shard splits;
                 // interior boundaries stay unless a cap-bounded merge
@@ -682,22 +628,19 @@ impl ShardedRma {
                 }
             }
         }
-        // Three ordering tiers — splits (cheap 1-shard edge pins that
-        // later steps depend on), then range rebuilds, then the merge
-        // attempts inside oversized ranges. Within the rebuild tier
-        // the scheduler runs biggest gain-per-migrated-key first.
-        let share = gain / rebuilds.len().max(1) as f64;
-        let mut steps: Vec<(MaintenanceStep, f64)> = splits
-            .into_iter()
-            .map(|at| (MaintenanceStep::SplitShard { at }, 2.0 * TIER))
-            .collect();
-        steps.extend(
-            rebuilds
-                .into_iter()
-                .map(|(step, cost)| (step, TIER + share / (cost + 1) as f64)),
-        );
-        steps.extend(merges.into_iter().map(|step| (step, 0.0)));
-        steps
+        // Three classes — splits in key order (cheap 1-shard edge pins
+        // that later steps depend on), then the range rebuilds, then
+        // the merge attempts inside oversized ranges as found. Each
+        // rebuild recovers an equal share of the plan's predicted gain,
+        // so the one with the fewest residents to move recovers the
+        // most per migrated key and runs first (stable: equal unions
+        // keep key order).
+        rebuilds.sort_by_key(|&(cost, _)| cost);
+        (splits.into_iter())
+            .map(|at| MaintenanceStep::SplitShard { at })
+            .chain(rebuilds.into_iter().map(|(_, step)| step))
+            .chain(merges)
+            .collect()
     }
 
     /// The best single boundary move around the hottest shard: for
@@ -821,9 +764,6 @@ impl ShardedRma {
             PlanKind::Rebalance
         };
         let n = self.num_shards();
-        let report = RelearnReport::at(n);
-        // Equal scores: the stable sort keeps the given order.
-        let steps = steps.iter().map(|&s| (s, 0.0)).collect();
-        self.finish_plan(steps, kind, report)
+        self.finish_plan(steps.to_vec(), kind, RelearnReport::at(n))
     }
 }

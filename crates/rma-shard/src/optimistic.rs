@@ -23,7 +23,7 @@
 //!
 //! After [`OPTIMISTIC_RETRIES`] failed attempts the caller falls back
 //! to the shard's `RwLock` read path, which waits its turn behind the
-//! writer. Retry termination is therefore structural: each attempt is
+//! writer ([`Shard::peek`] is the two together). Retry termination is therefore structural: each attempt is
 //! bounded, and the fallback always exists.
 //!
 //! Why readers must be *waited for* rather than merely validated: the
@@ -107,6 +107,20 @@ impl Shard {
         }
         self.lock_stats().opt_retries.fetch_add(failed, Relaxed);
         None
+    }
+
+    /// The one way to look at a shard: runs `f` over its RMA
+    /// [optimistically](Self::try_optimistic), and under the shard's
+    /// read lock only after repeated writer interference. `f` may run
+    /// more than once and must leave nothing of a failed pass behind.
+    /// A quiescent shard is read without any lock, so an observer —
+    /// a stats sampler, a planner sizing its steps — does not move the
+    /// lock counters it may be watching.
+    pub(crate) fn peek<R>(&self, mut f: impl FnMut(&Rma) -> R) -> R {
+        match self.try_optimistic(&mut f) {
+            Some(out) => out,
+            None => self.locked(f),
+        }
     }
 }
 
@@ -262,7 +276,7 @@ mod tests {
     use std::sync::Arc;
 
     fn topo(n: usize) -> Topology {
-        let cfg = ShardConfig::with_shards(n);
+        let cfg = ShardConfig::default();
         Topology::empty(Splitters::uniform(n), &cfg, &Arc::new(Default::default()))
     }
 

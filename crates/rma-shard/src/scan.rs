@@ -77,7 +77,7 @@ impl ShardedRma {
             });
             if validated != Some(true) {
                 out.truncate(base);
-                shard.read().scan_into(from, want, out);
+                shard.locked(|rma| rma.scan_into(from, want, out));
             }
         }
         out.len() - begin
@@ -98,9 +98,7 @@ impl ShardedRma {
             let from = if i == first { start } else { Key::MIN };
             self.record_access(&topo, shard, &shard.reads, &[from]);
             let want = count - visited;
-            let (n, s) = shard
-                .try_optimistic(|rma| rma.sum_range(from, want))
-                .unwrap_or_else(|| shard.read().sum_range(from, want));
+            let (n, s) = shard.peek(|rma| rma.sum_range(from, want));
             visited += n;
             sum = sum.wrapping_add(s);
         }
@@ -115,9 +113,7 @@ impl ShardedRma {
         for (i, shard) in topo.shards.iter().enumerate().skip(first) {
             let from = if i == first { k } else { Key::MIN };
             self.record_access(&topo, shard, &shard.reads, &[from]);
-            let hit = shard
-                .try_optimistic(|rma| rma.first_ge(from))
-                .unwrap_or_else(|| shard.read().first_ge(from));
+            let hit = shard.peek(|rma| rma.first_ge(from));
             if hit.is_some() {
                 return hit;
             }
@@ -182,7 +178,7 @@ impl ShardedRma {
         let topo = self.topo();
         let mut out = Vec::new();
         for shard in &topo.shards {
-            out.extend(shard.read().iter());
+            shard.locked(|rma| out.extend(rma.iter()));
         }
         out
     }
@@ -297,7 +293,16 @@ mod tests {
         let mut all = 0;
         s.scan(i64::MIN, usize::MAX, |_, _| all += 1);
         assert_eq!(all, 500);
+        // So must whoever is watching: a sampler reading the totals
+        // and the per-shard table, a planner sizing its steps.
+        assert_eq!(s.len(), 500);
+        assert!(!s.is_empty());
+        assert!(s.memory_footprint() > 0);
+        assert_eq!(s.max_shard_len(), 125);
+        assert_eq!(s.shard_stats().iter().map(|st| st.len).sum::<usize>(), 500);
+        assert_eq!(s.stats_snapshot().len, 500);
+        let _ = (s.plan_rebalance(), s.plan_relearn(), s.plan_consolidation());
         let (r1, _) = s.lock_acquisitions();
-        assert_eq!(r1 - r0, 0, "quiescent range reads must not lock");
+        assert_eq!(r1 - r0, 0, "quiescent reads must not lock");
     }
 }

@@ -47,7 +47,7 @@ use std::sync::atomic::{
     AtomicBool, AtomicU64,
     Ordering::{Relaxed, SeqCst},
 };
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 /// Counts `RwLock` acquisitions across an index — the test hook that
 /// verifies the happy-path `get` takes zero locks.
@@ -145,16 +145,16 @@ impl Shard {
         self.retired.load(Relaxed)
     }
 
-    /// Shared lock-based access to the inner RMA (the fallback read
-    /// path and all helper/measurement accessors).
-    pub(crate) fn read(&self) -> ShardReadGuard<'_> {
+    /// Runs `f` over the inner RMA under the shard's read lock: the
+    /// fallback of [`peek`](Self::peek), and the whole-shard walks of
+    /// the test helpers and the split-point search.
+    pub(crate) fn locked<R>(&self, f: impl FnOnce(&Rma) -> R) -> R {
         self.lock_stats.read_locks.fetch_add(1, Relaxed);
-        let guard = self.lock.read().expect("shard lock poisoned");
+        let _guard = self.lock.read().expect("shard lock poisoned");
         // SAFETY: mutation happens only under the write lock, which
         // the read guard excludes; concurrent optimistic readers only
         // create further `&Rma`.
-        let rma = unsafe { &*self.cell.get() };
-        ShardReadGuard { _guard: guard, rma }
+        f(unsafe { &*self.cell.get() })
     }
 
     /// Exclusive lock-based access. Reading through the guard is
@@ -168,19 +168,6 @@ impl Shard {
             shard: self,
             _guard: guard,
         }
-    }
-}
-
-/// Shared access to a shard's RMA under its read lock.
-pub(crate) struct ShardReadGuard<'a> {
-    _guard: RwLockReadGuard<'a, ()>,
-    rma: &'a Rma,
-}
-
-impl std::ops::Deref for ShardReadGuard<'_> {
-    type Target = Rma;
-    fn deref(&self) -> &Rma {
-        self.rma
     }
 }
 
@@ -247,13 +234,11 @@ impl ShardWriteGuard<'_> {
 }
 
 /// Write guards over the contiguous run of shards that one
-/// maintenance step restructures — the *step-scoped* replacement for
-/// the PR-3 monolithic re-learn, which took every shard's write lock
-/// for the whole rebuild. A step locks only the shards inside its key
-/// range (in ascending order, so it cannot deadlock against point
-/// writers, which hold at most one shard lock), drains them, retires
-/// them, and releases — writers elsewhere in the key space never
-/// queue behind it.
+/// maintenance step restructures. A step locks only the shards inside
+/// its key range (in ascending order, so it cannot deadlock against
+/// point writers, which hold at most one shard lock), drains them,
+/// retires them, and releases — writers elsewhere in the key space
+/// never queue behind it.
 pub(crate) struct StepGuards<'a> {
     guards: Vec<ShardWriteGuard<'a>>,
     locked_at: std::time::Instant,
@@ -320,5 +305,10 @@ impl Topology {
             })
             .collect();
         Topology { splitters, shards }
+    }
+
+    /// Stored elements per shard, in shard order.
+    pub(crate) fn lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.shards.iter().map(|s| s.peek(Rma::len))
     }
 }

@@ -40,36 +40,25 @@ impl Splitters {
         }
     }
 
-    /// Learns splitters from a *sorted* key sample: the
-    /// `num_shards`-quantiles, deduplicated. Heavy duplicate runs can
-    /// yield fewer than `num_shards - 1` distinct splitters (and
-    /// therefore fewer shards) — every key still lands in exactly one
-    /// shard. An empty sample falls back to [`Splitters::uniform`].
-    pub fn from_sorted_sample(sample: &[Key], num_shards: usize) -> Self {
-        Self::from_quantiles(|i| sample[i], sample.len(), num_shards)
-    }
-
-    /// Learns splitters from a sorted `(key, value)` batch (the
-    /// `load_bulk` input); same semantics as
-    /// [`Splitters::from_sorted_sample`].
+    /// Learns splitters from a `(key, value)` batch *sorted by key*
+    /// (the `load_bulk` input; the batch entry points assert the
+    /// order): the `num_shards`-quantiles of its keys, deduplicated.
+    /// Heavy duplicate runs can yield fewer than `num_shards - 1`
+    /// distinct splitters (and therefore fewer shards) — every key
+    /// still lands in exactly one shard. An empty batch falls back to
+    /// [`Splitters::uniform`].
     pub fn from_sorted_pairs(batch: &[(Key, Value)], num_shards: usize) -> Self {
-        Self::from_quantiles(|i| batch[i].0, batch.len(), num_shards)
-    }
-
-    /// Shared quantile learner over any sorted key accessor. Callers
-    /// guarantee sortedness (the public batch entry points assert it).
-    fn from_quantiles(key_at: impl Fn(usize) -> Key, len: usize, num_shards: usize) -> Self {
         assert!(num_shards >= 1, "need at least one shard");
-        if len == 0 {
+        let Some(&(min, _)) = batch.first() else {
             return Splitters::uniform(num_shards);
-        }
+        };
         let mut keys: Vec<Key> = (1..num_shards)
-            .map(|i| key_at(i * len / num_shards))
+            .map(|i| batch[i * batch.len() / num_shards].0)
             .collect();
         keys.dedup();
         // A splitter equal to the global minimum would leave shard 0
-        // permanently empty of sample keys; drop it.
-        if keys.first() == Some(&key_at(0)) {
+        // permanently empty of batch keys; drop it.
+        if keys.first() == Some(&min) {
             keys.remove(0);
         }
         Splitters { keys }
@@ -87,7 +76,7 @@ impl Splitters {
     /// bucket (mass is modelled piecewise-uniform).
     ///
     /// Duplicate quantile keys collapse (fewer shards result, as with
-    /// [`Splitters::from_sorted_sample`]); a histogram with zero total
+    /// [`Splitters::from_sorted_pairs`]); a histogram with zero total
     /// mass falls back to [`Splitters::uniform`].
     pub fn from_weighted_histogram(buckets: &[(Key, Key, u64)], num_shards: usize) -> Self {
         assert!(num_shards >= 1, "need at least one shard");
@@ -253,10 +242,10 @@ mod tests {
 
     #[test]
     fn quantile_sample_balances_ranges() {
-        let sample: Vec<i64> = (0..1000).collect();
-        let s = Splitters::from_sorted_sample(&sample, 4);
+        let sample: Vec<(i64, i64)> = (0..1000).map(|k| (k, k)).collect();
+        let s = Splitters::from_sorted_pairs(&sample, 4);
         assert_eq!(s.num_shards(), 4);
-        let counts = sample.iter().fold(vec![0usize; 4], |mut c, &k| {
+        let counts = sample.iter().fold(vec![0usize; 4], |mut c, &(k, _)| {
             c[s.route(k)] += 1;
             c
         });
@@ -265,8 +254,8 @@ mod tests {
 
     #[test]
     fn duplicate_heavy_sample_degrades_gracefully() {
-        let sample = vec![7i64; 1000];
-        let s = Splitters::from_sorted_sample(&sample, 8);
+        let sample = vec![(7i64, 0i64); 1000];
+        let s = Splitters::from_sorted_pairs(&sample, 8);
         assert_eq!(s.num_shards(), 1);
         assert_eq!(s.route(7), 0);
     }

@@ -287,16 +287,6 @@ impl Wal {
         self.degraded.store(true, Ordering::Release);
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured commit policy.
-    pub fn policy(&self) -> CommitPolicy {
-        self.policy
-    }
-
     /// Number of durability partitions.
     pub fn partitions(&self) -> usize {
         self.parts.len()
@@ -315,11 +305,6 @@ impl Wal {
     /// Recovery replay latency (per partition, ns).
     pub fn replay_hist(&self) -> &Histogram {
         &self.replay_hist
-    }
-
-    /// The fault injector, if armed.
-    pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.inj.as_ref()
     }
 
     /// Seals one partition's checkpoint end to end; the `false` return

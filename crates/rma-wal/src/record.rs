@@ -1,27 +1,20 @@
-//! The on-disk log record: length-prefixed, checksummed, fixed-shape.
+//! The on-disk log record: one [`rewiring::frame`] whose payload is
+//! `lsn u64 · kind u8 · key i64 · value i64`, all little-endian.
 //!
-//! ```text
-//! ┌─────────┬─────────┬──────────────────────────────────────────┐
-//! │ len u32 │ crc u32 │ payload: lsn u64 · kind u8 · key i64 ·   │
-//! │ (LE)    │ (LE)    │          value i64 (all LE)              │
-//! └─────────┴─────────┴──────────────────────────────────────────┘
-//! ```
-//!
-//! `len` counts the payload bytes (today always [`PAYLOAD_LEN`]; the
-//! prefix exists so future record shapes stay readable) and `crc` is
-//! the CRC-32 of the payload. A reader that hits a record whose frame
+//! `len` is today always [`PAYLOAD_LEN`] (the prefix exists so future
+//! record shapes stay readable). A reader that hits a record whose frame
 //! runs past the file, whose `len` is implausible, or whose checksum
 //! disagrees has found the **torn tail** (a crash mid-append) or a
 //! corrupted region (a bit flip) — either way, nothing after that
 //! point is trustworthy.
 
-use rewiring::crc::crc32;
+use rewiring::frame;
 use rma_shard::DurabilityOp;
 
 /// Payload bytes of the one record shape in use.
 pub(crate) const PAYLOAD_LEN: usize = 8 + 1 + 8 + 8;
 /// Full framed size of one record.
-pub(crate) const FRAME_LEN: usize = 4 + 4 + PAYLOAD_LEN;
+pub(crate) const FRAME_LEN: usize = frame::HEADER + PAYLOAD_LEN;
 
 /// One decoded log record: the per-partition sequence number plus the
 /// logical operation it acknowledged.
@@ -37,14 +30,13 @@ pub(crate) fn encode_into(buf: &mut Vec<u8>, lsn: u64, op: DurabilityOp) {
         DurabilityOp::Insert(k, v) => (0u8, k, v),
         DurabilityOp::Remove(k) => (1u8, k, 0i64),
     };
-    let mut payload = [0u8; PAYLOAD_LEN];
-    payload[..8].copy_from_slice(&lsn.to_le_bytes());
-    payload[8] = kind;
-    payload[9..17].copy_from_slice(&key.to_le_bytes());
-    payload[17..25].copy_from_slice(&value.to_le_bytes());
-    buf.extend_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(&[0; frame::HEADER]);
+    let start = buf.len();
+    buf.extend_from_slice(&lsn.to_le_bytes());
+    buf.push(kind);
+    buf.extend_from_slice(&key.to_le_bytes());
+    buf.extend_from_slice(&value.to_le_bytes());
+    frame::seal(buf, start);
 }
 
 /// What decoding at some offset found.
@@ -65,23 +57,20 @@ pub(crate) enum Decoded {
 
 /// Decodes the record starting at `buf[0]`.
 pub(crate) fn decode(buf: &[u8]) -> Decoded {
-    if buf.len() < 8 {
+    let Some(len) = frame::payload_len(buf) else {
         return Decoded::Torn;
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+    };
     if len != PAYLOAD_LEN {
         // Today there is exactly one record shape; any other length is
         // garbage (an all-zero page reads as len 0 → Corrupt too).
         return Decoded::Corrupt;
     }
-    if buf.len() < 8 + len {
+    if buf.len() < FRAME_LEN {
         return Decoded::Torn;
     }
-    let want = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let payload = &buf[8..8 + len];
-    if crc32(payload) != want {
+    let Some(payload) = frame::verify(&buf[..FRAME_LEN]) else {
         return Decoded::Corrupt;
-    }
+    };
     let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
     let key = i64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
     let value = i64::from_le_bytes(payload[17..25].try_into().expect("8 bytes"));

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rma_repro::db::Db;
 use rma_repro::rma::{RewiringMode, Rma, RmaConfig};
-use rma_repro::shard::{BalancePolicy, RelearnStrategy, ShardConfig, Splitters};
+use rma_repro::shard::{RelearnStrategy, ShardConfig, Splitters};
 use std::collections::BTreeMap;
 
 /// Number of splitters `<= k` — the routing oracle.
@@ -584,55 +584,6 @@ proptest! {
                 inc, mono
             );
         }
-    }
-
-    /// Scheduler equivalence: draining a plan highest-score-first
-    /// must land on exactly the content a FIFO drain of the same
-    /// plan produces — execution order is a performance policy,
-    /// never a correctness lever.
-    #[test]
-    fn priority_drain_matches_fifo_drain(
-        keys in prop::collection::vec(0i64..16_000, 100..400),
-        hot_lo in 0i64..15_000,
-        hammers in 5usize..30,
-    ) {
-        let run = |fifo: bool| {
-            let mut cfg = small_sharded(8);
-            cfg.relearn = true;
-            cfg.balance = BalancePolicy::ByAccess;
-            cfg.relearn_strategy = RelearnStrategy::Incremental;
-            let splitters: Vec<i64> = (1..8).map(|i| i * 2000).collect();
-            let db = sharded_db(cfg, splitters);
-            let s = db.engine();
-            for &k in &keys {
-                s.insert(k, k);
-            }
-            s.reset_access_stats();
-            for _ in 0..hammers {
-                for d in 0..400 {
-                    let _ = s.get(hot_lo + d);
-                }
-            }
-            let mut plan = s.plan_maintenance();
-            let mut steps: Vec<String> = plan.steps().map(|st| format!("{st:?}")).collect();
-            steps.sort();
-            if fifo {
-                plan = plan.into_fifo();
-            }
-            let _ = s.drain_plan(&mut plan);
-            s.check_invariants();
-            (steps, s.collect_all())
-        };
-        let (steps_priority, content_priority) = run(false);
-        let (steps_fifo, content_fifo) = run(true);
-        prop_assert_eq!(
-            steps_priority, steps_fifo,
-            "identical state must plan identical step sets"
-        );
-        prop_assert_eq!(
-            content_priority, content_fifo,
-            "drain order changed content"
-        );
     }
 
     /// Scheduler safety: once a plan's world drifts past the

@@ -30,7 +30,8 @@
 //! 5. a uniform workload triggers zero topology churn — the
 //!    re-learning stability guard holds (and plans zero steps).
 
-use rma_repro::db::Db;
+use rma_repro::db::{Db, ObsConfig};
+use rma_repro::obs::EventKind;
 use rma_repro::rma::{RewiringMode, RmaConfig};
 use rma_repro::shard::{BalancePolicy, RelearnStrategy, ShardConfig, ShardedRma};
 use rma_repro::workloads::{
@@ -127,6 +128,7 @@ fn run_replay(
     let db = Db::builder()
         .shard_config(replay_config(relearn, strategy, shards))
         .router_workers(1) // engine-only replay: no session traffic
+        .observability(wide_journal())
         .build_bulk(&base)
         .expect("valid replay config");
     let index = db.engine();
@@ -187,6 +189,34 @@ fn run_replay(
         .collect();
     assert_eq!(got, want, "replay content diverged from the oracle");
     (imbalances, db)
+}
+
+/// A journal wide enough to keep every event of one replay, so the
+/// step order can be read back whole.
+fn wide_journal() -> ObsConfig {
+    ObsConfig {
+        journal_capacity: 1 << 12,
+        ..Default::default()
+    }
+}
+
+/// The executed steps the engine journalled, in order, each as
+/// `kind@shard:keys` (timestamps and durations left out).
+fn step_events(index: &ShardedRma) -> Vec<String> {
+    let journal = index.obs().journal();
+    assert!(
+        journal.total_recorded() <= journal.capacity() as u64,
+        "the journal wrapped: the step order is incomplete"
+    );
+    (journal.snapshot().iter())
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Split | EventKind::Merge | EventKind::Nudge | EventKind::Rebuild
+            )
+        })
+        .map(|e| format!("{}@{}:{}", e.kind.name(), e.shard, e.keys))
+        .collect()
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -384,3 +414,127 @@ fn uniform_workload_triggers_zero_topology_churn() {
     );
     index.check_invariants();
 }
+
+/// Sixty-four narrow shards over a target of sixteen with the reads
+/// in one eighth of the key space: `compact()` walks the count down
+/// over several rounds; then the reads move to a narrow band and one
+/// `maintain()` re-learns under a step cap small enough that some
+/// target ranges are rebuilt and others only pinned by edge splits and
+/// merged inside.
+fn fragmented_then_compacted() -> Db {
+    let cfg = ShardConfig {
+        max_step_elems: 512,
+        ..replay_config(true, RelearnStrategy::Incremental, 16)
+    };
+    let db = Db::builder()
+        .shard_config(cfg)
+        .splitter_keys((1..64).map(|i| i * 1000).collect())
+        .router_workers(1)
+        .observability(wide_journal())
+        .build()
+        .expect("valid replay config");
+    let index = db.engine();
+    let mut rng = SplitMix64::new(SEED ^ 0xF4A6);
+    for i in 0..4096i64 {
+        index.insert((rng.next_u64() % 64_000) as i64, i);
+    }
+    // Three reads in four land in `[lo, lo + width)`.
+    let mut read_band = |lo: u64, width: u64| {
+        index.reset_access_stats();
+        for _ in 0..8192 {
+            let r = rng.next_u64();
+            let k = if r % 4 < 3 {
+                lo + (r >> 8) % width
+            } else {
+                (r >> 8) % 64_000
+            };
+            let _ = index.get(k as i64);
+        }
+    };
+    read_band(20_000, 8_000);
+    assert_eq!(db.compact(), 48, "64 shards must walk down to 16");
+    read_band(50_000, 2_000);
+    index.maintain();
+    index.check_invariants();
+    db
+}
+
+/// The order in which steps execute is the order the planners emit
+/// them in. These tables were printed by this test at the commit
+/// before that was so (every step then carried a score and the plan
+/// was sorted by it): the same replays must journal the same steps, on
+/// the same shards, moving the same number of elements, in the same
+/// order.
+#[test]
+fn step_order_matches_the_recorded_fixture() {
+    let jump = HotspotMotion::Jump;
+    let replays = [
+        (
+            "jumping band",
+            run_replay(true, RelearnStrategy::Incremental, jump, SHARDS, 1).1,
+            JUMP_STEPS,
+        ),
+        (
+            "drifting band",
+            run_replay(true, RelearnStrategy::NudgeOnly, drift_motion(), SHARDS, 1).1,
+            DRIFT_STEPS,
+        ),
+        ("compacted", fragmented_then_compacted(), COMPACT_STEPS),
+    ];
+    for (name, db, want) in replays {
+        let got = step_events(db.engine());
+        let want: Vec<&str> = want.split_whitespace().collect();
+        assert_eq!(
+            got,
+            want,
+            "{name}: step order changed; journalled:\n{}",
+            got.join(" ")
+        );
+    }
+}
+
+const JUMP_STEPS: &str = "\
+    rebuild@6:2907 rebuild@8:2394 rebuild@9:2105 rebuild@10:1827 rebuild@11:1534 \
+    rebuild@12:1274 rebuild@13:2047 rebuild@0:6496 rebuild@0:8718 rebuild@1:8409 \
+    rebuild@2:7885 rebuild@3:7251 rebuild@4:6638 rebuild@5:6336 rebuild@6:6289 \
+    rebuild@7:11858 split@7:11858 rebuild@8:13899 rebuild@10:13020 rebuild@11:12959 \
+    rebuild@12:12422 rebuild@13:11677 rebuild@14:10919 rebuild@15:0 rebuild@0:5363 \
+    rebuild@7:12972 rebuild@9:8008 rebuild@10:7976 rebuild@11:7639 rebuild@12:7173 \
+    rebuild@13:6683 rebuild@14:0 rebuild@0:14485";
+
+const DRIFT_STEPS: &str = "\
+    nudge@0:3953 nudge@1:3732 nudge@2:4499 nudge@3:5284 nudge@4:6052 \
+    nudge@5:6839 nudge@6:7602 nudge@1:540 nudge@2:553 nudge@3:547 \
+    nudge@4:366 nudge@5:296 nudge@6:7306 nudge@0:1539 nudge@1:541 \
+    nudge@4:662 nudge@5:277 nudge@6:7134 nudge@0:2085 nudge@1:536 \
+    nudge@2:1133 nudge@3:1834 nudge@4:1249 nudge@5:790 nudge@6:7892 \
+    nudge@0:2621 nudge@1:1133 nudge@2:1834 nudge@3:886 nudge@4:555 \
+    nudge@6:7892 nudge@0:3754 nudge@1:1551 nudge@3:885 nudge@4:554 \
+    nudge@6:7892 nudge@0:5055 nudge@1:1015 nudge@2:969 nudge@3:799 \
+    nudge@4:741 nudge@5:879 nudge@6:8974 nudge@0:6070 nudge@1:969 \
+    nudge@2:799 nudge@3:741 nudge@4:879 nudge@5:1298 nudge@0:7039 \
+    nudge@1:799 nudge@2:741 nudge@3:879 nudge@4:1243 nudge@5:119 \
+    nudge@6:7731 nudge@0:7838 nudge@1:1068 nudge@2:1202 nudge@3:1587 \
+    nudge@4:656 nudge@5:119 nudge@6:7730 nudge@0:8787 nudge@1:1052 \
+    nudge@2:1900 nudge@3:1964 nudge@4:929 nudge@5:687 nudge@6:8444 \
+    nudge@0:9839 nudge@1:1900 nudge@2:1753 nudge@3:869 nudge@4:592 \
+    nudge@6:8444 nudge@0:11739 nudge@1:1660 nudge@3:868 nudge@4:592 \
+    nudge@6:8444";
+
+const COMPACT_STEPS: &str = "\
+    merge@1:131 merge@35:121 merge@41:145 merge@5:121 merge@32:120 \
+    merge@44:117 merge@46:117 merge@13:159 merge@41:109 merge@3:128 \
+    merge@6:138 merge@31:128 merge@44:129 merge@8:139 merge@31:114 \
+    merge@25:133 merge@12:114 merge@22:129 merge@40:147 merge@41:131 \
+    merge@31:129 merge@36:134 merge@40:125 merge@20:122 merge@14:143 \
+    merge@17:115 merge@15:110 merge@1:196 merge@9:227 merge@27:171 \
+    merge@3:195 merge@22:205 merge@6:208 merge@4:199 merge@15:178 \
+    merge@16:249 merge@13:262 merge@23:276 merge@18:238 merge@20:251 \
+    merge@22:256 merge@7:176 merge@10:237 merge@8:253 merge@0:273 \
+    merge@1:323 merge@11:319 merge@3:435 split@3:435 split@8:262 \
+    split@13:238 split@15:171 rebuild@15:170 rebuild@17:101 rebuild@18:88 \
+    rebuild@19:74 rebuild@20:64 rebuild@21:55 rebuild@22:46 rebuild@23:43 \
+    rebuild@24:32 rebuild@25:19 rebuild@26:0 rebuild@14:147 merge@0:596 \
+    merge@0:795 merge@2:355 merge@2:608 merge@2:845 merge@2:999 \
+    merge@3:286 merge@3:535 merge@3:854 merge@3:1001 merge@16:252 \
+    merge@16:528 merge@16:784";
