@@ -15,12 +15,14 @@
 //! operation stream —
 //!
 //! * `off` — maintenance never runs (the latency floor);
-//! * `monolithic` — a background [`Maintainer`](rma_shard::Maintainer)
-//!   with [`RelearnStrategy::Monolithic`]: re-learning holds every
-//!   shard's write lock for the whole single-swap rebuild;
-//! * `incremental` — the same maintainer with the default
-//!   [`RelearnStrategy::Incremental`] plan engine (a few steps per
-//!   tick, inter-step pauses).
+//! * `monolithic` — a polling thread of this driver answers the
+//!   maintainer's trigger with
+//!   [`relearn_splitters_monolithic`](ShardedRma::relearn_splitters_monolithic):
+//!   re-learning holds every shard's write lock for the whole
+//!   single-swap rebuild;
+//! * `incremental` — a background [`Maintainer`](rma_shard::Maintainer)
+//!   on the same trigger, draining the plan engine's bounded steps
+//!   ([`STEPS_PER_TICK`] a tick, inter-step pauses).
 //!
 //! Each mode runs `--reps` times and the reported row is the rep
 //! with the **median worst-insert** — the paper's median-of-
@@ -39,7 +41,9 @@
 use bench_harness::Cli;
 use rma_core::RmaConfig;
 use rma_db::Db;
-use rma_shard::{MaintainerConfig, RelearnStrategy, ShardConfig};
+use rma_shard::maintainer::STEPS_PER_TICK;
+use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Duration;
 use workloads::{
     drive_recorded, summarize, HotspotConfig, HotspotMotion, LatencySummary, ReadWriteMix,
@@ -51,6 +55,14 @@ const SHARDS: usize = 32;
 const PHASES: u64 = 6;
 /// The repository's stall acceptance bar, in nanoseconds.
 const STALL_BAR_NS: u64 = 10_000_000;
+/// The maintenance trigger both background regimes share: polled this
+/// often, skew at or past this max/mean, this many ops since the last
+/// run. React and drain quickly: the shorter the window between runs,
+/// the less a jumped hot band can pile into one shard before the
+/// split that shrinks it runs.
+const POLL: Duration = Duration::from_millis(2);
+const IMBALANCE_TRIGGER: f64 = 1.5;
+const MIN_OPS_BETWEEN: u64 = 2048;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -99,10 +111,6 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
             ..RmaConfig::with_segment_size(cli.seg)
         },
         min_split_len: 256,
-        relearn_strategy: match mode {
-            Mode::Monolithic => RelearnStrategy::Monolithic,
-            _ => RelearnStrategy::Incremental,
-        },
         // Step budget for a 10 ms stall SLO on a single-core host: a
         // step's locked window costs ~its residents' bulk-load time,
         // and a saturated 1-CPU box roughly doubles the wall clock a
@@ -123,17 +131,13 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     };
     base.sort_unstable();
     let mut builder = Db::builder().shard_config(cfg);
-    if mode != Mode::Off {
+    if mode == Mode::Incremental {
         builder = builder.maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(2),
-            imbalance_trigger: 1.5,
-            // React and drain quickly: the shorter the window between
-            // plans (and the faster a plan finishes), the less a
-            // jumped hot band can pile into one shard before the
-            // split that shrinks it runs — per-step work is capped,
-            // so a faster cadence costs only more (bounded) steps.
-            min_ops_between: 2048,
-            steps_per_tick: 4,
+            poll_interval: POLL,
+            imbalance_trigger: IMBALANCE_TRIGGER,
+            // Per-step work is capped, so the fast cadence costs only
+            // more (bounded) steps.
+            min_ops_between: MIN_OPS_BETWEEN,
             // Generous pauses between steps: a writer queued behind
             // the previous step always drains fully before the next
             // one can lock anything.
@@ -144,6 +148,33 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     builder
         .build_bulk(&base)
         .expect("static driver config is valid")
+}
+
+/// The `monolithic` regime: the maintainer's trigger (skew after
+/// enough ops, or a shard past the length backstop — that one
+/// unthrottled unless the last run found nothing to do), answered by
+/// the single-swap re-learn and a synchronous split/merge pass.
+/// Returns `(runs, relearns)`.
+fn monolithic_maintainer(idx: &ShardedRma, stop: &AtomicBool) -> (u64, u64) {
+    let backstop = idx.config().max_shard_len.expect("set by `preloaded`");
+    let (mut runs, mut relearns) = (0, 0);
+    let mut last_ops = idx.op_count();
+    let mut last_run_idle = false;
+    while !stop.load(Relaxed) {
+        std::thread::sleep(POLL);
+        let enough_ops = idx.op_count().saturating_sub(last_ops) >= MIN_OPS_BETWEEN;
+        let skewed = enough_ops && idx.access_imbalance() >= IMBALANCE_TRIGGER;
+        let oversized = (enough_ops || !last_run_idle) && idx.max_shard_len() > backstop;
+        if skewed || oversized {
+            let relearn = idx.relearn_splitters_monolithic();
+            let rebalance = idx.rebalance_shards();
+            runs += 1;
+            relearns += u64::from(relearn.relearned);
+            last_run_idle = !relearn.relearned && rebalance.splits + rebalance.merges == 0;
+            last_ops = idx.op_count();
+        }
+    }
+    (runs, relearns)
 }
 
 fn run(cli: &Cli, mode: Mode) -> Row {
@@ -162,12 +193,17 @@ fn run(cli: &Cli, mode: Mode) -> Row {
     let mut mix = ReadWriteMix::new(move || hs.next_key(), 0.0, cli.seed ^ 0xC01D_C0FE);
 
     let idx = db.engine();
-    let log = drive_recorded(ops, &mut mix, |_| {}, |k, v| idx.insert(k, v), |_| 0);
-
-    let (maintain_runs, relearns) = match db.stop_maintenance() {
-        Some(stats) => (stats.runs, stats.relearns),
-        None => (0, 0),
-    };
+    let stop = AtomicBool::new(false);
+    let (log, polled) = std::thread::scope(|sc| {
+        let poller =
+            (mode == Mode::Monolithic).then(|| sc.spawn(|| monolithic_maintainer(idx, &stop)));
+        let log = drive_recorded(ops, &mut mix, |_| {}, |k, v| idx.insert(k, v), |_| 0);
+        stop.store(true, Relaxed);
+        (log, poller.map(|p| p.join().expect("monolithic poller")))
+    });
+    let (maintain_runs, relearns) = polled
+        .or_else(|| db.stop_maintenance().map(|s| (s.runs, s.relearns)))
+        .unwrap_or((0, 0));
     idx.check_invariants();
     let mstats = idx.maintenance_stats();
     Row {
@@ -244,7 +280,7 @@ fn main() {
     let cli = Cli::parse();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "# Fig. 18 — insert tail latency under background re-learning: N={} preloaded, {} inserts, {SHARDS} shards, B={}, hw_threads={hw}",
+        "# Fig. 18 — insert tail latency under background re-learning: N={} preloaded, {} inserts, {SHARDS} shards, B={}, {STEPS_PER_TICK} steps a tick, hw_threads={hw}",
         cli.scale, cli.scale, cli.seg
     );
     println!(

@@ -12,7 +12,7 @@
 //! and the consolidation chain
 //! ([`rma_shard::ShardedRma::plan_consolidation`]) merges the coldest
 //! neighbour pairs until the count is back at
-//! `compact_target_factor x num_shards`.
+//! [`COMPACT_TARGET_FACTOR`]` x num_shards`.
 //!
 //! Recorded per run:
 //!
@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
 use rma_core::RmaConfig;
+use rma_shard::maintainer::COMPACT_TARGET_FACTOR;
 use rma_shard::{
     BalancePolicy, MaintainerConfig, RelearnStrategy, ShardConfig, ShardedRma, Splitters,
 };
@@ -43,9 +44,6 @@ use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 const SHARDS: usize = 8;
 const PHASES: u64 = 6;
 const SCAN_LEN: usize = 128;
-/// The compaction target the committed gate asserts: the quiesced
-/// topology must come back to `compact_target_factor x SHARDS`.
-const TARGET_FACTOR: f64 = 2.0;
 /// How long the driver is willing to sit in the quiet period waiting
 /// for the background maintainer before the synchronous backstop.
 const QUIET_BUDGET: Duration = Duration::from_millis(1500);
@@ -78,13 +76,12 @@ fn shard_config(cli: &Cli) -> ShardConfig {
 
 /// Background maintainer tuned for the quiet period: fast poll, the
 /// imbalance trigger parked out of reach (accretion already happened
-/// synchronously), the idle gate armed at the committed target.
+/// synchronously), the idle gate armed.
 fn maintainer_config() -> MaintainerConfig {
     MaintainerConfig {
         poll_interval: Duration::from_millis(2),
         imbalance_trigger: 1e9,
         idle_ops_threshold: 1000.0,
-        compact_target_factor: TARGET_FACTOR,
         ..Default::default()
     }
 }
@@ -148,7 +145,7 @@ fn write_json(
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     json.push_str(&format!(
-        "  \"compact_target_factor\": {TARGET_FACTOR},\n  \"quiet_ms\": {},\n",
+        "  \"compact_target_factor\": {COMPACT_TARGET_FACTOR},\n  \"quiet_ms\": {},\n",
         quiet.quiet_ms
     ));
     json.push_str("  \"trajectory\": [\n");
@@ -267,7 +264,8 @@ fn main() {
 
     // --- quiet period: the idle gate does the work ------------------
     let maintainer = index.start_maintainer(maintainer_config());
-    let target = (TARGET_FACTOR * SHARDS as f64).ceil() as usize;
+    // The target the committed gate asserts.
+    let target = (COMPACT_TARGET_FACTOR * SHARDS as f64).ceil() as usize;
     let quiet_start = Instant::now();
     while index.num_shards() > target && quiet_start.elapsed() < QUIET_BUDGET {
         std::thread::sleep(Duration::from_millis(5));

@@ -12,7 +12,7 @@
 //! the child density thresholds, which preserves the amortised
 //! `O(log²N / B)` bound.
 
-use crate::detector::Detector;
+use crate::detector::{Detector, THETA_SC};
 use crate::rma::height_for;
 use crate::storage::Storage;
 use crate::thresholds::Thresholds;
@@ -36,7 +36,6 @@ pub fn compute_marked_intervals(
     storage: &Storage,
     segs: std::ops::Range<usize>,
 ) -> Vec<MarkedInterval> {
-    let cfg = *detector.config();
     let Some(cutoff) = detector.recency_cutoff(segs.clone()) else {
         return Vec::new();
     };
@@ -45,13 +44,12 @@ pub fn compute_marked_intervals(
     for seg in segs {
         let card = storage.card(seg);
         let meta = detector.segment(seg);
-        let marked =
-            detector.is_recent(seg, cutoff) && meta.sc.unsigned_abs() >= cfg.theta_sc as u16;
+        let marked = detector.is_recent(seg, cutoff) && meta.sc.unsigned_abs() >= THETA_SC as u16;
         if marked && card > 0 {
             let score = if meta.sc > 0 { 1 } else { -1 };
             // Prefer the 2-element interval of a confident sequential
             // predictor; fall back to the whole segment.
-            let interval = confident_pair(storage, seg, meta, cfg.theta_sc).map_or(
+            let interval = confident_pair(storage, seg, meta).map_or(
                 MarkedInterval {
                     start: prefix,
                     len: card,
@@ -85,7 +83,6 @@ fn confident_pair(
     storage: &Storage,
     seg: usize,
     meta: &crate::detector::SegmentMeta,
-    theta: u8,
 ) -> Option<(usize, usize)> {
     let card = storage.card(seg);
     let locate = |key: i64| -> Option<usize> {
@@ -99,7 +96,7 @@ fn confident_pair(
         [(meta.kbwd, true), (meta.kfwd, false)]
     };
     for (pred, backward) in order {
-        if pred.counter == 0 && pred.counter < theta {
+        if pred.counter == 0 {
             continue;
         }
         if let Some(pos) = locate(pred.value) {

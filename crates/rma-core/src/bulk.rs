@@ -509,7 +509,7 @@ mod tests {
         RmaConfig {
             segment_size: 8,
             rewiring: RewiringMode::Disabled,
-            adaptive: None,
+            adaptive: false,
             reserve_bytes: 1 << 26,
             ..Default::default()
         }
@@ -519,7 +519,7 @@ mod tests {
         RmaConfig {
             segment_size: 16,
             rewiring: RewiringMode::Enabled { page_bytes: 4096 },
-            adaptive: None,
+            adaptive: false,
             reserve_bytes: 1 << 26,
             ..Default::default()
         }
@@ -863,7 +863,7 @@ mod tests {
             for pages in [3usize, 5, 7, 11] {
                 let mut r = Rma::new(RmaConfig {
                     segment_size: 64,
-                    adaptive: (seed & 1 == 0).then(Default::default),
+                    adaptive: seed & 1 == 0,
                     reserve_bytes: 1 << 22,
                     ..rewired_cfg()
                 });

@@ -1,6 +1,5 @@
 //! Construction-time configuration of an [`crate::Rma`].
 
-use crate::detector::DetectorConfig;
 use crate::thresholds::Thresholds;
 
 /// Whether rebalances/resizes use true memory rewiring.
@@ -25,16 +24,13 @@ pub struct RmaConfig {
     /// Segment capacity `B`, in elements. The paper's evaluation fixes
     /// `B = 128` except where it sweeps the parameter (Fig. 10).
     pub segment_size: usize,
-    /// Maximum separator keys per static-index node (the paper's
-    /// micro-benchmarked optimum is 64).
-    pub index_fanout: usize,
     /// Density thresholds + resize policy (UT or ST preset).
     pub thresholds: Thresholds,
     /// Memory rewiring mode for rebalances and resizes.
     pub rewiring: RewiringMode,
-    /// Adaptive rebalancing: `Some` enables the Detector and the
-    /// adaptive algorithm of §IV; `None` always rebalances evenly.
-    pub adaptive: Option<DetectorConfig>,
+    /// Adaptive rebalancing: `true` enables the Detector and the
+    /// adaptive algorithm of §IV; `false` always rebalances evenly.
+    pub adaptive: bool,
     /// Total virtual reservation per storage column, in bytes. Bounds
     /// the maximum capacity; the paper reserves 2^37 bytes.
     pub reserve_bytes: usize,
@@ -50,12 +46,11 @@ impl Default for RmaConfig {
     fn default() -> Self {
         RmaConfig {
             segment_size: 128,
-            index_fanout: 64,
             thresholds: Thresholds::update_oriented(),
             rewiring: RewiringMode::Enabled {
                 page_bytes: 2 << 20,
             },
-            adaptive: Some(DetectorConfig::default()),
+            adaptive: true,
             reserve_bytes: 1 << 33,
             huge_pages: true,
         }
@@ -75,17 +70,13 @@ impl RmaConfig {
     /// "static index" rung of the Fig. 14 feature ladder.
     pub fn plain(mut self) -> Self {
         self.rewiring = RewiringMode::Disabled;
-        self.adaptive = None;
+        self.adaptive = false;
         self
     }
 
     /// Enables/disables adaptive rebalancing in place.
     pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive = if on {
-            Some(DetectorConfig::default())
-        } else {
-            None
-        };
+        self.adaptive = on;
         self
     }
 
@@ -125,9 +116,6 @@ impl RmaConfig {
         if !self.segment_size.is_power_of_two() {
             return Err(RmaConfigError::SegmentNotPowerOfTwo(self.segment_size));
         }
-        if self.index_fanout < 2 {
-            return Err(RmaConfigError::FanoutTooSmall(self.index_fanout));
-        }
         self.thresholds
             .try_validate()
             .map_err(RmaConfigError::Thresholds)?;
@@ -152,8 +140,6 @@ pub enum RmaConfigError {
     SegmentTooSmall(usize),
     /// Segment capacity is not a power of two.
     SegmentNotPowerOfTwo(usize),
-    /// Static-index fanout below 2.
-    FanoutTooSmall(usize),
     /// Density thresholds violate the designer ordering; the message
     /// names the broken rule.
     Thresholds(&'static str),
@@ -171,9 +157,6 @@ impl std::fmt::Display for RmaConfigError {
             }
             RmaConfigError::SegmentNotPowerOfTwo(b) => {
                 write!(f, "segment size must be a power of two (got {b})")
-            }
-            RmaConfigError::FanoutTooSmall(n) => {
-                write!(f, "index fanout must be >= 2 (got {n})")
             }
             RmaConfigError::Thresholds(reason) => f.write_str(reason),
             RmaConfigError::PageNotPowerOfTwo(b) => {
@@ -205,14 +188,14 @@ mod tests {
             .with_thresholds(Thresholds::scan_oriented());
         c.validate();
         assert_eq!(c.segment_size, 256);
-        assert!(c.adaptive.is_none());
+        assert!(!c.adaptive);
         assert_eq!(c.rewiring, RewiringMode::Disabled);
     }
 
     #[test]
     fn plain_strips_features() {
         let c = RmaConfig::default().plain();
-        assert!(c.adaptive.is_none());
+        assert!(!c.adaptive);
         assert_eq!(c.rewiring, RewiringMode::Disabled);
     }
 

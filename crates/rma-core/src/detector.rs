@@ -16,40 +16,24 @@
 
 use crate::Key;
 
-/// Tuning parameters of the Detector and the preprocessing phase.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// Length of the per-segment timestamp queue.
-    pub queue_len: usize,
-    /// Saturation bound `SC` for the pattern counters and `|sc|`.
-    pub sc_max: u8,
-    /// Pattern-counter threshold `θ_SC`: at or above it, a marked
-    /// interval shrinks to the predicted 2-element range.
-    pub theta_sc: u8,
-    /// A segment is marked when at least this fraction of its queued
-    /// timestamps exceeds the recency cutoff.
-    pub mark_fraction: f64,
-    /// The recency cutoff is the timestamp ranked `top_multiplier ×
-    /// queue_len` from the top across the window being rebalanced.
-    ///
-    /// The paper uses the 99.9th percentile at 2^30-element scale; a
-    /// rank-based cutoff expresses the same intent ("only the most
-    /// recently hammered segments") in a way that is robust at the
-    /// scaled-down window sizes of this reproduction (see DESIGN.md).
-    pub top_multiplier: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            queue_len: 8,
-            sc_max: 7,
-            theta_sc: 2,
-            mark_fraction: 0.75,
-            top_multiplier: 2.0,
-        }
-    }
-}
+/// Length of the per-segment timestamp queue.
+pub const QUEUE_LEN: usize = 8;
+/// Saturation bound `SC` for the pattern counters and `|sc|`.
+pub const SC_MAX: u8 = 7;
+/// Pattern-counter threshold `θ_SC`: at or above it, a marked
+/// interval shrinks to the predicted 2-element range.
+pub const THETA_SC: u8 = 2;
+/// A segment is marked when at least this fraction of its queued
+/// timestamps exceeds the recency cutoff.
+const MARK_FRACTION: f64 = 0.75;
+/// The recency cutoff is the timestamp ranked `TOP_MULTIPLIER ×
+/// QUEUE_LEN` from the top across the window being rebalanced.
+///
+/// The paper uses the 99.9th percentile at 2^30-element scale; a
+/// rank-based cutoff expresses the same intent ("only the most
+/// recently hammered segments") in a way that is robust at the
+/// scaled-down window sizes of this reproduction (see DESIGN.md).
+const TOP_MULTIPLIER: f64 = 2.0;
 
 /// One pattern predictor: a key and its saturating counter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,9 +60,9 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    fn new(queue_len: usize) -> Self {
+    fn new() -> Self {
         SegmentMeta {
-            timestamps: vec![0; queue_len].into_boxed_slice(),
+            timestamps: vec![0; QUEUE_LEN].into_boxed_slice(),
             head: 0,
             filled: 0,
             kbwd: Predictor::default(),
@@ -103,26 +87,17 @@ impl SegmentMeta {
 /// operation clock.
 #[derive(Debug)]
 pub struct Detector {
-    cfg: DetectorConfig,
     segments: Vec<SegmentMeta>,
     clock: u64,
 }
 
 impl Detector {
     /// A detector for `num_segments` segments.
-    pub fn new(cfg: DetectorConfig, num_segments: usize) -> Self {
+    pub fn new(num_segments: usize) -> Self {
         Detector {
-            cfg,
-            segments: (0..num_segments)
-                .map(|_| SegmentMeta::new(cfg.queue_len))
-                .collect(),
+            segments: (0..num_segments).map(|_| SegmentMeta::new()).collect(),
             clock: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
     }
 
     /// Metadata of segment `seg`.
@@ -138,9 +113,7 @@ impl Detector {
     /// Re-dimensions the detector after a resize; all metadata resets
     /// (the paper rebuilds index-adjacent state at resizes too).
     pub fn reset(&mut self, num_segments: usize) {
-        self.segments = (0..num_segments)
-            .map(|_| SegmentMeta::new(self.cfg.queue_len))
-            .collect();
+        self.segments = (0..num_segments).map(|_| SegmentMeta::new()).collect();
     }
 
     /// Algorithm 1: updates segment `seg` after inserting key `k`
@@ -148,17 +121,16 @@ impl Detector {
     /// array boundaries).
     pub fn on_insert(&mut self, seg: usize, _k: Key, pred: Option<Key>, succ: Option<Key>) {
         self.clock += 1;
-        let sc_max = self.cfg.sc_max;
         let meta = &mut self.segments[seg];
         meta.record_timestamp(self.clock);
-        meta.sc = (meta.sc + 1).min(sc_max as i16);
+        meta.sc = (meta.sc + 1).min(SC_MAX as i16);
 
         let bwd_hit = succ.is_some_and(|s| s == meta.kbwd.value && meta.kbwd.counter > 0);
         let fwd_hit = pred.is_some_and(|p| p == meta.kfwd.value && meta.kfwd.counter > 0);
         if bwd_hit {
-            meta.kbwd.counter = (meta.kbwd.counter + 1).min(sc_max);
+            meta.kbwd.counter = (meta.kbwd.counter + 1).min(SC_MAX);
         } else if fwd_hit {
-            meta.kfwd.counter = (meta.kfwd.counter + 1).min(sc_max);
+            meta.kfwd.counter = (meta.kfwd.counter + 1).min(SC_MAX);
         } else {
             meta.kbwd.counter = meta.kbwd.counter.saturating_sub(1);
             meta.kfwd.counter = meta.kfwd.counter.saturating_sub(1);
@@ -181,18 +153,17 @@ impl Detector {
     /// update; `sc` decays towards the deletion side.
     pub fn on_delete(&mut self, seg: usize) {
         self.clock += 1;
-        let sc_max = self.cfg.sc_max as i16;
         let meta = &mut self.segments[seg];
         meta.record_timestamp(self.clock);
-        meta.sc = (meta.sc - 1).max(-sc_max);
+        meta.sc = (meta.sc - 1).max(-(SC_MAX as i16));
     }
 
     /// The recency cutoff for a window: the timestamp ranked
-    /// `top_multiplier × queue_len` from the top among all timestamps
+    /// `TOP_MULTIPLIER × QUEUE_LEN` from the top among all timestamps
     /// recorded by `segs`, or `None` when the window has no recorded
     /// activity.
     pub fn recency_cutoff(&self, segs: std::ops::Range<usize>) -> Option<u64> {
-        let mut all: Vec<u64> = Vec::with_capacity(segs.len() * self.cfg.queue_len);
+        let mut all: Vec<u64> = Vec::with_capacity(segs.len() * QUEUE_LEN);
         for s in segs {
             all.extend_from_slice(self.segments[s].timestamps());
         }
@@ -200,20 +171,20 @@ impl Detector {
             return None;
         }
         all.sort_unstable();
-        let top = ((self.cfg.top_multiplier * self.cfg.queue_len as f64).round() as usize).max(1);
+        let top = ((TOP_MULTIPLIER * QUEUE_LEN as f64).round() as usize).max(1);
         let idx = all.len().saturating_sub(top);
         Some(all[idx])
     }
 
     /// True if segment `seg` passes the recency mark rule: at least
-    /// `mark_fraction` of its queued timestamps exceed `cutoff`.
+    /// `MARK_FRACTION` of its queued timestamps exceed `cutoff`.
     pub fn is_recent(&self, seg: usize, cutoff: u64) -> bool {
         let meta = &self.segments[seg];
         if meta.filled == 0 {
             return false;
         }
         let above = meta.timestamps().iter().filter(|&&t| t > cutoff).count();
-        (above as f64) >= self.cfg.mark_fraction * meta.filled as f64
+        (above as f64) >= MARK_FRACTION * meta.filled as f64
     }
 }
 
@@ -223,7 +194,7 @@ mod tests {
 
     #[test]
     fn backward_sequential_pattern_builds_confidence() {
-        let mut d = Detector::new(DetectorConfig::default(), 4);
+        let mut d = Detector::new(4);
         // Fig. 8 semantics: k_bwd tracks a *fixed successor*. An
         // ascending run 14, 15, 16 … inserted before existing key 19
         // always sees successor 19.
@@ -233,7 +204,7 @@ mod tests {
         let m = d.segment(0);
         assert_eq!(m.kbwd.value, 19);
         assert!(
-            m.kbwd.counter >= d.config().theta_sc,
+            m.kbwd.counter >= THETA_SC,
             "kbwd counter {} too low",
             m.kbwd.counter
         );
@@ -241,7 +212,7 @@ mod tests {
 
     #[test]
     fn forward_sequential_pattern_builds_confidence() {
-        let mut d = Detector::new(DetectorConfig::default(), 4);
+        let mut d = Detector::new(4);
         // k_fwd tracks a *fixed predecessor*: a descending run 150,
         // 149, 148 … inserted after existing key 100 always sees
         // predecessor 100.
@@ -250,12 +221,12 @@ mod tests {
         }
         let m = d.segment(1);
         assert_eq!(m.kfwd.value, 100);
-        assert!(m.kfwd.counter >= d.config().theta_sc);
+        assert!(m.kfwd.counter >= THETA_SC);
     }
 
     #[test]
     fn random_inserts_decay_counters() {
-        let mut d = Detector::new(DetectorConfig::default(), 2);
+        let mut d = Detector::new(2);
         for k in [5i64, 100, 3, 77, 42, 9, 64, 21] {
             d.on_insert(0, k, Some(k - 1), Some(k + 1000));
         }
@@ -266,21 +237,20 @@ mod tests {
 
     #[test]
     fn sc_tracks_insert_delete_balance_with_saturation() {
-        let cfg = DetectorConfig::default();
-        let mut d = Detector::new(cfg, 1);
+        let mut d = Detector::new(1);
         for _ in 0..20 {
             d.on_insert(0, 1, None, None);
         }
-        assert_eq!(d.segment(0).sc, cfg.sc_max as i16);
+        assert_eq!(d.segment(0).sc, SC_MAX as i16);
         for _ in 0..40 {
             d.on_delete(0);
         }
-        assert_eq!(d.segment(0).sc, -(cfg.sc_max as i16));
+        assert_eq!(d.segment(0).sc, -(SC_MAX as i16));
     }
 
     #[test]
     fn recency_marks_only_hammered_segment() {
-        let mut d = Detector::new(DetectorConfig::default(), 8);
+        let mut d = Detector::new(8);
         // Balanced background activity (round-robin)...
         for k in 0..8 {
             for s in 0..8 {
@@ -299,7 +269,7 @@ mod tests {
 
     #[test]
     fn uniform_activity_marks_nothing_or_everything_weakly() {
-        let mut d = Detector::new(DetectorConfig::default(), 16);
+        let mut d = Detector::new(16);
         for round in 0..16 {
             for s in 0..16 {
                 d.on_insert(s, round, None, None);
@@ -315,13 +285,13 @@ mod tests {
 
     #[test]
     fn empty_window_has_no_cutoff() {
-        let d = Detector::new(DetectorConfig::default(), 4);
+        let d = Detector::new(4);
         assert_eq!(d.recency_cutoff(0..4), None);
     }
 
     #[test]
     fn reset_clears_metadata() {
-        let mut d = Detector::new(DetectorConfig::default(), 2);
+        let mut d = Detector::new(2);
         d.on_insert(0, 1, None, None);
         d.reset(4);
         assert_eq!(d.num_segments(), 4);

@@ -54,7 +54,6 @@ pub mod storage;
 pub mod thresholds;
 
 pub use config::{RewiringMode, RmaConfig, RmaConfigError};
-pub use detector::DetectorConfig;
 pub use index::StaticIndex;
 pub use rma::Rma;
 pub use stats::RmaStats;

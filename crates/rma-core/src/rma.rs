@@ -3,7 +3,7 @@
 
 use crate::adaptive::{adaptive_targets, compute_marked_intervals, MarkedInterval};
 use crate::config::{RewiringMode, RmaConfig};
-use crate::detector::Detector;
+use crate::detector::{self, Detector};
 use crate::index::StaticIndex;
 use crate::stats::RmaStats;
 use crate::storage::Storage;
@@ -13,6 +13,10 @@ use crate::{Key, Value};
 /// to fill the core's miss buffers, few enough that the first key's
 /// lines are still cached when its turn to be searched comes.
 const LOOKUP_GROUP: usize = 16;
+
+/// Maximum separator keys per static-index node (the paper's
+/// micro-benchmarked optimum).
+const INDEX_FANOUT: usize = 64;
 
 /// A sorted key/value container over a sparse array with fixed-size
 /// clustered segments, a static index, rewired rebalances and
@@ -34,8 +38,8 @@ impl Rma {
     pub fn new(cfg: RmaConfig) -> Self {
         cfg.validate();
         let storage = Storage::new(&cfg);
-        let index = StaticIndex::build(&[Key::MIN], cfg.index_fanout);
-        let detector = cfg.adaptive.map(|d| Detector::new(d, 1));
+        let index = StaticIndex::build(&[Key::MIN], INDEX_FANOUT);
+        let detector = cfg.adaptive.then(|| Detector::new(1));
         Rma {
             cfg,
             storage,
@@ -88,7 +92,7 @@ impl Rma {
         let det = self
             .detector
             .as_ref()
-            .map_or(0, |d| d.num_segments() * (d.config().queue_len * 8 + 48));
+            .map_or(0, |d| d.num_segments() * (detector::QUEUE_LEN * 8 + 48));
         self.storage.memory_footprint() + self.index.memory_footprint() + det
     }
 
@@ -450,7 +454,7 @@ impl Rma {
         let hammered = self
             .detector
             .as_ref()
-            .is_some_and(|d| d.segment(seg).sc.unsigned_abs() >= d.config().theta_sc as u16);
+            .is_some_and(|d| d.segment(seg).sc.unsigned_abs() >= detector::THETA_SC as u16);
         let headroom = if hammered { b / 2 } else { 0 };
         let mut w = 2usize;
         let mut level = 2usize;
@@ -803,7 +807,7 @@ impl Rma {
             }
             *slot = next_sep;
         }
-        self.index = StaticIndex::build(&minima, self.cfg.index_fanout);
+        self.index = StaticIndex::build(&minima, INDEX_FANOUT);
     }
 
     fn iter_last_key(&self) -> Option<Key> {
@@ -915,7 +919,7 @@ mod tests {
         RmaConfig {
             segment_size: 8,
             rewiring: RewiringMode::Disabled,
-            adaptive: None,
+            adaptive: false,
             reserve_bytes: 1 << 26,
             ..Default::default()
         }
@@ -1095,7 +1099,7 @@ mod tests {
             reserve_bytes: 1 << 26,
             ..Default::default()
         };
-        assert!(cfg.adaptive.is_some());
+        assert!(cfg.adaptive);
         let mut r = Rma::new(cfg);
         for k in 0..20_000i64 {
             r.insert(k, k); // sequential hammering
@@ -1117,7 +1121,7 @@ mod tests {
                 } else {
                     RewiringMode::Disabled
                 },
-                adaptive: None,
+                adaptive: false,
                 reserve_bytes: 1 << 26,
                 ..Default::default()
             };
@@ -1141,7 +1145,7 @@ mod tests {
         let mut r = Rma::new(RmaConfig {
             segment_size: 16,
             rewiring: RewiringMode::Enabled { page_bytes: 4096 },
-            adaptive: None,
+            adaptive: false,
             reserve_bytes: 1 << 22,
             ..Default::default()
         });
@@ -1178,7 +1182,7 @@ mod tests {
         let cfg = RmaConfig {
             segment_size: 8,
             rewiring: RewiringMode::Disabled,
-            adaptive: None,
+            adaptive: false,
             thresholds: Thresholds::scan_oriented(),
             reserve_bytes: 1 << 26,
             ..Default::default()

@@ -560,16 +560,6 @@ mod tests {
                 ConfigError::UnsortedSplitterKeys
             );
         }
-        assert!(matches!(
-            Db::builder()
-                .shard_config(ShardConfig {
-                    adaptive_decay: Some(-1.0),
-                    ..Default::default()
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::Engine(EngineError::NonPositiveDecayHalfLife(_))
-        ));
     }
 
     #[test]
@@ -603,19 +593,14 @@ mod tests {
             m.steps_dropped, 0,
             "nothing drifted under a synchronous compact"
         );
-        // Invalid idle knobs are rejected through the typed path.
-        let idle = |idle_ops_threshold, compact_target_factor| rma_shard::MaintainerConfig {
-            idle_ops_threshold,
-            compact_target_factor,
+        // An invalid idle knob is rejected through the typed path.
+        let idle = rma_shard::MaintainerConfig {
+            idle_ops_threshold: 0.0,
             ..Default::default()
         };
         assert!(matches!(
-            small().maintenance(idle(0.0, 2.0)).build().unwrap_err(),
+            small().maintenance(idle).build().unwrap_err(),
             ConfigError::Engine(EngineError::IdleOpsThresholdNotPositive(_))
-        ));
-        assert!(matches!(
-            small().maintenance(idle(500.0, 0.5)).build().unwrap_err(),
-            ConfigError::Engine(EngineError::CompactTargetFactorBelowOne(_))
         ));
     }
 

@@ -232,12 +232,13 @@ impl MetricsSnapshot {
         }
 
         let e = &self.db.engine;
-        let gauges: [(&str, u64); 5] = [
+        let gauges: [(&str, u64); 6] = [
             ("rma_len", e.len as u64),
             ("rma_shards", e.num_shards as u64),
             ("rma_memory_bytes", e.memory_footprint as u64),
             ("rma_splitter_bytes", e.splitter_bytes as u64),
             ("rma_router_workers", self.db.router.workers as u64),
+            ("rma_max_step_wall_ns", e.maintenance.max_step_wall_ns), // a high-water mark
         ];
         for (name, v) in gauges {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
@@ -272,7 +273,6 @@ impl MetricsSnapshot {
             ("rma_maintenance_keys_migrated_total", m.keys_migrated),
             ("rma_maintenance_nudges_total", m.nudges),
             ("rma_topologies_published_total", m.topologies_published),
-            ("rma_max_step_wall_ns", m.max_step_wall_ns),
             ("rma_batch_reroutes_total", m.batch_reroutes),
             ("rma_write_reroutes_total", m.write_reroutes),
             ("rma_sessions_opened_total", r.sessions_opened),

@@ -126,12 +126,15 @@ impl NetSnapshot {
     /// frame service-time summary.
     pub fn render_text(&self) -> String {
         let mut out = String::with_capacity(1024);
-        let _ = writeln!(
-            out,
-            "# TYPE rma_net_connections gauge\nrma_net_connections {}",
-            self.connections
-        );
-        let counters: [(&str, u64); 13] = [
+        // A high-water mark is a gauge: a scraper takes a counter's rate.
+        let peak = self.peak_conn_write_buf;
+        for (name, v) in [
+            ("rma_net_connections", self.connections),
+            ("rma_net_peak_conn_write_buf_bytes", peak),
+        ] {
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
+        }
+        let counters: [(&str, u64); 12] = [
             ("rma_net_accepted_total", self.accepted),
             ("rma_net_closed_total", self.closed),
             ("rma_net_bytes_in_total", self.bytes_in),
@@ -146,10 +149,6 @@ impl NetSnapshot {
             (
                 "rma_net_backpressure_pauses_total",
                 self.backpressure_pauses,
-            ),
-            (
-                "rma_net_peak_conn_write_buf_bytes",
-                self.peak_conn_write_buf,
             ),
         ];
         for (name, v) in counters {
@@ -239,6 +238,8 @@ mod tests {
                 "family {family} missing or duplicated:\n{text}"
             );
         }
+        assert!(text.contains("# TYPE rma_net_peak_conn_write_buf_bytes gauge"));
+        assert!(text.contains("# TYPE rma_net_backpressure_pauses_total counter"));
         assert!(text.contains("rma_net_accepted_total 1"));
         assert!(text.contains("rma_net_bytes_in_total 123"));
         assert!(text.contains("rma_net_peak_conn_write_buf_bytes 777"));

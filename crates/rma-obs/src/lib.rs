@@ -1,15 +1,12 @@
 //! `rma-obs` — the zero-dependency, lock-free metrics core for the
 //! RMA reproduction.
 //!
-//! Three primitives, all safe to hammer from the serving path:
+//! Two primitives, both safe to hammer from the serving path:
 //!
 //! * [`Histogram`] — log2-bucketed latency histogram with 16 linear
 //!   sub-buckets per octave (relative quantile error ≤ 1/16), frozen
 //!   into a mergeable [`HistogramSnapshot`] for p50/p95/p99/max
 //!   reporting.
-//! * [`Counter`] / [`Gauge`] behind the static [`registry`] for
-//!   process-global facts; per-instance metrics live on their owning
-//!   structs.
 //! * [`EventJournal`] — a bounded MPSC ring recording maintenance and
 //!   topology events ([`EventKind`]) with timestamps, shard ids, step
 //!   durations and keys migrated; overwrite-oldest, torn-write safe.
@@ -20,11 +17,9 @@
 
 mod hist;
 mod journal;
-mod registry;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use journal::{Event, EventJournal, EventKind};
-pub use registry::{registry, Counter, Gauge, Registry};
 
 /// Nanoseconds on the monotonic clock (arbitrary zero point). The
 /// canonical timestamp source for every metric in the workspace.

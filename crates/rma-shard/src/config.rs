@@ -27,11 +27,6 @@ pub enum RelearnStrategy {
     /// ever waits out the one shard currently being restructured.
     #[default]
     Incremental,
-    /// The PR-3 behaviour, kept as the explicit comparison baseline:
-    /// one pass drains *every* shard under its write lock and
-    /// publishes the rebuilt topology in a single swap — writers can
-    /// stall for the whole rebuild (~100 ms at 2^20 scale).
-    Monolithic,
     /// Only boundary nudges, never full range rebuilds: every adjacent
     /// shard pair whose access mass is lopsided gets its boundary
     /// moved to the pair's equal-access point. The cheap tracking mode
@@ -73,24 +68,13 @@ pub struct ShardConfig {
     pub balance: BalancePolicy,
     /// Recorded operations (across the whole index) between histogram
     /// halvings: all shard histograms decay *together* so their
-    /// relative masses survive; `0` disables decay. When
-    /// `adaptive_decay` is set this is only the starting value — the
-    /// background maintainer retunes it from the observed op rate.
+    /// relative masses survive; `0` disables decay.
     pub decay_every: u64,
-    /// Adaptive decay half-life in seconds: when set, the background
-    /// maintainer retunes the decay period to `op_rate × half_life`,
-    /// so the histogram forgets a phase change in roughly constant
-    /// wall-clock time regardless of load
-    /// ([`retune_decay`](crate::ShardedRma::retune_decay)). `None`
-    /// keeps `decay_every` fixed. Ignored while `decay_every` is `0`
-    /// (decay disabled).
-    pub adaptive_decay: Option<f64>,
     /// Whether [`maintain`](crate::ShardedRma::maintain) re-learns
     /// splitters multi-way from the access histogram.
     pub relearn: bool,
     /// How re-learning restructures the topology: incrementally
-    /// (default), in one monolithic pass (the PR-3 baseline), or by
-    /// boundary nudges only.
+    /// (default) or by boundary nudges only.
     pub relearn_strategy: RelearnStrategy,
     /// Upper bound on the elements a single incremental maintenance
     /// step may rebuild — the knob that bounds how long any one step
@@ -119,7 +103,6 @@ impl Default for ShardConfig {
             min_split_len: 1024,
             balance: BalancePolicy::ByAccess,
             decay_every: 8192,
-            adaptive_decay: None,
             relearn: true,
             relearn_strategy: RelearnStrategy::default(),
             max_step_elems: 1 << 16,
@@ -143,12 +126,6 @@ impl ShardConfig {
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         if self.num_shards < 1 {
             return Err(ConfigError::ZeroShards);
-        }
-        if let Some(hl) = self.adaptive_decay {
-            // NaN must fail too, so compare through the negation.
-            if hl.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(ConfigError::NonPositiveDecayHalfLife(hl));
-            }
         }
         if self.max_step_elems < 1 {
             return Err(ConfigError::ZeroMaxStepElems);
@@ -174,8 +151,6 @@ impl ShardConfig {
 pub enum ConfigError {
     /// `num_shards == 0`: the index needs at least one shard.
     ZeroShards,
-    /// `adaptive_decay <= 0` (or NaN): the half-life is a duration.
-    NonPositiveDecayHalfLife(f64),
     /// `max_step_elems == 0`: a maintenance step must be allowed to
     /// move at least one element.
     ZeroMaxStepElems,
@@ -194,27 +169,18 @@ pub enum ConfigError {
     /// Maintainer `imbalance_trigger < 1`: maintenance would churn on
     /// balanced load.
     ImbalanceTriggerBelowOne(f64),
-    /// Maintainer `steps_per_tick == 0`: a plan could never drain.
-    ZeroStepsPerTick,
     /// Maintainer `checkpoint_interval` is `Some(0)`: the maintainer
     /// would do nothing but checkpoint.
     ZeroCheckpointInterval,
     /// Maintainer `idle_ops_threshold` is zero, negative or NaN: the
     /// idle-compaction gate could never (or always) open.
     IdleOpsThresholdNotPositive(f64),
-    /// Maintainer `compact_target_factor < 1` (or NaN): consolidation
-    /// would merge below the configured shard target and oscillate
-    /// against the split pass.
-    CompactTargetFactorBelowOne(f64),
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroShards => f.write_str("need at least one shard"),
-            ConfigError::NonPositiveDecayHalfLife(x) => {
-                write!(f, "adaptive decay half-life must be positive (got {x})")
-            }
             ConfigError::ZeroMaxStepElems => {
                 f.write_str("a maintenance step must be allowed to move at least one element")
             }
@@ -232,18 +198,12 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "imbalance trigger below 1 would churn on balanced load (got {x})"
             ),
-            ConfigError::ZeroStepsPerTick => f.write_str("need at least one step per tick"),
             ConfigError::ZeroCheckpointInterval => {
                 f.write_str("checkpoint interval must be positive (or None)")
             }
             ConfigError::IdleOpsThresholdNotPositive(x) => {
                 write!(f, "idle ops threshold must be positive (got {x})")
             }
-            ConfigError::CompactTargetFactorBelowOne(x) => write!(
-                f,
-                "compact target factor below 1 would merge past the \
-                 configured shard target (got {x})"
-            ),
         }
     }
 }
@@ -276,23 +236,6 @@ mod tests {
             ..base()
         };
         assert_eq!(cfg.try_validate(), Err(ConfigError::ZeroShards));
-    }
-
-    #[test]
-    fn non_positive_half_life_rejected() {
-        for bad in [0.0, -1.0, f64::NAN] {
-            let cfg = ShardConfig {
-                adaptive_decay: Some(bad),
-                ..base()
-            };
-            assert!(
-                matches!(
-                    cfg.try_validate(),
-                    Err(ConfigError::NonPositiveDecayHalfLife(_))
-                ),
-                "half-life {bad} must be rejected"
-            );
-        }
     }
 
     #[test]
@@ -338,7 +281,5 @@ mod tests {
         // the typed errors must keep printing them.
         let text = ConfigError::ZeroMaxStepElems.to_string();
         assert!(text.contains("at least one element"), "{text}");
-        let text = ConfigError::NonPositiveDecayHalfLife(0.0).to_string();
-        assert!(text.contains("half-life"), "{text}");
     }
 }

@@ -47,19 +47,18 @@
 //!   (`optimistic::TopoHandle`) — an `AtomicPtr` swap plus
 //!   generation-counted reader pins, so maintenance replaces the
 //!   topology while readers keep serving from the one they pinned.
-//! * **Shard reads** are seqlock-optimistic: each shard carries an
-//!   even/odd version word bumped around every `&mut Rma` section.
-//!   Readers pin the shard, verify the version is even, read through
-//!   the ordinary safe accessors, and validate the version after.
-//!   Writers publish the odd version *and wait for pinned readers to
-//!   drain* before mutating, which makes the optimistic read sound
-//!   (never concurrent with mutation — crucial because a racing
-//!   resize can unmap pages) while keeping readers wait-free: a
-//!   reader never spins on a writer; after a few failed attempts it
-//!   falls back to the shard's `RwLock`.
+//! * **Shard reads** are pin-then-check: each shard carries a
+//!   `writing` flag raised around every `&mut Rma` section. A reader
+//!   pins the shard, checks that the flag is down, and reads through
+//!   the ordinary safe accessors — once. Writers raise the flag *and
+//!   wait for pinned readers to drain* before mutating, which makes
+//!   the optimistic read sound (never concurrent with mutation —
+//!   crucial because a racing resize can unmap pages) while keeping
+//!   readers wait-free: a reader never waits on a writer; after a few
+//!   pins that each met one it takes the shard's `RwLock`.
 //! * **Batched lookups** ([`ShardedRma::get_many`]) go through the
 //!   same bracket once per shard instead of once per key: one topology
-//!   pin per call, one optimistic section per shard's group of keys.
+//!   pin per call, one look per shard's group of keys.
 //!
 //! The result: maintenance no longer stalls the read fleet — and,
 //! since the plan engine, no longer stalls the *write* fleet either:
@@ -170,11 +169,6 @@ fn members(pending: u64, shard_of: &[u32; GET_MANY_BLOCK], shard: u32) -> u64 {
         .fold(0, |group, i| group | 1 << i)
 }
 
-/// Bounds on the adaptive decay period so a rate estimate taken
-/// during a lull (or a burst) cannot disable decay or thrash it.
-const ADAPTIVE_DECAY_MIN: u64 = 256;
-const ADAPTIVE_DECAY_MAX: u64 = 1 << 26;
-
 /// One coherent snapshot of the engine's observable state, produced
 /// by [`ShardedRma::stats_snapshot`]: content totals, the
 /// access-balance signal, the lock-freedom proof counters, and the
@@ -200,9 +194,10 @@ pub struct EngineSnapshot {
     pub read_locks: u64,
     /// Exclusive `RwLock` acquisitions since construction.
     pub write_locks: u64,
-    /// Failed seqlock read attempts since construction (each is one
-    /// retry or one step toward the lock fallback) — the contention
-    /// signal behind flat lock counters.
+    /// Reader pins that met a writer since construction (each is
+    /// followed by another pin or by the lock fallback; the name
+    /// predates the flag) — the contention signal behind flat lock
+    /// counters.
     pub seqlock_retries: u64,
     /// The incremental maintenance engine's lifetime counters.
     pub maintenance: MaintenanceStats,
@@ -243,15 +238,12 @@ pub struct ShardedRma {
     /// writers never touch it.
     maint_lock: Mutex<()>,
     /// Shared decay clock: total recorded operations (in
-    /// [`DECAY_TICK_BATCH`] granules). Every `decay_period` ticks,
+    /// [`DECAY_TICK_BATCH`] granules). Every `cfg.decay_every` ticks,
     /// *all* shard histograms halve together — a global halving
     /// preserves the relative masses the re-learner compares, whereas
     /// per-shard decay clocks would drive every busy shard toward the
     /// same steady-state mass.
     op_clock: AtomicU64,
-    /// The live decay period: starts at `cfg.decay_every`, retuned by
-    /// the background maintainer when `cfg.adaptive_decay` is set.
-    decay_period: AtomicU64,
     lock_stats: Arc<LockStats>,
     /// Counters behind [`maintenance_stats`](Self::maintenance_stats):
     /// bumped by the plan engine and the batch re-route path.
@@ -345,7 +337,6 @@ impl ShardedRma {
             handle: TopoHandle::new(topo),
             maint_lock: Mutex::new(()),
             op_clock: AtomicU64::new(0),
-            decay_period: AtomicU64::new(cfg.decay_every),
             lock_stats,
             maint_counters: MaintCounters::default(),
             obs: EngineObs::default(),
@@ -403,7 +394,7 @@ impl ShardedRma {
     }
 
     /// Advances the shared decay clock by `n` recorded operations;
-    /// for every `decay_period` boundary the clock crosses, every
+    /// for every `decay_every` boundary the clock crosses, every
     /// shard's histogram halves in one sweep. Capped at 64 halvings —
     /// beyond that a u64 counter is zero anyway.
     ///
@@ -415,7 +406,7 @@ impl ShardedRma {
     /// reads it as the op-rate signal) even when decay is disabled.
     pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
         let prev = self.op_clock.fetch_add(n, Relaxed);
-        let period = self.decay_period.load(Relaxed);
+        let period = self.cfg.decay_every;
         if period == 0 {
             return;
         }
@@ -433,32 +424,6 @@ impl ShardedRma {
     /// estimate the op rate.
     pub fn op_count(&self) -> u64 {
         self.op_clock.load(Relaxed)
-    }
-
-    /// The decay period currently in force (`cfg.decay_every` until
-    /// the adaptive maintainer retunes it).
-    pub fn decay_period(&self) -> u64 {
-        self.decay_period.load(Relaxed)
-    }
-
-    /// Retunes the decay period for an observed op rate so one
-    /// histogram half-life spans `cfg.adaptive_decay` seconds of wall
-    /// clock: `period = rate × half_life`, clamped to sane bounds.
-    /// No-op unless `adaptive_decay` is configured and decay is
-    /// enabled. Called by the background maintainer each poll; public
-    /// so deployments with their own schedulers can drive it too.
-    pub fn retune_decay(&self, ops_per_sec: f64) {
-        let Some(half_life) = self.cfg.adaptive_decay else {
-            return;
-        };
-        if self.cfg.decay_every == 0 || !ops_per_sec.is_finite() || ops_per_sec <= 0.0 {
-            return;
-        }
-        let period = (ops_per_sec * half_life) as u64;
-        self.decay_period.store(
-            period.clamp(ADAPTIVE_DECAY_MIN, ADAPTIVE_DECAY_MAX),
-            Relaxed,
-        );
     }
 
     /// The configuration this index was built with.
@@ -546,7 +511,7 @@ impl ShardedRma {
     }
 
     /// Total stored elements: the per-shard lengths, each read at a
-    /// stable version of its shard (no lock while the shard is
+    /// stable state of its shard (no lock while the shard is
     /// quiescent); concurrent writers may move the value while it is
     /// being summed.
     pub fn len(&self) -> usize {
@@ -587,7 +552,7 @@ impl ShardedRma {
     /// the group's cache misses.
     ///
     /// Promises exactly what `keys.len()` separate `get`s do: each
-    /// key is read at a stable version of its shard; keys in
+    /// key is read at a stable state of its shard; keys in
     /// different shards are *not* one snapshot. Overwrites all of
     /// `out`.
     ///
@@ -630,9 +595,6 @@ impl ShardedRma {
                     *gk = keys[i];
                 }
                 let (group_keys, group_vals) = (&group_keys[..n], &mut group_vals[..n]);
-                // The section may rerun after writer interference:
-                // `get_batch` overwrites every slot, so a rerun leaves
-                // nothing of the failed attempt behind.
                 self.read_keys(&topo, shard, group_keys, |rma| {
                     rma.get_batch(group_keys, group_vals)
                 });
@@ -667,14 +629,14 @@ impl ShardedRma {
 
     /// The bracket every point read runs in — `get` with one key,
     /// `get_many` with a shard's group: records the accesses, then
-    /// runs `read` optimistically, under the shard's read lock only
-    /// after repeated writer interference.
+    /// runs `read` once — optimistically, under the shard's read lock
+    /// only after repeated writer interference.
     fn read_keys<R>(
         &self,
         topo: &Topology,
         shard: &shard::Shard,
         keys: &[Key],
-        read: impl FnMut(&rma_core::Rma) -> R,
+        read: impl FnOnce(&rma_core::Rma) -> R,
     ) -> R {
         self.record_access(topo, shard, &shard.reads, keys);
         shard.peek(read)
@@ -726,8 +688,8 @@ impl ShardedRma {
     }
 
     /// Inserts `(k, v)` (duplicates kept): routes to one shard and
-    /// writes under its exclusive lock (plus the seqlock writer
-    /// protocol). A rebalance or resize this triggers stays inside
+    /// writes under its exclusive lock (plus the writer half of the
+    /// pin protocol). A rebalance or resize this triggers stays inside
     /// the shard. Re-routes if maintenance retired the shard
     /// mid-flight.
     pub fn insert(&self, k: Key, v: Value) {
@@ -963,49 +925,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_decay_retunes_from_op_rate() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 8192;
-        cfg.adaptive_decay = Some(2.0); // two-second half-life
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
-        assert_eq!(s.decay_period(), 8192);
-        // 100k ops/s × 2 s half-life → period 200k.
-        s.retune_decay(100_000.0);
-        assert_eq!(s.decay_period(), 200_000);
-        // A lull cannot disable decay: clamped at the floor.
-        s.retune_decay(1.0);
-        assert_eq!(s.decay_period(), super::ADAPTIVE_DECAY_MIN);
-        // A burst cannot freeze history forever: clamped at the cap.
-        s.retune_decay(1e18);
-        assert_eq!(s.decay_period(), super::ADAPTIVE_DECAY_MAX);
-        // Nonsense rates are ignored.
-        s.retune_decay(f64::NAN);
-        assert_eq!(s.decay_period(), super::ADAPTIVE_DECAY_MAX);
-    }
-
-    #[test]
-    fn fixed_decay_ignores_retune() {
-        let s = ShardedRma::with_splitters(small_cfg(2), Splitters::new(vec![1000]));
-        let before = s.decay_period();
-        s.retune_decay(1_000_000.0);
-        assert_eq!(s.decay_period(), before, "adaptive_decay off: no retune");
-    }
-
-    #[test]
     #[should_panic(expected = "at least one element")]
     fn invalid_config_panics() {
         let cfg = ShardConfig {
             max_step_elems: 0,
-            ..ShardConfig::default()
-        };
-        let _ = ShardedRma::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "half-life")]
-    fn invalid_adaptive_decay_panics() {
-        let cfg = ShardConfig {
-            adaptive_decay: Some(0.0),
             ..ShardConfig::default()
         };
         let _ = ShardedRma::new(cfg);

@@ -10,12 +10,10 @@
 //! index must be in an `Arc` so the thread can co-own it). Each poll
 //! the thread:
 //!
-//! 1. estimates the op rate from the shared op clock and — when
-//!    [`crate::ShardConfig::adaptive_decay`]
-//!    is set — retunes the histogram decay period so phase changes
-//!    are forgotten in roughly constant wall-clock time;
+//! 1. estimates the op rate from the shared op clock (the idle
+//!    gate's signal);
 //! 2. if a [`crate::MaintenancePlan`] is in flight,
-//!    executes up to [`MaintainerConfig::steps_per_tick`] of its
+//!    executes up to [`STEPS_PER_TICK`] of its
 //!    steps, parking for [`MaintainerConfig::step_pause`] between
 //!    them — each step publishes its own copy-on-write topology, so
 //!    between steps every writer runs completely unobstructed;
@@ -28,7 +26,7 @@
 //! 4. when instead the op rate has stayed *below*
 //!    [`MaintainerConfig::idle_ops_threshold`] for
 //!    [`IDLE_CONFIRM_POLLS`] consecutive polls and the live shard
-//!    count exceeds [`MaintainerConfig::compact_target_factor`] ×
+//!    count exceeds [`COMPACT_TARGET_FACTOR`] ×
 //!    the configured `num_shards`, schedules one round of the
 //!    idle-time consolidation chain
 //!    ([`ShardedRma::plan_consolidation`]) — cap-bounded merges of
@@ -40,13 +38,8 @@
 //! ([`ShardedRma::execute_step`]) has its tail dropped and is
 //! re-planned — a re-plan supersedes, never appends.
 //!
-//! Under [`RelearnStrategy::Monolithic`](crate::RelearnStrategy) the
-//! plan engine is bypassed and the thread runs the old synchronous
-//! [`maintain`](ShardedRma::maintain) — the comparison baseline the
-//! `fig18_write_stall` driver measures.
-//!
 //! Because the read path is optimistic (see the crate docs on the
-//! seqlock/epoch read protocol),
+//! pin/epoch read protocol),
 //! maintenance running on this thread never blocks readers; with the
 //! incremental engine, writers queue only behind the single step
 //! currently restructuring their shard.
@@ -56,7 +49,7 @@
 //! mid-drain — safe, because every executed step left a complete,
 //! consistent topology; the next maintainer simply re-plans.
 
-use crate::{ConfigError, DrainReport, MaintenancePlan, RelearnStrategy, ShardedRma};
+use crate::{ConfigError, DrainReport, MaintenancePlan, ShardedRma};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,6 +62,16 @@ use std::time::{Duration, Instant};
 ///
 /// [`idle_ops_threshold`]: MaintainerConfig::idle_ops_threshold
 pub const IDLE_CONFIRM_POLLS: u32 = 3;
+
+/// Maximum plan steps executed per poll tick — the fairness budget
+/// that stops a huge topology's plan from monopolising the maintainer
+/// thread (and the memory bus) in one burst.
+pub const STEPS_PER_TICK: usize = 4;
+
+/// Idle-time consolidation engages when the live shard count exceeds
+/// this factor times `ShardConfig::num_shards` — the slack that keeps
+/// an on-target topology from oscillating merge/split.
+pub const COMPACT_TARGET_FACTOR: f64 = 2.0;
 
 /// Cadence and triggers of the background maintainer.
 #[derive(Debug, Clone, Copy)]
@@ -83,10 +86,6 @@ pub struct MaintainerConfig {
     /// plans — the backstop that keeps a hot but stable imbalance
     /// from re-planning maintenance every poll.
     pub min_ops_between: u64,
-    /// Maximum plan steps executed per poll tick — the fairness
-    /// budget that stops a huge topology's plan from monopolising
-    /// this thread (and the memory bus) in one burst.
-    pub steps_per_tick: usize,
     /// Pause between consecutive steps within one tick. Writers
     /// queued behind a step drain during the pause.
     pub step_pause: Duration,
@@ -105,11 +104,6 @@ pub struct MaintainerConfig {
     /// bursts, so it never competes with a hot workload for the
     /// memory bus.
     pub idle_ops_threshold: f64,
-    /// Consolidation engages when the live shard count exceeds this
-    /// factor times `ShardConfig::num_shards` — the slack that keeps
-    /// an on-target topology from oscillating merge/split. Must be
-    /// ≥ 1.0.
-    pub compact_target_factor: f64,
 }
 
 impl Default for MaintainerConfig {
@@ -118,11 +112,9 @@ impl Default for MaintainerConfig {
             poll_interval: Duration::from_millis(25),
             imbalance_trigger: 1.25,
             min_ops_between: 4096,
-            steps_per_tick: 4,
             step_pause: Duration::from_micros(500),
             checkpoint_interval: None,
             idle_ops_threshold: 1000.0,
-            compact_target_factor: 2.0,
         }
     }
 }
@@ -140,25 +132,14 @@ impl MaintainerConfig {
                 self.imbalance_trigger,
             ));
         }
-        if self.steps_per_tick < 1 {
-            return Err(ConfigError::ZeroStepsPerTick);
-        }
         if self.checkpoint_interval == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroCheckpointInterval);
         }
-        // `partial_cmp` negations so NaN fails closed alongside zero
+        // `partial_cmp` negation so NaN fails closed alongside zero
         // and negatives.
         if self.idle_ops_threshold.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ConfigError::IdleOpsThresholdNotPositive(
                 self.idle_ops_threshold,
-            ));
-        }
-        if !matches!(
-            self.compact_target_factor.partial_cmp(&1.0),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        ) {
-            return Err(ConfigError::CompactTargetFactorBelowOne(
-                self.compact_target_factor,
             ));
         }
         Ok(())
@@ -193,13 +174,12 @@ impl MaintainerStats {
     pub fn polls(&self) -> u64 {
         self.polls.load(Relaxed)
     }
-    /// Escalations to maintenance (plans created, or synchronous
-    /// `maintain()` calls under the monolithic strategy).
+    /// Escalations to maintenance (plans created).
     pub fn runs(&self) -> u64 {
         self.runs.load(Relaxed)
     }
     /// Runs in which splitter re-learning engaged (a re-learn plan
-    /// was created, or the monolithic pass actually re-learned).
+    /// was created).
     pub fn relearns(&self) -> u64 {
         self.relearns.load(Relaxed)
     }
@@ -216,7 +196,7 @@ impl MaintainerStats {
         self.nudges.load(Relaxed)
     }
     /// Plan steps that executed (stale skips excluded) across all
-    /// runs — incremental mode only; mirrors
+    /// runs — mirrors
     /// [`MaintenanceStats::steps_executed`](crate::MaintenanceStats).
     pub fn steps(&self) -> u64 {
         self.steps.load(Relaxed)
@@ -309,7 +289,7 @@ impl ShardedRma {
     }
 }
 
-/// Executes up to `steps_per_tick` steps of `plan`, pausing between
+/// Executes up to [`STEPS_PER_TICK`] steps of `plan`, pausing between
 /// steps; returns `true` when the plan is fully drained (including a
 /// plan whose stale tail the scheduler dropped — the caller re-plans
 /// from fresh signals, so a re-plan supersedes rather than appends).
@@ -323,7 +303,7 @@ fn drain_tick(
     let dropped_before = plan.dropped();
     let mut tick = DrainReport::default();
     let done = 'drain: {
-        for executed in 0..cfg.steps_per_tick {
+        for executed in 0..STEPS_PER_TICK {
             if stop.load(Relaxed) {
                 // Abandoned mid-drain: every step was complete.
                 break 'drain false;
@@ -366,7 +346,6 @@ fn maintainer_loop(
     stop: &AtomicBool,
     stats: &MaintainerStats,
 ) {
-    let monolithic = index.config().relearn_strategy == RelearnStrategy::Monolithic;
     let obs_on = index.obs().enabled();
     let mut last_ops = index.op_count();
     let mut last_maintained_ops = last_ops;
@@ -398,16 +377,14 @@ fn maintainer_loop(
         'tick: {
             let ops = index.op_count();
             let elapsed = last_poll.elapsed().as_secs_f64();
-            // Op-rate estimate for this poll window: drives both the
-            // adaptive decay retune and the idle-consolidation gate.
-            // Defaults to "busy" when the window is too short to
+            // Op-rate estimate for this poll window: drives the
+            // idle-consolidation gate. Defaults to "busy" when the window is too short to
             // measure, and when `reset_access_stats` rewound the
             // clock — a rewind says nothing about load, and reading
             // it as rate 0 would open the idle gate mid-burst.
             let mut rate = f64::INFINITY;
             if elapsed > 0.0 && ops >= last_ops {
                 rate = (ops - last_ops) as f64 / elapsed;
-                index.retune_decay(rate);
             }
             last_poll = Instant::now();
             // A clock rewind also invalidates the op-based backstop.
@@ -471,20 +448,6 @@ fn maintainer_loop(
             let triggered = (enough_ops && index.access_imbalance() >= cfg.imbalance_trigger)
                 || backstop_breached;
             if triggered {
-                if monolithic {
-                    // Comparison baseline: the old synchronous pass.
-                    let (relearn, rebalance) = index.maintain();
-                    stats.runs.fetch_add(1, Relaxed);
-                    if relearn.relearned {
-                        stats.relearns.fetch_add(1, Relaxed);
-                    }
-                    stats.splits.fetch_add(rebalance.splits as u64, Relaxed);
-                    stats.merges.fetch_add(rebalance.merges as u64, Relaxed);
-                    last_plan_empty =
-                        !relearn.relearned && rebalance.splits + rebalance.merges == 0;
-                    last_maintained_ops = index.op_count();
-                    break 'tick;
-                }
                 let fresh = index.plan_maintenance();
                 if fresh.is_empty() {
                     // Triggered but nothing worth doing (stability
@@ -510,10 +473,10 @@ fn maintainer_loop(
             // `min_ops_between` — idle means few ops arrive, so the op
             // backstop would park the compactor exactly when it is
             // safe to run.
-            if plan.is_none() && !monolithic && idle_streak >= IDLE_CONFIRM_POLLS {
+            if plan.is_none() && idle_streak >= IDLE_CONFIRM_POLLS {
                 let live = index.num_shards();
                 let target =
-                    (cfg.compact_target_factor * index.config().num_shards as f64).ceil() as usize;
+                    (COMPACT_TARGET_FACTOR * index.config().num_shards as f64).ceil() as usize;
                 if live > target && live != last_compact_noop_shards {
                     let fresh = index.plan_consolidation();
                     if fresh.is_empty() {
@@ -616,33 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_decay_is_driven_by_the_maintainer() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 8192;
-        cfg.adaptive_decay = Some(0.001); // 1 ms half-life: tiny period
-        let s = Arc::new(ShardedRma::with_splitters(cfg, Splitters::new(vec![1000])));
-        let m = s.start_maintainer(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        });
-        for _ in 0..200 {
-            for k in 0..512i64 {
-                let _ = s.get(k);
-            }
-            if s.decay_period() != 8192 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        m.stop();
-        assert_ne!(s.decay_period(), 8192, "maintainer never retuned decay");
-    }
-
-    #[test]
     fn idle_maintainer_consolidates_an_accreted_topology() {
         // 16 live shards against a configured target of 2: with no
         // load at all, the idle gate must engage and merge the count
-        // back under compact_target_factor × num_shards.
+        // back under COMPACT_TARGET_FACTOR × num_shards.
         let mut cfg = small_cfg(16);
         cfg.num_shards = 2;
         let s = Arc::new(ShardedRma::with_splitters(
@@ -656,7 +596,6 @@ mod tests {
             poll_interval: Duration::from_millis(1),
             step_pause: Duration::from_micros(100),
             idle_ops_threshold: 1_000_000.0, // everything counts as idle
-            compact_target_factor: 2.0,
             ..Default::default()
         });
         for _ in 0..1000 {
@@ -765,49 +704,6 @@ mod tests {
                 "idle_ops_threshold={bad} must be rejected"
             );
         }
-        for bad in [0.0, 0.99, -1.0, f64::NAN] {
-            let cfg = MaintainerConfig {
-                compact_target_factor: bad,
-                ..Default::default()
-            };
-            assert!(
-                matches!(
-                    cfg.try_validate(),
-                    Err(ConfigError::CompactTargetFactorBelowOne(_))
-                ),
-                "compact_target_factor={bad} must be rejected"
-            );
-        }
         assert!(MaintainerConfig::default().try_validate().is_ok());
-    }
-
-    #[test]
-    fn monolithic_strategy_runs_the_synchronous_pass() {
-        let mut cfg = small_cfg(4);
-        cfg.min_split_len = 64;
-        cfg.relearn_strategy = crate::RelearnStrategy::Monolithic;
-        let s = Arc::new(ShardedRma::with_splitters(
-            cfg,
-            Splitters::new(vec![1000, 2000, 3000]),
-        ));
-        let m = s.start_maintainer(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.25,
-            min_ops_between: 64,
-            ..Default::default()
-        });
-        for _ in 0..500 {
-            for k in 0..500i64 {
-                s.insert(k, k);
-            }
-            if m.stats().runs() > 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let stats = m.stop();
-        assert!(stats.runs() > 0, "monolithic maintainer never ran");
-        assert_eq!(stats.steps(), 0, "monolithic mode bypasses the plan engine");
-        s.check_invariants();
     }
 }

@@ -16,8 +16,9 @@
 //!   currently restructuring its shard, never the whole topology**;
 //! * the **monolithic baseline**
 //!   ([`ShardedRma::relearn_splitters_monolithic`], in
-//!   `monolithic.rs`) keeps the single-swap rebuild as an explicit
-//!   comparison point for the `fig18_write_stall` benchmark.
+//!   `monolithic.rs`) keeps the single-swap rebuild as the reference
+//!   the tests and the `fig18_write_stall` benchmark compare against;
+//!   no configuration selects it.
 //!
 //! The synchronous entry points [`ShardedRma::rebalance_shards`],
 //! [`ShardedRma::relearn_splitters`], [`ShardedRma::maintain`] and
@@ -297,20 +298,16 @@ impl ShardedRma {
     ///
     /// Under the default [`RelearnStrategy::Incremental`] this plans
     /// ([`plan_relearn`](Self::plan_relearn)) and immediately drains.
-    /// [`RelearnStrategy::Monolithic`] is the single-swap drain;
     /// [`RelearnStrategy::NudgeOnly`] never rebuilds, it only chases
     /// boundaries, up to eight sweeps a call.
     pub fn relearn_splitters(&self) -> RelearnReport {
-        if self.cfg.relearn_strategy == RelearnStrategy::Monolithic {
-            return self.relearn_splitters_monolithic();
-        }
         // A nudge sweep is one round of *local* moves; convergence to
         // the equal-access topology comes from cascading them (each
         // round re-plans against the moved boundaries), like a Lloyd
         // iteration. Every other plan is the whole jump: one round.
         let rounds = match self.cfg.relearn_strategy {
             RelearnStrategy::NudgeOnly => 8,
-            _ => 1,
+            RelearnStrategy::Incremental => 1,
         };
         // The decision reported is the first round's.
         let mut first = None;

@@ -1,9 +1,9 @@
 //! The monolithic re-learn baseline: the PR-3 single-swap rebuild,
-//! kept verbatim so the incremental engine has an in-tree comparison
-//! point — [`RelearnStrategy::Monolithic`](crate::RelearnStrategy)
-//! selects it, and the `fig18_write_stall` driver measures the writer
-//! stall it causes (every shard's write lock held for the whole
-//! rebuild) against the plan engine's bounded steps.
+//! kept verbatim so the incremental engine has an in-tree reference —
+//! the differential tests call it directly, and the
+//! `fig18_write_stall` driver measures the writer stall it causes
+//! (every shard's write lock held for the whole rebuild) against the
+//! plan engine's bounded steps. No configuration selects it.
 
 use super::{
     imbalance_of, predicted_masses, weighted_buckets_of, RelearnReport, RELEARN_MIN_GAIN,
@@ -23,9 +23,9 @@ impl ShardedRma {
     /// shards keep their learned histograms (re-binned to the new
     /// ranges).
     ///
-    /// This is the explicit baseline for
-    /// [`relearn_splitters`](Self::relearn_splitters) — prefer the
-    /// incremental default unless you are measuring the difference.
+    /// This is the reference
+    /// [`relearn_splitters`](Self::relearn_splitters) is compared
+    /// against — call it only to measure or test the difference.
     pub fn relearn_splitters_monolithic(&self) -> RelearnReport {
         let _maint = self.maintenance_guard();
         let topo = self.topo_handle().load_exclusive();
@@ -78,7 +78,7 @@ impl ShardedRma {
 #[cfg(test)]
 mod tests {
     use crate::tests::small_cfg;
-    use crate::{RelearnStrategy, ShardedRma, Splitters};
+    use crate::{ShardedRma, Splitters};
 
     /// The monolithic baseline and the incremental default must land
     /// on the same splitters when every target range fits the step
@@ -87,10 +87,9 @@ mod tests {
     /// broadens it).
     #[test]
     fn monolithic_and_incremental_agree_on_small_topologies() {
-        let run = |strategy: RelearnStrategy| {
-            let mut cfg = small_cfg(4);
-            cfg.relearn_strategy = strategy;
-            let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
+        let run = |monolithic: bool| {
+            let s =
+                ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![1000, 2000, 3000]));
             for k in 0..4000i64 {
                 s.insert(k, k);
             }
@@ -100,18 +99,22 @@ mod tests {
                     let _ = s.get(k);
                 }
             }
-            let report = s.relearn_splitters();
-            assert!(report.relearned, "{strategy:?}: {report:?}");
+            let report = if monolithic {
+                s.relearn_splitters_monolithic()
+            } else {
+                s.relearn_splitters()
+            };
+            assert!(report.relearned, "monolithic {monolithic}: {report:?}");
             // A band a tenth of one shard wide: moving either of that
             // shard's boundaries leaves the band whole on one side, so
             // no single nudge comes near the four-way rebuild and the
             // full-rebuild path is taken.
-            assert_eq!(s.maintenance_stats().nudges, 0, "{strategy:?}");
+            assert_eq!(s.maintenance_stats().nudges, 0, "monolithic {monolithic}");
             s.check_invariants();
             (s.splitters(), s.collect_all())
         };
-        let (mono_splitters, mono_content) = run(RelearnStrategy::Monolithic);
-        let (inc_splitters, inc_content) = run(RelearnStrategy::Incremental);
+        let (mono_splitters, mono_content) = run(true);
+        let (inc_splitters, inc_content) = run(false);
         assert_eq!(mono_content, inc_content);
         assert_eq!(
             mono_splitters, inc_splitters,
@@ -121,9 +124,7 @@ mod tests {
 
     #[test]
     fn monolithic_strategy_is_selected_by_config() {
-        let mut cfg = small_cfg(4);
-        cfg.relearn_strategy = RelearnStrategy::Monolithic;
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
+        let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![1000, 2000, 3000]));
         for k in 0..4000i64 {
             s.insert(k, k);
         }
@@ -134,7 +135,7 @@ mod tests {
             }
         }
         let before = s.maintenance_stats();
-        let report = s.relearn_splitters();
+        let report = s.relearn_splitters_monolithic();
         assert!(report.relearned);
         let after = s.maintenance_stats();
         // The monolithic path bypasses the plan engine entirely: one

@@ -265,11 +265,9 @@ impl MaintenancePlan {
 impl ShardedRma {
     /// The plan the background maintainer drains on its tick budget:
     /// the re-learn plan when the stability guards admit one, the
-    /// split/merge rebalance plan otherwise. (Under
-    /// [`RelearnStrategy::Monolithic`] re-learning is not plannable;
-    /// the maintainer calls [`maintain`](Self::maintain) directly.)
+    /// split/merge rebalance plan otherwise.
     pub fn plan_maintenance(&self) -> MaintenancePlan {
-        if self.cfg.relearn && self.cfg.relearn_strategy != RelearnStrategy::Monolithic {
+        if self.cfg.relearn {
             let plan = self.plan_relearn();
             if !plan.is_empty() {
                 return plan;

@@ -1,38 +1,34 @@
-//! The lock-free read path: seqlock readers over shards and the
+//! The lock-free read path: pinned looks at a shard and the
 //! epoch-published topology handle.
 //!
 //! # Optimistic shard reads
 //!
-//! [`Shard::try_optimistic`] is the reader half of the seqlock
-//! protocol described on [`Shard`]:
+//! [`Shard::peek`] is the reader half of the protocol described on
+//! [`Shard`]:
 //!
 //! 1. **pin** — increment the shard's `opt_pins` (SeqCst RMW);
-//! 2. **check** — load the seqlock version; if odd, a writer is
-//!    inside: unpin and retry (bounded), since reading now could
-//!    observe a mutation mid-flight;
-//! 3. **read** — run the closure over `&Rma`. Because every writer
-//!    publishes an odd version *before* waiting for the pin count to
-//!    drain, a reader pinned under an even version is guaranteed the
-//!    writer has not yet touched the structure — the read is of
-//!    stable memory, not a racy snapshot;
-//! 4. **validate** — reload the version; a change means a writer
-//!    arrived mid-read. The data read was still stable (the writer
-//!    was parked on our pin), but retrying keeps the protocol's
-//!    invariant trivially auditable: returned results always carry
-//!    an unchanged version bracket.
+//! 2. **check** — load the shard's `writing` flag; if it is up, a
+//!    writer is inside or about to be: unpin and pin again (bounded);
+//! 3. **read** — run the closure over `&Rma`, once, and return what it
+//!    returned. Every writer raises the flag *before* waiting for the
+//!    pin count to drain, so a reader that pinned and then found the
+//!    flag down is counted by that wait: no `&mut Rma` exists until
+//!    the closure has returned and the pin is dropped.
 //!
-//! After [`OPTIMISTIC_RETRIES`] failed attempts the caller falls back
-//! to the shard's `RwLock` read path, which waits its turn behind the
-//! writer ([`Shard::peek`] is the two together). Retry termination is therefore structural: each attempt is
-//! bounded, and the fallback always exists.
+//! Only the pin and the check repeat. After [`OPTIMISTIC_RETRIES`]
+//! pins that each met a writer the closure runs — still once — under
+//! the shard's `RwLock` read path, which waits its turn behind the
+//! writer. A writer's `mutate` is about a microsecond, so the short
+//! spin is what keeps readers off the lock (one pin only: traced
+//! `mixed-hotspot` read locks 3 → 908).
 //!
-//! Why readers must be *waited for* rather than merely validated: the
-//! rewiring backend unmaps pages on shrink (`PROT_NONE`), so a reader
-//! racing an actual mutation could fault, and Rust-level data races
-//! are undefined behaviour regardless of validation. The pin drain
-//! removes the race instead of detecting it; the cost is that writers
-//! briefly wait for in-flight readers (bounded: new readers bail on
-//! the odd version).
+//! Why readers must be *waited for* rather than validated afterwards:
+//! the rewiring backend unmaps pages on shrink (`PROT_NONE`), so a
+//! reader racing an actual mutation could fault, and Rust-level data
+//! races are undefined behaviour whatever a later check says. The pin
+//! drain removes the race instead of detecting it; the cost is that
+//! writers briefly wait for in-flight readers (bounded: new readers
+//! meet the raised flag and step aside).
 //!
 //! # Epoch-published topology
 //!
@@ -55,9 +51,9 @@ use std::sync::atomic::{
     Ordering::{Relaxed, SeqCst},
 };
 
-/// Optimistic attempts per operation before falling back to the
+/// Pins per look that may meet a writer before the look takes the
 /// shard `RwLock`.
-pub(crate) const OPTIMISTIC_RETRIES: usize = 8;
+const OPTIMISTIC_RETRIES: u64 = 8;
 
 /// Unpins a shard on drop (keeps the pin balanced across early
 /// returns and closure panics).
@@ -77,48 +73,41 @@ impl Drop for ShardPin<'_> {
 }
 
 impl Shard {
-    /// Runs `f` over the shard's RMA without taking the `RwLock`,
-    /// retrying on writer interference; `None` after
-    /// [`OPTIMISTIC_RETRIES`] failed attempts (caller falls back to
-    /// the lock). See the module docs for the protocol.
-    pub(crate) fn try_optimistic<R>(&self, mut f: impl FnMut(&Rma) -> R) -> Option<R> {
-        let mut failed = 0u64;
-        for _ in 0..OPTIMISTIC_RETRIES {
-            let pin = ShardPin::new(&self.opt_pins);
-            let v1 = self.seq.load(SeqCst);
-            if v1 & 1 == 0 {
-                // SAFETY: pinned under an even version — every writer
-                // publishes odd before waiting for pins to drain, so
-                // no `&mut Rma` exists while this reference lives.
-                let out = f(unsafe { &*self.rma_ptr() });
-                let v2 = self.seq.load(SeqCst);
-                drop(pin);
-                if v1 == v2 {
-                    if failed > 0 {
-                        self.lock_stats().opt_retries.fetch_add(failed, Relaxed);
-                    }
-                    return Some(out);
-                }
-            } else {
-                drop(pin);
+    /// Pins the shard for a look: `Some` as soon as a pin finds no
+    /// writer inside, `None` after [`OPTIMISTIC_RETRIES`] pins that
+    /// each met one. While the pin lives no writer touches the RMA.
+    fn pin_quiet(&self) -> Option<ShardPin<'_>> {
+        let mut met_writer = 0;
+        let pin = loop {
+            if met_writer == OPTIMISTIC_RETRIES {
+                break None;
             }
-            failed += 1;
+            let pin = ShardPin::new(&self.opt_pins);
+            if !self.writing.load(SeqCst) {
+                break Some(pin);
+            }
+            drop(pin);
+            met_writer += 1;
             std::hint::spin_loop();
+        };
+        if met_writer > 0 {
+            self.lock_stats().opt_retries.fetch_add(met_writer, Relaxed);
         }
-        self.lock_stats().opt_retries.fetch_add(failed, Relaxed);
-        None
+        pin
     }
 
-    /// The one way to look at a shard: runs `f` over its RMA
-    /// [optimistically](Self::try_optimistic), and under the shard's
-    /// read lock only after repeated writer interference. `f` may run
-    /// more than once and must leave nothing of a failed pass behind.
-    /// A quiescent shard is read without any lock, so an observer —
-    /// a stats sampler, a planner sizing its steps — does not move the
-    /// lock counters it may be watching.
-    pub(crate) fn peek<R>(&self, mut f: impl FnMut(&Rma) -> R) -> R {
-        match self.try_optimistic(&mut f) {
-            Some(out) => out,
+    /// The one way to look at a shard: runs `f` over its RMA exactly
+    /// once — pinned, without the `RwLock`, when a pin finds the shard
+    /// quiet; under the read lock when none did. See the module docs
+    /// for the protocol. A quiescent shard is read without any lock,
+    /// so an observer — a stats sampler, a planner sizing its steps —
+    /// does not move the lock counters it may be watching.
+    pub(crate) fn peek<R>(&self, f: impl FnOnce(&Rma) -> R) -> R {
+        match self.pin_quiet() {
+            // SAFETY: pinned with the `writing` flag down — every
+            // writer raises the flag before waiting for pins to drain,
+            // so no `&mut Rma` exists while `_pin` lives.
+            Some(_pin) => f(unsafe { &*self.rma_ptr() }),
             None => self.locked(f),
         }
     }
@@ -326,23 +315,48 @@ mod tests {
 
     #[test]
     fn optimistic_read_on_quiescent_shard_succeeds() {
-        let cfg = ShardConfig::default();
         let t = topo(1);
         let shard = &t.shards[0];
-        let _ = cfg;
-        assert_eq!(shard.try_optimistic(|r| r.len()), Some(0));
+        assert!(shard.pin_quiet().is_some());
+        assert_eq!(shard.peek(|r| r.len()), 0);
         assert_eq!(shard.opt_pins.load(Relaxed), 0);
+        assert_eq!(shard.lock_stats().read_locks.load(Relaxed), 0);
     }
 
     #[test]
     fn odd_version_makes_readers_bail_and_terminate() {
         let t = topo(1);
         let shard = &t.shards[0];
-        // Simulate a writer parked mid-mutation: version odd.
-        shard.seq.fetch_add(1, SeqCst);
-        assert_eq!(shard.try_optimistic(|r| r.len()), None);
+        // Simulate a writer parked mid-mutation: flag up.
+        shard.writing.store(true, SeqCst);
+        assert!(shard.pin_quiet().is_none());
         assert_eq!(shard.opt_pins.load(Relaxed), 0, "pins must balance");
-        shard.seq.fetch_add(1, SeqCst);
-        assert_eq!(shard.try_optimistic(|r| r.len()), Some(0));
+        shard.writing.store(false, SeqCst);
+        assert!(shard.pin_quiet().is_some());
+    }
+
+    /// A writer that arrives while a look is inside waits for it: the
+    /// look runs once, returns what the shard held when it pinned, and
+    /// the write lands after it.
+    #[test]
+    fn a_look_that_a_writer_arrives_during_runs_once() {
+        let t = topo(1);
+        let shard = &t.shards[0];
+        let mut runs = 0;
+        let seen = std::thread::scope(|sc| {
+            shard.peek(|rma| {
+                runs += 1;
+                sc.spawn(|| shard.write().mutate(|r| r.insert(1, 1)));
+                // Flag up: the writer holds the lock and is parked on
+                // this look's pin.
+                while !shard.writing.load(SeqCst) {
+                    std::thread::yield_now();
+                }
+                rma.len()
+            })
+        });
+        assert_eq!((seen, runs), (0, 1));
+        assert_eq!(shard.peek(|rma| rma.len()), 1);
+        assert_eq!(shard.lock_stats().read_locks.load(Relaxed), 0);
     }
 }

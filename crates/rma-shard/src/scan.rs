@@ -4,12 +4,10 @@
 //! Shards cover disjoint, contiguous key ranges in shard order, so a
 //! range operation starts at the routed shard and walks right,
 //! continuing from `Key::MIN` inside every subsequent shard (whose
-//! keys all exceed the previous shard's upper bound). Per-shard reads
-//! go through the optimistic seqlock path where a retried pass cannot
-//! be observed: the result is scalar ([`ShardedRma::sum_range`],
-//! [`ShardedRma::first_ge`]) or lands in a vector that is cut back
-//! before every attempt (moderate [`ShardedRma::scan_into`] windows);
-//! they fall back to the shard read lock otherwise — see the crate
+//! keys all exceed the previous shard's upper bound). Every per-shard
+//! read ([`ShardedRma::sum_range`], [`ShardedRma::first_ge`],
+//! [`ShardedRma::scan_into`] of any size) is one pinned look at the
+//! shard, under its read lock only beside a writer — see the crate
 //! docs for the consistency contract.
 //!
 //! A scan has one data path. [`Rma::scan_into`](rma_core::Rma::scan_into)
@@ -22,18 +20,13 @@
 use crate::{DurabilityOp, ShardedRma};
 use rma_core::{Key, Value};
 
-/// Scans asked to visit more than this many elements in one shard
-/// skip the optimistic attempt: a pass that fails validation is
-/// thrown away whole, and past this size re-reading costs more than
-/// the shard's read lock.
-const OPTIMISTIC_SCAN_MAX: usize = 1 << 16;
-
 impl ShardedRma {
     /// Visits up to `count` elements in key order starting from the
     /// first element `>= start`; returns the number visited.
     /// [`scan_into`](Self::scan_into) a private vector, then `f` over
-    /// it — so `f` only ever sees validated passes, and a scan of the
-    /// whole index holds 16 bytes an element while it runs.
+    /// it — so `f` runs with no shard pinned (it may take its time, or
+    /// write to the index), and a scan of the whole index holds 16
+    /// bytes an element while it runs.
     pub fn scan<F: FnMut(Key, Value)>(&self, start: Key, count: usize, mut f: F) -> usize {
         let mut out = Vec::new();
         self.scan_into(start, count, &mut out);
@@ -46,46 +39,27 @@ impl ShardedRma {
     /// Appends up to `count` elements in key order, starting from the
     /// first element `>= start`, to `out`; returns the number
     /// appended. Each shard's share is written straight into `out`
-    /// by [`Rma::scan_into`](rma_core::Rma::scan_into), inside the
-    /// optimistic section: `out` is cut back to where the shard
-    /// started before every attempt and before the read-lock
-    /// fallback, so a pass that failed validation leaves nothing
-    /// behind. What `out` held on entry stays below the result.
+    /// by [`Rma::scan_into`](rma_core::Rma::scan_into) in one look at
+    /// the shard. What `out` held on entry stays below the result.
     pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
         let topo = self.topo();
         let first = topo.splitters.route(start);
-        let begin = out.len();
+        let mut appended = 0usize;
         for (i, shard) in topo.shards.iter().enumerate().skip(first) {
-            let base = out.len();
-            if base - begin >= count {
+            if appended >= count {
                 break;
             }
             let from = if i == first { start } else { Key::MIN };
             self.record_access(&topo, shard, &shard.reads, &[from]);
-            let want = count - (base - begin);
-            // The size gate compares against what the shard can
-            // actually yield, so open-ended scans (`count =
-            // usize::MAX`) stay lock-free as long as each shard is
-            // moderate.
-            let validated = shard.try_optimistic(|rma| {
-                out.truncate(base);
-                if want.min(rma.len()) > OPTIMISTIC_SCAN_MAX {
-                    return false;
-                }
-                rma.scan_into(from, want, out);
-                true
-            });
-            if validated != Some(true) {
-                out.truncate(base);
-                shard.locked(|rma| rma.scan_into(from, want, out));
-            }
+            let want = count - appended;
+            appended += shard.peek(|rma| rma.scan_into(from, want, out));
         }
-        out.len() - begin
+        appended
     }
 
     /// Sums up to `count` values starting at the first key `>= start`
     /// — the paper's scan kernel, stitched across shards. Lock-free
-    /// on the happy path (scalar result: no buffering needed).
+    /// on the happy path.
     pub fn sum_range(&self, start: Key, count: usize) -> (usize, i64) {
         let topo = self.topo();
         let first = topo.splitters.route(start);
@@ -250,6 +224,22 @@ mod tests {
         }
     }
 
+    /// A scan of any size is one pinned look at each shard: on a
+    /// quiescent index even a shard of 2^17 pairs, scanned whole,
+    /// takes no read lock.
+    #[test]
+    fn a_whole_scan_of_a_big_shard_takes_no_lock() {
+        let n = 1usize << 17;
+        let batch: Vec<(i64, i64)> = (0..n as i64).map(|k| (k, k)).collect();
+        let s = ShardedRma::new(small_cfg(1));
+        s.apply_batch(&batch, &[]);
+        let (r0, _) = s.lock_acquisitions();
+        let mut out = Vec::new();
+        assert_eq!(s.scan_into(i64::MIN, usize::MAX, &mut out), n);
+        assert_eq!(out, batch);
+        assert_eq!(s.lock_acquisitions().0 - r0, 0);
+    }
+
     #[test]
     fn sum_range_spans_all_shards() {
         let s = populated();
@@ -288,8 +278,7 @@ mod tests {
         let mut n = 0;
         s.scan(0, 100, |_, _| n += 1);
         assert_eq!(n, 100);
-        // Open-ended scans must stay lock-free too: the optimistic
-        // gate bounds on shard content, not the requested count.
+        // Open-ended scans must stay lock-free too.
         let mut all = 0;
         s.scan(i64::MIN, usize::MAX, |_, _| all += 1);
         assert_eq!(all, 500);

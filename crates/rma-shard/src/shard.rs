@@ -1,5 +1,5 @@
-//! One shard: an independent [`Rma`] guarded by the optimistic
-//! seqlock protocol of [`crate::optimistic`], plus cheap per-shard
+//! One shard: an independent [`Rma`] guarded by the pin-then-check
+//! protocol of [`crate::optimistic`], plus cheap per-shard
 //! load counters and the decaying access histogram that drives
 //! splitter re-learning.
 //!
@@ -13,24 +13,21 @@
 //!   take it exclusively, fallback readers take it shared. The lock
 //!   guards no data directly (hence `()`): it orders lock-based
 //!   accessors among themselves.
-//! * `seq: AtomicU64` — the seqlock version: even = stable, odd = a
-//!   mutation is in progress. Bumped to odd *before* and to even
-//!   *after* every `&mut Rma` section.
+//! * `writing: AtomicBool` — up while a mutation is in progress:
+//!   raised *before* and lowered *after* every `&mut Rma` section.
 //! * `opt_pins: AtomicU64` — count of optimistic readers currently
-//!   inside the shard. A writer that has published an odd version
-//!   **waits for this count to drain to zero** before creating
-//!   `&mut Rma`. New optimistic readers observe the odd version and
-//!   bail immediately, so the drain is bounded by the reads already
-//!   in flight.
+//!   inside the shard. A writer that has raised the flag **waits for
+//!   this count to drain to zero** before creating `&mut Rma`. New
+//!   optimistic readers see the flag and step aside at once, so the
+//!   drain is bounded by the reads already in flight.
 //!
-//! The wait-for-pins step is what makes the optimistic path *sound*
-//! rather than merely validated: an optimistic reader never overlaps
-//! a mutation, so it can run the ordinary safe `&Rma` accessors — no
-//! torn reads to tolerate, no use-after-`munmap` when a resize
-//! unwires pages (`rewiring` remaps shrunk tails `PROT_NONE`; a
-//! truly racing reader could fault on them, which no amount of
-//! post-hoc validation can undo). See [`crate::optimistic`] for the
-//! reader side and the memory-ordering argument.
+//! The wait-for-pins step is what makes the optimistic path *sound*:
+//! an optimistic reader never overlaps a mutation, so it runs the
+//! ordinary safe `&Rma` accessors, once — no torn reads to tolerate,
+//! no use-after-`munmap` when a resize unwires pages (`rewiring`
+//! remaps shrunk tails `PROT_NONE`; a truly racing reader could fault
+//! on them, which no check after the fact can undo). See
+//! [`crate::optimistic`] for the reader side.
 //!
 //! `retired` marks shards that maintenance has replaced in a newer
 //! topology: writers that reach a retired shard re-route through the
@@ -57,18 +54,19 @@ pub struct LockStats {
     pub read_locks: AtomicU64,
     /// Exclusive (write) shard-lock acquisitions.
     pub write_locks: AtomicU64,
-    /// Failed seqlock read attempts (writer interference observed
-    /// before the retry or the lock fallback) — the contention signal
-    /// complementing the two lock counters.
+    /// Reader pins that met a writer (each is followed by another pin
+    /// or by the lock fallback) — the contention signal complementing
+    /// the two lock counters.
     pub opt_retries: AtomicU64,
 }
 
 /// A single key-range shard. Rebalances and resizes inside the inner
-/// RMA happen under this shard's write lock *and* the seqlock writer
-/// protocol, and therefore never block operations on sibling shards.
+/// RMA happen under this shard's write lock *and* the writer half of
+/// the pin protocol, and therefore never block operations on sibling
+/// shards.
 pub(crate) struct Shard {
-    /// Seqlock version: even = stable, odd = mutation in progress.
-    pub(crate) seq: AtomicU64,
+    /// Up while a mutation is in progress.
+    pub(crate) writing: AtomicBool,
     /// Optimistic readers currently inside the shard.
     pub(crate) opt_pins: AtomicU64,
     /// Set (under the write lock) when maintenance replaces this
@@ -93,7 +91,7 @@ pub(crate) struct Shard {
 // readers (excluded from writers by the RwLock) and by optimistic
 // readers (excluded from writers by the pin drain), `&mut Rma` only
 // inside `ShardWriteGuard::mutate` while holding the write lock with
-// the seqlock odd and the pin count at zero.
+// the `writing` flag up and the pin count at zero.
 unsafe impl Send for Shard {}
 unsafe impl Sync for Shard {}
 
@@ -115,7 +113,7 @@ impl Shard {
         lock_stats: Arc<LockStats>,
     ) -> Self {
         Shard {
-            seq: AtomicU64::new(0),
+            writing: AtomicBool::new(false),
             opt_pins: AtomicU64::new(0),
             retired: AtomicBool::new(false),
             lock: RwLock::new(()),
@@ -159,8 +157,8 @@ impl Shard {
 
     /// Exclusive lock-based access. Reading through the guard is
     /// immediate ([`ShardWriteGuard::rma`]); mutating goes through
-    /// [`ShardWriteGuard::mutate`], which runs the seqlock writer
-    /// protocol.
+    /// [`ShardWriteGuard::mutate`], which runs the writer half of the
+    /// pin protocol.
     pub(crate) fn write(&self) -> ShardWriteGuard<'_> {
         self.lock_stats.write_locks.fetch_add(1, Relaxed);
         let guard = self.lock.write().expect("shard lock poisoned");
@@ -178,7 +176,7 @@ pub(crate) struct ShardWriteGuard<'a> {
 }
 
 impl ShardWriteGuard<'_> {
-    /// Reads the inner RMA. No seqlock bump: concurrent optimistic
+    /// Reads the inner RMA. The flag stays down: concurrent optimistic
     /// readers may share the view (maintenance drains use this). The
     /// borrow is tied to the *guard* (not the shard) so it cannot
     /// outlive the lock or overlap a [`mutate`](Self::mutate) call.
@@ -202,20 +200,20 @@ impl ShardWriteGuard<'_> {
     }
 
     /// Runs `f` with exclusive `&mut` access to the inner RMA under
-    /// the seqlock writer protocol: publish an odd version, wait for
-    /// in-flight optimistic readers to drain, mutate, publish even.
+    /// the writer half of the pin protocol: raise the flag, wait for
+    /// in-flight optimistic readers to drain, mutate, lower the flag.
     ///
-    /// The drain terminates because the odd version makes every new
-    /// optimistic reader bail to the lock-based fallback (which
-    /// blocks on the `RwLock` this guard holds), so `opt_pins` only
-    /// decreases.
+    /// The drain terminates because the raised flag sends every new
+    /// optimistic reader, within a few pins, to the lock-based
+    /// fallback (which blocks on the `RwLock` this guard holds), so
+    /// `opt_pins` returns to zero.
     pub(crate) fn mutate<R>(&mut self, f: impl FnOnce(&mut Rma) -> R) -> R {
-        // SeqCst on the version store and the pin load gives the
+        // SeqCst on the flag store and the pin load gives the
         // store→load ordering of the Dekker pattern: either a reader's
         // pin increment is visible to the loop below (we wait for it),
-        // or our odd version is visible to the reader's validation
-        // (it bails without touching the cell).
-        self.shard.seq.fetch_add(1, SeqCst);
+        // or our raised flag is visible to the reader's check (it
+        // unpins without touching the cell).
+        self.shard.writing.store(true, SeqCst);
         let mut spins = 0u32;
         while self.shard.opt_pins.load(SeqCst) != 0 {
             spins += 1;
@@ -225,10 +223,10 @@ impl ShardWriteGuard<'_> {
                 std::hint::spin_loop();
             }
         }
-        // SAFETY: write lock held (no lock-based aliases), version odd
+        // SAFETY: write lock held (no lock-based aliases), flag up
         // and pins drained (no optimistic aliases): access is unique.
         let out = f(unsafe { &mut *self.shard.rma_ptr() });
-        self.shard.seq.fetch_add(1, SeqCst);
+        self.shard.writing.store(false, SeqCst);
         out
     }
 }

@@ -23,7 +23,7 @@
 //!   rebalancing;
 //! * [`shard`] — the **sharded concurrent front-end**: key-range
 //!   sharding with branch-free routing, an **optimistic lock-free
-//!   read path** (seqlock-versioned shards behind an epoch-published
+//!   read path** (pin-then-check shards behind an epoch-published
 //!   topology: point lookups and range sums take zero locks on the
 //!   happy path), stitched scans, parallel batch ingest, and
 //!   **access-histogram-driven maintenance** — every shard carries a
@@ -36,8 +36,8 @@
 //!   thread that readers never block behind;
 //! * [`obs`] — the **observability core**: lock-free log₂-bucketed
 //!   latency histograms (mergeable, bounded-error quantiles), a
-//!   bounded MPSC maintenance-event journal, static counters/gauges,
-//!   and cheap monotonic timestamps — everything
+//!   bounded MPSC maintenance-event journal, and cheap monotonic
+//!   timestamps — everything
 //!   [`Db::metrics`](rma_db::Db::metrics) is assembled from;
 //! * [`wal`] — the **durability subsystem**: group-committed
 //!   per-partition write-ahead logs (length-prefixed, checksummed

@@ -89,6 +89,9 @@ fn journal_captures_forced_split_merge_cycle() {
     // The same cycle must survive the text exposition.
     let text = metrics.render_text();
     assert!(text.contains("# TYPE rma_maintenance_step_ns summary"));
+    // A worst-case is a gauge; the counts beside it are counters.
+    assert!(text.contains("# TYPE rma_max_step_wall_ns gauge"));
+    assert!(text.contains("# TYPE rma_maintenance_steps_executed_total counter"));
     assert!(text.contains("kind=split"));
     assert!(text.contains("kind=merge"));
     assert!(text.contains("kind=topology_publish"));

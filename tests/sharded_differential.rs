@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rma_repro::db::Db;
 use rma_repro::rma::{RewiringMode, Rma, RmaConfig};
-use rma_repro::shard::{RelearnStrategy, ShardConfig, Splitters};
+use rma_repro::shard::{ShardConfig, Splitters};
 use std::collections::BTreeMap;
 
 /// Number of splitters `<= k` — the routing oracle.
@@ -539,11 +539,9 @@ proptest! {
         hot_lo in 0i64..19_000,
         hammers in 10usize..40,
     ) {
-        let run = |strategy: RelearnStrategy| {
-            let mut cfg = small_sharded(8);
-            cfg.relearn_strategy = strategy;
+        let run = |monolithic: bool| {
             let splitters: Vec<i64> = (1..8).map(|i| i * 2500).collect();
-            let db = sharded_db(cfg, splitters);
+            let db = sharded_db(small_sharded(8), splitters);
             let s = db.engine();
             for &k in &keys {
                 s.insert(k, k);
@@ -554,7 +552,11 @@ proptest! {
                     let _ = s.get(hot_lo + d);
                 }
             }
-            let report = s.relearn_splitters();
+            let report = if monolithic {
+                s.relearn_splitters_monolithic()
+            } else {
+                s.relearn_splitters()
+            };
             s.check_invariants();
             // Realized (not predicted) imbalance: replay the identical
             // access pattern against the adapted topology.
@@ -566,8 +568,8 @@ proptest! {
             }
             (report, s.access_imbalance(), s.collect_all())
         };
-        let (mono_report, mono, mono_content) = run(RelearnStrategy::Monolithic);
-        let (inc_report, inc, inc_content) = run(RelearnStrategy::Incremental);
+        let (mono_report, mono, mono_content) = run(true);
+        let (inc_report, inc, inc_content) = run(false);
         prop_assert_eq!(mono_content, inc_content, "strategies diverged on content");
         // Both see the same signal: whenever the monolithic guards
         // engage, the incremental planner must adapt too (it may

@@ -110,6 +110,43 @@ fn run_replay(
     shards: usize,
     first_half_maintains: u64,
 ) -> (Vec<f64>, Db) {
+    run_replay_with(
+        relearn,
+        strategy,
+        motion,
+        shards,
+        first_half_maintains,
+        |index| {
+            index.maintain();
+        },
+    )
+}
+
+/// The `monolithic` replay: [`run_replay`] of the re-learning
+/// configuration with every `maintain()` replaced by the single-swap
+/// reference and the split/merge pass that follows a re-learn.
+fn run_monolithic_replay(motion: HotspotMotion, shards: usize) -> (Vec<f64>, Db) {
+    run_replay_with(
+        true,
+        RelearnStrategy::Incremental,
+        motion,
+        shards,
+        1,
+        |index| {
+            index.relearn_splitters_monolithic();
+            index.rebalance_shards();
+        },
+    )
+}
+
+fn run_replay_with(
+    relearn: bool,
+    strategy: RelearnStrategy,
+    motion: HotspotMotion,
+    shards: usize,
+    first_half_maintains: u64,
+    maintain: impl Fn(&ShardedRma),
+) -> (Vec<f64>, Db) {
     let mut ops = ShiftingHotspot::new(
         HotspotConfig {
             phase_len: PHASE_OPS,
@@ -171,10 +208,10 @@ fn run_replay(
             run_half(n, index, &mut oracle);
             done += n;
             if done < half {
-                index.maintain();
+                maintain(index);
             }
         }
-        index.maintain();
+        maintain(index);
         index.check_invariants();
         index.reset_access_stats();
         run_half(PHASE_OPS - half, index, &mut oracle);
@@ -268,7 +305,7 @@ fn relearning_halves_hotspot_imbalance_deterministically() {
 #[test]
 fn incremental_drain_matches_monolithic_within_ten_percent() {
     for motion in [HotspotMotion::Jump, drift_motion()] {
-        let (mono, mono_index) = run_replay(true, RelearnStrategy::Monolithic, motion, SHARDS, 1);
+        let (mono, mono_index) = run_monolithic_replay(motion, SHARDS);
         let (inc, inc_index) = run_replay(true, RelearnStrategy::Incremental, motion, SHARDS, 1);
         assert_eq!(
             mono_index.engine().collect_all(),
@@ -303,13 +340,7 @@ fn nudges_beat_full_rebuilds_on_drift() {
         DRIFT_SHARDS,
         1,
     );
-    let (full, full_index) = run_replay(
-        true,
-        RelearnStrategy::Monolithic,
-        drift_motion(),
-        DRIFT_SHARDS,
-        1,
-    );
+    let (full, full_index) = run_monolithic_replay(drift_motion(), DRIFT_SHARDS);
     let (nudge, nudge_index) = run_replay(
         true,
         RelearnStrategy::NudgeOnly,
