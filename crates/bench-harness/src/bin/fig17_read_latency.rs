@@ -1,8 +1,8 @@
 //! Figure 17 (beyond the paper) — read tail latency under index
 //! maintenance.
 //!
-//! The point of the optimistic read path (seqlock shards + epoch
-//! topology, PR 3) is that splitter re-learning and shard
+//! The point of the lock-free read path (pin-then-check shard reads +
+//! epoch topology) is that splitter re-learning and shard
 //! rebalancing no longer stall readers. This driver measures it: a
 //! 90/10 read/write mix runs against a preloaded [`rma_shard::ShardedRma`]
 //! under three maintenance regimes over the same operation stream —

@@ -36,7 +36,7 @@ mod mmap;
 mod vec;
 
 pub use clock::monotonic_ns;
-pub use vec::{BackendKind, RewireOptions, RewiredVec, Scalar};
+pub use vec::{BackendKind, RewireOptions, RewiredVec};
 
 /// Hints the CPU to pull the cache line holding `slice[idx]` into
 /// every cache level (x86-64 `PREFETCHT0`; a no-op elsewhere). `idx`

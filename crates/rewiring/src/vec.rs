@@ -1,7 +1,6 @@
-//! Typed façade over the rewirable regions: a growable array of plain
-//! scalars whose tail hosts the spare buffer pages used by RMA
-//! rebalances, with O(1) page swapping when the mmap backend is
-//! active.
+//! Typed façade over the rewirable regions: a growable array of `i64`s
+//! whose tail hosts the spare buffer pages used by RMA rebalances, with
+//! O(1) page swapping when the mmap backend is active.
 //!
 //! Layout of the reservation (in logical pages):
 //!
@@ -32,20 +31,6 @@
 use crate::heap::HeapRegion;
 #[cfg(target_os = "linux")]
 use crate::mmap::MmapRegion;
-
-/// Scalar types that may live in a rewired region: any bit pattern
-/// must be a valid value (pages arrive zeroed or with stale content).
-///
-/// # Safety
-/// Implementors must be plain-old-data with no invalid bit patterns
-/// and no padding.
-pub unsafe trait Scalar: Copy + Default + 'static {}
-unsafe impl Scalar for i64 {}
-unsafe impl Scalar for u64 {}
-unsafe impl Scalar for i32 {}
-unsafe impl Scalar for u32 {}
-unsafe impl Scalar for u16 {}
-unsafe impl Scalar for u8 {}
 
 /// Which backend a [`RewiredVec`] ended up on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,33 +147,33 @@ impl Backend {
 /// docs for why an eighth).
 const SPARE_DIVISOR: usize = 8;
 
-/// A contiguous, growable array of [`Scalar`]s backed by a rewirable
-/// region, plus a spare buffer area used by rebalances.
-pub struct RewiredVec<T: Scalar> {
+/// A contiguous, growable array of `i64`s backed by a rewirable region,
+/// plus a spare buffer area used by rebalances. Every bit pattern is a
+/// valid `i64`, so pages that arrive zeroed or with stale content are
+/// valid array content.
+pub struct RewiredVec {
     backend: Backend,
     /// Elements in the array part.
     len: usize,
     /// Buffer pages currently wired after the array part.
     spare_wired: usize,
     elems_per_page: usize,
-    _marker: std::marker::PhantomData<T>,
 }
 
-impl<T: Scalar> RewiredVec<T> {
+impl RewiredVec {
     /// Creates an empty vector. Tries the mmap backend first unless
     /// `opts.force_heap` is set, and silently falls back to the heap
     /// backend when the syscalls are unavailable.
     pub fn new(opts: RewireOptions) -> Self {
         assert!(opts.page_bytes.is_power_of_two());
-        assert!(opts.page_bytes >= std::mem::size_of::<T>());
+        assert!(opts.page_bytes >= std::mem::size_of::<i64>());
         let reserve = opts.reserve_bytes.next_multiple_of(opts.page_bytes);
         let backend = Self::pick_backend(&opts, reserve);
         RewiredVec {
             backend,
             len: 0,
             spare_wired: 0,
-            elems_per_page: opts.page_bytes / std::mem::size_of::<T>(),
-            _marker: std::marker::PhantomData,
+            elems_per_page: opts.page_bytes / std::mem::size_of::<i64>(),
         }
     }
 
@@ -251,7 +236,7 @@ impl<T: Scalar> RewiredVec<T> {
     }
 
     /// Resizes the array part in place. Newly exposed elements hold
-    /// unspecified (but valid) scalar values: the RMA's gap slots are
+    /// unspecified (but valid) values: the RMA's gap slots are
     /// defined by its `cards` array, never by storage content.
     pub fn resize_in_place(&mut self, new_len: usize) {
         let old_pages = self.array_pages();
@@ -274,23 +259,23 @@ impl<T: Scalar> RewiredVec<T> {
     }
 
     /// The array contents.
-    pub fn as_slice(&self) -> &[T] {
+    pub fn as_slice(&self) -> &[i64] {
         if self.len == 0 {
             return &[];
         }
-        // SAFETY: pages [0, array_pages) are wired (invariant), T is
-        // Scalar so any content is valid, and the region base is
-        // aligned far beyond align_of::<T>().
-        unsafe { std::slice::from_raw_parts(self.backend.page_ptr(0) as *const T, self.len) }
+        // SAFETY: pages [0, array_pages) are wired (invariant), any
+        // content is a valid i64, and the region base is aligned far
+        // beyond align_of::<i64>().
+        unsafe { std::slice::from_raw_parts(self.backend.page_ptr(0) as *const i64, self.len) }
     }
 
     /// The array contents, mutable.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub fn as_mut_slice(&mut self) -> &mut [i64] {
         if self.len == 0 {
             return &mut [];
         }
         // SAFETY: as for `as_slice`, plus &mut self gives exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.backend.page_ptr(0) as *mut T, self.len) }
+        unsafe { std::slice::from_raw_parts_mut(self.backend.page_ptr(0) as *mut i64, self.len) }
     }
 
     fn ensure_buffer(&mut self, pages: usize) {
@@ -310,16 +295,16 @@ impl<T: Scalar> RewiredVec<T> {
     /// Returns the array (read-only) and a spare buffer of at least
     /// `buf_elems` elements (mutable), wiring buffer pages on demand.
     /// The buffer content is unspecified.
-    pub fn array_and_buffer_mut(&mut self, buf_elems: usize) -> (&[T], &mut [T]) {
+    pub fn array_and_buffer_mut(&mut self, buf_elems: usize) -> (&[i64], &mut [i64]) {
         let pages = self.pages_for(buf_elems);
         self.ensure_buffer(pages);
         let first = self.array_pages();
         // SAFETY: array pages [0, first) and buffer pages
         // [first, first+pages) are disjoint wired ranges.
         unsafe {
-            let arr = std::slice::from_raw_parts(self.backend.page_ptr(0) as *const T, self.len);
+            let arr = std::slice::from_raw_parts(self.backend.page_ptr(0) as *const i64, self.len);
             let buf =
-                std::slice::from_raw_parts_mut(self.backend.page_ptr(first) as *mut T, buf_elems);
+                std::slice::from_raw_parts_mut(self.backend.page_ptr(first) as *mut i64, buf_elems);
             (arr, buf)
         }
     }
@@ -411,7 +396,7 @@ impl<T: Scalar> RewiredVec<T> {
     }
 }
 
-impl<T: Scalar> std::fmt::Debug for RewiredVec<T> {
+impl std::fmt::Debug for RewiredVec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RewiredVec")
             .field("backend", &self.backend_kind())
@@ -442,7 +427,7 @@ mod tests {
     #[test]
     fn resize_and_write_round_trip() {
         for opts in backends() {
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(1000);
             for (i, slot) in v.as_mut_slice().iter_mut().enumerate() {
                 *slot = i as i64;
@@ -456,7 +441,7 @@ mod tests {
     fn window_swap_installs_buffer_content() {
         for opts in backends() {
             let epp = 4096 / 8;
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(4 * epp);
             v.as_mut_slice().fill(7);
             {
@@ -475,7 +460,7 @@ mod tests {
     fn resize_swap_grows_correctly() {
         for opts in backends() {
             let epp = 4096 / 8;
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(2 * epp);
             for (i, s) in v.as_mut_slice().iter_mut().enumerate() {
                 *s = i as i64;
@@ -504,7 +489,7 @@ mod tests {
     fn resize_swap_shrinks_correctly() {
         for opts in backends() {
             let epp = 4096 / 8;
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(4 * epp);
             for (i, s) in v.as_mut_slice().iter_mut().enumerate() {
                 *s = i as i64;
@@ -529,7 +514,7 @@ mod tests {
     fn repeated_grow_cycles_preserve_data() {
         for opts in backends() {
             let epp = 4096 / 8;
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(epp);
             v.as_mut_slice().fill(1);
             let mut expected_len = epp;
@@ -553,7 +538,7 @@ mod tests {
     #[test]
     fn wired_bytes_tracks_growth_and_release() {
         for opts in backends() {
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(4096 / 8 * 3);
             let base = v.wired_bytes();
             assert_eq!(base, 3 * 4096);
@@ -568,7 +553,7 @@ mod tests {
     fn commits_leave_an_eighth_of_the_array_in_spares() {
         for opts in backends() {
             let epp = 4096 / 8;
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(16 * epp);
             // A window of half the array wires 8 buffer pages; the
             // commit gives 6 of them back.
@@ -592,7 +577,7 @@ mod tests {
     #[test]
     fn partial_page_lengths_work() {
         for opts in backends() {
-            let mut v = RewiredVec::<i64>::new(opts);
+            let mut v = RewiredVec::new(opts);
             v.resize_in_place(10);
             v.as_mut_slice()
                 .copy_from_slice(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
@@ -603,7 +588,7 @@ mod tests {
 
     #[test]
     fn heap_fallback_is_forced() {
-        let v = RewiredVec::<i64>::new(small_opts(true));
+        let v = RewiredVec::new(small_opts(true));
         assert_eq!(v.backend_kind(), BackendKind::Heap);
     }
 
@@ -616,7 +601,7 @@ mod tests {
         const MAX_PAGES: usize = 40;
         let epp = opts.page_bytes / 8;
         let mut rng = proptest::TestRng::new(seed);
-        let mut v = RewiredVec::<i64>::new(opts);
+        let mut v = RewiredVec::new(opts);
         let mut model: Vec<i64> = Vec::new();
         let mut stamp = 0i64;
         let mut fresh = move || {

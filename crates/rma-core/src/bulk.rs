@@ -37,8 +37,9 @@
 //! Everything that builds a store — `ShardedRma::load_bulk`, recovery,
 //! a maintenance step filling a fresh shard — comes through here.
 
-use crate::rma::Rma;
+use crate::rma::{cap_targets, even_targets, height_for, window_layout, Rma};
 use crate::{Key, Value};
+use std::ops::Range;
 
 impl Rma {
     /// Bottom-up bulk load of a batch sorted by key.
@@ -99,12 +100,7 @@ impl Rma {
         }
         let runs = self.route_batch(batch);
         let m = self.storage.seg_count();
-        let total: usize = (0..m)
-            .map(|s| self.storage.card(s) + runs[s].len())
-            .collect::<Vec<_>>()
-            .iter()
-            .sum();
-        if total > self.root_max(m) {
+        if self.len + batch.len() > self.root_max(m) {
             self.rebuild_with_batch(batch);
             return;
         }
@@ -123,10 +119,10 @@ impl Rma {
 
     fn top_down_rec(
         &mut self,
-        segs: std::ops::Range<usize>,
+        segs: Range<usize>,
         level: usize,
         batch: &[(Key, Value)],
-        runs: &[std::ops::Range<usize>],
+        runs: &[Range<usize>],
     ) {
         let m = segs.len();
         let b = self.cfg.segment_size;
@@ -171,11 +167,9 @@ impl Rma {
 // Internal passes shared by the bottom-up and top-down schemes.      //
 // ----------------------------------------------------------------- //
 
-use crate::rma::{cap_targets, even_targets, height_for, window_layout};
-
 impl Rma {
     /// Pass 1: the contiguous batch run destined for each segment.
-    pub(crate) fn route_batch(&self, batch: &[(Key, Value)]) -> Vec<std::ops::Range<usize>> {
+    pub(crate) fn route_batch(&self, batch: &[(Key, Value)]) -> Vec<Range<usize>> {
         let m = self.storage.seg_count();
         let mut runs = Vec::with_capacity(m);
         let mut cursor = 0usize;
@@ -197,38 +191,22 @@ impl Rma {
 
     /// Pass 2: the smallest window absorbing each overflowing segment,
     /// with overlapping windows merged.
-    pub(crate) fn plan_windows(&self, new_cards: &[usize]) -> Vec<std::ops::Range<usize>> {
-        let m = self.storage.seg_count();
+    pub(crate) fn plan_windows(&self, new_cards: &[usize]) -> Vec<Range<usize>> {
         let b = self.cfg.segment_size;
         let height = self.height();
-        let mut raw: Vec<std::ops::Range<usize>> = Vec::new();
-        for s in 0..m {
-            if new_cards[s] <= b {
-                continue;
-            }
-            let mut w = 2usize;
-            let mut level = 2usize;
-            loop {
-                assert!(level <= height, "global pre-check guarantees a window");
-                let start = (s / w) * w;
-                let end = (start + w).min(m);
-                let cap = (end - start) * b;
-                let total: usize = new_cards[start..end].iter().sum();
-                let max = self
-                    .cfg
-                    .thresholds
-                    .max_card(level, height, cap)
-                    .min((end - start) * (b - 1));
-                if total <= max {
-                    raw.push(start..end);
-                    break;
-                }
-                w *= 2;
-                level += 1;
-            }
+        let mut raw: Vec<Range<usize>> = Vec::new();
+        for s in (0..new_cards.len()).filter(|&s| new_cards[s] > b) {
+            let (_, w) = self
+                .windows_above(s)
+                .find(|(level, w)| {
+                    let max = self.cfg.thresholds.max_card(*level, height, w.len() * b);
+                    new_cards[w.clone()].iter().sum::<usize>() <= max.min(w.len() * (b - 1))
+                })
+                .expect("global pre-check guarantees a window");
+            raw.push(w);
         }
         raw.sort_by_key(|r| (r.start, std::cmp::Reverse(r.end)));
-        let mut merged: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut merged: Vec<Range<usize>> = Vec::new();
         for r in raw {
             match merged.last_mut() {
                 Some(last) if r.start < last.end => last.end = last.end.max(r.end),
@@ -240,28 +218,17 @@ impl Rma {
 
     /// Pass 3a: merges a batch run into one segment in place.
     pub(crate) fn merge_segment(&mut self, s: usize, run: &[(Key, Value)]) {
-        let b = self.cfg.segment_size;
         let card = self.storage.card(s);
-        assert!(card + run.len() <= b, "segment overflow in merge");
-        self.scratch_keys.clear();
-        self.scratch_vals.clear();
-        merge_into(
-            self.storage.seg_keys(s),
-            self.storage.seg_vals(s),
-            run,
-            &mut self.scratch_keys,
-            &mut self.scratch_vals,
+        assert!(
+            card + run.len() <= self.cfg.segment_size,
+            "segment overflow in merge"
         );
-        let new_card = self.scratch_keys.len();
-        let base = s * b;
-        let dst = if crate::storage::Storage::packs_right(s) {
-            base + b - new_card..base + b
-        } else {
-            base..base + new_card
-        };
+        let stored = self.storage.seg_elems(s);
+        merge_into(stored, run, &mut self.scratch_keys, &mut self.scratch_vals);
+        self.storage.cards[s] = self.scratch_keys.len() as u32;
+        let dst = self.storage.seg_range(s);
         self.storage.keys.as_mut_slice()[dst.clone()].copy_from_slice(&self.scratch_keys);
         self.storage.vals.as_mut_slice()[dst].copy_from_slice(&self.scratch_vals);
-        self.storage.cards[s] = new_card as u32;
         if s > 0 {
             self.index.update(s, self.storage.seg_min(s));
         }
@@ -271,92 +238,24 @@ impl Rma {
     /// its existing elements (even spread).
     pub(crate) fn merge_window(
         &mut self,
-        segs: std::ops::Range<usize>,
+        segs: Range<usize>,
         batch: &[(Key, Value)],
-        runs: &[std::ops::Range<usize>],
+        runs: &[Range<usize>],
     ) {
         let b = self.cfg.segment_size;
-        let m = segs.len();
-        let run_lo = runs[segs.start].start;
-        let run_hi = runs[segs.end - 1].end;
-        let run = &batch[run_lo..run_hi];
-        let existing: usize = segs.clone().map(|s| self.storage.card(s)).sum();
-        let total = existing + run.len();
-        let mut targets = even_targets(total, m);
+        let run = &batch[runs[segs.start].start..runs[segs.end - 1].end];
+        let total = self.storage.cards_in(segs.clone()) + run.len();
+        let mut targets = even_targets(total, segs.len());
         cap_targets(&mut targets, b, total);
         self.stats.rebalances += 1;
-        self.stats.elements_moved += total as u64;
-
         // Merge the window's elements with the run into scratch; the
-        // rewired path then writes scratch into buffer pages (one copy
-        // of scratch, which itself consumed one read of the array).
-        self.scratch_keys.clear();
-        self.scratch_vals.clear();
-        {
-            let mut ex_iter = segs
-                .clone()
-                .flat_map(|s| {
-                    let r = self.storage.seg_range(s);
-                    self.storage.keys.as_slice()[r.clone()]
-                        .iter()
-                        .copied()
-                        .zip(self.storage.vals.as_slice()[r].iter().copied())
-                })
-                .peekable();
-            let mut run_iter = run.iter().copied().peekable();
-            loop {
-                let take_run = match (ex_iter.peek(), run_iter.peek()) {
-                    (Some(&(ek, _)), Some(&(rk, _))) => rk < ek,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (None, None) => break,
-                };
-                let (k, v) = if take_run {
-                    run_iter.next().expect("peeked")
-                } else {
-                    ex_iter.next().expect("peeked")
-                };
-                self.scratch_keys.push(k);
-                self.scratch_vals.push(v);
-            }
-        }
+        // commit writes scratch out (one copy of scratch, which itself
+        // consumed one read of the array).
+        let st = &self.storage;
+        let stored = segs.clone().flat_map(|s| st.seg_elems(s));
+        merge_into(stored, run, &mut self.scratch_keys, &mut self.scratch_vals);
         debug_assert_eq!(self.scratch_keys.len(), total);
-
-        let first_slot = segs.start * b;
-        let slots = m * b;
-        let dst_ranges = window_layout(segs.start, b, &targets);
-        let epp = self.storage.keys.elems_per_page();
-        let rewire = matches!(
-            self.cfg.rewiring,
-            crate::config::RewiringMode::Enabled { .. }
-        ) && first_slot.is_multiple_of(epp)
-            && slots.is_multiple_of(epp)
-            && slots >= epp;
-        if rewire {
-            self.stats.rewired_commits += 1;
-            let (_, kbuf) = self.storage.keys.array_and_buffer_mut(slots);
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                kbuf[dst.clone()].copy_from_slice(&self.scratch_keys[cursor..cursor + dst.len()]);
-                cursor += dst.len();
-            }
-            self.storage.keys.commit_window_swap(first_slot, slots);
-            let (_, vbuf) = self.storage.vals.array_and_buffer_mut(slots);
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                vbuf[dst.clone()].copy_from_slice(&self.scratch_vals[cursor..cursor + dst.len()]);
-                cursor += dst.len();
-            }
-            self.storage.vals.commit_window_swap(first_slot, slots);
-        } else {
-            self.stats.copied_commits += 1;
-            self.scatter_from_scratch(first_slot, &dst_ranges);
-        }
-        for (i, s) in segs.clone().enumerate() {
-            self.storage.cards[s] = targets[i] as u32;
-        }
-        self.refresh_separators(segs);
-        self.trim_scratch();
+        self.commit_window(segs, &targets, None);
     }
 
     /// The most an array of `segs` segments holds with its root window
@@ -475,26 +374,29 @@ impl Rma {
     }
 }
 
-/// Two-pointer merge of a segment's content with a batch run.
+/// The one two-pointer merge: the `stored` elements, in key order,
+/// with a sorted batch `run`, into `out_keys` / `out_vals` (cleared
+/// first). Among equal keys the stored element goes first.
 fn merge_into(
-    seg_keys: &[Key],
-    seg_vals: &[Value],
+    stored: impl Iterator<Item = (Key, Value)>,
     run: &[(Key, Value)],
     out_keys: &mut Vec<Key>,
     out_vals: &mut Vec<Value>,
 ) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < seg_keys.len() || j < run.len() {
-        let take_run = j < run.len() && (i >= seg_keys.len() || run[j].0 < seg_keys[i]);
-        if take_run {
-            out_keys.push(run[j].0);
-            out_vals.push(run[j].1);
-            j += 1;
-        } else {
-            out_keys.push(seg_keys[i]);
-            out_vals.push(seg_vals[i]);
-            i += 1;
+    out_keys.clear();
+    out_vals.clear();
+    let mut run = run.iter().copied().peekable();
+    for (k, v) in stored {
+        while let Some((rk, rv)) = run.next_if(|&(rk, _)| rk < k) {
+            out_keys.push(rk);
+            out_vals.push(rv);
         }
+        out_keys.push(k);
+        out_vals.push(v);
+    }
+    for (rk, rv) in run {
+        out_keys.push(rk);
+        out_vals.push(rv);
     }
 }
 

@@ -13,8 +13,9 @@ pub enum RewiringMode {
         /// Logical page size in bytes (power of two).
         page_bytes: usize,
     },
-    /// Always use the two-copy auxiliary-buffer path (the paper's
-    /// `-RWR` ablation).
+    /// Never rewire (the paper's `-RWR` ablation): a rebalance takes
+    /// the two-copy auxiliary-buffer path, and a resize copies each
+    /// element once into fresh storage.
     Disabled,
 }
 

@@ -7,8 +7,9 @@
 //! 1. **Clustering** (§III "Segments"): inside each segment, elements
 //!    are packed towards one boundary — right for odd-numbered
 //!    segments, left for even — with a side `cards` array of
-//!    per-segment cardinalities. Scans run one tight loop per two
-//!    segments and never test for gaps.
+//!    per-segment cardinalities. Every range read walks the same
+//!    dense runs, one slice a segment (the private `Rma::runs`), and
+//!    never tests for gaps.
 //! 2. **Fixed-size segments**: segment capacity is the block-size
 //!    tuning parameter `B` (like an (a,b)-tree leaf), not `O(log²N)`.
 //!    A segment fills completely (`τ₁ = 1`) before any rebalance.
@@ -17,7 +18,11 @@
 //!    separator updates during rebalances are O(1).
 //! 4. **Memory rewiring** (§III "Rebalancing", Fig. 6): rebalances and
 //!    resizes redistribute elements into spare physical pages and swap
-//!    virtual mappings — one copy per element instead of two.
+//!    virtual mappings — one copy per element instead of two. One
+//!    private function, `Rma::commit`, writes every rebalance and
+//!    every rewiring-mode resize: it makes the paper's one decision
+//!    (rewire whole pages, or copy through an auxiliary buffer) and
+//!    counts it in [`RmaStats`].
 //! 5. **Adaptive rebalancing** (§IV): a per-segment Detector predicts
 //!    insertion/deletion hot spots; rebalances then place gaps where
 //!    new inserts are expected (marked intervals), fixing the APMA

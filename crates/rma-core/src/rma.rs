@@ -8,6 +8,7 @@ use crate::index::StaticIndex;
 use crate::stats::RmaStats;
 use crate::storage::Storage;
 use crate::{Key, Value};
+use std::ops::Range;
 
 /// Keys [`Rma::get_batch`] stages together: enough lookups in flight
 /// to fill the core's miss buffers, few enough that the first key's
@@ -126,10 +127,11 @@ impl Rma {
     // Every accessor below takes `&self` and reads only through safe
     // slices: concurrent callers may share an RMA freely as long as no
     // `&mut self` method runs at the same time. The sharded front-end
-    // relies on exactly this contract for its optimistic (seqlock)
-    // read path — readers run these methods lock-free while writers
-    // are fenced out, so nothing here may cache state or mutate
-    // through interior mutability.
+    // relies on exactly this contract for its pin-then-check read
+    // path — a reader pins the shard, finds no writer inside and runs
+    // these methods lock-free while writers wait for the pin to drain,
+    // so nothing here may cache state or mutate through interior
+    // mutability.
     //
     // A point lookup is three stages, each ending in the prefetch of
     // what the next one reads: *locate* (index search → the segment's
@@ -251,25 +253,39 @@ impl Rma {
 
     // -------------------------------------------------------- scan --
 
-    /// Visits up to `count` elements in key order starting from the
-    /// first element `>= start`; returns the number visited. Thanks to
-    /// clustering, the inner loops run over dense slices with no
-    /// per-slot gap tests.
-    pub fn scan<F: FnMut(Key, Value)>(&self, start: Key, count: usize, mut f: F) -> usize {
-        let Some((mut seg, mut pos)) = self.locate_lower_bound(start) else {
-            return 0;
-        };
-        let mut visited = 0usize;
-        while visited < count && seg < self.storage.seg_count() {
-            let keys = self.storage.seg_keys(seg);
-            let vals = self.storage.seg_vals(seg);
-            let take = (keys.len() - pos).min(count - visited);
-            for i in pos..pos + take {
-                f(keys[i], vals[i]);
+    /// The one segment-run walk under every range read: each segment's
+    /// key and value runs, in order, from the first element `>= start`
+    /// on, cut so that together they hold at most `count` elements.
+    /// Thanks to clustering, every run is a dense slice: the readers
+    /// loop over it with no per-slot gap test.
+    fn runs(&self, start: Key, count: usize) -> impl Iterator<Item = (&[Key], &[Value])> {
+        let m = self.storage.seg_count();
+        let (first, mut skip) = self.locate_lower_bound(start).unwrap_or((m, 0));
+        let mut left = count;
+        (first..m).map_while(move |seg| {
+            if left == 0 {
+                return None;
             }
-            visited += take;
-            seg += 1;
-            pos = 0;
+            let run = self.storage.seg_range(seg);
+            let at = run.start + std::mem::take(&mut skip);
+            let end = run.end.min(at.saturating_add(left));
+            left -= end - at;
+            Some((
+                &self.storage.keys.as_slice()[at..end],
+                &self.storage.vals.as_slice()[at..end],
+            ))
+        })
+    }
+
+    /// Visits up to `count` elements in key order starting from the
+    /// first element `>= start`; returns the number visited.
+    pub fn scan<F: FnMut(Key, Value)>(&self, start: Key, count: usize, mut f: F) -> usize {
+        let mut visited = 0usize;
+        for (keys, vals) in self.runs(start, count) {
+            for (&k, &v) in keys.iter().zip(vals) {
+                f(k, v);
+            }
+            visited += keys.len();
         }
         visited
     }
@@ -281,24 +297,9 @@ impl Rma {
     /// zipped, as slices, with one capacity check a segment and no
     /// call per element. What `out` already holds stays below them.
     pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
-        let Some((mut seg, mut pos)) = self.locate_lower_bound(start) else {
-            return 0;
-        };
         let base = out.len();
-        let mut left = count;
-        while left > 0 && seg < self.storage.seg_count() {
-            let keys = self.storage.seg_keys(seg);
-            let vals = self.storage.seg_vals(seg);
-            let end = keys.len().min(pos.saturating_add(left));
-            out.extend(
-                keys[pos..end]
-                    .iter()
-                    .copied()
-                    .zip(vals[pos..end].iter().copied()),
-            );
-            left -= end - pos;
-            seg += 1;
-            pos = 0;
+        for (keys, vals) in self.runs(start, count) {
+            out.extend(keys.iter().copied().zip(vals.iter().copied()));
         }
         out.len() - base
     }
@@ -306,31 +307,21 @@ impl Rma {
     /// Sums up to `count` values starting at the first key `>= start`
     /// — the scan kernel of Fig. 1, 10c and 12b.
     pub fn sum_range(&self, start: Key, count: usize) -> (usize, i64) {
-        let Some((mut seg, mut pos)) = self.locate_lower_bound(start) else {
-            return (0, 0);
-        };
         let mut visited = 0usize;
         let mut sum = 0i64;
-        while visited < count && seg < self.storage.seg_count() {
-            let vals = self.storage.seg_vals(seg);
-            let take = (vals.len() - pos).min(count - visited);
-            for &v in &vals[pos..pos + take] {
+        for (_, vals) in self.runs(start, count) {
+            for &v in vals {
                 sum = sum.wrapping_add(v);
             }
-            visited += take;
-            seg += 1;
-            pos = 0;
+            visited += vals.len();
         }
         (visited, sum)
     }
 
     /// Iterates over all elements in key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        (0..self.storage.seg_count()).flat_map(move |seg| {
-            let keys = self.storage.seg_keys(seg);
-            let vals = self.storage.seg_vals(seg);
-            keys.iter().copied().zip(vals.iter().copied())
-        })
+        self.runs(Key::MIN, usize::MAX)
+            .flat_map(|(keys, vals)| keys.iter().copied().zip(vals.iter().copied()))
     }
 
     /// Appends every element in key order to `out`, reserving once up
@@ -437,11 +428,24 @@ impl Rma {
 
     // ------------------------------------ calibrator-tree triggers --
 
+    /// The one calibrator-window search: the windows above `seg` with
+    /// their levels, smallest first — for every level from 2 to the
+    /// root, the aligned run of `2^(level-1)` segments holding `seg`,
+    /// the last run of a level ragged. Each caller `find`s the first
+    /// window its own threshold accepts.
+    pub(crate) fn windows_above(&self, seg: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let m = self.storage.seg_count();
+        (2..=self.height()).map(move |level| {
+            let w = 1usize << (level - 1);
+            let start = seg / w * w;
+            (level, start..(start + w).min(m))
+        })
+    }
+
     /// Finds and rebalances the smallest enclosing window whose upper
     /// density threshold tolerates the overflowing segment, growing
     /// the array if even the root violates it.
     fn rebalance_for_insert(&mut self, seg: usize) {
-        let m = self.storage.seg_count();
         let height = self.height();
         let b = self.cfg.segment_size;
         // Hammer-escalation rule: when the Detector says this segment
@@ -456,25 +460,17 @@ impl Rma {
             .as_ref()
             .is_some_and(|d| d.segment(seg).sc.unsigned_abs() >= detector::THETA_SC as u16);
         let headroom = if hammered { b / 2 } else { 0 };
-        let mut w = 2usize;
-        let mut level = 2usize;
-        while level <= height {
-            let start = (seg / w) * w;
-            let end = (start + w).min(m);
-            let cap = (end - start) * b;
-            let cards: usize = (start..end).map(|s| self.storage.card(s)).sum();
+        let window = self.windows_above(seg).find(|(level, w)| {
+            let cards = self.storage.cards_in(w.clone());
             // Progress guard on top of the density test: the window
             // must be able to leave every segment with a free slot.
-            if cards <= self.cfg.thresholds.max_card(level, height, cap)
-                && cards + headroom <= (end - start) * (b - 1)
-            {
-                self.rebalance_window(start..end);
-                return;
-            }
-            w *= 2;
-            level += 1;
+            cards <= self.cfg.thresholds.max_card(*level, height, w.len() * b)
+                && cards + headroom <= w.len() * (b - 1)
+        });
+        match window {
+            Some((_, w)) => self.rebalance_window(w),
+            None => self.resize_grow(),
         }
-        self.resize_grow();
     }
 
     /// After a deletion from `seg`: rebalance the smallest window
@@ -496,22 +492,14 @@ impl Rma {
         if self.storage.card(seg) >= min_seg {
             return;
         }
-        let mut w = 2usize;
-        let mut level = 2usize;
-        while level <= height {
-            let start = (seg / w) * w;
-            let end = (start + w).min(m);
-            let cap = (end - start) * b;
-            let cards: usize = (start..end).map(|s| self.storage.card(s)).sum();
-            if cards >= self.cfg.thresholds.min_card(level, height, cap) {
-                self.rebalance_window(start..end);
-                return;
-            }
-            w *= 2;
-            level += 1;
-        }
-        if m > 1 {
-            self.resize_shrink();
+        let window = self.windows_above(seg).find(|(level, w)| {
+            self.storage.cards_in(w.clone())
+                >= self.cfg.thresholds.min_card(*level, height, w.len() * b)
+        });
+        match window {
+            Some((_, w)) => self.rebalance_window(w),
+            None if m > 1 => self.resize_shrink(),
+            None => {}
         }
     }
 
@@ -520,10 +508,10 @@ impl Rma {
     /// Redistributes the elements of `segs` according to the adaptive
     /// algorithm (if enabled and hammering was detected) or an even
     /// spread, then refreshes the affected separators.
-    fn rebalance_window(&mut self, segs: std::ops::Range<usize>) {
+    fn rebalance_window(&mut self, segs: Range<usize>) {
         let m = segs.len();
         let b = self.cfg.segment_size;
-        let total: usize = segs.clone().map(|s| self.storage.card(s)).sum();
+        let total = self.storage.cards_in(segs.clone());
         let mut intervals: Vec<MarkedInterval> = match &self.detector {
             Some(det) => compute_marked_intervals(det, &self.storage, segs.clone()),
             None => Vec::new(),
@@ -546,105 +534,34 @@ impl Rma {
         // or the very next insert would re-trigger the same rebalance.
         cap_targets(&mut targets, b, total);
         self.stats.rebalances += 1;
-        self.redistribute(segs.clone(), &targets);
-        self.refresh_separators(segs);
+        let src: Vec<Range<usize>> = segs.clone().map(|s| self.storage.seg_range(s)).collect();
+        self.commit_window(segs, &targets, Some(&src));
     }
 
-    /// Physically moves the window's elements into the target layout,
-    /// through page rewiring when the window is page-aligned, and the
-    /// auxiliary-buffer copy path otherwise.
-    fn redistribute(&mut self, segs: std::ops::Range<usize>, targets: &[usize]) {
-        let b = self.cfg.segment_size;
-        let first_slot = segs.start * b;
-        let slots = segs.len() * b;
-        self.stats.elements_moved += targets.iter().sum::<usize>() as u64;
-
-        // Source ranges (absolute), captured before mutation.
-        let src_ranges: Vec<std::ops::Range<usize>> =
-            segs.clone().map(|s| self.storage.seg_range(s)).collect();
-        // Destination ranges relative to the window start.
-        let dst_ranges = window_layout(segs.start, b, targets);
-
-        let epp = self.storage.keys.elems_per_page();
-        let rewire = matches!(self.cfg.rewiring, RewiringMode::Enabled { .. })
-            && first_slot.is_multiple_of(epp)
-            && slots.is_multiple_of(epp)
-            && slots >= epp;
-        if rewire {
-            self.stats.rewired_commits += 1;
-            for col in [Column::Keys, Column::Vals] {
-                let vec = match col {
-                    Column::Keys => &mut self.storage.keys,
-                    Column::Vals => &mut self.storage.vals,
-                };
-                let (arr, buf) = vec.array_and_buffer_mut(slots);
-                // Flat gather-scatter: walk sources in order, fill
-                // destinations in order — one copy per element.
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("targets sum to window total");
-                        buf[slot] = arr[s];
-                    }
-                }
-                vec.commit_window_swap(first_slot, slots);
-            }
-        } else {
-            self.stats.copied_commits += 1;
-            // Copy path: gather into scratch (first copy), scatter
-            // back (second copy) — the paper's two-pass scheme.
-            self.gather_to_scratch(&src_ranges);
-            self.scatter_from_scratch(first_slot, &dst_ranges);
-            self.trim_scratch();
-        }
-        for (i, s) in segs.enumerate() {
-            self.storage.cards[s] = targets[i] as u32;
-        }
-    }
-
-    /// First pass of the copy path: the elements of `src_ranges`
-    /// (absolute slots), in order, into scratch.
-    fn gather_to_scratch(&mut self, src_ranges: &[std::ops::Range<usize>]) {
-        self.scratch_keys.clear();
-        self.scratch_vals.clear();
-        for r in src_ranges {
-            self.scratch_keys
-                .extend_from_slice(&self.storage.keys.as_slice()[r.clone()]);
-            self.scratch_vals
-                .extend_from_slice(&self.storage.vals.as_slice()[r.clone()]);
-        }
-    }
-
-    /// Second pass: scratch, in order, out to `dst_ranges` (relative
-    /// to `first_slot`).
-    pub(crate) fn scatter_from_scratch(
+    /// Commits a rebalanced window `segs` into the layout `targets`
+    /// (see [`commit`](Self::commit) for `src`), then records its
+    /// cardinalities and recomputes its separators: a non-empty
+    /// segment's separator is its minimum; an empty one inherits the
+    /// next non-empty minimum (or one past the window maximum for a
+    /// trailing run), keeping separators monotone.
+    pub(crate) fn commit_window(
         &mut self,
-        first_slot: usize,
-        dst_ranges: &[std::ops::Range<usize>],
+        segs: Range<usize>,
+        targets: &[usize],
+        src: Option<&[Range<usize>]>,
     ) {
-        let keys = self.storage.keys.as_mut_slice();
-        let vals = self.storage.vals.as_mut_slice();
-        let mut cursor = 0usize;
-        for dst in dst_ranges {
-            let n = dst.len();
-            let at = first_slot + dst.start..first_slot + dst.end;
-            keys[at.clone()].copy_from_slice(&self.scratch_keys[cursor..cursor + n]);
-            vals[at].copy_from_slice(&self.scratch_vals[cursor..cursor + n]);
-            cursor += n;
+        let b = self.cfg.segment_size;
+        let dst = window_layout(segs.start, b, targets);
+        self.commit(segs.start * b, segs.len() * b, &dst, src, false);
+        for (s, &t) in segs.clone().zip(targets) {
+            self.storage.cards[s] = t as u32;
         }
-    }
-
-    /// Recomputes the separators of a window after a rebalance: a
-    /// non-empty segment's separator is its minimum; an empty one
-    /// inherits the next non-empty minimum (or one past the window
-    /// maximum for a trailing run), keeping separators monotone.
-    pub(crate) fn refresh_separators(&mut self, segs: std::ops::Range<usize>) {
-        let window_max: Option<Key> = segs
+        let Some(window_max) = segs
             .clone()
             .rev()
             .find(|&s| self.storage.card(s) > 0)
-            .map(|s| *self.storage.seg_keys(s).last().expect("non-empty"));
-        let Some(window_max) = window_max else {
+            .map(|s| *self.storage.seg_keys(s).last().expect("non-empty"))
+        else {
             return; // fully empty window: previous separators still bound it
         };
         let mut next_sep = window_max.saturating_add(1);
@@ -656,6 +573,80 @@ impl Rma {
                 self.index.update(s, next_sep);
             }
         }
+    }
+
+    /// The one commit of a reorganisation (§III): writes the elements
+    /// in order into the occupied ranges `dst` (relative to `first`)
+    /// of the `slots` slots from slot `first`, and counts itself as
+    /// rewired or copied. `src` is the array's own occupied slot
+    /// ranges, in order, or `None` when the elements wait in scratch.
+    ///
+    /// It rewires when rewiring is on and the window is at least a
+    /// logical page, starts on a page boundary and — unless it is a
+    /// `resize` to `slots` slots, which swaps in whole pages however
+    /// the last one is filled — ends on one: the elements go into
+    /// buffer pages (one copy each) that are then swapped in. Anything
+    /// else is copied: gathered into scratch unless already there,
+    /// then scattered back (the paper's two-pass auxiliary-buffer
+    /// scheme). A resize under a page thus wires no buffer page that
+    /// the kernel would zero and punch again to carry a fraction of
+    /// itself.
+    fn commit(
+        &mut self,
+        first: usize,
+        slots: usize,
+        dst: &[Range<usize>],
+        src: Option<&[Range<usize>]>,
+        resize: bool,
+    ) {
+        let epp = self.storage.keys.elems_per_page();
+        let rewire = matches!(self.cfg.rewiring, RewiringMode::Enabled { .. })
+            && slots >= epp
+            && first.is_multiple_of(epp)
+            && (resize || slots.is_multiple_of(epp));
+        self.stats.elements_moved += dst.iter().map(Range::len).sum::<usize>() as u64;
+        if rewire {
+            self.stats.rewired_commits += 1;
+        } else {
+            self.stats.copied_commits += 1;
+            if let Some(src) = src {
+                self.scratch_keys.clear();
+                self.scratch_vals.clear();
+                let (keys, vals) = (self.storage.keys.as_slice(), self.storage.vals.as_slice());
+                for r in src {
+                    self.scratch_keys.extend_from_slice(&keys[r.clone()]);
+                    self.scratch_vals.extend_from_slice(&vals[r.clone()]);
+                }
+            }
+            if resize {
+                self.storage.keys.resize_in_place(slots);
+                self.storage.vals.resize_in_place(slots);
+            }
+        }
+        let cols = [
+            (&mut self.storage.keys, &self.scratch_keys),
+            (&mut self.storage.vals, &self.scratch_vals),
+        ];
+        for (col, scratch) in cols {
+            let whole = 0..scratch.len();
+            let scratch_run = std::slice::from_ref(&whole);
+            if !rewire {
+                let window = &mut col.as_mut_slice()[first..first + slots];
+                copy_runs(scratch, scratch_run, window, dst);
+                continue;
+            }
+            let (arr, buf) = col.array_and_buffer_mut(slots);
+            match src {
+                Some(src) => copy_runs(arr, src, buf, dst),
+                None => copy_runs(scratch, scratch_run, buf, dst),
+            }
+            if resize {
+                col.commit_resize_swap(slots);
+            } else {
+                col.commit_window_swap(first, slots);
+            }
+        }
+        self.trim_scratch();
     }
 
     // ------------------------------------------------------ resize --
@@ -704,82 +695,36 @@ impl Rma {
         self.resize_to(new_segs);
     }
 
-    /// Rebuilds the array at `new_segs` segments with an even spread,
-    /// swapping pages in via rewiring when enabled (one copy per
-    /// element; an array of less than a page goes through scratch
-    /// instead) or writing into fresh storage otherwise.
+    /// Rebuilds the array at `new_segs` segments with an even spread:
+    /// through [`commit`](Self::commit) when rewiring is enabled, or —
+    /// the paper's standard resize, which the `-RWR` ablation measures
+    /// — into fresh storage, one copy per element plus the OS-level
+    /// page zeroing the paper highlights.
     pub(crate) fn resize_to(&mut self, new_segs: usize) {
         let b = self.cfg.segment_size;
-        let old_segs = self.storage.seg_count();
         debug_assert!(self.len <= new_segs * b, "resize target too small");
         let mut targets = even_targets(self.len, new_segs);
         cap_targets(&mut targets, b, self.len);
-        self.stats.elements_moved += self.len as u64;
-
-        let src_ranges: Vec<std::ops::Range<usize>> =
-            (0..old_segs).map(|s| self.storage.seg_range(s)).collect();
-        let dst_ranges = window_layout(0, b, &targets);
+        let src: Vec<Range<usize>> = (0..self.storage.seg_count())
+            .map(|s| self.storage.seg_range(s))
+            .collect();
+        let dst = window_layout(0, b, &targets);
         let new_slots = new_segs * b;
-
-        let rewiring = matches!(self.cfg.rewiring, RewiringMode::Enabled { .. });
-        if rewiring && new_slots >= self.storage.keys.elems_per_page() {
-            self.stats.rewired_commits += 1;
-            for col in [Column::Keys, Column::Vals] {
-                let vec = match col {
-                    Column::Keys => &mut self.storage.keys,
-                    Column::Vals => &mut self.storage.vals,
-                };
-                let (arr, buf) = vec.array_and_buffer_mut(new_slots);
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("len matches targets");
-                        buf[slot] = arr[s];
-                    }
-                }
-                vec.commit_resize_swap(new_slots);
-            }
-        } else if rewiring {
-            // Less than a page has no page to swap in: a buffer page
-            // would be wired, zeroed by the kernel and punched again
-            // to carry a fraction of itself. Through scratch instead,
-            // like a rebalance of less than a page — two copies per
-            // element and no system call.
-            self.stats.copied_commits += 1;
-            self.gather_to_scratch(&src_ranges);
-            self.storage.keys.resize_in_place(new_slots);
-            self.storage.vals.resize_in_place(new_slots);
-            self.scatter_from_scratch(0, &dst_ranges);
-            self.trim_scratch();
+        if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
+            self.commit(0, new_slots, &dst, Some(&src), true);
         } else {
             self.stats.copied_commits += 1;
-            // Standard resize: fresh storage, one copy per element
-            // (plus the OS-level page zeroing the paper highlights).
-            let mut new_storage = Storage::new(&self.cfg);
-            new_storage.keys.resize_in_place(new_slots);
-            new_storage.vals.resize_in_place(new_slots);
-            new_storage.cards = vec![0; new_segs];
-            {
-                let old_keys = self.storage.keys.as_slice();
-                let old_vals = self.storage.vals.as_slice();
-                let nk = new_storage.keys.as_mut_slice();
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("len matches targets");
-                        nk[slot] = old_keys[s];
-                    }
-                }
-                let nv = new_storage.vals.as_mut_slice();
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("len matches targets");
-                        nv[slot] = old_vals[s];
-                    }
-                }
+            self.stats.elements_moved += self.len as u64;
+            let mut fresh = Storage::new(&self.cfg);
+            let cols = [
+                (&self.storage.keys, &mut fresh.keys),
+                (&self.storage.vals, &mut fresh.vals),
+            ];
+            for (old, new) in cols {
+                new.resize_in_place(new_slots);
+                copy_runs(old.as_slice(), &src, new.as_mut_slice(), &dst);
             }
-            self.storage = new_storage;
+            self.storage = fresh;
         }
         self.install_layout(&targets);
     }
@@ -846,9 +791,25 @@ impl Rma {
     }
 }
 
-enum Column {
-    Keys,
-    Vals,
+/// Copies the elements of `from` in the slot ranges `src`, in order,
+/// into the slot ranges `dst` of `to`, in order; the two lists cover
+/// the same number of slots. Each step copies the longest stretch
+/// that neither list breaks.
+fn copy_runs(from: &[i64], src: &[Range<usize>], to: &mut [i64], dst: &[Range<usize>]) {
+    let mut src = src.iter().cloned();
+    let mut s = 0..0;
+    for d in dst {
+        let mut d = d.clone();
+        while !d.is_empty() {
+            if s.is_empty() {
+                s = src.next().expect("src and dst cover the same slots");
+            }
+            let n = s.len().min(d.len());
+            to[d.start..d.start + n].copy_from_slice(&from[s.start..s.start + n]);
+            s.start += n;
+            d.start += n;
+        }
+    }
 }
 
 /// Height of the calibrator tree over `segs` segments (1 = a single
@@ -891,11 +852,7 @@ pub(crate) fn cap_targets(targets: &mut [usize], b: usize, total: usize) {
 
 /// Occupied slot ranges (window-relative) for the clustered layout of
 /// segments starting at global index `seg0` with the given targets.
-pub(crate) fn window_layout(
-    seg0: usize,
-    b: usize,
-    targets: &[usize],
-) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn window_layout(seg0: usize, b: usize, targets: &[usize]) -> Vec<Range<usize>> {
     targets
         .iter()
         .enumerate()
@@ -1075,6 +1032,78 @@ mod tests {
                 let mut got = held.clone();
                 proptest::prop_assert_eq!(r.scan_into(start, count, &mut got), n);
                 proptest::prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// Every reorganisation — rebalance, grow or shrink, from a
+        /// single insert or removal, a successor removal or a mixed
+        /// batch — is exactly one commit, rewired or copied, in both
+        /// rewiring modes and at two segment sizes; both modes end with
+        /// the same content. The array is never emptied: a batch into
+        /// an empty array is built in place, a grow without a commit.
+        #[test]
+        fn a_reorganisation_is_exactly_one_commit(seed in proptest::any::<u64>()) {
+            for b in [8usize, 16] {
+                let mut ends = Vec::new();
+                for rewiring in [RewiringMode::Enabled { page_bytes: 4096 }, RewiringMode::Disabled] {
+                    let mut r = Rma::new(RmaConfig {
+                        segment_size: b,
+                        rewiring,
+                        adaptive: seed & 1 == 0,
+                        reserve_bytes: 1 << 24,
+                        ..Default::default()
+                    });
+                    let mut rng = proptest::TestRng::new(seed);
+                    r.insert(0, 0);
+                    for phase in 0..6 {
+                        // Even phases fill, odd ones drain.
+                        let draining = phase % 2 == 1;
+                        for step in 0..3000i64 {
+                            let k = rng.below(1 << 14) as i64;
+                            match rng.below(32) {
+                                0 => {
+                                    let (n_ins, n_del) = if draining { (8, 128) } else { (128, 8) };
+                                    let mut ins: Vec<(Key, Value)> = (0..rng.below(n_ins))
+                                        .map(|i| (k + rng.below(1024) as i64, step * 1000 + i as i64))
+                                        .collect();
+                                    ins.sort_by_key(|p| p.0);
+                                    let mut del: Vec<Key> = (0..rng.below(n_del))
+                                        .filter_map(|_| r.first_ge(rng.below(1 << 14) as i64))
+                                        .map(|(k, _)| k)
+                                        .collect();
+                                    del.truncate(r.len() - 1);
+                                    r.apply_batch(&ins, &del);
+                                }
+                                x if (x < 24) != draining || r.len() == 1 => r.insert(k, step),
+                                x if x % 2 == 0 => {
+                                    r.remove_successor(k);
+                                }
+                                _ => {
+                                    let k = r.first_ge(k).map_or(k, |(k, _)| k);
+                                    r.remove(k);
+                                }
+                            }
+                            let st = r.stats();
+                            proptest::prop_assert_eq!(
+                                st.rewired_commits + st.copied_commits,
+                                st.reorganisations(),
+                                "{:?}", st
+                            );
+                        }
+                        r.check_invariants();
+                    }
+                    let st = r.stats();
+                    proptest::prop_assert!(st.grows > 0 && st.shrinks > 0, "{:?}", st);
+                    if rewiring != RewiringMode::Disabled {
+                        proptest::prop_assert!(st.rewired_commits > 0, "{:?}", st);
+                    }
+                    ends.push(r.iter().collect::<Vec<_>>());
+                }
+                proptest::prop_assert_eq!(&ends[0], &ends[1]);
             }
         }
     }

@@ -16,11 +16,17 @@ pub struct RmaStats {
     /// Elements copied during rebalances and resizes, and written by
     /// a bulk build into an empty array.
     pub elements_moved: u64,
-    /// Rebalances/resizes that committed through page rewiring. (A
+    /// Rebalances/resizes that committed through page rewiring. Every
+    /// rebalance and every rewiring-mode resize commits through one
+    /// function, `Rma::commit`, which makes the rewire-or-copy
+    /// decision and counts it here or in `copied_commits`; so
+    /// `rewired_commits + copied_commits == reorganisations()`. (A
     /// bulk build into an empty array writes in place: it counts as a
     /// grow and as neither kind of commit.)
     pub rewired_commits: u64,
-    /// Rebalances/resizes that fell back to the copy path.
+    /// Rebalances/resizes that fell back to the copy path: the copy
+    /// arm of `Rma::commit`, plus each resize with rewiring disabled
+    /// (one copy into fresh storage).
     pub copied_commits: u64,
 }
 

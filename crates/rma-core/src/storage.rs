@@ -21,8 +21,8 @@ use rewiring::{BackendKind, RewireOptions, RewiredVec};
 
 /// The two clustered columns plus cardinalities.
 pub struct Storage {
-    pub(crate) keys: RewiredVec<i64>,
-    pub(crate) vals: RewiredVec<i64>,
+    pub(crate) keys: RewiredVec,
+    pub(crate) vals: RewiredVec,
     pub(crate) cards: Vec<u32>,
     seg_size: usize,
 }
@@ -74,7 +74,12 @@ impl Storage {
 
     /// Total stored elements.
     pub fn total_cards(&self) -> usize {
-        self.cards.iter().map(|&c| c as usize).sum()
+        self.cards_in(0..self.seg_count())
+    }
+
+    /// Elements stored in the segments `segs`.
+    pub(crate) fn cards_in(&self, segs: std::ops::Range<usize>) -> usize {
+        self.cards[segs].iter().map(|&c| c as usize).sum()
     }
 
     /// Cardinality of segment `seg`.
@@ -113,6 +118,16 @@ impl Storage {
     #[inline]
     pub fn seg_vals(&self, seg: usize) -> &[Value] {
         &self.vals.as_slice()[self.seg_range(seg)]
+    }
+
+    /// The elements of segment `seg`, in sorted order.
+    pub(crate) fn seg_elems(&self, seg: usize) -> impl Iterator<Item = (Key, Value)> + '_ {
+        let run = self.seg_range(seg);
+        let (keys, vals) = (
+            &self.keys.as_slice()[run.clone()],
+            &self.vals.as_slice()[run],
+        );
+        keys.iter().copied().zip(vals.iter().copied())
     }
 
     /// Minimum key of segment `seg`; the segment must be non-empty.

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Non-test lines per crate: for every file under a crate's src/, the
-# lines above its first `#[cfg(test)]`. The one count ROADMAP.md and
+# lines above its first `#[cfg(test)]` in column 0 — the one that opens
+# the file's test module; an indented one on a field or method inside
+# the code does not end the count. The one count ROADMAP.md and
 # CHANGES.md quote when a PR says how many lines it removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,7 +11,7 @@ for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
     find "$src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { in_tests = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests { n++ }
         END { printf "%-16s %7d\n", crate, n }' crate="$crate"
 done

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # `unsafe` sites per crate: for every file under a crate's src/, the
-# lines above its first `#[cfg(test)]` (the nontest-lines.sh rule)
+# lines above its first column-0 `#[cfg(test)]` (the nontest-lines.sh
+# rule)
 # that use `unsafe` outside a `//` comment, and the `SAFETY:` lines
 # among them, with the totals. The one count ROADMAP.md and
 # CHANGES.md quote when a PR says how many sites it retired.
@@ -13,7 +14,7 @@ for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
     read -r sites safety < <(find "$src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { in_tests = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests { next }
         /SAFETY:/ { safety++ }
         { code = $0; sub(/\/\/.*/, "", code) }
