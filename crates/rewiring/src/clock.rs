@@ -3,36 +3,24 @@
 //! `std::time::Instant` is the obvious clock, but an `Instant` cannot
 //! be stored in an `AtomicU64` or subtracted across threads without
 //! carrying the struct around; metrics code wants a raw monotonic
-//! nanosecond counter it can stamp into lock-free structures. On
-//! Linux this is one `clock_gettime(CLOCK_MONOTONIC)` vDSO call — no
-//! syscall trap on the hot path — through the same in-crate libc FFI
-//! the rewiring backend uses. Elsewhere it falls back to `Instant`
-//! against a process-wide epoch.
+//! nanosecond counter it can stamp into lock-free structures. This is
+//! one `clock_gettime(CLOCK_MONOTONIC)` vDSO call — no syscall trap on
+//! the hot path — through the same in-crate libc FFI the rewiring
+//! backend uses.
 
 /// Nanoseconds on the system monotonic clock. The zero point is
-/// arbitrary (boot on Linux, first call on the fallback); only
-/// differences are meaningful.
+/// arbitrary (boot); only differences are meaningful.
 #[inline]
 pub fn monotonic_ns() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        let mut ts = crate::libc::timespec {
-            tv_sec: 0,
-            tv_nsec: 0,
-        };
-        // SAFETY: `ts` is a valid, writable timespec; CLOCK_MONOTONIC
-        // exists on every Linux this reproduction targets.
-        let rc = unsafe { crate::libc::clock_gettime(crate::libc::CLOCK_MONOTONIC, &mut ts) };
-        debug_assert_eq!(rc, 0, "clock_gettime(CLOCK_MONOTONIC) cannot fail");
-        ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        use std::sync::OnceLock;
-        use std::time::Instant;
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
+    let mut ts = crate::libc::timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec; CLOCK_MONOTONIC
+    // exists on every Linux this reproduction targets.
+    let rc = unsafe { crate::libc::clock_gettime(crate::libc::CLOCK_MONOTONIC, &mut ts) };
+    debug_assert_eq!(rc, 0, "clock_gettime(CLOCK_MONOTONIC) cannot fail");
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
 }
 
 #[cfg(test)]

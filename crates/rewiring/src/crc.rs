@@ -148,6 +148,10 @@ mod pclmul {
     /// The CPU must support `pclmulqdq`, `sse2` and `sse4.1`. The
     /// function has no other requirement: every memory access is a
     /// bounds-checked slice read.
+    // SAFETY: `unsafe` here states only the `target_feature` contract
+    // above, which the one caller, `crc32`, proves at run time; the
+    // body reads through bounds-checked slices and calls intrinsics
+    // of exactly the enabled features.
     #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
     pub(super) unsafe fn fold(reg: u32, blocks: &[u8]) -> u32 {
         assert!(blocks.len() >= 64 && blocks.len().is_multiple_of(16));

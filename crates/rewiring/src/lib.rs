@@ -9,8 +9,9 @@
 //! swapped — the freshly written physical pages become part of the
 //! array and the stale ones become the new spare buffers.
 //!
-//! This crate implements that mechanism on Linux with
-//! `memfd_create(2)` + `mmap(MAP_SHARED | MAP_FIXED)`:
+//! This crate implements that mechanism with `memfd_create(2)` +
+//! `mmap(MAP_SHARED | MAP_FIXED)`, and so builds for Linux only (its
+//! `libc` module declares the Linux ABI of x86-64 and aarch64):
 //!
 //! * a large virtual area is reserved once (`PROT_NONE`,
 //!   `MAP_NORESERVE`) — the paper reserves 2^37 bytes;
@@ -19,19 +20,21 @@
 //! * *rewiring* a virtual page means re-`mmap`ing it at a different
 //!   file offset, which is O(1) and copies nothing.
 //!
-//! When the syscalls are unavailable (non-Linux, seccomp, exotic
-//! containers) the [`RewiredVec`] transparently falls back to a heap
-//! backend with identical semantics where "swapping" degrades to one
-//! `memcpy` per page — exactly the auxiliary-buffer rebalance the
-//! paper's `-RWR` ablation measures (Fig. 13b).
+//! The memfd region is the only thing that swaps pages. When it cannot
+//! be had (seccomp, exotic containers, a reservation larger than the
+//! address space) a [`RewiredVec`] is a plain `Vec<i64>` that swaps
+//! nothing: its owner takes the copy path instead — the
+//! auxiliary-buffer rebalance the paper's `-RWR` ablation measures
+//! (Fig. 13b) — and counts a copied commit, and
+//! [`RewiredVec::backend_kind`] reports [`BackendKind::Heap`].
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("rewiring builds for Linux only: it declares the Linux syscall ABI");
 
 pub mod clock;
 pub mod crc;
 pub mod frame;
-mod heap;
-#[cfg(target_os = "linux")]
 pub mod libc;
-#[cfg(target_os = "linux")]
 mod mmap;
 mod vec;
 
@@ -67,14 +70,7 @@ pub fn prefetch<T>(slice: &[T], idx: usize) {
 /// process. Experiment drivers print this so `+RWR` rows in the output
 /// are honest about what was measured.
 pub fn rewiring_available() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        mmap::probe()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
+    mmap::probe()
 }
 
 #[cfg(test)]

@@ -127,8 +127,6 @@ extern "C" {
     ) -> *mut c_void;
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
-    pub fn close(fd: c_int) -> c_int;
-    pub fn ftruncate(fd: c_int, length: off_t) -> c_int;
     pub fn fallocate(fd: c_int, mode: c_int, offset: off_t, len: off_t) -> c_int;
 
     // networking (`rma-net`'s epoll loop, `tests/net.rs`'s clamped client)

@@ -2,11 +2,15 @@
 //! pages, a `PROT_NONE` reservation provides stable virtual addresses,
 //! and `mmap(MAP_FIXED)` re-wires individual pages in O(1).
 //!
-//! This is the only module in the workspace that issues raw syscalls;
-//! all `unsafe` is concentrated here behind a safe interface.
+//! This is the crate's one memory-mapping module: every syscall that
+//! maps, remaps or punches pages is issued here, behind a safe
+//! interface, each `unsafe` with its argument. The memfd itself is a
+//! `std::fs::File`, so sizing it and closing it are `std`'s.
 
 use crate::libc;
+use std::fs::File;
 use std::io;
+use std::os::fd::{AsRawFd, FromRawFd};
 use std::ptr;
 
 /// A contiguous virtual-address reservation whose pages can be wired
@@ -19,8 +23,8 @@ pub struct MmapRegion {
     reserve_bytes: usize,
     /// Logical page size in bytes (multiple of the kernel page size).
     page_bytes: usize,
-    /// Backing file descriptor (`memfd_create`).
-    fd: libc::c_int,
+    /// The backing `memfd`, closed when the region drops.
+    file: File,
     /// Current size of the backing file in pages.
     file_pages: usize,
     /// Page table: virtual page index → file page index, or
@@ -51,57 +55,69 @@ fn file_run_len(fps: &[u64]) -> usize {
     1 + fps.windows(2).take_while(|w| w[1] == w[0] + 1).count()
 }
 
-// The region owns its mapping and fd exclusively; raw pointers are
-// only dereferenced through &self/&mut self methods. There is no
-// interior mutability: every page-table or mapping change takes
-// `&mut self`, so shared `&self` access from multiple threads (e.g.
-// under an `RwLock` read guard) is sound.
+// SAFETY: the region alone owns its reservation and memfd, and `base`
+// is only dereferenced through its own methods: moving it moves both.
 unsafe impl Send for MmapRegion {}
+// SAFETY: no interior mutability — every page-table or mapping change
+// takes `&mut self` — so shared `&self` access from threads only reads.
 unsafe impl Sync for MmapRegion {}
+
+/// The kernel's page size in bytes.
+fn kernel_page_bytes() -> usize {
+    // SAFETY: `sysconf` takes no pointer and has no precondition.
+    unsafe { libc::sysconf(libc::_SC_PAGESIZE) as usize }
+}
 
 /// Returns true if `memfd_create` + `MAP_FIXED` rewiring works here.
 pub fn probe() -> bool {
-    let kernel_page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) } as usize;
-    match MmapRegion::new(kernel_page, kernel_page * 4, true) {
-        Ok(mut r) => {
-            // Exercise an actual wire + swap round trip.
-            if r.wire(0, 2).is_err() {
-                return false;
-            }
-            unsafe {
-                *r.page_ptr(0) = 0xAB;
-                *r.page_ptr(1) = 0xCD;
-            }
-            if r.swap(0, 1).is_err() {
-                return false;
-            }
-            unsafe { *r.page_ptr(0) == 0xCD && *r.page_ptr(1) == 0xAB }
-        }
-        Err(_) => false,
+    let kernel_page = kernel_page_bytes();
+    let Ok(mut r) = MmapRegion::new(kernel_page, kernel_page * 4, true) else {
+        return false;
+    };
+    // Exercise an actual wire + swap round trip.
+    if r.wire(0, 2).is_err() {
+        return false;
     }
+    // SAFETY: pages 0 and 1 were just wired read-write, and `r` is
+    // local, so nothing else reads or remaps them.
+    unsafe {
+        *r.page_ptr(0) = 0xAB;
+        *r.page_ptr(1) = 0xCD;
+    }
+    if r.swap_range(0, 1, 1).is_err() {
+        return false;
+    }
+    // SAFETY: a successful swap leaves both pages wired read-write.
+    unsafe { *r.page_ptr(0) == 0xCD && *r.page_ptr(1) == 0xAB }
 }
 
 impl MmapRegion {
     /// Reserves `reserve_bytes` of virtual space with logical pages of
     /// `page_bytes` and creates the backing `memfd`. No physical
-    /// memory is committed yet.
+    /// memory is committed yet. Fails when the syscalls are refused or
+    /// the address space cannot hold the reservation.
     pub fn new(page_bytes: usize, reserve_bytes: usize, huge_pages: bool) -> io::Result<Self> {
-        let kernel_page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) } as usize;
+        let kernel_page = kernel_page_bytes();
         assert!(page_bytes >= kernel_page && page_bytes.is_multiple_of(kernel_page));
         assert!(reserve_bytes.is_multiple_of(page_bytes) && reserve_bytes > 0);
 
-        let fd = unsafe {
-            libc::syscall(
+        // SAFETY: `memfd_create` reads only the NUL-terminated name and
+        // returns a fresh descriptor nothing else owns; the `File` takes
+        // it over and closes it on drop, early returns included.
+        let file = unsafe {
+            let fd = libc::syscall(
                 libc::SYS_memfd_create,
                 c"rma-rewiring".as_ptr(),
                 libc::MFD_CLOEXEC as libc::c_uint,
-            )
+            );
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            File::from_raw_fd(fd as libc::c_int)
         };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fd = fd as libc::c_int;
 
+        // SAFETY: a fresh anonymous `PROT_NONE` mapping at an address
+        // the kernel picks: it replaces and aliases nothing.
         let base = unsafe {
             libc::mmap(
                 ptr::null_mut(),
@@ -113,24 +129,22 @@ impl MmapRegion {
             )
         };
         if base == libc::MAP_FAILED {
-            let err = io::Error::last_os_error();
-            unsafe { libc::close(fd) };
-            return Err(err);
+            return Err(io::Error::last_os_error());
         }
         // Huge pages are a best-effort hint, as in the paper's 2 MB
         // huge-page setup; ignore failure. Opt-out exists because
         // `defrag=madvise` kernels compact synchronously on fault.
         if huge_pages {
-            unsafe {
-                libc::madvise(base, reserve_bytes, libc::MADV_HUGEPAGE);
-            }
+            // SAFETY: advice on the reservation just made; it changes
+            // no mapping and no content.
+            unsafe { libc::madvise(base, reserve_bytes, libc::MADV_HUGEPAGE) };
         }
 
         Ok(MmapRegion {
-            base: base as *mut u8,
+            base: base.cast::<u8>(),
             reserve_bytes,
             page_bytes,
-            fd,
+            file,
             file_pages: 0,
             table: vec![UNMAPPED; reserve_bytes / page_bytes],
             free_file_pages: Vec::new(),
@@ -149,14 +163,12 @@ impl MmapRegion {
         self.reserve_bytes / self.page_bytes
     }
 
-    /// Pointer to the start of virtual page `vp`. The page must have
-    /// been wired before the pointer is dereferenced.
-    ///
-    /// # Safety
-    /// Dereferencing requires `vp` to be wired.
-    pub unsafe fn page_ptr(&self, vp: usize) -> *mut u8 {
+    /// Pointer to the start of virtual page `vp`. Computing it is safe;
+    /// a dereference needs the page wired, which each caller argues
+    /// where it dereferences.
+    pub fn page_ptr(&self, vp: usize) -> *mut u8 {
         debug_assert!(vp < self.max_pages());
-        self.base.add(vp * self.page_bytes)
+        self.base.wrapping_add(vp * self.page_bytes)
     }
 
     /// True if virtual page `vp` currently has a physical page.
@@ -192,11 +204,7 @@ impl MmapRegion {
         let fresh = unmapped - reused;
         if fresh > 0 {
             let new_size = (self.file_pages + fresh) * self.page_bytes;
-            // SAFETY: plain syscall on the fd this region owns.
-            let rc = unsafe { libc::ftruncate(self.fd, new_size as libc::off_t) };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
+            self.file.set_len(new_size as u64)?;
         }
         let mut pages = self
             .free_file_pages
@@ -305,7 +313,7 @@ impl MmapRegion {
         // mapping), so no live reference observes the content going.
         let rc = unsafe {
             libc::fallocate(
-                self.fd,
+                self.file.as_raw_fd(),
                 libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
                 (fp as usize * self.page_bytes) as libc::off_t,
                 (pages * self.page_bytes) as libc::off_t,
@@ -314,24 +322,12 @@ impl MmapRegion {
         rc == 0
     }
 
-    /// Swaps the physical pages behind virtual pages `a` and `b` — the
-    /// rewiring primitive. Both must be wired. O(1), no data copied.
-    pub fn swap(&mut self, a: usize, b: usize) -> io::Result<()> {
-        let (fa, fb) = (self.table[a], self.table[b]);
-        assert!(fa != UNMAPPED && fb != UNMAPPED, "swap of unwired page");
-        if a == b {
-            return Ok(());
-        }
-        self.map_run(a, &[fb])?;
-        self.map_run(b, &[fa])?;
-        self.table.swap(a, b);
-        Ok(())
-    }
-
-    /// Swaps `count` pages starting at `a` with `count` pages starting
-    /// at `b` (ranges must be disjoint), coalescing file-contiguous
-    /// runs into single `mmap` calls — crucial where syscalls are
-    /// expensive, since spare pools tend to stay contiguous.
+    /// Swaps the physical pages behind the `count` wired pages starting
+    /// at `a` with those behind the `count` starting at `b` (disjoint
+    /// ranges) — the rewiring primitive: no data copied, and
+    /// file-contiguous runs coalesced into single `mmap` calls, crucial
+    /// where syscalls are expensive, since spare pools tend to stay
+    /// contiguous.
     pub fn swap_range(&mut self, a: usize, b: usize, count: usize) -> io::Result<()> {
         assert!(
             a + count <= b || b + count <= a,
@@ -344,33 +340,36 @@ impl MmapRegion {
         let fps_b: Vec<u64> = self.table[b..b + count].to_vec();
         self.map_run(a, &fps_b)?;
         self.map_run(b, &fps_a)?;
-        self.table.copy_within(b..b + count, a);
-        for (i, fp) in fps_a.into_iter().enumerate() {
-            self.table[b + i] = fp;
-        }
+        self.table[a..a + count].copy_from_slice(&fps_b);
+        self.table[b..b + count].copy_from_slice(&fps_a);
         Ok(())
     }
 
     /// Maps virtual pages `vp_first..` to the given file pages,
     /// batching maximal file-contiguous runs into one `mmap` each.
-    fn map_run(&self, vp_first: usize, fps: &[u64]) -> io::Result<()> {
+    fn map_run(&mut self, vp_first: usize, fps: &[u64]) -> io::Result<()> {
         let mut i = 0;
         while i < fps.len() {
             let j = i + file_run_len(&fps[i..]);
-            let addr = unsafe { self.page_ptr(vp_first + i) };
+            let addr = self.page_ptr(vp_first + i);
             let bytes = (j - i) * self.page_bytes;
             // MAP_POPULATE pre-faults the mapping: without it, every
             // rewired page would pay one soft fault per kernel page on
             // first touch, which at 4 KiB kernel pages erases the
             // benefit of skipping the copy (the paper avoids this with
             // 2 MiB huge pages, where a remap costs a single fault).
+            // SAFETY: the pages lie inside this region's reservation
+            // (the callers checked them against the page table), so
+            // MAP_FIXED replaces only our own mappings; the file pages
+            // lie inside the memfd, which `wire` sized; and `&mut self`
+            // means no slice into the replaced pages is live.
             let got = unsafe {
                 libc::mmap(
-                    addr as *mut libc::c_void,
+                    addr.cast::<libc::c_void>(),
                     bytes,
                     libc::PROT_READ | libc::PROT_WRITE,
                     libc::MAP_SHARED | libc::MAP_FIXED | libc::MAP_POPULATE,
-                    self.fd,
+                    self.file.as_raw_fd(),
                     (fps[i] as usize * self.page_bytes) as libc::off_t,
                 )
             };
@@ -385,10 +384,11 @@ impl MmapRegion {
 
 impl Drop for MmapRegion {
     fn drop(&mut self) {
-        unsafe {
-            libc::munmap(self.base as *mut libc::c_void, self.reserve_bytes);
-            libc::close(self.fd);
-        }
+        // SAFETY: `base..base + reserve_bytes` is the reservation `new`
+        // mapped and this region alone owns, and `&mut self` means no
+        // slice into it outlives this call. The memfd closes when
+        // `file` drops after it.
+        unsafe { libc::munmap(self.base.cast::<libc::c_void>(), self.reserve_bytes) };
     }
 }
 
@@ -397,7 +397,7 @@ mod tests {
     use super::*;
 
     fn region(pages: usize) -> Option<MmapRegion> {
-        let kp = unsafe { libc::sysconf(libc::_SC_PAGESIZE) } as usize;
+        let kp = kernel_page_bytes();
         MmapRegion::new(kp, kp * pages, true).ok()
     }
 
@@ -419,7 +419,7 @@ mod tests {
             r.page_ptr(0).write(1);
             r.page_ptr(1).write(2);
         }
-        r.swap(0, 1).unwrap();
+        r.swap_range(0, 1, 1).unwrap();
         unsafe {
             assert_eq!(r.page_ptr(0).read(), 2);
             assert_eq!(r.page_ptr(1).read(), 1);

@@ -8,7 +8,8 @@ pub enum RewiringMode {
     /// Rewire pages via `memfd` + `mmap(MAP_FIXED)` when the window is
     /// at least one logical page; smaller windows fall back to the
     /// copy path, as in the paper. `page_bytes` is the logical page
-    /// size (the paper uses 2 MB huge pages).
+    /// size (the paper uses 2 MB huge pages). Without a memfd
+    /// reservation every commit copies: see `Rma::backend_kind`.
     Enabled {
         /// Logical page size in bytes (power of two).
         page_bytes: usize,

@@ -60,6 +60,7 @@ pub mod thresholds;
 
 pub use config::{RewiringMode, RmaConfig, RmaConfigError};
 pub use index::StaticIndex;
+pub use rewiring::BackendKind;
 pub use rma::Rma;
 pub use stats::RmaStats;
 pub use thresholds::{ResizePolicy, Thresholds};

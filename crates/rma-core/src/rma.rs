@@ -83,7 +83,7 @@ impl Rma {
         &self.stats
     }
 
-    /// Whether storage ended up on the mmap (rewirable) backend.
+    /// Whether storage ended up on the mmap backend; `Heap` copies.
     pub fn backend_kind(&self) -> rewiring::BackendKind {
         self.storage.backend_kind()
     }
@@ -581,16 +581,15 @@ impl Rma {
     /// rewired or copied. `src` is the array's own occupied slot
     /// ranges, in order, or `None` when the elements wait in scratch.
     ///
-    /// It rewires when rewiring is on and the window is at least a
-    /// logical page, starts on a page boundary and — unless it is a
-    /// `resize` to `slots` slots, which swaps in whole pages however
-    /// the last one is filled — ends on one: the elements go into
-    /// buffer pages (one copy each) that are then swapped in. Anything
-    /// else is copied: gathered into scratch unless already there,
-    /// then scattered back (the paper's two-pass auxiliary-buffer
-    /// scheme). A resize under a page thus wires no buffer page that
-    /// the kernel would zero and punch again to carry a fraction of
-    /// itself.
+    /// It rewires when the columns are memfd pages and the window is at
+    /// least a logical page, starts on a page boundary and — unless it
+    /// is a `resize` to `slots` slots, which swaps in whole pages
+    /// however the last one is filled — ends on one: the elements go
+    /// into buffer pages (one copy each) that are then swapped in.
+    /// Anything else, heap columns included, is copied: gathered into
+    /// scratch unless already there, then scattered back (the paper's
+    /// two-pass auxiliary-buffer scheme). A resize under a page thus
+    /// wires no buffer page that the kernel would zero and punch again.
     fn commit(
         &mut self,
         first: usize,
@@ -600,7 +599,7 @@ impl Rma {
         resize: bool,
     ) {
         let epp = self.storage.keys.elems_per_page();
-        let rewire = matches!(self.cfg.rewiring, RewiringMode::Enabled { .. })
+        let rewire = self.storage.backend_kind() == rewiring::BackendKind::Mmap
             && slots >= epp
             && first.is_multiple_of(epp)
             && (resize || slots.is_multiple_of(epp));
@@ -871,6 +870,7 @@ pub(crate) fn window_layout(seg0: usize, b: usize, targets: &[usize]) -> Vec<Ran
 mod tests {
     use super::*;
     use crate::thresholds::Thresholds;
+    use rewiring::BackendKind;
 
     fn small_cfg() -> RmaConfig {
         RmaConfig {
@@ -1098,8 +1098,12 @@ mod tests {
                     }
                     let st = r.stats();
                     proptest::prop_assert!(st.grows > 0 && st.shrinks > 0, "{:?}", st);
-                    if rewiring != RewiringMode::Disabled {
+                    // Only memfd columns rewire: `Disabled`, and
+                    // `Enabled` on a host without memfd, copy.
+                    if r.backend_kind() == BackendKind::Mmap {
                         proptest::prop_assert!(st.rewired_commits > 0, "{:?}", st);
+                    } else {
+                        proptest::prop_assert_eq!(st.rewired_commits, 0, "{:?}", st);
                     }
                     ends.push(r.iter().collect::<Vec<_>>());
                 }
@@ -1178,13 +1182,17 @@ mod tests {
             reserve_bytes: 1 << 22,
             ..Default::default()
         });
+        // Page rounding and rewired commits need memfd columns; a heap
+        // column (no memfd here) holds its slots and copies throughout.
+        let memfd = r.backend_kind() == BackendKind::Mmap;
+        let one_page = |r: &Rma| !memfd || r.storage.keys.wired_bytes() == 4096;
         let page = r.storage.keys.elems_per_page();
         let mut k = 0i64;
         // Grows up to one page of slots go through scratch ...
         while r.capacity() < page / 2 {
             r.insert(k * 7919 % 10_007, k);
             k += 1;
-            assert_eq!(r.storage.keys.wired_bytes(), 4096);
+            assert!(one_page(&r));
         }
         assert!(r.stats().grows >= 4);
         assert_eq!(r.stats().rewired_commits, 0);
@@ -1194,14 +1202,18 @@ mod tests {
             k += 1;
         }
         let rewired_grows = r.stats().rewired_commits;
-        assert!(rewired_grows >= 3);
+        assert!(if memfd {
+            rewired_grows >= 3
+        } else {
+            rewired_grows == 0
+        });
         r.check_invariants();
         // ... and so back down: the shrink below a page copies.
         while r.capacity() >= page {
             r.remove_successor(0);
         }
         assert!(r.stats().shrinks > 0);
-        assert_eq!(r.storage.keys.wired_bytes(), 4096);
+        assert!(one_page(&r));
         r.check_invariants();
         assert_eq!(r.iter().count(), r.len());
     }

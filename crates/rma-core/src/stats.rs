@@ -20,13 +20,13 @@ pub struct RmaStats {
     /// rebalance and every rewiring-mode resize commits through one
     /// function, `Rma::commit`, which makes the rewire-or-copy
     /// decision and counts it here or in `copied_commits`; so
-    /// `rewired_commits + copied_commits == reorganisations()`. (A
-    /// bulk build into an empty array writes in place: it counts as a
-    /// grow and as neither kind of commit.)
+    /// `rewired_commits + copied_commits == reorganisations()`. Always
+    /// 0 on heap columns. (A bulk build into an empty array writes in
+    /// place: it counts as a grow and as neither kind of commit.)
     pub rewired_commits: u64,
-    /// Rebalances/resizes that fell back to the copy path: the copy
-    /// arm of `Rma::commit`, plus each resize with rewiring disabled
-    /// (one copy into fresh storage).
+    /// Rebalances/resizes that took the copy path: the copy arm of
+    /// `Rma::commit` (all of a heap column's), plus each resize with
+    /// rewiring disabled (one copy into fresh storage).
     pub copied_commits: u64,
 }
 

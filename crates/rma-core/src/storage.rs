@@ -30,20 +30,18 @@ pub struct Storage {
 impl Storage {
     /// Creates storage with one empty segment.
     pub fn new(cfg: &RmaConfig) -> Self {
-        let (page_bytes, force_heap) = match cfg.rewiring {
-            RewiringMode::Enabled { page_bytes } => (page_bytes, false),
-            // Without rewiring the backend is irrelevant; the heap
-            // backend avoids accidentally benefiting from mmap.
-            RewiringMode::Disabled => (64 << 10, true),
+        let column = || match cfg.rewiring {
+            RewiringMode::Enabled { page_bytes } => RewiredVec::new(RewireOptions {
+                page_bytes,
+                reserve_bytes: cfg.reserve_bytes,
+                huge_pages: cfg.huge_pages,
+            }),
+            // Without rewiring a column is a plain `Vec`; the page
+            // size only sets the unit arrays are sized in.
+            RewiringMode::Disabled => RewiredVec::heap(64 << 10),
         };
-        let opts = RewireOptions {
-            page_bytes,
-            reserve_bytes: cfg.reserve_bytes,
-            force_heap,
-            huge_pages: cfg.huge_pages,
-        };
-        let mut keys = RewiredVec::new(opts);
-        let mut vals = RewiredVec::new(opts);
+        let mut keys = column();
+        let mut vals = column();
         keys.resize_in_place(cfg.segment_size);
         vals.resize_in_place(cfg.segment_size);
         Storage {
@@ -137,9 +135,10 @@ impl Storage {
         self.keys.as_slice()[self.seg_range(seg).start]
     }
 
-    /// Which backend the columns ended up on.
+    /// Which backend the columns ended up on: the greater kind, so
+    /// `Mmap` only when both are — a commit rewires both or neither.
     pub fn backend_kind(&self) -> BackendKind {
-        self.keys.backend_kind()
+        self.keys.backend_kind().max(self.vals.backend_kind())
     }
 
     /// Physical bytes wired by the columns plus the cards array.
@@ -259,8 +258,8 @@ impl Storage {
 
 /// Prefetches every cache line `col[run]` touches. Stepping one line
 /// of elements from the run's start reaches all but possibly the last
-/// line when the column base is not line-aligned (the heap backend),
-/// so the last element is hinted as well.
+/// line when the column base is not line-aligned (a heap column's
+/// `Vec`), so the last element is hinted as well.
 #[inline]
 fn prefetch_lines(col: &[i64], run: std::ops::Range<usize>) {
     const LINE_ELEMS: usize = 64 / std::mem::size_of::<i64>();
@@ -406,6 +405,21 @@ mod tests {
         }
         assert_eq!(st.seg_keys(0), &[5, 5, 5]);
         st.check_invariants();
+    }
+
+    /// A commit rewires both columns or neither, so one heap column
+    /// makes the pair a heap pair.
+    #[test]
+    fn one_heap_column_makes_a_heap_pair() {
+        let mut st = storage(8);
+        st.vals = RewiredVec::new(RewireOptions {
+            page_bytes: 4096,
+            reserve_bytes: 1 << 20,
+            huge_pages: false,
+        });
+        st.vals.resize_in_place(8);
+        assert_eq!(st.keys.backend_kind(), BackendKind::Heap);
+        assert_eq!(st.backend_kind(), BackendKind::Heap);
     }
 
     #[test]

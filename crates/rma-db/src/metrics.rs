@@ -23,6 +23,7 @@
 
 use crate::session::Op;
 use crate::{DbSnapshot, MaintainerSnapshot};
+use rma_core::BackendKind;
 use rma_obs::{Event, Histogram, HistogramSnapshot};
 use rma_shard::ShardFill;
 use std::fmt::Write as _;
@@ -172,7 +173,8 @@ impl MetricsSnapshot {
     /// Prometheus-style text exposition: one `summary` family per
     /// latency/size distribution (p50/p95/p99 plus `_sum`, `_count`,
     /// `_max`), `gauge`/`counter` lines for every [`DbSnapshot`]
-    /// number — length, capacity and wired bytes once per shard,
+    /// number — length, capacity, wired bytes, backend (`memfd` or
+    /// `heap`, as a label) and rewired / copied commits once per shard,
     /// labelled `shard="i"` in key order — and the journal tail as
     /// trailing comment lines. Every
     /// op type is always emitted (zeros when unused) so the schema is
@@ -227,15 +229,23 @@ impl MetricsSnapshot {
             "# TYPE rma_access_imbalance gauge\nrma_access_imbalance {}",
             e.access_imbalance
         );
-        let mut per_shard = |name: &str, field: fn(&ShardFill) -> usize| {
+        let mut per_shard = |name: &str, field: fn(&ShardFill) -> (&'static str, u64)| {
             let _ = writeln!(out, "# TYPE {name} gauge");
             for (i, s) in e.shards.iter().enumerate() {
-                let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", field(s));
+                let (label, v) = field(s);
+                let _ = writeln!(out, "{name}{{shard=\"{i}\"{label}}} {v}");
             }
         };
-        per_shard("rma_shard_len", |s| s.len);
-        per_shard("rma_shard_capacity", |s| s.capacity);
-        per_shard("rma_shard_wired_bytes", |s| s.wired_bytes);
+        per_shard("rma_shard_len", |s| ("", s.len as u64));
+        per_shard("rma_shard_capacity", |s| ("", s.capacity as u64));
+        per_shard("rma_shard_wired_bytes", |s| ("", s.wired_bytes as u64));
+        per_shard("rma_shard_backend", |s| match s.backend {
+            BackendKind::Mmap => (",backend=\"memfd\"", 1),
+            BackendKind::Heap => (",backend=\"heap\"", 1),
+        });
+        // Since the shard was built: a maintenance step restarts them.
+        per_shard("rma_shard_rewired_commits", |s| ("", s.rewired_commits));
+        per_shard("rma_shard_copied_commits", |s| ("", s.copied_commits));
 
         let m = &e.maintenance;
         let r = &self.db.router;
@@ -398,11 +408,14 @@ impl std::fmt::Display for DbSnapshot {
     /// examples print instead of hand-formatting fields.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let e = &self.engine;
+        let memfd = e.shards.iter().filter(|s| s.backend == BackendKind::Mmap);
         writeln!(
             f,
-            "engine: {} elems in {} shards, {:.1} MiB ({} splitter bytes), imbalance {:.2}",
+            "engine: {} elems in {} shards ({} on memfd), {:.1} MiB ({} splitter bytes), \
+             imbalance {:.2}",
             e.len,
             e.num_shards,
+            memfd.count(),
             e.memory_footprint as f64 / (1024.0 * 1024.0),
             e.splitter_bytes,
             e.access_imbalance

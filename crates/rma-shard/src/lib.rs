@@ -206,8 +206,9 @@ pub struct EngineSnapshot {
     pub shards: Vec<ShardFill>,
 }
 
-/// One shard of an [`EngineSnapshot`]: how full its array is and the
-/// memory behind it.
+/// One shard of an [`EngineSnapshot`]: how full its array is, the
+/// memory behind it, and how its array commits (§III's rewired versus
+/// copied reorganisations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardFill {
     /// Stored elements.
@@ -217,6 +218,15 @@ pub struct ShardFill {
     /// Resident bytes: the wired pages of both columns plus the
     /// shard's index, cardinalities and detector.
     pub wired_bytes: usize,
+    /// Where the shard's columns live ([`rma_core::Rma::backend_kind`]):
+    /// `Mmap` rewires, `Heap` copies every commit.
+    pub backend: rma_core::BackendKind,
+    /// Commits through page rewiring ([`rma_core::RmaStats`]). Counted
+    /// since the shard was built: a maintenance step that rebuilds a
+    /// shard starts it again from zero.
+    pub rewired_commits: u64,
+    /// Commits through the copy path, counted like `rewired_commits`.
+    pub copied_commits: u64,
 }
 
 impl ShardFill {
@@ -482,6 +492,9 @@ impl ShardedRma {
             len: rma.len(),
             capacity: rma.capacity(),
             wired_bytes: rma.memory_footprint(),
+            backend: rma.backend_kind(),
+            rewired_commits: rma.stats().rewired_commits,
+            copied_commits: rma.stats().copied_commits,
         };
         let shards: Vec<ShardFill> = topo.shards.iter().map(|s| s.peek(fill)).collect();
         let masses = topo.shards.iter().map(|s| s.stats.total() as f64);

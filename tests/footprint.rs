@@ -4,7 +4,7 @@
 //! (run it optimised and by itself: `cargo test --release --test
 //! footprint`).
 
-use rma_repro::rewiring::rewiring_available;
+use rma_repro::rma::BackendKind;
 use rma_repro::shard::{ShardConfig, ShardedRma};
 use rma_repro::workloads::SplitMix64;
 
@@ -27,6 +27,16 @@ fn capacities(s: &ShardedRma) -> Vec<usize> {
     shards.iter().map(|shard| shard.capacity).collect()
 }
 
+/// True when every shard's columns are memfd pages; otherwise asserts
+/// that the heap shards never counted a rewired commit.
+fn all_on_memfd(s: &ShardedRma) -> bool {
+    let shards = s.stats_snapshot().shards;
+    for shard in shards.iter().filter(|f| f.backend == BackendKind::Heap) {
+        assert_eq!(shard.rewired_commits, 0, "{shard:?}");
+    }
+    shards.iter().all(|f| f.backend == BackendKind::Mmap)
+}
+
 /// Loads `n` pairs into 8 shards, checks the store costs at most
 /// `bound` bytes per element and that the kernel agrees with the
 /// counter, then again after `inserts` uniform inserts.
@@ -40,7 +50,6 @@ fn load_and_measure(n: usize, bound: f64, inserts: usize) {
         rma_repro::rma::RewiringMode::Enabled { page_bytes } => page_bytes,
         rma_repro::rma::RewiringMode::Disabled => panic!("default config rewires"),
     };
-    let memfd = rewiring_available();
     let rss_before = rss_shmem();
 
     let batch: Vec<(i64, i64)> = (0..n as i64).map(|i| (i * 4, i)).collect();
@@ -52,16 +61,19 @@ fn load_and_measure(n: usize, bound: f64, inserts: usize) {
     assert!(bytes_per_elem(&s) <= bound);
 
     // Two columns of whole pages a shard, and not a page more — the
-    // kernel's count against ours.
+    // kernel's count against ours. Only memfd columns are wired in
+    // pages; a heap column (no memfd here) is a `Vec` that never
+    // rewires.
+    let memfd = all_on_memfd(&s);
     let loaded = capacities(&s);
     let wired: usize = loaded
         .iter()
         .map(|slots| 2 * (slots * 8).next_multiple_of(page_bytes))
         .sum();
-    assert!(s.memory_footprint() >= wired);
+    assert!(!memfd || s.memory_footprint() >= wired);
     let check_rss = |when: &str| {
         let (Some(before), Some(now), true) = (rss_before, rss_shmem(), memfd) else {
-            return; // heap fallback or no procfs: nothing to compare
+            return; // heap columns or no procfs: nothing to compare
         };
         let delta = now.saturating_sub(before);
         println!("{when}: RssShmem grew {delta} B for {wired} B wired");
@@ -83,6 +95,7 @@ fn load_and_measure(n: usize, bound: f64, inserts: usize) {
     assert_eq!(capacities(&s), loaded, "no shard grew");
     println!("after inserts: {} B/elem", bytes_per_elem(&s));
     assert!(bytes_per_elem(&s) <= bound);
+    assert_eq!(all_on_memfd(&s), memfd);
     check_rss("after inserts");
     s.check_invariants();
 }

@@ -9,8 +9,10 @@
 
 use rma_repro::db::{Db, DbBuilder, ObsConfig, Op, Reply};
 use rma_repro::obs::{Event, EventKind};
-use rma_repro::rma::{RewiringMode, RmaConfig};
+use rma_repro::rma::{BackendKind, RewiringMode, RmaConfig};
 use rma_repro::shard::ShardConfig;
+use rma_repro::workloads::SplitMix64;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 fn small() -> DbBuilder {
     Db::builder()
@@ -311,8 +313,9 @@ fn snapshots_render_after_stop_maintenance() {
 /// A bulk-loaded store is sized by its data: every shard of a fresh
 /// 8-shard load reports its length, capacity and wired bytes, at a
 /// density just under `τ_h` = 0.75 (a power-of-two batch would sit at
-/// 0.5 if capacities were rounded to powers of two), and the
-/// exposition carries the three gauges once per shard.
+/// 0.5 if capacities were rounded to powers of two), and its backend
+/// with no commit of either kind — the load wrote each array in
+/// place. The exposition carries the six gauges once per shard.
 #[test]
 fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
     let batch: Vec<(i64, i64)> = (0..1 << 16).map(|i| (i * 3, i)).collect();
@@ -349,12 +352,17 @@ fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
         // beside them.
         assert_eq!(s.capacity % 512, 0, "shard {i} is whole pages");
         assert!(s.wired_bytes >= 16 * s.capacity && s.wired_bytes < 20 * s.capacity);
+        assert_eq!(s.backend, e.shards[0].backend, "one host, one backend");
+        assert_eq!((s.rewired_commits, s.copied_commits), (0, 0), "shard {i}");
     }
     let text = m.render_text();
     for family in [
         "rma_shard_len",
         "rma_shard_capacity",
         "rma_shard_wired_bytes",
+        "rma_shard_backend",
+        "rma_shard_rewired_commits",
+        "rma_shard_copied_commits",
     ] {
         assert_eq!(text.matches(&format!("# TYPE {family} gauge")).count(), 1);
         assert_eq!(text.matches(&format!("{family}{{shard=")).count(), 8);
@@ -364,4 +372,139 @@ fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
         "rma_shard_capacity{{shard=\"7\"}} {}",
         last.capacity
     )));
+    let name = match last.backend {
+        BackendKind::Mmap => "memfd",
+        BackendKind::Heap => "heap",
+    };
+    assert!(text.contains(&format!(
+        "rma_shard_backend{{shard=\"7\",backend=\"{name}\"}} 1"
+    )));
+    assert!(text.contains("rma_shard_copied_commits{shard=\"7\"} 0"));
+}
+
+/// A shard that cannot get its memfd reservation still works, copies
+/// every commit and says so. `reserve_bytes` of 2^62 is more than any
+/// address space holds, so `mmap` refuses it on every host and each
+/// column is a plain `Vec`, with no knob to force it. The store must
+/// answer like a `BTreeMap` over inserts, removes, gets and scans on
+/// the direct and the session paths; every shard must report `Heap`,
+/// no commit may count as rewired while some count as copied, and the
+/// exposition and the report must show it.
+#[test]
+fn a_store_without_memfd_copies_every_commit_and_says_so() {
+    const SHARDS: usize = 4;
+    let db = Db::builder()
+        .shards(SHARDS)
+        .rma(RmaConfig {
+            segment_size: 16,
+            rewiring: RewiringMode::Enabled { page_bytes: 4096 },
+            reserve_bytes: 1 << 62,
+            ..Default::default()
+        })
+        .router_workers(2)
+        .build()
+        .expect("valid");
+    let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
+    let mut rng = SplitMix64::new(0x5EED);
+    let key_space = 1u64 << 14;
+    let scan = |oracle: &BTreeMap<i64, i64>, k: i64| -> Vec<(i64, i64)> {
+        oracle.range(k..).take(24).map(|(&k, &v)| (k, v)).collect()
+    };
+
+    // Direct path. Keys stay distinct (an insert of a stored key reads
+    // it instead), so the map is an exact oracle.
+    for step in 0..20_000i64 {
+        let k = (rng.next_u64() % key_space) as i64;
+        match rng.next_u64() % 8 {
+            0..=3 if !oracle.contains_key(&k) => {
+                db.insert(k, step);
+                oracle.insert(k, step);
+            }
+            4 | 5 => assert_eq!(db.remove(k), oracle.remove(&k), "remove {k}"),
+            6 => {
+                let mut got = Vec::new();
+                db.scan(k, 24, |k, v| got.push((k, v)));
+                assert_eq!(got, scan(&oracle, k), "scan from {k}");
+            }
+            _ => assert_eq!(db.get(k), oracle.get(&k).copied(), "get {k}"),
+        }
+    }
+
+    // Session path: a batch of writes to distinct keys, then a batch of
+    // reads of what they left.
+    let mut s = db.session();
+    for round in 0..40i64 {
+        let mut writes = Vec::new();
+        let mut want = Vec::new();
+        let mut touched = std::collections::HashSet::new();
+        for i in 0..256i64 {
+            let k = (rng.next_u64() % key_space) as i64;
+            if !touched.insert(k) {
+                continue;
+            }
+            match oracle.entry(k) {
+                Entry::Occupied(e) if rng.next_u64().is_multiple_of(2) => {
+                    writes.push(Op::Remove(k));
+                    want.push(Reply::Removed(Some(e.remove())));
+                }
+                Entry::Occupied(_) => {}
+                Entry::Vacant(e) => {
+                    writes.push(Op::Insert(k, round * 1000 + i));
+                    want.push(Reply::Inserted);
+                    e.insert(round * 1000 + i);
+                }
+            }
+        }
+        assert_eq!(s.submit(&writes).wait(), want, "round {round} writes");
+        let reads: Vec<i64> = (0..64)
+            .map(|_| (rng.next_u64() % key_space) as i64)
+            .collect();
+        let ops: Vec<Op> = (reads.iter())
+            .flat_map(|&k| {
+                [
+                    Op::Get(k),
+                    Op::Scan {
+                        start: k,
+                        count: 24,
+                    },
+                ]
+            })
+            .collect();
+        let want: Vec<Reply> = (reads.iter())
+            .flat_map(|&k| {
+                let got = Reply::Found(oracle.get(&k).copied());
+                [got, Reply::Entries(scan(&oracle, k))]
+            })
+            .collect();
+        assert_eq!(s.submit(&ops).wait(), want, "round {round} reads");
+    }
+    db.engine().check_invariants();
+    let mut all = Vec::new();
+    db.scan(i64::MIN, usize::MAX, |k, v| all.push((k, v)));
+    assert!(all.iter().copied().eq(oracle.iter().map(|(&k, &v)| (k, v))));
+
+    let m = db.metrics();
+    let shards = &m.db.engine.shards;
+    assert_eq!(shards.len(), SHARDS);
+    let copied: u64 = shards.iter().map(|s| s.copied_commits).sum();
+    assert!(copied > 0, "{shards:?}");
+    let text = m.render_text();
+    assert!(!text.contains("backend=\"memfd\""));
+    for (i, s) in shards.iter().enumerate() {
+        assert_eq!(s.backend, BackendKind::Heap, "shard {i}");
+        assert_eq!(s.rewired_commits, 0, "shard {i}");
+        for line in [
+            format!("rma_shard_backend{{shard=\"{i}\",backend=\"heap\"}} 1"),
+            format!("rma_shard_rewired_commits{{shard=\"{i}\"}} 0"),
+            format!(
+                "rma_shard_copied_commits{{shard=\"{i}\"}} {}",
+                s.copied_commits
+            ),
+        ] {
+            assert!(text.contains(&line), "missing {line}");
+        }
+    }
+    assert!(m
+        .to_string()
+        .contains(&format!("{SHARDS} shards (0 on memfd)")));
 }
