@@ -173,7 +173,10 @@ fn run(cli: &Cli, dist: Dist, mode: Mode) -> Row {
     // Quiesce the background maintainer (no-op in the other modes)
     // so the row reports final counters over a stable topology.
     let (maintain_runs, relearns) = match db.stop_maintenance() {
-        Some(stats) => (stats.runs, stats.relearns),
+        Some(_) => {
+            let ledger = idx.maintenance_stats();
+            (ledger.plans, ledger.relearns)
+        }
         None => (inline_runs, inline_relearns),
     };
     idx.check_invariants();

@@ -202,7 +202,11 @@ fn run(cli: &Cli, mode: Mode) -> Row {
         (log, poller.map(|p| p.join().expect("monolithic poller")))
     });
     let (maintain_runs, relearns) = polled
-        .or_else(|| db.stop_maintenance().map(|s| (s.runs, s.relearns)))
+        .or_else(|| {
+            db.stop_maintenance()?;
+            let ledger = idx.maintenance_stats();
+            Some((ledger.plans, ledger.relearns))
+        })
         .unwrap_or((0, 0));
     idx.check_invariants();
     let mstats = idx.maintenance_stats();

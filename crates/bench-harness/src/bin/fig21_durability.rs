@@ -257,8 +257,7 @@ fn main() {
     // Seal a checkpoint wave on the group-commit database, ingest a
     // log tail past it, crash (drop), and time the full reopen.
     let group_db = &dbs[1];
-    let mut plan = group_db.engine().plan_checkpoints();
-    let report = group_db.engine().drain_plan(&mut plan);
+    let sealed = group_db.engine().checkpoint();
     let tail = make_segment(&mut rng, TAIL_OPS);
     std::hint::black_box(drive(group_db, &tail));
     let expected_len = group_db.len();
@@ -283,7 +282,7 @@ fn main() {
     let recovery = Recovery {
         elements: expected_len,
         seconds: secs,
-        checkpoints: report.checkpoints,
+        checkpoints: sealed,
     };
     println!(
         "# recovery: {} elements ({} checkpoint seals, {TAIL_OPS} tail ops) in {:.3} s \

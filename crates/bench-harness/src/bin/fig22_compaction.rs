@@ -263,6 +263,7 @@ fn main() {
     );
 
     // --- quiet period: the idle gate does the work ------------------
+    let consolidated_before = index.maintenance_stats().consolidations;
     let maintainer = index.start_maintainer(maintainer_config());
     // The target the committed gate asserts.
     let target = (COMPACT_TARGET_FACTOR * SHARDS as f64).ceil() as usize;
@@ -271,8 +272,8 @@ fn main() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let quiet_ms = quiet_start.elapsed().as_millis() as u64;
-    let stats = maintainer.stop();
-    let background_consolidations = stats.consolidations();
+    maintainer.stop();
+    let background_consolidations = index.maintenance_stats().consolidations - consolidated_before;
     // Deterministic backstop: whatever the background maintainer left
     // behind (a slow box, an unlucky poll cadence) is finished
     // synchronously so the committed gate does not race a thread.

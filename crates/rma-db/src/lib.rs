@@ -75,8 +75,10 @@
 //! for k in 0..1000i64 {
 //!     db.insert(k, k);
 //! }
-//! let maint = db.stats().maintainer.expect("maintenance configured");
-//! assert!(maint.polls > 0 || maint.runs == 0); // counters are live
+//! let snap = db.stats();
+//! let maint = snap.maintainer.expect("maintenance configured");
+//! assert_eq!(maint.checkpoints, 0); // nothing durable to seal
+//! println!("{} polls, {} plans", maint.polls, snap.engine.maintenance.plans);
 //! // Dropping `db` stops and joins the maintainer and the router.
 //! ```
 
@@ -271,15 +273,7 @@ impl Db {
     fn maintainer_snapshot(&self) -> Option<MaintainerSnapshot> {
         self.maintainer_stats.as_ref().map(|s| MaintainerSnapshot {
             polls: s.polls(),
-            runs: s.runs(),
-            relearns: s.relearns(),
-            splits: s.splits(),
-            merges: s.merges(),
-            nudges: s.nudges(),
-            steps: s.steps(),
             checkpoints: s.checkpoints(),
-            steps_dropped: s.steps_dropped(),
-            consolidations: s.consolidations(),
         })
     }
 
@@ -438,34 +432,16 @@ pub struct DbSnapshot {
     pub router: RouterSnapshot,
 }
 
-/// Copy of the background maintainer's monotonic counters
-/// ([`rma_shard::MaintainerStats`]) at snapshot time. Remains
+/// Copy of the background maintainer's own counters
+/// ([`rma_shard::MaintainerStats`]) at snapshot time; what its plans
+/// did is in the engine's ledger (`engine.maintenance`). Remains
 /// available (with final values) after [`Db::stop_maintenance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintainerSnapshot {
     /// Polls of the trigger signals.
     pub polls: u64,
-    /// Escalations to maintenance (plans created or synchronous
-    /// passes run).
-    pub runs: u64,
-    /// Runs in which splitter re-learning engaged.
-    pub relearns: u64,
-    /// Shard splits performed.
-    pub splits: u64,
-    /// Shard merges performed.
-    pub merges: u64,
-    /// Boundary nudges performed.
-    pub nudges: u64,
-    /// Plan steps executed (incremental strategies).
-    pub steps: u64,
-    /// Durability checkpoints sealed by the maintainer.
+    /// Partition checkpoints its cadence sealed.
     pub checkpoints: u64,
-    /// Plan steps dropped un-executed by the scheduler's staleness
-    /// check (the world drifted; the maintainer re-planned).
-    pub steps_dropped: u64,
-    /// Merges executed by the idle-time consolidation chain (a
-    /// subset of `merges`).
-    pub consolidations: u64,
 }
 
 /// Errors from the checked direct-call write methods
@@ -567,8 +543,7 @@ mod tests {
         // A handle built over a deliberately over-fragmented splitter
         // set: `compact()` must walk the shard count back to the
         // engine target and report one merge per retired shard, and
-        // the maintainer snapshot must surface the scheduler's new
-        // counters.
+        // the engine's ledger must count them.
         let db = small()
             .splitter_keys((1..16).map(|i| i * 100).collect())
             // Parked poll cadence: the background thread must not race
@@ -588,9 +563,10 @@ mod tests {
         assert_eq!(merges, 12, "16 shards must consolidate to the target of 4");
         assert_eq!(db.stats().engine.num_shards, 4);
         assert_eq!(db.stats().engine.len, 1600);
-        let m = db.stats().maintainer.expect("maintainer configured");
+        let ledger = db.stats().engine.maintenance;
+        assert_eq!((ledger.merges, ledger.consolidations), (12, 12));
         assert_eq!(
-            m.steps_dropped, 0,
+            ledger.steps_dropped, 0,
             "nothing drifted under a synchronous compact"
         );
         // An invalid idle knob is rejected through the typed path.

@@ -25,7 +25,7 @@ use crate::session::Op;
 use crate::{DbSnapshot, MaintainerSnapshot};
 use rma_core::BackendKind;
 use rma_obs::{Event, Histogram, HistogramSnapshot};
-use rma_shard::ShardFill;
+use rma_shard::ShardStats;
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
 
@@ -174,8 +174,9 @@ impl MetricsSnapshot {
     /// latency/size distribution (p50/p95/p99 plus `_sum`, `_count`,
     /// `_max`), `gauge`/`counter` lines for every [`DbSnapshot`]
     /// number — length, capacity, wired bytes, backend (`memfd` or
-    /// `heap`, as a label) and rewired / copied commits once per shard,
-    /// labelled `shard="i"` in key order — and the journal tail as
+    /// `heap`, as a label), rebalances, elements moved and rewired /
+    /// copied commits once per shard, labelled `shard="i"` in key
+    /// order — and the journal tail as
     /// trailing comment lines. Every
     /// op type is always emitted (zeros when unused) so the schema is
     /// stable for scrapers.
@@ -229,7 +230,7 @@ impl MetricsSnapshot {
             "# TYPE rma_access_imbalance gauge\nrma_access_imbalance {}",
             e.access_imbalance
         );
-        let mut per_shard = |name: &str, field: fn(&ShardFill) -> (&'static str, u64)| {
+        let mut per_shard = |name: &str, field: fn(&ShardStats) -> (&'static str, u64)| {
             let _ = writeln!(out, "# TYPE {name} gauge");
             for (i, s) in e.shards.iter().enumerate() {
                 let (label, v) = field(s);
@@ -244,6 +245,8 @@ impl MetricsSnapshot {
             BackendKind::Heap => (",backend=\"heap\"", 1),
         });
         // Since the shard was built: a maintenance step restarts them.
+        per_shard("rma_shard_rebalances", |s| ("", s.rebalances));
+        per_shard("rma_shard_elements_moved", |s| ("", s.elements_moved));
         per_shard("rma_shard_rewired_commits", |s| ("", s.rewired_commits));
         per_shard("rma_shard_copied_commits", |s| ("", s.copied_commits));
 
@@ -255,12 +258,17 @@ impl MetricsSnapshot {
             ("rma_write_locks_total", e.write_locks),
             ("rma_seqlock_retries_total", e.seqlock_retries),
             ("rma_maintenance_plans_total", m.plans),
+            ("rma_maintenance_relearns_total", m.relearns),
             ("rma_maintenance_steps_planned_total", m.steps_planned),
             ("rma_maintenance_steps_executed_total", m.steps_executed),
             ("rma_maintenance_steps_skipped_total", m.steps_skipped),
             ("rma_maintenance_steps_dropped_total", m.steps_dropped),
             ("rma_maintenance_keys_migrated_total", m.keys_migrated),
+            ("rma_maintenance_splits_total", m.splits),
+            ("rma_maintenance_merges_total", m.merges),
             ("rma_maintenance_nudges_total", m.nudges),
+            ("rma_maintenance_rebuilds_total", m.rebuilds),
+            ("rma_maintenance_consolidations_total", m.consolidations),
             ("rma_topologies_published_total", m.topologies_published),
             ("rma_batch_reroutes_total", m.batch_reroutes),
             ("rma_write_reroutes_total", m.write_reroutes),
@@ -272,15 +280,7 @@ impl MetricsSnapshot {
         if let Some(mt) = &self.db.maintainer {
             counters.extend([
                 ("rma_maintainer_polls_total", mt.polls),
-                ("rma_maintainer_runs_total", mt.runs),
-                ("rma_maintainer_relearns_total", mt.relearns),
-                ("rma_maintainer_splits_total", mt.splits),
-                ("rma_maintainer_merges_total", mt.merges),
-                ("rma_maintainer_nudges_total", mt.nudges),
-                ("rma_maintainer_steps_total", mt.steps),
                 ("rma_maintainer_checkpoints_total", mt.checkpoints),
-                ("rma_maintainer_steps_dropped_total", mt.steps_dropped),
-                ("rma_maintainer_consolidations_total", mt.consolidations),
             ]);
         }
         for (name, v) in counters {
@@ -428,12 +428,19 @@ impl std::fmt::Display for DbSnapshot {
         let m = &e.maintenance;
         writeln!(
             f,
-            "maintenance: {} plans, {}/{} steps executed/planned ({} skipped, {} dropped), \
-             {} keys migrated, {} topologies, max step {:.1} µs, \
+            "maintenance: {} plans ({} relearns), {}/{} steps executed/planned \
+             ({} splits / {} merges / {} nudges / {} rebuilds, {} consolidation merges; \
+             {} skipped, {} dropped), {} keys migrated, {} topologies, max step {:.1} µs, \
              {} batch + {} write reroutes",
             m.plans,
+            m.relearns,
             m.steps_executed,
             m.steps_planned,
+            m.splits,
+            m.merges,
+            m.nudges,
+            m.rebuilds,
+            m.consolidations,
             m.steps_skipped,
             m.steps_dropped,
             m.keys_migrated,
@@ -458,19 +465,8 @@ impl std::fmt::Display for MaintainerSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "maintainer: {} polls, {} runs, {} relearns, \
-             {} splits / {} merges / {} nudges, {} steps ({} dropped), \
-             {} checkpoints, {} consolidation merges",
-            self.polls,
-            self.runs,
-            self.relearns,
-            self.splits,
-            self.merges,
-            self.nudges,
-            self.steps,
-            self.steps_dropped,
-            self.checkpoints,
-            self.consolidations
+            "maintainer: {} polls, {} checkpoints",
+            self.polls, self.checkpoints
         )
     }
 }

@@ -195,7 +195,7 @@ mod tests {
         s.check_invariants();
         assert_eq!(s.len(), 10_000);
         assert_eq!(s.num_shards(), 8);
-        let stats = s.shard_stats();
+        let stats = s.stats_snapshot().shards;
         let (min, max) = stats.iter().fold((usize::MAX, 0), |(lo, hi), st| {
             (lo.min(st.len), hi.max(st.len))
         });

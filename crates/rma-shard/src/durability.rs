@@ -14,11 +14,14 @@
 //!
 //! The sink partitions the key space on its own fixed splitter set
 //! (decoupled from the engine's dynamic topology, which splits and
-//! merges shards underneath it); the executor's `CheckpointShard`
-//! step asks for [`partition_range`](DurabilitySink::partition_range)
-//! to know which engine shards to lock.
+//! merges shards underneath it); [`ShardedRma::checkpoint`] asks for
+//! [`partition_range`](DurabilitySink::partition_range) to know which
+//! engine shards to lock.
 
+use crate::shard::StepGuards;
+use crate::ShardedRma;
 use rma_core::{Key, Value};
+use rma_obs::EventKind;
 
 /// One logical mutation, as the log sees it. Replay applies these
 /// through the ordinary engine entry points (`insert` keeps
@@ -75,7 +78,47 @@ pub trait DurabilitySink: Send + Sync {
     /// partition's full content at `cut`, sorted by key. Runs
     /// *outside* the shard locks (sealing does file I/O). Returns
     /// `false` when the seal failed (fault injection, disk error) —
-    /// the caller counts the step as skipped and the old checkpoint
-    /// stays authoritative.
+    /// the old checkpoint stays authoritative.
     fn seal_checkpoint(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> bool;
+}
+
+impl ShardedRma {
+    /// Seals a checkpoint of every durability partition and returns
+    /// how many sealed (0 without a sink). Per partition: write-lock
+    /// every shard overlapping its key range, draw the cut LSN and
+    /// copy the residents out, then release the shard locks and seal.
+    /// Each seal holds the maintenance mutex throughout: two racing
+    /// seals of one partition could let the older cut replace the
+    /// newer manifest entry after the newer seal's log rotation
+    /// deleted the records between them. A checkpoint restructures
+    /// nothing, so it is not a maintenance step: it moves no
+    /// [`MaintenanceStats`](crate::MaintenanceStats) counter and no
+    /// step-duration sample, and journals one [`EventKind::Checkpoint`]
+    /// per seal (partition, wall time, elements sealed).
+    pub fn checkpoint(&self) -> usize {
+        let Some(sink) = self.durability() else {
+            return 0;
+        };
+        let seal = |p: usize| {
+            let t0 = rma_obs::now_ns();
+            let _maint = self.maintenance_guard();
+            let (lo, hi) = sink.partition_range(p);
+            let topo = self.topo_handle().load_exclusive();
+            let (j0, j1) = topo.splitters.overlapping(lo, hi);
+            let guards = StepGuards::lock(&topo.shards, j0..=j1);
+            let cut = sink.checkpoint_cut(p);
+            let mut elems = guards.collect_elems();
+            drop(guards);
+            // Edge shards may straddle the partition boundary; the
+            // checkpoint owns exactly `[lo, hi)`.
+            elems.retain(|&(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h));
+            let sealed = sink.seal_checkpoint(p, cut, &elems);
+            if sealed {
+                let dur = rma_obs::now_ns().saturating_sub(t0);
+                (self.obs()).log(EventKind::Checkpoint, p as u32, dur, elems.len() as u64);
+            }
+            sealed
+        };
+        (0..sink.partitions()).filter(|&p| seal(p)).count()
+    }
 }

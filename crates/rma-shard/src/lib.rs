@@ -72,8 +72,9 @@
 //! Writers that reach a retired shard re-route through the fresh
 //! topology (a bounded retry). [`ShardedRma::lock_acquisitions`] is
 //! the test hook proving the happy path stays lock-free;
-//! [`ShardedRma::maintenance_stats`] exposes the plan engine's
-//! steps, migrations and worst-step wall time.
+//! [`ShardedRma::maintenance_stats`] is the one ledger of what
+//! maintenance did: plans, steps by kind, migrations and worst-step
+//! wall time.
 //!
 //! Concurrency contract: each operation is atomic within the shard(s)
 //! it touches; multi-shard reads (scans) visit shards left to right,
@@ -107,8 +108,9 @@
 //! for k in 0..1000i64 {
 //!     index.insert(k, k);
 //! }
-//! let stats = maintainer.stop(); // joins the thread deterministically
-//! println!("background maintenance ran {} times", stats.runs());
+//! let polled = maintainer.stop().polls(); // joins the thread deterministically
+//! let ledger = index.maintenance_stats();
+//! println!("{polled} polls planned {} times", ledger.plans);
 //! assert_eq!(index.len(), 1000);
 //! ```
 
@@ -128,9 +130,7 @@ pub use access::AccessStats;
 pub use config::{BalancePolicy, ConfigError, RelearnStrategy, ShardConfig};
 pub use durability::{DurabilityOp, DurabilitySink};
 pub use maintainer::{Maintainer, MaintainerConfig, MaintainerStats};
-pub use maintenance::{
-    DrainReport, MaintenancePlan, MaintenanceStep, RelearnReport, ShardStats, StepReport,
-};
+pub use maintenance::{DrainReport, MaintenancePlan, MaintenanceStep, RelearnReport, StepReport};
 pub use obs::EngineObs;
 pub use shard::LockStats;
 pub use splitter::Splitters;
@@ -201,35 +201,53 @@ pub struct EngineSnapshot {
     pub seqlock_retries: u64,
     /// The incremental maintenance engine's lifetime counters.
     pub maintenance: MaintenanceStats,
-    /// What every shard holds and what it costs, in key order; `len`
-    /// and `memory_footprint` above are the sums.
-    pub shards: Vec<ShardFill>,
+    /// What every shard holds, what it costs and what it served, in
+    /// key order; `len` and `memory_footprint` above are the sums.
+    pub shards: Vec<ShardStats>,
 }
 
-/// One shard of an [`EngineSnapshot`]: how full its array is, the
-/// memory behind it, and how its array commits (§III's rewired versus
-/// copied reorganisations).
+/// One shard of an [`EngineSnapshot`]: its key range, how full its
+/// array is, the memory behind it, the load routed to it, and how its
+/// array reorganises (§III's rebalances, rewired versus copied).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardFill {
+pub struct ShardStats {
+    /// Inclusive lower key bound (`None` = unbounded).
+    pub lower_bound: Option<Key>,
+    /// Exclusive upper key bound (`None` = unbounded).
+    pub upper_bound: Option<Key>,
     /// Stored elements.
     pub len: usize,
     /// Slots of the shard's sparse array.
     pub capacity: usize,
+    /// Segments of the shard's sparse array.
+    pub segments: usize,
     /// Resident bytes: the wired pages of both columns plus the
     /// shard's index, cardinalities and detector.
     pub wired_bytes: usize,
     /// Where the shard's columns live ([`rma_core::Rma::backend_kind`]):
     /// `Mmap` rewires, `Heap` copies every commit.
     pub backend: rma_core::BackendKind,
-    /// Commits through page rewiring ([`rma_core::RmaStats`]). Counted
-    /// since the shard was built: a maintenance step that rebuilds a
-    /// shard starts it again from zero.
+    /// Window rebalances ([`rma_core::RmaStats`]). Counted since the
+    /// shard was built: a maintenance step that rebuilds a shard
+    /// starts it again from zero.
+    pub rebalances: u64,
+    /// Elements the rebalances and resizes moved, counted like
+    /// `rebalances`.
+    pub elements_moved: u64,
+    /// Commits through page rewiring, counted like `rebalances`.
     pub rewired_commits: u64,
-    /// Commits through the copy path, counted like `rewired_commits`.
+    /// Commits through the copy path, counted like `rebalances`.
     pub copied_commits: u64,
+    /// Reads routed to the shard, counted like `rebalances`.
+    pub reads: u64,
+    /// Write operations routed likewise.
+    pub writes: u64,
+    /// Decayed access mass of the shard's histogram (survives
+    /// restructuring via re-seeding, unlike `reads`/`writes`).
+    pub access_mass: u64,
 }
 
-impl ShardFill {
+impl ShardStats {
     /// `len / capacity`: between `ρ_h` and `τ_h` of the shard's
     /// thresholds, unless the shard is nearly empty.
     pub fn density(&self) -> f64 {
@@ -271,28 +289,34 @@ pub struct ShardedRma {
 #[derive(Debug, Default)]
 pub(crate) struct MaintCounters {
     pub(crate) plans: AtomicU64,
+    pub(crate) relearns: AtomicU64,
     pub(crate) steps_planned: AtomicU64,
-    pub(crate) steps_executed: AtomicU64,
     pub(crate) steps_skipped: AtomicU64,
     pub(crate) steps_dropped: AtomicU64,
     pub(crate) keys_migrated: AtomicU64,
+    pub(crate) splits: AtomicU64,
+    pub(crate) merges: AtomicU64,
     pub(crate) nudges: AtomicU64,
+    pub(crate) rebuilds: AtomicU64,
+    pub(crate) consolidations: AtomicU64,
     pub(crate) max_step_ns: AtomicU64,
     pub(crate) batch_reroutes: AtomicU64,
     pub(crate) write_reroutes: AtomicU64,
 }
 
 /// Snapshot of the incremental maintenance engine's lifetime
-/// counters ([`ShardedRma::maintenance_stats`]). All counts are
+/// counters ([`ShardedRma::maintenance_stats`]) — the one ledger of
+/// what maintenance did, whoever drained the plan. All counts are
 /// monotonic since construction.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Non-empty [`MaintenancePlan`]s produced by the planners.
     pub plans: u64,
+    /// Those of them the re-learn planner produced.
+    pub relearns: u64,
     /// Steps emitted into plans.
     pub steps_planned: u64,
-    /// Steps that executed and published a topology (or validated as
-    /// an exact no-op).
+    /// Steps that executed: `splits + merges + nudges + rebuilds`.
     pub steps_executed: u64,
     /// Steps skipped as stale (the topology moved between planning
     /// and execution).
@@ -305,8 +329,17 @@ pub struct MaintenanceStats {
     /// Elements rebuilt under the locks of all executed steps — see
     /// [`StepReport::migrated`] for the one definition.
     pub keys_migrated: u64,
+    /// Executed [`MaintenanceStep::SplitShard`] steps.
+    pub splits: u64,
+    /// Executed [`MaintenanceStep::MergePair`] steps.
+    pub merges: u64,
     /// Executed [`MaintenanceStep::NudgeBoundary`] steps.
     pub nudges: u64,
+    /// Executed [`MaintenanceStep::RebuildShard`] steps.
+    pub rebuilds: u64,
+    /// The merges among them that a consolidation plan
+    /// ([`ShardedRma::plan_consolidation`]) ran.
+    pub consolidations: u64,
     /// Copy-on-write topologies published since construction
     /// (maintenance steps of every kind, including monolithic
     /// re-learns).
@@ -455,20 +488,27 @@ impl ShardedRma {
     }
 
     /// Lifetime counters of the incremental maintenance engine: plans
-    /// and steps (planned / executed / skipped), elements migrated,
-    /// topologies published, and the worst single-step wall time —
-    /// the observable proof that maintenance proceeds in bounded
-    /// steps rather than monolithic stalls.
+    /// and steps (planned / executed by kind / skipped / dropped),
+    /// elements migrated, topologies published, and the worst
+    /// single-step wall time — the observable proof that maintenance
+    /// proceeds in bounded steps rather than monolithic stalls.
     pub fn maintenance_stats(&self) -> MaintenanceStats {
         let c = &self.maint_counters;
+        let (splits, merges) = (c.splits.load(Relaxed), c.merges.load(Relaxed));
+        let (nudges, rebuilds) = (c.nudges.load(Relaxed), c.rebuilds.load(Relaxed));
         MaintenanceStats {
             plans: c.plans.load(Relaxed),
+            relearns: c.relearns.load(Relaxed),
             steps_planned: c.steps_planned.load(Relaxed),
-            steps_executed: c.steps_executed.load(Relaxed),
+            steps_executed: splits + merges + nudges + rebuilds,
             steps_skipped: c.steps_skipped.load(Relaxed),
             steps_dropped: c.steps_dropped.load(Relaxed),
             keys_migrated: c.keys_migrated.load(Relaxed),
-            nudges: c.nudges.load(Relaxed),
+            splits,
+            merges,
+            nudges,
+            rebuilds,
+            consolidations: c.consolidations.load(Relaxed),
             topologies_published: self.handle.publications(),
             max_step_wall_ns: c.max_step_ns.load(Relaxed),
             batch_reroutes: c.batch_reroutes.load(Relaxed),
@@ -488,16 +528,28 @@ impl ShardedRma {
         let seqlock_retries = self.lock_stats.opt_retries.load(Relaxed);
         let maintenance = self.maintenance_stats();
         let topo = self.topo();
-        let fill = |rma: &rma_core::Rma| ShardFill {
-            len: rma.len(),
-            capacity: rma.capacity(),
-            wired_bytes: rma.memory_footprint(),
-            backend: rma.backend_kind(),
-            rewired_commits: rma.stats().rewired_commits,
-            copied_commits: rma.stats().copied_commits,
-        };
-        let shards: Vec<ShardFill> = topo.shards.iter().map(|s| s.peek(fill)).collect();
-        let masses = topo.shards.iter().map(|s| s.stats.total() as f64);
+        let shards: Vec<ShardStats> = (topo.shards.iter().enumerate())
+            .map(|(i, s)| {
+                let (lower_bound, upper_bound) = topo.splitters.range_of(i);
+                s.peek(|rma| ShardStats {
+                    lower_bound,
+                    upper_bound,
+                    len: rma.len(),
+                    capacity: rma.capacity(),
+                    segments: rma.num_segments(),
+                    wired_bytes: rma.memory_footprint(),
+                    backend: rma.backend_kind(),
+                    rebalances: rma.stats().rebalances,
+                    elements_moved: rma.stats().elements_moved,
+                    rewired_commits: rma.stats().rewired_commits,
+                    copied_commits: rma.stats().copied_commits,
+                    reads: s.reads.load(Relaxed),
+                    writes: s.writes.load(Relaxed),
+                    access_mass: s.stats.total(),
+                })
+            })
+            .collect();
+        let masses = shards.iter().map(|s| s.access_mass as f64);
         EngineSnapshot {
             len: shards.iter().map(|s| s.len).sum(),
             num_shards: shards.len(),

@@ -33,6 +33,12 @@
 //!    the coldest neighbour pairs that steer an accreted topology
 //!    back toward its target in the troughs between bursts.
 //!
+//! Every [`MaintainerConfig::checkpoint_interval`] it also seals a
+//! checkpoint of every durability partition
+//! ([`ShardedRma::checkpoint`]) between plans. What its plans did is
+//! filed in the engine's ledger ([`ShardedRma::maintenance_stats`]);
+//! [`MaintainerStats`] keeps only what the thread alone knows.
+//!
 //! Plans drain in the order their planner emitted them, and an
 //! in-flight plan whose world drifted past the staleness bound
 //! ([`ShardedRma::execute_step`]) has its tail dropped and is
@@ -49,7 +55,7 @@
 //! mid-drain — safe, because every executed step left a complete,
 //! consistent topology; the next maintainer simply re-plans.
 
-use crate::{ConfigError, DrainReport, MaintenancePlan, ShardedRma};
+use crate::{ConfigError, MaintenancePlan, ShardedRma};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,11 +95,11 @@ pub struct MaintainerConfig {
     /// Pause between consecutive steps within one tick. Writers
     /// queued behind a step drain during the pause.
     pub step_pause: Duration,
-    /// How often to checkpoint the durability partitions (a
-    /// [`CheckpointShard`](crate::MaintenanceStep::CheckpointShard)
-    /// plan is queued each interval, drained on the ordinary tick
-    /// budget). `None` (the default) never checkpoints from this
-    /// thread; a no-op when no durability sink is installed.
+    /// How often to checkpoint the durability partitions
+    /// ([`ShardedRma::checkpoint`], on the first poll past each
+    /// interval with no plan in flight). `None` (the default) never
+    /// checkpoints from this thread; a no-op when no durability sink
+    /// is installed.
     pub checkpoint_interval: Option<Duration>,
     /// Op-rate (ops/s, shared-clock granules) below which a poll
     /// counts as *idle*. [`IDLE_CONFIRM_POLLS`] consecutive idle
@@ -154,19 +160,13 @@ impl MaintainerConfig {
     }
 }
 
-/// Counters published by the maintainer thread (all monotonic).
+/// What only the maintainer thread knows (monotonic counters); what
+/// its plans did is in the engine's ledger,
+/// [`ShardedRma::maintenance_stats`].
 #[derive(Debug, Default)]
 pub struct MaintainerStats {
     polls: AtomicU64,
-    runs: AtomicU64,
-    relearns: AtomicU64,
-    splits: AtomicU64,
-    merges: AtomicU64,
-    nudges: AtomicU64,
-    steps: AtomicU64,
     checkpoints: AtomicU64,
-    steps_dropped: AtomicU64,
-    consolidations: AtomicU64,
 }
 
 impl MaintainerStats {
@@ -174,48 +174,9 @@ impl MaintainerStats {
     pub fn polls(&self) -> u64 {
         self.polls.load(Relaxed)
     }
-    /// Escalations to maintenance (plans created).
-    pub fn runs(&self) -> u64 {
-        self.runs.load(Relaxed)
-    }
-    /// Runs in which splitter re-learning engaged (a re-learn plan
-    /// was created).
-    pub fn relearns(&self) -> u64 {
-        self.relearns.load(Relaxed)
-    }
-    /// Shard splits performed across all runs.
-    pub fn splits(&self) -> u64 {
-        self.splits.load(Relaxed)
-    }
-    /// Shard merges performed across all runs.
-    pub fn merges(&self) -> u64 {
-        self.merges.load(Relaxed)
-    }
-    /// Boundary nudges performed across all runs.
-    pub fn nudges(&self) -> u64 {
-        self.nudges.load(Relaxed)
-    }
-    /// Plan steps that executed (stale skips excluded) across all
-    /// runs — mirrors
-    /// [`MaintenanceStats::steps_executed`](crate::MaintenanceStats).
-    pub fn steps(&self) -> u64 {
-        self.steps.load(Relaxed)
-    }
-    /// Checkpoints sealed across all runs (durability cadence).
+    /// Partition checkpoints its cadence sealed.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints.load(Relaxed)
-    }
-    /// Plan steps dropped un-executed by the scheduler's staleness
-    /// check across all runs — mirrors
-    /// [`MaintenanceStats::steps_dropped`](crate::MaintenanceStats)
-    /// for the plans this thread drained.
-    pub fn steps_dropped(&self) -> u64 {
-        self.steps_dropped.load(Relaxed)
-    }
-    /// Merges executed by the idle-time consolidation chain (a subset
-    /// of [`merges`](Self::merges)).
-    pub fn consolidations(&self) -> u64 {
-        self.consolidations.load(Relaxed)
     }
 }
 
@@ -228,11 +189,6 @@ pub struct Maintainer {
 }
 
 impl Maintainer {
-    /// Live counters (shared with the thread).
-    pub fn stats(&self) -> &MaintainerStats {
-        &self.stats
-    }
-
     /// A co-owning handle to the counters that outlives the
     /// maintainer — façade layers keep one so their stats snapshot
     /// still reports the final figures after the thread stops.
@@ -290,54 +246,36 @@ impl ShardedRma {
 }
 
 /// Executes up to [`STEPS_PER_TICK`] steps of `plan`, pausing between
-/// steps; returns `true` when the plan is fully drained (including a
-/// plan whose stale tail the scheduler dropped — the caller re-plans
-/// from fresh signals, so a re-plan supersedes rather than appends).
+/// steps, and returns how many executed. A plan whose stale tail the
+/// scheduler dropped comes back empty, like a drained one: the caller
+/// re-plans from fresh signals, so a re-plan supersedes rather than
+/// appends.
 fn drain_tick(
     index: &ShardedRma,
     cfg: &MaintainerConfig,
     stop: &AtomicBool,
-    stats: &MaintainerStats,
     plan: &mut MaintenancePlan,
-) -> bool {
-    let dropped_before = plan.dropped();
-    let mut tick = DrainReport::default();
-    let done = 'drain: {
-        for executed in 0..STEPS_PER_TICK {
-            if stop.load(Relaxed) {
-                // Abandoned mid-drain: every step was complete.
-                break 'drain false;
-            }
-            // Inter-step pause *before* each subsequent step: writers
-            // queued behind the previous publication drain undisturbed.
-            if executed > 0 && cfg.step_pause > Duration::ZERO {
-                std::thread::park_timeout(cfg.step_pause);
-                if stop.load(Relaxed) {
-                    break 'drain false;
-                }
-            }
-            let Some(report) = index.execute_step(plan) else {
-                break 'drain true;
-            };
-            tick.count(&report);
+) -> u64 {
+    let mut executed = 0;
+    for i in 0..STEPS_PER_TICK {
+        // Abandoned mid-drain on a stop: every step was complete.
+        if stop.load(Relaxed) {
+            break;
         }
-        plan.is_empty()
-    };
-    stats.steps.fetch_add(tick.executed() as u64, Relaxed);
-    stats.splits.fetch_add(tick.splits as u64, Relaxed);
-    stats.merges.fetch_add(tick.merges as u64, Relaxed);
-    stats.nudges.fetch_add(tick.nudges as u64, Relaxed);
-    stats
-        .checkpoints
-        .fetch_add(tick.checkpoints as u64, Relaxed);
-    if plan.consolidation_planned() {
-        stats.consolidations.fetch_add(tick.merges as u64, Relaxed);
+        // Inter-step pause *before* each subsequent step: writers
+        // queued behind the previous publication drain undisturbed.
+        if i > 0 && cfg.step_pause > Duration::ZERO {
+            std::thread::park_timeout(cfg.step_pause);
+            if stop.load(Relaxed) {
+                break;
+            }
+        }
+        let Some(report) = index.execute_step(plan) else {
+            break;
+        };
+        executed += u64::from(report.executed);
     }
-    let newly_dropped = plan.dropped().saturating_sub(dropped_before);
-    if newly_dropped > 0 {
-        stats.steps_dropped.fetch_add(newly_dropped, Relaxed);
-    }
-    done
+    executed
 }
 
 fn maintainer_loop(
@@ -373,7 +311,9 @@ fn maintainer_loop(
         }
         stats.polls.fetch_add(1, Relaxed);
         let tick_t0 = if obs_on { rma_obs::now_ns() } else { 0 };
-        let (steps_before, runs_before) = (stats.steps(), stats.runs());
+        // What this tick did, for its journal entry: steps executed,
+        // and whether it made a plan or sealed a checkpoint.
+        let (mut steps_done, mut acted) = (0, false);
         'tick: {
             let ops = index.op_count();
             let elapsed = last_poll.elapsed().as_secs_f64();
@@ -404,7 +344,8 @@ fn maintainer_loop(
             // Drain an in-flight plan on the tick budget before
             // looking at the trigger signals again.
             if let Some(p) = plan.as_mut() {
-                if drain_tick(index, cfg, stop, stats, p) {
+                steps_done = drain_tick(index, cfg, stop, p);
+                if p.is_empty() {
                     plan = None;
                     last_maintained_ops = index.op_count();
                 }
@@ -413,18 +354,15 @@ fn maintainer_loop(
 
             // Checkpoint cadence: the durability partitions are
             // re-sealed each interval so crash recovery only replays
-            // one interval's worth of log tail. The plan drains on the
-            // ordinary tick budget, interleaving with rebalancing work
-            // exactly like any other plan.
-            if let Some(interval) = cfg.checkpoint_interval {
-                if last_checkpoint.elapsed() >= interval {
-                    last_checkpoint = Instant::now();
-                    let fresh = index.plan_checkpoints();
-                    if !fresh.is_empty() {
-                        stats.runs.fetch_add(1, Relaxed);
-                        plan = Some(fresh);
-                        break 'tick;
-                    }
+            // one interval's worth of log tail.
+            let due = (cfg.checkpoint_interval).is_some_and(|i| last_checkpoint.elapsed() >= i);
+            if due {
+                last_checkpoint = Instant::now();
+                let sealed = index.checkpoint() as u64;
+                stats.checkpoints.fetch_add(sealed, Relaxed);
+                if sealed > 0 {
+                    acted = true;
+                    break 'tick;
                 }
             }
 
@@ -457,10 +395,7 @@ fn maintainer_loop(
                     last_maintained_ops = index.op_count();
                 } else {
                     last_plan_empty = false;
-                    stats.runs.fetch_add(1, Relaxed);
-                    if fresh.relearn_planned() {
-                        stats.relearns.fetch_add(1, Relaxed);
-                    }
+                    acted = true;
                     plan = Some(fresh);
                 }
                 break 'tick;
@@ -482,7 +417,7 @@ fn maintainer_loop(
                     if fresh.is_empty() {
                         last_compact_noop_shards = live;
                     } else {
-                        stats.runs.fetch_add(1, Relaxed);
+                        acted = true;
                         plan = Some(fresh);
                     }
                 }
@@ -491,11 +426,10 @@ fn maintainer_loop(
         if obs_on {
             let dur = rma_obs::now_ns().saturating_sub(tick_t0);
             index.obs().record_tick(dur);
-            // Journal only ticks that made progress (drained steps or
-            // created a plan): idle polls would drown the structural
-            // events the bounded ring exists to retain.
-            let steps_done = stats.steps() - steps_before;
-            if steps_done > 0 || stats.runs() > runs_before {
+            // Journal only ticks that made progress: idle polls would
+            // drown the structural events the bounded ring exists to
+            // retain.
+            if steps_done > 0 || acted {
                 index.obs().log(
                     rma_obs::EventKind::MaintTick,
                     rma_obs::Event::NO_SHARD,
@@ -541,28 +475,30 @@ mod tests {
             ..Default::default()
         });
         // Hammer shard 0 only; the background thread must react.
-        for round in 0..500 {
+        for _ in 0..500 {
             for k in 0..500i64 {
                 s.insert(k, k);
             }
-            if m.stats().steps() > 0 {
-                let _ = round;
+            if s.maintenance_stats().steps_executed > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        let stats = m.stop();
+        let polls = m.stop().polls();
+        let ledger = s.maintenance_stats();
         assert!(
-            stats.runs() > 0,
-            "maintainer never planned: polls={} imbalance={}",
-            stats.polls(),
+            ledger.plans > 0,
+            "maintainer never planned: polls={polls} imbalance={}",
             s.access_imbalance()
         );
-        assert!(stats.steps() > 0, "maintainer never executed a step");
+        assert!(
+            ledger.steps_executed > 0,
+            "maintainer never executed a step"
+        );
         s.check_invariants();
         assert!(
-            s.num_shards() > 4 || stats.relearns() > 0 || stats.nudges() > 0,
-            "maintenance ran but changed nothing: {stats:?}"
+            s.num_shards() > 4 || ledger.relearns > 0 || ledger.nudges > 0,
+            "maintenance ran but changed nothing: {ledger:?}"
         );
     }
 
@@ -604,16 +540,17 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        let stats = m.stop();
+        m.stop();
+        let ledger = s.maintenance_stats();
         s.check_invariants();
         assert!(
             s.num_shards() <= 4,
-            "idle compaction never converged: {} shards, {stats:?}",
+            "idle compaction never converged: {} shards, {ledger:?}",
             s.num_shards()
         );
         assert!(
-            stats.consolidations() > 0,
-            "consolidation merges must be counted: {stats:?}"
+            ledger.consolidations > 0,
+            "consolidation merges must be counted: {ledger:?}"
         );
         assert_eq!(s.len(), 1600, "compaction must not lose data");
     }
@@ -671,17 +608,18 @@ mod tests {
                 ..Default::default()
             });
             std::thread::sleep(Duration::from_millis(150));
-            let stats = m.stop();
+            m.stop();
             stop_load.store(true, Relaxed);
             loader.join().expect("loader thread");
             let starved = max_gap_ns.load(Relaxed) >= poll.as_nanos() as u64;
-            if stats.consolidations() == 0 {
+            let ledger = s.maintenance_stats();
+            if ledger.consolidations == 0 {
                 assert_eq!(s.num_shards(), 8);
                 return; // the gate held under sustained load
             }
             assert!(
                 starved,
-                "compactor ran despite uninterrupted load: {stats:?}"
+                "compactor ran despite uninterrupted load: {ledger:?}"
             );
             eprintln!("attempt {attempt}: loader starved by the host, retrying");
         }

@@ -21,9 +21,6 @@
 //!    (untouched shards shared by `Arc`), release the locks, and wait
 //!    out the reader grace period.
 //!
-//! [`CheckpointShard`](MaintenanceStep::CheckpointShard) stays apart:
-//! it reads its shards and publishes nothing.
-//!
 //! Writers therefore only ever queue behind the shards of the step in
 //! flight; a writer blocked when a step begins is released when that
 //! step publishes — the `fig18_write_stall` benchmark and the
@@ -31,28 +28,11 @@
 
 use super::plan::{MaintenancePlan, MaintenanceStep};
 use crate::shard::{Shard, StepGuards, Topology};
-use crate::{ShardedRma, Splitters};
+use crate::{MaintCounters, ShardedRma, Splitters};
 use rma_core::Key;
 use rma_obs::EventKind;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-
-/// Default relative drift bound for the scheduler's staleness check:
-/// a plan whose live shard count or total decayed access mass has
-/// moved more than this fraction from its anchor since the last
-/// progress point has its remaining steps dropped, not executed.
-const DEFAULT_STALE_DRIFT: f64 = 0.5;
-
-/// The journal kind for a step.
-fn step_kind(step: &MaintenanceStep) -> EventKind {
-    match step {
-        MaintenanceStep::SplitShard { .. } => EventKind::Split,
-        MaintenanceStep::MergePair { .. } => EventKind::Merge,
-        MaintenanceStep::NudgeBoundary { .. } => EventKind::Nudge,
-        MaintenanceStep::RebuildShard { .. } => EventKind::Rebuild,
-        MaintenanceStep::CheckpointShard { .. } => EventKind::Checkpoint,
-    }
-}
 
 /// What one [`ShardedRma::execute_step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +47,7 @@ pub struct StepReport {
     /// ends up on — the measure the planner caps (a rebuild's resident
     /// union) and the executor admits on, and what
     /// [`MaintenanceStats::keys_migrated`](crate::MaintenanceStats)
-    /// sums. For a checkpoint, which rebuilds nothing, the elements
-    /// it sealed.
+    /// sums.
     pub migrated: u64,
 }
 
@@ -83,30 +62,52 @@ pub struct DrainReport {
     pub nudges: usize,
     /// Executed [`MaintenanceStep::RebuildShard`] steps.
     pub rebuilds: usize,
-    /// Executed [`MaintenanceStep::CheckpointShard`] steps (sealed
-    /// checkpoints; failed seals count as skipped).
-    pub checkpoints: usize,
     /// Steps skipped as stale.
     pub skipped: usize,
 }
 
 impl DrainReport {
-    /// Total steps that executed (checkpoints included — they publish
-    /// no topology but did their work).
+    /// Total steps that executed.
     pub fn executed(&self) -> usize {
-        self.splits + self.merges + self.nudges + self.rebuilds + self.checkpoints
+        self.splits + self.merges + self.nudges + self.rebuilds
     }
 
-    /// Counts one step under its kind, or as skipped.
-    pub(crate) fn count(&mut self, sr: &StepReport) {
-        *match sr.step {
-            _ if !sr.executed => &mut self.skipped,
-            MaintenanceStep::SplitShard { .. } => &mut self.splits,
-            MaintenanceStep::MergePair { .. } => &mut self.merges,
-            MaintenanceStep::NudgeBoundary { .. } => &mut self.nudges,
-            MaintenanceStep::RebuildShard { .. } => &mut self.rebuilds,
-            MaintenanceStep::CheckpointShard { .. } => &mut self.checkpoints,
-        } += 1;
+    /// Counts one step under its kind, or as skipped, and returns the
+    /// kind's journal event: the one classification of a step, which
+    /// the engine's ledger files through as well
+    /// (`MaintCounters::file`).
+    pub(crate) fn count(&mut self, sr: &StepReport) -> EventKind {
+        let (kind, event) = match sr.step {
+            MaintenanceStep::SplitShard { .. } => (&mut self.splits, EventKind::Split),
+            MaintenanceStep::MergePair { .. } => (&mut self.merges, EventKind::Merge),
+            MaintenanceStep::NudgeBoundary { .. } => (&mut self.nudges, EventKind::Nudge),
+            MaintenanceStep::RebuildShard { .. } => (&mut self.rebuilds, EventKind::Rebuild),
+        };
+        *if sr.executed { kind } else { &mut self.skipped } += 1;
+        event
+    }
+}
+
+impl MaintCounters {
+    /// Files one popped step in the ledger — by kind or as skipped,
+    /// its migrated elements, and a consolidation plan's merges — and
+    /// returns its journal event.
+    fn file(&self, sr: &StepReport, consolidation: bool) -> EventKind {
+        let mut one = DrainReport::default();
+        let event = one.count(sr);
+        let consolidations = if consolidation { one.merges } else { 0 };
+        for (counter, n) in [
+            (&self.splits, one.splits),
+            (&self.merges, one.merges),
+            (&self.nudges, one.nudges),
+            (&self.rebuilds, one.rebuilds),
+            (&self.steps_skipped, one.skipped),
+            (&self.consolidations, consolidations),
+        ] {
+            counter.fetch_add(n as u64, Relaxed);
+        }
+        self.keys_migrated.fetch_add(sr.migrated, Relaxed);
+        event
     }
 }
 
@@ -116,31 +117,21 @@ impl ShardedRma {
     /// Safe to interleave with any concurrent operation; the step
     /// re-validates against the live topology and is skipped if
     /// stale. This is the background maintainer's pacing primitive.
-    pub fn execute_step(&self, plan: &mut MaintenancePlan) -> Option<StepReport> {
-        self.execute_step_with(plan, DEFAULT_STALE_DRIFT)
-    }
-
-    /// As [`execute_step`](Self::execute_step), with an explicit
-    /// staleness bound: before popping, the live shard count and
-    /// total decayed access mass are compared against the plan's
-    /// anchor (refreshed after every step), and if either drifted
-    /// more than `stale_drift` (a relative fraction) the remaining
-    /// steps are **dropped** — counted in
+    ///
+    /// Before popping, the live shard count and total decayed access
+    /// mass are compared against the plan's anchor (refreshed after
+    /// every step); if either drifted past the staleness bound the
+    /// remaining steps are **dropped** — counted in
     /// [`MaintenanceStats::steps_dropped`](crate::MaintenanceStats),
     /// journaled as [`EventKind::StepDropped`], never executed — and
     /// `None` is returned so the caller re-plans from fresh signals.
-    /// A non-finite or non-positive bound disables the check.
-    pub fn execute_step_with(
-        &self,
-        plan: &mut MaintenancePlan,
-        stale_drift: f64,
-    ) -> Option<StepReport> {
+    pub fn execute_step(&self, plan: &mut MaintenancePlan) -> Option<StepReport> {
         if plan.is_empty() {
             return None;
         }
         let live_shards = self.num_shards();
         let live_mass: u64 = self.access_masses().iter().sum();
-        if plan.is_stale(live_shards, live_mass, stale_drift) {
+        if plan.is_stale(live_shards, live_mass) {
             let n = plan.drop_remaining();
             self.maint_counters().steps_dropped.fetch_add(n, Relaxed);
             self.obs()
@@ -152,46 +143,32 @@ impl ShardedRma {
         let t0 = if obs_on { rma_obs::now_ns() } else { 0 };
         // `anchor` is the shard index the journal entry names, on the
         // topology current *before* execution (which replaces it): the
-        // first shard of the re-cut range, or the partition index for
-        // a checkpoint, which is partition-scoped.
+        // first shard of the re-cut range.
         let (migrated, anchor) = {
             let _maint = self.maintenance_guard();
-            if let MaintenanceStep::CheckpointShard { partition } = step {
-                (self.exec_checkpoint(partition), partition)
-            } else {
-                let topo = self.topo_handle().load_exclusive();
-                let range = self.resolve(step, topo, plan.consolidation_planned());
-                // Read off `topo` first: `recut` publishes and frees it.
-                let lo = range.and_then(|r| r.0);
-                let anchor = lo.map_or(0, |lo| topo.splitters.route(lo));
-                let migrated = range.and_then(|(lo, hi, bound)| self.recut(lo, hi, bound));
-                (migrated, anchor)
-            }
+            let topo = self.topo_handle().load_exclusive();
+            let range = self.resolve(step, topo, plan.consolidation_planned());
+            // Read off `topo` first: `recut` publishes and frees it.
+            let anchor = (range.and_then(|r| r.0)).map_or(0, |lo| topo.splitters.route(lo));
+            let migrated = range.and_then(|(lo, hi, bound)| self.recut(lo, hi, bound));
+            (migrated, anchor)
         };
-        let counters = self.maint_counters();
-        if let Some(moved) = migrated {
-            counters.steps_executed.fetch_add(1, Relaxed);
-            counters.keys_migrated.fetch_add(moved, Relaxed);
-            if matches!(step, MaintenanceStep::NudgeBoundary { .. }) {
-                counters.nudges.fetch_add(1, Relaxed);
-            }
-            if obs_on {
-                let dur = rma_obs::now_ns().saturating_sub(t0);
-                self.obs().record_step(dur);
-                self.obs().log(step_kind(&step), anchor as u32, dur, moved);
-            }
-        } else {
-            counters.steps_skipped.fetch_add(1, Relaxed);
+        let report = StepReport {
+            step,
+            executed: migrated.is_some(),
+            migrated: migrated.unwrap_or(0),
+        };
+        let event = (self.maint_counters()).file(&report, plan.consolidation_planned());
+        if report.executed && obs_on {
+            let dur = rma_obs::now_ns().saturating_sub(t0);
+            self.obs().record_step(dur);
+            self.obs().log(event, anchor as u32, dur, report.migrated);
         }
         // Re-anchor at the post-step state: the step itself may have
         // changed the shard count, and the plan's own progress must
         // never read as drift.
         plan.reanchor(self.num_shards(), self.access_masses().iter().sum());
-        Some(StepReport {
-            step,
-            executed: migrated.is_some(),
-            migrated: migrated.unwrap_or(0),
-        })
+        Some(report)
     }
 
     /// Executes every remaining step back-to-back (the synchronous
@@ -340,8 +317,6 @@ impl ShardedRma {
                     .map_or(admit, |m| admit.min(m.max(cap)));
                 Some((lo, hi, admit))
             }
-            // Publishes nothing: not a re-cut.
-            MaintenanceStep::CheckpointShard { .. } => None,
         }
     }
 
@@ -412,35 +387,6 @@ impl ShardedRma {
         shards.splice(j0..=j1, built);
         self.publish_step(guards, Topology { splitters, shards });
         Some(elems.len() as u64)
-    }
-
-    /// Seal a checkpoint of durability partition `p`: under write
-    /// locks on every shard overlapping the partition's key range,
-    /// draw the cut LSN (no same-partition append can race it — the
-    /// sink logs under these very locks) and copy the residents out;
-    /// then release the locks and do the file I/O. Unlike every other
-    /// step this restructures nothing: no shard is retired, no
-    /// topology published, so the locked window is one read sweep of
-    /// the partition.
-    fn exec_checkpoint(&self, p: usize) -> Option<u64> {
-        let sink = Arc::clone(self.durability()?);
-        if p >= sink.partitions() {
-            return None;
-        }
-        let (lo, hi) = sink.partition_range(p);
-        let topo = self.topo_handle().load_exclusive();
-        let (j0, j1) = topo.splitters.overlapping(lo, hi);
-        let (cut, elems) = {
-            let guards = StepGuards::lock(&topo.shards, j0..=j1);
-            let cut = sink.checkpoint_cut(p);
-            let mut elems = guards.collect_elems();
-            // Edge shards may straddle the partition boundary; the
-            // checkpoint owns exactly `[lo, hi)`.
-            elems.retain(|&(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h));
-            (cut, elems)
-        };
-        sink.seal_checkpoint(p, cut, &elems)
-            .then_some(elems.len() as u64)
     }
 }
 
@@ -596,7 +542,7 @@ mod tests {
                 .expect("the boundary now sits at its target");
             // Whichever way the boundary went, both shards of the
             // pair were rebuilt: that is what `migrated` counts.
-            let stats = s.shard_stats();
+            let stats = s.stats_snapshot().shards;
             assert_eq!(
                 report.migrated as usize,
                 stats[l].len + stats[l + 1].len,
@@ -770,20 +716,19 @@ mod tests {
         let mut plan = frag.plan_consolidation();
         let planned = plan.len();
         assert!(planned > 1, "fragmented index must plan merges");
-        // Mutate the world out from under the plan.
+        // Mutate the world out from under the plan: 16 shards become 2,
+        // a drift far past the bound, which must drop the whole plan.
         let merged = frag.compact();
         assert!(merged > 0);
         let content = frag.collect_all();
-        // A tiny drift bound must drop the whole remaining plan.
         let before = frag.maintenance_stats().steps_dropped;
-        assert!(frag.execute_step_with(&mut plan, 1e-6).is_none());
+        assert!(frag.execute_step(&mut plan).is_none());
         let stats = frag.maintenance_stats();
         assert_eq!(
             stats.steps_dropped - before,
             planned as u64,
             "every un-executed step must be counted as dropped"
         );
-        assert_eq!(plan.dropped(), planned as u64);
         assert!(plan.is_empty());
         frag.check_invariants();
         assert_eq!(frag.collect_all(), content, "drops must not touch data");

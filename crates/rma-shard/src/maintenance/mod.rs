@@ -1,5 +1,5 @@
-//! Shard maintenance: per-shard load statistics and the **incremental
-//! maintenance plan engine**. Following the paper's
+//! Shard maintenance: the **incremental maintenance plan engine**.
+//! Following the paper's
 //! incremental-rebalance philosophy (restructuring must not stall the
 //! data path, §V) one level up, maintenance is decomposed:
 //!
@@ -25,7 +25,12 @@
 //! [`ShardedRma::compact`] plan and immediately drain, round after
 //! round, through one loop. The background maintainer
 //! ([`crate::maintainer`]) instead drains plans a few steps per tick
-//! with inter-step sleeps.
+//! with inter-step sleeps. Whoever drains, every popped step is filed
+//! once, by kind, in the engine's ledger
+//! ([`ShardedRma::maintenance_stats`]).
+//!
+//! A durability checkpoint ([`ShardedRma::checkpoint`]) is not a
+//! step: it restructures nothing, so it is neither planned nor filed.
 //!
 //! # Maintenance vs. the lock-free read path
 //!
@@ -51,31 +56,7 @@ pub use plan::{MaintenancePlan, MaintenanceStep};
 use crate::shard::Shard;
 use crate::{BalancePolicy, RelearnStrategy, ShardedRma, Splitters};
 use rma_core::{Key, Rma, Value};
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-
-/// A snapshot of one shard's load.
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    /// Shard index in splitter order.
-    pub shard: usize,
-    /// Stored elements.
-    pub len: usize,
-    /// Segments of the inner RMA.
-    pub segments: usize,
-    /// Reads routed to this shard since construction (or since the
-    /// shard was last restructured).
-    pub reads: u64,
-    /// Write operations routed likewise.
-    pub writes: u64,
-    /// Decayed access mass of the shard's histogram (survives
-    /// restructuring via re-seeding, unlike `reads`/`writes`).
-    pub access_mass: u64,
-    /// Inclusive lower key bound (`None` = unbounded).
-    pub lower_bound: Option<Key>,
-    /// Exclusive upper key bound (`None` = unbounded).
-    pub upper_bound: Option<Key>,
-}
 
 /// What one [`ShardedRma::relearn_splitters`] call decided.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
@@ -184,29 +165,6 @@ pub(crate) fn imbalance_of(masses: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 impl ShardedRma {
-    /// Per-shard load snapshot, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let topo = self.topo();
-        topo.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let (len, segments) = s.peek(|rma| (rma.len(), rma.num_segments()));
-                let (lower_bound, upper_bound) = topo.splitters.range_of(i);
-                ShardStats {
-                    shard: i,
-                    len,
-                    segments,
-                    reads: s.reads.load(Relaxed),
-                    writes: s.writes.load(Relaxed),
-                    access_mass: s.stats.total(),
-                    lower_bound,
-                    upper_bound,
-                }
-            })
-            .collect()
-    }
-
     /// Per-shard weights the configured [`BalancePolicy`] balances on.
     /// Under `ByAccess` this is the decayed histogram mass, falling
     /// back to element counts while no access has been recorded (a
@@ -360,7 +318,7 @@ mod tests {
             s.insert(k, k);
         }
         let _ = s.get(150);
-        let stats = s.shard_stats();
+        let stats = s.stats_snapshot().shards;
         assert_eq!(stats.len(), 3);
         assert_eq!(stats[0].lower_bound, None);
         assert_eq!(stats[1].lower_bound, Some(100));
@@ -383,7 +341,7 @@ mod tests {
         assert!(report.splits >= 1, "skewed load must split: {report:?}");
         s.check_invariants();
         assert_eq!(s.collect_all(), before, "maintenance must not lose data");
-        let stats = s.shard_stats();
+        let stats = s.stats_snapshot().shards;
         let max = stats.iter().map(|st| st.len).max().unwrap();
         assert!(max < 1000, "hot shard still intact: {stats:?}");
     }

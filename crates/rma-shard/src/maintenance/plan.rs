@@ -8,7 +8,7 @@
 //! variant is the drift-proof *name* of a key range to re-cut — the
 //! executor has one procedure for all of them.
 //!
-//! Four planners, and [`ShardedRma::plan_maintenance`] to pick
+//! Three planners, and [`ShardedRma::plan_maintenance`] to pick
 //! between the first two:
 //!
 //! * [`ShardedRma::plan_rebalance`] — one round of the split/merge
@@ -26,9 +26,7 @@
 //!   splitters inside element-heavy cold ranges for a hard bound on
 //!   how long any step can hold its shard locks;
 //! * [`ShardedRma::plan_consolidation`] — the idle-time chain of
-//!   merges back toward the configured `num_shards`;
-//! * [`ShardedRma::plan_checkpoints`] — one [`CheckpointShard`] per
-//!   durability partition.
+//!   merges back toward the configured `num_shards`.
 //!
 //! A plan is a list: each planner emits its steps in the order they
 //! are to run, and the plan pops them front to back. Where one class
@@ -42,7 +40,6 @@
 //! [`MergePair`]: MaintenanceStep::MergePair
 //! [`NudgeBoundary`]: MaintenanceStep::NudgeBoundary
 //! [`RebuildShard`]: MaintenanceStep::RebuildShard
-//! [`CheckpointShard`]: MaintenanceStep::CheckpointShard
 
 use super::{
     imbalance_of, predicted_masses, weighted_buckets_of, RelearnReport, RELEARN_MIN_GAIN,
@@ -100,33 +97,25 @@ pub enum MaintenanceStep {
         /// Exclusive upper bound of the target range.
         hi: Option<Key>,
     },
-    /// Seal a durable checkpoint of one durability partition: lock
-    /// the shards overlapping the partition's key range, draw the cut
-    /// LSN and copy the residents out, then (outside the locks) write
-    /// the checkpoint segment and manifest through the installed
-    /// [`DurabilitySink`](crate::DurabilitySink). The only step kind
-    /// that publishes **no** topology — it reads the shards, never
-    /// restructures them. Skipped when no sink is installed or the
-    /// seal fails (the previous checkpoint stays authoritative).
-    CheckpointShard {
-        /// The durability partition to checkpoint.
-        partition: usize,
-    },
 }
 
 /// Which planner produced a plan — drives the plan-creation journal
-/// event and the flags snapshot readers see.
+/// event and the ledger's `relearns` and `consolidations`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlanKind {
     /// The split/merge rebalance pass.
     Rebalance,
     /// The multi-way splitter re-learn (or nudge sweep).
     Relearn,
-    /// The durability checkpoint cadence.
-    Checkpoint,
     /// The idle-time shard-count consolidation chain.
     Consolidation,
 }
+
+/// The scheduler's staleness bound: a plan whose live shard count or
+/// total decayed access mass has moved more than this fraction from
+/// its anchor since the last progress point has its remaining steps
+/// dropped, not executed.
+const STALE_DRIFT: f64 = 0.5;
 
 /// A shard splits when its weight (access mass under
 /// [`BalancePolicy::ByAccess`], length under [`BalancePolicy::ByLen`])
@@ -165,7 +154,7 @@ fn descending(mut keyed: Vec<(f64, MaintenanceStep)>) -> impl Iterator<Item = Ma
 /// The plan also remembers the live topology it was planned against
 /// (shard count + total decayed access mass, re-anchored after every
 /// pop); when the world drifts too far from it between pops,
-/// [`ShardedRma::execute_step_with`] drops the un-executed tail.
+/// [`ShardedRma::execute_step`] drops the un-executed tail.
 #[derive(Debug)]
 pub struct MaintenancePlan {
     steps: VecDeque<MaintenanceStep>,
@@ -176,8 +165,6 @@ pub struct MaintenancePlan {
     anchor_shards: usize,
     /// Staleness anchor: total decayed access mass likewise.
     anchor_mass: u64,
-    /// Steps dropped un-executed because the anchor drifted stale.
-    dropped: u64,
 }
 
 impl MaintenancePlan {
@@ -196,12 +183,6 @@ impl MaintenancePlan {
         self.steps.iter()
     }
 
-    /// Whether this plan came out of the re-learn planner (as opposed
-    /// to the split/merge rebalance planner).
-    pub fn relearn_planned(&self) -> bool {
-        self.kind == PlanKind::Relearn
-    }
-
     /// Whether this plan came out of the idle-time consolidation
     /// planner ([`ShardedRma::plan_consolidation`]).
     pub fn consolidation_planned(&self) -> bool {
@@ -215,26 +196,16 @@ impl MaintenancePlan {
         self.report
     }
 
-    /// Steps dropped un-executed from this plan because the topology
-    /// or access masses drifted past the staleness bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     pub(crate) fn pop(&mut self) -> Option<MaintenanceStep> {
         self.steps.pop_front()
     }
 
-    /// True when the live topology has drifted past `bound` (a
-    /// relative fraction) from this plan's anchor — the signal that
-    /// the remaining steps were computed from a world that no longer
-    /// exists. A zero-mass anchor skips the mass test (relative drift
-    /// from zero is undefined; the shard-count test still applies).
-    pub(crate) fn is_stale(&self, live_shards: usize, live_mass: u64, bound: f64) -> bool {
-        // NaN bounds land here too (fail open: nothing is stale).
-        if !bound.is_finite() || bound <= 0.0 {
-            return false;
-        }
+    /// True when the live topology has drifted past [`STALE_DRIFT`]
+    /// from this plan's anchor — the signal that the remaining steps
+    /// were computed from a world that no longer exists. A zero-mass
+    /// anchor skips the mass test (relative drift from zero is
+    /// undefined; the shard-count test still applies).
+    pub(crate) fn is_stale(&self, live_shards: usize, live_mass: u64) -> bool {
         let shard_drift = (live_shards as f64 - self.anchor_shards as f64).abs()
             / self.anchor_shards.max(1) as f64;
         let mass_drift = if self.anchor_mass == 0 {
@@ -242,7 +213,7 @@ impl MaintenancePlan {
         } else {
             (live_mass as f64 - self.anchor_mass as f64).abs() / self.anchor_mass as f64
         };
-        shard_drift > bound || mass_drift > bound
+        shard_drift > STALE_DRIFT || mass_drift > STALE_DRIFT
     }
 
     /// Re-anchors the staleness snapshot at the current live state —
@@ -257,7 +228,6 @@ impl MaintenancePlan {
     pub(crate) fn drop_remaining(&mut self) -> u64 {
         let n = self.steps.len() as u64;
         self.steps.clear();
-        self.dropped += n;
         n
     }
 }
@@ -439,22 +409,6 @@ impl ShardedRma {
         self.finish_plan(steps, PlanKind::Relearn, report)
     }
 
-    /// One [`CheckpointShard`](MaintenanceStep::CheckpointShard) step
-    /// per durability partition — the plan the background maintainer
-    /// drains on its checkpoint cadence, also drainable synchronously
-    /// for an on-demand checkpoint. Empty when no durability sink is
-    /// installed.
-    pub fn plan_checkpoints(&self) -> MaintenancePlan {
-        let n = self.num_shards();
-        let report = RelearnReport::at(n);
-        let steps = self.durability().map_or(Vec::new(), |sink| {
-            (0..sink.partitions())
-                .map(|partition| MaintenanceStep::CheckpointShard { partition })
-                .collect()
-        });
-        self.finish_plan(steps, PlanKind::Checkpoint, report)
-    }
-
     /// The idle-time consolidation chain: when accreted splits have
     /// ratcheted the live shard count above the configured target,
     /// plan cap-bounded [`MergePair`](MaintenanceStep::MergePair)
@@ -518,18 +472,16 @@ impl ShardedRma {
             let c = self.maint_counters();
             c.plans.fetch_add(1, Relaxed);
             c.steps_planned.fetch_add(steps.len() as u64, Relaxed);
-            // A checkpoint plan is a cadence; its steps journal
-            // themselves.
-            let journal = match kind {
-                PlanKind::Rebalance => Some(rma_obs::EventKind::Rebalance),
-                PlanKind::Relearn => Some(rma_obs::EventKind::Relearn),
-                PlanKind::Consolidation => Some(rma_obs::EventKind::Consolidate),
-                PlanKind::Checkpoint => None,
+            let ev = match kind {
+                PlanKind::Rebalance => rma_obs::EventKind::Rebalance,
+                PlanKind::Relearn => {
+                    c.relearns.fetch_add(1, Relaxed);
+                    rma_obs::EventKind::Relearn
+                }
+                PlanKind::Consolidation => rma_obs::EventKind::Consolidate,
             };
-            if let Some(ev) = journal {
-                self.obs()
-                    .log(ev, rma_obs::Event::NO_SHARD, 0, steps.len() as u64);
-            }
+            self.obs()
+                .log(ev, rma_obs::Event::NO_SHARD, 0, steps.len() as u64);
         }
         MaintenancePlan {
             steps: steps.into(),
@@ -537,7 +489,6 @@ impl ShardedRma {
             report,
             anchor_shards: report.shards_before.max(1),
             anchor_mass: self.access_masses().iter().sum(),
-            dropped: 0,
         }
     }
 

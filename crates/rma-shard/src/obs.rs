@@ -20,7 +20,7 @@ pub struct EngineObs {
     enabled: bool,
     journal: EventJournal,
     /// Wall duration of executed maintenance steps (splits, merges,
-    /// nudges, rebuilds), nanoseconds.
+    /// nudges, rebuilds — a checkpoint is not a step), nanoseconds.
     step_duration: Histogram,
     /// Wall duration of background maintainer ticks, nanoseconds.
     maint_tick: Histogram,

@@ -288,8 +288,9 @@ mod tests {
         assert!(!s.is_empty());
         assert!(s.memory_footprint() > 0);
         assert_eq!(s.max_shard_len(), 125);
-        assert_eq!(s.shard_stats().iter().map(|st| st.len).sum::<usize>(), 500);
-        assert_eq!(s.stats_snapshot().len, 500);
+        let snap = s.stats_snapshot();
+        assert_eq!(snap.shards.iter().map(|st| st.len).sum::<usize>(), 500);
+        assert_eq!(snap.len, 500);
         let _ = (s.plan_rebalance(), s.plan_relearn(), s.plan_consolidation());
         let (r1, _) = s.lock_acquisitions();
         assert_eq!(r1 - r0, 0, "quiescent reads must not lock");

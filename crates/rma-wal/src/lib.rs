@@ -23,8 +23,8 @@
 //!    file and fsync per [`CommitPolicy`]. Only after `commit`
 //!    returns may the caller acknowledge the writes.
 //!
-//! Checkpoints bound replay: the engine's maintenance executor locks
-//! the shards covering one partition, draws the partition's **cut
+//! Checkpoints bound replay: the engine (`ShardedRma::checkpoint`)
+//! locks the shards covering one partition, draws the partition's **cut
 //! LSN**, snapshots its elements, and hands both to
 //! [`Wal::seal_checkpoint`], which writes a segment file, commits it
 //! via an atomic manifest replacement, and rotates the log. Recovery
@@ -201,7 +201,18 @@ impl Wal {
         // `DurabilityConfig::fault`.
         checkpoint::write_manifest(&cfg.dir, &manifest, &None)?;
         fault::sync_dir(&cfg.dir)?;
-        Ok(Arc::new(Wal {
+        Ok(Self::from_parts(cfg, parts, splitters, manifest))
+    }
+
+    /// A healthy WAL over opened logs — what [`Wal::create`] and
+    /// [`Wal::recover`] both end with.
+    fn from_parts(
+        cfg: DurabilityConfig,
+        parts: Vec<PartitionLog>,
+        splitters: Splitters,
+        manifest: ManifestState,
+    ) -> Arc<Wal> {
+        Arc::new(Wal {
             policy: cfg.policy,
             dir: cfg.dir,
             inj: cfg.fault,
@@ -213,7 +224,7 @@ impl Wal {
             commit_hist: Histogram::new(),
             fsync_hist: Histogram::new(),
             replay_hist: Histogram::new(),
-        }))
+        })
     }
 
     fn validate(cfg: &DurabilityConfig) -> Result<(), WalError> {
@@ -307,8 +318,9 @@ impl Wal {
         &self.replay_hist
     }
 
-    /// Seals one partition's checkpoint end to end; the `false` return
-    /// tells the maintenance executor the WAL has degraded.
+    /// Seals one partition's checkpoint end to end; on an error
+    /// [`seal_checkpoint`](DurabilitySink::seal_checkpoint) degrades
+    /// the WAL and tells the engine the seal failed.
     fn try_seal(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> io::Result<()> {
         let entry = checkpoint::seal_segment(&self.dir, p, cut, elems, &self.inj)?;
         let old = {

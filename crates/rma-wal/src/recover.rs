@@ -26,11 +26,9 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rma_core::{Key, Value};
-use rma_obs::Histogram;
 use rma_shard::{DurabilityOp, ShardedRma, Splitters};
 
 use crate::checkpoint::{self, CkptEntry};
@@ -150,19 +148,7 @@ impl Wal {
         crate::fault::sync_dir(&cfg.dir)?;
 
         let splitters = Splitters::new(manifest.splitters.clone());
-        let wal = Arc::new(Wal {
-            policy: cfg.policy,
-            dir: cfg.dir,
-            inj: cfg.fault,
-            parts,
-            splitters,
-            manifest: Mutex::new(manifest),
-            degraded: AtomicBool::new(false),
-            announced: AtomicBool::new(false),
-            commit_hist: Histogram::new(),
-            fsync_hist: Histogram::new(),
-            replay_hist: Histogram::new(),
-        });
+        let wal = Wal::from_parts(cfg, parts, splitters, manifest);
         Ok(Recovery { wal, elems, tails })
     }
 }

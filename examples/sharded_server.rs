@@ -271,10 +271,10 @@ fn main() {
     }
 
     println!("\nper-shard load (len / reads / writes):");
-    for st in db.engine().shard_stats() {
+    for (i, st) in db.stats().engine.shards.iter().enumerate() {
         println!(
             "  shard {:>2} [{:>20} .. {:<20}) len={:<8} reads={:<7} writes={}",
-            st.shard,
+            i,
             st.lower_bound.map_or("-inf".into(), |k| k.to_string()),
             st.upper_bound.map_or("+inf".into(), |k| k.to_string()),
             st.len,

@@ -183,7 +183,7 @@ fn readers_vs_background_maintainer_stress() {
             });
         }
     });
-    let stats = db.stop_maintenance().expect("maintainer was running");
+    let polls = db.stop_maintenance().expect("maintainer was running").polls;
     index.check_invariants();
     assert_eq!(index.len(), PRELOADED as usize);
     assert_eq!(
@@ -192,13 +192,13 @@ fn readers_vs_background_maintainer_stress() {
     );
     // Not asserted (timing-dependent on 1-cpu hosts), but usually > 0;
     // surface it for debugging.
+    let ledger = index.maintenance_stats();
     eprintln!(
-        "maintainer: polls={} runs={} relearns={} splits={} merges={} shards={}",
-        stats.polls,
-        stats.runs,
-        stats.relearns,
-        stats.splits,
-        stats.merges,
+        "maintainer: polls={polls} plans={} relearns={} splits={} merges={} shards={}",
+        ledger.plans,
+        ledger.relearns,
+        ledger.splits,
+        ledger.merges,
         index.num_shards()
     );
 }
@@ -423,16 +423,17 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
             });
         }
     });
-    let stats = db.stop_maintenance().expect("maintainer was running");
+    db.stop_maintenance().expect("maintainer was running");
     index.check_invariants();
     assert_eq!(index.len(), WRITERS * (2 * writes as usize + 1));
     // Not asserted (timing-dependent on 1-cpu hosts); surfaced for
     // debugging.
+    let ledger = index.maintenance_stats();
     eprintln!(
-        "get_many stress: calls={} maintainer runs={} steps={} shards={}",
+        "get_many stress: calls={} maintainer plans={} steps={} shards={}",
         calls.load(Relaxed),
-        stats.runs,
-        stats.steps,
+        ledger.plans,
+        ledger.steps_executed,
         index.num_shards()
     );
 }

