@@ -12,12 +12,13 @@
 //! double-digit percent throughput, while the sampled distribution
 //! converges to the same quantiles at a steady-state cost of
 //! `2/sample_every` clock reads per op (and zero when observability
-//! is disabled). A run of consecutive `Get`s executes as one
-//! `get_many` call: the countdown advances by the run's length, and
+//! is disabled). A run of consecutive point ops executes as one
+//! `apply_ops` call: the countdown advances by the run's length, and
 //! when it expires inside the run the whole call is timed once and
-//! every expiry records `elapsed / run length` — so the sample *count*
-//! stays exactly one per `sample_every` ops, while a batched get's
-//! sample is the **run mean**, not one key's own time. Everything
+//! every expiry records `elapsed / run length` under the kind of the
+//! op it expired on — so the sample *count* stays exactly one per
+//! `sample_every` ops, while a point op's sample is the **run mean**,
+//! not that op's own time. Everything
 //! else (batch sizes, queue depth, ticket wait) is one relaxed atomic
 //! or clock read per *batch*, not per op, and is never sampled.
 
@@ -89,8 +90,8 @@ pub(crate) struct RouterObs {
     pub(crate) sample_every: u32,
     /// Per-op-type service latency (worker-side, excludes queue
     /// wait), nanoseconds; indexed by [`op_index`]. Populated from
-    /// one in [`Self::sample_every`] operations; a `Get` sampled
-    /// inside a batched run records the run's mean per-key time.
+    /// one in [`Self::sample_every`] operations; a point op records
+    /// the mean per-op time of the run it was sampled in.
     pub(crate) op_latency: [Histogram; 6],
     /// Operations per submitted batch.
     pub(crate) batch_size: Histogram,

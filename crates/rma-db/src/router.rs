@@ -6,8 +6,11 @@
 //! the shard its keys route to and sends every worker its share in
 //! the one shape a batch has on this path: `(slot, op)` pairs in
 //! submission order, `slot` being the op's position in the batch.
-//! A worker executes its share in order against the shared
-//! [`ShardedRma`](rma_shard::ShardedRma) and lands the `(slot, reply)`
+//! A worker executes its share against the shared
+//! [`ShardedRma`](rma_shard::ShardedRma) — each run of point ops in
+//! one [`ShardedRma::apply_ops`](rma_shard::ShardedRma::apply_ops)
+//! call, each range op alone, in the order the session contract
+//! states — and lands the `(slot, reply)`
 //! run on the batch's ticket with one append under the ticket's lock
 //! — no per-slot indexing on the worker thread; whoever collects the
 //! replies orders them by slot (see [`crate::session`]).
@@ -20,8 +23,10 @@
 use crate::metrics::{op_index, RouterObs};
 use crate::session::{Op, Reply, TicketState};
 use rma_obs::EventKind;
-use rma_shard::ShardedRma;
+use rma_shard::{PointOp, ShardedRma};
 use rma_wal::Wal;
+use std::iter::StepBy;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -148,12 +153,8 @@ const GROUP_COMMIT_WINDOW: usize = 32;
 /// landing it on the ticket *is* the acknowledgement.
 type Executed = (Arc<TicketState>, Vec<(u32, Reply)>);
 
-/// Shortest run of consecutive [`Op::Get`]s a worker sends through
-/// [`ShardedRma::get_many`]; a lone `Get` takes the single-key path.
-const GET_RUN_MIN: usize = 2;
-
 /// What a worker carries from op to op: the sampling countdown and
-/// the reusable buffers of its `Get` runs.
+/// the reusable buffers of its point-op runs.
 struct OpRunner<'a> {
     engine: &'a ShardedRma,
     obs: &'a RouterObs,
@@ -162,34 +163,35 @@ struct OpRunner<'a> {
     /// batch sizes. Starts at 1 so short-lived workloads still get a
     /// sample.
     countdown: u32,
-    keys: Vec<rma_core::Key>,
+    points: Vec<PointOp>,
     vals: Vec<Option<rma_core::Value>>,
 }
 
 impl OpRunner<'_> {
-    /// Advances the sampling countdown by `n` ops and returns how
-    /// many of them it expired on (always 0 with observability off).
-    fn expiries(&mut self, n: usize) -> usize {
-        if !self.obs.enabled {
-            return 0;
-        }
+    /// Advances the sampling countdown by `n` ops and returns the
+    /// offsets, in `0..n`, of the ops it expired on (none with
+    /// observability off).
+    fn expiries(&mut self, n: usize) -> StepBy<Range<usize>> {
         let every = self.obs.sample_every as usize;
+        if !self.obs.enabled {
+            return (0..0).step_by(every);
+        }
         let left = self.countdown as usize;
         if n < left {
             self.countdown = (left - n) as u32;
-            return 0;
+            return (0..0).step_by(every);
         }
         let past = n - left;
         self.countdown = (every - past % every) as u32;
-        1 + past / every
+        (left - 1..n).step_by(every)
     }
 
-    /// Executes one op, bracketed by a clock-read pair when it is the
-    /// one in `sample_every` that gets timed. A clock read costs a
-    /// meaningful fraction of a point lookup, so the untimed arm must
-    /// stay a decrement and a branch.
+    /// Executes one range op, bracketed by a clock-read pair when it
+    /// is the one in `sample_every` that gets timed. A clock read
+    /// costs a meaningful fraction of a short read, so the untimed arm
+    /// must stay a decrement and a branch.
     fn one(&mut self, op: Op) -> Reply {
-        if self.expiries(1) == 0 {
+        if self.expiries(1).len() == 0 {
             return exec(self.engine, op);
         }
         let idx = op_index(&op);
@@ -200,64 +202,71 @@ impl OpRunner<'_> {
         reply
     }
 
-    /// Executes the `Get`s of `self.keys` as one
-    /// [`ShardedRma::get_many`] call, leaving the values in
-    /// `self.vals`. The countdown advances by the run length; when it
-    /// expires inside the run the whole call is timed once and every
-    /// expiry records the run's mean per-key time.
-    fn get_run(&mut self) {
-        let n = self.keys.len();
+    /// Executes a run of point ops as one [`ShardedRma::apply_ops`]
+    /// call and appends their `(slot, reply)`s, in the run's order.
+    /// With `refuse` set, writes are answered [`Reply::Refused`]
+    /// without entering the call. The countdown advances by the ops
+    /// the call runs; when it expires inside them the whole call is
+    /// timed once, and every expiry records the call's mean per-op
+    /// time under the kind of the op it expired on.
+    fn run(&mut self, ops: &[(u32, Op)], refuse: bool, out: &mut Vec<(u32, Reply)>) {
+        let refused = |op: &Op| refuse && op.is_write();
+        self.points.clear();
+        (self.points).extend(
+            ops.iter()
+                .filter(|(_, op)| !refused(op))
+                .filter_map(|(_, op)| op.point()),
+        );
+        let n = self.points.len();
         self.vals.clear();
         self.vals.resize(n, None);
-        let expiries = self.expiries(n);
-        if expiries == 0 {
-            self.engine.get_many(&self.keys, &mut self.vals);
-            return;
+        let expired = self.expiries(n);
+        if expired.len() == 0 {
+            self.engine.apply_ops(&self.points, &mut self.vals);
+        } else {
+            let t0 = rma_obs::now_ns();
+            self.engine.apply_ops(&self.points, &mut self.vals);
+            let mean = rma_obs::now_ns().saturating_sub(t0) / n as u64;
+            for i in expired {
+                self.obs.op_latency[op_index(&self.points[i].into())].record(mean);
+            }
         }
-        let t0 = rma_obs::now_ns();
-        self.engine.get_many(&self.keys, &mut self.vals);
-        let mean = rma_obs::now_ns().saturating_sub(t0) / n as u64;
-        for _ in 0..expiries {
-            self.obs.op_latency[op_index(&Op::Get(0))].record(mean);
-        }
+        let mut vals = self.vals.iter();
+        out.extend(ops.iter().map(|&(slot, op)| {
+            if refused(&op) {
+                return (slot, Reply::Refused);
+            }
+            let v = *vals.next().expect("one answer per op that ran");
+            let reply = match op {
+                Op::Get(_) => Reply::Found(v),
+                Op::Insert(..) => Reply::Inserted,
+                Op::Remove(_) => Reply::Removed(v),
+                _ => unreachable!("a run holds point ops only"),
+            };
+            (slot, reply)
+        }));
     }
 
-    /// Executes a chunk in order and returns one `(slot, reply)` per
-    /// op, in the chunk's order. Every maximal run of at least
-    /// [`GET_RUN_MIN`] consecutive `Get`s is read in one `get_many`
-    /// call; any other op ends the run, so a read never moves across a
-    /// write of this chunk — the session ordering contract. With
-    /// `refuse` set, writes are answered [`Reply::Refused`] unexecuted.
+    /// Executes a chunk and returns one `(slot, reply)` per op, in the
+    /// chunk's order. Every maximal run of point ops (`Get`, `Insert`,
+    /// `Remove`) is one [`run`](Self::run); a range op runs alone
+    /// between them, a barrier that sees every op of the chunk before
+    /// it and none after — the session ordering contract.
     fn chunk(&mut self, ops: &[(u32, Op)], refuse: bool) -> Vec<(u32, Reply)> {
         let mut out = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            self.keys.clear();
-            self.keys
-                .extend(ops[i..].iter().map_while(|&(_, op)| match op {
-                    Op::Get(k) => Some(k),
-                    _ => None,
-                }));
-            let run = self.keys.len();
-            if run >= GET_RUN_MIN {
-                self.get_run();
-                out.extend(
-                    ops[i..i + run]
-                        .iter()
-                        .zip(&self.vals)
-                        .map(|(&(slot, _), &v)| (slot, Reply::Found(v))),
-                );
-                i += run;
-                continue;
-            }
-            let (slot, op) = ops[i];
-            let reply = if refuse && op.is_write() {
-                Reply::Refused
+        let mut rest = ops;
+        while let [(slot, op), tail @ ..] = rest {
+            let points = rest
+                .iter()
+                .take_while(|(_, op)| op.point().is_some())
+                .count();
+            if points == 0 {
+                out.push((*slot, self.one(*op)));
+                rest = tail;
             } else {
-                self.one(op)
-            };
-            out.push((slot, reply));
-            i += 1;
+                self.run(&rest[..points], refuse, &mut out);
+                rest = &rest[points..];
+            }
         }
         out
     }
@@ -275,7 +284,7 @@ fn worker_loop(
         engine,
         obs,
         countdown: 1,
-        keys: Vec::new(),
+        points: Vec::new(),
         vals: Vec::new(),
     };
     while let Ok(first) = rx.recv() {
@@ -364,18 +373,16 @@ fn unacknowledge(replies: &mut [(u32, Reply)]) {
     }
 }
 
-/// Executes one typed operation against the engine — the single
-/// mapping between the router's [`Op`] surface and the engine's
-/// data-plane methods (the direct-call path in [`Db`](crate::Db)
-/// uses the same engine methods, so the two surfaces cannot drift).
-pub(crate) fn exec(engine: &ShardedRma, op: Op) -> Reply {
+/// Executes one range operation against the engine — the mapping
+/// between the router's range [`Op`]s and the engine's range methods
+/// (the direct-call path in [`Db`](crate::Db) uses the same engine
+/// methods, so the two surfaces cannot drift). Point ops run through
+/// [`ShardedRma::apply_ops`] instead.
+fn exec(engine: &ShardedRma, op: Op) -> Reply {
     match op {
-        Op::Get(k) => Reply::Found(engine.get(k)),
-        Op::Insert(k, v) => {
-            engine.insert(k, v);
-            Reply::Inserted
+        Op::Get(_) | Op::Insert(..) | Op::Remove(_) => {
+            unreachable!("point ops run through apply_ops")
         }
-        Op::Remove(k) => Reply::Removed(engine.remove(k)),
         Op::SumRange { start, count } => {
             let (visited, sum) = engine.sum_range(start, count);
             Reply::Sum { visited, sum }

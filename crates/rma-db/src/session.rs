@@ -11,24 +11,32 @@
 //!
 //! # Ordering contract
 //!
-//! Operations inside one submit that route to the same worker (in
-//! particular: all operations on the same key) execute in submission
-//! order, and successive submits on one session preserve that
-//! per-worker FIFO order. Operations that land on *different*
+//! A worker runs its share of a submit (its *chunk*) in **runs**: a
+//! run is a maximal stretch of consecutive point ops ([`Op::Get`],
+//! [`Op::Insert`], [`Op::Remove`]), and a range op ([`Op::SumRange`],
+//! [`Op::FirstGe`], [`Op::Scan`]) stands alone between runs. Then:
+//!
+//! * ops of one run that route to **one shard** — in particular every
+//!   op on one key — execute in submission order;
+//! * ops of one run on different shards may execute in any order;
+//! * a range op is a barrier: it sees every op of its chunk before it
+//!   and none after it.
+//!
+//! No reply can tell the difference from strict submission order: a
+//! point reply depends only on its own key's history, which the first
+//! rule keeps. Successive submits on one session keep the per-worker
+//! FIFO order of their chunks. Operations that land on *different*
 //! workers may interleave with each other and with other sessions —
 //! the same per-shard consistency the engine itself provides. For a
 //! strict happens-before edge between two batches, `wait()` the
 //! first ticket before submitting the second.
 //!
-//! The run rule: a worker reads every maximal run of two or more
-//! consecutive [`Op::Get`]s of its chunk in one
-//! [`ShardedRma::get_many`] call, which may answer the run's keys in
-//! any order. Reads of one run commute, and any other operation ends
-//! the run, so no read ever moves across a write of its worker — the
-//! order above between a read and a write of one key is untouched.
-//! What a run promises is what its `Get`s promise one by one: each
-//! key read at a stable version of its shard, keys of different
-//! shards not one snapshot.
+//! The run rule: a worker executes each run as one
+//! [`ShardedRma::apply_ops`] call, which groups the run's ops by
+//! shard, 64 at a time, and pays a group's topology pin, write lock,
+//! access record and durability append once. What a run promises is
+//! what its ops promise one by one: each op at a stable version of its
+//! shard, ops of different shards not one snapshot.
 //!
 //! # How replies land, and who orders them
 //!
@@ -36,7 +44,7 @@
 //! `(slot, op)` pairs go to the workers, `(slot, reply)` pairs come
 //! back, `slot` being the op's position in the submitted batch. A
 //! ticket is a landing queue: each worker appends its whole run —
-//! slot-ascending, because it executed its share in submission order
+//! slot-ascending, because it answers its share in submission order
 //! — under one acquisition of the ticket's lock, and does no per-slot
 //! work there. The runs of different workers land in whatever order
 //! the workers finish, so the queue is in *landing order*, and the
@@ -47,7 +55,7 @@
 use crate::metrics::RouterObs;
 use crate::router::{RouterCounters, WorkItem};
 use rma_core::{Key, Value};
-use rma_shard::{ShardedRma, Splitters};
+use rma_shard::{PointOp, ShardedRma, Splitters};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -106,6 +114,27 @@ impl Op {
     /// degraded (read-only) database answers with [`Reply::Refused`].
     pub(crate) fn is_write(&self) -> bool {
         matches!(self, Op::Insert(..) | Op::Remove(_))
+    }
+
+    /// The engine's [`PointOp`] for a `Get`, `Insert` or `Remove`;
+    /// `None` for a range op.
+    pub(crate) fn point(&self) -> Option<PointOp> {
+        match *self {
+            Op::Get(k) => Some(PointOp::Get(k)),
+            Op::Insert(k, v) => Some(PointOp::Insert(k, v)),
+            Op::Remove(k) => Some(PointOp::Remove(k)),
+            Op::SumRange { .. } | Op::FirstGe(_) | Op::Scan { .. } => None,
+        }
+    }
+}
+
+impl From<PointOp> for Op {
+    fn from(op: PointOp) -> Op {
+        match op {
+            PointOp::Get(k) => Op::Get(k),
+            PointOp::Insert(k, v) => Op::Insert(k, v),
+            PointOp::Remove(k) => Op::Remove(k),
+        }
     }
 }
 

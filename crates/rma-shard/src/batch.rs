@@ -167,12 +167,10 @@ impl ShardedRma {
                         // its insert pass, and replaying a delete of
                         // an absent key is a no-op either way.
                         if let Some(wal) = self.durability() {
-                            for &k in &dels[i] {
-                                wal.append(DurabilityOp::Remove(k));
-                            }
-                            for &(k, v) in &inserts[parts[i].clone()] {
-                                wal.append(DurabilityOp::Insert(k, v));
-                            }
+                            let dels = dels[i].iter().map(|&k| DurabilityOp::Remove(k));
+                            let ins = (inserts[parts[i].clone()].iter())
+                                .map(|&(k, v)| DurabilityOp::Insert(k, v));
+                            wal.append(&dels.chain(ins).collect::<Vec<_>>());
                         }
                     }
                 });

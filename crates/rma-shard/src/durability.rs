@@ -6,7 +6,8 @@
 //! only if records for the same key land in the log in the same order
 //! their effects landed in the index. The engine therefore calls
 //! [`DurabilitySink::append`] **while still holding the shard write
-//! lock** of the mutation it describes, and calls
+//! lock** of the mutations it describes (one call per lock hold, with
+//! the mutations in apply order), and calls
 //! [`DurabilitySink::checkpoint_cut`] while holding every shard lock
 //! overlapping the partition being checkpointed — so the cut LSN
 //! cleanly separates "state captured by the checkpoint" from "state
@@ -50,13 +51,18 @@ impl DurabilityOp {
 /// crates stay decoupled (`rma-wal` depends on `rma-shard`, not the
 /// other way around).
 pub trait DurabilitySink: Send + Sync {
-    /// Records one applied mutation. Called under the shard write
-    /// lock of the mutation, so same-key records are logged in apply
-    /// order. Must be cheap: implementations stage into a buffer and
-    /// defer fsync to their commit barrier. A sink that has degraded
-    /// (log device error) silently drops the record — the commit
-    /// barrier is what refuses the acknowledgement.
-    fn append(&self, op: DurabilityOp);
+    /// Records applied mutations, in the order they were applied:
+    /// one for a single-key write, a whole shard group's for
+    /// [`ShardedRma::apply_ops`], a shard's sub-batch for
+    /// [`ShardedRma::apply_batch`]. Called under the shard write lock
+    /// of the mutations, before it drops, so same-key records are
+    /// logged in apply order and a checkpoint cut drawn under that
+    /// lock sees all of them or none. Must be cheap: implementations
+    /// stage into a buffer and defer fsync to their commit barrier. A
+    /// sink that has degraded (log device error) silently drops the
+    /// records — the commit barrier is what refuses the
+    /// acknowledgement.
+    fn append(&self, ops: &[DurabilityOp]);
 
     /// Number of fixed durability partitions.
     fn partitions(&self) -> usize;

@@ -56,9 +56,13 @@
 //!   crucial because a racing resize can unmap pages) while keeping
 //!   readers wait-free: a reader never waits on a writer; after a few
 //!   pins that each met one it takes the shard's `RwLock`.
-//! * **Batched lookups** ([`ShardedRma::get_many`]) go through the
-//!   same bracket once per shard instead of once per key: one topology
-//!   pin per call, one look per shard's group of keys.
+//! * **Batched point ops** ([`ShardedRma::get_many`],
+//!   [`ShardedRma::apply_ops`]) pay the per-call costs once per shard
+//!   instead of once per op: one topology pin per call, and per
+//!   shard's group of a 64-op block one look — or, when the group
+//!   writes, one write lock, one `writing` bracket and one durability
+//!   append. Ops on one shard keep their order; ops on different
+//!   shards do not.
 //!
 //! The result: maintenance no longer stalls the read fleet — and,
 //! since the plan engine, no longer stalls the *write* fleet either:
@@ -145,10 +149,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// (batching keeps the global cache line off the per-op hot path).
 pub(crate) const DECAY_TICK_BATCH: u64 = 64;
 
-/// Keys [`ShardedRma::get_many`] routes and groups by shard in one
-/// pass — one bit of a `u64` mask each. With the default eight shards
-/// a full block hands `Rma::get_batch` about eight keys a shard, where
-/// the overlap of their misses has flattened out.
+/// Ops [`ShardedRma::get_many`] and [`ShardedRma::apply_ops`] route
+/// and group by shard in one pass — one bit of a `u64` mask each. With
+/// the default eight shards a full block hands `Rma::get_batch` about
+/// eight keys a shard, where the overlap of their misses has flattened
+/// out; a group with a write holds its shard for at most one block.
 const GET_MANY_BLOCK: usize = u64::BITS as usize;
 
 /// The positions of the set bits of `mask`, ascending.
@@ -167,6 +172,27 @@ fn members(pending: u64, shard_of: &[u32; GET_MANY_BLOCK], shard: u32) -> u64 {
     bits(pending)
         .filter(|&i| shard_of[i] == shard)
         .fold(0, |group, i| group | 1 << i)
+}
+
+/// One point operation of a [`ShardedRma::apply_ops`] run. Each means
+/// what the single-key call of its name means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PointOp {
+    /// [`ShardedRma::get`]; answered with the value found.
+    Get(Key),
+    /// [`ShardedRma::insert`] (duplicates kept); answered with `None`.
+    Insert(Key, Value),
+    /// [`ShardedRma::remove`]; answered with the value removed.
+    Remove(Key),
+}
+
+impl PointOp {
+    /// The key the op routes by.
+    pub fn key(&self) -> Key {
+        match *self {
+            PointOp::Get(k) | PointOp::Insert(k, _) | PointOp::Remove(k) => k,
+        }
+    }
 }
 
 /// One coherent snapshot of the engine's observable state, produced
@@ -353,8 +379,10 @@ pub struct MaintenanceStats {
     /// `apply_batch` rounds that had to re-route leftovers after a
     /// step retired their target shard mid-flight.
     pub batch_reroutes: u64,
-    /// Single-key mutations that reached a retired shard and had to
-    /// re-route through a fresh topology.
+    /// Writes that reached a retired shard and had to re-route
+    /// through a fresh topology: a single-key mutation counts once per
+    /// retry, and an [`apply_ops`](ShardedRma::apply_ops) group that
+    /// found its shard retired counts each of its writes once.
     pub write_reroutes: u64,
 }
 
@@ -605,102 +633,226 @@ impl ShardedRma {
     pub fn get(&self, k: Key) -> Option<Value> {
         let topo = self.topo();
         let shard = &topo.shards[topo.splitters.route(k)];
-        self.read_keys(&topo, shard, &[k], |rma| rma.get(k))
+        self.read_keys(&topo, shard, [k], |rma| rma.get(k))
     }
 
-    /// `out[i] = self.get(keys[i])` for every `i`, paying the per-call
-    /// costs of [`get`](Self::get) once per shard instead of once per
-    /// key: the topology is pinned once, the keys are grouped by
-    /// shard, and each group is recorded with one counter update and
-    /// read in **one** optimistic section through
+    /// `out[i] = self.get(keys[i])` for every `i`, through
+    /// [`apply_ops`](Self::apply_ops) 64 keys at a time: each shard's
+    /// group of a block is recorded once and read in **one**
+    /// optimistic section through
     /// [`Rma::get_batch`](rma_core::Rma::get_batch), which overlaps
-    /// the group's cache misses.
-    ///
-    /// Promises exactly what `keys.len()` separate `get`s do: each
-    /// key is read at a stable state of its shard; keys in
-    /// different shards are *not* one snapshot. Overwrites all of
-    /// `out`.
+    /// the group's cache misses. Promises exactly what `keys.len()`
+    /// separate `get`s do: each key is read at a stable state of its
+    /// shard; keys in different shards are *not* one snapshot.
+    /// Overwrites all of `out`.
     ///
     /// # Panics
     ///
     /// If `keys` and `out` differ in length.
     pub fn get_many(&self, keys: &[Key], out: &mut [Option<Value>]) {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let topo = self.topo();
-        // Routing and grouping happen on the stack, a block of keys at
-        // a time, so the two-key runs of a small-request workload pay
-        // no allocation for them.
-        let mut shard_of = [0u32; GET_MANY_BLOCK];
-        for (keys, out) in keys
-            .chunks(GET_MANY_BLOCK)
-            .zip(out.chunks_mut(GET_MANY_BLOCK))
-        {
-            for (s, &k) in shard_of.iter_mut().zip(keys) {
-                *s = topo.splitters.route(k) as u32;
+        let mut gets = [PointOp::Get(0); GET_MANY_BLOCK];
+        for (keys, out) in (keys.chunks(GET_MANY_BLOCK)).zip(out.chunks_mut(GET_MANY_BLOCK)) {
+            for (op, &k) in gets.iter_mut().zip(keys) {
+                *op = PointOp::Get(k);
             }
-            // Bit `i` set: `keys[i]` has not been read yet.
-            let mut pending = u64::MAX >> (GET_MANY_BLOCK - keys.len());
+            self.apply_ops(&gets[..keys.len()], out);
+        }
+    }
+
+    /// Runs `ops` and leaves op `i`'s answer in `out[i]`: the value a
+    /// `Get` found, the value a `Remove` removed, `None` for an
+    /// `Insert`. Overwrites all of `out`.
+    ///
+    /// The ops are grouped by shard 64 at a time. A read-only group is
+    /// one optimistic look; a group with a write holds the shard's
+    /// write lock **once** — one access record per counter, one
+    /// `writing` bracket over the group, and one
+    /// [`DurabilitySink::append`] of the mutations that took effect
+    /// before the lock drops. A group whose shard maintenance retired
+    /// re-routes op by op, and the rest of the call re-pins the
+    /// topology, so no later block reads the retired shard past a
+    /// write this call placed in its successor.
+    ///
+    /// Ops on one shard — so every op on one key — execute in
+    /// submission order; ops on different shards in any order, and
+    /// they are not one snapshot. Each op promises what its single-key
+    /// call promises.
+    ///
+    /// # Panics
+    ///
+    /// If `ops` and `out` differ in length.
+    pub fn apply_ops(&self, ops: &[PointOp], out: &mut [Option<Value>]) {
+        self.apply_ops_on(self.topo(), ops, out);
+    }
+
+    /// [`apply_ops`](Self::apply_ops) routed against `topo`, which
+    /// maintenance may already have replaced: the one route-and-group
+    /// walk, on the stack, so a short run pays no allocation for it.
+    fn apply_ops_on<'s>(
+        &'s self,
+        mut topo: TopoGuard<'s>,
+        ops: &[PointOp],
+        out: &mut [Option<Value>],
+    ) {
+        assert_eq!(ops.len(), out.len(), "one output slot per op");
+        let mut shard_of = [0u32; GET_MANY_BLOCK];
+        for (ops, out) in (ops.chunks(GET_MANY_BLOCK)).zip(out.chunks_mut(GET_MANY_BLOCK)) {
+            for (s, op) in shard_of.iter_mut().zip(ops) {
+                *s = topo.splitters.route(op.key()) as u32;
+            }
+            // Bit `i` set: `ops[i]` has not run yet.
+            let mut pending = u64::MAX >> (GET_MANY_BLOCK - ops.len());
+            let mut live = true;
             while pending != 0 {
-                let first = pending.trailing_zeros() as usize;
-                let shard = &topo.shards[shard_of[first] as usize];
-                let group = members(pending, &shard_of, shard_of[first]);
+                let s = shard_of[pending.trailing_zeros() as usize];
+                let (shard, group) = (&topo.shards[s as usize], members(pending, &shard_of, s));
                 pending &= !group;
-                let n = group.count_ones() as usize;
-                if n == 1 {
-                    // Nothing to gather or to overlap: a short run
-                    // spread over the shards is mostly these, and must
-                    // not cost more than the `get`s it replaces.
-                    let k = keys[first];
-                    out[first] = self.read_keys(&topo, shard, &[k], |rma| rma.get(k));
-                    continue;
+                let writes = bits(group)
+                    .filter(|&i| !matches!(ops[i], PointOp::Get(_)))
+                    .fold(0, |writes, i| writes | 1 << i);
+                if writes == 0 {
+                    self.read_group(&topo, shard, ops, group, out);
+                } else {
+                    live &= self.write_group(&topo, shard, ops, group, writes, out);
                 }
-                let mut group_keys = [0 as Key; GET_MANY_BLOCK];
-                let mut group_vals = [None; GET_MANY_BLOCK];
-                for (gk, i) in group_keys.iter_mut().zip(bits(group)) {
-                    *gk = keys[i];
-                }
-                let (group_keys, group_vals) = (&group_keys[..n], &mut group_vals[..n]);
-                self.read_keys(&topo, shard, group_keys, |rma| {
-                    rma.get_batch(group_keys, group_vals)
-                });
-                for (i, &v) in bits(group).zip(group_vals.iter()) {
-                    out[i] = v;
-                }
+            }
+            if !live {
+                // A group re-routed past a retired shard: the blocks
+                // after this one must not read the retired shard.
+                topo = self.topo();
             }
         }
     }
 
-    /// The one way an access is recorded: `keys.len()` on `counter`
-    /// (the shard's `reads` or `writes`) in one update, every key in
-    /// the shard's histogram, and one decay tick per
+    /// A read-only group's look: recorded once, then read in one
+    /// optimistic section — `Rma::get` for a lone key (nothing to
+    /// gather or overlap: a short run spread over the shards is mostly
+    /// these, and must not cost more than the `get`s it replaces),
+    /// [`Rma::get_batch`](rma_core::Rma::get_batch) for more, which
+    /// overlaps the group's cache misses.
+    fn read_group(
+        &self,
+        topo: &Topology,
+        shard: &shard::Shard,
+        ops: &[PointOp],
+        group: u64,
+        out: &mut [Option<Value>],
+    ) {
+        let n = group.count_ones() as usize;
+        if n == 1 {
+            let i = group.trailing_zeros() as usize;
+            let k = ops[i].key();
+            out[i] = self.read_keys(topo, shard, [k], |rma| rma.get(k));
+            return;
+        }
+        let mut group_keys = [0 as Key; GET_MANY_BLOCK];
+        let mut group_vals = [None; GET_MANY_BLOCK];
+        for (gk, i) in group_keys.iter_mut().zip(bits(group)) {
+            *gk = ops[i].key();
+        }
+        let (group_keys, group_vals) = (&group_keys[..n], &mut group_vals[..n]);
+        self.read_keys(topo, shard, group_keys.iter().copied(), |rma| {
+            rma.get_batch(group_keys, group_vals)
+        });
+        for (i, &v) in bits(group).zip(group_vals.iter()) {
+            out[i] = v;
+        }
+    }
+
+    /// A group with a write (`writes` masks them), in one hold of the
+    /// shard's write lock; every insert and every remove that found
+    /// its key is logged, in group order. Returns `false` when the
+    /// shard was retired and the group re-routed op by op, each write
+    /// counted in `write_reroutes`.
+    fn write_group(
+        &self,
+        topo: &Topology,
+        shard: &shard::Shard,
+        ops: &[PointOp],
+        group: u64,
+        writes: u64,
+        out: &mut [Option<Value>],
+    ) -> bool {
+        let mut guard = shard.write();
+        if guard.is_retired() {
+            drop(guard);
+            let reroutes = &self.maint_counters.write_reroutes;
+            reroutes.fetch_add(writes.count_ones().into(), Relaxed);
+            // One op at a time is the single-key call: routed on a
+            // fresh topology, retried if that one is retired too.
+            for i in bits(group) {
+                self.apply_ops(std::slice::from_ref(&ops[i]), &mut out[i..=i]);
+            }
+            return false;
+        }
+        let key = |i: usize| ops[i].key();
+        self.record_access(topo, shard, &shard.reads, bits(group & !writes).map(key));
+        self.record_access(topo, shard, &shard.writes, bits(writes).map(key));
+        guard.mutate(|rma| {
+            for i in bits(group) {
+                out[i] = match ops[i] {
+                    PointOp::Get(k) => rma.get(k),
+                    PointOp::Insert(k, v) => {
+                        rma.insert(k, v);
+                        None
+                    }
+                    PointOp::Remove(k) => rma.remove(k),
+                };
+            }
+        });
+        if let Some(wal) = &self.wal {
+            let mut log = [DurabilityOp::Remove(0); GET_MANY_BLOCK];
+            let mut n = 0;
+            for i in bits(writes) {
+                log[n] = match (ops[i], out[i]) {
+                    (PointOp::Insert(k, v), _) => DurabilityOp::Insert(k, v),
+                    (PointOp::Remove(k), Some(_)) => DurabilityOp::Remove(k),
+                    _ => continue,
+                };
+                n += 1;
+            }
+            wal.append(&log[..n]);
+        }
+        true
+    }
+
+    /// The one way an access is recorded: every key in the shard's
+    /// histogram, their count on `counter` (the shard's `reads` or
+    /// `writes`) in one update, and one decay tick per
     /// [`DECAY_TICK_BATCH`] boundary the shard-local count crossed.
+    /// No keys, no update.
     pub(crate) fn record_access(
         &self,
         topo: &Topology,
         shard: &shard::Shard,
         counter: &AtomicU64,
-        keys: &[Key],
+        keys: impl IntoIterator<Item = Key>,
     ) {
-        let n = keys.len() as u64;
-        let prev = counter.fetch_add(n, Relaxed);
-        for &k in keys {
+        let mut n = 0;
+        for k in keys {
             shard.stats.record(k);
+            n += 1;
         }
+        if n == 0 {
+            return;
+        }
+        let prev = counter.fetch_add(n, Relaxed);
         let crossed = (prev + n) / DECAY_TICK_BATCH - prev / DECAY_TICK_BATCH;
         if crossed > 0 {
             self.tick_decay(topo, crossed * DECAY_TICK_BATCH);
         }
     }
 
-    /// The bracket every point read runs in — `get` with one key,
-    /// `get_many` with a shard's group: records the accesses, then
-    /// runs `read` once — optimistically, under the shard's read lock
-    /// only after repeated writer interference.
+    /// The bracket every point read runs in — `get` with one key, a
+    /// read-only group with its keys: records the accesses, then runs
+    /// `read` once — optimistically, under the shard's read lock only
+    /// after repeated writer interference.
     fn read_keys<R>(
         &self,
         topo: &Topology,
         shard: &shard::Shard,
-        keys: &[Key],
+        keys: impl IntoIterator<Item = Key>,
         read: impl FnOnce(&rma_core::Rma) -> R,
     ) -> R {
         self.record_access(topo, shard, &shard.reads, keys);
@@ -747,7 +899,7 @@ impl ShardedRma {
                 self.maint_counters.write_reroutes.fetch_add(1, Relaxed);
                 return None;
             }
-            self.record_access(topo, shard, &shard.writes, &[k]);
+            self.record_access(topo, shard, &shard.writes, [k]);
             Some(op(&mut guard))
         })
     }
@@ -761,7 +913,7 @@ impl ShardedRma {
         self.route_mut_with_retry(k, |guard| {
             guard.mutate(|rma| rma.insert(k, v));
             if let Some(wal) = &self.wal {
-                wal.append(DurabilityOp::Insert(k, v));
+                wal.append(&[DurabilityOp::Insert(k, v)]);
             }
         });
     }
@@ -772,7 +924,7 @@ impl ShardedRma {
             let out = guard.mutate(|rma| rma.remove(k));
             if out.is_some() {
                 if let Some(wal) = &self.wal {
-                    wal.append(DurabilityOp::Remove(k));
+                    wal.append(&[DurabilityOp::Remove(k)]);
                 }
             }
             out
@@ -987,6 +1139,175 @@ mod tests {
         // before its tick), so the masses agree only to within the
         // reads of one block.
         assert!(masses(&many).abs_diff(masses(&single)) <= GET_MANY_BLOCK as u64);
+    }
+
+    #[test]
+    fn apply_ops_takes_one_write_lock_per_shard_group() {
+        let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![250, 500, 750]));
+        let grouped: Vec<PointOp> = (0..64).map(|k| PointOp::Insert(k, k)).collect();
+        let before = s.lock_acquisitions();
+        s.apply_ops(&grouped, &mut [None; 64]);
+        let after = s.lock_acquisitions();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (0, 1),
+            "one group"
+        );
+        for k in 100..164 {
+            s.insert(k, k);
+        }
+        let singles = s.lock_acquisitions();
+        assert_eq!((singles.0 - after.0, singles.1 - after.1), (0, 64));
+        // One block over all four shards, reads between the writes:
+        // one write lock per shard, no read lock.
+        let spread: Vec<PointOp> = (0..64)
+            .map(|i| match (i % 4 * 250 + i, i % 3) {
+                (k, 0) => PointOp::Get(k),
+                (k, _) => PointOp::Insert(k, -k),
+            })
+            .collect();
+        let mut out = [Some(0); 64];
+        s.apply_ops(&spread, &mut out);
+        let spread_locks = s.lock_acquisitions();
+        assert_eq!(spread_locks.0, singles.0);
+        assert_eq!(spread_locks.1 - singles.1, 4);
+        for (op, got) in spread.iter().zip(out) {
+            let want = match *op {
+                PointOp::Get(k) => (k < 164).then_some(k),
+                _ => None,
+            };
+            assert_eq!(got, want, "{op:?}");
+        }
+        assert_eq!(s.len(), 128 + 42);
+        s.check_invariants();
+    }
+
+    mod apply_ops_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What the single-key call answers for `op` — the reference.
+        fn per_op(s: &ShardedRma, op: PointOp) -> Option<Value> {
+            match op {
+                PointOp::Get(k) => s.get(k),
+                PointOp::Insert(k, v) => {
+                    s.insert(k, v);
+                    None
+                }
+                PointOp::Remove(k) => s.remove(k),
+            }
+        }
+
+        /// The widest shard range inside `[0, space)`.
+        fn widest(s: &ShardedRma, space: Key) -> (Key, Key) {
+            let keys = s.splitters().keys().to_vec();
+            let edges: Vec<Key> = [0].into_iter().chain(keys).chain([space]).collect();
+            let w = edges
+                .windows(2)
+                .max_by_key(|w| w[1] - w[0])
+                .expect("two edges");
+            (w[0], w[1])
+        }
+
+        /// Runs one maintenance step on `s` and says whether it ran.
+        fn step(s: &ShardedRma, step: MaintenanceStep) -> bool {
+            let report = s.execute_step(&mut s.plan_of(&[step], false));
+            report.expect("one step planned").executed
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// A stream of point ops through `apply_ops` in random
+            /// chunks answers, and leaves, exactly what the same
+            /// stream of single-key calls does on an identically built
+            /// engine — with a split, a merge, and a chunk routed on a
+            /// topology a split retires under it, between chunks.
+            /// Duplicates are likely: the key space is small.
+            #[test]
+            fn apply_ops_matches_per_op_calls(
+                space in 16i64..600,
+                raw in prop::collection::vec((0u8..9, 0i64..600, -1000i64..1000), 1..700),
+                lens in prop::collection::vec(1usize..150, 1..16),
+            ) {
+                let ops: Vec<PointOp> = (raw.into_iter())
+                    .map(|(kind, k, v)| match (kind, k % space) {
+                        (0..=2, k) => PointOp::Get(k),
+                        (3..=6, k) => PointOp::Insert(k, v),
+                        (_, k) => PointOp::Remove(k),
+                    })
+                    .collect();
+                let build = || {
+                    let keys = vec![space / 4, space / 2, 3 * space / 4];
+                    ShardedRma::with_splitters(small_cfg(4), Splitters::new(keys))
+                };
+                let (grouped, single) = (build(), build());
+                let mut rest = &ops[..];
+                for (c, &len) in lens.iter().cycle().enumerate() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (chunk, tail) = rest.split_at(len.min(rest.len()));
+                    rest = tail;
+                    let mut got = vec![Some(Value::MIN); chunk.len()];
+                    match c % 4 {
+                        1 => {
+                            let (lo, hi) = widest(&grouped, space);
+                            let split = MaintenanceStep::SplitShard { at: (lo + hi) / 2 };
+                            prop_assert!(step(&grouped, split) && step(&single, split));
+                            grouped.apply_ops(chunk, &mut got);
+                        }
+                        2 if !grouped.splitters().keys().is_empty() => {
+                            let keys = grouped.splitters().keys().to_vec();
+                            let merge = MaintenanceStep::MergePair { splitter: keys[c / 4 % keys.len()] };
+                            prop_assert!(step(&grouped, merge) && step(&single, merge));
+                            grouped.apply_ops(chunk, &mut got);
+                        }
+                        3 => {
+                            // Routed against the topology before the
+                            // split: its first block writes into the
+                            // shard the split retires, so the block
+                            // re-routes and the rest of the run must
+                            // re-pin rather than route there again.
+                            let (lo, hi) = widest(&grouped, space);
+                            let split = MaintenanceStep::SplitShard { at: (lo + hi) / 2 };
+                            let block: Vec<PointOp> = (chunk.iter().cycle().take(64).enumerate())
+                                .map(|(j, op)| match lo + op.key() % (hi - lo) {
+                                    k if j % 3 == 2 => PointOp::Remove(k),
+                                    k => PointOp::Insert(k, j as Value),
+                                })
+                                .collect();
+                            let run = [&block[..], chunk].concat();
+                            got = vec![Some(Value::MIN); run.len()];
+                            let reroutes = grouped.maintenance_stats().write_reroutes;
+                            let published = grouped.maintenance_stats().topologies_published;
+                            let stale = grouped.topo();
+                            std::thread::scope(|sc| {
+                                // Blocks in its grace wait until the
+                                // run drops `stale`.
+                                let splitter = sc.spawn(|| step(&grouped, split));
+                                while grouped.maintenance_stats().topologies_published == published {
+                                    std::thread::yield_now();
+                                }
+                                grouped.apply_ops_on(stale, &run, &mut got);
+                                assert!(splitter.join().expect("split thread"));
+                            });
+                            prop_assert_eq!(grouped.maintenance_stats().write_reroutes - reroutes, 64);
+                            prop_assert!(step(&single, split));
+                            let want: Vec<_> = block.iter().map(|&op| per_op(&single, op)).collect();
+                            prop_assert_eq!(&got[..64], &want[..]);
+                            got.drain(..64);
+                        }
+                        _ => grouped.apply_ops(chunk, &mut got),
+                    }
+                    let want: Vec<_> = chunk.iter().map(|&op| per_op(&single, op)).collect();
+                    prop_assert_eq!(got, want, "chunk {}", c);
+                }
+                grouped.check_invariants();
+                prop_assert_eq!(grouped.collect_all(), single.collect_all());
+                prop_assert_eq!(grouped.len(), single.len());
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl ShardedRma {
                 break;
             }
             let from = if i == first { start } else { Key::MIN };
-            self.record_access(&topo, shard, &shard.reads, &[from]);
+            self.record_access(&topo, shard, &shard.reads, [from]);
             let want = count - appended;
             appended += shard.peek(|rma| rma.scan_into(from, want, out));
         }
@@ -70,7 +70,7 @@ impl ShardedRma {
                 break;
             }
             let from = if i == first { start } else { Key::MIN };
-            self.record_access(&topo, shard, &shard.reads, &[from]);
+            self.record_access(&topo, shard, &shard.reads, [from]);
             let want = count - visited;
             let (n, s) = shard.peek(|rma| rma.sum_range(from, want));
             visited += n;
@@ -86,7 +86,7 @@ impl ShardedRma {
         let first = topo.splitters.route(k);
         for (i, shard) in topo.shards.iter().enumerate().skip(first) {
             let from = if i == first { k } else { Key::MIN };
-            self.record_access(&topo, shard, &shard.reads, &[from]);
+            self.record_access(&topo, shard, &shard.reads, [from]);
             let hit = shard.peek(|rma| rma.first_ge(from));
             if hit.is_some() {
                 return hit;
@@ -115,12 +115,12 @@ impl ShardedRma {
                 }
                 let from = if i == start { k } else { Key::MIN };
                 if g.rma().first_ge(from).is_some() {
-                    self.record_access(topo, shard, &shard.writes, &[from]);
+                    self.record_access(topo, shard, &shard.writes, [from]);
                     let out = g.mutate(|rma| rma.remove_successor(from));
                     // Effect-log under the same lock: the WAL records
                     // the key actually removed, not the probe key.
                     if let (Some((rk, _)), Some(wal)) = (out, self.durability()) {
-                        wal.append(DurabilityOp::Remove(rk));
+                        wal.append(&[DurabilityOp::Remove(rk)]);
                     }
                     return Some(out);
                 }
@@ -134,10 +134,10 @@ impl ShardedRma {
                     return None;
                 }
                 if !g.rma().is_empty() {
-                    self.record_access(topo, shard, &shard.writes, &[Key::MAX]);
+                    self.record_access(topo, shard, &shard.writes, [Key::MAX]);
                     let out = g.mutate(|rma| rma.remove_successor(Key::MAX));
                     if let (Some((rk, _)), Some(wal)) = (out, self.durability()) {
-                        wal.append(DurabilityOp::Remove(rk));
+                        wal.append(&[DurabilityOp::Remove(rk)]);
                     }
                     return Some(out);
                 }

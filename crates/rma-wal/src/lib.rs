@@ -15,8 +15,9 @@
 //! The write path is two-phase:
 //!
 //! 1. **append** — called by the engine *under its shard write lock*
-//!    (see `rma_shard::durability` for why that ordering contract
-//!    matters): stamp a per-partition LSN, encode into an in-memory
+//!    with the mutations of that lock hold, in apply order (see
+//!    `rma_shard::durability` for why that ordering contract
+//!    matters): stamp per-partition LSNs, encode into an in-memory
 //!    staging buffer. No I/O.
 //! 2. **commit** — the durability barrier, called once per op or once
 //!    per batch: drain every partition's staging buffer to its log
@@ -351,12 +352,23 @@ impl Wal {
 }
 
 impl DurabilitySink for Wal {
-    fn append(&self, op: DurabilityOp) {
+    /// Stages `ops` partition by partition: each run of consecutive
+    /// ops on one partition is encoded under one acquisition of that
+    /// partition's staging lock.
+    fn append(&self, ops: &[DurabilityOp]) {
         if self.policy == CommitPolicy::Off || self.is_degraded() {
             return;
         }
-        let p = self.splitters.route(op.key());
-        self.parts[p].append(op);
+        let mut rest = ops;
+        while let [first, tail @ ..] = rest {
+            let p = self.splitters.route(first.key());
+            let run = 1
+                + (tail.iter())
+                    .position(|op| self.splitters.route(op.key()) != p)
+                    .unwrap_or(tail.len());
+            self.parts[p].append(&rest[..run]);
+            rest = &rest[run..];
+        }
     }
 
     fn partitions(&self) -> usize {
@@ -426,9 +438,12 @@ mod tests {
         let hi: Key = (1 << 61) + 1; // above the 2-way uniform splitter
         assert_eq!(wal.splitters.route(lo), 0);
         assert_eq!(wal.splitters.route(hi), 1);
-        wal.append(DurabilityOp::Insert(lo, 1));
-        wal.append(DurabilityOp::Insert(hi, 2));
-        wal.append(DurabilityOp::Remove(lo));
+        // One slice over both partitions: three same-partition runs.
+        wal.append(&[
+            DurabilityOp::Insert(lo, 1),
+            DurabilityOp::Insert(hi, 2),
+            DurabilityOp::Remove(lo),
+        ]);
         assert_eq!(wal.checkpoint_cut(0), 2);
         assert_eq!(wal.checkpoint_cut(1), 1);
         wal.commit().expect("commit");
@@ -446,14 +461,14 @@ mod tests {
                 .fault(Arc::clone(&inj)),
         )
         .expect("create");
-        wal.append(DurabilityOp::Insert(1, 1));
+        wal.append(&[DurabilityOp::Insert(1, 1)]);
         assert!(matches!(wal.commit(), Err(WalError::Io(_))));
         assert!(wal.is_degraded());
         assert!(wal.take_degraded_transition());
         assert!(!wal.take_degraded_transition(), "transition fires once");
         assert!(matches!(wal.commit(), Err(WalError::Degraded)));
         // Degraded appends and checkpoints are inert.
-        wal.append(DurabilityOp::Insert(2, 2));
+        wal.append(&[DurabilityOp::Insert(2, 2)]);
         assert_eq!(wal.checkpoint_cut(0), 1);
         assert!(!wal.seal_checkpoint(0, 1, &[(1, 1)]));
         std::fs::remove_dir_all(&dir).ok();
@@ -464,7 +479,7 @@ mod tests {
         let dir = scratch("off");
         let wal =
             Wal::create(DurabilityConfig::new(&dir).policy(CommitPolicy::Off)).expect("create");
-        wal.append(DurabilityOp::Insert(1, 1));
+        wal.append(&[DurabilityOp::Insert(1, 1)]);
         assert_eq!(wal.checkpoint_cut(0), 0);
         wal.commit().expect("off commit is a no-op");
         assert_eq!(wal.commit_hist().count(), 0);
@@ -476,7 +491,7 @@ mod tests {
         let dir = scratch("seal");
         let wal = Wal::create(DurabilityConfig::new(&dir).partitions(1)).expect("create");
         for i in 0..10 {
-            wal.append(DurabilityOp::Insert(i, i));
+            wal.append(&[DurabilityOp::Insert(i, i)]);
         }
         wal.commit().expect("commit");
         let cut = wal.checkpoint_cut(0);
@@ -484,7 +499,7 @@ mod tests {
         assert!(wal.seal_checkpoint(0, cut, &elems));
         assert!(dir.join("ckpt_0_10.seg").exists());
         // Second seal at a later cut replaces the first segment.
-        wal.append(DurabilityOp::Insert(10, 10));
+        wal.append(&[DurabilityOp::Insert(10, 10)]);
         wal.commit().expect("commit");
         assert!(wal.seal_checkpoint(0, 11, &[(10, 10)]));
         assert!(dir.join("ckpt_0_11.seg").exists());

@@ -15,9 +15,11 @@
 //!    the clean prefix (an un-acknowledgeable half-append, discarded).
 //!    Anywhere else it means real corruption and recovery refuses.
 //! 3. **Replay** the kept records against the freshly loaded engine,
-//!    per partition in LSN order ([`Recovery::replay_into`]). A key
-//!    always routes to the same partition, so per-key operation order
-//!    is preserved even though partitions replay concurrently.
+//!    per partition in LSN order, through the engine's batched point
+//!    path ([`Recovery::replay_into`]). A key always routes to the
+//!    same partition and, inside one batch, to one shard group that
+//!    keeps its order, so per-key operation order is preserved even
+//!    though partitions replay concurrently.
 //!
 //! The directory is also healed: leftover `.tmp` staging files and
 //! checkpoint segments the manifest no longer references (both
@@ -29,12 +31,16 @@ use std::path::Path;
 use std::sync::Arc;
 
 use rma_core::{Key, Value};
-use rma_shard::{DurabilityOp, ShardedRma, Splitters};
+use rma_shard::{DurabilityOp, PointOp, ShardedRma, Splitters};
 
 use crate::checkpoint::{self, CkptEntry};
 use crate::record::{self, Decoded, Record};
 use crate::segment::{self, PartitionLog};
 use crate::{DurabilityConfig, Wal, WalError};
+
+/// Log records replayed per `ShardedRma::apply_ops` call: one routing
+/// block of the engine's.
+const REPLAY_CHUNK: usize = 64;
 
 /// The result of [`Wal::recover`]: the reopened WAL plus everything
 /// needed to rebuild the engine.
@@ -62,8 +68,11 @@ impl Recovery {
         self.tails.iter().map(|t| t.len() as u64).sum()
     }
 
-    /// Replays the log tails into `engine` (parallel per partition,
-    /// in-partition LSN order) and returns the record count.
+    /// Replays the log tails into `engine` (parallel per partition)
+    /// and returns the record count. Each tail goes through
+    /// `ShardedRma::apply_ops` 64 records at a time, which keeps LSN
+    /// order per key: one key's records always fall into one shard
+    /// group.
     ///
     /// Call this *before* attaching the WAL via
     /// `ShardedRma::set_durability` — the whole tail is already in the
@@ -75,13 +84,17 @@ impl Recovery {
                 let wal = &self.wal;
                 s.spawn(move || {
                     let t0 = rewiring::monotonic_ns();
-                    for r in tail {
-                        match r.op {
-                            DurabilityOp::Insert(k, v) => engine.insert(k, v),
-                            DurabilityOp::Remove(k) => {
-                                engine.remove(k);
-                            }
+                    let mut ops = [PointOp::Get(0); REPLAY_CHUNK];
+                    let mut out = [None; REPLAY_CHUNK];
+                    for chunk in tail.chunks(REPLAY_CHUNK) {
+                        for (op, r) in ops.iter_mut().zip(chunk) {
+                            *op = match r.op {
+                                DurabilityOp::Insert(k, v) => PointOp::Insert(k, v),
+                                DurabilityOp::Remove(k) => PointOp::Remove(k),
+                            };
                         }
+                        let n = chunk.len();
+                        engine.apply_ops(&ops[..n], &mut out[..n]);
                     }
                     wal.replay_hist
                         .record(rewiring::monotonic_ns().saturating_sub(t0));
@@ -288,9 +301,9 @@ mod tests {
         {
             let wal = fresh_wal(&dir, 2);
             for i in 0..50 {
-                wal.append(DurabilityOp::Insert(i * (1 << 56), i));
+                wal.append(&[DurabilityOp::Insert(i * (1 << 56), i)]);
             }
-            wal.append(DurabilityOp::Remove(0));
+            wal.append(&[DurabilityOp::Remove(0)]);
             wal.commit().expect("commit");
         }
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
@@ -305,7 +318,7 @@ mod tests {
         {
             let wal = fresh_wal(&dir, 1);
             for i in 0..10 {
-                wal.append(DurabilityOp::Insert(i, i));
+                wal.append(&[DurabilityOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
         }
@@ -333,14 +346,14 @@ mod tests {
         {
             let wal = fresh_wal(&dir, 1);
             for i in 0..20 {
-                wal.append(DurabilityOp::Insert(i, i));
+                wal.append(&[DurabilityOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
             let elems: Vec<(Key, Value)> = (0..20).map(|i| (i, i)).collect();
             assert!(wal.seal_checkpoint(0, wal.checkpoint_cut(0), &elems));
             // Post-checkpoint writes land in the rotated log.
             for i in 20..25 {
-                wal.append(DurabilityOp::Insert(i, i));
+                wal.append(&[DurabilityOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
         }
@@ -357,7 +370,7 @@ mod tests {
             let wal = fresh_wal(&dir, 4);
             let step = 1i64 << 55;
             for i in 0..200 {
-                wal.append(DurabilityOp::Insert((i * 37 % 200) * step, i));
+                wal.append(&[DurabilityOp::Insert((i * 37 % 200) * step, i)]);
             }
             wal.commit().expect("commit");
             for p in 0..4 {
@@ -383,10 +396,10 @@ mod tests {
         {
             let wal = fresh_wal(&dir, 2);
             for i in 0..100 {
-                wal.append(DurabilityOp::Insert(i * (1 << 55), i));
+                wal.append(&[DurabilityOp::Insert(i * (1 << 55), i)]);
             }
             for i in 0..10 {
-                wal.append(DurabilityOp::Remove(i * (1 << 55)));
+                wal.append(&[DurabilityOp::Remove(i * (1 << 55))]);
             }
             wal.commit().expect("commit");
         }
@@ -406,7 +419,7 @@ mod tests {
         let dir = scratch("heal");
         {
             let wal = fresh_wal(&dir, 1);
-            wal.append(DurabilityOp::Insert(1, 1));
+            wal.append(&[DurabilityOp::Insert(1, 1)]);
             wal.commit().expect("commit");
         }
         // Simulate a crash mid-seal: an orphan segment the manifest
@@ -445,7 +458,7 @@ mod tests {
         {
             let wal = fresh_wal(&dir, 2);
             for i in 0..30 {
-                wal.append(DurabilityOp::Insert(i * (1 << 56), i));
+                wal.append(&[DurabilityOp::Insert(i * (1 << 56), i)]);
             }
             wal.commit().expect("commit");
         }

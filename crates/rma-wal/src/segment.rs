@@ -4,8 +4,9 @@
 //! # Why staging + sink are separate locks
 //!
 //! [`PartitionLog::append`] runs *inside* the engine's shard write
-//! guard, so it must be cheap: take the staging mutex, stamp an LSN,
-//! encode ~33 bytes, done. No I/O ever happens under an engine lock.
+//! guard, so it must be cheap: take the staging mutex once for the
+//! whole slice of ops, stamp consecutive LSNs, encode ~33 bytes each,
+//! done. No I/O ever happens under an engine lock.
 //!
 //! [`PartitionLog::commit`] is the durability barrier. It serialises
 //! on the sink mutex, drains whatever the staging buffer has
@@ -123,15 +124,20 @@ impl PartitionLog {
         })
     }
 
-    /// Stages one operation and returns its LSN. Called under the
+    /// Stages `ops` under consecutive LSNs, in order, and returns the
+    /// last one handed out. One staging-lock acquisition and one
+    /// publication of `appended` for the whole slice. Called under the
     /// engine's shard write guard; does no I/O.
-    pub fn append(&self, op: DurabilityOp) -> u64 {
-        let mut st = self.staging.lock().expect("staging poisoned");
-        let lsn = st.next_lsn;
-        st.next_lsn += 1;
-        record::encode_into(&mut st.buf, lsn, op);
-        self.appended.store(lsn, Ordering::Release);
-        lsn
+    pub fn append(&self, ops: &[DurabilityOp]) -> u64 {
+        let mut guard = self.staging.lock().expect("staging poisoned");
+        let st = &mut *guard;
+        for &op in ops {
+            record::encode_into(&mut st.buf, st.next_lsn, op);
+            st.next_lsn += 1;
+        }
+        let last = st.next_lsn - 1;
+        self.appended.store(last, Ordering::Release);
+        last
     }
 
     /// Highest LSN this partition has handed out. Meaningful as a
@@ -256,8 +262,8 @@ mod tests {
         let dir = scratch("commit");
         let log = PartitionLog::create(&dir, 0, 1).expect("create");
         let hist = Histogram::new();
-        assert_eq!(log.append(DurabilityOp::Insert(10, 1)), 1);
-        assert_eq!(log.append(DurabilityOp::Remove(10)), 2);
+        assert_eq!(log.append(&[DurabilityOp::Insert(10, 1)]), 1);
+        assert_eq!(log.append(&[DurabilityOp::Remove(10)]), 2);
         log.commit(CommitPolicy::Always, &None, &hist)
             .expect("commit");
         // A second commit with nothing staged is a no-op.
@@ -282,12 +288,12 @@ mod tests {
         let log = PartitionLog::create(&dir, 0, 1).expect("create");
         let hist = Histogram::new();
         for i in 0..3 {
-            log.append(DurabilityOp::Insert(i, i));
+            log.append(&[DurabilityOp::Insert(i, i)]);
             log.commit(CommitPolicy::EveryN(4), &None, &hist)
                 .expect("commit");
         }
         assert_eq!(hist.count(), 0, "3 records < 4: no fsync yet");
-        log.append(DurabilityOp::Insert(3, 3));
+        log.append(&[DurabilityOp::Insert(3, 3)]);
         log.commit(CommitPolicy::EveryN(4), &None, &hist)
             .expect("commit");
         assert_eq!(hist.count(), 1, "4th record crosses the threshold");
@@ -300,7 +306,7 @@ mod tests {
         let log = PartitionLog::create(&dir, 2, 1).expect("create");
         let hist = Histogram::new();
         for i in 0..5 {
-            log.append(DurabilityOp::Insert(i, i));
+            log.append(&[DurabilityOp::Insert(i, i)]);
         }
         log.commit(CommitPolicy::Always, &None, &hist)
             .expect("commit");
@@ -309,7 +315,7 @@ mod tests {
         assert_eq!(list_log_starts(&dir, 2).expect("list"), vec![6]);
         // New appends land in the new file; old cut only covers lsn<=5,
         // so a rotation at the old cut must keep the file holding 6.
-        log.append(DurabilityOp::Insert(9, 9));
+        log.append(&[DurabilityOp::Insert(9, 9)]);
         log.commit(CommitPolicy::Always, &None, &hist)
             .expect("commit");
         log.rotate(5, &None).expect("rotate at stale cut");

@@ -13,7 +13,7 @@
 
 use rma_core::{RewiringMode, RmaConfig};
 use rma_db::Db;
-use rma_shard::{MaintainerConfig, ShardConfig};
+use rma_shard::{MaintainerConfig, PointOp, ShardConfig};
 use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
@@ -434,6 +434,140 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
         calls.load(Relaxed),
         ledger.plans,
         ledger.steps_executed,
+        index.num_shards()
+    );
+}
+
+/// `apply_ops` on both sides, beside the background maintainer, on the
+/// unique-key scheme of the `get_many` test above. Each writer stores
+/// its versions through `apply_ops` runs of random length that also
+/// read back its own versions — the one just written in the same run
+/// and an older one — and remove the churn key its previous version
+/// left, so its groups mix reads and writes of one shard. A writer
+/// publishes a version (Release) only after its run returned. Readers
+/// alternate `get_many` and all-`Get` `apply_ops` runs over the
+/// published versions. No thread may see a version older than one
+/// written before its call: a writer its own, a reader any published
+/// one. A group that ran on a retired shard, or out of order, surfaces
+/// as `None`, a foreign value or a missing churn element.
+#[test]
+fn apply_ops_sees_every_published_version_under_writers_and_maintainer() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    let writes = (stress_ops() / 8).max(64) as i64;
+    let slot = |w: usize, v: i64| 2 * (v * WRITERS as i64 + w as i64);
+    let db = Db::builder()
+        .router_workers(1) // engine-only stress: no session traffic
+        .shard_config(stress_cfg(8))
+        .splitter_keys((1..8).map(|i| i * writes / 2).collect())
+        .maintenance(MaintainerConfig {
+            poll_interval: Duration::from_millis(1),
+            imbalance_trigger: 1.1,
+            min_ops_between: 256,
+            step_pause: Duration::from_micros(100),
+            ..Default::default()
+        })
+        .build()
+        .expect("valid stress config");
+    let index = db.engine();
+    for w in 0..WRITERS {
+        index.insert(slot(w, 0), 0);
+    }
+    let published: [AtomicI64; WRITERS] = std::array::from_fn(|_| AtomicI64::new(0));
+    let start = Barrier::new(WRITERS + READERS);
+    let calls = AtomicU64::new(0);
+    std::thread::scope(|sc| {
+        let (published, start, calls) = (&published, &start, &calls);
+        for r in 0..READERS {
+            sc.spawn(move || {
+                let mut rng = SplitMix64::new(0xA99 + r as u64);
+                let (mut keys, mut ops, mut want, mut got) = (vec![], vec![], vec![], vec![]);
+                start.wait();
+                loop {
+                    let p: [i64; WRITERS] = std::array::from_fn(|w| published[w].load(Acquire));
+                    keys.clear();
+                    want.clear();
+                    for (w, &p) in p.iter().enumerate() {
+                        let newest = (p - 24).max(0)..=p;
+                        let sample = (0..100).map(|_| rng.next_below(p as u64 + 1) as i64);
+                        for v in newest.chain(sample) {
+                            keys.push(slot(w, v));
+                            want.push(Some(v));
+                        }
+                    }
+                    let call = calls.fetch_add(1, Relaxed);
+                    if call % 4 >= 2 {
+                        keys.truncate(3);
+                        want.truncate(3);
+                    }
+                    got.clear();
+                    got.resize(keys.len(), None);
+                    if call % 2 == 0 {
+                        index.get_many(&keys, &mut got);
+                    } else {
+                        ops.clear();
+                        ops.extend(keys.iter().map(|&k| PointOp::Get(k)));
+                        index.apply_ops(&ops, &mut got);
+                    }
+                    assert_eq!(got, want, "with {p:?} published, keys {keys:?}");
+                    if p.iter().all(|&p| p == writes) {
+                        break;
+                    }
+                }
+            });
+        }
+        for (w, published) in published.iter().enumerate() {
+            let index = &index;
+            sc.spawn(move || {
+                let mut rng = SplitMix64::new(0xB0B + w as u64);
+                let (mut ops, mut want, mut got) = (vec![], vec![], vec![]);
+                start.wait();
+                let mut v = 0;
+                while v < writes {
+                    ops.clear();
+                    want.clear();
+                    for _ in 0..=rng.next_below(40) {
+                        if v == writes {
+                            break;
+                        }
+                        v += 1;
+                        let old = rng.next_below(v as u64) as i64;
+                        // The version, its churn key, the previous
+                        // version's churn key gone, and two reads.
+                        for (op, answer) in [
+                            (PointOp::Insert(slot(w, v), v), None),
+                            (PointOp::Insert(slot(w, v) + 1, -v), None),
+                            (PointOp::Get(slot(w, v)), Some(v)),
+                            (PointOp::Get(slot(w, old)), Some(old)),
+                        ] {
+                            ops.push(op);
+                            want.push(answer);
+                        }
+                        if v > 1 {
+                            ops.push(PointOp::Remove(slot(w, v - 1) + 1));
+                            want.push(Some(1 - v));
+                        }
+                    }
+                    got.clear();
+                    got.resize(ops.len(), None);
+                    index.apply_ops(&ops, &mut got);
+                    assert_eq!(got, want, "writer {w} up to version {v}");
+                    published.store(v, Release);
+                }
+            });
+        }
+    });
+    db.stop_maintenance().expect("maintainer was running");
+    index.check_invariants();
+    // Every version, plus the last version's churn key, per writer.
+    assert_eq!(index.len(), WRITERS * (writes as usize + 2));
+    let ledger = index.maintenance_stats();
+    eprintln!(
+        "apply_ops stress: reader calls={} maintainer plans={} steps={} write reroutes={} shards={}",
+        calls.load(Relaxed),
+        ledger.plans,
+        ledger.steps_executed,
+        ledger.write_reroutes,
         index.num_shards()
     );
 }

@@ -207,10 +207,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// A stretch of ops over sixteen keys spread across the four shards:
 /// a long run of `Get`s, or one write of a key those runs read. The
-/// workers read every run of `Get`s in one `get_many` call, so a
-/// stream of these has a run ending at — and the next one starting
-/// after — a write of one of its own keys, over and over: a run that
-/// let a read slip across the write answers with the wrong side of it.
+/// workers run every run of point ops as one `apply_ops` call, which
+/// groups it by shard, so a stream of these has reads right before
+/// and right after a write of one of their own keys, over and over: a
+/// group that let a read slip across the write answers with the wrong
+/// side of it.
 fn get_run_or_write() -> impl Strategy<Value = Vec<Op>> {
     let key = || (0i64..16).prop_map(|i| i * 37);
     prop_oneof![
@@ -249,9 +250,10 @@ proptest! {
     /// Any operation sequence pipelined through the router in batches
     /// produces exactly the replies of the same sequence executed
     /// through direct engine calls on an identically configured
-    /// database. One router worker pins a total execution order, so
-    /// even order-sensitive sequences (insert-then-scan of one key
-    /// range inside one batch) must agree bit for bit.
+    /// database. With one router worker every range op is a barrier
+    /// between the runs of point ops around it, so even
+    /// order-sensitive sequences (insert-then-scan of one key range
+    /// inside one batch) must agree bit for bit.
     #[test]
     fn batched_router_ops_match_direct_calls(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -284,9 +286,10 @@ proptest! {
 
     /// `Get` runs keep their place between the writes around them.
     /// Point ops only, so the replies depend on nothing but each
-    /// shard's own op order — which one worker pins outright and two
-    /// workers pin per shard (a shard's ops all reach one worker, in
-    /// submission order); awaiting each ticket serializes the batches.
+    /// shard's own op order — which `apply_ops` keeps, whether one
+    /// worker or two run the batch (a shard's ops all reach one
+    /// worker, in submission order); awaiting each ticket serializes
+    /// the batches.
     #[test]
     fn get_runs_never_cross_a_write_of_their_keys(
         stretches in prop::collection::vec(get_run_or_write(), 1..40),

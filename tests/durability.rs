@@ -467,6 +467,55 @@ fn a_checkpoint_is_not_a_maintenance_step() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `Insert k`, `Remove k`, `Insert k` and a duplicate `Insert k` in
+/// one submit run as one shard group, staged with one append: the log
+/// holds them under consecutive LSNs in op order, and a reopen
+/// restores the same multiset.
+#[test]
+fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
+    const K: i64 = 4242;
+    let dir = scratch("one-key-run");
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .router_workers(1)
+        .durability(DurabilityConfig::new(&dir).partitions(1))
+        .build()
+        .expect("valid durable config");
+    let ops = [
+        Op::Insert(K, 1),
+        Op::Remove(K),
+        Op::Insert(K, 2),
+        Op::Insert(K, 3),
+    ];
+    let replies = db.session().submit(&ops).wait();
+    let want = [
+        Reply::Inserted,
+        Reply::Removed(Some(1)),
+        Reply::Inserted,
+        Reply::Inserted,
+    ];
+    assert_eq!(replies, want);
+    drop(db);
+    // A record is an 8-byte frame header, then `lsn u64 · kind u8 ·
+    // key i64 · value i64`, little-endian (kind 0 inserts, 1 removes).
+    let log = std::fs::read(dir.join("wal_0_1.log")).expect("partition 0's log");
+    let field =
+        |rec: &[u8], at: usize| i64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+    let records: Vec<(i64, u8, i64, i64)> = (log.chunks(33))
+        .map(|rec| (field(rec, 8), rec[16], field(rec, 17), field(rec, 25)))
+        .collect();
+    assert_eq!(
+        records,
+        [(1, 0, K, 1), (2, 1, K, 0), (3, 0, K, 2), (4, 0, K, 3)]
+    );
+    let db = Db::open(&dir).expect("reopen recovers");
+    let mut got = dump(&db);
+    got.sort_unstable();
+    assert_eq!(got, [(K, 2), (K, 3)]);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `Db::open` on a fresh directory creates; on an existing WAL it
 /// recovers — the round trip preserves data with zero configuration.
 #[test]
