@@ -44,7 +44,7 @@ pub fn compute_marked_intervals(
     for seg in segs {
         let card = storage.card(seg);
         let meta = detector.segment(seg);
-        let marked = detector.is_recent(seg, cutoff) && meta.sc.unsigned_abs() >= THETA_SC as u16;
+        let marked = detector.is_recent(seg, cutoff) && meta.sc.unsigned_abs() >= THETA_SC;
         if marked && card > 0 {
             let score = if meta.sc > 0 { 1 } else { -1 };
             // Prefer the 2-element interval of a confident sequential
@@ -90,10 +90,11 @@ fn confident_pair(
         (pos < card && storage.seg_keys(seg)[pos] == key).then_some(pos)
     };
     // Prefer the more confident predictor; break ties backward-first.
-    let order = if meta.kfwd.counter > meta.kbwd.counter {
-        [(meta.kfwd, false), (meta.kbwd, true)]
+    let (kbwd, kfwd) = (meta.kbwd(), meta.kfwd());
+    let order = if kfwd.counter > kbwd.counter {
+        [(kfwd, false), (kbwd, true)]
     } else {
-        [(meta.kbwd, true), (meta.kfwd, false)]
+        [(kbwd, true), (kfwd, false)]
     };
     for (pred, backward) in order {
         if pred.counter == 0 {

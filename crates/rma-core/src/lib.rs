@@ -26,7 +26,9 @@
 //! 5. **Adaptive rebalancing** (§IV): a per-segment Detector predicts
 //!    insertion/deletion hot spots; rebalances then place gaps where
 //!    new inserts are expected (marked intervals), fixing the APMA
-//!    ping-pong pathology and supporting deletions via ±1 scores.
+//!    ping-pong pathology and supporting deletions via ±1 scores. A
+//!    segment's Detector metadata is one 64-byte cache line, which
+//!    every update prefetches together with the segment run.
 //!
 //! Plus the bottom-up **bulk loading** of §III, with the top-down
 //! scheme of Durand et al. (DRF12) implemented as the baseline.

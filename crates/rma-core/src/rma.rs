@@ -88,12 +88,11 @@ impl Rma {
         self.storage.backend_kind()
     }
 
-    /// Resident bytes: columns + cards + index + detector.
+    /// Resident bytes: columns + cards + index + detector. The
+    /// detector's share is exact: one 64-byte line per segment of its
+    /// capacity ([`Detector::memory_footprint`]).
     pub fn memory_footprint(&self) -> usize {
-        let det = self
-            .detector
-            .as_ref()
-            .map_or(0, |d| d.num_segments() * (detector::QUEUE_LEN * 8 + 48));
+        let det = self.detector.as_ref().map_or(0, Detector::memory_footprint);
         self.storage.memory_footprint() + self.index.memory_footprint() + det
     }
 
@@ -161,11 +160,22 @@ impl Rma {
     }
 
     /// The run-prefetch of the paths that go on to read or shift both
-    /// columns of `seg`: insert, remove and the lower-bound locate.
+    /// columns of `seg`: updates and the lower-bound locate.
     #[inline]
     fn prefetch_run(&self, seg: usize) {
         self.storage.prefetch_keys(seg);
         self.storage.prefetch_vals(seg);
+    }
+
+    /// The prefetch of an update to `seg`: its Detector line first,
+    /// then the run it shifts, so the line's miss overlaps the run's
+    /// instead of following them.
+    #[inline]
+    fn prefetch_update(&self, seg: usize) {
+        if let Some(det) = &self.detector {
+            det.prefetch(seg);
+        }
+        self.prefetch_run(seg);
     }
 
     /// Stage 2: the sorted position of `k` in `seg`, if it is stored
@@ -219,14 +229,17 @@ impl Rma {
 
     /// First element with key `>= k` in sorted order.
     pub fn first_ge(&self, k: Key) -> Option<(Key, Value)> {
-        let (seg, pos) = self.locate_lower_bound(k)?;
+        let (seg, pos) = self.locate_lower_bound(k, Self::prefetch_run)?;
         Some((
             self.storage.seg_keys(seg)[pos],
             self.storage.seg_vals(seg)[pos],
         ))
     }
 
-    fn locate_lower_bound(&self, k: Key) -> Option<(usize, usize)> {
+    /// The position of the first element `>= k`: its segment and its
+    /// index in the segment's run. `prefetch` runs on the routed
+    /// segment before its run is searched.
+    fn locate_lower_bound(&self, k: Key, prefetch: fn(&Self, usize)) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -235,7 +248,7 @@ impl Rma {
         // the first segment that can hold an element >= k, or
         // duplicate runs spanning segments would be skipped.
         let mut seg = self.index.search_lower_bound(k);
-        self.prefetch_run(seg);
+        prefetch(self, seg);
         let pos = self.storage.seg_lower_bound(seg, k);
         if pos < self.storage.card(seg) {
             return Some((seg, pos));
@@ -260,7 +273,9 @@ impl Rma {
     /// loop over it with no per-slot gap test.
     fn runs(&self, start: Key, count: usize) -> impl Iterator<Item = (&[Key], &[Value])> {
         let m = self.storage.seg_count();
-        let (first, mut skip) = self.locate_lower_bound(start).unwrap_or((m, 0));
+        let (first, mut skip) = self
+            .locate_lower_bound(start, Self::prefetch_run)
+            .unwrap_or((m, 0));
         let mut left = count;
         (first..m).map_while(move |seg| {
             if left == 0 {
@@ -338,7 +353,7 @@ impl Rma {
     /// `O(log²N / B)` slot moves per insertion.
     pub fn insert(&mut self, k: Key, v: Value) {
         let mut seg = self.index.search(k);
-        self.prefetch_run(seg);
+        self.prefetch_update(seg);
         if self.storage.card(seg) == self.cfg.segment_size {
             // τ₁ = 1: the segment filled completely; rebalance now.
             self.rebalance_for_insert(seg);
@@ -388,7 +403,7 @@ impl Rma {
             return None;
         }
         let seg = self.index.search(k);
-        self.prefetch_run(seg);
+        self.prefetch_update(seg);
         let pos = self.search(seg, k)?;
         Some(self.remove_at(seg, pos).1)
     }
@@ -400,7 +415,7 @@ impl Rma {
         if self.len == 0 {
             return None;
         }
-        if let Some((seg, pos)) = self.locate_lower_bound(k) {
+        if let Some((seg, pos)) = self.locate_lower_bound(k, Self::prefetch_update) {
             return Some(self.remove_at(seg, pos));
         }
         // Remove the global maximum.
@@ -458,7 +473,7 @@ impl Rma {
         let hammered = self
             .detector
             .as_ref()
-            .is_some_and(|d| d.segment(seg).sc.unsigned_abs() >= detector::THETA_SC as u16);
+            .is_some_and(|d| d.segment(seg).sc.unsigned_abs() >= detector::THETA_SC);
         let headroom = if hammered { b / 2 } else { 0 };
         let window = self.windows_above(seg).find(|(level, w)| {
             let cards = self.storage.cards_in(w.clone());
@@ -1144,6 +1159,84 @@ mod tests {
         }
     }
 
+    /// The Detector's decisions, pinned: five seeded streams at B = 8
+    /// and 16, adaptive on, each with the exact counts it produced
+    /// when the Detector kept a boxed `u64` ring per segment. A change
+    /// of its record, clock or cutoff that moved one decision — a
+    /// hammered trigger, a marked interval, a target — moves a count.
+    #[test]
+    fn adaptive_decisions_are_pinned() {
+        const N: i64 = 12_000;
+        type Stream = fn(&mut Rma, &mut proptest::TestRng);
+        let streams: [(&str, Stream); 5] = [
+            ("ascending", |r, _| (0..N).for_each(|k| r.insert(k, k))),
+            ("descending", |r, _| (0..N).for_each(|k| r.insert(N - k, k))),
+            ("three runs", |r, _| {
+                (0..N).for_each(|i| r.insert(i % 3 * 1_000_000 + i / 3, i))
+            }),
+            ("uniform", |r, rng| {
+                (0..N).for_each(|i| r.insert(rng.below(1 << 20) as i64, i))
+            }),
+            ("insert/remove", |r, rng| {
+                // Fill and drain phases; each interleaves both kinds.
+                for i in 0..2 * N {
+                    let k = rng.below(1 << 16) as i64;
+                    if (i / 3000 % 2 == 0) == (rng.below(3) != 0) {
+                        r.insert(k, i);
+                    } else if rng.below(2) == 0 {
+                        r.remove_successor(k);
+                    } else {
+                        let k = r.first_ge(k).map_or(k, |(k, _)| k);
+                        r.remove(k);
+                    }
+                }
+            }),
+        ];
+        /// (rebalances, adaptive, grows, shrinks, elements moved)
+        type Counts = (u64, u64, u64, u64, u64);
+        let want: [[Counts; 5]; 2] = [
+            [
+                (1993, 1993, 11, 0, 137_686),
+                (2140, 2140, 11, 0, 141_111),
+                (3084, 3047, 11, 0, 202_189),
+                (836, 759, 11, 0, 73_595),
+                (1902, 911, 18, 13, 50_320),
+            ],
+            [
+                (922, 922, 10, 0, 125_000),
+                (922, 922, 10, 0, 124_534),
+                (1221, 1218, 10, 0, 159_211),
+                (405, 322, 10, 0, 42_156),
+                (956, 730, 18, 13, 39_584),
+            ],
+        ];
+        let mut got = Vec::new();
+        for b in [8usize, 16] {
+            let mut row = Vec::new();
+            for (name, stream) in streams {
+                let mut r = Rma::new(RmaConfig {
+                    segment_size: b,
+                    rewiring: RewiringMode::Disabled,
+                    reserve_bytes: 1 << 26,
+                    ..Default::default()
+                });
+                stream(&mut r, &mut proptest::TestRng::new(31));
+                r.check_invariants();
+                let st = r.stats();
+                assert!(st.rebalances > 0, "B {b} {name}: {st:?}");
+                row.push((
+                    st.rebalances,
+                    st.adaptive_rebalances,
+                    st.grows,
+                    st.shrinks,
+                    st.elements_moved,
+                ));
+            }
+            got.push(row);
+        }
+        assert_eq!(got, want, "B = 8 row, then B = 16");
+    }
+
     #[test]
     fn rewired_mode_matches_copy_mode() {
         let mk = |rewired: bool| {
@@ -1304,5 +1397,22 @@ mod tests {
             r.insert(k, k);
         }
         assert!(r.memory_footprint() > empty * 10);
+    }
+
+    #[test]
+    fn the_detector_costs_one_line_a_segment() {
+        for adaptive in [true, false] {
+            let mut r = Rma::new(RmaConfig {
+                adaptive,
+                ..small_cfg()
+            });
+            for k in 0..20_000i64 {
+                r.insert(k * 7919 % 100_003, k);
+            }
+            assert!(r.stats().grows >= 5);
+            let det =
+                r.memory_footprint() - r.storage.memory_footprint() - r.index.memory_footprint();
+            assert_eq!(det, if adaptive { 64 * r.num_segments() } else { 0 });
+        }
     }
 }

@@ -46,8 +46,9 @@ pub struct AccessStats {
     lo: i128,
     /// Exclusive upper edge of the modelled range.
     hi: i128,
-    /// Per-bucket key width (>= 1).
-    width: i128,
+    /// Per-bucket key width (>= 1). The modelled range spans less
+    /// than 2^64 keys, so it fits a `u64`.
+    width: u64,
     buckets: Box<[AtomicU64]>,
 }
 
@@ -90,16 +91,24 @@ impl AccessStats {
             // The last bucket absorbs both the flooring remainder of
             // the width division and any width.max(1) overshoot.
             hi: hi.max(lo + num_buckets as i128 * width),
-            width,
+            width: u64::try_from(width).expect("the modelled range spans under 2^64 keys"),
             buckets: (0..num_buckets).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Bucket index of key `k`, saturating at the range edges.
+    /// Bucket index of key `k`, saturating at the range edges. Runs on
+    /// every recorded key, so it divides in 64 bits. A key below `lo`
+    /// is bucket 0; an offset `k − lo` too large for a `u64` (only
+    /// when `lo` lies below `Key::MIN`) saturates, which still lands
+    /// in the last bucket.
     #[inline]
     fn bucket_of(&self, k: Key) -> usize {
-        let idx = (k as i128 - self.lo) / self.width;
-        idx.clamp(0, self.buckets.len() as i128 - 1) as usize
+        let offset = k as i128 - self.lo;
+        if offset < 0 {
+            return 0;
+        }
+        let offset = u64::try_from(offset).unwrap_or(u64::MAX);
+        ((offset / self.width) as usize).min(self.buckets.len() - 1)
     }
 
     /// Records one access to key `k`. Lock-free; decay is driven
@@ -141,7 +150,7 @@ impl AccessStats {
     /// The last bucket's upper edge extends to the modelled range
     /// end, so keys saturated into it stay inside its reported range.
     pub fn weighted_buckets(&self) -> Vec<(Key, Key, u64)> {
-        let n = self.buckets.len() as i128;
+        let (n, width) = (self.buckets.len() as i128, i128::from(self.width));
         self.buckets
             .iter()
             .enumerate()
@@ -150,11 +159,11 @@ impl AccessStats {
                 if w == 0 {
                     return None;
                 }
-                let blo = self.lo + i as i128 * self.width;
+                let blo = self.lo + i as i128 * width;
                 let bhi = if i as i128 + 1 == n {
                     self.hi
                 } else {
-                    self.lo + (i as i128 + 1) * self.width
+                    self.lo + (i as i128 + 1) * width
                 };
                 Some((clamp_key(blo), clamp_key(bhi), w))
             })
@@ -167,17 +176,17 @@ impl AccessStats {
     /// outside this histogram's range saturates into the edge buckets
     /// (nothing is dropped).
     pub fn seed(&self, weights: &[(Key, Key, u64)]) {
-        let n = self.buckets.len() as i128;
+        let (n, width) = (self.buckets.len() as i128, i128::from(self.width));
         for &(slo, shi, w) in weights {
             let (slo, shi) = (slo as i128, (shi as i128).max(slo as i128 + 1));
             let src_width = shi - slo;
             // Destination bucket range the source overlaps (clamped).
-            let first = ((slo - self.lo) / self.width).clamp(0, n - 1);
-            let last = ((shi - 1 - self.lo) / self.width).clamp(0, n - 1);
+            let first = ((slo - self.lo) / width).clamp(0, n - 1);
+            let last = ((shi - 1 - self.lo) / width).clamp(0, n - 1);
             let mut assigned = 0u64;
             for d in first..last {
-                let dhi = self.lo + (d + 1) * self.width;
-                let overlap = (dhi.min(shi) - slo.max(self.lo + d * self.width)).max(0);
+                let dhi = self.lo + (d + 1) * width;
+                let overlap = (dhi.min(shi) - slo.max(self.lo + d * width)).max(0);
                 let share = ((w as i128 * overlap) / src_width) as u64;
                 self.buckets[d as usize].fetch_add(share, Relaxed);
                 assigned += share;
@@ -301,6 +310,43 @@ mod tests {
         h.record(5);
         h.record(4);
         assert_eq!(h.total(), 2);
+    }
+
+    /// `bucket_of` divides in 64 bits; the reference is the formula it
+    /// replaced, in `i128`.
+    #[test]
+    fn bucket_of_matches_the_i128_formula() {
+        let ranges = [
+            (None, Some(i64::MIN + 1)),
+            (None, Some(i64::MIN)),
+            (Some(i64::MIN), None),
+            (Some(i64::MIN), Some(i64::MAX)),
+            (None, None),
+            (Some(-1000), Some(1 << 40)),
+            (Some(5), Some(5)),
+            (Some(i64::MAX), None),
+        ];
+        let mut rng = proptest::TestRng::new(11);
+        for (lo, hi) in ranges {
+            for n in [1usize, 3, 64, 1000] {
+                let h = AccessStats::new(lo, hi, n);
+                let reference = |k: Key| {
+                    let idx = (k as i128 - h.lo) / h.width as i128;
+                    idx.clamp(0, n as i128 - 1) as usize
+                };
+                let clamp = |x: i128| x.clamp(Key::MIN as i128, Key::MAX as i128) as Key;
+                let mut keys = vec![Key::MIN, Key::MAX, 0, clamp(h.lo - 1), clamp(h.hi)];
+                for i in 0..=n as i128 {
+                    let edge = h.lo + i * h.width as i128;
+                    keys.extend([clamp(edge - 1), clamp(edge), clamp(edge + 1)]);
+                }
+                keys.extend((0..2000).map(|_| rng.next_u64() as Key));
+                keys.extend((0..2000).map(|_| clamp(h.lo + (rng.next_u64() >> 1) as i128)));
+                for k in keys {
+                    assert_eq!(h.bucket_of(k), reference(k), "{lo:?}..{hi:?} / {n}: {k}");
+                }
+            }
+        }
     }
 
     #[test]
