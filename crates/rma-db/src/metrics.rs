@@ -271,7 +271,6 @@ impl MetricsSnapshot {
             ("rma_maintenance_rebuilds_total", m.rebuilds),
             ("rma_maintenance_consolidations_total", m.consolidations),
             ("rma_topologies_published_total", m.topologies_published),
-            ("rma_batch_reroutes_total", m.batch_reroutes),
             ("rma_write_reroutes_total", m.write_reroutes),
             ("rma_sessions_opened_total", r.sessions_opened),
             ("rma_batches_submitted_total", r.batches_submitted),
@@ -432,7 +431,7 @@ impl std::fmt::Display for DbSnapshot {
             "maintenance: {} plans ({} relearns), {}/{} steps executed/planned \
              ({} splits / {} merges / {} nudges / {} rebuilds, {} consolidation merges; \
              {} skipped, {} dropped), {} keys migrated, {} topologies, max step {:.1} µs, \
-             {} batch + {} write reroutes",
+             {} write reroutes",
             m.plans,
             m.relearns,
             m.steps_executed,
@@ -447,7 +446,6 @@ impl std::fmt::Display for DbSnapshot {
             m.keys_migrated,
             m.topologies_published,
             us(m.max_step_wall_ns),
-            m.batch_reroutes,
             m.write_reroutes
         )?;
         if let Some(mt) = &self.maintainer {

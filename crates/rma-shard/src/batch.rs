@@ -6,21 +6,18 @@
 //! shards-with-work)` workers; each worker takes its shards' write
 //! locks one at a time, so workers never contend with each other and
 //! the paper's bottom-up bulk-load machinery runs unchanged inside
-//! each shard. Sub-batches that land on a shard retired by concurrent
-//! maintenance are collected and re-applied against the fresh
-//! topology (a bounded retry: maintenance publications are rare and
-//! serialized).
+//! each shard. A sub-batch is one shard write section like any other
+//! write; one that lands on a shard retired by concurrent maintenance
+//! re-enters [`ShardedRma::apply_batch`] on its own, against a fresh
+//! topology.
 
+use crate::optimistic::TopoGuard;
 use crate::shard::{LockStats, Shard, Topology};
 use crate::splitter::Splitters;
 use crate::{DurabilityOp, ShardConfig, ShardedRma};
 use rma_core::{Key, Rma, Value};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-
-/// Sub-batches bounced off retired shards, awaiting a re-route
-/// against the successor topology.
-type Leftover = (Vec<(Key, Value)>, Vec<Key>);
+use std::sync::Arc;
 
 /// Worker count for `n_jobs` independent shard jobs.
 fn workers_for(n_jobs: usize) -> usize {
@@ -88,38 +85,19 @@ impl ShardedRma {
             inserts.windows(2).all(|w| w[0].0 <= w[1].0),
             "insert batch must be sorted"
         );
-        let (mut deleted, mut ins_left, mut del_left) = self.apply_batch_round(inserts, deletes);
-        while !ins_left.is_empty() || !del_left.is_empty() {
-            // A concurrent maintenance publication retired some target
-            // shards mid-round; re-route the leftovers. The plan
-            // engine publishes one topology *per step*, so under an
-            // active drain this round trips far more often than under
-            // the old monolithic passes — each round re-partitions
-            // only the bounced remainder, and `batch_reroutes` counts
-            // how often it happens. Per-shard chunks were appended
-            // whole, so a stable sort restores global key order
-            // without reordering duplicates (equal keys never span
-            // shards).
-            self.maint_counters().batch_reroutes.fetch_add(1, Relaxed);
-            std::thread::yield_now();
-            ins_left.sort_by_key(|p| p.0);
-            let (d, ins_next, del_next) = self.apply_batch_round(&ins_left, &del_left);
-            deleted += d;
-            ins_left = ins_next;
-            del_left = del_next;
-        }
-        deleted
+        self.apply_batch_on(self.topo(), inserts, deletes)
     }
 
-    /// One routing round: partitions against the current topology and
-    /// applies in parallel; sub-batches whose shard was retired come
-    /// back as leftovers for the caller to re-route.
-    fn apply_batch_round(
-        &self,
+    /// [`apply_batch`](Self::apply_batch) routed against `topo`, which
+    /// maintenance may already have replaced. A sub-batch whose shard
+    /// was retired re-enters `apply_batch` on its own: its inserts are
+    /// a contiguous, still sorted sub-slice.
+    pub(crate) fn apply_batch_on<'s>(
+        &'s self,
+        topo: TopoGuard<'s>,
         inserts: &[(Key, Value)],
         deletes: &[Key],
-    ) -> (usize, Vec<(Key, Value)>, Vec<Key>) {
-        let topo = self.topo();
+    ) -> usize {
         let n = topo.shards.len();
         let parts = topo.splitters.partition_sorted(inserts);
         let mut dels: Vec<Vec<Key>> = vec![Vec::new(); n];
@@ -131,53 +109,35 @@ impl ShardedRma {
             .filter(|&i| !parts[i].is_empty() || !dels[i].is_empty())
             .collect();
         if work.is_empty() {
-            return (0, Vec::new(), Vec::new());
+            return 0;
         }
         let deleted = AtomicUsize::new(0);
-        let leftover: Mutex<Leftover> = Mutex::new(Default::default());
         let t = workers_for(work.len());
         std::thread::scope(|sc| {
             for tid in 0..t {
-                let (topo, work, parts, dels, deleted, leftover) =
-                    (&topo, &work, &parts, &dels, &deleted, &leftover);
+                let (topo, work, parts, dels, deleted) = (&topo, &work, &parts, &dels, &deleted);
                 sc.spawn(move || {
                     for &i in work.iter().skip(tid).step_by(t) {
-                        let shard = &topo.shards[i];
-                        let mut guard = shard.write();
-                        if guard.is_retired() {
-                            let mut lo = leftover.lock().expect("leftover lock poisoned");
-                            lo.0.extend_from_slice(&inserts[parts[i].clone()]);
-                            lo.1.extend_from_slice(&dels[i]);
-                            continue;
-                        }
-                        let batch_ops = (parts[i].len() + dels[i].len()) as u64;
-                        shard.writes.fetch_add(batch_ops, Relaxed);
-                        for &(k, _) in &inserts[parts[i].clone()] {
-                            shard.stats.record(k);
-                        }
-                        for &k in &dels[i] {
-                            shard.stats.record(k);
-                        }
-                        self.tick_decay(topo, batch_ops);
-                        let d = guard
-                            .mutate(|rma| rma.apply_batch(&inserts[parts[i].clone()], &dels[i]));
+                        let (ins, dels) = (&inserts[parts[i].clone()], &dels[i][..]);
+                        let keys = |_: Option<&usize>| {
+                            ins.iter().map(|&(k, _)| k).chain(dels.iter().copied())
+                        };
+                        let d = self.write_locked(topo, &topo.shards[i], [], keys, |rma, log| {
+                            // In apply order: `Rma::apply_batch` runs
+                            // its delete pass before its insert pass,
+                            // and replaying a delete of an absent key
+                            // is a no-op either way.
+                            log.extend(dels.iter().map(|&k| DurabilityOp::Remove(k)));
+                            log.extend(ins.iter().map(|&(k, v)| DurabilityOp::Insert(k, v)));
+                            rma.apply_batch(ins, dels)
+                        });
+                        let d = d.unwrap_or_else(|| self.apply_batch(ins, dels));
                         deleted.fetch_add(d, Relaxed);
-                        // Log under the shard lock, in apply order:
-                        // `apply_batch` runs its delete pass before
-                        // its insert pass, and replaying a delete of
-                        // an absent key is a no-op either way.
-                        if let Some(wal) = self.durability() {
-                            let dels = dels[i].iter().map(|&k| DurabilityOp::Remove(k));
-                            let ins = (inserts[parts[i].clone()].iter())
-                                .map(|&(k, v)| DurabilityOp::Insert(k, v));
-                            wal.append(&dels.chain(ins).collect::<Vec<_>>());
-                        }
                     }
                 });
             }
         });
-        let (ins_left, del_left) = leftover.into_inner().expect("leftover lock poisoned");
-        (deleted.load(Relaxed), ins_left, del_left)
+        deleted.load(Relaxed)
     }
 }
 

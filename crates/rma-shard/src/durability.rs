@@ -6,8 +6,8 @@
 //! only if records for the same key land in the log in the same order
 //! their effects landed in the index. The engine therefore calls
 //! [`DurabilitySink::append`] **while still holding the shard write
-//! lock** of the mutations it describes (one call per lock hold, with
-//! the mutations in apply order), and calls
+//! lock** of the mutations it describes (once per lock hold, from the
+//! one shard write section, with the mutations in apply order), and calls
 //! [`DurabilitySink::checkpoint_cut`] while holding every shard lock
 //! overlapping the partition being checkpointed — so the cut LSN
 //! cleanly separates "state captured by the checkpoint" from "state
@@ -51,13 +51,15 @@ impl DurabilityOp {
 /// crates stay decoupled (`rma-wal` depends on `rma-shard`, not the
 /// other way around).
 pub trait DurabilitySink: Send + Sync {
-    /// Records applied mutations, in the order they were applied:
-    /// one for a single-key write, a whole shard group's for
-    /// [`ShardedRma::apply_ops`], a shard's sub-batch for
-    /// [`ShardedRma::apply_batch`]. Called under the shard write lock
-    /// of the mutations, before it drops, so same-key records are
-    /// logged in apply order and a checkpoint cut drawn under that
-    /// lock sees all of them or none. Must be cheap: implementations
+    /// Records applied mutations, in the order they were applied: a
+    /// shard group's for [`ShardedRma::apply_ops`] (a single-key write
+    /// is a one-op group), a shard's sub-batch for
+    /// [`ShardedRma::apply_batch`], the removed element for
+    /// [`ShardedRma::remove_successor`]. The engine's one call site is
+    /// the end of its shard write section, under the shard write lock
+    /// of the mutations, so same-key records are logged in apply order
+    /// and a checkpoint cut drawn under that lock sees all of them or
+    /// none. Must be cheap: implementations
     /// stage into a buffer and defer fsync to their commit barrier. A
     /// sink that has degraded (log device error) silently drops the
     /// records — the commit barrier is what refuses the
@@ -88,6 +90,18 @@ pub trait DurabilitySink: Send + Sync {
     fn seal_checkpoint(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> bool;
 }
 
+/// The mutations one shard write section applied, staged in apply
+/// order for its one [`DurabilitySink::append`]; `None` without a sink.
+pub(crate) struct Staged(pub(crate) Option<Vec<DurabilityOp>>);
+
+impl Extend<DurabilityOp> for Staged {
+    fn extend<I: IntoIterator<Item = DurabilityOp>>(&mut self, ops: I) {
+        if let Some(staged) = &mut self.0 {
+            staged.extend(ops);
+        }
+    }
+}
+
 impl ShardedRma {
     /// Seals a checkpoint of every durability partition and returns
     /// how many sealed (0 without a sink). Per partition: write-lock
@@ -109,7 +123,7 @@ impl ShardedRma {
             let t0 = rma_obs::now_ns();
             let _maint = self.maintenance_guard();
             let (lo, hi) = sink.partition_range(p);
-            let topo = self.topo_handle().load_exclusive();
+            let topo = self.handle.load_exclusive();
             let (j0, j1) = topo.splitters.overlapping(lo, hi);
             let guards = StepGuards::lock(&topo.shards, j0..=j1);
             let cut = sink.checkpoint_cut(p);

@@ -72,10 +72,11 @@
 //! background re-learning to ≤ 10 ms at 2^20 scale, vs hundreds of
 //! milliseconds for the monolithic baseline). Readers observing a
 //! retired topology serve the pre-swap snapshot, which is
-//! linearizable at the instant they acquired the topology pointer.
-//! Writers that reach a retired shard re-route through the fresh
-//! topology (a bounded retry). [`ShardedRma::lock_acquisitions`] is
-//! the test hook proving the happy path stays lock-free;
+//! linearizable at the instant they acquired the topology pointer. A
+//! write that reaches a retired shard re-enters its own entry point
+//! with only the bounced ops, on a fresh topology.
+//! [`ShardedRma::lock_acquisitions`] is the test hook proving the
+//! happy path stays lock-free;
 //! [`ShardedRma::maintenance_stats`] is the one ledger of what
 //! maintenance did: plans, steps by kind, migrations and worst-step
 //! wall time.
@@ -139,9 +140,10 @@ pub use obs::EngineObs;
 pub use shard::LockStats;
 pub use splitter::Splitters;
 
+use durability::Staged;
 use optimistic::{TopoGuard, TopoHandle};
 use rma_core::{Key, Value};
-use shard::{ShardWriteGuard, Topology};
+use shard::{Shard, Topology};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -210,8 +212,8 @@ pub struct EngineSnapshot {
     /// Bytes held by the splitter array the router searches — grows
     /// with the live shard count, shrinks under consolidation.
     pub splitter_bytes: usize,
-    /// Operations recorded on the shared decay clock (in
-    /// `DECAY_TICK_BATCH`-sized granules for point ops).
+    /// Operations recorded on the shared decay clock, in
+    /// `DECAY_TICK_BATCH`-sized granules.
     pub op_count: u64,
     /// Max/mean decayed access mass across shards (`1.0` = balanced).
     pub access_imbalance: f64,
@@ -300,7 +302,8 @@ pub struct ShardedRma {
     op_clock: AtomicU64,
     lock_stats: Arc<LockStats>,
     /// Counters behind [`maintenance_stats`](Self::maintenance_stats):
-    /// bumped by the plan engine and the batch re-route path.
+    /// bumped by the plan engine and by writes that bounce off a
+    /// retired shard.
     maint_counters: MaintCounters,
     /// Event journal + maintenance histograms (see [`EngineObs`]).
     obs: EngineObs,
@@ -326,7 +329,6 @@ pub(crate) struct MaintCounters {
     pub(crate) rebuilds: AtomicU64,
     pub(crate) consolidations: AtomicU64,
     pub(crate) max_step_ns: AtomicU64,
-    pub(crate) batch_reroutes: AtomicU64,
     pub(crate) write_reroutes: AtomicU64,
 }
 
@@ -376,13 +378,9 @@ pub struct MaintenanceStats {
     /// — the bound on how long a writer could have queued behind
     /// maintenance.
     pub max_step_wall_ns: u64,
-    /// `apply_batch` rounds that had to re-route leftovers after a
-    /// step retired their target shard mid-flight.
-    pub batch_reroutes: u64,
-    /// Writes that reached a retired shard and had to re-route
-    /// through a fresh topology: a single-key mutation counts once per
-    /// retry, and an [`apply_ops`](ShardedRma::apply_ops) group that
-    /// found its shard retired counts each of its writes once.
+    /// Writes that found their shard retired by a step and re-entered
+    /// their entry point on a fresh topology, once per bounce: point,
+    /// batch and successor writes alike.
     pub write_reroutes: u64,
 }
 
@@ -450,14 +448,6 @@ impl ShardedRma {
         self.handle.pin()
     }
 
-    pub(crate) fn topo_handle(&self) -> &TopoHandle {
-        &self.handle
-    }
-
-    pub(crate) fn lock_stats_arc(&self) -> &Arc<LockStats> {
-        &self.lock_stats
-    }
-
     /// Serializes maintenance; every topology publication happens
     /// under this guard.
     pub(crate) fn maintenance_guard(&self) -> MutexGuard<'_, ()> {
@@ -469,12 +459,12 @@ impl ShardedRma {
     /// shard's histogram halves in one sweep. Capped at 64 halvings —
     /// beyond that a u64 counter is zero anyway.
     ///
-    /// Point-op paths call this once per [`DECAY_TICK_BATCH`]
-    /// shard-local operations (not per op), so the shared clock's
-    /// cache line is touched ~64× less often than the shards' own
-    /// counters — the histogram layer stays coordination-free on the
-    /// hot path. The clock always advances (the background maintainer
-    /// reads it as the op-rate signal) even when decay is disabled.
+    /// [`record_access`](Self::record_access) calls this once per
+    /// [`DECAY_TICK_BATCH`] shard-local operations, so the shared
+    /// clock's cache line is touched ~64× less often than the shards'
+    /// own counters. The clock always advances (the background
+    /// maintainer reads it as the op-rate signal) even when decay is
+    /// disabled.
     pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
         let prev = self.op_clock.fetch_add(n, Relaxed);
         let period = self.cfg.decay_every;
@@ -489,10 +479,9 @@ impl ShardedRma {
         }
     }
 
-    /// Total operations recorded on the shared clock (in
-    /// `DECAY_TICK_BATCH` granules for point ops; exact for
-    /// batches). The background maintainer differentiates this to
-    /// estimate the op rate.
+    /// Total operations recorded on the shared clock, in
+    /// `DECAY_TICK_BATCH` granules. The background maintainer
+    /// differentiates this to estimate the op rate.
     pub fn op_count(&self) -> u64 {
         self.op_clock.load(Relaxed)
     }
@@ -509,10 +498,6 @@ impl ShardedRma {
             self.lock_stats.read_locks.load(Relaxed),
             self.lock_stats.write_locks.load(Relaxed),
         )
-    }
-
-    pub(crate) fn maint_counters(&self) -> &MaintCounters {
-        &self.maint_counters
     }
 
     /// Lifetime counters of the incremental maintenance engine: plans
@@ -539,7 +524,6 @@ impl ShardedRma {
             consolidations: c.consolidations.load(Relaxed),
             topologies_published: self.handle.publications(),
             max_step_wall_ns: c.max_step_ns.load(Relaxed),
-            batch_reroutes: c.batch_reroutes.load(Relaxed),
             write_reroutes: c.write_reroutes.load(Relaxed),
         }
     }
@@ -665,13 +649,11 @@ impl ShardedRma {
     /// `Insert`. Overwrites all of `out`.
     ///
     /// The ops are grouped by shard 64 at a time. A read-only group is
-    /// one optimistic look; a group with a write holds the shard's
-    /// write lock **once** — one access record per counter, one
-    /// `writing` bracket over the group, and one
-    /// [`DurabilitySink::append`] of the mutations that took effect
-    /// before the lock drops. A group whose shard maintenance retired
-    /// re-routes op by op, and the rest of the call re-pins the
-    /// topology, so no later block reads the retired shard past a
+    /// one optimistic look; a group with a write is one shard write
+    /// section: one write lock, access record, `writing` bracket and
+    /// [`DurabilitySink::append`]. A group whose shard maintenance retired
+    /// re-enters `apply_ops` op by op, and the rest of the call re-pins
+    /// the topology, so no later block reads the retired shard past a
     /// write this call placed in its successor.
     ///
     /// Ops on one shard — so every op on one key — execute in
@@ -734,7 +716,7 @@ impl ShardedRma {
     fn read_group(
         &self,
         topo: &Topology,
-        shard: &shard::Shard,
+        shard: &Shard,
         ops: &[PointOp],
         group: u64,
         out: &mut [Option<Value>],
@@ -760,61 +742,86 @@ impl ShardedRma {
         }
     }
 
-    /// A group with a write (`writes` masks them), in one hold of the
-    /// shard's write lock; every insert and every remove that found
-    /// its key is logged, in group order. Returns `false` when the
-    /// shard was retired and the group re-routed op by op, each write
-    /// counted in `write_reroutes`.
+    /// A group with a write (`writes` masks them), in one
+    /// [`write_locked`](Self::write_locked) section that logs every
+    /// insert and every remove that found its key, in group order.
+    /// Returns `false` when the shard was retired and the group
+    /// re-entered `apply_ops` op by op.
     fn write_group(
         &self,
         topo: &Topology,
-        shard: &shard::Shard,
+        shard: &Shard,
         ops: &[PointOp],
         group: u64,
         writes: u64,
         out: &mut [Option<Value>],
     ) -> bool {
-        let mut guard = shard.write();
-        if guard.is_retired() {
-            drop(guard);
-            let reroutes = &self.maint_counters.write_reroutes;
-            reroutes.fetch_add(writes.count_ones().into(), Relaxed);
-            // One op at a time is the single-key call: routed on a
-            // fresh topology, retried if that one is retired too.
-            for i in bits(group) {
-                self.apply_ops(std::slice::from_ref(&ops[i]), &mut out[i..=i]);
-            }
-            return false;
-        }
         let key = |i: usize| ops[i].key();
-        self.record_access(topo, shard, &shard.reads, bits(group & !writes).map(key));
-        self.record_access(topo, shard, &shard.writes, bits(writes).map(key));
-        guard.mutate(|rma| {
+        let reads = bits(group & !writes).map(key);
+        let written = |_: Option<&()>| bits(writes).map(key);
+        let applied = self.write_locked(topo, shard, reads, written, |rma, log| {
             for i in bits(group) {
                 out[i] = match ops[i] {
                     PointOp::Get(k) => rma.get(k),
                     PointOp::Insert(k, v) => {
                         rma.insert(k, v);
+                        log.extend([DurabilityOp::Insert(k, v)]);
                         None
                     }
-                    PointOp::Remove(k) => rma.remove(k),
+                    PointOp::Remove(k) => {
+                        let removed = rma.remove(k);
+                        log.extend(removed.map(|_| DurabilityOp::Remove(k)));
+                        removed
+                    }
                 };
             }
         });
-        if let Some(wal) = &self.wal {
-            let mut log = [DurabilityOp::Remove(0); GET_MANY_BLOCK];
-            let mut n = 0;
-            for i in bits(writes) {
-                log[n] = match (ops[i], out[i]) {
-                    (PointOp::Insert(k, v), _) => DurabilityOp::Insert(k, v),
-                    (PointOp::Remove(k), Some(_)) => DurabilityOp::Remove(k),
-                    _ => continue,
-                };
-                n += 1;
+        if applied.is_none() {
+            for i in bits(group) {
+                self.apply_ops(std::slice::from_ref(&ops[i]), &mut out[i..=i]);
             }
-            wal.append(&log[..n]);
         }
-        true
+        applied.is_some()
+    }
+
+    /// The one shard write, which every write in this crate is: takes
+    /// `shard`'s write lock; if maintenance retired the shard, counts
+    /// the writes in `write_reroutes` and returns `None`, and the
+    /// caller re-enters its own entry point with just the bounced ops,
+    /// on a fresh pin. Otherwise records `reads`, runs `apply` in one
+    /// `mutate` bracket, records the writes, and hands what `apply`
+    /// staged to the sink in one [`DurabilitySink::append`] before the
+    /// lock drops. `writes` names the written keys from `apply`'s
+    /// result (a removal by range learns its key only there), or as
+    /// many keys as writes bounced, given `None`.
+    fn write_locked<R, W: IntoIterator<Item = Key>>(
+        &self,
+        topo: &Topology,
+        shard: &Shard,
+        reads: impl IntoIterator<Item = Key>,
+        writes: impl FnOnce(Option<&R>) -> W,
+        apply: impl FnOnce(&mut rma_core::Rma, &mut Staged) -> R,
+    ) -> Option<R> {
+        let mut guard = shard.write();
+        if guard.is_retired() {
+            let reroutes = &self.maint_counters.write_reroutes;
+            reroutes.fetch_add(writes(None).into_iter().count() as u64, Relaxed);
+            return None;
+        }
+        self.record_access(topo, shard, &shard.reads, reads);
+        let mut log = Staged(
+            self.wal
+                .is_some()
+                .then(|| Vec::with_capacity(GET_MANY_BLOCK)),
+        );
+        let out = guard.mutate(|rma| apply(rma, &mut log));
+        self.record_access(topo, shard, &shard.writes, writes(Some(&out)));
+        if let (Some(wal), Some(ops)) = (&self.wal, log.0) {
+            if !ops.is_empty() {
+                wal.append(&ops);
+            }
+        }
+        Some(out)
     }
 
     /// The one way an access is recorded: every key in the shard's
@@ -825,7 +832,7 @@ impl ShardedRma {
     pub(crate) fn record_access(
         &self,
         topo: &Topology,
-        shard: &shard::Shard,
+        shard: &Shard,
         counter: &AtomicU64,
         keys: impl IntoIterator<Item = Key>,
     ) {
@@ -851,7 +858,7 @@ impl ShardedRma {
     fn read_keys<R>(
         &self,
         topo: &Topology,
-        shard: &shard::Shard,
+        shard: &Shard,
         keys: impl IntoIterator<Item = Key>,
         read: impl FnOnce(&rma_core::Rma) -> R,
     ) -> R {
@@ -859,76 +866,20 @@ impl ShardedRma {
         shard.peek(read)
     }
 
-    /// Runs `attempt` against a freshly pinned topology until it
-    /// succeeds. An attempt returns `None` to signal it found only
-    /// retired state (a maintenance step replaced its target shard
-    /// mid-flight) and must re-route. The retry is immediate — no
-    /// yield: a retired flag only becomes observable under a shard
-    /// lock the step released *after* publishing its successor
-    /// topology, so re-pinning is guaranteed to see the fresh routing
-    /// (yielding here would donate a scheduler slice to the busy
-    /// maintainer thread and stretch the writer's stall for nothing).
-    /// The single home of the retire-retry idiom shared by `insert`,
-    /// `remove` and `remove_successor`.
-    pub(crate) fn with_topo_retry<R>(&self, mut attempt: impl FnMut(&Topology) -> Option<R>) -> R {
-        loop {
-            let topo = self.topo();
-            if let Some(out) = attempt(&topo) {
-                return out;
-            }
-            drop(topo);
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Routes `k` to its shard, takes the shard's write lock, records
-    /// the access, and runs `op` on the guard — re-routing through a
-    /// fresh topology whenever a maintenance step retired the target
-    /// shard first. Every single-key mutation goes through here, so
-    /// the step executor's frequent topology swaps exercise exactly
-    /// one retry path.
-    fn route_mut_with_retry<R>(
-        &self,
-        k: Key,
-        mut op: impl FnMut(&mut ShardWriteGuard<'_>) -> R,
-    ) -> R {
-        self.with_topo_retry(|topo| {
-            let shard = &topo.shards[topo.splitters.route(k)];
-            let mut guard = shard.write();
-            if guard.is_retired() {
-                self.maint_counters.write_reroutes.fetch_add(1, Relaxed);
-                return None;
-            }
-            self.record_access(topo, shard, &shard.writes, [k]);
-            Some(op(&mut guard))
-        })
-    }
-
-    /// Inserts `(k, v)` (duplicates kept): routes to one shard and
-    /// writes under its exclusive lock (plus the writer half of the
-    /// pin protocol). A rebalance or resize this triggers stays inside
-    /// the shard. Re-routes if maintenance retired the shard
-    /// mid-flight.
+    /// Inserts `(k, v)` (duplicates kept): a one-op
+    /// [`apply_ops`](Self::apply_ops), so one shard's write lock (plus
+    /// the writer half of the pin protocol). A rebalance or resize this
+    /// triggers stays inside the shard.
     pub fn insert(&self, k: Key, v: Value) {
-        self.route_mut_with_retry(k, |guard| {
-            guard.mutate(|rma| rma.insert(k, v));
-            if let Some(wal) = &self.wal {
-                wal.append(&[DurabilityOp::Insert(k, v)]);
-            }
-        });
+        self.apply_ops(&[PointOp::Insert(k, v)], &mut [None]);
     }
 
-    /// Removes one element with key exactly `k`, returning its value.
+    /// Removes one element with key exactly `k`, returning its value:
+    /// a one-op [`apply_ops`](Self::apply_ops).
     pub fn remove(&self, k: Key) -> Option<Value> {
-        self.route_mut_with_retry(k, |guard| {
-            let out = guard.mutate(|rma| rma.remove(k));
-            if out.is_some() {
-                if let Some(wal) = &self.wal {
-                    wal.append(&[DurabilityOp::Remove(k)]);
-                }
-            }
-            out
-        })
+        let mut out = [None];
+        self.apply_ops(&[PointOp::Remove(k)], &mut out);
+        out[0]
     }
 
     // ---------------------------------------------- access signal --
@@ -1182,20 +1133,214 @@ mod tests {
         s.check_invariants();
     }
 
+    /// Runs one maintenance step on `s` and says whether it ran.
+    fn step(s: &ShardedRma, step: MaintenanceStep) -> bool {
+        let report = s.execute_step(&mut s.plan_of(&[step], false));
+        report.expect("one step planned").executed
+    }
+
+    /// Hands `f` a topology pinned before a split at `at` published its
+    /// successor: a write `f` routes into the split shard finds it
+    /// retired.
+    fn on_stale_topology<'s>(s: &'s ShardedRma, at: Key, f: impl FnOnce(TopoGuard<'s>)) {
+        let published = s.maintenance_stats().topologies_published;
+        let stale = s.topo();
+        std::thread::scope(|sc| {
+            // Blocks in its grace wait until `f` drops `stale`.
+            let splitter = sc.spawn(|| step(s, MaintenanceStep::SplitShard { at }));
+            while s.maintenance_stats().topologies_published == published {
+                std::thread::yield_now();
+            }
+            f(stale);
+            assert!(splitter.join().expect("split thread"), "split at {at}");
+        });
+    }
+
+    /// A durability sink that keeps each append as one `Vec`.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Vec<DurabilityOp>>>);
+
+    impl Recorder {
+        /// The appends since the last call.
+        fn take(&self) -> Vec<Vec<DurabilityOp>> {
+            std::mem::take(&mut self.0.lock().expect("recorder lock"))
+        }
+    }
+
+    impl DurabilitySink for Recorder {
+        fn append(&self, ops: &[DurabilityOp]) {
+            self.0.lock().expect("recorder lock").push(ops.to_vec());
+        }
+        fn partitions(&self) -> usize {
+            1
+        }
+        fn partition_range(&self, _: usize) -> (Option<Key>, Option<Key>) {
+            (None, None)
+        }
+        fn checkpoint_cut(&self, _: usize) -> u64 {
+            0
+        }
+        fn seal_checkpoint(&self, _: usize, _: u64, _: &[(Key, Value)]) -> bool {
+            true
+        }
+    }
+
+    /// An engine over `splitters` whose appends `Recorder` keeps.
+    fn recorded(splitters: Vec<Key>) -> (ShardedRma, Arc<Recorder>) {
+        let cfg = small_cfg(splitters.len() + 1);
+        let mut s = ShardedRma::with_splitters(cfg, Splitters::new(splitters));
+        let sink = Arc::new(Recorder::default());
+        s.set_durability(Arc::clone(&sink) as Arc<dyn DurabilitySink>);
+        (s, sink)
+    }
+
+    #[test]
+    fn every_write_entry_point_logs_each_applied_mutation_once_in_apply_order() {
+        use DurabilityOp::{Insert, Remove};
+        let (s, log) = recorded(vec![250, 500, 750]);
+        s.insert(5, 50);
+        assert_eq!(log.take(), [vec![Insert(5, 50)]]);
+        assert_eq!(s.remove(5), Some(50));
+        assert_eq!(log.take(), [vec![Remove(5)]]);
+        assert_eq!(s.remove(5), None);
+        assert_eq!(
+            log.take(),
+            Vec::<Vec<DurabilityOp>>::new(),
+            "a miss logs nothing"
+        );
+        // One group: its get and its missing remove log nothing.
+        let ops = [
+            PointOp::Insert(1, 10),
+            PointOp::Get(1),
+            PointOp::Remove(99),
+            PointOp::Insert(1, 11),
+            PointOp::Remove(1),
+            PointOp::Insert(2, 20),
+        ];
+        let mut out = [Some(0); 6];
+        s.apply_ops(&ops, &mut out);
+        assert_eq!(out[..4], [None, Some(10), None, None]);
+        assert!(matches!(out[4], Some(10 | 11)), "{out:?}");
+        let group = vec![Insert(1, 10), Insert(1, 11), Remove(1), Insert(2, 20)];
+        assert_eq!(log.take(), [group]);
+        // A sub-batch: its deletes (absent keys too), then its inserts.
+        assert_eq!(s.apply_batch(&[(3, 3), (4, 4)], &[2, 7]), 1);
+        let batch = vec![Remove(2), Remove(7), Insert(3, 3), Insert(4, 4)];
+        assert_eq!(log.take(), [batch]);
+        // The key `remove_successor` removed, not its probe.
+        s.insert(600, 6);
+        log.take();
+        assert_eq!(s.remove_successor(300), Some((600, 6)));
+        assert_eq!(log.take(), [vec![Remove(600)]]);
+    }
+
+    /// Routed on a topology a split retires under them, `apply_ops_on`
+    /// and `apply_batch_on` log every write exactly once, and
+    /// `write_reroutes` moves by exactly the writes that bounced.
+    #[test]
+    fn writes_bounced_off_a_retired_shard_are_logged_once() {
+        use DurabilityOp::{Insert, Remove};
+        // What was logged, in an order that ignores which shard went first.
+        let sorted = |mut ops: Vec<DurabilityOp>| {
+            ops.sort_by_key(|&op| match op {
+                Insert(k, v) => (k, 1, v),
+                Remove(k) => (k, 0, 0),
+            });
+            ops
+        };
+        let (s, log) = recorded(vec![1000]);
+        let base: Vec<(Key, Value)> = (0..100).map(|k| (k * 10, k)).collect();
+        s.apply_batch(&base, &[]);
+        log.take();
+        let reroutes = || s.maintenance_stats().write_reroutes;
+
+        // One block: 63 ops on shard 0, 62 of them writes, and one
+        // insert on shard 1, which the split at 500 leaves alone.
+        let mut ops: Vec<PointOp> = (0..61).map(|k| PointOp::Insert(k * 10 + 5, k)).collect();
+        ops.extend([
+            PointOp::Get(10),
+            PointOp::Remove(20),
+            PointOp::Insert(1500, -1),
+        ]);
+        let mut out = vec![Some(Value::MIN); ops.len()];
+        let before = reroutes();
+        on_stale_topology(&s, 500, |stale| s.apply_ops_on(stale, &ops, &mut out));
+        assert_eq!(reroutes() - before, 62);
+        assert_eq!(out[61..], [Some(1), Some(2), None]);
+        let want: Vec<DurabilityOp> = (0..61)
+            .map(|k| Insert(k * 10 + 5, k))
+            .chain([Remove(20), Insert(1500, -1)])
+            .collect();
+        assert_eq!(sorted(log.take().concat()), sorted(want));
+
+        // A batch: its sub-batch for the shard the split at 250
+        // retires (two inserts, two deletes) re-enters `apply_batch`.
+        let inserts = [(7, 0), (257, 1), (707, 2), (1507, 3)];
+        let deletes = [30, 260, 710, 99_999];
+        let before = reroutes();
+        let mut deleted = 0;
+        on_stale_topology(&s, 250, |stale| {
+            deleted = s.apply_batch_on(stale, &inserts, &deletes)
+        });
+        assert_eq!((deleted, reroutes() - before), (3, 4));
+        let want: Vec<DurabilityOp> = (deletes.iter().map(|&k| Remove(k)))
+            .chain(inserts.iter().map(|&(k, v)| Insert(k, v)))
+            .collect();
+        assert_eq!(sorted(log.take().concat()), sorted(want));
+        s.check_invariants();
+        assert_eq!(s.len(), 100 + 62 - 1 + 4 - 3);
+    }
+
     mod apply_ops_differential {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
-        /// What the single-key call answers for `op` — the reference.
-        fn per_op(s: &ShardedRma, op: PointOp) -> Option<Value> {
-            match op {
-                PointOp::Get(k) => s.get(k),
-                PointOp::Insert(k, v) => {
-                    s.insert(k, v);
-                    None
+        /// The reference: every key's values as a multiset. It does not
+        /// say *which* duplicate a `Get` or `Remove` answers, only that
+        /// the answer is one of them.
+        type Oracle = BTreeMap<Key, Vec<Value>>;
+
+        /// Checks `got[i]` against `oracle` for `ops[i]`, in submission
+        /// order, and applies the op to it: an `Insert` answers `None`
+        /// and pushes its value; a `Get` or `Remove` answers `None` iff
+        /// the key is absent, and otherwise one of its values, which a
+        /// `Remove` drops.
+        fn check(oracle: &mut Oracle, ops: &[PointOp], got: &[Option<Value>]) {
+            assert_eq!(ops.len(), got.len());
+            for (&op, &got) in ops.iter().zip(got) {
+                let k = op.key();
+                if let PointOp::Insert(_, v) = op {
+                    assert_eq!(got, None, "{op:?}");
+                    oracle.entry(k).or_default().push(v);
+                    continue;
                 }
-                PointOp::Remove(k) => s.remove(k),
+                let Some(v) = got else {
+                    assert!(!oracle.contains_key(&k), "{op:?} missed a stored key");
+                    continue;
+                };
+                let vals = oracle
+                    .get_mut(&k)
+                    .unwrap_or_else(|| panic!("{op:?} found {v}"));
+                let at = vals.iter().position(|&x| x == v);
+                let at = at.unwrap_or_else(|| panic!("{op:?} answered {v}, not one of {vals:?}"));
+                if let PointOp::Remove(_) = op {
+                    vals.swap_remove(at);
+                    if vals.is_empty() {
+                        oracle.remove(&k);
+                    }
+                }
             }
+        }
+
+        /// What `s` stores, as the oracle's sorted multisets.
+        fn multisets(s: &ShardedRma) -> Oracle {
+            let mut all = Oracle::new();
+            for (k, v) in s.collect_all() {
+                all.entry(k).or_default().push(v);
+            }
+            all.values_mut().for_each(|vals| vals.sort_unstable());
+            all
         }
 
         /// The widest shard range inside `[0, space)`.
@@ -1209,21 +1354,14 @@ mod tests {
             (w[0], w[1])
         }
 
-        /// Runs one maintenance step on `s` and says whether it ran.
-        fn step(s: &ShardedRma, step: MaintenanceStep) -> bool {
-            let report = s.execute_step(&mut s.plan_of(&[step], false));
-            report.expect("one step planned").executed
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// A stream of point ops through `apply_ops` in random
-            /// chunks answers, and leaves, exactly what the same
-            /// stream of single-key calls does on an identically built
-            /// engine — with a split, a merge, and a chunk routed on a
-            /// topology a split retires under it, between chunks.
-            /// Duplicates are likely: the key space is small.
+            /// chunks answers, and leaves, what a multiset of values
+            /// per key allows — with a split, a merge, and a chunk
+            /// routed on a topology a split retires under it, between
+            /// chunks. Duplicates are likely: the key space is small.
             #[test]
             fn apply_ops_matches_per_op_calls(
                 space in 16i64..600,
@@ -1237,11 +1375,9 @@ mod tests {
                         (_, k) => PointOp::Remove(k),
                     })
                     .collect();
-                let build = || {
-                    let keys = vec![space / 4, space / 2, 3 * space / 4];
-                    ShardedRma::with_splitters(small_cfg(4), Splitters::new(keys))
-                };
-                let (grouped, single) = (build(), build());
+                let keys = vec![space / 4, space / 2, 3 * space / 4];
+                let grouped = ShardedRma::with_splitters(small_cfg(4), Splitters::new(keys));
+                let mut oracle = Oracle::new();
                 let mut rest = &ops[..];
                 for (c, &len) in lens.iter().cycle().enumerate() {
                     if rest.is_empty() {
@@ -1253,14 +1389,13 @@ mod tests {
                     match c % 4 {
                         1 => {
                             let (lo, hi) = widest(&grouped, space);
-                            let split = MaintenanceStep::SplitShard { at: (lo + hi) / 2 };
-                            prop_assert!(step(&grouped, split) && step(&single, split));
+                            prop_assert!(step(&grouped, MaintenanceStep::SplitShard { at: (lo + hi) / 2 }));
                             grouped.apply_ops(chunk, &mut got);
                         }
                         2 if !grouped.splitters().keys().is_empty() => {
                             let keys = grouped.splitters().keys().to_vec();
                             let merge = MaintenanceStep::MergePair { splitter: keys[c / 4 % keys.len()] };
-                            prop_assert!(step(&grouped, merge) && step(&single, merge));
+                            prop_assert!(step(&grouped, merge));
                             grouped.apply_ops(chunk, &mut got);
                         }
                         3 => {
@@ -1270,7 +1405,6 @@ mod tests {
                             // re-routes and the rest of the run must
                             // re-pin rather than route there again.
                             let (lo, hi) = widest(&grouped, space);
-                            let split = MaintenanceStep::SplitShard { at: (lo + hi) / 2 };
                             let block: Vec<PointOp> = (chunk.iter().cycle().take(64).enumerate())
                                 .map(|(j, op)| match lo + op.key() % (hi - lo) {
                                     k if j % 3 == 2 => PointOp::Remove(k),
@@ -1280,32 +1414,20 @@ mod tests {
                             let run = [&block[..], chunk].concat();
                             got = vec![Some(Value::MIN); run.len()];
                             let reroutes = grouped.maintenance_stats().write_reroutes;
-                            let published = grouped.maintenance_stats().topologies_published;
-                            let stale = grouped.topo();
-                            std::thread::scope(|sc| {
-                                // Blocks in its grace wait until the
-                                // run drops `stale`.
-                                let splitter = sc.spawn(|| step(&grouped, split));
-                                while grouped.maintenance_stats().topologies_published == published {
-                                    std::thread::yield_now();
-                                }
+                            on_stale_topology(&grouped, (lo + hi) / 2, |stale| {
                                 grouped.apply_ops_on(stale, &run, &mut got);
-                                assert!(splitter.join().expect("split thread"));
                             });
                             prop_assert_eq!(grouped.maintenance_stats().write_reroutes - reroutes, 64);
-                            prop_assert!(step(&single, split));
-                            let want: Vec<_> = block.iter().map(|&op| per_op(&single, op)).collect();
-                            prop_assert_eq!(&got[..64], &want[..]);
+                            check(&mut oracle, &block, &got[..64]);
                             got.drain(..64);
                         }
                         _ => grouped.apply_ops(chunk, &mut got),
                     }
-                    let want: Vec<_> = chunk.iter().map(|&op| per_op(&single, op)).collect();
-                    prop_assert_eq!(got, want, "chunk {}", c);
+                    check(&mut oracle, chunk, &got);
                 }
                 grouped.check_invariants();
-                prop_assert_eq!(grouped.collect_all(), single.collect_all());
-                prop_assert_eq!(grouped.len(), single.len());
+                oracle.values_mut().for_each(|vals| vals.sort_unstable());
+                prop_assert_eq!(multisets(&grouped), oracle);
             }
         }
     }

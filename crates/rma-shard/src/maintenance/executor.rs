@@ -133,7 +133,7 @@ impl ShardedRma {
         let live_mass: u64 = self.access_masses().iter().sum();
         if plan.is_stale(live_shards, live_mass) {
             let n = plan.drop_remaining();
-            self.maint_counters().steps_dropped.fetch_add(n, Relaxed);
+            self.maint_counters.steps_dropped.fetch_add(n, Relaxed);
             self.obs()
                 .log(EventKind::StepDropped, rma_obs::Event::NO_SHARD, 0, n);
             return None;
@@ -146,7 +146,7 @@ impl ShardedRma {
         // first shard of the re-cut range.
         let (migrated, anchor) = {
             let _maint = self.maintenance_guard();
-            let topo = self.topo_handle().load_exclusive();
+            let topo = self.handle.load_exclusive();
             let range = self.resolve(step, topo, plan.consolidation_planned());
             // Read off `topo` first: `recut` publishes and frees it.
             let anchor = (range.and_then(|r| r.0)).map_or(0, |lo| topo.splitters.route(lo));
@@ -158,7 +158,7 @@ impl ShardedRma {
             executed: migrated.is_some(),
             migrated: migrated.unwrap_or(0),
         };
-        let event = (self.maint_counters()).file(&report, plan.consolidation_planned());
+        let event = (self.maint_counters).file(&report, plan.consolidation_planned());
         if report.executed && obs_on {
             let dur = rma_obs::now_ns().saturating_sub(t0);
             self.obs().record_step(dur);
@@ -192,15 +192,13 @@ impl ShardedRma {
     fn publish_step(&self, guards: StepGuards<'_>, next: Topology) {
         guards.retire_all();
         let next_shards = next.shards.len() as u64;
-        let retired = self.topo_handle().publish(next);
+        let retired = self.handle.publish(next);
         // The locked window ends here: record it just before release.
         // Shell pre-creation and the grace wait below run outside the
         // locks, so they are deliberately *not* part of this stat —
         // it bounds what a queued writer could have waited.
         let held_ns = guards.held().as_nanos() as u64;
-        self.maint_counters()
-            .max_step_ns
-            .fetch_max(held_ns, Relaxed);
+        self.maint_counters.max_step_ns.fetch_max(held_ns, Relaxed);
         self.obs().log(
             EventKind::TopologyPublish,
             rma_obs::Event::NO_SHARD,
@@ -210,7 +208,7 @@ impl ShardedRma {
         // Release the shard locks before the grace wait: queued
         // writers must be able to wake and re-route.
         drop(guards);
-        self.topo_handle().reclaim(retired);
+        self.handle.reclaim(retired);
     }
 
     /// The largest shard a merge may produce: twice the per-step work
@@ -335,7 +333,7 @@ impl ShardedRma {
                 return None; // degenerate range: malformed step
             }
         }
-        let topo = self.topo_handle().load_exclusive();
+        let topo = self.handle.load_exclusive();
         let (j0, j1) = topo.splitters.overlapping(lo, hi);
         let (union_lo, _) = topo.splitters.range_of(j0);
         let (_, union_hi) = topo.splitters.range_of(j1);

@@ -40,8 +40,9 @@
 //! untouched shards' `Arc`s, marks the replaced shards retired, swaps
 //! the topology pointer, releases the locks, and only then waits out
 //! the readers still pinned to the displaced topology. Readers never
-//! block behind maintenance; writers that reach a retired shard
-//! re-route (`ShardedRma::with_topo_retry`). Restructured shards are
+//! block behind maintenance; a write that reaches a retired shard
+//! bounces out of its write section and re-enters its own entry point
+//! on a fresh pin (`ShardedRma::write_locked`). Restructured shards are
 //! rebuilt through the paper's bulk-load machinery and their
 //! histograms are **re-seeded** from the learned signal, so
 //! maintenance never resets what the workload taught the structure.
@@ -208,7 +209,7 @@ impl ShardedRma {
     ) -> Arc<Shard> {
         shell.load_bulk(elems);
         let (lo, hi) = splitters.range_of(i);
-        let shard = Shard::new(shell, lo, hi, Arc::clone(self.lock_stats_arc()));
+        let shard = Shard::new(shell, lo, hi, Arc::clone(&self.lock_stats));
         shard.stats.seed(&clip_weights(wb, lo, hi));
         Arc::new(shard)
     }

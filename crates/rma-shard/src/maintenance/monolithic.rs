@@ -28,7 +28,7 @@ impl ShardedRma {
     /// against — call it only to measure or test the difference.
     pub fn relearn_splitters_monolithic(&self) -> RelearnReport {
         let _maint = self.maintenance_guard();
-        let topo = self.topo_handle().load_exclusive();
+        let topo = self.handle.load_exclusive();
         let n = topo.shards.len();
         let mut report = RelearnReport::at(n);
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
@@ -65,12 +65,12 @@ impl ShardedRma {
         report.shards_after = shards.len();
         report.relearned = true;
         guards.retire_all();
-        let retired = self.topo_handle().publish(Topology {
+        let retired = self.handle.publish(Topology {
             splitters: candidate,
             shards,
         });
         drop(guards); // release before the grace wait (see publish_step)
-        self.topo_handle().reclaim(retired);
+        self.handle.reclaim(retired);
         report
     }
 }

@@ -469,7 +469,7 @@ impl ShardedRma {
         report: RelearnReport,
     ) -> MaintenancePlan {
         if !steps.is_empty() {
-            let c = self.maint_counters();
+            let c = &self.maint_counters;
             c.plans.fetch_add(1, Relaxed);
             c.steps_planned.fetch_add(steps.len() as u64, Relaxed);
             let ev = match kind {

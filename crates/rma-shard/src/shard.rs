@@ -136,13 +136,6 @@ impl Shard {
         &self.lock_stats
     }
 
-    /// True once maintenance has replaced this shard in a newer
-    /// topology. Only meaningful while holding the shard lock (the
-    /// flag is set under the write lock).
-    pub(crate) fn is_retired(&self) -> bool {
-        self.retired.load(Relaxed)
-    }
-
     /// Runs `f` over the inner RMA under the shard's read lock: the
     /// fallback of [`peek`](Self::peek), and the whole-shard walks of
     /// the test helpers and the split-point search.
@@ -187,9 +180,10 @@ impl ShardWriteGuard<'_> {
     }
 
     /// True once maintenance has replaced this shard in a newer
-    /// topology; the caller must re-route instead of operating here.
+    /// topology (the flag is set under the write lock); the caller
+    /// must re-route instead of operating here.
     pub(crate) fn is_retired(&self) -> bool {
-        self.shard.is_retired()
+        self.shard.retired.load(Relaxed)
     }
 
     /// Marks the shard replaced. Callers publish the successor
