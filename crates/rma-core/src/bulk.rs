@@ -42,7 +42,8 @@ use crate::{Key, Value};
 use std::ops::Range;
 
 impl Rma {
-    /// Bottom-up bulk load of a batch sorted by key.
+    /// Bottom-up bulk load of a batch sorted by key; its members of a
+    /// key land at the front of the key's stack, in batch order.
     pub fn load_bulk(&mut self, batch: &[(Key, Value)]) {
         debug_assert!(
             batch.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -109,8 +110,9 @@ impl Rma {
     }
 
     /// Batch with both insertions and deletions: deletions first (no
-    /// rebalances), then the insertion load. `deletes` are exact keys;
-    /// missing keys are ignored. Returns the number actually deleted.
+    /// rebalances; each pops its key's front, missing keys ignored),
+    /// then the insertion load — the state that `insert`ing them one
+    /// by one in *reverse* leaves. Returns the number actually deleted.
     pub fn apply_batch(&mut self, inserts: &[(Key, Value)], deletes: &[Key]) -> usize {
         let deleted = self.delete_pass(deletes);
         self.load_bulk(inserts);
@@ -168,7 +170,8 @@ impl Rma {
 // ----------------------------------------------------------------- //
 
 impl Rma {
-    /// Pass 1: the contiguous batch run destined for each segment.
+    /// Pass 1: the contiguous batch run destined for each segment; a
+    /// key equal to a separator goes left, as a point op's does.
     pub(crate) fn route_batch(&self, batch: &[(Key, Value)]) -> Vec<Range<usize>> {
         let m = self.storage.seg_count();
         let mut runs = Vec::with_capacity(m);
@@ -179,7 +182,7 @@ impl Rma {
                     .index
                     .separator(s + 1)
                     .expect("separator for non-zero segment");
-                let end = cursor + batch[cursor..].partition_point(|p| p.0 < sep);
+                let end = cursor + batch[cursor..].partition_point(|p| p.0 <= sep);
                 runs.push(cursor..end);
                 cursor = end;
             } else {
@@ -357,16 +360,8 @@ impl Rma {
     pub(crate) fn delete_pass(&mut self, deletes: &[Key]) -> usize {
         let mut removed = 0usize;
         for &k in deletes {
-            let seg = self.index.search(k);
-            let pos = self.storage.seg_lower_bound(seg, k);
-            let keys = self.storage.seg_keys(seg);
-            if pos < keys.len() && keys[pos] == k {
-                self.storage.remove_from_segment(seg, pos);
-                if pos == 0 && self.storage.card(seg) > 0 {
-                    let new_min = self.storage.seg_min(seg);
-                    self.index.update(seg, new_min);
-                }
-                self.len -= 1;
+            if let Some((seg, pos)) = self.search(self.index.search_lower_bound(k), k) {
+                self.take_at(seg, pos);
                 removed += 1;
             }
         }
@@ -376,7 +371,8 @@ impl Rma {
 
 /// The one two-pointer merge: the `stored` elements, in key order,
 /// with a sorted batch `run`, into `out_keys` / `out_vals` (cleared
-/// first). Among equal keys the stored element goes first.
+/// first). Among equal keys the batch goes first, in batch order: a
+/// batch lands at the front of each key's stack.
 fn merge_into(
     stored: impl Iterator<Item = (Key, Value)>,
     run: &[(Key, Value)],
@@ -387,7 +383,7 @@ fn merge_into(
     out_vals.clear();
     let mut run = run.iter().copied().peekable();
     for (k, v) in stored {
-        while let Some((rk, rv)) = run.next_if(|&(rk, _)| rk < k) {
+        while let Some((rk, rv)) = run.next_if(|&(rk, _)| rk <= k) {
             out_keys.push(rk);
             out_vals.push(rv);
         }

@@ -16,6 +16,10 @@
 //! separators and `f` children; the leftmost children of the root are
 //! full subtrees and the rightmost child is a (possibly smaller)
 //! partial subtree.
+//!
+//! One routing rule, [`StaticIndex::search_lower_bound`]: a key equal
+//! to a separator routes left, so every op meets a run of duplicates
+//! at its front.
 
 use crate::Key;
 
@@ -35,9 +39,6 @@ struct NodeMeta {
 /// Static, pointer-free index over segment minima.
 #[derive(Debug)]
 pub struct StaticIndex {
-    #[allow(dead_code)] // retained for introspection/debugging
-    fanout: usize,
-    num_segments: usize,
     /// All separators, packed by node in breadth-first order.
     keys: Vec<Key>,
     nodes: Vec<NodeMeta>,
@@ -55,8 +56,6 @@ impl StaticIndex {
         let n = minima.len();
         assert!(n >= 1, "index needs at least one segment");
         let mut idx = StaticIndex {
-            fanout,
-            num_segments: n,
             keys: Vec::new(),
             nodes: Vec::new(),
             slot_of: vec![u32::MAX; n],
@@ -114,35 +113,11 @@ impl StaticIndex {
         idx
     }
 
-    /// Number of indexed segments.
-    pub fn num_segments(&self) -> usize {
-        self.num_segments
-    }
-
-    /// The segment whose key range contains `k`: the rightmost segment
-    /// with separator `≤ k` (segment 0 when `k` precedes every
-    /// separator). Equal keys route right, matching the storage's
-    /// insertion convention.
-    #[inline]
-    pub fn search(&self, k: Key) -> usize {
-        let mut node = &self.nodes[0];
-        loop {
-            let off = node.key_off as usize;
-            let seps = &self.keys[off..off + node.nkeys as usize];
-            let j = seps.partition_point(|&s| s <= k);
-            let child = node.first_child as usize + j;
-            if node.leaf_children {
-                return child;
-            }
-            node = &self.nodes[child];
-        }
-    }
-
     /// The leftmost segment that can contain an element `>= k`: the
-    /// segment after all separators `< k`. Every element of earlier
-    /// segments is bounded by such a separator, hence strictly below
-    /// `k` — use this for lower-bound scans so duplicate runs spanning
-    /// segments are never skipped.
+    /// segment after all separators `< k` (segment 0 when `k` is at
+    /// most every separator). Every element of earlier segments is
+    /// bounded by such a separator, hence strictly below `k`, so a
+    /// duplicate run spanning segments is entered at its front.
     #[inline]
     pub fn search_lower_bound(&self, k: Key) -> usize {
         let mut node = &self.nodes[0];
@@ -169,12 +144,11 @@ impl StaticIndex {
         self.keys[slot as usize] = new_sep;
     }
 
-    /// Current separator of segment `seg` (`None` for segment 0).
+    /// Current separator of segment `seg` (`None` for segment 0 and
+    /// past the last segment).
     pub fn separator(&self, seg: usize) -> Option<Key> {
-        if seg == 0 {
-            return None;
-        }
-        Some(self.keys[self.slot_of[seg] as usize])
+        let &slot = self.slot_of.get(seg).filter(|_| seg > 0)?;
+        Some(self.keys[slot as usize])
     }
 
     /// Resident bytes of the index.
@@ -183,15 +157,6 @@ impl StaticIndex {
             + self.nodes.capacity() * std::mem::size_of::<NodeMeta>()
             + self.slot_of.capacity() * 4
     }
-
-    /// Test helper: asserts the index routes exactly like a flat
-    /// binary search over the separator list.
-    pub fn check_against(&self, minima: &[Key]) {
-        assert_eq!(minima.len(), self.num_segments);
-        for (s, &m) in minima.iter().enumerate().skip(1) {
-            assert_eq!(self.separator(s), Some(m), "separator {s}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,9 +164,19 @@ impl StaticIndex {
 mod tests {
     use super::*;
 
-    /// Reference: rightmost segment whose separator is <= k.
+    impl StaticIndex {
+        /// Asserts the index holds exactly the separators `minima`.
+        fn check_against(&self, minima: &[Key]) {
+            assert_eq!(minima.len(), self.slot_of.len());
+            for (s, &m) in minima.iter().enumerate().skip(1) {
+                assert_eq!(self.separator(s), Some(m), "separator {s}");
+            }
+        }
+    }
+
+    /// Reference: the segment after every separator below `k`.
     fn reference_search(minima: &[Key], k: Key) -> usize {
-        minima[1..].partition_point(|&m| m <= k)
+        minima[1..].partition_point(|&m| m < k)
     }
 
     fn probe_all(minima: &[Key], fanout: usize) {
@@ -209,7 +184,7 @@ mod tests {
         idx.check_against(minima);
         for probe in -2..(minima.len() as i64 * 10 + 2) {
             assert_eq!(
-                idx.search(probe),
+                idx.search_lower_bound(probe),
                 reference_search(minima, probe),
                 "n={} f={fanout} probe={probe}",
                 minima.len()
@@ -220,9 +195,10 @@ mod tests {
     #[test]
     fn single_segment_routes_everything_to_zero() {
         let idx = StaticIndex::build(&[0], 64);
-        assert_eq!(idx.search(i64::MIN), 0);
-        assert_eq!(idx.search(i64::MAX), 0);
+        assert_eq!(idx.search_lower_bound(i64::MIN), 0);
+        assert_eq!(idx.search_lower_bound(i64::MAX), 0);
         assert_eq!(idx.separator(0), None);
+        assert_eq!(idx.separator(1), None, "past the last segment");
     }
 
     #[test]
@@ -245,10 +221,9 @@ mod tests {
                 let minima: Vec<Key> = (0..n as i64).map(|i| (i / 3) * 10).collect();
                 let idx = StaticIndex::build(&minima, f);
                 for probe in -2..(n as i64 * 4 + 2) {
-                    let want = minima[1..].partition_point(|&m| m < probe);
                     assert_eq!(
                         idx.search_lower_bound(probe),
-                        want,
+                        reference_search(&minima, probe),
                         "n={n} f={f} probe={probe}"
                     );
                 }
@@ -262,8 +237,8 @@ mod tests {
         let mut idx = StaticIndex::build(&minima, 4);
         // Move segment 50's separator from 500 to 505.
         idx.update(50, 505);
-        assert_eq!(idx.search(504), 49);
-        assert_eq!(idx.search(505), 50);
+        assert_eq!(idx.search_lower_bound(505), 49);
+        assert_eq!(idx.search_lower_bound(506), 50);
         assert_eq!(idx.separator(50), Some(505));
     }
 
@@ -277,20 +252,24 @@ mod tests {
         }
         idx.check_against(&shifted);
         for probe in 0..700 {
-            assert_eq!(idx.search(probe), reference_search(&shifted, probe));
+            assert_eq!(
+                idx.search_lower_bound(probe),
+                reference_search(&shifted, probe)
+            );
         }
     }
 
     #[test]
-    fn duplicate_separators_route_right() {
+    fn duplicate_separators_route_left() {
         // Empty segments inherit the next minimum, creating duplicate
-        // separators; equal keys must land in the rightmost segment.
+        // separators; a key equal to them lands left of all of them.
         let minima: Vec<Key> = vec![0, 10, 10, 10, 20];
         let idx = StaticIndex::build(&minima, 2);
-        assert_eq!(idx.search(10), 3);
-        assert_eq!(idx.search(9), 0);
-        assert_eq!(idx.search(15), 3);
-        assert_eq!(idx.search(20), 4);
+        assert_eq!(idx.search_lower_bound(10), 0);
+        assert_eq!(idx.search_lower_bound(9), 0);
+        assert_eq!(idx.search_lower_bound(15), 3);
+        assert_eq!(idx.search_lower_bound(20), 3);
+        assert_eq!(idx.search_lower_bound(21), 4);
     }
 
     #[test]
@@ -298,7 +277,8 @@ mod tests {
         let minima: Vec<Key> = vec![0, 10];
         let mut idx = StaticIndex::build(&minima, 64);
         idx.update(0, 999);
-        assert_eq!(idx.search(5), 0);
+        assert_eq!(idx.search_lower_bound(5), 0);
+        assert_eq!(idx.search_lower_bound(11), 1);
     }
 
     #[test]

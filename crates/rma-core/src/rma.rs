@@ -22,6 +22,21 @@ const INDEX_FANOUT: usize = 64;
 /// A sorted key/value container over a sparse array with fixed-size
 /// clustered segments, a static index, rewired rebalances and
 /// adaptive rebalancing. See the crate docs for the feature overview.
+///
+/// # Duplicate keys
+///
+/// Keys may repeat. A key's members form a stack:
+///
+/// - [`insert`](Self::insert) pushes onto its front;
+/// - [`get`](Self::get), [`first_ge`](Self::first_ge) and scans see
+///   the front first;
+/// - [`remove`](Self::remove) and a batch delete pop the front;
+/// - one batch's members of a key ([`load_bulk`](Self::load_bulk),
+///   [`apply_batch`](Self::apply_batch)) land at the front, in batch
+///   order.
+///
+/// One routing rule gives it all: every op goes to the key's lower
+/// bound ([`StaticIndex::search_lower_bound`], then in the segment).
 pub struct Rma {
     pub(crate) cfg: RmaConfig,
     pub(crate) storage: Storage,
@@ -149,7 +164,7 @@ impl Rma {
     /// keeps the group's footprint inside the L1.
     #[inline]
     fn locate(&self, k: Key, alone: bool) -> usize {
-        let seg = self.index.search(k);
+        let seg = self.index.search_lower_bound(k);
         self.storage.prefetch_keys(seg);
         if alone {
             self.storage.prefetch_vals(seg);
@@ -178,33 +193,49 @@ impl Rma {
         self.prefetch_run(seg);
     }
 
-    /// Stage 2: the sorted position of `k` in `seg`, if it is stored
-    /// there, its value line prefetched.
+    /// Stage 2: the position of the front member of `k` — its segment
+    /// and its index there — if `k` is stored, its value line
+    /// prefetched. `seg` is where `k` routes. When every element there
+    /// is below `k`, a stored `k` is the next non-empty segment's
+    /// minimum and the next separator is `k`: a miss is decided
+    /// without reading another segment.
     #[inline]
-    fn search(&self, seg: usize, k: Key) -> Option<usize> {
+    pub(crate) fn search(&self, seg: usize, k: Key) -> Option<(usize, usize)> {
         let pos = self.storage.seg_lower_bound(seg, k);
-        let keys = self.storage.seg_keys(seg);
-        (pos < keys.len() && keys[pos] == k).then(|| {
+        let (seg, pos) = if pos < self.storage.card(seg) {
+            (seg, pos)
+        } else if self.index.separator(seg + 1) == Some(k) {
+            (self.next_nonempty(seg + 1)?, 0)
+        } else {
+            return None;
+        };
+        (self.storage.seg_keys(seg)[pos] == k).then(|| {
             self.storage.prefetch_val(seg, pos);
-            pos
+            (seg, pos)
         })
     }
 
     /// Stage 3: the value at a position `search` returned.
     #[inline]
-    fn fetch(&self, seg: usize, pos: usize) -> Value {
+    fn fetch(&self, (seg, pos): (usize, usize)) -> Value {
         self.storage.seg_vals(seg)[pos]
     }
 
-    /// Returns a value stored under `k`, if any.
-    pub fn get(&self, k: Key) -> Option<Value> {
-        let seg = self.locate(k, true);
-        self.search(seg, k).map(|pos| self.fetch(seg, pos))
+    /// The first non-empty segment from `seg` on.
+    fn next_nonempty(&self, seg: usize) -> Option<usize> {
+        (seg..self.storage.seg_count()).find(|&s| self.storage.card(s) > 0)
     }
 
-    /// `out[i] = self.get(keys[i])` for every `i`, with the lookups of
-    /// each group of 16 keys (`LOOKUP_GROUP`) staged so their cache
-    /// misses overlap. Overwrites all of `out`.
+    /// The value of the front member of `k`'s stack, if `k` is stored.
+    pub fn get(&self, k: Key) -> Option<Value> {
+        let seg = self.locate(k, true);
+        self.search(seg, k).map(|at| self.fetch(at))
+    }
+
+    /// `out[i] = self.get(keys[i])` for every `i` — the same member of
+    /// a key's stack — with the lookups of each group of 16 keys
+    /// (`LOOKUP_GROUP`) staged so their cache misses overlap.
+    /// Overwrites all of `out`.
     ///
     /// # Panics
     ///
@@ -218,16 +249,17 @@ impl Rma {
             for (seg, &k) in segs.iter_mut().zip(keys) {
                 *seg = self.locate(k, alone);
             }
-            for ((pos, &seg), &k) in found.iter_mut().zip(&segs).zip(keys) {
-                *pos = self.search(seg, k);
+            for ((at, &seg), &k) in found.iter_mut().zip(&segs).zip(keys) {
+                *at = self.search(seg, k);
             }
-            for ((o, &seg), pos) in out.iter_mut().zip(&segs).zip(found) {
-                *o = pos.map(|pos| self.fetch(seg, pos));
+            for (o, at) in out.iter_mut().zip(found) {
+                *o = at.map(|at| self.fetch(at));
             }
         }
     }
 
-    /// First element with key `>= k` in sorted order.
+    /// First element with key `>= k` in sorted order: of a stored `k`,
+    /// the front member of its stack.
     pub fn first_ge(&self, k: Key) -> Option<(Key, Value)> {
         let (seg, pos) = self.locate_lower_bound(k, Self::prefetch_run)?;
         Some((
@@ -243,25 +275,13 @@ impl Rma {
         if self.len == 0 {
             return None;
         }
-        // Leftmost-biased routing: `search` routes equal keys right
-        // (correct for exact match), but a lower-bound must start at
-        // the first segment that can hold an element >= k, or
-        // duplicate runs spanning segments would be skipped.
-        let mut seg = self.index.search_lower_bound(k);
+        let seg = self.index.search_lower_bound(k);
         prefetch(self, seg);
         let pos = self.storage.seg_lower_bound(seg, k);
         if pos < self.storage.card(seg) {
             return Some((seg, pos));
         }
-        // Walk right to the next non-empty segment.
-        seg += 1;
-        while seg < self.storage.seg_count() {
-            if self.storage.card(seg) > 0 {
-                return Some((seg, 0));
-            }
-            seg += 1;
-        }
-        None
+        self.next_nonempty(seg + 1).map(|s| (s, 0))
     }
 
     // -------------------------------------------------------- scan --
@@ -349,15 +369,15 @@ impl Rma {
 
     // ------------------------------------------------------ insert --
 
-    /// Inserts `(k, v)`; duplicates are kept. Amortised
-    /// `O(log²N / B)` slot moves per insertion.
+    /// Pushes `(k, v)` onto the front of `k`'s stack (duplicates are
+    /// kept). Amortised `O(log²N / B)` slot moves per insertion.
     pub fn insert(&mut self, k: Key, v: Value) {
-        let mut seg = self.index.search(k);
+        let mut seg = self.index.search_lower_bound(k);
         self.prefetch_update(seg);
         if self.storage.card(seg) == self.cfg.segment_size {
             // τ₁ = 1: the segment filled completely; rebalance now.
             self.rebalance_for_insert(seg);
-            seg = self.index.search(k);
+            seg = self.index.search_lower_bound(k);
             debug_assert!(self.storage.card(seg) < self.cfg.segment_size);
         }
         let pos = self.storage.insert_into_segment(seg, k, v);
@@ -397,47 +417,46 @@ impl Rma {
 
     // ------------------------------------------------------ delete --
 
-    /// Removes one element with key exactly `k`, returning its value.
+    /// Pops the front member of `k`'s stack — the element `get(k)`
+    /// answers — returning its value.
     pub fn remove(&mut self, k: Key) -> Option<Value> {
         if self.len == 0 {
             return None;
         }
-        let seg = self.index.search(k);
+        let seg = self.index.search_lower_bound(k);
         self.prefetch_update(seg);
-        let pos = self.search(seg, k)?;
+        let (seg, pos) = self.search(seg, k)?;
         Some(self.remove_at(seg, pos).1)
     }
 
     /// Removes the first element with key `>= k`, or the maximum when
-    /// every key is smaller (the mixed-workload delete operator).
-    /// Returns `None` only on an empty array.
+    /// every key is smaller (the mixed-workload delete operator) —
+    /// either way the front member of its key's stack. Returns `None`
+    /// only on an empty array.
     pub fn remove_successor(&mut self, k: Key) -> Option<(Key, Value)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some((seg, pos)) = self.locate_lower_bound(k, Self::prefetch_update) {
-            return Some(self.remove_at(seg, pos));
-        }
-        // Remove the global maximum.
-        let seg = (0..self.storage.seg_count())
-            .rev()
-            .find(|&s| self.storage.card(s) > 0)
-            .expect("non-empty array");
-        let pos = self.storage.card(seg) - 1;
+        let (seg, pos) = (self.locate_lower_bound(k, Self::prefetch_update))
+            .or_else(|| self.locate_lower_bound(self.last_key()?, Self::prefetch_update))?;
         Some(self.remove_at(seg, pos))
     }
 
     fn remove_at(&mut self, seg: usize, pos: usize) -> (Key, Value) {
+        let out = self.take_at(seg, pos);
+        if let Some(det) = &mut self.detector {
+            det.on_delete(seg);
+        }
+        self.after_delete(seg);
+        out
+    }
+
+    /// Takes the element at `(seg, pos)` out, keeping the separator the
+    /// segment's minimum; no rebalance (the batch delete pass's step).
+    pub(crate) fn take_at(&mut self, seg: usize, pos: usize) -> (Key, Value) {
         let out = self.storage.remove_from_segment(seg, pos);
         if pos == 0 && self.storage.card(seg) > 0 {
             let new_min = self.storage.seg_min(seg);
             self.index.update(seg, new_min);
         }
-        if let Some(det) = &mut self.detector {
-            det.on_delete(seg);
-        }
         self.len -= 1;
-        self.after_delete(seg);
         out
     }
 
@@ -557,8 +576,9 @@ impl Rma {
     /// (see [`commit`](Self::commit) for `src`), then records its
     /// cardinalities and recomputes its separators: a non-empty
     /// segment's separator is its minimum; an empty one inherits the
-    /// next non-empty minimum (or one past the window maximum for a
-    /// trailing run), keeping separators monotone.
+    /// next non-empty minimum (or the window maximum for a trailing
+    /// run, so only keys above it route into the run), keeping
+    /// separators monotone.
     pub(crate) fn commit_window(
         &mut self,
         segs: Range<usize>,
@@ -579,7 +599,7 @@ impl Rma {
         else {
             return; // fully empty window: previous separators still bound it
         };
-        let mut next_sep = window_max.saturating_add(1);
+        let mut next_sep = window_max;
         for s in segs.rev() {
             if self.storage.card(s) > 0 {
                 next_sep = self.storage.seg_min(s);
@@ -757,9 +777,7 @@ impl Rma {
     fn rebuild_index(&mut self) {
         let m = self.storage.seg_count();
         let mut minima = vec![Key::MIN; m];
-        let mut next_sep = self
-            .iter_last_key()
-            .map_or(Key::MIN, |k| k.saturating_add(1));
+        let mut next_sep = self.last_key().unwrap_or(Key::MIN);
         for (s, slot) in minima.iter_mut().enumerate().rev() {
             if self.storage.card(s) > 0 {
                 next_sep = self.storage.seg_min(s);
@@ -769,7 +787,7 @@ impl Rma {
         self.index = StaticIndex::build(&minima, INDEX_FANOUT);
     }
 
-    fn iter_last_key(&self) -> Option<Key> {
+    fn last_key(&self) -> Option<Key> {
         (0..self.storage.seg_count())
             .rev()
             .find(|&s| self.storage.card(s) > 0)
@@ -961,6 +979,47 @@ mod tests {
         assert_eq!(r.len(), 2000);
         assert!(r.get(7).is_some());
         assert_eq!(r.iter().filter(|&(k, _)| k == 7).count(), 1000);
+    }
+
+    /// A key's members form a stack: `insert` pushes onto its front;
+    /// `get`, `get_batch`, `first_ge` and scans see the front first;
+    /// `remove`, a batch delete and `remove_successor` pop it; a batch
+    /// lands at the front in batch order. Forty members of each of
+    /// three keys span many segments of 8.
+    #[test]
+    fn duplicates_form_a_stack() {
+        let mut r = Rma::new(small_cfg());
+        for i in 0..40 {
+            for k in [3, 7, 11] {
+                r.insert(k, k * 100 + i);
+            }
+        }
+        r.check_invariants();
+        for k in [3, 7, 11] {
+            assert_eq!(r.get(k), Some(k * 100 + 39));
+            assert_eq!(r.first_ge(k - 1), Some((k, k * 100 + 39)));
+        }
+        let mut got = [None; 5];
+        r.get_batch(&[3, 4, 7, 11, 12], &mut got);
+        assert_eq!(got, [Some(339), None, Some(739), Some(1139), None]);
+        let sevens: Vec<Value> = r.iter().filter(|p| p.0 == 7).map(|p| p.1).collect();
+        assert_eq!(sevens, (0..40).rev().map(|i| 700 + i).collect::<Vec<_>>());
+
+        assert_eq!(r.apply_batch(&[(7, -1), (7, -2)], &[7]), 1);
+        let mut front = Vec::new();
+        r.scan(7, 3, |_, v| front.push(v));
+        assert_eq!(front, [-1, -2, 738]);
+        assert_eq!((r.remove(7), r.remove(7)), (Some(-1), Some(-2)));
+        for i in (0..39).rev() {
+            assert_eq!(r.remove(7), Some(700 + i));
+        }
+        assert_eq!(r.remove(7), None);
+        assert_eq!(
+            r.remove_successor(12),
+            Some((11, 1139)),
+            "the maximum's front"
+        );
+        r.check_invariants();
     }
 
     #[test]
@@ -1164,6 +1223,9 @@ mod tests {
     /// when the Detector kept a boxed `u64` ring per segment. A change
     /// of its record, clock or cutoff that moved one decision — a
     /// hammered trigger, a marked interval, a target — moves a count.
+    /// The uniform and insert/remove streams repeat keys; their rows
+    /// were re-pinned when a repeated key began routing to the front
+    /// of its stack (the three distinct-key rows did not move).
     #[test]
     fn adaptive_decisions_are_pinned() {
         const N: i64 = 12_000;
@@ -1199,15 +1261,15 @@ mod tests {
                 (1993, 1993, 11, 0, 137_686),
                 (2140, 2140, 11, 0, 141_111),
                 (3084, 3047, 11, 0, 202_189),
-                (836, 759, 11, 0, 73_595),
-                (1902, 911, 18, 13, 50_320),
+                (833, 754, 11, 0, 73_644),
+                (1937, 920, 18, 13, 51_182),
             ],
             [
                 (922, 922, 10, 0, 125_000),
                 (922, 922, 10, 0, 124_534),
                 (1221, 1218, 10, 0, 159_211),
-                (405, 322, 10, 0, 42_156),
-                (956, 730, 18, 13, 39_584),
+                (406, 322, 10, 0, 42_267),
+                (929, 720, 18, 13, 39_062),
             ],
         ];
         let mut got = Vec::new();

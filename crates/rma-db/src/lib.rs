@@ -325,33 +325,34 @@ impl Db {
         Ok(out)
     }
 
-    /// Point lookup (lock-free on the happy path).
+    /// Point lookup of the front member of `k`'s stack (lock-free on
+    /// the happy path); [`Op`] states the key contract.
     pub fn get(&self, k: Key) -> Option<Value> {
         self.engine.get(k)
     }
 
-    /// Inserts a pair (duplicates kept). Panics if the database is
-    /// read-only ([`Db::is_read_only`]); use [`Db::try_insert`] to
-    /// handle that case.
+    /// Inserts a pair on the front of its key's stack. Panics if the
+    /// database is read-only ([`Db::is_read_only`]); use
+    /// [`Db::try_insert`] to handle that case.
     pub fn insert(&self, k: Key, v: Value) {
         self.try_insert(k, v).expect("database is read-only")
     }
 
-    /// Inserts a pair (duplicates kept), reporting a degraded
-    /// (read-only) database instead of panicking. `Ok` means the
-    /// insert is durable under the configured commit policy.
+    /// Inserts a pair on the front of its key's stack, reporting a
+    /// degraded (read-only) database instead of panicking. `Ok` means
+    /// the insert is durable under the configured commit policy.
     pub fn try_insert(&self, k: Key, v: Value) -> Result<(), DbError> {
         self.durable_write(|| self.engine.insert(k, v))
     }
 
-    /// Removes one element with key exactly `k`, returning its value.
-    /// Panics if the database is read-only; use [`Db::try_remove`] to
-    /// handle that case.
+    /// Pops the front member of `k`'s stack — the one [`Db::get`]
+    /// answers — returning its value. Panics if the database is
+    /// read-only; use [`Db::try_remove`] to handle that case.
     pub fn remove(&self, k: Key) -> Option<Value> {
         self.try_remove(k).expect("database is read-only")
     }
 
-    /// Removes one element with key exactly `k`, reporting a degraded
+    /// Pops the front member of `k`'s stack, reporting a degraded
     /// (read-only) database instead of panicking. `Ok` means the
     /// remove is durable under the configured commit policy.
     pub fn try_remove(&self, k: Key) -> Result<Option<Value>, DbError> {
@@ -383,8 +384,9 @@ impl Db {
     }
 
     /// Applies a sorted insert batch and a delete-key set through the
-    /// parallel partitioned path; returns the elements deleted.
-    /// Panics if the database is read-only.
+    /// parallel partitioned path (deletes pop, inserts land at the
+    /// front in batch order); returns the elements deleted. Panics if
+    /// the database is read-only.
     pub fn apply_batch(&self, inserts: &[(Key, Value)], deletes: &[Key]) -> usize {
         self.durable_write(|| self.engine.apply_batch(inserts, deletes))
             .expect("database is read-only")

@@ -67,15 +67,19 @@ use std::sync::{Arc, Condvar, Mutex};
 const ROUTING_REFRESH: u32 = 64;
 
 /// One typed operation of a [`Session::submit`] batch. The variants
-/// mirror the engine's data-plane surface one to one.
+/// mirror the engine's data-plane surface one to one, with its key
+/// contract ([`PointOp`]): a key's members form a stack; `Insert`
+/// pushes onto its front; `Get`, `FirstGe`, `SumRange` and `Scan` see
+/// the front first; `Remove` pops the front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Point lookup; answered with [`Reply::Found`].
+    /// Point lookup of the key's front member; answered with
+    /// [`Reply::Found`].
     Get(Key),
-    /// Insert of a pair (duplicates kept); answered with
-    /// [`Reply::Inserted`].
+    /// Insert of a pair on the front of its key's stack (duplicates
+    /// kept); answered with [`Reply::Inserted`].
     Insert(Key, Value),
-    /// Remove one element with exactly this key; answered with
+    /// Pop the front member of the key's stack; answered with
     /// [`Reply::Removed`].
     Remove(Key),
     /// Sum up to `count` values from the first key `>= start`;

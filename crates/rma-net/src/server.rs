@@ -46,7 +46,8 @@
 //!   continuation is a loop → worker → eventfd → loop round trip with
 //!   its own ticket, which is why the chunk is as large as the bound
 //!   allows and not a knob of its own. Duplicates of the boundary key
-//!   already sent are dropped from the next chunk; a run of
+//!   already sent are dropped from the next chunk (a scan meets a
+//!   key's stack front first, so those are the members sent); a run of
 //!   duplicates of a *single* key longer than a chunk cannot make
 //!   progress that way and is truncated at the chunk boundary (the
 //!   documented inexactness of chunked streaming — chunks are not one

@@ -73,10 +73,10 @@ impl ShardedRma {
     }
 
     /// Applies a mixed batch: `inserts` (sorted by key, duplicates
-    /// kept) and `deletes` (exact keys, missing keys ignored). The
-    /// batch is partitioned by shard and the per-shard sub-batches are
-    /// applied in parallel. Returns the number of elements actually
-    /// deleted.
+    /// kept) and `deletes` (exact keys, missing keys ignored), as
+    /// [`Rma::apply_batch`] means them. The batch is partitioned by
+    /// shard and the per-shard sub-batches are applied in parallel.
+    /// Returns the number of elements actually deleted.
     ///
     /// Atomicity is per shard: a concurrent reader can observe one
     /// shard's sub-batch applied while another's is still pending.
@@ -123,12 +123,12 @@ impl ShardedRma {
                             ins.iter().map(|&(k, _)| k).chain(dels.iter().copied())
                         };
                         let d = self.write_locked(topo, &topo.shards[i], [], keys, |rma, log| {
-                            // In apply order: `Rma::apply_batch` runs
-                            // its delete pass before its insert pass,
-                            // and replaying a delete of an absent key
-                            // is a no-op either way.
+                            // In replay order: the delete pass, then the
+                            // inserts reversed — they land at the fronts
+                            // of their stacks in batch order, which
+                            // one-by-one pushes reach only backwards.
                             log.extend(dels.iter().map(|&k| DurabilityOp::Remove(k)));
-                            log.extend(ins.iter().map(|&(k, v)| DurabilityOp::Insert(k, v)));
+                            log.extend(ins.iter().rev().map(|&(k, v)| DurabilityOp::Insert(k, v)));
                             rma.apply_batch(ins, dels)
                         });
                         let d = d.unwrap_or_else(|| self.apply_batch(ins, dels));

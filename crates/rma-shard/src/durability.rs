@@ -24,15 +24,16 @@ use crate::ShardedRma;
 use rma_core::{Key, Value};
 use rma_obs::EventKind;
 
-/// One logical mutation, as the log sees it. Replay applies these
-/// through the ordinary engine entry points (`insert` keeps
-/// duplicates; `remove` drops one instance of the key), so the pair
-/// is closed under replay.
+/// One logical mutation, as the log sees it. Replay applies these one
+/// by one through the ordinary entry points, where a key's members
+/// are a stack ([`PointOp`](crate::PointOp)), so the log holds them
+/// in replay order: a batch's inserts reversed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityOp {
-    /// An element `(key, value)` was inserted (duplicates kept).
+    /// An element `(key, value)` was pushed onto the front of the
+    /// key's stack (duplicates kept).
     Insert(Key, Value),
-    /// One element with exactly this key was removed.
+    /// The front member of the key's stack was popped.
     Remove(Key),
 }
 
@@ -51,10 +52,10 @@ impl DurabilityOp {
 /// crates stay decoupled (`rma-wal` depends on `rma-shard`, not the
 /// other way around).
 pub trait DurabilitySink: Send + Sync {
-    /// Records applied mutations, in the order they were applied: a
-    /// shard group's for [`ShardedRma::apply_ops`] (a single-key write
-    /// is a one-op group), a shard's sub-batch for
-    /// [`ShardedRma::apply_batch`], the removed element for
+    /// Records applied mutations, in replay order: a shard group's for
+    /// [`ShardedRma::apply_ops`] (a single-key write is a one-op
+    /// group), a shard's sub-batch for [`ShardedRma::apply_batch`]
+    /// (its deletes, then its inserts reversed), the removed element for
     /// [`ShardedRma::remove_successor`]. The engine's one call site is
     /// the end of its shard write section, under the shard write lock
     /// of the mutations, so same-key records are logged in apply order

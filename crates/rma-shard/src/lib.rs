@@ -177,14 +177,17 @@ fn members(pending: u64, shard_of: &[u32; GET_MANY_BLOCK], shard: u32) -> u64 {
 }
 
 /// One point operation of a [`ShardedRma::apply_ops`] run. Each means
-/// what the single-key call of its name means.
+/// what the single-key call of its name means. A key's members form a
+/// stack, as in [`Rma`](rma_core::Rma): an `Insert` pushes onto its
+/// front, a `Get` sees the front (as `first_ge` and scans do) and a
+/// `Remove` pops it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointOp {
-    /// [`ShardedRma::get`]; answered with the value found.
+    /// [`ShardedRma::get`]; answered with the front member's value.
     Get(Key),
     /// [`ShardedRma::insert`] (duplicates kept); answered with `None`.
     Insert(Key, Value),
-    /// [`ShardedRma::remove`]; answered with the value removed.
+    /// [`ShardedRma::remove`]; answered with the value popped.
     Remove(Key),
 }
 
@@ -610,7 +613,8 @@ impl ShardedRma {
 
     // ------------------------------------------------- point ops --
 
-    /// Point lookup. Lock-free on the happy path: routes through the
+    /// Point lookup: the value of the front member of `k`'s stack (see
+    /// [`PointOp`]). Lock-free on the happy path: routes through the
     /// pinned topology and reads the shard optimistically, falling
     /// back to the shard's read lock only after repeated writer
     /// interference.
@@ -866,7 +870,7 @@ impl ShardedRma {
         shard.peek(read)
     }
 
-    /// Inserts `(k, v)` (duplicates kept): a one-op
+    /// Inserts `(k, v)` on the front of `k`'s stack: a one-op
     /// [`apply_ops`](Self::apply_ops), so one shard's write lock (plus
     /// the writer half of the pin protocol). A rebalance or resize this
     /// triggers stays inside the shard.
@@ -874,8 +878,8 @@ impl ShardedRma {
         self.apply_ops(&[PointOp::Insert(k, v)], &mut [None]);
     }
 
-    /// Removes one element with key exactly `k`, returning its value:
-    /// a one-op [`apply_ops`](Self::apply_ops).
+    /// Pops the front member of `k`'s stack, returning its value: a
+    /// one-op [`apply_ops`](Self::apply_ops).
     pub fn remove(&self, k: Key) -> Option<Value> {
         let mut out = [None];
         self.apply_ops(&[PointOp::Remove(k)], &mut out);
@@ -1219,13 +1223,13 @@ mod tests {
         ];
         let mut out = [Some(0); 6];
         s.apply_ops(&ops, &mut out);
-        assert_eq!(out[..4], [None, Some(10), None, None]);
-        assert!(matches!(out[4], Some(10 | 11)), "{out:?}");
+        assert_eq!(out[..5], [None, Some(10), None, None, Some(11)]);
         let group = vec![Insert(1, 10), Insert(1, 11), Remove(1), Insert(2, 20)];
         assert_eq!(log.take(), [group]);
-        // A sub-batch: its deletes (absent keys too), then its inserts.
+        // A sub-batch: its deletes (absent keys too), then its inserts
+        // in the reverse order that one-by-one pushes replay it in.
         assert_eq!(s.apply_batch(&[(3, 3), (4, 4)], &[2, 7]), 1);
-        let batch = vec![Remove(2), Remove(7), Insert(3, 3), Insert(4, 4)];
+        let batch = vec![Remove(2), Remove(7), Insert(4, 4), Insert(3, 3)];
         assert_eq!(log.take(), [batch]);
         // The key `remove_successor` removed, not its probe.
         s.insert(600, 6);
@@ -1296,50 +1300,45 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
-        /// The reference: every key's values as a multiset. It does not
-        /// say *which* duplicate a `Get` or `Remove` answers, only that
-        /// the answer is one of them.
+        /// The reference: every key's values as a stack, the newest
+        /// first — the contract of `rma_core::Rma`.
         type Oracle = BTreeMap<Key, Vec<Value>>;
 
         /// Checks `got[i]` against `oracle` for `ops[i]`, in submission
         /// order, and applies the op to it: an `Insert` answers `None`
-        /// and pushes its value; a `Get` or `Remove` answers `None` iff
-        /// the key is absent, and otherwise one of its values, which a
-        /// `Remove` drops.
+        /// and pushes its value onto the front; a `Get` or `Remove`
+        /// answers the front value (`None` iff the key is absent), which
+        /// a `Remove` pops.
         fn check(oracle: &mut Oracle, ops: &[PointOp], got: &[Option<Value>]) {
             assert_eq!(ops.len(), got.len());
             for (&op, &got) in ops.iter().zip(got) {
                 let k = op.key();
-                if let PointOp::Insert(_, v) = op {
-                    assert_eq!(got, None, "{op:?}");
-                    oracle.entry(k).or_default().push(v);
-                    continue;
-                }
-                let Some(v) = got else {
-                    assert!(!oracle.contains_key(&k), "{op:?} missed a stored key");
-                    continue;
-                };
-                let vals = oracle
-                    .get_mut(&k)
-                    .unwrap_or_else(|| panic!("{op:?} found {v}"));
-                let at = vals.iter().position(|&x| x == v);
-                let at = at.unwrap_or_else(|| panic!("{op:?} answered {v}, not one of {vals:?}"));
-                if let PointOp::Remove(_) = op {
-                    vals.swap_remove(at);
-                    if vals.is_empty() {
-                        oracle.remove(&k);
+                let front = oracle.get(&k).map(|vals| vals[0]);
+                match op {
+                    PointOp::Insert(_, v) => {
+                        assert_eq!(got, None, "{op:?}");
+                        oracle.entry(k).or_default().insert(0, v);
+                    }
+                    PointOp::Get(_) => assert_eq!(got, front, "{op:?}"),
+                    PointOp::Remove(_) => {
+                        assert_eq!(got, front, "{op:?}");
+                        if let Some(vals) = oracle.get_mut(&k) {
+                            vals.remove(0);
+                            if vals.is_empty() {
+                                oracle.remove(&k);
+                            }
+                        }
                     }
                 }
             }
         }
 
-        /// What `s` stores, as the oracle's sorted multisets.
-        fn multisets(s: &ShardedRma) -> Oracle {
+        /// What `s` stores, in scan order, as the oracle's stacks.
+        fn stacks(s: &ShardedRma) -> Oracle {
             let mut all = Oracle::new();
             for (k, v) in s.collect_all() {
                 all.entry(k).or_default().push(v);
             }
-            all.values_mut().for_each(|vals| vals.sort_unstable());
             all
         }
 
@@ -1358,8 +1357,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// A stream of point ops through `apply_ops` in random
-            /// chunks answers, and leaves, what a multiset of values
-            /// per key allows — with a split, a merge, and a chunk
+            /// chunks answers, and leaves, what a stack of values per
+            /// key says, member for member — with a split, a merge, and a chunk
             /// routed on a topology a split retires under it, between
             /// chunks. Duplicates are likely: the key space is small.
             #[test]
@@ -1426,8 +1425,7 @@ mod tests {
                     check(&mut oracle, chunk, &got);
                 }
                 grouped.check_invariants();
-                oracle.values_mut().for_each(|vals| vals.sort_unstable());
-                prop_assert_eq!(multisets(&grouped), oracle);
+                prop_assert_eq!(stacks(&grouped), oracle);
             }
         }
     }

@@ -190,11 +190,11 @@ mod tests {
             let cfg = small_cfg(splitters.len() + 1);
             let mut single = rma_core::Rma::new(cfg.rma);
             let s = ShardedRma::with_splitters(cfg, Splitters::new(splitters));
-            // Duplicates of a key carry one value: which of them a
-            // truncated scan keeps is not part of the contract.
-            for &k in &keys {
-                s.insert(k, k * 7 + 1);
-                single.insert(k, k * 7 + 1);
+            // A distinct value per member: a truncated scan keeps a
+            // key's newest members, in both stores.
+            for (i, &k) in keys.iter().enumerate() {
+                s.insert(k, i as i64);
+                single.insert(k, i as i64);
             }
             let held: Vec<(i64, i64)> = (0..held).map(|i| (-7, i as i64)).collect();
             let edges = [(i64::MIN, usize::MAX), (i64::MAX, 5), (0, 0)];

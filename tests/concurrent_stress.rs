@@ -696,8 +696,8 @@ proptest! {
     /// as `None`, a torn one as a foreign value — and the number of
     /// elements a scan visits from the first version on must never
     /// shrink, since nothing is ever removed. (Which member of a
-    /// duplicate run `get` returns is deliberately not exercised: that
-    /// contract is still open.) The reader must also keep terminating:
+    /// duplicate run `get` returns — the front of the key's stack — is
+    /// `tests/key_contract.rs`'s to check.) The reader must also keep terminating:
     /// optimistic retries are bounded, the lock fallback completes.
     #[test]
     fn optimistic_reads_are_monotone_under_mutation(

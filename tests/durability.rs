@@ -470,7 +470,7 @@ fn a_checkpoint_is_not_a_maintenance_step() {
 /// `Insert k`, `Remove k`, `Insert k` and a duplicate `Insert k` in
 /// one submit run as one shard group, staged with one append: the log
 /// holds them under consecutive LSNs in op order, and a reopen
-/// restores the same multiset.
+/// restores the same stack, the newest member in front.
 #[test]
 fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
     const K: i64 = 4242;
@@ -495,6 +495,7 @@ fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
         Reply::Inserted,
     ];
     assert_eq!(replies, want);
+    assert_eq!((db.get(K), dump(&db)), (Some(3), vec![(K, 3), (K, 2)]));
     drop(db);
     // A record is an 8-byte frame header, then `lsn u64 · kind u8 ·
     // key i64 · value i64`, little-endian (kind 0 inserts, 1 removes).
@@ -509,9 +510,35 @@ fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
         [(1, 0, K, 1), (2, 1, K, 0), (3, 0, K, 2), (4, 0, K, 3)]
     );
     let db = Db::open(&dir).expect("reopen recovers");
-    let mut got = dump(&db);
-    got.sort_unstable();
-    assert_eq!(got, [(K, 2), (K, 3)]);
+    assert_eq!((db.get(K), dump(&db)), (Some(3), vec![(K, 3), (K, 2)]));
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch lays its members of a key on the front of the key's stack,
+/// in batch order; its log records replay one push at a time into the
+/// same stack, and so does a checkpoint of it.
+#[test]
+fn a_batch_and_its_replay_leave_the_same_stack() {
+    const K: i64 = 4242;
+    let dir = scratch("batch-stack");
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .router_workers(1)
+        .durability(DurabilityConfig::new(&dir).partitions(1))
+        .build()
+        .expect("valid durable config");
+    db.insert(K, 1);
+    db.apply_batch(&[(K, 2), (K, 3)], &[]);
+    let before = (db.get(K), dump(&db));
+    assert_eq!(before, (Some(2), vec![(K, 2), (K, 3), (K, 1)]));
+    drop(db);
+    let db = Db::open(&dir).expect("reopen replays the log");
+    assert_eq!((db.get(K), dump(&db)), before, "after replay");
+    assert_eq!(db.engine().checkpoint(), 1);
+    drop(db);
+    let db = Db::open(&dir).expect("reopen loads the checkpoint");
+    assert_eq!((db.get(K), dump(&db)), before, "after a checkpoint");
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -80,18 +80,22 @@ fn mixed_churn_matches_rma_and_btreemap() {
         let k = ((x >> 48) & 0x7FF) as i64; // keys in [0, 2048): all four shards
         match step % 5 {
             4 => {
-                let got = sharded.remove_successor(k).map(|(kk, _)| kk);
-                let single_got = single.remove_successor(k).map(|(kk, _)| kk);
+                let got = sharded.remove_successor(k);
+                let single_got = single.remove_successor(k);
                 let want = oracle_remove_succ(&mut oracle, k);
-                assert_eq!(got, want, "step {step} remove_successor({k})");
-                assert_eq!(single_got, want, "oracle drift at step {step}");
+                assert_eq!(
+                    got.map(|(kk, _)| kk),
+                    want,
+                    "step {step} remove_successor({k})"
+                );
+                assert_eq!(got, single_got, "step {step}: the same member");
             }
             3 => {
                 let got = sharded.remove(k);
                 let single_got = single.remove(k);
                 let present = oracle.get(&k).copied().unwrap_or(0) > 0;
                 assert_eq!(got.is_some(), present, "step {step} remove({k})");
-                assert_eq!(single_got.is_some(), present);
+                assert_eq!(got, single_got, "step {step}: the same member");
                 if present {
                     let c = oracle.get_mut(&k).expect("present");
                     *c -= 1;
@@ -101,12 +105,11 @@ fn mixed_churn_matches_rma_and_btreemap() {
                 }
             }
             _ => {
-                // Value is a function of the key: which duplicate
-                // instance a remove takes is layout-dependent, so
-                // distinct values per instance would make sums
-                // incomparable.
-                sharded.insert(k, k * 3);
-                single.insert(k, k * 3);
+                // A distinct value per member: both stores pop and
+                // scan a key's stack from its newest member, so every
+                // answer and every sum names the same members.
+                sharded.insert(k, step as i64);
+                single.insert(k, step as i64);
                 oracle_insert(&mut oracle, k);
             }
         }
@@ -134,6 +137,7 @@ fn mixed_churn_matches_rma_and_btreemap() {
         .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
         .collect();
     assert_eq!(got, want, "final content");
+    assert_eq!(sharded.collect_all(), single.iter().collect::<Vec<_>>());
 }
 
 /// Coverage the original suite missed: `remove()` *after* shard
@@ -214,8 +218,9 @@ fn removes_after_split_merge_cycles_match_btreemap() {
 
 /// `get_many` against per-key `get` (bit for bit: the same member of
 /// a duplicate run) and against the oracle's presence. Values are a
-/// function of the key, so the oracle predicts them whichever member
-/// is returned.
+/// function of the key, so the oracle predicts them without tracking
+/// members; `tests/key_contract.rs` checks that the member is the
+/// front of the key's stack.
 fn assert_get_many_matches(
     sharded: &rma_repro::shard::ShardedRma,
     oracle: &BTreeMap<i64, usize>,
