@@ -102,12 +102,6 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
         // maintenance fixed costs to the measured stall.
         rma: RmaConfig {
             reserve_bytes: 1 << 28,
-            // No MADV_HUGEPAGE: this host compacts synchronously on
-            // fault for hinted regions (`defrag=madvise`), and shard
-            // maintenance churns fresh reservations — a first-touch
-            // fault mid-compaction stalls an insert for tens of
-            // milliseconds, swamping the signal this driver measures.
-            huge_pages: false,
             ..RmaConfig::with_segment_size(cli.seg)
         },
         min_split_len: 256,

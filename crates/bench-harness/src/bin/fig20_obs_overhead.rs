@@ -79,10 +79,7 @@ fn preloaded(cli: &Cli, obs_on: bool) -> Db {
     Db::builder()
         .shards(SHARDS)
         .rma(RmaConfig::with_segment_size(cli.seg))
-        .observability(ObsConfig {
-            enabled: obs_on,
-            ..Default::default()
-        })
+        .observability(ObsConfig { enabled: obs_on })
         .build_bulk(&base)
         .expect("static driver config is valid")
 }

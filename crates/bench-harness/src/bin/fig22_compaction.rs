@@ -7,8 +7,8 @@
 //! splits the hot shard every phase, so the live shard count ratchets
 //! well past the configured target while the retired bands' shards
 //! linger. The driver then goes quiet and starts the background
-//! maintainer: its op-rate estimate drops below
-//! [`MaintainerConfig::idle_ops_threshold`], the idle gate engages,
+//! maintainer: its op-rate estimate drops below the idle threshold
+//! (1000 ops/s), the idle gate engages,
 //! and the consolidation chain
 //! ([`rma_shard::ShardedRma::plan_consolidation`]) merges the coldest
 //! neighbour pairs until the count is back at
@@ -76,12 +76,11 @@ fn shard_config(cli: &Cli) -> ShardConfig {
 
 /// Background maintainer tuned for the quiet period: fast poll, the
 /// imbalance trigger parked out of reach (accretion already happened
-/// synchronously), the idle gate armed.
+/// synchronously); the idle gate is always armed.
 fn maintainer_config() -> MaintainerConfig {
     MaintainerConfig {
         poll_interval: Duration::from_millis(2),
         imbalance_trigger: 1e9,
-        idle_ops_threshold: 1000.0,
         ..Default::default()
     }
 }

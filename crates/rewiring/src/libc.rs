@@ -4,7 +4,7 @@
 //! cannot be resolved. This module declares exactly the types,
 //! constants and functions the workspace uses where `std` has no
 //! equivalent — the `mmap.rs` memory surface, the monotonic clock,
-//! `rma-net`'s epoll / eventfd / `SO_SNDBUF`, and the socket calls
+//! `rma-net`'s epoll / eventfd, and the socket calls
 //! `tests/net.rs` needs to clamp `SO_RCVBUF` before it connects —
 //! with the generic Linux values shared by x86_64 and aarch64 (the
 //! only targets this reproduction runs on).
@@ -42,8 +42,6 @@ pub const MAP_NORESERVE: c_int = 0x4000;
 pub const MAP_POPULATE: c_int = 0x8000;
 pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
-pub const MADV_HUGEPAGE: c_int = 14;
-
 pub const MFD_CLOEXEC: c_uint = 0x0001;
 
 pub const FALLOC_FL_KEEP_SIZE: c_int = 0x01;
@@ -60,7 +58,6 @@ pub const AF_INET: c_int = 2;
 pub const SOCK_STREAM: c_int = 1;
 
 pub const SOL_SOCKET: c_int = 1;
-pub const SO_SNDBUF: c_int = 7;
 pub const SO_RCVBUF: c_int = 8;
 
 pub const INADDR_LOOPBACK: u32 = 0x7F00_0001;
@@ -126,7 +123,6 @@ extern "C" {
         offset: off_t,
     ) -> *mut c_void;
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
-    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
     pub fn fallocate(fd: c_int, mode: c_int, offset: off_t, len: off_t) -> c_int;
 
     // networking (`rma-net`'s epoll loop, `tests/net.rs`'s clamped client)

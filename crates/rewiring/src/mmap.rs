@@ -71,7 +71,7 @@ fn kernel_page_bytes() -> usize {
 /// Returns true if `memfd_create` + `MAP_FIXED` rewiring works here.
 pub fn probe() -> bool {
     let kernel_page = kernel_page_bytes();
-    let Ok(mut r) = MmapRegion::new(kernel_page, kernel_page * 4, true) else {
+    let Ok(mut r) = MmapRegion::new(kernel_page, kernel_page * 4) else {
         return false;
     };
     // Exercise an actual wire + swap round trip.
@@ -96,7 +96,7 @@ impl MmapRegion {
     /// `page_bytes` and creates the backing `memfd`. No physical
     /// memory is committed yet. Fails when the syscalls are refused or
     /// the address space cannot hold the reservation.
-    pub fn new(page_bytes: usize, reserve_bytes: usize, huge_pages: bool) -> io::Result<Self> {
+    pub fn new(page_bytes: usize, reserve_bytes: usize) -> io::Result<Self> {
         let kernel_page = kernel_page_bytes();
         assert!(page_bytes >= kernel_page && page_bytes.is_multiple_of(kernel_page));
         assert!(reserve_bytes.is_multiple_of(page_bytes) && reserve_bytes > 0);
@@ -130,14 +130,6 @@ impl MmapRegion {
         };
         if base == libc::MAP_FAILED {
             return Err(io::Error::last_os_error());
-        }
-        // Huge pages are a best-effort hint, as in the paper's 2 MB
-        // huge-page setup; ignore failure. Opt-out exists because
-        // `defrag=madvise` kernels compact synchronously on fault.
-        if huge_pages {
-            // SAFETY: advice on the reservation just made; it changes
-            // no mapping and no content.
-            unsafe { libc::madvise(base, reserve_bytes, libc::MADV_HUGEPAGE) };
         }
 
         Ok(MmapRegion {
@@ -398,7 +390,7 @@ mod tests {
 
     fn region(pages: usize) -> Option<MmapRegion> {
         let kp = kernel_page_bytes();
-        MmapRegion::new(kp, kp * pages, true).ok()
+        MmapRegion::new(kp, kp * pages).ok()
     }
 
     #[test]

@@ -57,14 +57,6 @@ pub struct RewireOptions {
     pub page_bytes: usize,
     /// Total virtual reservation in bytes (the paper reserves 2^37).
     pub reserve_bytes: usize,
-    /// Hint the kernel to back the reservation with transparent huge
-    /// pages (`MADV_HUGEPAGE`), as in the paper's 2 MB huge-page
-    /// setup. Under `defrag=madvise` kernels this opts page faults
-    /// into *synchronous* compaction, which can stall a fault for
-    /// tens of milliseconds — latency-sensitive deployments that
-    /// churn mappings (e.g. incremental shard maintenance) turn it
-    /// off.
-    pub huge_pages: bool,
 }
 
 impl Default for RewireOptions {
@@ -72,7 +64,6 @@ impl Default for RewireOptions {
         RewireOptions {
             page_bytes: 2 << 20,
             reserve_bytes: 1 << 35,
-            huge_pages: true,
         }
     }
 }
@@ -111,7 +102,7 @@ impl RewiredVec {
     pub fn new(opts: RewireOptions) -> Self {
         let reserve = opts.reserve_bytes.next_multiple_of(opts.page_bytes);
         let mut v = Self::heap(opts.page_bytes);
-        if let Ok(region) = MmapRegion::new(opts.page_bytes, reserve, opts.huge_pages) {
+        if let Ok(region) = MmapRegion::new(opts.page_bytes, reserve) {
             v.column = Column::Mmap(Mapped {
                 region,
                 len: 0,
@@ -391,7 +382,6 @@ mod tests {
         RewireOptions {
             page_bytes: 4096,
             reserve_bytes: 4096 * 64,
-            huge_pages: true,
         }
     }
 
@@ -663,7 +653,6 @@ mod tests {
                 RewireOptions {
                     page_bytes: 4096,
                     reserve_bytes: 4096 * 128,
-                    huge_pages: false,
                 },
                 seed,
                 300,

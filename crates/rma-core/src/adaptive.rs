@@ -337,6 +337,7 @@ mod tests {
             tau_1: 1.0,
             policy: crate::thresholds::ResizePolicy::Double,
         };
+        t.validate();
         let iv = [MarkedInterval {
             start: 4,
             len: 2,

@@ -26,7 +26,9 @@ pub struct RmaConfig {
     /// Segment capacity `B`, in elements. The paper's evaluation fixes
     /// `B = 128` except where it sweeps the parameter (Fig. 10).
     pub segment_size: usize,
-    /// Density thresholds + resize policy (UT or ST preset).
+    /// Density thresholds + resize policy:
+    /// [`Thresholds::update_oriented`] (UT, the default) or
+    /// [`Thresholds::scan_oriented`] (ST).
     pub thresholds: Thresholds,
     /// Memory rewiring mode for rebalances and resizes.
     pub rewiring: RewiringMode,
@@ -36,12 +38,6 @@ pub struct RmaConfig {
     /// Total virtual reservation per storage column, in bytes. Bounds
     /// the maximum capacity; the paper reserves 2^37 bytes.
     pub reserve_bytes: usize,
-    /// Hint the kernel to back reservations with transparent huge
-    /// pages (the paper's 2 MB huge-page setup). Leave on for
-    /// throughput; turn off in latency-sensitive deployments that
-    /// churn mappings, where `defrag=madvise` kernels stall page
-    /// faults on synchronous compaction.
-    pub huge_pages: bool,
 }
 
 impl Default for RmaConfig {
@@ -54,7 +50,6 @@ impl Default for RmaConfig {
             },
             adaptive: true,
             reserve_bytes: 1 << 33,
-            huge_pages: true,
         }
     }
 }
@@ -118,9 +113,6 @@ impl RmaConfig {
         if !self.segment_size.is_power_of_two() {
             return Err(RmaConfigError::SegmentNotPowerOfTwo(self.segment_size));
         }
-        self.thresholds
-            .try_validate()
-            .map_err(RmaConfigError::Thresholds)?;
         if let RewiringMode::Enabled { page_bytes } = self.rewiring {
             if !page_bytes.is_power_of_two() {
                 return Err(RmaConfigError::PageNotPowerOfTwo(page_bytes));
@@ -142,9 +134,6 @@ pub enum RmaConfigError {
     SegmentTooSmall(usize),
     /// Segment capacity is not a power of two.
     SegmentNotPowerOfTwo(usize),
-    /// Density thresholds violate the designer ordering; the message
-    /// names the broken rule.
-    Thresholds(&'static str),
     /// Rewiring page size is not a power of two.
     PageNotPowerOfTwo(usize),
     /// Rewiring page size below 4 KiB.
@@ -160,7 +149,6 @@ impl std::fmt::Display for RmaConfigError {
             RmaConfigError::SegmentNotPowerOfTwo(b) => {
                 write!(f, "segment size must be a power of two (got {b})")
             }
-            RmaConfigError::Thresholds(reason) => f.write_str(reason),
             RmaConfigError::PageNotPowerOfTwo(b) => {
                 write!(f, "page size must be a power of two (got {b})")
             }

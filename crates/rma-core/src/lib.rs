@@ -65,7 +65,7 @@ pub use index::StaticIndex;
 pub use rewiring::BackendKind;
 pub use rma::Rma;
 pub use stats::RmaStats;
-pub use thresholds::{ResizePolicy, Thresholds};
+pub use thresholds::Thresholds;
 
 /// Key type (8-byte integer), shared across the reproduction.
 pub type Key = i64;

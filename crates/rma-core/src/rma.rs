@@ -1381,7 +1381,6 @@ mod tests {
             adaptive: false,
             thresholds: Thresholds::scan_oriented(),
             reserve_bytes: 1 << 26,
-            ..Default::default()
         };
         let mut r = Rma::new(cfg);
         for k in 0..10_000i64 {

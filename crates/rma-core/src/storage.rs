@@ -34,7 +34,6 @@ impl Storage {
             RewiringMode::Enabled { page_bytes } => RewiredVec::new(RewireOptions {
                 page_bytes,
                 reserve_bytes: cfg.reserve_bytes,
-                huge_pages: cfg.huge_pages,
             }),
             // Without rewiring a column is a plain `Vec`; the page
             // size only sets the unit arrays are sized in.
@@ -415,7 +414,6 @@ mod tests {
         st.vals = RewiredVec::new(RewireOptions {
             page_bytes: 4096,
             reserve_bytes: 1 << 20,
-            huge_pages: false,
         });
         st.vals.resize_in_place(8);
         assert_eq!(st.keys.backend_kind(), BackendKind::Heap);

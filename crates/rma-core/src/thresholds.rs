@@ -14,10 +14,14 @@
 //! * **scan-oriented** (`ρ₁=0, ρ_h=τ_h=0.75, τ₁=1`): array kept ~75%
 //!   full, capacity set to `2N/(τ_h+ρ_h)` on resize, plus a forced
 //!   shrink when the fill factor drops below 50%.
+//!
+//! The presets are the only way to build a [`Thresholds`]: the four
+//! extremes and the resize policy are fixed by the paper, so no
+//! ordering check is needed at run time.
 
 /// How the array capacity changes when a resize is unavoidable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResizePolicy {
+pub(crate) enum ResizePolicy {
     /// Capacity doubles on growth and halves on shrink (the paper's
     /// first strategy; favours updates). A bulk-built array need not
     /// be a power of two — it is a whole number of logical pages —
@@ -33,20 +37,22 @@ pub enum ResizePolicy {
     Proportional,
 }
 
-/// The four threshold extremes plus the resize policy.
+/// The four threshold extremes plus the resize policy: one of the
+/// paper's two presets, [`update_oriented`](Self::update_oriented) or
+/// [`scan_oriented`](Self::scan_oriented).
 #[derive(Debug, Clone, Copy)]
 pub struct Thresholds {
     /// Lower density bound at the segment level.
-    pub rho_1: f64,
+    pub(crate) rho_1: f64,
     /// Lower density bound at the root level.
-    pub rho_h: f64,
+    pub(crate) rho_h: f64,
     /// Upper density bound at the root level.
-    pub tau_h: f64,
+    pub(crate) tau_h: f64,
     /// Upper density bound at the segment level (1.0 in the RMA:
     /// segments fill completely before triggering a rebalance).
-    pub tau_1: f64,
+    pub(crate) tau_1: f64,
     /// Resize strategy tied to the preset.
-    pub policy: ResizePolicy,
+    pub(crate) policy: ResizePolicy,
 }
 
 impl Thresholds {
@@ -71,37 +77,6 @@ impl Thresholds {
             tau_1: 1.0,
             policy: ResizePolicy::Proportional,
         }
-    }
-
-    /// Validates the designer ordering `0 ≤ ρ₁ < ρ_h ≤ τ_h < τ₁ ≤ 1`
-    /// (with `ρ₁ = ρ_h` tolerated for degenerate configurations).
-    /// Panicking form of [`try_validate`](Self::try_validate).
-    pub fn validate(&self) {
-        if let Err(reason) = self.try_validate() {
-            panic!("{reason}");
-        }
-    }
-
-    /// Checks the designer ordering without panicking, returning the
-    /// violated rule so construction-time validators can surface a
-    /// typed error instead of aborting deep inside a constructor.
-    pub fn try_validate(&self) -> Result<(), &'static str> {
-        if !(self.rho_1 >= 0.0 && self.tau_1 <= 1.0) {
-            return Err("thresholds out of [0,1]");
-        }
-        if self.rho_1 > self.rho_h {
-            return Err("rho_1 must be <= rho_h");
-        }
-        if self.rho_h > self.tau_h {
-            return Err("rho_h must be <= tau_h");
-        }
-        if self.tau_h >= self.tau_1 {
-            return Err("tau_h must be < tau_1");
-        }
-        if self.policy == ResizePolicy::Double && 2.0 * self.rho_h > self.tau_h {
-            return Err("doubling requires 2*rho_h <= tau_h for consistency");
-        }
-        Ok(())
     }
 
     /// Upper density bound at `level` (1-based) of a calibrator tree
@@ -141,9 +116,26 @@ impl Thresholds {
     }
 }
 
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds::update_oriented()
+#[cfg(test)]
+impl Thresholds {
+    /// Checks the designer ordering `0 ≤ ρ₁ ≤ ρ_h ≤ τ_h < τ₁ ≤ 1`
+    /// (and `2ρ_h ≤ τ_h` under doubling), panicking with the violated
+    /// rule.
+    pub(crate) fn validate(&self) {
+        let rule = if !(self.rho_1 >= 0.0 && self.tau_1 <= 1.0) {
+            "thresholds out of [0,1]"
+        } else if self.rho_1 > self.rho_h {
+            "rho_1 must be <= rho_h"
+        } else if self.rho_h > self.tau_h {
+            "rho_h must be <= tau_h"
+        } else if self.tau_h >= self.tau_1 {
+            "tau_h must be < tau_1"
+        } else if self.policy == ResizePolicy::Double && 2.0 * self.rho_h > self.tau_h {
+            "doubling requires 2*rho_h <= tau_h for consistency"
+        } else {
+            return;
+        };
+        panic!("{rule}");
     }
 }
 

@@ -157,7 +157,7 @@ impl Db {
         obs: ObsConfig,
         wal: Option<Arc<Wal>>,
     ) -> Db {
-        engine.set_observability(obs.enabled, obs.journal_capacity);
+        engine.set_observability(obs.enabled);
         if let Some(w) = &wal {
             engine.set_durability(Arc::clone(w) as Arc<dyn DurabilitySink>);
         }
@@ -165,7 +165,7 @@ impl Db {
         let router = Router::start(
             &engine,
             workers,
-            Arc::new(RouterObs::new(obs.enabled, obs.sample_every)),
+            Arc::new(RouterObs::new(obs.enabled)),
             wal.clone(),
         );
         let (maintainer, maintainer_stats) = match maintenance {
@@ -552,7 +552,6 @@ mod tests {
             // the synchronous `compact()` this test measures.
             .maintenance(rma_shard::MaintainerConfig {
                 poll_interval: std::time::Duration::from_secs(3600),
-                idle_ops_threshold: 500.0,
                 ..Default::default()
             })
             .build()
@@ -571,15 +570,15 @@ mod tests {
             ledger.steps_dropped, 0,
             "nothing drifted under a synchronous compact"
         );
-        // An invalid idle knob is rejected through the typed path.
-        let idle = rma_shard::MaintainerConfig {
-            idle_ops_threshold: 0.0,
+        // An invalid maintainer knob is rejected through the typed path.
+        let never = rma_shard::MaintainerConfig {
+            poll_interval: std::time::Duration::ZERO,
             ..Default::default()
         };
-        assert!(matches!(
-            small().maintenance(idle).build().unwrap_err(),
-            ConfigError::Engine(EngineError::IdleOpsThresholdNotPositive(_))
-        ));
+        assert_eq!(
+            small().maintenance(never).build().unwrap_err(),
+            ConfigError::Engine(EngineError::ZeroPollInterval)
+        );
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! [`render_text`](MetricsSnapshot::render_text) exposition.
 //!
 //! Instrumentation philosophy: per-operation latency is *sampled* —
-//! workers bracket one in [`ObsConfig::sample_every`] operations with
+//! workers bracket one in [`SAMPLE_EVERY`] = 16 operations with
 //! a pair of monotonic clock reads (vDSO `clock_gettime`, no syscall)
 //! and record the difference; the rest run untimed. A clock read is
 //! not free relative to a point lookup, so timing every op would cost
 //! double-digit percent throughput, while the sampled distribution
-//! converges to the same quantiles at a steady-state cost of
-//! `2/sample_every` clock reads per op (and zero when observability
-//! is disabled). A run of consecutive point ops executes as one
+//! converges to the same quantiles at a steady-state cost of two
+//! clock reads per 16 ops (and zero when observability is disabled). A run of consecutive point ops executes as one
 //! `apply_ops` call: the countdown advances by the run's length, and
 //! when it expires inside the run the whole call is timed once and
 //! every expiry records `elapsed / run length` under the kind of the
 //! op it expired on — so the sample *count* stays exactly one per
-//! `sample_every` ops, while a point op's sample is the **run mean**,
+//! 16 ops, while a point op's sample is the **run mean**,
 //! not that op's own time. Everything
 //! else (batch sizes, queue depth, ticket wait) is one relaxed atomic
 //! or clock read per *batch*, not per op, and is never sampled.
@@ -30,37 +29,32 @@ use rma_shard::ShardStats;
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
 
+/// Router workers time one in `SAMPLE_EVERY` operations into the
+/// per-op-type latency histograms. Sampling is what keeps default-on
+/// affordable: a clock read costs a meaningful fraction of a point
+/// lookup, so timing every op would tax throughput ~30-40% while
+/// 1-in-16 sampling costs ~2%, and the sampled distribution converges
+/// to the same quantiles. Batch-granular series (batch size, queue
+/// depth, ticket wait) and maintenance events are never sampled.
+pub(crate) const SAMPLE_EVERY: usize = 16;
+
 /// Observability switch for [`DbBuilder`](crate::DbBuilder). Default
 /// **on**: recording costs one atomic per event and one clock read
 /// per op boundary, which the `fig20_obs_overhead` bench bounds at
 /// well under 10% of throughput; opt out for benchmark baselines.
+/// Router workers time one op in 16, and the maintenance journal
+/// keeps the newest 1024 events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Master switch: when `false` no clocks are read, no histograms
     /// recorded, no journal events written (the structures still
     /// exist so snapshots render, empty).
     pub enabled: bool,
-    /// Router workers time one in `sample_every` operations into the
-    /// per-op-type latency histograms (`1` times every op). Sampling
-    /// is what keeps default-on affordable: a clock read costs a
-    /// meaningful fraction of a point lookup, so timing every op
-    /// would tax throughput ~30-40% while 1-in-16 sampling costs
-    /// ~2%, and the sampled distribution converges to the same
-    /// quantiles. Batch-granular series (batch size, queue depth,
-    /// ticket wait) and maintenance events are never sampled.
-    pub sample_every: u32,
-    /// Maintenance-event journal capacity (events retained,
-    /// overwrite-oldest; rounded up to a power of two, minimum 8).
-    pub journal_capacity: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            sample_every: 16,
-            journal_capacity: rma_shard::obs::DEFAULT_JOURNAL_CAPACITY,
-        }
+        ObsConfig { enabled: true }
     }
 }
 
@@ -86,11 +80,9 @@ pub(crate) fn op_index(op: &Op) -> usize {
 pub(crate) struct RouterObs {
     /// Mirrors [`ObsConfig::enabled`].
     pub(crate) enabled: bool,
-    /// Mirrors [`ObsConfig::sample_every`], clamped to ≥ 1.
-    pub(crate) sample_every: u32,
     /// Per-op-type service latency (worker-side, excludes queue
     /// wait), nanoseconds; indexed by [`op_index`]. Populated from
-    /// one in [`Self::sample_every`] operations; a point op records
+    /// one in [`SAMPLE_EVERY`] operations; a point op records
     /// the mean per-op time of the run it was sampled in.
     pub(crate) op_latency: [Histogram; 6],
     /// Operations per submitted batch.
@@ -106,10 +98,9 @@ pub(crate) struct RouterObs {
 }
 
 impl RouterObs {
-    pub(crate) fn new(enabled: bool, sample_every: u32) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         RouterObs {
             enabled,
-            sample_every: sample_every.max(1),
             op_latency: std::array::from_fn(|_| Histogram::new()),
             batch_size: Histogram::new(),
             queue_depth: Histogram::new(),

@@ -20,7 +20,7 @@
 //! incomplete) and exits when its channel disconnects, and the drop
 //! joins the threads.
 
-use crate::metrics::{op_index, RouterObs};
+use crate::metrics::{op_index, RouterObs, SAMPLE_EVERY};
 use crate::session::{Op, Reply, TicketState};
 use rma_obs::EventKind;
 use rma_shard::{PointOp, ShardedRma};
@@ -159,7 +159,7 @@ struct OpRunner<'a> {
     engine: &'a ShardedRma,
     obs: &'a RouterObs,
     /// Ops until the next timed one, carried across batches so the
-    /// sampled op rate is exactly 1-in-`sample_every` regardless of
+    /// sampled op rate is exactly 1-in-[`SAMPLE_EVERY`] regardless of
     /// batch sizes. Starts at 1 so short-lived workloads still get a
     /// sample.
     countdown: u32,
@@ -172,22 +172,21 @@ impl OpRunner<'_> {
     /// offsets, in `0..n`, of the ops it expired on (none with
     /// observability off).
     fn expiries(&mut self, n: usize) -> StepBy<Range<usize>> {
-        let every = self.obs.sample_every as usize;
         if !self.obs.enabled {
-            return (0..0).step_by(every);
+            return (0..0).step_by(SAMPLE_EVERY);
         }
         let left = self.countdown as usize;
         if n < left {
             self.countdown = (left - n) as u32;
-            return (0..0).step_by(every);
+            return (0..0).step_by(SAMPLE_EVERY);
         }
         let past = n - left;
-        self.countdown = (every - past % every) as u32;
-        (left - 1..n).step_by(every)
+        self.countdown = (SAMPLE_EVERY - past % SAMPLE_EVERY) as u32;
+        (left - 1..n).step_by(SAMPLE_EVERY)
     }
 
     /// Executes one range op, bracketed by a clock-read pair when it
-    /// is the one in `sample_every` that gets timed. A clock read
+    /// is the one in [`SAMPLE_EVERY`] that gets timed. A clock read
     /// costs a meaningful fraction of a short read, so the untimed arm
     /// must stay a decrement and a branch.
     fn one(&mut self, op: Op) -> Reply {

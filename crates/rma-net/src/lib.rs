@@ -4,10 +4,10 @@
 //!
 //! The stack, bottom-up:
 //!
-//! * `sys` (private) — the three things the loop needs that `std`
-//!   has no type for: an `epoll(7)` set, an `eventfd(2)` and
-//!   `SO_SNDBUF`, over the FFI declared in `rewiring::libc`. The
-//!   listener and the connections are `std::net` sockets.
+//! * `sys` (private) — the two things the loop needs that `std` has
+//!   no type for: an `epoll(7)` set and an `eventfd(2)`, over the FFI
+//!   declared in `rewiring::libc`. The listener and the connections
+//!   are `std::net` sockets.
 //! * [`wire`] — length-prefixed, CRC-32-checked frames carrying
 //!   batches of typed [`rma_db::Op`]s and streamed
 //!   [`rma_db::Reply`]s; see the module docs for the frame layout.

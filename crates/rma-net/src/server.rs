@@ -54,7 +54,7 @@
 //!   snapshot, concurrent writers may interleave).
 
 use crate::stats::NetStats;
-use crate::sys::{self, Epoll, EventFd};
+use crate::sys::{Epoll, EventFd};
 use crate::wire::{self, Frame, RecvBuf, ResponseEncoder};
 use rewiring::libc::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use rma_db::{Db, Op, Reply, Session, Ticket};
@@ -78,14 +78,10 @@ pub struct NetConfig {
     /// chunk: a quarter of this, in 16-byte entries — scans asking
     /// for more stream in chunks of that size, and a connection holds
     /// at most `write_buf_cap + write_buf_cap / 4` reply bytes for
-    /// one.
+    /// one. These are the server's own bytes: the kernel's send
+    /// buffer, autotuned, absorbs more before a slow reader's
+    /// connection fills this one and pauses.
     pub write_buf_cap: usize,
-    /// Kernel send-buffer size (`SO_SNDBUF`) for accepted
-    /// connections; `0` keeps the kernel's autotuned default. Setting
-    /// it bounds how many reply bytes the *kernel* absorbs past
-    /// [`write_buf_cap`](NetConfig::write_buf_cap), making
-    /// backpressure onset predictable.
-    pub sndbuf: usize,
 }
 
 impl Default for NetConfig {
@@ -93,7 +89,6 @@ impl Default for NetConfig {
         NetConfig {
             port: 0,
             write_buf_cap: 256 * 1024,
-            sndbuf: 0,
         }
     }
 }
@@ -486,9 +481,6 @@ impl EventLoop<'_> {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            if self.cfg.sndbuf > 0 {
-                let _ = sys::set_sndbuf(&stream, self.cfg.sndbuf);
-            }
             let idx = self.free.pop().unwrap_or_else(|| {
                 self.conns.push(None);
                 self.conns.len() - 1

@@ -1,8 +1,9 @@
 //! What the event loop needs that `std` has no type for: an epoll
-//! set, an eventfd, and `SO_SNDBUF` on a socket. Thin wrappers over
-//! the FFI declared in `rewiring::libc`; the descriptors are owned by
-//! `std`'s `OwnedFd` / `File`, and errors are the thread's `errno` as
-//! an [`io::Error`]. The sockets themselves are `std::net`'s.
+//! set and an eventfd. Thin wrappers over the FFI declared in
+//! `rewiring::libc`; the descriptors are owned by `std`'s `OwnedFd` /
+//! `File`, and errors are the thread's `errno` as an [`io::Error`].
+//! The sockets themselves are `std::net`'s, with the kernel's
+//! autotuned send buffers.
 
 use rewiring::libc;
 use std::fs::File;
@@ -16,27 +17,6 @@ fn cvt(rc: libc::c_int) -> io::Result<libc::c_int> {
     } else {
         Ok(rc)
     }
-}
-
-/// Clamps a socket's kernel send buffer (`SO_SNDBUF`), which also
-/// disables sndbuf autotuning — the knob that makes per-connection
-/// backpressure bite at a predictable byte count. The kernel doubles
-/// the value it is given.
-pub(crate) fn set_sndbuf(sock: &impl AsRawFd, bytes: usize) -> io::Result<()> {
-    let val = bytes as libc::c_int;
-    // SAFETY: the option value points at `val`, which outlives the
-    // call, and the length passed is its size; the kernel only reads
-    // it. A descriptor that is not a socket is an error return.
-    cvt(unsafe {
-        libc::setsockopt(
-            sock.as_raw_fd(),
-            libc::SOL_SOCKET,
-            libc::SO_SNDBUF,
-            &val as *const libc::c_int as *const libc::c_void,
-            std::mem::size_of::<libc::c_int>() as libc::socklen_t,
-        )
-    })?;
-    Ok(())
 }
 
 /// An epoll instance.

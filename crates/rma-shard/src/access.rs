@@ -12,14 +12,14 @@
 //!    `Relaxed` `fetch_add` — the counters are advisory statistics,
 //!    not synchronisation.
 //! 2. **Bounded staleness.** A hotspot that moved an hour ago must not
-//!    outvote the hotspot of the last minute. Every `decay_every`
+//!    outvote the hotspot of the last minute. Every `DECAY_EVERY`
 //!    operations on the *whole index*, every shard's histogram halves
 //!    together ([`crate::ShardedRma`] drives this off one shared op
 //!    clock), so bucket counts are a geometric sum that forgets the
-//!    past at a configurable rate. The decay clock is deliberately
+//!    past at a fixed rate. The decay clock is deliberately
 //!    global: halving shards on their *own* op counts would drive
 //!    every busy shard toward the same steady-state mass
-//!    (~2 × `decay_every`) and erase exactly the cross-shard
+//!    (~2 × `DECAY_EVERY`) and erase exactly the cross-shard
 //!    imbalance the splitter re-learner needs to see.
 //! 3. **Survives restructuring.** When maintenance splits or merges
 //!    shards, the learned signal must not reset to zero (a fresh shard

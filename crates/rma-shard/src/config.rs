@@ -66,10 +66,6 @@ pub struct ShardConfig {
     pub min_split_len: usize,
     /// What maintenance balances on: access mass (default) or length.
     pub balance: BalancePolicy,
-    /// Recorded operations (across the whole index) between histogram
-    /// halvings: all shard histograms decay *together* so their
-    /// relative masses survive; `0` disables decay.
-    pub decay_every: u64,
     /// Whether [`maintain`](crate::ShardedRma::maintain) re-learns
     /// splitters multi-way from the access histogram.
     pub relearn: bool,
@@ -102,7 +98,6 @@ impl Default for ShardConfig {
             rma: RmaConfig::default(),
             min_split_len: 1024,
             balance: BalancePolicy::ByAccess,
-            decay_every: 8192,
             relearn: true,
             relearn_strategy: RelearnStrategy::default(),
             max_step_elems: 1 << 16,
@@ -172,9 +167,6 @@ pub enum ConfigError {
     /// Maintainer `checkpoint_interval` is `Some(0)`: the maintainer
     /// would do nothing but checkpoint.
     ZeroCheckpointInterval,
-    /// Maintainer `idle_ops_threshold` is zero, negative or NaN: the
-    /// idle-compaction gate could never (or always) open.
-    IdleOpsThresholdNotPositive(f64),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -200,9 +192,6 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroCheckpointInterval => {
                 f.write_str("checkpoint interval must be positive (or None)")
-            }
-            ConfigError::IdleOpsThresholdNotPositive(x) => {
-                write!(f, "idle ops threshold must be positive (got {x})")
             }
         }
     }

@@ -151,6 +151,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// (batching keeps the global cache line off the per-op hot path).
 pub(crate) const DECAY_TICK_BATCH: u64 = 64;
 
+/// Recorded operations (across the whole index) between histogram
+/// halvings: all shard histograms decay *together*, so their relative
+/// masses survive. A multiple of [`DECAY_TICK_BATCH`].
+const DECAY_EVERY: u64 = 8192;
+
 /// Ops [`ShardedRma::get_many`] and [`ShardedRma::apply_ops`] route
 /// and group by shard in one pass — one bit of a `u64` mask each. With
 /// the default eight shards a full block hands `Rma::get_batch` about
@@ -297,7 +302,7 @@ pub struct ShardedRma {
     /// writers never touch it.
     maint_lock: Mutex<()>,
     /// Shared decay clock: total recorded operations (in
-    /// [`DECAY_TICK_BATCH`] granules). Every `cfg.decay_every` ticks,
+    /// [`DECAY_TICK_BATCH`] granules). Every [`DECAY_EVERY`] ops,
     /// *all* shard histograms halve together — a global halving
     /// preserves the relative masses the re-learner compares, whereas
     /// per-shard decay clocks would drive every busy shard toward the
@@ -425,8 +430,8 @@ impl ShardedRma {
     /// Reconfigures observability. `&mut self`: callers (the `Db`
     /// builder) do this before the engine is shared, so the hot paths
     /// can read the flag without synchronization.
-    pub fn set_observability(&mut self, enabled: bool, journal_capacity: usize) {
-        self.obs = EngineObs::new(enabled, journal_capacity);
+    pub fn set_observability(&mut self, enabled: bool) {
+        self.obs = EngineObs::new(enabled);
     }
 
     /// Installs the write-ahead log sink. `&mut self` for the same
@@ -458,23 +463,18 @@ impl ShardedRma {
     }
 
     /// Advances the shared decay clock by `n` recorded operations;
-    /// for every `decay_every` boundary the clock crosses, every
+    /// for every [`DECAY_EVERY`] boundary the clock crosses, every
     /// shard's histogram halves in one sweep. Capped at 64 halvings —
     /// beyond that a u64 counter is zero anyway.
     ///
     /// [`record_access`](Self::record_access) calls this once per
     /// [`DECAY_TICK_BATCH`] shard-local operations, so the shared
     /// clock's cache line is touched ~64× less often than the shards'
-    /// own counters. The clock always advances (the background
-    /// maintainer reads it as the op-rate signal) even when decay is
-    /// disabled.
+    /// own counters. The background maintainer also reads the clock,
+    /// as its op-rate signal.
     pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
         let prev = self.op_clock.fetch_add(n, Relaxed);
-        let period = self.cfg.decay_every;
-        if period == 0 {
-            return;
-        }
-        let crossings = ((prev + n) / period - prev / period).min(64);
+        let crossings = ((prev + n) / DECAY_EVERY - prev / DECAY_EVERY).min(64);
         for _ in 0..crossings {
             for shard in &topo.shards {
                 shard.stats.decay();
@@ -1020,30 +1020,29 @@ mod tests {
 
     #[test]
     fn point_ops_advance_the_decay_clock_in_batches() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 64;
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
+        let s = ShardedRma::with_splitters(small_cfg(2), Splitters::new(vec![1000]));
         // One key → one bucket, so halving has no per-bucket floor
         // rounding and the arithmetic below is exact.
-        for v in 0..64i64 {
+        for v in 0..DECAY_EVERY as i64 - 1 {
             s.insert(7, v);
         }
-        // The 64th shard op ticks the clock across one decay period:
-        // 64 recorded accesses, halved once.
-        assert_eq!(s.access_masses()[0], 32);
+        assert_eq!(s.access_masses()[0], DECAY_EVERY - 1, "no halving yet");
+        // The last op of the period ticks the clock across it: every
+        // recorded access, halved once.
+        s.insert(7, -1);
+        assert_eq!(s.access_masses()[0], DECAY_EVERY / 2);
     }
 
     #[test]
     fn batched_ingest_decays_once_per_period() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 64;
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
+        let s = ShardedRma::with_splitters(small_cfg(2), Splitters::new(vec![1000]));
         // One key → one bucket: exact halving arithmetic.
-        let inserts: Vec<(i64, i64)> = (0..256).map(|v| (7, v)).collect();
+        let n = 4 * DECAY_EVERY;
+        let inserts: Vec<(i64, i64)> = (0..n as i64).map(|v| (7, v)).collect();
         s.apply_batch(&inserts, &[]);
-        // One 256-op batch spans four decay periods: the clock must
-        // apply all four halvings, not one. 256 → 16.
-        assert_eq!(s.access_masses().iter().sum::<u64>(), 16);
+        // One batch spanning four decay periods: the clock must apply
+        // all four halvings, not one.
+        assert_eq!(s.access_masses().iter().sum::<u64>(), n / 16);
     }
 
     #[test]
@@ -1073,21 +1072,21 @@ mod tests {
 
     #[test]
     fn get_many_records_accesses_like_per_key_gets() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 64;
+        let cfg = small_cfg(2);
         let many = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
         let single = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
-        // One key → one bucket: exact halving arithmetic. 150 reads of
-        // it cross the 64-op tick boundary twice, whether they arrive
-        // one by one or as three calls spanning several blocks.
-        let keys = [7; 150];
+        // One key → one bucket: exact halving arithmetic. These reads
+        // of it cross the decay period twice, whether they arrive one
+        // by one or as calls of 70 spanning several blocks.
+        let keys = vec![7; 2 * DECAY_EVERY as usize + 150];
         for chunk in keys.chunks(70) {
             many.get_many(chunk, &mut vec![None; chunk.len()]);
         }
-        for k in keys {
+        for &k in &keys {
             single.get(k);
         }
-        assert_eq!(single.op_count(), 128);
+        // The clock counts whole tick batches.
+        assert_eq!(single.op_count(), 2 * DECAY_EVERY + 128);
         assert_eq!(many.op_count(), single.op_count());
         let masses = |s: &ShardedRma| s.access_masses().iter().sum::<u64>();
         // The halvings fall at different reads (a batch is recorded

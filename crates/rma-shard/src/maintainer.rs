@@ -23,8 +23,7 @@
 //!    the previous plan finished, asks the planner
 //!    ([`ShardedRma::plan_maintenance`]) for a fresh plan (so an idle
 //!    index never churns);
-//! 4. when instead the op rate has stayed *below*
-//!    [`MaintainerConfig::idle_ops_threshold`] for
+//! 4. when instead the op rate has stayed *below* 1000 ops/s for
 //!    [`IDLE_CONFIRM_POLLS`] consecutive polls and the live shard
 //!    count exceeds [`COMPACT_TARGET_FACTOR`] ×
 //!    the configured `num_shards`, schedules one round of the
@@ -60,14 +59,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Consecutive sub-[`idle_ops_threshold`] poll windows required
-/// before the idle gate opens. One empty window is not idleness — a
-/// briefly descheduled writer produces the same zero-op poll a real
-/// trough does, and a spurious consolidation round fighting a live
-/// workload is exactly what the gate exists to prevent.
-///
-/// [`idle_ops_threshold`]: MaintainerConfig::idle_ops_threshold
+/// Consecutive idle poll windows (below 1000 ops/s) required before
+/// the idle gate opens. One empty window is not idleness — a briefly
+/// descheduled writer produces the same zero-op poll a real trough
+/// does, and a spurious consolidation round fighting a live workload
+/// is exactly what the gate exists to prevent.
 pub const IDLE_CONFIRM_POLLS: u32 = 3;
+
+/// Op rate (ops/s on the shared clock) below which a poll counts as
+/// *idle*. [`IDLE_CONFIRM_POLLS`] consecutive idle polls open the gate
+/// and may schedule the shard-count consolidation chain
+/// ([`ShardedRma::plan_consolidation`]) instead of load-driven
+/// maintenance. The compactor runs only in the troughs between bursts,
+/// so it never competes with a hot workload for the memory bus. The
+/// clock advances in 64-op granules, so a poll window in which it
+/// advanced at all reads as busy at every poll interval up to 64 ms.
+const IDLE_OPS_THRESHOLD: f64 = 1000.0;
 
 /// Maximum plan steps executed per poll tick — the fairness budget
 /// that stops a huge topology's plan from monopolising the maintainer
@@ -101,15 +108,6 @@ pub struct MaintainerConfig {
     /// checkpoints from this thread; a no-op when no durability sink
     /// is installed.
     pub checkpoint_interval: Option<Duration>,
-    /// Op-rate (ops/s, shared-clock granules) below which a poll
-    /// counts as *idle*. [`IDLE_CONFIRM_POLLS`] consecutive idle
-    /// polls open the gate and may schedule the shard-count
-    /// consolidation chain
-    /// ([`ShardedRma::plan_consolidation`]) instead of load-driven
-    /// maintenance. The compactor runs only in the troughs between
-    /// bursts, so it never competes with a hot workload for the
-    /// memory bus.
-    pub idle_ops_threshold: f64,
 }
 
 impl Default for MaintainerConfig {
@@ -120,7 +118,6 @@ impl Default for MaintainerConfig {
             min_ops_between: 4096,
             step_pause: Duration::from_micros(500),
             checkpoint_interval: None,
-            idle_ops_threshold: 1000.0,
         }
     }
 }
@@ -140,13 +137,6 @@ impl MaintainerConfig {
         }
         if self.checkpoint_interval == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroCheckpointInterval);
-        }
-        // `partial_cmp` negation so NaN fails closed alongside zero
-        // and negatives.
-        if self.idle_ops_threshold.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(ConfigError::IdleOpsThresholdNotPositive(
-                self.idle_ops_threshold,
-            ));
         }
         Ok(())
     }
@@ -335,7 +325,7 @@ fn maintainer_loop(
             // One sub-threshold window is not idleness: a briefly
             // descheduled writer produces the same zero-op poll a
             // real trough does. Require a sustained streak.
-            idle_streak = if rate < cfg.idle_ops_threshold {
+            idle_streak = if rate < IDLE_OPS_THRESHOLD {
                 idle_streak.saturating_add(1)
             } else {
                 0
@@ -517,8 +507,9 @@ mod tests {
     #[test]
     fn idle_maintainer_consolidates_an_accreted_topology() {
         // 16 live shards against a configured target of 2: with no
-        // load at all, the idle gate must engage and merge the count
-        // back under COMPACT_TARGET_FACTOR × num_shards.
+        // load at all every poll reads rate 0, below the idle
+        // threshold, so the gate must engage and merge the count back
+        // under COMPACT_TARGET_FACTOR × num_shards.
         let mut cfg = small_cfg(16);
         cfg.num_shards = 2;
         let s = Arc::new(ShardedRma::with_splitters(
@@ -531,7 +522,6 @@ mod tests {
         let m = s.start_maintainer(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
             step_pause: Duration::from_micros(100),
-            idle_ops_threshold: 1_000_000.0, // everything counts as idle
             ..Default::default()
         });
         for _ in 0..1000 {
@@ -558,7 +548,9 @@ mod tests {
     #[test]
     fn busy_maintainer_never_consolidates() {
         // Same accreted topology, but the op rate stays far above the
-        // idle threshold: the compactor must stay parked. The op rate
+        // idle threshold: each 10 ms poll sees the clock advance by at
+        // least one 64-op granule (6 400 ops/s) or rewind, and both
+        // read as busy. The compactor must stay parked. The op rate
         // is a wall-clock signal, so on an oversubscribed host the
         // loader thread itself can be descheduled long enough to *be*
         // idle — such a run proves nothing either way and is retried;
@@ -604,7 +596,6 @@ mod tests {
             let m = s.start_maintainer(MaintainerConfig {
                 poll_interval: poll,
                 imbalance_trigger: 1000.0, // never trigger load maintenance
-                idle_ops_threshold: 1.0,   // nothing counts as idle
                 ..Default::default()
             });
             std::thread::sleep(Duration::from_millis(150));
@@ -624,24 +615,5 @@ mod tests {
             eprintln!("attempt {attempt}: loader starved by the host, retrying");
         }
         panic!("loader starved on every attempt; host too oversubscribed to test");
-    }
-
-    #[test]
-    fn new_knobs_reject_invalid_values() {
-        use crate::ConfigError;
-        for bad in [0.0, -3.0, f64::NAN] {
-            let cfg = MaintainerConfig {
-                idle_ops_threshold: bad,
-                ..Default::default()
-            };
-            assert!(
-                matches!(
-                    cfg.try_validate(),
-                    Err(ConfigError::IdleOpsThresholdNotPositive(_))
-                ),
-                "idle_ops_threshold={bad} must be rejected"
-            );
-        }
-        assert!(MaintainerConfig::default().try_validate().is_ok());
     }
 }

@@ -9,8 +9,8 @@
 
 use rma_obs::{Event, EventJournal, EventKind, Histogram, HistogramSnapshot};
 
-/// Default journal capacity (events retained; overwrite-oldest).
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
+/// Journal capacity (events retained; overwrite-oldest).
+const JOURNAL_CAPACITY: usize = 1024;
 
 /// Journal + maintenance histograms for one engine. Obtained through
 /// [`crate::ShardedRma::obs`]; reconfigured (before the engine is
@@ -28,15 +28,15 @@ pub struct EngineObs {
 
 impl Default for EngineObs {
     fn default() -> Self {
-        Self::new(true, DEFAULT_JOURNAL_CAPACITY)
+        Self::new(true)
     }
 }
 
 impl EngineObs {
-    pub(crate) fn new(enabled: bool, journal_capacity: usize) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         EngineObs {
             enabled,
-            journal: EventJournal::new(journal_capacity),
+            journal: EventJournal::new(JOURNAL_CAPACITY),
             step_duration: Histogram::new(),
             maint_tick: Histogram::new(),
         }

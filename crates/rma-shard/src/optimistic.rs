@@ -166,12 +166,14 @@ impl TopoHandle {
             let slot = (gen & 1) as usize;
             self.pins[slot].fetch_add(1, SeqCst);
             if self.generation.load(SeqCst) == gen {
-                // The registered slot is (or was a moment ago) the
-                // active one: a publisher bumping past `gen` waits on
-                // it before freeing what we are about to load, and the
-                // pointer load below is ordered after the successful
-                // revalidation, so it observes either the topology of
-                // `gen` or a newer one — never a freed one.
+                // SAFETY: the registered slot is (or was a moment ago)
+                // the active one: a publisher bumping past `gen` waits
+                // on it (`reclaim`) before freeing what we are about
+                // to load, and the pointer load below is ordered after
+                // the successful revalidation, so it observes either
+                // the topology of `gen` or a newer one — never a freed
+                // one. The pin outlives the returned reference: the
+                // guard holds both and unpins on drop.
                 let topo = unsafe { &*self.current.load(SeqCst) };
                 return TopoGuard {
                     handle: self,

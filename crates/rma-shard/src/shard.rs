@@ -93,6 +93,11 @@ pub(crate) struct Shard {
 // inside `ShardWriteGuard::mutate` while holding the write lock with
 // the `writing` flag up and the pin count at zero.
 unsafe impl Send for Shard {}
+// SAFETY: sharing `&Shard` across threads hands out only the accesses
+// argued above — `&Rma` to pinned or read-locked readers, `&mut Rma`
+// to the one write-lock holder once the pins have drained. Every
+// other field (the atomic flags and counters, the `RwLock`, the
+// `AccessStats` histogram, the `Arc<LockStats>`) is `Sync` on its own.
 unsafe impl Sync for Shard {}
 
 const _: () = {

@@ -41,7 +41,6 @@ fn stress_cfg(shards: usize) -> ShardConfig {
             ..Default::default()
         },
         min_split_len: 128,
-        decay_every: 1024,
         ..Default::default()
     }
 }

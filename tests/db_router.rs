@@ -30,7 +30,6 @@ fn small_cfg(shards: usize) -> ShardConfig {
             ..Default::default()
         },
         min_split_len: 128,
-        decay_every: 1024,
         ..Default::default()
     }
 }

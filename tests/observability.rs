@@ -137,65 +137,41 @@ fn positions(journal: &[Event], kind: EventKind) -> Vec<usize> {
         .collect()
 }
 
-/// A 16-event journal retains only the 16 newest events (oldest
-/// evicted first) no matter how many maintenance steps run.
-#[test]
-fn journal_capacity_evicts_oldest_first() {
-    let db = small()
-        .observability(ObsConfig {
-            enabled: true,
-            journal_capacity: 16,
-            ..Default::default()
-        })
-        .max_shard_len(128)
-        .build()
-        .expect("valid");
-    for k in 0..4000i64 {
-        db.insert(k, k);
-    }
-    let report = db.engine().rebalance_shards();
-    // Each split journals two events (the step and its publication).
-    assert!(report.splits >= 9, "need > 16 events: {report:?}");
-    let journal = db.metrics().journal;
-    assert_eq!(journal.len(), 16, "capacity bounds the retained tail");
-    let total = db.engine().obs().journal().total_recorded();
-    assert!(total > 16, "older events were recorded then evicted");
-    assert!(journal.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-}
-
 /// The session path populates every router-side distribution: per-op
 /// service latency by type, batch sizes, queue depth and batch wall
-/// time — and the exposition names each op even when idle.
-/// `sample_every: 1` times every op, so the counts are exact.
+/// time — and the exposition names each op even when idle. One worker
+/// times ops 0, 16, 32, … of the stream it runs, so the ops are placed
+/// for every kind to land on an expiry, and the counts are exact.
 #[test]
 fn session_traffic_populates_per_op_histograms() {
-    let db = small()
-        .observability(ObsConfig {
-            sample_every: 1,
-            ..Default::default()
-        })
-        .build()
-        .expect("valid");
+    let db = small().router_workers(1).build().expect("valid");
     let mut s = db.session();
-    let inserts: Vec<Op> = (0..300).map(|k| Op::Insert(k, k)).collect();
+    // Ops 0..320: samples at 0, 16, …, 304.
+    let inserts: Vec<Op> = (0..320).map(|k| Op::Insert(k, k)).collect();
     s.submit(&inserts).wait();
-    let reads: Vec<Op> = (0..100).map(Op::Get).collect();
+    // Ops 320..416: samples at 320, 336, …, 400.
+    let reads: Vec<Op> = (0..96).map(Op::Get).collect();
     s.submit(&reads).wait();
-    let replies = s
-        .submit(&[
-            Op::Remove(7),
-            Op::SumRange {
-                start: 0,
-                count: 50,
-            },
-            Op::FirstGe(250),
-            Op::Scan {
-                start: 290,
-                count: 5,
-            },
-        ])
-        .wait();
-    assert_eq!(replies.len(), 4);
+    // Ops 416..480: each of the other four kinds at an expiry (416,
+    // 432, 448, 464), followed by 15 untimed `Get`s.
+    let specials = [
+        Op::Remove(7),
+        Op::SumRange {
+            start: 0,
+            count: 50,
+        },
+        Op::FirstGe(250),
+        Op::Scan {
+            start: 290,
+            count: 5,
+        },
+    ];
+    let mixed: Vec<Op> = specials
+        .iter()
+        .flat_map(|&op| std::iter::once(op).chain((0..15).map(Op::Get)))
+        .collect();
+    let replies = s.submit(&mixed).wait();
+    assert_eq!(replies.len(), 64);
     assert_eq!(replies[0], Reply::Removed(Some(7)));
 
     let m = db.metrics();
@@ -204,14 +180,14 @@ fn session_traffic_populates_per_op_histograms() {
         .zip(&m.op_latency)
         .map(|(&n, h)| (n, h.count()))
         .collect();
-    assert_eq!(by_name["insert"], 300);
-    assert_eq!(by_name["get"], 100);
+    assert_eq!(by_name["insert"], 20);
+    assert_eq!(by_name["get"], 6);
     assert_eq!(by_name["remove"], 1);
     assert_eq!(by_name["sum_range"], 1);
     assert_eq!(by_name["first_ge"], 1);
     assert_eq!(by_name["scan"], 1);
     assert_eq!(m.batch_size.count(), 3, "one sample per submitted batch");
-    assert_eq!(m.batch_size.max(), 300);
+    assert_eq!(m.batch_size.max(), 320);
     assert_eq!(m.ticket_wait.count(), 3, "one wall-time sample per batch");
     assert!(m.queue_depth.count() >= 3);
 
@@ -224,26 +200,18 @@ fn session_traffic_populates_per_op_histograms() {
             "schema must name every op type: missing {op}"
         );
     }
-    assert!(text.contains("rma_ops_executed_total 404"));
+    assert!(text.contains("rma_ops_executed_total 480"));
     // The human-readable report renders without panicking and leads
     // with the engine line.
     assert!(m.to_string().starts_with("engine: "));
 }
 
-/// With the default-style sampled timing, a single worker records
-/// exactly one latency sample per `sample_every` operations — the
-/// countdown starts at 1 (short workloads still get a sample) and
-/// carries across batches.
+/// A single worker records exactly one latency sample per 16
+/// operations — the countdown starts at 1 (short workloads still get
+/// a sample) and carries across batches.
 #[test]
 fn op_latency_sampling_records_one_in_n() {
-    let db = small()
-        .router_workers(1)
-        .observability(ObsConfig {
-            sample_every: 4,
-            ..Default::default()
-        })
-        .build()
-        .expect("valid");
+    let db = small().router_workers(1).build().expect("valid");
     let mut s = db.session();
     let inserts: Vec<Op> = (0..300).map(|k| Op::Insert(k, k)).collect();
     s.submit(&inserts).wait();
@@ -252,14 +220,14 @@ fn op_latency_sampling_records_one_in_n() {
 
     let m = db.metrics();
     let sampled: u64 = m.op_latency.iter().map(|h| h.count()).sum();
-    // 399 ops, first sampled then every 4th: ceil(399 / 4) = 100.
-    assert_eq!(sampled, 100, "one timing sample per 4 ops");
+    // 399 ops, first sampled then every 16th: ceil(399 / 16) = 25.
+    assert_eq!(sampled, 25, "one timing sample per 16 ops");
     // Each submit ran as one `apply_ops` call, timed once: every
     // expiry of the countdown inside a run still counts (the 99
-    // `Get`s: ops 301, 305, …, 397), each recording the run's mean
-    // under the kind of the op it expired on.
-    assert_eq!(m.op_latency[1].count(), 75, "samples of the Insert run");
-    assert_eq!(m.op_latency[0].count(), 25, "samples of the Get run");
+    // `Get`s: ops 304, 320, …, 384, counted from 0), each recording
+    // the run's mean under the kind of the op it expired on.
+    assert_eq!(m.op_latency[1].count(), 19, "samples of the Insert run");
+    assert_eq!(m.op_latency[0].count(), 6, "samples of the Get run");
     // Batch-granular series are never sampled.
     assert_eq!(m.batch_size.count(), 2);
     assert_eq!(m.ticket_wait.count(), 2);
@@ -275,11 +243,7 @@ fn op_latency_sampling_records_one_in_n() {
 #[test]
 fn disabled_observability_records_nothing_but_renders() {
     let db = small()
-        .observability(ObsConfig {
-            enabled: false,
-            journal_capacity: 64,
-            ..Default::default()
-        })
+        .observability(ObsConfig { enabled: false })
         .max_shard_len(128)
         .build()
         .expect("valid");

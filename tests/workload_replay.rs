@@ -30,7 +30,7 @@
 //! 5. a uniform workload triggers zero topology churn — the
 //!    re-learning stability guard holds (and plans zero steps).
 
-use rma_repro::db::{Db, ObsConfig};
+use rma_repro::db::Db;
 use rma_repro::obs::EventKind;
 use rma_repro::rma::{RewiringMode, RmaConfig};
 use rma_repro::shard::{BalancePolicy, RelearnStrategy, ShardConfig, ShardedRma};
@@ -165,7 +165,6 @@ fn run_replay_with(
     let db = Db::builder()
         .shard_config(replay_config(relearn, strategy, shards))
         .router_workers(1) // engine-only replay: no session traffic
-        .observability(wide_journal())
         .build_bulk(&base)
         .expect("valid replay config");
     let index = db.engine();
@@ -226,15 +225,6 @@ fn run_replay_with(
         .collect();
     assert_eq!(got, want, "replay content diverged from the oracle");
     (imbalances, db)
-}
-
-/// A journal wide enough to keep every event of one replay, so the
-/// step order can be read back whole.
-fn wide_journal() -> ObsConfig {
-    ObsConfig {
-        journal_capacity: 1 << 12,
-        ..Default::default()
-    }
 }
 
 /// The executed steps the engine journalled, in order, each as
@@ -461,7 +451,6 @@ fn fragmented_then_compacted() -> Db {
         .shard_config(cfg)
         .splitter_keys((1..64).map(|i| i * 1000).collect())
         .router_workers(1)
-        .observability(wide_journal())
         .build()
         .expect("valid replay config");
     let index = db.engine();
