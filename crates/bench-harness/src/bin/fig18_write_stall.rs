@@ -96,10 +96,12 @@ struct Row {
 fn preloaded(cli: &Cli, mode: Mode) -> Db {
     let cfg = ShardConfig {
         num_shards: SHARDS,
-        // Per-shard reservations sized for a sharded deployment: the
-        // global default (8 GiB per RMA) makes every fresh shard
-        // build pay a multi-ms page-table setup, which would charge
-        // maintenance fixed costs to the measured stall.
+        // Per-shard reservations sized for a sharded deployment. The
+        // size costs no time: reserving 256 MiB or the 8 GiB default
+        // takes microseconds (a `PROT_NONE` mapping touches no page
+        // table). A fresh shard's milliseconds are its first page's
+        // `MAP_POPULATE`, which the step executor pays before it
+        // takes the locks.
         rma: RmaConfig {
             reserve_bytes: 1 << 28,
             ..RmaConfig::with_segment_size(cli.seg)

@@ -20,13 +20,16 @@
 //! * *rewiring* a virtual page means re-`mmap`ing it at a different
 //!   file offset, which is O(1) and copies nothing.
 //!
-//! The memfd region is the only thing that swaps pages. When it cannot
-//! be had (seccomp, exotic containers, a reservation larger than the
-//! address space) a [`RewiredVec`] is a plain `Vec<i64>` that swaps
-//! nothing: its owner takes the copy path instead — the
-//! auxiliary-buffer rebalance the paper's `-RWR` ablation measures
-//! (Fig. 13b) — and counts a copied commit, and
-//! [`RewiredVec::backend_kind`] reports [`BackendKind::Heap`].
+//! The memfd region is the only thing that swaps pages, and it holds
+//! an array only from one logical page up: a page is the unit of a
+//! swap, so a smaller array is an exactly sized `Vec<i64>` that its
+//! owner copies, and it moves onto pages when a resize takes it to a
+//! page. When the region cannot be had (seccomp, exotic containers, a
+//! reservation larger than the address space) a [`RewiredVec`] is a
+//! plain `Vec<i64>` at every size and swaps nothing: its owner takes
+//! the copy path instead — the auxiliary-buffer rebalance the paper's
+//! `-RWR` ablation measures (Fig. 13b) — and counts a copied commit,
+//! and [`RewiredVec::backend_kind`] reports [`BackendKind::Heap`].
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("rewiring builds for Linux only: it declares the Linux syscall ABI");

@@ -1,13 +1,25 @@
-//! The column type of the RMA: a growable array of `i64`s on one of two
-//! backends, fixed when the column is built.
+//! The column type of the RMA: a growable array of `i64`s that lives
+//! where its size says.
 //!
-//! * **memfd** ([`BackendKind::Mmap`]): the array is the first pages of
-//!   a rewirable reservation, and its tail hosts the spare buffer pages
-//!   RMA rebalances write into. The only backend that swaps pages.
-//! * **heap** ([`BackendKind::Heap`]): a plain `Vec<i64>`, for an RMA
-//!   built without rewiring or when the memfd reservation fails. It has
-//!   no pages to swap: its owner copies instead and counts a copied
-//!   commit. The three swap methods panic on it.
+//! * **memfd pages**: from one logical page up, the array is the first
+//!   pages of a rewirable reservation, and its tail hosts the spare
+//!   buffer pages RMA rebalances write into. Only pages swap.
+//! * **heap**: below one page the array is an exactly sized
+//!   `Vec<i64>`. A page is the unit of a swap, so such an array has
+//!   nothing to swap — its owner copies (§III rewires windows of a page
+//!   or more) — and a wired page would only hold memory it does not
+//!   use.
+//!
+//! An array crosses between the two when it is resized: a resize to a
+//! page or more moves it onto pages — through the buffer
+//! ([`RewiredVec::commit_resize_swap`], one copy per element) or in
+//! place ([`RewiredVec::resize_in_place`]) — and one below a page
+//! moves it back. The reservation is made when the column is built, so
+//! [`RewiredVec::backend_kind`] is fixed then: [`BackendKind::Mmap`]
+//! while the memfd reservation exists, whichever side of a page the
+//! array is on, and [`BackendKind::Heap`] for good when it was refused
+//! (or for a column built without one): every array of such a column
+//! is on the heap and the three swap methods panic on it.
 //!
 //! Layout of a memfd reservation (in logical pages):
 //!
@@ -15,6 +27,9 @@
 //! | array pages (len elements) | spare buffer pages | unwired ...   |
 //! ^ page 0                     ^ page ceil(len/epp)
 //! ```
+//!
+//! While the array is on the heap it has no pages, and the buffer
+//! starts at page 0.
 //!
 //! A rebalance writes the redistributed window into the buffer pages
 //! and then *swaps* them with the window's array pages
@@ -27,23 +42,25 @@
 //! demand by [`RewiredVec::array_and_buffer_mut`], and every commit
 //! ends by un-wiring (hole-punching) all but `array_pages / 8` of them,
 //! so between operations `wired_bytes ≤ (array_pages + array_pages /
-//! 8) · page_bytes`. Why an eighth: a calibrator window of an eighth of
-//! the array or less — every level but the top three — then rebalances
-//! through pages that are already wired, and the windows that do pay a
-//! re-wire are the ones whose amortised frequency falls with their
-//! size; an array under 8 pages keeps no spares and re-wires for each
-//! of its (rare) page-sized rebalances.
+//! 8) · page_bytes`, and a heap array wires none. Why an eighth: a
+//! calibrator window of an eighth of the array or less — every level
+//! but the top three — then rebalances through pages that are already
+//! wired, and the windows that do pay a re-wire are the ones whose
+//! amortised frequency falls with their size; an array under 8 pages
+//! keeps no spares and re-wires for each of its (rare) page-sized
+//! rebalances.
 
 use crate::mmap::MmapRegion;
 
-/// Which backend a [`RewiredVec`] ended up on. Ordered `Mmap < Heap`:
+/// Which backend a [`RewiredVec`] was built on. Ordered `Mmap < Heap`:
 /// the greater of two columns' kinds is what both can do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BackendKind {
-    /// `memfd` + `mmap(MAP_FIXED)`: swaps are O(1) remaps.
+    /// A `memfd` reservation: from a page up the array is on its pages,
+    /// and swaps are O(1) remaps.
     Mmap,
-    /// A plain `Vec<i64>`: nothing to swap, so every commit copies and
-    /// counts as copied.
+    /// No reservation: the array is a plain `Vec<i64>` at every size,
+    /// nothing swaps, so every commit copies and counts as copied.
     Heap,
 }
 
@@ -74,41 +91,43 @@ impl Default for RewireOptions {
 const SPARE_DIVISOR: usize = 8;
 
 /// A contiguous, growable array of `i64`s: memfd pages that can be
-/// swapped, or a plain `Vec` (see the module docs). Every bit pattern
-/// is a valid `i64`, so pages that arrive zeroed or with stale content
-/// are valid array content.
+/// swapped from a page up, a plain `Vec` below (see the module docs).
+/// Every bit pattern is a valid `i64`, so pages that arrive zeroed or
+/// with stale content are valid array content.
 pub struct RewiredVec {
-    column: Column,
+    /// The array while it is below one page — at every size on a
+    /// column without a reservation. Empty while the array is on pages.
+    heap: Vec<i64>,
+    /// The memfd reservation; `None` on a heap column.
+    mapped: Option<Mapped>,
     elems_per_page: usize,
 }
 
-enum Column {
-    Mmap(Mapped),
-    Heap(Vec<i64>),
-}
-
-/// A memfd column: the array in pages `[0, array_pages)` of `region`,
-/// then `spare_wired` wired buffer pages.
+/// A memfd reservation: the array in pages `[0, array_pages)` of
+/// `region` — none while the array is on the heap — then `spare_wired`
+/// wired buffer pages.
 struct Mapped {
     region: MmapRegion,
+    /// Elements of the array on pages: 0, or at least one page.
     len: usize,
     spare_wired: usize,
 }
 
 impl RewiredVec {
-    /// Creates an empty column on the memfd backend or — when the
+    /// Creates an empty column with a memfd reservation or — when the
     /// syscalls are refused or the reservation does not fit the address
-    /// space — on the heap.
+    /// space — without one, on the heap for good. Either way the empty
+    /// array wires nothing.
     pub fn new(opts: RewireOptions) -> Self {
         let reserve = opts.reserve_bytes.next_multiple_of(opts.page_bytes);
         let mut v = Self::heap(opts.page_bytes);
-        if let Ok(region) = MmapRegion::new(opts.page_bytes, reserve) {
-            v.column = Column::Mmap(Mapped {
+        v.mapped = MmapRegion::new(opts.page_bytes, reserve)
+            .ok()
+            .map(|region| Mapped {
                 region,
                 len: 0,
                 spare_wired: 0,
             });
-        }
         v
     }
 
@@ -118,16 +137,17 @@ impl RewiredVec {
     pub fn heap(page_bytes: usize) -> Self {
         assert!(page_bytes.is_power_of_two() && page_bytes >= 8);
         RewiredVec {
-            column: Column::Heap(Vec::new()),
+            heap: Vec::new(),
+            mapped: None,
             elems_per_page: page_bytes / std::mem::size_of::<i64>(),
         }
     }
 
-    /// Which backend is active.
+    /// Which backend the column was built on.
     pub fn backend_kind(&self) -> BackendKind {
-        match self.column {
-            Column::Mmap(_) => BackendKind::Mmap,
-            Column::Heap(_) => BackendKind::Heap,
+        match self.mapped {
+            Some(_) => BackendKind::Mmap,
+            None => BackendKind::Heap,
         }
     }
 
@@ -146,56 +166,81 @@ impl RewiredVec {
         self.len() == 0
     }
 
-    /// Physical memory held, in bytes: the wired pages (array and
-    /// spares) of a memfd column, the allocation of a heap one.
+    /// Physical memory held, in bytes: the allocation of a heap array
+    /// plus the wired pages (array and spares) of the reservation.
     pub fn wired_bytes(&self) -> usize {
-        match &self.column {
-            Column::Mmap(m) => m.region.wired_pages() * m.region.page_bytes(),
-            Column::Heap(v) => v.capacity() * std::mem::size_of::<i64>(),
-        }
+        let pages = match &self.mapped {
+            Some(m) => m.region.wired_pages() * m.region.page_bytes(),
+            None => 0,
+        };
+        self.heap.capacity() * std::mem::size_of::<i64>() + pages
     }
 
-    /// Pages occupied by the array part.
+    /// Pages the array spans.
     pub fn array_pages(&self) -> usize {
         self.len().div_ceil(self.elems_per_page)
     }
 
     /// Buffer pages wired right after the array part (none on the heap).
     pub fn spare_pages(&self) -> usize {
-        match &self.column {
-            Column::Mmap(m) => m.spare_wired,
-            Column::Heap(_) => 0,
-        }
+        self.mapped.as_ref().map_or(0, |m| m.spare_wired)
     }
 
-    /// Resizes the array part in place. Newly exposed elements hold
-    /// unspecified (but valid) values: the RMA's gap slots are
-    /// defined by its `cards` array, never by storage content.
+    /// Resizes the array in place, keeping its content up to the
+    /// shorter length. Newly exposed elements hold unspecified (but
+    /// valid) values: the RMA's gap slots are defined by its `cards`
+    /// array, never by storage content. Crossing one page moves the
+    /// array onto pages or back to the heap.
     pub fn resize_in_place(&mut self, new_len: usize) {
-        match &mut self.column {
-            Column::Mmap(m) => m.resize_in_place(new_len),
-            Column::Heap(v) => {
+        let on_pages = new_len >= self.elems_per_page;
+        match &mut self.mapped {
+            Some(m) if on_pages => {
+                m.resize_in_place(new_len);
+                // From the heap, the heap array is the content to keep.
+                let kept = std::mem::take(&mut self.heap);
+                m.as_mut_slice()[..kept.len()].copy_from_slice(&kept);
+            }
+            Some(m) if m.len > 0 => {
+                self.heap = m.as_slice()[..new_len].to_vec();
+                m.resize_in_place(0);
+            }
+            mapped => {
                 // Exactly `new_len` slots, so `wired_bytes` is the array.
+                let v = &mut self.heap;
                 v.reserve_exact(new_len.saturating_sub(v.len()));
                 v.resize(new_len, 0);
                 v.shrink_to_fit();
+                // A buffer wired ahead of a grow that did not come.
+                if let Some(m) = mapped {
+                    m.trim_spares();
+                }
             }
         }
     }
 
     /// The array contents.
     pub fn as_slice(&self) -> &[i64] {
-        match &self.column {
-            Column::Mmap(m) => m.as_slice(),
-            Column::Heap(v) => v,
+        match &self.mapped {
+            Some(m) if m.len > 0 => m.as_slice(),
+            _ => &self.heap,
         }
     }
 
     /// The array contents, mutable.
     pub fn as_mut_slice(&mut self) -> &mut [i64] {
-        match &mut self.column {
-            Column::Mmap(m) => m.as_mut_slice(),
-            Column::Heap(v) => v,
+        match &mut self.mapped {
+            Some(m) if m.len > 0 => m.as_mut_slice(),
+            _ => &mut self.heap,
+        }
+    }
+
+    /// Wires spare buffer pages for `buf_elems` elements ahead of their
+    /// use, so the commit or grow that takes them finds them wired.
+    /// Nothing on a heap column; given back by the next commit or resize
+    /// that leaves the array below a page.
+    pub fn wire_buffer(&mut self, buf_elems: usize) {
+        if let Some(m) = &mut self.mapped {
+            m.wire_buffer(buf_elems);
         }
     }
 
@@ -203,7 +248,10 @@ impl RewiredVec {
     /// `buf_elems` elements (mutable), wiring buffer pages on demand.
     /// The buffer content is unspecified.
     pub fn array_and_buffer_mut(&mut self, buf_elems: usize) -> (&[i64], &mut [i64]) {
-        self.mapped().array_and_buffer_mut(buf_elems)
+        let m = self.mapped.as_mut().expect(NO_PAGES);
+        let (pages, buf) = m.array_and_buffer_mut(buf_elems);
+        // An array below a page is on the heap; its buffer is at page 0.
+        (if pages.is_empty() { &self.heap } else { pages }, buf)
     }
 
     /// Swaps the array pages covering elements
@@ -215,22 +263,36 @@ impl RewiredVec {
         self.mapped().commit_window_swap(first_elem, elems);
     }
 
-    /// Completes a resize-through-buffer: the first
-    /// `pages_for(new_len)` buffer pages (holding the redistributed
-    /// content) are swapped into the array, and the array length
-    /// becomes `new_len`.
+    /// Completes a resize-through-buffer: the array becomes the first
+    /// `new_len` buffer elements (holding the redistributed content) —
+    /// its pages swapped in from a page up, a heap copy of them below —
+    /// and the array length becomes `new_len`.
     pub fn commit_resize_swap(&mut self, new_len: usize) {
-        self.mapped().commit_resize_swap(new_len);
-    }
-
-    /// The memfd column the swap methods act on.
-    fn mapped(&mut self) -> &mut Mapped {
-        match &mut self.column {
-            Column::Mmap(m) => m,
-            Column::Heap(_) => panic!("a heap column has no pages to swap: its owner copies"),
+        let epp = self.elems_per_page;
+        let m = self.mapped.as_mut().expect(NO_PAGES);
+        if new_len >= epp {
+            m.commit_resize_swap(new_len);
+            self.heap = Vec::new();
+        } else {
+            assert!(
+                m.pages_for(new_len) <= m.spare_wired,
+                "resize buffer missing"
+            );
+            let (_, buf) = m.array_and_buffer_mut(new_len);
+            self.heap = buf.to_vec();
+            m.resize_in_place(0);
+            m.trim_spares();
         }
     }
+
+    /// The memfd reservation the swap methods act on.
+    fn mapped(&mut self) -> &mut Mapped {
+        self.mapped.as_mut().expect(NO_PAGES)
+    }
 }
+
+/// Why a heap column refuses to swap.
+const NO_PAGES: &str = "a heap column has no pages to swap: its owner copies";
 
 impl Mapped {
     fn elems_per_page(&self) -> usize {
@@ -279,7 +341,7 @@ impl Mapped {
         unsafe { std::slice::from_raw_parts_mut(self.region.page_ptr(0).cast(), self.len) }
     }
 
-    fn array_and_buffer_mut(&mut self, buf_elems: usize) -> (&[i64], &mut [i64]) {
+    fn wire_buffer(&mut self, buf_elems: usize) {
         let (first, pages) = (self.array_pages(), self.pages_for(buf_elems));
         assert!(
             first + pages <= self.region.max_pages(),
@@ -291,9 +353,13 @@ impl Mapped {
                 .expect("wire buffer pages");
             self.spare_wired = pages;
         }
-        let buf = self.region.page_ptr(first).cast();
-        // SAFETY: buffer pages [first, first + pages) are wired just
-        // above and hold `buf_elems` elements; they are disjoint from
+    }
+
+    fn array_and_buffer_mut(&mut self, buf_elems: usize) -> (&[i64], &mut [i64]) {
+        self.wire_buffer(buf_elems);
+        let buf = self.region.page_ptr(self.array_pages()).cast();
+        // SAFETY: `wire_buffer` just wired the buffer pages after the
+        // array, which hold `buf_elems` elements; they are disjoint from
         // the array pages `as_slice` covers, so the slices never alias;
         // and both borrow `self` mutably, so no remap runs meanwhile.
         let buf = unsafe { std::slice::from_raw_parts_mut(buf, buf_elems) };
@@ -573,11 +639,66 @@ mod tests {
         assert!(swap.is_err(), "a heap column swapped pages");
     }
 
+    /// Grows `v` from 128 slots through one page and back — by
+    /// `resize_in_place`, or through the buffer and a resize swap —
+    /// and checks after every step its content, its backend, and that
+    /// it holds exactly its heap array below a page and whole pages
+    /// from one page up.
+    fn cross_the_page(mut v: RewiredVec, through_buffer: bool) {
+        let (epp, kind) = (v.elems_per_page(), v.backend_kind());
+        let lens = [128, 256, epp, 4 * epp + 7, 2 * epp, epp / 2, 3 * epp, 128];
+        let mut model: Vec<i64> = Vec::new();
+        for (step, &len) in lens.iter().enumerate() {
+            let kept = len.min(model.len());
+            model.truncate(kept);
+            model.extend((kept..len).map(|i| (step * 10_000 + i) as i64));
+            if through_buffer {
+                let (arr, buf) = v.array_and_buffer_mut(len);
+                buf[..kept].copy_from_slice(&arr[..kept]);
+                buf[kept..].copy_from_slice(&model[kept..]);
+                v.commit_resize_swap(len);
+            } else {
+                v.resize_in_place(len);
+                v.as_mut_slice()[kept..].copy_from_slice(&model[kept..]);
+            }
+            assert_eq!(v.as_slice(), &model[..], "step {step}");
+            assert_eq!(v.backend_kind(), kind, "step {step}");
+            let want = if len < epp || kind == BackendKind::Heap {
+                len * 8
+            } else {
+                (v.array_pages() + v.spare_pages()) * epp * 8
+            };
+            assert_eq!(v.wired_bytes(), want, "step {step}");
+        }
+    }
+
+    #[test]
+    fn an_array_crosses_the_page_both_ways() {
+        for through_buffer in [false, true] {
+            if let Some(v) = mapped_vec(small_opts()) {
+                cross_the_page(v, through_buffer);
+            }
+        }
+        // A refused reservation is a heap column for life: its arrays
+        // of a page or more are `Vec`s too, and it never swaps.
+        let refused = || {
+            RewiredVec::new(RewireOptions {
+                page_bytes: 4096,
+                reserve_bytes: 1 << 62,
+            })
+        };
+        assert_eq!(refused().backend_kind(), BackendKind::Heap);
+        cross_the_page(refused(), false);
+        let swap = std::panic::catch_unwind(|| cross_the_page(refused(), true));
+        assert!(swap.is_err(), "a heap column swapped pages");
+    }
+
     /// Drives a memfd column and a `Vec` model through `steps` random
     /// grows, shrinks (through the buffer and in place) and window
-    /// swaps, checking after each one the content, the spare-pool bound
-    /// and that the wired pages are exactly the array followed by its
-    /// spares.
+    /// swaps, a quarter of the resizes to below a page, checking after
+    /// each one the content, the spare-pool bound and that the wired
+    /// pages are exactly the array followed by its spares — none below
+    /// a page, where the array is an exactly sized heap one.
     fn churn(opts: RewireOptions, seed: u64, steps: usize) {
         const MAX_PAGES: usize = 40;
         let Some(mut v) = mapped_vec(opts) else {
@@ -591,11 +712,15 @@ mod tests {
             stamp += 1;
             stamp
         };
+        let new_len = |rng: &mut proptest::TestRng| {
+            let pages = if rng.below(4) == 0 { 1 } else { MAX_PAGES };
+            rng.below((pages * epp) as u64) as usize + 1
+        };
         for step in 0..steps {
             match rng.below(4) {
                 // Resize through the buffer: keep a prefix, fill the rest.
                 0 | 1 => {
-                    let new_len = rng.below((MAX_PAGES * epp) as u64) as usize + 1;
+                    let new_len = new_len(&mut rng);
                     let kept = new_len.min(model.len());
                     model.truncate(kept);
                     model.resize_with(new_len, &mut fresh);
@@ -606,7 +731,7 @@ mod tests {
                 }
                 // Resize in place; newly exposed slots are unspecified.
                 2 => {
-                    let new_len = rng.below((MAX_PAGES * epp) as u64) as usize + 1;
+                    let new_len = new_len(&mut rng);
                     let kept = new_len.min(model.len());
                     model.truncate(kept);
                     model.resize_with(new_len, &mut fresh);
@@ -631,12 +756,16 @@ mod tests {
             let array = v.array_pages();
             assert_eq!(v.as_slice(), &model[..], "step {step}");
             assert!(v.spare_pages() <= array / SPARE_DIVISOR, "step {step}");
+            let (heap, wired) = if model.len() < epp {
+                (model.len() * 8, 0)
+            } else {
+                (0, array + v.spare_pages())
+            };
             assert_eq!(
                 v.wired_bytes(),
-                (array + v.spare_pages()) * opts.page_bytes,
+                heap + wired * opts.page_bytes,
                 "step {step}"
             );
-            let wired = array + v.spare_pages();
             let region = &v.mapped().region;
             for vp in 0..region.max_pages() {
                 assert_eq!(region.is_wired(vp), vp < wired, "step {step}, page {vp}");

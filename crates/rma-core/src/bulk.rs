@@ -29,7 +29,9 @@
 //! the batch and the thresholds, not by doubling: the fewest segments
 //! whose root window holds the batch under `τ_h`, rounded up to whole
 //! logical pages (so every window of a page or more can still be
-//! rewired) or, below one page, to a power of two. Under the
+//! rewired) or, below one page, to a power of two — an array that the
+//! column keeps on the heap, exactly that size, with no page wired for
+//! it (nothing below a page rewires). Under the
 //! update-oriented preset that is a density between 0.75 and, for a
 //! batch just past `n` pages, `0.75·n/(n+1)` — 2^19 pairs take 3 pages
 //! of 2 MiB a column where doubling took 4. A batch that overflows a
@@ -313,6 +315,26 @@ impl Rma {
         }
         self.resize_to(segs);
         self.load_bulk(batch);
+    }
+
+    /// True when a bulk load of `n` elements into this empty array
+    /// builds it at a page or more: the size from which a memfd column
+    /// holds its array on pages.
+    pub fn builds_on_pages(&self, n: usize) -> bool {
+        self.build_segments(n) >= self.segs_per_page()
+    }
+
+    /// Wires each column's first page ahead of a bulk load that
+    /// [`builds_on_pages`](Self::builds_on_pages), as a buffer page the
+    /// build then grows over: the page setup a build pays whatever its
+    /// size, so a caller that loads under a lock can pay it before
+    /// taking the lock. A load that stays below a page gives the page
+    /// back. Nothing on heap columns.
+    pub fn prewire(&mut self) {
+        debug_assert!(self.is_empty(), "prewire readies an empty array");
+        let page = self.storage.keys.elems_per_page();
+        self.storage.keys.wire_buffer(page);
+        self.storage.vals.wire_buffer(page);
     }
 
     /// Lays a sorted batch straight into an empty array of `segs`
@@ -692,6 +714,32 @@ mod tests {
             r.check_invariants();
             assert_footprint_bound(&r);
             assert_eq!(r.iter().collect::<Vec<_>>(), batch);
+        }
+    }
+
+    /// A prewired empty array: a build of a page or more grows over the
+    /// wired first page, one below a page gives it back and is an
+    /// exactly sized heap array.
+    #[test]
+    fn prewire_readies_a_build_of_a_page() {
+        // Half a page (16 segments of 16) holds 192 under τ_h.
+        let r = Rma::new(rewired_cfg());
+        assert!(!r.builds_on_pages(192) && r.builds_on_pages(193));
+        for n in [100usize, 193, 1000] {
+            let mut r = Rma::new(rewired_cfg());
+            let on_pages = r.builds_on_pages(n) && r.backend_kind() == BackendKind::Mmap;
+            r.prewire();
+            let batch: Vec<(i64, i64)> = (0..n as i64).map(|i| (i, i)).collect();
+            r.load_bulk(&batch);
+            r.check_invariants();
+            let col = &r.storage.keys;
+            let page_bytes = col.elems_per_page() * 8;
+            let want = if on_pages {
+                col.array_pages() * page_bytes
+            } else {
+                r.capacity() * 8
+            };
+            assert_eq!((col.wired_bytes(), col.spare_pages()), (want, 0), "n {n}");
         }
     }
 

@@ -624,7 +624,10 @@ impl Rma {
     /// Anything else, heap columns included, is copied: gathered into
     /// scratch unless already there, then scattered back (the paper's
     /// two-pass auxiliary-buffer scheme). A resize under a page thus
-    /// wires no buffer page that the kernel would zero and punch again.
+    /// wires no buffer page that the kernel would zero and punch again,
+    /// and an array under a page — a heap array on a memfd column as
+    /// well — only ever takes the copy arm; the resize that takes it
+    /// to a page or more rewires, moving it onto pages.
     fn commit(
         &mut self,
         first: usize,
@@ -1337,17 +1340,18 @@ mod tests {
             reserve_bytes: 1 << 22,
             ..Default::default()
         });
-        // Page rounding and rewired commits need memfd columns; a heap
-        // column (no memfd here) holds its slots and copies throughout.
+        // Rewired commits need memfd columns; a heap column (no memfd
+        // here) copies throughout. Either way an array below a page is
+        // an exactly sized heap array.
         let memfd = r.backend_kind() == BackendKind::Mmap;
-        let one_page = |r: &Rma| !memfd || r.storage.keys.wired_bytes() == 4096;
+        let exact = |r: &Rma| r.storage.keys.wired_bytes() == r.capacity() * 8;
         let page = r.storage.keys.elems_per_page();
         let mut k = 0i64;
         // Grows up to one page of slots go through scratch ...
         while r.capacity() < page / 2 {
             r.insert(k * 7919 % 10_007, k);
             k += 1;
-            assert!(one_page(&r));
+            assert!(exact(&r));
         }
         assert!(r.stats().grows >= 4);
         assert_eq!(r.stats().rewired_commits, 0);
@@ -1368,9 +1372,69 @@ mod tests {
             r.remove_successor(0);
         }
         assert!(r.stats().shrinks > 0);
-        assert!(one_page(&r));
+        assert!(exact(&r));
         r.check_invariants();
         assert_eq!(r.iter().count(), r.len());
+    }
+
+    /// Where a sub-page array's bytes live must not move a rewire
+    /// decision. A sub-page array grows past a page three ways — by
+    /// inserts, by a batch that overflows it, and by a direct build
+    /// followed by inserts — and each ends with the exact commit counts
+    /// it produced when every column wired its first page from birth.
+    #[test]
+    fn commits_across_the_page_floor_are_pinned() {
+        let cfg = RmaConfig {
+            segment_size: 16,
+            rewiring: RewiringMode::Enabled { page_bytes: 4096 },
+            reserve_bytes: 1 << 22,
+            ..Default::default()
+        };
+        type Rng = proptest::TestRng;
+        fn inserts(r: &mut Rma, rng: &mut Rng, from: i64) {
+            (from..6000).for_each(|i| r.insert(rng.below(1 << 20) as i64, i));
+        }
+        type Grow = fn(&mut Rma, &mut Rng);
+        let ways: [(&str, Grow); 3] = [
+            ("inserts", |r, rng| inserts(r, rng, 0)),
+            ("overflowing batch", |r, rng| {
+                inserts(r, rng, 5800);
+                let mut batch: Vec<(Key, Value)> = (200..6000)
+                    .map(|i| (rng.below(1 << 20) as i64, i))
+                    .collect();
+                batch.sort_by_key(|p| p.0);
+                r.load_bulk(&batch);
+            }),
+            ("build, then inserts", |r, rng| {
+                let batch: Vec<(Key, Value)> = (0..300).map(|i| (i << 12, i)).collect();
+                r.load_bulk(&batch);
+                inserts(r, rng, 300);
+            }),
+        ];
+        /// (rewired commits, copied commits, grows, rebalances)
+        type Counts = (u64, u64, u64, u64);
+        let want: [Counts; 3] = [(6, 183, 9, 180), (2, 9, 5, 6), (7, 154, 5, 157)];
+        for ((name, grow), want) in ways.into_iter().zip(want) {
+            let mut r = Rma::new(cfg);
+            grow(&mut r, &mut Rng::new(37));
+            r.check_invariants();
+            assert_eq!(r.len(), 6000, "{name}");
+            assert!(r.capacity() > 4 * r.storage.keys.elems_per_page(), "{name}");
+            let st = r.stats();
+            let got = (
+                st.rewired_commits,
+                st.copied_commits,
+                st.grows,
+                st.rebalances,
+            );
+            // Without memfd every commit copies: the same decisions,
+            // each counted as copied.
+            let want = match r.backend_kind() {
+                BackendKind::Mmap => want,
+                BackendKind::Heap => (0, want.0 + want.1, want.2, want.3),
+            };
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

@@ -140,7 +140,8 @@ impl Storage {
         self.keys.backend_kind().max(self.vals.backend_kind())
     }
 
-    /// Physical bytes wired by the columns plus the cards array.
+    /// Physical bytes the columns hold — wired pages, or a sub-page
+    /// heap array — plus the cards array.
     pub fn memory_footprint(&self) -> usize {
         self.keys.wired_bytes() + self.vals.wired_bytes() + self.cards.capacity() * 4
     }

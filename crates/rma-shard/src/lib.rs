@@ -257,7 +257,8 @@ pub struct ShardStats {
     pub capacity: usize,
     /// Segments of the shard's sparse array.
     pub segments: usize,
-    /// Resident bytes: the wired pages of both columns plus the
+    /// Resident bytes: both columns — their wired pages from a page of
+    /// slots up, their exactly sized heap arrays below — plus the
     /// shard's index, cardinalities and detector.
     pub wired_bytes: usize,
     /// Where the shard's columns live ([`rma_core::Rma::backend_kind`]):

@@ -29,7 +29,7 @@
 use super::plan::{MaintenancePlan, MaintenanceStep};
 use crate::shard::{Shard, StepGuards, Topology};
 use crate::{MaintCounters, ShardedRma, Splitters};
-use rma_core::Key;
+use rma_core::{Key, Rma};
 use rma_obs::EventKind;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -349,14 +349,14 @@ impl ShardedRma {
         // if the overlapped shards already exceed the bound,
         // re-planning is cheaper than draining.
         let rough: usize = (topo.shards[j0..=j1].iter())
-            .map(|s| s.peek(rma_core::Rma::len))
+            .map(|s| s.peek(Rma::len))
             .sum();
         if rough > bound {
             return None;
         }
-        // Shells first: the memfd + reservation setup runs while
-        // writers still own the shards.
-        let shells: Vec<_> = (0..=cuts.len()).map(|_| self.shard_shell()).collect();
+        // Shells first: their page setup runs while writers still own
+        // the shards. No successor holds more than the union.
+        let shells: Vec<_> = (0..=cuts.len()).map(|_| self.shard_shell(rough)).collect();
         let guards = StepGuards::lock(&topo.shards, j0..=j1);
         let elems = guards.collect_elems();
         // Re-check under the locks (the lengths moved). Anything past
@@ -375,15 +375,24 @@ impl ShardedRma {
         let mut keys = topo.splitters.keys().to_vec();
         keys.splice(j0..j1, cuts);
         let splitters = Splitters::new(keys);
+        // A shell readied for a page its successor does not fill gives
+        // way to a bare one: handing the page back costs about a third
+        // of wiring it, so the shell is dropped once the locks are
+        // released.
+        let mut unfilled = Vec::new();
         let built: Vec<Arc<Shard>> = (shells.into_iter().enumerate())
-            .map(|(k, shell)| {
+            .map(|(k, mut shell)| {
                 let part = &elems[at[k]..at[k + 1]];
+                if shell.builds_on_pages(rough) && !shell.builds_on_pages(part.len()) {
+                    unfilled.push(std::mem::replace(&mut shell, Rma::new(self.cfg.rma)));
+                }
                 self.finish_shard(shell, &splitters, j0 + k, part, &union_wb)
             })
             .collect();
         let mut shards = topo.shards.clone();
         shards.splice(j0..=j1, built);
         self.publish_step(guards, Topology { splitters, shards });
+        drop(unfilled);
         Some(elems.len() as u64)
     }
 }
@@ -779,6 +788,40 @@ mod tests {
             "cap must leave extra shards: {}",
             s.num_shards()
         );
+    }
+
+    /// A step's successors hold what a fresh build of their elements
+    /// holds: pages from a page of slots up, an exactly sized heap
+    /// array below, and never the first page their shell wired ahead
+    /// of the step. (4 KiB pages of segments of 8: 512 slots a page;
+    /// 100 pairs build 256 slots, 900 build pages.)
+    #[test]
+    fn successors_hold_what_a_fresh_build_holds() {
+        let mut cfg = small_cfg(2);
+        cfg.rma.rewiring = rma_core::RewiringMode::Enabled { page_bytes: 4096 };
+        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![5000]));
+        for k in 0..1000i64 {
+            s.insert(k, k);
+        }
+        let fresh = |keys: std::ops::Range<i64>| {
+            let mut r = rma_core::Rma::new(cfg.rma);
+            r.load_bulk(&keys.map(|k| (k, k)).collect::<Vec<_>>());
+            r.memory_footprint()
+        };
+        let footprints = |s: &ShardedRma| -> Vec<usize> {
+            let shards = s.stats_snapshot().shards;
+            shards.iter().map(|shard| shard.wired_bytes).collect()
+        };
+        use MaintenanceStep::*;
+        s.drain_plan(&mut s.plan_of(&[SplitShard { at: 100 }], false));
+        assert_eq!(s.splitters().keys(), &[100, 5000]);
+        assert_eq!(
+            footprints(&s),
+            [fresh(0..100), fresh(100..1000), fresh(0..0)]
+        );
+        s.drain_plan(&mut s.plan_of(&[MergePair { splitter: 100 }], false));
+        assert_eq!(footprints(&s), [fresh(0..1000), fresh(0..0)]);
+        s.check_invariants();
     }
 
     /// The four-shard fixture of the resolver table: keys `0..4000`

@@ -187,13 +187,21 @@ impl ShardedRma {
         }
     }
 
-    /// An empty RMA ready to become a successor shard. Creating one
-    /// costs a memfd + reservation mapping (milliseconds under the
-    /// rewired backend), so the step executor pre-creates its shells
-    /// *before* taking any shard lock — the locked window pays only
-    /// for draining and loading the actual elements.
-    pub(super) fn shard_shell(&self) -> Rma {
-        Rma::new(self.cfg.rma)
+    /// An empty RMA ready to become a successor shard of at most
+    /// `up_to` elements. The memfd and its reservation cost
+    /// microseconds; the milliseconds are the first page of each
+    /// column, the `MAP_POPULATE` of a 2 MiB logical page, and a
+    /// successor that may reach a page has it wired here
+    /// ([`Rma::prewire`]). The step executor pre-creates its shells
+    /// *before* taking any shard lock, so the locked window pays only
+    /// for draining and loading the actual elements. A successor below
+    /// a page is a heap array and takes no page.
+    pub(super) fn shard_shell(&self, up_to: usize) -> Rma {
+        let mut shell = Rma::new(self.cfg.rma);
+        if shell.builds_on_pages(up_to) {
+            shell.prewire();
+        }
+        shell
     }
 
     /// Bulk-loads `elems` into a pre-created shell and wraps it as

@@ -60,7 +60,10 @@ impl ShardedRma {
         let elems = guards.collect_elems();
         let parts = candidate.partition_sorted(&elems).into_iter().enumerate();
         let shards: Vec<Arc<Shard>> = parts
-            .map(|(i, r)| self.finish_shard(self.shard_shell(), &candidate, i, &elems[r], &wb))
+            .map(|(i, r)| {
+                let shell = self.shard_shell(r.len());
+                self.finish_shard(shell, &candidate, i, &elems[r], &wb)
+            })
             .collect();
         report.shards_after = shards.len();
         report.relearned = true;
