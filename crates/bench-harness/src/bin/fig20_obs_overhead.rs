@@ -303,7 +303,7 @@ fn main() {
     for chunk in ops.chunks(BATCH) {
         std::hint::black_box(session.submit(chunk).wait().len());
     }
-    print!("{}", db.metrics());
+    print!("{}", db.metrics().render_text());
 
     let path = "BENCH_obs_overhead.json";
     match write_json(path, &results, &cli, workers, hw) {

@@ -35,7 +35,7 @@
 
 use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
 use rma_core::RmaConfig;
-use rma_db::{CommitPolicy, Db, DurabilityConfig, Op, Ticket};
+use rma_db::{CommitPolicy, Db, DurabilityConfig, Op, Ticket, PARTITIONS};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use workloads::SplitMix64;
@@ -57,8 +57,6 @@ const BATCH: usize = 1024;
 /// queued behind the barrier, so durable throughput scales with the
 /// submission pipeline right up to the workers' drain window.
 const DEPTH: usize = 32;
-/// WAL partitions (fixed key-range stripes, decoupled from shards).
-const PARTITIONS: usize = 4;
 const EVERY_N: u64 = 4096;
 const RATIO_BAR: f64 = 0.5;
 const RECOVERY_BAR_SECS: f64 = 5.0;
@@ -116,11 +114,7 @@ fn preloaded(cli: &Cli, policy: Policy, dir: &Path) -> Db {
         .router_workers(WORKERS)
         .rma(RmaConfig::with_segment_size(cli.seg));
     if let Some(commit) = policy.commit() {
-        builder = builder.durability(
-            DurabilityConfig::new(dir)
-                .policy(commit)
-                .partitions(PARTITIONS),
-        );
+        builder = builder.durability(DurabilityConfig::new(dir).policy(commit));
     }
     builder
         .build_bulk(&base)
@@ -261,7 +255,7 @@ fn main() {
     let tail = make_segment(&mut rng, TAIL_OPS);
     std::hint::black_box(drive(group_db, &tail));
     let expected_len = group_db.len();
-    print!("{}", group_db.metrics());
+    print!("{}", group_db.metrics().render_text());
 
     let dirs_to_drop = dirs.clone();
     drop(dbs);

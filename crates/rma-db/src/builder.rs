@@ -98,13 +98,6 @@ impl DbBuilder {
         self
     }
 
-    /// Shard-length backstop: any shard past this many elements is
-    /// split regardless of access balance (latency-SLO deployments).
-    pub fn max_shard_len(mut self, n: usize) -> Self {
-        self.shard.max_shard_len = Some(n);
-        self
-    }
-
     /// Explicit splitter keys for [`build`](Self::build) instead of
     /// uniformly spread ones.
     pub fn splitter_keys(mut self, keys: Vec<Key>) -> Self {
@@ -141,10 +134,13 @@ impl DbBuilder {
 
     /// Enables durability: every finisher creates (or, via
     /// [`recover`](Self::recover), reopens) a write-ahead log in
-    /// `cfg.dir`, router workers run the commit barrier before
-    /// acknowledging batches, and checkpoints seal whenever
-    /// [`MaintainerConfig::checkpoint_interval`] elapses. Without this
-    /// call the database is purely in-memory, exactly as before.
+    /// `cfg.dir`, and router workers run the commit barrier before
+    /// acknowledging batches. Checkpoints seal on
+    /// [`ShardedRma::checkpoint`], or on the maintainer's cadence when
+    /// [`maintenance`](Self::maintenance) is on and sets
+    /// [`MaintainerConfig::checkpoint_interval`] — `None` by default.
+    /// With neither, nothing seals and an open replays the whole log.
+    /// Without this call the database is purely in-memory.
     pub fn durability(mut self, cfg: DurabilityConfig) -> Self {
         self.durability = Some(cfg);
         self

@@ -93,7 +93,7 @@ pub use session::{Op, Ready, Reply, Session, Ticket};
 // The durability vocabulary callers need to configure
 // [`DbBuilder::durability`], re-exported so `rma-db` is a one-import
 // facade.
-pub use rma_wal::{CommitPolicy, DurabilityConfig, FaultInjector, FaultMode, IoClass};
+pub use rma_wal::{CommitPolicy, DurabilityConfig, FaultInjector, FaultMode, IoClass, PARTITIONS};
 
 use metrics::RouterObs;
 use rma_core::{Key, Value};
@@ -246,9 +246,9 @@ impl Db {
     /// maintenance step and tick durations) and the retained tail of
     /// the maintenance event journal. Render with
     /// [`MetricsSnapshot::render_text`] (Prometheus-style text
-    /// exposition) or `Display` (human-readable report). With
-    /// observability disabled the distributions are empty and the
-    /// journal has no events; the counter snapshot is always live.
+    /// exposition). With observability disabled the distributions are
+    /// empty and the journal has no events; the counter snapshot is
+    /// always live.
     pub fn metrics(&self) -> MetricsSnapshot {
         let robs = self.router.obs();
         let eobs = self.engine.obs();
@@ -615,24 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn tickets_pipeline_and_try_wait() {
+    fn tickets_pipeline_and_wait_in_any_order() {
         let db = small().build().expect("valid");
         let mut s = db.session();
         let pairs: Vec<Op> = (0..512).map(|k| Op::Insert(k, k)).collect();
         let mut tickets: Vec<Ticket> = (0..8).map(|_| s.submit(&pairs)).collect();
-        // Every ticket resolves; try_wait eventually succeeds.
+        // Every ticket resolves, collected newest first.
         while let Some(t) = tickets.pop() {
-            let mut t = t;
-            loop {
-                match t.try_wait() {
-                    Ok(replies) => {
-                        assert_eq!(replies.len(), 512);
-                        assert!(replies.iter().all(|r| *r == Reply::Inserted));
-                        break;
-                    }
-                    Err(back) => t = back,
-                }
-            }
+            let replies = t.wait();
+            assert_eq!(replies.len(), 512);
+            assert!(replies.iter().all(|r| *r == Reply::Inserted));
         }
         assert_eq!(db.len(), 8 * 512);
         let snap = db.stats();
@@ -679,7 +671,7 @@ mod tests {
         let db = small().build().expect("valid");
         let mut s = db.session();
         let t = s.submit(&[]);
-        assert!(t.is_ready() && t.is_empty());
+        assert_eq!(format!("{t:?}"), "Ticket { len: 0, remaining: 0 }");
         assert_eq!(t.wait(), Vec::new());
     }
 

@@ -22,7 +22,7 @@
 //! or clock read per *batch*, not per op, and is never sampled.
 
 use crate::session::Op;
-use crate::{DbSnapshot, MaintainerSnapshot};
+use crate::DbSnapshot;
 use rma_core::BackendKind;
 use rma_obs::{Event, Histogram, HistogramSnapshot};
 use rma_shard::ShardStats;
@@ -114,7 +114,7 @@ impl RouterObs {
 /// the [`DbSnapshot`] counters plus the latency/size distributions
 /// and the tail of the maintenance event journal. Obtained from
 /// [`Db::metrics`](crate::Db::metrics); render with
-/// [`render_text`](Self::render_text) or `Display`.
+/// [`render_text`](Self::render_text).
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// The counter snapshot ([`Db::stats`](crate::Db::stats)).
@@ -294,169 +294,5 @@ impl MetricsSnapshot {
             );
         }
         out
-    }
-}
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1000.0
-}
-
-impl std::fmt::Display for MetricsSnapshot {
-    /// A compact human-readable report: the [`DbSnapshot`] block,
-    /// then per-op latency quantiles (µs) and the journal tail.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.db)?;
-        let has_latency =
-            self.op_latency.iter().any(|h| h.count() > 0) || self.ticket_wait.count() > 0;
-        if has_latency {
-            writeln!(
-                f,
-                "latency (µs)        p50      p95      p99      max    count"
-            )?;
-        }
-        for (name, h) in OP_NAMES.iter().zip(&self.op_latency) {
-            if h.count() == 0 {
-                continue;
-            }
-            writeln!(
-                f,
-                "  {name:<16} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8}",
-                us(h.p50()),
-                us(h.p95()),
-                us(h.p99()),
-                us(h.max()),
-                h.count()
-            )?;
-        }
-        if self.ticket_wait.count() > 0 {
-            writeln!(
-                f,
-                "  {:<16} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8}",
-                "batch wait",
-                us(self.ticket_wait.p50()),
-                us(self.ticket_wait.p95()),
-                us(self.ticket_wait.p99()),
-                us(self.ticket_wait.max()),
-                self.ticket_wait.count()
-            )?;
-        }
-        if self.batch_size.count() > 0 {
-            writeln!(
-                f,
-                "batch size: p50 {} / p99 {} ops; queue depth p99 {}",
-                self.batch_size.p50(),
-                self.batch_size.p99(),
-                self.queue_depth.p99()
-            )?;
-        }
-        if self.step_duration.count() > 0 {
-            writeln!(
-                f,
-                "maintenance steps: {} at p50 {:.1} µs / max {:.1} µs",
-                self.step_duration.count(),
-                us(self.step_duration.p50()),
-                us(self.step_duration.max())
-            )?;
-        }
-        if let Some(w) = &self.wal {
-            writeln!(
-                f,
-                "wal: {} commits at p50 {:.1} µs / p99 {:.1} µs, \
-                 {} fsyncs at p50 {:.1} µs{}",
-                w.commit.count(),
-                us(w.commit.p50()),
-                us(w.commit.p99()),
-                w.fsync.count(),
-                us(w.fsync.p50()),
-                if w.degraded { " [DEGRADED]" } else { "" }
-            )?;
-            if w.replay.count() > 0 {
-                writeln!(
-                    f,
-                    "recovery replay: {} partitions, max {:.1} µs",
-                    w.replay.count(),
-                    us(w.replay.max())
-                )?;
-            }
-        }
-        if !self.journal.is_empty() {
-            writeln!(f, "journal (last {}):", self.journal.len().min(8))?;
-            let skip = self.journal.len().saturating_sub(8);
-            for ev in &self.journal[skip..] {
-                write!(f, "  {:<16}", ev.kind.name())?;
-                if ev.shard != Event::NO_SHARD {
-                    write!(f, " shard {:<4}", ev.shard)?;
-                }
-                writeln!(f, " dur {:.1} µs, n={}", us(ev.dur_ns), ev.keys)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Display for DbSnapshot {
-    /// A multi-line human-readable report of every counter — what the
-    /// examples print instead of hand-formatting fields.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let e = &self.engine;
-        let memfd = e.shards.iter().filter(|s| s.backend == BackendKind::Mmap);
-        writeln!(
-            f,
-            "engine: {} elems in {} shards ({} on memfd), {:.1} MiB ({} splitter bytes), \
-             imbalance {:.2}",
-            e.len,
-            e.num_shards,
-            memfd.count(),
-            e.memory_footprint as f64 / (1024.0 * 1024.0),
-            e.splitter_bytes,
-            e.access_imbalance
-        )?;
-        writeln!(
-            f,
-            "locks: {} read / {} write acquisitions, {} pins that met a writer",
-            e.read_locks, e.write_locks, e.seqlock_retries
-        )?;
-        let m = &e.maintenance;
-        writeln!(
-            f,
-            "maintenance: {} plans ({} relearns), {}/{} steps executed/planned \
-             ({} splits / {} merges / {} nudges / {} rebuilds, {} consolidation merges; \
-             {} skipped, {} dropped), {} keys migrated, {} topologies, max step {:.1} µs, \
-             {} write reroutes",
-            m.plans,
-            m.relearns,
-            m.steps_executed,
-            m.steps_planned,
-            m.splits,
-            m.merges,
-            m.nudges,
-            m.rebuilds,
-            m.consolidations,
-            m.steps_skipped,
-            m.steps_dropped,
-            m.keys_migrated,
-            m.topologies_published,
-            us(m.max_step_wall_ns),
-            m.write_reroutes
-        )?;
-        if let Some(mt) = &self.maintainer {
-            write!(f, "{mt}")?;
-        }
-        let r = &self.router;
-        writeln!(
-            f,
-            "router: {} workers, {} sessions, {} batches, {}/{} ops executed/submitted",
-            r.workers, r.sessions_opened, r.batches_submitted, r.ops_executed, r.ops_submitted
-        )
-    }
-}
-
-impl std::fmt::Display for MaintainerSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "maintainer: {} polls, {} checkpoints",
-            self.polls, self.checkpoints
-        )
     }
 }

@@ -5,9 +5,9 @@
 //! [`Session::submit`] hands a batch of typed [`Op`]s to the router's
 //! shard-affine worker threads and returns a [`Ticket`] immediately,
 //! so a client can keep several batches in flight (pipelining) and
-//! collect the [`Reply`] sets later with [`Ticket::wait`] /
-//! [`Ticket::try_wait`]. Everything is hand-rolled on `std` channels
-//! and condvars — no async runtime, no registry dependencies.
+//! collect the [`Reply`] sets later with [`Ticket::wait`]. Everything
+//! is hand-rolled on `std` channels and condvars — no async runtime,
+//! no registry dependencies.
 //!
 //! # Ordering contract
 //!
@@ -48,9 +48,9 @@
 //! — under one acquisition of the ticket's lock, and does no per-slot
 //! work there. The runs of different workers land in whatever order
 //! the workers finish, so the queue is in *landing order*, and the
-//! consumer orders by slot on its own thread: [`Ticket::wait`] /
-//! [`Ticket::try_wait`] sort once every reply is in, and a streaming
-//! consumer gets the queue as it is from [`Ticket::take_ready`].
+//! consumer orders by slot on its own thread: [`Ticket::wait`] sorts
+//! once every reply is in, and a streaming consumer gets the queue as
+//! it is from [`Ticket::take_ready`].
 
 use crate::metrics::RouterObs;
 use crate::router::{RouterCounters, WorkItem};
@@ -192,7 +192,7 @@ struct TicketSlots {
     landed: Vec<(u32, Reply)>,
     /// Replies already consumed through [`Ticket::take_ready`] —
     /// once non-zero, the ticket is in streaming mode and
-    /// [`Ticket::wait`]/[`Ticket::try_wait`] may no longer be used.
+    /// [`Ticket::wait`] may no longer be used.
     taken: usize,
     /// Invoked (outside the lock) every time a worker lands replies
     /// into this ticket, and once on poisoning — the event-loop wake
@@ -208,7 +208,7 @@ impl TicketSlots {
         debug_assert_eq!(self.remaining, 0);
         assert_eq!(
             self.taken, 0,
-            "wait()/try_wait() cannot follow take_ready(): \
+            "wait() cannot follow take_ready(): \
              drain a streaming ticket with take_ready() until Ready::drained"
         );
         let mut landed = std::mem::take(&mut self.landed);
@@ -287,9 +287,9 @@ impl TicketState {
 }
 
 /// A claim on the replies of one submitted batch. Collect with
-/// [`wait`](Self::wait) (blocking) or [`try_wait`](Self::try_wait)
-/// (non-blocking); dropping a ticket abandons the replies but the
-/// operations still execute.
+/// [`wait`](Self::wait) (blocking) or, streaming, with
+/// [`take_ready`](Self::take_ready); dropping a ticket abandons the
+/// replies but the operations still execute.
 #[must_use = "the submitted operations' replies arrive through the ticket"]
 pub struct Ticket {
     pub(crate) state: Arc<TicketState>,
@@ -297,9 +297,10 @@ pub struct Ticket {
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.state.slots.lock().expect("ticket lock poisoned");
         f.debug_struct("Ticket")
-            .field("len", &self.len())
-            .field("ready", &self.is_ready())
+            .field("len", &s.total)
+            .field("remaining", &s.remaining)
             .finish()
     }
 }
@@ -313,17 +314,6 @@ impl Ticket {
     /// True for the ticket of an empty submit.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// True once every reply has arrived ([`wait`](Self::wait) would
-    /// return without blocking).
-    pub fn is_ready(&self) -> bool {
-        self.state
-            .slots
-            .lock()
-            .expect("ticket lock poisoned")
-            .remaining
-            == 0
     }
 
     /// Blocks until every operation of the batch has executed and
@@ -345,30 +335,12 @@ impl Ticket {
         s.take_replies()
     }
 
-    /// Returns the replies if the batch already completed, or hands
-    /// the ticket back to try again later. Panics (like
-    /// [`wait`](Self::wait)) if a router worker died executing the
-    /// batch.
-    pub fn try_wait(self) -> Result<Vec<Reply>, Ticket> {
-        {
-            let mut s = self.state.slots.lock().expect("ticket lock poisoned");
-            assert!(
-                !s.poisoned,
-                "a router worker panicked while executing this batch"
-            );
-            if s.remaining == 0 {
-                return Ok(s.take_replies());
-            }
-        }
-        Err(self)
-    }
-
     // --------------------------------------- partial completions --
     // The streaming surface used by event-driven consumers (the
     // `rma-net` server): drain replies as workers land them instead
     // of blocking for the whole batch. A ticket that has been
-    // partially drained is committed to this mode — `wait`/`try_wait`
-    // panic after the first `take_ready` — so the two collection
+    // partially drained is committed to this mode — `wait` panics
+    // after the first `take_ready` — so the two collection
     // styles cannot be mixed by accident.
 
     /// Removes and returns every reply that has landed since the last
@@ -426,9 +398,9 @@ pub struct Ready {
     /// an empty batch): the ticket has nothing more to say.
     pub drained: bool,
     /// A router worker panicked executing the batch: the missing
-    /// replies will never arrive. The blocking collectors
-    /// ([`Ticket::wait`]/[`Ticket::try_wait`]) panic on this state;
-    /// a streaming consumer reads it here.
+    /// replies will never arrive. The blocking collector
+    /// ([`Ticket::wait`]) panics on this state; a streaming consumer
+    /// reads it here.
     pub poisoned: bool,
 }
 
@@ -561,7 +533,7 @@ mod tests {
             let t = pending_ticket(6);
             t.state.complete(first.clone());
             t.state.complete(Vec::new()); // an empty run lands nothing
-            assert!(!t.is_ready());
+            assert_eq!(format!("{t:?}"), "Ticket { len: 6, remaining: 3 }");
             t.state.complete(second.clone());
             assert_eq!(t.wait(), in_slot_order);
 

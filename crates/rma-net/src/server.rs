@@ -28,16 +28,14 @@
 //!   part that had anything land — no lookup per reply.
 //! * **Backpressure, two ways.** A connection stops being read (its
 //!   `EPOLLIN` interest is dropped) while it has `MAX_INFLIGHT` = 8
-//!   unanswered requests or more than
-//!   [`write_buf_cap`](NetConfig::write_buf_cap) unsent reply bytes.
-//!   The kernel socket buffer then fills and the client's own writes
-//!   block — backpressure propagates without the server buffering
-//!   unboundedly.
+//!   unanswered requests or more than `WRITE_BUF_CAP` = 256 KiB
+//!   unsent reply bytes. The kernel socket buffer then fills and the
+//!   client's own writes block — backpressure propagates without the
+//!   server buffering unboundedly.
 //! * **Chunked scans, sized by the budget that bounds them.** One
-//!   reply chunk is a quarter of
-//!   [`write_buf_cap`](NetConfig::write_buf_cap) in bytes — 4096
-//!   entries, 64 KiB, at the default. A `Scan` asking for more is
-//!   clamped to a chunk, and each completed chunk schedules a
+//!   reply chunk is a quarter of `WRITE_BUF_CAP` in bytes — 4096
+//!   entries, 64 KiB. A `Scan` asking for more is clamped to a
+//!   chunk, and each completed chunk schedules a
 //!   continuation from the last key seen — but only while the
 //!   connection's write buffer is under its cap, so one huge scan to
 //!   a slow reader holds at most `cap + cap/4` reply bytes (plus a
@@ -66,42 +64,28 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Tuning for [`NetServer::spawn`]. `Default` is sized for the
-/// loopback benchmark workloads.
-#[derive(Debug, Clone, Copy)]
+/// Where [`NetServer::spawn`] listens.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NetConfig {
     /// TCP port to bind on `127.0.0.1`; `0` asks the kernel for an
     /// ephemeral port (read it back with [`NetServer::port`]).
     pub port: u16,
-    /// Unsent reply bytes one connection may buffer before its reads
-    /// (and its scan continuations) pause. Also sizes a scan's reply
-    /// chunk: a quarter of this, in 16-byte entries — scans asking
-    /// for more stream in chunks of that size, and a connection holds
-    /// at most `write_buf_cap + write_buf_cap / 4` reply bytes for
-    /// one. These are the server's own bytes: the kernel's send
-    /// buffer, autotuned, absorbs more before a slow reader's
-    /// connection fills this one and pauses.
-    pub write_buf_cap: usize,
 }
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            port: 0,
-            write_buf_cap: 256 * 1024,
-        }
-    }
-}
+/// Unsent reply bytes one connection may buffer before its reads (and
+/// its scan continuations) pause. Also sizes a scan's reply chunk
+/// ([`SCAN_CHUNK`]), so a connection holds at most
+/// `WRITE_BUF_CAP + WRITE_BUF_CAP / 4` reply bytes for one scan. These
+/// are the server's own bytes: the kernel's send buffer, autotuned,
+/// absorbs more before a slow reader's connection fills this one and
+/// pauses.
+const WRITE_BUF_CAP: usize = 256 * 1024;
 
-impl NetConfig {
-    /// Entries in one scan reply chunk: a quarter of `write_buf_cap`
-    /// in bytes, at least one entry, and no more than fits a frame
-    /// with room to spare however large the cap is set.
-    fn scan_chunk(&self) -> usize {
-        const ENTRY: usize = 16;
-        ((self.write_buf_cap / 4).min(wire::MAX_FRAME_PAYLOAD / 2) / ENTRY).max(1)
-    }
-}
+/// Entries in one scan reply chunk: a quarter of [`WRITE_BUF_CAP`] in
+/// 16-byte entries, 4096 — scans asking for more stream in chunks of
+/// this size.
+const SCAN_CHUNK: usize = WRITE_BUF_CAP / 4 / 16;
+const _: () = assert!(SCAN_CHUNK * 16 <= wire::MAX_FRAME_PAYLOAD / 2);
 
 /// Handle to a running network front-end. Dropping it signals the
 /// event loop to shut down and joins the thread (open connections are
@@ -137,7 +121,6 @@ impl NetServer {
                 let mut el = EventLoop {
                     db: &db,
                     session: db.session(),
-                    cfg,
                     listener,
                     epoll,
                     wake,
@@ -267,17 +250,16 @@ impl Conn {
     }
 
     /// Backpressure: no further request is parsed off this connection
-    /// while it has [`MAX_INFLIGHT`] unanswered ones or `write_buf_cap`
+    /// while it has [`MAX_INFLIGHT`] unanswered ones or [`WRITE_BUF_CAP`]
     /// unsent reply bytes.
-    fn paused(&self, write_buf_cap: usize) -> bool {
-        self.reqs.len() >= MAX_INFLIGHT || self.unsent() >= write_buf_cap
+    fn paused(&self) -> bool {
+        self.reqs.len() >= MAX_INFLIGHT || self.unsent() >= WRITE_BUF_CAP
     }
 }
 
 struct EventLoop<'db> {
     db: &'db Db,
     session: Session<'db>,
-    cfg: NetConfig,
     listener: TcpListener,
     epoll: Epoll,
     wake: Arc<EventFd>,
@@ -561,7 +543,6 @@ impl EventLoop<'_> {
         // runs where an unstable one would sort from scratch.
         ready.sort_by_key(|&(bslot, _)| bslot);
         let mut ready = ready.into_iter().peekable();
-        let scan_chunk = self.cfg.scan_chunk();
         for part in &mut self.pendings[k].parts {
             let end = part.ops_start + part.ops_len;
             let in_part = |&(bslot, _): &(u32, Reply)| (bslot as usize) < end;
@@ -588,7 +569,7 @@ impl EventLoop<'_> {
                         // Entries; anything else is an engine bug.
                         unreachable!("scan answered with {reply:?}")
                     };
-                    let (emit, next) = scan_step(plan, &es, scan_chunk);
+                    let (emit, next) = scan_step(plan, &es, SCAN_CHUNK);
                     frame.entries(&mut conn.wbuf, wire_slot, emit);
                     match next {
                         Some(plan) => conn.conts.push_back(plan),
@@ -623,7 +604,6 @@ impl EventLoop<'_> {
     /// write buffers, recompute epoll interest, reap closed
     /// connections.
     fn advance(&mut self) {
-        let (cfg, scan_chunk) = (self.cfg, self.cfg.scan_chunk());
         // Flush before anything gated on write-buffer headroom
         // (parsing, scan continuations): frames just emitted by
         // completion routing must not keep the gates closed after the
@@ -662,7 +642,7 @@ impl EventLoop<'_> {
             }
             let mut at = 0usize;
             loop {
-                if conn.paused(cfg.write_buf_cap) {
+                if conn.paused() {
                     break;
                 }
                 let (payload, consumed) = match wire::split_frame(&conn.rbuf.unparsed()[at..]) {
@@ -701,10 +681,10 @@ impl EventLoop<'_> {
                 let mut scans = Vec::new();
                 for (j, op) in ops.iter_mut().enumerate() {
                     if let Op::Scan { start, count } = *op {
-                        if count > scan_chunk {
+                        if count > SCAN_CHUNK {
                             *op = Op::Scan {
                                 start,
-                                count: scan_chunk,
+                                count: SCAN_CHUNK,
                             };
                             scans.push((
                                 j,
@@ -754,12 +734,12 @@ impl EventLoop<'_> {
             if conn.close {
                 continue;
             }
-            while !conn.conts.is_empty() && conn.unsent() < cfg.write_buf_cap {
+            while !conn.conts.is_empty() && conn.unsent() < WRITE_BUF_CAP {
                 let plan = conn.conts.pop_front().expect("non-empty");
                 if conn.req(plan.corr).is_none() {
                     continue;
                 }
-                let count = plan.remaining.saturating_add(plan.drop).min(scan_chunk);
+                let count = plan.remaining.saturating_add(plan.drop).min(SCAN_CHUNK);
                 let op = Op::Scan {
                     start: plan.start,
                     count,
@@ -791,7 +771,7 @@ impl EventLoop<'_> {
                     flush(conn, &self.stats);
                 }
                 if !conn.close {
-                    let paused = conn.paused(cfg.write_buf_cap);
+                    let paused = conn.paused();
                     let mut want = 0u32;
                     if !paused {
                         want |= EPOLLIN | EPOLLRDHUP;
@@ -815,7 +795,7 @@ impl EventLoop<'_> {
                     // has headroom, but with the write buffer empty and
                     // no ticket in flight there may be no further epoll
                     // event to retry on. Schedule one more pass.
-                    if conn.unsent() < cfg.write_buf_cap
+                    if conn.unsent() < WRITE_BUF_CAP
                         && (!conn.conts.is_empty()
                             || (conn.reqs.len() < MAX_INFLIGHT
                                 && !matches!(wire::frame_len(conn.rbuf.unparsed()), Ok(None))))

@@ -85,7 +85,7 @@ impl NetStats {
 
 /// A frozen [`NetStats`] snapshot. Render with
 /// [`render_text`](Self::render_text) (Prometheus-style, matching the
-/// engine's `MetricsSnapshot::render_text` conventions) or `Display`.
+/// engine's `MetricsSnapshot::render_text` conventions).
 #[derive(Debug, Clone)]
 pub struct NetSnapshot {
     /// Currently open connections.
@@ -158,42 +158,6 @@ impl NetSnapshot {
         self.frame_service_ns
             .write_summary(&mut out, "rma_net_frame_service_ns", "");
         out
-    }
-}
-
-impl std::fmt::Display for NetSnapshot {
-    /// A compact human-readable report, one connection line and one
-    /// traffic line (the examples print this next to `Db::metrics`).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "net: {} conns open ({} accepted, {} closed), \
-             {} pauses, peak wbuf {} B",
-            self.connections,
-            self.accepted,
-            self.closed,
-            self.backpressure_pauses,
-            self.peak_conn_write_buf
-        )?;
-        let us = |ns: u64| ns as f64 / 1000.0;
-        writeln!(
-            f,
-            "net io: {}/{} frames in/out, {}/{} KiB in/out, \
-             {} decode errors, {} refused ops, \
-             {} merged submits ({} reqs), {} scan chunks, \
-             service p50 {:.1} µs / p99 {:.1} µs",
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in / 1024,
-            self.bytes_out / 1024,
-            self.decode_errors,
-            self.refused_ops,
-            self.merged_submits,
-            self.merged_requests,
-            self.scan_chunks,
-            us(self.frame_service_ns.p50()),
-            us(self.frame_service_ns.p99()),
-        )
     }
 }
 

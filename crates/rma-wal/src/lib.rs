@@ -78,6 +78,11 @@ pub enum CommitPolicy {
     Off,
 }
 
+/// Durability partitions of a WAL made by [`Wal::create`]. Recovery
+/// takes the count from the manifest, so a directory written with
+/// another count still opens.
+pub const PARTITIONS: usize = 4;
+
 /// Configuration for creating or recovering a WAL directory.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
@@ -85,9 +90,6 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Commit barrier behaviour.
     pub policy: CommitPolicy,
-    /// Durability partition count (ignored on recovery — the
-    /// manifest's persisted partitioning wins).
-    pub partitions: usize,
     /// Optional fault injector, armed on all durability I/O performed
     /// *after* creation/recovery (setup I/O is not instrumented, so a
     /// countdown seed indexes deterministically into workload I/O).
@@ -99,18 +101,12 @@ impl DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             policy: CommitPolicy::Always,
-            partitions: 4,
             fault: None,
         }
     }
 
     pub fn policy(mut self, policy: CommitPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions;
         self
     }
 
@@ -193,11 +189,11 @@ impl Wal {
                 cfg.dir.display()
             )));
         }
-        let splitters = Splitters::uniform(cfg.partitions);
-        let parts: Vec<PartitionLog> = (0..cfg.partitions)
+        let splitters = Splitters::uniform(PARTITIONS);
+        let parts: Vec<PartitionLog> = (0..PARTITIONS)
             .map(|p| PartitionLog::create(&cfg.dir, p, 1))
             .collect::<io::Result<_>>()?;
-        let manifest = ManifestState::new(cfg.partitions, splitters.keys().to_vec());
+        let manifest = ManifestState::new(PARTITIONS, splitters.keys().to_vec());
         // Setup I/O is deliberately un-instrumented; see
         // `DurabilityConfig::fault`.
         checkpoint::write_manifest(&cfg.dir, &manifest, &None)?;
@@ -229,9 +225,6 @@ impl Wal {
     }
 
     fn validate(cfg: &DurabilityConfig) -> Result<(), WalError> {
-        if cfg.partitions == 0 {
-            return Err(WalError::Config("need at least one partition".into()));
-        }
         if cfg.policy == CommitPolicy::EveryN(0) {
             return Err(WalError::Config(
                 "EveryN(0) is meaningless; use Always".into(),
@@ -420,10 +413,6 @@ mod tests {
             Err(WalError::Config(_))
         ));
         assert!(matches!(
-            Wal::create(DurabilityConfig::new(scratch("p0")).partitions(0)),
-            Err(WalError::Config(_))
-        ));
-        assert!(matches!(
             Wal::create(DurabilityConfig::new(scratch("n0")).policy(CommitPolicy::EveryN(0))),
             Err(WalError::Config(_))
         ));
@@ -433,19 +422,19 @@ mod tests {
     #[test]
     fn append_routes_by_key_and_commit_is_a_barrier() {
         let dir = scratch("route");
-        let wal = Wal::create(DurabilityConfig::new(&dir).partitions(2)).expect("create");
+        let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
         let lo: Key = 1;
-        let hi: Key = (1 << 61) + 1; // above the 2-way uniform splitter
+        let hi: Key = (1 << 61) + 1; // above the middle uniform splitter
         assert_eq!(wal.splitters.route(lo), 0);
-        assert_eq!(wal.splitters.route(hi), 1);
-        // One slice over both partitions: three same-partition runs.
+        assert_eq!(wal.splitters.route(hi), 2);
+        // One slice over two partitions: three same-partition runs.
         wal.append(&[
             DurabilityOp::Insert(lo, 1),
             DurabilityOp::Insert(hi, 2),
             DurabilityOp::Remove(lo),
         ]);
         assert_eq!(wal.checkpoint_cut(0), 2);
-        assert_eq!(wal.checkpoint_cut(1), 1);
+        assert_eq!(wal.checkpoint_cut(2), 1);
         wal.commit().expect("commit");
         assert_eq!(wal.commit_hist().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -455,12 +444,7 @@ mod tests {
     fn io_failure_degrades_and_refuses_further_commits() {
         let dir = scratch("degrade");
         let inj = FaultInjector::new(1, FaultMode::Error);
-        let wal = Wal::create(
-            DurabilityConfig::new(&dir)
-                .partitions(1)
-                .fault(Arc::clone(&inj)),
-        )
-        .expect("create");
+        let wal = Wal::create(DurabilityConfig::new(&dir).fault(Arc::clone(&inj))).expect("create");
         wal.append(&[DurabilityOp::Insert(1, 1)]);
         assert!(matches!(wal.commit(), Err(WalError::Io(_))));
         assert!(wal.is_degraded());
@@ -489,7 +473,7 @@ mod tests {
     #[test]
     fn seal_checkpoint_rotates_and_replaces_segments() {
         let dir = scratch("seal");
-        let wal = Wal::create(DurabilityConfig::new(&dir).partitions(1)).expect("create");
+        let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
         for i in 0..10 {
             wal.append(&[DurabilityOp::Insert(i, i)]);
         }

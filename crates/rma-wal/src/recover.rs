@@ -116,13 +116,9 @@ impl Wal {
     /// Recovers a WAL directory created by [`Wal::create`]: verifies
     /// the manifest, loads checkpoints, scans log tails (truncating a
     /// torn tail), heals leftover staging files, and reopens fresh
-    /// logs. `cfg.partitions` is ignored — the manifest's persisted
-    /// partitioning is authoritative.
+    /// logs. The partition count is the manifest's.
     pub fn recover(cfg: DurabilityConfig) -> Result<Recovery, WalError> {
-        Wal::validate(&DurabilityConfig {
-            partitions: 1, // cfg.partitions is ignored here
-            ..cfg.clone()
-        })?;
+        Wal::validate(&cfg)?;
         let manifest = match checkpoint::read_manifest(&cfg.dir)? {
             None => {
                 return Err(WalError::Config(format!(
@@ -269,7 +265,7 @@ fn heal_directory(dir: &Path, entries: &[Option<CkptEntry>]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DurabilitySink;
+    use crate::{DurabilitySink, PARTITIONS};
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -280,18 +276,18 @@ mod tests {
         ))
     }
 
-    fn fresh_wal(dir: &Path, partitions: usize) -> Arc<Wal> {
-        Wal::create(DurabilityConfig::new(dir).partitions(partitions)).expect("create")
+    fn fresh_wal(dir: &Path) -> Arc<Wal> {
+        Wal::create(DurabilityConfig::new(dir)).expect("create")
     }
 
     #[test]
     fn recover_empty_wal_is_empty() {
         let dir = scratch("empty");
-        let _wal = fresh_wal(&dir, 2);
+        let _wal = fresh_wal(&dir);
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
         assert!(rec.elements().is_empty());
         assert_eq!(rec.tail_ops(), 0);
-        assert_eq!(rec.wal().partitions(), 2);
+        assert_eq!(rec.wal().partitions(), PARTITIONS);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -299,7 +295,7 @@ mod tests {
     fn recover_replays_committed_tail() {
         let dir = scratch("tail");
         {
-            let wal = fresh_wal(&dir, 2);
+            let wal = fresh_wal(&dir);
             for i in 0..50 {
                 wal.append(&[DurabilityOp::Insert(i * (1 << 56), i)]);
             }
@@ -316,7 +312,7 @@ mod tests {
     fn recover_truncates_torn_tail() {
         let dir = scratch("torn");
         {
-            let wal = fresh_wal(&dir, 1);
+            let wal = fresh_wal(&dir);
             for i in 0..10 {
                 wal.append(&[DurabilityOp::Insert(i, i)]);
             }
@@ -344,7 +340,7 @@ mod tests {
     fn recover_uses_checkpoint_cut() {
         let dir = scratch("ckpt");
         {
-            let wal = fresh_wal(&dir, 1);
+            let wal = fresh_wal(&dir);
             for i in 0..20 {
                 wal.append(&[DurabilityOp::Insert(i, i)]);
             }
@@ -367,13 +363,13 @@ mod tests {
     fn recovered_elements_are_globally_sorted() {
         let dir = scratch("sorted");
         {
-            let wal = fresh_wal(&dir, 4);
+            let wal = fresh_wal(&dir);
             let step = 1i64 << 55;
             for i in 0..200 {
                 wal.append(&[DurabilityOp::Insert((i * 37 % 200) * step, i)]);
             }
             wal.commit().expect("commit");
-            for p in 0..4 {
+            for p in 0..PARTITIONS {
                 let (lo, hi) = wal.partition_range(p);
                 let mut elems: Vec<(Key, Value)> = (0..200)
                     .map(|i| ((i * 37 % 200) * step, i))
@@ -394,7 +390,7 @@ mod tests {
     fn replay_into_rebuilds_engine_state() {
         let dir = scratch("replay");
         {
-            let wal = fresh_wal(&dir, 2);
+            let wal = fresh_wal(&dir);
             for i in 0..100 {
                 wal.append(&[DurabilityOp::Insert(i * (1 << 55), i)]);
             }
@@ -418,7 +414,7 @@ mod tests {
     fn recover_heals_mid_seal_debris() {
         let dir = scratch("heal");
         {
-            let wal = fresh_wal(&dir, 1);
+            let wal = fresh_wal(&dir);
             wal.append(&[DurabilityOp::Insert(1, 1)]);
             wal.commit().expect("commit");
         }
@@ -456,7 +452,7 @@ mod tests {
     fn recover_is_idempotent() {
         let dir = scratch("idem");
         {
-            let wal = fresh_wal(&dir, 2);
+            let wal = fresh_wal(&dir);
             for i in 0..30 {
                 wal.append(&[DurabilityOp::Insert(i * (1 << 56), i)]);
             }

@@ -97,5 +97,5 @@ fn main() {
     // restructured while the mixed load ran.
     book.stop_maintenance();
     println!();
-    print!("{}", book.metrics());
+    print!("{}", book.metrics().render_text());
 }

@@ -16,10 +16,9 @@
 //! While the load runs, a reporter thread prints a periodic
 //! [`Db::metrics`] report — per-op-type latency quantiles straight
 //! from the built-in histograms, plus the network front-end's own
-//! counters — and at the end the full consolidated snapshot renders
-//! itself (the `Display` impls; no hand-formatted stats), followed
-//! by the Prometheus-style text exposition a scrape endpoint would
-//! serve.
+//! counters — and at the end the full consolidated snapshot prints
+//! as the Prometheus-style text exposition a scrape endpoint would
+//! serve (`render_text`; no hand-formatted stats).
 //!
 //! Run with: `cargo run --release --example sharded_server`
 //!
@@ -78,7 +77,6 @@ fn main() {
         Arc::clone(&db),
         NetConfig {
             port: listen_port.unwrap_or(0),
-            ..NetConfig::default()
         },
     )
     .expect("loopback bind");
@@ -244,31 +242,10 @@ fn main() {
     );
     // The whole story in one read: counters, per-op latency
     // distributions, batch wall times, maintenance step timing, the
-    // journal tail, and the wire-level counters — all rendered by the
-    // snapshots themselves.
-    let metrics = db.metrics();
-    print!("{metrics}");
-    println!("{}", srv.stats());
-
-    // The machine-readable face of the same snapshots, as a scrape
-    // endpoint would serve them.
-    println!("\nexposition sample (render_text):");
-    let text = metrics.render_text();
-    for line in text
-        .lines()
-        .filter(|l| l.contains("op=\"insert\"") || l.starts_with("rma_ops_executed"))
-    {
-        println!("  {line}");
-    }
-    for line in srv
-        .stats()
-        .render_text()
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .take(6)
-    {
-        println!("  {line}");
-    }
+    // journal tail, and the wire-level counters — the text exposition
+    // a scrape endpoint would serve.
+    print!("{}", db.metrics().render_text());
+    print!("{}", srv.stats().render_text());
 
     println!("\nper-shard load (len / reads / writes):");
     for (i, st) in db.stats().engine.shards.iter().enumerate() {

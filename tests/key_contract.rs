@@ -13,7 +13,7 @@
 //! across a split and a merge, `apply_batch`, a `Db` session, a
 //! `WireClient`, and a `Db` reopened from its log and its checkpoint.
 
-use rma_repro::db::{Db, DurabilityConfig, Op, Reply};
+use rma_repro::db::{Db, DurabilityConfig, Op, Reply, PARTITIONS};
 use rma_repro::net::{NetConfig, NetServer, WireClient};
 use rma_repro::rma::{Key, RewiringMode, Rma, RmaConfig, Value};
 use rma_repro::shard::{PointOp, ShardConfig, ShardedRma, Splitters};
@@ -491,7 +491,7 @@ fn a_reopened_db_keeps_every_stack() {
     let db = Db::builder()
         .shard_config(small_shards())
         .splitter_keys(vec![16, 32, 48])
-        .durability(DurabilityConfig::new(&dir).partitions(2))
+        .durability(DurabilityConfig::new(&dir))
         .build()
         .expect("valid durable config");
     let mut oracle = Stacks::default();
@@ -507,7 +507,7 @@ fn a_reopened_db_keeps_every_stack() {
     // the checkpoint loaded and the tail after it replayed.
     let db = Db::open(&dir).expect("reopen replays the log");
     assert_db_matches(&db, &oracle, "after replay");
-    assert_eq!(db.engine().checkpoint(), 2);
+    assert_eq!(db.engine().checkpoint(), PARTITIONS);
     drive_client(
         &db,
         &mut db.session(),

@@ -458,78 +458,62 @@ fn malformed_frames_close_only_the_offender() {
     assert_eq!(count("proto_error") as u64, n_cases);
 }
 
-/// Entries in one scan reply chunk under `cap`, as `NetConfig`
-/// derives it: a quarter of the cap, in 16-byte entries.
-fn chunk_entries(cap: usize) -> usize {
-    cap / 4 / 16
-}
+/// The server's per-connection write-buffer cap, 256 KiB (a constant
+/// of `rma-net/src/server.rs`).
+const WRITE_BUF_CAP: u64 = 256 * 1024;
+
+/// Entries in one scan reply chunk, as the server derives it: a
+/// quarter of the cap, in 16-byte entries.
+const CHUNK: usize = WRITE_BUF_CAP as usize / 4 / 16;
 
 /// Bytes of a response frame that holds one `Entries` item of a full
 /// chunk: the frame header, `opcode · corr · last · items`, then
 /// `slot · tag · count` and the cells.
-fn chunk_frame_bytes(cap: usize) -> u64 {
-    (wire::FRAME_HEADER + 8 + 7 + 16 * chunk_entries(cap)) as u64
-}
+const CHUNK_FRAME_BYTES: u64 = (wire::FRAME_HEADER + 8 + 7 + 16 * CHUNK) as u64;
 
 /// The chunk is sized by the write-buffer budget: a scan of exactly
 /// one chunk is one submit and one frame, flagged `last`; one entry
 /// more streams a second frame through one continuation.
 #[test]
 fn a_scan_of_one_chunk_is_one_frame_and_one_entry_more_is_two() {
+    assert_eq!(CHUNK, 4096);
     let db = preloaded(5000, |k| k * 3);
-    for cap in [NetConfig::default().write_buf_cap, 4096] {
-        let chunk = chunk_entries(cap);
-        assert!((1..5000).contains(&chunk), "preload covers a chunk");
-        let cfg = NetConfig {
-            write_buf_cap: cap,
-            ..NetConfig::default()
-        };
-        let srv = NetServer::spawn(Arc::clone(&db), cfg).expect("spawn");
-        let mut c = WireClient::connect(srv.port()).expect("connect");
-        for (count, frames, continuations) in [(chunk, 1, 0), (chunk + 1, 2, 1)] {
-            c.send(&[Op::Scan { start: 7, count }]).expect("send");
-            let done = c.recv().expect("recv");
-            let expect: Vec<(i64, i64)> = (7..7 + count as i64).map(|k| (k, k * 3)).collect();
-            assert_eq!(done.replies, vec![Reply::Entries(expect)]);
-            assert_eq!(done.frames, frames, "cap {cap}, {count} entries");
-            assert_eq!(srv.stats().scan_chunks, continuations, "cap {cap}");
-        }
-        assert!(srv.stats().peak_conn_write_buf <= cap as u64 + chunk_frame_bytes(cap));
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
+    let mut c = WireClient::connect(srv.port()).expect("connect");
+    for (count, frames, continuations) in [(CHUNK, 1, 0), (CHUNK + 1, 2, 1)] {
+        c.send(&[Op::Scan { start: 7, count }]).expect("send");
+        let done = c.recv().expect("recv");
+        let expect: Vec<(i64, i64)> = (7..7 + count as i64).map(|k| (k, k * 3)).collect();
+        assert_eq!(done.replies, vec![Reply::Entries(expect)]);
+        assert_eq!(done.frames, frames, "{count} entries");
+        assert_eq!(srv.stats().scan_chunks, continuations);
     }
+    assert!(srv.stats().peak_conn_write_buf <= WRITE_BUF_CAP + CHUNK_FRAME_BYTES);
 }
 
 #[test]
 fn big_scan_streams_in_bounded_chunks() {
-    let db = preloaded(5000, |k| k);
-    // A chunk of 64 entries.
-    let cfg = NetConfig {
-        write_buf_cap: 4096,
-        ..NetConfig::default()
-    };
-    let srv = NetServer::spawn(Arc::clone(&db), cfg).expect("spawn");
+    // Two and a half chunks.
+    const N: usize = 5 * CHUNK / 2;
+    let db = preloaded(N as i64, |k| k);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
     let mut c = WireClient::connect(srv.port()).expect("connect");
-    let corr = c
-        .send(&[Op::Scan {
-            start: 0,
-            count: 5000,
-        }])
-        .expect("send");
+    let corr = c.send(&[Op::Scan { start: 0, count: N }]).expect("send");
     let done = c.recv().expect("recv");
     assert_eq!(done.corr, corr);
     assert!(
         done.frames >= 2,
-        "a scan over {} entries with chunk 64 must stream in several \
+        "a scan over {N} entries with chunk {CHUNK} must stream in several \
          frames, got {}",
-        5000,
         done.frames
     );
-    let expect: Vec<(i64, i64)> = (0..5000).map(|k| (k, k)).collect();
+    let expect: Vec<(i64, i64)> = (0..N as i64).map(|k| (k, k)).collect();
     assert_eq!(done.replies, vec![Reply::Entries(expect)]);
     let stats = srv.stats();
     assert!(stats.scan_chunks >= 1, "continuations were submitted");
     // Peak reply buffering stays within the cap plus one frame.
     assert!(
-        stats.peak_conn_write_buf <= 4096 + chunk_frame_bytes(4096),
+        stats.peak_conn_write_buf <= WRITE_BUF_CAP + CHUNK_FRAME_BYTES,
         "peak write buffer {} exceeds cap + one chunk frame",
         stats.peak_conn_write_buf
     );
@@ -577,12 +561,7 @@ fn blocked_connection_does_not_stall_others() {
     // a 2 MiB reply never paused and a 4 MiB one did.
     const N: i64 = 1 << 19;
     let db = preloaded(N, |k| k);
-    // A chunk of 32 entries.
-    let cfg = NetConfig {
-        write_buf_cap: 2048,
-        ..NetConfig::default()
-    };
-    let srv = NetServer::spawn(Arc::clone(&db), cfg).expect("spawn");
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
 
     // A connection that requests everything and reads nothing.
     let mut blocked = tiny_rcvbuf_stream(srv.port());
@@ -618,7 +597,7 @@ fn blocked_connection_does_not_stall_others() {
     }
     let stats = srv.stats();
     assert!(
-        stats.peak_conn_write_buf <= 2048 + chunk_frame_bytes(2048),
+        stats.peak_conn_write_buf <= WRITE_BUF_CAP + CHUNK_FRAME_BYTES,
         "peak write buffer {} not bounded by cap + one chunk frame",
         stats.peak_conn_write_buf
     );

@@ -7,27 +7,44 @@
 //! backstop must split, cold interior shards must merge, and the
 //! journal must record the whole cycle in order with timing attached.
 
-use rma_repro::db::{Db, DbBuilder, ObsConfig, Op, Reply};
+use rma_repro::db::{
+    Db, DbBuilder, DbSnapshot, DurabilityConfig, MaintainerSnapshot, ObsConfig, Op, Reply,
+    RouterSnapshot,
+};
 use rma_repro::obs::{Event, EventKind};
 use rma_repro::rma::{BackendKind, RewiringMode, RmaConfig};
-use rma_repro::shard::ShardConfig;
+use rma_repro::shard::{
+    EngineSnapshot, MaintainerConfig, MaintenanceStats, ShardConfig, ShardStats,
+};
 use rma_repro::workloads::SplitMix64;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashSet;
+use std::time::{Duration, Instant};
+
+fn small_shards() -> ShardConfig {
+    ShardConfig {
+        num_shards: 4,
+        rma: RmaConfig {
+            segment_size: 8,
+            rewiring: RewiringMode::Disabled,
+            reserve_bytes: 1 << 24,
+            ..Default::default()
+        },
+        min_split_len: 64,
+        ..Default::default()
+    }
+}
 
 fn small() -> DbBuilder {
-    Db::builder()
-        .shard_config(ShardConfig {
-            num_shards: 4,
-            rma: RmaConfig {
-                segment_size: 8,
-                rewiring: RewiringMode::Disabled,
-                reserve_bytes: 1 << 24,
-                ..Default::default()
-            },
-            min_split_len: 64,
-            ..Default::default()
-        })
-        .router_workers(2)
+    Db::builder().shard_config(small_shards()).router_workers(2)
+}
+
+/// [`small`] with a shard-length backstop of `n` elements.
+fn small_with_backstop(n: usize) -> DbBuilder {
+    small().shard_config(ShardConfig {
+        max_shard_len: Some(n),
+        ..small_shards()
+    })
 }
 
 /// 16 explicit shards, one of them overstuffed past the length
@@ -39,9 +56,8 @@ fn small() -> DbBuilder {
 #[test]
 fn journal_captures_forced_split_merge_cycle() {
     let splitters: Vec<i64> = (1..16).map(|i| i * 100).collect();
-    let db = small()
+    let db = small_with_backstop(256)
         .splitter_keys(splitters)
-        .max_shard_len(256)
         .build()
         .expect("valid");
     for k in -2000..100i64 {
@@ -201,9 +217,6 @@ fn session_traffic_populates_per_op_histograms() {
         );
     }
     assert!(text.contains("rma_ops_executed_total 480"));
-    // The human-readable report renders without panicking and leads
-    // with the engine line.
-    assert!(m.to_string().starts_with("engine: "));
 }
 
 /// A single worker records exactly one latency sample per 16
@@ -238,13 +251,12 @@ fn op_latency_sampling_records_one_in_n() {
 }
 
 /// Disabled observability records nothing — no histogram samples, no
-/// journal events — while the counter snapshot, the exposition and
-/// the Display report keep working.
+/// journal events — while the counter snapshot and the exposition
+/// keep working.
 #[test]
 fn disabled_observability_records_nothing_but_renders() {
-    let db = small()
+    let db = small_with_backstop(128)
         .observability(ObsConfig { enabled: false })
-        .max_shard_len(128)
         .build()
         .expect("valid");
     let mut s = db.session();
@@ -264,17 +276,17 @@ fn disabled_observability_records_nothing_but_renders() {
     let text = m.render_text();
     assert!(text.contains("rma_ops_executed_total 2000"));
     assert!(text.contains("rma_op_latency_ns_count{op=\"insert\"} 0"));
-    assert!(m.to_string().starts_with("engine: "));
+    assert!(text.contains(&format!("rma_shards {}", m.db.engine.num_shards)));
 }
 
 /// Metrics snapshots taken after `stop_maintenance()` still carry the
 /// maintainer's final counters, its tick-duration histogram and the
-/// journal, and still render both ways.
+/// journal, and still render.
 #[test]
 fn snapshots_render_after_stop_maintenance() {
     let db = small()
-        .maintenance(rma_repro::shard::MaintainerConfig {
-            poll_interval: std::time::Duration::from_millis(1),
+        .maintenance(MaintainerConfig {
+            poll_interval: Duration::from_millis(1),
             ..Default::default()
         })
         .build()
@@ -289,7 +301,7 @@ fn snapshots_render_after_stop_maintenance() {
         if db.metrics().maint_tick.count() > 0 {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
     }
     let final_stats = db.stop_maintenance().expect("was running");
     assert!(final_stats.polls > 0);
@@ -300,7 +312,6 @@ fn snapshots_render_after_stop_maintenance() {
     let text = m.render_text();
     assert!(text.contains(&format!("rma_maintainer_polls_total {}", final_stats.polls)));
     assert!(text.contains("# TYPE rma_maintainer_tick_ns summary"));
-    assert!(m.to_string().contains("maintainer: "));
 
     // Each maintenance fact has one counter: the thread reports only
     // what it alone knows, the engine's ledger everything its plans
@@ -544,7 +555,185 @@ fn a_store_without_memfd_copies_every_commit_and_says_so() {
             assert!(text.contains(&line), "missing {line}");
         }
     }
-    assert!(m
-        .to_string()
-        .contains(&format!("{SHARDS} shards (0 on memfd)")));
+    assert!(text.contains(&format!("\nrma_shards {SHARDS}\n")));
+}
+
+/// The one exposition carries every counter of the snapshot it
+/// renders: each `DbSnapshot` number — the engine's, its maintenance
+/// ledger's, the maintainer's, the router's — and every shard's
+/// backend label has a line of `render_text` holding its value. The
+/// snapshot structs are taken apart without `..`, so a counter added
+/// to one of them stops this test compiling until it is listed here,
+/// with its line or as not exported.
+#[test]
+fn the_exposition_carries_every_counter() {
+    let dir = std::env::temp_dir().join(format!(
+        "rma-observability-{}-{}",
+        std::process::id(),
+        rma_repro::rewiring::monotonic_ns()
+    ));
+    let db = small_with_backstop(512)
+        .durability(DurabilityConfig::new(&dir))
+        .maintenance(MaintainerConfig {
+            poll_interval: Duration::from_millis(1),
+            checkpoint_interval: Some(Duration::from_millis(1)),
+            ..Default::default()
+        })
+        .build()
+        .expect("valid durable config");
+    let mut s = db.session();
+    let mut rng = SplitMix64::new(40);
+    for _ in 0..8 {
+        let writes: Vec<Op> = (0..512)
+            .map(|_| {
+                let k = (rng.next_u64() % 8192) as i64;
+                match rng.next_u64() % 4 {
+                    0 => Op::Remove(k),
+                    _ => Op::Insert(k, k),
+                }
+            })
+            .collect();
+        s.submit(&writes).wait();
+        let reads = [
+            Op::Get(7),
+            Op::SumRange {
+                start: 0,
+                count: 100,
+            },
+            Op::Scan {
+                start: 0,
+                count: 16,
+            },
+        ];
+        s.submit(&reads).wait();
+    }
+    drop(s);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while db.stats().maintainer.expect("maintainer on").checkpoints == 0 {
+        assert!(Instant::now() < deadline, "the cadence never sealed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    db.stop_maintenance().expect("was running");
+    db.engine().rebalance_shards();
+
+    let m = db.metrics();
+    let text = m.render_text();
+    let lines: HashSet<&str> = text.lines().collect();
+    let DbSnapshot {
+        engine,
+        maintainer,
+        router,
+    } = &m.db;
+    let EngineSnapshot {
+        len,
+        num_shards,
+        memory_footprint,
+        splitter_bytes,
+        op_count,
+        access_imbalance,
+        read_locks,
+        write_locks,
+        seqlock_retries,
+        maintenance,
+        shards,
+    } = engine;
+    let MaintenanceStats {
+        plans,
+        relearns,
+        steps_planned,
+        steps_executed,
+        steps_skipped,
+        steps_dropped,
+        keys_migrated,
+        splits,
+        merges,
+        nudges,
+        rebuilds,
+        consolidations,
+        topologies_published,
+        max_step_wall_ns,
+        write_reroutes,
+    } = maintenance;
+    let MaintainerSnapshot { polls, checkpoints } = maintainer.expect("maintainer on");
+    let RouterSnapshot {
+        workers,
+        sessions_opened,
+        batches_submitted,
+        ops_submitted,
+        ops_executed,
+    } = router;
+    let mut want = vec![
+        format!("rma_len {len}"),
+        format!("rma_shards {num_shards}"),
+        format!("rma_memory_bytes {memory_footprint}"),
+        format!("rma_splitter_bytes {splitter_bytes}"),
+        format!("rma_op_clock_total {op_count}"),
+        format!("rma_access_imbalance {access_imbalance}"),
+        format!("rma_read_locks_total {read_locks}"),
+        format!("rma_write_locks_total {write_locks}"),
+        format!("rma_seqlock_retries_total {seqlock_retries}"),
+        format!("rma_maintenance_plans_total {plans}"),
+        format!("rma_maintenance_relearns_total {relearns}"),
+        format!("rma_maintenance_steps_planned_total {steps_planned}"),
+        format!("rma_maintenance_steps_executed_total {steps_executed}"),
+        format!("rma_maintenance_steps_skipped_total {steps_skipped}"),
+        format!("rma_maintenance_steps_dropped_total {steps_dropped}"),
+        format!("rma_maintenance_keys_migrated_total {keys_migrated}"),
+        format!("rma_maintenance_splits_total {splits}"),
+        format!("rma_maintenance_merges_total {merges}"),
+        format!("rma_maintenance_nudges_total {nudges}"),
+        format!("rma_maintenance_rebuilds_total {rebuilds}"),
+        format!("rma_maintenance_consolidations_total {consolidations}"),
+        format!("rma_topologies_published_total {topologies_published}"),
+        format!("rma_max_step_wall_ns {max_step_wall_ns}"),
+        format!("rma_write_reroutes_total {write_reroutes}"),
+        format!("rma_maintainer_polls_total {polls}"),
+        format!("rma_maintainer_checkpoints_total {checkpoints}"),
+        format!("rma_router_workers {workers}"),
+        format!("rma_sessions_opened_total {sessions_opened}"),
+        format!("rma_batches_submitted_total {batches_submitted}"),
+        format!("rma_ops_submitted_total {ops_submitted}"),
+        format!("rma_ops_executed_total {ops_executed}"),
+    ];
+    for (i, shard) in shards.iter().enumerate() {
+        let ShardStats {
+            len,
+            capacity,
+            wired_bytes,
+            backend,
+            rebalances,
+            elements_moved,
+            rewired_commits,
+            copied_commits,
+            // Not exported: the key range, the segment count and the
+            // access counters the splitter learns from.
+            lower_bound: _,
+            upper_bound: _,
+            segments: _,
+            reads: _,
+            writes: _,
+            access_mass: _,
+        } = shard;
+        let backend = match backend {
+            BackendKind::Mmap => "memfd",
+            BackendKind::Heap => "heap",
+        };
+        want.extend([
+            format!("rma_shard_len{{shard=\"{i}\"}} {len}"),
+            format!("rma_shard_capacity{{shard=\"{i}\"}} {capacity}"),
+            format!("rma_shard_wired_bytes{{shard=\"{i}\"}} {wired_bytes}"),
+            format!("rma_shard_backend{{shard=\"{i}\",backend=\"{backend}\"}} 1"),
+            format!("rma_shard_rebalances{{shard=\"{i}\"}} {rebalances}"),
+            format!("rma_shard_elements_moved{{shard=\"{i}\"}} {elements_moved}"),
+            format!("rma_shard_rewired_commits{{shard=\"{i}\"}} {rewired_commits}"),
+            format!("rma_shard_copied_commits{{shard=\"{i}\"}} {copied_commits}"),
+        ]);
+    }
+    for line in &want {
+        assert!(lines.contains(line.as_str()), "no line `{line}` in\n{text}");
+    }
+    // The load reached every part of the snapshot.
+    assert!(*steps_executed > 0 && checkpoints > 0 && *ops_executed > 0);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
