@@ -106,7 +106,6 @@ fn run_mode(cli: &Cli, mode: Mode, motion: HotspotMotion) -> Vec<PhaseRow> {
     base.sort_unstable();
     let db = Db::builder()
         .shard_config(mode_config(cli, mode))
-        .router_workers(1) // engine-only driver: no session traffic
         .build_bulk(&base)
         .expect("static driver config is valid");
     let index = db.engine();

@@ -1,24 +1,24 @@
-//! Figure 19 (beyond the paper) — throughput of the session-pipelined
-//! request router vs direct engine calls.
+//! Figure 19 (beyond the paper) — throughput of pipelined sessions vs
+//! direct engine calls.
 //!
-//! The `rma-db` facade routes typed operations through channel-fed,
-//! shard-affine worker threads so one process can serve many
-//! pipelined clients. That indirection must not eat the engine's
-//! throughput: this driver measures an identical 90/10 read/write
-//! uniform mix against one preloaded `Db` in two shapes —
+//! An `rma-db` session runs each submitted batch of typed operations
+//! on the caller's thread — each run of point ops as one
+//! `ShardedRma::apply_ops` call — and hands the replies back through a
+//! ticket. That surface must not eat the engine's throughput: this
+//! driver measures an identical 90/10 read/write uniform mix against
+//! one preloaded `Db` in two shapes —
 //!
 //! * `direct` — each client thread calls `Db::get` / `Db::insert`
 //!   synchronously (the embedded-library shape);
 //! * `pipelined` — each client thread opens a [`rma_db::Session`], submits
-//!   the same operations in batches and keeps several tickets in
-//!   flight, with the router workers executing (the serving shape).
+//!   the same operations in batches and keeps several tickets open
+//!   before waiting them (the serving shape).
 //!
 //! swept over client counts. The repository's acceptance bar:
-//! pipelined throughput at **1 session ≥ 0.8×** the direct path on
-//! this 1-core host — the router's per-op overhead (routing, channel
-//! hop, ticket fill) stays bounded. On multi-core hosts the pipelined
-//! path additionally overlaps client batch-building with worker
-//! execution.
+//! pipelined throughput at **1 session ≥ 0.8×** the direct path — the
+//! session's per-op overhead (op decode, reply vector, ticket) stays
+//! bounded. Nothing overlaps: the session thread is the one executing.
+//! The JSON keeps its `router_workers` key, always 0.
 //!
 //! Writes `BENCH_router_throughput.json`; schema in
 //! `crates/bench-harness/README.md`.
@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use workloads::{MixOp, ReadWriteMix, SplitMix64};
 
 const SHARDS: usize = 8;
-/// Ops per submitted batch (amortizes the channel hop).
+/// Ops per submitted batch.
 const BATCH: usize = 1024;
 /// Tickets each session keeps in flight before collecting.
 const DEPTH: usize = 4;
@@ -142,13 +142,7 @@ fn run_one(cli: &Cli, shape: Shape, sessions: usize) -> f64 {
     })
 }
 
-fn write_json(
-    path: &str,
-    rows: &[Row],
-    cli: &Cli,
-    workers: usize,
-    hw: usize,
-) -> std::io::Result<()> {
+fn write_json(path: &str, rows: &[Row], cli: &Cli, hw: usize) -> std::io::Result<()> {
     let rate = |shape: Shape, sessions: usize| {
         rows.iter()
             .find(|r| r.shape == shape && r.sessions == sessions)
@@ -163,7 +157,7 @@ fn write_json(
         cli.scale, cli.scale
     ));
     json.push_str(&format!(
-        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": {workers},\n"
+        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
     ));
     json.push_str(&format!(
         "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",
@@ -195,16 +189,8 @@ fn write_json(
 fn main() {
     let cli = Cli::parse();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // One throwaway build reports the resolved worker count.
-    let workers = preloaded(&Cli {
-        scale: 16,
-        ..cli.clone()
-    })
-    .stats()
-    .router
-    .workers;
     println!(
-        "# Fig. 19 — session router throughput: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, {workers} router workers, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
+        "# Fig. 19 — session throughput: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, READ_FRACTION, cli.seg
     );
     print!("{:<11}", "mode");
@@ -239,7 +225,7 @@ fn main() {
     );
 
     let path = "BENCH_router_throughput.json";
-    match write_json(path, &rows, &cli, workers, hw) {
+    match write_json(path, &rows, &cli, hw) {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),
     }

@@ -1,11 +1,11 @@
 //! Figure 20 (beyond the paper) — the cost of always-on
 //! observability.
 //!
-//! PR 6 instruments the whole stack: router workers time a sampled
-//! 1-in-N of operations (default N=16, a monotonic clock-read pair
-//! around each sampled op) into log₂-bucketed latency histograms,
-//! sessions record batch sizes and queue depths, tickets record batch
-//! wall time, and the maintenance engine journals every structural
+//! PR 6 instruments the whole stack: sessions time a sampled 1-in-N
+//! of operations (default N=16, a monotonic clock-read pair around
+//! each sampled op) into log₂-bucketed latency histograms and record
+//! batch sizes, tickets record batch wall time, and the maintenance
+//! engine journals every structural
 //! step. All of it defaults to **on** — which is only tenable if the
 //! overhead is noise. This driver measures an identical pipelined-session
 //! workload against one preloaded `Db` with observability `on`
@@ -204,7 +204,6 @@ fn write_json(
     path: &str,
     results: &[(Mix, MixResult)],
     cli: &Cli,
-    workers: usize,
     hw: usize,
 ) -> std::io::Result<()> {
     let mut json = String::from("{\n");
@@ -216,7 +215,7 @@ fn write_json(
         cli.scale
     ));
     json.push_str(&format!(
-        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": {workers},\n"
+        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
     ));
     json.push_str(&format!(
         "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",
@@ -248,18 +247,8 @@ fn write_json(
 fn main() {
     let cli = Cli::parse();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = preloaded(
-        &Cli {
-            scale: 16,
-            ..cli.clone()
-        },
-        true,
-    )
-    .stats()
-    .router
-    .workers;
     println!(
-        "# Fig. 20 — observability overhead: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, {workers} router workers, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
+        "# Fig. 20 — observability overhead: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, READ_FRACTION, cli.seg
     );
     println!(
@@ -306,7 +295,7 @@ fn main() {
     print!("{}", db.metrics().render_text());
 
     let path = "BENCH_obs_overhead.json";
-    match write_json(path, &results, &cli, workers, hw) {
+    match write_json(path, &results, &cli, hw) {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),
     }

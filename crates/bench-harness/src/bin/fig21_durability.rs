@@ -10,9 +10,11 @@
 //!    insert stream (uniform random keys over the full 62-bit domain,
 //!    so every durability partition carries traffic) is driven
 //!    against three configurations of the same preloaded database:
-//!    `off` (no WAL), `group_commit` ([`CommitPolicy::Always`] — the
-//!    router's per-chunk barrier makes that one fsync per submitted
-//!    batch, the classic group commit), and `every_4096`
+//!    `off` (no WAL), `group_commit` ([`CommitPolicy::Always`] — a
+//!    ticket's wait runs the barrier only for writes no earlier
+//!    barrier covered, so one fsync round serves every batch submitted
+//!    ahead of it in the pipeline, the classic group commit), and
+//!    `every_4096`
 //!    ([`CommitPolicy::EveryN`] — fsync deferred until ≥ 4096 records
 //!    since the last sync; bounded-loss on OS crash). Segments are
 //!    measured back to back in rotating order so host jitter cancels
@@ -41,21 +43,11 @@ use std::path::{Path, PathBuf};
 use workloads::SplitMix64;
 
 const SHARDS: usize = 8;
-/// Router workers. One on purpose: the driver host exposes a single
-/// hardware thread, so extra workers only add scheduling noise to
-/// the commit barrier — the group-commit batching this figure
-/// measures happens at the worker's drain window, where one pass
-/// executes every queued chunk and shares a single fsync round.
-/// Both policies (and the off baseline) get the same fleet.
-const WORKERS: usize = 1;
-/// Ops per submitted batch — also the group-commit window: the
-/// router's durability barrier runs once per chunk, so `Always`
-/// costs one fsync per `BATCH` acknowledged inserts.
+/// Ops per submitted batch.
 const BATCH: usize = 1024;
-/// Tickets each session keeps in flight before collecting. Deep on
-/// purpose: group commit amortizes one fsync round over everything
-/// queued behind the barrier, so durable throughput scales with the
-/// submission pipeline right up to the workers' drain window.
+/// Tickets each session keeps open before waiting the oldest. Deep on
+/// purpose: a wait's barrier commits every batch submitted before it,
+/// so `Always` costs about one fsync round per `DEPTH` batches.
 const DEPTH: usize = 32;
 const EVERY_N: u64 = 4096;
 const RATIO_BAR: f64 = 0.5;
@@ -111,7 +103,6 @@ fn preloaded(cli: &Cli, policy: Policy, dir: &Path) -> Db {
     base.sort_unstable();
     let mut builder = Db::builder()
         .shards(SHARDS)
-        .router_workers(WORKERS)
         .rma(RmaConfig::with_segment_size(cli.seg));
     if let Some(commit) = policy.commit() {
         builder = builder.durability(DurabilityConfig::new(dir).policy(commit));
@@ -186,11 +177,10 @@ fn main() {
         .zip(&dirs)
         .map(|(&p, dir)| preloaded(&cli, p, dir))
         .collect();
-    let workers = dbs[0].stats().router.workers;
 
     println!(
         "# Fig. 21 — durability: N={} preloaded, N durable inserts, {SHARDS} shards, \
-         {PARTITIONS} WAL partitions, {workers} router workers, batch {BATCH}, \
+         {PARTITIONS} WAL partitions, batch {BATCH}, \
          depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, cli.seg
     );
@@ -289,19 +279,17 @@ fn main() {
     }
 
     let path = "BENCH_durability.json";
-    match write_json(path, &results, &recovery, &cli, workers, hw, segs, seg_ops) {
+    match write_json(path, &results, &recovery, &cli, hw, segs, seg_ops) {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
     results: &[(Policy, PolicyResult)],
     recovery: &Recovery,
     cli: &Cli,
-    workers: usize,
     hw: usize,
     segs: usize,
     seg_ops: usize,
@@ -313,7 +301,7 @@ fn write_json(
         cli.scale
     ));
     json.push_str(&format!(
-        "  \"partitions\": {PARTITIONS},\n  \"every_n\": {EVERY_N},\n  \"shards\": {SHARDS},\n  \"router_workers\": {workers},\n"
+        "  \"partitions\": {PARTITIONS},\n  \"every_n\": {EVERY_N},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
     ));
     json.push_str(&format!(
         "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",

@@ -1,11 +1,11 @@
 //! Figure 23 (beyond the paper) — throughput of the wire-protocol
 //! network front-end vs in-process pipelined sessions.
 //!
-//! The `rma-net` front-end serves the session router over loopback
-//! TCP: length-prefixed CRC-checked frames, an epoll event loop, and
-//! wire-side group commit that merges small requests from many
-//! connections into one router pass. Framing, checksums and two
-//! socket hops per round-trip must not eat the router's throughput:
+//! The `rma-net` front-end serves one database session over loopback
+//! TCP: length-prefixed CRC-checked frames, and an epoll event loop
+//! that merges small requests from many connections into one submit
+//! and executes it on its own thread. Framing, checksums and two
+//! socket hops per round-trip must not eat the session's throughput:
 //! this driver measures an identical 90/10 read/write uniform mix
 //! against one preloaded `Db` in two shapes —
 //!
@@ -15,13 +15,16 @@
 //! * `networked` — each client thread opens a [`rma_net::WireClient`]
 //!   over loopback and sends the same batches as request frames,
 //!   keeping several correlation ids in flight, with the epoll event
-//!   loop decoding into the same router.
+//!   loop decoding and executing them on its one thread.
 //!
 //! swept over client/connection counts. The repository's acceptance
 //! bar: networked throughput at **4 connections ≥ 0.5×** the
 //! in-process pipelined path — the whole wire stack (encode, CRC,
 //! syscalls, event loop, decode, reply streaming) costs at most half
-//! the serving capacity on this host.
+//! the serving capacity on this host. The in-process clients run on
+//! as many threads as there are connections, the server on one, so
+//! past one core the ratio also measures that. The JSON keeps its
+//! `router_workers` key, always 0.
 //!
 //! Writes `BENCH_network.json`; schema in
 //! `crates/bench-harness/README.md`.
@@ -176,7 +179,6 @@ fn write_json(
     rows: &[Row],
     net: &NetSnapshot,
     cli: &Cli,
-    workers: usize,
     hw: usize,
 ) -> std::io::Result<()> {
     let rate = |shape: Shape, connections: usize| {
@@ -193,7 +195,7 @@ fn write_json(
         cli.scale, cli.scale
     ));
     json.push_str(&format!(
-        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": {workers},\n"
+        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
     ));
     json.push_str(&format!(
         "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",
@@ -238,16 +240,8 @@ fn write_json(
 fn main() {
     let cli = Cli::parse();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // One throwaway build reports the resolved worker count.
-    let workers = preloaded(&Cli {
-        scale: 16,
-        ..cli.clone()
-    })
-    .stats()
-    .router
-    .workers;
     println!(
-        "# Fig. 23 — network front-end throughput: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, {workers} router workers, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
+        "# Fig. 23 — network front-end throughput: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, READ_FRACTION, cli.seg
     );
     print!("{:<11}", "mode");
@@ -298,7 +292,7 @@ fn main() {
     );
 
     let path = "BENCH_network.json";
-    match write_json(path, &rows, &net, &cli, workers, hw) {
+    match write_json(path, &rows, &net, &cli, hw) {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),
     }

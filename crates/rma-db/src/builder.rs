@@ -11,14 +11,12 @@ use std::sync::Arc;
 
 /// A rejected [`DbBuilder`] input. Engine-level violations (shard,
 /// maintainer and per-shard-RMA parameters) carry the inner layer's
-/// typed error; the router's own knob has its own variant.
+/// typed error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A [`ShardConfig`], [`MaintainerConfig`] or
     /// [`RmaConfig`] parameter was rejected by the engine layer.
     Engine(rma_shard::ConfigError),
-    /// `router_workers == 0`: submitted batches could never execute.
-    ZeroRouterWorkers,
     /// Explicit splitter keys combined with a constructor that learns
     /// its own splitters ([`DbBuilder::build_bulk`] /
     /// [`DbBuilder::recover`]) — one of the two must win, so the
@@ -38,7 +36,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Engine(e) => e.fmt(f),
-            ConfigError::ZeroRouterWorkers => f.write_str("need at least one router worker"),
             ConfigError::SplittersConflictWithLearned => f.write_str(
                 "explicit splitter keys conflict with a constructor that \
                  learns splitters from its input",
@@ -73,7 +70,6 @@ pub struct DbBuilder {
     shard: ShardConfig,
     splitter_keys: Option<Vec<Key>>,
     maintenance: Option<MaintainerConfig>,
-    router_workers: Option<usize>,
     observability: Option<ObsConfig>,
     durability: Option<DurabilityConfig>,
 }
@@ -116,13 +112,6 @@ impl DbBuilder {
         self
     }
 
-    /// Router worker thread count. Default:
-    /// `min(available_parallelism, num_shards)`.
-    pub fn router_workers(mut self, n: usize) -> Self {
-        self.router_workers = Some(n);
-        self
-    }
-
     /// Observability configuration (latency histograms, maintenance
     /// event journal; see [`ObsConfig`]). Recording is **on by
     /// default**; pass `ObsConfig { enabled: false, .. }` for
@@ -134,8 +123,9 @@ impl DbBuilder {
 
     /// Enables durability: every finisher creates (or, via
     /// [`recover`](Self::recover), reopens) a write-ahead log in
-    /// `cfg.dir`, and router workers run the commit barrier before
-    /// acknowledging batches. Checkpoints seal on
+    /// `cfg.dir`, and a session's [`Ticket::wait`](crate::Ticket::wait)
+    /// runs the commit barrier before it hands over replies — once for
+    /// every ticket submitted before it. Checkpoints seal on
     /// [`ShardedRma::checkpoint`], or on the maintainer's cadence when
     /// [`maintenance`](Self::maintenance) is on and sets
     /// [`MaintainerConfig::checkpoint_interval`] — `None` by default.
@@ -146,8 +136,8 @@ impl DbBuilder {
         self
     }
 
-    /// Validates every input and resolves the worker count.
-    fn validate(&self) -> Result<usize, ConfigError> {
+    /// Validates every input.
+    fn validate(&self) -> Result<(), ConfigError> {
         self.shard.try_validate()?;
         if let Some(m) = &self.maintenance {
             m.try_validate()?;
@@ -157,14 +147,7 @@ impl DbBuilder {
                 return Err(ConfigError::UnsortedSplitterKeys);
             }
         }
-        match self.router_workers {
-            Some(0) => Err(ConfigError::ZeroRouterWorkers),
-            Some(n) => Ok(n),
-            None => {
-                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                Ok(hw.min(self.shard.num_shards).max(1))
-            }
-        }
+        Ok(())
     }
 
     /// Creates the fresh WAL for a non-recovery finisher.
@@ -181,7 +164,7 @@ impl DbBuilder {
     /// [`splitter_keys`](Self::splitter_keys), or spread uniformly
     /// over the positive key domain).
     pub fn build(self) -> Result<Db, ConfigError> {
-        let workers = self.validate()?;
+        self.validate()?;
         let wal = self.create_wal()?;
         let engine = match self.splitter_keys {
             Some(keys) => ShardedRma::with_splitters(self.shard, Splitters::new(keys)),
@@ -189,7 +172,6 @@ impl DbBuilder {
         };
         Ok(Db::assemble(
             engine,
-            workers,
             self.maintenance,
             self.observability.unwrap_or_default(),
             wal,
@@ -202,7 +184,7 @@ impl DbBuilder {
     /// logged (through the bulk-apply path) so a crash before the
     /// first checkpoint still recovers it.
     pub fn build_bulk(self, batch: &[(Key, Value)]) -> Result<Db, ConfigError> {
-        let workers = self.validate()?;
+        self.validate()?;
         if self.splitter_keys.is_some() {
             return Err(ConfigError::SplittersConflictWithLearned);
         }
@@ -228,7 +210,6 @@ impl DbBuilder {
         };
         Ok(Db::assemble(
             engine,
-            workers,
             self.maintenance,
             self.observability.unwrap_or_default(),
             wal,
@@ -243,7 +224,7 @@ impl DbBuilder {
     /// learns its shard splitters from the checkpoint data; explicit
     /// [`splitter_keys`](Self::splitter_keys) therefore conflict.
     pub fn recover(self) -> Result<Db, ConfigError> {
-        let workers = self.validate()?;
+        self.validate()?;
         if self.splitter_keys.is_some() {
             return Err(ConfigError::SplittersConflictWithLearned);
         }
@@ -259,7 +240,6 @@ impl DbBuilder {
         let recover_ns = rewiring::monotonic_ns().saturating_sub(t0);
         let db = Db::assemble(
             engine,
-            workers,
             self.maintenance,
             self.observability.unwrap_or_default(),
             Some(recovery.wal()),

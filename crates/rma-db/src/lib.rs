@@ -9,7 +9,7 @@
 //!
 //! * **one builder** — [`Db::builder`] configures everything
 //!   fluently (shard count, per-shard RMA, relearn strategy,
-//!   maintenance cadence and backstops, router workers) and
+//!   maintenance cadence and backstops, durability) and
 //!   validates every input up front, returning a typed
 //!   [`ConfigError`] instead of panicking mid-construction;
 //! * **one handle** — [`Db`] owns the engine *and* the background
@@ -17,24 +17,23 @@
 //!   [`rma_shard::Maintainer`] handles, shutdown is
 //!   `drop`;
 //! * **sessions** — [`Db::session`] opens a pipelined client lane:
-//!   [`Session::submit`] sends a batch of typed [`Op`]s through a
-//!   hand-rolled channel-based request router with shard-affine
-//!   worker threads and returns a [`Ticket`] immediately, so one
-//!   client keeps many batches in flight while workers drain them
-//!   in parallel — the deployment shape of a process serving many
-//!   network clients, with no async runtime and no dependencies
-//!   beyond `std` channels and condvars;
+//!   [`Session::submit`] runs a batch of typed [`Op`]s on the
+//!   caller's thread — each run of point ops as one
+//!   [`ShardedRma::apply_ops`] call — and returns a [`Ticket`]
+//!   holding the replies. [`Ticket::wait`] hands them over once they
+//!   are durable, so a client that keeps several tickets open shares
+//!   one commit barrier among them. `rma-db` spawns no thread of its
+//!   own besides the optional maintainer;
 //! * **one stats snapshot** — [`Db::stats`] returns a [`DbSnapshot`]
 //!   consolidating the engine's observability
 //!   ([`EngineSnapshot`](rma_shard::EngineSnapshot)), the background
-//!   maintainer's counters and the router's throughput counters.
+//!   maintainer's counters and the sessions' throughput counters.
 //!
 //! The engine stays public as the inner layer: [`Db::engine`] hands
 //! out the [`ShardedRma`] for control-plane work (explicit
 //! `maintain()`, invariant checks, benchmark instrumentation), and
 //! the `Db` data-plane methods delegate to the very same engine
-//! methods the router workers call, so the two surfaces cannot
-//! drift.
+//! methods a session calls, so the two surfaces cannot drift.
 //!
 //! # Quick start
 //!
@@ -79,48 +78,68 @@
 //! let maint = snap.maintainer.expect("maintenance configured");
 //! assert_eq!(maint.checkpoints, 0); // nothing durable to seal
 //! println!("{} polls, {} plans", maint.polls, snap.engine.maintenance.plans);
-//! // Dropping `db` stops and joins the maintainer and the router.
+//! // Dropping `db` stops and joins the maintainer.
 //! ```
 
 mod builder;
 mod metrics;
-mod router;
 mod session;
 
 pub use builder::{ConfigError, DbBuilder};
 pub use metrics::{MetricsSnapshot, ObsConfig, WalMetrics, OP_LATENCY_NAMES};
-pub use session::{Op, Ready, Reply, Session, Ticket};
+pub use session::{Op, Reply, Session, Ticket};
 // The durability vocabulary callers need to configure
 // [`DbBuilder::durability`], re-exported so `rma-db` is a one-import
 // facade.
 pub use rma_wal::{CommitPolicy, DurabilityConfig, FaultInjector, FaultMode, IoClass, PARTITIONS};
 
-use metrics::RouterObs;
+use metrics::SessionObs;
 use rma_core::{Key, Value};
+use rma_obs::EventKind;
 use rma_shard::{DurabilitySink, Maintainer, MaintainerConfig, MaintainerStats, ShardedRma};
 use rma_wal::Wal;
-use router::Router;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-/// The database handle: owns the engine, the background maintainer
-/// (when configured) and the session router. Share it by reference —
-/// every method takes `&self` — and drop it to shut everything down
-/// (maintainer stopped and joined first, then the router workers
-/// drain their queues and join).
+/// The database handle: owns the engine and the background maintainer
+/// (when configured). Share it by reference — every method takes
+/// `&self` — and drop it to shut everything down: the drop runs one
+/// last commit barrier, so a session write whose ticket was never
+/// waited is durable after a clean close, and then stops and joins
+/// the maintainer.
 pub struct Db {
-    /// Declared first so the maintainer thread stops before the
-    /// router workers join.
     maintainer: Mutex<Option<Maintainer>>,
     /// Outlives the maintainer so stats keep reporting after a stop.
     maintainer_stats: Option<Arc<MaintainerStats>>,
-    router: Router,
-    engine: Arc<ShardedRma>,
+    pub(crate) engine: Arc<ShardedRma>,
     /// The write-ahead log, when durability is configured. Also held
-    /// by the engine (as its [`DurabilitySink`]) and by every router
-    /// worker.
-    wal: Option<Arc<Wal>>,
+    /// by the engine (as its [`DurabilitySink`]) and by every durable
+    /// [`Ticket`] until it is waited.
+    pub(crate) wal: Option<Arc<Wal>>,
+    pub(crate) counters: SessionCounters,
+    pub(crate) obs: Arc<SessionObs>,
+}
+
+/// Session lifetime counters (all monotonic), surfaced through
+/// [`DbSnapshot::router`].
+#[derive(Debug, Default)]
+pub(crate) struct SessionCounters {
+    pub(crate) sessions: AtomicU64,
+    pub(crate) batches: AtomicU64,
+    pub(crate) ops_submitted: AtomicU64,
+    pub(crate) ops_executed: AtomicU64,
+}
+
+/// Journals the WAL's one-time transition into degraded mode (the
+/// flag is a latch in the WAL, so exactly one caller journals it no
+/// matter which path notices first).
+pub(crate) fn journal_degraded(engine: &ShardedRma, wal: &Wal) {
+    if wal.take_degraded_transition() {
+        engine
+            .obs()
+            .log(EventKind::DegradedMode, rma_obs::Event::NO_SHARD, 0, 0);
+    }
 }
 
 impl Db {
@@ -152,7 +171,6 @@ impl Db {
     /// performed — so recovered operations are not re-logged.
     pub(crate) fn assemble(
         mut engine: ShardedRma,
-        workers: usize,
         maintenance: Option<MaintainerConfig>,
         obs: ObsConfig,
         wal: Option<Arc<Wal>>,
@@ -162,12 +180,6 @@ impl Db {
             engine.set_durability(Arc::clone(w) as Arc<dyn DurabilitySink>);
         }
         let engine = Arc::new(engine);
-        let router = Router::start(
-            &engine,
-            workers,
-            Arc::new(RouterObs::new(obs.enabled)),
-            wal.clone(),
-        );
         let (maintainer, maintainer_stats) = match maintenance {
             Some(cfg) => {
                 let m = engine.start_maintainer(cfg);
@@ -179,9 +191,10 @@ impl Db {
         Db {
             maintainer: Mutex::new(maintainer),
             maintainer_stats,
-            router,
             engine,
             wal,
+            counters: SessionCounters::default(),
+            obs: Arc::new(SessionObs::new(obs.enabled)),
         }
     }
 
@@ -195,16 +208,8 @@ impl Db {
     /// Opens a pipelined session; see [`Session`]. Sessions are
     /// independent: open one per client thread.
     pub fn session(&self) -> Session<'_> {
-        let counters = self.router.counters();
-        counters.sessions.fetch_add(1, Relaxed);
-        Session {
-            senders: self.router.clone_senders(),
-            engine: &self.engine,
-            counters,
-            obs: Arc::clone(self.router.obs()),
-            splitters: self.engine.splitters(),
-            submits_since_refresh: 0,
-        }
+        self.counters.sessions.fetch_add(1, Relaxed);
+        Session::new(self)
     }
 
     /// Stops the background maintainer (if one is running), joins its
@@ -223,15 +228,15 @@ impl Db {
 
     /// One coherent snapshot of everything observable: engine content
     /// and balance, lock-freedom counters, maintenance plan-engine
-    /// counters, background-maintainer counters and router
+    /// counters, background-maintainer counters and session
     /// throughput.
     pub fn stats(&self) -> DbSnapshot {
-        let c = self.router.counters();
+        let c = &self.counters;
         DbSnapshot {
             engine: self.engine.stats_snapshot(),
             maintainer: self.maintainer_snapshot(),
             router: RouterSnapshot {
-                workers: self.router.workers(),
+                workers: 0,
                 sessions_opened: c.sessions.load(Relaxed),
                 batches_submitted: c.batches.load(Relaxed),
                 ops_submitted: c.ops_submitted.load(Relaxed),
@@ -242,7 +247,7 @@ impl Db {
 
     /// Everything the stack measures in one read: the [`DbSnapshot`]
     /// counters plus the latency/size distributions (per-op-type
-    /// service latency, batch size, queue depth, batch wall time,
+    /// service latency, batch size, batch wall time,
     /// maintenance step and tick durations) and the retained tail of
     /// the maintenance event journal. Render with
     /// [`MetricsSnapshot::render_text`] (Prometheus-style text
@@ -250,13 +255,13 @@ impl Db {
     /// empty and the journal has no events; the counter snapshot is
     /// always live.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let robs = self.router.obs();
+        let robs = &self.obs;
         let eobs = self.engine.obs();
         MetricsSnapshot {
             db: self.stats(),
             op_latency: std::array::from_fn(|i| robs.op_latency[i].snapshot()),
             batch_size: robs.batch_size.snapshot(),
-            queue_depth: robs.queue_depth.snapshot(),
+            queue_depth: rma_obs::Histogram::new().snapshot(),
             ticket_wait: robs.ticket_wait.snapshot(),
             step_duration: eobs.step_duration(),
             maint_tick: eobs.maint_tick(),
@@ -289,8 +294,8 @@ impl Db {
     }
 
     // ------------------------------------------------- data plane --
-    // Thin delegation to the engine: the same methods the router
-    // workers execute, for callers that want synchronous calls
+    // Thin delegation to the engine: the same methods a session
+    // executes, for callers that want synchronous calls
     // without a session. With durability configured, every direct
     // write runs the commit barrier before returning — the return is
     // the acknowledgement, same contract as a session reply.
@@ -314,12 +319,12 @@ impl Db {
             // The latch may have been set by a failing checkpoint on
             // the maintainer thread; journal the one-time transition
             // from whoever observes it first.
-            router::journal_degraded(&self.engine, w);
+            journal_degraded(&self.engine, w);
             return Err(DbError::ReadOnly);
         }
         let out = op();
         if w.commit().is_err() {
-            router::journal_degraded(&self.engine, w);
+            journal_degraded(&self.engine, w);
             return Err(DbError::ReadOnly);
         }
         Ok(out)
@@ -403,11 +408,23 @@ impl Db {
     }
 }
 
+impl Drop for Db {
+    /// The last commit barrier: a session write whose ticket was
+    /// dropped unwaited becomes durable here, as one a caller waited
+    /// would have.
+    fn drop(&mut self) {
+        if let Some(w) = &self.wal {
+            if !w.is_committed(&w.appended()) && w.commit().is_err() {
+                journal_degraded(&self.engine, w);
+            }
+        }
+    }
+}
+
 impl std::fmt::Debug for Db {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Db")
             .field("shards", &self.engine.num_shards())
-            .field("router_workers", &self.router.workers())
             .field(
                 "maintenance",
                 &self
@@ -430,7 +447,7 @@ pub struct DbSnapshot {
     /// Background-maintainer counters; `None` when maintenance was
     /// never configured.
     pub maintainer: Option<MaintainerSnapshot>,
-    /// Request-router throughput counters.
+    /// Session throughput counters.
     pub router: RouterSnapshot,
 }
 
@@ -467,10 +484,12 @@ impl std::fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// The request router's monotonic throughput counters.
+/// The sessions' monotonic throughput counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterSnapshot {
-    /// Worker threads serving sessions.
+    /// Always 0: a session runs its batches on the caller's thread,
+    /// and no worker thread serves it. The field stays so the
+    /// snapshot's consumers keep building.
     pub workers: usize,
     /// Sessions opened since the database was built.
     pub sessions_opened: u64,
@@ -478,8 +497,8 @@ pub struct RouterSnapshot {
     pub batches_submitted: u64,
     /// Operations accepted across all batches.
     pub ops_submitted: u64,
-    /// Operations executed by the workers (lags `ops_submitted` by
-    /// the work currently in flight).
+    /// Operations executed: equal to `ops_submitted` whenever no
+    /// submit is running.
     pub ops_executed: u64,
 }
 
@@ -490,19 +509,17 @@ mod tests {
     use rma_shard::{ConfigError as EngineError, ShardConfig};
 
     fn small() -> DbBuilder {
-        Db::builder()
-            .shard_config(ShardConfig {
-                num_shards: 4,
-                rma: RmaConfig {
-                    segment_size: 8,
-                    rewiring: RewiringMode::Disabled,
-                    reserve_bytes: 1 << 24,
-                    ..Default::default()
-                },
-                min_split_len: 64,
+        Db::builder().shard_config(ShardConfig {
+            num_shards: 4,
+            rma: RmaConfig {
+                segment_size: 8,
+                rewiring: RewiringMode::Disabled,
+                reserve_bytes: 1 << 24,
                 ..Default::default()
-            })
-            .router_workers(2)
+            },
+            min_split_len: 64,
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -520,10 +537,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::Engine(EngineError::ZeroMaxStepElems)
-        );
-        assert_eq!(
-            Db::builder().router_workers(0).build().unwrap_err(),
-            ConfigError::ZeroRouterWorkers
         );
         assert_eq!(
             Db::builder()
@@ -584,7 +597,7 @@ mod tests {
     #[test]
     fn nothing_spawns_on_a_rejected_config() {
         // A rejected build returns Err without panicking — and the
-        // process must not have gained a router or maintainer thread
+        // process must not have gained a maintainer thread
         // (the assemble path is only reached after validation).
         let err = Db::builder()
             .shards(0)
@@ -671,7 +684,7 @@ mod tests {
         let db = small().build().expect("valid");
         let mut s = db.session();
         let t = s.submit(&[]);
-        assert_eq!(format!("{t:?}"), "Ticket { len: 0, remaining: 0 }");
+        assert_eq!(format!("{t:?}"), "Ticket { len: 0, .. }");
         assert_eq!(t.wait(), Vec::new());
     }
 
@@ -750,6 +763,6 @@ mod tests {
         assert!(snap.engine.memory_footprint > 0);
         assert!(snap.engine.access_imbalance >= 1.0);
         assert!(snap.maintainer.is_none());
-        assert_eq!(snap.router.workers, 2);
+        assert_eq!(snap.router.workers, 0, "no worker thread serves a session");
     }
 }

@@ -1,25 +1,27 @@
-//! Metrics assembly and exposition: the router-side observability
-//! state ([`RouterObs`]), the builder-facing switch ([`ObsConfig`]),
+//! Metrics assembly and exposition: the session-side observability
+//! state ([`SessionObs`]), the builder-facing switch ([`ObsConfig`]),
 //! and the full-stack [`MetricsSnapshot`] returned by
 //! [`Db::metrics`](crate::Db::metrics) with its Prometheus-style
 //! [`render_text`](MetricsSnapshot::render_text) exposition.
 //!
 //! Instrumentation philosophy: per-operation latency is *sampled* —
-//! workers bracket one in [`SAMPLE_EVERY`] = 16 operations with
-//! a pair of monotonic clock reads (vDSO `clock_gettime`, no syscall)
-//! and record the difference; the rest run untimed. A clock read is
-//! not free relative to a point lookup, so timing every op would cost
-//! double-digit percent throughput, while the sampled distribution
-//! converges to the same quantiles at a steady-state cost of two
-//! clock reads per 16 ops (and zero when observability is disabled). A run of consecutive point ops executes as one
-//! `apply_ops` call: the countdown advances by the run's length, and
-//! when it expires inside the run the whole call is timed once and
-//! every expiry records `elapsed / run length` under the kind of the
-//! op it expired on — so the sample *count* stays exactly one per
-//! 16 ops, while a point op's sample is the **run mean**,
-//! not that op's own time. Everything
-//! else (batch sizes, queue depth, ticket wait) is one relaxed atomic
-//! or clock read per *batch*, not per op, and is never sampled.
+//! a session brackets one in [`SAMPLE_EVERY`] = 16 operations of each
+//! kind with a pair of monotonic clock reads (vDSO `clock_gettime`,
+//! no syscall) and records the difference; the rest run untimed. A
+//! clock read is not free relative to a point lookup, so timing every
+//! op would cost double-digit percent throughput, while the sampled
+//! distribution converges to the same quantiles at a steady-state
+//! cost of two clock reads per 16 ops (and zero when observability is
+//! disabled). Each kind has its own countdown, so a stream that
+//! repeats its kinds periodically cannot hide one of them. A run of
+//! consecutive point ops executes as one `apply_ops` call: when a
+//! countdown expires inside the run the whole call is timed once and
+//! every expired op records `elapsed / run length` under its kind —
+//! so the sample *count* stays exactly one per 16 ops of a kind,
+//! while a point op's sample is the **run mean**, not that op's own
+//! time. Everything
+//! else (batch sizes, ticket wait) is one relaxed atomic or clock read
+//! per *batch*, not per op, and is never sampled.
 
 use crate::session::Op;
 use crate::DbSnapshot;
@@ -27,22 +29,21 @@ use rma_core::BackendKind;
 use rma_obs::{Event, Histogram, HistogramSnapshot};
 use rma_shard::ShardStats;
 use std::fmt::Write as _;
-use std::sync::atomic::AtomicU64;
 
-/// Router workers time one in `SAMPLE_EVERY` operations into the
+/// A session times one in `SAMPLE_EVERY` operations of each kind into the
 /// per-op-type latency histograms. Sampling is what keeps default-on
 /// affordable: a clock read costs a meaningful fraction of a point
 /// lookup, so timing every op would tax throughput ~30-40% while
 /// 1-in-16 sampling costs ~2%, and the sampled distribution converges
-/// to the same quantiles. Batch-granular series (batch size, queue
-/// depth, ticket wait) and maintenance events are never sampled.
+/// to the same quantiles. Batch-granular series (batch size, ticket
+/// wait) and maintenance events are never sampled.
 pub(crate) const SAMPLE_EVERY: usize = 16;
 
 /// Observability switch for [`DbBuilder`](crate::DbBuilder). Default
 /// **on**: recording costs one atomic per event and one clock read
 /// per op boundary, which the `fig20_obs_overhead` bench bounds at
 /// well under 10% of throughput; opt out for benchmark baselines.
-/// Router workers time one op in 16, and the maintenance journal
+/// A session times one op in 16 of each kind, and the maintenance journal
 /// keeps the newest 1024 events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -58,7 +59,7 @@ impl Default for ObsConfig {
     }
 }
 
-/// Operation kinds the router tracks latency for, in histogram-index
+/// Operation kinds a session tracks latency for, in histogram-index
 /// order. Index with [`op_index`].
 pub(crate) const OP_NAMES: [&str; 6] = ["get", "insert", "remove", "sum_range", "first_ge", "scan"];
 
@@ -74,38 +75,31 @@ pub(crate) fn op_index(op: &Op) -> usize {
     }
 }
 
-/// Router-side observability state, shared (`Arc`) between the
-/// router's workers, every session, and every in-flight ticket.
-/// Always allocated so hot paths branch on one `bool`.
-pub(crate) struct RouterObs {
+/// Session-side observability state, shared (`Arc`) between the
+/// [`Db`](crate::Db), its sessions and every timed ticket. Always
+/// allocated so hot paths branch on one `bool`.
+pub(crate) struct SessionObs {
     /// Mirrors [`ObsConfig::enabled`].
     pub(crate) enabled: bool,
-    /// Per-op-type service latency (worker-side, excludes queue
-    /// wait), nanoseconds; indexed by [`op_index`]. Populated from
+    /// Per-op-type service latency (execution only, no commit
+    /// barrier), nanoseconds; indexed by [`op_index`]. Populated from
     /// one in [`SAMPLE_EVERY`] operations; a point op records
     /// the mean per-op time of the run it was sampled in.
     pub(crate) op_latency: [Histogram; 6],
     /// Operations per submitted batch.
     pub(crate) batch_size: Histogram,
-    /// Work items queued but not yet picked up, sampled at each send.
-    pub(crate) queue_depth: Histogram,
-    /// Submit-to-last-reply wall time per batch, nanoseconds (includes
-    /// queue wait — the client-visible number).
+    /// Submit-to-wait wall time per batch, nanoseconds (includes the
+    /// commit barrier — the client-visible number).
     pub(crate) ticket_wait: Histogram,
-    /// Live count of sent-but-not-received work items (the queue-depth
-    /// sample source).
-    pub(crate) pending: AtomicU64,
 }
 
-impl RouterObs {
+impl SessionObs {
     pub(crate) fn new(enabled: bool) -> Self {
-        RouterObs {
+        SessionObs {
             enabled,
             op_latency: std::array::from_fn(|_| Histogram::new()),
             batch_size: Histogram::new(),
-            queue_depth: Histogram::new(),
             ticket_wait: Histogram::new(),
-            pending: AtomicU64::new(0),
         }
     }
 }
@@ -119,15 +113,18 @@ impl RouterObs {
 pub struct MetricsSnapshot {
     /// The counter snapshot ([`Db::stats`](crate::Db::stats)).
     pub db: DbSnapshot,
-    /// Per-op-type worker service latency, nanoseconds, in
+    /// Per-op-type service latency, nanoseconds, in
     /// `get, insert, remove, sum_range, first_ge, scan` order. A `get`
     /// sample taken inside a batched run is the run's mean.
     pub op_latency: [HistogramSnapshot; 6],
     /// Operations per submitted batch.
     pub batch_size: HistogramSnapshot,
-    /// Router queue depth sampled at each work-item send.
+    /// Always empty: a session runs its batch on the caller's thread,
+    /// so nothing queues. The field and its `rma_queue_depth` family
+    /// stay so the snapshot's consumers and scrapers keep their
+    /// schema.
     pub queue_depth: HistogramSnapshot,
-    /// Submit-to-completion wall time per batch, nanoseconds.
+    /// Submit-to-wait wall time per waited batch, nanoseconds.
     pub ticket_wait: HistogramSnapshot,
     /// Executed maintenance-step wall durations, nanoseconds.
     pub step_duration: HistogramSnapshot,

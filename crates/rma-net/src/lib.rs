@@ -1,6 +1,6 @@
 //! Network front-end for the sharded RMA database: a binary wire
-//! protocol and a non-blocking TCP server that put the session
-//! router behind a socket.
+//! protocol and a non-blocking TCP server that put a database
+//! session behind a socket.
 //!
 //! The stack, bottom-up:
 //!
@@ -12,9 +12,10 @@
 //!   batches of typed [`rma_db::Op`]s and streamed
 //!   [`rma_db::Reply`]s; see the module docs for the frame layout.
 //! * [`NetServer`] — a single-threaded epoll event loop that decodes
-//!   frames into [`rma_db::Session::submit`], merges tiny requests
-//!   from many connections into one router pass (wire-side group
-//!   commit), pauses reading from connections that exceed their
+//!   frames into [`rma_db::Session::submit`] and executes them on its
+//!   own thread, merges tiny requests from many connections into one
+//!   submit (wire-side group commit) and a pass's submits under one
+//!   commit barrier, pauses reading from connections that exceed their
 //!   in-flight or write-buffer caps (backpressure), and streams big
 //!   scans in bounded chunks.
 //! * [`WireClient`] — a small blocking client used by the examples,

@@ -1,31 +1,32 @@
 //! The network front-end: a single-threaded, non-blocking epoll event
 //! loop that accepts loopback TCP connections, decodes wire-format
-//! request frames into the session router, and streams response
-//! frames back as tickets complete.
+//! request frames, executes them through one [`Session`] on the loop
+//! thread and writes the response frames back.
 //!
 //! Design notes, in the order they matter:
 //!
-//! * **One event-loop thread, one session.** The router already
-//!   spreads work across shard-affine workers; the front-end's job is
-//!   purely to move bytes and bookkeeping. All connection state lives
-//!   on the loop thread — no locks, no cross-thread connection maps.
-//! * **Completion wake-ups, not polling.** Every submitted ticket
-//!   registers an `on_progress` hook that posts an eventfd the epoll
-//!   set watches, so the loop parks in `epoll_wait` until either a
-//!   socket or the router has something for it.
+//! * **One thread does everything.** The loop parses, executes,
+//!   commits and encodes; all connection state lives on it — no
+//!   locks, no cross-thread connection maps, no completion wake-ups.
+//!   Execution therefore does not overlap with the socket work of a
+//!   pipelined client on a second core: serving more than one core's
+//!   worth of requests needs more than one loop.
+//! * **One pass, one barrier.** A pass parses what every readable
+//!   connection has buffered, executes it, then waits the pass's
+//!   tickets in order: on a durable database the first wait runs the
+//!   WAL's commit barrier for the whole pass and the others find their
+//!   writes covered. Only then are replies encoded, so a reply is
+//!   always an acknowledgement.
 //! * **Wire-side group commit.** All small requests decoded in one
-//!   loop iteration — across *all* connections — are merged into a
-//!   single router submit (up to `MERGE_WINDOW_OPS` = 1024 ops).
-//!   Under high connection counts this turns N tiny batches into one
-//!   worker pass, the same trick the WAL plays with group commit,
-//!   applied one layer up.
-//! * **One walk from replies to frames.** A merged submit remembers
-//!   its requests as `Part`s — one `(connection, corr)` each,
-//!   disjoint and in the order their ops sit in the batch. A ticket
-//!   hands back what landed in landing order
-//!   ([`Ticket::take_ready`]); the loop sorts that by batch slot and
-//!   walks it against the parts once, building one response frame per
-//!   part that had anything land — no lookup per reply.
+//!   pass — across *all* connections — are merged into a single
+//!   submit (up to `MERGE_WINDOW_OPS` = 1024 ops), so N tiny batches
+//!   pay one submit's fixed cost.
+//! * **Replies map back by position.** A merged submit remembers its
+//!   requests as `Part`s — one `(connection, corr)` each, disjoint
+//!   and in the order their ops sit in the batch; the ticket's replies
+//!   are in batch order, so each part takes the next `ops_len` of
+//!   them — no lookup per reply. A part's replies go out in as few
+//!   frames as [`wire::MAX_FRAME_PAYLOAD`] allows: usually one.
 //! * **Backpressure, two ways.** A connection stops being read (its
 //!   `EPOLLIN` interest is dropped) while it has `MAX_INFLIGHT` = 8
 //!   unanswered requests or more than `WRITE_BUF_CAP` = 256 KiB
@@ -35,21 +36,23 @@
 //! * **Chunked scans, sized by the budget that bounds them.** One
 //!   reply chunk is a quarter of `WRITE_BUF_CAP` in bytes — 4096
 //!   entries, 64 KiB. A `Scan` asking for more is clamped to a
-//!   chunk, and each completed chunk schedules a
-//!   continuation from the last key seen — but only while the
+//!   chunk, and each executed chunk schedules a continuation from the
+//!   last key seen, submitted by a later pass — but only while the
 //!   connection's write buffer is under its cap, so one huge scan to
 //!   a slow reader holds at most `cap + cap/4` reply bytes (plus a
-//!   frame's few header bytes) and never blocks other connections. A
-//!   scan that fits a chunk is one router submit and one frame; every
-//!   continuation is a loop → worker → eventfd → loop round trip with
-//!   its own ticket, which is why the chunk is as large as the bound
-//!   allows and not a knob of its own. Duplicates of the boundary key
-//!   already sent are dropped from the next chunk (a scan meets a
-//!   key's stack front first, so those are the members sent); a run of
-//!   duplicates of a *single* key longer than a chunk cannot make
-//!   progress that way and is truncated at the chunk boundary (the
-//!   documented inexactness of chunked streaming — chunks are not one
-//!   snapshot, concurrent writers may interleave).
+//!   frame's few header bytes) and never blocks other connections.
+//!   Every continuation costs a pass, which is why the chunk is as
+//!   large as the bound allows and not a knob of its own. Duplicates
+//!   of the boundary key already sent are dropped from the next chunk
+//!   (a scan meets a key's stack front first, so those are the members
+//!   sent); a run of duplicates of a *single* key longer than a chunk
+//!   cannot make progress that way and is truncated at the chunk
+//!   boundary (the documented inexactness of chunked streaming —
+//!   chunks are not one snapshot, concurrent writers may interleave).
+//! * **An engine panic closes its batch's connections.** The loop
+//!   catches it around the submit, journals a `worker_panic` event,
+//!   closes every connection with a request in that batch and keeps
+//!   serving the rest.
 
 use crate::stats::NetStats;
 use crate::sys::{Epoll, EventFd};
@@ -60,6 +63,7 @@ use rma_obs::EventKind;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -89,7 +93,8 @@ const _: () = assert!(SCAN_CHUNK * 16 <= wire::MAX_FRAME_PAYLOAD / 2);
 
 /// Handle to a running network front-end. Dropping it signals the
 /// event loop to shut down and joins the thread (open connections are
-/// closed; in-flight tickets are abandoned to the router).
+/// closed; a pass always finishes before the loop looks for the
+/// shutdown, so no batch is left half-answered).
 pub struct NetServer {
     port: u16,
     stats: Arc<NetStats>,
@@ -99,18 +104,18 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `127.0.0.1:{cfg.port}`, registers it with a fresh epoll
-    /// set and starts the event-loop thread over `db`'s session
-    /// router. Returns once the socket is listening, so a client may
+    /// set and starts the event-loop thread over a session of `db`.
+    /// Returns once the socket is listening, so a client may
     /// connect immediately.
     pub fn spawn(db: Arc<Db>, cfg: NetConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
         let epoll = Epoll::new()?;
-        let wake = Arc::new(EventFd::new()?);
+        let wake = EventFd::new()?;
         let shutdown = Arc::new(EventFd::new()?);
         epoll.add(&listener, EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(&*wake, EPOLLIN, TOKEN_WAKE)?;
+        epoll.add(&wake, EPOLLIN, TOKEN_WAKE)?;
         epoll.add(&*shutdown, EPOLLIN, TOKEN_SHUTDOWN)?;
         let stats = Arc::new(NetStats::default());
         let thread_stats = Arc::clone(&stats);
@@ -128,7 +133,6 @@ impl NetServer {
                     conns: Vec::new(),
                     free: Vec::new(),
                     next_gen: 1,
-                    pendings: Vec::new(),
                 };
                 el.run();
                 drop(thread_shutdown); // keep the registered fd alive until exit
@@ -181,28 +185,21 @@ struct ScanPlan {
     drop: usize,
 }
 
-/// One request's (or continuation's) span inside a submitted batch.
+/// One request's (or continuation's) span inside a submitted batch:
+/// the parts of a batch are disjoint, in batch order, and together
+/// cover it.
 struct Part {
-    /// Owning connection (slot | generation), checked on completion
-    /// so a reused slot never receives a stale ticket's replies.
+    /// Owning connection (slot | generation).
     token: u64,
     corr: u32,
-    /// Where this part's ops start in the submitted batch.
-    ops_start: usize,
+    /// How many of the submitted batch's ops are this part's: it
+    /// follows the part before it.
     ops_len: usize,
     /// Wire slot of the part's first op (`0` for whole requests, the
     /// scan's slot for continuation parts).
     wire_base: u16,
     /// Local op index → scan streaming state, for clamped scans.
     scans: Vec<(usize, ScanPlan)>,
-}
-
-/// A submitted ticket with the parts mapping its batch slots back to
-/// connections: disjoint spans in `ops_start` order, each its own
-/// `(token, corr)`, together covering the batch.
-struct Pending {
-    ticket: Ticket,
-    parts: Vec<Part>,
 }
 
 /// Per-request bookkeeping until its final frame is sent.
@@ -262,12 +259,13 @@ struct EventLoop<'db> {
     session: Session<'db>,
     listener: TcpListener,
     epoll: Epoll,
-    wake: Arc<EventFd>,
+    /// Posted when a pass leaves work that no socket event will
+    /// announce: a parseable frame or a scan continuation.
+    wake: EventFd,
     stats: Arc<NetStats>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u32,
-    pendings: Vec<Pending>,
 }
 
 /// What a peer that breaks the protocol gets — a frame that does not
@@ -401,17 +399,21 @@ fn scan_step(
     )
 }
 
-/// Ops merged into one router submit by wire-side group commit, at
+/// Ops merged into one submit by wire-side group commit, at
 /// most (a single larger request still goes out whole).
 const MERGE_WINDOW_OPS: usize = 1024;
 
-/// Submits `ops` with the ticket's progress hook posting the loop's
-/// eventfd.
-fn submit_woken(session: &mut Session<'_>, wake: &Arc<EventFd>, ops: &[Op]) -> Ticket {
-    let ticket = session.submit(ops);
-    let w = Arc::clone(wake);
-    ticket.on_progress(move || w.signal());
-    ticket
+/// Executes one submit of a pass. An engine panic must not take the
+/// loop down: it is journaled and comes back as `None`, and the caller
+/// closes the batch's connections.
+fn execute(db: &Db, session: &mut Session<'_>, ops: &[Op]) -> Option<Ticket> {
+    let ticket = std::panic::catch_unwind(AssertUnwindSafe(|| session.submit(ops)));
+    if ticket.is_err() {
+        db.engine()
+            .obs()
+            .log(EventKind::WorkerPanic, rma_obs::Event::NO_SHARD, 0, 1);
+    }
+    ticket.ok()
 }
 
 impl EventLoop<'_> {
@@ -444,7 +446,6 @@ impl EventLoop<'_> {
                     }
                 }
             }
-            self.route_completions();
             self.advance();
         }
         for idx in 0..self.conns.len() {
@@ -500,67 +501,22 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Routes everything completed tickets have to say: emits reply
-    /// frames into connection write buffers, finalizes requests,
-    /// queues scan continuations, and drops drained tickets.
-    fn route_completions(&mut self) {
-        let mut k = 0;
-        while k < self.pendings.len() {
-            // One acquisition of the ticket's lock tells the whole
-            // story: what landed, whether anything is still to come.
-            let ready = self.pendings[k].ticket.take_ready();
-            if ready.poisoned {
-                // A router worker died mid-batch; the affected
-                // requests can never be answered. Close their
-                // connections rather than leave them hanging.
-                let dead = self.pendings.swap_remove(k);
-                for part in &dead.parts {
-                    if let Some(conn) = lookup(&mut self.conns, part.token) {
-                        conn.close = true;
-                    }
-                }
-                continue;
-            }
-            if !ready.replies.is_empty() {
-                self.route_ready(k, ready.replies);
-            }
-            if ready.drained && self.pendings[k].parts.iter().all(|p| p.scans.is_empty()) {
-                self.pendings.swap_remove(k);
-            } else {
-                k += 1;
-            }
-        }
-    }
-
-    /// Turns what landed on `pendings[k]` into response frames. The
-    /// ticket hands replies over in landing order; sorted by batch
-    /// slot they line up with the parts (disjoint, in `ops_start`
-    /// order), so one forward walk gives every part its replies and
-    /// every part that got any exactly one frame, encoded into the
-    /// connection's write buffer as the walk meets them.
-    fn route_ready(&mut self, k: usize, mut ready: Vec<(u32, Reply)>) {
-        // Stable, because that sort merges the workers' ascending
-        // runs where an unstable one would sort from scratch.
-        ready.sort_by_key(|&(bslot, _)| bslot);
-        let mut ready = ready.into_iter().peekable();
-        for part in &mut self.pendings[k].parts {
-            let end = part.ops_start + part.ops_len;
-            let in_part = |&(bslot, _): &(u32, Reply)| (bslot as usize) < end;
-            if !ready.peek().is_some_and(in_part) {
-                continue; // nothing of this part landed in this pass
-            }
-            let conn = lookup(&mut self.conns, part.token);
-            let Some((conn, at)) = conn.and_then(|c| c.req(part.corr).map(|at| (c, at))) else {
-                // The connection closed while the batch ran: nobody
-                // to answer, and no scan of the part to continue.
-                while ready.next_if(in_part).is_some() {}
-                part.scans.clear();
-                continue;
-            };
+    /// Encodes one executed batch's replies into the write buffers of
+    /// its parts' connections, finalizes requests and queues scan
+    /// continuations. The replies are in batch order and the parts are
+    /// disjoint spans in that order, so each part takes the next
+    /// `ops_len` replies.
+    fn route(&mut self, replies: Vec<Reply>, parts: Vec<Part>) {
+        let mut replies = replies.into_iter();
+        for mut part in parts {
+            let mine = replies.by_ref().take(part.ops_len);
+            // Connections are reaped only between passes, and a part's
+            // request is in flight until its last frame.
+            let conn = lookup(&mut self.conns, part.token).expect("a part's connection is open");
+            let at = conn.req(part.corr).expect("a part's request is in flight");
             let mut frame = ResponseEncoder::begin(&mut conn.wbuf, part.corr);
             let mut finalized = 0;
-            while let Some((bslot, reply)) = ready.next_if(in_part) {
-                let local = bslot as usize - part.ops_start;
+            for (local, reply) in mine.enumerate() {
                 let wire_slot = part.wire_base + local as u16;
                 if let Some(pos) = part.scans.iter().position(|(l, _)| *l == local) {
                     let (_, plan) = part.scans.swap_remove(pos);
@@ -586,8 +542,8 @@ impl EventLoop<'_> {
             let req = &mut conn.reqs[at];
             req.unanswered -= finalized;
             let (last, t0) = (req.unanswered == 0, req.t0);
-            frame.finish(&mut conn.wbuf, last);
-            NetStats::bump(&self.stats.frames_out);
+            let frames = frame.finish(&mut conn.wbuf, last);
+            NetStats::add(&self.stats.frames_out, frames);
             self.stats.track_peak(conn.unsent());
             if last {
                 self.stats
@@ -596,41 +552,40 @@ impl EventLoop<'_> {
                 conn.reqs.swap_remove(at);
             }
         }
-        debug_assert!(ready.next().is_none(), "a reply beyond the last part");
+        debug_assert!(replies.next().is_none(), "a reply beyond the last part");
     }
 
-    /// The per-iteration steady-state pass: parse newly read bytes
-    /// into (merged) submits, pump gated scan continuations, flush
-    /// write buffers, recompute epoll interest, reap closed
-    /// connections.
+    /// The per-iteration pass: parse newly read bytes into (merged)
+    /// submits and execute them, submit gated scan continuations, wait
+    /// the pass's tickets and encode their replies, flush write
+    /// buffers, recompute epoll interest, reap closed connections.
     fn advance(&mut self) {
         // Flush before anything gated on write-buffer headroom
-        // (parsing, scan continuations): frames just emitted by
-        // completion routing must not keep the gates closed after the
-        // socket would have accepted them — there may be no further
-        // epoll event to retry on.
+        // (parsing, scan continuations): frames the last pass encoded
+        // must not keep the gates closed after the socket would have
+        // accepted them.
         for conn in self.conns.iter_mut().flatten() {
             if !conn.close {
                 flush(conn, &self.stats);
             }
         }
+        // Every submit of the pass, with the parts mapping its replies
+        // back to connections; `None` for a batch whose execution
+        // panicked.
+        let mut pass: Vec<(Option<Ticket>, Vec<Part>)> = Vec::new();
         let mut batch: Vec<Op> = Vec::new();
         let mut parts: Vec<Part> = Vec::new();
-        let (session, pendings, stats) = (&mut self.session, &mut self.pendings, &*self.stats);
-        // One router submit, one ticket, for the requests in `parts`.
+        let (db, session, stats) = (self.db, &mut self.session, &*self.stats);
+        // One submit, one ticket, for the requests in `parts`.
         let mut submit_batch = |batch: &mut Vec<Op>, parts: &mut Vec<Part>| {
             if parts.is_empty() {
                 return;
             }
-            let ticket = submit_woken(session, &self.wake, batch);
             if parts.len() > 1 {
                 NetStats::bump(&stats.merged_submits);
                 NetStats::add(&stats.merged_requests, parts.len() as u64);
             }
-            pendings.push(Pending {
-                ticket,
-                parts: std::mem::take(parts),
-            });
+            pass.push((execute(db, session, batch), std::mem::take(parts)));
             batch.clear();
         };
         for idx in 0..self.conns.len() {
@@ -707,13 +662,11 @@ impl EventLoop<'_> {
                 if !batch.is_empty() && batch.len() + ops.len() > MERGE_WINDOW_OPS {
                     submit_batch(&mut batch, &mut parts);
                 }
-                let ops_start = batch.len();
                 let ops_len = ops.len();
                 batch.append(&mut ops);
                 parts.push(Part {
                     token: conn.token,
                     corr,
-                    ops_start,
                     ops_len,
                     wire_base: 0,
                     scans,
@@ -744,19 +697,31 @@ impl EventLoop<'_> {
                     start: plan.start,
                     count,
                 };
-                let ticket = submit_woken(&mut self.session, &self.wake, &[op]);
                 NetStats::bump(&self.stats.scan_chunks);
-                self.pendings.push(Pending {
-                    ticket,
-                    parts: vec![Part {
-                        token: conn.token,
-                        corr: plan.corr,
-                        ops_start: 0,
-                        ops_len: 1,
-                        wire_base: plan.slot,
-                        scans: vec![(0, plan)],
-                    }],
-                });
+                let part = Part {
+                    token: conn.token,
+                    corr: plan.corr,
+                    ops_len: 1,
+                    wire_base: plan.slot,
+                    scans: vec![(0, plan)],
+                };
+                let ticket = execute(self.db, &mut self.session, &[op]);
+                pass.push((ticket, vec![part]));
+            }
+        }
+
+        // The pass's one barrier: the first wait commits what every
+        // submit above appended, the rest find their writes covered.
+        for (ticket, parts) in pass {
+            match ticket {
+                Some(ticket) => self.route(ticket.wait(), parts),
+                None => {
+                    for part in &parts {
+                        if let Some(conn) = lookup(&mut self.conns, part.token) {
+                            conn.close = true;
+                        }
+                    }
+                }
             }
         }
 
@@ -789,12 +754,11 @@ impl EventLoop<'_> {
                             conn.close = true;
                         }
                     }
-                    // This flush may have re-opened a gate the earlier
-                    // phases saw closed (a peer draining concurrently):
-                    // a queued continuation or a parseable frame now
-                    // has headroom, but with the write buffer empty and
-                    // no ticket in flight there may be no further epoll
-                    // event to retry on. Schedule one more pass.
+                    // A queued continuation or a parseable frame with
+                    // headroom — left by this pass, or let through by
+                    // this flush re-opening a gate the earlier phases
+                    // saw closed — may have no further epoll event to
+                    // retry on. Schedule one more pass.
                     if conn.unsent() < WRITE_BUF_CAP
                         && (!conn.conts.is_empty()
                             || (conn.reqs.len() < MAX_INFLIGHT
@@ -827,9 +791,8 @@ impl EventLoop<'_> {
             .engine()
             .obs()
             .log(EventKind::ConnClose, idx as u32, open_for, conn.frames_in);
-        // `conn.stream` drops here, closing the socket. Outstanding parts
-        // referencing this token fail the generation check and their
-        // replies are discarded.
+        // `conn.stream` drops here, closing the socket; the slot's next
+        // connection gets a new generation in its token.
     }
 }
 

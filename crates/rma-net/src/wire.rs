@@ -18,10 +18,11 @@
 //! * **Response** (server → client): the correlation id, a `last`
 //!   marker and a set of `(slot, reply)` items, where `slot` is the
 //!   op's position in the request batch. One request may be answered
-//!   by **several** response frames: replies stream out as the
-//!   router completes them, and a big `Scan` streams its entries in
-//!   bounded chunks — the same slot then appears on multiple frames,
-//!   each appending entries, until the frame flagged `last`.
+//!   by **several** response frames: replies that would take a frame
+//!   past [`MAX_FRAME_PAYLOAD`] go on in the next one, and a big
+//!   `Scan` streams its entries in bounded chunks — the same slot then
+//!   appears on multiple frames, each appending entries, until the
+//!   frame flagged `last`.
 //!
 //! Write refusals (a database degraded to read-only) travel as a
 //! typed [`Reply::Refused`] item carrying an [`ErrorCode`] — a
@@ -347,17 +348,23 @@ pub fn encode_response(out: &mut Vec<u8>, corr: u32, last: bool, items: &[(u16, 
     frame.finish(out, last);
 }
 
-/// A response frame being written at the tail of a buffer, item by
-/// item: what [`encode_response`] does for a slice of items, open to
-/// a caller — the event loop — that meets its items one at a time
-/// and holds a scan's entries as a sub-slice of a larger reply. Every
-/// call takes the buffer [`begin`](Self::begin) was given, and
-/// nothing else may be appended to it before
+/// A response being written at the tail of a buffer, item by item:
+/// what [`encode_response`] does for a slice of items, open to a
+/// caller — the event loop — that meets its items one at a time and
+/// holds a scan's entries as a sub-slice of a larger reply. An item
+/// that would take the frame past [`MAX_FRAME_PAYLOAD`] starts a new
+/// frame of the same response, the full one finished with `last`
+/// unset; an item is at most one 4096-entry scan chunk, 64 KiB and
+/// 7 bytes. Every call takes the buffer [`begin`](Self::begin) was
+/// given, and nothing else may be appended to it before
 /// [`finish`](Self::finish).
 pub(crate) struct ResponseEncoder {
-    /// Where the frame's payload starts in the buffer.
+    corr: u32,
+    /// Where the open frame's payload starts in the buffer.
     start: usize,
     items: usize,
+    /// Frames of this response already sealed.
+    sealed: u64,
 }
 
 impl ResponseEncoder {
@@ -371,11 +378,24 @@ impl ResponseEncoder {
         out.push(OPCODE_RESPONSE);
         out.extend_from_slice(&corr.to_le_bytes());
         out.extend_from_slice(&[0u8; 3]); // `last` and the item count
-        ResponseEncoder { start, items: 0 }
+        ResponseEncoder {
+            corr,
+            start,
+            items: 0,
+            sealed: 0,
+        }
     }
 
-    /// Counts one more item and writes what each starts with.
-    fn item(&mut self, out: &mut Vec<u8>, slot: u16, tag: u8) {
+    /// Counts one more item of `body` bytes after its slot and tag,
+    /// and writes what each item starts with — first sealing the open
+    /// frame and beginning the next when the item would not fit.
+    fn item(&mut self, out: &mut Vec<u8>, slot: u16, tag: u8, body: usize) {
+        if self.items > 0 && out.len() - self.start + 3 + body > MAX_FRAME_PAYLOAD {
+            self.seal(out, false);
+            let sealed = self.sealed + 1;
+            *self = ResponseEncoder::begin(out, self.corr);
+            self.sealed = sealed;
+        }
         self.items += 1;
         out.extend_from_slice(&slot.to_le_bytes());
         out.push(tag);
@@ -384,23 +404,23 @@ impl ResponseEncoder {
     pub(crate) fn reply(&mut self, out: &mut Vec<u8>, slot: u16, reply: &Reply) {
         match reply {
             Reply::Found(v) => {
-                self.item(out, slot, REPLY_FOUND);
+                self.item(out, slot, REPLY_FOUND, 9);
                 out.push(u8::from(v.is_some()));
                 out.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
             }
-            Reply::Inserted => self.item(out, slot, REPLY_INSERTED),
+            Reply::Inserted => self.item(out, slot, REPLY_INSERTED, 0),
             Reply::Removed(v) => {
-                self.item(out, slot, REPLY_REMOVED);
+                self.item(out, slot, REPLY_REMOVED, 9);
                 out.push(u8::from(v.is_some()));
                 out.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
             }
             Reply::Sum { visited, sum } => {
-                self.item(out, slot, REPLY_SUM);
+                self.item(out, slot, REPLY_SUM, 16);
                 out.extend_from_slice(&(*visited as u64).to_le_bytes());
                 out.extend_from_slice(&sum.to_le_bytes());
             }
             Reply::Entry(e) => {
-                self.item(out, slot, REPLY_ENTRY);
+                self.item(out, slot, REPLY_ENTRY, 17);
                 out.push(u8::from(e.is_some()));
                 let (k, v) = e.unwrap_or((0, 0));
                 out.extend_from_slice(&k.to_le_bytes());
@@ -408,7 +428,7 @@ impl ResponseEncoder {
             }
             Reply::Entries(entries) => self.entries(out, slot, entries),
             Reply::Refused => {
-                self.item(out, slot, REPLY_REFUSED);
+                self.item(out, slot, REPLY_REFUSED, 1);
                 out.push(ErrorCode::ReadOnly as u8);
             }
         }
@@ -416,14 +436,14 @@ impl ResponseEncoder {
 
     /// A [`Reply::Entries`] item holding `entries`.
     pub(crate) fn entries(&mut self, out: &mut Vec<u8>, slot: u16, entries: &[(i64, i64)]) {
-        self.item(out, slot, REPLY_ENTRIES);
+        let bytes = 16 * entries.len();
+        self.item(out, slot, REPLY_ENTRIES, 4 + bytes);
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         // The cells are written into the vector's spare capacity, not
         // over a zero-filled tail: 4096 entries take 1.5–2.1 µs this
         // way against 3.0–3.2 µs zero-filled first (and 5.8–6.3 µs as
         // one `extend_from_slice` an entry, the safe way to skip the
         // fill) — timed alone on the development host.
-        let bytes = 16 * entries.len();
         out.reserve(bytes);
         let (cells, _) = out.spare_capacity_mut()[..bytes].as_chunks_mut::<16>();
         for (cell, (k, v)) in cells.iter_mut().zip(entries) {
@@ -438,8 +458,15 @@ impl ResponseEncoder {
         unsafe { out.set_len(out.len() + bytes) };
     }
 
-    /// Fills in `last`, the item count and the frame header.
-    pub(crate) fn finish(self, out: &mut [u8], last: bool) {
+    /// Seals the open frame and returns how many frames the response
+    /// took.
+    pub(crate) fn finish(self, out: &mut [u8], last: bool) -> u64 {
+        self.seal(out, last);
+        self.sealed + 1
+    }
+
+    /// Fills in the open frame's `last`, item count and header.
+    fn seal(&self, out: &mut [u8], last: bool) {
         assert!(self.items <= u16::MAX as usize, "frame exceeds u16 items");
         out[self.start + Self::LAST_AT] = u8::from(last);
         out[self.start + Self::ITEMS_AT..][..2].copy_from_slice(&(self.items as u16).to_le_bytes());

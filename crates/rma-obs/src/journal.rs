@@ -32,7 +32,7 @@ pub enum EventKind {
     Relearn = 4,
     /// A new topology generation was published to readers.
     TopologyPublish = 5,
-    /// A router worker panicked and poisoned its in-flight tickets.
+    /// The engine panicked in a server batch; its connections closed.
     WorkerPanic = 6,
     /// One maintainer poll tick completed.
     MaintTick = 7,

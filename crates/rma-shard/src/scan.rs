@@ -13,7 +13,7 @@
 //! A scan has one data path. [`Rma::scan_into`](rma_core::Rma::scan_into)
 //! appends each segment's key and value runs zipped,
 //! [`ShardedRma::scan_into`] points every shard at the caller's
-//! vector, and the router worker hands that vector to the reply: an
+//! vector, and the session hands that vector to the reply: an
 //! entry is moved once between the array and the wire encoder.
 //! [`ShardedRma::scan`] is the same path with a `for` over the result.
 

@@ -275,6 +275,21 @@ impl Wal {
         Ok(())
     }
 
+    /// Every partition's highest appended LSN: a mark that
+    /// [`is_committed`](Self::is_committed) checks later.
+    pub fn appended(&self) -> Vec<u64> {
+        self.parts.iter().map(PartitionLog::cut).collect()
+    }
+
+    /// True when a barrier has covered `marks` (from
+    /// [`appended`](Self::appended)): `commit` has nothing to do for it.
+    pub fn is_committed(&self, marks: &[u64]) -> bool {
+        self.parts
+            .iter()
+            .zip(marks)
+            .all(|(p, &m)| p.committed() >= m)
+    }
+
     /// True once any durability I/O has failed: the log can no longer
     /// promise persistence, so writes are refused (reads are fine —
     /// in-memory state is intact).

@@ -147,6 +147,11 @@ impl PartitionLog {
         self.appended.load(Ordering::Acquire)
     }
 
+    /// Highest LSN a barrier has made durable (or a rotation synced).
+    pub fn committed(&self) -> u64 {
+        self.committed.load(Ordering::Acquire)
+    }
+
     /// True when records have been appended past the last commit —
     /// the lock-free pre-check the commit barrier uses to skip idle
     /// partitions. A false negative is impossible for records staged

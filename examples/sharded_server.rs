@@ -7,7 +7,7 @@
 //! loopback TCP port. OLTP writers stream skewed inserts and deletes
 //! through **pipelined wire connections** (length-prefixed frames,
 //! several correlation ids in flight — the server merges tiny
-//! requests from many connections into one router pass), analytic
+//! requests from many connections into one submit), analytic
 //! readers run range sums and big chunk-streamed scans through
 //! connections of their own, an ingest thread applies partitioned
 //! batches through the in-process path (the one op class with no
@@ -81,11 +81,10 @@ fn main() {
     )
     .expect("loopback bind");
     println!(
-        "server up on 127.0.0.1:{}: {} elements across {} shards, {} router workers",
+        "server up on 127.0.0.1:{}: {} elements across {} shards",
         srv.port(),
         db.len(),
         db.stats().engine.num_shards,
-        db.stats().router.workers
     );
 
     let stop = AtomicBool::new(false);

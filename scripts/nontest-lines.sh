@@ -6,8 +6,14 @@
 # CHANGES.md quote when a PR says how many lines it removed. The last
 # row, `engine`, sums the three crates above the core: rma-shard,
 # rma-db and rma-net.
+#
+# A ratchet: exits non-zero when `engine` is above MAX_ENGINE, so
+# removed code cannot grow back unnoticed. A change that shrinks the
+# engine lowers MAX_ENGINE to the new total; one that must grow it
+# raises it and says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+MAX_ENGINE=8028
 printf '%-16s %7s\n' crate lines
 engine=0
 for src in crates/*/src; do
@@ -23,3 +29,7 @@ for src in crates/*/src; do
     esac
 done
 printf '%-16s %7d\n' engine "$engine"
+if ((engine > MAX_ENGINE)); then
+    echo "engine: $engine non-test lines, above the ratchet of $MAX_ENGINE" >&2
+    exit 1
+fi

@@ -6,14 +6,14 @@
 //! * [`db`] — the **database facade** most deployments should
 //!   consume: a builder-configured [`Db`](rma_db::Db) handle that
 //!   owns the sharded engine and its background-maintainer
-//!   lifecycle, pipelined [`Session`](rma_db::Session)s routing
-//!   typed operations through channel-fed shard-affine worker
-//!   threads, and one consolidated stats snapshot;
+//!   lifecycle, pipelined [`Session`](rma_db::Session)s that run
+//!   batches of typed operations on the caller's thread and share a
+//!   commit barrier, and one consolidated stats snapshot;
 //! * [`net`] — the **network front-end**: a length-prefixed,
 //!   CRC-checked binary wire protocol carrying batches of typed ops,
 //!   served by a non-blocking epoll TCP listener
 //!   ([`NetServer`](rma_net::NetServer)) that merges tiny requests
-//!   from many connections into one router pass, applies
+//!   from many connections into one submit, applies
 //!   per-connection backpressure, and streams big scans in bounded
 //!   chunks — plus the blocking [`WireClient`](rma_net::WireClient)
 //!   the examples and benchmarks drive it with;

@@ -56,7 +56,6 @@ fn readers_vs_maintenance_stress() {
 
     let base: Vec<(i64, i64)> = (0..PRELOADED).map(|k| (k, k)).collect();
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(8))
         .build_bulk(&base)
         .expect("valid stress config");
@@ -151,7 +150,6 @@ fn readers_vs_background_maintainer_stress() {
     let ops = stress_ops();
     let base: Vec<(i64, i64)> = (0..PRELOADED).map(|k| (k, k)).collect();
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(8))
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
@@ -208,7 +206,6 @@ fn readers_vs_background_maintainer_stress() {
 fn apply_batch_vs_maintenance_stress() {
     let rounds = (stress_ops() / 1000).clamp(8, 64);
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(4))
         .splitter_keys(vec![2500, 5000, 7500])
         .build()
@@ -256,7 +253,6 @@ fn apply_batch_vs_maintenance_stress() {
 fn writer_progress_during_incremental_drain() {
     let base: Vec<(i64, i64)> = (0..40_000).map(|k| (k, k)).collect();
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(8))
         .build_bulk(&base)
         .expect("valid stress config");
@@ -347,7 +343,6 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
     // on the odd keys in between.
     let slot = |w: usize, v: i64| 2 * (v * WRITERS as i64 + w as i64);
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
         .maintenance(MaintainerConfig {
@@ -456,7 +451,6 @@ fn apply_ops_sees_every_published_version_under_writers_and_maintainer() {
     let writes = (stress_ops() / 8).max(64) as i64;
     let slot = |w: usize, v: i64| 2 * (v * WRITERS as i64 + w as i64);
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
         .maintenance(MaintainerConfig {
@@ -590,7 +584,6 @@ fn scan_into_is_whole_and_sorted_under_writers_and_maintainer() {
     let writes = (stress_ops() / 8).max(64) as i64;
     let slot = |w: usize, v: i64| 2 * (v * WRITERS as i64 + w as i64);
     let db = Db::builder()
-        .router_workers(1) // engine-only stress: no session traffic
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
         .maintenance(MaintainerConfig {
@@ -708,7 +701,6 @@ proptest! {
         // Versions sit on even keys, churn on the odd keys in between.
         let slot = |v: i64| 2 * (key + v * STRIDE);
         let db = Db::builder()
-            .router_workers(1) // engine-only stress: no session traffic
             .shard_config(stress_cfg(2))
             .splitter_keys(vec![500_000])
             .build()

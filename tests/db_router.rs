@@ -1,16 +1,13 @@
 //! Differential tests for the `rma-db` facade: pipelined sessions
-//! through the request router must behave exactly like direct engine
-//! calls — under concurrency, under background maintenance, and for
-//! arbitrary operation sequences.
+//! must behave exactly like direct engine calls — under concurrency,
+//! under background maintenance, and for arbitrary operation
+//! sequences.
 //!
-//! The strong checks lean on the router's ordering contract:
+//! The strong checks lean on the session ordering contract:
 //! operations on one key inside one submitted batch execute in
-//! submission order (they route to the same worker chunk), so a
-//! batch's expected replies are computable from an oracle at
-//! build time. Concurrent sessions own disjoint key ranges, and
-//! consecutive in-flight batches of one session target disjoint
-//! halves of its range, so pipelining never races two in-flight
-//! operations on one key.
+//! submission order, and a submit has run when it returns, so a
+//! batch's expected replies are computable from an oracle at build
+//! time. Concurrent sessions own disjoint key ranges.
 
 use proptest::prelude::*;
 use rma_repro::db::{Db, Op, Reply, Ticket};
@@ -72,9 +69,8 @@ fn concurrent_sessions_match_oracle_under_maintenance() {
                     let mut session = db.session();
                     let mut in_flight: VecDeque<(Ticket, Vec<Reply>, usize)> = VecDeque::new();
                     for b in 0..BATCHES {
-                        // Consecutive batches use disjoint halves of
-                        // the range: two in-flight tickets can never
-                        // race on one key.
+                        // Consecutive batches alternate between the
+                        // halves of the range.
                         let half_lo = lo + if b % 2 == 0 { 0 } else { RANGE / 2 };
                         let mut ops = Vec::with_capacity(OPS_PER_BATCH);
                         let mut expected = Vec::with_capacity(OPS_PER_BATCH);
@@ -205,8 +201,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// A stretch of ops over sixteen keys spread across the four shards:
-/// a long run of `Get`s, or one write of a key those runs read. The
-/// workers run every run of point ops as one `apply_ops` call, which
+/// a long run of `Get`s, or one write of a key those runs read. A
+/// session runs every run of point ops as one `apply_ops` call, which
 /// groups it by shard, so a stream of these has reads right before
 /// and right after a write of one of their own keys, over and over: a
 /// group that let a read slip across the write answers with the wrong
@@ -221,7 +217,7 @@ fn get_run_or_write() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Executes `op` through the direct-call surface — the reference the
-/// router path is differenced against.
+/// session path is differenced against.
 fn exec_direct(db: &Db, op: Op) -> Reply {
     match op {
         Op::Get(k) => Reply::Found(db.get(k)),
@@ -246,13 +242,13 @@ fn exec_direct(db: &Db, op: Op) -> Reply {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any operation sequence pipelined through the router in batches
+    /// Any operation sequence submitted through a session in batches
     /// produces exactly the replies of the same sequence executed
     /// through direct engine calls on an identically configured
-    /// database. With one router worker every range op is a barrier
-    /// between the runs of point ops around it, so even
-    /// order-sensitive sequences (insert-then-scan of one key range
-    /// inside one batch) must agree bit for bit.
+    /// database. Every range op is a barrier between the runs of point
+    /// ops around it, so even order-sensitive sequences
+    /// (insert-then-scan of one key range inside one batch) must agree
+    /// bit for bit.
     #[test]
     fn batched_router_ops_match_direct_calls(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -261,7 +257,6 @@ proptest! {
         let routed_db = Db::builder()
             .shard_config(small_cfg(4))
             .splitter_keys(vec![150, 300, 450])
-            .router_workers(1)
             .build()
             .expect("valid test config");
         let direct_db = Db::builder()
@@ -285,20 +280,16 @@ proptest! {
 
     /// `Get` runs keep their place between the writes around them.
     /// Point ops only, so the replies depend on nothing but each
-    /// shard's own op order — which `apply_ops` keeps, whether one
-    /// worker or two run the batch (a shard's ops all reach one
-    /// worker, in submission order); awaiting each ticket serializes
-    /// the batches.
+    /// shard's own op order — which `apply_ops` keeps when it groups a
+    /// run by shard.
     #[test]
     fn get_runs_never_cross_a_write_of_their_keys(
         stretches in prop::collection::vec(get_run_or_write(), 1..40),
         batch_len in 1usize..90,
-        workers in 1usize..3,
     ) {
         let routed_db = Db::builder()
             .shard_config(small_cfg(4))
             .splitter_keys(vec![150, 300, 450])
-            .router_workers(workers)
             .build()
             .expect("valid test config");
         let direct_db = Db::builder()
@@ -319,10 +310,8 @@ proptest! {
         );
     }
 
-    /// The same equivalence with the worker count left at its
-    /// default, one op per ticket: awaiting every ticket serializes
-    /// the stream, so the multi-worker router must also agree with
-    /// the direct path on any sequence.
+    /// The same equivalence one op per ticket: a submit of a single
+    /// op of any kind agrees with the direct path on any sequence.
     #[test]
     fn serialized_router_ops_match_direct_calls(
         ops in prop::collection::vec(op_strategy(), 1..60),
@@ -330,7 +319,6 @@ proptest! {
         let routed_db = Db::builder()
             .shard_config(small_cfg(4))
             .splitter_keys(vec![150, 300, 450])
-            .router_workers(2)
             .build()
             .expect("valid test config");
         let direct_db = Db::builder()
@@ -348,4 +336,35 @@ proptest! {
             direct_db.engine().collect_all()
         );
     }
+}
+
+/// A submit has run when it returns, so a session's second submit sees
+/// its first one whatever shards the two touch: an insert into the
+/// last shard, then — with no wait in between — a scan that starts in
+/// the first shard and crosses the inserted key.
+#[test]
+fn a_later_submit_sees_an_earlier_one_across_shards() {
+    let db = Db::builder()
+        .shard_config(small_cfg(4))
+        .splitter_keys(vec![150, 300, 450])
+        .build()
+        .expect("valid test config");
+    db.apply_batch(&(0..600).map(|k| (k * 10, k)).collect::<Vec<_>>(), &[]);
+    let mut session = db.session();
+    let (k, v) = (5_555, -1);
+    assert!(db.engine().splitters().route(k) == 3 && db.engine().splitters().route(0) == 0);
+    let insert = session.submit(&[Op::Insert(k, v)]);
+    let scan = session.submit(&[Op::Scan {
+        start: 0,
+        count: 1_000,
+    }]);
+    assert_eq!(insert.wait(), [Reply::Inserted]);
+    let Reply::Entries(entries) = &scan.wait()[0] else {
+        panic!("a scan answers with entries")
+    };
+    assert!(
+        entries.contains(&(k, v)),
+        "the scan missed the insert submitted before it"
+    );
+    assert_eq!(entries.len(), 601);
 }

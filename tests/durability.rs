@@ -129,7 +129,6 @@ fn run_until_crash(
 ) -> CrashRun {
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(
             DurabilityConfig::new(dir)
                 .policy(CommitPolicy::Always)
@@ -188,7 +187,6 @@ fn run_until_crash(
 fn recover_pairs(dir: &Path) -> Vec<(i64, i64)> {
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(DurabilityConfig::new(dir).policy(CommitPolicy::Always))
         .recover()
         .expect("recovery after a crash must succeed");
@@ -334,7 +332,9 @@ fn bit_flips_are_caught_by_checksums() {
 }
 
 /// A clean shutdown (no fault at all) recovers to exactly the full
-/// oracle, and the recovered handle keeps serving durable writes.
+/// oracle, and the recovered handle keeps serving durable writes —
+/// also one whose ticket was dropped unwaited: dropping the `Db` runs
+/// the barrier no wait ran.
 #[test]
 fn clean_shutdown_recovers_exactly_and_stays_writable() {
     let dir = scratch("clean");
@@ -351,10 +351,12 @@ fn clean_shutdown_recovers_exactly_and_stays_writable() {
     let mut s = db.session();
     let replies = s.submit(&[Op::Insert(100_000, 1), Op::Get(100_000)]).wait();
     assert_eq!(replies, vec![Reply::Inserted, Reply::Found(Some(1))]);
+    drop(s.submit(&[Op::Insert(100_001, 2)]));
     drop(s);
     drop(db);
     let db = Db::open(&dir).expect("open routes to recovery");
     assert_eq!(db.get(100_000), Some(1));
+    assert_eq!(db.get(100_001), Some(2), "the last barrier ran at drop");
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -372,7 +374,6 @@ fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
         let dir = scratch("cadence");
         let db = Db::builder()
             .shard_config(small_shards())
-            .router_workers(1)
             .durability(DurabilityConfig::new(&dir))
             .maintenance(MaintainerConfig {
                 poll_interval: Duration::from_millis(5),
@@ -434,7 +435,6 @@ fn a_checkpoint_is_not_a_maintenance_step() {
     let dir = scratch("not-a-step");
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(DurabilityConfig::new(&dir))
         .build()
         .expect("valid durable config");
@@ -475,7 +475,6 @@ fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
     let dir = scratch("one-key-run");
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(DurabilityConfig::new(&dir))
         .build()
         .expect("valid durable config");
@@ -522,7 +521,6 @@ fn a_batch_and_its_replay_leave_the_same_stack() {
     let dir = scratch("batch-stack");
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(DurabilityConfig::new(&dir))
         .build()
         .expect("valid durable config");
@@ -567,7 +565,6 @@ fn degraded_mode_refuses_writes_serves_reads_and_journals() {
     let inj = FaultInjector::new(9, FaultMode::Kill);
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(
             DurabilityConfig::new(&dir)
                 .policy(CommitPolicy::Always)
@@ -610,6 +607,55 @@ fn degraded_mode_refuses_writes_serves_reads_and_journals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A pipeline of waits shares one barrier: the first wait commits the
+/// 32 insert batches submitted before it, and the other 31 find their
+/// writes covered. A failed barrier refuses every write it was to make
+/// durable — its own ticket's and those of every ticket behind it — and
+/// leaves the database read-only.
+#[test]
+fn a_pipeline_shares_one_barrier_and_a_failed_one_refuses_what_it_covered() {
+    for fail in [false, true] {
+        let dir = scratch("pipeline");
+        let mut cfg = DurabilityConfig::new(&dir).policy(CommitPolicy::Always);
+        // Every key sits in partition 0, so the first barrier is one
+        // log write and then the first fsync.
+        let inj = FaultInjector::new(2, FaultMode::Error);
+        if fail {
+            cfg = cfg.fault(Arc::clone(&inj));
+        }
+        let db = Db::builder()
+            .shard_config(small_shards())
+            .durability(cfg)
+            .build()
+            .expect("valid durable config");
+        let commits = || db.metrics().wal.expect("durable").commit.count();
+        let before = commits();
+        let mut s = db.session();
+        let tickets: Vec<_> = (0..32i64)
+            .map(|b| s.submit(&(0..8).map(|i| Op::Insert(b * 8 + i, i)).collect::<Vec<_>>()))
+            .collect();
+        let want = if fail {
+            Reply::Refused
+        } else {
+            Reply::Inserted
+        };
+        for (b, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.wait(), [(); 8].map(|_| want.clone()), "batch {b}");
+        }
+        if fail {
+            assert_eq!(inj.fired(), Some(IoClass::Fsync));
+            assert!(db.is_read_only());
+            assert_eq!(commits(), before, "a failed barrier records no commit");
+        } else {
+            assert_eq!(commits(), before + 1, "32 waits, one barrier");
+            assert!(!db.is_read_only());
+        }
+        drop(s);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// The files the parent of the shared-checksum change left behind
 /// after: three inserts, one checkpoint wave, one more insert, clean
 /// drop — one partition, `small_shards()`. Byte literals, not
@@ -646,7 +692,6 @@ fn files_written_by_an_earlier_version_reencode_and_recover() {
     let fresh = scratch("fixture-fresh");
     let db = Db::builder()
         .shard_config(small_shards())
-        .router_workers(1)
         .durability(DurabilityConfig::new(&fresh).policy(CommitPolicy::Always))
         .build()
         .expect("valid durable config");
@@ -707,7 +752,6 @@ mod replay_idempotence {
             let inj = FaultInjector::new(seed, FaultMode::Kill);
             let db = Db::builder()
                 .shard_config(small_shards())
-                .router_workers(1)
                 .durability(
                     DurabilityConfig::new(&dir)
                         .policy(CommitPolicy::Always)

@@ -403,7 +403,7 @@ impl Client for WireClient {
 
 /// Drives `steps` through `client` in submits of up to 64 ops. A read
 /// of a range goes in a submit of its own after the writes before it
-/// are answered, so it sees all of them on any worker count; successor
+/// are answered, so it sees all of them however they ran; successor
 /// removals and batches go to `db` directly.
 fn drive_client(db: &Db, client: &mut impl Client, steps: &[Step], oracle: &mut Stacks) {
     let mut pending: Vec<Op> = Vec::new();

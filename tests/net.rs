@@ -117,74 +117,80 @@ fn pipelined_requests_all_complete() {
     assert_eq!(srv.stats().frames_in, 16);
 }
 
-/// A request whose ops are split over both router workers lands on
-/// its ticket as two runs, in either order, in one loop pass or two —
-/// and, sent in a burst, shares that ticket with its neighbours.
-/// Looked at frame by frame (the reassembling `WireClient` would hide
-/// it): every slot of every request is answered exactly once, with
-/// its own reply, in at most one frame per landing, and only a
-/// request's final frame says `last`.
+/// No response frame goes past `MAX_FRAME_PAYLOAD`, however much a
+/// legal request asks for: 17 full scans (17 × 64 KiB) and 65 535
+/// `FirstGe` probes (20 B a reply, 1.31 MB) each take a second frame.
+/// Small requests that arrive together share one submit. Looked at
+/// frame by frame over a raw socket (the reassembling `WireClient`
+/// would hide it, and `read_response` rejects a length prefix past the
+/// cap): every slot of every request is answered exactly once, with
+/// its own reply, and only a request's final frame says `last`.
 #[test]
-fn requests_split_over_two_workers_answer_every_slot_once() {
-    // Shards 0–1 (keys < 200) belong to worker 0, shards 2–3 to
-    // worker 1.
-    let db = Db::builder()
-        .splitter_keys(vec![100, 200, 300])
-        .router_workers(2)
-        .build()
-        .expect("static config");
-    let load: Vec<Op> = (0..400).map(|k| Op::Insert(k, k * 3)).collect();
-    db.session().submit(&load).wait();
-    let srv = NetServer::spawn(Arc::new(db), NetConfig::default()).expect("spawn");
+fn frames_stay_under_the_cap_and_every_slot_is_answered_once() {
+    const KEYS: i64 = 17 * 4096;
+    let db = preloaded(KEYS, |k| k * 3);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
     let mut s = TcpStream::connect(("127.0.0.1", srv.port())).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10)))
+    s.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
 
-    // Slots alternate between the workers, ending on an uneven tail.
-    let keys: Vec<i64> = (0..48)
-        .map(|i| if i % 2 == 0 || i > 40 { i } else { 399 - i })
+    let gets: Vec<Op> = (0..48).map(|i| Op::Get(i * 1000)).collect();
+    let scans: Vec<Op> = (0..17)
+        .map(|i| Op::Scan {
+            start: i * 4096,
+            count: 4096,
+        })
         .collect();
-    let ops: Vec<Op> = keys.iter().map(|&k| Op::Get(k)).collect();
-    const BURST: usize = 4;
-    const ROUNDS: usize = 50;
+    let probes: Vec<Op> = (0..u16::MAX as i64).map(Op::FirstGe).collect();
+    let requests = [&gets, &gets, &gets, &gets, &scans, &probes];
+    let expect = |op: Op| match op {
+        Op::Get(k) => Reply::Found(Some(k * 3)),
+        Op::Scan { start, count } => {
+            Reply::Entries((start..start + count as i64).map(|k| (k, k * 3)).collect())
+        }
+        Op::FirstGe(k) => Reply::Entry(Some((k, k * 3))),
+        other => unreachable!("not sent: {other:?}"),
+    };
+    // One write: the small requests at its head reach the loop in one
+    // read, so one pass decodes them and merges them into one submit.
+    let mut burst = Vec::new();
+    for (corr, ops) in requests.iter().enumerate() {
+        wire::encode_request(&mut burst, corr as u32, ops);
+    }
+    s.write_all(&burst).expect("burst");
+
+    let mut seen: Vec<Vec<bool>> = requests.iter().map(|r| vec![false; r.len()]).collect();
+    let mut frames_of = [0u64; 6];
+    let mut open = requests.len();
     let mut buf = Vec::new();
-    let mut frames = 0u64;
-    for round in 0..ROUNDS {
-        // One write, so the loop decodes the burst in one pass and
-        // merges it into one submit of `BURST` parts.
-        let mut burst = Vec::new();
-        for corr in 0..BURST {
-            wire::encode_request(&mut burst, (round * BURST + corr) as u32, &ops);
+    while open > 0 {
+        let resp = read_response(&mut s, &mut buf);
+        let r = resp.corr as usize;
+        frames_of[r] += 1;
+        assert!(!resp.items.is_empty(), "a frame carries replies");
+        for (slot, reply) in resp.items {
+            let slot = slot as usize;
+            let twice = std::mem::replace(&mut seen[r][slot], true);
+            assert!(!twice, "request {r} slot {slot} answered twice");
+            assert_eq!(reply, expect(requests[r][slot]), "request {r} slot {slot}");
         }
-        s.write_all(&burst).expect("burst");
-        let mut seen = vec![vec![false; ops.len()]; BURST];
-        let mut frames_of = [0; BURST];
-        let mut open = BURST;
-        while open > 0 {
-            let resp = read_response(&mut s, &mut buf);
-            frames += 1;
-            let r = (resp.corr as usize)
-                .checked_sub(round * BURST)
-                .expect("a request of this burst");
-            frames_of[r] += 1;
-            assert!(frames_of[r] <= 2, "one frame per landing at most");
-            assert!(!resp.items.is_empty(), "a frame carries what landed");
-            for (slot, reply) in resp.items {
-                let slot = slot as usize;
-                let twice = std::mem::replace(&mut seen[r][slot], true);
-                assert!(!twice, "request {r} slot {slot} answered twice");
-                assert_eq!(reply, Reply::Found(Some(keys[slot] * 3)), "slot {slot}");
-            }
-            let complete = seen[r].iter().all(|&s| s);
-            assert_eq!(resp.last, complete, "`last` on the final frame only");
-            open -= complete as usize;
-        }
+        let complete = seen[r].iter().all(|&s| s);
+        assert_eq!(resp.last, complete, "`last` on the final frame only");
+        open -= complete as usize;
     }
     assert!(buf.is_empty(), "no frame beyond the last");
+    assert_eq!(frames_of[..4], [1; 4], "a small answer is one frame");
+    assert!(
+        frames_of[4] >= 2 && frames_of[5] >= 2,
+        "answers past the cap span frames: {frames_of:?}"
+    );
     let stats = srv.stats();
-    assert_eq!(stats.frames_in, (ROUNDS * BURST) as u64);
-    assert_eq!(stats.frames_out, frames);
-    assert!(stats.merged_submits > 0, "bursts share a ticket");
+    assert_eq!(stats.frames_in, requests.len() as u64);
+    assert_eq!(stats.frames_out, frames_of.iter().sum::<u64>());
+    assert!(
+        stats.merged_submits > 0,
+        "requests read together share a submit"
+    );
 }
 
 /// Frames the parent of the shared-checksum change produced. Byte
@@ -668,7 +674,6 @@ fn degraded_read_only_surfaces_as_typed_refusal() {
                 min_split_len: 64,
                 ..Default::default()
             })
-            .router_workers(1)
             .durability(
                 DurabilityConfig::new(&dir)
                     .policy(CommitPolicy::Always)

@@ -36,7 +36,7 @@ fn small_shards() -> ShardConfig {
 }
 
 fn small() -> DbBuilder {
-    Db::builder().shard_config(small_shards()).router_workers(2)
+    Db::builder().shard_config(small_shards())
 }
 
 /// [`small`] with a shard-length backstop of `n` elements.
@@ -153,23 +153,23 @@ fn positions(journal: &[Event], kind: EventKind) -> Vec<usize> {
         .collect()
 }
 
-/// The session path populates every router-side distribution: per-op
-/// service latency by type, batch sizes, queue depth and batch wall
-/// time — and the exposition names each op even when idle. One worker
-/// times ops 0, 16, 32, … of the stream it runs, so the ops are placed
-/// for every kind to land on an expiry, and the counts are exact.
+/// The session path populates every session-side distribution: per-op
+/// service latency by type, batch sizes and batch wall time, and
+/// leaves the queue depth empty — and the exposition names each op
+/// even when idle. A session times ops 0, 16, 32, … of each kind, so
+/// the counts are exact.
 #[test]
 fn session_traffic_populates_per_op_histograms() {
-    let db = small().router_workers(1).build().expect("valid");
+    let db = small().build().expect("valid");
     let mut s = db.session();
-    // Ops 0..320: samples at 0, 16, …, 304.
+    // Inserts 0..320: samples at 0, 16, …, 304.
     let inserts: Vec<Op> = (0..320).map(|k| Op::Insert(k, k)).collect();
     s.submit(&inserts).wait();
-    // Ops 320..416: samples at 320, 336, …, 400.
+    // Gets 0..96: samples at 0, 16, …, 80.
     let reads: Vec<Op> = (0..96).map(Op::Get).collect();
     s.submit(&reads).wait();
-    // Ops 416..480: each of the other four kinds at an expiry (416,
-    // 432, 448, 464), followed by 15 untimed `Get`s.
+    // The first of each other kind, each followed by 15 `Get`s: gets
+    // 96..156, samples at 96, 112, 128, 144.
     let specials = [
         Op::Remove(7),
         Op::SumRange {
@@ -197,7 +197,7 @@ fn session_traffic_populates_per_op_histograms() {
         .map(|(&n, h)| (n, h.count()))
         .collect();
     assert_eq!(by_name["insert"], 20);
-    assert_eq!(by_name["get"], 6);
+    assert_eq!(by_name["get"], 10);
     assert_eq!(by_name["remove"], 1);
     assert_eq!(by_name["sum_range"], 1);
     assert_eq!(by_name["first_ge"], 1);
@@ -205,7 +205,11 @@ fn session_traffic_populates_per_op_histograms() {
     assert_eq!(m.batch_size.count(), 3, "one sample per submitted batch");
     assert_eq!(m.batch_size.max(), 320);
     assert_eq!(m.ticket_wait.count(), 3, "one wall-time sample per batch");
-    assert!(m.queue_depth.count() >= 3);
+    assert_eq!(
+        m.queue_depth.count(),
+        0,
+        "a session runs inline: nothing queues"
+    );
 
     let text = m.render_text();
     for op in rma_repro::db::OP_LATENCY_NAMES {
@@ -219,33 +223,49 @@ fn session_traffic_populates_per_op_histograms() {
     assert!(text.contains("rma_ops_executed_total 480"));
 }
 
-/// A single worker records exactly one latency sample per 16
-/// operations — the countdown starts at 1 (short workloads still get
-/// a sample) and carries across batches.
+/// A session records exactly one latency sample per 16 operations of
+/// each kind — each kind's countdown starts at 1 (short workloads still
+/// get a sample) and carries across batches, and a stream that
+/// alternates two kinds still samples both.
 #[test]
 fn op_latency_sampling_records_one_in_n() {
-    let db = small().router_workers(1).build().expect("valid");
+    let db = small().build().expect("valid");
     let mut s = db.session();
     let inserts: Vec<Op> = (0..300).map(|k| Op::Insert(k, k)).collect();
     s.submit(&inserts).wait();
     let reads: Vec<Op> = (0..99).map(Op::Get).collect();
     s.submit(&reads).wait();
+    // 32 frames of one sum and one scan, the shape of a scan stream.
+    let pair = [
+        Op::SumRange {
+            start: 0,
+            count: 10,
+        },
+        Op::Scan {
+            start: 0,
+            count: 10,
+        },
+    ];
+    for _ in 0..32 {
+        s.submit(&pair).wait();
+    }
 
     let m = db.metrics();
     let sampled: u64 = m.op_latency.iter().map(|h| h.count()).sum();
-    // 399 ops, first sampled then every 16th: ceil(399 / 16) = 25.
-    assert_eq!(sampled, 25, "one timing sample per 16 ops");
-    // Each submit ran as one `apply_ops` call, timed once: every
-    // expiry of the countdown inside a run still counts (the 99
-    // `Get`s: ops 304, 320, …, 384, counted from 0), each recording
-    // the run's mean under the kind of the op it expired on.
+    // Per kind, first sampled then every 16th: ceil(300 / 16) = 19,
+    // ceil(99 / 16) = 7, ceil(32 / 16) = 2 and 2.
+    assert_eq!(sampled, 30, "one timing sample per 16 ops of a kind");
+    // Each point submit ran as one `apply_ops` call, timed once: every
+    // expiry inside a run still counts, each recording the run's mean.
     assert_eq!(m.op_latency[1].count(), 19, "samples of the Insert run");
-    assert_eq!(m.op_latency[0].count(), 6, "samples of the Get run");
+    assert_eq!(m.op_latency[0].count(), 7, "samples of the Get run");
+    assert_eq!(m.op_latency[3].count(), 2, "sums of the alternating pairs");
+    assert_eq!(m.op_latency[5].count(), 2, "scans of the alternating pairs");
     // Batch-granular series are never sampled.
-    assert_eq!(m.batch_size.count(), 2);
-    assert_eq!(m.ticket_wait.count(), 2);
+    assert_eq!(m.batch_size.count(), 34);
+    assert_eq!(m.ticket_wait.count(), 34);
     assert_eq!(
-        m.db.router.ops_executed, 399,
+        m.db.router.ops_executed, 463,
         "execution itself is untouched"
     );
 }
@@ -364,7 +384,6 @@ fn a_fresh_bulk_load_reports_per_shard_density_under_tau_h() {
             reserve_bytes: 1 << 24,
             ..Default::default()
         })
-        .router_workers(1)
         .build_bulk(&batch)
         .expect("valid");
 
@@ -452,7 +471,6 @@ fn a_store_without_memfd_copies_every_commit_and_says_so() {
             reserve_bytes: 1 << 62,
             ..Default::default()
         })
-        .router_workers(2)
         .build()
         .expect("valid");
     let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();

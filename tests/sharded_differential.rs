@@ -36,13 +36,9 @@ fn small_sharded(n: usize) -> ShardConfig {
 /// Opens the engine under test through the facade (the only
 /// construction path consumers use since the `rma-db` redesign).
 fn sharded_db(cfg: ShardConfig, splitter_keys: Vec<i64>) -> Db {
-    // Engine-only tests drive `db.engine()` directly: one router
-    // worker keeps the hundreds of proptest cases from spawning
-    // threads nothing submits to.
     Db::builder()
         .shard_config(cfg)
         .splitter_keys(splitter_keys)
-        .router_workers(1)
         .build()
         .expect("valid test config")
 }
@@ -330,7 +326,6 @@ fn apply_batch_matches_unsharded_apply_batch() {
     base.sort_unstable();
     let db = Db::builder()
         .shard_config(small_sharded(8))
-        .router_workers(1)
         .build_bulk(&base)
         .expect("valid test config");
     let sharded = db.engine();
@@ -634,7 +629,6 @@ proptest! {
         let batch: Vec<(i64, i64)> = keys.iter().map(|&k| (k, -k)).collect();
         let bulk_db = Db::builder()
             .shard_config(small_sharded(4))
-            .router_workers(1)
             .build_bulk(&batch)
             .expect("valid test config");
         let bulk = bulk_db.engine();

@@ -164,7 +164,6 @@ fn run_replay_with(
     base.sort_unstable();
     let db = Db::builder()
         .shard_config(replay_config(relearn, strategy, shards))
-        .router_workers(1) // engine-only replay: no session traffic
         .build_bulk(&base)
         .expect("valid replay config");
     let index = db.engine();
@@ -396,7 +395,6 @@ fn uniform_workload_triggers_zero_topology_churn() {
     base.sort_unstable();
     let db = Db::builder()
         .shard_config(replay_config(true, RelearnStrategy::Incremental, SHARDS))
-        .router_workers(1) // engine-only replay: no session traffic
         .build_bulk(&base)
         .expect("valid replay config");
     let index = db.engine();
@@ -450,7 +448,6 @@ fn fragmented_then_compacted() -> Db {
     let db = Db::builder()
         .shard_config(cfg)
         .splitter_keys((1..64).map(|i| i * 1000).collect())
-        .router_workers(1)
         .build()
         .expect("valid replay config");
     let index = db.engine();
