@@ -1,32 +1,27 @@
-//! Figure 16 (beyond the paper) — online splitter re-learning under a
-//! shifting hotspot.
+//! Figure 16 (beyond the paper) — access-driven shard maintenance
+//! under a shifting hotspot.
 //!
 //! Drives a [`rma_shard::ShardedRma`] with the seeded shifting-hotspot workload
 //! (a hammered band covering 1/64th of the key domain that jumps to a
-//! fresh position every phase) and compares maintenance modes over
-//! the same operation stream:
+//! fresh position every phase, or drifts by half its width) and
+//! compares maintenance modes over the same operation stream:
 //!
-//! * `median_baseline` — PR 1 behaviour: length-driven split/merge at
-//!   the key median, no re-learning ([`BalancePolicy::ByLen`]);
-//! * `relearn` — access-driven maintenance: split points from the
-//!   histogram CDF plus multi-way splitter re-learning
-//!   ([`rma_shard::ShardedRma::relearn_splitters`], incremental plan engine);
-//! * `nudge` (drift phase set only) — [`RelearnStrategy::NudgeOnly`]:
-//!   boundaries chase the band via single-pair migrations, never a
-//!   full rebuild — the cheap tracking mode a *drifting* hotspot
-//!   should reward;
-//! * `compact` (jump phase set only) — as `relearn`, plus the
+//! * `static` — the bulk-loaded topology, never maintained;
+//! * `maintained` — the split/merge pass
+//!   ([`maintain`](rma_shard::ShardedRma::maintain)): hot shards split
+//!   at their access-CDF midpoint, cold neighbours merge;
+//! * `compact` (jump phase set only) — as `maintained`, plus the
 //!   idle-time consolidation chain run in the quiet period at every
 //!   phase boundary, so the split accretion cannot ratchet the shard
 //!   count phase over phase.
 //!
-//! Each phase runs half its operations, calls
-//! [`maintain`](rma_shard::ShardedRma::maintain), resets the (measurement)
-//! histograms, runs the second half, and records the max/mean shard
-//! access imbalance of that second half — i.e. how well the topology
-//! fits the *current* hotspot after maintenance had one chance to
-//! adapt. `imbalance_before` is the imbalance observed at the
-//! maintenance point (how skewed the phase's first half was).
+//! Each phase runs half its operations, calls `maintain` (except in
+//! `static` mode), resets the (measurement) histograms, runs the
+//! second half, and records the max/mean shard access imbalance of
+//! that second half — i.e. how well the topology fits the *current*
+//! hotspot after maintenance had one chance to adapt.
+//! `imbalance_before` is the imbalance observed at the maintenance
+//! point (how skewed the phase's first half was).
 //!
 //! Writes `BENCH_splitter_relearning.json`; the schema is documented
 //! in `crates/bench-harness/README.md`.
@@ -34,7 +29,7 @@
 use bench_harness::Cli;
 use rma_core::RmaConfig;
 use rma_db::Db;
-use rma_shard::{BalancePolicy, RelearnStrategy, ShardConfig};
+use rma_shard::ShardConfig;
 use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 
 const SHARDS: usize = 8;
@@ -45,44 +40,29 @@ struct PhaseRow {
     phase: u64,
     imbalance_before: f64,
     imbalance_after: f64,
-    relearned: bool,
     splits: usize,
     merges: usize,
-    nudges: u64,
     shards: usize,
 }
 
 /// Maintenance mode of one run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// `median_baseline`: ByLen, no re-learning.
-    Baseline,
-    /// `relearn`: ByAccess + incremental multi-way re-learning.
-    Relearn,
-    /// `nudge`: ByAccess + boundary nudges only.
-    Nudge,
-    /// `compact`: as `relearn`, plus the idle-time consolidation
+    /// `static`: no maintenance.
+    Static,
+    /// `maintained`: the split/merge pass at every phase midpoint.
+    Maintained,
+    /// `compact`: as `maintained`, plus the idle-time consolidation
     /// chain ([`rma_shard::ShardedRma::compact`]) in the quiet period
     /// at each phase boundary — the anti-ratchet mode.
     Compact,
 }
 
-fn mode_config(cli: &Cli, mode: Mode) -> ShardConfig {
+fn shard_config(cli: &Cli) -> ShardConfig {
     ShardConfig {
         num_shards: SHARDS,
         rma: RmaConfig::with_segment_size(cli.seg),
         min_split_len: 256,
-        relearn: mode != Mode::Baseline,
-        balance: if mode == Mode::Baseline {
-            BalancePolicy::ByLen
-        } else {
-            BalancePolicy::ByAccess
-        },
-        relearn_strategy: if mode == Mode::Nudge {
-            RelearnStrategy::NudgeOnly
-        } else {
-            RelearnStrategy::Incremental
-        },
         ..Default::default()
     }
 }
@@ -105,7 +85,7 @@ fn run_mode(cli: &Cli, mode: Mode, motion: HotspotMotion) -> Vec<PhaseRow> {
     };
     base.sort_unstable();
     let db = Db::builder()
-        .shard_config(mode_config(cli, mode))
+        .shard_config(shard_config(cli))
         .build_bulk(&base)
         .expect("static driver config is valid");
     let index = db.engine();
@@ -129,8 +109,10 @@ fn run_mode(cli: &Cli, mode: Mode, motion: HotspotMotion) -> Vec<PhaseRow> {
         };
         run_half(half);
         let imbalance_before = index.access_imbalance();
-        let nudges_before = index.maintenance_stats().nudges;
-        let (rl, mt) = index.maintain();
+        let mt = match mode {
+            Mode::Static => Default::default(),
+            Mode::Maintained | Mode::Compact => index.maintain(),
+        };
         index.reset_access_stats();
         run_half(phase_ops - half);
         let imbalance_after = index.access_imbalance();
@@ -145,10 +127,8 @@ fn run_mode(cli: &Cli, mode: Mode, motion: HotspotMotion) -> Vec<PhaseRow> {
             phase,
             imbalance_before,
             imbalance_after,
-            relearned: rl.relearned,
             splits: mt.splits,
             merges: mt.merges,
-            nudges: index.maintenance_stats().nudges - nudges_before,
             shards: index.num_shards(),
         });
         // Drain the remainder of the phase's ops so both modes stay
@@ -185,15 +165,13 @@ fn write_json(path: &str, modes: &[(&str, &[PhaseRow])], cli: &Cli) -> std::io::
             emitted += 1;
             json.push_str(&format!(
                 "    {{\"mode\": \"{mode}\", \"phase\": {}, \"imbalance_before\": {:.4}, \
-                 \"imbalance_after\": {:.4}, \"relearned\": {}, \"splits\": {}, \
-                 \"merges\": {}, \"nudges\": {}, \"shards\": {}}}{}\n",
+                 \"imbalance_after\": {:.4}, \"splits\": {}, \"merges\": {}, \
+                 \"shards\": {}}}{}\n",
                 r.phase,
                 r.imbalance_before,
                 r.imbalance_after,
-                r.relearned,
                 r.splits,
                 r.merges,
-                r.nudges,
                 r.shards,
                 if emitted < total_rows { "," } else { "" }
             ));
@@ -207,14 +185,14 @@ fn write_json(path: &str, modes: &[(&str, &[PhaseRow])], cli: &Cli) -> std::io::
             .map(|(_, rows)| mean_after(rows))
             .expect("mode present")
     };
-    let base = mean_of("median_baseline");
-    let relearn = mean_of("relearn");
+    let base = mean_of("static");
+    let maintained = mean_of("maintained");
     json.push_str(&format!(
-        "  \"mean_imbalance_baseline\": {base:.4},\n  \"mean_imbalance_relearn\": {relearn:.4},\n"
+        "  \"mean_imbalance_static\": {base:.4},\n  \"mean_imbalance_maintained\": {maintained:.4},\n"
     ));
     json.push_str(&format!(
         "  \"imbalance_ratio\": {:.4},\n",
-        relearn / base.max(1e-12)
+        maintained / base.max(1e-12)
     ));
     let compact = mean_of("compact");
     let compact_final_shards = modes
@@ -230,33 +208,21 @@ fn write_json(path: &str, modes: &[(&str, &[PhaseRow])], cli: &Cli) -> std::io::
         "  \"imbalance_ratio_compact\": {:.4},\n",
         compact / base.max(1e-12)
     ));
-    let base_drift = mean_of("median_baseline_drift");
-    let relearn_drift = mean_of("relearn_drift");
-    let nudge_drift = mean_of("nudge_drift");
+    let base_drift = mean_of("static_drift");
+    let maintained_drift = mean_of("maintained_drift");
     json.push_str(&format!(
-        "  \"mean_imbalance_baseline_drift\": {base_drift:.4},\n  \"mean_imbalance_relearn_drift\": {relearn_drift:.4},\n"
+        "  \"mean_imbalance_static_drift\": {base_drift:.4},\n  \"mean_imbalance_maintained_drift\": {maintained_drift:.4},\n"
     ));
     json.push_str(&format!(
-        "  \"mean_imbalance_nudge_drift\": {nudge_drift:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"imbalance_ratio_drift\": {:.4},\n",
-        relearn_drift / base_drift.max(1e-12)
-    ));
-    json.push_str(&format!(
-        "  \"imbalance_ratio_nudge_drift\": {:.4},\n",
-        nudge_drift / base_drift.max(1e-12)
-    ));
-    json.push_str(&format!(
-        "  \"nudge_vs_relearn_drift\": {:.4}\n}}\n",
-        nudge_drift / relearn_drift.max(1e-12)
+        "  \"imbalance_ratio_drift\": {:.4}\n}}\n",
+        maintained_drift / base_drift.max(1e-12)
     ));
     std::fs::write(path, json)
 }
 
 /// Drift step: half a hot-band width per phase, so the band slides
-/// incrementally instead of jumping — the case where learned
-/// splitters should stay approximately right between re-learns.
+/// incrementally instead of jumping — the case where a maintained
+/// topology should stay approximately right between passes.
 fn drift_step() -> HotspotMotion {
     let width = HotspotConfig::default().hot_width;
     HotspotMotion::Drift { step: width / 2 }
@@ -265,21 +231,20 @@ fn drift_step() -> HotspotMotion {
 fn main() {
     let cli = Cli::parse();
     println!(
-        "# Fig. 16 — splitter re-learning under a shifting hotspot: N={} preloaded, {} ops/phase, {PHASES} phases, {SHARDS} shards, B={}",
+        "# Fig. 16 — shard maintenance under a shifting hotspot: N={} preloaded, {} ops/phase, {PHASES} phases, {SHARDS} shards, B={}",
         cli.scale, cli.scale, cli.seg
     );
-    let baseline = run_mode(&cli, Mode::Baseline, HotspotMotion::Jump);
-    let relearn = run_mode(&cli, Mode::Relearn, HotspotMotion::Jump);
+    let fixed = run_mode(&cli, Mode::Static, HotspotMotion::Jump);
+    let maintained = run_mode(&cli, Mode::Maintained, HotspotMotion::Jump);
     let compact = run_mode(&cli, Mode::Compact, HotspotMotion::Jump);
-    let baseline_drift = run_mode(&cli, Mode::Baseline, drift_step());
-    let relearn_drift = run_mode(&cli, Mode::Relearn, drift_step());
-    let nudge_drift = run_mode(&cli, Mode::Nudge, drift_step());
+    let fixed_drift = run_mode(&cli, Mode::Static, drift_step());
+    let maintained_drift = run_mode(&cli, Mode::Maintained, drift_step());
 
     println!(
         "{:<7} {:>14} {:>14} {:>14} {:>14} {:>10}",
-        "phase", "base before", "base after", "rl before", "rl after", "topology"
+        "phase", "static before", "static after", "mt before", "mt after", "topology"
     );
-    for (b, r) in baseline.iter().zip(&relearn) {
+    for (b, r) in fixed.iter().zip(&maintained) {
         println!(
             "{:<7} {:>14.2} {:>14.2} {:>14.2} {:>14.2} {:>10}",
             b.phase,
@@ -287,46 +252,35 @@ fn main() {
             b.imbalance_after,
             r.imbalance_before,
             r.imbalance_after,
-            format!(
-                "{}{}s{}m",
-                if r.relearned { "R" } else { "-" },
-                r.splits,
-                r.merges
-            )
+            format!("{}s{}m", r.splits, r.merges)
         );
     }
-    let (mb, mr) = (mean_after(&baseline), mean_after(&relearn));
+    let (ms, mm) = (mean_after(&fixed), mean_after(&maintained));
     println!(
-        "# mean post-maintenance imbalance (jump): baseline {mb:.2}, relearn {mr:.2}, ratio {:.3}",
-        mr / mb.max(1e-12)
+        "# mean post-maintenance imbalance (jump): static {ms:.2}, maintained {mm:.2}, ratio {:.3}",
+        mm / ms.max(1e-12)
     );
     println!(
-        "# compact mode (jump): mean imbalance {:.2}, final shards {} (relearn ends at {})",
+        "# compact mode (jump): mean imbalance {:.2}, final shards {} (maintained ends at {})",
         mean_after(&compact),
         compact.last().map_or(0, |r| r.shards),
-        relearn.last().map_or(0, |r| r.shards)
+        maintained.last().map_or(0, |r| r.shards)
     );
-    let (db, dr, dn) = (
-        mean_after(&baseline_drift),
-        mean_after(&relearn_drift),
-        mean_after(&nudge_drift),
-    );
+    let (ds, dm) = (mean_after(&fixed_drift), mean_after(&maintained_drift));
     println!(
-        "# mean post-maintenance imbalance (drift): baseline {db:.2}, relearn {dr:.2} (ratio {:.3}), nudge {dn:.2} (ratio {:.3})",
-        dr / db.max(1e-12),
-        dn / db.max(1e-12)
+        "# mean post-maintenance imbalance (drift): static {ds:.2}, maintained {dm:.2} (ratio {:.3})",
+        dm / ds.max(1e-12)
     );
 
     let path = "BENCH_splitter_relearning.json";
     match write_json(
         path,
         &[
-            ("median_baseline", &baseline),
-            ("relearn", &relearn),
+            ("static", &fixed),
+            ("maintained", &maintained),
             ("compact", &compact),
-            ("median_baseline_drift", &baseline_drift),
-            ("relearn_drift", &relearn_drift),
-            ("nudge_drift", &nudge_drift),
+            ("static_drift", &fixed_drift),
+            ("maintained_drift", &maintained_drift),
         ],
         &cli,
     ) {

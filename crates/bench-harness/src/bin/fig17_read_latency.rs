@@ -2,8 +2,8 @@
 //! maintenance.
 //!
 //! The point of the lock-free read path (pin-then-check shard reads +
-//! epoch topology) is that splitter re-learning and shard
-//! rebalancing no longer stall readers. This driver measures it: a
+//! epoch topology) is that shard splits and merges no longer stall
+//! readers. This driver measures it: a
 //! 90/10 read/write mix runs against a preloaded [`rma_shard::ShardedRma`]
 //! under three maintenance regimes over the same operation stream —
 //!
@@ -18,7 +18,7 @@
 //!
 //! Two key distributions: `uniform` (maintenance stays idle — a
 //! sanity baseline) and `hotspot` ([`workloads::ShiftingHotspot`],
-//! whose jumping hot band forces re-learning mid-measurement).
+//! whose jumping hot band forces splits mid-measurement).
 //!
 //! Writes `BENCH_read_latency.json`; the acceptance bar tracked by
 //! the repository is `p99_ratio_background_vs_off_* ≤ 2.0` (the
@@ -81,7 +81,8 @@ struct Row {
     reads: LatencySummary,
     writes: LatencySummary,
     maintain_runs: u64,
-    relearns: u64,
+    /// Maintenance steps executed (splits and merges).
+    steps: u64,
     shards_after: usize,
 }
 
@@ -148,7 +149,7 @@ fn run(cli: &Cli, dist: Dist, mode: Mode) -> Row {
 
     let maint_every = (ops / INLINE_MAINTS).max(1);
     let mut inline_runs = 0u64;
-    let mut inline_relearns = 0u64;
+    let mut inline_steps = 0u64;
     let idx = db.engine();
     let log = drive_recorded(
         ops,
@@ -160,9 +161,9 @@ fn run(cli: &Cli, dist: Dist, mode: Mode) -> Row {
         |i| {
             if mode == Mode::Inline && i > 0 && i % maint_every == 0 {
                 let t = Instant::now();
-                let (relearn, _) = idx.maintain();
+                let report = idx.maintain();
                 inline_runs += 1;
-                inline_relearns += u64::from(relearn.relearned);
+                inline_steps += report.executed() as u64;
                 t.elapsed().as_nanos() as u64
             } else {
                 0
@@ -172,12 +173,12 @@ fn run(cli: &Cli, dist: Dist, mode: Mode) -> Row {
 
     // Quiesce the background maintainer (no-op in the other modes)
     // so the row reports final counters over a stable topology.
-    let (maintain_runs, relearns) = match db.stop_maintenance() {
+    let (maintain_runs, steps) = match db.stop_maintenance() {
         Some(_) => {
             let ledger = idx.maintenance_stats();
-            (ledger.plans, ledger.relearns)
+            (ledger.plans, ledger.steps_executed)
         }
-        None => (inline_runs, inline_relearns),
+        None => (inline_runs, inline_steps),
     };
     idx.check_invariants();
     Row {
@@ -186,7 +187,7 @@ fn run(cli: &Cli, dist: Dist, mode: Mode) -> Row {
         reads: summarize(&log.reads),
         writes: summarize(&log.writes),
         maintain_runs,
-        relearns,
+        steps,
         shards_after: idx.num_shards(),
     }
 }
@@ -214,7 +215,7 @@ fn write_json(path: &str, rows: &[Row], cli: &Cli, hw: usize) -> std::io::Result
             "    {{\"dist\": \"{}\", \"mode\": \"{}\", \"read_p50_ns\": {}, \"read_p99_ns\": {}, \
              \"read_p999_ns\": {}, \"read_max_ns\": {}, \"read_mean_ns\": {:.1}, \
              \"reads\": {}, \"write_p50_ns\": {}, \"write_p99_ns\": {}, \"write_p999_ns\": {}, \
-             \"write_max_ns\": {}, \"writes\": {}, \"maintain_runs\": {}, \"relearns\": {}, \
+             \"write_max_ns\": {}, \"writes\": {}, \"maintain_runs\": {}, \"steps\": {}, \
              \"shards_after\": {}}}{}\n",
             r.dist.label(),
             r.mode.label(),
@@ -230,7 +231,7 @@ fn write_json(path: &str, rows: &[Row], cli: &Cli, hw: usize) -> std::io::Result
             r.writes.max,
             r.writes.samples,
             r.maintain_runs,
-            r.relearns,
+            r.steps,
             r.shards_after,
             if i + 1 < rows.len() { "," } else { "" }
         ));

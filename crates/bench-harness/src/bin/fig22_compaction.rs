@@ -36,9 +36,7 @@ use std::time::{Duration, Instant};
 use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
 use rma_core::RmaConfig;
 use rma_shard::maintainer::COMPACT_TARGET_FACTOR;
-use rma_shard::{
-    BalancePolicy, MaintainerConfig, RelearnStrategy, ShardConfig, ShardedRma, Splitters,
-};
+use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma, Splitters};
 use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 
 const SHARDS: usize = 8;
@@ -67,9 +65,6 @@ fn shard_config(cli: &Cli) -> ShardConfig {
         num_shards: SHARDS,
         rma: RmaConfig::with_segment_size(cli.seg),
         min_split_len: 256,
-        relearn: true,
-        balance: BalancePolicy::ByAccess,
-        relearn_strategy: RelearnStrategy::Incremental,
         ..Default::default()
     }
 }

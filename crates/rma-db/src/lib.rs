@@ -8,8 +8,8 @@
 //! front door that real deployments consume instead:
 //!
 //! * **one builder** — [`Db::builder`] configures everything
-//!   fluently (shard count, per-shard RMA, relearn strategy,
-//!   maintenance cadence and backstops, durability) and
+//!   fluently (shard count, per-shard RMA, maintenance cadence and
+//!   backstops, durability) and
 //!   validates every input up front, returning a typed
 //!   [`ConfigError`] instead of panicking mid-construction;
 //! * **one handle** — [`Db`] owns the engine *and* the background

@@ -247,7 +247,6 @@ impl MetricsSnapshot {
             ("rma_write_locks_total", e.write_locks),
             ("rma_seqlock_retries_total", e.seqlock_retries),
             ("rma_maintenance_plans_total", m.plans),
-            ("rma_maintenance_relearns_total", m.relearns),
             ("rma_maintenance_steps_planned_total", m.steps_planned),
             ("rma_maintenance_steps_executed_total", m.steps_executed),
             ("rma_maintenance_steps_skipped_total", m.steps_skipped),
@@ -255,8 +254,6 @@ impl MetricsSnapshot {
             ("rma_maintenance_keys_migrated_total", m.keys_migrated),
             ("rma_maintenance_splits_total", m.splits),
             ("rma_maintenance_merges_total", m.merges),
-            ("rma_maintenance_nudges_total", m.nudges),
-            ("rma_maintenance_rebuilds_total", m.rebuilds),
             ("rma_maintenance_consolidations_total", m.consolidations),
             ("rma_topologies_published_total", m.topologies_published),
             ("rma_write_reroutes_total", m.write_reroutes),

@@ -1,6 +1,6 @@
 //! The maintenance event journal: a bounded, lock-free MPSC ring
-//! buffer of structural events (splits, merges, nudges, rebuilds,
-//! relearns, topology publications, worker panics, maintainer ticks).
+//! buffer of structural events (splits, merges, plans, topology
+//! publications, worker panics, maintainer ticks).
 //!
 //! Writers claim a slot with one `fetch_add` on the head counter and
 //! store the event as four relaxed `AtomicU64` words guarded by a
@@ -16,7 +16,8 @@ use std::sync::atomic::{
 };
 
 /// What happened. The numeric discriminants are the wire encoding
-/// used inside the ring and in the text exposition.
+/// used inside the ring and in the text exposition; 2–4 belonged to
+/// retired kinds and are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -24,12 +25,6 @@ pub enum EventKind {
     Split = 0,
     /// Two adjacent shards were merged.
     Merge = 1,
-    /// A shard boundary was nudged to shed load.
-    Nudge = 2,
-    /// A shard's backing array was rebuilt in place.
-    Rebuild = 3,
-    /// The splitter set was relearned from the access histogram.
-    Relearn = 4,
     /// A new topology generation was published to readers.
     TopologyPublish = 5,
     /// The engine panicked in a server batch; its connections closed.
@@ -62,7 +57,7 @@ pub enum EventKind {
     /// closed (`keys` carries the wire error code).
     ProtoError = 15,
     /// The split/merge pass planned a round (`keys` carries the steps
-    /// planned, as for a relearn or a consolidation).
+    /// planned, as for a consolidation).
     Rebalance = 16,
 }
 
@@ -71,9 +66,6 @@ impl EventKind {
         Some(match v {
             0 => EventKind::Split,
             1 => EventKind::Merge,
-            2 => EventKind::Nudge,
-            3 => EventKind::Rebuild,
-            4 => EventKind::Relearn,
             5 => EventKind::TopologyPublish,
             6 => EventKind::WorkerPanic,
             7 => EventKind::MaintTick,
@@ -95,9 +87,6 @@ impl EventKind {
         match self {
             EventKind::Split => "split",
             EventKind::Merge => "merge",
-            EventKind::Nudge => "nudge",
-            EventKind::Rebuild => "rebuild",
-            EventKind::Relearn => "relearn",
             EventKind::TopologyPublish => "topology_publish",
             EventKind::WorkerPanic => "worker_panic",
             EventKind::MaintTick => "maint_tick",
@@ -117,8 +106,8 @@ impl EventKind {
 /// One journal entry. `shard` is the index the event acted on (the
 /// left shard for splits/merges, `u32::MAX` when not applicable),
 /// `dur_ns` the step's wall duration, and `keys` a kind-specific
-/// magnitude: elements migrated for split/merge/nudge/rebuild, steps
-/// planned for a relearn, a rebalance or a consolidation, shards in
+/// magnitude: elements migrated for a split or a merge, steps
+/// planned for a rebalance or a consolidation, shards in
 /// the new topology for a topology publish, steps executed for a
 /// maintainer tick, in-flight tickets poisoned for a worker panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

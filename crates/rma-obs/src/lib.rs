@@ -95,7 +95,7 @@ mod proptests {
             for n in 0..total {
                 j.record(Event {
                     ts_ns: n,
-                    kind: EventKind::Nudge,
+                    kind: EventKind::Split,
                     shard: 0,
                     dur_ns: 0,
                     keys: n,

@@ -1,8 +1,8 @@
 //! The online access histogram (§IV of the paper, lifted one level):
 //! where the Detector learns hammered intervals *inside* one RMA, the
 //! [`AccessStats`] learns hammered intervals *across* a shard's key
-//! range, so shard maintenance can re-learn splitters from where the
-//! workload actually lands instead of from the key median.
+//! range, so shard maintenance can split shards where the workload
+//! actually lands instead of at the key median.
 //!
 //! Design constraints, in order:
 //!
@@ -20,7 +20,7 @@
 //!    global: halving shards on their *own* op counts would drive
 //!    every busy shard toward the same steady-state mass
 //!    (~2 × `DECAY_EVERY`) and erase exactly the cross-shard
-//!    imbalance the splitter re-learner needs to see.
+//!    imbalance the split/merge pass needs to see.
 //! 3. **Survives restructuring.** When maintenance splits or merges
 //!    shards, the learned signal must not reset to zero (a fresh shard
 //!    with an empty histogram would immediately look "cold" and

@@ -15,70 +15,26 @@
 
 use rma_core::{RmaConfig, RmaConfigError};
 
-/// How [`maintain`](crate::ShardedRma::maintain) restructures the
-/// topology when splitter re-learning engages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RelearnStrategy {
-    /// Re-learning is decomposed into a
-    /// [`MaintenancePlan`](crate::MaintenancePlan) of bounded steps —
-    /// boundary nudges when one move recovers most of the predicted
-    /// gain, shard-by-shard range rebuilds otherwise. Each step
-    /// publishes its own copy-on-write topology, so a writer only
-    /// ever waits out the one shard currently being restructured.
-    #[default]
-    Incremental,
-    /// Only boundary nudges, never full range rebuilds: every adjacent
-    /// shard pair whose access mass is lopsided gets its boundary
-    /// moved to the pair's equal-access point. The cheap tracking mode
-    /// for drifting hotspots (and the `nudge` column of
-    /// `fig16_relearning`).
-    NudgeOnly,
-}
-
-/// How shard maintenance weighs shards when deciding splits and
-/// merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BalancePolicy {
-    /// Access-driven (the paper's adaptive idea, §IV, lifted to the
-    /// shard layer): split/merge triggers compare decayed access
-    /// masses and hot shards split at the equal-access point of their
-    /// histogram CDF. Falls back to element counts while no access
-    /// has been recorded yet.
-    #[default]
-    ByAccess,
-    /// Length-driven (the PR-1 baseline): triggers compare element
-    /// counts and hot shards split at their key median. Kept as the
-    /// explicit baseline for the re-learning benchmarks.
-    ByLen,
-}
-
 /// Construction-time configuration of a
 /// [`ShardedRma`](crate::ShardedRma).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
     /// Target shard count. Splitter learning may induce fewer shards
     /// on duplicate-heavy samples; maintenance may grow or shrink the
-    /// count over time (re-learning steers back toward this count).
+    /// count over time (idle-time consolidation steers back toward
+    /// this count).
     pub num_shards: usize,
     /// Configuration applied to every per-shard RMA.
     pub rma: RmaConfig,
     /// Shards shorter than this never split, regardless of imbalance.
     pub min_split_len: usize,
-    /// What maintenance balances on: access mass (default) or length.
-    pub balance: BalancePolicy,
-    /// Whether [`maintain`](crate::ShardedRma::maintain) re-learns
-    /// splitters multi-way from the access histogram.
-    pub relearn: bool,
-    /// How re-learning restructures the topology: incrementally
-    /// (default) or by boundary nudges only.
-    pub relearn_strategy: RelearnStrategy,
-    /// Upper bound on the elements a single incremental maintenance
-    /// step may rebuild — the knob that bounds how long any one step
-    /// holds its shard locks (and therefore the worst-case writer
-    /// stall). Target ranges whose residents exceed it are aligned
-    /// with bounded split/merge steps instead of one consolidating
-    /// rebuild, leaving extra splitters inside element-heavy cold
-    /// ranges rather than stalling writers.
+    /// Bounds a merge, the only step it bounds: a load-driven merge
+    /// may build a shard of at most twice this many elements, which
+    /// bounds how long it holds its shard locks (and therefore the
+    /// writer stall it can cause). Idle-time consolidation may also
+    /// merge up to two average target-count shards. A split is not
+    /// bounded by it — a split is how an oversized shard shrinks;
+    /// `max_shard_len` is what keeps shards small enough for that.
     pub max_step_elems: usize,
     /// Optional shard-length backstop for latency-SLO deployments:
     /// when set, maintenance splits any shard that grows past this
@@ -97,9 +53,6 @@ impl Default for ShardConfig {
             num_shards: 8,
             rma: RmaConfig::default(),
             min_split_len: 1024,
-            balance: BalancePolicy::ByAccess,
-            relearn: true,
-            relearn_strategy: RelearnStrategy::default(),
             max_step_elems: 1 << 16,
             max_shard_len: None,
         }

@@ -24,15 +24,15 @@
 //!   `AtomicU64` bucket counters bumped on every operation and
 //!   periodically halved so stale hotspots fade;
 //! * maintenance is an **incremental plan engine**
-//!   ([`maintenance`] module):
-//!   [`rebalance_shards`](ShardedRma::rebalance_shards) and
-//!   [`relearn_splitters`](ShardedRma::relearn_splitters) *plan*
-//!   bounded [`MaintenanceStep`]s — splits, merges, boundary
-//!   *nudges* for drifting hotspots, and capped range rebuilds —
-//!   and an executor applies one step at a time, each publishing its
-//!   own copy-on-write topology, so even a full multi-way re-learn
-//!   never stalls a writer for more than one step;
-//!   [`maintain`](ShardedRma::maintain) combines both, and
+//!   ([`maintenance`] module) with one load-driven rule: a shard whose
+//!   access mass exceeds twice the mean splits at its access-CDF
+//!   midpoint, and adjacent shards below half the mean merge — the
+//!   paper's window-local rebalance, weighed by access, one level up.
+//!   [`plan_maintenance`](ShardedRma::plan_maintenance) *plans* the
+//!   rule as bounded [`MaintenanceStep`]s and an executor applies one
+//!   step at a time, each publishing its own copy-on-write topology,
+//!   so maintenance never stalls a writer for more than one step;
+//!   [`maintain`](ShardedRma::maintain) drains the plan at once, and
 //!   [`start_maintainer`](ShardedRma::start_maintainer) drains plans
 //!   from a dedicated background thread on a per-tick step budget
 //!   with inter-step sleeps.
@@ -66,15 +66,13 @@
 //!
 //! The result: maintenance no longer stalls the read fleet — and,
 //! since the plan engine, no longer stalls the *write* fleet either:
-//! a full re-learn proceeds shard-by-shard, and a writer only ever
-//! waits out the one step currently restructuring its shard (the
-//! `fig18_write_stall` benchmark pins the worst single insert under
-//! background re-learning to ≤ 10 ms at 2^20 scale, vs hundreds of
-//! milliseconds for the monolithic baseline). Readers observing a
-//! retired topology serve the pre-swap snapshot, which is
-//! linearizable at the instant they acquired the topology pointer. A
-//! write that reaches a retired shard re-enters its own entry point
-//! with only the bounced ops, on a fresh topology.
+//! a writer only ever waits out the one step currently restructuring
+//! its shard (the `fig18_write_stall` benchmark pins the worst single
+//! insert under background maintenance to ≤ 10 ms at 2^20 scale).
+//! Readers observing a retired topology serve the pre-swap snapshot,
+//! which is linearizable at the instant they acquired the topology
+//! pointer. A write that reaches a retired shard re-enters its own
+//! entry point with only the bounced ops, on a fresh topology.
 //! [`ShardedRma::lock_acquisitions`] is the test hook proving the
 //! happy path stays lock-free;
 //! [`ShardedRma::maintenance_stats`] is the one ledger of what
@@ -132,10 +130,10 @@ mod shard;
 pub mod splitter;
 
 pub use access::AccessStats;
-pub use config::{BalancePolicy, ConfigError, RelearnStrategy, ShardConfig};
+pub use config::{ConfigError, ShardConfig};
 pub use durability::{DurabilityOp, DurabilitySink};
 pub use maintainer::{Maintainer, MaintainerConfig, MaintainerStats};
-pub use maintenance::{DrainReport, MaintenancePlan, MaintenanceStep, RelearnReport, StepReport};
+pub use maintenance::{DrainReport, MaintenancePlan, MaintenanceStep, StepReport};
 pub use obs::EngineObs;
 pub use shard::LockStats;
 pub use splitter::Splitters;
@@ -298,16 +296,16 @@ impl ShardStats {
 pub struct ShardedRma {
     cfg: ShardConfig,
     handle: TopoHandle,
-    /// Serializes topology publication: rebalance, re-learning and
-    /// the background maintainer all run under it. Readers and
+    /// Serializes topology publication: synchronous maintenance and
+    /// the background maintainer both run under it. Readers and
     /// writers never touch it.
     maint_lock: Mutex<()>,
     /// Shared decay clock: total recorded operations (in
     /// [`DECAY_TICK_BATCH`] granules). Every [`DECAY_EVERY`] ops,
     /// *all* shard histograms halve together — a global halving
-    /// preserves the relative masses the re-learner compares, whereas
-    /// per-shard decay clocks would drive every busy shard toward the
-    /// same steady-state mass.
+    /// preserves the relative masses the split/merge pass compares,
+    /// whereas per-shard decay clocks would drive every busy shard
+    /// toward the same steady-state mass.
     op_clock: AtomicU64,
     lock_stats: Arc<LockStats>,
     /// Counters behind [`maintenance_stats`](Self::maintenance_stats):
@@ -327,15 +325,12 @@ pub struct ShardedRma {
 #[derive(Debug, Default)]
 pub(crate) struct MaintCounters {
     pub(crate) plans: AtomicU64,
-    pub(crate) relearns: AtomicU64,
     pub(crate) steps_planned: AtomicU64,
     pub(crate) steps_skipped: AtomicU64,
     pub(crate) steps_dropped: AtomicU64,
     pub(crate) keys_migrated: AtomicU64,
     pub(crate) splits: AtomicU64,
     pub(crate) merges: AtomicU64,
-    pub(crate) nudges: AtomicU64,
-    pub(crate) rebuilds: AtomicU64,
     pub(crate) consolidations: AtomicU64,
     pub(crate) max_step_ns: AtomicU64,
     pub(crate) write_reroutes: AtomicU64,
@@ -349,11 +344,9 @@ pub(crate) struct MaintCounters {
 pub struct MaintenanceStats {
     /// Non-empty [`MaintenancePlan`]s produced by the planners.
     pub plans: u64,
-    /// Those of them the re-learn planner produced.
-    pub relearns: u64,
     /// Steps emitted into plans.
     pub steps_planned: u64,
-    /// Steps that executed: `splits + merges + nudges + rebuilds`.
+    /// Steps that executed: `splits + merges`.
     pub steps_executed: u64,
     /// Steps skipped as stale (the topology moved between planning
     /// and execution).
@@ -370,16 +363,11 @@ pub struct MaintenanceStats {
     pub splits: u64,
     /// Executed [`MaintenanceStep::MergePair`] steps.
     pub merges: u64,
-    /// Executed [`MaintenanceStep::NudgeBoundary`] steps.
-    pub nudges: u64,
-    /// Executed [`MaintenanceStep::RebuildShard`] steps.
-    pub rebuilds: u64,
     /// The merges among them that a consolidation plan
     /// ([`ShardedRma::plan_consolidation`]) ran.
     pub consolidations: u64,
-    /// Copy-on-write topologies published since construction
-    /// (maintenance steps of every kind, including monolithic
-    /// re-learns).
+    /// Copy-on-write topologies published since construction, one
+    /// per executed step.
     pub topologies_published: u64,
     /// Worst time one executed step held its shard write locks, in
     /// nanoseconds (drain + rebuild + publish; shell pre-creation and
@@ -512,19 +500,15 @@ impl ShardedRma {
     pub fn maintenance_stats(&self) -> MaintenanceStats {
         let c = &self.maint_counters;
         let (splits, merges) = (c.splits.load(Relaxed), c.merges.load(Relaxed));
-        let (nudges, rebuilds) = (c.nudges.load(Relaxed), c.rebuilds.load(Relaxed));
         MaintenanceStats {
             plans: c.plans.load(Relaxed),
-            relearns: c.relearns.load(Relaxed),
             steps_planned: c.steps_planned.load(Relaxed),
-            steps_executed: splits + merges + nudges + rebuilds,
+            steps_executed: splits + merges,
             steps_skipped: c.steps_skipped.load(Relaxed),
             steps_dropped: c.steps_dropped.load(Relaxed),
             keys_migrated: c.keys_migrated.load(Relaxed),
             splits,
             merges,
-            nudges,
-            rebuilds,
             consolidations: c.consolidations.load(Relaxed),
             topologies_published: self.handle.publications(),
             max_step_wall_ns: c.max_step_ns.load(Relaxed),

@@ -1,7 +1,7 @@
 //! The background maintenance thread: plans maintenance off the
 //! access-imbalance and op-rate signals and **drains the plan a few
 //! steps per tick with inter-step sleeps**, so callers never pay
-//! splitter re-learning or shard rebalancing inline *and* the
+//! shard splits and merges inline *and* the
 //! maintainer never monopolises a core on huge topologies.
 //!
 //! # Lifecycle
@@ -486,10 +486,10 @@ mod tests {
             "maintainer never executed a step"
         );
         s.check_invariants();
-        assert!(
-            s.num_shards() > 4 || ledger.relearns > 0 || ledger.nudges > 0,
-            "maintenance ran but changed nothing: {ledger:?}"
-        );
+        // One round splits the hot shard and may merge a cold pair,
+        // leaving the shard count where it was: the splitters moved.
+        assert!(ledger.splits >= 1, "the hot shard never split: {ledger:?}");
+        assert_ne!(s.splitters().keys(), [1000, 2000, 3000], "{ledger:?}");
     }
 
     #[test]

@@ -19,8 +19,8 @@ const JOURNAL_CAPACITY: usize = 1024;
 pub struct EngineObs {
     enabled: bool,
     journal: EventJournal,
-    /// Wall duration of executed maintenance steps (splits, merges,
-    /// nudges, rebuilds — a checkpoint is not a step), nanoseconds.
+    /// Wall duration of executed maintenance steps (splits and
+    /// merges — a checkpoint is not a step), nanoseconds.
     step_duration: Histogram,
     /// Wall duration of background maintainer ticks, nanoseconds.
     maint_tick: Histogram,

@@ -1,7 +1,7 @@
 //! One shard: an independent [`Rma`] guarded by the pin-then-check
 //! protocol of [`crate::optimistic`], plus cheap per-shard
 //! load counters and the decaying access histogram that drives
-//! splitter re-learning.
+//! shard splits and merges.
 //!
 //! # Synchronisation layout
 //!
@@ -80,8 +80,8 @@ pub(crate) struct Shard {
     /// Inserts/removes/batch elements routed to this shard.
     pub(crate) writes: AtomicU64,
     /// Decaying histogram of where accesses land inside the shard's
-    /// key range — the signal [`crate::ShardedRma::relearn_splitters`]
-    /// learns from.
+    /// key range — the signal [`crate::ShardedRma::plan_maintenance`]
+    /// splits and merges by.
     pub(crate) stats: AccessStats,
     lock_stats: Arc<LockStats>,
 }

@@ -8,7 +8,7 @@
 //! partitions** (uniform over the 62-bit workload domain, persisted in
 //! the manifest), each with its own append log. Partitions are
 //! deliberately decoupled from the engine's *dynamic* shard topology:
-//! shards split, merge, and relearn continuously, while a log file
+//! shards split and merge continuously, while a log file
 //! layout wants stable ranges. Routing an op to its partition is the
 //! same branch-free splitter search the engine uses.
 //!

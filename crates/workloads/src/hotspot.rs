@@ -5,7 +5,7 @@
 //! workloads concentrate on a small, *moving* part of the key space.
 //! None of the paper's four patterns exercises the moving part: Zipf
 //! hammers a fixed region forever and sequential moves one key at a
-//! time. This generator fills that gap for the splitter re-learning
+//! time. This generator fills that gap for the shard maintenance
 //! experiments: time is divided into fixed-length **phases**; within a
 //! phase, a `hot_fraction` of the draws land uniformly inside a narrow
 //! **hot band** of width `hot_width`, and the rest fall uniformly over

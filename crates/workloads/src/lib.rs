@@ -9,7 +9,7 @@
 //! seed, so every figure regenerates bit-identically. Beyond the
 //! paper, [`hotspot`] adds a *shifting-hotspot* pattern (a hammered
 //! band that jumps or drifts between phases) for the sharded
-//! front-end's splitter re-learning experiments.
+//! front-end's shard maintenance experiments.
 //!
 //! The scalar element type across the whole reproduction is an 8-byte
 //! signed integer key paired with an 8-byte value, matching the paper's

@@ -11,8 +11,8 @@
 //! readers run range sums and big chunk-streamed scans through
 //! connections of their own, an ingest thread applies partitioned
 //! batches through the in-process path (the one op class with no
-//! wire form), and the background maintainer re-learns splitters /
-//! splits hot shards / merges cold ones underneath all of them.
+//! wire form), and the background maintainer splits hot shards and
+//! merges cold ones underneath all of them.
 //! While the load runs, a reporter thread prints a periodic
 //! [`Db::metrics`] report — per-op-type latency quantiles straight
 //! from the built-in histograms, plus the network front-end's own

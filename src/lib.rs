@@ -28,11 +28,11 @@
 //!   happy path), stitched scans, parallel batch ingest, and
 //!   **access-histogram-driven maintenance** — every shard carries a
 //!   lock-free decaying histogram of where operations land, hot
-//!   shards split at the equal-access point of their CDF,
-//!   `ShardedRma::maintain` re-learns the whole splitter set from the
-//!   observed workload (Detector-style, §IV) with a stability guard
-//!   that keeps uniform workloads churn-free, and
-//!   `ShardedRma::start_maintainer` runs all of it from a background
+//!   shards split at the equal-access point of their CDF and cold
+//!   neighbours merge (`ShardedRma::maintain`, the paper's
+//!   window-local rebalance weighed by access, §III–IV, one level
+//!   up), which leaves uniform workloads churn-free, and
+//!   `ShardedRma::start_maintainer` runs it from a background
 //!   thread that readers never block behind;
 //! * [`obs`] — the **observability core**: lock-free log₂-bucketed
 //!   latency histograms (mergeable, bounded-error quantiles), a

@@ -105,8 +105,8 @@ fn readers_vs_maintenance_stress() {
         }
         sc.spawn(move || {
             // Writer: grow a disjoint key range (hammering one region
-            // so re-learning has a reason to fire) and run maintenance
-            // inline between bursts.
+            // so the split/merge pass has a reason to fire) and run
+            // maintenance inline between bursts.
             let mut next = WRITER_BASE;
             while !stop.load(Relaxed) {
                 for _ in 0..256 {
@@ -191,9 +191,8 @@ fn readers_vs_background_maintainer_stress() {
     // surface it for debugging.
     let ledger = index.maintenance_stats();
     eprintln!(
-        "maintainer: polls={polls} plans={} relearns={} splits={} merges={} shards={}",
+        "maintainer: polls={polls} plans={} splits={} merges={} shards={}",
         ledger.plans,
-        ledger.relearns,
         ledger.splits,
         ledger.merges,
         index.num_shards()
@@ -247,7 +246,7 @@ fn apply_batch_vs_maintenance_stress() {
 /// that begins while step `k` holds its shard can at worst finish
 /// while step `k + 1` runs (it re-routes after `k` publishes), so the
 /// number of steps completed during any single insert is bounded by
-/// 2 — if a writer ever waited out the whole plan (the monolithic
+/// 2 — if a writer ever waited out the whole plan (a single-swap
 /// failure mode), the delta would be the plan length.
 #[test]
 fn writer_progress_during_incremental_drain() {
@@ -258,7 +257,7 @@ fn writer_progress_during_incremental_drain() {
         .expect("valid stress config");
     let index = db.engine();
     // Build a real multi-step plan: hammer a narrow band so the
-    // re-learn planner produces a shard-by-shard rebuild sequence.
+    // planner splits the hot shard and merges the cold pairs.
     for _ in 0..40 {
         for k in 0..400i64 {
             let _ = index.get(k);

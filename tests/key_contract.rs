@@ -316,7 +316,7 @@ fn drive_engine(s: &ShardedRma, steps: &[Step], seed: u64) -> Stacks {
         run.clear();
         runs += 1;
         if runs % 8 == 0 {
-            s.rebalance_shards();
+            s.maintain();
             s.check_invariants();
         }
     };
@@ -467,7 +467,7 @@ fn a_session_answers_as_a_stack() {
     for (round, seed) in [31, 32].into_iter().enumerate() {
         drive_client(&db, &mut session, &script(seed, 10_000, true), &mut oracle);
         assert_db_matches(&db, &oracle, &format!("round {round}"));
-        db.engine().rebalance_shards();
+        db.engine().maintain();
     }
 }
 

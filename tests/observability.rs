@@ -67,7 +67,7 @@ fn journal_captures_forced_split_merge_cycle() {
         db.insert(k, k); // last shard: modest load
     }
     let before = db.engine().maintenance_stats();
-    let report = db.engine().rebalance_shards();
+    let report = db.engine().maintain();
     assert!(report.splits >= 1, "backstop must force splits: {report:?}");
     assert!(report.merges >= 1, "cold shards must merge: {report:?}");
 
@@ -78,24 +78,12 @@ fn journal_captures_forced_split_merge_cycle() {
         [
             ledger.splits - before.splits,
             ledger.merges - before.merges,
-            ledger.nudges - before.nudges,
-            ledger.rebuilds - before.rebuilds,
             ledger.steps_skipped - before.steps_skipped,
         ],
-        [
-            report.splits,
-            report.merges,
-            report.nudges,
-            report.rebuilds,
-            report.skipped,
-        ]
-        .map(|n| n as u64),
+        [report.splits, report.merges, report.skipped].map(|n| n as u64),
         "{ledger:?} vs {report:?}"
     );
-    assert_eq!(
-        ledger.splits + ledger.merges + ledger.nudges + ledger.rebuilds,
-        ledger.steps_executed
-    );
+    assert_eq!(ledger.splits + ledger.merges, ledger.steps_executed);
 
     let metrics = db.metrics();
     let journal = &metrics.journal;
@@ -282,7 +270,7 @@ fn disabled_observability_records_nothing_but_renders() {
     let mut s = db.session();
     let ops: Vec<Op> = (0..2000).map(|k| Op::Insert(k, k)).collect();
     s.submit(&ops).wait();
-    let report = db.engine().rebalance_shards();
+    let report = db.engine().maintain();
     assert!(report.splits >= 1, "maintenance still runs: {report:?}");
 
     let m = db.metrics();
@@ -350,14 +338,7 @@ fn snapshots_render_after_stop_maintenance() {
         ]
     );
     let ledger = counters("rma_maintenance_");
-    for kind in [
-        "splits",
-        "merges",
-        "nudges",
-        "rebuilds",
-        "consolidations",
-        "relearns",
-    ] {
+    for kind in ["splits", "merges", "consolidations"] {
         assert!(ledger.contains(&format!("rma_maintenance_{kind}_total").as_str()));
     }
     let mut once = ledger.clone();
@@ -632,7 +613,7 @@ fn the_exposition_carries_every_counter() {
         std::thread::sleep(Duration::from_millis(1));
     }
     db.stop_maintenance().expect("was running");
-    db.engine().rebalance_shards();
+    db.engine().maintain();
 
     let m = db.metrics();
     let text = m.render_text();
@@ -657,7 +638,6 @@ fn the_exposition_carries_every_counter() {
     } = engine;
     let MaintenanceStats {
         plans,
-        relearns,
         steps_planned,
         steps_executed,
         steps_skipped,
@@ -665,8 +645,6 @@ fn the_exposition_carries_every_counter() {
         keys_migrated,
         splits,
         merges,
-        nudges,
-        rebuilds,
         consolidations,
         topologies_published,
         max_step_wall_ns,
@@ -691,7 +669,6 @@ fn the_exposition_carries_every_counter() {
         format!("rma_write_locks_total {write_locks}"),
         format!("rma_seqlock_retries_total {seqlock_retries}"),
         format!("rma_maintenance_plans_total {plans}"),
-        format!("rma_maintenance_relearns_total {relearns}"),
         format!("rma_maintenance_steps_planned_total {steps_planned}"),
         format!("rma_maintenance_steps_executed_total {steps_executed}"),
         format!("rma_maintenance_steps_skipped_total {steps_skipped}"),
@@ -699,8 +676,6 @@ fn the_exposition_carries_every_counter() {
         format!("rma_maintenance_keys_migrated_total {keys_migrated}"),
         format!("rma_maintenance_splits_total {splits}"),
         format!("rma_maintenance_merges_total {merges}"),
-        format!("rma_maintenance_nudges_total {nudges}"),
-        format!("rma_maintenance_rebuilds_total {rebuilds}"),
         format!("rma_maintenance_consolidations_total {consolidations}"),
         format!("rma_topologies_published_total {topologies_published}"),
         format!("rma_max_step_wall_ns {max_step_wall_ns}"),

@@ -1,39 +1,29 @@
-//! Deterministic workload-replay harness for online splitter
-//! re-learning.
+//! Deterministic workload-replay harness for access-driven shard
+//! maintenance.
 //!
-//! Replays the seeded shifting-hotspot workload through several
-//! [`ShardedRma`] configurations over the *identical* operation
-//! stream:
+//! Replays the seeded shifting-hotspot workload through two
+//! [`ShardedRma`] regimes over the *identical* operation stream:
 //!
-//! * `median_baseline` — PR 1 maintenance (length-driven median
-//!   splits, no re-learning);
-//! * `relearn` — access-driven maintenance with multi-way splitter
-//!   re-learning (the incremental plan engine);
-//! * `monolithic` — the same re-learning through the PR-3 single-swap
-//!   rebuild (the plan-equivalence baseline);
-//! * `nudge` — boundary nudges only
-//!   ([`RelearnStrategy::NudgeOnly`]), the cheap tracking mode for
-//!   drifting hotspots.
+//! * `static` — the bulk-loaded topology, never maintained;
+//! * `maintained` — the split/merge pass ([`ShardedRma::maintain`])
+//!   at every phase midpoint;
 //!
 //! and asserts, with zero timing dependence:
 //!
 //! 1. every run ends with exactly the contents of a `BTreeMap`
 //!    multiset oracle (and therefore with each other's contents);
 //! 2. the post-maintenance access imbalance (max/mean shard access
-//!    mass over each phase's second half) under re-learning is at
-//!    most **half** the median-split baseline's on the jumping band;
-//! 3. draining the incremental relearn plans reaches a final access
-//!    imbalance within **1.1×** of the monolithic rebuild's on the
-//!    same seeded workload (the plan-equivalence acceptance bar);
-//! 4. on the *drifting* band, boundary nudges beat full rebuilds and
-//!    stay within the PR-3 drift ratio bar of **0.19**;
-//! 5. a uniform workload triggers zero topology churn — the
-//!    re-learning stability guard holds (and plans zero steps).
+//!    mass over each phase's second half) under maintenance is at
+//!    most **half** the static topology's on the jumping band;
+//! 3. a quiesce-time `compact()` undoes the split accretion;
+//! 4. a uniform workload triggers zero topology churn (and plans
+//!    zero steps);
+//! 5. the steps the replays journal match a recorded fixture.
 
 use rma_repro::db::Db;
 use rma_repro::obs::EventKind;
 use rma_repro::rma::{RewiringMode, RmaConfig};
-use rma_repro::shard::{BalancePolicy, RelearnStrategy, ShardConfig, ShardedRma};
+use rma_repro::shard::{ShardConfig, ShardedRma};
 use rma_repro::workloads::{
     HotspotConfig, HotspotMotion, KeyStream, Pattern, ShiftingHotspot, SplitMix64,
 };
@@ -44,7 +34,7 @@ const PHASES: u64 = 4;
 const PHASE_OPS: u64 = 8192;
 const SEED: u64 = 20260730;
 
-fn replay_config(relearn: bool, strategy: RelearnStrategy, shards: usize) -> ShardConfig {
+fn replay_config(shards: usize) -> ShardConfig {
     ShardConfig {
         num_shards: shards,
         rma: RmaConfig {
@@ -54,13 +44,6 @@ fn replay_config(relearn: bool, strategy: RelearnStrategy, shards: usize) -> Sha
             ..Default::default()
         },
         min_split_len: 256,
-        relearn,
-        balance: if relearn {
-            BalancePolicy::ByAccess
-        } else {
-            BalancePolicy::ByLen
-        },
-        relearn_strategy: strategy,
         ..Default::default()
     }
 }
@@ -91,62 +74,13 @@ fn drift_motion() -> HotspotMotion {
     }
 }
 
-/// Replays the seeded hotspot workload; returns the per-phase
-/// post-maintenance imbalances and the final index (content already
-/// verified against the oracle step by step).
-///
-/// `first_half_maintains` sets the maintenance cadence within each
-/// phase's *first* half (the second half is always measured cold, so
-/// the statistic stays comparable across modes): the classic modes
-/// run the PR-2/PR-3 cadence of one `maintain()` at the phase
-/// midpoint; the nudge mode is cheap enough (bounded two-shard
-/// steps, no fleet-wide locks) to run many small sweeps — that
-/// cadence asymmetry is the point, and `fig18_write_stall` measures
-/// why the monolithic rebuild cannot afford the same cadence.
-fn run_replay(
-    relearn: bool,
-    strategy: RelearnStrategy,
-    motion: HotspotMotion,
-    shards: usize,
-    first_half_maintains: u64,
-) -> (Vec<f64>, Db) {
-    run_replay_with(
-        relearn,
-        strategy,
-        motion,
-        shards,
-        first_half_maintains,
-        |index| {
-            index.maintain();
-        },
-    )
-}
-
-/// The `monolithic` replay: [`run_replay`] of the re-learning
-/// configuration with every `maintain()` replaced by the single-swap
-/// reference and the split/merge pass that follows a re-learn.
-fn run_monolithic_replay(motion: HotspotMotion, shards: usize) -> (Vec<f64>, Db) {
-    run_replay_with(
-        true,
-        RelearnStrategy::Incremental,
-        motion,
-        shards,
-        1,
-        |index| {
-            index.relearn_splitters_monolithic();
-            index.rebalance_shards();
-        },
-    )
-}
-
-fn run_replay_with(
-    relearn: bool,
-    strategy: RelearnStrategy,
-    motion: HotspotMotion,
-    shards: usize,
-    first_half_maintains: u64,
-    maintain: impl Fn(&ShardedRma),
-) -> (Vec<f64>, Db) {
+/// Replays the seeded hotspot workload, calling
+/// [`ShardedRma::maintain`] at every phase midpoint when `maintained`;
+/// returns the per-phase post-maintenance imbalances and the final
+/// index (content already verified against the oracle step by step).
+/// The second half of each phase is measured cold, so the statistic
+/// stays comparable across regimes.
+fn run_replay(maintained: bool, motion: HotspotMotion, shards: usize) -> (Vec<f64>, Db) {
     let mut ops = ShiftingHotspot::new(
         HotspotConfig {
             phase_len: PHASE_OPS,
@@ -163,7 +97,7 @@ fn run_replay_with(
     };
     base.sort_unstable();
     let db = Db::builder()
-        .shard_config(replay_config(relearn, strategy, shards))
+        .shard_config(replay_config(shards))
         .build_bulk(&base)
         .expect("valid replay config");
     let index = db.engine();
@@ -199,17 +133,10 @@ fn run_replay_with(
             }
         };
         index.reset_access_stats();
-        let chunk = (half / first_half_maintains).max(1);
-        let mut done = 0;
-        while done < half {
-            let n = chunk.min(half - done);
-            run_half(n, index, &mut oracle);
-            done += n;
-            if done < half {
-                maintain(index);
-            }
+        run_half(half, index, &mut oracle);
+        if maintained {
+            index.maintain();
         }
-        maintain(index);
         index.check_invariants();
         index.reset_access_stats();
         run_half(PHASE_OPS - half, index, &mut oracle);
@@ -235,12 +162,7 @@ fn step_events(index: &ShardedRma) -> Vec<String> {
         "the journal wrapped: the step order is incomplete"
     );
     (journal.snapshot().iter())
-        .filter(|e| {
-            matches!(
-                e.kind,
-                EventKind::Split | EventKind::Merge | EventKind::Nudge | EventKind::Rebuild
-            )
-        })
+        .filter(|e| matches!(e.kind, EventKind::Split | EventKind::Merge))
         .map(|e| format!("{}@{}:{}", e.kind.name(), e.shard, e.keys))
         .collect()
 }
@@ -251,105 +173,32 @@ fn mean(xs: &[f64]) -> f64 {
 
 #[test]
 fn relearning_halves_hotspot_imbalance_deterministically() {
-    let (baseline, base_index) = run_replay(
-        false,
-        RelearnStrategy::Incremental,
-        HotspotMotion::Jump,
-        SHARDS,
-        1,
-    );
-    let (relearn, relearn_index) = run_replay(
-        true,
-        RelearnStrategy::Incremental,
-        HotspotMotion::Jump,
-        SHARDS,
-        1,
-    );
+    let (fixed, fixed_index) = run_replay(false, HotspotMotion::Jump, SHARDS);
+    let (maintained, maintained_index) = run_replay(true, HotspotMotion::Jump, SHARDS);
 
     // (a) Identical op stream + oracle-checked: both runs must agree
     // with each other too.
     assert_eq!(
-        base_index.engine().collect_all(),
-        relearn_index.engine().collect_all(),
-        "maintenance policy must never change content"
+        fixed_index.engine().collect_all(),
+        maintained_index.engine().collect_all(),
+        "maintenance must never change content"
     );
 
-    // (b) Post-phase access imbalance under re-learning is at most
-    // half the median-split baseline's.
-    let (mb, mr) = (mean(&baseline), mean(&relearn));
+    // (b) Post-phase access imbalance under maintenance is at most
+    // half the static topology's.
+    let (ms, mm) = (mean(&fixed), mean(&maintained));
     assert!(
-        mr <= 0.5 * mb,
-        "re-learning too weak: baseline {mb:.2}, relearn {mr:.2} (ratio {:.3})",
-        mr / mb
+        mm <= 0.5 * ms,
+        "maintenance too weak: static {ms:.2}, maintained {mm:.2} (ratio {:.3})",
+        mm / ms
     );
-    // The re-learned topology must actually differ from the uniform
+    // The maintained topology must actually differ from the bulk-loaded
     // start (it adapted), and hold more than one shard.
-    assert!(relearn_index.engine().num_shards() > 1);
-}
-
-/// Plan-equivalence acceptance bar: draining the incremental relearn
-/// plans lands within 1.1× of the monolithic single-swap rebuild's
-/// final access imbalance on the identical seeded workload — for
-/// both the jumping and the drifting band.
-#[test]
-fn incremental_drain_matches_monolithic_within_ten_percent() {
-    for motion in [HotspotMotion::Jump, drift_motion()] {
-        let (mono, mono_index) = run_monolithic_replay(motion, SHARDS);
-        let (inc, inc_index) = run_replay(true, RelearnStrategy::Incremental, motion, SHARDS, 1);
-        assert_eq!(
-            mono_index.engine().collect_all(),
-            inc_index.engine().collect_all(),
-            "strategies must never change content"
-        );
-        let (mm, mi) = (mean(&mono), mean(&inc));
-        assert!(
-            mi <= 1.1 * mm,
-            "incremental drain fell behind monolithic: {mi:.3} vs {mm:.3} ({motion:?})"
-        );
-    }
-}
-
-/// Drift phase set: boundary nudges must beat full rebuilds. The
-/// band slides by half a width per phase; a nudge step locks two
-/// shards for a bounded moment, so the sweep can run at 8× the
-/// cadence of the monolithic rebuild — which holds *every* shard's
-/// write lock per pass (fig18 measures it at hundreds of
-/// milliseconds of writer stall) and therefore cannot run at that
-/// cadence in a latency-aware deployment. At those deployment-honest
-/// cadences the nudge mode must beat the full rebuild's
-/// post-maintenance imbalance and hold the PR-3 drift ratio bar of
-/// 0.19 against the median baseline.
-#[test]
-fn nudges_beat_full_rebuilds_on_drift() {
-    const DRIFT_SHARDS: usize = 16;
-    let (baseline, _) = run_replay(
-        false,
-        RelearnStrategy::Incremental,
-        drift_motion(),
-        DRIFT_SHARDS,
-        1,
+    assert_ne!(
+        maintained_index.engine().splitters(),
+        fixed_index.engine().splitters()
     );
-    let (full, full_index) = run_monolithic_replay(drift_motion(), DRIFT_SHARDS);
-    let (nudge, nudge_index) = run_replay(
-        true,
-        RelearnStrategy::NudgeOnly,
-        drift_motion(),
-        DRIFT_SHARDS,
-        8,
-    );
-    let (mb, mf, mn) = (mean(&baseline), mean(&full), mean(&nudge));
-    assert!(
-        mn <= mf,
-        "nudges must beat full rebuilds on drift: nudge {mn:.3} vs full {mf:.3}"
-    );
-    assert!(
-        mn / mb <= 0.19,
-        "nudge drift ratio regressed past the PR-3 bar: {:.3} (nudge {mn:.3}, baseline {mb:.3})",
-        mn / mb
-    );
-    // The full runs actually re-learned (the comparison is real).
-    assert!(full_index.engine().maintenance_stats().topologies_published > 0);
-    assert!(nudge_index.engine().maintenance_stats().nudges > 0);
+    assert!(maintained_index.engine().num_shards() > 1);
 }
 
 /// Anti-ratchet acceptance bar: after the jumping-band replay (which
@@ -358,13 +207,7 @@ fn nudges_beat_full_rebuilds_on_drift() {
 /// 2× the configured target without touching content.
 #[test]
 fn post_quiesce_compaction_restores_the_shard_target() {
-    let (_, db) = run_replay(
-        true,
-        RelearnStrategy::Incremental,
-        HotspotMotion::Jump,
-        SHARDS,
-        1,
-    );
+    let (_, db) = run_replay(true, HotspotMotion::Jump, SHARDS);
     let index = db.engine();
     let before_content = index.collect_all();
     let accreted = index.num_shards();
@@ -394,7 +237,7 @@ fn uniform_workload_triggers_zero_topology_churn() {
     let mut base: Vec<(i64, i64)> = KeyStream::new(Pattern::Uniform, SEED).take_pairs(8192);
     base.sort_unstable();
     let db = Db::builder()
-        .shard_config(replay_config(true, RelearnStrategy::Incremental, SHARDS))
+        .shard_config(replay_config(SHARDS))
         .build_bulk(&base)
         .expect("valid replay config");
     let index = db.engine();
@@ -410,11 +253,7 @@ fn uniform_workload_triggers_zero_topology_churn() {
                 let _ = index.get(k);
             }
         }
-        let (relearn, rebalance) = index.maintain();
-        assert!(
-            !relearn.relearned,
-            "round {round}: stability guard failed: {relearn:?}"
-        );
+        let rebalance = index.maintain();
         assert_eq!(
             (rebalance.splits, rebalance.merges),
             (0, 0),
@@ -436,14 +275,14 @@ fn uniform_workload_triggers_zero_topology_churn() {
 
 /// Sixty-four narrow shards over a target of sixteen with the reads
 /// in one eighth of the key space: `compact()` walks the count down
-/// over several rounds; then the reads move to a narrow band and one
-/// `maintain()` re-learns under a step cap small enough that some
-/// target ranges are rebuilt and others only pinned by edge splits and
-/// merged inside.
+/// over several rounds; then the reads move to a narrow band inside a
+/// shard too short to split (`min_split_len`), and one `maintain()`
+/// merges the cold shards, each merge under a cap of 2 × 512
+/// elements.
 fn fragmented_then_compacted() -> Db {
     let cfg = ShardConfig {
         max_step_elems: 512,
-        ..replay_config(true, RelearnStrategy::Incremental, 16)
+        ..replay_config(16)
     };
     let db = Db::builder()
         .shard_config(cfg)
@@ -477,23 +316,18 @@ fn fragmented_then_compacted() -> Db {
 }
 
 /// The order in which steps execute is the order the planners emit
-/// them in. These tables were printed by this test at the commit
-/// before that was so (every step then carried a score and the plan
-/// was sorted by it): the same replays must journal the same steps, on
-/// the same shards, moving the same number of elements, in the same
-/// order.
+/// them in, and these tables are what the replays journalled when the
+/// split/merge pass became the one load-driven rule: the same replays
+/// must journal the same steps, on the same shards, moving the same
+/// number of elements, in the same order.
 #[test]
 fn step_order_matches_the_recorded_fixture() {
     let jump = HotspotMotion::Jump;
     let replays = [
-        (
-            "jumping band",
-            run_replay(true, RelearnStrategy::Incremental, jump, SHARDS, 1).1,
-            JUMP_STEPS,
-        ),
+        ("jumping band", run_replay(true, jump, SHARDS).1, JUMP_STEPS),
         (
             "drifting band",
-            run_replay(true, RelearnStrategy::NudgeOnly, drift_motion(), SHARDS, 1).1,
+            run_replay(true, drift_motion(), SHARDS).1,
             DRIFT_STEPS,
         ),
         ("compacted", fragmented_then_compacted(), COMPACT_STEPS),
@@ -511,32 +345,17 @@ fn step_order_matches_the_recorded_fixture() {
 }
 
 const JUMP_STEPS: &str = "\
-    rebuild@6:2907 rebuild@8:2394 rebuild@9:2105 rebuild@10:1827 rebuild@11:1534 \
-    rebuild@12:1274 rebuild@13:2047 rebuild@0:6496 rebuild@0:8718 rebuild@1:8409 \
-    rebuild@2:7885 rebuild@3:7251 rebuild@4:6638 rebuild@5:6336 rebuild@6:6289 \
-    rebuild@7:11858 split@7:11858 rebuild@8:13899 rebuild@10:13020 rebuild@11:12959 \
-    rebuild@12:12422 rebuild@13:11677 rebuild@14:10919 rebuild@15:0 rebuild@0:5363 \
-    rebuild@7:12972 rebuild@9:8008 rebuild@10:7976 rebuild@11:7639 rebuild@12:7173 \
-    rebuild@13:6683 rebuild@14:0 rebuild@0:14485";
+    split@6:2907 merge@2:2088 merge@3:2103 merge@0:2097 split@3:1161 \
+    split@5:1746 split@0:4038 merge@5:1938 merge@6:2811 merge@3:3352 \
+    split@0:1377 split@2:2661 merge@6:4749 split@3:4207 merge@0:2348 \
+    split@3:1358 split@2:2849 merge@0:3603 split@6:5435 merge@3:2296 \
+    merge@1:3812 split@5:2087 split@4:3348 merge@1:6108";
 
 const DRIFT_STEPS: &str = "\
-    nudge@0:3953 nudge@1:3732 nudge@2:4499 nudge@3:5284 nudge@4:6052 \
-    nudge@5:6839 nudge@6:7602 nudge@1:540 nudge@2:553 nudge@3:547 \
-    nudge@4:366 nudge@5:296 nudge@6:7306 nudge@0:1539 nudge@1:541 \
-    nudge@4:662 nudge@5:277 nudge@6:7134 nudge@0:2085 nudge@1:536 \
-    nudge@2:1133 nudge@3:1834 nudge@4:1249 nudge@5:790 nudge@6:7892 \
-    nudge@0:2621 nudge@1:1133 nudge@2:1834 nudge@3:886 nudge@4:555 \
-    nudge@6:7892 nudge@0:3754 nudge@1:1551 nudge@3:885 nudge@4:554 \
-    nudge@6:7892 nudge@0:5055 nudge@1:1015 nudge@2:969 nudge@3:799 \
-    nudge@4:741 nudge@5:879 nudge@6:8974 nudge@0:6070 nudge@1:969 \
-    nudge@2:799 nudge@3:741 nudge@4:879 nudge@5:1298 nudge@0:7039 \
-    nudge@1:799 nudge@2:741 nudge@3:879 nudge@4:1243 nudge@5:119 \
-    nudge@6:7731 nudge@0:7838 nudge@1:1068 nudge@2:1202 nudge@3:1587 \
-    nudge@4:656 nudge@5:119 nudge@6:7730 nudge@0:8787 nudge@1:1052 \
-    nudge@2:1900 nudge@3:1964 nudge@4:929 nudge@5:687 nudge@6:8444 \
-    nudge@0:9839 nudge@1:1900 nudge@2:1753 nudge@3:869 nudge@4:592 \
-    nudge@6:8444 nudge@0:11739 nudge@1:1660 nudge@3:868 nudge@4:592 \
-    nudge@6:8444";
+    split@1:2441 merge@3:2088 merge@6:2096 merge@4:2103 split@1:765 \
+    split@3:1676 split@4:2897 merge@0:2775 split@3:1302 split@5:1595 \
+    split@6:2705 merge@1:2649 split@5:1211 split@7:1494 split@8:2705 \
+    merge@2:2605 merge@3:2579 split@6:1224 split@8:1481";
 
 const COMPACT_STEPS: &str = "\
     merge@1:131 merge@35:121 merge@41:145 merge@5:121 merge@32:120 \
@@ -548,10 +367,6 @@ const COMPACT_STEPS: &str = "\
     merge@3:195 merge@22:205 merge@6:208 merge@4:199 merge@15:178 \
     merge@16:249 merge@13:262 merge@23:276 merge@18:238 merge@20:251 \
     merge@22:256 merge@7:176 merge@10:237 merge@8:253 merge@0:273 \
-    merge@1:323 merge@11:319 merge@3:435 split@3:435 split@8:262 \
-    split@13:238 split@15:171 rebuild@15:170 rebuild@17:101 rebuild@18:88 \
-    rebuild@19:74 rebuild@20:64 rebuild@21:55 rebuild@22:46 rebuild@23:43 \
-    rebuild@24:32 rebuild@25:19 rebuild@26:0 rebuild@14:147 merge@0:596 \
-    merge@0:795 merge@2:355 merge@2:608 merge@2:845 merge@2:999 \
-    merge@3:286 merge@3:535 merge@3:854 merge@3:1001 merge@16:252 \
-    merge@16:528 merge@16:784";
+    merge@1:323 merge@11:319 merge@3:435 merge@8:427 merge@6:499 \
+    merge@4:429 merge@10:527 merge@7:557 merge@0:596 merge@8:783 \
+    merge@0:795 merge@1:864 merge@2:926";
