@@ -8,8 +8,9 @@
 //!
 //! * `static` — the bulk-loaded topology, never maintained;
 //! * `maintained` — the split/merge pass
-//!   ([`maintain`](rma_shard::ShardedRma::maintain)): hot shards split
-//!   at their access-CDF midpoint, cold neighbours merge;
+//!   ([`maintain`](rma_shard::ShardedRma::maintain)): hot shards are
+//!   cut at the quantiles of their access mass, runs of cold
+//!   neighbours merge;
 //! * `compact` (jump phase set only) — as `maintained`, plus the
 //!   idle-time consolidation chain run in the quiet period at every
 //!   phase boundary, so the split accretion cannot ratchet the shard
@@ -62,7 +63,6 @@ fn shard_config(cli: &Cli) -> ShardConfig {
     ShardConfig {
         num_shards: SHARDS,
         rma: RmaConfig::with_segment_size(cli.seg),
-        min_split_len: 256,
         ..Default::default()
     }
 }

@@ -90,7 +90,6 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     let cfg = ShardConfig {
         num_shards: SHARDS,
         rma: RmaConfig::with_segment_size(cli.seg),
-        min_split_len: 256,
         ..Default::default()
     };
     let mut base: Vec<(i64, i64)> = {

@@ -92,16 +92,14 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
             reserve_bytes: 1 << 28,
             ..RmaConfig::with_segment_size(cli.seg)
         },
-        min_split_len: 256,
         // Step budget for a 10 ms stall SLO on a single-core host: a
         // step's locked window costs ~its residents' bulk-load time,
         // and a saturated 1-CPU box roughly doubles the wall clock a
         // blocked writer observes, so one step must stay ~2 ms of
         // CPU. Smaller steps simply mean more of them — the plan
-        // engine's point. The shard-length backstop keeps every
-        // shard small enough that even the (uncapped) split that
-        // shrinks a hot shard fits the budget.
-        max_step_elems: 1 << 15,
+        // engine's point. The shard-length backstop bounds every
+        // merge and keeps every shard small enough that even the
+        // (unbounded) split that shrinks a hot shard fits the budget.
         max_shard_len: Some(1 << 15),
     };
     let mut base: Vec<(i64, i64)> = {

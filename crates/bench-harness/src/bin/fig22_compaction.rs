@@ -11,7 +11,7 @@
 //! (1000 ops/s), the idle gate engages,
 //! and the consolidation chain
 //! ([`rma_shard::ShardedRma::plan_consolidation`]) merges the coldest
-//! neighbour pairs until the count is back at
+//! runs of neighbours until the count is back at
 //! [`COMPACT_TARGET_FACTOR`]` x num_shards`.
 //!
 //! Recorded per run:
@@ -64,7 +64,6 @@ fn shard_config(cli: &Cli) -> ShardConfig {
     ShardConfig {
         num_shards: SHARDS,
         rma: RmaConfig::with_segment_size(cli.seg),
-        min_split_len: 256,
         ..Default::default()
     }
 }
@@ -274,7 +273,7 @@ fn main() {
     let compact_merges = index.compact();
     index.check_invariants();
     println!(
-        "# quiet period: {quiet_ms} ms, {background_consolidations} background consolidation merges, {compact_merges} backstop merges"
+        "# quiet period: {quiet_ms} ms, {background_consolidations} background consolidation merges, {compact_merges} shards merged away by the backstop"
     );
 
     // --- after: routed throughput over the compacted topology -------

@@ -283,10 +283,10 @@ impl Db {
     }
 
     /// Synchronous shard-count consolidation
-    /// ([`rma_shard::ShardedRma::compact`]): merges the coldest
-    /// neighbour pairs in cap-bounded steps until the live shard
-    /// count reaches the configured target, returning the merges
-    /// executed. The background maintainer runs the same chain
+    /// ([`rma_shard::ShardedRma::compact`]): merges the coldest runs
+    /// of neighbours in bounded steps until the live shard count
+    /// reaches the configured target, returning how many shards the
+    /// merges took away. The background maintainer runs the same chain
     /// automatically in idle troughs; call this for an on-demand
     /// compaction at a known quiet point.
     pub fn compact(&self) -> usize {
@@ -517,7 +517,6 @@ mod tests {
                 reserve_bytes: 1 << 24,
                 ..Default::default()
             },
-            min_split_len: 64,
             ..Default::default()
         })
     }
@@ -531,12 +530,15 @@ mod tests {
         assert_eq!(
             Db::builder()
                 .shard_config(ShardConfig {
-                    max_step_elems: 0,
+                    max_shard_len: Some(0),
                     ..Default::default()
                 })
                 .build()
                 .unwrap_err(),
-            ConfigError::Engine(EngineError::ZeroMaxStepElems)
+            ConfigError::Engine(EngineError::ShardLenBackstopBelowMinSplit {
+                backstop: 0,
+                min_len: 1024
+            })
         );
         assert_eq!(
             Db::builder()
@@ -557,8 +559,8 @@ mod tests {
     fn compact_walks_a_fragmented_facade_back_to_target() {
         // A handle built over a deliberately over-fragmented splitter
         // set: `compact()` must walk the shard count back to the
-        // engine target and report one merge per retired shard, and
-        // the engine's ledger must count them.
+        // engine target and report the shards it retired, and the
+        // engine's ledger must count its merges as consolidations.
         let db = small()
             .splitter_keys((1..16).map(|i| i * 100).collect())
             // Parked poll cadence: the background thread must not race
@@ -578,7 +580,8 @@ mod tests {
         assert_eq!(db.stats().engine.num_shards, 4);
         assert_eq!(db.stats().engine.len, 1600);
         let ledger = db.stats().engine.maintenance;
-        assert_eq!((ledger.merges, ledger.consolidations), (12, 12));
+        assert!(ledger.merges >= 1, "{ledger:?}");
+        assert_eq!(ledger.consolidations, ledger.merges, "{ledger:?}");
         assert_eq!(
             ledger.steps_dropped, 0,
             "nothing drifted under a synchronous compact"

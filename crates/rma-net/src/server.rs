@@ -112,10 +112,8 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
         let epoll = Epoll::new()?;
-        let wake = EventFd::new()?;
         let shutdown = Arc::new(EventFd::new()?);
         epoll.add(&listener, EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(&wake, EPOLLIN, TOKEN_WAKE)?;
         epoll.add(&*shutdown, EPOLLIN, TOKEN_SHUTDOWN)?;
         let stats = Arc::new(NetStats::default());
         let thread_stats = Arc::clone(&stats);
@@ -128,7 +126,6 @@ impl NetServer {
                     session: db.session(),
                     listener,
                     epoll,
-                    wake,
                     stats: thread_stats,
                     conns: Vec::new(),
                     free: Vec::new(),
@@ -166,8 +163,7 @@ impl Drop for NetServer {
 }
 
 const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKE: u64 = u64::MAX - 1;
-const TOKEN_SHUTDOWN: u64 = u64::MAX - 2;
+const TOKEN_SHUTDOWN: u64 = u64::MAX - 1;
 
 /// Streaming state of one clamped `Scan`, as of its latest submitted
 /// chunk.
@@ -259,9 +255,6 @@ struct EventLoop<'db> {
     session: Session<'db>,
     listener: TcpListener,
     epoll: Epoll,
-    /// Posted when a pass leaves work that no socket event will
-    /// announce: a parseable frame or a scan continuation.
-    wake: EventFd,
     stats: Arc<NetStats>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -419,15 +412,22 @@ fn execute(db: &Db, session: &mut Session<'_>, ops: &[Op]) -> Option<Ticket> {
 impl EventLoop<'_> {
     fn run(&mut self) {
         let mut events: Vec<(u32, u64)> = Vec::new();
+        // A pass that left work no socket event will announce (a
+        // parseable frame, a scan continuation) makes the next wait a
+        // poll.
+        let mut rearm = false;
         'outer: loop {
             events.clear();
-            if self.epoll.wait(&mut events, -1).is_err() {
+            if self
+                .epoll
+                .wait(&mut events, if rearm { 0 } else { -1 })
+                .is_err()
+            {
                 break;
             }
             for &(ev, token) in &events {
                 match token {
                     TOKEN_SHUTDOWN => break 'outer,
-                    TOKEN_WAKE => self.wake.drain(),
                     TOKEN_LISTENER => self.accept_all(),
                     t => {
                         let Some(conn) = lookup(&mut self.conns, t) else {
@@ -446,7 +446,7 @@ impl EventLoop<'_> {
                     }
                 }
             }
-            self.advance();
+            rearm = self.advance();
         }
         for idx in 0..self.conns.len() {
             self.close_conn(idx);
@@ -559,7 +559,9 @@ impl EventLoop<'_> {
     /// submits and execute them, submit gated scan continuations, wait
     /// the pass's tickets and encode their replies, flush write
     /// buffers, recompute epoll interest, reap closed connections.
-    fn advance(&mut self) {
+    /// Returns whether it left work that no socket event will
+    /// announce.
+    fn advance(&mut self) -> bool {
         // Flush before anything gated on write-buffer headroom
         // (parsing, scan continuations): frames the last pass encoded
         // must not keep the gates closed after the socket would have
@@ -773,9 +775,7 @@ impl EventLoop<'_> {
                 self.close_conn(idx);
             }
         }
-        if rearm {
-            self.wake.signal();
-        }
+        rearm
     }
 
     fn close_conn(&mut self, idx: usize) {

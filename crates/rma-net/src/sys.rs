@@ -7,7 +7,7 @@
 
 use rewiring::libc;
 use std::fs::File;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
 /// A `-1` return as the thread's `errno`.
@@ -88,8 +88,8 @@ impl Epoll {
     }
 }
 
-/// An eventfd used to wake the epoll loop from other threads
-/// (ticket-completion wakers, shutdown).
+/// An eventfd that wakes the epoll loop from another thread: the
+/// server handle posts one to shut the loop down.
 #[derive(Debug)]
 pub(crate) struct EventFd {
     file: File,
@@ -114,12 +114,6 @@ impl EventFd {
     pub(crate) fn signal(&self) {
         let _ = (&self.file).write(&1u64.to_ne_bytes());
     }
-
-    /// Consumes all pending wake-ups: the fd is not `EFD_SEMAPHORE`,
-    /// so one read returns the whole count and zeroes it.
-    pub(crate) fn drain(&self) {
-        let _ = (&self.file).read(&mut [0u8; 8]);
-    }
 }
 
 impl AsRawFd for EventFd {
@@ -131,6 +125,7 @@ impl AsRawFd for EventFd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read as _;
 
     #[test]
     fn eventfd_wakes_epoll_and_drains() {
@@ -145,7 +140,8 @@ mod tests {
         ep.wait(&mut evs, 1000).expect("wait");
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].1, 42);
-        ef.drain();
+        // Not `EFD_SEMAPHORE`: one read takes the whole count.
+        (&ef.file).read_exact(&mut [0u8; 8]).expect("drain");
         evs.clear();
         ep.wait(&mut evs, 0).expect("wait");
         assert!(evs.is_empty(), "drained");

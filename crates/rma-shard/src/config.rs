@@ -24,26 +24,20 @@ pub struct ShardConfig {
     /// count over time (idle-time consolidation steers back toward
     /// this count).
     pub num_shards: usize,
-    /// Configuration applied to every per-shard RMA.
+    /// Configuration applied to every per-shard RMA. A shard shorter
+    /// than [`MIN_SPLIT_SEGMENTS`] of its segments never splits.
     pub rma: RmaConfig,
-    /// Shards shorter than this never split, regardless of imbalance.
-    pub min_split_len: usize,
-    /// Bounds a merge, the only step it bounds: a load-driven merge
-    /// may build a shard of at most twice this many elements, which
-    /// bounds how long it holds its shard locks (and therefore the
-    /// writer stall it can cause). Idle-time consolidation may also
-    /// merge up to two average target-count shards. A split is not
-    /// bounded by it — a split is how an oversized shard shrinks;
-    /// `max_shard_len` is what keeps shards small enough for that.
-    pub max_step_elems: usize,
     /// Optional shard-length backstop for latency-SLO deployments:
-    /// when set, maintenance splits any shard that grows past this
-    /// many elements *regardless of access balance*, because a shard
-    /// bigger than one step can rebuild would break the bounded-stall
-    /// guarantee the moment it needs restructuring (pair it with a
-    /// comparable `max_step_elems`). `None` (the default) leaves
-    /// shard sizes to the access-driven policy — throughput-oriented
-    /// deployments with few large shards stay churn-free.
+    /// when set, maintenance cuts any shard that grows past this many
+    /// elements into pieces within it *regardless of access balance*,
+    /// because a shard bigger than one step can rebuild would break
+    /// the bounded-stall guarantee the moment it needs restructuring;
+    /// and a merge builds at most this many elements (2^17 when
+    /// unset), which bounds how long it holds its shard locks. A
+    /// split is not bounded — it is how an oversized shard shrinks.
+    /// `None` (the default) leaves shard sizes to the access-driven
+    /// policy — throughput-oriented deployments with few large shards
+    /// stay churn-free.
     pub max_shard_len: Option<usize>,
 }
 
@@ -52,14 +46,22 @@ impl Default for ShardConfig {
         ShardConfig {
             num_shards: 8,
             rma: RmaConfig::default(),
-            min_split_len: 1024,
-            max_step_elems: 1 << 16,
             max_shard_len: None,
         }
     }
 }
 
+/// A shard shorter than this many segments of its RMA never splits,
+/// however hot it runs: 1 024 elements at the default segment size.
+pub const MIN_SPLIT_SEGMENTS: usize = 8;
+
 impl ShardConfig {
+    /// The shortest shard that may split: [`MIN_SPLIT_SEGMENTS`]
+    /// segments.
+    pub(crate) fn min_split(&self) -> usize {
+        MIN_SPLIT_SEGMENTS * self.rma.segment_size
+    }
+
     /// Panicking form of [`try_validate`](Self::try_validate), used by
     /// the direct `ShardedRma` constructors (whose contract is to
     /// abort on programmer error).
@@ -75,14 +77,11 @@ impl ShardConfig {
         if self.num_shards < 1 {
             return Err(ConfigError::ZeroShards);
         }
-        if self.max_step_elems < 1 {
-            return Err(ConfigError::ZeroMaxStepElems);
-        }
         if let Some(m) = self.max_shard_len {
-            if m < self.min_split_len {
+            if m < self.min_split() {
                 return Err(ConfigError::ShardLenBackstopBelowMinSplit {
                     backstop: m,
-                    min_split_len: self.min_split_len,
+                    min_len: self.min_split(),
                 });
             }
         }
@@ -99,16 +98,13 @@ impl ShardConfig {
 pub enum ConfigError {
     /// `num_shards == 0`: the index needs at least one shard.
     ZeroShards,
-    /// `max_step_elems == 0`: a maintenance step must be allowed to
-    /// move at least one element.
-    ZeroMaxStepElems,
-    /// `max_shard_len < min_split_len`: a shard past the backstop
-    /// could never split.
+    /// `max_shard_len` below [`MIN_SPLIT_SEGMENTS`] segments: a shard
+    /// past the backstop could never split.
     ShardLenBackstopBelowMinSplit {
         /// The offending backstop.
         backstop: usize,
         /// The minimum length a splittable shard must have.
-        min_split_len: usize,
+        min_len: usize,
     },
     /// The per-shard RMA configuration was rejected.
     Rma(RmaConfigError),
@@ -126,16 +122,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroShards => f.write_str("need at least one shard"),
-            ConfigError::ZeroMaxStepElems => {
-                f.write_str("a maintenance step must be allowed to move at least one element")
-            }
-            ConfigError::ShardLenBackstopBelowMinSplit {
-                backstop,
-                min_split_len,
-            } => write!(
+            ConfigError::ShardLenBackstopBelowMinSplit { backstop, min_len } => write!(
                 f,
-                "a shard-length backstop below min_split_len could never \
-                 split (backstop {backstop}, min_split_len {min_split_len})"
+                "a shard-length backstop below the shortest splittable shard \
+                 could never split (backstop {backstop}, shortest {min_len})"
             ),
             ConfigError::Rma(e) => e.fmt(f),
             ConfigError::ZeroPollInterval => f.write_str("poll interval must be positive"),
@@ -181,18 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_max_step_elems_rejected() {
-        let cfg = ShardConfig {
-            max_step_elems: 0,
-            ..base()
-        };
-        assert_eq!(cfg.try_validate(), Err(ConfigError::ZeroMaxStepElems));
-    }
-
-    #[test]
     fn shard_len_backstop_below_min_split_rejected() {
+        // Eight segments of 128: no shard below 1 024 elements splits.
         let cfg = ShardConfig {
-            min_split_len: 1024,
             max_shard_len: Some(512),
             ..base()
         };
@@ -200,7 +181,7 @@ mod tests {
             cfg.try_validate(),
             Err(ConfigError::ShardLenBackstopBelowMinSplit {
                 backstop: 512,
-                min_split_len: 1024
+                min_len: 1024
             })
         );
     }
@@ -221,7 +202,11 @@ mod tests {
     fn display_matches_the_historic_panic_messages() {
         // Downstream should_panic tests match on these substrings;
         // the typed errors must keep printing them.
-        let text = ConfigError::ZeroMaxStepElems.to_string();
-        assert!(text.contains("at least one element"), "{text}");
+        let backstop = ConfigError::ShardLenBackstopBelowMinSplit {
+            backstop: 0,
+            min_len: 1024,
+        };
+        let text = backstop.to_string();
+        assert!(text.contains("could never split"), "{text}");
     }
 }

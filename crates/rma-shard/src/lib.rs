@@ -25,11 +25,13 @@
 //!   periodically halved so stale hotspots fade;
 //! * maintenance is an **incremental plan engine**
 //!   ([`maintenance`] module) with one load-driven rule: a shard whose
-//!   access mass exceeds twice the mean splits at its access-CDF
-//!   midpoint, and adjacent shards below half the mean merge — the
-//!   paper's window-local rebalance, weighed by access, one level up.
+//!   access mass exceeds twice the mean is cut at the quantiles of its
+//!   access mass into as many pieces as that needs, and each run of
+//!   adjacent shards below half the mean merges — the paper's
+//!   window-local rebalance, weighed by access, one level up.
 //!   [`plan_maintenance`](ShardedRma::plan_maintenance) *plans* the
-//!   rule as bounded [`MaintenanceStep`]s and an executor applies one
+//!   rule as bounded [`MaintenanceStep`]s — each one re-cut of a key
+//!   range, which moves every key in it once — and an executor applies one
 //!   step at a time, each publishing its own copy-on-write topology,
 //!   so maintenance never stalls a writer for more than one step;
 //!   [`maintain`](ShardedRma::maintain) drains the plan at once, and
@@ -359,9 +361,9 @@ pub struct MaintenanceStats {
     /// Elements rebuilt under the locks of all executed steps — see
     /// [`StepReport::migrated`] for the one definition.
     pub keys_migrated: u64,
-    /// Executed [`MaintenanceStep::SplitShard`] steps.
+    /// Executed steps that built more shards than they took.
     pub splits: u64,
-    /// Executed [`MaintenanceStep::MergePair`] steps.
+    /// Every other executed step.
     pub merges: u64,
     /// The merges among them that a consolidation plan
     /// ([`ShardedRma::plan_consolidation`]) ran.
@@ -880,9 +882,10 @@ impl ShardedRma {
         topo.shards.iter().map(|s| s.stats.total()).collect()
     }
 
-    /// Length of the largest shard — what the maintenance trigger
-    /// holds against the [`ShardConfig::max_shard_len`] backstop.
-    pub fn max_shard_len(&self) -> usize {
+    /// Length of the longest live shard — what the maintenance
+    /// trigger holds against the [`ShardConfig::max_shard_len`]
+    /// backstop.
+    pub fn longest_shard_len(&self) -> usize {
         self.topo().lens().max().unwrap_or(0)
     }
 
@@ -947,7 +950,6 @@ mod tests {
                 reserve_bytes: 1 << 24,
                 ..Default::default()
             },
-            min_split_len: 64,
             ..Default::default()
         }
     }
@@ -1123,8 +1125,19 @@ mod tests {
 
     /// Runs one maintenance step on `s` and says whether it ran.
     fn step(s: &ShardedRma, step: MaintenanceStep) -> bool {
-        let report = s.execute_step(&mut s.plan_of(&[step], false));
+        let report = s.execute_step(&mut s.plan_of(vec![step]));
         report.expect("one step planned").executed
+    }
+
+    /// The step that cuts the shard holding `at` in two at `at`.
+    fn split_at(s: &ShardedRma, at: Key) -> MaintenanceStep {
+        let splitters = s.splitters();
+        let (lo, hi) = splitters.range_of(splitters.route(at));
+        MaintenanceStep::Recut {
+            lo,
+            hi,
+            cuts: vec![at],
+        }
     }
 
     /// Hands `f` a topology pinned before a split at `at` published its
@@ -1135,7 +1148,7 @@ mod tests {
         let stale = s.topo();
         std::thread::scope(|sc| {
             // Blocks in its grace wait until `f` drops `stale`.
-            let splitter = sc.spawn(|| step(s, MaintenanceStep::SplitShard { at }));
+            let splitter = sc.spawn(|| step(s, split_at(s, at)));
             while s.maintenance_stats().topologies_published == published {
                 std::thread::yield_now();
             }
@@ -1372,12 +1385,18 @@ mod tests {
                     match c % 4 {
                         1 => {
                             let (lo, hi) = widest(&grouped, space);
-                            prop_assert!(step(&grouped, MaintenanceStep::SplitShard { at: (lo + hi) / 2 }));
+                            prop_assert!(step(&grouped, split_at(&grouped, (lo + hi) / 2)));
                             grouped.apply_ops(chunk, &mut got);
                         }
                         2 if !grouped.splitters().keys().is_empty() => {
-                            let keys = grouped.splitters().keys().to_vec();
-                            let merge = MaintenanceStep::MergePair { splitter: keys[c / 4 % keys.len()] };
+                            // The two shards either side of one splitter.
+                            let splitters = grouped.splitters();
+                            let j = c / 4 % splitters.keys().len();
+                            let merge = MaintenanceStep::Recut {
+                                lo: splitters.range_of(j).0,
+                                hi: splitters.range_of(j + 1).1,
+                                cuts: Vec::new(),
+                            };
                             prop_assert!(step(&grouped, merge));
                             grouped.apply_ops(chunk, &mut got);
                         }
@@ -1415,10 +1434,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one element")]
+    #[should_panic(expected = "could never split")]
     fn invalid_config_panics() {
         let cfg = ShardConfig {
-            max_step_elems: 0,
+            max_shard_len: Some(0),
             ..ShardConfig::default()
         };
         let _ = ShardedRma::new(cfg);

@@ -28,8 +28,8 @@
 //!    count exceeds [`COMPACT_TARGET_FACTOR`] ×
 //!    the configured `num_shards`, schedules one round of the
 //!    idle-time consolidation chain
-//!    ([`ShardedRma::plan_consolidation`]) — cap-bounded merges of
-//!    the coldest neighbour pairs that steer an accreted topology
+//!    ([`ShardedRma::plan_consolidation`]) — bounded merges of the
+//!    coldest runs of neighbours that steer an accreted topology
 //!    back toward its target in the troughs between bursts.
 //!
 //! Every [`MaintainerConfig::checkpoint_interval`] it also seals a
@@ -372,7 +372,7 @@ fn maintainer_loop(
                 && index
                     .config()
                     .max_shard_len
-                    .is_some_and(|m| index.max_shard_len() > m);
+                    .is_some_and(|m| index.longest_shard_len() > m);
             let triggered = (enough_ops && index.access_imbalance() >= cfg.imbalance_trigger)
                 || backstop_breached;
             if triggered {
@@ -451,10 +451,8 @@ mod tests {
 
     #[test]
     fn maintainer_rebalances_a_skewed_index() {
-        let mut cfg = small_cfg(4);
-        cfg.min_split_len = 64;
         let s = Arc::new(ShardedRma::with_splitters(
-            cfg,
+            small_cfg(4),
             Splitters::new(vec![1000, 2000, 3000]),
         ));
         let m = s.start_maintainer(MaintainerConfig {
@@ -486,8 +484,8 @@ mod tests {
             "maintainer never executed a step"
         );
         s.check_invariants();
-        // One round splits the hot shard and may merge a cold pair,
-        // leaving the shard count where it was: the splitters moved.
+        // One round cuts the hot shard and may merge a cold run: the
+        // splitters moved.
         assert!(ledger.splits >= 1, "the hot shard never split: {ledger:?}");
         assert_ne!(s.splitters().keys(), [1000, 2000, 3000], "{ledger:?}");
     }

@@ -2,12 +2,11 @@
 //! publishing its own copy-on-write topology through the epoch
 //! handle.
 //!
-//! Both restructuring steps are the same operation — *re-cut a
-//! contiguous run of shards into one shard, or two at one cut* — so
-//! there is one executor: `resolve` turns the step into the shards it
-//! names on the live topology, `recut` does the work. Per step (under
-//! the maintenance mutex, which serializes publications but is held
-//! only for the *one* step):
+//! There is one step — *re-cut a contiguous run of whole shards at a
+//! list of cuts* — and one procedure for it: `resolve` finds the
+//! shards the step names on the live topology, `recut` does the work.
+//! Per step (under the maintenance mutex, which serializes
+//! publications but is held only for the *one* step):
 //!
 //! 1. resolve the step's keys against the live topology — the plan
 //!    may be stale (a concurrent planner, or earlier steps of this
@@ -34,13 +33,17 @@ use rma_obs::EventKind;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+/// The most elements a merge may build while
+/// `ShardConfig::max_shard_len` is unset.
+const MERGE_CAP: usize = 1 << 17;
+
 /// What one [`ShardedRma::execute_step`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
     /// The step that was popped from the plan.
     pub step: MaintenanceStep,
     /// False when the step was skipped as stale (or would have
-    /// exceeded the per-step element cap).
+    /// exceeded the merge bound).
     pub executed: bool,
     /// Elements rebuilt under the step's locks: every resident of
     /// every shard the step drained, whichever side of a boundary it
@@ -48,17 +51,24 @@ pub struct StepReport {
     /// [`MaintenanceStats::keys_migrated`](crate::MaintenanceStats)
     /// sums.
     pub migrated: u64,
+    /// Shards the step drained (0 when skipped).
+    pub taken: usize,
+    /// Shards the step built in their place (0 when skipped).
+    pub built: usize,
 }
 
-/// Aggregate of one [`ShardedRma::drain_plan`] call, by step kind.
+/// Aggregate of one [`ShardedRma::drain_plan`] call. An executed step
+/// that built more shards than it took is a split, any other a merge.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Executed [`MaintenanceStep::SplitShard`] steps.
+    /// Executed steps that built more shards than they took.
     pub splits: usize,
-    /// Executed [`MaintenanceStep::MergePair`] steps.
+    /// Every other executed step.
     pub merges: usize,
     /// Steps skipped as stale.
     pub skipped: usize,
+    /// Shards the merges took away: taken minus built.
+    pub retired: usize,
 }
 
 impl DrainReport {
@@ -67,24 +77,31 @@ impl DrainReport {
         self.splits + self.merges
     }
 
-    /// Counts one step under its kind, or as skipped, and returns the
-    /// kind's journal event: the one classification of a step, which
-    /// the engine's ledger files through as well
-    /// (`MaintCounters::file`).
+    /// Counts one step as a split, a merge or skipped, and returns its
+    /// journal event: the one classification of a step, which the
+    /// engine's ledger files through as well (`MaintCounters::file`).
     pub(crate) fn count(&mut self, sr: &StepReport) -> EventKind {
-        let (kind, event) = match sr.step {
-            MaintenanceStep::SplitShard { .. } => (&mut self.splits, EventKind::Split),
-            MaintenanceStep::MergePair { .. } => (&mut self.merges, EventKind::Merge),
-        };
-        *if sr.executed { kind } else { &mut self.skipped } += 1;
-        event
+        let split = sr.built > sr.taken;
+        if !sr.executed {
+            self.skipped += 1;
+        } else if split {
+            self.splits += 1;
+        } else {
+            self.merges += 1;
+            self.retired += sr.taken - sr.built;
+        }
+        if split {
+            EventKind::Split
+        } else {
+            EventKind::Merge
+        }
     }
 }
 
 impl MaintCounters {
-    /// Files one popped step in the ledger — by kind or as skipped,
-    /// its migrated elements, and a consolidation plan's merges — and
-    /// returns its journal event.
+    /// Files one popped step in the ledger — as a split, a merge or
+    /// skipped, its migrated elements, and a consolidation plan's
+    /// merges — and returns its journal event.
     fn file(&self, sr: &StepReport, consolidation: bool) -> EventKind {
         let mut one = DrainReport::default();
         let event = one.count(sr);
@@ -132,27 +149,42 @@ impl ShardedRma {
         let step = plan.pop()?;
         let obs_on = self.obs().enabled();
         let t0 = if obs_on { rma_obs::now_ns() } else { 0 };
-        // `anchor` is the shard index the journal entry names, on the
+        let mut report = StepReport {
+            step,
+            executed: false,
+            migrated: 0,
+            taken: 0,
+            built: 0,
+        };
+        // `first` is the shard index the journal entry names, on the
         // topology current *before* execution (which replaces it): the
         // first shard of the re-cut run.
-        let (migrated, anchor) = {
+        let first = {
             let _maint = self.maintenance_guard();
             let topo = self.handle.load_exclusive();
-            match self.resolve(step, topo, plan.consolidation_planned()) {
-                Some(recut) => (self.recut(recut), recut.first),
-                None => (None, 0),
+            let resolved = self.resolve(&report.step, topo);
+            if let Some((first, last, cuts)) = resolved {
+                let (taken, built) = (last + 1 - first, cuts.len() + 1);
+                let bound = match (built > taken, plan.consolidation_planned()) {
+                    // A split is how an oversized shard shrinks.
+                    (true, _) => usize::MAX,
+                    // Consolidation plans run behind the idle gate, so
+                    // their merges are allowed the wider idle bound.
+                    (false, true) => self.consolidation_bound(),
+                    (false, false) => self.merge_bound(),
+                };
+                if let Some(migrated) = self.recut(first, last, cuts, bound) {
+                    (report.executed, report.migrated) = (true, migrated);
+                    (report.taken, report.built) = (taken, built);
+                }
             }
-        };
-        let report = StepReport {
-            step,
-            executed: migrated.is_some(),
-            migrated: migrated.unwrap_or(0),
+            resolved.map_or(0, |r| r.0)
         };
         let event = (self.maint_counters).file(&report, plan.consolidation_planned());
         if report.executed && obs_on {
             let dur = rma_obs::now_ns().saturating_sub(t0);
             self.obs().record_step(dur);
-            self.obs().log(event, anchor as u32, dur, report.migrated);
+            self.obs().log(event, first as u32, dur, report.migrated);
         }
         // Re-anchor at the post-step state: the step itself may have
         // changed the shard count, and the plan's own progress must
@@ -201,26 +233,24 @@ impl ShardedRma {
         self.handle.reclaim(retired);
     }
 
-    /// The largest shard a merge may produce: twice the per-step work
-    /// cap (one merge *is* the step, so this directly bounds its
-    /// locked window), further clamped to the `max_shard_len`
-    /// backstop when one is configured — merging past the backstop
-    /// would just make the next round split the result again
-    /// (a permanent merge/split oscillation).
+    /// The largest shard a merge may build — one merge *is* the
+    /// step, so this directly bounds its locked window: the
+    /// `max_shard_len` backstop when one is configured (merging past
+    /// it would just make the next round split the result again, a
+    /// permanent merge/split oscillation), [`MERGE_CAP`] otherwise.
     pub(crate) fn merge_bound(&self) -> usize {
-        let cap = self.cfg.max_step_elems.saturating_mul(2);
-        self.cfg.max_shard_len.map_or(cap, |m| cap.min(m))
+        self.cfg.max_shard_len.unwrap_or(MERGE_CAP)
     }
 
     /// The wider merge bound the idle-time consolidation chain plans
     /// and executes against. [`merge_bound`](Self::merge_bound)
     /// protects *foreground* writers — a merge is one locked window,
-    /// so under load it must stay inside the per-step work cap — but
+    /// so under load it must stay inside the bound — but
     /// consolidation only runs once the op-rate gate says the index
-    /// is idle, and with the strict cap a topology whose natural
-    /// shard size exceeds `2 x max_step_elems` could never merge at
-    /// all, leaving the configured target unreachable at scale. The
-    /// idle bound therefore also admits any merge no bigger than two
+    /// is idle, and with the strict bound a topology whose natural
+    /// shard size exceeds half of it could never merge at all,
+    /// leaving the configured target unreachable at scale. The idle
+    /// bound therefore also admits any merge no bigger than two
     /// average target-count shards, still clamped to the
     /// `max_shard_len` backstop.
     pub(crate) fn consolidation_bound(&self) -> usize {
@@ -229,69 +259,39 @@ impl ShardedRma {
         self.cfg.max_shard_len.map_or(widened, |m| widened.min(m))
     }
 
-    /// Names what a step re-cuts on the live topology, or `None` when
-    /// the step is stale. A split of shard `j` at `at` is shard `j`
-    /// cut at `at`; a merge across splitter `s` is the two shards
-    /// either side of it, uncut. Both find their shards by key, so a
-    /// merge removes its own boundary whatever its neighbours have
-    /// become since the plan was made — which indices fixed at plan
+    /// Names what a step re-cuts on the live topology — shards
+    /// `first..=last` and the cuts — or `None` when the step is
+    /// stale: its edges are no longer shard boundaries, its cuts are
+    /// not strictly ascending inside them, or they are the run's
+    /// inner boundaries already. The shards are found by key, so a
+    /// step re-cuts exactly the range it was planned for whatever the
+    /// rest of the topology has become — which indices fixed at plan
     /// time could not promise.
-    ///
-    /// A split passes no bound: it is how an oversized shard shrinks,
-    /// so on shards far above `max_step_elems` its locked window is
-    /// set by shard size, not by the cap (`max_shard_len` is what
-    /// keeps a shard inside one step's budget).
-    fn resolve(
+    fn resolve<'s>(
         &self,
-        step: MaintenanceStep,
+        step: &'s MaintenanceStep,
         topo: &Topology,
-        consolidation: bool,
-    ) -> Option<Recut> {
+    ) -> Option<(usize, usize, &'s [Key])> {
+        let MaintenanceStep::Recut { lo, hi, cuts } = step;
         let sp = &topo.splitters;
-        match step {
-            MaintenanceStep::SplitShard { at } => {
-                let j = sp.route(at);
-                // Already a boundary: stale.
-                (sp.range_of(j).0 != Some(at)).then_some(Recut {
-                    first: j,
-                    last: j,
-                    cut: Some(at),
-                    bound: usize::MAX,
-                })
-            }
-            MaintenanceStep::MergePair { splitter } => {
-                let l = sp.keys().binary_search(&splitter).ok()?;
-                // Consolidation plans run behind the idle gate, so
-                // their merges are allowed the wider idle bound.
-                let bound = if consolidation {
-                    self.consolidation_bound()
-                } else {
-                    self.merge_bound()
-                };
-                Some(Recut {
-                    first: l,
-                    last: l + 1,
-                    cut: None,
-                    bound,
-                })
-            }
+        let inside = |k: &Key| lo.is_none_or(|l| l < *k) && hi.is_none_or(|h| *k < h);
+        let ascending = cuts.windows(2).all(|w| w[0] < w[1]);
+        if lo.zip(*hi).is_some_and(|(l, h)| l >= h) || !ascending || !cuts.iter().all(inside) {
+            return None;
         }
+        let (first, last) = sp.overlapping(*lo, *hi);
+        let whole = sp.range_of(first).0 == *lo && sp.range_of(last).1 == *hi;
+        (whole && sp.keys()[first..last] != cuts[..]).then_some((first, last, &cuts[..]))
     }
 
     /// The one restructuring step: shards `first..=last` become one
-    /// shard, or two either side of `cut`. Locks the shards, drains
-    /// them, cuts the sorted run, builds the successors with
-    /// histograms seeded from the drained shards', and publishes.
-    /// Refused (`None`) when the shards hold more than `bound`
-    /// elements; otherwise returns how many elements were rebuilt
-    /// under the locks.
-    fn recut(&self, recut: Recut) -> Option<u64> {
-        let Recut {
-            first,
-            last,
-            cut,
-            bound,
-        } = recut;
+    /// shard per range between `cuts`. Locks the shards, drains them,
+    /// cuts the sorted run, builds the successors with histograms
+    /// seeded from the drained shards', and publishes. Refused
+    /// (`None`) when the shards hold more than `bound` elements;
+    /// otherwise returns how many elements were rebuilt under the
+    /// locks.
+    fn recut(&self, first: usize, last: usize, cuts: &[Key], bound: usize) -> Option<u64> {
         let topo = self.handle.load_exclusive();
         // Cheap pre-check before paying for shells or the write locks:
         // if the shards already exceed the bound, re-planning is
@@ -303,10 +303,20 @@ impl ShardedRma {
             return None;
         }
         // Shells first: their page setup runs while writers still own
-        // the shards. No successor holds more than the union.
-        let shells: Vec<_> = (0..=usize::from(cut.is_some()))
-            .map(|_| self.shard_shell(rough))
-            .collect();
+        // the shards. No successor holds more than the union, so at
+        // most `j` of them can fill a page when `rough / j` does:
+        // that many are wired ahead (`Rma::prewire` — the
+        // milliseconds of a build are the first page of each column),
+        // the rest stay bare and build heap arrays.
+        let pieces = cuts.len() + 1;
+        let fresh = || Rma::new(self.cfg.rma);
+        let probe = fresh();
+        let paged = (1..=pieces)
+            .take_while(|&j| probe.builds_on_pages(rough / j))
+            .count();
+        let mut wired: Vec<Rma> = (0..paged).map(|_| fresh()).collect();
+        wired.iter_mut().for_each(Rma::prewire);
+        let mut bare: Vec<Rma> = (paged + 1..pieces).map(|_| fresh()).collect();
         let guards = StepGuards::lock(&topo.shards, first..=last);
         let elems = guards.collect_elems();
         // Re-check under the locks (the lengths moved). Anything past
@@ -317,49 +327,43 @@ impl ShardedRma {
         }
         // Successor `k` holds `elems[at[k]..at[k + 1]]`.
         let mut at = vec![0];
-        at.extend(cut.map(|c| elems.partition_point(|e| e.0 < c)));
+        at.extend(cuts.iter().map(|&c| elems.partition_point(|e| e.0 < c)));
         at.push(elems.len());
         // The drained shards' histograms, concatenated: what the
         // successors are seeded from.
         let union_wb: Vec<_> = (topo.shards[first..=last].iter())
             .flat_map(|s| s.stats.weighted_buckets())
             .collect();
-        // Successor splitters: the run's internal boundaries go, the
-        // cut comes.
+        // Successor splitters: the run's inner boundaries go, the
+        // cuts come.
         let mut keys = topo.splitters.keys().to_vec();
-        keys.splice(first..last, cut);
+        keys.splice(first..last, cuts.iter().copied());
         let splitters = Splitters::new(keys);
-        // A shell readied for a page its successor does not fill gives
-        // way to a bare one: handing the page back costs about a third
-        // of wiring it, so the shell is dropped once the locks are
-        // released.
-        let mut unfilled = Vec::new();
-        let built: Vec<Arc<Shard>> = (shells.into_iter().enumerate())
-            .map(|(k, mut shell)| {
+        // A successor that fills a page takes a wired shell, any
+        // other a bare one. A wired shell left over gives way: handing
+        // the page back costs about a third of wiring it, so the
+        // leftovers are dropped once the locks are released.
+        let on_pages: Vec<bool> = (0..pieces)
+            .map(|k| probe.builds_on_pages(at[k + 1] - at[k]))
+            .collect();
+        bare.push(probe);
+        let built: Vec<Arc<Shard>> = (0..pieces)
+            .map(|k| {
                 let part = &elems[at[k]..at[k + 1]];
-                if shell.builds_on_pages(rough) && !shell.builds_on_pages(part.len()) {
-                    unfilled.push(std::mem::replace(&mut shell, Rma::new(self.cfg.rma)));
-                }
+                let shell = match on_pages[k] {
+                    true => wired.pop().or_else(|| bare.pop()),
+                    false => bare.pop(),
+                };
+                let shell = shell.unwrap_or_else(fresh);
                 self.finish_shard(shell, &splitters, first + k, part, &union_wb)
             })
             .collect();
         let mut shards = topo.shards.clone();
         shards.splice(first..=last, built);
         self.publish_step(guards, Topology { splitters, shards });
-        drop(unfilled);
+        drop(wired);
         Some(elems.len() as u64)
     }
-}
-
-/// What one step re-cuts, resolved on the live topology: shards
-/// `first..=last` become one shard, or two either side of `cut`,
-/// unless they hold more than `bound` elements.
-#[derive(Debug, Clone, Copy)]
-struct Recut {
-    first: usize,
-    last: usize,
-    cut: Option<Key>,
-    bound: usize,
 }
 
 #[cfg(test)]
@@ -413,33 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_merge_step_is_skipped_not_misapplied() {
-        let s = ShardedRma::with_splitters(
-            small_cfg(16),
-            Splitters::new((1..16).map(|i| i * 100).collect()),
-        );
-        for k in 0..100i64 {
-            s.insert(k, k);
-            s.insert(1500 + k, k);
-        }
-        let mut plan = s.plan_maintenance();
-        assert!(!plan.is_empty());
-        // Drain once: the cold pairs merge and their splitters vanish.
-        let first = s.drain_plan(&mut plan);
-        assert!(first.merges >= 1);
-        // Re-plan against the *old* state by rebuilding the same plan
-        // is impossible from outside; instead re-execute a plan built
-        // before a second drain mutates the topology underneath it.
-        let mut stale = s.plan_maintenance();
-        let content = s.collect_all();
-        s.maintain(); // mutates the topology under `stale`
-        let drained = s.drain_plan(&mut stale);
-        let _ = drained; // some steps may still apply; none may corrupt
-        s.check_invariants();
-        assert_eq!(s.collect_all(), content, "stale steps must not lose data");
-    }
-
-    #[test]
     fn rebalance_plan_pops_splits_before_merges() {
         // Hot shard 0 plus cold pairs on the right: the plan must
         // contain both kinds, and every split must come before any
@@ -457,10 +434,11 @@ mod tests {
                 let _ = s.get(k);
             }
         }
+        // A planned split cuts one shard; a planned merge has no cuts.
         let plan = s.plan_maintenance();
         let kinds: Vec<bool> = plan
             .steps()
-            .map(|st| matches!(st, MaintenanceStep::SplitShard { .. }))
+            .map(|MaintenanceStep::Recut { cuts, .. }| !cuts.is_empty())
             .collect();
         assert!(kinds.iter().any(|&k| k), "hot shard must plan a split");
         assert!(kinds.iter().any(|&k| !k), "cold pairs must plan merges");
@@ -494,13 +472,15 @@ mod tests {
             "must not merge past the target: {}",
             plan.len()
         );
-        let first = *plan.steps().next().expect("plans at least one merge");
-        let MaintenanceStep::MergePair { splitter } = first else {
-            panic!("consolidation plans only merges: {first:?}");
-        };
+        let first = plan.steps().next().expect("plans at least one merge");
+        let MaintenanceStep::Recut { lo, hi, cuts } = first;
         assert!(
-            splitter >= 4000,
-            "coldest pair must pop first, got splitter {splitter}"
+            cuts.is_empty(),
+            "consolidation plans only merges: {first:?}"
+        );
+        assert!(
+            lo.is_some_and(|l| l <= 4000) && hi.is_none(),
+            "the run over the cold half must pop first, got {first:?}"
         );
         let before = s.collect_all();
         let drained = s.drain_plan(&mut plan);
@@ -516,20 +496,21 @@ mod tests {
 
     #[test]
     fn consolidation_outruns_the_write_stall_merge_bound() {
-        // Shards so large that no pair fits the foreground per-step
-        // work cap: load-driven merges are rightly impossible, but
-        // the idle chain must still be able to reach the target via
-        // the wider consolidation bound.
-        let mut cfg = small_cfg(8);
-        cfg.num_shards = 2;
-        cfg.max_step_elems = 128; // merge_bound = 256 < any 400+400 pair
-        let s = ShardedRma::with_splitters(cfg, Splitters::new((1..8).map(|i| i * 400).collect()));
-        for k in 0..3200i64 {
-            s.insert(k, k);
-        }
-        assert!(s.merge_bound() < 800, "pairs must exceed the strict cap");
+        // Shards so large that no pair fits the foreground merge
+        // bound: load-driven merges are rightly impossible, but the
+        // idle chain must still be able to reach the target via the
+        // wider consolidation bound.
+        let (shard, n) = (66_000, 8 * 66_000);
+        let splitters = Splitters::new((1..8).map(|i| i * shard).collect());
+        let s = ShardedRma::with_splitters(small_cfg(2), splitters);
+        let batch: Vec<(i64, i64)> = (0..n).map(|k| (k, k)).collect();
+        s.apply_batch(&batch, &[]);
         assert!(
-            s.consolidation_bound() >= 3200,
+            s.merge_bound() < 2 * shard as usize,
+            "pairs must exceed the bound"
+        );
+        assert!(
+            s.consolidation_bound() >= n as usize,
             "idle bound must admit two natural target shards: {}",
             s.consolidation_bound()
         );
@@ -561,6 +542,11 @@ mod tests {
             ShardedRma::with_splitters(cfg2, Splitters::new((1..16).map(|i| i * 100).collect()));
         for k in 0..1600i64 {
             frag.insert(k, k);
+        }
+        // A hot shard in the middle: the coldest runs either side of
+        // it are two merges.
+        for k in 700..800i64 {
+            let _ = frag.get(k);
         }
         let mut plan = frag.plan_consolidation();
         let planned = plan.len();
@@ -600,12 +586,12 @@ mod tests {
 
     #[test]
     fn oversized_cold_range_stays_subdivided_under_the_step_cap() {
-        // A tiny max_step_elems: the hot band still gets its
-        // splitters, but merges of the cold shards would exceed the
-        // cap, so they are refused and no executed step moves more
-        // than the cap.
+        // A backstop of 1 024 elements: the hot band still gets its
+        // splitters, but a merge of two cold shards would build 2 000
+        // elements, past the merge bound, so none is planned and no
+        // executed merge moves more than the bound.
         let mut cfg = small_cfg(4);
-        cfg.max_step_elems = 256;
+        cfg.max_shard_len = Some(1024);
         let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
         for k in 0..4000i64 {
             s.insert(k, k);
@@ -621,10 +607,10 @@ mod tests {
         s.check_invariants();
         assert_eq!(s.collect_all(), before);
         assert!(report.splits >= 1, "{report:?}");
-        // Cold shards of 1000 residents over a 256-element cap: every
-        // merge of them is refused, so the topology keeps the cold
+        // Cold shards of 1000 residents over a 1 024-element bound:
+        // no merge of them is planned, so the topology keeps the cold
         // boundaries instead of stalling on a huge step.
-        assert!(report.skipped > 0, "{report:?}");
+        assert_eq!(report.skipped, 0, "{report:?}");
         assert_eq!(s.splitters().keys()[..2], [1000, 2000]);
         assert!(s.num_shards() > s.config().num_shards);
     }
@@ -651,24 +637,39 @@ mod tests {
             let shards = s.stats_snapshot().shards;
             shards.iter().map(|shard| shard.wired_bytes).collect()
         };
-        use MaintenanceStep::*;
-        s.drain_plan(&mut s.plan_of(&[SplitShard { at: 100 }], false));
+        let recut = |lo, hi, cuts: &[i64]| {
+            let cuts = cuts.to_vec();
+            s.drain_plan(&mut s.plan_of(vec![MaintenanceStep::Recut { lo, hi, cuts }]))
+        };
+        recut(None, Some(5000), &[100]);
         assert_eq!(s.splitters().keys(), &[100, 5000]);
         assert_eq!(
             footprints(&s),
             [fresh(0..100), fresh(100..1000), fresh(0..0)]
         );
-        s.drain_plan(&mut s.plan_of(&[MergePair { splitter: 100 }], false));
+        recut(None, Some(5000), &[]);
         assert_eq!(footprints(&s), [fresh(0..1000), fresh(0..0)]);
+        // Three successors from one shard: only the one that fills a
+        // page takes a wired shell.
+        recut(None, Some(5000), &[100, 200]);
+        assert_eq!(
+            footprints(&s),
+            [
+                fresh(0..100),
+                fresh(100..200),
+                fresh(200..1000),
+                fresh(0..0)
+            ]
+        );
         s.check_invariants();
     }
 
     /// The four-shard fixture of the resolver table: keys `0..4000`
     /// over splitters 1000 / 2000 / 3000, with some access mass in
     /// every shard so histogram re-seeding has something to carry.
-    fn four_shards(max_step_elems: usize) -> ShardedRma {
+    fn four_shards(max_shard_len: Option<usize>) -> ShardedRma {
         let mut cfg = small_cfg(4);
-        cfg.max_step_elems = max_step_elems;
+        cfg.max_shard_len = max_shard_len;
         let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
         for k in 0..4000i64 {
             s.insert(k, k);
@@ -682,24 +683,51 @@ mod tests {
 
     #[test]
     fn every_step_kind_is_one_recut_and_stale_steps_publish_nothing() {
-        use MaintenanceStep::*;
+        let step = |lo: Option<i64>, hi: Option<i64>, cuts: &[i64]| MaintenanceStep::Recut {
+            lo,
+            hi,
+            cuts: cuts.to_vec(),
+        };
         // (step, successor splitters, shards drained, shards built)
-        let live: [(MaintenanceStep, &[i64], usize, usize); 4] = [
-            (SplitShard { at: 1500 }, &[1000, 1500, 2000, 3000], 1, 2),
-            (SplitShard { at: 3500 }, &[1000, 2000, 3000, 3500], 1, 2),
-            (MergePair { splitter: 2000 }, &[1000, 3000], 2, 1),
-            (MergePair { splitter: 1000 }, &[2000, 3000], 2, 1),
+        let live: [(MaintenanceStep, &[i64], usize, usize); 6] = [
+            (
+                step(Some(1000), Some(2000), &[1500]),
+                &[1000, 1500, 2000, 3000],
+                1,
+                2,
+            ),
+            (
+                step(Some(3000), None, &[3300, 3600]),
+                &[1000, 2000, 3000, 3300, 3600],
+                1,
+                3,
+            ),
+            (step(Some(1000), Some(3000), &[]), &[1000, 3000], 2, 1),
+            (step(None, Some(3000), &[]), &[3000], 3, 1),
+            (
+                step(Some(1000), Some(3000), &[2500]),
+                &[1000, 2500, 3000],
+                2,
+                2,
+            ),
+            (
+                step(None, Some(2000), &[500, 1500]),
+                &[500, 1500, 2000, 3000],
+                2,
+                3,
+            ),
         ];
         for (step, splitters, drained, built) in live {
-            let s = four_shards(1 << 16);
+            let s = four_shards(None);
             let content = s.collect_all();
             let mass: u64 = s.access_masses().iter().sum();
             let old = s.topo().shards.clone();
             let published = s.maintenance_stats().topologies_published;
             let report = s
-                .execute_step(&mut s.plan_of(&[step], false))
+                .execute_step(&mut s.plan_of(vec![step.clone()]))
                 .expect("one step planned");
             assert!(report.executed, "{step:?}");
+            assert_eq!((report.taken, report.built), (drained, built), "{step:?}");
             assert_eq!(s.splitters().keys(), splitters, "{step:?}");
             let new = s.topo().shards.clone();
             let kept = |a: &[Arc<Shard>], b: &[Arc<Shard>]| {
@@ -730,22 +758,26 @@ mod tests {
             );
         }
 
-        // (step, per-step cap)
+        // (step, backstop)
         let stale = [
-            (SplitShard { at: 2000 }, 1 << 16),      // already a boundary
-            (MergePair { splitter: 1500 }, 1 << 16), // splitter gone
-            // Over the bound: 2000 residents against 2 x 256.
-            (MergePair { splitter: 2000 }, 256),
+            (step(Some(1000), Some(1500), &[1200]), None), // 1500 is no boundary
+            (step(Some(1500), Some(3000), &[]), None),     // nor is 1500 here
+            (step(Some(1000), Some(3000), &[2000]), None), // the cut already is one
+            (step(Some(1000), Some(2000), &[2000]), None), // a cut on the edge
+            (step(Some(1000), Some(2000), &[1600, 1400]), None), // cuts descend
+            (step(Some(2000), Some(1000), &[]), None),     // an empty range
+            // Over the bound: 2000 residents against 1 024.
+            (step(Some(1000), Some(3000), &[]), Some(1024)),
         ];
-        for (step, cap) in stale {
-            let s = four_shards(cap);
+        for (step, backstop) in stale {
+            let s = four_shards(backstop);
             let content = s.collect_all();
             let before = s.maintenance_stats();
             let report = s
-                .execute_step(&mut s.plan_of(&[step], false))
+                .execute_step(&mut s.plan_of(vec![step.clone()]))
                 .expect("one step planned");
             assert!(!report.executed, "{step:?} is stale and must be skipped");
-            assert_eq!(report.migrated, 0);
+            assert_eq!((report.migrated, report.taken, report.built), (0, 0, 0));
             let after = s.maintenance_stats();
             assert_eq!(
                 after.topologies_published, before.topologies_published,
@@ -755,15 +787,5 @@ mod tests {
             assert_eq!(s.splitters().keys(), [1000, 2000, 3000], "{step:?}");
             assert_eq!(s.collect_all(), content);
         }
-
-        // The same over-bound merge is admitted when the idle-time
-        // consolidation chain planned it: two natural target shards.
-        let s = four_shards(256);
-        let report = s
-            .execute_step(&mut s.plan_of(&[MergePair { splitter: 2000 }], true))
-            .expect("one step planned");
-        assert!(report.executed, "consolidation merges get the idle bound");
-        assert_eq!(s.splitters().keys(), [1000, 3000]);
-        s.check_invariants();
     }
 }

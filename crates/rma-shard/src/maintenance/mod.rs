@@ -4,17 +4,20 @@
 //! data path, §V) one level up, maintenance is decomposed:
 //!
 //! * **planners** (`plan.rs`) read the access histograms and emit a
-//!   [`MaintenancePlan`]: bounded steps, each the key-identified name
-//!   of a range to re-cut, in the order they are to run — there is no
-//!   scheduler between planner and executor. The load-driven rule is
-//!   one: a shard whose access mass exceeds twice the mean splits at
-//!   its access-CDF midpoint, and adjacent pairs below half the mean
-//!   merge — the paper's window-local rebalance weighed by access
-//!   (§III–IV), with shards as the segments. The idle-time
-//!   consolidation chain is the other planner;
+//!   [`MaintenancePlan`]: bounded steps, each a
+//!   [`Recut`](MaintenanceStep::Recut) — the key-identified name of a
+//!   range of whole shards and the cuts to rebuild it at — in the
+//!   order they are to run; there is no scheduler between planner and
+//!   executor. The load-driven rule is one: a shard whose access mass
+//!   exceeds twice the mean is cut at the quantiles of its mass into
+//!   as many pieces as that needs, and each run of adjacent shards
+//!   below half the mean merges — the paper's window-local rebalance
+//!   weighed by access (§III–IV), with shards as the segments, every
+//!   key of the window moved once. The idle-time consolidation of the
+//!   coldest runs is the other planner;
 //! * the **executor** ([`ShardedRma::execute_step`] /
 //!   [`ShardedRma::drain_plan`], in `executor.rs`) applies one step at
-//!   a time through one procedure for both kinds: it locks only the
+//!   a time through one procedure: it locks only the
 //!   shards inside the step's range, publishes a successor topology
 //!   that reuses every untouched shard's `Arc`, and waits out the read
 //!   grace period — so **a writer only ever waits out the one step
@@ -25,7 +28,8 @@
 //! round, through one loop. The background maintainer
 //! ([`crate::maintainer`]) instead drains plans a few steps per tick
 //! with inter-step sleeps. Whoever drains, every popped step is filed
-//! once, by kind, in the engine's ledger
+//! once — a split when it built more shards than it took, a merge
+//! otherwise — in the engine's ledger
 //! ([`ShardedRma::maintenance_stats`]).
 //!
 //! A durability checkpoint ([`ShardedRma::checkpoint`]) is not a
@@ -90,23 +94,6 @@ pub(crate) fn imbalance_of(masses: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 impl ShardedRma {
-    /// An empty RMA ready to become a successor shard of at most
-    /// `up_to` elements. The memfd and its reservation cost
-    /// microseconds; the milliseconds are the first page of each
-    /// column, the `MAP_POPULATE` of a 2 MiB logical page, and a
-    /// successor that may reach a page has it wired here
-    /// ([`Rma::prewire`]). The step executor pre-creates its shells
-    /// *before* taking any shard lock, so the locked window pays only
-    /// for draining and loading the actual elements. A successor below
-    /// a page is a heap array and takes no page.
-    fn shard_shell(&self, up_to: usize) -> Rma {
-        let mut shell = Rma::new(self.cfg.rma);
-        if shell.builds_on_pages(up_to) {
-            shell.prewire();
-        }
-        shell
-    }
-
     /// Bulk-loads `elems` into a pre-created shell and wraps it as
     /// the shard covering range `i` of `splitters`, histogram seeded
     /// from `wb`.
@@ -146,12 +133,12 @@ impl ShardedRma {
         total
     }
 
-    /// Synchronous load-driven maintenance: splits shards whose
-    /// access mass exceeds twice the mean and merges adjacent pairs
+    /// Synchronous load-driven maintenance: cuts shards whose access
+    /// mass exceeds twice the mean and merges runs of adjacent shards
     /// whose combined mass falls below half the mean, by planning
     /// ([`plan_maintenance`](Self::plan_maintenance)) and immediately
-    /// draining up to 16 rounds of [`MaintenanceStep`]s. Split points
-    /// come from the shard histogram's equal-access CDF point, and
+    /// draining up to 16 rounds of [`MaintenanceStep`]s. Cuts come
+    /// from the shard histogram's equal-access quantiles, and
     /// restructured shards inherit their parents' (clipped)
     /// histograms. Each step publishes a copy-on-write topology:
     /// concurrent readers keep serving throughout, writers re-route
@@ -165,12 +152,12 @@ impl ShardedRma {
     /// Synchronous shard-count consolidation: plans and drains
     /// [`plan_consolidation`](Self::plan_consolidation) rounds until
     /// the live shard count reaches the configured `num_shards`
-    /// target or no further cap-bounded merge applies, returning the
-    /// merges executed. The background maintainer runs the same chain
+    /// target or no further bounded merge applies, returning how many
+    /// shards the merges took away. The background maintainer runs the same chain
     /// one idle tick at a time; this is the on-demand form (quiesce a
     /// workload, then `compact()` before the next burst).
     pub fn compact(&self) -> usize {
-        self.drain_rounds(64, || self.plan_consolidation()).merges
+        self.drain_rounds(64, || self.plan_consolidation()).retired
     }
 }
 
@@ -307,13 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_reads_survive_relearn_publication() {
+    fn concurrent_reads_survive_recut_publication() {
         // A reader that pinned a pre-step topology must keep serving
         // correct values while the split/merge drain publishes one
         // topology per step.
-        let mut cfg = small_cfg(4);
-        cfg.min_split_len = 64;
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000, 2000, 3000]));
+        let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![1000, 2000, 3000]));
         for k in 0..4000i64 {
             s.insert(k, k);
         }

@@ -4,26 +4,26 @@
 //! Every step is identified by **keys**, never by shard indices: the
 //! topology can shift between planning and execution, a plan is
 //! advisory, and the executor resolves each step's keys against the
-//! live topology (stale steps are skipped, never mis-applied). Each
-//! variant is the drift-proof *name* of a key range to re-cut — the
-//! executor has one procedure for both of them.
+//! live topology (stale steps are skipped, never mis-applied). There
+//! is one step, [`Recut`]: the drift-proof *name* of a run of whole
+//! shards and the cuts to rebuild it at, so every key in the run
+//! moves once per step.
 //!
 //! Two planners:
 //!
-//! * [`ShardedRma::plan_maintenance`] — the load-driven rule, one
-//!   round of the split/merge pass: a [`SplitShard`] per hot shard, a
-//!   [`MergePair`] per cold pair;
-//! * [`ShardedRma::plan_consolidation`] — the idle-time chain of
-//!   merges back toward the configured `num_shards`.
+//! * [`ShardedRma::plan_maintenance`] — the load-driven rule: each
+//!   hot shard cut into as many pieces as its mass needs, each run of
+//!   adjacent cold shards merged into one;
+//! * [`ShardedRma::plan_consolidation`] — the idle-time merge of the
+//!   coldest runs back toward the configured `num_shards`.
 //!
 //! A plan is a list: each planner emits its steps in the order they
 //! are to run, and the plan pops them front to back. A rebalance's
 //! splits come before its merges; within a class the planner sorts by
-//! gain per migrated key, and consolidation takes the coldest pairs
+//! gain per migrated key, and consolidation takes the coldest runs
 //! first.
 //!
-//! [`SplitShard`]: MaintenanceStep::SplitShard
-//! [`MergePair`]: MaintenanceStep::MergePair
+//! [`Recut`]: MaintenanceStep::Recut
 
 use crate::shard::Shard;
 use crate::{ShardedRma, Splitters};
@@ -34,26 +34,26 @@ use std::sync::atomic::Ordering::Relaxed;
 /// One bounded unit of topology restructuring. Every step publishes
 /// its own copy-on-write topology when executed, so concurrent
 /// writers only ever queue behind the shards named by a single step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintenanceStep {
-    /// Make `at` a splitter: the shard containing `at` is drained and
-    /// rebuilt as two shards `[.., at)` / `[at, ..)`. Skipped if `at`
-    /// already is a boundary. Touches one shard; its work is bounded
-    /// by that shard's size (a split cannot be capped — it is how an
-    /// oversized shard shrinks — so latency-SLO deployments pair the
-    /// engine with `ShardConfig::max_shard_len` to keep every shard
-    /// within one step's budget).
-    SplitShard {
-        /// The new splitter key.
-        at: Key,
-    },
-    /// Remove the splitter `splitter`, merging the two shards
-    /// adjacent to it. Skipped if the splitter no longer exists or
-    /// the merged shard would exceed twice `max_step_elems` (clamped
-    /// to `max_shard_len` when set). Touches two shards.
-    MergePair {
-        /// The splitter key to remove.
-        splitter: Key,
+    /// Re-cut the whole shards spanning `[lo, hi)` at `cuts`: drain
+    /// them and rebuild the range as `cuts.len() + 1` shards, so each
+    /// key in the range moves once. A step that puts out more shards
+    /// than it takes in is a split, any other a merge; a merge builds
+    /// at most `ShardConfig::max_shard_len` elements (2^17 when that
+    /// is unset; a consolidation plan's merges get a wider idle-time
+    /// bound), a split is not bounded — it is how an oversized shard
+    /// shrinks. Skipped when `lo` or `hi` is no longer a shard
+    /// boundary, when the cuts are not strictly ascending inside
+    /// `(lo, hi)`, or when they are the range's boundaries already.
+    Recut {
+        /// Lower edge of the range (`None`: the key space's).
+        lo: Option<Key>,
+        /// Upper edge of the range, exclusive (`None`: the key
+        /// space's).
+        hi: Option<Key>,
+        /// The range's new inner boundaries.
+        cuts: Vec<Key>,
     },
 }
 
@@ -65,13 +65,14 @@ const STALE_DRIFT: f64 = 0.5;
 
 /// A shard splits when its weight (access mass; length while no
 /// access has been recorded) exceeds this many times the mean shard
-/// weight (and the shard is at least `min_split_len` long). Above 1,
-/// or a shard at the mean would split.
+/// weight (and the shard holds at least
+/// [`MIN_SPLIT_SEGMENTS`](crate::config::MIN_SPLIT_SEGMENTS)
+/// segments). Above 1, or a shard at the mean would split.
 const SPLIT_FACTOR: f64 = 2.0;
 
-/// Two adjacent shards merge when their combined weight falls below
-/// this fraction of the mean shard weight. It has to stay below
-/// [`SPLIT_FACTOR`], or a freshly split pair would immediately
+/// A run of adjacent shards merges while its combined weight stays
+/// below this fraction of the mean shard weight. It has to stay below
+/// [`SPLIT_FACTOR`], or a freshly split shard would immediately
 /// re-merge and maintenance would oscillate.
 const MERGE_FACTOR: f64 = 0.5;
 
@@ -80,6 +81,16 @@ const MERGE_FACTOR: f64 = 0.5;
 fn descending(mut keyed: Vec<(f64, MaintenanceStep)>) -> impl Iterator<Item = MaintenanceStep> {
     keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
     keyed.into_iter().map(|(_, step)| step)
+}
+
+/// The step that re-cuts shards `first..=last` of `splitters` at
+/// `cuts`.
+fn recut(splitters: &Splitters, first: usize, last: usize, cuts: Vec<Key>) -> MaintenanceStep {
+    MaintenanceStep::Recut {
+        lo: splitters.range_of(first).0,
+        hi: splitters.range_of(last).1,
+        cuts,
+    }
 }
 
 /// The [`MaintenanceStep`]s one planner call produced, in the order
@@ -165,82 +176,80 @@ impl MaintenancePlan {
 }
 
 impl ShardedRma {
-    /// The load-driven rule, one round of the split/merge pass as a
-    /// plan — what the background maintainer drains on its tick
-    /// budget and [`maintain`](Self::maintain) drains at once: a
-    /// [`SplitShard`] for every shard whose access mass exceeds twice
-    /// the mean (cut at its histogram CDF midpoint, the key median as
-    /// the fallback), a [`MergePair`] for every leftmost
-    /// non-overlapping adjacent pair under the floor of half the mean.
-    /// While no access has been recorded, lengths stand in for the
-    /// masses (a freshly bulk-loaded index balances by residency).
-    /// Balanced topologies plan zero steps.
-    ///
-    /// [`SplitShard`]: MaintenanceStep::SplitShard
-    /// [`MergePair`]: MaintenanceStep::MergePair
+    /// The load-driven rule as a plan — what the background
+    /// maintainer drains on its tick budget and
+    /// [`maintain`](Self::maintain) drains at once. A shard whose
+    /// weight exceeds twice the mean is cut at the k-quantiles of its
+    /// access mass (of its residents while it has none), k the fewest
+    /// pieces that leaves no piece above that trigger once the step
+    /// has run; each maximal run of adjacent shards whose combined
+    /// weight stays under half the mean merges into one shard, held
+    /// to the merge bound. While no access has been recorded, lengths
+    /// stand in for the masses (a freshly bulk-loaded index balances
+    /// by residency). Balanced topologies plan zero steps.
     pub fn plan_maintenance(&self) -> MaintenancePlan {
         let topo = self.topo();
         let lens: Vec<usize> = topo.lens().collect();
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
-        let weights: Vec<u64> = if masses.iter().all(|&m| m == 0) {
-            lens.iter().map(|&l| l as u64).collect()
+        let weights: Vec<f64> = if masses.iter().all(|&m| m == 0) {
+            lens.iter().map(|&l| l as f64).collect()
         } else {
-            masses
+            masses.iter().map(|&m| m as f64).collect()
         };
-        let total: u64 = weights.iter().sum();
+        let total: f64 = weights.iter().sum();
         let n = weights.len();
-        if total == 0 {
+        if total == 0.0 {
             return self.finish_plan(Vec::new(), false);
         }
-        let mean = (total / n as u64).max(1);
+        let mean = total / n as f64;
         let (mut splits, mut merges) = (Vec::new(), Vec::new());
-        for i in 0..n {
-            let hot = (weights[i] as f64) > SPLIT_FACTOR * mean as f64;
+        for (i, shard) in topo.shards.iter().enumerate() {
+            let w = weights[i];
+            // Piece mass w / k stays at or under the trigger over the
+            // n + k - 1 shards the step leaves: k >= w (n - 1) / (2T - w).
+            let by_mass = if w > SPLIT_FACTOR * mean {
+                (w * (n - 1) as f64 / (SPLIT_FACTOR * total - w)).ceil() as usize
+            } else {
+                1
+            };
             // Optional length backstop (`ShardConfig::max_shard_len`):
             // a shard larger than one step may rebuild would make
-            // *every* future restructuring of it — including the
-            // split that shrinks it — exceed the per-step stall
-            // bound, so SLO deployments split it as soon as it
-            // crosses the line, regardless of access balance.
-            let oversized = self.cfg.max_shard_len.is_some_and(|m| lens[i] > m);
-            if (hot || oversized) && lens[i] >= self.cfg.min_split_len {
-                if let Some(at) = split_point(&topo.shards[i]) {
-                    let excess = (weights[i] as f64 / mean as f64).max(0.0);
-                    splits.push((
-                        excess / (lens[i] + 1) as f64,
-                        MaintenanceStep::SplitShard { at },
-                    ));
-                }
+            // *every* future restructuring of it exceed the per-step
+            // stall bound, so SLO deployments cut it down as soon as
+            // it crosses the line, regardless of access balance.
+            let by_len = self.cfg.max_shard_len.map_or(1, |m| lens[i].div_ceil(m));
+            let min_split = self.cfg.min_split();
+            // No piece of a shard at the floor holds less than half of it.
+            let k = by_mass.max(by_len).min(2 * lens[i] / min_split);
+            if k < 2 || lens[i] < min_split {
+                continue;
+            }
+            let cuts = cut_points(shard, k);
+            if !cuts.is_empty() {
+                let excess = w / mean;
+                let step = recut(&topo.splitters, i, i, cuts);
+                splits.push((excess / (lens[i] + 1) as f64, step));
             }
         }
-        let total_len: usize = lens.iter().sum();
         // Merges only while the index holds data (learned splitters
-        // are kept while it is empty), and only while the combined
-        // length stays below the split trigger, so merging two
-        // access-cold but element-heavy shards cannot manufacture an
-        // instantly-splittable giant.
-        if total_len > 0 && n > 1 {
-            let mean_len = (total_len / n).max(1);
+        // are kept while it is empty). A run under half the mean
+        // weight is far below the split trigger, so only the merge
+        // bound caps its length.
+        if lens.iter().any(|&l| l > 0) {
+            let cap = self.merge_bound();
             let mut i = 0;
-            while i + 1 < n {
-                let combined = (weights[i] + weights[i + 1]) as f64;
-                let combined_len = lens[i] + lens[i + 1];
-                let len_ok = (combined_len as f64) <= SPLIT_FACTOR * mean_len as f64
-                    // Never merge past the length backstop: the next
-                    // round would split the result right back.
-                    && self.cfg.max_shard_len.is_none_or(|m| combined_len <= m);
-                if combined < MERGE_FACTOR * mean as f64 && len_ok {
-                    let slack = (MERGE_FACTOR * mean as f64 - combined).max(0.0);
-                    merges.push((
-                        slack / (combined_len + 1) as f64,
-                        MaintenanceStep::MergePair {
-                            splitter: topo.splitters.keys()[i],
-                        },
-                    ));
-                    i += 2; // pairs must not overlap within one round
-                } else {
-                    i += 1;
+            while i < n {
+                let (mut j, mut w, mut len) = (i, 0.0, 0);
+                while j < n && w + weights[j] < MERGE_FACTOR * mean && len + lens[j] <= cap {
+                    (w, len) = (w + weights[j], len + lens[j]);
+                    j += 1;
                 }
+                if j - i >= 2 {
+                    let slack = MERGE_FACTOR * mean - w;
+                    let step = recut(&topo.splitters, i, j - 1, Vec::new());
+                    merges.push((slack / (len + 1) as f64, step));
+                }
+                i = j.max(i + 1);
             }
         }
         // Splits shed imbalance directly, so they all run before the
@@ -252,17 +261,19 @@ impl ShardedRma {
 
     /// The idle-time consolidation chain: when accreted splits have
     /// ratcheted the live shard count above the configured target,
-    /// plan cap-bounded [`MergePair`](MaintenanceStep::MergePair)
-    /// steps over the lowest-combined-decayed-mass neighbour pairs
-    /// (non-overlapping within one round) until the count would reach
-    /// `ShardConfig::num_shards`. Each merge obeys the idle-time size
-    /// bound (`consolidation_bound`: the per-step write-stall cap
-    /// widened to two natural target-count shards — the idle gate
-    /// guarantees no foreground traffic is waiting on the locked
-    /// window); multi-round chains (the maintainer re-plans each idle
-    /// tick, or [`compact`](Self::compact) loops synchronously) walk
-    /// the count the rest of the way down. Empty at or below the
-    /// target, or when no adjacent pair fits the bound.
+    /// remove the boundaries between the coldest neighbours —
+    /// lowest combined decayed mass first — until the count would
+    /// reach `ShardConfig::num_shards`, and plan each run of shards
+    /// that loses its inner boundaries as one merging
+    /// [`Recut`](MaintenanceStep::Recut), coldest run first. Each run
+    /// obeys the idle-time size bound (`consolidation_bound`: the
+    /// merge bound widened to two natural target-count shards — the
+    /// idle gate guarantees no foreground traffic is waiting on the
+    /// locked window); the maintainer re-plans each idle tick, and
+    /// [`compact`](Self::compact) loops synchronously, so a count
+    /// one round cannot reach is walked the rest of the way down.
+    /// Empty at or below the target, or when no neighbours fit the
+    /// bound.
     pub fn plan_consolidation(&self) -> MaintenancePlan {
         let topo = self.topo();
         let n = topo.shards.len();
@@ -273,31 +284,42 @@ impl ShardedRma {
         let lens: Vec<usize> = topo.lens().collect();
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
         let bound = self.consolidation_bound();
-        // Mergeable neighbour pairs, coldest combined mass first —
-        // least mass disturbed per merge while the index is idle
-        // anyway (ties break leftmost for determinism).
-        let mut cands: Vec<(u64, usize)> = (0..n - 1)
-            .filter(|&i| lens[i] + lens[i + 1] <= bound)
-            .map(|i| (masses[i] + masses[i + 1], i))
-            .collect();
+        // Boundary `i` separates shards `i` and `i + 1`; coldest
+        // neighbours first (ties break leftmost for determinism).
+        let mut cands: Vec<(u64, usize)> =
+            (0..n - 1).map(|i| (masses[i] + masses[i + 1], i)).collect();
         cands.sort_unstable();
-        let max_merges = n - target;
-        let mut taken = vec![false; n];
-        let mut steps = Vec::new();
+        // `run[i]`: the first shard of the run shard `i` belongs to.
+        let mut run: Vec<usize> = (0..n).collect();
+        let end =
+            |run: &[usize], i: usize| i + run[i + 1..].iter().take_while(|&&r| r == run[i]).count();
+        let mut removed = 0;
         for (_, i) in cands {
-            if steps.len() >= max_merges {
-                break;
+            let (first, last) = (run[i], end(&run, i + 1));
+            if removed < n - target && lens[first..=last].iter().sum::<usize>() <= bound {
+                run[first..=last].fill(first);
+                removed += 1;
             }
-            if taken[i] || taken[i + 1] {
-                continue; // pairs must not overlap within one round
-            }
-            taken[i] = true;
-            taken[i + 1] = true;
-            steps.push(MaintenanceStep::MergePair {
-                splitter: topo.splitters.keys()[i],
-            });
         }
-        self.finish_plan(steps, true)
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < n {
+            let last = end(&run, i);
+            if last > i {
+                let mass: u64 = masses[i..=last].iter().sum();
+                runs.push((-(mass as f64), recut(&topo.splitters, i, last, Vec::new())));
+            }
+            i = last + 1;
+        }
+        self.finish_plan(descending(runs).collect(), true)
+    }
+
+    /// A plan of exactly `steps`, popped in the given order: a
+    /// re-cut chosen by hand instead of by a planner, resolved and
+    /// skipped when stale like any planned step, its merges held to
+    /// the load-driven merge bound.
+    pub fn plan_of(&self, steps: Vec<MaintenanceStep>) -> MaintenancePlan {
+        self.finish_plan(steps, false)
     }
 
     /// Records plan counters, journals the plan-creation event, and
@@ -324,61 +346,42 @@ impl ShardedRma {
     }
 }
 
-/// The key to split `shard` at, snapped to a resident key so both
-/// halves are non-empty: its histogram's equal-access point, or the
-/// key median when that point does not cut the residents; `None` when
-/// the shard cannot be split (one giant duplicate run). Works through
-/// point probes (`first_ge`) and a half-shard iterator walk at worst
-/// — it never materializes the shard, which the executor will do
-/// anyway under the write lock.
-fn split_point(shard: &Shard) -> Option<Key> {
+/// The keys to cut `shard` into `k` pieces at, snapped to resident
+/// keys so no piece is empty, strictly ascending: the k-quantiles of
+/// its access histogram, or of its residents when it has no recorded
+/// mass or the mass cuts no resident run. Fewer than `k - 1` cuts when
+/// duplicate runs swallow some; none when the shard cannot be split
+/// (one giant duplicate run). Works through point probes
+/// (`first_ge`) and one iterator walk at worst — it never
+/// materializes the shard, which the executor will do anyway under
+/// the write lock.
+fn cut_points(shard: &Shard, k: usize) -> Vec<Key> {
     shard.locked(|guard| {
-        let min = guard.first_ge(Key::MIN)?.0;
-        // Equal-access candidate: the histogram CDF midpoint, snapped
-        // up to the first resident key. Invalid (outside the resident
-        // range, or equal to the minimum — an empty left half) falls
-        // through to the median.
+        let Some((min, _)) = guard.first_ge(Key::MIN) else {
+            return Vec::new();
+        };
+        // Each candidate snaps up to the first resident key past the
+        // previous cut (or the minimum): ascending, and no piece empty.
+        let snap = |cands: &mut dyn Iterator<Item = Key>| {
+            let mut cuts: Vec<Key> = Vec::new();
+            for c in cands {
+                let floor = cuts.last().copied().unwrap_or(min).saturating_add(1);
+                match guard.first_ge(c.max(floor)) {
+                    Some((key, _)) => cuts.push(key),
+                    None => break,
+                }
+            }
+            cuts
+        };
         let wb = shard.stats.weighted_buckets();
-        let two_way = Splitters::from_weighted_histogram(&wb, 2);
-        if let Some(key) = two_way
-            .keys()
-            .first()
-            .and_then(|&k| guard.first_ge(k))
-            .map(|p| p.0)
-            .filter(|&k| k > min)
-        {
-            return Some(key);
+        if wb.iter().any(|b| b.2 > 0) {
+            let by_mass = Splitters::from_weighted_histogram(&wb, k);
+            let cuts = snap(&mut by_mass.keys().iter().copied());
+            if !cuts.is_empty() {
+                return cuts;
+            }
         }
-        // Median fallback: the middle element's key, or — when the
-        // front run of duplicates reaches the middle — the first key
-        // after that run.
-        let len = guard.len();
-        if len < 2 {
-            return None;
-        }
-        let median = guard.iter().nth(len / 2).expect("len/2 < len").0;
-        if median > min {
-            Some(median)
-        } else {
-            guard
-                .first_ge(min.saturating_add(1))
-                .map(|p| p.0)
-                .filter(|&k| k > min)
-        }
+        let step = guard.len().div_ceil(k).max(1);
+        snap(&mut guard.iter().map(|(key, _)| key).step_by(step).skip(1))
     })
-}
-
-#[cfg(test)]
-impl ShardedRma {
-    /// A plan of exactly `steps`, popped in the given order, as the
-    /// consolidation planner (`consolidation`) or the rebalance
-    /// planner would have emitted it — planners cannot be made to
-    /// produce stale steps on demand, the executor tests need them.
-    pub(crate) fn plan_of(
-        &self,
-        steps: &[MaintenanceStep],
-        consolidation: bool,
-    ) -> MaintenancePlan {
-        self.finish_plan(steps.to_vec(), consolidation)
-    }
 }

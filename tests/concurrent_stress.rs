@@ -40,7 +40,6 @@ fn stress_cfg(shards: usize) -> ShardConfig {
             reserve_bytes: 1 << 24,
             ..Default::default()
         },
-        min_split_len: 128,
         ..Default::default()
     }
 }
@@ -257,7 +256,7 @@ fn writer_progress_during_incremental_drain() {
         .expect("valid stress config");
     let index = db.engine();
     // Build a real multi-step plan: hammer a narrow band so the
-    // planner splits the hot shard and merges the cold pairs.
+    // planner cuts the hot shard and merges the cold runs.
     for _ in 0..40 {
         for k in 0..400i64 {
             let _ = index.get(k);

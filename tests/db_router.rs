@@ -26,7 +26,6 @@ fn small_cfg(shards: usize) -> ShardConfig {
             reserve_bytes: 1 << 24,
             ..Default::default()
         },
-        min_split_len: 128,
         ..Default::default()
     }
 }

@@ -48,7 +48,6 @@ fn small_shards() -> ShardConfig {
             reserve_bytes: 1 << 24,
             ..Default::default()
         },
-        min_split_len: 64,
         ..Default::default()
     }
 }

@@ -13,12 +13,14 @@
 //! across a split and a merge, `apply_batch`, a `Db` session, a
 //! `WireClient`, and a `Db` reopened from its log and its checkpoint.
 
+use proptest::prelude::*;
 use rma_repro::db::{Db, DurabilityConfig, Op, Reply, PARTITIONS};
 use rma_repro::net::{NetConfig, NetServer, WireClient};
 use rma_repro::rma::{Key, RewiringMode, Rma, RmaConfig, Value};
-use rma_repro::shard::{PointOp, ShardConfig, ShardedRma, Splitters};
+use rma_repro::shard::{MaintenanceStep, PointOp, ShardConfig, ShardedRma, Splitters};
 use rma_repro::workloads::{KeyStream, Pattern, SplitMix64};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Segments of 8: a hot key's stack spans many segments.
@@ -35,7 +37,6 @@ fn small_shards() -> ShardConfig {
     ShardConfig {
         num_shards: 4,
         rma: small_rma(),
-        min_split_len: 64,
         ..Default::default()
     }
 }
@@ -288,6 +289,23 @@ fn point(op: Op) -> Option<PointOp> {
     }
 }
 
+/// Checks `apply_ops`' answers to `run` against the oracle, in op
+/// order, and applies the run to it.
+fn check_run(oracle: &mut Stacks, run: &[PointOp], got: &[Option<Value>], at: &str) {
+    assert_eq!(run.len(), got.len(), "{at}");
+    for (&op, &got) in run.iter().zip(got) {
+        let want = match op {
+            PointOp::Get(k) => oracle.get(k),
+            PointOp::Insert(k, v) => {
+                oracle.insert(k, v);
+                None
+            }
+            PointOp::Remove(k) => oracle.remove(k),
+        };
+        assert_eq!(got, want, "{at}: {op:?}");
+    }
+}
+
 /// Point ops go through `apply_ops` in runs; between runs the engine
 /// rebalances its shards — the hot low keys split their shard, the
 /// cold high shards merge — and reads, successor removals and (in the
@@ -302,17 +320,12 @@ fn drive_engine(s: &ShardedRma, steps: &[Step], seed: u64) -> Stacks {
         }
         let mut got = vec![Some(Value::MIN); run.len()];
         s.apply_ops(run, &mut got);
-        for (&op, got) in run.iter().zip(got) {
-            let want = match op {
-                PointOp::Get(k) => oracle.get(k),
-                PointOp::Insert(k, v) => {
-                    oracle.insert(k, v);
-                    None
-                }
-                PointOp::Remove(k) => oracle.remove(k),
-            };
-            assert_eq!(got, want, "seed {seed} run ending at step {at}: {op:?}");
-        }
+        check_run(
+            oracle,
+            run,
+            &got,
+            &format!("seed {seed} run ending at step {at}"),
+        );
         run.clear();
         runs += 1;
         if runs % 8 == 0 {
@@ -382,6 +395,146 @@ fn apply_batch_lands_at_the_front_in_batch_order() {
     assert_eq!(s.collect_all(), [(5, 2), (5, 3), (5, 1), (6, 4)]);
     assert_eq!(s.apply_batch(&[], &[5]), 1);
     assert_eq!(s.first_ge(5), Some((5, 3)));
+}
+
+/// The splitters a `Recut` leaves on `keys`, or `None` when the step
+/// is stale there: an edge that is no boundary, an empty range, cuts
+/// that do not ascend strictly inside the range, or cuts that are its
+/// inner boundaries already.
+fn recut_oracle(keys: &[Key], step: &MaintenanceStep) -> Option<Vec<Key>> {
+    let MaintenanceStep::Recut { lo, hi, cuts } = step;
+    let boundary = |edge: &Option<Key>| edge.is_none_or(|e| keys.contains(&e));
+    let inside = |k: &Key| lo.is_none_or(|l| l < *k) && hi.is_none_or(|h| *k < h);
+    let inner: Vec<Key> = keys.iter().copied().filter(inside).collect();
+    let live = boundary(lo)
+        && boundary(hi)
+        && lo.zip(*hi).is_none_or(|(l, h)| l < h)
+        && cuts.windows(2).all(|w| w[0] < w[1])
+        && cuts.iter().all(inside)
+        && inner != *cuts;
+    live.then(|| {
+        let below = keys.iter().copied().filter(|&k| lo.is_some_and(|l| k <= l));
+        let above = keys.iter().copied().filter(|&k| hi.is_some_and(|h| k >= h));
+        below.chain(cuts.iter().copied()).chain(above).collect()
+    })
+}
+
+/// A `Recut` over shards `first..first + width` of `keys` (clamped to
+/// the last shard), cut at those of `cuts` inside the range, then
+/// `warp`ed: `0` moves the lower edge off its boundary, `1` reverses
+/// the cuts, `2` makes them the range's inner boundaries, anything
+/// else leaves the step as drawn.
+fn recut_step(keys: &[Key], first: usize, width: usize, cuts: &[Key], warp: u8) -> MaintenanceStep {
+    let splitters = Splitters::new(keys.to_vec());
+    let n = splitters.num_shards();
+    let first = first % n;
+    let last = (first + width - 1).min(n - 1);
+    let (mut lo, hi) = (splitters.range_of(first).0, splitters.range_of(last).1);
+    let inside = |k: &Key| lo.is_none_or(|l| l < *k) && hi.is_none_or(|h| *k < h);
+    let mut cuts: Vec<Key> = cuts.iter().copied().filter(inside).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    match warp {
+        0 => lo = Some(lo.map_or(Key::MIN, |l| l + 1)),
+        1 => cuts.reverse(),
+        2 => cuts = keys.iter().copied().filter(inside).collect(),
+        _ => {}
+    }
+    MaintenanceStep::Recut { lo, hi, cuts }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One step, `Recut`, differentially: random windows of one to
+    /// four whole shards, zero to three cuts, and stale keys — edges
+    /// off their boundaries, cuts out of order or already in place,
+    /// windows drawn on the topology before the previous step — run
+    /// one at a time while a writer drives `apply_ops` on the same
+    /// shards. Each step executes exactly when `recut_oracle` says it
+    /// is live, leaves the splitters it says, builds and drains the
+    /// shards it names, and is filed once: a split when it built more
+    /// shards than it took, a merge otherwise, skipped when stale. The
+    /// writer's every answer, and the content left behind, is what the
+    /// stack oracle says.
+    #[test]
+    fn recut_steps_keep_every_stack_under_concurrent_apply_ops(
+        seed in 0u64..1 << 20,
+        steps in prop::collection::vec(
+            (0usize..16, 1usize..5, prop::collection::vec(-8i64..72, 0..4), 0u8..12),
+            1..12,
+        ),
+    ) {
+        let s = ShardedRma::with_splitters(small_shards(), Splitters::new((1..8).map(|i| i * 8).collect()));
+        let ops: Vec<PointOp> = (script(seed, 4000, false).into_iter())
+            .filter_map(|step| match step {
+                Step::Op(op) => point(op),
+                _ => None,
+            })
+            .collect();
+        let (head, tail) = ops.split_at(ops.len() / 2);
+        let mut oracle = Stacks::default();
+        let mut got = vec![Some(Value::MIN); head.len()];
+        s.apply_ops(head, &mut got);
+        check_run(&mut oracle, head, &got, &format!("seed {seed} head"));
+        let runs: Vec<&[PointOp]> = tail.chunks(32).collect();
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|sc| {
+            let writer = sc.spawn(|| {
+                let mut replies = Vec::new();
+                for run in &runs {
+                    let mut got = vec![Some(Value::MIN); run.len()];
+                    s.apply_ops(run, &mut got);
+                    replies.extend(got);
+                    done.fetch_add(1, Relaxed);
+                }
+                replies
+            });
+            let mut prev = s.splitters().keys().to_vec();
+            for (i, (first, width, cuts, draw)) in steps.iter().enumerate() {
+                // Spread the steps over the writer's runs.
+                while done.load(Relaxed) < i * runs.len() / steps.len() {
+                    std::thread::yield_now();
+                }
+                let keys = s.splitters().keys().to_vec();
+                // Half the windows are drawn on the topology before the
+                // previous step.
+                let drawn_on = if draw % 2 == 1 { &prev } else { &keys };
+                let step = recut_step(drawn_on, *first, *width, cuts, draw / 2);
+                let want = recut_oracle(&keys, &step);
+                let before = s.maintenance_stats();
+                let report = s.execute_step(&mut s.plan_of(vec![step.clone()])).expect("one step planned");
+                let after = s.maintenance_stats();
+                let at = format!("seed {seed} step {i}: {step:?} on {keys:?}");
+                prop_assert_eq!(report.executed, want.is_some(), "{}", at);
+                prop_assert_eq!(after.topologies_published - before.topologies_published, u64::from(report.executed), "{}", at);
+                match want {
+                    Some(want) => {
+                        let MaintenanceStep::Recut { cuts, .. } = &step;
+                        let built = cuts.len() + 1;
+                        let taken = keys.len() + built - want.len();
+                        prop_assert_eq!(s.splitters().keys(), &want[..], "{}", at);
+                        prop_assert_eq!((report.taken, report.built), (taken, built), "{}", at);
+                        let split = u64::from(built > taken);
+                        prop_assert_eq!(
+                            (after.splits - before.splits, after.merges - before.merges),
+                            (split, 1 - split),
+                            "{}", at
+                        );
+                    }
+                    None => {
+                        prop_assert_eq!(s.splitters().keys(), &keys[..], "{}", at);
+                        prop_assert_eq!((report.migrated, report.taken, report.built), (0, 0, 0), "{}", at);
+                        prop_assert_eq!(after.steps_skipped - before.steps_skipped, 1, "{}", at);
+                    }
+                }
+                prev = keys;
+            }
+            let replies = writer.join().expect("writer");
+            check_run(&mut oracle, tail, &replies, &format!("seed {seed} tail"));
+        });
+        assert_same_content(&s, &oracle, &format!("seed {seed}"));
+    }
 }
 
 /// A remote or in-process client: `call` submits `ops` and waits.

@@ -671,7 +671,6 @@ fn degraded_read_only_surfaces_as_typed_refusal() {
                     reserve_bytes: 1 << 24,
                     ..Default::default()
                 },
-                min_split_len: 64,
                 ..Default::default()
             })
             .durability(

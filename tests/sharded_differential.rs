@@ -28,7 +28,6 @@ fn small_sharded(n: usize) -> ShardConfig {
     ShardConfig {
         num_shards: n,
         rma: small_rma(),
-        min_split_len: 64,
         ..Default::default()
     }
 }
@@ -434,18 +433,14 @@ proptest! {
     /// The hot shards split at their histogram's equal-access point,
     /// so the weights here shape where the cuts fall.
     #[test]
-    fn relearned_splitters_stay_sorted_and_partition_the_keyspace(
+    fn maintained_splitters_stay_sorted_and_partition_the_keyspace(
         mut edges in prop::collection::vec(-2000i64..2000, 2..12),
         weights in prop::collection::vec(0u64..40, 1..12),
         keys in prop::collection::vec(-2500i64..2500, 1..300),
     ) {
         edges.sort_unstable();
         edges.dedup();
-        let cfg = ShardConfig {
-            min_split_len: 8,
-            ..small_sharded(1)
-        };
-        let db = sharded_db(cfg, edges.clone());
+        let db = sharded_db(small_sharded(1), edges.clone());
         let sharded = db.engine();
         for &k in &keys {
             sharded.insert(k, k);
@@ -520,7 +515,7 @@ proptest! {
     /// preserves contents exactly and every stored key still routes
     /// to the shard that physically holds it.
     #[test]
-    fn relearn_preserves_content_and_routing(
+    fn maintenance_preserves_content_and_routing(
         keys in prop::collection::vec(0i64..10_000, 2..400),
         hot_lo in 0i64..9_000,
     ) {

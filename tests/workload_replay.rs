@@ -43,7 +43,6 @@ fn replay_config(shards: usize) -> ShardConfig {
             reserve_bytes: 1 << 24,
             ..Default::default()
         },
-        min_split_len: 256,
         ..Default::default()
     }
 }
@@ -172,7 +171,7 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 #[test]
-fn relearning_halves_hotspot_imbalance_deterministically() {
+fn maintenance_halves_hotspot_imbalance_deterministically() {
     let (fixed, fixed_index) = run_replay(false, HotspotMotion::Jump, SHARDS);
     let (maintained, maintained_index) = run_replay(true, HotspotMotion::Jump, SHARDS);
 
@@ -274,14 +273,13 @@ fn uniform_workload_triggers_zero_topology_churn() {
 }
 
 /// Sixty-four narrow shards over a target of sixteen with the reads
-/// in one eighth of the key space: `compact()` walks the count down
-/// over several rounds; then the reads move to a narrow band inside a
-/// shard too short to split (`min_split_len`), and one `maintain()`
-/// merges the cold shards, each merge under a cap of 2 × 512
-/// elements.
+/// in one eighth of the key space: `compact()` merges the coldest runs
+/// down to the target; then the reads move to a narrow band, and one
+/// `maintain()` cuts the shard holding it and merges the runs of cold
+/// shards, each merge under a bound of 1 024 elements.
 fn fragmented_then_compacted() -> Db {
     let cfg = ShardConfig {
-        max_step_elems: 512,
+        max_shard_len: Some(1024),
         ..replay_config(16)
     };
     let db = Db::builder()
@@ -316,8 +314,8 @@ fn fragmented_then_compacted() -> Db {
 }
 
 /// The order in which steps execute is the order the planners emit
-/// them in, and these tables are what the replays journalled when the
-/// split/merge pass became the one load-driven rule: the same replays
+/// them in, and these tables are what the replays journalled when
+/// every step became one `Recut` of a key range: the same replays
 /// must journal the same steps, on the same shards, moving the same
 /// number of elements, in the same order.
 #[test]
@@ -345,28 +343,13 @@ fn step_order_matches_the_recorded_fixture() {
 }
 
 const JUMP_STEPS: &str = "\
-    split@6:2907 merge@2:2088 merge@3:2103 merge@0:2097 split@3:1161 \
-    split@5:1746 split@0:4038 merge@5:1938 merge@6:2811 merge@3:3352 \
-    split@0:1377 split@2:2661 merge@6:4749 split@3:4207 merge@0:2348 \
-    split@3:1358 split@2:2849 merge@0:3603 split@6:5435 merge@3:2296 \
-    merge@1:3812 split@5:2087 split@4:3348 merge@1:6108";
+    split@6:2907 merge@4:2103 merge@0:4185 split@0:6235 merge@8:8101 \
+    split@7:5889 merge@0:4233 split@9:10369 merge@0:9004";
 
 const DRIFT_STEPS: &str = "\
-    split@1:2441 merge@3:2088 merge@6:2096 merge@4:2103 split@1:765 \
-    split@3:1676 split@4:2897 merge@0:2775 split@3:1302 split@5:1595 \
-    split@6:2705 merge@1:2649 split@5:1211 split@7:1494 split@8:2705 \
-    merge@2:2605 merge@3:2579 split@6:1224 split@8:1481";
+    split@1:2441 merge@5:5242 split@4:2904 merge@0:2767 split@5:3128 \
+    merge@0:7090 split@5:2848 merge@0:10324";
 
 const COMPACT_STEPS: &str = "\
-    merge@1:131 merge@35:121 merge@41:145 merge@5:121 merge@32:120 \
-    merge@44:117 merge@46:117 merge@13:159 merge@41:109 merge@3:128 \
-    merge@6:138 merge@31:128 merge@44:129 merge@8:139 merge@31:114 \
-    merge@25:133 merge@12:114 merge@22:129 merge@40:147 merge@41:131 \
-    merge@31:129 merge@36:134 merge@40:125 merge@20:122 merge@14:143 \
-    merge@17:115 merge@15:110 merge@1:196 merge@9:227 merge@27:171 \
-    merge@3:195 merge@22:205 merge@6:208 merge@4:199 merge@15:178 \
-    merge@16:249 merge@13:262 merge@23:276 merge@18:238 merge@20:251 \
-    merge@22:256 merge@7:176 merge@10:237 merge@8:253 merge@0:273 \
-    merge@1:323 merge@11:319 merge@3:435 merge@8:427 merge@6:499 \
-    merge@4:429 merge@10:527 merge@7:557 merge@0:596 merge@8:783 \
-    merge@0:795 merge@1:864 merge@2:926";
+    merge@29:320 merge@12:549 merge@23:742 merge@0:795 merge@13:1013 \
+    split@13:1013 merge@20:125 merge@2:552 merge@2:872";
