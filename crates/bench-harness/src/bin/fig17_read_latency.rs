@@ -13,8 +13,8 @@
 //!   charged to the next request, which is what a caller queued
 //!   behind inline maintenance would observe;
 //! * `background` — a [`Maintainer`](rma_shard::Maintainer) thread
-//!   watches `access_imbalance()` and the op rate and runs
-//!   maintenance concurrently; readers proceed optimistically.
+//!   plans every few thousand ops and runs maintenance
+//!   concurrently; readers proceed optimistically.
 //!
 //! Two key distributions: `uniform` (maintenance stays idle — a
 //! sanity baseline) and `hotspot` ([`workloads::ShiftingHotspot`],
@@ -105,8 +105,6 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
         // and is stopped deterministically before the row is read.
         builder = builder.maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(5),
-            imbalance_trigger: 1.25,
-            min_ops_between: 2048,
             ..Default::default()
         });
     }

@@ -14,7 +14,7 @@
 //! * `off` — maintenance never runs (the latency floor);
 //! * `incremental` — a background [`Maintainer`](rma_shard::Maintainer)
 //!   draining the split/merge plans' bounded steps
-//!   ([`STEPS_PER_TICK`] a tick, inter-step pauses).
+//!   ([`STEPS_PER_TICK`] a tick, 500 µs apart).
 //!
 //! Each mode runs `--reps` times and the reported row is the rep
 //! with the **median worst-insert** — the paper's median-of-
@@ -45,13 +45,10 @@ const SHARDS: usize = 32;
 const PHASES: u64 = 6;
 /// The repository's stall acceptance bar, in nanoseconds.
 const STALL_BAR_NS: u64 = 10_000_000;
-/// The maintainer's trigger: polled this often, skew at or past this
-/// max/mean, this many ops since the last run. React and drain quickly: the shorter the window between runs,
-/// the less a jumped hot band can pile into one shard before the
-/// split that shrinks it runs.
+/// The maintainer's poll: react quickly, since the shorter the
+/// window between runs, the less a jumped hot band can pile into one
+/// shard before the split that shrinks it runs.
 const POLL: Duration = Duration::from_millis(2);
-const IMBALANCE_TRIGGER: f64 = 1.5;
-const MIN_OPS_BETWEEN: u64 = 2048;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -113,14 +110,6 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     if mode == Mode::Incremental {
         builder = builder.maintenance(MaintainerConfig {
             poll_interval: POLL,
-            imbalance_trigger: IMBALANCE_TRIGGER,
-            // Per-step work is capped, so the fast cadence costs only
-            // more (bounded) steps.
-            min_ops_between: MIN_OPS_BETWEEN,
-            // Generous pauses between steps: a writer queued behind
-            // the previous step always drains fully before the next
-            // one can lock anything.
-            step_pause: Duration::from_millis(2),
             ..Default::default()
         });
     }

@@ -68,13 +68,13 @@ fn shard_config(cli: &Cli) -> ShardConfig {
     }
 }
 
-/// Background maintainer tuned for the quiet period: fast poll, the
-/// imbalance trigger parked out of reach (accretion already happened
-/// synchronously); the idle gate is always armed.
+/// Background maintainer tuned for the quiet period: fast poll; the
+/// idle gate is always armed. No ops arrive while it runs, so its op
+/// backoff never opens and load-driven planning cannot run (accretion
+/// already happened synchronously).
 fn maintainer_config() -> MaintainerConfig {
     MaintainerConfig {
         poll_interval: Duration::from_millis(2),
-        imbalance_trigger: 1e9,
         ..Default::default()
     }
 }

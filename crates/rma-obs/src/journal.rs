@@ -16,8 +16,8 @@ use std::sync::atomic::{
 };
 
 /// What happened. The numeric discriminants are the wire encoding
-/// used inside the ring and in the text exposition; 2–4 belonged to
-/// retired kinds and are not reused.
+/// used inside the ring and in the text exposition; 2–4 and 12
+/// belonged to retired kinds and are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -42,10 +42,6 @@ pub enum EventKind {
     /// The idle-time compactor planned a consolidation round (merges
     /// steering the shard count back toward the configured target).
     Consolidate = 11,
-    /// A plan's remaining steps were dropped as stale: the live
-    /// topology drifted past the scheduler's staleness bound between
-    /// planning and execution, so the tail was discarded un-executed.
-    StepDropped = 12,
     /// The network front-end accepted a client connection (`shard`
     /// carries the connection slot, `keys` the live connection count).
     ConnOpen = 13,
@@ -73,7 +69,6 @@ impl EventKind {
             9 => EventKind::Recovery,
             10 => EventKind::DegradedMode,
             11 => EventKind::Consolidate,
-            12 => EventKind::StepDropped,
             13 => EventKind::ConnOpen,
             14 => EventKind::ConnClose,
             15 => EventKind::ProtoError,
@@ -94,7 +89,6 @@ impl EventKind {
             EventKind::Recovery => "recovery",
             EventKind::DegradedMode => "degraded_mode",
             EventKind::Consolidate => "consolidate",
-            EventKind::StepDropped => "step_dropped",
             EventKind::ConnOpen => "conn_open",
             EventKind::ConnClose => "conn_close",
             EventKind::ProtoError => "proto_error",
@@ -267,6 +261,15 @@ mod tests {
         };
         j.record(e);
         assert_eq!(j.snapshot(), vec![e]);
+    }
+
+    #[test]
+    fn retired_discriminants_decode_to_none() {
+        for v in [2, 3, 4, 12, 17] {
+            assert_eq!(EventKind::from_u8(v), None, "{v}");
+        }
+        assert_eq!(EventKind::from_u8(11), Some(EventKind::Consolidate));
+        assert_eq!(EventKind::from_u8(13), Some(EventKind::ConnOpen));
     }
 
     #[test]

@@ -110,9 +110,6 @@ pub enum ConfigError {
     Rma(RmaConfigError),
     /// Maintainer `poll_interval` is zero.
     ZeroPollInterval,
-    /// Maintainer `imbalance_trigger < 1`: maintenance would churn on
-    /// balanced load.
-    ImbalanceTriggerBelowOne(f64),
     /// Maintainer `checkpoint_interval` is `Some(0)`: the maintainer
     /// would do nothing but checkpoint.
     ZeroCheckpointInterval,
@@ -129,10 +126,6 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::Rma(e) => e.fmt(f),
             ConfigError::ZeroPollInterval => f.write_str("poll interval must be positive"),
-            ConfigError::ImbalanceTriggerBelowOne(x) => write!(
-                f,
-                "imbalance trigger below 1 would churn on balanced load (got {x})"
-            ),
             ConfigError::ZeroCheckpointInterval => {
                 f.write_str("checkpoint interval must be positive (or None)")
             }

@@ -329,7 +329,6 @@ pub(crate) struct MaintCounters {
     pub(crate) plans: AtomicU64,
     pub(crate) steps_planned: AtomicU64,
     pub(crate) steps_skipped: AtomicU64,
-    pub(crate) steps_dropped: AtomicU64,
     pub(crate) keys_migrated: AtomicU64,
     pub(crate) splits: AtomicU64,
     pub(crate) merges: AtomicU64,
@@ -353,10 +352,9 @@ pub struct MaintenanceStats {
     /// Steps skipped as stale (the topology moved between planning
     /// and execution).
     pub steps_skipped: u64,
-    /// Steps dropped un-executed by the scheduler's staleness check:
-    /// the live shard count or access masses drifted past the drift
-    /// bound, so the plan's remaining tail was discarded and the
-    /// caller re-planned instead.
+    /// Always 0: a plan runs to its end, every step executed or
+    /// skipped, and nothing drops the steps it has left. The field
+    /// stays so the ledger's consumers keep building.
     pub steps_dropped: u64,
     /// Elements rebuilt under the locks of all executed steps — see
     /// [`StepReport::migrated`] for the one definition.
@@ -495,7 +493,7 @@ impl ShardedRma {
     }
 
     /// Lifetime counters of the incremental maintenance engine: plans
-    /// and steps (planned / executed by kind / skipped / dropped),
+    /// and steps (planned / executed by kind / skipped),
     /// elements migrated, topologies published, and the worst
     /// single-step wall time — the observable proof that maintenance
     /// proceeds in bounded steps rather than monolithic stalls.
@@ -507,7 +505,7 @@ impl ShardedRma {
             steps_planned: c.steps_planned.load(Relaxed),
             steps_executed: splits + merges,
             steps_skipped: c.steps_skipped.load(Relaxed),
-            steps_dropped: c.steps_dropped.load(Relaxed),
+            steps_dropped: 0,
             keys_migrated: c.keys_migrated.load(Relaxed),
             splits,
             merges,
@@ -882,8 +880,8 @@ impl ShardedRma {
         topo.shards.iter().map(|s| s.stats.total()).collect()
     }
 
-    /// Length of the longest live shard — what the maintenance
-    /// trigger holds against the [`ShardConfig::max_shard_len`]
+    /// Length of the longest live shard — what the background
+    /// maintainer holds against the [`ShardConfig::max_shard_len`]
     /// backstop.
     pub fn longest_shard_len(&self) -> usize {
         self.topo().lens().max().unwrap_or(0)

@@ -1,5 +1,5 @@
 //! The background maintenance thread: plans maintenance off the
-//! access-imbalance and op-rate signals and **drains the plan a few
+//! op-rate signal and **drains the plan a few
 //! steps per tick with inter-step sleeps**, so callers never pay
 //! shard splits and merges inline *and* the
 //! maintainer never monopolises a core on huge topologies.
@@ -14,15 +14,19 @@
 //!    gate's signal);
 //! 2. if a [`crate::MaintenancePlan`] is in flight,
 //!    executes up to [`STEPS_PER_TICK`] of its
-//!    steps, parking for [`MaintainerConfig::step_pause`] between
+//!    steps, parking for `STEP_PAUSE` (500 µs) between
 //!    them — each step publishes its own copy-on-write topology, so
-//!    between steps every writer runs completely unobstructed;
-//! 3. otherwise, when the access imbalance crosses
-//!    [`MaintainerConfig::imbalance_trigger`] and at least
-//!    [`MaintainerConfig::min_ops_between`] operations arrived since
-//!    the previous plan finished, asks the planner
-//!    ([`ShardedRma::plan_maintenance`]) for a fresh plan (so an idle
-//!    index never churns);
+//!    between steps every writer runs completely unobstructed. The
+//!    plan runs to its end, however the access masses move between
+//!    ticks: a step whose shards changed under it is skipped, and
+//!    nothing else drops what the planner asked for;
+//! 3. otherwise, once at least `MIN_OPS_BETWEEN` (4 096) operations
+//!    arrived since the previous plan finished, asks the planner
+//!    ([`ShardedRma::plan_maintenance`]) for a fresh plan. There is
+//!    no imbalance trigger in front of it: the planner's own split and
+//!    merge factors (2× and ½× the mean shard mass) decide whether
+//!    there is work, and a balanced index plans nothing (an idle one
+//!    never gets that far, because the op backoff stays shut);
 //! 4. when instead the op rate has stayed *below* 1000 ops/s for
 //!    [`IDLE_CONFIRM_POLLS`] consecutive polls and the live shard
 //!    count exceeds [`COMPACT_TARGET_FACTOR`] ×
@@ -38,10 +42,8 @@
 //! filed in the engine's ledger ([`ShardedRma::maintenance_stats`]);
 //! [`MaintainerStats`] keeps only what the thread alone knows.
 //!
-//! Plans drain in the order their planner emitted them, and an
-//! in-flight plan whose world drifted past the staleness bound
-//! ([`ShardedRma::execute_step`]) has its tail dropped and is
-//! re-planned — a re-plan supersedes, never appends.
+//! Plans drain in the order their planner emitted them, and a fresh
+//! plan is asked for only once the last one is drained.
 //!
 //! Because the read path is optimistic (see the crate docs on the
 //! pin/epoch read protocol),
@@ -86,22 +88,24 @@ pub const STEPS_PER_TICK: usize = 4;
 /// an on-target topology from oscillating merge/split.
 pub const COMPACT_TARGET_FACTOR: f64 = 2.0;
 
-/// Cadence and triggers of the background maintainer.
+/// Operations on the shared clock between the end of one plan and
+/// the next call to the planner — the backoff that keeps a hot but
+/// stable imbalance from re-planning on every poll, and a planner
+/// that found nothing to do from being asked again at once.
+const MIN_OPS_BETWEEN: u64 = 4096;
+
+/// Pause between consecutive steps within one tick. Writers queued
+/// behind a step drain during the pause.
+const STEP_PAUSE: Duration = Duration::from_micros(500);
+
+/// The background maintainer's two cadences. When it plans, and how
+/// fast it drains a plan, are not settable: the planner's thresholds
+/// decide whether there is work, 4 096 ops at least space the plans,
+/// and [`STEPS_PER_TICK`] steps a tick, 500 µs apart, drain them.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintainerConfig {
-    /// Time between polls of the imbalance/op-rate signals.
+    /// Time between polls of the op-rate signal.
     pub poll_interval: Duration,
-    /// [`ShardedRma::access_imbalance`] threshold (max/mean) at or
-    /// above which a poll escalates to planning maintenance.
-    /// `1.0` plans on every eligible poll.
-    pub imbalance_trigger: f64,
-    /// Minimum operations (shared-clock granules) between consecutive
-    /// plans — the backstop that keeps a hot but stable imbalance
-    /// from re-planning maintenance every poll.
-    pub min_ops_between: u64,
-    /// Pause between consecutive steps within one tick. Writers
-    /// queued behind a step drain during the pause.
-    pub step_pause: Duration,
     /// How often to checkpoint the durability partitions
     /// ([`ShardedRma::checkpoint`], on the first poll past each
     /// interval with no plan in flight). `None` (the default) never
@@ -114,9 +118,6 @@ impl Default for MaintainerConfig {
     fn default() -> Self {
         MaintainerConfig {
             poll_interval: Duration::from_millis(25),
-            imbalance_trigger: 1.25,
-            min_ops_between: 4096,
-            step_pause: Duration::from_micros(500),
             checkpoint_interval: None,
         }
     }
@@ -129,11 +130,6 @@ impl MaintainerConfig {
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         if self.poll_interval == Duration::ZERO {
             return Err(ConfigError::ZeroPollInterval);
-        }
-        if self.imbalance_trigger < 1.0 {
-            return Err(ConfigError::ImbalanceTriggerBelowOne(
-                self.imbalance_trigger,
-            ));
         }
         if self.checkpoint_interval == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroCheckpointInterval);
@@ -160,7 +156,7 @@ pub struct MaintainerStats {
 }
 
 impl MaintainerStats {
-    /// Polls of the trigger signals.
+    /// Polls of the op-rate signal.
     pub fn polls(&self) -> u64 {
         self.polls.load(Relaxed)
     }
@@ -236,16 +232,8 @@ impl ShardedRma {
 }
 
 /// Executes up to [`STEPS_PER_TICK`] steps of `plan`, pausing between
-/// steps, and returns how many executed. A plan whose stale tail the
-/// scheduler dropped comes back empty, like a drained one: the caller
-/// re-plans from fresh signals, so a re-plan supersedes rather than
-/// appends.
-fn drain_tick(
-    index: &ShardedRma,
-    cfg: &MaintainerConfig,
-    stop: &AtomicBool,
-    plan: &mut MaintenancePlan,
-) -> u64 {
+/// steps, and returns how many executed.
+fn drain_tick(index: &ShardedRma, stop: &AtomicBool, plan: &mut MaintenancePlan) -> u64 {
     let mut executed = 0;
     for i in 0..STEPS_PER_TICK {
         // Abandoned mid-drain on a stop: every step was complete.
@@ -254,8 +242,8 @@ fn drain_tick(
         }
         // Inter-step pause *before* each subsequent step: writers
         // queued behind the previous publication drain undisturbed.
-        if i > 0 && cfg.step_pause > Duration::ZERO {
-            std::thread::park_timeout(cfg.step_pause);
+        if i > 0 {
+            std::thread::park_timeout(STEP_PAUSE);
             if stop.load(Relaxed) {
                 break;
             }
@@ -280,11 +268,11 @@ fn maintainer_loop(
     let mut last_poll = Instant::now();
     let mut last_checkpoint = Instant::now();
     let mut plan: Option<MaintenancePlan> = None;
-    // Set when a trigger produced an empty plan (nothing actionable —
-    // e.g. an over-backstop shard that is one giant duplicate run and
-    // cannot split). While set, the un-throttled backstop trigger
-    // falls back to the op backstop, so an unplannable condition
-    // cannot re-run the planner on every poll forever.
+    // Set when the planner produced an empty plan (nothing actionable
+    // — e.g. an over-backstop shard that is one giant duplicate run
+    // and cannot split). While set, a backstop breach waits for the op
+    // backoff too, so an unplannable condition cannot re-run the
+    // planner on every poll forever.
     let mut last_plan_empty = false;
     // Shard count at which the last idle-consolidation attempt planned
     // nothing (no mergeable pair under the step bound): skip re-asking
@@ -317,7 +305,7 @@ fn maintainer_loop(
                 rate = (ops - last_ops) as f64 / elapsed;
             }
             last_poll = Instant::now();
-            // A clock rewind also invalidates the op-based backstop.
+            // A clock rewind also invalidates the op backoff.
             if ops < last_maintained_ops {
                 last_maintained_ops = ops;
             }
@@ -332,9 +320,9 @@ fn maintainer_loop(
             };
 
             // Drain an in-flight plan on the tick budget before
-            // looking at the trigger signals again.
+            // planning again.
             if let Some(p) = plan.as_mut() {
-                steps_done = drain_tick(index, cfg, stop, p);
+                steps_done = drain_tick(index, stop, p);
                 if p.is_empty() {
                     plan = None;
                     last_maintained_ops = index.op_count();
@@ -356,31 +344,28 @@ fn maintainer_loop(
                 }
             }
 
-            let enough_ops = ops.saturating_sub(last_maintained_ops) >= cfg.min_ops_between;
-            // Two trigger signals. Skewed access is throttled by the
-            // `min_ops_between` backstop (churn control). A shard past
-            // the `max_shard_len` length line is normally NOT
-            // throttled — it is an SLO invariant: every operation the
-            // oversized shard absorbs while the maintainer waits makes
-            // the split that must shrink it (the one uncappable step)
-            // hold its locks longer. The exception: if the previous
-            // trigger produced an empty plan (the oversized shard is
+            // The planner runs once the op backoff opens; its own
+            // thresholds decide whether there is work. A shard past
+            // the `max_shard_len` length line is normally not held to
+            // the backoff — it is an SLO invariant: every operation
+            // the oversized shard absorbs while the maintainer waits
+            // makes the split that must shrink it (the one uncappable
+            // step) hold its locks longer. The exception: if the
+            // previous plan came back empty (the oversized shard is
             // unplannable, e.g. one giant duplicate run), the breach
-            // falls back to the op throttle so it cannot re-run the
+            // waits for the backoff too, so it cannot re-run the
             // planner every poll.
-            let backstop_breached = (enough_ops || !last_plan_empty)
+            let enough_ops = ops.saturating_sub(last_maintained_ops) >= MIN_OPS_BETWEEN;
+            let backstop_breached = !last_plan_empty
                 && index
                     .config()
                     .max_shard_len
                     .is_some_and(|m| index.longest_shard_len() > m);
-            let triggered = (enough_ops && index.access_imbalance() >= cfg.imbalance_trigger)
-                || backstop_breached;
-            if triggered {
+            if enough_ops || backstop_breached {
                 let fresh = index.plan_maintenance();
                 if fresh.is_empty() {
-                    // Triggered but nothing worth doing (stability
-                    // guards, or an unplannable backstop breach): back
-                    // off by the op backstop.
+                    // Nothing worth doing (a balanced index, or an
+                    // unplannable backstop breach): back off.
                     last_plan_empty = true;
                     last_maintained_ops = index.op_count();
                 } else {
@@ -394,9 +379,9 @@ fn maintainer_loop(
             // Idle-time consolidation: when the workload is in a
             // trough and accreted splits have ratcheted the shard
             // count past the configured slack, schedule one
-            // cap-bounded merge round. Deliberately NOT throttled by
-            // `min_ops_between` — idle means few ops arrive, so the op
-            // backstop would park the compactor exactly when it is
+            // cap-bounded merge round. Deliberately NOT held to
+            // `MIN_OPS_BETWEEN` — idle means few ops arrive, so the op
+            // backoff would park the compactor exactly when it is
             // safe to run.
             if plan.is_none() && idle_streak >= IDLE_CONFIRM_POLLS {
                 let live = index.num_shards();
@@ -457,9 +442,6 @@ mod tests {
         ));
         let m = s.start_maintainer(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.25,
-            min_ops_between: 64,
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         });
         // Hammer shard 0 only; the background thread must react.
@@ -519,7 +501,6 @@ mod tests {
         }
         let m = s.start_maintainer(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         });
         for _ in 0..1000 {
@@ -570,7 +551,10 @@ mod tests {
             // sees a high op rate. The periodic `reset_access_stats`
             // rewinds the op clock mid-burst: a rewound window must
             // read as *busy*, not as rate 0 (which would open the
-            // idle gate under load). The loader records its longest
+            // idle gate under load). A sweep is 1 000 ops, fewer than
+            // `MIN_OPS_BETWEEN`, so the rewinds also keep the op
+            // backoff shut and no load-driven plan runs either: the
+            // count stays at 8. The loader records its longest
             // inter-sweep gap so a starved run can be told apart.
             let stop_load = Arc::new(AtomicBool::new(false));
             let max_gap_ns = Arc::new(AtomicU64::new(0));
@@ -593,7 +577,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             let m = s.start_maintainer(MaintainerConfig {
                 poll_interval: poll,
-                imbalance_trigger: 1000.0, // never trigger load maintenance
                 ..Default::default()
             });
             std::thread::sleep(Duration::from_millis(150));

@@ -124,28 +124,10 @@ impl ShardedRma {
     /// returning what happened — or `None` when the plan is drained.
     /// Safe to interleave with any concurrent operation; the step
     /// re-validates against the live topology and is skipped if
-    /// stale. This is the background maintainer's pacing primitive.
-    ///
-    /// Before popping, the live shard count and total decayed access
-    /// mass are compared against the plan's anchor (refreshed after
-    /// every step); if either drifted past the staleness bound the
-    /// remaining steps are **dropped** — counted in
-    /// [`MaintenanceStats::steps_dropped`](crate::MaintenanceStats),
-    /// journaled as [`EventKind::StepDropped`], never executed — and
-    /// `None` is returned so the caller re-plans from fresh signals.
+    /// stale. This is the background maintainer's pacing primitive:
+    /// called until it returns `None`, it runs every step the planner
+    /// emitted, each executed or skipped.
     pub fn execute_step(&self, plan: &mut MaintenancePlan) -> Option<StepReport> {
-        if plan.is_empty() {
-            return None;
-        }
-        let live_shards = self.num_shards();
-        let live_mass: u64 = self.access_masses().iter().sum();
-        if plan.is_stale(live_shards, live_mass) {
-            let n = plan.drop_remaining();
-            self.maint_counters.steps_dropped.fetch_add(n, Relaxed);
-            self.obs()
-                .log(EventKind::StepDropped, rma_obs::Event::NO_SHARD, 0, n);
-            return None;
-        }
         let step = plan.pop()?;
         let obs_on = self.obs().enabled();
         let t0 = if obs_on { rma_obs::now_ns() } else { 0 };
@@ -186,10 +168,6 @@ impl ShardedRma {
             self.obs().record_step(dur);
             self.obs().log(event, first as u32, dur, report.migrated);
         }
-        // Re-anchor at the post-step state: the step itself may have
-        // changed the shard count, and the plan's own progress must
-        // never read as drift.
-        plan.reanchor(self.num_shards(), self.access_masses().iter().sum());
         Some(report)
     }
 
@@ -522,51 +500,55 @@ mod tests {
         assert_eq!(s.collect_all(), before, "compaction must not lose data");
     }
 
+    /// A plan runs to its end across a decay halving. The global
+    /// decay clock halves every histogram each `DECAY_EVERY` ops, so
+    /// under load the total mass swings by half or more between two
+    /// steps of a plan without anything having changed; every step
+    /// must still run.
     #[test]
-    fn stale_plan_tail_is_dropped_and_counted() {
-        let s = ShardedRma::with_splitters(
-            small_cfg(16),
-            Splitters::new((1..16).map(|i| i * 100).collect()),
-        );
-        for k in 0..1600i64 {
+    fn plan_survives_a_decay_halving() {
+        let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![1000, 2000, 3000]));
+        for k in 0..4000i64 {
             s.insert(k, k);
         }
-        assert!(
-            s.plan_consolidation().is_empty(),
-            "at target: nothing to consolidate"
-        );
-        // Build a real plan against a fragmented configuration.
-        let mut cfg2 = small_cfg(16);
-        cfg2.num_shards = 2;
-        let frag =
-            ShardedRma::with_splitters(cfg2, Splitters::new((1..16).map(|i| i * 100).collect()));
-        for k in 0..1600i64 {
-            frag.insert(k, k);
-        }
-        // A hot shard in the middle: the coldest runs either side of
-        // it are two merges.
-        for k in 700..800i64 {
-            let _ = frag.get(k);
-        }
-        let mut plan = frag.plan_consolidation();
-        let planned = plan.len();
-        assert!(planned > 1, "fragmented index must plan merges");
-        // Mutate the world out from under the plan: 16 shards become 2,
-        // a drift far past the bound, which must drop the whole plan.
-        let merged = frag.compact();
-        assert!(merged > 0);
-        let content = frag.collect_all();
-        let before = frag.maintenance_stats().steps_dropped;
-        assert!(frag.execute_step(&mut plan).is_none());
-        let stats = frag.maintenance_stats();
+        // 2 000 gets on a band of shard 0: the shard is cut, and the
+        // three cold shards right of it merge.
+        let band = |sweeps: usize| {
+            for _ in 0..sweeps {
+                for k in 100..200i64 {
+                    let _ = s.get(k);
+                }
+            }
+        };
+        s.reset_access_stats();
+        band(20);
+        let mut plan = s.plan_maintenance();
+        assert_eq!(plan.len(), 2, "one cut, one merge: {plan:?}");
+        assert!(s.execute_step(&mut plan).expect("a step").executed);
+        // 8 200 more gets on the same band: the clock crosses
+        // `DECAY_EVERY` and every histogram halves before the next pop.
+        let halvings = |s: &ShardedRma| s.op_count() / crate::DECAY_EVERY;
+        let before = halvings(&s);
+        band(82);
+        assert_eq!(halvings(&s), before + 1, "no halving between the pops");
+        s.drain_plan(&mut plan);
+        let ledger = s.maintenance_stats();
         assert_eq!(
-            stats.steps_dropped - before,
-            planned as u64,
-            "every un-executed step must be counted as dropped"
+            ledger.steps_executed + ledger.steps_skipped,
+            ledger.steps_planned,
+            "every planned step ran or was skipped: {ledger:?}"
         );
-        assert!(plan.is_empty());
-        frag.check_invariants();
-        assert_eq!(frag.collect_all(), content, "drops must not touch data");
+        assert_eq!((ledger.splits, ledger.merges), (1, 1), "{ledger:?}");
+        // The hot shard was cut inside its band; the cold run is one
+        // shard.
+        let keys = s.splitters().keys().to_vec();
+        assert!(
+            keys.iter().any(|k| (100..=200).contains(k)),
+            "the band was not cut: {keys:?}"
+        );
+        assert_eq!(keys.last(), Some(&1000), "{keys:?}");
+        s.check_invariants();
+        assert_eq!(s.len(), 4000);
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //!   coldest runs back toward the configured `num_shards`.
 //!
 //! A plan is a list: each planner emits its steps in the order they
-//! are to run, and the plan pops them front to back. A rebalance's
-//! splits come before its merges; within a class the planner sorts by
-//! gain per migrated key, and consolidation takes the coldest runs
-//! first.
+//! are to run, and the plan pops them front to back, to its end. A
+//! rebalance's splits come before its merges; within a class the
+//! planner sorts by gain per migrated key, and consolidation takes the
+//! coldest runs first. Nothing second-guesses a plan once it is made —
+//! as the paper's calibrator picks a window and the window is
+//! redistributed (§III) — so the only check between planning and
+//! execution is the per-step one: a step whose keys no longer name
+//! whole shards is skipped.
 //!
 //! [`Recut`]: MaintenanceStep::Recut
 
@@ -56,12 +60,6 @@ pub enum MaintenanceStep {
         cuts: Vec<Key>,
     },
 }
-
-/// The scheduler's staleness bound: a plan whose live shard count or
-/// total decayed access mass has moved more than this fraction from
-/// its anchor since the last progress point has its remaining steps
-/// dropped, not executed.
-const STALE_DRIFT: f64 = 0.5;
 
 /// A shard splits when its weight (access mass; length while no
 /// access has been recorded) exceeds this many times the mean shard
@@ -100,21 +98,15 @@ fn recut(splitters: &Splitters, first: usize, last: usize, cuts: Vec<Key>) -> Ma
 /// maintainer's paced mode) or all at once by
 /// [`ShardedRma::drain_plan`].
 ///
-/// The plan also remembers the live topology it was planned against
-/// (shard count + total decayed access mass, re-anchored after every
-/// pop); when the world drifts too far from it between pops,
-/// [`ShardedRma::execute_step`] drops the un-executed tail.
+/// A plan runs to its end: the planner's thresholds decided there was
+/// work, and each step is checked against the live topology only when
+/// it is popped, where a stale one is skipped.
 #[derive(Debug)]
 pub struct MaintenancePlan {
     steps: VecDeque<MaintenanceStep>,
     /// Made by the idle-time consolidation planner: its merges get
     /// the wider idle bound, and the ledger counts them.
     consolidation: bool,
-    /// Staleness anchor: live shard count at the last progress point
-    /// (plan creation or the most recent pop).
-    anchor_shards: usize,
-    /// Staleness anchor: total decayed access mass likewise.
-    anchor_mass: u64,
 }
 
 impl MaintenancePlan {
@@ -141,37 +133,6 @@ impl MaintenancePlan {
 
     pub(crate) fn pop(&mut self) -> Option<MaintenanceStep> {
         self.steps.pop_front()
-    }
-
-    /// True when the live topology has drifted past [`STALE_DRIFT`]
-    /// from this plan's anchor — the signal that the remaining steps
-    /// were computed from a world that no longer exists. A zero-mass
-    /// anchor skips the mass test (relative drift from zero is
-    /// undefined; the shard-count test still applies).
-    pub(crate) fn is_stale(&self, live_shards: usize, live_mass: u64) -> bool {
-        let shard_drift = (live_shards as f64 - self.anchor_shards as f64).abs()
-            / self.anchor_shards.max(1) as f64;
-        let mass_drift = if self.anchor_mass == 0 {
-            0.0
-        } else {
-            (live_mass as f64 - self.anchor_mass as f64).abs() / self.anchor_mass as f64
-        };
-        shard_drift > STALE_DRIFT || mass_drift > STALE_DRIFT
-    }
-
-    /// Re-anchors the staleness snapshot at the current live state —
-    /// called after every pop, so a plan's own executed steps (which
-    /// legitimately change the shard count) never read as drift.
-    pub(crate) fn reanchor(&mut self, live_shards: usize, live_mass: u64) {
-        self.anchor_shards = live_shards;
-        self.anchor_mass = live_mass;
-    }
-
-    /// Drops every remaining step, returning how many were discarded.
-    pub(crate) fn drop_remaining(&mut self) -> u64 {
-        let n = self.steps.len() as u64;
-        self.steps.clear();
-        n
     }
 }
 
@@ -336,12 +297,9 @@ impl ShardedRma {
             self.obs()
                 .log(ev, rma_obs::Event::NO_SHARD, 0, steps.len() as u64);
         }
-        let masses = self.access_masses();
         MaintenancePlan {
             steps: steps.into(),
             consolidation,
-            anchor_shards: masses.len().max(1),
-            anchor_mass: masses.iter().sum(),
         }
     }
 }

@@ -152,9 +152,6 @@ fn readers_vs_background_maintainer_stress() {
         .shard_config(stress_cfg(8))
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.1,
-            min_ops_between: 256,
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         })
         .build_bulk(&base)
@@ -345,9 +342,6 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.1,
-            min_ops_between: 256,
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         })
         .build()
@@ -453,9 +447,6 @@ fn apply_ops_sees_every_published_version_under_writers_and_maintainer() {
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.1,
-            min_ops_between: 256,
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         })
         .build()
@@ -586,9 +577,6 @@ fn scan_into_is_whole_and_sorted_under_writers_and_maintainer() {
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.1,
-            min_ops_between: 256,
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         })
         .build()

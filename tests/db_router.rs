@@ -49,9 +49,6 @@ fn concurrent_sessions_match_oracle_under_maintenance() {
         .shard_config(small_cfg(8))
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
-            imbalance_trigger: 1.1,
-            min_ops_between: 256,
-            step_pause: Duration::from_micros(100),
             ..Default::default()
         })
         .build()

@@ -377,7 +377,6 @@ fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
             .maintenance(MaintainerConfig {
                 poll_interval: Duration::from_millis(5),
                 checkpoint_interval: interval,
-                ..Default::default()
             })
             .build()
             .expect("valid durable config");

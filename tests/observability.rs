@@ -575,7 +575,6 @@ fn the_exposition_carries_every_counter() {
         .maintenance(MaintainerConfig {
             poll_interval: Duration::from_millis(1),
             checkpoint_interval: Some(Duration::from_millis(1)),
-            ..Default::default()
         })
         .build()
         .expect("valid durable config");

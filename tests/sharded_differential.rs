@@ -538,40 +538,6 @@ proptest! {
         prop_assert_eq!(sharded.len(), keys.len());
     }
 
-    /// Scheduler safety: once a plan's world drifts past the
-    /// staleness bound, the entire remaining tail is dropped —
-    /// counted, never executed — leaving the index untouched by the
-    /// dead plan.
-    #[test]
-    fn stale_plan_tails_drop_without_executing(
-        keys in prop::collection::vec(0i64..8_000, 100..300),
-    ) {
-        let db = sharded_db(small_sharded(2), (1..8).map(|i| i * 1000).collect());
-        let s = db.engine();
-        for &k in &keys {
-            s.insert(k, k);
-        }
-        let mut plan = s.plan_consolidation();
-        prop_assert!(!plan.is_empty(), "8 shards over a target of 2 must plan merges");
-        let planned = plan.len() as u64;
-        // Real drift: the synchronous chain consolidates 8 shards into
-        // 2 underneath the in-flight plan, past the staleness bound.
-        s.compact();
-        let before = s.collect_all();
-        let stats0 = s.maintenance_stats();
-        prop_assert!(
-            s.execute_step(&mut plan).is_none(),
-            "a drifted plan must refuse to execute"
-        );
-        let stats1 = s.maintenance_stats();
-        prop_assert_eq!(stats1.steps_dropped - stats0.steps_dropped, planned);
-        prop_assert_eq!(stats1.steps_executed, stats0.steps_executed);
-        prop_assert_eq!(stats1.steps_skipped, stats0.steps_skipped);
-        prop_assert!(plan.is_empty(), "the dropped tail must be gone");
-        prop_assert_eq!(s.collect_all(), before, "dropped steps must not touch content");
-        s.check_invariants();
-    }
-
     /// Bulk construction equals element-wise insertion.
     #[test]
     fn load_bulk_equals_inserts(mut keys in prop::collection::vec(0i64..5000, 1..500)) {
