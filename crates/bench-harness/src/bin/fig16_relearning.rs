@@ -7,14 +7,13 @@
 //! compares maintenance modes over the same operation stream:
 //!
 //! * `static` — the bulk-loaded topology, never maintained;
-//! * `maintained` — the split/merge pass
-//!   ([`maintain`](rma_shard::ShardedRma::maintain)): hot shards are
-//!   cut at the quantiles of their access mass, runs of cold
-//!   neighbours merge;
-//! * `compact` (jump phase set only) — as `maintained`, plus the
-//!   idle-time consolidation chain run in the quiet period at every
-//!   phase boundary, so the split accretion cannot ratchet the shard
-//!   count phase over phase.
+//! * `maintained` — the calibrator rule
+//!   ([`maintain`](rma_shard::ShardedRma::maintain)): a shard out of
+//!   its access-mass bounds takes the smallest admissible window of
+//!   shards, re-cut at the quantiles of its mass;
+//! * `compact` (jump phase set only) — as `maintained`, plus a second
+//!   `maintain()` in the quiet period at every phase boundary, on the
+//!   masses of the phase's second half.
 //!
 //! Each phase runs half its operations, calls `maintain` (except in
 //! `static` mode), resets the (measurement) histograms, runs the
@@ -51,11 +50,11 @@ struct PhaseRow {
 enum Mode {
     /// `static`: no maintenance.
     Static,
-    /// `maintained`: the split/merge pass at every phase midpoint.
+    /// `maintained`: the calibrator rule at every phase midpoint.
     Maintained,
-    /// `compact`: as `maintained`, plus the idle-time consolidation
-    /// chain ([`rma_shard::ShardedRma::compact`]) in the quiet period
-    /// at each phase boundary — the anti-ratchet mode.
+    /// `compact`: as `maintained`, plus
+    /// [`maintain`](rma_shard::ShardedRma::maintain) again in the
+    /// quiet period at each phase boundary.
     Compact,
 }
 
@@ -117,11 +116,9 @@ fn run_mode(cli: &Cli, mode: Mode, motion: HotspotMotion) -> Vec<PhaseRow> {
         run_half(phase_ops - half);
         let imbalance_after = index.access_imbalance();
         // Compact mode: the phase boundary is a quiet period — run
-        // the consolidation chain there, exactly where the background
-        // maintainer's idle gate would, so the accreted split count
-        // cannot ratchet phase over phase.
+        // the rule there too, on the second half's masses.
         if mode == Mode::Compact {
-            index.compact();
+            index.maintain();
         }
         rows.push(PhaseRow {
             phase,

@@ -1,18 +1,14 @@
-//! Figure 22 (beyond the paper) — idle-time shard compaction after a
+//! Figure 22 (beyond the paper) — shard compaction after a
 //! phased-hotspot burst.
 //!
-//! Demonstrates the anti-ratchet half of the cost-based maintenance
-//! scheduler. A jump-motion shifting hotspot (the fig. 16 workload)
-//! hammers one narrow band per phase; access-driven maintenance
-//! splits the hot shard every phase, so the live shard count ratchets
-//! well past the configured target while the retired bands' shards
-//! linger. The driver then goes quiet and starts the background
-//! maintainer: its op-rate estimate drops below the idle threshold
-//! (1000 ops/s), the idle gate engages,
-//! and the consolidation chain
-//! ([`rma_shard::ShardedRma::plan_consolidation`]) merges the coldest
-//! runs of neighbours until the count is back at
-//! [`COMPACT_TARGET_FACTOR`]` x num_shards`.
+//! Demonstrates that maintenance does not ratchet the shard count. A
+//! jump-motion shifting hotspot (the fig. 16 workload) hammers one
+//! narrow band per phase while synchronous maintenance follows it, so
+//! the live shard count moves with the band. The driver then goes
+//! quiet and starts the background maintainer: its first poll plans
+//! at once — there is no idle gate — and the calibrator rule
+//! ([`rma_shard::ShardedRma::plan_maintenance`]) merges the shards
+//! whose access mass fell under the leaf bound.
 //!
 //! Recorded per run:
 //!
@@ -22,10 +18,9 @@
 //!   bloated topology *before* the quiet period and again *after*
 //!   compaction — the payoff of the smaller splitter array and the
 //!   restored shard locality;
-//! * how many consolidation merges the background maintainer ran on
-//!   its own before the deterministic
-//!   [`compact`](rma_shard::ShardedRma::compact) backstop finished
-//!   the job.
+//! * how many merges the background maintainer ran on its own before
+//!   the deterministic [`maintain`](rma_shard::ShardedRma::maintain)
+//!   backstop finished the job.
 //!
 //! Writes `BENCH_shard_compaction.json`; the schema is documented in
 //! `crates/bench-harness/README.md`.
@@ -35,7 +30,6 @@ use std::time::{Duration, Instant};
 
 use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
 use rma_core::RmaConfig;
-use rma_shard::maintainer::COMPACT_TARGET_FACTOR;
 use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma, Splitters};
 use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 
@@ -68,10 +62,9 @@ fn shard_config(cli: &Cli) -> ShardConfig {
     }
 }
 
-/// Background maintainer tuned for the quiet period: fast poll; the
-/// idle gate is always armed. No ops arrive while it runs, so its op
-/// backoff never opens and load-driven planning cannot run (accretion
-/// already happened synchronously).
+/// Background maintainer tuned for the quiet period: fast poll. No ops
+/// arrive while it runs, so only its first poll plans: the op backoff
+/// never opens after that.
 fn maintainer_config() -> MaintainerConfig {
     MaintainerConfig {
         poll_interval: Duration::from_millis(2),
@@ -137,10 +130,7 @@ fn write_json(
         cli.reps,
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
-    json.push_str(&format!(
-        "  \"compact_target_factor\": {COMPACT_TARGET_FACTOR},\n  \"quiet_ms\": {},\n",
-        quiet.quiet_ms
-    ));
+    json.push_str(&format!("  \"quiet_ms\": {},\n", quiet.quiet_ms));
     json.push_str("  \"trajectory\": [\n");
     for (i, r) in trajectory.iter().enumerate() {
         json.push_str(&format!(
@@ -182,7 +172,7 @@ fn write_json(
 fn main() {
     let cli = Cli::parse();
     println!(
-        "# Fig. 22 — idle-time shard compaction: N={} preloaded, {} ops/phase, {PHASES} phases, {SHARDS} shards, B={}",
+        "# Fig. 22 — shard compaction after a phased hotspot: N={} preloaded, {} ops/phase, {PHASES} phases, {SHARDS} shards, B={}",
         cli.scale, cli.scale, cli.seg
     );
 
@@ -255,25 +245,25 @@ fn main() {
         fmt_throughput(meas_ops, meas_ops as f64 / before.ops_per_sec.max(1e-12))
     );
 
-    // --- quiet period: the idle gate does the work ------------------
-    let consolidated_before = index.maintenance_stats().consolidations;
+    // --- quiet period: the maintainer's first plan does the work ---
+    let merged_before = index.maintenance_stats().merges;
     let maintainer = index.start_maintainer(maintainer_config());
     // The target the committed gate asserts.
-    let target = (COMPACT_TARGET_FACTOR * SHARDS as f64).ceil() as usize;
+    let target = 2 * SHARDS;
     let quiet_start = Instant::now();
     while index.num_shards() > target && quiet_start.elapsed() < QUIET_BUDGET {
         std::thread::sleep(Duration::from_millis(5));
     }
     let quiet_ms = quiet_start.elapsed().as_millis() as u64;
     maintainer.stop();
-    let background_consolidations = index.maintenance_stats().consolidations - consolidated_before;
+    let background_consolidations = index.maintenance_stats().merges - merged_before;
     // Deterministic backstop: whatever the background maintainer left
     // behind (a slow box, an unlucky poll cadence) is finished
     // synchronously so the committed gate does not race a thread.
-    let compact_merges = index.compact();
+    let compact_merges = index.maintain().retired;
     index.check_invariants();
     println!(
-        "# quiet period: {quiet_ms} ms, {background_consolidations} background consolidation merges, {compact_merges} shards merged away by the backstop"
+        "# quiet period: {quiet_ms} ms, {background_consolidations} background merges, {compact_merges} shards merged away by the backstop"
     );
 
     // --- after: routed throughput over the compacted topology -------

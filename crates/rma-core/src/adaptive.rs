@@ -13,8 +13,8 @@
 //! `O(log²N / B)` bound.
 
 use crate::detector::{Detector, THETA_SC};
-use crate::rma::height_for;
 use crate::storage::Storage;
+use crate::thresholds::height_for;
 use crate::thresholds::Thresholds;
 
 /// A predicted-update interval within a rebalance window, in element

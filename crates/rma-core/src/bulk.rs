@@ -39,7 +39,8 @@
 //! Everything that builds a store — `ShardedRma::load_bulk`, recovery,
 //! a maintenance step filling a fresh shard — comes through here.
 
-use crate::rma::{cap_targets, even_targets, height_for, window_layout, Rma};
+use crate::rma::{cap_targets, even_targets, window_layout, Rma};
+use crate::thresholds::height_for;
 use crate::{Key, Value};
 use std::ops::Range;
 

@@ -65,7 +65,7 @@ pub use index::StaticIndex;
 pub use rewiring::BackendKind;
 pub use rma::Rma;
 pub use stats::RmaStats;
-pub use thresholds::Thresholds;
+pub use thresholds::{height_for, windows_above, Thresholds};
 
 /// Key type (8-byte integer), shared across the reproduction.
 pub type Key = i64;

@@ -7,6 +7,7 @@ use crate::detector::{self, Detector};
 use crate::index::StaticIndex;
 use crate::stats::RmaStats;
 use crate::storage::Storage;
+use crate::thresholds::{height_for, windows_above};
 use crate::{Key, Value};
 use std::ops::Range;
 
@@ -462,18 +463,11 @@ impl Rma {
 
     // ------------------------------------ calibrator-tree triggers --
 
-    /// The one calibrator-window search: the windows above `seg` with
-    /// their levels, smallest first — for every level from 2 to the
-    /// root, the aligned run of `2^(level-1)` segments holding `seg`,
-    /// the last run of a level ragged. Each caller `find`s the first
-    /// window its own threshold accepts.
+    /// The calibrator windows above `seg` over this array's segments
+    /// ([`windows_above`]). Each caller `find`s the first window its
+    /// own threshold accepts.
     pub(crate) fn windows_above(&self, seg: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
-        let m = self.storage.seg_count();
-        (2..=self.height()).map(move |level| {
-            let w = 1usize << (level - 1);
-            let start = seg / w * w;
-            (level, start..(start + w).min(m))
-        })
+        windows_above(seg, self.storage.seg_count())
     }
 
     /// Finds and rebalances the smallest enclosing window whose upper
@@ -790,7 +784,8 @@ impl Rma {
         self.index = StaticIndex::build(&minima, INDEX_FANOUT);
     }
 
-    fn last_key(&self) -> Option<Key> {
+    /// The largest key stored, if any.
+    pub fn last_key(&self) -> Option<Key> {
         (0..self.storage.seg_count())
             .rev()
             .find(|&s| self.storage.card(s) > 0)
@@ -844,18 +839,6 @@ fn copy_runs(from: &[i64], src: &[Range<usize>], to: &mut [i64], dst: &[Range<us
             s.start += n;
             d.start += n;
         }
-    }
-}
-
-/// Height of the calibrator tree over `segs` segments (1 = a single
-/// segment), which is also the level of a window of that many
-/// segments: `⌈log₂ segs⌉ + 1`, the last window of a level ragged when
-/// `segs` is not a power of two.
-pub(crate) fn height_for(segs: usize) -> usize {
-    if segs <= 1 {
-        1
-    } else {
-        (usize::BITS - (segs - 1).leading_zeros()) as usize + 1
     }
 }
 

@@ -19,6 +19,8 @@
 //! extremes and the resize policy are fixed by the paper, so no
 //! ordering check is needed at run time.
 
+use std::ops::Range;
+
 /// How the array capacity changes when a resize is unavoidable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ResizePolicy {
@@ -114,6 +116,33 @@ impl Thresholds {
     pub fn min_card(&self, level: usize, height: usize, cap: usize) -> usize {
         (self.rho(level, height) * cap as f64).ceil() as usize
     }
+}
+
+/// Height of the calibrator tree over `leaves` leaves (1 = a single
+/// leaf), which is also the level of a window of that many leaves:
+/// `⌈log₂ leaves⌉ + 1`, the last window of a level ragged when
+/// `leaves` is not a power of two.
+pub fn height_for(leaves: usize) -> usize {
+    if leaves <= 1 {
+        1
+    } else {
+        (usize::BITS - (leaves - 1).leading_zeros()) as usize + 1
+    }
+}
+
+/// The one calibrator-window search: the windows above `leaf` in a
+/// tree over `leaves` leaves, with their levels, smallest first — for
+/// every level from 2 to the root, the aligned run of `2^(level-1)`
+/// leaves holding `leaf`, the last run of a level ragged. A window's
+/// level and [`height_for`]`(leaves)` give its density bounds
+/// ([`Thresholds::rho`], [`Thresholds::tau`]); an array's leaves are
+/// its segments, a sharded index's its shards.
+pub fn windows_above(leaf: usize, leaves: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (2..=height_for(leaves)).map(move |level| {
+        let w = 1usize << (level - 1);
+        let start = leaf / w * w;
+        (level, start..(start + w).min(leaves))
+    })
 }
 
 #[cfg(test)]

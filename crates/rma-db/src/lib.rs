@@ -282,17 +282,6 @@ impl Db {
         })
     }
 
-    /// Synchronous shard-count consolidation
-    /// ([`rma_shard::ShardedRma::compact`]): merges the coldest runs
-    /// of neighbours in bounded steps until the live shard count
-    /// reaches the configured target, returning how many shards the
-    /// merges took away. The background maintainer runs the same chain
-    /// automatically in idle troughs; call this for an on-demand
-    /// compaction at a known quiet point.
-    pub fn compact(&self) -> usize {
-        self.engine.compact()
-    }
-
     // ------------------------------------------------- data plane --
     // Thin delegation to the engine: the same methods a session
     // executes, for callers that want synchronous calls
@@ -457,7 +446,7 @@ pub struct DbSnapshot {
 /// available (with final values) after [`Db::stop_maintenance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintainerSnapshot {
-    /// Polls of the op-rate signal.
+    /// Polls of the op clock.
     pub polls: u64,
     /// Partition checkpoints its cadence sealed.
     pub checkpoints: u64,
@@ -556,15 +545,16 @@ mod tests {
     }
 
     #[test]
-    fn compact_walks_a_fragmented_facade_back_to_target() {
+    fn maintain_walks_a_fragmented_facade_back_to_target() {
         // A handle built over a deliberately over-fragmented splitter
-        // set: `compact()` must walk the shard count back to the
-        // engine target and report the shards it retired, and the
-        // engine's ledger must count its merges as consolidations.
+        // set — 64 shards against a target of 4, each so light that
+        // it is under the calibrator's leaf bound: one `maintain()`
+        // must walk the shard count back near the engine target, and
+        // the engine's ledger must count the merges that did it.
         let db = small()
-            .splitter_keys((1..16).map(|i| i * 100).collect())
+            .splitter_keys((1..64).map(|i| i * 25).collect())
             // Parked poll cadence: the background thread must not race
-            // the synchronous `compact()` this test measures.
+            // the synchronous `maintain()` this test measures.
             .maintenance(rma_shard::MaintainerConfig {
                 poll_interval: std::time::Duration::from_secs(3600),
                 ..Default::default()
@@ -574,14 +564,16 @@ mod tests {
         for k in 0..1600i64 {
             db.insert(k, k);
         }
-        assert_eq!(db.stats().engine.num_shards, 16);
-        let merges = db.compact();
-        assert_eq!(merges, 12, "16 shards must consolidate to the target of 4");
+        assert_eq!(db.stats().engine.num_shards, 64);
+        let report = db.engine().maintain();
+        assert_eq!(
+            report.retired, 60,
+            "64 shards must walk down to 4: {report:?}"
+        );
         assert_eq!(db.stats().engine.num_shards, 4);
         assert_eq!(db.stats().engine.len, 1600);
         let ledger = db.stats().engine.maintenance;
-        assert!(ledger.merges >= 1, "{ledger:?}");
-        assert_eq!(ledger.consolidations, ledger.merges, "{ledger:?}");
+        assert_eq!(ledger.merges, report.merges as u64, "{ledger:?}");
         // An invalid maintainer knob is rejected through the typed path.
         let never = rma_shard::MaintainerConfig {
             poll_interval: std::time::Duration::ZERO,

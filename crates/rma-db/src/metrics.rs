@@ -254,7 +254,6 @@ impl MetricsSnapshot {
             ("rma_maintenance_keys_migrated_total", m.keys_migrated),
             ("rma_maintenance_splits_total", m.splits),
             ("rma_maintenance_merges_total", m.merges),
-            ("rma_maintenance_consolidations_total", m.consolidations),
             ("rma_topologies_published_total", m.topologies_published),
             ("rma_write_reroutes_total", m.write_reroutes),
             ("rma_sessions_opened_total", r.sessions_opened),

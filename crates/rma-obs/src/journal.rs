@@ -16,7 +16,7 @@ use std::sync::atomic::{
 };
 
 /// What happened. The numeric discriminants are the wire encoding
-/// used inside the ring and in the text exposition; 2–4 and 12
+/// used inside the ring and in the text exposition; 2–4, 11 and 12
 /// belonged to retired kinds and are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -39,9 +39,6 @@ pub enum EventKind {
     /// The write-ahead log hit a device error and the database
     /// degraded to read-only.
     DegradedMode = 10,
-    /// The idle-time compactor planned a consolidation round (merges
-    /// steering the shard count back toward the configured target).
-    Consolidate = 11,
     /// The network front-end accepted a client connection (`shard`
     /// carries the connection slot, `keys` the live connection count).
     ConnOpen = 13,
@@ -52,8 +49,8 @@ pub enum EventKind {
     /// bad opcode or bad checksum); the offending connection was
     /// closed (`keys` carries the wire error code).
     ProtoError = 15,
-    /// The split/merge pass planned a round (`keys` carries the steps
-    /// planned, as for a consolidation).
+    /// The maintenance planner planned a round (`keys` carries the
+    /// steps planned).
     Rebalance = 16,
 }
 
@@ -68,7 +65,6 @@ impl EventKind {
             8 => EventKind::Checkpoint,
             9 => EventKind::Recovery,
             10 => EventKind::DegradedMode,
-            11 => EventKind::Consolidate,
             13 => EventKind::ConnOpen,
             14 => EventKind::ConnClose,
             15 => EventKind::ProtoError,
@@ -88,7 +84,6 @@ impl EventKind {
             EventKind::Checkpoint => "checkpoint",
             EventKind::Recovery => "recovery",
             EventKind::DegradedMode => "degraded_mode",
-            EventKind::Consolidate => "consolidate",
             EventKind::ConnOpen => "conn_open",
             EventKind::ConnClose => "conn_close",
             EventKind::ProtoError => "proto_error",
@@ -101,7 +96,7 @@ impl EventKind {
 /// left shard for splits/merges, `u32::MAX` when not applicable),
 /// `dur_ns` the step's wall duration, and `keys` a kind-specific
 /// magnitude: elements migrated for a split or a merge, steps
-/// planned for a rebalance or a consolidation, shards in
+/// planned for a rebalance, shards in
 /// the new topology for a topology publish, steps executed for a
 /// maintainer tick, in-flight tickets poisoned for a worker panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,10 +260,10 @@ mod tests {
 
     #[test]
     fn retired_discriminants_decode_to_none() {
-        for v in [2, 3, 4, 12, 17] {
+        for v in [2, 3, 4, 11, 12, 17] {
             assert_eq!(EventKind::from_u8(v), None, "{v}");
         }
-        assert_eq!(EventKind::from_u8(11), Some(EventKind::Consolidate));
+        assert_eq!(EventKind::from_u8(10), Some(EventKind::DegradedMode));
         assert_eq!(EventKind::from_u8(13), Some(EventKind::ConnOpen));
     }
 

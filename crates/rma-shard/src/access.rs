@@ -20,7 +20,7 @@
 //!    global: halving shards on their *own* op counts would drive
 //!    every busy shard toward the same steady-state mass
 //!    (~2 × `DECAY_EVERY`) and erase exactly the cross-shard
-//!    imbalance the split/merge pass needs to see.
+//!    imbalance the maintenance planner needs to see.
 //! 3. **Survives restructuring.** When maintenance splits or merges
 //!    shards, the learned signal must not reset to zero (a fresh shard
 //!    with an empty histogram would immediately look "cold" and

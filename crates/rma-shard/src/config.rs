@@ -20,9 +20,15 @@ use rma_core::{RmaConfig, RmaConfigError};
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
     /// Target shard count. Splitter learning may induce fewer shards
-    /// on duplicate-heavy samples; maintenance may grow or shrink the
-    /// count over time (idle-time consolidation steers back toward
-    /// this count).
+    /// on duplicate-heavy samples. Maintenance treats each shard as a
+    /// calibrator leaf whose target mass is `W / num_shards` (`W` the
+    /// total access mass, or the total length while none is
+    /// recorded), at density 0.75 of the leaf, and keeps every
+    /// shard's density between 0.08 and 1: `num_shards` shards of
+    /// equal mass are left alone, and otherwise the count follows how
+    /// the mass is spread — more shards over a narrow hot band, fewer
+    /// over cold ranges, down to what one merge step may rebuild
+    /// (`max_shard_len`, or 2^17 elements).
     pub num_shards: usize,
     /// Configuration applied to every per-shard RMA. A shard shorter
     /// than [`MIN_SPLIT_SEGMENTS`] of its segments never splits.

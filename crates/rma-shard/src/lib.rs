@@ -24,11 +24,11 @@
 //!   `AtomicU64` bucket counters bumped on every operation and
 //!   periodically halved so stale hotspots fade;
 //! * maintenance is an **incremental plan engine**
-//!   ([`maintenance`] module) with one load-driven rule: a shard whose
-//!   access mass exceeds twice the mean is cut at the quantiles of its
-//!   access mass into as many pieces as that needs, and each run of
-//!   adjacent shards below half the mean merges — the paper's
-//!   window-local rebalance, weighed by access, one level up.
+//!   ([`maintenance`] module) with one rule, the paper's calibrator
+//!   tree one level up: a shard whose access mass leaves its leaf
+//!   bounds against the capacity `W / num_shards` takes the smallest
+//!   enclosing window of shards inside its level's bounds, and the
+//!   window is re-cut at the quantiles of its access mass.
 //!   [`plan_maintenance`](ShardedRma::plan_maintenance) *plans* the
 //!   rule as bounded [`MaintenanceStep`]s — each one re-cut of a key
 //!   range, which moves every key in it once — and an executor applies one
@@ -218,7 +218,7 @@ pub struct EngineSnapshot {
     /// Resident bytes across all shards.
     pub memory_footprint: usize,
     /// Bytes held by the splitter array the router searches — grows
-    /// with the live shard count, shrinks under consolidation.
+    /// with the live shard count, shrinks as shards merge.
     pub splitter_bytes: usize,
     /// Operations recorded on the shared decay clock, in
     /// `DECAY_TICK_BATCH`-sized granules.
@@ -305,7 +305,7 @@ pub struct ShardedRma {
     /// Shared decay clock: total recorded operations (in
     /// [`DECAY_TICK_BATCH`] granules). Every [`DECAY_EVERY`] ops,
     /// *all* shard histograms halve together — a global halving
-    /// preserves the relative masses the split/merge pass compares,
+    /// preserves the relative masses the maintenance planner compares,
     /// whereas per-shard decay clocks would drive every busy shard
     /// toward the same steady-state mass.
     op_clock: AtomicU64,
@@ -332,7 +332,6 @@ pub(crate) struct MaintCounters {
     pub(crate) keys_migrated: AtomicU64,
     pub(crate) splits: AtomicU64,
     pub(crate) merges: AtomicU64,
-    pub(crate) consolidations: AtomicU64,
     pub(crate) max_step_ns: AtomicU64,
     pub(crate) write_reroutes: AtomicU64,
 }
@@ -343,7 +342,7 @@ pub(crate) struct MaintCounters {
 /// monotonic since construction.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenanceStats {
-    /// Non-empty [`MaintenancePlan`]s produced by the planners.
+    /// Non-empty [`MaintenancePlan`]s produced by the planner.
     pub plans: u64,
     /// Steps emitted into plans.
     pub steps_planned: u64,
@@ -363,9 +362,6 @@ pub struct MaintenanceStats {
     pub splits: u64,
     /// Every other executed step.
     pub merges: u64,
-    /// The merges among them that a consolidation plan
-    /// ([`ShardedRma::plan_consolidation`]) ran.
-    pub consolidations: u64,
     /// Copy-on-write topologies published since construction, one
     /// per executed step.
     pub topologies_published: u64,
@@ -460,7 +456,7 @@ impl ShardedRma {
     /// [`DECAY_TICK_BATCH`] shard-local operations, so the shared
     /// clock's cache line is touched ~64× less often than the shards'
     /// own counters. The background maintainer also reads the clock,
-    /// as its op-rate signal.
+    /// as its op backoff.
     pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
         let prev = self.op_clock.fetch_add(n, Relaxed);
         let crossings = ((prev + n) / DECAY_EVERY - prev / DECAY_EVERY).min(64);
@@ -472,8 +468,9 @@ impl ShardedRma {
     }
 
     /// Total operations recorded on the shared clock, in
-    /// `DECAY_TICK_BATCH` granules. The background maintainer
-    /// differentiates this to estimate the op rate.
+    /// `DECAY_TICK_BATCH` granules. The background maintainer plans
+    /// again once 4 096 operations have passed on it since its last
+    /// plan.
     pub fn op_count(&self) -> u64 {
         self.op_clock.load(Relaxed)
     }
@@ -509,7 +506,6 @@ impl ShardedRma {
             keys_migrated: c.keys_migrated.load(Relaxed),
             splits,
             merges,
-            consolidations: c.consolidations.load(Relaxed),
             topologies_published: self.handle.publications(),
             max_step_wall_ns: c.max_step_ns.load(Relaxed),
             write_reroutes: c.write_reroutes.load(Relaxed),

@@ -1,8 +1,7 @@
-//! The background maintenance thread: plans maintenance off the
-//! op-rate signal and **drains the plan a few
-//! steps per tick with inter-step sleeps**, so callers never pay
-//! shard splits and merges inline *and* the
-//! maintainer never monopolises a core on huge topologies.
+//! The background maintenance thread: plans maintenance off the op
+//! clock and **drains the plan a few steps per tick with inter-step
+//! sleeps**, so callers never pay shard splits and merges inline
+//! *and* the maintainer never monopolises a core on huge topologies.
 //!
 //! # Lifecycle
 //!
@@ -10,9 +9,7 @@
 //! index must be in an `Arc` so the thread can co-own it). Each poll
 //! the thread:
 //!
-//! 1. estimates the op rate from the shared op clock (the idle
-//!    gate's signal);
-//! 2. if a [`crate::MaintenancePlan`] is in flight,
+//! 1. if a [`crate::MaintenancePlan`] is in flight,
 //!    executes up to [`STEPS_PER_TICK`] of its
 //!    steps, parking for `STEP_PAUSE` (500 µs) between
 //!    them — each step publishes its own copy-on-write topology, so
@@ -20,21 +17,14 @@
 //!    plan runs to its end, however the access masses move between
 //!    ticks: a step whose shards changed under it is skipped, and
 //!    nothing else drops what the planner asked for;
-//! 3. otherwise, once at least `MIN_OPS_BETWEEN` (4 096) operations
-//!    arrived since the previous plan finished, asks the planner
-//!    ([`ShardedRma::plan_maintenance`]) for a fresh plan. There is
-//!    no imbalance trigger in front of it: the planner's own split and
-//!    merge factors (2× and ½× the mean shard mass) decide whether
-//!    there is work, and a balanced index plans nothing (an idle one
-//!    never gets that far, because the op backoff stays shut);
-//! 4. when instead the op rate has stayed *below* 1000 ops/s for
-//!    [`IDLE_CONFIRM_POLLS`] consecutive polls and the live shard
-//!    count exceeds [`COMPACT_TARGET_FACTOR`] ×
-//!    the configured `num_shards`, schedules one round of the
-//!    idle-time consolidation chain
-//!    ([`ShardedRma::plan_consolidation`]) — bounded merges of the
-//!    coldest runs of neighbours that steer an accreted topology
-//!    back toward its target in the troughs between bursts.
+//! 2. otherwise, on its first poll and then once at least
+//!    `MIN_OPS_BETWEEN` (4 096) operations arrived since the previous
+//!    plan finished, asks the planner
+//!    ([`ShardedRma::plan_maintenance`]) for a fresh plan. Nothing
+//!    gates it: the calibrator's density bounds decide whether there
+//!    is work, and an in-bounds index plans nothing. The first poll
+//!    does not wait for the backoff, so an index opened over an
+//!    accreted topology is walked down at once, load or no load.
 //!
 //! Every [`MaintainerConfig::checkpoint_interval`] it also seals a
 //! checkpoint of every durability partition
@@ -61,32 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Consecutive idle poll windows (below 1000 ops/s) required before
-/// the idle gate opens. One empty window is not idleness — a briefly
-/// descheduled writer produces the same zero-op poll a real trough
-/// does, and a spurious consolidation round fighting a live workload
-/// is exactly what the gate exists to prevent.
-pub const IDLE_CONFIRM_POLLS: u32 = 3;
-
-/// Op rate (ops/s on the shared clock) below which a poll counts as
-/// *idle*. [`IDLE_CONFIRM_POLLS`] consecutive idle polls open the gate
-/// and may schedule the shard-count consolidation chain
-/// ([`ShardedRma::plan_consolidation`]) instead of load-driven
-/// maintenance. The compactor runs only in the troughs between bursts,
-/// so it never competes with a hot workload for the memory bus. The
-/// clock advances in 64-op granules, so a poll window in which it
-/// advanced at all reads as busy at every poll interval up to 64 ms.
-const IDLE_OPS_THRESHOLD: f64 = 1000.0;
-
 /// Maximum plan steps executed per poll tick — the fairness budget
 /// that stops a huge topology's plan from monopolising the maintainer
 /// thread (and the memory bus) in one burst.
 pub const STEPS_PER_TICK: usize = 4;
-
-/// Idle-time consolidation engages when the live shard count exceeds
-/// this factor times `ShardConfig::num_shards` — the slack that keeps
-/// an on-target topology from oscillating merge/split.
-pub const COMPACT_TARGET_FACTOR: f64 = 2.0;
 
 /// Operations on the shared clock between the end of one plan and
 /// the next call to the planner — the backoff that keeps a hot but
@@ -104,7 +72,7 @@ const STEP_PAUSE: Duration = Duration::from_micros(500);
 /// and [`STEPS_PER_TICK`] steps a tick, 500 µs apart, drain them.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintainerConfig {
-    /// Time between polls of the op-rate signal.
+    /// Time between polls of the op clock.
     pub poll_interval: Duration,
     /// How often to checkpoint the durability partitions
     /// ([`ShardedRma::checkpoint`], on the first poll past each
@@ -156,7 +124,7 @@ pub struct MaintainerStats {
 }
 
 impl MaintainerStats {
-    /// Polls of the op-rate signal.
+    /// Polls of the op clock.
     pub fn polls(&self) -> u64 {
         self.polls.load(Relaxed)
     }
@@ -263,9 +231,8 @@ fn maintainer_loop(
     stats: &MaintainerStats,
 ) {
     let obs_on = index.obs().enabled();
-    let mut last_ops = index.op_count();
-    let mut last_maintained_ops = last_ops;
-    let mut last_poll = Instant::now();
+    // `None` until the first plan: the first poll plans at once.
+    let mut last_maintained_ops: Option<u64> = None;
     let mut last_checkpoint = Instant::now();
     let mut plan: Option<MaintenancePlan> = None;
     // Set when the planner produced an empty plan (nothing actionable
@@ -274,14 +241,6 @@ fn maintainer_loop(
     // backoff too, so an unplannable condition cannot re-run the
     // planner on every poll forever.
     let mut last_plan_empty = false;
-    // Shard count at which the last idle-consolidation attempt planned
-    // nothing (no mergeable pair under the step bound): skip re-asking
-    // the planner at that count, so an unmergeable topology cannot
-    // re-run it on every idle poll forever.
-    let mut last_compact_noop_shards = 0usize;
-    // Consecutive polls whose op rate stayed below the idle
-    // threshold. The gate opens only on a sustained streak.
-    let mut idle_streak = 0u32;
     while !stop.load(Relaxed) {
         std::thread::park_timeout(cfg.poll_interval);
         if stop.load(Relaxed) {
@@ -293,39 +252,13 @@ fn maintainer_loop(
         // and whether it made a plan or sealed a checkpoint.
         let (mut steps_done, mut acted) = (0, false);
         'tick: {
-            let ops = index.op_count();
-            let elapsed = last_poll.elapsed().as_secs_f64();
-            // Op-rate estimate for this poll window: drives the
-            // idle-consolidation gate. Defaults to "busy" when the window is too short to
-            // measure, and when `reset_access_stats` rewound the
-            // clock — a rewind says nothing about load, and reading
-            // it as rate 0 would open the idle gate mid-burst.
-            let mut rate = f64::INFINITY;
-            if elapsed > 0.0 && ops >= last_ops {
-                rate = (ops - last_ops) as f64 / elapsed;
-            }
-            last_poll = Instant::now();
-            // A clock rewind also invalidates the op backoff.
-            if ops < last_maintained_ops {
-                last_maintained_ops = ops;
-            }
-            last_ops = ops;
-            // One sub-threshold window is not idleness: a briefly
-            // descheduled writer produces the same zero-op poll a
-            // real trough does. Require a sustained streak.
-            idle_streak = if rate < IDLE_OPS_THRESHOLD {
-                idle_streak.saturating_add(1)
-            } else {
-                0
-            };
-
             // Drain an in-flight plan on the tick budget before
             // planning again.
             if let Some(p) = plan.as_mut() {
                 steps_done = drain_tick(index, stop, p);
                 if p.is_empty() {
                     plan = None;
-                    last_maintained_ops = index.op_count();
+                    last_maintained_ops = Some(index.op_count());
                 }
                 break 'tick;
             }
@@ -344,18 +277,24 @@ fn maintainer_loop(
                 }
             }
 
-            // The planner runs once the op backoff opens; its own
-            // thresholds decide whether there is work. A shard past
-            // the `max_shard_len` length line is normally not held to
-            // the backoff — it is an SLO invariant: every operation
-            // the oversized shard absorbs while the maintainer waits
-            // makes the split that must shrink it (the one uncappable
-            // step) hold its locks longer. The exception: if the
-            // previous plan came back empty (the oversized shard is
+            // The planner runs on the first poll and whenever the op
+            // backoff opens; its own bounds decide whether there is
+            // work. A clock rewind (`reset_access_stats`) restarts
+            // the backoff. A shard past the `max_shard_len`
+            // length line is normally not held to the backoff — it
+            // is an SLO invariant: every operation the oversized
+            // shard absorbs while the maintainer waits makes the
+            // split that must shrink it (the one uncappable step)
+            // hold its locks longer. The exception: if the previous
+            // plan came back empty (the oversized shard is
             // unplannable, e.g. one giant duplicate run), the breach
             // waits for the backoff too, so it cannot re-run the
             // planner every poll.
-            let enough_ops = ops.saturating_sub(last_maintained_ops) >= MIN_OPS_BETWEEN;
+            let ops = index.op_count();
+            if last_maintained_ops.is_some_and(|last| ops < last) {
+                last_maintained_ops = Some(ops);
+            }
+            let enough_ops = last_maintained_ops.is_none_or(|last| ops - last >= MIN_OPS_BETWEEN);
             let backstop_breached = !last_plan_empty
                 && index
                     .config()
@@ -367,34 +306,11 @@ fn maintainer_loop(
                     // Nothing worth doing (a balanced index, or an
                     // unplannable backstop breach): back off.
                     last_plan_empty = true;
-                    last_maintained_ops = index.op_count();
+                    last_maintained_ops = Some(index.op_count());
                 } else {
                     last_plan_empty = false;
                     acted = true;
                     plan = Some(fresh);
-                }
-                break 'tick;
-            }
-
-            // Idle-time consolidation: when the workload is in a
-            // trough and accreted splits have ratcheted the shard
-            // count past the configured slack, schedule one
-            // cap-bounded merge round. Deliberately NOT held to
-            // `MIN_OPS_BETWEEN` — idle means few ops arrive, so the op
-            // backoff would park the compactor exactly when it is
-            // safe to run.
-            if plan.is_none() && idle_streak >= IDLE_CONFIRM_POLLS {
-                let live = index.num_shards();
-                let target =
-                    (COMPACT_TARGET_FACTOR * index.config().num_shards as f64).ceil() as usize;
-                if live > target && live != last_compact_noop_shards {
-                    let fresh = index.plan_consolidation();
-                    if fresh.is_empty() {
-                        last_compact_noop_shards = live;
-                    } else {
-                        acted = true;
-                        plan = Some(fresh);
-                    }
                 }
             }
         }
@@ -466,9 +382,7 @@ mod tests {
             "maintainer never executed a step"
         );
         s.check_invariants();
-        // One round cuts the hot shard and may merge a cold run: the
-        // splitters moved.
-        assert!(ledger.splits >= 1, "the hot shard never split: {ledger:?}");
+        // The hot shard's window was re-cut: the splitters moved.
         assert_ne!(s.splitters().keys(), [1000, 2000, 3000], "{ledger:?}");
     }
 
@@ -486,15 +400,16 @@ mod tests {
 
     #[test]
     fn idle_maintainer_consolidates_an_accreted_topology() {
-        // 16 live shards against a configured target of 2: with no
-        // load at all every poll reads rate 0, below the idle
-        // threshold, so the gate must engage and merge the count back
-        // under COMPACT_TARGET_FACTOR × num_shards.
-        let mut cfg = small_cfg(16);
+        // 64 live shards against a configured target of 2, and no
+        // load at all once the maintainer starts: the 1 600 inserts
+        // are far fewer than `MIN_OPS_BETWEEN`, so the op backoff
+        // never opens. The first poll must plan anyway and walk the
+        // count down.
+        let mut cfg = small_cfg(64);
         cfg.num_shards = 2;
         let s = Arc::new(ShardedRma::with_splitters(
             cfg,
-            Splitters::new((1..16).map(|i| i * 100).collect()),
+            Splitters::new((1..64).map(|i| i * 25).collect()),
         ));
         for k in 0..1600i64 {
             s.insert(k, k);
@@ -504,7 +419,7 @@ mod tests {
             ..Default::default()
         });
         for _ in 0..1000 {
-            if s.num_shards() <= 4 {
+            if s.maintenance_stats().plans > 0 && s.num_shards() < 64 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -513,88 +428,15 @@ mod tests {
         let ledger = s.maintenance_stats();
         s.check_invariants();
         assert!(
-            s.num_shards() <= 4,
-            "idle compaction never converged: {} shards, {ledger:?}",
-            s.num_shards()
+            ledger.plans >= 1,
+            "the first poll never planned: {ledger:?}"
         );
         assert!(
-            ledger.consolidations > 0,
-            "consolidation merges must be counted: {ledger:?}"
+            s.num_shards() <= 4,
+            "the accreted topology was not walked down: {} shards, {ledger:?}",
+            s.num_shards()
         );
-        assert_eq!(s.len(), 1600, "compaction must not lose data");
-    }
-
-    #[test]
-    fn busy_maintainer_never_consolidates() {
-        // Same accreted topology, but the op rate stays far above the
-        // idle threshold: each 10 ms poll sees the clock advance by at
-        // least one 64-op granule (6 400 ops/s) or rewind, and both
-        // read as busy. The compactor must stay parked. The op rate
-        // is a wall-clock signal, so on an oversubscribed host the
-        // loader thread itself can be descheduled long enough to *be*
-        // idle — such a run proves nothing either way and is retried;
-        // the test only fails when the compactor ran even though the
-        // loader never paused for a full poll window.
-        let poll = Duration::from_millis(10);
-        for attempt in 0..5 {
-            let mut cfg = small_cfg(8);
-            cfg.num_shards = 2;
-            let s = Arc::new(ShardedRma::with_splitters(
-                cfg,
-                Splitters::new((1..8).map(|i| i * 1000).collect()),
-            ));
-            for k in 0..8000i64 {
-                s.insert(k, k);
-            }
-            // Uniform hammering from a separate thread, started
-            // *before* the maintainer so its very first poll already
-            // sees a high op rate. The periodic `reset_access_stats`
-            // rewinds the op clock mid-burst: a rewound window must
-            // read as *busy*, not as rate 0 (which would open the
-            // idle gate under load). A sweep is 1 000 ops, fewer than
-            // `MIN_OPS_BETWEEN`, so the rewinds also keep the op
-            // backoff shut and no load-driven plan runs either: the
-            // count stays at 8. The loader records its longest
-            // inter-sweep gap so a starved run can be told apart.
-            let stop_load = Arc::new(AtomicBool::new(false));
-            let max_gap_ns = Arc::new(AtomicU64::new(0));
-            let loader = {
-                let s = Arc::clone(&s);
-                let stop_load = Arc::clone(&stop_load);
-                let max_gap_ns = Arc::clone(&max_gap_ns);
-                std::thread::spawn(move || {
-                    let mut last = Instant::now();
-                    while !stop_load.load(Relaxed) {
-                        for k in (0..8000i64).step_by(8) {
-                            let _ = s.get(k);
-                        }
-                        s.reset_access_stats();
-                        max_gap_ns.fetch_max(last.elapsed().as_nanos() as u64, Relaxed);
-                        last = Instant::now();
-                    }
-                })
-            };
-            std::thread::sleep(Duration::from_millis(10));
-            let m = s.start_maintainer(MaintainerConfig {
-                poll_interval: poll,
-                ..Default::default()
-            });
-            std::thread::sleep(Duration::from_millis(150));
-            m.stop();
-            stop_load.store(true, Relaxed);
-            loader.join().expect("loader thread");
-            let starved = max_gap_ns.load(Relaxed) >= poll.as_nanos() as u64;
-            let ledger = s.maintenance_stats();
-            if ledger.consolidations == 0 {
-                assert_eq!(s.num_shards(), 8);
-                return; // the gate held under sustained load
-            }
-            assert!(
-                starved,
-                "compactor ran despite uninterrupted load: {ledger:?}"
-            );
-            eprintln!("attempt {attempt}: loader starved by the host, retrying");
-        }
-        panic!("loader starved on every attempt; host too oversubscribed to test");
+        assert!(ledger.merges > 0, "{ledger:?}");
+        assert_eq!(s.len(), 1600, "merges must not lose data");
     }
 }

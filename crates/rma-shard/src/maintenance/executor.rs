@@ -25,7 +25,7 @@
 //! step publishes — the `fig18_write_stall` benchmark and the
 //! writer-progress stress test pin this down.
 
-use super::plan::{MaintenancePlan, MaintenanceStep};
+use super::plan::{resident_buckets, MaintenancePlan, MaintenanceStep};
 use crate::shard::{Shard, StepGuards, Topology};
 use crate::{MaintCounters, ShardedRma, Splitters};
 use rma_core::{Key, Rma};
@@ -100,17 +100,15 @@ impl DrainReport {
 
 impl MaintCounters {
     /// Files one popped step in the ledger — as a split, a merge or
-    /// skipped, its migrated elements, and a consolidation plan's
-    /// merges — and returns its journal event.
-    fn file(&self, sr: &StepReport, consolidation: bool) -> EventKind {
+    /// skipped, and its migrated elements — and returns its journal
+    /// event.
+    fn file(&self, sr: &StepReport) -> EventKind {
         let mut one = DrainReport::default();
         let event = one.count(sr);
-        let consolidations = if consolidation { one.merges } else { 0 };
         for (counter, n) in [
             (&self.splits, one.splits),
             (&self.merges, one.merges),
             (&self.steps_skipped, one.skipped),
-            (&self.consolidations, consolidations),
         ] {
             counter.fetch_add(n as u64, Relaxed);
         }
@@ -147,13 +145,10 @@ impl ShardedRma {
             let resolved = self.resolve(&report.step, topo);
             if let Some((first, last, cuts)) = resolved {
                 let (taken, built) = (last + 1 - first, cuts.len() + 1);
-                let bound = match (built > taken, plan.consolidation_planned()) {
-                    // A split is how an oversized shard shrinks.
-                    (true, _) => usize::MAX,
-                    // Consolidation plans run behind the idle gate, so
-                    // their merges are allowed the wider idle bound.
-                    (false, true) => self.consolidation_bound(),
-                    (false, false) => self.merge_bound(),
+                // A split is how an oversized shard shrinks.
+                let bound = match built > taken {
+                    true => usize::MAX,
+                    false => self.merge_bound(),
                 };
                 if let Some(migrated) = self.recut(first, last, cuts, bound) {
                     (report.executed, report.migrated) = (true, migrated);
@@ -162,7 +157,7 @@ impl ShardedRma {
             }
             resolved.map_or(0, |r| r.0)
         };
-        let event = (self.maint_counters).file(&report, plan.consolidation_planned());
+        let event = self.maint_counters.file(&report);
         if report.executed && obs_on {
             let dur = rma_obs::now_ns().saturating_sub(t0);
             self.obs().record_step(dur);
@@ -218,23 +213,6 @@ impl ShardedRma {
     /// permanent merge/split oscillation), [`MERGE_CAP`] otherwise.
     pub(crate) fn merge_bound(&self) -> usize {
         self.cfg.max_shard_len.unwrap_or(MERGE_CAP)
-    }
-
-    /// The wider merge bound the idle-time consolidation chain plans
-    /// and executes against. [`merge_bound`](Self::merge_bound)
-    /// protects *foreground* writers — a merge is one locked window,
-    /// so under load it must stay inside the bound — but
-    /// consolidation only runs once the op-rate gate says the index
-    /// is idle, and with the strict bound a topology whose natural
-    /// shard size exceeds half of it could never merge at all,
-    /// leaving the configured target unreachable at scale. The idle
-    /// bound therefore also admits any merge no bigger than two
-    /// average target-count shards, still clamped to the
-    /// `max_shard_len` backstop.
-    pub(crate) fn consolidation_bound(&self) -> usize {
-        let natural = (self.len() / self.cfg.num_shards.max(1)).saturating_mul(2);
-        let widened = self.merge_bound().max(natural);
-        self.cfg.max_shard_len.map_or(widened, |m| widened.min(m))
     }
 
     /// Names what a step re-cuts on the live topology — shards
@@ -307,10 +285,11 @@ impl ShardedRma {
         let mut at = vec![0];
         at.extend(cuts.iter().map(|&c| elems.partition_point(|e| e.0 < c)));
         at.push(elems.len());
-        // The drained shards' histograms, concatenated: what the
-        // successors are seeded from.
+        // The drained shards' histograms, each cut to its residents'
+        // span and concatenated: what the successors are seeded from.
         let union_wb: Vec<_> = (topo.shards[first..=last].iter())
-            .flat_map(|s| s.stats.weighted_buckets())
+            .zip(guards.rmas())
+            .flat_map(|(s, rma)| resident_buckets(s, rma))
             .collect();
         // Successor splitters: the run's inner boundaries go, the
         // cuts come.
@@ -394,41 +373,15 @@ mod tests {
         assert_eq!(s.len(), 4000);
     }
 
-    #[test]
-    fn rebalance_plan_pops_splits_before_merges() {
-        // Hot shard 0 plus cold pairs on the right: the plan must
-        // contain both kinds, and every split must come before any
-        // merge (the planner emits the splits first).
-        let s = ShardedRma::with_splitters(
-            small_cfg(16),
-            Splitters::new((1..16).map(|i| i * 100).collect()),
-        );
-        for k in 0..100i64 {
-            s.insert(k, k);
-            s.insert(1500 + k, k);
-        }
-        for _ in 0..50 {
-            for k in 0..100i64 {
-                let _ = s.get(k);
-            }
-        }
-        // A planned split cuts one shard; a planned merge has no cuts.
-        let plan = s.plan_maintenance();
-        let kinds: Vec<bool> = plan
-            .steps()
-            .map(|MaintenanceStep::Recut { cuts, .. }| !cuts.is_empty())
-            .collect();
-        assert!(kinds.iter().any(|&k| k), "hot shard must plan a split");
-        assert!(kinds.iter().any(|&k| !k), "cold pairs must plan merges");
-        let first_merge = kinds.iter().position(|&k| !k).expect("has a merge");
-        assert!(
-            kinds[first_merge..].iter().all(|&k| !k),
-            "all splits must pop before any merge: {kinds:?}"
-        );
-    }
-
-    #[test]
-    fn consolidation_targets_the_coldest_pairs_first() {
+    /// Eight shards of 1 000 keys against a target of four, every
+    /// other key read once (500 reads a shard), except that shard
+    /// `cold` takes none, its calibrator partner 500 more and shard
+    /// `hot` 2 500 more on a band of a hundred keys — 6 500 reads,
+    /// under one `DECAY_EVERY` period. The leaf capacity is then
+    /// 2 167: the hot shard is over it, its pair is inside the
+    /// level-2 bound and is cut into three, and the cold shard's pair
+    /// merges.
+    fn hot_and_cold(hot: i64, cold: i64) -> ShardedRma {
         let mut cfg = small_cfg(8);
         cfg.num_shards = 4;
         let s = ShardedRma::with_splitters(cfg, Splitters::new((1..8).map(|i| i * 1000).collect()));
@@ -436,68 +389,70 @@ mod tests {
             s.insert(k, k);
         }
         s.reset_access_stats();
-        // Shards 0..4 hot, 4..8 cold: the first merges must come from
-        // the cold right half.
-        for _ in 0..20 {
-            for k in 0..4000i64 {
-                let _ = s.get(k);
+        for k in (0..8000i64).step_by(2).filter(|k| k / 1000 != cold) {
+            let _ = s.get(k);
+        }
+        for (shard, sweeps) in [(hot, 25), (cold ^ 1, 5)] {
+            for _ in 0..sweeps {
+                for k in shard * 1000 + 100..shard * 1000 + 200 {
+                    let _ = s.get(k);
+                }
             }
         }
-        let mut plan = s.plan_consolidation();
-        assert!(plan.consolidation_planned());
-        assert!(
-            plan.len() <= 4,
-            "must not merge past the target: {}",
-            plan.len()
-        );
-        let first = plan.steps().next().expect("plans at least one merge");
-        let MaintenanceStep::Recut { lo, hi, cuts } = first;
-        assert!(
-            cuts.is_empty(),
-            "consolidation plans only merges: {first:?}"
-        );
-        assert!(
-            lo.is_some_and(|l| l <= 4000) && hi.is_none(),
-            "the run over the cold half must pop first, got {first:?}"
-        );
-        let before = s.collect_all();
-        let drained = s.drain_plan(&mut plan);
-        assert!(drained.merges >= 1, "{drained:?}");
-        s.check_invariants();
-        assert_eq!(s.collect_all(), before, "merges must not lose data");
-        assert!(s.num_shards() >= 4, "never below the configured target");
-        // Synchronous chain walks all the way down to the target.
-        s.compact();
-        assert_eq!(s.num_shards(), 4);
-        assert!(s.plan_consolidation().is_empty(), "at target: no churn");
+        s
     }
 
     #[test]
-    fn consolidation_outruns_the_write_stall_merge_bound() {
-        // Shards so large that no pair fits the foreground merge
-        // bound: load-driven merges are rightly impossible, but the
-        // idle chain must still be able to reach the target via the
-        // wider consolidation bound.
-        let (shard, n) = (66_000, 8 * 66_000);
-        let splitters = Splitters::new((1..8).map(|i| i * shard).collect());
-        let s = ShardedRma::with_splitters(small_cfg(2), splitters);
-        let batch: Vec<(i64, i64)> = (0..n).map(|k| (k, k)).collect();
-        s.apply_batch(&batch, &[]);
-        assert!(
-            s.merge_bound() < 2 * shard as usize,
-            "pairs must exceed the bound"
-        );
-        assert!(
-            s.consolidation_bound() >= n as usize,
-            "idle bound must admit two natural target shards: {}",
-            s.consolidation_bound()
-        );
+    fn rebalance_plan_pops_splits_before_merges() {
+        // The hot pair is right of the cold one: key order would put
+        // the merge first, and the plan must not.
+        let s = hot_and_cold(6, 1);
+        // A planned split builds more shards than it takes.
+        let plan = s.plan_maintenance();
+        let want = [(Some(6000), None, 2), (None, Some(2000), 0)];
+        let got: Vec<_> = plan
+            .steps()
+            .map(|MaintenanceStep::Recut { lo, hi, cuts }| (*lo, *hi, cuts.len()))
+            .collect();
+        assert_eq!(got, want, "the split must pop before the merge: {plan:?}");
+    }
+
+    #[test]
+    fn a_cold_shard_takes_its_smallest_admissible_window() {
+        // Eight shards of 1 000 keys against a target of four: each
+        // read shard carries 1 000 of 7 000 units against a capacity
+        // of 1 750, inside its leaf bounds. Shard 5 is never read, so
+        // it is under ρ₁; its calibrator pair (shards 4 and 5) holds
+        // 1 000 of 3 500, inside the level-2 bound, and one piece
+        // carries it under τ_h: the pair merges, and nothing else
+        // moves.
+        let mut cfg = small_cfg(8);
+        cfg.num_shards = 4;
+        let s = ShardedRma::with_splitters(cfg, Splitters::new((1..8).map(|i| i * 1000).collect()));
+        for k in 0..8000i64 {
+            s.insert(k, k);
+        }
+        s.reset_access_stats();
+        for k in (0..8000i64).filter(|k| !(5000..6000).contains(k)) {
+            let _ = s.get(k);
+        }
+        let plan = s.plan_maintenance();
+        let steps: Vec<_> = plan.steps().cloned().collect();
+        let merge = MaintenanceStep::Recut {
+            lo: Some(4000),
+            hi: Some(6000),
+            cuts: Vec::new(),
+        };
+        assert_eq!(steps, [merge], "{plan:?}");
         let before = s.collect_all();
-        let merges = s.compact();
-        assert_eq!(merges, 6, "8 shards must consolidate to the target of 2");
-        assert_eq!(s.num_shards(), 2);
+        assert_eq!(s.maintain().merges, 1);
+        assert_eq!(s.splitters().keys(), [1000, 2000, 3000, 4000, 6000, 7000]);
+        assert!(
+            s.plan_maintenance().is_empty(),
+            "one step reaches the fixed point"
+        );
         s.check_invariants();
-        assert_eq!(s.collect_all(), before, "compaction must not lose data");
+        assert_eq!(s.collect_all(), before, "merges must not lose data");
     }
 
     /// A plan runs to its end across a decay halving. The global
@@ -507,21 +462,9 @@ mod tests {
     /// must still run.
     #[test]
     fn plan_survives_a_decay_halving() {
-        let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![1000, 2000, 3000]));
-        for k in 0..4000i64 {
-            s.insert(k, k);
-        }
-        // 2 000 gets on a band of shard 0: the shard is cut, and the
-        // three cold shards right of it merge.
-        let band = |sweeps: usize| {
-            for _ in 0..sweeps {
-                for k in 100..200i64 {
-                    let _ = s.get(k);
-                }
-            }
-        };
-        s.reset_access_stats();
-        band(20);
+        // The band is in shard 0: its pair is cut into three, and the
+        // cold shard 5 merges with shard 4.
+        let s = hot_and_cold(0, 5);
         let mut plan = s.plan_maintenance();
         assert_eq!(plan.len(), 2, "one cut, one merge: {plan:?}");
         assert!(s.execute_step(&mut plan).expect("a step").executed);
@@ -529,7 +472,11 @@ mod tests {
         // `DECAY_EVERY` and every histogram halves before the next pop.
         let halvings = |s: &ShardedRma| s.op_count() / crate::DECAY_EVERY;
         let before = halvings(&s);
-        band(82);
+        for _ in 0..82 {
+            for k in 100..200i64 {
+                let _ = s.get(k);
+            }
+        }
         assert_eq!(halvings(&s), before + 1, "no halving between the pops");
         s.drain_plan(&mut plan);
         let ledger = s.maintenance_stats();
@@ -539,16 +486,16 @@ mod tests {
             "every planned step ran or was skipped: {ledger:?}"
         );
         assert_eq!((ledger.splits, ledger.merges), (1, 1), "{ledger:?}");
-        // The hot shard was cut inside its band; the cold run is one
+        // The hot pair was cut inside its band; the cold pair is one
         // shard.
         let keys = s.splitters().keys().to_vec();
         assert!(
             keys.iter().any(|k| (100..=200).contains(k)),
             "the band was not cut: {keys:?}"
         );
-        assert_eq!(keys.last(), Some(&1000), "{keys:?}");
+        assert!(keys.contains(&4000) && !keys.contains(&5000), "{keys:?}");
         s.check_invariants();
-        assert_eq!(s.len(), 4000);
+        assert_eq!(s.len(), 8000);
     }
 
     #[test]

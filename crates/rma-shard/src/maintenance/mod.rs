@@ -3,18 +3,18 @@
 //! incremental-rebalance philosophy (restructuring must not stall the
 //! data path, §V) one level up, maintenance is decomposed:
 //!
-//! * **planners** (`plan.rs`) read the access histograms and emit a
-//!   [`MaintenancePlan`]: bounded steps, each a
+//! * the **planner** (`plan.rs`) reads the access histograms and
+//!   emits a [`MaintenancePlan`]: bounded steps, each a
 //!   [`Recut`](MaintenanceStep::Recut) — the key-identified name of a
 //!   range of whole shards and the cuts to rebuild it at — in the
 //!   order they are to run; there is no scheduler between planner and
-//!   executor. The load-driven rule is one: a shard whose access mass
-//!   exceeds twice the mean is cut at the quantiles of its mass into
-//!   as many pieces as that needs, and each run of adjacent shards
-//!   below half the mean merges — the paper's window-local rebalance
-//!   weighed by access (§III–IV), with shards as the segments, every
-//!   key of the window moved once. The idle-time consolidation of the
-//!   coldest runs is the other planner;
+//!   executor. Its rule is the calibrator tree of §III with the
+//!   shards as leaves: a shard whose access mass leaves its leaf
+//!   bounds against the capacity `W / num_shards` takes the smallest
+//!   enclosing window inside its level's bounds, and the window is
+//!   re-cut at the quantiles of its mass — every key of the window
+//!   moved once. Splits, merges and walking an accreted topology back
+//!   down are all this one rule;
 //! * the **executor** ([`ShardedRma::execute_step`] /
 //!   [`ShardedRma::drain_plan`], in `executor.rs`) applies one step at
 //!   a time through one procedure: it locks only the
@@ -23,13 +23,12 @@
 //!   grace period — so **a writer only ever waits out the one step
 //!   currently restructuring its shard, never the whole topology**.
 //!
-//! The synchronous entry points [`ShardedRma::maintain`] and
-//! [`ShardedRma::compact`] plan and immediately drain, round after
-//! round, through one loop. The background maintainer
-//! ([`crate::maintainer`]) instead drains plans a few steps per tick
-//! with inter-step sleeps. Whoever drains, every popped step is filed
-//! once — a split when it built more shards than it took, a merge
-//! otherwise — in the engine's ledger
+//! The one synchronous entry point, [`ShardedRma::maintain`], plans
+//! and immediately drains, round after round. The background
+//! maintainer ([`crate::maintainer`]) instead drains plans a few
+//! steps per tick with inter-step sleeps. Whoever drains, every
+//! popped step is filed once — a split when it built more shards than
+//! it took, a merge otherwise — in the engine's ledger
 //! ([`ShardedRma::maintenance_stats`]).
 //!
 //! A durability checkpoint ([`ShardedRma::checkpoint`]) is not a
@@ -63,7 +62,11 @@ use std::sync::Arc;
 
 /// Clips weighted buckets to `[lo, hi)`, scaling each straddling
 /// bucket's mass by its overlap fraction (piecewise-uniform model).
-fn clip_weights(wb: &[(Key, Key, u64)], lo: Option<Key>, hi: Option<Key>) -> Vec<(Key, Key, u64)> {
+pub(super) fn clip_weights(
+    wb: &[(Key, Key, u64)],
+    lo: Option<Key>,
+    hi: Option<Key>,
+) -> Vec<(Key, Key, u64)> {
     wb.iter()
         .filter_map(|&(blo, bhi, w)| {
             let clo = lo.map_or(blo, |l| blo.max(l));
@@ -112,52 +115,28 @@ impl ShardedRma {
         Arc::new(shard)
     }
 
-    /// Plans with `plan` and drains, again against the topology each
-    /// drain left, until a round executes nothing (an empty plan, or
-    /// every step stale) or `rounds` have run — so a pathological
-    /// distribution cannot spin here forever. The one loop under
-    /// every synchronous entry point.
-    fn drain_rounds(
-        &self,
-        rounds: usize,
-        mut plan: impl FnMut() -> MaintenancePlan,
-    ) -> DrainReport {
+    /// Synchronous maintenance: plans the calibrator rule
+    /// ([`plan_maintenance`](Self::plan_maintenance)) and drains the
+    /// plan at once, again against the topology each drain left,
+    /// until a round executes nothing (an empty plan, or every step
+    /// stale) or 16 rounds have run — so a pathological distribution
+    /// cannot spin here forever. Cuts come from the windows'
+    /// equal-access quantiles, and restructured shards inherit their
+    /// parents' (clipped) histograms. Each step publishes a
+    /// copy-on-write topology: concurrent readers keep serving
+    /// throughout, writers re-route past the replaced shards.
+    /// Restructured shards restart their read/write counters. The
+    /// background maintainer drains the same plans, paced, instead.
+    pub fn maintain(&self) -> DrainReport {
         let mut total = DrainReport::default();
-        for _ in 0..rounds {
+        for _ in 0..16 {
             let before = total.executed();
-            self.drain_into(&mut plan(), &mut total);
+            self.drain_into(&mut self.plan_maintenance(), &mut total);
             if total.executed() == before {
                 break;
             }
         }
         total
-    }
-
-    /// Synchronous load-driven maintenance: cuts shards whose access
-    /// mass exceeds twice the mean and merges runs of adjacent shards
-    /// whose combined mass falls below half the mean, by planning
-    /// ([`plan_maintenance`](Self::plan_maintenance)) and immediately
-    /// draining up to 16 rounds of [`MaintenanceStep`]s. Cuts come
-    /// from the shard histogram's equal-access quantiles, and
-    /// restructured shards inherit their parents' (clipped)
-    /// histograms. Each step publishes a copy-on-write topology:
-    /// concurrent readers keep serving throughout, writers re-route
-    /// past the replaced shards. Restructured shards restart their
-    /// read/write counters. The background maintainer drains the
-    /// same plans, paced, instead.
-    pub fn maintain(&self) -> DrainReport {
-        self.drain_rounds(16, || self.plan_maintenance())
-    }
-
-    /// Synchronous shard-count consolidation: plans and drains
-    /// [`plan_consolidation`](Self::plan_consolidation) rounds until
-    /// the live shard count reaches the configured `num_shards`
-    /// target or no further bounded merge applies, returning how many
-    /// shards the merges took away. The background maintainer runs the same chain
-    /// one idle tick at a time; this is the on-demand form (quiesce a
-    /// workload, then `compact()` before the next burst).
-    pub fn compact(&self) -> usize {
-        self.drain_rounds(64, || self.plan_consolidation()).retired
     }
 }
 
@@ -192,8 +171,13 @@ mod tests {
             s.insert(k, k);
         }
         let before = s.collect_all();
+        // The cold shards' window is the root: the one step re-cuts
+        // the index into four pieces of equal mass.
         let report = s.maintain();
-        assert!(report.splits >= 1, "skewed load must split: {report:?}");
+        assert!(
+            report.executed() >= 1,
+            "skewed load must re-cut: {report:?}"
+        );
         s.check_invariants();
         assert_eq!(s.collect_all(), before, "maintenance must not lose data");
         let stats = s.stats_snapshot().shards;
@@ -205,8 +189,8 @@ mod tests {
     fn access_cut_splits_at_the_hot_point_not_the_median() {
         // Shard 0 holds keys 0..1000 but only the top decile is ever
         // touched after loading: the access CDF cut must land inside
-        // [900, 1000), not at the median 500. Three shards, so that
-        // one of them can weigh more than twice the mean.
+        // [900, 1000), not at the median 500. The cold shards' window
+        // is the root, so the one step re-cuts all three.
         let s = ShardedRma::with_splitters(small_cfg(3), Splitters::new(vec![5000, 10_000]));
         for k in 0..1000i64 {
             s.insert(k, k);
@@ -220,7 +204,7 @@ mod tests {
         // Something must make shard 0 hot relative to shard 1.
         let _ = s.get(6000);
         let report = s.maintain();
-        assert!(report.splits >= 1, "{report:?}");
+        assert!(report.executed() >= 1, "{report:?}");
         let new_keys = s.splitters();
         let inner: Vec<i64> = new_keys
             .keys()
@@ -288,9 +272,14 @@ mod tests {
         let report = s.maintain();
         s.check_invariants();
         assert_eq!(s.len(), 500);
-        // All mass in shard 0 of a 62-bit uniform topology: the hot
-        // shard splits and the cold tail merges.
-        assert!(report.splits > 0 && report.merges > 0, "{report:?}");
+        // All mass in shard 0 of a 62-bit uniform topology: the cold
+        // shards' smallest admissible window is the root, and the one
+        // step re-cuts the loaded range into four and merges the
+        // empty tail into the last of them.
+        assert_eq!(report.executed(), 1, "{report:?}");
+        assert_eq!(s.num_shards(), 4);
+        assert!(s.splitters().keys().iter().all(|&k| k < 500));
+        assert!(s.plan_maintenance().is_empty());
     }
 
     #[test]
@@ -335,7 +324,7 @@ mod tests {
             // must fail the test, not leave the scope waiting forever.
             stop.store(true, Relaxed);
             reader.join().unwrap();
-            assert!(report.splits >= 1, "{report:?}");
+            assert!(report.executed() >= 1, "{report:?}");
         });
         s.check_invariants();
     }

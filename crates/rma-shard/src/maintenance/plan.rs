@@ -1,5 +1,5 @@
-//! Maintenance planning: turning the access-histogram signal into a
-//! [`MaintenancePlan`] of bounded, key-identified steps.
+//! Maintenance planning: the paper's calibrator rule one level up,
+//! turned into a [`MaintenancePlan`] of bounded, key-identified steps.
 //!
 //! Every step is identified by **keys**, never by shard indices: the
 //! topology can shift between planning and execution, a plan is
@@ -9,31 +9,36 @@
 //! shards and the cuts to rebuild it at, so every key in the run
 //! moves once per step.
 //!
-//! Two planners:
+//! There is one planner, [`ShardedRma::plan_maintenance`], and it is
+//! the calibrator tree of §III with the shards as its leaves. A
+//! shard's density is its decayed access mass against the fixed
+//! capacity `W / num_shards` (`W` the index's total mass; lengths
+//! stand in while no mass is recorded), and the leaf and level bounds
+//! are the update-oriented preset's. A shard out of its leaf bounds
+//! takes the smallest enclosing calibrator window
+//! ([`rma_core::windows_above`]) whose density is inside its level's
+//! bounds, among the windows one step may drain; that window is
+//! re-cut at the quantiles of its access mass. Split, merge and the
+//! walk of an accreted topology back down are all this one rule.
 //!
-//! * [`ShardedRma::plan_maintenance`] — the load-driven rule: each
-//!   hot shard cut into as many pieces as its mass needs, each run of
-//!   adjacent cold shards merged into one;
-//! * [`ShardedRma::plan_consolidation`] — the idle-time merge of the
-//!   coldest runs back toward the configured `num_shards`.
-//!
-//! A plan is a list: each planner emits its steps in the order they
-//! are to run, and the plan pops them front to back, to its end. A
-//! rebalance's splits come before its merges; within a class the
-//! planner sorts by gain per migrated key, and consolidation takes the
-//! coldest runs first. Nothing second-guesses a plan once it is made —
-//! as the paper's calibrator picks a window and the window is
-//! redistributed (§III) — so the only check between planning and
-//! execution is the per-step one: a step whose keys no longer name
-//! whole shards is skipped.
+//! A plan is a list: the planner emits its steps in the order they
+//! are to run, and the plan pops them front to back, to its end —
+//! the windows that shed an overload first, then the rest, each in
+//! key order. Nothing second-guesses a plan once it is made — as the
+//! paper's calibrator picks a window and the window is redistributed
+//! — so the only check between planning and execution is the
+//! per-step one: a step whose keys no longer name whole shards is
+//! skipped.
 //!
 //! [`Recut`]: MaintenanceStep::Recut
 
 use crate::shard::Shard;
 use crate::{ShardedRma, Splitters};
-use rma_core::Key;
+use rma_core::{height_for, windows_above, Key, Rma, Thresholds};
 use std::collections::VecDeque;
+use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// One bounded unit of topology restructuring. Every step publishes
 /// its own copy-on-write topology when executed, so concurrent
@@ -45,9 +50,8 @@ pub enum MaintenanceStep {
     /// key in the range moves once. A step that puts out more shards
     /// than it takes in is a split, any other a merge; a merge builds
     /// at most `ShardConfig::max_shard_len` elements (2^17 when that
-    /// is unset; a consolidation plan's merges get a wider idle-time
-    /// bound), a split is not bounded — it is how an oversized shard
-    /// shrinks. Skipped when `lo` or `hi` is no longer a shard
+    /// is unset), a split is not bounded — it is how an oversized
+    /// shard shrinks. Skipped when `lo` or `hi` is no longer a shard
     /// boundary, when the cuts are not strictly ascending inside
     /// `(lo, hi)`, or when they are the range's boundaries already.
     Recut {
@@ -61,36 +65,6 @@ pub enum MaintenanceStep {
     },
 }
 
-/// A shard splits when its weight (access mass; length while no
-/// access has been recorded) exceeds this many times the mean shard
-/// weight (and the shard holds at least
-/// [`MIN_SPLIT_SEGMENTS`](crate::config::MIN_SPLIT_SEGMENTS)
-/// segments). Above 1, or a shard at the mean would split.
-const SPLIT_FACTOR: f64 = 2.0;
-
-/// A run of adjacent shards merges while its combined weight stays
-/// below this fraction of the mean shard weight. It has to stay below
-/// [`SPLIT_FACTOR`], or a freshly split shard would immediately
-/// re-merge and maintenance would oscillate.
-const MERGE_FACTOR: f64 = 0.5;
-
-/// The steps of `keyed`, largest key first; equal keys stay in the
-/// order they were pushed.
-fn descending(mut keyed: Vec<(f64, MaintenanceStep)>) -> impl Iterator<Item = MaintenanceStep> {
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-    keyed.into_iter().map(|(_, step)| step)
-}
-
-/// The step that re-cuts shards `first..=last` of `splitters` at
-/// `cuts`.
-fn recut(splitters: &Splitters, first: usize, last: usize, cuts: Vec<Key>) -> MaintenanceStep {
-    MaintenanceStep::Recut {
-        lo: splitters.range_of(first).0,
-        hi: splitters.range_of(last).1,
-        cuts,
-    }
-}
-
 /// The [`MaintenanceStep`]s one planner call produced, in the order
 /// they are to run. When the maintainer's tick budget runs out before
 /// the plan does, what has run is what the planner put first. Drained
@@ -98,15 +72,12 @@ fn recut(splitters: &Splitters, first: usize, last: usize, cuts: Vec<Key>) -> Ma
 /// maintainer's paced mode) or all at once by
 /// [`ShardedRma::drain_plan`].
 ///
-/// A plan runs to its end: the planner's thresholds decided there was
-/// work, and each step is checked against the live topology only when
-/// it is popped, where a stale one is skipped.
+/// A plan runs to its end: the calibrator decided there was work,
+/// and each step is checked against the live topology only when it
+/// is popped, where a stale one is skipped.
 #[derive(Debug)]
 pub struct MaintenancePlan {
     steps: VecDeque<MaintenanceStep>,
-    /// Made by the idle-time consolidation planner: its merges get
-    /// the wider idle bound, and the ledger counts them.
-    consolidation: bool,
 }
 
 impl MaintenancePlan {
@@ -125,29 +96,41 @@ impl MaintenancePlan {
         self.steps.iter()
     }
 
-    /// Whether this plan came out of the idle-time consolidation
-    /// planner ([`ShardedRma::plan_consolidation`]).
-    pub fn consolidation_planned(&self) -> bool {
-        self.consolidation
-    }
-
     pub(crate) fn pop(&mut self) -> Option<MaintenanceStep> {
         self.steps.pop_front()
     }
 }
 
 impl ShardedRma {
-    /// The load-driven rule as a plan — what the background
-    /// maintainer drains on its tick budget and
-    /// [`maintain`](Self::maintain) drains at once. A shard whose
-    /// weight exceeds twice the mean is cut at the k-quantiles of its
-    /// access mass (of its residents while it has none), k the fewest
-    /// pieces that leaves no piece above that trigger once the step
-    /// has run; each maximal run of adjacent shards whose combined
-    /// weight stays under half the mean merges into one shard, held
-    /// to the merge bound. While no access has been recorded, lengths
-    /// stand in for the masses (a freshly bulk-loaded index balances
-    /// by residency). Balanced topologies plan zero steps.
+    /// The calibrator rule as a plan — what the background maintainer
+    /// drains on its tick budget and [`maintain`](Self::maintain)
+    /// drains at once.
+    ///
+    /// Each shard is a leaf whose weight is its decayed access mass
+    /// (its length while no access has been recorded anywhere, so a
+    /// freshly bulk-loaded index balances by residency), against the
+    /// target `W / num_shards` at the root's upper density τ_h = 0.75
+    /// — the leaf capacity is `W / num_shards / τ_h`, as a bulk load
+    /// fills a PMA's segments to τ_h, so `num_shards` shards of equal
+    /// weight are in bounds. A shard is out of bounds above the
+    /// update-oriented preset's τ₁ = 1 or below its ρ₁ = 0.08, or when
+    /// it is longer than `ShardConfig::max_shard_len`; a shard no cut
+    /// can split (under
+    /// [`MIN_SPLIT_SEGMENTS`](crate::config::MIN_SPLIT_SEGMENTS)
+    /// segments, or one key's run) is never over. An out-of-bounds
+    /// shard takes the smallest enclosing window whose density is
+    /// inside its level's bound, among the windows whose shards one
+    /// merge may drain (`max_shard_len`, or 2^17). When there is
+    /// none, an overflowing shard splits alone and an underflowing
+    /// one takes the largest such window — the array's resize,
+    /// bounded to one step. Overlapping windows are nested, and the
+    /// outer one is kept. Each window is re-cut at the quantiles of
+    /// its access mass (of its residents while it has none) into the
+    /// fewest pieces, no fewer than its weight over the target, that
+    /// land every piece at or under the leaf capacity; no piece of a
+    /// shard below the split floor holds less than half of it. A
+    /// window whose cuts are its boundaries already plans nothing, so
+    /// balanced topologies plan zero steps.
     pub fn plan_maintenance(&self) -> MaintenancePlan {
         let topo = self.topo();
         let lens: Vec<usize> = topo.lens().collect();
@@ -158,188 +141,216 @@ impl ShardedRma {
             masses.iter().map(|&m| m as f64).collect()
         };
         let total: f64 = weights.iter().sum();
-        let n = weights.len();
-        if total == 0.0 {
-            return self.finish_plan(Vec::new(), false);
+        // Learned splitters are kept while the index is empty.
+        if total == 0.0 || lens.iter().all(|&l| l == 0) {
+            return self.finish_plan(Vec::new());
         }
-        let mean = total / n as f64;
-        let (mut splits, mut merges) = (Vec::new(), Vec::new());
-        for (i, shard) in topo.shards.iter().enumerate() {
-            let w = weights[i];
-            // Piece mass w / k stays at or under the trigger over the
-            // n + k - 1 shards the step leaves: k >= w (n - 1) / (2T - w).
-            let by_mass = if w > SPLIT_FACTOR * mean {
-                (w * (n - 1) as f64 / (SPLIT_FACTOR * total - w)).ceil() as usize
-            } else {
-                1
-            };
-            // Optional length backstop (`ShardConfig::max_shard_len`):
-            // a shard larger than one step may rebuild would make
-            // *every* future restructuring of it exceed the per-step
-            // stall bound, so SLO deployments cut it down as soon as
-            // it crosses the line, regardless of access balance.
-            let by_len = self.cfg.max_shard_len.map_or(1, |m| lens[i].div_ceil(m));
-            let min_split = self.cfg.min_split();
-            // No piece of a shard at the floor holds less than half of it.
-            let k = by_mass.max(by_len).min(2 * lens[i] / min_split);
-            if k < 2 || lens[i] < min_split {
+        let (n, th) = (weights.len(), Thresholds::update_oriented());
+        let h = height_for(n);
+        // A shard at the target mass sits at the root's upper density,
+        // as a bulk load fills a PMA's segments to τ_h.
+        let target = total / self.cfg.num_shards as f64;
+        let cap = target / th.tau(h, h);
+        let (bound, min_split) = (self.merge_bound(), self.cfg.min_split());
+        let mass = |w: &Range<usize>| weights[w.clone()].iter().sum::<f64>();
+        let len = |w: &Range<usize>| lens[w.clone()].iter().sum::<usize>();
+        let too_long = |i: usize| self.cfg.max_shard_len.is_some_and(|m| lens[i] > m);
+        // A shard no cut can split (under `MIN_SPLIT_SEGMENTS`
+        // segments, or one key's run) is not over, however heavy.
+        let splittable = |s: &Shard| {
+            s.peek(|r| r.len() >= min_split && r.first_ge(Key::MIN).map(|e| e.0) != r.last_key())
+        };
+        let over: Vec<bool> = (0..n)
+            .map(|i| {
+                (weights[i] > th.tau(1, h) * cap || too_long(i)) && splittable(&topo.shards[i])
+            })
+            .collect();
+        let mut windows: Vec<Range<usize>> = Vec::new();
+        for i in 0..n {
+            let under = weights[i] < th.rho(1, h) * cap;
+            if !over[i] && !under {
                 continue;
             }
-            let cuts = cut_points(shard, k);
-            if !cuts.is_empty() {
-                let excess = w / mean;
-                let step = recut(&topo.splitters, i, i, cuts);
-                splits.push((excess / (lens[i] + 1) as f64, step));
-            }
-        }
-        // Merges only while the index holds data (learned splitters
-        // are kept while it is empty). A run under half the mean
-        // weight is far below the split trigger, so only the merge
-        // bound caps its length.
-        if lens.iter().any(|&l| l > 0) {
-            let cap = self.merge_bound();
-            let mut i = 0;
-            while i < n {
-                let (mut j, mut w, mut len) = (i, 0.0, 0);
-                while j < n && w + weights[j] < MERGE_FACTOR * mean && len + lens[j] <= cap {
-                    (w, len) = (w + weights[j], len + lens[j]);
-                    j += 1;
+            let mut pick = over[i].then_some(i..i + 1);
+            for (level, w) in windows_above(i, n) {
+                if len(&w) > bound {
+                    break;
                 }
-                if j - i >= 2 {
-                    let slack = MERGE_FACTOR * mean - w;
-                    let step = recut(&topo.splitters, i, j - 1, Vec::new());
-                    merges.push((slack / (len + 1) as f64, step));
+                let room = w.len() as f64 * cap;
+                let inside = match over[i] {
+                    true => mass(&w) <= th.tau(level, h) * room,
+                    false => mass(&w) >= th.rho(level, h) * room,
+                };
+                if inside || (under && w.len() > 1) {
+                    pick = Some(w);
                 }
-                i = j.max(i + 1);
+                if inside {
+                    break;
+                }
+            }
+            // An underflowing shard whose calibrator pair is past the
+            // bound merges with its other neighbour, if one step may.
+            let j = match i % 2 {
+                0 => i.checked_sub(1),
+                _ => Some(i + 1).filter(|&j| j < n),
+            };
+            let beside = j.map(|j| i.min(j)..i.max(j) + 1);
+            pick = pick.or(beside.filter(|w| under && len(w) <= bound));
+            windows.extend(pick);
+        }
+        // Calibrator windows are nested or disjoint, and a pair beside
+        // one may overlap it: keep the first of any overlapping ones,
+        // the outer when nested.
+        windows.sort_by_key(|w| (w.start, std::cmp::Reverse(w.end)));
+        windows.dedup_by(|later, kept| later.start < kept.end);
+        let mut steps = Vec::new();
+        for w in windows {
+            let l = len(&w);
+            let by_mass = (mass(&w) / target).ceil() as usize;
+            let by_len = self.cfg.max_shard_len.map_or(1, |m| l.div_ceil(m));
+            // No piece of a shard at the floor holds less than half of it.
+            let most = (2 * l / min_split).max(1);
+            let k = by_mass.max(by_len).min(most);
+            if w.len() == 1 && k < 2 {
+                continue;
+            }
+            let cuts = match k {
+                1 => Vec::new(),
+                _ => cut_points(&topo.shards[w.clone()], k..=most, cap),
+            };
+            if topo.splitters.keys()[w.start..w.end - 1] != cuts[..] {
+                let lo = topo.splitters.range_of(w.start).0;
+                let hi = topo.splitters.range_of(w.end - 1).1;
+                let cool = !over[w].contains(&true);
+                steps.push((cool, MaintenanceStep::Recut { lo, hi, cuts }));
             }
         }
-        // Splits shed imbalance directly, so they all run before the
-        // merges, which only recover footprint: hottest per resident
-        // first, then coldest per migrated key first.
-        let steps = descending(splits).chain(descending(merges)).collect();
-        self.finish_plan(steps, false)
-    }
-
-    /// The idle-time consolidation chain: when accreted splits have
-    /// ratcheted the live shard count above the configured target,
-    /// remove the boundaries between the coldest neighbours —
-    /// lowest combined decayed mass first — until the count would
-    /// reach `ShardConfig::num_shards`, and plan each run of shards
-    /// that loses its inner boundaries as one merging
-    /// [`Recut`](MaintenanceStep::Recut), coldest run first. Each run
-    /// obeys the idle-time size bound (`consolidation_bound`: the
-    /// merge bound widened to two natural target-count shards — the
-    /// idle gate guarantees no foreground traffic is waiting on the
-    /// locked window); the maintainer re-plans each idle tick, and
-    /// [`compact`](Self::compact) loops synchronously, so a count
-    /// one round cannot reach is walked the rest of the way down.
-    /// Empty at or below the target, or when no neighbours fit the
-    /// bound.
-    pub fn plan_consolidation(&self) -> MaintenancePlan {
-        let topo = self.topo();
-        let n = topo.shards.len();
-        let target = self.cfg.num_shards.max(1);
-        if n <= target {
-            return self.finish_plan(Vec::new(), true);
-        }
-        let lens: Vec<usize> = topo.lens().collect();
-        let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
-        let bound = self.consolidation_bound();
-        // Boundary `i` separates shards `i` and `i + 1`; coldest
-        // neighbours first (ties break leftmost for determinism).
-        let mut cands: Vec<(u64, usize)> =
-            (0..n - 1).map(|i| (masses[i] + masses[i + 1], i)).collect();
-        cands.sort_unstable();
-        // `run[i]`: the first shard of the run shard `i` belongs to.
-        let mut run: Vec<usize> = (0..n).collect();
-        let end =
-            |run: &[usize], i: usize| i + run[i + 1..].iter().take_while(|&&r| r == run[i]).count();
-        let mut removed = 0;
-        for (_, i) in cands {
-            let (first, last) = (run[i], end(&run, i + 1));
-            if removed < n - target && lens[first..=last].iter().sum::<usize>() <= bound {
-                run[first..=last].fill(first);
-                removed += 1;
-            }
-        }
-        let mut runs = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let last = end(&run, i);
-            if last > i {
-                let mass: u64 = masses[i..=last].iter().sum();
-                runs.push((-(mass as f64), recut(&topo.splitters, i, last, Vec::new())));
-            }
-            i = last + 1;
-        }
-        self.finish_plan(descending(runs).collect(), true)
+        // The windows that shed an overload run first.
+        steps.sort_by_key(|s| s.0);
+        self.finish_plan(steps.into_iter().map(|s| s.1).collect())
     }
 
     /// A plan of exactly `steps`, popped in the given order: a
-    /// re-cut chosen by hand instead of by a planner, resolved and
+    /// re-cut chosen by hand instead of by the planner, resolved and
     /// skipped when stale like any planned step, its merges held to
-    /// the load-driven merge bound.
+    /// the merge bound.
     pub fn plan_of(&self, steps: Vec<MaintenanceStep>) -> MaintenancePlan {
-        self.finish_plan(steps, false)
+        self.finish_plan(steps)
     }
 
     /// Records plan counters, journals the plan-creation event, and
     /// wraps the steps, which the planner emitted in execution order.
-    fn finish_plan(&self, steps: Vec<MaintenanceStep>, consolidation: bool) -> MaintenancePlan {
+    fn finish_plan(&self, steps: Vec<MaintenanceStep>) -> MaintenancePlan {
         if !steps.is_empty() {
             let c = &self.maint_counters;
             c.plans.fetch_add(1, Relaxed);
             c.steps_planned.fetch_add(steps.len() as u64, Relaxed);
-            let ev = match consolidation {
-                false => rma_obs::EventKind::Rebalance,
-                true => rma_obs::EventKind::Consolidate,
-            };
-            self.obs()
-                .log(ev, rma_obs::Event::NO_SHARD, 0, steps.len() as u64);
+            self.obs().log(
+                rma_obs::EventKind::Rebalance,
+                rma_obs::Event::NO_SHARD,
+                0,
+                steps.len() as u64,
+            );
         }
         MaintenancePlan {
             steps: steps.into(),
-            consolidation,
         }
     }
 }
 
-/// The keys to cut `shard` into `k` pieces at, snapped to resident
-/// keys so no piece is empty, strictly ascending: the k-quantiles of
-/// its access histogram, or of its residents when it has no recorded
-/// mass or the mass cuts no resident run. Fewer than `k - 1` cuts when
-/// duplicate runs swallow some; none when the shard cannot be split
-/// (one giant duplicate run). Works through point probes
-/// (`first_ge`) and one iterator walk at worst — it never
-/// materializes the shard, which the executor will do anyway under
-/// the write lock.
-fn cut_points(shard: &Shard, k: usize) -> Vec<Key> {
-    shard.locked(|guard| {
-        let Some((min, _)) = guard.first_ge(Key::MIN) else {
-            return Vec::new();
-        };
-        // Each candidate snaps up to the first resident key past the
-        // previous cut (or the minimum): ascending, and no piece empty.
-        let snap = |cands: &mut dyn Iterator<Item = Key>| {
-            let mut cuts: Vec<Key> = Vec::new();
-            for c in cands {
-                let floor = cuts.last().copied().unwrap_or(min).saturating_add(1);
-                match guard.first_ge(c.max(floor)) {
-                    Some((key, _)) => cuts.push(key),
-                    None => break,
-                }
-            }
-            cuts
-        };
-        let wb = shard.stats.weighted_buckets();
-        if wb.iter().any(|b| b.2 > 0) {
-            let by_mass = Splitters::from_weighted_histogram(&wb, k);
-            let cuts = snap(&mut by_mass.keys().iter().copied());
-            if !cuts.is_empty() {
-                return cuts;
+/// The keys to cut the run of `shards` at, snapped to resident keys
+/// so no piece is empty, strictly ascending: the k-quantiles of the
+/// run's access histogram for the first `k` in `ks` whose pieces the
+/// histogram puts at or under `cap` — or holding one key's run, a
+/// lump no cut lightens — (the first `k` when none does),
+/// or the k-quantiles of the run's residents, `k` the first of `ks`,
+/// when it has no recorded mass or the mass cuts no resident run.
+/// The pieces are weighed as the executor seeds them, so a run cut
+/// here is not cut again for what the cut itself did to the masses.
+/// Fewer than `k - 1` cuts when duplicate runs swallow some; none
+/// when the run cannot be cut (one giant duplicate run). Works
+/// through point probes (`first_ge`) and one walk of the residents at
+/// worst — it never materializes the run, which the executor will do
+/// anyway under the write locks.
+fn cut_points(shards: &[Arc<Shard>], ks: RangeInclusive<usize>, cap: f64) -> Vec<Key> {
+    let first_ge =
+        |key: Key| (shards.iter()).find_map(|s| s.peek(|r| r.first_ge(key)).map(|(k, _)| k));
+    let Some(min) = first_ge(Key::MIN) else {
+        return Vec::new();
+    };
+    // Each candidate snaps up to the first resident key past the
+    // previous cut (or the minimum): ascending, and no piece empty.
+    let snap = |cands: &mut dyn Iterator<Item = Key>| {
+        let mut cuts: Vec<Key> = Vec::new();
+        for c in cands {
+            let floor = cuts.last().copied().unwrap_or(min).saturating_add(1);
+            match first_ge(c.max(floor)) {
+                Some(key) => cuts.push(key),
+                None => break,
             }
         }
-        let step = guard.len().div_ceil(k).max(1);
-        snap(&mut guard.iter().map(|(key, _)| key).step_by(step).skip(1))
-    })
+        cuts
+    };
+    let wb: Vec<_> = shards
+        .iter()
+        .flat_map(|s| s.peek(|r| resident_buckets(s, r)))
+        .collect();
+    let quantiles = |k| {
+        snap(
+            &mut Splitters::from_weighted_histogram(&wb, k)
+                .keys()
+                .iter()
+                .copied(),
+        )
+    };
+    // Every piece at or under `cap`, or one run of a key (a lump
+    // that no cut can lighten).
+    let fits = |cuts: &Vec<Key>| {
+        let edges: Vec<Option<Key>> = (None.into_iter())
+            .chain(cuts.iter().map(|&c| Some(c)))
+            .chain([None])
+            .collect();
+        (edges.windows(2)).all(|e| {
+            let piece = super::clip_weights(&wb, e[0], e[1]);
+            let next = first_ge(e[0].unwrap_or(min).saturating_add(1));
+            piece.iter().map(|b| b.2).sum::<u64>() as f64 <= cap
+                || next.is_none_or(|n| e[1].is_some_and(|end| n >= end))
+        })
+    };
+    if !wb.is_empty() {
+        let cuts = (ks.clone().map(quantiles).find(fits)).unwrap_or_else(|| quantiles(*ks.start()));
+        if !cuts.is_empty() {
+            return cuts;
+        }
+    }
+    // Every `step`-th resident of the run, the first one left out.
+    let len = shards.iter().map(|s| s.peek(Rma::len)).sum::<usize>();
+    let step = len.div_ceil(*ks.start()).max(1);
+    let (mut cands, mut at) = (Vec::new(), 0);
+    for s in shards {
+        s.locked(|r| {
+            let skip = (step - at % step) % step + if at == 0 { step } else { 0 };
+            cands.extend(r.iter().skip(skip).step_by(step).map(|(key, _)| key));
+            at += r.len();
+        });
+    }
+    snap(&mut cands.into_iter())
+}
+
+/// `shard`'s histogram cut to the span of its residents (`rma`), each
+/// bucket keeping its whole mass: no cut can fall outside it, and a
+/// bucket of an unbounded edge shard, modelled to the end of the key
+/// domain, would otherwise spread its mass far past the last key.
+/// Empty for an empty shard. What the planner cuts by and what the
+/// executor seeds successors from.
+pub(crate) fn resident_buckets(shard: &Shard, rma: &Rma) -> Vec<(Key, Key, u64)> {
+    let span = rma.first_ge(Key::MIN).map(|e| e.0).zip(rma.last_key());
+    let Some((min, max)) = span else {
+        return Vec::new();
+    };
+    let hi = max.saturating_add(1);
+    (shard.stats.weighted_buckets().into_iter())
+        .map(|(lo, bhi, w)| (lo.clamp(min, max), bhi.clamp(min, hi), w))
+        .filter(|&(lo, bhi, _)| lo < bhi)
+        .collect()
 }

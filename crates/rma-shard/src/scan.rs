@@ -302,7 +302,7 @@ mod tests {
         let snap = s.stats_snapshot();
         assert_eq!(snap.shards.iter().map(|st| st.len).sum::<usize>(), 500);
         assert_eq!(snap.len, 500);
-        let _ = (s.plan_maintenance(), s.plan_consolidation());
+        let _ = s.plan_maintenance();
         let (r1, _) = s.lock_acquisitions();
         assert_eq!(r1 - r0, 0, "quiescent reads must not lock");
     }

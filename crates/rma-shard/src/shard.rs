@@ -266,6 +266,11 @@ impl<'a> StepGuards<'a> {
         out
     }
 
+    /// The locked shards' arrays, in key order.
+    pub(crate) fn rmas(&self) -> impl Iterator<Item = &Rma> {
+        self.guards.iter().map(|g| g.rma())
+    }
+
     /// Marks every locked shard replaced; callers publish the
     /// successor topology before dropping the guards.
     pub(crate) fn retire_all(&self) {

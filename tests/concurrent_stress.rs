@@ -247,15 +247,21 @@ fn apply_batch_vs_maintenance_stress() {
 #[test]
 fn writer_progress_during_incremental_drain() {
     let base: Vec<(i64, i64)> = (0..40_000).map(|k| (k, k)).collect();
+    // A step bound below two shards' length keeps every window to
+    // one shard, as on an index too large for one step to re-cut.
+    let cfg = ShardConfig {
+        max_shard_len: Some(8192),
+        ..stress_cfg(8)
+    };
     let db = Db::builder()
-        .shard_config(stress_cfg(8))
+        .shard_config(cfg)
         .build_bulk(&base)
         .expect("valid stress config");
     let index = db.engine();
-    // Build a real multi-step plan: hammer a narrow band so the
-    // planner cuts the hot shard and merges the cold runs.
+    // Build a real multi-step plan: hammer two narrow bands so the
+    // planner cuts each hot shard in its own step.
     for _ in 0..40 {
-        for k in 0..400i64 {
+        for k in (0..400i64).chain(20_000..20_400) {
             let _ = index.get(k);
         }
     }

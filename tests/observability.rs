@@ -337,7 +337,7 @@ fn snapshots_render_after_stop_maintenance() {
         ]
     );
     let ledger = counters("rma_maintenance_");
-    for kind in ["splits", "merges", "consolidations"] {
+    for kind in ["splits", "merges"] {
         assert!(ledger.contains(&format!("rma_maintenance_{kind}_total").as_str()));
     }
     let mut once = ledger.clone();
@@ -643,7 +643,6 @@ fn the_exposition_carries_every_counter() {
         keys_migrated,
         splits,
         merges,
-        consolidations,
         topologies_published,
         max_step_wall_ns,
         write_reroutes,
@@ -674,7 +673,6 @@ fn the_exposition_carries_every_counter() {
         format!("rma_maintenance_keys_migrated_total {keys_migrated}"),
         format!("rma_maintenance_splits_total {splits}"),
         format!("rma_maintenance_merges_total {merges}"),
-        format!("rma_maintenance_consolidations_total {consolidations}"),
         format!("rma_topologies_published_total {topologies_published}"),
         format!("rma_max_step_wall_ns {max_step_wall_ns}"),
         format!("rma_write_reroutes_total {write_reroutes}"),

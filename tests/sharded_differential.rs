@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use rma_repro::db::Db;
-use rma_repro::rma::{RewiringMode, Rma, RmaConfig};
+use rma_repro::rma::{windows_above, RewiringMode, Rma, RmaConfig, Thresholds};
+use rma_repro::shard::config::MIN_SPLIT_SEGMENTS;
 use rma_repro::shard::{ShardConfig, Splitters};
 use std::collections::BTreeMap;
 
@@ -164,7 +165,7 @@ fn removes_after_split_merge_cycles_match_btreemap() {
         let report = sharded.maintain();
         sharded.check_invariants();
         if cycle == 0 {
-            assert!(report.splits >= 1, "skew must split: {report:?}");
+            assert!(report.executed() >= 1, "skew must re-cut: {report:?}");
         }
 
         // Interleaved removes right after the topology changed: half
@@ -238,7 +239,9 @@ fn assert_get_many_matches(
 /// a split, between the split and the merge, and after the merge.
 #[test]
 fn get_many_matches_get_and_btreemap_across_split_and_merge() {
-    let db = sharded_db(small_sharded(4), vec![4000, 8000, 12000]);
+    // Four shards against a target of two: the calibrator has room
+    // to merge them.
+    let db = sharded_db(small_sharded(2), vec![4000, 8000, 12000]);
     let sharded = db.engine();
     let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
     let mut rng = rma_repro::workloads::SplitMix64::new(0x6E7);
@@ -256,26 +259,34 @@ fn get_many_matches_get_and_btreemap_across_split_and_merge() {
     }
     assert_get_many_matches(sharded, &oracle, &probes, "four even shards");
 
-    // Hammer one quarter so its shard splits.
-    for _ in 0..3000 {
+    // Hammer one quarter so its shard is re-cut.
+    for _ in 0..5000 {
         let k = rng.next_below(2000) as i64;
         sharded.insert(k, k * 3);
         oracle_insert(&mut oracle, k);
     }
     let report = sharded.maintain();
-    assert!(report.splits >= 1, "skew must split: {report:?}");
+    assert!(report.executed() >= 1, "skew must re-cut: {report:?}");
     sharded.check_invariants();
     assert_get_many_matches(sharded, &oracle, &probes, "after the split");
 
-    // Drain most keys, then consolidate back towards four shards.
+    // Drain most keys, then read only the first quarter: the cold
+    // rest merges back towards two shards.
     let victims: Vec<i64> = oracle.keys().copied().filter(|&k| k % 5 != 0).collect();
     for k in victims {
         while oracle_remove_exact(&mut oracle, k) {
             assert!(sharded.remove(k).is_some(), "drain({k})");
         }
     }
+    sharded.reset_access_stats();
+    for k in 0..4000 {
+        let _ = sharded.get(k);
+    }
     let shards = sharded.num_shards();
-    assert!(sharded.compact() >= 1, "{shards} shards must merge");
+    assert!(
+        sharded.maintain().retired >= 1,
+        "{shards} shards must merge"
+    );
     sharded.check_invariants();
     assert_get_many_matches(sharded, &oracle, &probes, "after the merge");
 }
@@ -558,5 +569,119 @@ proptest! {
             bulk.collect_all().iter().map(|p| p.0).collect::<Vec<_>>(),
             singles.collect_all().iter().map(|p| p.0).collect::<Vec<_>>()
         );
+    }
+
+    /// The calibrator rule reaches a fixed point. Random shard
+    /// lengths, access masses on stored keys and duplicate runs, under either
+    /// threshold preset for the shards' arrays and with or without a
+    /// length backstop: after `maintain()` every shard is inside its
+    /// leaf bounds (access mass between ρ₁ = 0.08 and τ₁ = 1 times
+    /// the capacity `W / num_shards / τ_h`, and no longer than the
+    /// backstop), or too cold with no window of two or more shards
+    /// that one step may drain, or unsplittable (shorter than
+    /// `MIN_SPLIT_SEGMENTS` segments, or one duplicate run). The
+    /// next plan is empty, and the content is the oracle's.
+    #[test]
+    fn maintain_reaches_a_fixed_point_of_the_calibrator_rule(
+        lens in prop::collection::vec(0u16..700, 2..12),
+        reads in prop::collection::vec(0u16..1500, 12..13),
+        dups in prop::collection::vec((0i64..12_000, 1u16..400), 0..4),
+        targets in 1usize..7,
+        backstop in 0usize..3000,
+        scan_oriented in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let width = 1000i64;
+        let n = lens.len();
+        let thresholds = match scan_oriented {
+            true => Thresholds::scan_oriented(),
+            false => Thresholds::update_oriented(),
+        };
+        let cfg = ShardConfig {
+            num_shards: targets,
+            rma: small_rma().with_thresholds(thresholds),
+            max_shard_len: (backstop >= 64).then_some(backstop),
+        };
+        let db = sharded_db(cfg, (1..n as i64).map(|i| i * width).collect());
+        let sharded = db.engine();
+        let mut rng = rma_repro::workloads::SplitMix64::new(seed);
+        let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
+        for (i, &len) in lens.iter().enumerate() {
+            for _ in 0..len {
+                let k = i as i64 * width + rng.next_below(width as u64) as i64;
+                sharded.insert(k, k);
+                oracle_insert(&mut oracle, k);
+            }
+        }
+        for &(k, reps) in &dups {
+            for _ in 0..reps {
+                sharded.insert(k, k);
+                oracle_insert(&mut oracle, k);
+            }
+        }
+        // The masses are the reads of stored keys alone; all zero,
+        // the lengths rule.
+        sharded.reset_access_stats();
+        for (i, &r) in reads.iter().take(n).enumerate() {
+            let range = i as i64 * width..(i as i64 + 1) * width;
+            let stored: Vec<i64> = oracle.range(range).map(|(&k, _)| k).collect();
+            if stored.is_empty() {
+                continue;
+            }
+            let pick = |rng: &mut rma_repro::workloads::SplitMix64| {
+                stored[rng.next_below(stored.len() as u64) as usize]
+            };
+            // Half the reads on one key, half spread over the shard.
+            let hot = pick(&mut rng);
+            for j in 0..r {
+                let k = if j % 2 == 0 { hot } else { pick(&mut rng) };
+                let _ = sharded.get(k);
+            }
+        }
+        sharded.maintain();
+        sharded.check_invariants();
+        let got: Vec<i64> = sharded.collect_all().iter().map(|p| p.0).collect();
+        let want: Vec<i64> = oracle
+            .iter()
+            .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
+            .collect();
+        prop_assert_eq!(got, want);
+
+        let stats = sharded.stats_snapshot().shards;
+        let lens: Vec<usize> = stats.iter().map(|s| s.len).collect();
+        let masses: Vec<u64> = stats.iter().map(|s| s.access_mass).collect();
+        let weights: Vec<f64> = match masses.iter().all(|&m| m == 0) {
+            true => lens.iter().map(|&l| l as f64).collect(),
+            false => masses.iter().map(|&m| m as f64).collect(),
+        };
+        let total: f64 = weights.iter().sum();
+        let plan = sharded.plan_maintenance();
+        prop_assert!(plan.is_empty(), "no fixed point: {:?} {:?} {:?}", lens, weights, plan);
+        if total == 0.0 || lens.iter().all(|&l| l == 0) {
+            return;
+        }
+        let cap = total / targets as f64 / 0.75;
+        let bound = cfg.max_shard_len.unwrap_or(1 << 17);
+        let min_split = MIN_SPLIT_SEGMENTS * cfg.rma.segment_size;
+        let content = sharded.collect_all();
+        for (i, s) in stats.iter().enumerate() {
+            let too_long = cfg.max_shard_len.is_some_and(|m| s.len > m);
+            let over = weights[i] > cap || too_long;
+            let under = weights[i] < 0.08 * cap;
+            let inside = |k: &i64| s.lower_bound.is_none_or(|l| l <= *k) && s.upper_bound.is_none_or(|h| *k < h);
+            let keys: Vec<i64> = content.iter().map(|p| p.0).filter(inside).collect();
+            let unsplittable = s.len < min_split || keys.first() == keys.last();
+            let no_window = windows_above(i, lens.len())
+                .find(|(_, w)| w.len() >= 2)
+                .is_none_or(|(_, w)| lens[w].iter().sum::<usize>() > bound);
+            prop_assert!(
+                !(over || under) || unsplittable || (under && no_window),
+                "shard {} out of bounds: lens {:?} weights {:?} cap {}",
+                i,
+                lens,
+                weights,
+                cap
+            );
+        }
     }
 }

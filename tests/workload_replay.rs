@@ -5,7 +5,7 @@
 //! [`ShardedRma`] regimes over the *identical* operation stream:
 //!
 //! * `static` — the bulk-loaded topology, never maintained;
-//! * `maintained` — the split/merge pass ([`ShardedRma::maintain`])
+//! * `maintained` — the calibrator rule ([`ShardedRma::maintain`])
 //!   at every phase midpoint;
 //!
 //! and asserts, with zero timing dependence:
@@ -15,10 +15,12 @@
 //! 2. the post-maintenance access imbalance (max/mean shard access
 //!    mass over each phase's second half) under maintenance is at
 //!    most **half** the static topology's on the jumping band;
-//! 3. a quiesce-time `compact()` undoes the split accretion;
-//! 4. a uniform workload triggers zero topology churn (and plans
+//! 3. a quiesce-time `maintain()` undoes the split accretion;
+//! 4. the shard count settles over eight phases of the jumping band,
+//!    at a fixed point of the rule;
+//! 5. a uniform workload triggers zero topology churn (and plans
 //!    zero steps);
-//! 5. the steps the replays journal match a recorded fixture.
+//! 6. the steps the replays journal match a recorded fixture.
 
 use rma_repro::db::Db;
 use rma_repro::obs::EventKind;
@@ -73,13 +75,19 @@ fn drift_motion() -> HotspotMotion {
     }
 }
 
-/// Replays the seeded hotspot workload, calling
+/// Replays `phases` phases of the seeded hotspot workload, calling
 /// [`ShardedRma::maintain`] at every phase midpoint when `maintained`;
-/// returns the per-phase post-maintenance imbalances and the final
-/// index (content already verified against the oracle step by step).
-/// The second half of each phase is measured cold, so the statistic
-/// stays comparable across regimes.
-fn run_replay(maintained: bool, motion: HotspotMotion, shards: usize) -> (Vec<f64>, Db) {
+/// returns the per-phase post-maintenance imbalances, the shard count
+/// at the end of each phase and the final index (content already
+/// verified against the oracle step by step). The second half of each
+/// phase is measured cold, so the statistic stays comparable across
+/// regimes.
+fn run_replay(
+    maintained: bool,
+    motion: HotspotMotion,
+    shards: usize,
+    phases: u64,
+) -> (Vec<f64>, Vec<usize>, Db) {
     let mut ops = ShiftingHotspot::new(
         HotspotConfig {
             phase_len: PHASE_OPS,
@@ -105,9 +113,9 @@ fn run_replay(maintained: bool, motion: HotspotMotion, shards: usize) -> (Vec<f6
         oracle_insert(&mut oracle, k);
     }
 
-    let mut imbalances = Vec::new();
+    let (mut imbalances, mut counts) = (Vec::new(), Vec::new());
     let half = PHASE_OPS / 2;
-    for _phase in 0..PHASES {
+    for _phase in 0..phases {
         let mut run_half = |n: u64, index: &ShardedRma, oracle: &mut BTreeMap<i64, usize>| {
             for i in 0..n {
                 let (k, v) = ops.next_pair();
@@ -140,6 +148,7 @@ fn run_replay(maintained: bool, motion: HotspotMotion, shards: usize) -> (Vec<f6
         index.reset_access_stats();
         run_half(PHASE_OPS - half, index, &mut oracle);
         imbalances.push(index.access_imbalance());
+        counts.push(index.num_shards());
     }
 
     // Final content must equal the oracle multiset exactly.
@@ -149,7 +158,7 @@ fn run_replay(maintained: bool, motion: HotspotMotion, shards: usize) -> (Vec<f6
         .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
         .collect();
     assert_eq!(got, want, "replay content diverged from the oracle");
-    (imbalances, db)
+    (imbalances, counts, db)
 }
 
 /// The executed steps the engine journalled, in order, each as
@@ -172,8 +181,8 @@ fn mean(xs: &[f64]) -> f64 {
 
 #[test]
 fn maintenance_halves_hotspot_imbalance_deterministically() {
-    let (fixed, fixed_index) = run_replay(false, HotspotMotion::Jump, SHARDS);
-    let (maintained, maintained_index) = run_replay(true, HotspotMotion::Jump, SHARDS);
+    let (fixed, _, fixed_index) = run_replay(false, HotspotMotion::Jump, SHARDS, PHASES);
+    let (maintained, _, maintained_index) = run_replay(true, HotspotMotion::Jump, SHARDS, PHASES);
 
     // (a) Identical op stream + oracle-checked: both runs must agree
     // with each other too.
@@ -202,33 +211,49 @@ fn maintenance_halves_hotspot_imbalance_deterministically() {
 
 /// Anti-ratchet acceptance bar: after the jumping-band replay (which
 /// accretes hot-shard splits phase over phase), a quiesce-time
-/// [`Db::compact`] must bring the live shard count back to at most
-/// 2× the configured target without touching content.
+/// [`ShardedRma::maintain`] must bring the live shard count back to at
+/// most 2× the configured target without touching content.
 #[test]
 fn post_quiesce_compaction_restores_the_shard_target() {
-    let (_, db) = run_replay(true, HotspotMotion::Jump, SHARDS);
+    let (_, _, db) = run_replay(true, HotspotMotion::Jump, SHARDS, PHASES);
     let index = db.engine();
     let before_content = index.collect_all();
     let accreted = index.num_shards();
-    let merges = db.compact();
+    let report = index.maintain();
     index.check_invariants();
     assert!(
         index.num_shards() <= 2 * SHARDS,
-        "compaction left {} shards (accreted {accreted}, target {SHARDS})",
+        "maintenance left {} shards (accreted {accreted}, target {SHARDS}): {report:?}",
         index.num_shards()
-    );
-    assert_eq!(
-        merges,
-        accreted - index.num_shards(),
-        "every merge must retire exactly one shard"
     );
     assert_eq!(
         index.collect_all(),
         before_content,
-        "compaction must not change content"
+        "maintenance must not change content"
     );
-    // Idempotent at the target: a second pass has nothing to do.
-    assert_eq!(db.compact(), 0, "second compact must be a no-op");
+    // A fixed point: a second pass has nothing to do.
+    assert_eq!(
+        index.maintain().executed(),
+        0,
+        "second maintain must be a no-op"
+    );
+}
+
+/// The rule converges: over eight phases of the jumping band, with
+/// [`ShardedRma::maintain`] at every phase midpoint, the shard count
+/// after the eighth phase is no higher than after the fourth plus one,
+/// and a plan made on the index once `maintain()` has drained is empty.
+#[test]
+fn the_shard_count_settles_over_eight_jumping_phases() {
+    let (_, counts, db) = run_replay(true, HotspotMotion::Jump, SHARDS, 8);
+    assert!(
+        counts[7] <= counts[3] + 1,
+        "the shard count climbs phase over phase: {counts:?}"
+    );
+    let index = db.engine();
+    index.maintain();
+    let plan = index.plan_maintenance();
+    assert!(plan.is_empty(), "no fixed point: {counts:?} {plan:?}");
 }
 
 #[test]
@@ -273,8 +298,8 @@ fn uniform_workload_triggers_zero_topology_churn() {
 }
 
 /// Sixty-four narrow shards over a target of sixteen with the reads
-/// in one eighth of the key space: `compact()` merges the coldest runs
-/// down to the target; then the reads move to a narrow band, and one
+/// in one eighth of the key space: `maintain()` merges the cold runs
+/// and walks the count down; then the reads move to a narrow band, and one
 /// `maintain()` cuts the shard holding it and merges the runs of cold
 /// shards, each merge under a bound of 1 024 elements.
 fn fragmented_then_compacted() -> Db {
@@ -306,14 +331,18 @@ fn fragmented_then_compacted() -> Db {
         }
     };
     read_band(20_000, 8_000);
-    assert_eq!(db.compact(), 48, "64 shards must walk down to 16");
+    assert_eq!(
+        index.maintain().retired,
+        53,
+        "64 shards must walk down to 11"
+    );
     read_band(50_000, 2_000);
     index.maintain();
     index.check_invariants();
     db
 }
 
-/// The order in which steps execute is the order the planners emit
+/// The order in which steps execute is the order the planner emits
 /// them in, and these tables are what the replays journalled when
 /// every step became one `Recut` of a key range: the same replays
 /// must journal the same steps, on the same shards, moving the same
@@ -322,10 +351,14 @@ fn fragmented_then_compacted() -> Db {
 fn step_order_matches_the_recorded_fixture() {
     let jump = HotspotMotion::Jump;
     let replays = [
-        ("jumping band", run_replay(true, jump, SHARDS).1, JUMP_STEPS),
+        (
+            "jumping band",
+            run_replay(true, jump, SHARDS, PHASES).2,
+            JUMP_STEPS,
+        ),
         (
             "drifting band",
-            run_replay(true, drift_motion(), SHARDS).1,
+            run_replay(true, drift_motion(), SHARDS, PHASES).2,
             DRIFT_STEPS,
         ),
         ("compacted", fragmented_then_compacted(), COMPACT_STEPS),
@@ -343,13 +376,12 @@ fn step_order_matches_the_recorded_fixture() {
 }
 
 const JUMP_STEPS: &str = "\
-    split@6:2907 merge@4:2103 merge@0:4185 split@0:6235 merge@8:8101 \
-    split@7:5889 merge@0:4233 split@9:10369 merge@0:9004";
+    merge@0:10240 merge@0:14336 merge@0:18432 merge@0:22528";
 
 const DRIFT_STEPS: &str = "\
-    split@1:2441 merge@5:5242 split@4:2904 merge@0:2767 split@5:3128 \
-    merge@0:7090 split@5:2848 merge@0:10324";
+    merge@0:10240 merge@0:14336 merge@0:18432 merge@0:22528";
 
 const COMPACT_STEPS: &str = "\
-    merge@29:320 merge@12:549 merge@23:742 merge@0:795 merge@13:1013 \
-    split@13:1013 merge@20:125 merge@2:552 merge@2:872";
+    merge@0:522 merge@1:571 merge@2:511 merge@5:486 merge@8:989 \
+    merge@9:1017 split@2:331 split@8:336 split@11:522 merge@2:331 \
+    merge@3:330 merge@4:336 split@9:319 merge@10:795";
