@@ -24,8 +24,10 @@
 //! 3. **Survives restructuring.** When maintenance splits or merges
 //!    shards, the learned signal must not reset to zero (a fresh shard
 //!    with an empty histogram would immediately look "cold" and
-//!    oscillate). [`AccessStats::seed`] re-bins another histogram's
-//!    weighted buckets into this one's geometry, piecewise-uniformly.
+//!    oscillate). Each drained shard's mass is laid on its residents
+//!    ([`AccessStats::resident_shares`]), and a successor's histogram
+//!    is seeded with the mass of the residents it takes
+//!    ([`AccessStats::seed`]), so the mass stays where the keys are.
 //!
 //! The bucket geometry is fixed at construction: `num_buckets` equal
 //! slices of the shard's key range. Unbounded range edges clamp to the
@@ -102,7 +104,7 @@ impl AccessStats {
     /// when `lo` lies below `Key::MIN`) saturates, which still lands
     /// in the last bucket.
     #[inline]
-    fn bucket_of(&self, k: Key) -> usize {
+    pub(crate) fn bucket_of(&self, k: Key) -> usize {
         let offset = k as i128 - self.lo;
         if offset < 0 {
             return 0;
@@ -170,30 +172,48 @@ impl AccessStats {
             .collect()
     }
 
-    /// Adds another histogram's weighted buckets into this one,
-    /// distributing each source bucket's mass over the destination
-    /// buckets it overlaps, proportionally to the overlap. Mass
-    /// outside this histogram's range saturates into the edge buckets
-    /// (nothing is dropped).
-    pub fn seed(&self, weights: &[(Key, Key, u64)]) {
-        let (n, width) = (self.buckets.len() as i128, i128::from(self.width));
-        for &(slo, shi, w) in weights {
-            let (slo, shi) = (slo as i128, (shi as i128).max(slo as i128 + 1));
-            let src_width = shi - slo;
-            // Destination bucket range the source overlaps (clamped).
-            let first = ((slo - self.lo) / width).clamp(0, n - 1);
-            let last = ((shi - 1 - self.lo) / width).clamp(0, n - 1);
-            let mut assigned = 0u64;
-            for d in first..last {
-                let dhi = self.lo + (d + 1) * width;
-                let overlap = (dhi.min(shi) - slo.max(self.lo + d * width)).max(0);
-                let share = ((w as i128 * overlap) / src_width) as u64;
-                self.buckets[d as usize].fetch_add(share, Relaxed);
-                assigned += share;
+    /// The access mass each resident of this histogram's shard
+    /// carries, by bucket: bucket `b`'s mass split evenly over the
+    /// residents (`keys`, ascending) that record into it, and the mass
+    /// of a bucket none of them records into handed on to the next
+    /// bucket that has one (the last such bucket takes what trails it).
+    /// A resident `k` carries `shares[bucket_of(k)]`; the shares sum,
+    /// over the residents, to the histogram's total (to zero when
+    /// `keys` is empty). Returns the shares and that total.
+    pub fn resident_shares(&self, keys: impl Iterator<Item = Key>) -> (Vec<f64>, f64) {
+        let mut count = vec![0usize; self.buckets.len()];
+        keys.for_each(|k| count[self.bucket_of(k)] += 1);
+        let mut shares = vec![0.0; count.len()];
+        let (mut pending, mut total, mut last) = (0.0, 0.0, None);
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            pending += bucket.load(Relaxed) as f64;
+            if count[b] > 0 {
+                shares[b] = pending / count[b] as f64;
+                (total, pending, last) = (total + pending, 0.0, Some(b));
             }
-            // Remainder (rounding + overhang past either edge) lands
-            // in the last overlapped bucket so totals are preserved.
-            self.buckets[last as usize].fetch_add(w - assigned, Relaxed);
+        }
+        if let Some(b) = last {
+            shares[b] += pending / count[b] as f64;
+            total += pending;
+        }
+        (shares, total)
+    }
+
+    /// Adds the mass `weighted` puts on each key (ascending keys, as
+    /// [`resident_shares`](Self::resident_shares) weighs a shard's
+    /// residents) into the bucket the key records into, so a shard
+    /// rebuilt from another's residents starts with their mass where
+    /// they are. Rounds the running sum, not each key: the histogram
+    /// gains the total weight to the nearest unit.
+    pub fn seed(&self, weighted: impl IntoIterator<Item = (Key, f64)>) {
+        let (mut sum, mut seeded) = (0.0, 0u64);
+        for (k, w) in weighted {
+            sum += w;
+            let due = (sum.round() as u64).saturating_sub(seeded);
+            if due > 0 {
+                self.buckets[self.bucket_of(k)].fetch_add(due, Relaxed);
+                seeded += due;
+            }
         }
     }
 }
@@ -276,22 +296,36 @@ mod tests {
             src.record(k);
         }
         let total = src.total();
+        // The residents are the even keys; bucket 7 has none past 900,
+        // and the mass of [900, 1000) stays with bucket 7's residents.
+        let keys = || (0..900).step_by(2);
+        let (shares, sum) = src.resident_shares(keys());
+        assert_eq!(sum, total as f64);
         // Re-bin into a *different* geometry covering half the range.
         let dst = AccessStats::new(Some(500), Some(1000), 5);
-        dst.seed(&src.weighted_buckets());
+        dst.seed(keys().map(|k| (k, shares[src.bucket_of(k)])));
         assert_eq!(dst.total(), total, "seed must conserve mass");
-        // Mass from below 500 saturates into dst's first bucket.
-        assert!(dst.snapshot()[0] > dst.snapshot()[4]);
+        // Residents below 500 saturate into dst's first bucket, and
+        // none lies in its last.
+        assert!(dst.snapshot()[0] > 0 && dst.snapshot()[4] == 0);
     }
 
     #[test]
     fn seed_distributes_proportionally() {
+        // Mass recorded where no resident is lands on the residents:
+        // bucket 0 holds none, so its 300 units go to bucket 1's.
+        let src = AccessStats::new(Some(0), Some(100), 4);
+        for k in [1, 2, 3] {
+            (0..100).for_each(|_| src.record(k));
+        }
+        (0..100).for_each(|_| src.record(60));
+        let keys = [30, 40, 60, 70];
+        let (shares, total) = src.resident_shares(keys.into_iter());
+        assert_eq!(shares, [0.0, 150.0, 50.0, 0.0]);
+        assert_eq!(total, 400.0);
         let dst = AccessStats::new(Some(0), Some(100), 10);
-        // One source bucket spanning [0, 100) with mass 1000.
-        dst.seed(&[(0, 100, 1000)]);
-        let snap = dst.snapshot();
-        assert_eq!(snap.iter().sum::<u64>(), 1000);
-        assert!(snap.iter().all(|&b| b == 100), "{snap:?}");
+        dst.seed(keys.map(|k| (k, shares[src.bucket_of(k)])));
+        assert_eq!(dst.snapshot(), [0, 0, 0, 150, 150, 0, 50, 50, 0, 0]);
     }
 
     #[test]

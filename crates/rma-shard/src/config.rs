@@ -28,7 +28,8 @@ pub struct ShardConfig {
     /// equal mass are left alone, and otherwise the count follows how
     /// the mass is spread — more shards over a narrow hot band, fewer
     /// over cold ranges, down to what one merge step may rebuild
-    /// (`max_shard_len`, or 2^17 elements).
+    /// (`max_shard_len`; unset, one target shard's length, or 2^17
+    /// elements if that is more).
     pub num_shards: usize,
     /// Configuration applied to every per-shard RMA. A shard shorter
     /// than [`MIN_SPLIT_SEGMENTS`] of its segments never splits.
@@ -38,8 +39,9 @@ pub struct ShardConfig {
     /// elements into pieces within it *regardless of access balance*,
     /// because a shard bigger than one step can rebuild would break
     /// the bounded-stall guarantee the moment it needs restructuring;
-    /// and a merge builds at most this many elements (2^17 when
-    /// unset), which bounds how long it holds its shard locks. A
+    /// and a merge builds at most this many elements (when unset, one
+    /// target shard's length, `len / num_shards`, or 2^17 if that is
+    /// more), which bounds how long it holds its shard locks. A
     /// split is not bounded — it is how an oversized shard shrinks.
     /// `None` (the default) leaves shard sizes to the access-driven
     /// policy — throughput-oriented deployments with few large shards

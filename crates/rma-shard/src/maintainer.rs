@@ -360,12 +360,14 @@ mod tests {
             poll_interval: Duration::from_millis(1),
             ..Default::default()
         });
-        // Hammer shard 0 only; the background thread must react.
+        // Hammer shard 0 only; the background thread must cut the
+        // hot range, which holds no boundary.
+        let cut = |s: &ShardedRma| s.splitters().keys().iter().any(|&k| (1..500).contains(&k));
         for _ in 0..500 {
             for k in 0..500i64 {
                 s.insert(k, k);
             }
-            if s.maintenance_stats().steps_executed > 0 {
+            if cut(&s) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -382,8 +384,7 @@ mod tests {
             "maintainer never executed a step"
         );
         s.check_invariants();
-        // The hot shard's window was re-cut: the splitters moved.
-        assert_ne!(s.splitters().keys(), [1000, 2000, 3000], "{ledger:?}");
+        assert!(cut(&s), "the hot range was never cut: {ledger:?}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! step publishes — the `fig18_write_stall` benchmark and the
 //! writer-progress stress test pin this down.
 
-use super::plan::{resident_buckets, MaintenancePlan, MaintenanceStep};
+use super::plan::{MaintenancePlan, MaintenanceStep};
 use crate::shard::{Shard, StepGuards, Topology};
 use crate::{MaintCounters, ShardedRma, Splitters};
 use rma_core::{Key, Rma};
@@ -33,8 +33,8 @@ use rma_obs::EventKind;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-/// The most elements a merge may build while
-/// `ShardConfig::max_shard_len` is unset.
+/// The least the merge bound is while `ShardConfig::max_shard_len` is
+/// unset: a small index's merges are held to this many elements.
 const MERGE_CAP: usize = 1 << 17;
 
 /// What one [`ShardedRma::execute_step`] call did.
@@ -148,7 +148,7 @@ impl ShardedRma {
                 // A split is how an oversized shard shrinks.
                 let bound = match built > taken {
                     true => usize::MAX,
-                    false => self.merge_bound(),
+                    false => self.merge_bound(topo.lens().sum()),
                 };
                 if let Some(migrated) = self.recut(first, last, cuts, bound) {
                     (report.executed, report.migrated) = (true, migrated);
@@ -206,13 +206,16 @@ impl ShardedRma {
         self.handle.reclaim(retired);
     }
 
-    /// The largest shard a merge may build — one merge *is* the
-    /// step, so this directly bounds its locked window: the
-    /// `max_shard_len` backstop when one is configured (merging past
-    /// it would just make the next round split the result again, a
-    /// permanent merge/split oscillation), [`MERGE_CAP`] otherwise.
-    pub(crate) fn merge_bound(&self) -> usize {
-        self.cfg.max_shard_len.unwrap_or(MERGE_CAP)
+    /// The largest shard a merge may build in an index of `len`
+    /// elements — one merge *is* the step, so this directly bounds its
+    /// locked window: the `max_shard_len` backstop when one is
+    /// configured (merging past it would just make the next round
+    /// split the result again, a permanent merge/split oscillation),
+    /// otherwise one target shard's length, `len / num_shards`, and
+    /// never less than [`MERGE_CAP`]. Below a target shard's length
+    /// the configured shard count could not be reached at all.
+    pub(crate) fn merge_bound(&self, len: usize) -> usize {
+        (self.cfg.max_shard_len).unwrap_or_else(|| MERGE_CAP.max(len / self.cfg.num_shards.max(1)))
     }
 
     /// Names what a step re-cuts on the live topology — shards
@@ -285,12 +288,14 @@ impl ShardedRma {
         let mut at = vec![0];
         at.extend(cuts.iter().map(|&c| elems.partition_point(|e| e.0 < c)));
         at.push(elems.len());
-        // The drained shards' histograms, each cut to its residents'
-        // span and concatenated: what the successors are seeded from.
-        let union_wb: Vec<_> = (topo.shards[first..=last].iter())
-            .zip(guards.rmas())
-            .flat_map(|(s, rma)| resident_buckets(s, rma))
-            .collect();
+        // The access mass each drained resident carries, as the
+        // planner weighed it: what the successors are seeded from.
+        let mut weights = Vec::with_capacity(elems.len());
+        for (s, rma) in topo.shards[first..=last].iter().zip(guards.rmas()) {
+            let keys = &elems[weights.len()..weights.len() + rma.len()];
+            let (shares, _) = s.stats.resident_shares(keys.iter().map(|e| e.0));
+            weights.extend(keys.iter().map(|e| shares[s.stats.bucket_of(e.0)]));
+        }
         // Successor splitters: the run's inner boundaries go, the
         // cuts come.
         let mut keys = topo.splitters.keys().to_vec();
@@ -312,7 +317,8 @@ impl ShardedRma {
                     false => bare.pop(),
                 };
                 let shell = shell.unwrap_or_else(fresh);
-                self.finish_shard(shell, &splitters, first + k, part, &union_wb)
+                let w = &weights[at[k]..at[k + 1]];
+                self.finish_shard(shell, &splitters, first + k, part, w)
             })
             .collect();
         let mut shards = topo.shards.clone();

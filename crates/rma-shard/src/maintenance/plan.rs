@@ -33,8 +33,8 @@
 //! [`Recut`]: MaintenanceStep::Recut
 
 use crate::shard::Shard;
-use crate::{ShardedRma, Splitters};
-use rma_core::{height_for, windows_above, Key, Rma, Thresholds};
+use crate::ShardedRma;
+use rma_core::{height_for, windows_above, Key, Thresholds};
 use std::collections::VecDeque;
 use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::Ordering::Relaxed;
@@ -49,9 +49,10 @@ pub enum MaintenanceStep {
     /// them and rebuild the range as `cuts.len() + 1` shards, so each
     /// key in the range moves once. A step that puts out more shards
     /// than it takes in is a split, any other a merge; a merge builds
-    /// at most `ShardConfig::max_shard_len` elements (2^17 when that
-    /// is unset), a split is not bounded — it is how an oversized
-    /// shard shrinks. Skipped when `lo` or `hi` is no longer a shard
+    /// at most `ShardConfig::max_shard_len` elements (when that is
+    /// unset, one target shard's length, `len / num_shards`, or 2^17
+    /// if that is more), a split is not bounded — it is how an
+    /// oversized shard shrinks. Skipped when `lo` or `hi` is no longer a shard
     /// boundary, when the cuts are not strictly ascending inside
     /// `(lo, hi)`, or when they are the range's boundaries already.
     Recut {
@@ -120,25 +121,26 @@ impl ShardedRma {
     /// segments, or one key's run) is never over. An out-of-bounds
     /// shard takes the smallest enclosing window whose density is
     /// inside its level's bound, among the windows whose shards one
-    /// merge may drain (`max_shard_len`, or 2^17). When there is
-    /// none, an overflowing shard splits alone and an underflowing
-    /// one takes the largest such window — the array's resize,
-    /// bounded to one step. Overlapping windows are nested, and the
-    /// outer one is kept. Each window is re-cut at the quantiles of
-    /// its access mass (of its residents while it has none) into the
-    /// fewest pieces, no fewer than its weight over the target, that
-    /// land every piece at or under the leaf capacity; no piece of a
-    /// shard below the split floor holds less than half of it. A
-    /// window whose cuts are its boundaries already plans nothing, so
-    /// balanced topologies plan zero steps.
+    /// merge may drain (`max_shard_len`; unset, a target shard's
+    /// length or 2^17, whichever is more). When there is none, an
+    /// overflowing shard splits alone and an underflowing one takes
+    /// the largest such window — the array's resize, bounded to one
+    /// step. Windows are nested or disjoint, and the outer one is
+    /// kept. Each window is re-cut at the quantiles of its access mass
+    /// as its residents carry it (of its residents while it has none)
+    /// into the fewest pieces, from `⌈mass / target⌉` up, that leave
+    /// every piece at or under the leaf capacity or holding one key's
+    /// run; no piece of a shard below the split floor holds less than
+    /// half of it. A window whose cuts are its boundaries already plans
+    /// nothing, so balanced topologies plan zero steps.
     pub fn plan_maintenance(&self) -> MaintenancePlan {
         let topo = self.topo();
         let lens: Vec<usize> = topo.lens().collect();
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
-        let weights: Vec<f64> = if masses.iter().all(|&m| m == 0) {
-            lens.iter().map(|&l| l as f64).collect()
-        } else {
-            masses.iter().map(|&m| m as f64).collect()
+        let by_lens = masses.iter().all(|&m| m == 0);
+        let weights: Vec<f64> = match by_lens {
+            true => lens.iter().map(|&l| l as f64).collect(),
+            false => masses.iter().map(|&m| m as f64).collect(),
         };
         let total: f64 = weights.iter().sum();
         // Learned splitters are kept while the index is empty.
@@ -151,7 +153,8 @@ impl ShardedRma {
         // as a bulk load fills a PMA's segments to τ_h.
         let target = total / self.cfg.num_shards as f64;
         let cap = target / th.tau(h, h);
-        let (bound, min_split) = (self.merge_bound(), self.cfg.min_split());
+        let bound = self.merge_bound(lens.iter().sum());
+        let min_split = self.cfg.min_split();
         let mass = |w: &Range<usize>| weights[w.clone()].iter().sum::<f64>();
         let len = |w: &Range<usize>| lens[w.clone()].iter().sum::<usize>();
         let too_long = |i: usize| self.cfg.max_shard_len.is_some_and(|m| lens[i] > m);
@@ -188,21 +191,12 @@ impl ShardedRma {
                     break;
                 }
             }
-            // An underflowing shard whose calibrator pair is past the
-            // bound merges with its other neighbour, if one step may.
-            let j = match i % 2 {
-                0 => i.checked_sub(1),
-                _ => Some(i + 1).filter(|&j| j < n),
-            };
-            let beside = j.map(|j| i.min(j)..i.max(j) + 1);
-            pick = pick.or(beside.filter(|w| under && len(w) <= bound));
             windows.extend(pick);
         }
-        // Calibrator windows are nested or disjoint, and a pair beside
-        // one may overlap it: keep the first of any overlapping ones,
-        // the outer when nested.
+        // Calibrator windows are nested or disjoint: keep the outer
+        // of nested ones.
         windows.sort_by_key(|w| (w.start, std::cmp::Reverse(w.end)));
-        windows.dedup_by(|later, kept| later.start < kept.end);
+        windows.dedup_by(|inner, outer| inner.end <= outer.end);
         let mut steps = Vec::new();
         for w in windows {
             let l = len(&w);
@@ -214,10 +208,12 @@ impl ShardedRma {
             if w.len() == 1 && k < 2 {
                 continue;
             }
-            let cuts = match k {
-                1 => Vec::new(),
-                _ => cut_points(&topo.shards[w.clone()], k..=most, cap),
+            // Cut by length when the length bound asks for more pieces.
+            let (limit, by_len) = match (by_len > by_mass, self.cfg.max_shard_len) {
+                (true, Some(m)) => (m as f64, true),
+                _ => (cap, by_lens),
             };
+            let cuts = cut_points(&topo.shards[w.clone()], k..=most, limit, by_len);
             if topo.splitters.keys()[w.start..w.end - 1] != cuts[..] {
                 let lo = topo.splitters.range_of(w.start).0;
                 let hi = topo.splitters.range_of(w.end - 1).1;
@@ -258,99 +254,63 @@ impl ShardedRma {
     }
 }
 
-/// The keys to cut the run of `shards` at, snapped to resident keys
-/// so no piece is empty, strictly ascending: the k-quantiles of the
-/// run's access histogram for the first `k` in `ks` whose pieces the
-/// histogram puts at or under `cap` — or holding one key's run, a
-/// lump no cut lightens — (the first `k` when none does),
-/// or the k-quantiles of the run's residents, `k` the first of `ks`,
-/// when it has no recorded mass or the mass cuts no resident run.
-/// The pieces are weighed as the executor seeds them, so a run cut
-/// here is not cut again for what the cut itself did to the masses.
-/// Fewer than `k - 1` cuts when duplicate runs swallow some; none
-/// when the run cannot be cut (one giant duplicate run). Works
-/// through point probes (`first_ge`) and one walk of the residents at
-/// worst — it never materializes the run, which the executor will do
-/// anyway under the write locks.
-fn cut_points(shards: &[Arc<Shard>], ks: RangeInclusive<usize>, cap: f64) -> Vec<Key> {
-    let first_ge =
-        |key: Key| (shards.iter()).find_map(|s| s.peek(|r| r.first_ge(key)).map(|(k, _)| k));
-    let Some(min) = first_ge(Key::MIN) else {
-        return Vec::new();
-    };
-    // Each candidate snaps up to the first resident key past the
-    // previous cut (or the minimum): ascending, and no piece empty.
-    let snap = |cands: &mut dyn Iterator<Item = Key>| {
-        let mut cuts: Vec<Key> = Vec::new();
-        for c in cands {
-            let floor = cuts.last().copied().unwrap_or(min).saturating_add(1);
-            match first_ge(c.max(floor)) {
-                Some(key) => cuts.push(key),
-                None => break,
-            }
-        }
-        cuts
-    };
-    let wb: Vec<_> = shards
-        .iter()
-        .flat_map(|s| s.peek(|r| resident_buckets(s, r)))
-        .collect();
-    let quantiles = |k| {
-        snap(
-            &mut Splitters::from_weighted_histogram(&wb, k)
-                .keys()
-                .iter()
-                .copied(),
-        )
-    };
-    // Every piece at or under `cap`, or one run of a key (a lump
-    // that no cut can lighten).
-    let fits = |cuts: &Vec<Key>| {
-        let edges: Vec<Option<Key>> = (None.into_iter())
-            .chain(cuts.iter().map(|&c| Some(c)))
-            .chain([None])
-            .collect();
-        (edges.windows(2)).all(|e| {
-            let piece = super::clip_weights(&wb, e[0], e[1]);
-            let next = first_ge(e[0].unwrap_or(min).saturating_add(1));
-            piece.iter().map(|b| b.2).sum::<u64>() as f64 <= cap
-                || next.is_none_or(|n| e[1].is_some_and(|end| n >= end))
-        })
-    };
-    if !wb.is_empty() {
-        let cuts = (ks.clone().map(quantiles).find(fits)).unwrap_or_else(|| quantiles(*ks.start()));
-        if !cuts.is_empty() {
-            return cuts;
-        }
-    }
-    // Every `step`-th resident of the run, the first one left out.
-    let len = shards.iter().map(|s| s.peek(Rma::len)).sum::<usize>();
-    let step = len.div_ceil(*ks.start()).max(1);
-    let (mut cands, mut at) = (Vec::new(), 0);
+/// The keys to cut the run of `shards` at: strictly ascending
+/// resident keys, each the first of its duplicate run, so no piece is
+/// empty. The run's access mass is laid on its residents as the
+/// executor seeds the successors
+/// ([`AccessStats::resident_shares`](crate::AccessStats::resident_shares));
+/// `by_len` (with `cap` a length), or while the run has no mass, every
+/// resident weighs one. A cut falls before each duplicate run whose
+/// weight, counted to its middle, reaches the next k-quantile, for the
+/// first `k` in `ks` that leaves every piece at or under `cap` or
+/// holding one key's run (the first `k` when none does): a key that
+/// carries much of its shard's reads can leave a piece over the
+/// capacity at the count the mass alone asks for. Fewer than `k - 1`
+/// cuts when duplicate runs swallow some; none when the run cannot be
+/// cut (one giant duplicate run). Walks the residents once and keeps
+/// one entry per distinct key.
+fn cut_points(
+    shards: &[Arc<Shard>],
+    ks: RangeInclusive<usize>,
+    cap: f64,
+    by_len: bool,
+) -> Vec<Key> {
+    // Each distinct key, the mass its residents carry and their count.
+    let mut runs: Vec<(Key, f64, f64)> = Vec::new();
     for s in shards {
-        s.locked(|r| {
-            let skip = (step - at % step) % step + if at == 0 { step } else { 0 };
-            cands.extend(r.iter().skip(skip).step_by(step).map(|(key, _)| key));
-            at += r.len();
+        s.peek(|r| {
+            let (share, _) = s.stats.resident_shares(r.iter().map(|e| e.0));
+            for (key, _) in r.iter() {
+                let w = share[s.stats.bucket_of(key)];
+                match runs.last_mut() {
+                    Some(run) if run.0 == key => (run.1, run.2) = (run.1 + w, run.2 + 1.0),
+                    _ => runs.push((key, w, 1.0)),
+                }
+            }
         });
     }
-    snap(&mut cands.into_iter())
-}
-
-/// `shard`'s histogram cut to the span of its residents (`rma`), each
-/// bucket keeping its whole mass: no cut can fall outside it, and a
-/// bucket of an unbounded edge shard, modelled to the end of the key
-/// domain, would otherwise spread its mass far past the last key.
-/// Empty for an empty shard. What the planner cuts by and what the
-/// executor seeds successors from.
-pub(crate) fn resident_buckets(shard: &Shard, rma: &Rma) -> Vec<(Key, Key, u64)> {
-    let span = rma.first_ge(Key::MIN).map(|e| e.0).zip(rma.last_key());
-    let Some((min, max)) = span else {
-        return Vec::new();
+    // A run without mass is cut by residents, and no piece of it is
+    // over a mass bound.
+    let cold = !by_len && runs.iter().all(|r| r.1 == 0.0);
+    let cap = if cold { f64::INFINITY } else { cap };
+    let weight = |run: &(Key, f64, f64)| if by_len || cold { run.2 } else { run.1 };
+    let total: f64 = runs.iter().map(weight).sum();
+    // The k-quantile cuts, and whether every piece fits.
+    let quantiles = |k: usize| {
+        let (mut cuts, mut before, mut piece, mut keys, mut fits) = (Vec::new(), 0.0, 0.0, 0, true);
+        for run in &runs {
+            let w = weight(run);
+            let q = (cuts.len() + 1) as f64 * total / k as f64;
+            if before > 0.0 && cuts.len() + 1 < k && before + w / 2.0 >= q {
+                fits &= piece <= cap || keys == 1;
+                (piece, keys) = (0.0, 0);
+                cuts.push(run.0);
+            }
+            (before, piece, keys) = (before + w, piece + w, keys + 1);
+        }
+        (cuts, fits && (piece <= cap || keys == 1))
     };
-    let hi = max.saturating_add(1);
-    (shard.stats.weighted_buckets().into_iter())
-        .map(|(lo, bhi, w)| (lo.clamp(min, max), bhi.clamp(min, hi), w))
-        .filter(|&(lo, bhi, _)| lo < bhi)
-        .collect()
+    (ks.clone().map(quantiles).find(|q| q.1))
+        .unwrap_or_else(|| quantiles(*ks.start()))
+        .0
 }

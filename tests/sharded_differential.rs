@@ -162,10 +162,15 @@ fn removes_after_split_merge_cycles_match_btreemap() {
             sharded.insert(k, k);
             oracle_insert(&mut oracle, k);
         }
-        let report = sharded.maintain();
+        sharded.maintain();
         sharded.check_invariants();
         if cycle == 0 {
-            assert!(report.executed() >= 1, "skew must re-cut: {report:?}");
+            // The hot quarter held no boundary: now it is cut.
+            let keys = sharded.splitters().keys().to_vec();
+            assert!(
+                keys.iter().any(|&k| (base..base + 2000).contains(&k)),
+                "skew must split the hot quarter: {keys:?}"
+            );
         }
 
         // Interleaved removes right after the topology changed: half
@@ -239,9 +244,7 @@ fn assert_get_many_matches(
 /// a split, between the split and the merge, and after the merge.
 #[test]
 fn get_many_matches_get_and_btreemap_across_split_and_merge() {
-    // Four shards against a target of two: the calibrator has room
-    // to merge them.
-    let db = sharded_db(small_sharded(2), vec![4000, 8000, 12000]);
+    let db = sharded_db(small_sharded(4), vec![4000, 8000, 12000]);
     let sharded = db.engine();
     let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
     let mut rng = rma_repro::workloads::SplitMix64::new(0x6E7);
@@ -259,19 +262,23 @@ fn get_many_matches_get_and_btreemap_across_split_and_merge() {
     }
     assert_get_many_matches(sharded, &oracle, &probes, "four even shards");
 
-    // Hammer one quarter so its shard is re-cut.
-    for _ in 0..5000 {
+    // Hammer one quarter so its shard splits.
+    for _ in 0..3000 {
         let k = rng.next_below(2000) as i64;
         sharded.insert(k, k * 3);
         oracle_insert(&mut oracle, k);
     }
-    let report = sharded.maintain();
-    assert!(report.executed() >= 1, "skew must re-cut: {report:?}");
+    sharded.maintain();
+    let keys = sharded.splitters().keys().to_vec();
+    assert!(
+        keys.iter().any(|&k| (0..2000).contains(&k)),
+        "skew must split the hot quarter: {keys:?}"
+    );
     sharded.check_invariants();
     assert_get_many_matches(sharded, &oracle, &probes, "after the split");
 
-    // Drain most keys, then read only the first quarter: the cold
-    // rest merges back towards two shards.
+    // Drain most keys, then read only the upper half: the pieces of
+    // the once-hot quarter are cold now, and merge into one.
     let victims: Vec<i64> = oracle.keys().copied().filter(|&k| k % 5 != 0).collect();
     for k in victims {
         while oracle_remove_exact(&mut oracle, k) {
@@ -279,13 +286,14 @@ fn get_many_matches_get_and_btreemap_across_split_and_merge() {
         }
     }
     sharded.reset_access_stats();
-    for k in 0..4000 {
+    for k in 8000..16_000 {
         let _ = sharded.get(k);
     }
-    let shards = sharded.num_shards();
+    let report = sharded.maintain();
+    let keys = sharded.splitters().keys().to_vec();
     assert!(
-        sharded.maintain().retired >= 1,
-        "{shards} shards must merge"
+        !keys.iter().any(|&k| (0..4000).contains(&k)),
+        "the cold pieces must merge: {report:?} {keys:?}"
     );
     sharded.check_invariants();
     assert_get_many_matches(sharded, &oracle, &probes, "after the merge");
@@ -661,7 +669,8 @@ proptest! {
             return;
         }
         let cap = total / targets as f64 / 0.75;
-        let bound = cfg.max_shard_len.unwrap_or(1 << 17);
+        let len: usize = lens.iter().sum();
+        let bound = cfg.max_shard_len.unwrap_or((1 << 17).max(len / targets));
         let min_split = MIN_SPLIT_SEGMENTS * cfg.rma.segment_size;
         let content = sharded.collect_all();
         for (i, s) in stats.iter().enumerate() {

@@ -20,7 +20,9 @@
 //!    at a fixed point of the rule;
 //! 5. a uniform workload triggers zero topology churn (and plans
 //!    zero steps);
-//! 6. the steps the replays journal match a recorded fixture.
+//! 6. the steps the replays journal match a recorded fixture — one
+//!    replay over 2^18 keys, more than one step may drain, so the
+//!    fixture pins which window below the root a shard takes.
 
 use rma_repro::db::Db;
 use rma_repro::obs::EventKind;
@@ -34,6 +36,9 @@ use std::collections::BTreeMap;
 const SHARDS: usize = 8;
 const PHASES: u64 = 4;
 const PHASE_OPS: u64 = 8192;
+/// Keys preloaded before a replay: few enough that one step may drain
+/// the whole index.
+const PRELOAD: usize = 8192;
 const SEED: u64 = 20260730;
 
 fn replay_config(shards: usize) -> ShardConfig {
@@ -75,7 +80,8 @@ fn drift_motion() -> HotspotMotion {
     }
 }
 
-/// Replays `phases` phases of the seeded hotspot workload, calling
+/// Replays `phases` phases of the seeded hotspot workload over
+/// `preload` bulk-loaded keys, calling
 /// [`ShardedRma::maintain`] at every phase midpoint when `maintained`;
 /// returns the per-phase post-maintenance imbalances, the shard count
 /// at the end of each phase and the final index (content already
@@ -87,6 +93,7 @@ fn run_replay(
     motion: HotspotMotion,
     shards: usize,
     phases: u64,
+    preload: usize,
 ) -> (Vec<f64>, Vec<usize>, Db) {
     let mut ops = ShiftingHotspot::new(
         HotspotConfig {
@@ -98,7 +105,7 @@ fn run_replay(
     );
     let mut base: Vec<(i64, i64)> = {
         let mut rng = SplitMix64::new(SEED ^ 0xFACE);
-        (0..8192)
+        (0..preload as i64)
             .map(|i| ((rng.next_u64() >> 2) as i64, i))
             .collect()
     };
@@ -181,8 +188,9 @@ fn mean(xs: &[f64]) -> f64 {
 
 #[test]
 fn maintenance_halves_hotspot_imbalance_deterministically() {
-    let (fixed, _, fixed_index) = run_replay(false, HotspotMotion::Jump, SHARDS, PHASES);
-    let (maintained, _, maintained_index) = run_replay(true, HotspotMotion::Jump, SHARDS, PHASES);
+    let (fixed, _, fixed_index) = run_replay(false, HotspotMotion::Jump, SHARDS, PHASES, PRELOAD);
+    let (maintained, _, maintained_index) =
+        run_replay(true, HotspotMotion::Jump, SHARDS, PHASES, PRELOAD);
 
     // (a) Identical op stream + oracle-checked: both runs must agree
     // with each other too.
@@ -215,16 +223,26 @@ fn maintenance_halves_hotspot_imbalance_deterministically() {
 /// most 2× the configured target without touching content.
 #[test]
 fn post_quiesce_compaction_restores_the_shard_target() {
-    let (_, _, db) = run_replay(true, HotspotMotion::Jump, SHARDS, PHASES);
+    let (_, _, db) = run_replay(true, HotspotMotion::Jump, SHARDS, PHASES, PRELOAD);
     let index = db.engine();
     let before_content = index.collect_all();
     let accreted = index.num_shards();
+    // Quiesced: the load has stopped and its mass decayed away.
+    index.reset_access_stats();
     let report = index.maintain();
     index.check_invariants();
     assert!(
         index.num_shards() <= 2 * SHARDS,
         "maintenance left {} shards (accreted {accreted}, target {SHARDS}): {report:?}",
         index.num_shards()
+    );
+    // Nothing is hot: the pass only merges, and every shard it took
+    // away is one fewer.
+    assert_eq!(report.splits, 0, "{report:?}");
+    assert_eq!(
+        report.retired,
+        accreted - index.num_shards(),
+        "every shard a merge retires must leave the topology: {report:?}"
     );
     assert_eq!(
         index.collect_all(),
@@ -245,7 +263,7 @@ fn post_quiesce_compaction_restores_the_shard_target() {
 /// and a plan made on the index once `maintain()` has drained is empty.
 #[test]
 fn the_shard_count_settles_over_eight_jumping_phases() {
-    let (_, counts, db) = run_replay(true, HotspotMotion::Jump, SHARDS, 8);
+    let (_, counts, db) = run_replay(true, HotspotMotion::Jump, SHARDS, 8, PRELOAD);
     assert!(
         counts[7] <= counts[3] + 1,
         "the shard count climbs phase over phase: {counts:?}"
@@ -346,20 +364,29 @@ fn fragmented_then_compacted() -> Db {
 /// them in, and these tables are what the replays journalled when
 /// every step became one `Recut` of a key range: the same replays
 /// must journal the same steps, on the same shards, moving the same
-/// number of elements, in the same order.
+/// number of elements, in the same order. An index of 8 192 keys fits
+/// one step, so a cold shard's smallest admissible window is the
+/// root and both small replays re-cut the whole index each phase;
+/// over 2^18 keys a step drains at most 2^17, and the steps name
+/// windows of two and four shards.
 #[test]
 fn step_order_matches_the_recorded_fixture() {
     let jump = HotspotMotion::Jump;
     let replays = [
         (
             "jumping band",
-            run_replay(true, jump, SHARDS, PHASES).2,
+            run_replay(true, jump, SHARDS, PHASES, PRELOAD).2,
             JUMP_STEPS,
         ),
         (
             "drifting band",
-            run_replay(true, drift_motion(), SHARDS, PHASES).2,
+            run_replay(true, drift_motion(), SHARDS, PHASES, PRELOAD).2,
             DRIFT_STEPS,
+        ),
+        (
+            "jumping band over 2^18 keys",
+            run_replay(true, jump, SHARDS, PHASES, 1 << 18).2,
+            WIDE_JUMP_STEPS,
         ),
         ("compacted", fragmented_then_compacted(), COMPACT_STEPS),
     ];
@@ -381,7 +408,12 @@ const JUMP_STEPS: &str = "\
 const DRIFT_STEPS: &str = "\
     merge@0:10240 merge@0:14336 merge@0:18432 merge@0:22528";
 
+const WIDE_JUMP_STEPS: &str = "\
+    split@6:67440 merge@0:65585 merge@1:65576 merge@2:65591 \
+    split@0:67526 merge@9:71784 merge@10:4010 merge@11:59283 \
+    merge@10:63293 merge@0:71297 split@9:73864 merge@0:73231";
+
 const COMPACT_STEPS: &str = "\
     merge@0:522 merge@1:571 merge@2:511 merge@5:486 merge@8:989 \
-    merge@9:1017 split@2:331 split@8:336 split@11:522 merge@2:331 \
-    merge@3:330 merge@4:336 split@9:319 merge@10:795";
+    merge@9:1017 split@2:331 split@8:335 split@11:518 merge@2:331 \
+    merge@3:331 merge@4:335 split@9:313 merge@10:795";
