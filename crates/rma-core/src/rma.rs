@@ -269,6 +269,38 @@ impl Rma {
         ))
     }
 
+    /// The number of elements with key `< k`: the cardinalities of the
+    /// segments before the one `k` routes to, plus `k`'s lower bound
+    /// in that segment's run. Reads no element outside that run, so
+    /// where a calibrator needs only counts it costs one pass over
+    /// `cards` and one binary search.
+    pub fn rank(&self, k: Key) -> usize {
+        if self.len == 0 {
+            return 0;
+        }
+        let seg = self.index.search_lower_bound(k);
+        self.storage.cards_in(0..seg) + self.storage.seg_lower_bound(seg, k)
+    }
+
+    /// The key of the `i`-th element in sorted order (0-based), or
+    /// `None` when `i >= len`: one pass over `cards` to the segment
+    /// that holds it.
+    pub fn select(&self, mut i: usize) -> Option<Key> {
+        if i >= self.len {
+            return None;
+        }
+        let seg = (self.storage.cards.iter())
+            .position(|&c| match i.checked_sub(c as usize) {
+                Some(rest) => {
+                    i = rest;
+                    false
+                }
+                None => true,
+            })
+            .expect("i < len lies in some segment");
+        Some(self.storage.seg_keys(seg)[i])
+    }
+
     /// The position of the first element `>= k`: its segment and its
     /// index in the segment's run. `prefetch` runs on the routed
     /// segment before its run is searched.
@@ -1092,6 +1124,70 @@ mod tests {
                 let mut got = held.clone();
                 proptest::prop_assert_eq!(r.scan_into(start, count, &mut got), n);
                 proptest::prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// `rank` and `select` against a multiset oracle, on heap and
+        /// memfd columns: random inserts, removes and mixed batches
+        /// over a few dozen keys in segments of 8, so duplicate runs
+        /// straddle segment boundaries; checked from the empty array
+        /// on, through one-segment arrays, after every op.
+        #[test]
+        fn rank_and_select_match_a_multiset(
+            ops in proptest::collection::vec((0u8..4, -4i64..44, 0usize..24), 0..160),
+            seed in proptest::any::<u64>(),
+        ) {
+            use std::collections::BTreeMap;
+            for rewiring in [RewiringMode::Enabled { page_bytes: 4096 }, RewiringMode::Disabled] {
+                let mut r = Rma::new(RmaConfig { rewiring, ..small_cfg() });
+                let mut oracle: BTreeMap<Key, Vec<Value>> = BTreeMap::new();
+                let mut rng = proptest::TestRng::new(seed);
+                for (step, &(op, k, n)) in ops.iter().enumerate() {
+                    let v = step as Value;
+                    match op {
+                        0 | 1 => {
+                            r.insert(k, v);
+                            oracle.entry(k).or_default().insert(0, v);
+                        }
+                        2 => {
+                            let want = oracle.get_mut(&k).map(|s| s.remove(0));
+                            oracle.retain(|_, s| !s.is_empty());
+                            proptest::prop_assert_eq!(r.remove(k), want);
+                        }
+                        _ => {
+                            let mut ins: Vec<(Key, Value)> = (0..n)
+                                .map(|_| ((rng.next_u64() % 48) as Key - 4, v))
+                                .collect();
+                            ins.sort_unstable();
+                            let dels: Vec<Key> =
+                                (0..n / 2).map(|_| (rng.next_u64() % 48) as Key - 4).collect();
+                            for d in &dels {
+                                if let Some(s) = oracle.get_mut(d).filter(|s| !s.is_empty()) {
+                                    s.remove(0);
+                                }
+                            }
+                            oracle.retain(|_, s| !s.is_empty());
+                            for &(k, v) in ins.iter().rev() {
+                                oracle.entry(k).or_default().insert(0, v);
+                            }
+                            r.apply_batch(&ins, &dels);
+                        }
+                    }
+                    let keys: Vec<Key> = (oracle.iter())
+                        .flat_map(|(&k, s)| std::iter::repeat_n(k, s.len()))
+                        .collect();
+                    for probe in (-6..47).chain([Key::MIN, Key::MAX]) {
+                        let want = keys.partition_point(|&x| x < probe);
+                        proptest::prop_assert_eq!(r.rank(probe), want, "rank({}) at step {}", probe, step);
+                    }
+                    for i in 0..keys.len() + 2 {
+                        proptest::prop_assert_eq!(r.select(i), keys.get(i).copied(), "select({})", i);
+                    }
+                }
             }
         }
     }

@@ -46,8 +46,6 @@ const DOMAIN_END: i128 = 1 << 62;
 pub struct AccessStats {
     /// Inclusive lower edge of the modelled range.
     lo: i128,
-    /// Exclusive upper edge of the modelled range.
-    hi: i128,
     /// Per-bucket key width (>= 1). The modelled range spans less
     /// than 2^64 keys, so it fits a `u64`.
     width: u64,
@@ -88,11 +86,10 @@ impl AccessStats {
         assert!(num_buckets >= 1, "need at least one bucket");
         let (lo, hi) = modelled_range(lo, hi);
         let width = ((hi - lo) / num_buckets as i128).max(1);
+        // The last bucket absorbs both the flooring remainder of the
+        // width division and any width.max(1) overshoot.
         AccessStats {
             lo,
-            // The last bucket absorbs both the flooring remainder of
-            // the width division and any width.max(1) overshoot.
-            hi: hi.max(lo + num_buckets as i128 * width),
             width: u64::try_from(width).expect("the modelled range spans under 2^64 keys"),
             buckets: (0..num_buckets).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -146,81 +143,146 @@ impl AccessStats {
         self.buckets.iter().map(|b| b.load(Relaxed)).collect()
     }
 
-    /// Non-empty buckets as `(bucket_lo, bucket_hi, mass)` triples in
-    /// key order — the CDF input of
-    /// [`Splitters::from_weighted_histogram`](crate::Splitters::from_weighted_histogram).
-    /// The last bucket's upper edge extends to the modelled range
-    /// end, so keys saturated into it stay inside its reported range.
-    pub fn weighted_buckets(&self) -> Vec<(Key, Key, u64)> {
-        let (n, width) = (self.buckets.len() as i128, i128::from(self.width));
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let w = b.load(Relaxed);
-                if w == 0 {
-                    return None;
-                }
-                let blo = self.lo + i as i128 * width;
-                let bhi = if i as i128 + 1 == n {
-                    self.hi
-                } else {
-                    self.lo + (i as i128 + 1) * width
-                };
-                Some((clamp_key(blo), clamp_key(bhi), w))
-            })
-            .collect()
+    /// Residents per bucket, counted from ranks alone: `below(k)`
+    /// residents have a key `< k` (`Rma::rank`, or a `partition_point`
+    /// on a sorted run), `len` in all, and the first and the last
+    /// bucket take what saturates into them.
+    pub(crate) fn bucket_counts(
+        &self,
+        mut below: impl FnMut(Key) -> usize,
+        len: usize,
+    ) -> Vec<usize> {
+        let edge = |b: usize| match self.lo + b as i128 * i128::from(self.width) {
+            e if e > Key::MAX as i128 => len,
+            e => below(e.max(Key::MIN as i128) as Key),
+        };
+        let mut ranks: Vec<usize> = vec![0];
+        ranks.extend((1..self.buckets.len()).map(edge).chain([len]));
+        ranks.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// The access mass each resident of this histogram's shard
-    /// carries, by bucket: bucket `b`'s mass split evenly over the
-    /// residents (`keys`, ascending) that record into it, and the mass
-    /// of a bucket none of them records into handed on to the next
-    /// bucket that has one (the last such bucket takes what trails it).
-    /// A resident `k` carries `shares[bucket_of(k)]`; the shares sum,
-    /// over the residents, to the histogram's total (to zero when
-    /// `keys` is empty). Returns the shares and that total.
-    pub fn resident_shares(&self, keys: impl Iterator<Item = Key>) -> (Vec<f64>, f64) {
-        let mut count = vec![0usize; self.buckets.len()];
-        keys.for_each(|k| count[self.bucket_of(k)] += 1);
-        let mut shares = vec![0.0; count.len()];
+    /// carries, by bucket: bucket `b`'s mass split evenly over its
+    /// `counts[b]` residents, and the mass of a bucket with none
+    /// handed on to the next bucket that has some (the last such
+    /// bucket takes what trails it). The shares sum, over the
+    /// residents, to the histogram's total (to zero when there are
+    /// none). Returns the shares and that total.
+    pub fn resident_shares(&self, counts: &[usize]) -> (Vec<f64>, f64) {
+        let mut shares = vec![0.0; counts.len()];
         let (mut pending, mut total, mut last) = (0.0, 0.0, None);
         for (b, bucket) in self.buckets.iter().enumerate() {
             pending += bucket.load(Relaxed) as f64;
-            if count[b] > 0 {
-                shares[b] = pending / count[b] as f64;
+            if counts[b] > 0 {
+                shares[b] = pending / counts[b] as f64;
                 (total, pending, last) = (total + pending, 0.0, Some(b));
             }
         }
         if let Some(b) = last {
-            shares[b] += pending / count[b] as f64;
+            shares[b] += pending / counts[b] as f64;
             total += pending;
         }
         (shares, total)
     }
 
-    /// Adds the mass `weighted` puts on each key (ascending keys, as
-    /// [`resident_shares`](Self::resident_shares) weighs a shard's
-    /// residents) into the bucket the key records into, so a shard
-    /// rebuilt from another's residents starts with their mass where
-    /// they are. Rounds the running sum, not each key: the histogram
-    /// gains the total weight to the nearest unit.
-    pub fn seed(&self, weighted: impl IntoIterator<Item = (Key, f64)>) {
-        let (mut sum, mut seeded) = (0.0, 0u64);
-        for (k, w) in weighted {
-            sum += w;
+    /// Adds the mass `mass` puts on residents `from..` — counted per
+    /// bucket of this histogram as [`bucket_counts`](Self::bucket_counts)
+    /// counts them — into those buckets, so a shard rebuilt from
+    /// others' residents starts with their mass where they are. Rounds
+    /// the running sum at each bucket's end: the histogram gains the
+    /// total to the nearest unit.
+    pub(crate) fn seed(
+        &self,
+        mass: &ResidentMass,
+        from: usize,
+        below: impl FnMut(Key) -> usize,
+        len: usize,
+    ) {
+        let (mut sum, mut seeded, mut at) = (0.0, 0u64, from);
+        for (bucket, c) in self.buckets.iter().zip(self.bucket_counts(below, len)) {
+            sum += mass.between(at, at + c);
+            at += c;
             let due = (sum.round() as u64).saturating_sub(seeded);
-            if due > 0 {
-                self.buckets[self.bucket_of(k)].fetch_add(due, Relaxed);
-                seeded += due;
-            }
+            bucket.fetch_add(due, Relaxed);
+            seeded += due;
         }
     }
 }
 
-/// Clamps a modelled i128 key position back into the `Key` domain.
-fn clamp_key(x: i128) -> Key {
-    x.clamp(Key::MIN as i128, Key::MAX as i128) as Key
+/// The access mass a sorted run of residents carries, as cuts and
+/// successor histograms weigh it: one run of equal shares per bucket
+/// of each histogram the residents were counted in, so `O(buckets)`
+/// entries, not one per resident.
+pub(crate) struct ResidentMass {
+    /// The rank each run starts at, then the residents' count.
+    ranks: Vec<usize>,
+    /// The mass before each run, then the total.
+    cum: Vec<f64>,
+    /// What each resident of a run carries.
+    shares: Vec<f64>,
+}
+
+impl ResidentMass {
+    pub(crate) fn new() -> Self {
+        let (ranks, cum, shares) = (vec![0], vec![0.0], Vec::new());
+        ResidentMass { ranks, cum, shares }
+    }
+
+    /// Appends the residents of a shard with histogram `stats`,
+    /// counted by `below` and `len` as in
+    /// [`AccessStats::bucket_counts`], carrying their
+    /// [`resident_shares`](AccessStats::resident_shares) — or, with
+    /// `by_count`, one each.
+    pub(crate) fn push(
+        &mut self,
+        stats: &AccessStats,
+        below: impl FnMut(Key) -> usize,
+        len: usize,
+        by_count: bool,
+    ) {
+        let counts = stats.bucket_counts(below, len);
+        let shares = match by_count {
+            true => vec![1.0; counts.len()],
+            false => stats.resident_shares(&counts).0,
+        };
+        for (c, share) in counts.into_iter().zip(shares) {
+            self.ranks.push(self.len() + c);
+            self.cum.push(self.total() + c as f64 * share);
+            self.shares.push(share);
+        }
+    }
+
+    /// Residents counted.
+    pub(crate) fn len(&self) -> usize {
+        self.ranks[self.ranks.len() - 1]
+    }
+
+    /// The mass of every resident counted.
+    pub(crate) fn total(&self) -> f64 {
+        self.cum[self.cum.len() - 1]
+    }
+
+    /// A resident at or just before the one whose own mass reaches
+    /// `q > 0` from the mass before it — the run by prefix sums, then
+    /// the resident by the run's share — or `None` when the total
+    /// stays below `q`.
+    pub(crate) fn crossing(&self, q: f64) -> Option<usize> {
+        let run = self.cum[1..].partition_point(|&c| c < q);
+        let inside = ((q - self.cum[run]) / self.shares.get(run)?).floor();
+        Some((self.ranks[run] + inside.max(0.0) as usize).min(self.ranks[run + 1] - 1))
+    }
+
+    /// The mass of residents `from..to`, summed run by run.
+    pub(crate) fn between(&self, from: usize, to: usize) -> f64 {
+        let (mut sum, mut at) = (0.0, from);
+        while at < to {
+            let run = self.ranks.partition_point(|&r| r <= at) - 1;
+            let end = self.ranks[run + 1].min(to);
+            sum += (end - at) as f64 * self.shares[run];
+            at = end;
+        }
+        sum
+    }
 }
 
 #[cfg(test)]
@@ -270,23 +332,48 @@ mod tests {
         assert_eq!(snap[1], 1);
     }
 
-    #[test]
-    fn weighted_buckets_skip_zeros_and_cover_ranges() {
-        let h = AccessStats::new(Some(0), Some(400), 4);
-        h.record(50);
-        h.record(350);
-        let wb = h.weighted_buckets();
-        assert_eq!(wb, vec![(0, 100, 1), (300, 400, 1)]);
+    /// Residents of sorted `keys` per bucket of `h`, by rank.
+    fn counts_of(h: &AccessStats, keys: &[Key]) -> Vec<usize> {
+        h.bucket_counts(|k| keys.partition_point(|&x| x < k), keys.len())
     }
 
     #[test]
     fn last_bucket_extends_to_the_range_end() {
         // Range 103 over 10 buckets: width floors to 10, leaving a
-        // [100, 103) tail that must belong to the last bucket's
-        // reported range.
+        // [100, 103) tail that must belong to the last bucket.
         let h = AccessStats::new(Some(0), Some(103), 10);
-        h.record(102);
-        assert_eq!(h.weighted_buckets(), vec![(90, 103, 1)]);
+        assert_eq!(h.bucket_of(102), 9);
+        assert_eq!(
+            counts_of(&h, &[89, 90, 100, 102]),
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 3]
+        );
+    }
+
+    /// Counting by rank at the bucket edges puts every resident where
+    /// `bucket_of` does, saturated keys and unbounded ranges included.
+    #[test]
+    fn bucket_counts_match_bucket_of() {
+        let mut rng = proptest::TestRng::new(5);
+        let ranges = [
+            (None, Some(i64::MIN + 1)),
+            (Some(i64::MIN), Some(i64::MAX)),
+            (None, None),
+            (Some(-1000), Some(1 << 40)),
+            (Some(5), Some(5)),
+            (Some(i64::MAX), None),
+        ];
+        for (lo, hi) in ranges {
+            for n in [1usize, 3, 32] {
+                let h = AccessStats::new(lo, hi, n);
+                let mut keys: Vec<Key> = (0..500).map(|_| rng.next_u64() as Key).collect();
+                keys.extend((0..500).map(|_| (rng.next_u64() >> 40) as Key - 1000));
+                keys.extend([Key::MIN, Key::MAX, 0, 0]);
+                keys.sort_unstable();
+                let mut want = vec![0; n];
+                keys.iter().for_each(|&k| want[h.bucket_of(k)] += 1);
+                assert_eq!(counts_of(&h, &keys), want, "{lo:?}..{hi:?} / {n}");
+            }
+        }
     }
 
     #[test]
@@ -298,12 +385,16 @@ mod tests {
         let total = src.total();
         // The residents are the even keys; bucket 7 has none past 900,
         // and the mass of [900, 1000) stays with bucket 7's residents.
-        let keys = || (0..900).step_by(2);
-        let (shares, sum) = src.resident_shares(keys());
+        let keys: Vec<Key> = (0..900).step_by(2).collect();
+        let below = |k: Key| keys.partition_point(|&x| x < k);
+        let (_, sum) = src.resident_shares(&counts_of(&src, &keys));
         assert_eq!(sum, total as f64);
+        let mut mass = ResidentMass::new();
+        mass.push(&src, below, keys.len(), false);
+        assert_eq!(mass.total(), sum);
         // Re-bin into a *different* geometry covering half the range.
         let dst = AccessStats::new(Some(500), Some(1000), 5);
-        dst.seed(keys().map(|k| (k, shares[src.bucket_of(k)])));
+        dst.seed(&mass, 0, below, keys.len());
         assert_eq!(dst.total(), total, "seed must conserve mass");
         // Residents below 500 saturate into dst's first bucket, and
         // none lies in its last.
@@ -320,11 +411,14 @@ mod tests {
         }
         (0..100).for_each(|_| src.record(60));
         let keys = [30, 40, 60, 70];
-        let (shares, total) = src.resident_shares(keys.into_iter());
+        let below = |k: Key| keys.partition_point(|&x| x < k);
+        let (shares, total) = src.resident_shares(&counts_of(&src, &keys));
         assert_eq!(shares, [0.0, 150.0, 50.0, 0.0]);
         assert_eq!(total, 400.0);
+        let mut mass = ResidentMass::new();
+        mass.push(&src, below, keys.len(), false);
         let dst = AccessStats::new(Some(0), Some(100), 10);
-        dst.seed(keys.map(|k| (k, shares[src.bucket_of(k)])));
+        dst.seed(&mass, 0, below, keys.len());
         assert_eq!(dst.snapshot(), [0, 0, 0, 150, 150, 0, 50, 50, 0, 0]);
     }
 
@@ -369,7 +463,8 @@ mod tests {
                     idx.clamp(0, n as i128 - 1) as usize
                 };
                 let clamp = |x: i128| x.clamp(Key::MIN as i128, Key::MAX as i128) as Key;
-                let mut keys = vec![Key::MIN, Key::MAX, 0, clamp(h.lo - 1), clamp(h.hi)];
+                let end = modelled_range(lo, hi).1;
+                let mut keys = vec![Key::MIN, Key::MAX, 0, clamp(h.lo - 1), clamp(end)];
                 for i in 0..=n as i128 {
                     let edge = h.lo + i * h.width as i128;
                     keys.extend([clamp(edge - 1), clamp(edge), clamp(edge + 1)]);

@@ -26,6 +26,7 @@
 //! writer-progress stress test pin this down.
 
 use super::plan::{MaintenancePlan, MaintenanceStep};
+use crate::access::ResidentMass;
 use crate::shard::{Shard, StepGuards, Topology};
 use crate::{MaintCounters, ShardedRma, Splitters};
 use rma_core::{Key, Rma};
@@ -288,13 +289,18 @@ impl ShardedRma {
         let mut at = vec![0];
         at.extend(cuts.iter().map(|&c| elems.partition_point(|e| e.0 < c)));
         at.push(elems.len());
-        // The access mass each drained resident carries, as the
-        // planner weighed it: what the successors are seeded from.
-        let mut weights = Vec::with_capacity(elems.len());
+        // The access mass the drained residents carry, as the planner
+        // weighed it, by their counts per bucket: what the successors
+        // are seeded from.
+        let mut mass = ResidentMass::new();
         for (s, rma) in topo.shards[first..=last].iter().zip(guards.rmas()) {
-            let keys = &elems[weights.len()..weights.len() + rma.len()];
-            let (shares, _) = s.stats.resident_shares(keys.iter().map(|e| e.0));
-            weights.extend(keys.iter().map(|e| shares[s.stats.bucket_of(e.0)]));
+            let keys = &elems[mass.len()..mass.len() + rma.len()];
+            mass.push(
+                &s.stats,
+                |k| keys.partition_point(|e| e.0 < k),
+                keys.len(),
+                false,
+            );
         }
         // Successor splitters: the run's inner boundaries go, the
         // cuts come.
@@ -317,8 +323,7 @@ impl ShardedRma {
                     false => bare.pop(),
                 };
                 let shell = shell.unwrap_or_else(fresh);
-                let w = &weights[at[k]..at[k + 1]];
-                self.finish_shard(shell, &splitters, first + k, part, w)
+                self.finish_shard(shell, &splitters, first + k, part, (&mass, at[k]))
             })
             .collect();
         let mut shards = topo.shards.clone();

@@ -58,6 +58,7 @@ pub(crate) mod plan;
 pub use executor::{DrainReport, StepReport};
 pub use plan::{MaintenancePlan, MaintenanceStep};
 
+use crate::access::ResidentMass;
 use crate::shard::Shard;
 use crate::{ShardedRma, Splitters};
 use rma_core::{Key, Rma, Value};
@@ -80,21 +81,21 @@ pub(crate) fn imbalance_of(masses: impl IntoIterator<Item = f64>) -> f64 {
 impl ShardedRma {
     /// Bulk-loads `elems` into a pre-created shell and wraps it as
     /// the shard covering range `i` of `splitters`, its histogram
-    /// seeded with the access mass `weights` puts on each element.
+    /// seeded with the access mass `mass` puts on the drained
+    /// residents from rank `from` on, which `elems` are.
     fn finish_shard(
         &self,
         mut shell: Rma,
         splitters: &Splitters,
         i: usize,
         elems: &[(Key, Value)],
-        weights: &[f64],
+        (mass, from): (&ResidentMass, usize),
     ) -> Arc<Shard> {
         shell.load_bulk(elems);
         let (lo, hi) = splitters.range_of(i);
         let shard = Shard::new(shell, lo, hi, Arc::clone(&self.lock_stats));
-        shard
-            .stats
-            .seed(elems.iter().map(|e| e.0).zip(weights.iter().copied()));
+        let below = |k| elems.partition_point(|e| e.0 < k);
+        shard.stats.seed(mass, from, below, elems.len());
         Arc::new(shard)
     }
 

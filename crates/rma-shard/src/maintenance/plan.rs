@@ -32,6 +32,7 @@
 //!
 //! [`Recut`]: MaintenanceStep::Recut
 
+use crate::access::ResidentMass;
 use crate::shard::Shard;
 use crate::ShardedRma;
 use rma_core::{height_for, windows_above, Key, Thresholds};
@@ -267,50 +268,293 @@ impl ShardedRma {
 /// carries much of its shard's reads can leave a piece over the
 /// capacity at the count the mass alone asks for. Fewer than `k - 1`
 /// cuts when duplicate runs swallow some; none when the run cannot be
-/// cut (one giant duplicate run). Walks the residents once and keeps
-/// one entry per distinct key.
+/// cut (one giant duplicate run). Reads counts, not keys: the
+/// residents are counted per bucket by rank, a quantile's resident is
+/// found by prefix sums over the buckets, and one `select` and two
+/// `rank`s name its duplicate run.
 fn cut_points(
     shards: &[Arc<Shard>],
     ks: RangeInclusive<usize>,
     cap: f64,
     by_len: bool,
 ) -> Vec<Key> {
-    // Each distinct key, the mass its residents carry and their count.
-    let mut runs: Vec<(Key, f64, f64)> = Vec::new();
-    for s in shards {
-        s.peek(|r| {
-            let (share, _) = s.stats.resident_shares(r.iter().map(|e| e.0));
-            for (key, _) in r.iter() {
-                let w = share[s.stats.bucket_of(key)];
-                match runs.last_mut() {
-                    Some(run) if run.0 == key => (run.1, run.2) = (run.1 + w, run.2 + 1.0),
-                    _ => runs.push((key, w, 1.0)),
-                }
-            }
-        });
-    }
+    let count = |by_count: bool| {
+        let mut mass = ResidentMass::new();
+        let offsets: Vec<usize> = (shards.iter())
+            .map(|s| {
+                let at = mass.len();
+                s.peek(|r| mass.push(&s.stats, |k| r.rank(k), r.len(), by_count));
+                at
+            })
+            .collect();
+        (mass, offsets)
+    };
+    let (mut mass, mut offsets) = count(by_len);
     // A run without mass is cut by residents, and no piece of it is
     // over a mass bound.
-    let cold = !by_len && runs.iter().all(|r| r.1 == 0.0);
-    let cap = if cold { f64::INFINITY } else { cap };
-    let weight = |run: &(Key, f64, f64)| if by_len || cold { run.2 } else { run.1 };
-    let total: f64 = runs.iter().map(weight).sum();
+    let cap = match !by_len && mass.total() == 0.0 {
+        true => {
+            (mass, offsets) = count(true);
+            f64::INFINITY
+        }
+        false => cap,
+    };
+    // The key of the window's resident `i` and the window ranks of
+    // its duplicate run, or `None` past the last resident.
+    let run_at = |i: usize| {
+        let s = offsets.partition_point(|&o| o <= i) - 1;
+        shards[s].peek(|r| {
+            let key = r.select(i - offsets[s])?;
+            let end = key.checked_add(1).map_or(r.len(), |next| r.rank(next));
+            Some((key, offsets[s] + r.rank(key)..offsets[s] + end))
+        })
+    };
+    let (n, total) = (mass.len(), mass.total());
+    let Some((_, first)) = run_at(0) else {
+        return Vec::new();
+    };
+    // No cut falls before the run after the first that carries mass.
+    let carrier = mass.crossing(f64::MIN_POSITIVE).and_then(run_at);
+    let carrier_end = carrier.map_or(n, |c| c.1.end);
+    // A run's weight counted to its middle.
+    let mid =
+        |run: &Range<usize>| mass.between(0, run.start) + mass.between(run.start, run.end) / 2.0;
     // The k-quantile cuts, and whether every piece fits.
     let quantiles = |k: usize| {
-        let (mut cuts, mut before, mut piece, mut keys, mut fits) = (Vec::new(), 0.0, 0.0, 0, true);
-        for run in &runs {
-            let w = weight(run);
-            let q = (cuts.len() + 1) as f64 * total / k as f64;
-            if before > 0.0 && cuts.len() + 1 < k && before + w / 2.0 >= q {
-                fits &= piece <= cap || keys == 1;
-                (piece, keys) = (0.0, 0);
-                cuts.push(run.0);
-            }
-            (before, piece, keys) = (before + w, piece + w, keys + 1);
+        let (mut cuts, mut fits) = (Vec::new(), true);
+        // The current piece's first rank, the end of its first run,
+        // and where the next cut may fall.
+        let (mut piece, mut one_key_to, mut from) = (0, first.end, carrier_end);
+        for j in 1..k {
+            let q = j as f64 * total / k as f64;
+            // The run holding the crossing of `q`, or the next one.
+            let mut i = mass.crossing(q).unwrap_or(n).max(from);
+            let cut = loop {
+                match run_at(i) {
+                    Some((_, run)) if mid(&run) < q => i = run.end,
+                    found => break found,
+                }
+            };
+            let Some((key, run)) = cut else {
+                break;
+            };
+            fits &= mass.between(piece, run.start) <= cap || one_key_to == run.start;
+            cuts.push(key);
+            (piece, one_key_to, from) = (run.start, run.end, run.end);
         }
-        (cuts, fits && (piece <= cap || keys == 1))
+        (
+            cuts,
+            fits && (mass.between(piece, n) <= cap || one_key_to == n),
+        )
     };
     (ks.clone().map(quantiles).find(|q| q.1))
         .unwrap_or_else(|| quantiles(*ks.start()))
         .0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::small_cfg;
+    use crate::{AccessStats, Splitters};
+    use proptest::TestRng;
+    use std::cell::Cell;
+
+    /// The resident walk the rank machinery replaced: each distinct
+    /// key of the window, the mass its residents carry (each resident
+    /// its bucket's share, added one by one) and their count.
+    fn walk_runs(shards: &[Arc<Shard>]) -> Vec<(Key, f64, f64)> {
+        let mut runs: Vec<(Key, f64, f64)> = Vec::new();
+        for s in shards {
+            s.peek(|r| {
+                let mut counts = vec![0; s.stats.snapshot().len()];
+                r.iter()
+                    .for_each(|(k, _)| counts[s.stats.bucket_of(k)] += 1);
+                let (share, _) = s.stats.resident_shares(&counts);
+                for (key, _) in r.iter() {
+                    let w = share[s.stats.bucket_of(key)];
+                    match runs.last_mut() {
+                        Some(run) if run.0 == key => (run.1, run.2) = (run.1 + w, run.2 + 1.0),
+                        _ => runs.push((key, w, 1.0)),
+                    }
+                }
+            });
+        }
+        runs
+    }
+
+    /// The cuts of the resident walk, and the smallest gap, relative
+    /// to what was compared, between a midpoint and its quantile or a
+    /// piece and the capacity in any comparison it made.
+    fn walk_cut_points(
+        runs: &[(Key, f64, f64)],
+        ks: RangeInclusive<usize>,
+        cap: f64,
+        by_len: bool,
+    ) -> (Vec<Key>, f64) {
+        let cold = !by_len && runs.iter().all(|r| r.1 == 0.0);
+        let cap = if cold { f64::INFINITY } else { cap };
+        let weight = |run: &(Key, f64, f64)| if by_len || cold { run.2 } else { run.1 };
+        let total: f64 = runs.iter().map(weight).sum();
+        let gap = Cell::new(f64::INFINITY);
+        let near = |a: f64, b: f64| gap.set(gap.get().min((a - b).abs() / b.abs().max(1.0)));
+        let quantiles = |k: usize| {
+            let (mut cuts, mut before, mut piece, mut keys, mut fits) =
+                (Vec::new(), 0.0, 0.0, 0, true);
+            for run in runs {
+                let w = weight(run);
+                let q = (cuts.len() + 1) as f64 * total / k as f64;
+                if before > 0.0 && cuts.len() + 1 < k {
+                    near(before + w / 2.0, q);
+                }
+                if before > 0.0 && cuts.len() + 1 < k && before + w / 2.0 >= q {
+                    near(piece, cap);
+                    fits &= piece <= cap || keys == 1;
+                    (piece, keys) = (0.0, 0);
+                    cuts.push(run.0);
+                }
+                (before, piece, keys) = (before + w, piece + w, keys + 1);
+            }
+            near(piece, cap);
+            (cuts, fits && (piece <= cap || keys == 1))
+        };
+        let cuts = (ks.clone().map(quantiles).find(|q| q.1))
+            .unwrap_or_else(|| quantiles(*ks.start()))
+            .0;
+        (cuts, gap.get())
+    }
+
+    /// A successor's histogram, and for each bucket the running sums
+    /// of the seeding walk at its two ends.
+    type Seeded = (Vec<u64>, Vec<(f64, f64)>);
+
+    /// What the resident walk seeded each successor of a re-cut of the
+    /// whole index at `cuts` with.
+    fn walk_seeds(s: &ShardedRma, cuts: &[Key]) -> Vec<Seeded> {
+        let topo = s.topo();
+        let mut weighted: Vec<(Key, f64)> = Vec::new();
+        for sh in topo.shards.iter() {
+            sh.peek(|r| {
+                let mut counts = vec![0; sh.stats.snapshot().len()];
+                r.iter()
+                    .for_each(|(k, _)| counts[sh.stats.bucket_of(k)] += 1);
+                let (share, _) = sh.stats.resident_shares(&counts);
+                weighted.extend(r.iter().map(|(k, _)| (k, share[sh.stats.bucket_of(k)])));
+            });
+        }
+        let splitters = Splitters::new(cuts.to_vec());
+        let mut at = vec![0];
+        at.extend(cuts.iter().map(|&c| weighted.partition_point(|e| e.0 < c)));
+        at.push(weighted.len());
+        (0..=cuts.len())
+            .map(|i| {
+                let (lo, hi) = splitters.range_of(i);
+                let dst = AccessStats::new(lo, hi, topo.shards[0].stats.snapshot().len());
+                let mut sums = vec![(f64::NAN, 0.0); dst.snapshot().len()];
+                let (mut sum, mut seeded) = (0.0, 0u64);
+                for &(k, w) in &weighted[at[i]..at[i + 1]] {
+                    let b = dst.bucket_of(k);
+                    if sums[b].0.is_nan() {
+                        sums[b].0 = sum;
+                    }
+                    sum += w;
+                    sums[b].1 = sum;
+                    let due = (sum.round() as u64).saturating_sub(seeded);
+                    if due > 0 {
+                        (0..due).for_each(|_| dst.record(k));
+                        seeded += due;
+                    }
+                }
+                (dst.snapshot(), sums)
+            })
+            .collect()
+    }
+
+    /// True when `x` lies within a relative 1e-12 of a rounding half.
+    fn at_a_half(x: f64) -> bool {
+        ((x - x.floor()) - 0.5).abs() <= 1e-12 * x.abs().max(1.0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Cuts and successor histograms read through ranks are the
+        /// resident walk's: random shards with duplicate runs across
+        /// segments, keys that saturate into the edge buckets of the
+        /// unbounded end shards, reads on a few keys (most buckets
+        /// carry no mass) or none (a cold window), cuts by mass and by
+        /// length. They may differ only where the walk's float sum and
+        /// the rank product fall on the two sides of a rounding half.
+        #[test]
+        fn rank_cuts_and_seeds_match_the_resident_walk(seed in proptest::any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let n = 1 + rng.below(4) as i64;
+            let s = ShardedRma::with_splitters(
+                small_cfg(1 + rng.below(4) as usize),
+                Splitters::new((1..n).map(|i| i * 1000).collect()),
+            );
+            let mut stored = Vec::new();
+            for _ in 0..rng.below(600) {
+                let k = match rng.below(16) {
+                    0 => -(rng.below(1 << 40) as Key),
+                    1 => (1 << 62) + rng.below(1 << 40) as Key,
+                    _ => rng.below(n as u64 * 1000) as Key,
+                };
+                let reps = if rng.below(8) == 0 { 1 + rng.below(40) } else { 1 };
+                for _ in 0..reps {
+                    s.insert(k, k);
+                    stored.push(k);
+                }
+            }
+            s.reset_access_stats();
+            if rng.below(4) > 0 && !stored.is_empty() {
+                let hot: Vec<Key> = (0..1 + rng.below(6))
+                    .map(|_| stored[rng.below(stored.len() as u64) as usize])
+                    .collect();
+                for _ in 0..rng.below(3000) {
+                    let _ = s.get(hot[rng.below(hot.len() as u64) as usize]);
+                }
+            }
+            let topo = s.topo();
+            let shards = &topo.shards[..];
+            let runs = walk_runs(shards);
+            let mass: f64 = runs.iter().map(|r| r.1).sum();
+            for _ in 0..6 {
+                let by_len = rng.below(3) == 0;
+                let k = 1 + rng.below(8) as usize;
+                let ks = k..=k + rng.below(6) as usize;
+                let scale = if by_len { stored.len() as f64 } else { mass };
+                let cap = scale * (0.05 + rng.below(100) as f64 / 100.0);
+                let got = cut_points(shards, ks.clone(), cap, by_len);
+                let (want, gap) = walk_cut_points(&runs, ks.clone(), cap, by_len);
+                proptest::prop_assert!(
+                    got == want || gap <= 1e-12,
+                    "{:?} cap {} by_len {}: {:?} != {:?}", ks, cap, by_len, got, want
+                );
+            }
+            drop(topo);
+            let mut cuts: Vec<Key> = (0..rng.below(5))
+                .filter_map(|_| stored.get(rng.below(stored.len().max(1) as u64) as usize).copied())
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            if cuts.is_empty() || cuts == s.splitters().keys() {
+                return;
+            }
+            let want = walk_seeds(&s, &cuts);
+            let step = MaintenanceStep::Recut { lo: None, hi: None, cuts: cuts.clone() };
+            proptest::prop_assert_eq!(s.drain_plan(&mut s.plan_of(vec![step])).executed(), 1);
+            let topo = s.topo();
+            for (shard, (units, sums)) in topo.shards.iter().zip(want) {
+                let got = shard.stats.snapshot();
+                for (b, (&g, &w)) in got.iter().zip(&units).enumerate() {
+                    let (from, to) = sums[b];
+                    proptest::prop_assert!(
+                        g == w || at_a_half(from) || at_a_half(to),
+                        "bucket {} of {:?}: {} != {}", b, cuts, g, w
+                    );
+                }
+            }
+        }
+    }
 }

@@ -64,63 +64,6 @@ impl Splitters {
         Splitters { keys }
     }
 
-    /// Learns splitters from a weighted access histogram: `buckets`
-    /// are `(bucket_lo, bucket_hi, mass)` triples in key order (the
-    /// concatenation of per-shard
-    /// [`AccessStats::weighted_buckets`](crate::AccessStats::weighted_buckets)
-    /// is exactly this shape) and the result places the `num_shards -
-    /// 1` splitters at the equal-*access* quantiles of the histogram
-    /// CDF — the Detector idea of §IV applied across shards: hammered
-    /// key intervals get many narrow shards, cold intervals get few
-    /// wide ones. Split keys interpolate linearly inside the crossed
-    /// bucket (mass is modelled piecewise-uniform).
-    ///
-    /// Duplicate quantile keys collapse (fewer shards result, as with
-    /// [`Splitters::from_sorted_pairs`]); a histogram with zero total
-    /// mass falls back to [`Splitters::uniform`].
-    pub fn from_weighted_histogram(buckets: &[(Key, Key, u64)], num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "need at least one shard");
-        assert!(
-            buckets.windows(2).all(|w| w[0].0 <= w[1].0),
-            "histogram buckets must be in key order"
-        );
-        let total: u128 = buckets.iter().map(|&(_, _, w)| w as u128).sum();
-        if total == 0 {
-            return Splitters::uniform(num_shards);
-        }
-        let mut keys: Vec<Key> = Vec::with_capacity(num_shards - 1);
-        let mut cum: u128 = 0;
-        let mut it = buckets.iter().copied();
-        let mut cur = it.next().expect("non-zero total implies a bucket");
-        for i in 1..num_shards as u128 {
-            let target = i * total / num_shards as u128;
-            // Advance to the bucket whose cumulative mass crosses
-            // `target` (targets are non-decreasing, so the iterator
-            // never rewinds).
-            while cum + cur.2 as u128 <= target {
-                cum += cur.2 as u128;
-                match it.next() {
-                    Some(b) => cur = b,
-                    None => break,
-                }
-            }
-            let (blo, bhi, w) = cur;
-            let need = (target - cum).min(w as u128);
-            let span = (bhi as i128 - blo as i128).max(1) as u128;
-            let key = blo as i128 + (need * span / (w as u128).max(1)) as i128;
-            keys.push(key.clamp(Key::MIN as i128, Key::MAX as i128) as Key);
-        }
-        keys.dedup();
-        // A splitter at the histogram's lower edge would leave shard 0
-        // empty of observed mass; drop it (same rule as the sample
-        // learner).
-        if keys.first() == Some(&buckets[0].0) {
-            keys.remove(0);
-        }
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        Splitters { keys }
-    }
-
     /// Number of shards these splitters induce.
     pub fn num_shards(&self) -> usize {
         self.keys.len() + 1
@@ -271,62 +214,6 @@ mod tests {
                 assert_eq!(s.route(k), i);
             }
         }
-    }
-
-    #[test]
-    fn weighted_histogram_equalises_access_mass() {
-        // Mass concentrated in [100, 200): most splitters should land
-        // inside that band.
-        let buckets = vec![(0i64, 100i64, 10u64), (100, 200, 80), (200, 300, 10)];
-        let s = Splitters::from_weighted_histogram(&buckets, 5);
-        assert_eq!(s.num_shards(), 5);
-        let inside = s
-            .keys()
-            .iter()
-            .filter(|&&k| (100..200).contains(&k))
-            .count();
-        assert!(inside >= 3, "hot band under-split: {:?}", s.keys());
-        // Each shard should hold ~1/5 of the mass: route the bucket
-        // mass pointwise and check the spread.
-        let mut mass = vec![0u64; s.num_shards()];
-        for &(lo, hi, w) in &buckets {
-            let step = ((hi - lo) / 10).max(1);
-            let mut k = lo;
-            while k < hi {
-                mass[s.route(k)] += w / 10;
-                k += step;
-            }
-        }
-        let (min, max) = (
-            *mass.iter().min().unwrap() as f64,
-            *mass.iter().max().unwrap() as f64,
-        );
-        assert!(max <= 2.5 * min.max(1.0), "unbalanced: {mass:?}");
-    }
-
-    #[test]
-    fn weighted_histogram_interpolates_inside_a_bucket() {
-        // One bucket, uniform mass: splitters should be the uniform
-        // quantiles of its key range.
-        let s = Splitters::from_weighted_histogram(&[(0, 1000, 100)], 4);
-        assert_eq!(s.keys(), &[250, 500, 750]);
-    }
-
-    #[test]
-    fn weighted_histogram_zero_mass_falls_back_to_uniform() {
-        let s = Splitters::from_weighted_histogram(&[], 4);
-        assert_eq!(s, Splitters::uniform(4));
-        let s = Splitters::from_weighted_histogram(&[(0, 10, 0)], 4);
-        assert_eq!(s, Splitters::uniform(4));
-    }
-
-    #[test]
-    fn weighted_histogram_point_mass_degrades_gracefully() {
-        // All mass in one narrow bucket: duplicate quantile keys must
-        // collapse instead of violating strict ordering.
-        let s = Splitters::from_weighted_histogram(&[(7, 8, 1000)], 8);
-        assert!(s.num_shards() <= 2, "{:?}", s.keys());
-        assert!(s.keys().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
