@@ -247,6 +247,7 @@ impl MetricsSnapshot {
             ("rma_write_locks_total", e.write_locks),
             ("rma_seqlock_retries_total", e.seqlock_retries),
             ("rma_maintenance_plans_total", m.plans),
+            ("rma_maintenance_plan_ns_total", m.plan_ns),
             ("rma_maintenance_steps_planned_total", m.steps_planned),
             ("rma_maintenance_steps_executed_total", m.steps_executed),
             ("rma_maintenance_steps_skipped_total", m.steps_skipped),

@@ -327,6 +327,7 @@ pub struct ShardedRma {
 #[derive(Debug, Default)]
 pub(crate) struct MaintCounters {
     pub(crate) plans: AtomicU64,
+    pub(crate) plan_ns: AtomicU64,
     pub(crate) steps_planned: AtomicU64,
     pub(crate) steps_skipped: AtomicU64,
     pub(crate) keys_migrated: AtomicU64,
@@ -344,6 +345,9 @@ pub(crate) struct MaintCounters {
 pub struct MaintenanceStats {
     /// Non-empty [`MaintenancePlan`]s produced by the planner.
     pub plans: u64,
+    /// Wall time the planner spent over all its calls, empty plans
+    /// included, in nanoseconds.
+    pub plan_ns: u64,
     /// Steps emitted into plans.
     pub steps_planned: u64,
     /// Steps that executed: `splits + merges`.
@@ -499,6 +503,7 @@ impl ShardedRma {
         let (splits, merges) = (c.splits.load(Relaxed), c.merges.load(Relaxed));
         MaintenanceStats {
             plans: c.plans.load(Relaxed),
+            plan_ns: c.plan_ns.load(Relaxed),
             steps_planned: c.steps_planned.load(Relaxed),
             steps_executed: splits + merges,
             steps_skipped: c.steps_skipped.load(Relaxed),

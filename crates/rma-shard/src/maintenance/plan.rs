@@ -135,6 +135,7 @@ impl ShardedRma {
     /// half of it. A window whose cuts are its boundaries already plans
     /// nothing, so balanced topologies plan zero steps.
     pub fn plan_maintenance(&self) -> MaintenancePlan {
+        let t0 = rma_obs::now_ns();
         let topo = self.topo();
         let lens: Vec<usize> = topo.lens().collect();
         let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
@@ -146,7 +147,7 @@ impl ShardedRma {
         let total: f64 = weights.iter().sum();
         // Learned splitters are kept while the index is empty.
         if total == 0.0 || lens.iter().all(|&l| l == 0) {
-            return self.finish_plan(Vec::new());
+            return self.finish_plan(Vec::new(), t0);
         }
         let (n, th) = (weights.len(), Thresholds::update_oriented());
         let h = height_for(n);
@@ -224,7 +225,7 @@ impl ShardedRma {
         }
         // The windows that shed an overload run first.
         steps.sort_by_key(|s| s.0);
-        self.finish_plan(steps.into_iter().map(|s| s.1).collect())
+        self.finish_plan(steps.into_iter().map(|s| s.1).collect(), t0)
     }
 
     /// A plan of exactly `steps`, popped in the given order: a
@@ -232,22 +233,21 @@ impl ShardedRma {
     /// skipped when stale like any planned step, its merges held to
     /// the merge bound.
     pub fn plan_of(&self, steps: Vec<MaintenanceStep>) -> MaintenancePlan {
-        self.finish_plan(steps)
+        self.finish_plan(steps, rma_obs::now_ns())
     }
 
-    /// Records plan counters, journals the plan-creation event, and
-    /// wraps the steps, which the planner emitted in execution order.
-    fn finish_plan(&self, steps: Vec<MaintenanceStep>) -> MaintenancePlan {
+    /// Records plan counters and the planning time since `t0`,
+    /// journals the plan-creation event with that time, and wraps the
+    /// steps, which the planner emitted in execution order.
+    fn finish_plan(&self, steps: Vec<MaintenanceStep>, t0: u64) -> MaintenancePlan {
+        let (c, ns) = (&self.maint_counters, rma_obs::now_ns().saturating_sub(t0));
+        c.plan_ns.fetch_add(ns, Relaxed);
         if !steps.is_empty() {
-            let c = &self.maint_counters;
             c.plans.fetch_add(1, Relaxed);
             c.steps_planned.fetch_add(steps.len() as u64, Relaxed);
-            self.obs().log(
-                rma_obs::EventKind::Rebalance,
-                rma_obs::Event::NO_SHARD,
-                0,
-                steps.len() as u64,
-            );
+            let event = rma_obs::EventKind::Rebalance;
+            self.obs()
+                .log(event, rma_obs::Event::NO_SHARD, ns, steps.len() as u64);
         }
         MaintenancePlan {
             steps: steps.into(),

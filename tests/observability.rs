@@ -636,6 +636,7 @@ fn the_exposition_carries_every_counter() {
     } = engine;
     let MaintenanceStats {
         plans,
+        plan_ns,
         steps_planned,
         steps_executed,
         steps_skipped,
@@ -666,6 +667,7 @@ fn the_exposition_carries_every_counter() {
         format!("rma_write_locks_total {write_locks}"),
         format!("rma_seqlock_retries_total {seqlock_retries}"),
         format!("rma_maintenance_plans_total {plans}"),
+        format!("rma_maintenance_plan_ns_total {plan_ns}"),
         format!("rma_maintenance_steps_planned_total {steps_planned}"),
         format!("rma_maintenance_steps_executed_total {steps_executed}"),
         format!("rma_maintenance_steps_skipped_total {steps_skipped}"),
