@@ -211,11 +211,16 @@ impl ShardedRma {
                 continue;
             }
             // Cut by length when the length bound asks for more pieces.
-            let (limit, by_len) = match (by_len > by_mass, self.cfg.max_shard_len) {
-                (true, Some(m)) => (m as f64, true),
-                _ => (cap, by_lens),
+            let (bounds, by_len) = match (by_len > by_mass, self.cfg.max_shard_len) {
+                (true, Some(m)) => (0.0..=m as f64, true),
+                _ => (th.rho(1, h) * cap..=cap, by_lens),
             };
-            let cuts = cut_points(&topo.shards[w.clone()], k..=most, limit, by_len);
+            // Up from the count the mass asks for, then down to one
+            // piece (two for a lone shard).
+            let lowest = if w.len() == 1 { 2 } else { 1 };
+            let ks: Vec<usize> = (k..=most).chain((lowest..k).rev()).collect();
+            let max_len = self.cfg.max_shard_len.unwrap_or(usize::MAX);
+            let cuts = cut_points(&topo.shards[w.clone()], &ks, bounds, max_len, by_len);
             if topo.splitters.keys()[w.start..w.end - 1] != cuts[..] {
                 let lo = topo.splitters.range_of(w.start).0;
                 let hi = topo.splitters.range_of(w.end - 1).1;
@@ -260,13 +265,15 @@ impl ShardedRma {
 /// empty. The run's access mass is laid on its residents as the
 /// executor seeds the successors
 /// ([`AccessStats::resident_shares`](crate::AccessStats::resident_shares));
-/// `by_len` (with `cap` a length), or while the run has no mass, every
-/// resident weighs one. A cut falls before each duplicate run whose
-/// weight, counted to its middle, reaches the next k-quantile, for the
-/// first `k` in `ks` that leaves every piece at or under `cap` or
-/// holding one key's run (the first `k` when none does): a key that
-/// carries much of its shard's reads can leave a piece over the
-/// capacity at the count the mass alone asks for. Fewer than `k - 1`
+/// `by_len` (with `bounds` lengths), or while the run has no mass,
+/// every resident weighs one. A cut falls before each duplicate run
+/// whose weight, counted to its middle, reaches the next k-quantile,
+/// for the first `k` in `ks` that leaves every piece inside `bounds`
+/// (a piece of one key's run may pass the upper bound) and no longer
+/// than `max_len` (unless one key's run) — for the first of `ks` when
+/// none does: a key that carries much of its shard's reads can leave
+/// a piece over the capacity at the count the mass alone asks for,
+/// and a sliver beside it under the lower bound. Fewer than `k - 1`
 /// cuts when duplicate runs swallow some; none when the run cannot be
 /// cut (one giant duplicate run). Reads counts, not keys: the
 /// residents are counted per bucket by rank, a quantile's resident is
@@ -274,8 +281,9 @@ impl ShardedRma {
 /// `rank`s name its duplicate run.
 fn cut_points(
     shards: &[Arc<Shard>],
-    ks: RangeInclusive<usize>,
-    cap: f64,
+    ks: &[usize],
+    bounds: RangeInclusive<f64>,
+    max_len: usize,
     by_len: bool,
 ) -> Vec<Key> {
     let count = |by_count: bool| {
@@ -291,13 +299,13 @@ fn cut_points(
     };
     let (mut mass, mut offsets) = count(by_len);
     // A run without mass is cut by residents, and no piece of it is
-    // over a mass bound.
-    let cap = match !by_len && mass.total() == 0.0 {
+    // outside a mass bound.
+    let (lower, cap) = match !by_len && mass.total() == 0.0 {
         true => {
             (mass, offsets) = count(true);
-            f64::INFINITY
+            (0.0, f64::INFINITY)
         }
-        false => cap,
+        false => bounds.into_inner(),
     };
     // The key of the window's resident `i` and the window ranks of
     // its duplicate run, or `None` past the last resident.
@@ -319,15 +327,21 @@ fn cut_points(
     // A run's weight counted to its middle.
     let mid =
         |run: &Range<usize>| mass.between(0, run.start) + mass.between(run.start, run.end) / 2.0;
-    // The k-quantile cuts, and whether every piece fits.
+    // Whether the piece `from..to`, whose first run ends at `one`, is
+    // inside the upper bounds, and inside the lower one too.
+    let fits = |from: usize, to: usize, one: usize| {
+        let w = mass.between(from, to);
+        let upper = (w <= cap && to - from <= max_len) || one == to;
+        [upper, upper && w >= lower]
+    };
+    // The k-quantile cuts, and whether every piece fits each way.
     let quantiles = |k: usize| {
-        let (mut cuts, mut fits) = (Vec::new(), true);
-        // The current piece's first rank, the end of its first run,
-        // and where the next cut may fall.
-        let (mut piece, mut one_key_to, mut from) = (0, first.end, carrier_end);
+        // Each cut's key and duplicate run.
+        let mut cuts: Vec<(Key, Range<usize>)> = Vec::new();
         for j in 1..k {
             let q = j as f64 * total / k as f64;
             // The run holding the crossing of `q`, or the next one.
+            let from = cuts.last().map_or(carrier_end, |c| c.1.end);
             let mut i = mass.crossing(q).unwrap_or(n).max(from);
             let cut = loop {
                 match run_at(i) {
@@ -335,21 +349,37 @@ fn cut_points(
                     found => break found,
                 }
             };
-            let Some((key, run)) = cut else {
-                break;
-            };
-            fits &= mass.between(piece, run.start) <= cap || one_key_to == run.start;
-            cuts.push(key);
-            (piece, one_key_to, from) = (run.start, run.end, run.end);
+            match cut {
+                Some(cut) => cuts.push(cut),
+                None => break,
+            }
         }
-        (
-            cuts,
-            fits && (mass.between(piece, n) <= cap || one_key_to == n),
-        )
+        let fit = (0..=cuts.len()).fold([true; 2], |fit, p| {
+            let (from, one) = p.checked_sub(1).map_or((0, first.end), |c| {
+                let run = &cuts[c].1;
+                (run.start, run.end)
+            });
+            let f = fits(from, cuts.get(p).map_or(n, |c| c.1.start), one);
+            [fit[0] && f[0], fit[1] && f[1]]
+        });
+        (cuts.into_iter().map(|c| c.0).collect::<Vec<_>>(), fit)
     };
-    (ks.clone().map(quantiles).find(|q| q.1))
-        .unwrap_or_else(|| quantiles(*ks.start()))
-        .0
+    // The first count whose pieces fit both ways, else the first that
+    // fits the upper bounds, else the first count. Past
+    // `total / lower` pieces one is under the lower bound, so the
+    // counts beyond are tried only while none fits the upper bounds.
+    let mut upper = None;
+    for &k in ks {
+        if upper.is_some() && k as f64 * lower > total {
+            continue;
+        }
+        match quantiles(k) {
+            (cuts, [_, true]) => return cuts,
+            (cuts, [true, _]) => upper = upper.or(Some(cuts)),
+            _ => {}
+        }
+    }
+    upper.unwrap_or_else(|| quantiles(ks[0]).0)
 }
 
 #[cfg(test)]
@@ -525,7 +555,7 @@ mod tests {
                 let ks = k..=k + rng.below(6) as usize;
                 let scale = if by_len { stored.len() as f64 } else { mass };
                 let cap = scale * (0.05 + rng.below(100) as f64 / 100.0);
-                let got = cut_points(shards, ks.clone(), cap, by_len);
+                let got = cut_points(shards, &ks.clone().collect::<Vec<_>>(), 0.0..=cap, usize::MAX, by_len);
                 let (want, gap) = walk_cut_points(&runs, ks.clone(), cap, by_len);
                 proptest::prop_assert!(
                     got == want || gap <= 1e-12,

@@ -578,17 +578,136 @@ proptest! {
             singles.collect_all().iter().map(|p| p.0).collect::<Vec<_>>()
         );
     }
+}
 
-    /// The calibrator rule reaches a fixed point. Random shard
-    /// lengths, access masses on stored keys and duplicate runs, under either
-    /// threshold preset for the shards' arrays and with or without a
-    /// length backstop: after `maintain()` every shard is inside its
-    /// leaf bounds (access mass between ρ₁ = 0.08 and τ₁ = 1 times
-    /// the capacity `W / num_shards / τ_h`, and no longer than the
-    /// backstop), or too cold with no window of two or more shards
-    /// that one step may drain, or unsplittable (shorter than
-    /// `MIN_SPLIT_SEGMENTS` segments, or one duplicate run). The
-    /// next plan is empty, and the content is the oracle's.
+/// The calibrator rule reaches a fixed point. Shard `i` of
+/// `lens.len()` holds `lens[i]` random keys of its width; `dups` adds
+/// duplicate runs; shard `i` then takes `reads[i]` reads of stored
+/// keys, half on one of them. Under either threshold preset for the
+/// shards' arrays and with or without a length `backstop` (at 64 or
+/// more): after `maintain()` every shard is inside its leaf bounds
+/// (access mass between ρ₁ = 0.08 and τ₁ = 1 times the capacity
+/// `W / num_shards / τ_h`, and no longer than the backstop), or too
+/// cold with no window of two or more shards that one step may drain,
+/// or unsplittable (shorter than `MIN_SPLIT_SEGMENTS` segments, or
+/// one duplicate run). The next plan is empty, and the content is
+/// the oracle's.
+fn check_fixed_point(
+    lens: &[u16],
+    reads: &[u16],
+    dups: &[(i64, u16)],
+    targets: usize,
+    backstop: usize,
+    scan_oriented: bool,
+    seed: u64,
+) {
+    let width = 1000i64;
+    let n = lens.len();
+    let thresholds = match scan_oriented {
+        true => Thresholds::scan_oriented(),
+        false => Thresholds::update_oriented(),
+    };
+    let cfg = ShardConfig {
+        num_shards: targets,
+        rma: small_rma().with_thresholds(thresholds),
+        max_shard_len: (backstop >= 64).then_some(backstop),
+    };
+    let db = sharded_db(cfg, (1..n as i64).map(|i| i * width).collect());
+    let sharded = db.engine();
+    let mut rng = rma_repro::workloads::SplitMix64::new(seed);
+    let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
+    for (i, &len) in lens.iter().enumerate() {
+        for _ in 0..len {
+            let k = i as i64 * width + rng.next_below(width as u64) as i64;
+            sharded.insert(k, k);
+            oracle_insert(&mut oracle, k);
+        }
+    }
+    for &(k, reps) in dups {
+        for _ in 0..reps {
+            sharded.insert(k, k);
+            oracle_insert(&mut oracle, k);
+        }
+    }
+    // The masses are the reads of stored keys alone; all zero,
+    // the lengths rule.
+    sharded.reset_access_stats();
+    for (i, &r) in reads.iter().take(n).enumerate() {
+        let range = i as i64 * width..(i as i64 + 1) * width;
+        let stored: Vec<i64> = oracle.range(range).map(|(&k, _)| k).collect();
+        if stored.is_empty() {
+            continue;
+        }
+        let pick = |rng: &mut rma_repro::workloads::SplitMix64| {
+            stored[rng.next_below(stored.len() as u64) as usize]
+        };
+        // Half the reads on one key, half spread over the shard.
+        let hot = pick(&mut rng);
+        for j in 0..r {
+            let k = if j % 2 == 0 { hot } else { pick(&mut rng) };
+            let _ = sharded.get(k);
+        }
+    }
+    sharded.maintain();
+    sharded.check_invariants();
+    let got: Vec<i64> = sharded.collect_all().iter().map(|p| p.0).collect();
+    let want: Vec<i64> = oracle
+        .iter()
+        .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
+        .collect();
+    assert_eq!(got, want);
+
+    let stats = sharded.stats_snapshot().shards;
+    let lens: Vec<usize> = stats.iter().map(|s| s.len).collect();
+    let masses: Vec<u64> = stats.iter().map(|s| s.access_mass).collect();
+    let weights: Vec<f64> = match masses.iter().all(|&m| m == 0) {
+        true => lens.iter().map(|&l| l as f64).collect(),
+        false => masses.iter().map(|&m| m as f64).collect(),
+    };
+    let total: f64 = weights.iter().sum();
+    let plan = sharded.plan_maintenance();
+    assert!(
+        plan.is_empty(),
+        "no fixed point: {:?} {:?} {:?}",
+        lens,
+        weights,
+        plan
+    );
+    if total == 0.0 || lens.iter().all(|&l| l == 0) {
+        return;
+    }
+    let cap = total / targets as f64 / 0.75;
+    let len: usize = lens.iter().sum();
+    let bound = cfg.max_shard_len.unwrap_or((1 << 17).max(len / targets));
+    let min_split = MIN_SPLIT_SEGMENTS * cfg.rma.segment_size;
+    let content = sharded.collect_all();
+    for (i, s) in stats.iter().enumerate() {
+        let too_long = cfg.max_shard_len.is_some_and(|m| s.len > m);
+        let over = weights[i] > cap || too_long;
+        let under = weights[i] < 0.08 * cap;
+        let inside =
+            |k: &i64| s.lower_bound.is_none_or(|l| l <= *k) && s.upper_bound.is_none_or(|h| *k < h);
+        let keys: Vec<i64> = content.iter().map(|p| p.0).filter(inside).collect();
+        let unsplittable = s.len < min_split || keys.first() == keys.last();
+        let no_window = windows_above(i, lens.len())
+            .find(|(_, w)| w.len() >= 2)
+            .is_none_or(|(_, w)| lens[w].iter().sum::<usize>() > bound);
+        assert!(
+            !(over || under) || unsplittable || (under && no_window),
+            "shard {} out of bounds: lens {:?} weights {:?} cap {}",
+            i,
+            lens,
+            weights,
+            cap
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// [`check_fixed_point`] on random shards, reads and duplicate
+    /// runs.
     #[test]
     fn maintain_reaches_a_fixed_point_of_the_calibrator_rule(
         lens in prop::collection::vec(0u16..700, 2..12),
@@ -599,98 +718,26 @@ proptest! {
         scan_oriented in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let width = 1000i64;
-        let n = lens.len();
-        let thresholds = match scan_oriented {
-            true => Thresholds::scan_oriented(),
-            false => Thresholds::update_oriented(),
-        };
-        let cfg = ShardConfig {
-            num_shards: targets,
-            rma: small_rma().with_thresholds(thresholds),
-            max_shard_len: (backstop >= 64).then_some(backstop),
-        };
-        let db = sharded_db(cfg, (1..n as i64).map(|i| i * width).collect());
-        let sharded = db.engine();
-        let mut rng = rma_repro::workloads::SplitMix64::new(seed);
-        let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
-        for (i, &len) in lens.iter().enumerate() {
-            for _ in 0..len {
-                let k = i as i64 * width + rng.next_below(width as u64) as i64;
-                sharded.insert(k, k);
-                oracle_insert(&mut oracle, k);
-            }
-        }
-        for &(k, reps) in &dups {
-            for _ in 0..reps {
-                sharded.insert(k, k);
-                oracle_insert(&mut oracle, k);
-            }
-        }
-        // The masses are the reads of stored keys alone; all zero,
-        // the lengths rule.
-        sharded.reset_access_stats();
-        for (i, &r) in reads.iter().take(n).enumerate() {
-            let range = i as i64 * width..(i as i64 + 1) * width;
-            let stored: Vec<i64> = oracle.range(range).map(|(&k, _)| k).collect();
-            if stored.is_empty() {
-                continue;
-            }
-            let pick = |rng: &mut rma_repro::workloads::SplitMix64| {
-                stored[rng.next_below(stored.len() as u64) as usize]
-            };
-            // Half the reads on one key, half spread over the shard.
-            let hot = pick(&mut rng);
-            for j in 0..r {
-                let k = if j % 2 == 0 { hot } else { pick(&mut rng) };
-                let _ = sharded.get(k);
-            }
-        }
-        sharded.maintain();
-        sharded.check_invariants();
-        let got: Vec<i64> = sharded.collect_all().iter().map(|p| p.0).collect();
-        let want: Vec<i64> = oracle
-            .iter()
-            .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
-            .collect();
-        prop_assert_eq!(got, want);
-
-        let stats = sharded.stats_snapshot().shards;
-        let lens: Vec<usize> = stats.iter().map(|s| s.len).collect();
-        let masses: Vec<u64> = stats.iter().map(|s| s.access_mass).collect();
-        let weights: Vec<f64> = match masses.iter().all(|&m| m == 0) {
-            true => lens.iter().map(|&l| l as f64).collect(),
-            false => masses.iter().map(|&m| m as f64).collect(),
-        };
-        let total: f64 = weights.iter().sum();
-        let plan = sharded.plan_maintenance();
-        prop_assert!(plan.is_empty(), "no fixed point: {:?} {:?} {:?}", lens, weights, plan);
-        if total == 0.0 || lens.iter().all(|&l| l == 0) {
-            return;
-        }
-        let cap = total / targets as f64 / 0.75;
-        let len: usize = lens.iter().sum();
-        let bound = cfg.max_shard_len.unwrap_or((1 << 17).max(len / targets));
-        let min_split = MIN_SPLIT_SEGMENTS * cfg.rma.segment_size;
-        let content = sharded.collect_all();
-        for (i, s) in stats.iter().enumerate() {
-            let too_long = cfg.max_shard_len.is_some_and(|m| s.len > m);
-            let over = weights[i] > cap || too_long;
-            let under = weights[i] < 0.08 * cap;
-            let inside = |k: &i64| s.lower_bound.is_none_or(|l| l <= *k) && s.upper_bound.is_none_or(|h| *k < h);
-            let keys: Vec<i64> = content.iter().map(|p| p.0).filter(inside).collect();
-            let unsplittable = s.len < min_split || keys.first() == keys.last();
-            let no_window = windows_above(i, lens.len())
-                .find(|(_, w)| w.len() >= 2)
-                .is_none_or(|(_, w)| lens[w].iter().sum::<usize>() > bound);
-            prop_assert!(
-                !(over || under) || unsplittable || (under && no_window),
-                "shard {} out of bounds: lens {:?} weights {:?} cap {}",
-                i,
-                lens,
-                weights,
-                cap
-            );
-        }
+        check_fixed_point(&lens, &reads, &dups, targets, backstop, scan_oriented, seed);
     }
+}
+
+/// Case 7 848 of the fixed-point proptest (seed
+/// `0xa0761d6445ed642f`): a heavy duplicate run beside a sliver of
+/// mass. A cut counted up from `⌈mass / target⌉` pieces leaves the
+/// sliver under ρ₁ in a window one step may drain, where one piece
+/// holds the whole window under the capacity.
+#[test]
+fn a_lump_beside_a_sliver_reaches_the_fixed_point() {
+    check_fixed_point(
+        &[510, 0, 200, 156, 330, 119, 233, 246],
+        &[
+            50, 1464, 1108, 1255, 153, 1349, 1488, 472, 723, 1104, 569, 1463,
+        ],
+        &[(6127, 324), (1279, 350), (6131, 397)],
+        6,
+        2168,
+        true,
+        0x5eb5_b2a8_a711_d52f,
+    );
 }
