@@ -704,7 +704,7 @@ fn check_fixed_point(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// [`check_fixed_point`] on random shards, reads and duplicate
     /// runs.
