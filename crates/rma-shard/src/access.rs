@@ -21,13 +21,14 @@
 //!    every busy shard toward the same steady-state mass
 //!    (~2 × `DECAY_EVERY`) and erase exactly the cross-shard
 //!    imbalance the maintenance planner needs to see.
-//! 3. **Survives restructuring.** When maintenance splits or merges
-//!    shards, the learned signal must not reset to zero (a fresh shard
-//!    with an empty histogram would immediately look "cold" and
-//!    oscillate). Each drained shard's mass is laid on its residents
-//!    ([`AccessStats::resident_shares`]), and a successor's histogram
-//!    is seeded with the mass of the residents it takes
-//!    ([`AccessStats::seed`]), so the mass stays where the keys are.
+//! 3. **Survives restructuring, read from counts.** When maintenance
+//!    splits or merges shards, the learned signal must not reset to
+//!    zero (a fresh shard with an empty histogram would look "cold"
+//!    and oscillate). Each bucket's mass is laid evenly on the
+//!    residents inside it ([`AccessStats::resident_shares`]) and a
+//!    successor is seeded with the mass of the residents it takes, so
+//!    the mass stays where the keys are. Both read only how many
+//!    residents each bucket holds: ranks at its edges.
 //!
 //! The bucket geometry is fixed at construction: `num_buckets` equal
 //! slices of the shard's key range. Unbounded range edges clamp to the
@@ -161,13 +162,11 @@ impl AccessStats {
         ranks.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// The access mass each resident of this histogram's shard
-    /// carries, by bucket: bucket `b`'s mass split evenly over its
-    /// `counts[b]` residents, and the mass of a bucket with none
-    /// handed on to the next bucket that has some (the last such
-    /// bucket takes what trails it). The shares sum, over the
-    /// residents, to the histogram's total (to zero when there are
-    /// none). Returns the shares and that total.
+    /// What each resident carries, by bucket: bucket `b`'s mass split
+    /// evenly over its `counts[b]` residents, the mass of a bucket with
+    /// none handed on to the next that has some (the last such takes
+    /// what trails it). Returns the shares and their sum over the
+    /// residents: the histogram's total, or zero when there are none.
     pub fn resident_shares(&self, counts: &[usize]) -> (Vec<f64>, f64) {
         let mut shares = vec![0.0; counts.len()];
         let (mut pending, mut total, mut last) = (0.0, 0.0, None);
@@ -185,22 +184,16 @@ impl AccessStats {
         (shares, total)
     }
 
-    /// Adds the mass `mass` puts on residents `from..` — counted per
-    /// bucket of this histogram as [`bucket_counts`](Self::bucket_counts)
+    /// Adds the mass `mass` puts on residents `from..` — `counts[b]`
+    /// of them in bucket `b`, as [`bucket_counts`](Self::bucket_counts)
     /// counts them — into those buckets, so a shard rebuilt from
     /// others' residents starts with their mass where they are. Rounds
     /// the running sum at each bucket's end: the histogram gains the
     /// total to the nearest unit.
-    pub(crate) fn seed(
-        &self,
-        mass: &ResidentMass,
-        from: usize,
-        below: impl FnMut(Key) -> usize,
-        len: usize,
-    ) {
+    pub(crate) fn seed(&self, mass: &ResidentMass, from: usize, counts: Vec<usize>) {
         let (mut sum, mut seeded, mut at) = (0.0, 0u64, from);
-        for (bucket, c) in self.buckets.iter().zip(self.bucket_counts(below, len)) {
-            sum += mass.between(at, at + c);
+        for (bucket, c) in self.buckets.iter().zip(counts) {
+            sum += mass.between(at..at + c);
             at += c;
             let due = (sum.round() as u64).saturating_sub(seeded);
             bucket.fetch_add(due, Relaxed);
@@ -228,19 +221,17 @@ impl ResidentMass {
         ResidentMass { ranks, cum, shares }
     }
 
-    /// Appends the residents of a shard with histogram `stats`,
-    /// counted by `below` and `len` as in
-    /// [`AccessStats::bucket_counts`], carrying their
-    /// [`resident_shares`](AccessStats::resident_shares) — or, with
-    /// `by_count`, one each.
+    /// Appends a shard's residents, counted per bucket of its `stats`
+    /// by `below` and `len`, carrying their shares (one each with
+    /// `by_count`). Returns the rank of the first of them.
     pub(crate) fn push(
         &mut self,
         stats: &AccessStats,
         below: impl FnMut(Key) -> usize,
         len: usize,
         by_count: bool,
-    ) {
-        let counts = stats.bucket_counts(below, len);
+    ) -> usize {
+        let (first, counts) = (self.len(), stats.bucket_counts(below, len));
         let shares = match by_count {
             true => vec![1.0; counts.len()],
             false => stats.resident_shares(&counts).0,
@@ -250,6 +241,7 @@ impl ResidentMass {
             self.cum.push(self.total() + c as f64 * share);
             self.shares.push(share);
         }
+        first
     }
 
     /// Residents counted.
@@ -262,10 +254,9 @@ impl ResidentMass {
         self.cum[self.cum.len() - 1]
     }
 
-    /// A resident at or just before the one whose own mass reaches
-    /// `q > 0` from the mass before it — the run by prefix sums, then
-    /// the resident by the run's share — or `None` when the total
-    /// stays below `q`.
+    /// A resident at or just before the one whose mass reaches `q > 0`
+    /// — the run by prefix sums, then the resident by the run's share
+    /// — or `None` when the total stays below `q`.
     pub(crate) fn crossing(&self, q: f64) -> Option<usize> {
         let run = self.cum[1..].partition_point(|&c| c < q);
         let inside = ((q - self.cum[run]) / self.shares.get(run)?).floor();
@@ -273,8 +264,8 @@ impl ResidentMass {
     }
 
     /// The mass of residents `from..to`, summed run by run.
-    pub(crate) fn between(&self, from: usize, to: usize) -> f64 {
-        let (mut sum, mut at) = (0.0, from);
+    pub(crate) fn between(&self, residents: std::ops::Range<usize>) -> f64 {
+        let (mut sum, mut at, to) = (0.0, residents.start, residents.end);
         while at < to {
             let run = self.ranks.partition_point(|&r| r <= at) - 1;
             let end = self.ranks[run + 1].min(to);
@@ -394,7 +385,7 @@ mod tests {
         assert_eq!(mass.total(), sum);
         // Re-bin into a *different* geometry covering half the range.
         let dst = AccessStats::new(Some(500), Some(1000), 5);
-        dst.seed(&mass, 0, below, keys.len());
+        dst.seed(&mass, 0, dst.bucket_counts(below, keys.len()));
         assert_eq!(dst.total(), total, "seed must conserve mass");
         // Residents below 500 saturate into dst's first bucket, and
         // none lies in its last.
@@ -418,7 +409,7 @@ mod tests {
         let mut mass = ResidentMass::new();
         mass.push(&src, below, keys.len(), false);
         let dst = AccessStats::new(Some(0), Some(100), 10);
-        dst.seed(&mass, 0, below, keys.len());
+        dst.seed(&mass, 0, dst.bucket_counts(below, keys.len()));
         assert_eq!(dst.snapshot(), [0, 0, 0, 150, 150, 0, 50, 50, 0, 0]);
     }
 

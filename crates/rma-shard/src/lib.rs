@@ -25,19 +25,13 @@
 //!   periodically halved so stale hotspots fade;
 //! * maintenance is an **incremental plan engine**
 //!   ([`maintenance`] module) with one rule, the paper's calibrator
-//!   tree one level up: a shard whose access mass leaves its leaf
-//!   bounds against the capacity `W / num_shards` takes the smallest
-//!   enclosing window of shards inside its level's bounds, and the
-//!   window is re-cut at the quantiles of its access mass.
-//!   [`plan_maintenance`](ShardedRma::plan_maintenance) *plans* the
-//!   rule as bounded [`MaintenanceStep`]s — each one re-cut of a key
-//!   range, which moves every key in it once — and an executor applies one
-//!   step at a time, each publishing its own copy-on-write topology,
-//!   so maintenance never stalls a writer for more than one step;
-//!   [`maintain`](ShardedRma::maintain) drains the plan at once, and
-//!   [`start_maintainer`](ShardedRma::start_maintainer) drains plans
-//!   from a dedicated background thread on a per-tick step budget
-//!   with inter-step sleeps.
+//!   tree one level up:
+//!   [`plan_maintenance`](ShardedRma::plan_maintenance) plans it as
+//!   [`MaintenanceStep`]s, each one re-cut of a key range that
+//!   publishes its own copy-on-write topology;
+//!   [`maintain`](ShardedRma::maintain) drains a plan at once, and
+//!   [`start_maintainer`](ShardedRma::start_maintainer) from a
+//!   background thread on a per-tick step budget.
 //!
 //! ## The optimistic read path
 //!

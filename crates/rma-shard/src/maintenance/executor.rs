@@ -15,15 +15,12 @@
 //! 2. write-lock only the shards inside the step's key range
 //!    ([`StepGuards`], ascending order), drain them, and build the
 //!    replacement shards through the paper's bulk-load machinery,
-//!    histograms re-seeded from the parents;
+//!    each histogram seeded with the parents' mass from partition
+//!    points at the bucket edges of the sorted drain;
 //! 3. retire the drained shards, publish the successor topology
 //!    (untouched shards shared by `Arc`), release the locks, and wait
-//!    out the reader grace period.
-//!
-//! Writers therefore only ever queue behind the shards of the step in
-//! flight; a writer blocked when a step begins is released when that
-//! step publishes — the `fig18_write_stall` benchmark and the
-//! writer-progress stress test pin this down.
+//!    out the reader grace period — a writer blocked when the step
+//!    began is released here.
 
 use super::plan::{MaintenancePlan, MaintenanceStep};
 use crate::access::ResidentMass;

@@ -1,56 +1,32 @@
-//! Shard maintenance: the **incremental maintenance plan engine**.
-//! Following the paper's
-//! incremental-rebalance philosophy (restructuring must not stall the
-//! data path, §V) one level up, maintenance is decomposed:
+//! Shard maintenance: the **incremental maintenance plan engine**,
+//! the paper's incremental-rebalance philosophy (restructuring must
+//! not stall the data path, §V) one level up.
 //!
-//! * the **planner** (`plan.rs`) reads the access histograms and
-//!   emits a [`MaintenancePlan`]: bounded steps, each a
-//!   [`Recut`](MaintenanceStep::Recut) — the key-identified name of a
-//!   range of whole shards and the cuts to rebuild it at — in the
-//!   order they are to run; there is no scheduler between planner and
-//!   executor. Its rule is the calibrator tree of §III with the
-//!   shards as leaves: a shard whose access mass leaves its leaf
-//!   bounds against the capacity `W / num_shards` takes the smallest
-//!   enclosing window inside its level's bounds, and the window is
-//!   re-cut at the quantiles of its mass — every key of the window
-//!   moved once. Splits, merges and walking an accreted topology back
-//!   down are all this one rule;
-//! * the **executor** ([`ShardedRma::execute_step`] /
+//! * The **planner** (`plan.rs`) is the calibrator tree of §III with
+//!   the shards as leaves: a shard whose access mass leaves its leaf
+//!   bounds takes the smallest enclosing window inside its level's
+//!   bounds, and the window is re-cut at the quantiles of its mass.
+//!   Splits, merges and walking an accreted topology back down are
+//!   this one rule. Like the paper's calibrator it reads counts —
+//!   masses, and residents per histogram bucket as ranks — never the
+//!   residents themselves. It emits a [`MaintenancePlan`] of
+//!   [`Recut`](MaintenanceStep::Recut) steps in the order they run.
+//! * The **executor** ([`ShardedRma::execute_step`] /
 //!   [`ShardedRma::drain_plan`], in `executor.rs`) applies one step at
-//!   a time through one procedure: it locks only the
-//!   shards inside the step's range, publishes a successor topology
-//!   that reuses every untouched shard's `Arc`, and waits out the read
-//!   grace period — so **a writer only ever waits out the one step
-//!   currently restructuring its shard, never the whole topology**.
+//!   a time: it locks only the shards inside the step's range, drains
+//!   and rebuilds them, seeds the successors' histograms with the mass
+//!   of the residents each takes, publishes a copy-on-write topology
+//!   and waits out the read grace period — so **a writer only ever
+//!   waits out the one step restructuring its shard**, and readers
+//!   never wait at all.
 //!
-//! The one synchronous entry point, [`ShardedRma::maintain`], plans
-//! and immediately drains, round after round. The background
-//! maintainer ([`crate::maintainer`]) instead drains plans a few
-//! steps per tick with inter-step sleeps. Whoever drains, every
-//! popped step is filed once — a split when it built more shards than
-//! it took, a merge otherwise — in the engine's ledger
-//! ([`ShardedRma::maintenance_stats`]).
-//!
-//! A durability checkpoint ([`ShardedRma::checkpoint`]) is not a
-//! step: it restructures nothing, so it is neither planned nor filed.
-//!
-//! # Maintenance vs. the lock-free read path
-//!
-//! Every structural change remains copy-on-write: a step (serialized
-//! by the maintenance mutex) drains the affected shards under their
-//! write locks, builds a successor `Topology` that reuses the
-//! untouched shards' `Arc`s, marks the replaced shards retired, swaps
-//! the topology pointer, releases the locks, and only then waits out
-//! the readers still pinned to the displaced topology. Readers never
-//! block behind maintenance; a write that reaches a retired shard
-//! bounces out of its write section and re-enters its own entry point
-//! on a fresh pin (`ShardedRma::write_locked`). Restructured shards are
-//! rebuilt through the paper's bulk-load machinery and their
-//! histograms are **re-seeded** from the learned signal — each drained
-//! shard's mass laid on its residents, each successor taking the mass
-//! of the residents it holds — so maintenance never resets what the
-//! workload taught the structure, and the planner, which weighs the
-//! residents the same way, predicts the masses a re-cut leaves.
+//! [`ShardedRma::maintain`] plans and drains at once, round after
+//! round; the background maintainer ([`crate::maintainer`]) drains
+//! plans a few steps per tick. Every popped step is filed once — a
+//! split when it built more shards than it took, a merge otherwise —
+//! in [`ShardedRma::maintenance_stats`]. A durability checkpoint
+//! ([`ShardedRma::checkpoint`]) restructures nothing and is not a
+//! step.
 
 pub(crate) mod executor;
 pub(crate) mod plan;
@@ -94,8 +70,9 @@ impl ShardedRma {
         shell.load_bulk(elems);
         let (lo, hi) = splitters.range_of(i);
         let shard = Shard::new(shell, lo, hi, Arc::clone(&self.lock_stats));
-        let below = |k| elems.partition_point(|e| e.0 < k);
-        shard.stats.seed(mass, from, below, elems.len());
+        let counts =
+            (shard.stats).bucket_counts(|k| elems.partition_point(|e| e.0 < k), elems.len());
+        shard.stats.seed(mass, from, counts);
         Arc::new(shard)
     }
 

@@ -2,33 +2,18 @@
 //! turned into a [`MaintenancePlan`] of bounded, key-identified steps.
 //!
 //! Every step is identified by **keys**, never by shard indices: the
-//! topology can shift between planning and execution, a plan is
-//! advisory, and the executor resolves each step's keys against the
-//! live topology (stale steps are skipped, never mis-applied). There
-//! is one step, [`Recut`]: the drift-proof *name* of a run of whole
-//! shards and the cuts to rebuild it at, so every key in the run
-//! moves once per step.
+//! topology can shift between planning and execution, so the executor
+//! resolves each step's keys against the live topology and skips a
+//! stale one. There is one step, [`Recut`]: the name of a run of whole
+//! shards and the cuts to rebuild it at.
 //!
-//! There is one planner, [`ShardedRma::plan_maintenance`], and it is
-//! the calibrator tree of §III with the shards as its leaves. A
-//! shard's density is its decayed access mass against the fixed
-//! capacity `W / num_shards` (`W` the index's total mass; lengths
-//! stand in while no mass is recorded), and the leaf and level bounds
-//! are the update-oriented preset's. A shard out of its leaf bounds
-//! takes the smallest enclosing calibrator window
-//! ([`rma_core::windows_above`]) whose density is inside its level's
-//! bounds, among the windows one step may drain; that window is
-//! re-cut at the quantiles of its access mass. Split, merge and the
-//! walk of an accreted topology back down are all this one rule.
-//!
-//! A plan is a list: the planner emits its steps in the order they
-//! are to run, and the plan pops them front to back, to its end —
-//! the windows that shed an overload first, then the rest, each in
-//! key order. Nothing second-guesses a plan once it is made — as the
-//! paper's calibrator picks a window and the window is redistributed
-//! — so the only check between planning and execution is the
-//! per-step one: a step whose keys no longer name whole shards is
-//! skipped.
+//! There is one planner, [`ShardedRma::plan_maintenance`]: the
+//! calibrator tree of §III with the shards as its leaves. Like the
+//! paper's calibrator it decides from counts — the shards' access
+//! masses, and for a cut the residents per histogram bucket, read as
+//! ranks — and never walks a shard's elements. A plan is a list popped
+//! front to back, to its end: the windows that shed an overload
+//! first, then the rest, each in key order.
 //!
 //! [`Recut`]: MaintenanceStep::Recut
 
@@ -49,13 +34,13 @@ pub enum MaintenanceStep {
     /// Re-cut the whole shards spanning `[lo, hi)` at `cuts`: drain
     /// them and rebuild the range as `cuts.len() + 1` shards, so each
     /// key in the range moves once. A step that puts out more shards
-    /// than it takes in is a split, any other a merge; a merge builds
-    /// at most `ShardConfig::max_shard_len` elements (when that is
-    /// unset, one target shard's length, `len / num_shards`, or 2^17
-    /// if that is more), a split is not bounded — it is how an
-    /// oversized shard shrinks. Skipped when `lo` or `hi` is no longer a shard
-    /// boundary, when the cuts are not strictly ascending inside
-    /// `(lo, hi)`, or when they are the range's boundaries already.
+    /// than it takes in is a split, any other a merge; a merge is held
+    /// to the merge bound (see
+    /// [`plan_maintenance`](ShardedRma::plan_maintenance)), a split is
+    /// how an oversized shard shrinks. Skipped when `lo` or `hi` is no
+    /// longer a shard boundary, when the cuts are not strictly
+    /// ascending inside `(lo, hi)`, or when they are the range's
+    /// boundaries already.
     Recut {
         /// Lower edge of the range (`None`: the key space's).
         lo: Option<Key>,
@@ -68,15 +53,11 @@ pub enum MaintenanceStep {
 }
 
 /// The [`MaintenanceStep`]s one planner call produced, in the order
-/// they are to run. When the maintainer's tick budget runs out before
-/// the plan does, what has run is what the planner put first. Drained
-/// step-by-step by [`ShardedRma::execute_step`] (the background
-/// maintainer's paced mode) or all at once by
-/// [`ShardedRma::drain_plan`].
-///
-/// A plan runs to its end: the calibrator decided there was work,
-/// and each step is checked against the live topology only when it
-/// is popped, where a stale one is skipped.
+/// they are to run, drained step by step by
+/// [`ShardedRma::execute_step`] (the background maintainer's paced
+/// mode) or all at once by [`ShardedRma::drain_plan`]. A plan runs to
+/// its end; each step is checked against the live topology only when
+/// it is popped, where a stale one is skipped.
 #[derive(Debug)]
 pub struct MaintenancePlan {
     steps: VecDeque<MaintenanceStep>,
@@ -109,31 +90,25 @@ impl ShardedRma {
     /// drains at once.
     ///
     /// Each shard is a leaf whose weight is its decayed access mass
-    /// (its length while no access has been recorded anywhere, so a
-    /// freshly bulk-loaded index balances by residency), against the
-    /// target `W / num_shards` at the root's upper density τ_h = 0.75
-    /// — the leaf capacity is `W / num_shards / τ_h`, as a bulk load
-    /// fills a PMA's segments to τ_h, so `num_shards` shards of equal
-    /// weight are in bounds. A shard is out of bounds above the
-    /// update-oriented preset's τ₁ = 1 or below its ρ₁ = 0.08, or when
-    /// it is longer than `ShardConfig::max_shard_len`; a shard no cut
-    /// can split (under
+    /// (its length while no access has been recorded anywhere), against
+    /// the leaf capacity `W / num_shards / τ_h`: `num_shards` shards of
+    /// equal weight sit at the root's upper density τ_h = 0.75, as a
+    /// bulk load fills a PMA's segments. A shard is out of bounds above
+    /// the update-oriented preset's τ₁ = 1 or below its ρ₁ = 0.08, or
+    /// when it is longer than `ShardConfig::max_shard_len`; a shard no
+    /// cut can split (under
     /// [`MIN_SPLIT_SEGMENTS`](crate::config::MIN_SPLIT_SEGMENTS)
-    /// segments, or one key's run) is never over. An out-of-bounds
-    /// shard takes the smallest enclosing window whose density is
-    /// inside its level's bound, among the windows whose shards one
-    /// merge may drain (`max_shard_len`; unset, a target shard's
-    /// length or 2^17, whichever is more). When there is none, an
-    /// overflowing shard splits alone and an underflowing one takes
-    /// the largest such window — the array's resize, bounded to one
-    /// step. Windows are nested or disjoint, and the outer one is
-    /// kept. Each window is re-cut at the quantiles of its access mass
-    /// as its residents carry it (of its residents while it has none)
-    /// into the fewest pieces, from `⌈mass / target⌉` up, that leave
-    /// every piece at or under the leaf capacity or holding one key's
-    /// run; no piece of a shard below the split floor holds less than
-    /// half of it. A window whose cuts are its boundaries already plans
-    /// nothing, so balanced topologies plan zero steps.
+    /// segments, or one key's run) is never over. It takes the smallest
+    /// enclosing window inside its level's bound among those one merge
+    /// may drain (`max_shard_len`; unset, a target shard's length or
+    /// 2^17, whichever is more); with none, an over shard splits alone
+    /// and an under one takes the largest such window. Of nested
+    /// windows the outer is kept. Each window is re-cut at the
+    /// quantiles of its access mass (`cut_points`) into a count of
+    /// pieces, from `⌈mass / target⌉` up and then down, that keeps every
+    /// piece inside its leaf bounds; no piece of a shard below the
+    /// split floor holds less than half of it. A window whose cuts are
+    /// its boundaries already plans nothing.
     pub fn plan_maintenance(&self) -> MaintenancePlan {
         let t0 = rma_obs::now_ns();
         let topo = self.topo();
@@ -260,25 +235,18 @@ impl ShardedRma {
     }
 }
 
-/// The keys to cut the run of `shards` at: strictly ascending
-/// resident keys, each the first of its duplicate run, so no piece is
-/// empty. The run's access mass is laid on its residents as the
-/// executor seeds the successors
-/// ([`AccessStats::resident_shares`](crate::AccessStats::resident_shares));
-/// `by_len` (with `bounds` lengths), or while the run has no mass,
-/// every resident weighs one. A cut falls before each duplicate run
-/// whose weight, counted to its middle, reaches the next k-quantile,
-/// for the first `k` in `ks` that leaves every piece inside `bounds`
-/// (a piece of one key's run may pass the upper bound) and no longer
-/// than `max_len` (unless one key's run) — for the first of `ks` when
-/// none does: a key that carries much of its shard's reads can leave
-/// a piece over the capacity at the count the mass alone asks for,
-/// and a sliver beside it under the lower bound. Fewer than `k - 1`
-/// cuts when duplicate runs swallow some; none when the run cannot be
-/// cut (one giant duplicate run). Reads counts, not keys: the
-/// residents are counted per bucket by rank, a quantile's resident is
-/// found by prefix sums over the buckets, and one `select` and two
-/// `rank`s name its duplicate run.
+/// The keys to cut the run of `shards` at: ascending resident keys,
+/// each the first of its duplicate run. The run's access mass is laid
+/// on its residents as the executor seeds the successors; `by_len`
+/// (with `bounds` lengths), or while the run has no mass, every
+/// resident weighs one. A cut falls before each duplicate run whose
+/// weight, counted to its middle, reaches the next k-quantile, for the
+/// first `k` in `ks` whose pieces all lie inside `bounds` and hold at
+/// most `max_len` residents (one key's run may pass the upper bounds);
+/// else the first `k` whose pieces pass no upper bound, else the first
+/// `k`. Reads counts, not keys: residents per bucket by rank, a
+/// quantile's resident by prefix sums over the buckets, and its
+/// duplicate run by one `select` and two `rank`s.
 fn cut_points(
     shards: &[Arc<Shard>],
     ks: &[usize],
@@ -286,14 +254,11 @@ fn cut_points(
     max_len: usize,
     by_len: bool,
 ) -> Vec<Key> {
+    // The residents' mass, and the rank of each shard's first one.
     let count = |by_count: bool| {
         let mut mass = ResidentMass::new();
         let offsets: Vec<usize> = (shards.iter())
-            .map(|s| {
-                let at = mass.len();
-                s.peek(|r| mass.push(&s.stats, |k| r.rank(k), r.len(), by_count));
-                at
-            })
+            .map(|s| s.peek(|r| mass.push(&s.stats, |k| r.rank(k), r.len(), by_count)))
             .collect();
         (mass, offsets)
     };
@@ -325,57 +290,48 @@ fn cut_points(
     let carrier = mass.crossing(f64::MIN_POSITIVE).and_then(run_at);
     let carrier_end = carrier.map_or(n, |c| c.1.end);
     // A run's weight counted to its middle.
-    let mid =
-        |run: &Range<usize>| mass.between(0, run.start) + mass.between(run.start, run.end) / 2.0;
-    // Whether the piece `from..to`, whose first run ends at `one`, is
-    // inside the upper bounds, and inside the lower one too.
-    let fits = |from: usize, to: usize, one: usize| {
-        let w = mass.between(from, to);
-        let upper = (w <= cap && to - from <= max_len) || one == to;
-        [upper, upper && w >= lower]
+    let mid = |r: &Range<usize>| mass.between(0..r.start) + mass.between(r.clone()) / 2.0;
+    // How the piece from `first`'s start to `to` fits: 0 past an upper
+    // bound, 1 inside them but under the lower one, 2 inside all.
+    let grade = |first: &Range<usize>, to: usize| {
+        let w = mass.between(first.start..to);
+        match (w <= cap && to - first.start <= max_len) || first.end == to {
+            true => 1 + u8::from(w >= lower),
+            false => 0,
+        }
     };
-    // The k-quantile cuts, and whether every piece fits each way.
+    // The k-quantile cuts, and the worst grade of their pieces.
     let quantiles = |k: usize| {
         // Each cut's key and duplicate run.
         let mut cuts: Vec<(Key, Range<usize>)> = Vec::new();
         for j in 1..k {
             let q = j as f64 * total / k as f64;
-            // The run holding the crossing of `q`, or the next one.
+            // The run holding the crossing of `q`, or the next one
+            // whose weight, counted to its middle, reaches `q`.
             let from = cuts.last().map_or(carrier_end, |c| c.1.end);
-            let mut i = mass.crossing(q).unwrap_or(n).max(from);
-            let cut = loop {
-                match run_at(i) {
-                    Some((_, run)) if mid(&run) < q => i = run.end,
-                    found => break found,
-                }
-            };
-            match cut {
-                Some(cut) => cuts.push(cut),
-                None => break,
+            let mut cut = run_at(mass.crossing(q).unwrap_or(n).max(from));
+            while let Some(end) = cut.as_ref().filter(|c| mid(&c.1) < q).map(|c| c.1.end) {
+                cut = run_at(end);
             }
+            cuts.extend(cut);
         }
-        let fit = (0..=cuts.len()).fold([true; 2], |fit, p| {
-            let (from, one) = p.checked_sub(1).map_or((0, first.end), |c| {
-                let run = &cuts[c].1;
-                (run.start, run.end)
-            });
-            let f = fits(from, cuts.get(p).map_or(n, |c| c.1.start), one);
-            [fit[0] && f[0], fit[1] && f[1]]
-        });
+        let firsts = std::iter::once(&first).chain(cuts.iter().map(|c| &c.1));
+        let ends = cuts.iter().map(|c| c.1.start).chain([n]);
+        let fit = firsts.zip(ends).fold(2, |g, (f, to)| g.min(grade(f, to)));
         (cuts.into_iter().map(|c| c.0).collect::<Vec<_>>(), fit)
     };
-    // The first count whose pieces fit both ways, else the first that
-    // fits the upper bounds, else the first count. Past
-    // `total / lower` pieces one is under the lower bound, so the
-    // counts beyond are tried only while none fits the upper bounds.
+    // The first count whose pieces fit all bounds, else the first that
+    // fits the upper ones, else the first count. Past `total / lower`
+    // pieces one is under the lower bound, so the counts beyond are
+    // tried only while none fits the upper bounds.
     let mut upper = None;
     for &k in ks {
         if upper.is_some() && k as f64 * lower > total {
             continue;
         }
         match quantiles(k) {
-            (cuts, [_, true]) => return cuts,
-            (cuts, [true, _]) => upper = upper.or(Some(cuts)),
+            (cuts, 2) => return cuts,
+            (cuts, 1) => upper = upper.or(Some(cuts)),
             _ => {}
         }
     }
