@@ -49,8 +49,8 @@ pub enum EventKind {
     /// bad opcode or bad checksum); the offending connection was
     /// closed (`keys` carries the wire error code).
     ProtoError = 15,
-    /// The maintenance planner planned a round (`keys` carries the
-    /// steps planned).
+    /// The maintenance planner planned a round (`dur_ns` the time it
+    /// took, `keys` the steps planned).
     Rebalance = 16,
 }
 
