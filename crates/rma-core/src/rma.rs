@@ -282,6 +282,24 @@ impl Rma {
         self.storage.cards_in(0..seg) + self.storage.seg_lower_bound(seg, k)
     }
 
+    /// [`rank`](Self::rank) for keys asked in ascending order: each
+    /// call resumes the pass over `cards` where the previous one
+    /// stopped, so a run of calls costs one pass in all.
+    pub fn ascending_ranks(&self) -> impl FnMut(Key) -> usize + '_ {
+        let (mut seg, mut before, mut last) = (0, 0, Key::MIN);
+        move |k| {
+            assert!(k >= last, "ascending_ranks takes keys in ascending order");
+            last = k;
+            if self.len == 0 {
+                return 0;
+            }
+            let to = self.index.search_lower_bound(k);
+            before += self.storage.cards_in(seg..to);
+            seg = to;
+            before + self.storage.seg_lower_bound(to, k)
+        }
+    }
+
     /// The key of the `i`-th element in sorted order (0-based), or
     /// `None` when `i >= len`: one pass over `cards` to the segment
     /// that holds it.
@@ -1131,11 +1149,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// `rank` and `select` against a multiset oracle, on heap and
-        /// memfd columns: random inserts, removes and mixed batches
-        /// over a few dozen keys in segments of 8, so duplicate runs
-        /// straddle segment boundaries; checked from the empty array
-        /// on, through one-segment arrays, after every op.
+        /// `rank`, `ascending_ranks` and `select` against a multiset
+        /// oracle, on heap and memfd columns: random inserts, removes
+        /// and mixed batches over a few dozen keys in segments of 8,
+        /// so duplicate runs straddle segment boundaries; checked from
+        /// the empty array on, through one-segment arrays, after every
+        /// op.
         #[test]
         fn rank_and_select_match_a_multiset(
             ops in proptest::collection::vec((0u8..4, -4i64..44, 0usize..24), 0..160),
@@ -1180,9 +1199,11 @@ mod tests {
                     let keys: Vec<Key> = (oracle.iter())
                         .flat_map(|(&k, s)| std::iter::repeat_n(k, s.len()))
                         .collect();
-                    for probe in (-6..47).chain([Key::MIN, Key::MAX]) {
+                    let mut ascending = r.ascending_ranks();
+                    for probe in std::iter::once(Key::MIN).chain(-6..47).chain([Key::MAX]) {
                         let want = keys.partition_point(|&x| x < probe);
                         proptest::prop_assert_eq!(r.rank(probe), want, "rank({}) at step {}", probe, step);
+                        proptest::prop_assert_eq!(ascending(probe), want, "ascending rank({})", probe);
                     }
                     for i in 0..keys.len() + 2 {
                         proptest::prop_assert_eq!(r.select(i), keys.get(i).copied(), "select({})", i);

@@ -258,7 +258,7 @@ fn cut_points(
     let count = |by_count: bool| {
         let mut mass = ResidentMass::new();
         let offsets: Vec<usize> = (shards.iter())
-            .map(|s| s.peek(|r| mass.push(&s.stats, |k| r.rank(k), r.len(), by_count)))
+            .map(|s| s.peek(|r| mass.push(&s.stats, r.ascending_ranks(), r.len(), by_count)))
             .collect();
         (mass, offsets)
     };
