@@ -835,7 +835,7 @@ impl Rma {
     }
 
     /// The largest key stored, if any.
-    pub fn last_key(&self) -> Option<Key> {
+    pub(crate) fn last_key(&self) -> Option<Key> {
         (0..self.storage.seg_count())
             .rev()
             .find(|&s| self.storage.card(s) > 0)

@@ -138,7 +138,7 @@ impl ShardedRma {
         // A shard no cut can split (under `MIN_SPLIT_SEGMENTS`
         // segments, or one key's run) is not over, however heavy.
         let splittable = |s: &Shard| {
-            s.peek(|r| r.len() >= min_split && r.first_ge(Key::MIN).map(|e| e.0) != r.last_key())
+            s.peek(|r| r.len() >= min_split && r.select(0) != r.select(r.len() - 1))
         };
         let over: Vec<bool> = (0..n)
             .map(|i| {
