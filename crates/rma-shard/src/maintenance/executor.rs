@@ -291,13 +291,7 @@ impl ShardedRma {
         // are seeded from.
         let mut mass = ResidentMass::new();
         for (s, rma) in topo.shards[first..=last].iter().zip(guards.rmas()) {
-            let keys = &elems[mass.len()..mass.len() + rma.len()];
-            mass.push(
-                &s.stats,
-                |k| keys.partition_point(|e| e.0 < k),
-                keys.len(),
-                false,
-            );
+            mass.push(&s.stats, rma.ascending_ranks(), rma.len(), false);
         }
         // Successor splitters: the run's inner boundaries go, the
         // cuts come.

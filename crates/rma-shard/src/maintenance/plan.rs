@@ -137,9 +137,8 @@ impl ShardedRma {
         let too_long = |i: usize| self.cfg.max_shard_len.is_some_and(|m| lens[i] > m);
         // A shard no cut can split (under `MIN_SPLIT_SEGMENTS`
         // segments, or one key's run) is not over, however heavy.
-        let splittable = |s: &Shard| {
-            s.peek(|r| r.len() >= min_split && r.select(0) != r.select(r.len() - 1))
-        };
+        let splittable =
+            |s: &Shard| s.peek(|r| r.len() >= min_split && r.select(0) != r.select(r.len() - 1));
         let over: Vec<bool> = (0..n)
             .map(|i| {
                 (weights[i] > th.tau(1, h) * cap || too_long(i)) && splittable(&topo.shards[i])
