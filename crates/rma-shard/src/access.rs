@@ -263,9 +263,9 @@ impl ResidentMass {
         Some((self.ranks[run] + inside.max(0.0) as usize).min(self.ranks[run + 1] - 1))
     }
 
-    /// The mass of residents `from..to`, summed run by run.
+    /// The mass of residents `from..to`; none past those counted.
     pub(crate) fn between(&self, residents: std::ops::Range<usize>) -> f64 {
-        let (mut sum, mut at, to) = (0.0, residents.start, residents.end);
+        let (mut sum, mut at, to) = (0.0, residents.start, residents.end.min(self.len()));
         while at < to {
             let run = self.ranks.partition_point(|&r| r <= at) - 1;
             let end = self.ranks[run + 1].min(to);
@@ -408,6 +408,8 @@ mod tests {
         assert_eq!(total, 400.0);
         let mut mass = ResidentMass::new();
         mass.push(&src, below, keys.len(), false);
+        // A rank past the residents counted carries nothing.
+        assert_eq!((mass.between(1..3), mass.between(0..9)), (200.0, 400.0));
         let dst = AccessStats::new(Some(0), Some(100), 10);
         dst.seed(&mass, 0, dst.bucket_counts(below, keys.len()));
         assert_eq!(dst.snapshot(), [0, 0, 0, 150, 150, 0, 50, 50, 0, 0]);

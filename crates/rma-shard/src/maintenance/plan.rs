@@ -281,8 +281,10 @@ fn cut_points(
             Some((key, offsets[s] + r.rank(key)..offsets[s] + end))
         })
     };
+    // Shards may change after the counts: a rank past them carries no
+    // mass, and the executor skips a stale cut.
     let (n, total) = (mass.len(), mass.total());
-    let Some((_, first)) = run_at(0) else {
+    let Some((_, first)) = run_at(0).filter(|_| n > 0 && total > 0.0) else {
         return Vec::new();
     };
     // No cut falls before the run after the first that carries mass.
