@@ -296,7 +296,7 @@ fn cut_points(
     // bound, 1 inside them but under the lower one, 2 inside all.
     let grade = |first: &Range<usize>, to: usize| {
         let w = mass.between(first.start..to);
-        match (w <= cap && to - first.start <= max_len) || first.end == to {
+        match (w <= cap && to.saturating_sub(first.start) <= max_len) || first.end == to {
             true => 1 + u8::from(w >= lower),
             false => 0,
         }
