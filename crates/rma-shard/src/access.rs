@@ -145,9 +145,9 @@ impl AccessStats {
     }
 
     /// Residents per bucket, counted from ranks alone: `below(k)`
-    /// residents have a key `< k` (`Rma::rank`, or a `partition_point`
-    /// on a sorted run), `len` in all, and the first and the last
-    /// bucket take what saturates into them.
+    /// residents have a key `< k`, asked at ascending bucket edges
+    /// (`Rma::ascending_ranks`, or a `partition_point` on a sorted
+    /// run), `len` in all; the edge buckets take what saturates.
     pub(crate) fn bucket_counts(
         &self,
         mut below: impl FnMut(Key) -> usize,

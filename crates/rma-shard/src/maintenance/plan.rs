@@ -13,7 +13,9 @@
 //! masses, and for a cut the residents per histogram bucket, read as
 //! ranks — and never walks a shard's elements. A plan is a list popped
 //! front to back, to its end: the windows that shed an overload
-//! first, then the rest, each in key order.
+//! first, then the rest, each in key order. Nothing second-guesses a
+//! plan once it is made — as the paper's calibrator picks a window
+//! and redistributes it — so the only check left is the per-step one.
 //!
 //! [`Recut`]: MaintenanceStep::Recut
 
@@ -90,7 +92,8 @@ impl ShardedRma {
     /// drains at once.
     ///
     /// Each shard is a leaf whose weight is its decayed access mass
-    /// (its length while no access has been recorded anywhere), against
+    /// (its length while no access has been recorded anywhere, so a
+    /// freshly bulk-loaded index balances by residency), against
     /// the leaf capacity `W / num_shards / τ_h`: `num_shards` shards of
     /// equal weight sit at the root's upper density τ_h = 0.75, as a
     /// bulk load fills a PMA's segments. A shard is out of bounds above

@@ -13,7 +13,7 @@
 # raises it and says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-MAX_ENGINE=7131
+MAX_ENGINE=7134
 printf '%-16s %7s\n' crate lines
 engine=0
 for src in crates/*/src; do
