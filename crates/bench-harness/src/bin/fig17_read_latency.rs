@@ -29,7 +29,7 @@ use bench_harness::Cli;
 use rma_core::RmaConfig;
 use rma_db::Db;
 use rma_shard::{MaintainerConfig, ShardConfig};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use workloads::{
     drive_recorded, summarize, HotspotConfig, HotspotMotion, LatencySummary, ReadWriteMix,
     ShiftingHotspot, SplitMix64,
@@ -103,10 +103,7 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     if mode == Mode::Background {
         // The facade owns the maintainer: it starts with the handle
         // and is stopped deterministically before the row is read.
-        builder = builder.maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(5),
-            ..Default::default()
-        });
+        builder = builder.maintenance(MaintainerConfig::default());
     }
     builder
         .build_bulk(&base)

@@ -12,9 +12,9 @@
 //! maintenance regimes over the same operation stream —
 //!
 //! * `off` — maintenance never runs (the latency floor);
-//! * `incremental` — a background [`Maintainer`](rma_shard::Maintainer)
-//!   draining the split/merge plans' bounded steps
-//!   ([`STEPS_PER_TICK`] a tick, 500 µs apart).
+//! * `incremental` — a background [`Maintainer`](rma_shard::Maintainer),
+//!   woken by the op clock, draining the split/merge plans' bounded
+//!   steps 500 µs apart.
 //!
 //! Each mode runs `--reps` times and the reported row is the rep
 //! with the **median worst-insert** — the paper's median-of-
@@ -32,9 +32,7 @@
 use bench_harness::Cli;
 use rma_core::RmaConfig;
 use rma_db::Db;
-use rma_shard::maintainer::STEPS_PER_TICK;
 use rma_shard::{MaintainerConfig, ShardConfig};
-use std::time::Duration;
 use workloads::{
     drive_recorded, summarize, HotspotConfig, HotspotMotion, LatencySummary, ReadWriteMix,
     ShiftingHotspot, SplitMix64,
@@ -45,10 +43,6 @@ const SHARDS: usize = 32;
 const PHASES: u64 = 6;
 /// The repository's stall acceptance bar, in nanoseconds.
 const STALL_BAR_NS: u64 = 10_000_000;
-/// The maintainer's poll: react quickly, since the shorter the
-/// window between runs, the less a jumped hot band can pile into one
-/// shard before the split that shrinks it runs.
-const POLL: Duration = Duration::from_millis(2);
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -108,10 +102,7 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     base.sort_unstable();
     let mut builder = Db::builder().shard_config(cfg);
     if mode == Mode::Incremental {
-        builder = builder.maintenance(MaintainerConfig {
-            poll_interval: POLL,
-            ..Default::default()
-        });
+        builder = builder.maintenance(MaintainerConfig::default());
     }
     builder
         .build_bulk(&base)
@@ -205,7 +196,7 @@ fn main() {
     let cli = Cli::parse();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "# Fig. 18 — insert tail latency under background maintenance: N={} preloaded, {} inserts, {SHARDS} shards, B={}, {STEPS_PER_TICK} steps a tick, hw_threads={hw}",
+        "# Fig. 18 — insert tail latency under background maintenance: N={} preloaded, {} inserts, {SHARDS} shards, B={}, steps 500 us apart, hw_threads={hw}",
         cli.scale, cli.scale, cli.seg
     );
     println!(

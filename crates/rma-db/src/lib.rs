@@ -77,7 +77,7 @@
 //! let snap = db.stats();
 //! let maint = snap.maintainer.expect("maintenance configured");
 //! assert_eq!(maint.checkpoints, 0); // nothing durable to seal
-//! println!("{} polls, {} plans", maint.polls, snap.engine.maintenance.plans);
+//! println!("{} wakes, {} plans", maint.polls, snap.engine.maintenance.plans);
 //! // Dropping `db` stops and joins the maintainer.
 //! ```
 
@@ -446,7 +446,8 @@ pub struct DbSnapshot {
 /// available (with final values) after [`Db::stop_maintenance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintainerSnapshot {
-    /// Polls of the op clock.
+    /// Wakes of the thread, each followed by one plan: the start,
+    /// the op-clock marks and the checkpoint timeouts.
     pub polls: u64,
     /// Partition checkpoints its cadence sealed.
     pub checkpoints: u64,
@@ -553,12 +554,6 @@ mod tests {
         // the engine's ledger must count the merges that did it.
         let db = small()
             .splitter_keys((1..64).map(|i| i * 25).collect())
-            // Parked poll cadence: the background thread must not race
-            // the synchronous `maintain()` this test measures.
-            .maintenance(rma_shard::MaintainerConfig {
-                poll_interval: std::time::Duration::from_secs(3600),
-                ..Default::default()
-            })
             .build()
             .expect("valid config");
         for k in 0..1600i64 {
@@ -576,12 +571,11 @@ mod tests {
         assert_eq!(ledger.merges, report.merges as u64, "{ledger:?}");
         // An invalid maintainer knob is rejected through the typed path.
         let never = rma_shard::MaintainerConfig {
-            poll_interval: std::time::Duration::ZERO,
-            ..Default::default()
+            checkpoint_interval: Some(std::time::Duration::ZERO),
         };
         assert_eq!(
             small().maintenance(never).build().unwrap_err(),
-            ConfigError::Engine(EngineError::ZeroPollInterval)
+            ConfigError::Engine(EngineError::ZeroCheckpointInterval)
         );
     }
 
@@ -709,28 +703,25 @@ mod tests {
     #[test]
     fn maintainer_lifecycle_is_owned_by_the_handle() {
         let db = small()
-            .maintenance(rma_shard::MaintainerConfig {
-                poll_interval: std::time::Duration::from_millis(1),
-                ..Default::default()
-            })
+            .maintenance(rma_shard::MaintainerConfig::default())
             .build()
             .expect("valid");
         for k in 0..2000i64 {
             db.insert(k % 64, k);
         }
         // An optimised build finishes the inserts before the thread's
-        // first poll: wait for one rather than race it.
+        // start-up wake: wait for it rather than race it.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while db.stats().maintainer.is_none_or(|m| m.polls == 0) {
             assert!(
                 std::time::Instant::now() < deadline,
-                "maintainer never polled"
+                "maintainer never woke"
             );
             std::thread::yield_now();
         }
         // Stop deterministically; the final counters stay readable.
         let final_stats = db.stop_maintenance().expect("was running");
-        assert!(final_stats.polls > 0, "maintainer never polled");
+        assert!(final_stats.polls > 0, "maintainer never woke");
         assert_eq!(db.stop_maintenance(), None, "second stop is a no-op");
         assert_eq!(
             db.stats().maintainer,

@@ -29,7 +29,8 @@ pub enum EventKind {
     TopologyPublish = 5,
     /// The engine panicked in a server batch; its connections closed.
     WorkerPanic = 6,
-    /// One maintainer poll tick completed.
+    /// One background maintainer wake (checkpoint, plan and drain)
+    /// made progress.
     MaintTick = 7,
     /// A durability partition's checkpoint was sealed (segment +
     /// manifest durable on disk).

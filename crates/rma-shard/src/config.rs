@@ -116,8 +116,6 @@ pub enum ConfigError {
     },
     /// The per-shard RMA configuration was rejected.
     Rma(RmaConfigError),
-    /// Maintainer `poll_interval` is zero.
-    ZeroPollInterval,
     /// Maintainer `checkpoint_interval` is `Some(0)`: the maintainer
     /// would do nothing but checkpoint.
     ZeroCheckpointInterval,
@@ -133,7 +131,6 @@ impl std::fmt::Display for ConfigError {
                  could never split (backstop {backstop}, shortest {min_len})"
             ),
             ConfigError::Rma(e) => e.fmt(f),
-            ConfigError::ZeroPollInterval => f.write_str("poll interval must be positive"),
             ConfigError::ZeroCheckpointInterval => {
                 f.write_str("checkpoint interval must be positive (or None)")
             }

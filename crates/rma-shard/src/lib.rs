@@ -31,7 +31,7 @@
 //!   publishes its own copy-on-write topology;
 //!   [`maintain`](ShardedRma::maintain) drains a plan at once, and
 //!   [`start_maintainer`](ShardedRma::start_maintainer) from a
-//!   background thread on a per-tick step budget.
+//!   background thread that the op clock wakes.
 //!
 //! ## The optimistic read path
 //!
@@ -107,9 +107,9 @@
 //! for k in 0..1000i64 {
 //!     index.insert(k, k);
 //! }
-//! let polled = maintainer.stop().polls(); // joins the thread deterministically
+//! let woken = maintainer.stop().polls(); // joins the thread deterministically
 //! let ledger = index.maintenance_stats();
-//! println!("{polled} polls planned {} times", ledger.plans);
+//! println!("{woken} wakes planned {} times", ledger.plans);
 //! assert_eq!(index.len(), 1000);
 //! ```
 
@@ -140,6 +140,7 @@ use rma_core::{Key, Value};
 use shard::{Shard, Topology};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// Shard-local operations between advances of the shared decay clock
 /// (batching keeps the global cache line off the per-op hot path).
@@ -303,6 +304,10 @@ pub struct ShardedRma {
     /// whereas per-shard decay clocks would drive every busy shard
     /// toward the same steady-state mass.
     op_clock: AtomicU64,
+    /// The background maintainer's thread, while one runs: the
+    /// operation that carries `op_clock` across a [`DECAY_EVERY`] mark
+    /// unparks it. Read only on a crossing.
+    maintainer: Mutex<Option<Thread>>,
     lock_stats: Arc<LockStats>,
     /// Counters behind [`maintenance_stats`](Self::maintenance_stats):
     /// bumped by the plan engine and by writes that bounce off a
@@ -397,6 +402,7 @@ impl ShardedRma {
             handle: TopoHandle::new(topo),
             maint_lock: Mutex::new(()),
             op_clock: AtomicU64::new(0),
+            maintainer: Mutex::new(None),
             lock_stats,
             maint_counters: MaintCounters::default(),
             obs: EngineObs::default(),
@@ -448,27 +454,38 @@ impl ShardedRma {
     /// Advances the shared decay clock by `n` recorded operations;
     /// for every [`DECAY_EVERY`] boundary the clock crosses, every
     /// shard's histogram halves in one sweep. Capped at 64 halvings —
-    /// beyond that a u64 counter is zero anyway.
+    /// beyond that a u64 counter is zero anyway. A crossing changes
+    /// every access mass, so it then wakes the background maintainer,
+    /// if one runs, to plan.
     ///
     /// [`record_access`](Self::record_access) calls this once per
     /// [`DECAY_TICK_BATCH`] shard-local operations, so the shared
     /// clock's cache line is touched ~64× less often than the shards'
-    /// own counters. The background maintainer also reads the clock,
-    /// as its op backoff.
+    /// own counters.
     pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
         let prev = self.op_clock.fetch_add(n, Relaxed);
         let crossings = ((prev + n) / DECAY_EVERY - prev / DECAY_EVERY).min(64);
+        if crossings == 0 {
+            return;
+        }
         for _ in 0..crossings {
             for shard in &topo.shards {
                 shard.stats.decay();
             }
         }
+        if let Some(maintainer) = &*self.maintainer_slot() {
+            maintainer.unpark();
+        }
+    }
+
+    /// The slot the background maintainer registers its thread in.
+    pub(crate) fn maintainer_slot(&self) -> MutexGuard<'_, Option<Thread>> {
+        self.maintainer.lock().expect("maintainer slot poisoned")
     }
 
     /// Total operations recorded on the shared clock, in
-    /// `DECAY_TICK_BATCH` granules. The background maintainer plans
-    /// again once 4 096 operations have passed on it since its last
-    /// plan.
+    /// `DECAY_TICK_BATCH` granules. Each 8 192-op mark it passes halves
+    /// every access histogram and wakes the background maintainer.
     pub fn op_count(&self) -> u64 {
         self.op_clock.load(Relaxed)
     }
@@ -873,13 +890,6 @@ impl ShardedRma {
     pub fn access_masses(&self) -> Vec<u64> {
         let topo = self.topo();
         topo.shards.iter().map(|s| s.stats.total()).collect()
-    }
-
-    /// Length of the longest live shard — what the background
-    /// maintainer holds against the [`ShardConfig::max_shard_len`]
-    /// backstop.
-    pub fn longest_shard_len(&self) -> usize {
-        self.topo().lens().max().unwrap_or(0)
     }
 
     /// Max/mean access imbalance across shards: `1.0` is perfectly

@@ -22,7 +22,7 @@
 //!
 //! [`ShardedRma::maintain`] plans and drains at once, round after
 //! round; the background maintainer ([`crate::maintainer`]) drains
-//! plans a few steps per tick. Every popped step is filed once — a
+//! each plan with a pause between steps. Every popped step is filed once — a
 //! split when it built more shards than it took, a merge otherwise —
 //! in [`ShardedRma::maintenance_stats`]. A durability checkpoint
 //! ([`ShardedRma::checkpoint`]) restructures nothing and is not a

@@ -88,7 +88,7 @@ impl MaintenancePlan {
 
 impl ShardedRma {
     /// The calibrator rule as a plan — what the background maintainer
-    /// drains on its tick budget and [`maintain`](Self::maintain)
+    /// drains step by step and [`maintain`](Self::maintain)
     /// drains at once.
     ///
     /// Each shard is a leaf whose weight is its decayed access mass

@@ -22,7 +22,7 @@ pub struct EngineObs {
     /// Wall duration of executed maintenance steps (splits and
     /// merges — a checkpoint is not a step), nanoseconds.
     step_duration: Histogram,
-    /// Wall duration of background maintainer ticks, nanoseconds.
+    /// Wall duration of background maintainer wakes, nanoseconds.
     maint_tick: Histogram,
 }
 
@@ -57,7 +57,7 @@ impl EngineObs {
         self.step_duration.snapshot()
     }
 
-    /// Frozen distribution of background maintainer tick durations.
+    /// Frozen distribution of background maintainer wake durations.
     pub fn maint_tick(&self) -> HistogramSnapshot {
         self.maint_tick.snapshot()
     }
@@ -85,7 +85,7 @@ impl EngineObs {
         }
     }
 
-    /// Records one maintainer tick's wall duration.
+    /// Records one maintainer wake's wall duration.
     pub(crate) fn record_tick(&self, dur_ns: u64) {
         if self.enabled {
             self.maint_tick.record(dur_ns);

@@ -298,8 +298,8 @@ mod tests {
         assert_eq!(s.len(), 500);
         assert!(!s.is_empty());
         assert!(s.memory_footprint() > 0);
-        assert_eq!(s.longest_shard_len(), 125);
         let snap = s.stats_snapshot();
+        assert!(snap.shards.iter().all(|st| st.len == 125));
         assert_eq!(snap.shards.iter().map(|st| st.len).sum::<usize>(), 500);
         assert_eq!(snap.len, 500);
         let _ = s.plan_maintenance();

@@ -150,10 +150,7 @@ fn readers_vs_background_maintainer_stress() {
     let base: Vec<(i64, i64)> = (0..PRELOADED).map(|k| (k, k)).collect();
     let db = Db::builder()
         .shard_config(stress_cfg(8))
-        .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        })
+        .maintenance(MaintainerConfig::default())
         .build_bulk(&base)
         .expect("valid stress config");
     let index = db.engine();
@@ -346,10 +343,7 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
     let db = Db::builder()
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
-        .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        })
+        .maintenance(MaintainerConfig::default())
         .build()
         .expect("valid stress config");
     let index = db.engine();
@@ -451,10 +445,7 @@ fn apply_ops_sees_every_published_version_under_writers_and_maintainer() {
     let db = Db::builder()
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
-        .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        })
+        .maintenance(MaintainerConfig::default())
         .build()
         .expect("valid stress config");
     let index = db.engine();
@@ -581,10 +572,7 @@ fn scan_into_is_whole_and_sorted_under_writers_and_maintainer() {
     let db = Db::builder()
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
-        .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        })
+        .maintenance(MaintainerConfig::default())
         .build()
         .expect("valid stress config");
     let index = db.engine();
@@ -667,6 +655,14 @@ fn scan_into_is_whole_and_sorted_under_writers_and_maintainer() {
     db.stop_maintenance().expect("maintainer was running");
     index.check_invariants();
     assert_eq!(index.len(), WRITERS * (2 * writes as usize + 1));
+    let ledger = index.maintenance_stats();
+    eprintln!(
+        "scan_into stress: reader calls={} maintainer plans={} steps={} shards={}",
+        calls.load(Relaxed),
+        ledger.plans,
+        ledger.steps_executed,
+        index.num_shards()
+    );
 }
 
 proptest! {

@@ -15,7 +15,6 @@ use rma_repro::rma::{RewiringMode, RmaConfig};
 use rma_repro::shard::{MaintainerConfig, ShardConfig};
 use rma_repro::workloads::SplitMix64;
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
 
 fn small_cfg(shards: usize) -> ShardConfig {
     ShardConfig {
@@ -47,10 +46,7 @@ fn concurrent_sessions_match_oracle_under_maintenance() {
 
     let db = Db::builder()
         .shard_config(small_cfg(8))
-        .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        })
+        .maintenance(MaintainerConfig::default())
         .build()
         .expect("valid test config");
 

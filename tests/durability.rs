@@ -375,7 +375,6 @@ fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
             .shard_config(small_shards())
             .durability(DurabilityConfig::new(&dir))
             .maintenance(MaintainerConfig {
-                poll_interval: Duration::from_millis(5),
                 checkpoint_interval: interval,
             })
             .build()

@@ -292,16 +292,13 @@ fn disabled_observability_records_nothing_but_renders() {
 #[test]
 fn snapshots_render_after_stop_maintenance() {
     let db = small()
-        .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        })
+        .maintenance(MaintainerConfig::default())
         .build()
         .expect("valid");
     for k in 0..2000i64 {
         db.insert(k % 64, k);
     }
-    // The maintainer records one tick-duration sample per poll; wait
+    // The maintainer records one tick-duration sample per wake; wait
     // until at least one landed so the histogram assertion below is
     // deterministic, then stop.
     for _ in 0..2000 {
@@ -573,7 +570,6 @@ fn the_exposition_carries_every_counter() {
     let db = small_with_backstop(512)
         .durability(DurabilityConfig::new(&dir))
         .maintenance(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
             checkpoint_interval: Some(Duration::from_millis(1)),
         })
         .build()
