@@ -5,10 +5,11 @@
 //! jump-motion shifting hotspot (the fig. 16 workload) hammers one
 //! narrow band per phase while synchronous maintenance follows it, so
 //! the live shard count moves with the band. The driver then goes
-//! quiet and starts the background maintainer: its start-up plan runs
-//! at once — there is no idle gate — and the calibrator rule
-//! ([`rma_shard::ShardedRma::plan_maintenance`]) merges the shards
-//! whose access mass fell under the leaf bound.
+//! quiet and starts the background maintainer, which first runs one
+//! [`maintain`](rma_shard::ShardedRma::maintain) on the caller's
+//! thread — there is no idle gate — and the calibrator rule
+//! ([`rma_shard::ShardedRma::plan_maintenance`]) merges, round after
+//! round, the shards whose access mass fell under the leaf bound.
 //!
 //! Recorded per run:
 //!
@@ -18,15 +19,14 @@
 //!   bloated topology *before* the quiet period and again *after*
 //!   compaction — the payoff of the smaller splitter array and the
 //!   restored shard locality;
-//! * how many merges the background maintainer ran on its own before
-//!   the deterministic [`maintain`](rma_shard::ShardedRma::maintain)
-//!   backstop finished the job.
+//! * how many merges starting the maintainer ran, and how many shards
+//!   they merged away.
 //!
 //! Writes `BENCH_shard_compaction.json`; the schema is documented in
 //! `crates/bench-harness/README.md`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
 use rma_core::RmaConfig;
@@ -36,9 +36,6 @@ use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 const SHARDS: usize = 8;
 const PHASES: u64 = 6;
 const SCAN_LEN: usize = 128;
-/// How long the driver is willing to sit in the quiet period waiting
-/// for the background maintainer before the synchronous backstop.
-const QUIET_BUDGET: Duration = Duration::from_millis(1500);
 
 #[derive(Clone, Copy)]
 struct TrajectoryRow {
@@ -235,27 +232,19 @@ fn main() {
         fmt_throughput(meas_ops, meas_ops as f64 / before.ops_per_sec.max(1e-12))
     );
 
-    // --- quiet period: the maintainer's start-up plan does the work.
-    // No ops arrive while it runs, so no mark of the op clock wakes it
-    // again.
+    // --- quiet period: starting the maintainer walks the topology
+    // down in one `maintain()` before it returns. No ops arrive, so no
+    // mark of the op clock wakes the thread after its first plan.
     let merged_before = index.maintenance_stats().merges;
-    let maintainer = index.start_maintainer(MaintainerConfig::default());
-    // The target the committed gate asserts.
-    let target = 2 * SHARDS;
     let quiet_start = Instant::now();
-    while index.num_shards() > target && quiet_start.elapsed() < QUIET_BUDGET {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let maintainer = index.start_maintainer(MaintainerConfig::default());
     let quiet_ms = quiet_start.elapsed().as_millis() as u64;
+    let compact_merges = maintainer.startup.retired;
     maintainer.stop();
     let background_consolidations = index.maintenance_stats().merges - merged_before;
-    // Deterministic backstop: whatever the background maintainer left
-    // behind (a slow box, an unlucky schedule) is finished
-    // synchronously so the committed gate does not race a thread.
-    let compact_merges = index.maintain().retired;
     index.check_invariants();
     println!(
-        "# quiet period: {quiet_ms} ms, {background_consolidations} background merges, {compact_merges} shards merged away by the backstop"
+        "# quiet period: {quiet_ms} ms, {background_consolidations} merges merged {compact_merges} shards away"
     );
 
     // --- after: routed throughput over the compacted topology -------

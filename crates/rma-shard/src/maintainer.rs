@@ -26,8 +26,8 @@
 //!    unobstructed. A step whose shards changed under it is skipped,
 //!    and nothing else drops what the planner asked for.
 //!
-//! The thread also plans once when it starts, so an index opened over
-//! an accreted topology is walked down at once, load or no load.
+//! Starting runs one [`ShardedRma::maintain`] on the caller's thread,
+//! so an accreted topology is walked down at once, load or no load.
 //! Marks crossed during a drain coalesce into the thread's one park
 //! token, so at most one plan follows a drain. An idle index never
 //! wakes the thread; with a checkpoint interval set, it parks only
@@ -46,7 +46,7 @@
 //! mid-drain — safe, because every executed step left a complete,
 //! consistent topology; the next maintainer simply re-plans.
 
-use crate::{ConfigError, ShardedRma};
+use crate::{ConfigError, DrainReport, ShardedRma};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,14 +79,6 @@ impl MaintainerConfig {
         }
         Ok(())
     }
-
-    /// Panicking form of [`try_validate`](Self::try_validate), used
-    /// by [`ShardedRma::start_maintainer`].
-    fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// What only the maintainer thread knows (monotonic counters); what
@@ -117,6 +109,9 @@ pub struct Maintainer {
     stop: Arc<AtomicBool>,
     stats: Arc<MaintainerStats>,
     thread: Option<std::thread::JoinHandle<()>>,
+    /// What the [`maintain`](ShardedRma::maintain) run before the
+    /// thread spawned did.
+    pub startup: DrainReport,
 }
 
 impl Maintainer {
@@ -155,9 +150,11 @@ impl ShardedRma {
     /// shut down deterministically. Multiple maintainers are safe
     /// (step publication is serialized internally, and stale steps
     /// skip) but pointless: the op clock wakes only the one started
-    /// last.
+    /// last. Runs one [`maintain`](Self::maintain) on the caller's
+    /// thread before it spawns.
     pub fn start_maintainer(self: &Arc<Self>, cfg: MaintainerConfig) -> Maintainer {
-        cfg.validate();
+        cfg.try_validate().unwrap_or_else(|e| panic!("{e}"));
+        let startup = self.maintain();
         let index = Arc::clone(self);
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(MaintainerStats::default());
@@ -173,6 +170,7 @@ impl ShardedRma {
             stop,
             stats,
             thread: Some(thread),
+            startup,
         }
     }
 }
@@ -338,7 +336,7 @@ mod tests {
         // 64 live shards against a configured target of 2, and no
         // load at all once the maintainer starts: the 1 600 inserts
         // cross no mark of the op clock, so nothing wakes the thread.
-        // Its start-up plan must walk the count down.
+        // Starting it must walk the count down before it returns.
         let mut cfg = small_cfg(64);
         cfg.num_shards = 2;
         let s = Arc::new(ShardedRma::with_splitters(
@@ -349,22 +347,62 @@ mod tests {
             s.insert(k, k);
         }
         let m = s.start_maintainer(MaintainerConfig::default());
-        for _ in 0..1000 {
-            if s.maintenance_stats().plans > 0 && s.num_shards() < 64 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        m.stop();
         let ledger = s.maintenance_stats();
-        s.check_invariants();
-        assert!(ledger.plans >= 1, "the start-up plan never ran: {ledger:?}");
+        assert!(ledger.plans >= 1, "no plan ran: {ledger:?}");
         assert!(
             s.num_shards() <= 4,
             "the accreted topology was not walked down: {} shards, {ledger:?}",
             s.num_shards()
         );
         assert!(ledger.merges > 0, "{ledger:?}");
+        assert_eq!(ledger.merges, m.startup.merges as u64, "{ledger:?}");
+        m.stop();
+        s.check_invariants();
         assert_eq!(s.len(), 1600, "merges must not lose data");
+    }
+
+    /// Eight shards of uneven length, two of them hot, under a
+    /// `max_shard_len` that bounds what one merge may build: here, as
+    /// on `fig22_compaction`'s accreted topology at default scale, one
+    /// plan round leaves work for a second.
+    fn uneven_topology() -> Arc<ShardedRma> {
+        let (lens, gets) = ([500, 2000, 2000, 500, 2500, 2000, 2500, 1000], [3000, 4500]);
+        let mut cfg = small_cfg(4);
+        cfg.max_shard_len = Some(8192);
+        let s =
+            ShardedRma::with_splitters(cfg, Splitters::new((1..8).map(|i| i * 10_000).collect()));
+        for (i, len) in (0..).zip(lens) {
+            let run: Vec<(i64, i64)> = (0..len).map(|k| (i * 10_000 + k, k)).collect();
+            s.apply_batch(&run, &[]);
+        }
+        s.reset_access_stats();
+        for (i, n) in [4, 7].into_iter().zip(gets) {
+            for j in 0..n {
+                s.get(i * 10_000 + j % lens[i as usize]);
+            }
+        }
+        Arc::new(s)
+    }
+
+    #[test]
+    fn starting_the_maintainer_reaches_what_maintain_reaches() {
+        let one_round = uneven_topology();
+        one_round.drain_plan(&mut one_round.plan_maintenance());
+        let twin = uneven_topology();
+        twin.maintain();
+        assert!(
+            one_round.num_shards() > twin.num_shards(),
+            "one round is enough here: {} shards either way",
+            twin.num_shards()
+        );
+        // No ops after the start: the thread's own first plan finds
+        // nothing left, whenever it runs.
+        let s = uneven_topology();
+        let m = s.start_maintainer(MaintainerConfig::default());
+        assert_eq!(s.num_shards(), twin.num_shards());
+        assert_eq!(s.splitters(), twin.splitters());
+        m.stop();
+        assert_eq!(s.splitters(), twin.splitters());
+        s.check_invariants();
     }
 }

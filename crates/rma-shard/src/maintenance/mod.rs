@@ -87,7 +87,8 @@ impl ShardedRma {
     /// copy-on-write topology: concurrent readers keep serving
     /// throughout, writers re-route past the replaced shards.
     /// Restructured shards restart their read/write counters. The
-    /// background maintainer drains the same plans, paced, instead.
+    /// background maintainer runs this once as it starts, then drains
+    /// the same plans, paced.
     pub fn maintain(&self) -> DrainReport {
         let mut total = DrainReport::default();
         for _ in 0..16 {
