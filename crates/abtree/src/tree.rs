@@ -215,6 +215,11 @@ impl AbTree {
         if id == NIL {
             return;
         }
+        // SAFETY: `_mm_prefetch` only hints the cache: it never faults
+        // and neither reads nor writes memory as far as the abstract
+        // machine is concerned, whatever the address — and this one is
+        // the start of a live leaf's `vals`. `sse`, the feature it
+        // needs, is part of the x86-64 baseline.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             let leaf = leaves.get(id);

@@ -1,15 +1,17 @@
 //! Figure 21 (beyond the paper) — the price of durability.
 //!
-//! PR 8 adds the durability subsystem: group-committed per-partition
-//! write-ahead logs behind [`rma_db::DbBuilder::durability`], checkpoints
-//! sealed by the maintenance engine, and parallel crash recovery.
+//! The durability subsystem: one group-committed write-ahead log (one
+//! LSN sequence, one fsync per commit barrier) behind
+//! [`rma_db::DbBuilder::durability`], checkpoints sealed per durability
+//! partition, and parallel crash recovery.
 //! This driver answers the two questions that decide whether anyone
 //! turns it on:
 //!
 //! 1. **What does durable ingest cost?** An identical pipelined
 //!    insert stream (uniform random keys over the full 62-bit domain,
 //!    so every durability partition carries traffic) is driven
-//!    against three configurations of the same preloaded database:
+//!    against three configurations of the same preloaded database
+//!    (a durable preload is sealed as a checkpoint, not logged):
 //!    `off` (no WAL), `group_commit` ([`CommitPolicy::Always`] — a
 //!    ticket's wait runs the barrier only for writes no earlier
 //!    barrier covered, so one fsync round serves every batch submitted
@@ -24,9 +26,9 @@
 //!    group-commit database seals a checkpoint wave, ingests a log
 //!    tail of 65 536 more inserts, and is dropped mid-flight; the
 //!    timed region is `DbBuilder::recover()` — manifest read,
-//!    parallel per-partition checkpoint load, bulk rebuild, and
-//!    committed-tail replay — verified to reproduce the exact
-//!    element count.
+//!    parallel per-partition checkpoint load, bulk rebuild, one scan
+//!    of the log, and each partition's committed tail replayed in
+//!    parallel — verified to reproduce the exact element count.
 //!
 //! The repository's acceptance bars: group-committed durable ingest ≥
 //! **0.5×** durability-off at the default scale (2^20), and full
@@ -90,9 +92,9 @@ fn scratch(tag: &str) -> PathBuf {
     ))
 }
 
-/// Builds one preloaded database under the given policy; durable
-/// configurations log the preload through the WAL's bulk path so the
-/// handle starts in the state a real durable deployment would.
+/// Builds one preloaded database under the given policy; a durable
+/// `build_bulk` seals the preload as a checkpoint of every partition,
+/// so the handle starts in the state a real durable deployment would.
 fn preloaded(cli: &Cli, policy: Policy, dir: &Path) -> Db {
     let mut base: Vec<(i64, i64)> = {
         let mut rng = SplitMix64::new(cli.seed ^ 0xD07A_B1E5);
@@ -180,7 +182,7 @@ fn main() {
 
     println!(
         "# Fig. 21 — durability: N={} preloaded, N durable inserts, {SHARDS} shards, \
-         {PARTITIONS} WAL partitions, batch {BATCH}, \
+         {PARTITIONS} durability partitions, batch {BATCH}, \
          depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, cli.seg
     );

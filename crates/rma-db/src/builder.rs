@@ -5,7 +5,7 @@ use crate::metrics::ObsConfig;
 use crate::Db;
 use rma_core::{Key, RmaConfig, Value};
 use rma_obs::EventKind;
-use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma, Splitters};
+use rma_shard::{DurabilitySink, MaintainerConfig, ShardConfig, ShardedRma, Splitters};
 use rma_wal::{DurabilityConfig, Wal};
 use std::sync::Arc;
 
@@ -128,8 +128,9 @@ impl DbBuilder {
     /// every ticket submitted before it. Checkpoints seal on
     /// [`ShardedRma::checkpoint`], or on the maintainer's cadence when
     /// [`maintenance`](Self::maintenance) is on and sets
-    /// [`MaintainerConfig::checkpoint_interval`] — `None` by default.
-    /// With neither, nothing seals and an open replays the whole log.
+    /// [`MaintainerConfig::checkpoint_interval`] — `None` by default —
+    /// and once when [`build_bulk`](Self::build_bulk) loads its batch.
+    /// Otherwise nothing seals and an open replays the whole log.
     /// Without this call the database is purely in-memory.
     pub fn durability(mut self, cfg: DurabilityConfig) -> Self {
         self.durability = Some(cfg);
@@ -180,34 +181,27 @@ impl DbBuilder {
 
     /// Opens a database bulk-loaded from a batch sorted by key;
     /// splitters are learned from the batch quantiles so the shards
-    /// start balanced. With durability configured, the batch is also
-    /// logged (through the bulk-apply path) so a crash before the
-    /// first checkpoint still recovers it.
+    /// start balanced. With durability configured, the load is sealed
+    /// as a checkpoint of every partition before the handle is
+    /// returned, so the batch survives a crash without a log record
+    /// and a reopen replays none of it. The seal is instrumented I/O
+    /// (see [`DurabilityConfig::fault`]); if it fails, this returns
+    /// [`ConfigError::Durability`].
     pub fn build_bulk(self, batch: &[(Key, Value)]) -> Result<Db, ConfigError> {
         self.validate()?;
         if self.splitter_keys.is_some() {
             return Err(ConfigError::SplittersConflictWithLearned);
         }
         let wal = self.create_wal()?;
-        let engine = match &wal {
-            // The durable path loads through `apply_batch` on an empty
-            // engine (splitters still learned from the batch) so every
-            // element flows through the WAL hooks; `load_bulk` would
-            // bypass logging and the data would not survive a crash
-            // before the first checkpoint.
-            Some(w) => {
-                let mut engine = ShardedRma::with_splitters(
-                    self.shard,
-                    Splitters::from_sorted_pairs(batch, self.shard.num_shards),
-                );
-                engine.set_durability(Arc::clone(w) as Arc<dyn rma_shard::DurabilitySink>);
-                engine.apply_batch(batch, &[]);
-                w.commit()
-                    .map_err(|e| ConfigError::Durability(e.to_string()))?;
-                engine
+        let mut engine = ShardedRma::load_bulk(self.shard, batch);
+        if let Some(w) = &wal {
+            engine.set_durability(Arc::clone(w) as Arc<dyn DurabilitySink>);
+            if engine.checkpoint() < w.partitions() {
+                return Err(ConfigError::Durability(
+                    "sealing the bulk load as a checkpoint failed".into(),
+                ));
             }
-            None => ShardedRma::load_bulk(self.shard, batch),
-        };
+        }
         Ok(Db::assemble(
             engine,
             self.maintenance,

@@ -403,7 +403,7 @@ impl Drop for Db {
     /// would have.
     fn drop(&mut self) {
         if let Some(w) = &self.wal {
-            if !w.is_committed(&w.appended()) && w.commit().is_err() {
+            if !w.is_committed(w.appended()) && w.commit().is_err() {
                 journal_degraded(&self.engine, w);
             }
         }

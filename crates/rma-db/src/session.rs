@@ -42,12 +42,12 @@
 //!
 //! [`Session::submit`] answers the batch in order into one vector:
 //! the reply to the op at position `i` is at position `i`. On a
-//! durable [`Db`] the ticket also holds every WAL partition's appended
-//! LSN as the batch finished. [`Ticket::wait`] runs the WAL's commit
-//! barrier only when those LSNs are not yet durable — the first wait
-//! of a pipeline commits for every ticket submitted before it, and the
-//! waits after it find their marks covered — and, when the barrier
-//! fails, answers the batch's un-durable writes [`Reply::Refused`].
+//! durable [`Db`] the ticket also holds the WAL's appended LSN as the
+//! batch finished. [`Ticket::wait`] runs the WAL's commit barrier only
+//! when that LSN is not yet durable — the first wait of a pipeline
+//! commits for every ticket submitted before it, and the waits after
+//! it find their marks covered — and, when the barrier fails, answers
+//! the batch's un-durable writes [`Reply::Refused`].
 
 use crate::metrics::{op_index, SessionObs, SAMPLE_EVERY};
 use crate::{journal_degraded, Db};
@@ -173,9 +173,9 @@ struct Commit {
     /// Journals the WAL's degradation when this barrier is the one
     /// that fails.
     engine: Arc<ShardedRma>,
-    /// Every partition's appended LSN as the batch finished
+    /// The WAL's appended LSN as the batch finished
     /// ([`Wal::appended`]).
-    marks: Vec<u64>,
+    mark: u64,
 }
 
 impl std::fmt::Debug for Ticket {
@@ -205,7 +205,7 @@ impl Ticket {
     /// is read-only.
     pub fn wait(mut self) -> Vec<Reply> {
         if let Some(c) = &self.commit {
-            if !c.wal.is_committed(&c.marks) && c.wal.commit().is_err() {
+            if !c.wal.is_committed(c.mark) && c.wal.commit().is_err() {
                 journal_degraded(&c.engine, &c.wal);
                 unacknowledge(&mut self.replies);
             }
@@ -319,7 +319,7 @@ impl<'db> Session<'db> {
         let commit = db.wal.as_ref().map(|w| Commit {
             wal: Arc::clone(w),
             engine: Arc::clone(&db.engine),
-            marks: w.appended(),
+            mark: w.appended(),
         });
         Ticket {
             replies,

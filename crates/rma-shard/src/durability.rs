@@ -10,12 +10,14 @@
 //! one shard write section, with the mutations in apply order), and calls
 //! [`DurabilitySink::checkpoint_cut`] while holding every shard lock
 //! overlapping the partition being checkpointed — so the cut LSN
-//! cleanly separates "state captured by the checkpoint" from "state
-//! only in the log tail".
+//! cleanly separates "state of the partition's keys captured by the
+//! checkpoint" from "state only in the log tail".
 //!
-//! The sink partitions the key space on its own fixed splitter set
-//! (decoupled from the engine's dynamic topology, which splits and
-//! merges shards underneath it); [`ShardedRma::checkpoint`] asks for
+//! The sink logs every key in one LSN sequence. It cuts the key space
+//! into fixed durability partitions on its own splitter set (decoupled
+//! from the engine's dynamic topology, which splits and merges shards
+//! underneath it) only as checkpoint units: each partition is sealed
+//! on its own, at its own cut. [`ShardedRma::checkpoint`] asks for
 //! [`partition_range`](DurabilitySink::partition_range) to know which
 //! engine shards to lock.
 
@@ -67,7 +69,7 @@ pub trait DurabilitySink: Send + Sync {
     /// acknowledgement.
     fn append(&self, ops: &[DurabilityOp]);
 
-    /// Number of fixed durability partitions.
+    /// Number of fixed durability partitions (checkpoint units).
     fn partitions(&self) -> usize;
 
     /// Inclusive lower / exclusive upper key bound of partition `p`
@@ -75,13 +77,14 @@ pub trait DurabilitySink: Send + Sync {
     /// [`Splitters::range_of`](crate::Splitters::range_of).
     fn partition_range(&self, p: usize) -> (Option<Key>, Option<Key>);
 
-    /// Draws the checkpoint cut for partition `p`: every record with
-    /// LSN `<= cut` is covered by the state the caller is about to
-    /// capture; records above it stay live in the log tail. Called
-    /// while the caller holds write locks on every engine shard
-    /// overlapping the partition, so no same-partition append can
-    /// race the cut.
-    fn checkpoint_cut(&self, p: usize) -> u64;
+    /// Draws a partition's checkpoint cut, the highest LSN handed out
+    /// so far: every record of the partition's keys with LSN `<= cut`
+    /// is covered by the state the caller is about to capture; records
+    /// above it stay live in the log tail. Called while the caller
+    /// holds write locks on every engine shard overlapping the
+    /// partition, so no append of the partition's keys can race the
+    /// cut.
+    fn checkpoint_cut(&self) -> u64;
 
     /// Durably seals a checkpoint of partition `p`: `elems` is the
     /// partition's full content at `cut`, sorted by key. Runs
@@ -127,7 +130,7 @@ impl ShardedRma {
             let topo = self.handle.load_exclusive();
             let (j0, j1) = topo.splitters.overlapping(lo, hi);
             let guards = StepGuards::lock(&topo.shards, j0..=j1);
-            let cut = sink.checkpoint_cut(p);
+            let cut = sink.checkpoint_cut();
             let mut elems = guards.collect_elems();
             drop(guards);
             // Edge shards may straddle the partition boundary; the

@@ -1181,7 +1181,7 @@ mod tests {
         fn partition_range(&self, _: usize) -> (Option<Key>, Option<Key>) {
             (None, None)
         }
-        fn checkpoint_cut(&self, _: usize) -> u64 {
+        fn checkpoint_cut(&self) -> u64 {
             0
         }
         fn seal_checkpoint(&self, _: usize, _: u64, _: &[(Key, Value)]) -> bool {

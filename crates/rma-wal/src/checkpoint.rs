@@ -83,6 +83,18 @@ impl ManifestState {
             entries: vec![None; partitions],
         }
     }
+
+    /// Partition `p`'s cut: the LSN its sealed segment covers, 0
+    /// before its first seal.
+    pub fn cut(&self, p: usize) -> u64 {
+        self.entries[p].as_ref().map_or(0, |e| e.cut)
+    }
+
+    /// The smallest partition cut: every log record at or below it is
+    /// in its partition's segment.
+    pub fn min_cut(&self) -> u64 {
+        (0..self.partitions).map(|p| self.cut(p)).min().unwrap_or(0)
+    }
 }
 
 /// Segment file name for partition `p` sealed at `cut`.

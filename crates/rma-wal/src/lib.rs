@@ -1,36 +1,41 @@
-//! Durability for the sharded RMA: group-committed partitioned
-//! write-ahead logs, sealed checkpoints, crash recovery, and
+//! Durability for the sharded RMA: one group-committed write-ahead
+//! log, sealed per-partition checkpoints, crash recovery, and
 //! deterministic fault injection.
 //!
 //! # Shape
 //!
-//! The key space is cut into a fixed number of **durability
-//! partitions** (uniform over the 62-bit workload domain, persisted in
-//! the manifest), each with its own append log. Partitions are
-//! deliberately decoupled from the engine's *dynamic* shard topology:
-//! shards split and merge continuously, while a log file
-//! layout wants stable ranges. Routing an op to its partition is the
-//! same branch-free splitter search the engine uses.
+//! There is one log: one staging buffer, one sequence of LSNs and one
+//! file at a time, whatever keys the records carry. The key space is
+//! also cut into a fixed number of **durability partitions** (uniform
+//! over the 62-bit workload domain, persisted in the manifest), but
+//! only as checkpoint units: a seal locks just the engine shards one
+//! partition overlaps, and recovery loads the partitions' segments in
+//! parallel. Partitions are deliberately decoupled from the engine's
+//! *dynamic* shard topology: shards split and merge continuously,
+//! while checkpoint files want stable ranges.
 //!
 //! The write path is two-phase:
 //!
 //! 1. **append** — called by the engine *under its shard write lock*
 //!    with the mutations of that lock hold, in apply order (see
 //!    `rma_shard::durability` for why that ordering contract
-//!    matters): stamp per-partition LSNs, encode into an in-memory
-//!    staging buffer. No I/O.
+//!    matters): stamp consecutive LSNs, encode into the staging
+//!    buffer. No I/O.
 //! 2. **commit** — the durability barrier, called once per op or once
-//!    per batch: drain every partition's staging buffer to its log
-//!    file and fsync per [`CommitPolicy`]. Only after `commit`
-//!    returns may the caller acknowledge the writes.
+//!    per batch: drain the staging buffer to the log file and fsync
+//!    per [`CommitPolicy`], on the caller's thread. Only after
+//!    `commit` returns may the caller acknowledge the writes.
 //!
 //! Checkpoints bound replay: the engine (`ShardedRma::checkpoint`)
 //! locks the shards covering one partition, draws the partition's **cut
-//! LSN**, snapshots its elements, and hands both to
-//! [`Wal::seal_checkpoint`], which writes a segment file, commits it
-//! via an atomic manifest replacement, and rotates the log. Recovery
+//! LSN** (the highest LSN handed out so far), snapshots its elements,
+//! and hands both to [`Wal::seal_checkpoint`], which writes a segment
+//! file, rotates the log so every record up to the cut is synced,
+//! commits the segment via an atomic manifest replacement, and deletes
+//! the log files the smallest partition cut covers. Recovery
 //! ([`Wal::recover`]) is then: bulk-load every partition's segment,
-//! replay only log records with `lsn > cut`, truncate the torn tail.
+//! replay only the log records above their own key's partition cut,
+//! truncate the torn tail.
 //!
 //! # Failure model
 //!
@@ -62,7 +67,7 @@ pub use fault::{FaultInjector, FaultMode, IoClass};
 pub use recover::Recovery;
 
 use checkpoint::ManifestState;
-use segment::{check_alive, PartitionLog};
+use segment::{check_alive, Log};
 
 /// When the commit barrier fsyncs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +75,9 @@ pub enum CommitPolicy {
     /// fsync on every commit: an acknowledged write survives both
     /// process and OS crashes.
     Always,
-    /// fsync once every `n` records: acknowledged writes survive
-    /// process crashes always, OS crashes only up to the last sync —
-    /// at most `n` acknowledged records are at risk.
+    /// fsync once every `n` records of the log: acknowledged writes
+    /// survive process crashes always, OS crashes only up to the last
+    /// sync — at most `n` acknowledged records are at risk.
     EveryN(u64),
     /// No logging at all; checkpoints are the only durability.
     Off,
@@ -93,6 +98,8 @@ pub struct DurabilityConfig {
     /// Optional fault injector, armed on all durability I/O performed
     /// *after* creation/recovery (setup I/O is not instrumented, so a
     /// countdown seed indexes deterministically into workload I/O).
+    /// The checkpoint a durable `DbBuilder::build_bulk` seals is
+    /// already instrumented I/O: the countdown starts with it.
     pub fault: Option<Arc<FaultInjector>>,
 }
 
@@ -150,15 +157,15 @@ impl From<io::Error> for WalError {
     }
 }
 
-/// The write-ahead log: one `PartitionLog` per durability partition
-/// plus the checkpoint manifest. Shared `Arc`-style between the engine
-/// (as its [`DurabilitySink`]) and the database façade (for the commit
-/// barrier).
+/// The write-ahead log plus the checkpoint manifest. Shared
+/// `Arc`-style between the engine (as its [`DurabilitySink`]) and the
+/// database façade (for the commit barrier).
 pub struct Wal {
     policy: CommitPolicy,
     dir: PathBuf,
     inj: Option<Arc<FaultInjector>>,
-    parts: Vec<PartitionLog>,
+    log: Log,
+    /// The durability partitions' key ranges (checkpoint units).
     splitters: Splitters,
     manifest: Mutex<ManifestState>,
     degraded: AtomicBool,
@@ -177,8 +184,8 @@ impl Wal {
         dir.join(checkpoint::MANIFEST).is_file()
     }
 
-    /// Creates a fresh WAL directory: empty per-partition logs and an
-    /// initial manifest. Fails if the directory already holds a WAL
+    /// Creates a fresh WAL directory: an empty log and an initial
+    /// manifest. Fails if the directory already holds a WAL
     /// (use [`Wal::recover`] for that).
     pub fn create(cfg: DurabilityConfig) -> Result<Arc<Wal>, WalError> {
         Self::validate(&cfg)?;
@@ -190,22 +197,20 @@ impl Wal {
             )));
         }
         let splitters = Splitters::uniform(PARTITIONS);
-        let parts: Vec<PartitionLog> = (0..PARTITIONS)
-            .map(|p| PartitionLog::create(&cfg.dir, p, 1))
-            .collect::<io::Result<_>>()?;
+        let log = Log::create(&cfg.dir, 1)?;
         let manifest = ManifestState::new(PARTITIONS, splitters.keys().to_vec());
         // Setup I/O is deliberately un-instrumented; see
         // `DurabilityConfig::fault`.
         checkpoint::write_manifest(&cfg.dir, &manifest, &None)?;
         fault::sync_dir(&cfg.dir)?;
-        Ok(Self::from_parts(cfg, parts, splitters, manifest))
+        Ok(Self::from_parts(cfg, log, splitters, manifest))
     }
 
-    /// A healthy WAL over opened logs — what [`Wal::create`] and
+    /// A healthy WAL over an opened log — what [`Wal::create`] and
     /// [`Wal::recover`] both end with.
     fn from_parts(
         cfg: DurabilityConfig,
-        parts: Vec<PartitionLog>,
+        log: Log,
         splitters: Splitters,
         manifest: ManifestState,
     ) -> Arc<Wal> {
@@ -213,7 +218,7 @@ impl Wal {
             policy: cfg.policy,
             dir: cfg.dir,
             inj: cfg.fault,
-            parts,
+            log,
             splitters,
             manifest: Mutex::new(manifest),
             degraded: AtomicBool::new(false),
@@ -245,28 +250,7 @@ impl Wal {
             return Err(WalError::Degraded);
         }
         let t0 = rewiring::monotonic_ns();
-        // The barrier's latency is dominated by fsync (I/O wait, not
-        // CPU), so partitions with pending records sync concurrently —
-        // one fsync's worth of wall clock instead of one per
-        // partition. Idle partitions are skipped via a lock-free
-        // pre-check; a lone dirty partition commits inline to spare
-        // the spawn.
-        let pending: Vec<&segment::PartitionLog> =
-            self.parts.iter().filter(|p| p.has_pending()).collect();
-        let result = match pending.as_slice() {
-            [] => Ok(()),
-            [part] => part.commit(self.policy, &self.inj, &self.fsync_hist),
-            parts => std::thread::scope(|s| {
-                let handles: Vec<_> = parts
-                    .iter()
-                    .map(|part| s.spawn(|| part.commit(self.policy, &self.inj, &self.fsync_hist)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .try_for_each(|h| h.join().expect("wal commit thread panicked"))
-            }),
-        };
-        if let Err(e) = result {
+        if let Err(e) = self.log.commit(self.policy, &self.inj, &self.fsync_hist) {
             self.degrade();
             return Err(WalError::Io(e));
         }
@@ -275,19 +259,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Every partition's highest appended LSN: a mark that
+    /// The highest LSN appended so far: a mark that
     /// [`is_committed`](Self::is_committed) checks later.
-    pub fn appended(&self) -> Vec<u64> {
-        self.parts.iter().map(PartitionLog::cut).collect()
+    pub fn appended(&self) -> u64 {
+        self.log.appended()
     }
 
-    /// True when a barrier has covered `marks` (from
+    /// True when a barrier has covered `mark` (from
     /// [`appended`](Self::appended)): `commit` has nothing to do for it.
-    pub fn is_committed(&self, marks: &[u64]) -> bool {
-        self.parts
-            .iter()
-            .zip(marks)
-            .all(|(p, &m)| p.committed() >= m)
+    pub fn is_committed(&self, mark: u64) -> bool {
+        self.log.committed() >= mark
     }
 
     /// True once any durability I/O has failed: the log can no longer
@@ -309,7 +290,7 @@ impl Wal {
 
     /// Number of durability partitions.
     pub fn partitions(&self) -> usize {
-        self.parts.len()
+        self.splitters.num_shards()
     }
 
     /// Commit-barrier latency (whole-barrier, ns).
@@ -322,7 +303,7 @@ impl Wal {
         &self.fsync_hist
     }
 
-    /// Recovery replay latency (per partition, ns).
+    /// Recovery replay latency (per partition tail, ns).
     pub fn replay_hist(&self) -> &Histogram {
         &self.replay_hist
     }
@@ -332,63 +313,49 @@ impl Wal {
     /// the WAL and tells the engine the seal failed.
     fn try_seal(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> io::Result<()> {
         let entry = checkpoint::seal_segment(&self.dir, p, cut, elems, &self.inj)?;
-        let old = {
+        let file = entry.file.clone();
+        // Every record up to the cut is synced before the manifest
+        // names the cut, so recovery's log never ends below a cut.
+        self.log.rotate(&self.inj)?;
+        let (old, min_cut) = {
             let mut m = self.manifest.lock().expect("manifest poisoned");
             let old = m.entries[p].replace(entry);
             // Persist while holding the lock: manifest replacements
             // must hit the disk in the same order they were composed.
             checkpoint::write_manifest(&self.dir, &m, &self.inj)?;
-            old
+            (old, m.min_cut())
         };
-        // Only after the manifest commit is it safe to drop log
-        // records at or below the cut...
-        self.parts[p].rotate(cut, &self.inj)?;
+        // Only after the manifest commit is it safe to drop the log
+        // files every partition's cut covers...
+        self.log.prune(min_cut, &self.inj)?;
         // ...and the previous segment.
-        if let Some(old) = old {
-            if old.file
-                != self.manifest.lock().expect("manifest poisoned").entries[p]
-                    .as_ref()
-                    .expect("entry just sealed")
-                    .file
-            {
-                check_alive(&self.inj)?;
-                std::fs::remove_file(self.dir.join(&old.file)).ok();
-            }
+        if let Some(old) = old.filter(|old| old.file != file) {
+            check_alive(&self.inj)?;
+            std::fs::remove_file(self.dir.join(&old.file)).ok();
         }
         Ok(())
     }
 }
 
 impl DurabilitySink for Wal {
-    /// Stages `ops` partition by partition: each run of consecutive
-    /// ops on one partition is encoded under one acquisition of that
-    /// partition's staging lock.
+    /// Stages `ops` under one acquisition of the staging lock.
     fn append(&self, ops: &[DurabilityOp]) {
         if self.policy == CommitPolicy::Off || self.is_degraded() {
             return;
         }
-        let mut rest = ops;
-        while let [first, tail @ ..] = rest {
-            let p = self.splitters.route(first.key());
-            let run = 1
-                + (tail.iter())
-                    .position(|op| self.splitters.route(op.key()) != p)
-                    .unwrap_or(tail.len());
-            self.parts[p].append(&rest[..run]);
-            rest = &rest[run..];
-        }
+        self.log.append(ops);
     }
 
     fn partitions(&self) -> usize {
-        self.parts.len()
+        Wal::partitions(self)
     }
 
     fn partition_range(&self, p: usize) -> (Option<Key>, Option<Key>) {
         self.splitters.range_of(p)
     }
 
-    fn checkpoint_cut(&self, p: usize) -> u64 {
-        self.parts[p].cut()
+    fn checkpoint_cut(&self) -> u64 {
+        self.log.appended()
     }
 
     fn seal_checkpoint(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> bool {
@@ -434,24 +401,66 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One key in each partition's range, in partition order.
+    const ONE_PER_PARTITION: [Key; PARTITIONS] = [1, (1 << 60) + 1, (1 << 61) + 1, (3 << 60) + 1];
+
+    fn log_files(dir: &Path) -> Vec<u64> {
+        segment::list_log_starts(dir).expect("list logs")
+    }
+
     #[test]
-    fn append_routes_by_key_and_commit_is_a_barrier() {
-        let dir = scratch("route");
+    fn records_of_all_partitions_interleave_in_one_file() {
+        let dir = scratch("interleave");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        let lo: Key = 1;
-        let hi: Key = (1 << 61) + 1; // above the middle uniform splitter
-        assert_eq!(wal.splitters.route(lo), 0);
-        assert_eq!(wal.splitters.route(hi), 2);
-        // One slice over two partitions: three same-partition runs.
-        wal.append(&[
-            DurabilityOp::Insert(lo, 1),
-            DurabilityOp::Insert(hi, 2),
-            DurabilityOp::Remove(lo),
-        ]);
-        assert_eq!(wal.checkpoint_cut(0), 2);
-        assert_eq!(wal.checkpoint_cut(2), 1);
+        for (p, &k) in ONE_PER_PARTITION.iter().enumerate() {
+            assert_eq!(wal.splitters.route(k), p);
+        }
+        let ops = ONE_PER_PARTITION.map(|k| DurabilityOp::Insert(k, k));
+        wal.append(&ops);
+        wal.append(&[DurabilityOp::Remove(ONE_PER_PARTITION[0])]);
+        assert_eq!((wal.appended(), wal.checkpoint_cut()), (5, 5));
+        assert!(!wal.is_committed(5));
         wal.commit().expect("commit");
-        assert_eq!(wal.commit_hist().count(), 1);
+        assert!(wal.is_committed(5));
+        assert_eq!(
+            (wal.commit_hist().count(), wal.fsync_hist().count()),
+            (1, 1)
+        );
+        assert_eq!(log_files(&dir), [1]);
+        let bytes = std::fs::read(dir.join(segment::log_name(1))).expect("read log");
+        let records: Vec<(u64, rma_shard::PointOp)> = (bytes.chunks(record::FRAME_LEN))
+            .map(|frame| match record::decode(frame) {
+                record::Decoded::Ok(r) => (r.lsn, r.op),
+                other => panic!("bad record {other:?}"),
+            })
+            .collect();
+        let mut want: Vec<_> = (ONE_PER_PARTITION.iter().enumerate())
+            .map(|(i, &k)| (i as u64 + 1, rma_shard::PointOp::Insert(k, k)))
+            .collect();
+        want.push((5, rma_shard::PointOp::Remove(ONE_PER_PARTITION[0])));
+        assert_eq!(records, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_log_file_survives_until_the_smallest_cut_covers_it() {
+        let dir = scratch("prune");
+        let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
+        wal.append(&ONE_PER_PARTITION.map(|k| DurabilityOp::Insert(k, k)));
+        wal.commit().expect("commit");
+        let cut = wal.checkpoint_cut();
+        for (p, &k) in ONE_PER_PARTITION[..PARTITIONS - 1].iter().enumerate() {
+            assert!(wal.seal_checkpoint(p, cut, &[(k, 0)]));
+            // The first seal rotated; partition 3's cut is still 0.
+            assert_eq!(log_files(&dir), [1, 5], "after sealing partition {p}");
+        }
+        wal.append(&[DurabilityOp::Insert(ONE_PER_PARTITION[3], 7)]);
+        assert!(wal.seal_checkpoint(3, 5, &[(ONE_PER_PARTITION[3], 0)]));
+        // The smallest cut (4) covers the first file but not the
+        // second, which holds record 5.
+        assert_eq!(log_files(&dir), [5, 6]);
+        assert!(wal.seal_checkpoint(0, 5, &[(ONE_PER_PARTITION[0], 0)]));
+        assert_eq!(log_files(&dir), [5, 6], "partitions 1 and 2 sit at 4");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -468,7 +477,7 @@ mod tests {
         assert!(matches!(wal.commit(), Err(WalError::Degraded)));
         // Degraded appends and checkpoints are inert.
         wal.append(&[DurabilityOp::Insert(2, 2)]);
-        assert_eq!(wal.checkpoint_cut(0), 1);
+        assert_eq!(wal.checkpoint_cut(), 1);
         assert!(!wal.seal_checkpoint(0, 1, &[(1, 1)]));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -479,7 +488,7 @@ mod tests {
         let wal =
             Wal::create(DurabilityConfig::new(&dir).policy(CommitPolicy::Off)).expect("create");
         wal.append(&[DurabilityOp::Insert(1, 1)]);
-        assert_eq!(wal.checkpoint_cut(0), 0);
+        assert_eq!(wal.checkpoint_cut(), 0);
         wal.commit().expect("off commit is a no-op");
         assert_eq!(wal.commit_hist().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -493,7 +502,7 @@ mod tests {
             wal.append(&[DurabilityOp::Insert(i, i)]);
         }
         wal.commit().expect("commit");
-        let cut = wal.checkpoint_cut(0);
+        let cut = wal.checkpoint_cut();
         let elems: Vec<(Key, Value)> = (0..10).map(|i| (i, i)).collect();
         assert!(wal.seal_checkpoint(0, cut, &elems));
         assert!(dir.join("ckpt_0_10.seg").exists());

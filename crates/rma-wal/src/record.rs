@@ -9,19 +9,19 @@
 //! point is trustworthy.
 
 use rewiring::frame;
-use rma_shard::DurabilityOp;
+use rma_shard::{DurabilityOp, PointOp};
 
 /// Payload bytes of the one record shape in use.
 pub(crate) const PAYLOAD_LEN: usize = 8 + 1 + 8 + 8;
 /// Full framed size of one record.
 pub(crate) const FRAME_LEN: usize = frame::HEADER + PAYLOAD_LEN;
 
-/// One decoded log record: the per-partition sequence number plus the
-/// logical operation it acknowledged.
+/// One decoded log record: the log's sequence number plus the
+/// operation it acknowledged, in the form replay applies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Record {
     pub lsn: u64,
-    pub op: DurabilityOp,
+    pub op: PointOp,
 }
 
 /// Appends the framed encoding of `(lsn, op)` to `buf`.
@@ -75,8 +75,8 @@ pub(crate) fn decode(buf: &[u8]) -> Decoded {
     let key = i64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
     let value = i64::from_le_bytes(payload[17..25].try_into().expect("8 bytes"));
     let op = match payload[8] {
-        0 => DurabilityOp::Insert(key, value),
-        1 => DurabilityOp::Remove(key),
+        0 => PointOp::Insert(key, value),
+        1 => PointOp::Remove(key),
         _ => return Decoded::Corrupt,
     };
     Decoded::Ok(Record { lsn, op })
@@ -97,14 +97,14 @@ mod tests {
             first,
             Decoded::Ok(Record {
                 lsn: 7,
-                op: DurabilityOp::Insert(-42, 99)
+                op: PointOp::Insert(-42, 99)
             })
         );
         assert_eq!(
             decode(&buf[FRAME_LEN..]),
             Decoded::Ok(Record {
                 lsn: 8,
-                op: DurabilityOp::Remove(i64::MAX)
+                op: PointOp::Remove(i64::MAX)
             })
         );
     }

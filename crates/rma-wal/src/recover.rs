@@ -1,53 +1,52 @@
 //! Crash recovery: checkpoint bulk load + log-tail replay.
 //!
-//! Recovery rebuilds the pre-crash acknowledged state in three moves,
-//! each parallel across durability partitions:
+//! Recovery rebuilds the pre-crash acknowledged state in three moves:
 //!
 //! 1. **Load** every partition's checkpoint segment (checksum-verified
-//!    against its manifest entry). Partitions are key-ordered and
-//!    segments are key-sorted, so concatenating them in partition
-//!    order yields one globally sorted batch — exactly what the
-//!    engine's partitioned bulk loader wants.
-//! 2. **Scan** each partition's log files in start-LSN order, keeping
-//!    records with `lsn > cut`. LSNs must run contiguously; a torn or
+//!    against its manifest entry), in parallel. Partitions are
+//!    key-ordered and segments are key-sorted, so concatenating them
+//!    in partition order yields one globally sorted batch — exactly
+//!    what the engine's partitioned bulk loader wants.
+//! 2. **Scan** the one log once, its files in start-LSN order,
+//!    skipping the files the smallest partition cut covers, and keep
+//!    a record only if its LSN is above its own key's partition cut,
+//!    in that partition's tail. LSNs must run contiguously; a torn or
 //!    corrupt record is legal only at the very tail of the *last*
 //!    file, where it marks the crash point — the file is truncated to
 //!    the clean prefix (an un-acknowledgeable half-append, discarded).
-//!    Anywhere else it means real corruption and recovery refuses.
+//!    Anywhere else it means real corruption and recovery refuses, as
+//!    it does when the log ends below a cut: a seal syncs every record
+//!    up to its cut before the manifest names it.
 //! 3. **Replay** the kept records against the freshly loaded engine,
-//!    per partition in LSN order, through the engine's batched point
-//!    path ([`Recovery::replay_into`]). A key always routes to the
-//!    same partition and, inside one batch, to one shard group that
-//!    keeps its order, so per-key operation order is preserved even
-//!    though partitions replay concurrently.
+//!    each partition's tail as one `ShardedRma::apply_ops` call, the
+//!    partitions in parallel ([`Recovery::replay_into`]). A key always
+//!    falls in the same partition, and `apply_ops` keeps one key's ops
+//!    in order, so per-key operation order is preserved.
 //!
 //! The directory is also healed: leftover `.tmp` staging files and
 //! checkpoint segments the manifest no longer references (both
-//! possible if the crash hit mid-seal) are deleted, and fresh log
-//! files are opened one past the highest LSN seen.
+//! possible if the crash hit mid-seal) are deleted, and a fresh log
+//! file is opened one past the highest LSN seen.
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use rma_core::{Key, Value};
-use rma_shard::{DurabilityOp, PointOp, ShardedRma, Splitters};
+use rma_shard::{PointOp, ShardedRma, Splitters};
 
-use crate::checkpoint::{self, CkptEntry};
-use crate::record::{self, Decoded, Record};
-use crate::segment::{self, PartitionLog};
+use crate::checkpoint::{self, CkptEntry, ManifestState};
+use crate::record::{self, Decoded};
+use crate::segment::{self, Log};
 use crate::{DurabilityConfig, Wal, WalError};
-
-/// Log records replayed per `ShardedRma::apply_ops` call: one routing
-/// block of the engine's.
-const REPLAY_CHUNK: usize = 64;
 
 /// The result of [`Wal::recover`]: the reopened WAL plus everything
 /// needed to rebuild the engine.
 pub struct Recovery {
     wal: Arc<Wal>,
     elems: Vec<(Key, Value)>,
-    tails: Vec<Vec<Record>>,
+    /// Per partition, its records above its cut, in LSN order.
+    tails: Vec<Vec<PointOp>>,
 }
 
 impl Recovery {
@@ -68,11 +67,9 @@ impl Recovery {
         self.tails.iter().map(|t| t.len() as u64).sum()
     }
 
-    /// Replays the log tails into `engine` (parallel per partition)
-    /// and returns the record count. Each tail goes through
-    /// `ShardedRma::apply_ops` 64 records at a time, which keeps LSN
-    /// order per key: one key's records always fall into one shard
-    /// group.
+    /// Replays the log tails into `engine`, each partition's as one
+    /// `ShardedRma::apply_ops` call (the partitions in parallel), and
+    /// returns the record count.
     ///
     /// Call this *before* attaching the WAL via
     /// `ShardedRma::set_durability` — the whole tail is already in the
@@ -84,18 +81,7 @@ impl Recovery {
                 let wal = &self.wal;
                 s.spawn(move || {
                     let t0 = rewiring::monotonic_ns();
-                    let mut ops = [PointOp::Get(0); REPLAY_CHUNK];
-                    let mut out = [None; REPLAY_CHUNK];
-                    for chunk in tail.chunks(REPLAY_CHUNK) {
-                        for (op, r) in ops.iter_mut().zip(chunk) {
-                            *op = match r.op {
-                                DurabilityOp::Insert(k, v) => PointOp::Insert(k, v),
-                                DurabilityOp::Remove(k) => PointOp::Remove(k),
-                            };
-                        }
-                        let n = chunk.len();
-                        engine.apply_ops(&ops[..n], &mut out[..n]);
-                    }
+                    engine.apply_ops(tail, &mut vec![None; tail.len()]);
                     wal.replay_hist
                         .record(rewiring::monotonic_ns().saturating_sub(t0));
                 });
@@ -105,18 +91,11 @@ impl Recovery {
     }
 }
 
-/// Per-partition recovery product.
-struct PartState {
-    elems: Vec<(Key, Value)>,
-    tail: Vec<Record>,
-    next_lsn: u64,
-}
-
 impl Wal {
     /// Recovers a WAL directory created by [`Wal::create`]: verifies
-    /// the manifest, loads checkpoints, scans log tails (truncating a
-    /// torn tail), heals leftover staging files, and reopens fresh
-    /// logs. The partition count is the manifest's.
+    /// the manifest, loads checkpoints, scans the log tail (truncating
+    /// a torn tail), heals leftover staging files, and reopens a fresh
+    /// log file. The partition count is the manifest's.
     pub fn recover(cfg: DurabilityConfig) -> Result<Recovery, WalError> {
         Wal::validate(&cfg)?;
         let manifest = match checkpoint::read_manifest(&cfg.dir)? {
@@ -129,88 +108,82 @@ impl Wal {
             Some(Err(why)) => return Err(WalError::Corrupt(why)),
             Some(Ok(m)) => m,
         };
+        let splitters = Splitters::new(manifest.splitters.clone());
 
-        let states: Vec<Result<PartState, WalError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..manifest.partitions)
-                .map(|p| {
+        let (segments, scan) = std::thread::scope(|s| {
+            let loads: Vec<_> = (manifest.entries.iter())
+                .map(|entry| {
                     let dir = cfg.dir.as_path();
-                    let entry = manifest.entries[p].as_ref();
-                    s.spawn(move || recover_partition(dir, p, entry))
+                    s.spawn(move || {
+                        entry
+                            .as_ref()
+                            .map_or(Ok(Vec::new()), |e| checkpoint::load_segment(dir, e))
+                    })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("recovery thread panicked"))
-                .collect()
+            let scan = scan_log(&cfg.dir, &manifest, &splitters);
+            let segments: Vec<_> = (loads.into_iter())
+                .map(|h| h.join().expect("segment load panicked"))
+                .collect();
+            (segments, scan)
         });
-
         let mut elems = Vec::new();
-        let mut tails = Vec::with_capacity(manifest.partitions);
-        let mut parts = Vec::with_capacity(manifest.partitions);
-        for (p, state) in states.into_iter().enumerate() {
-            let state = state?;
-            elems.extend_from_slice(&state.elems);
-            tails.push(state.tail);
-            parts.push(PartitionLog::create(&cfg.dir, p, state.next_lsn)?);
+        for segment in segments {
+            elems.extend_from_slice(&segment.map_err(WalError::Corrupt)?);
         }
+        let (tails, next_lsn) = scan?;
+
+        let log = Log::create(&cfg.dir, next_lsn)?;
         heal_directory(&cfg.dir, &manifest.entries)?;
         crate::fault::sync_dir(&cfg.dir)?;
-
-        let splitters = Splitters::new(manifest.splitters.clone());
-        let wal = Wal::from_parts(cfg, parts, splitters, manifest);
+        let wal = Wal::from_parts(cfg, log, splitters, manifest);
         Ok(Recovery { wal, elems, tails })
     }
 }
 
-/// Loads one partition's checkpoint and scans its log tail.
-fn recover_partition(
+/// Scans the log files once: returns each partition's records above
+/// its cut and the LSN one past the log's last record.
+fn scan_log(
     dir: &Path,
-    p: usize,
-    entry: Option<&CkptEntry>,
-) -> Result<PartState, WalError> {
-    let cut = entry.map_or(0, |e| e.cut);
-    let elems = match entry {
-        Some(e) => checkpoint::load_segment(dir, e).map_err(WalError::Corrupt)?,
-        None => Vec::new(),
-    };
-
-    let starts = segment::list_log_starts(dir, p)?;
-    let mut tail = Vec::new();
-    let mut max_lsn = cut;
-    let mut carry: Option<u64> = None; // expected start of the next file
-    for (i, &start) in starts.iter().enumerate() {
+    manifest: &ManifestState,
+    splitters: &Splitters,
+) -> Result<(Vec<Vec<PointOp>>, u64), WalError> {
+    let cuts: Vec<u64> = (0..manifest.partitions).map(|p| manifest.cut(p)).collect();
+    let min_cut = manifest.min_cut();
+    let max_cut = cuts.iter().copied().max().unwrap_or(0);
+    let starts = segment::list_log_starts(dir)?;
+    // A file whose successor starts at or below `min_cut + 1` holds
+    // only records every partition's checkpoint covers (it survived a
+    // crash between manifest commit and log pruning).
+    let first = (starts.windows(2))
+        .take_while(|pair| pair[1] <= min_cut + 1)
+        .count();
+    let mut tails = vec![Vec::new(); manifest.partitions];
+    let mut next = starts.get(first).copied().unwrap_or(min_cut + 1);
+    for (i, &start) in starts.iter().enumerate().skip(first) {
         let last = i + 1 == starts.len();
-        // A file whose successor starts at or below `cut + 1` holds
-        // only records the checkpoint already covers (it survived a
-        // crash between manifest commit and log pruning).
-        if !last && starts[i + 1] <= cut + 1 {
-            continue;
+        if start != next {
+            return Err(WalError::Corrupt(format!(
+                "log gap (file starts at {start}, expected {next})"
+            )));
         }
-        if let Some(expected) = carry {
-            if start != expected {
-                return Err(WalError::Corrupt(format!(
-                    "partition {p}: log gap (file starts at {start}, expected {expected})"
-                )));
-            }
-        }
-        let path = dir.join(segment::log_name(p, start));
+        let path = dir.join(segment::log_name(start));
         let bytes = std::fs::read(&path)?;
         let mut off = 0;
-        let mut expected = start;
         while off < bytes.len() {
             match record::decode(&bytes[off..]) {
                 Decoded::Ok(r) => {
-                    if r.lsn != expected {
+                    if r.lsn != next {
                         return Err(WalError::Corrupt(format!(
-                            "partition {p}: lsn {} where {expected} expected in {}",
+                            "lsn {} where {next} expected in {}",
                             r.lsn,
                             path.display()
                         )));
                     }
-                    expected += 1;
-                    max_lsn = max_lsn.max(r.lsn);
-                    if r.lsn > cut {
-                        tail.push(r);
+                    next += 1;
+                    let p = splitters.route(r.op.key());
+                    if r.lsn > cuts[p] {
+                        tails[p].push(r.op);
                     }
                     off += record::FRAME_LEN;
                 }
@@ -225,20 +198,20 @@ fn recover_partition(
                 }
                 Decoded::Torn | Decoded::Corrupt => {
                     return Err(WalError::Corrupt(format!(
-                        "partition {p}: corrupt record mid-sequence in {}",
+                        "corrupt record mid-sequence in {}",
                         path.display()
                     )));
                 }
             }
         }
-        carry = Some(expected);
     }
-
-    Ok(PartState {
-        elems,
-        tail,
-        next_lsn: max_lsn + 1,
-    })
+    if next <= max_cut {
+        return Err(WalError::Corrupt(format!(
+            "log ends at lsn {}, below checkpoint cut {max_cut}",
+            next - 1
+        )));
+    }
+    Ok((tails, next))
 }
 
 /// Deletes staging leftovers and checkpoint segments the manifest no
@@ -266,6 +239,7 @@ fn heal_directory(dir: &Path, entries: &[Option<CkptEntry>]) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::{DurabilitySink, PARTITIONS};
+    use rma_shard::DurabilityOp;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -319,7 +293,7 @@ mod tests {
             wal.commit().expect("commit");
         }
         // Tear the last record in half by hand.
-        let path = dir.join(segment::log_name(0, 1));
+        let path = dir.join(segment::log_name(1));
         let len = std::fs::metadata(&path).expect("stat").len();
         let f = std::fs::OpenOptions::new()
             .write(true)
@@ -337,6 +311,37 @@ mod tests {
     }
 
     #[test]
+    fn recover_refuses_a_log_that_ends_below_a_cut() {
+        let dir = scratch("below-cut");
+        {
+            let wal = fresh_wal(&dir);
+            for i in 0..4 {
+                wal.append(&[DurabilityOp::Insert(i, i)]);
+            }
+            wal.commit().expect("commit");
+            let elems: Vec<(Key, Value)> = (0..4).map(|i| (i, i)).collect();
+            assert!(wal.seal_checkpoint(0, wal.checkpoint_cut(), &elems));
+        }
+        // Lose the file the seal rotated to and cut the one before it
+        // to records 1 and 2: the log now ends below partition 0's cut
+        // (4), and a log reopened at 3 would hide new records of its
+        // keys behind that cut.
+        std::fs::remove_file(dir.join(segment::log_name(5))).expect("rm");
+        let path = dir.join(segment::log_name(1));
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open");
+        f.set_len(2 * record::FRAME_LEN as u64).expect("cut");
+        drop(f);
+        assert!(matches!(
+            Wal::recover(DurabilityConfig::new(&dir)),
+            Err(WalError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn recover_uses_checkpoint_cut() {
         let dir = scratch("ckpt");
         {
@@ -346,7 +351,7 @@ mod tests {
             }
             wal.commit().expect("commit");
             let elems: Vec<(Key, Value)> = (0..20).map(|i| (i, i)).collect();
-            assert!(wal.seal_checkpoint(0, wal.checkpoint_cut(0), &elems));
+            assert!(wal.seal_checkpoint(0, wal.checkpoint_cut(), &elems));
             // Post-checkpoint writes land in the rotated log.
             for i in 20..25 {
                 wal.append(&[DurabilityOp::Insert(i, i)]);
@@ -356,6 +361,40 @@ mod tests {
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
         assert_eq!(rec.elements().len(), 20);
         assert_eq!(rec.tail_ops(), 5, "only post-cut records replay");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_keeps_the_records_above_their_own_partitions_cut() {
+        let dir = scratch("own-cut");
+        let key = |p: i64, i: i64| (p << 60) + i;
+        let sealed: Vec<(Key, Value)> = (0..3).map(|i| (key(1, i), i)).collect();
+        {
+            let wal = fresh_wal(&dir);
+            for i in 0..3 {
+                let ops: Vec<_> = (0..4).map(|p| DurabilityOp::Insert(key(p, i), i)).collect();
+                wal.append(&ops);
+            }
+            wal.commit().expect("commit");
+            assert!(wal.seal_checkpoint(1, wal.checkpoint_cut(), &sealed));
+            for p in 0..4 {
+                wal.append(&[DurabilityOp::Remove(key(p, 0))]);
+            }
+            wal.commit().expect("commit");
+        }
+        let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
+        assert_eq!(rec.elements(), &sealed[..]);
+        // Partition 1's cut is 12; the others never sealed (cut 0).
+        assert_eq!(rec.tails[1], [PointOp::Remove(key(1, 0))]);
+        for p in [0, 2, 3] {
+            let mut want: Vec<_> = (0..3).map(|i| PointOp::Insert(key(p, i), i)).collect();
+            want.push(PointOp::Remove(key(p, 0)));
+            assert_eq!(rec.tails[p as usize], want, "partition {p}");
+        }
+        let engine = ShardedRma::load_bulk(rma_shard::ShardConfig::default(), rec.elements());
+        assert_eq!(rec.replay_into(&engine), 13);
+        assert_eq!(engine.len(), 8);
+        assert!((0..4).all(|p| engine.get(key(p, 0)).is_none()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -376,7 +415,7 @@ mod tests {
                     .filter(|&(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h))
                     .collect();
                 elems.sort_unstable();
-                assert!(wal.seal_checkpoint(p, wal.checkpoint_cut(p), &elems));
+                assert!(wal.seal_checkpoint(p, wal.checkpoint_cut(), &elems));
             }
         }
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");

@@ -1,32 +1,36 @@
-//! Per-partition append log: a staging buffer filled under the
-//! engine's shard locks and a group-committed file sink.
+//! The one append log: a staging buffer filled under the engine's
+//! shard locks and a group-committed file sink.
 //!
 //! # Why staging + sink are separate locks
 //!
-//! [`PartitionLog::append`] runs *inside* the engine's shard write
-//! guard, so it must be cheap: take the staging mutex once for the
-//! whole slice of ops, stamp consecutive LSNs, encode ~33 bytes each,
-//! done. No I/O ever happens under an engine lock.
+//! [`Log::append`] runs *inside* the engine's shard write guard, so it
+//! must be cheap: take the staging mutex once for the whole slice of
+//! ops, stamp consecutive LSNs from the one global sequence, encode ~33
+//! bytes each, done. No I/O ever happens under an engine lock.
 //!
-//! [`PartitionLog::commit`] is the durability barrier. It serialises
-//! on the sink mutex, drains whatever the staging buffer has
-//! accumulated, writes it in one `write(2)`, and fsyncs according to
-//! policy. The group-commit effect falls out of the double-check: a
-//! thread that blocks on the sink mutex while another thread is
-//! committing finds, once it gets the lock, that its target LSN is
-//! already durable and returns without touching the disk.
+//! [`Log::commit`] is the durability barrier. It serialises on the
+//! sink mutex, drains whatever the staging buffer has accumulated,
+//! writes it in one `write(2)`, and fsyncs according to policy — one
+//! file, one fsync, on the caller's thread. The group-commit effect
+//! falls out of the double-check: a thread that blocks on the sink
+//! mutex while another thread is committing finds, once it gets the
+//! lock, that its target LSN is already durable and returns without
+//! touching the disk.
 //!
 //! # Log files and rotation
 //!
-//! A partition's log lives in files named `wal_<p>_<start>.log`, where
-//! `<start>` is the LSN of the first record the file may contain.
-//! Sealing a checkpoint calls [`PartitionLog::rotate`]: flush + sync
-//! the current file, open a fresh one starting past everything
-//! appended so far, and delete files wholly covered by the checkpoint
-//! cut. A file is deletable iff its *successor's* start LSN is
-//! `<= cut + 1` — every record it holds then has `lsn <= cut` and is
-//! re-created by the checkpoint segment. The current file is never
-//! deleted; appends that raced past the cut live there.
+//! The log lives in files named `wal_<start>.log`, where `<start>` is
+//! the LSN of the first record the file may contain; records of every
+//! durability partition interleave in them. Sealing a checkpoint calls
+//! [`Log::rotate`] before it commits the manifest: write and sync the
+//! current file, then open a fresh one starting past everything
+//! appended so far, so every record at or below the cut just drawn is
+//! in a synced file. Once the manifest is committed, [`Log::prune`]
+//! deletes the files the smallest partition cut covers: a file goes
+//! iff its *successor's* start LSN is `<= cut + 1` — every record it
+//! holds then has `lsn <= cut` and is re-created by the checkpoint
+//! segment of its partition. The current file is never deleted;
+//! appends that raced past the cut live there.
 
 use std::fs::File;
 use std::io;
@@ -41,27 +45,29 @@ use crate::fault::{inj_fdatasync, inj_write, sync_dir, FaultInjector, IoClass};
 use crate::record;
 use crate::CommitPolicy;
 
-/// File name of partition `p`'s log segment starting at LSN `start`.
-pub(crate) fn log_name(p: usize, start: u64) -> String {
-    format!("wal_{p}_{start}.log")
+/// File name of the log file starting at LSN `start`.
+pub(crate) fn log_name(start: u64) -> String {
+    format!("wal_{start}.log")
 }
 
-/// Parses `wal_<p>_<start>.log`; `None` for anything else.
-pub(crate) fn parse_log_name(name: &str) -> Option<(usize, u64)> {
-    let rest = name.strip_prefix("wal_")?.strip_suffix(".log")?;
-    let (p, start) = rest.split_once('_')?;
-    Some((p.parse().ok()?, start.parse().ok()?))
-}
-
-/// Start LSNs of every log file of partition `p` in `dir`, sorted.
-pub(crate) fn list_log_starts(dir: &Path, p: usize) -> io::Result<Vec<u64>> {
+/// Start LSNs of every log file in `dir`, sorted. A `wal_*.log` name
+/// this version does not write (a per-partition log of an older
+/// layout) is an error, not a file to skip: its records would be lost.
+pub(crate) fn list_log_starts(dir: &Path) -> io::Result<Vec<u64>> {
     let mut starts = Vec::new();
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some((fp, start)) = entry.file_name().to_str().and_then(parse_log_name) {
-            if fp == p {
-                starts.push(start);
-            }
+        let name = entry?.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(start) = name
+            .strip_prefix("wal_")
+            .and_then(|r| r.strip_suffix(".log"))
+        {
+            starts.push(start.parse().map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unknown log file {name}"),
+                )
+            })?);
         }
     }
     starts.sort_unstable();
@@ -84,13 +90,14 @@ struct Staging {
 
 struct LogFile {
     file: File,
+    /// LSN of the first record the file may hold.
+    start: u64,
     /// Records written since the last fsync (drives `EveryN`).
     since_fsync: u64,
 }
 
-/// One partition's write-ahead log.
-pub(crate) struct PartitionLog {
-    p: usize,
+/// The write-ahead log of every durability partition.
+pub(crate) struct Log {
     dir: PathBuf,
     staging: Mutex<Staging>,
     sink: Mutex<LogFile>,
@@ -101,15 +108,14 @@ pub(crate) struct PartitionLog {
     committed: AtomicU64,
 }
 
-impl PartitionLog {
-    /// Opens a fresh log for partition `p` whose first record will be
-    /// `next_lsn`. Used both at creation (`next_lsn = 1`) and after
-    /// recovery (`next_lsn` = one past everything replayed). The
-    /// caller is responsible for syncing `dir` afterwards.
-    pub fn create(dir: &Path, p: usize, next_lsn: u64) -> io::Result<Self> {
-        let file = File::create(dir.join(log_name(p, next_lsn)))?;
+impl Log {
+    /// Opens a fresh log file whose first record will be `next_lsn`.
+    /// Used both at creation (`next_lsn = 1`) and after recovery
+    /// (`next_lsn` = one past everything the log holds). The caller is
+    /// responsible for syncing `dir` afterwards.
+    pub fn create(dir: &Path, next_lsn: u64) -> io::Result<Self> {
+        let file = File::create(dir.join(log_name(next_lsn)))?;
         Ok(Self {
-            p,
             dir: dir.to_path_buf(),
             staging: Mutex::new(Staging {
                 buf: Vec::new(),
@@ -117,6 +123,7 @@ impl PartitionLog {
             }),
             sink: Mutex::new(LogFile {
                 file,
+                start: next_lsn,
                 since_fsync: 0,
             }),
             appended: AtomicU64::new(next_lsn - 1),
@@ -140,26 +147,16 @@ impl PartitionLog {
         last
     }
 
-    /// Highest LSN this partition has handed out. Meaningful as a
-    /// checkpoint cut only while the engine shards covering the
-    /// partition's key range are locked (no append can race).
-    pub fn cut(&self) -> u64 {
+    /// Highest LSN handed out. Meaningful as a partition's checkpoint
+    /// cut only while the engine shards covering the partition's key
+    /// range are locked (no append for its keys can race).
+    pub fn appended(&self) -> u64 {
         self.appended.load(Ordering::Acquire)
     }
 
     /// Highest LSN a barrier has made durable (or a rotation synced).
     pub fn committed(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
-    }
-
-    /// True when records have been appended past the last commit —
-    /// the lock-free pre-check the commit barrier uses to skip idle
-    /// partitions. A false negative is impossible for records staged
-    /// before the barrier began (`append` publishes with `Release`);
-    /// a stale true merely takes the full `commit` path, which
-    /// re-checks under the sink lock.
-    pub fn has_pending(&self) -> bool {
-        self.appended.load(Ordering::Acquire) > self.committed.load(Ordering::Acquire)
     }
 
     /// Durability barrier: everything appended before this call is in
@@ -170,20 +167,17 @@ impl PartitionLog {
         inj: &Option<Arc<FaultInjector>>,
         fsync_hist: &Histogram,
     ) -> io::Result<()> {
-        let target = self.appended.load(Ordering::Acquire);
-        if self.committed.load(Ordering::Acquire) >= target {
+        let target = self.appended();
+        if self.committed() >= target {
             return Ok(());
         }
         let mut sink = self.sink.lock().expect("sink poisoned");
-        if self.committed.load(Ordering::Acquire) >= target {
+        if self.committed() >= target {
             // Group commit: whoever held the sink while we blocked
             // already made our records durable.
             return Ok(());
         }
-        let (bytes, high) = {
-            let mut st = self.staging.lock().expect("staging poisoned");
-            (std::mem::take(&mut st.buf), st.next_lsn - 1)
-        };
+        let (bytes, high) = self.drain();
         if !bytes.is_empty() {
             inj_write(inj, &mut sink.file, &bytes, IoClass::AppendWrite)?;
             sink.since_fsync += (bytes.len() / record::FRAME_LEN) as u64;
@@ -203,36 +197,44 @@ impl PartitionLog {
         Ok(())
     }
 
-    /// Post-checkpoint rotation: flush + sync the current file, start
-    /// a fresh one, and delete files wholly covered by `cut`.
-    pub fn rotate(&self, cut: u64, inj: &Option<Arc<FaultInjector>>) -> io::Result<()> {
-        // Sink before staging — the same order `commit` takes them.
+    /// Takes the staged bytes and the highest LSN among them. Called
+    /// under the sink lock (sink before staging, the one lock order).
+    fn drain(&self) -> (Vec<u8>, u64) {
+        let mut st = self.staging.lock().expect("staging poisoned");
+        (std::mem::take(&mut st.buf), st.next_lsn - 1)
+    }
+
+    /// Checkpoint rotation: writes and syncs everything appended so
+    /// far to the current file and opens the next one past it. A
+    /// current file that holds no record stays current.
+    pub fn rotate(&self, inj: &Option<Arc<FaultInjector>>) -> io::Result<()> {
         let mut sink = self.sink.lock().expect("sink poisoned");
-        let (bytes, high) = {
-            let mut st = self.staging.lock().expect("staging poisoned");
-            (std::mem::take(&mut st.buf), st.next_lsn - 1)
-        };
+        let (bytes, high) = self.drain();
+        if sink.start > high {
+            return Ok(());
+        }
         if !bytes.is_empty() {
             inj_write(inj, &mut sink.file, &bytes, IoClass::AppendWrite)?;
         }
         inj_fdatasync(inj, &sink.file)?;
-        let start = high + 1;
         check_alive(inj)?;
-        let file = File::create(self.dir.join(log_name(self.p, start)))?;
+        let file = File::create(self.dir.join(log_name(high + 1)))?;
         sync_dir(&self.dir)?;
         *sink = LogFile {
             file,
+            start: high + 1,
             since_fsync: 0,
         };
         self.committed.store(high, Ordering::Release);
-        drop(sink);
+        Ok(())
+    }
 
-        let starts = list_log_starts(&self.dir, self.p)?;
-        for pair in starts.windows(2) {
-            if pair[1] <= cut + 1 {
-                check_alive(inj)?;
-                std::fs::remove_file(self.dir.join(log_name(self.p, pair[0]))).ok();
-            }
+    /// Deletes the log files whose every record is at or below `cut`.
+    pub fn prune(&self, cut: u64, inj: &Option<Arc<FaultInjector>>) -> io::Result<()> {
+        let starts = list_log_starts(&self.dir)?;
+        for pair in starts.windows(2).take_while(|pair| pair[1] <= cut + 1) {
+            check_alive(inj)?;
+            std::fs::remove_file(self.dir.join(log_name(pair[0]))).ok();
         }
         Ok(())
     }
@@ -242,6 +244,7 @@ impl PartitionLog {
 mod tests {
     use super::*;
     use crate::record::{decode, Decoded, FRAME_LEN};
+    use rma_shard::PointOp;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -255,17 +258,25 @@ mod tests {
 
     #[test]
     fn log_names_roundtrip() {
-        assert_eq!(parse_log_name(&log_name(3, 41)), Some((3, 41)));
-        assert_eq!(parse_log_name("wal_3_41.log"), Some((3, 41)));
-        assert_eq!(parse_log_name("ckpt_3_41.seg"), None);
-        assert_eq!(parse_log_name("wal_x_41.log"), None);
-        assert_eq!(parse_log_name("MANIFEST"), None);
+        let dir = scratch("names");
+        for name in [
+            log_name(41),
+            log_name(7),
+            "ckpt_3_41.seg".into(),
+            "MANIFEST".into(),
+        ] {
+            std::fs::write(dir.join(name), b"").expect("write");
+        }
+        assert_eq!(list_log_starts(&dir).expect("list"), vec![7, 41]);
+        std::fs::write(dir.join("wal_0_4.log"), b"").expect("write");
+        assert!(list_log_starts(&dir).is_err(), "a per-partition log name");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn append_commit_persists_decodable_records() {
         let dir = scratch("commit");
-        let log = PartitionLog::create(&dir, 0, 1).expect("create");
+        let log = Log::create(&dir, 1).expect("create");
         let hist = Histogram::new();
         assert_eq!(log.append(&[DurabilityOp::Insert(10, 1)]), 1);
         assert_eq!(log.append(&[DurabilityOp::Remove(10)]), 2);
@@ -275,12 +286,12 @@ mod tests {
         log.commit(CommitPolicy::Always, &None, &hist)
             .expect("idle commit");
         assert_eq!(hist.count(), 1, "idle commit must not fsync");
-        let bytes = std::fs::read(dir.join(log_name(0, 1))).expect("read log");
+        let bytes = std::fs::read(dir.join(log_name(1))).expect("read log");
         assert_eq!(bytes.len(), 2 * FRAME_LEN);
         match decode(&bytes) {
             Decoded::Ok(r) => {
                 assert_eq!(r.lsn, 1);
-                assert_eq!(r.op, DurabilityOp::Insert(10, 1));
+                assert_eq!(r.op, PointOp::Insert(10, 1));
             }
             other => panic!("bad first record: {other:?}"),
         }
@@ -290,7 +301,7 @@ mod tests {
     #[test]
     fn every_n_defers_fsync() {
         let dir = scratch("everyn");
-        let log = PartitionLog::create(&dir, 0, 1).expect("create");
+        let log = Log::create(&dir, 1).expect("create");
         let hist = Histogram::new();
         for i in 0..3 {
             log.append(&[DurabilityOp::Insert(i, i)]);
@@ -308,23 +319,22 @@ mod tests {
     #[test]
     fn rotate_starts_fresh_file_and_prunes_covered_ones() {
         let dir = scratch("rotate");
-        let log = PartitionLog::create(&dir, 2, 1).expect("create");
-        let hist = Histogram::new();
+        let log = Log::create(&dir, 1).expect("create");
         for i in 0..5 {
             log.append(&[DurabilityOp::Insert(i, i)]);
         }
-        log.commit(CommitPolicy::Always, &None, &hist)
-            .expect("commit");
-        // Checkpoint covered everything appended so far (cut = 5).
-        log.rotate(5, &None).expect("rotate");
-        assert_eq!(list_log_starts(&dir, 2).expect("list"), vec![6]);
-        // New appends land in the new file; old cut only covers lsn<=5,
-        // so a rotation at the old cut must keep the file holding 6.
-        log.append(&[DurabilityOp::Insert(9, 9)]);
-        log.commit(CommitPolicy::Always, &None, &hist)
-            .expect("commit");
-        log.rotate(5, &None).expect("rotate at stale cut");
-        assert_eq!(list_log_starts(&dir, 2).expect("list"), vec![6, 7]);
+        // Rotation writes and syncs what no barrier committed yet.
+        log.rotate(&None).expect("rotate");
+        assert_eq!(log.committed(), 5);
+        assert_eq!(list_log_starts(&dir).expect("list"), vec![1, 6]);
+        // The current file holds nothing yet: it stays current.
+        log.rotate(&None).expect("idle rotate");
+        assert_eq!(list_log_starts(&dir).expect("list"), vec![1, 6]);
+        // A cut below 5 leaves the file holding 1..=5 in place.
+        log.prune(4, &None).expect("prune");
+        assert_eq!(list_log_starts(&dir).expect("list"), vec![1, 6]);
+        log.prune(5, &None).expect("prune");
+        assert_eq!(list_log_starts(&dir).expect("list"), vec![6]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -39,9 +39,9 @@
 //!   bounded MPSC maintenance-event journal, and cheap monotonic
 //!   timestamps — everything
 //!   [`Db::metrics`](rma_db::Db::metrics) is assembled from;
-//! * [`wal`] — the **durability subsystem**: group-committed
-//!   per-partition write-ahead logs (length-prefixed, checksummed
-//!   records), maintenance-sealed checkpoints with an atomically
+//! * [`wal`] — the **durability subsystem**: one group-committed
+//!   write-ahead log (length-prefixed, checksummed records), sealed
+//!   per-partition checkpoints with an atomically
 //!   replaced manifest, parallel crash recovery with torn-tail
 //!   truncation, and a deterministic fault-injection harness
 //!   (seeded kill-points, injected short writes and bit flips);

@@ -493,7 +493,7 @@ fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
     drop(db);
     // A record is an 8-byte frame header, then `lsn u64 · kind u8 ·
     // key i64 · value i64`, little-endian (kind 0 inserts, 1 removes).
-    let log = std::fs::read(dir.join("wal_0_1.log")).expect("partition 0's log");
+    let log = std::fs::read(dir.join("wal_1.log")).expect("the log");
     let field =
         |rec: &[u8], at: usize| i64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
     let records: Vec<(i64, u8, i64, i64)> = (log.chunks(33))
@@ -532,6 +532,37 @@ fn a_batch_and_its_replay_leave_the_same_stack() {
     drop(db);
     let db = Db::open(&dir).expect("reopen loads the checkpoint");
     assert_eq!((db.get(K), dump(&db)), before, "after a checkpoint");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A durable bulk load is a checkpoint: the reopen loads the batch
+/// from the segments and replays no record, and one more insert
+/// replays as exactly one.
+#[test]
+fn a_durable_bulk_load_reopens_with_nothing_to_replay() {
+    let dir = scratch("bulk");
+    let batch: Vec<(i64, i64)> = (0..4096i64).map(|i| (i << 50, i)).collect();
+    let replayed = |db: &Db| {
+        let journal = db.metrics().journal;
+        let recovery = journal.iter().find(|e| e.kind == EventKind::Recovery);
+        recovery.expect("recovery is journaled").keys
+    };
+    let build = || {
+        Db::builder()
+            .shard_config(small_shards())
+            .durability(DurabilityConfig::new(&dir))
+    };
+    drop(build().build_bulk(&batch).expect("durable bulk load"));
+    let db = build().recover().expect("reopen");
+    assert_eq!((replayed(&db), dump(&db)), (0, batch.clone()));
+    db.insert(-1, -1);
+    drop(db);
+    let db = build().recover().expect("second reopen");
+    assert_eq!(
+        (replayed(&db), db.len(), db.get(-1)),
+        (1, batch.len() + 1, Some(-1))
+    );
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -682,7 +713,7 @@ fn files_written_by_an_earlier_version_reencode_and_recover() {
     let files = [
         ("MANIFEST", FIXTURE_MANIFEST),
         ("ckpt_0_3.seg", FIXTURE_SEGMENT),
-        ("wal_0_4.log", FIXTURE_LOG),
+        ("wal_4.log", FIXTURE_LOG),
     ];
     let pairs = [(-42i64, 99i64), (7, 700), (123, 456), (1 << 53, -1)];
 
@@ -701,10 +732,10 @@ fn files_written_by_an_earlier_version_reencode_and_recover() {
     let mut left: Vec<String> = std::fs::read_dir(&fresh)
         .expect("wal dir")
         .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
-        .filter(|name| name.contains("_0_"))
+        .filter(|name| name.contains("_0_") || name.starts_with("wal_"))
         .collect();
     left.sort();
-    assert_eq!(left, ["ckpt_0_3.seg", "wal_0_4.log"]);
+    assert_eq!(left, ["ckpt_0_3.seg", "wal_4.log"]);
     let manifest = std::fs::read_to_string(fresh.join("MANIFEST")).expect("readable");
     assert!(
         manifest.contains("\nckpt=0,3,ckpt_0_3.seg,3,07d8cebf\n"),
