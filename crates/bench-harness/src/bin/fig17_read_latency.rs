@@ -103,7 +103,7 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     if mode == Mode::Background {
         // The facade owns the maintainer: it starts with the handle
         // and is stopped deterministically before the row is read.
-        builder = builder.maintenance(MaintainerConfig::default());
+        builder = builder.maintenance(MaintainerConfig);
     }
     builder
         .build_bulk(&base)

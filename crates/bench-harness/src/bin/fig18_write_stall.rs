@@ -102,7 +102,7 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
     base.sort_unstable();
     let mut builder = Db::builder().shard_config(cfg);
     if mode == Mode::Incremental {
-        builder = builder.maintenance(MaintainerConfig::default());
+        builder = builder.maintenance(MaintainerConfig);
     }
     builder
         .build_bulk(&base)

@@ -4,8 +4,10 @@
 //! Demonstrates that maintenance does not ratchet the shard count. A
 //! jump-motion shifting hotspot (the fig. 16 workload) hammers one
 //! narrow band per phase while synchronous maintenance follows it, so
-//! the live shard count moves with the band. The driver then goes
-//! quiet and starts the background maintainer, which first runs one
+//! the live shard count moves with the band. The driver builds this
+//! accreted topology twice from the seed — the two splitter sets must
+//! be identical — and then, over a quiet period, starts the
+//! background maintainer on one twin. Starting it runs one
 //! [`maintain`](rma_shard::ShardedRma::maintain) on the caller's
 //! thread — there is no idle gate — and the calibrator rule
 //! ([`rma_shard::ShardedRma::plan_maintenance`]) merges, round after
@@ -16,9 +18,10 @@
 //! * the shard-count / splitter-array-bytes trajectory across the
 //!   accretion phases;
 //! * routed-op throughput (90% point gets, 10% scans of 128) over the
-//!   bloated topology *before* the quiet period and again *after*
-//!   compaction — the payoff of the smaller splitter array and the
-//!   restored shard locality;
+//!   bloated twin (*before*) and the compacted one (*after*), timed in
+//!   `--reps` pairs that alternate which twin runs first, so neither
+//!   side always runs on a colder or warmer host — the payoff of the
+//!   smaller splitter array and the restored shard locality;
 //! * how many merges starting the maintainer ran, and how many shards
 //!   they merged away.
 //!
@@ -28,9 +31,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
+use bench_harness::{fmt_throughput, median, throughput, time, Cli};
 use rma_core::RmaConfig;
-use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma, Splitters};
+use rma_shard::{ShardConfig, ShardedRma, Splitters};
 use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 
 const SHARDS: usize = 8;
@@ -61,32 +64,91 @@ fn shard_config(cli: &Cli) -> ShardConfig {
 
 /// 90% point gets / 10% short scans over the whole key domain —
 /// every op pays the splitter-array route. Returns ops/s.
-fn routed_throughput(index: &ShardedRma, ops: usize, reps: usize, seed: u64) -> f64 {
-    median_of(reps, || {
-        let mut rng = SplitMix64::new(seed);
-        let (_, secs) = time(|| {
-            for i in 0..ops {
-                let k = (rng.next_u64() >> 2) as i64;
-                if i % 10 == 0 {
-                    let mut sink = 0i64;
-                    index.scan(k, SCAN_LEN, |_, v| sink ^= v);
-                    std::hint::black_box(sink);
-                } else {
-                    std::hint::black_box(index.get(k));
-                }
+fn routed_throughput(index: &ShardedRma, ops: usize, seed: u64) -> f64 {
+    let mut rng = SplitMix64::new(seed);
+    let (_, secs) = time(|| {
+        for i in 0..ops {
+            let k = (rng.next_u64() >> 2) as i64;
+            if i % 10 == 0 {
+                let mut sink = 0i64;
+                index.scan(k, SCAN_LEN, |_, v| sink ^= v);
+                std::hint::black_box(sink);
+            } else {
+                std::hint::black_box(index.get(k));
             }
-        });
-        throughput(ops, secs)
-    })
+        }
+    });
+    throughput(ops, secs)
 }
 
-fn measure(index: &ShardedRma, ops: usize, reps: usize, seed: u64) -> Measurement {
+fn measure(index: &ShardedRma, ops_per_sec: f64) -> Measurement {
     let engine = index.stats_snapshot();
     Measurement {
         shards: engine.num_shards,
         splitter_bytes: engine.splitter_bytes,
-        ops_per_sec: routed_throughput(index, ops, reps, seed),
+        ops_per_sec,
     }
+}
+
+/// Pre-loads `cli.scale` uniform keys and runs the phased hotspot
+/// with synchronous maintenance. Single-threaded and seeded: the same
+/// `cli` builds the same topology.
+fn accrete(cli: &Cli) -> (Arc<ShardedRma>, Vec<TrajectoryRow>) {
+    // Splitters at the preload quantiles, so every shard starts with
+    // an equal resident share.
+    let mut base: Vec<(i64, i64)> = {
+        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
+        (0..cli.scale)
+            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
+            .collect()
+    };
+    base.sort_unstable();
+    let quantiles: Vec<i64> = (1..SHARDS)
+        .map(|i| base[i * base.len() / SHARDS].0)
+        .collect();
+    let index = Arc::new(ShardedRma::with_splitters(
+        shard_config(cli),
+        Splitters::new(quantiles),
+    ));
+    index.apply_batch(&base, &[]);
+
+    let phase_ops = cli.scale as u64;
+    let mut ops = ShiftingHotspot::new(
+        HotspotConfig {
+            phase_len: phase_ops,
+            motion: HotspotMotion::Jump,
+            ..Default::default()
+        },
+        cli.seed,
+    );
+    let mut trajectory = Vec::new();
+    let half = (phase_ops / 2).max(1);
+    for phase in 0..PHASES {
+        index.reset_access_stats();
+        let mut run_half = |n: u64| {
+            for i in 0..n {
+                let (k, v) = ops.next_pair();
+                if i % 2 == 0 {
+                    index.insert(k, v);
+                } else {
+                    std::hint::black_box(index.get(k));
+                }
+            }
+        };
+        run_half(half);
+        index.maintain();
+        run_half(phase_ops - half);
+        while ops.emitted() < (phase + 1) * phase_ops {
+            ops.next_key();
+        }
+        let engine = index.stats_snapshot();
+        trajectory.push(TrajectoryRow {
+            phase,
+            shards: engine.num_shards,
+            splitter_bytes: engine.splitter_bytes,
+        });
+    }
+    (index, trajectory)
 }
 
 /// What the quiet period accomplished, for the JSON report.
@@ -94,6 +156,8 @@ struct QuietOutcome {
     background_consolidations: u64,
     compact_merges: usize,
     quiet_ms: u64,
+    /// The median per-pair after ÷ before throughput ratio.
+    ratio: f64,
 }
 
 fn write_json(
@@ -147,7 +211,7 @@ fn write_json(
     ));
     json.push_str(&format!(
         "  \"throughput_ratio_after_vs_before\": {:.4},\n",
-        after.ops_per_sec / before.ops_per_sec.max(1e-12)
+        quiet.ratio
     ));
     json.push_str(&format!(
         "  \"shards_after_compaction\": {}\n}}\n",
@@ -163,81 +227,36 @@ fn main() {
         cli.scale, cli.scale, cli.seg
     );
 
-    // Pre-load with uniform keys, splitters at the preload quantiles
-    // so every shard starts with an equal resident share.
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
-    let quantiles: Vec<i64> = (1..SHARDS)
-        .map(|i| base[i * base.len() / SHARDS].0)
-        .collect();
-    let index = Arc::new(ShardedRma::with_splitters(
-        shard_config(&cli),
-        Splitters::new(quantiles),
-    ));
-    index.apply_batch(&base, &[]);
-
-    // --- accretion: phased hotspot, synchronous maintenance ---------
-    let phase_ops = cli.scale as u64;
-    let mut ops = ShiftingHotspot::new(
-        HotspotConfig {
-            phase_len: phase_ops,
-            motion: HotspotMotion::Jump,
-            ..Default::default()
-        },
-        cli.seed,
-    );
-    let mut trajectory = Vec::new();
-    let half = (phase_ops / 2).max(1);
-    for phase in 0..PHASES {
-        index.reset_access_stats();
-        let mut run_half = |n: u64| {
-            for i in 0..n {
-                let (k, v) = ops.next_pair();
-                if i % 2 == 0 {
-                    index.insert(k, v);
-                } else {
-                    std::hint::black_box(index.get(k));
-                }
-            }
-        };
-        run_half(half);
-        index.maintain();
-        run_half(phase_ops - half);
-        while ops.emitted() < (phase + 1) * phase_ops {
-            ops.next_key();
-        }
-        let engine = index.stats_snapshot();
-        trajectory.push(TrajectoryRow {
-            phase,
-            shards: engine.num_shards,
-            splitter_bytes: engine.splitter_bytes,
-        });
+    // --- accretion, twice: phased hotspot, synchronous maintenance ---
+    let (index, trajectory) = accrete(&cli);
+    for r in &trajectory {
         println!(
-            "# phase {phase}: {} shards, {} splitter bytes",
-            engine.num_shards, engine.splitter_bytes
+            "# phase {}: {} shards, {} splitter bytes",
+            r.phase, r.shards, r.splitter_bytes
         );
     }
-
-    // --- before: routed throughput over the bloated topology --------
-    let meas_ops = cli.scale.max(1024);
-    let before = measure(&index, meas_ops, cli.reps, cli.seed ^ 0xFEED);
-    println!(
-        "# before compaction: {} shards, {} routed ops/s",
-        before.shards,
-        fmt_throughput(meas_ops, meas_ops as f64 / before.ops_per_sec.max(1e-12))
+    let (bloated, _) = accrete(&cli);
+    assert_eq!(
+        index.splitters(),
+        bloated.splitters(),
+        "the same seed must accrete the same topology"
     );
+    // Each twin first serves one untimed pass of the routed stream:
+    // the quiet period then plans over the masses that uniform load
+    // leaves (the last hot band's has decayed away), and neither twin
+    // is timed cold.
+    let meas_ops = cli.scale.max(1024);
+    let seed = cli.seed ^ 0xFEED;
+    for twin in [&index, &bloated] {
+        routed_throughput(twin, meas_ops, seed);
+    }
 
-    // --- quiet period: starting the maintainer walks the topology
-    // down in one `maintain()` before it returns. No ops arrive, so no
-    // mark of the op clock wakes the thread after its first plan.
+    // --- quiet period: starting the maintainer walks one twin down in
+    // one `maintain()` before it returns. No ops arrive, so no mark of
+    // the op clock wakes the thread after its first plan.
     let merged_before = index.maintenance_stats().merges;
     let quiet_start = Instant::now();
-    let maintainer = index.start_maintainer(MaintainerConfig::default());
+    let maintainer = index.start_maintainer();
     let quiet_ms = quiet_start.elapsed().as_millis() as u64;
     let compact_merges = maintainer.startup.retired;
     maintainer.stop();
@@ -247,13 +266,38 @@ fn main() {
         "# quiet period: {quiet_ms} ms, {background_consolidations} merges merged {compact_merges} shards away"
     );
 
-    // --- after: routed throughput over the compacted topology -------
-    let after = measure(&index, meas_ops, cli.reps, cli.seed ^ 0xFEED);
+    // --- routed throughput, bloated twin vs compacted twin, paired --
+    // Each pair times both twins on the same op stream; the first of
+    // the two alternates from pair to pair.
+    let (mut befores, mut afters, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..cli.reps {
+        let (b, a) = if pair % 2 == 0 {
+            let b = routed_throughput(&bloated, meas_ops, seed);
+            (b, routed_throughput(&index, meas_ops, seed))
+        } else {
+            let a = routed_throughput(&index, meas_ops, seed);
+            (routed_throughput(&bloated, meas_ops, seed), a)
+        };
+        println!(
+            "# pair {pair}: before {b:.0} ops/s, after {a:.0} ops/s, ratio {:.3}",
+            a / b
+        );
+        befores.push(b);
+        afters.push(a);
+        ratios.push(a / b.max(1e-12));
+    }
+    let before = measure(&bloated, median(befores));
+    let after = measure(&index, median(afters));
+    let ratio = median(ratios);
     println!(
-        "# after compaction: {} shards, {} routed ops/s (ratio {:.3})",
+        "# before compaction: {} shards, {} routed ops/s",
+        before.shards,
+        fmt_throughput(meas_ops, meas_ops as f64 / before.ops_per_sec.max(1e-12))
+    );
+    println!(
+        "# after compaction: {} shards, {} routed ops/s (median pair ratio {ratio:.3})",
         after.shards,
         fmt_throughput(meas_ops, meas_ops as f64 / after.ops_per_sec.max(1e-12)),
-        after.ops_per_sec / before.ops_per_sec.max(1e-12)
     );
 
     let path = "BENCH_shard_compaction.json";
@@ -261,6 +305,7 @@ fn main() {
         background_consolidations,
         compact_merges,
         quiet_ms,
+        ratio,
     };
     match write_json(path, &cli, &trajectory, before, after, &quiet) {
         Ok(()) => println!("# wrote {path}"),

@@ -21,7 +21,11 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// refer to the median").
 pub fn median_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
     assert!(reps >= 1);
-    let mut xs: Vec<f64> = (0..reps).map(|_| f()).collect();
+    median((0..reps).map(|_| f()).collect())
+}
+
+/// The upper median of `xs`, which must not be empty.
+pub fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     xs[xs.len() / 2]
 }

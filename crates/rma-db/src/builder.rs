@@ -9,13 +9,12 @@ use rma_shard::{DurabilitySink, MaintainerConfig, ShardConfig, ShardedRma, Split
 use rma_wal::{DurabilityConfig, Wal};
 use std::sync::Arc;
 
-/// A rejected [`DbBuilder`] input. Engine-level violations (shard,
-/// maintainer and per-shard-RMA parameters) carry the inner layer's
-/// typed error.
+/// A rejected [`DbBuilder`] input. Engine-level violations (shard and
+/// per-shard-RMA parameters) carry the inner layer's typed error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// A [`ShardConfig`], [`MaintainerConfig`] or
-    /// [`RmaConfig`] parameter was rejected by the engine layer.
+    /// A [`ShardConfig`] or [`RmaConfig`] parameter was rejected by
+    /// the engine layer.
     Engine(rma_shard::ConfigError),
     /// Explicit splitter keys combined with a constructor that learns
     /// its own splitters ([`DbBuilder::build_bulk`] /
@@ -69,7 +68,7 @@ impl From<rma_shard::ConfigError> for ConfigError {
 pub struct DbBuilder {
     shard: ShardConfig,
     splitter_keys: Option<Vec<Key>>,
-    maintenance: Option<MaintainerConfig>,
+    maintenance: bool,
     observability: Option<ObsConfig>,
     durability: Option<DurabilityConfig>,
 }
@@ -101,14 +100,15 @@ impl DbBuilder {
         self
     }
 
-    /// Enables background maintenance with this cadence: the [`Db`]
-    /// starts the maintainer thread at open and owns its lifecycle —
-    /// it stops when the handle drops (or on
-    /// [`Db::stop_maintenance`]). Without this call no background
-    /// thread runs; maintenance can still be driven explicitly
-    /// through [`Db::engine`].
-    pub fn maintenance(mut self, cfg: MaintainerConfig) -> Self {
-        self.maintenance = Some(cfg);
+    /// Enables background maintenance: the [`Db`] starts the
+    /// maintainer thread at open and owns its lifecycle — it stops
+    /// when the handle drops (or on [`Db::stop_maintenance`]).
+    /// [`MaintainerConfig`] has no setting; the thread only plans and
+    /// drains maintenance, and seals no checkpoint. Without this call
+    /// no background thread runs; maintenance can still be driven
+    /// explicitly through [`Db::engine`].
+    pub fn maintenance(mut self, _: MaintainerConfig) -> Self {
+        self.maintenance = true;
         self
     }
 
@@ -125,13 +125,11 @@ impl DbBuilder {
     /// [`recover`](Self::recover), reopens) a write-ahead log in
     /// `cfg.dir`, and a session's [`Ticket::wait`](crate::Ticket::wait)
     /// runs the commit barrier before it hands over replies — once for
-    /// every ticket submitted before it. Checkpoints seal on
-    /// [`ShardedRma::checkpoint`], or on the maintainer's cadence when
-    /// [`maintenance`](Self::maintenance) is on and sets
-    /// [`MaintainerConfig::checkpoint_interval`] — `None` by default —
-    /// and once when [`build_bulk`](Self::build_bulk) loads its batch.
-    /// Otherwise nothing seals and an open replays the whole log.
-    /// Without this call the database is purely in-memory.
+    /// every ticket submitted before it. Checkpoints seal once when
+    /// [`build_bulk`](Self::build_bulk) loads its batch and on each
+    /// [`ShardedRma::checkpoint`] call through [`Db::engine`]; nothing
+    /// else seals, and an open replays the log written since the last
+    /// seal. Without this call the database is purely in-memory.
     pub fn durability(mut self, cfg: DurabilityConfig) -> Self {
         self.durability = Some(cfg);
         self
@@ -140,9 +138,6 @@ impl DbBuilder {
     /// Validates every input.
     fn validate(&self) -> Result<(), ConfigError> {
         self.shard.try_validate()?;
-        if let Some(m) = &self.maintenance {
-            m.try_validate()?;
-        }
         if let Some(keys) = &self.splitter_keys {
             if !keys.windows(2).all(|w| w[0] < w[1]) {
                 return Err(ConfigError::UnsortedSplitterKeys);

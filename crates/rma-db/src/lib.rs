@@ -8,8 +8,8 @@
 //! front door that real deployments consume instead:
 //!
 //! * **one builder** — [`Db::builder`] configures everything
-//!   fluently (shard count, per-shard RMA, maintenance cadence and
-//!   backstops, durability) and
+//!   fluently (shard count, per-shard RMA, shard-length backstop,
+//!   background maintenance, durability) and
 //!   validates every input up front, returning a typed
 //!   [`ConfigError`] instead of panicking mid-construction;
 //! * **one handle** — [`Db`] owns the engine *and* the background
@@ -68,7 +68,7 @@
 //!
 //! let db = Db::builder()
 //!     .shards(8)
-//!     .maintenance(MaintainerConfig::default())
+//!     .maintenance(MaintainerConfig)
 //!     .build()
 //!     .expect("static config");
 //! for k in 0..1000i64 {
@@ -76,7 +76,7 @@
 //! }
 //! let snap = db.stats();
 //! let maint = snap.maintainer.expect("maintenance configured");
-//! assert_eq!(maint.checkpoints, 0); // nothing durable to seal
+//! assert_eq!(maint.checkpoints, 0); // the maintainer never seals
 //! println!("{} wakes, {} plans", maint.polls, snap.engine.maintenance.plans);
 //! // Dropping `db` stops and joins the maintainer.
 //! ```
@@ -96,7 +96,7 @@ pub use rma_wal::{CommitPolicy, DurabilityConfig, FaultInjector, FaultMode, IoCl
 use metrics::SessionObs;
 use rma_core::{Key, Value};
 use rma_obs::EventKind;
-use rma_shard::{DurabilitySink, Maintainer, MaintainerConfig, MaintainerStats, ShardedRma};
+use rma_shard::{DurabilitySink, Maintainer, MaintainerStats, ShardedRma};
 use rma_wal::Wal;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -171,7 +171,7 @@ impl Db {
     /// performed — so recovered operations are not re-logged.
     pub(crate) fn assemble(
         mut engine: ShardedRma,
-        maintenance: Option<MaintainerConfig>,
+        maintenance: bool,
         obs: ObsConfig,
         wal: Option<Arc<Wal>>,
     ) -> Db {
@@ -180,14 +180,8 @@ impl Db {
             engine.set_durability(Arc::clone(w) as Arc<dyn DurabilitySink>);
         }
         let engine = Arc::new(engine);
-        let (maintainer, maintainer_stats) = match maintenance {
-            Some(cfg) => {
-                let m = engine.start_maintainer(cfg);
-                let stats = m.stats_handle();
-                (Some(m), Some(stats))
-            }
-            None => (None, None),
-        };
+        let maintainer = maintenance.then(|| engine.start_maintainer());
+        let maintainer_stats = maintainer.as_ref().map(Maintainer::stats_handle);
         Db {
             maintainer: Mutex::new(maintainer),
             maintainer_stats,
@@ -278,7 +272,7 @@ impl Db {
     fn maintainer_snapshot(&self) -> Option<MaintainerSnapshot> {
         self.maintainer_stats.as_ref().map(|s| MaintainerSnapshot {
             polls: s.polls(),
-            checkpoints: s.checkpoints(),
+            checkpoints: 0,
         })
     }
 
@@ -306,8 +300,8 @@ impl Db {
         };
         if w.is_degraded() {
             // The latch may have been set by a failing checkpoint on
-            // the maintainer thread; journal the one-time transition
-            // from whoever observes it first.
+            // another thread; journal the one-time transition from
+            // whoever observes it first.
             journal_degraded(&self.engine, w);
             return Err(DbError::ReadOnly);
         }
@@ -446,10 +440,12 @@ pub struct DbSnapshot {
 /// available (with final values) after [`Db::stop_maintenance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintainerSnapshot {
-    /// Wakes of the thread, each followed by one plan: the start,
-    /// the op-clock marks and the checkpoint timeouts.
+    /// Wakes of the thread, each followed by one plan: the start and
+    /// the op-clock marks.
     pub polls: u64,
-    /// Partition checkpoints its cadence sealed.
+    /// Always 0: the maintainer seals no checkpoint, only
+    /// [`rma_shard::ShardedRma::checkpoint`] does. The field stays so
+    /// the snapshot's consumers keep building.
     pub checkpoints: u64,
 }
 
@@ -569,14 +565,6 @@ mod tests {
         assert_eq!(db.stats().engine.len, 1600);
         let ledger = db.stats().engine.maintenance;
         assert_eq!(ledger.merges, report.merges as u64, "{ledger:?}");
-        // An invalid maintainer knob is rejected through the typed path.
-        let never = rma_shard::MaintainerConfig {
-            checkpoint_interval: Some(std::time::Duration::ZERO),
-        };
-        assert_eq!(
-            small().maintenance(never).build().unwrap_err(),
-            ConfigError::Engine(EngineError::ZeroCheckpointInterval)
-        );
     }
 
     #[test]
@@ -586,7 +574,7 @@ mod tests {
         // (the assemble path is only reached after validation).
         let err = Db::builder()
             .shards(0)
-            .maintenance(rma_shard::MaintainerConfig::default())
+            .maintenance(rma_shard::MaintainerConfig)
             .build()
             .unwrap_err();
         assert_eq!(err, ConfigError::Engine(EngineError::ZeroShards));
@@ -703,7 +691,7 @@ mod tests {
     #[test]
     fn maintainer_lifecycle_is_owned_by_the_handle() {
         let db = small()
-            .maintenance(rma_shard::MaintainerConfig::default())
+            .maintenance(rma_shard::MaintainerConfig)
             .build()
             .expect("valid");
         for k in 0..2000i64 {

@@ -128,8 +128,8 @@ pub struct MetricsSnapshot {
     pub ticket_wait: HistogramSnapshot,
     /// Executed maintenance-step wall durations, nanoseconds.
     pub step_duration: HistogramSnapshot,
-    /// Background maintainer wake wall durations (checkpoint, plan
-    /// and drain), nanoseconds.
+    /// Background maintainer wake wall durations (plan and drain),
+    /// nanoseconds.
     pub maint_tick: HistogramSnapshot,
     /// The retained maintenance events, oldest first.
     pub journal: Vec<Event>,

@@ -306,8 +306,8 @@ impl<'db> Session<'db> {
             let degraded = w.is_degraded();
             if degraded {
                 // The latch may have been set off-thread (a failed
-                // maintainer checkpoint); journal the one-time
-                // transition from whoever observes it first.
+                // checkpoint); journal the one-time transition from
+                // whoever observes it first.
                 journal_degraded(&db.engine, w);
             }
             degraded

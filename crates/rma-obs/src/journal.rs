@@ -29,8 +29,8 @@ pub enum EventKind {
     TopologyPublish = 5,
     /// The engine panicked in a server batch; its connections closed.
     WorkerPanic = 6,
-    /// One background maintainer wake (checkpoint, plan and drain)
-    /// made progress.
+    /// One background maintainer wake (plan and drain) planned
+    /// work.
     MaintTick = 7,
     /// A durability partition's checkpoint was sealed (segment +
     /// manifest durable on disk).

@@ -1,15 +1,14 @@
 //! Construction-time configuration of the sharded engine, and the
-//! typed [`ConfigError`] every validator in this crate reports.
+//! typed [`ConfigError`] its validator reports.
 //!
-//! [`ShardConfig::try_validate`] (and
-//! [`MaintainerConfig::try_validate`](crate::MaintainerConfig::try_validate))
-//! check every parameter **before** any construction work starts, so
-//! builder-style front-ends — [`rma-db`'s `DbBuilder`] is the
-//! canonical consumer — can reject a bad configuration with a typed,
-//! matchable error instead of panicking deep inside a constructor.
-//! The asserting `validate()` forms remain for the direct
-//! `ShardedRma` constructors, whose established contract is to abort
-//! on programmer error; both forms share one rule set.
+//! [`ShardConfig::try_validate`] checks every parameter **before** any
+//! construction work starts, so builder-style front-ends —
+//! [`rma-db`'s `DbBuilder`] is the canonical consumer — can reject a
+//! bad configuration with a typed, matchable error instead of
+//! panicking deep inside a constructor. The asserting `validate()`
+//! form remains for the direct `ShardedRma` constructors, whose
+//! established contract is to abort on programmer error; both forms
+//! share one rule set.
 //!
 //! [`rma-db`'s `DbBuilder`]: https://docs.rs/rma-db
 
@@ -98,10 +97,9 @@ impl ShardConfig {
 }
 
 /// A rejected engine configuration parameter — the typed error behind
-/// [`ShardConfig::try_validate`] and
-/// [`MaintainerConfig::try_validate`](crate::MaintainerConfig::try_validate).
+/// [`ShardConfig::try_validate`].
 /// The `Display` text doubles as the panic message of the asserting
-/// validators, so both reporting styles stay in lock-step.
+/// validator, so both reporting styles stay in lock-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `num_shards == 0`: the index needs at least one shard.
@@ -116,9 +114,6 @@ pub enum ConfigError {
     },
     /// The per-shard RMA configuration was rejected.
     Rma(RmaConfigError),
-    /// Maintainer `checkpoint_interval` is `Some(0)`: the maintainer
-    /// would do nothing but checkpoint.
-    ZeroCheckpointInterval,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -131,9 +126,6 @@ impl std::fmt::Display for ConfigError {
                  could never split (backstop {backstop}, shortest {min_len})"
             ),
             ConfigError::Rma(e) => e.fmt(f),
-            ConfigError::ZeroCheckpointInterval => {
-                f.write_str("checkpoint interval must be positive (or None)")
-            }
         }
     }
 }

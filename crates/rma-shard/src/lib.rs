@@ -99,11 +99,11 @@
 //! Background maintenance (see [`maintainer`] for the lifecycle):
 //!
 //! ```
-//! use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma};
+//! use rma_shard::{ShardConfig, ShardedRma};
 //! use std::sync::Arc;
 //!
 //! let index = Arc::new(ShardedRma::new(ShardConfig::default()));
-//! let maintainer = index.start_maintainer(MaintainerConfig::default());
+//! let maintainer = index.start_maintainer();
 //! for k in 0..1000i64 {
 //!     index.insert(k, k);
 //! }
@@ -943,6 +943,7 @@ impl ShardedRma {
 mod tests {
     use super::*;
     use rma_core::{RewiringMode, RmaConfig};
+    use std::sync::atomic::AtomicUsize;
 
     pub(crate) fn small_cfg(n: usize) -> ShardConfig {
         ShardConfig {
@@ -1160,20 +1161,32 @@ mod tests {
         });
     }
 
-    /// A durability sink that keeps each append as one `Vec`.
+    /// A durability sink that keeps each append as one `Vec` and
+    /// counts its seals.
     #[derive(Default)]
-    struct Recorder(Mutex<Vec<Vec<DurabilityOp>>>);
+    pub(crate) struct Recorder {
+        appends: Mutex<Vec<Vec<DurabilityOp>>>,
+        seals: AtomicUsize,
+    }
 
     impl Recorder {
         /// The appends since the last call.
         fn take(&self) -> Vec<Vec<DurabilityOp>> {
-            std::mem::take(&mut self.0.lock().expect("recorder lock"))
+            std::mem::take(&mut self.appends.lock().expect("recorder lock"))
+        }
+
+        /// Checkpoints sealed so far.
+        pub(crate) fn seals(&self) -> usize {
+            self.seals.load(Relaxed)
         }
     }
 
     impl DurabilitySink for Recorder {
         fn append(&self, ops: &[DurabilityOp]) {
-            self.0.lock().expect("recorder lock").push(ops.to_vec());
+            self.appends
+                .lock()
+                .expect("recorder lock")
+                .push(ops.to_vec());
         }
         fn partitions(&self) -> usize {
             1
@@ -1185,12 +1198,13 @@ mod tests {
             0
         }
         fn seal_checkpoint(&self, _: usize, _: u64, _: &[(Key, Value)]) -> bool {
+            self.seals.fetch_add(1, Relaxed);
             true
         }
     }
 
     /// An engine over `splitters` whose appends `Recorder` keeps.
-    fn recorded(splitters: Vec<Key>) -> (ShardedRma, Arc<Recorder>) {
+    pub(crate) fn recorded(splitters: Vec<Key>) -> (ShardedRma, Arc<Recorder>) {
         let cfg = small_cfg(splitters.len() + 1);
         let mut s = ShardedRma::with_splitters(cfg, Splitters::new(splitters));
         let sink = Arc::new(Recorder::default());

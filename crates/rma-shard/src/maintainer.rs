@@ -13,14 +13,10 @@
 //! `DECAY_EVERY` (8 192-op) mark — the moment every access mass
 //! halves — unparks the thread. Each wake the thread:
 //!
-//! 1. seals a checkpoint of every durability partition
-//!    ([`ShardedRma::checkpoint`]) if
-//!    [`MaintainerConfig::checkpoint_interval`] has passed since the
-//!    last one;
-//! 2. asks the planner ([`ShardedRma::plan_maintenance`]) for a plan.
+//! 1. asks the planner ([`ShardedRma::plan_maintenance`]) for a plan.
 //!    Nothing gates it: the calibrator's density bounds decide
 //!    whether there is work, and an in-bounds index plans nothing;
-//! 3. drains the plan to its end, sleeping `STEP_PAUSE` (500 µs)
+//! 2. drains the plan to its end, sleeping `STEP_PAUSE` (500 µs)
 //!    between steps — each step publishes its own copy-on-write
 //!    topology, so between steps every writer runs completely
 //!    unobstructed. A step whose shards changed under it is skipped,
@@ -30,10 +26,11 @@
 //! so an accreted topology is walked down at once, load or no load.
 //! Marks crossed during a drain coalesce into the thread's one park
 //! token, so at most one plan follows a drain. An idle index never
-//! wakes the thread; with a checkpoint interval set, it parks only
-//! until the next checkpoint is due. What its plans did is filed in
-//! the engine's ledger ([`ShardedRma::maintenance_stats`]);
-//! [`MaintainerStats`] keeps only what the thread alone knows.
+//! wakes the thread. The thread seals no checkpoint: a durable index
+//! seals on [`ShardedRma::checkpoint`], called by its owner. What its
+//! plans did is filed in the engine's ledger
+//! ([`ShardedRma::maintenance_stats`]); [`MaintainerStats`] keeps only
+//! what the thread alone knows.
 //!
 //! Because the read path is optimistic (see the crate docs on the
 //! pin/epoch read protocol),
@@ -46,40 +43,21 @@
 //! mid-drain — safe, because every executed step left a complete,
 //! consistent topology; the next maintainer simply re-plans.
 
-use crate::{ConfigError, DrainReport, ShardedRma};
+use crate::{DrainReport, ShardedRma};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pause between consecutive steps of a plan. Writers queued behind a
 /// step drain during the pause.
 const STEP_PAUSE: Duration = Duration::from_micros(500);
 
-/// The background maintainer's one setting. When it plans and how fast
-/// it drains are not settable: a mark of the op clock wakes it, the
-/// planner's thresholds decide whether there is work, and a plan's
-/// steps run 500 µs apart.
+/// The background maintainer has no setting: a mark of the op clock
+/// wakes it, the planner's thresholds decide whether there is work,
+/// and a plan's steps run 500 µs apart. The type stays so callers
+/// that pass `MaintainerConfig::default()` keep building.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaintainerConfig {
-    /// How often to checkpoint the durability partitions
-    /// ([`ShardedRma::checkpoint`], on the first wake past each
-    /// interval; the thread parks no longer than until the next is
-    /// due). `None` (the default) never checkpoints from this thread;
-    /// a no-op when no durability sink is installed.
-    pub checkpoint_interval: Option<Duration>,
-}
-
-impl MaintainerConfig {
-    /// Checks the cadence parameter, returning a violation as a typed
-    /// [`ConfigError`] instead of panicking — the form builder
-    /// front-ends validate with before any thread spawns.
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
-        if self.checkpoint_interval == Some(Duration::ZERO) {
-            return Err(ConfigError::ZeroCheckpointInterval);
-        }
-        Ok(())
-    }
-}
+pub struct MaintainerConfig;
 
 /// What only the maintainer thread knows (monotonic counters); what
 /// its plans did is in the engine's ledger,
@@ -87,19 +65,13 @@ impl MaintainerConfig {
 #[derive(Debug, Default)]
 pub struct MaintainerStats {
     polls: AtomicU64,
-    checkpoints: AtomicU64,
 }
 
 impl MaintainerStats {
-    /// Wakes of the thread, each followed by one plan: the start, the
-    /// op-clock marks (those crossed during a drain count once) and
-    /// the checkpoint timeouts.
+    /// Wakes of the thread, each followed by one plan: the start and
+    /// the op-clock marks (those crossed during a drain count once).
     pub fn polls(&self) -> u64 {
         self.polls.load(Relaxed)
-    }
-    /// Partition checkpoints its cadence sealed.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Relaxed)
     }
 }
 
@@ -152,8 +124,7 @@ impl ShardedRma {
     /// skip) but pointless: the op clock wakes only the one started
     /// last. Runs one [`maintain`](Self::maintain) on the caller's
     /// thread before it spawns.
-    pub fn start_maintainer(self: &Arc<Self>, cfg: MaintainerConfig) -> Maintainer {
-        cfg.try_validate().unwrap_or_else(|e| panic!("{e}"));
+    pub fn start_maintainer(self: &Arc<Self>) -> Maintainer {
         let startup = self.maintain();
         let index = Arc::clone(self);
         let stop = Arc::new(AtomicBool::new(false));
@@ -163,7 +134,7 @@ impl ShardedRma {
             let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name("rma-maintainer".into())
-                .spawn(move || maintainer_loop(&index, &cfg, &stop, &stats))
+                .spawn(move || maintainer_loop(&index, &stop, &stats))
                 .expect("spawn maintainer thread")
         };
         Maintainer {
@@ -175,33 +146,17 @@ impl ShardedRma {
     }
 }
 
-fn maintainer_loop(
-    index: &ShardedRma,
-    cfg: &MaintainerConfig,
-    stop: &AtomicBool,
-    stats: &MaintainerStats,
-) {
+fn maintainer_loop(index: &ShardedRma, stop: &AtomicBool, stats: &MaintainerStats) {
     let me = std::thread::current();
     // Registered before the first plan: a mark crossed earlier is in
     // the masses that plan reads.
     *index.maintainer_slot() = Some(me.clone());
     let obs_on = index.obs().enabled();
-    let mut last_checkpoint = Instant::now();
     while !stop.load(Relaxed) {
         stats.polls.fetch_add(1, Relaxed);
         let wake_t0 = if obs_on { rma_obs::now_ns() } else { 0 };
-        // Checkpoint cadence: the durability partitions are re-sealed
-        // each interval so crash recovery only replays one interval's
-        // worth of log tail.
-        let mut acted = false;
-        if (cfg.checkpoint_interval).is_some_and(|i| last_checkpoint.elapsed() >= i) {
-            last_checkpoint = Instant::now();
-            let sealed = index.checkpoint() as u64;
-            stats.checkpoints.fetch_add(sealed, Relaxed);
-            acted = sealed > 0;
-        }
         let mut plan = index.plan_maintenance();
-        acted |= !plan.is_empty();
+        let planned = !plan.is_empty();
         let mut steps_done = 0;
         // Abandoned mid-drain on a stop: every step was complete.
         while !stop.load(Relaxed) {
@@ -218,10 +173,10 @@ fn maintainer_loop(
         if obs_on {
             let dur = rma_obs::now_ns().saturating_sub(wake_t0);
             index.obs().record_tick(dur);
-            // Journal only wakes that made progress: empty plans would
+            // Journal only wakes that planned work: empty plans would
             // drown the structural events the bounded ring exists to
             // retain.
-            if steps_done > 0 || acted {
+            if planned {
                 index.obs().log(
                     rma_obs::EventKind::MaintTick,
                     rma_obs::Event::NO_SHARD,
@@ -230,11 +185,8 @@ fn maintainer_loop(
                 );
             }
         }
-        // Until the next mark, or the next checkpoint.
-        match cfg.checkpoint_interval {
-            Some(i) => std::thread::park_timeout(i.saturating_sub(last_checkpoint.elapsed())),
-            None => std::thread::park(),
-        }
+        // Until the next mark.
+        std::thread::park();
     }
     let mut slot = index.maintainer_slot();
     if slot.as_ref().is_some_and(|t| t.id() == me.id()) {
@@ -247,6 +199,7 @@ mod tests {
     use super::*;
     use crate::tests::small_cfg;
     use crate::{ShardedRma, Splitters};
+    use std::time::Instant;
 
     /// Waits until the thread has woken `n` times.
     fn await_polls(m: &Maintainer, n: u64) {
@@ -261,7 +214,7 @@ mod tests {
     #[test]
     fn maintainer_starts_and_stops_cleanly() {
         let s = Arc::new(ShardedRma::new(small_cfg(4)));
-        let m = s.start_maintainer(MaintainerConfig::default());
+        let m = s.start_maintainer();
         std::thread::sleep(Duration::from_millis(20));
         let stats = m.stop();
         assert!(stats.polls() > 0, "thread never woke");
@@ -269,16 +222,37 @@ mod tests {
 
     #[test]
     fn an_idle_maintainer_does_not_wake() {
-        // The start-up plan is the one wake an index with no ops and
-        // no checkpoint interval gets: no mark is crossed, so nothing
-        // unparks the thread after it.
-        let s = Arc::new(ShardedRma::new(small_cfg(4)));
-        let m = s.start_maintainer(MaintainerConfig::default());
+        // The start-up plan is the one wake an index with no ops
+        // gets, durable or not: no mark is crossed, so nothing
+        // unparks the thread after it, and it seals nothing.
+        let (s, sink) = crate::tests::recorded(vec![1000, 2000, 3000]);
+        let s = Arc::new(s);
+        let m = s.start_maintainer();
         await_polls(&m, 1);
         let first = m.stats_handle().polls();
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(m.stop().polls(), first, "an idle index woke the thread");
         assert_eq!(s.maintenance_stats().plans, 0);
+        assert_eq!(sink.seals(), 0);
+    }
+
+    #[test]
+    fn the_maintainer_seals_no_checkpoint_across_marks() {
+        // Driven across several op-clock marks, the thread wakes,
+        // plans and drains, and seals nothing: only the owner's
+        // `checkpoint()` seals.
+        let (s, sink) = crate::tests::recorded(vec![1000, 2000, 3000]);
+        let s = Arc::new(s);
+        let m = s.start_maintainer();
+        for i in 0..4 * 8192i64 {
+            s.insert(i % 500, i);
+        }
+        assert!(s.op_count() >= 3 * 8192, "{}", s.op_count());
+        await_polls(&m, 2);
+        m.stop();
+        assert_eq!(sink.seals(), 0, "the maintainer sealed a checkpoint");
+        assert_eq!(s.checkpoint(), 1);
+        assert_eq!(sink.seals(), 1);
     }
 
     #[test]
@@ -290,7 +264,7 @@ mod tests {
             small_cfg(4),
             Splitters::new(vec![1000, 2000, 3000]),
         ));
-        let m = s.start_maintainer(MaintainerConfig::default());
+        let m = s.start_maintainer();
         // Hammer shard 0 only; the background thread must cut the
         // hot range, which holds no boundary.
         let cut = |s: &ShardedRma| s.splitters().keys().iter().any(|&k| (1..500).contains(&k));
@@ -320,10 +294,10 @@ mod tests {
 
     #[test]
     fn dropping_the_handle_joins_the_thread() {
-        // No checkpoint interval: after its start-up plan the thread
-        // parks with no timeout, and only the handle can unpark it.
+        // After its start-up plan the thread parks with no timeout,
+        // and only the handle can unpark it.
         let s = Arc::new(ShardedRma::new(small_cfg(2)));
-        let m = s.start_maintainer(MaintainerConfig::default());
+        let m = s.start_maintainer();
         await_polls(&m, 1);
         std::thread::sleep(Duration::from_millis(10));
         let t0 = Instant::now();
@@ -346,7 +320,7 @@ mod tests {
         for k in 0..1600i64 {
             s.insert(k, k);
         }
-        let m = s.start_maintainer(MaintainerConfig::default());
+        let m = s.start_maintainer();
         let ledger = s.maintenance_stats();
         assert!(ledger.plans >= 1, "no plan ran: {ledger:?}");
         assert!(
@@ -398,7 +372,7 @@ mod tests {
         // No ops after the start: the thread's own first plan finds
         // nothing left, whenever it runs.
         let s = uneven_topology();
-        let m = s.start_maintainer(MaintainerConfig::default());
+        let m = s.start_maintainer();
         assert_eq!(s.num_shards(), twin.num_shards());
         assert_eq!(s.splitters(), twin.splitters());
         m.stop();

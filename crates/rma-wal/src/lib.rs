@@ -79,8 +79,6 @@ pub enum CommitPolicy {
     /// survive process crashes always, OS crashes only up to the last
     /// sync — at most `n` acknowledged records are at risk.
     EveryN(u64),
-    /// No logging at all; checkpoints are the only durability.
-    Off,
 }
 
 /// Durability partitions of a WAL made by [`Wal::create`]. Recovery
@@ -243,9 +241,6 @@ impl Wal {
     /// Callers must not acknowledge writes until then. Any I/O failure
     /// degrades the WAL and the write must be refused.
     pub fn commit(&self) -> Result<(), WalError> {
-        if self.policy == CommitPolicy::Off {
-            return Ok(());
-        }
         if self.is_degraded() {
             return Err(WalError::Degraded);
         }
@@ -340,7 +335,7 @@ impl Wal {
 impl DurabilitySink for Wal {
     /// Stages `ops` under one acquisition of the staging lock.
     fn append(&self, ops: &[DurabilityOp]) {
-        if self.policy == CommitPolicy::Off || self.is_degraded() {
+        if self.is_degraded() {
             return;
         }
         self.log.append(ops);
@@ -479,18 +474,6 @@ mod tests {
         wal.append(&[DurabilityOp::Insert(2, 2)]);
         assert_eq!(wal.checkpoint_cut(), 1);
         assert!(!wal.seal_checkpoint(0, 1, &[(1, 1)]));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn off_policy_stages_nothing() {
-        let dir = scratch("off");
-        let wal =
-            Wal::create(DurabilityConfig::new(&dir).policy(CommitPolicy::Off)).expect("create");
-        wal.append(&[DurabilityOp::Insert(1, 1)]);
-        assert_eq!(wal.checkpoint_cut(), 0);
-        wal.commit().expect("off commit is a no-op");
-        assert_eq!(wal.commit_hist().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -185,7 +185,6 @@ impl Log {
         let need_sync = match policy {
             CommitPolicy::Always => true,
             CommitPolicy::EveryN(n) => sink.since_fsync >= n,
-            CommitPolicy::Off => false,
         };
         if need_sync {
             let t0 = rewiring::monotonic_ns();

@@ -41,7 +41,7 @@ fn main() {
     seed.sort_unstable();
     let book = Db::builder()
         .shards(8)
-        .maintenance(MaintainerConfig::default())
+        .maintenance(MaintainerConfig)
         .build_bulk(&seed)
         .expect("static config is valid");
     println!("order book seeded: {} orders", book.len());

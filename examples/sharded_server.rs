@@ -69,7 +69,7 @@ fn main() {
     let db = Arc::new(
         Db::builder()
             .shards(16)
-            .maintenance(MaintainerConfig::default())
+            .maintenance(MaintainerConfig)
             .build_bulk(&base)
             .expect("static server config is valid"),
     );

@@ -150,7 +150,7 @@ fn readers_vs_background_maintainer_stress() {
     let base: Vec<(i64, i64)> = (0..PRELOADED).map(|k| (k, k)).collect();
     let db = Db::builder()
         .shard_config(stress_cfg(8))
-        .maintenance(MaintainerConfig::default())
+        .maintenance(MaintainerConfig)
         .build_bulk(&base)
         .expect("valid stress config");
     let index = db.engine();
@@ -343,7 +343,7 @@ fn get_many_sees_every_published_version_under_writers_and_maintainer() {
     let db = Db::builder()
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
-        .maintenance(MaintainerConfig::default())
+        .maintenance(MaintainerConfig)
         .build()
         .expect("valid stress config");
     let index = db.engine();
@@ -445,7 +445,7 @@ fn apply_ops_sees_every_published_version_under_writers_and_maintainer() {
     let db = Db::builder()
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
-        .maintenance(MaintainerConfig::default())
+        .maintenance(MaintainerConfig)
         .build()
         .expect("valid stress config");
     let index = db.engine();
@@ -572,7 +572,7 @@ fn scan_into_is_whole_and_sorted_under_writers_and_maintainer() {
     let db = Db::builder()
         .shard_config(stress_cfg(8))
         .splitter_keys((1..8).map(|i| i * writes / 2).collect())
-        .maintenance(MaintainerConfig::default())
+        .maintenance(MaintainerConfig)
         .build()
         .expect("valid stress config");
     let index = db.engine();

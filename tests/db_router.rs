@@ -46,7 +46,7 @@ fn concurrent_sessions_match_oracle_under_maintenance() {
 
     let db = Db::builder()
         .shard_config(small_cfg(8))
-        .maintenance(MaintainerConfig::default())
+        .maintenance(MaintainerConfig)
         .build()
         .expect("valid test config");
 

@@ -25,11 +25,10 @@ use rma_repro::db::{
 };
 use rma_repro::obs::EventKind;
 use rma_repro::rma::{RewiringMode, RmaConfig};
-use rma_repro::shard::{MaintainerConfig, ShardConfig};
+use rma_repro::shard::ShardConfig;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -360,67 +359,52 @@ fn clean_shutdown_recovers_exactly_and_stays_writable() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The maintainer's checkpoint cadence
-/// (`MaintainerConfig::checkpoint_interval`, off by default) is what
-/// keeps crash recovery from replaying the whole log: with it on, a
-/// checkpoint wave sealed after the last write leaves a tail shorter
-/// than the op count; with it off every op is replayed.
-/// Either way recovery matches the oracle.
+/// A checkpoint is what keeps crash recovery from replaying the whole
+/// log: writes, one explicit seal, more writes — recovery replays
+/// exactly the writes after the seal, and matches the oracle.
 #[test]
-fn maintainer_checkpoint_cadence_shortens_the_replayed_tail() {
+fn a_checkpoint_shortens_the_replayed_tail() {
     const OPS: usize = 600;
-    let replayed_after = |interval: Option<Duration>| -> u64 {
-        let dir = scratch("cadence");
-        let db = Db::builder()
-            .shard_config(small_shards())
-            .durability(DurabilityConfig::new(&dir))
-            .maintenance(MaintainerConfig {
-                checkpoint_interval: interval,
-            })
-            .build()
-            .expect("valid durable config");
-        // Unique keys (7919 is odd, so `i -> 7919 i mod 4096` is a
-        // bijection) spread over all four durability partitions.
-        let pairs: Vec<(i64, i64)> = (0..OPS as i64)
-            .map(|i| ((i * 7919 % 4096) << 50, i))
-            .collect();
-        let mut session = db.session();
-        for frame in pairs.chunks(50) {
-            let ops: Vec<Op> = frame.iter().map(|&(k, v)| Op::Insert(k, v)).collect();
-            let replies = session.submit(&ops).wait();
-            assert!(replies.iter().all(|r| *r == Reply::Inserted), "{replies:?}");
-        }
-        drop(session);
-        if interval.is_some() {
-            // A wave counts its seals when it ends, so one more than
-            // a full wave counted from here spans a wave that began,
-            // and drew every partition's cut, after the last write.
-            let sealed = || db.stats().maintainer.expect("maintainer on").checkpoints;
-            let want = sealed() + PARTITIONS as u64 + 1;
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while sealed() < want {
-                assert!(Instant::now() < deadline, "the cadence never sealed a wave");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        drop(db);
-        let db = Db::builder()
-            .shard_config(small_shards())
-            .durability(DurabilityConfig::new(&dir))
-            .recover()
-            .expect("recovery");
-        let oracle: BTreeMap<i64, i64> = pairs.into_iter().collect();
-        assert_eq!(dump(&db), oracle_pairs(&oracle));
-        let journal = db.metrics().journal;
-        let recovery = journal.iter().find(|e| e.kind == EventKind::Recovery);
-        let replayed = recovery.expect("recovery is journaled").keys;
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
-        replayed
+    const SEALED: usize = 250;
+    let dir = scratch("tail");
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .durability(DurabilityConfig::new(&dir))
+        .build()
+        .expect("valid durable config");
+    // Unique keys (7919 is odd, so `i -> 7919 i mod 4096` is a
+    // bijection) spread over all four durability partitions.
+    let pairs: Vec<(i64, i64)> = (0..OPS as i64)
+        .map(|i| ((i * 7919 % 4096) << 50, i))
+        .collect();
+    let mut session = db.session();
+    let mut write = |frame: &[(i64, i64)]| {
+        let ops: Vec<Op> = frame.iter().map(|&(k, v)| Op::Insert(k, v)).collect();
+        let replies = session.submit(&ops).wait();
+        assert!(replies.iter().all(|r| *r == Reply::Inserted), "{replies:?}");
     };
-    assert_eq!(replayed_after(None), OPS as u64, "no cadence: whole log");
-    let tail = replayed_after(Some(Duration::from_millis(20)));
-    assert!(tail < OPS as u64, "cadence on: replayed {tail} of {OPS}");
+    pairs[..SEALED].chunks(50).for_each(&mut write);
+    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    pairs[SEALED..].chunks(50).for_each(&mut write);
+    drop(session);
+    drop(db);
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .durability(DurabilityConfig::new(&dir))
+        .recover()
+        .expect("recovery");
+    let oracle: BTreeMap<i64, i64> = pairs.into_iter().collect();
+    assert_eq!(dump(&db), oracle_pairs(&oracle));
+    let journal = db.metrics().journal;
+    let recovery = journal.iter().find(|e| e.kind == EventKind::Recovery);
+    let replayed = recovery.expect("recovery is journaled").keys;
+    assert_eq!(
+        replayed,
+        (OPS - SEALED) as u64,
+        "only the writes after the seal"
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A checkpoint is not a maintenance step: it seals every partition
@@ -435,7 +419,7 @@ fn a_checkpoint_is_not_a_maintenance_step() {
         .durability(DurabilityConfig::new(&dir))
         .build()
         .expect("valid durable config");
-    // Unique keys over all four partitions, as in the cadence test.
+    // Unique keys over all four partitions, as in the tail test.
     for i in 0..1000i64 {
         db.insert((i * 7919 % 4096) << 50, i);
     }
