@@ -8,7 +8,11 @@
 //! 2. `+Clustering`   — packed segments + cards array;
 //! 3. `+Fixed segs`   — block-sized segments (B);
 //! 4. `+Static index` — the RMA with rewiring and adaptive off;
-//! 5. `+Rewiring`     — rewired rebalances/resizes;
+//! 5. `+Rewiring`     — memfd columns whose resizes to a page or more
+//!    are rewired; window rebalances copy on this rung as on the one
+//!    before (rewiring windows did not pay: see the workspace README's
+//!    "Rewiring"), so it differs from `+Static index` in its resizes
+//!    and in where a column's pages live;
 //! 6. `+Adaptive`     — adaptive rebalancing (full RMA).
 
 use bench_harness::stores::{rma_factory, tpma_factory, StoreFactory};

@@ -3,11 +3,20 @@
 //! "Memory rewiring is a technique to explicitly control the mapping
 //! between virtual (logic) addresses and their associated physical
 //! pages" (RUMA, Schuhknecht et al., PVLDB 2016; §III of the RMA
-//! paper). The RMA uses it so a rebalance performs **one** copy per
+//! paper). The paper uses it so a rebalance performs **one** copy per
 //! element: elements are redistributed from the array pages into spare
 //! buffer pages, then the *virtual addresses* of the two page sets are
 //! swapped — the freshly written physical pages become part of the
 //! array and the stale ones become the new spare buffers.
+//!
+//! Here only a resize swaps: the whole array is redistributed into a
+//! buffer of the new capacity whose pages are swapped in
+//! ([`RewiredVec::commit_resize_swap`]). A window rebalance is its
+//! owner's two-copy rebalance through an auxiliary buffer. With 4 KiB
+//! kernel pages behind each logical page, remapping a window (and
+//! wiring and punching its buffer) cost more than the copy it saved:
+//! sequential inserts ran about a fifth faster once windows stopped
+//! rewiring (the workspace README's "Rewiring" has the table).
 //!
 //! This crate implements that mechanism with `memfd_create(2)` +
 //! `mmap(MAP_SHARED | MAP_FIXED)`, and so builds for Linux only (its

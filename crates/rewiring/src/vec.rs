@@ -3,12 +3,11 @@
 //!
 //! * **memfd pages**: from one logical page up, the array is the first
 //!   pages of a rewirable reservation, and its tail hosts the spare
-//!   buffer pages RMA rebalances write into. Only pages swap.
+//!   buffer pages a resize writes into. Only pages swap.
 //! * **heap**: below one page the array is an exactly sized
 //!   `Vec<i64>`. A page is the unit of a swap, so such an array has
-//!   nothing to swap — its owner copies (§III rewires windows of a page
-//!   or more) — and a wired page would only hold memory it does not
-//!   use.
+//!   nothing to swap — its owner copies — and a wired page would only
+//!   hold memory it does not use.
 //!
 //! An array crosses between the two when it is resized: a resize to a
 //! page or more moves it onto pages — through the buffer
@@ -19,7 +18,7 @@
 //! while the memfd reservation exists, whichever side of a page the
 //! array is on, and [`BackendKind::Heap`] for good when it was refused
 //! (or for a column built without one): every array of such a column
-//! is on the heap and the three swap methods panic on it.
+//! is on the heap and [`RewiredVec::commit_resize_swap`] panics on it.
 //!
 //! Layout of a memfd reservation (in logical pages):
 //!
@@ -31,24 +30,20 @@
 //! While the array is on the heap it has no pages, and the buffer
 //! starts at page 0.
 //!
-//! A rebalance writes the redistributed window into the buffer pages
-//! and then *swaps* them with the window's array pages
-//! ([`RewiredVec::commit_window_swap`]); a resize redistributes the
-//! whole array into a buffer of the new capacity and swaps it in
-//! ([`RewiredVec::commit_resize_swap`]). Both perform exactly one copy
-//! per element.
+//! Only a resize swaps: it redistributes the whole array into a buffer
+//! of the new capacity and swaps that in
+//! ([`RewiredVec::commit_resize_swap`]), one copy per element. A
+//! rebalance of a window inside the array is its owner's copy: with
+//! 4 KiB kernel pages behind each logical page, populating the
+//! remapped and the freshly wired pages cost more than the second copy
+//! it saved (the workspace README's "Rewiring" has the numbers).
 //!
-//! Buffer pages are wired only while they are used. They are wired on
-//! demand by [`RewiredVec::array_and_buffer_mut`], and every commit
-//! ends by un-wiring (hole-punching) all but `array_pages / 8` of them,
-//! so between operations `wired_bytes ≤ (array_pages + array_pages /
-//! 8) · page_bytes`, and a heap array wires none. Why an eighth: a
-//! calibrator window of an eighth of the array or less — every level
-//! but the top three — then rebalances through pages that are already
-//! wired, and the windows that do pay a re-wire are the ones whose
-//! amortised frequency falls with their size; an array under 8 pages
-//! keeps no spares and re-wires for each of its (rare) page-sized
-//! rebalances.
+//! Buffer pages are wired only while they are used: on demand by
+//! [`RewiredVec::array_and_buffer_mut`], or ahead by
+//! [`RewiredVec::wire_buffer`]. Every resize swap and every in-place
+//! resize ends by un-wiring (hole-punching) all of them, so after
+//! either `wired_bytes` is the array's pages, and a heap array wires
+//! none.
 
 use crate::mmap::MmapRegion;
 
@@ -84,11 +79,6 @@ impl Default for RewireOptions {
         }
     }
 }
-
-/// Spare pages kept wired between operations, as a fraction of the
-/// array: one page per `SPARE_DIVISOR` array pages (see the module
-/// docs for why an eighth).
-const SPARE_DIVISOR: usize = 8;
 
 /// A contiguous, growable array of `i64`s: memfd pages that can be
 /// swapped from a page up, a plain `Vec` below (see the module docs).
@@ -212,7 +202,7 @@ impl RewiredVec {
                 v.shrink_to_fit();
                 // A buffer wired ahead of a grow that did not come.
                 if let Some(m) = mapped {
-                    m.trim_spares();
+                    m.unwire_spares();
                 }
             }
         }
@@ -236,8 +226,7 @@ impl RewiredVec {
 
     /// Wires spare buffer pages for `buf_elems` elements ahead of their
     /// use, so the commit or grow that takes them finds them wired.
-    /// Nothing on a heap column; given back by the next commit or resize
-    /// that leaves the array below a page.
+    /// Nothing on a heap column; given back by the next resize.
     pub fn wire_buffer(&mut self, buf_elems: usize) {
         if let Some(m) = &mut self.mapped {
             m.wire_buffer(buf_elems);
@@ -252,15 +241,6 @@ impl RewiredVec {
         let (pages, buf) = m.array_and_buffer_mut(buf_elems);
         // An array below a page is on the heap; its buffer is at page 0.
         (if pages.is_empty() { &self.heap } else { pages }, buf)
-    }
-
-    /// Swaps the array pages covering elements
-    /// `[first_elem, first_elem + elems)` with the first buffer pages.
-    /// Both bounds must be page-aligned. After the call the buffer
-    /// content is live in the array and the old array content sits in
-    /// the spare area.
-    pub fn commit_window_swap(&mut self, first_elem: usize, elems: usize) {
-        self.mapped().commit_window_swap(first_elem, elems);
     }
 
     /// Completes a resize-through-buffer: the array becomes the first
@@ -281,13 +261,7 @@ impl RewiredVec {
             let (_, buf) = m.array_and_buffer_mut(new_len);
             self.heap = buf.to_vec();
             m.resize_in_place(0);
-            m.trim_spares();
         }
-    }
-
-    /// The memfd reservation the swap methods act on.
-    fn mapped(&mut self) -> &mut Mapped {
-        self.mapped.as_mut().expect(NO_PAGES)
     }
 }
 
@@ -308,23 +282,17 @@ impl Mapped {
     }
 
     fn resize_in_place(&mut self, new_len: usize) {
-        let old_pages = self.array_pages();
-        let new_pages = self.pages_for(new_len);
-        if new_pages > old_pages {
-            // Absorb any spare pages that the array grows over.
-            self.region
-                .wire(old_pages, new_pages - old_pages)
-                .expect("wire array pages");
-            self.spare_wired = self.spare_wired.saturating_sub(new_pages - old_pages);
-        } else if new_pages < old_pages {
-            // Spares sit right after the old array; drop them first so
-            // the wired range stays contiguous after the shrink.
-            self.unwire_spares_beyond(0);
-            self.region
-                .unwire(new_pages, old_pages - new_pages)
-                .expect("unwire array pages");
-        }
+        let wired = self.array_pages() + self.spare_wired;
         self.len = new_len;
+        let pages = self.array_pages();
+        // The array keeps the spares it grows over; the rest go.
+        if pages > wired {
+            self.region
+                .wire(wired, pages - wired)
+                .expect("wire array pages");
+        }
+        self.spare_wired = wired.saturating_sub(pages);
+        self.unwire_spares();
     }
 
     fn as_slice(&self) -> &[i64] {
@@ -366,19 +334,6 @@ impl Mapped {
         (self.as_slice(), buf)
     }
 
-    fn commit_window_swap(&mut self, first_elem: usize, elems: usize) {
-        let epp = self.elems_per_page();
-        assert_eq!(first_elem % epp, 0, "window start unaligned");
-        assert_eq!(elems % epp, 0, "window length unaligned");
-        assert!(first_elem + elems <= self.len);
-        let pages = elems / epp;
-        assert!(pages <= self.spare_wired, "buffer was not populated");
-        self.region
-            .swap_range(first_elem / epp, self.array_pages(), pages)
-            .expect("swap pages");
-        self.trim_spares();
-    }
-
     /// Ascending swap order is essential: when growing, the target
     /// range `[0, new_pages)` overlaps the buffer range
     /// `[old_pages, old_pages + new_pages)`, and ascending order
@@ -407,24 +362,17 @@ impl Mapped {
         // The resize buffer was as large as the new array and is not
         // needed again until the next resize, an array's lifetime of
         // insertions away: keeping it wired is what made a store cost
-        // two copies of itself. Back to at most `new_pages / 8`
-        // spares — enough for every window up to an eighth of the
-        // array, the rebalances frequent enough to mind a re-wire.
-        self.trim_spares();
+        // two copies of itself.
+        self.unwire_spares();
     }
 
-    /// The one spare-pool rule, applied at the end of every commit:
-    /// at most `array_pages / SPARE_DIVISOR` buffer pages stay wired.
-    fn trim_spares(&mut self) {
-        self.unwire_spares_beyond(self.array_pages() / SPARE_DIVISOR);
-    }
-
-    fn unwire_spares_beyond(&mut self, keep: usize) {
-        if self.spare_wired > keep {
+    /// The end of every resize: no buffer page stays wired.
+    fn unwire_spares(&mut self) {
+        if self.spare_wired > 0 {
             self.region
-                .unwire(self.array_pages() + keep, self.spare_wired - keep)
+                .unwire(self.array_pages(), self.spare_wired)
                 .expect("unwire spare pages");
-            self.spare_wired = keep;
+            self.spare_wired = 0;
         }
     }
 }
@@ -467,25 +415,6 @@ mod tests {
         }
         assert_eq!(v.as_slice()[999], 999);
         assert_eq!(v.len(), 1000);
-    }
-
-    #[test]
-    fn window_swap_installs_buffer_content() {
-        let Some(mut v) = mapped_vec(small_opts()) else {
-            return;
-        };
-        let epp = 4096 / 8;
-        v.resize_in_place(4 * epp);
-        v.as_mut_slice().fill(7);
-        {
-            let (_, buf) = v.array_and_buffer_mut(2 * epp);
-            buf.fill(9);
-        }
-        v.commit_window_swap(epp, 2 * epp);
-        let s = v.as_slice();
-        assert!(s[..epp].iter().all(|&x| x == 7));
-        assert!(s[epp..3 * epp].iter().all(|&x| x == 9));
-        assert!(s[3 * epp..].iter().all(|&x| x == 7));
     }
 
     #[test]
@@ -577,33 +506,32 @@ mod tests {
         assert_eq!(base, 3 * 4096);
         let _ = v.array_and_buffer_mut(4096 / 8);
         assert_eq!(v.wired_bytes(), 4 * 4096);
-        v.mapped().unwire_spares_beyond(0);
+        v.resize_in_place(v.len());
         assert_eq!(v.wired_bytes(), 3 * 4096);
     }
 
     #[test]
-    fn commits_leave_an_eighth_of_the_array_in_spares() {
+    fn resizes_leave_no_spares() {
         let Some(mut v) = mapped_vec(small_opts()) else {
             return;
         };
         let epp = 4096 / 8;
         v.resize_in_place(16 * epp);
-        // A window of half the array wires 8 buffer pages; the
-        // commit gives 6 of them back.
+        // A shrink through the buffer wires 8 buffer pages and gives
+        // back every page past the new array.
         let _ = v.array_and_buffer_mut(8 * epp);
         assert_eq!(v.spare_pages(), 8);
-        v.commit_window_swap(0, 8 * epp);
-        assert_eq!(v.spare_pages(), 2);
-        assert_eq!(v.wired_bytes(), 18 * 4096);
-        // A window that fits the pool wires nothing.
-        let _ = v.array_and_buffer_mut(2 * epp);
-        v.commit_window_swap(4 * epp, 2 * epp);
-        assert_eq!(v.wired_bytes(), 18 * 4096);
-        // Under 8 pages nothing is kept.
-        let _ = v.array_and_buffer_mut(4 * epp);
-        v.commit_resize_swap(4 * epp);
-        assert_eq!(v.spare_pages(), 0);
-        assert_eq!(v.wired_bytes(), 4 * 4096);
+        v.commit_resize_swap(8 * epp);
+        assert_eq!((v.spare_pages(), v.wired_bytes()), (0, 8 * 4096));
+        // A grow in place takes over the buffer wired ahead of it and
+        // gives back the rest.
+        v.wire_buffer(3 * epp);
+        v.resize_in_place(9 * epp);
+        assert_eq!((v.spare_pages(), v.wired_bytes()), (0, 9 * 4096));
+        // So does a grow through the buffer.
+        let _ = v.array_and_buffer_mut(20 * epp);
+        v.commit_resize_swap(20 * epp);
+        assert_eq!((v.spare_pages(), v.wired_bytes()), (0, 20 * 4096));
     }
 
     #[test]
@@ -666,7 +594,7 @@ mod tests {
             let want = if len < epp || kind == BackendKind::Heap {
                 len * 8
             } else {
-                (v.array_pages() + v.spare_pages()) * epp * 8
+                v.array_pages() * epp * 8
             };
             assert_eq!(v.wired_bytes(), want, "step {step}");
         }
@@ -694,11 +622,11 @@ mod tests {
     }
 
     /// Drives a memfd column and a `Vec` model through `steps` random
-    /// grows, shrinks (through the buffer and in place) and window
-    /// swaps, a quarter of the resizes to below a page, checking after
-    /// each one the content, the spare-pool bound and that the wired
-    /// pages are exactly the array followed by its spares — none below
-    /// a page, where the array is an exactly sized heap one.
+    /// grows and shrinks — through the buffer, and in place with or
+    /// without a buffer wired ahead — a quarter of them to below a
+    /// page, checking after each one the content, that no spare page
+    /// stays wired and that the wired pages are exactly the array —
+    /// none below a page, where the array is an exactly sized heap one.
     fn churn(opts: RewireOptions, seed: u64, steps: usize) {
         const MAX_PAGES: usize = 40;
         let Some(mut v) = mapped_vec(opts) else {
@@ -712,61 +640,42 @@ mod tests {
             stamp += 1;
             stamp
         };
-        let new_len = |rng: &mut proptest::TestRng| {
-            let pages = if rng.below(4) == 0 { 1 } else { MAX_PAGES };
-            rng.below((pages * epp) as u64) as usize + 1
-        };
         for step in 0..steps {
+            let pages = if rng.below(4) == 0 { 1 } else { MAX_PAGES };
+            let new_len = rng.below((pages * epp) as u64) as usize + 1;
+            let kept = new_len.min(model.len());
+            model.truncate(kept);
+            model.resize_with(new_len, &mut fresh);
             match rng.below(4) {
-                // Resize through the buffer: keep a prefix, fill the rest.
+                // Through the buffer: keep a prefix, fill the rest.
                 0 | 1 => {
-                    let new_len = new_len(&mut rng);
-                    let kept = new_len.min(model.len());
-                    model.truncate(kept);
-                    model.resize_with(new_len, &mut fresh);
                     let (arr, buf) = v.array_and_buffer_mut(new_len);
                     buf[..kept].copy_from_slice(&arr[..kept]);
                     buf[kept..].copy_from_slice(&model[kept..]);
                     v.commit_resize_swap(new_len);
                 }
-                // Resize in place; newly exposed slots are unspecified.
-                2 => {
-                    let new_len = new_len(&mut rng);
-                    let kept = new_len.min(model.len());
-                    model.truncate(kept);
-                    model.resize_with(new_len, &mut fresh);
+                // In place; newly exposed slots are unspecified.
+                ahead => {
+                    if ahead == 3 {
+                        v.wire_buffer(rng.below((MAX_PAGES * epp) as u64) as usize + 1);
+                    }
                     v.resize_in_place(new_len);
                     v.as_mut_slice()[kept..].copy_from_slice(&model[kept..]);
                 }
-                // Rewrite a page-aligned window through the buffer.
-                _ => {
-                    let whole = model.len() / epp;
-                    if whole == 0 {
-                        continue;
-                    }
-                    let pages = rng.below(whole as u64) as usize + 1;
-                    let first = rng.below((whole - pages + 1) as u64) as usize;
-                    let window = first * epp..(first + pages) * epp;
-                    model[window.clone()].fill_with(&mut fresh);
-                    let (_, buf) = v.array_and_buffer_mut(window.len());
-                    buf.copy_from_slice(&model[window.clone()]);
-                    v.commit_window_swap(window.start, window.len());
-                }
             }
-            let array = v.array_pages();
             assert_eq!(v.as_slice(), &model[..], "step {step}");
-            assert!(v.spare_pages() <= array / SPARE_DIVISOR, "step {step}");
+            assert_eq!(v.spare_pages(), 0, "step {step}");
             let (heap, wired) = if model.len() < epp {
                 (model.len() * 8, 0)
             } else {
-                (0, array + v.spare_pages())
+                (0, v.array_pages())
             };
             assert_eq!(
                 v.wired_bytes(),
                 heap + wired * opts.page_bytes,
                 "step {step}"
             );
-            let region = &v.mapped().region;
+            let region = &v.mapped.as_ref().expect("a memfd column").region;
             for vp in 0..region.max_pages() {
                 assert_eq!(region.is_wired(vp), vp < wired, "step {step}, page {vp}");
             }

@@ -28,10 +28,10 @@
 //! column and no buffer page or scratch touched. The array is sized by
 //! the batch and the thresholds, not by doubling: the fewest segments
 //! whose root window holds the batch under `τ_h`, rounded up to whole
-//! logical pages (so every window of a page or more can still be
-//! rewired) or, below one page, to a power of two — an array that the
-//! column keeps on the heap, exactly that size, with no page wired for
-//! it (nothing below a page rewires). Under the
+//! logical pages (the unit a memfd column wires it in) or, below one
+//! page, to a power of two — an array that the column keeps on the
+//! heap, exactly that size, with no page wired for it (nothing below a
+//! page rewires). Under the
 //! update-oriented preset that is a density between 0.75 and, for a
 //! batch just past `n` pages, `0.75·n/(n+1)` — 2^19 pairs take 3 pages
 //! of 2 MiB a column where doubling took 4. A batch that overflows a
@@ -261,7 +261,7 @@ impl Rma {
         let stored = segs.clone().flat_map(|s| st.seg_elems(s));
         merge_into(stored, run, &mut self.scratch_keys, &mut self.scratch_vals);
         debug_assert_eq!(self.scratch_keys.len(), total);
-        self.commit_window(segs, &targets, None);
+        self.commit_window(segs, &targets);
     }
 
     /// The most an array of `segs` segments holds with its root window
@@ -586,17 +586,19 @@ mod tests {
         (segs * b * 3 / 4).min(segs * (b - 1))
     }
 
-    /// After every operation each column holds its array pages and at
-    /// most an eighth as many spares.
+    /// After every operation each column wires its array pages and no
+    /// spare page (a heap array, below a page or on a heap column, only
+    /// its slots).
     fn assert_footprint_bound(r: &Rma) {
         for col in [&r.storage.keys, &r.storage.vals] {
-            let page_bytes = col.elems_per_page() * 8;
-            let array = col.array_pages();
-            assert!(
-                col.wired_bytes() <= (array + array / 8) * page_bytes,
-                "{} bytes wired for {array} array pages",
-                col.wired_bytes()
-            );
+            let epp = col.elems_per_page();
+            let want = if col.len() < epp || r.backend_kind() == BackendKind::Heap {
+                col.len() * 8
+            } else {
+                col.array_pages() * epp * 8
+            };
+            assert_eq!(col.wired_bytes(), want, "{} array pages", col.array_pages());
+            assert_eq!(col.spare_pages(), 0);
         }
     }
 
@@ -761,8 +763,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// 4 KiB pages hold 32 of these segments, so page-sized
-        /// rebalances, grows and shrinks — each a trim, most a re-wire
-        /// — come by the thousand; the bound holds after every one.
+        /// rebalances come by the thousand, each a copy, and grows and
+        /// shrinks by the dozen, each from a page up a rewire; the bound
+        /// holds after every one.
         #[test]
         fn footprint_stays_bounded_under_churn(seed in any::<u64>()) {
             let mut r = Rma::new(RmaConfig {
@@ -771,6 +774,7 @@ mod tests {
             });
             let mut rng = TestRng::new(seed);
             let mut len = 0usize;
+            let mut page_resizes = 0;
             for phase in 0..8 {
                 // Odd phases drain, even phases fill; both hammer a
                 // moving band so windows of every size rebalance.
@@ -778,20 +782,29 @@ mod tests {
                 let band = rng.below(1 << 20) as i64;
                 for _ in 0..12_000 {
                     let k = band + rng.below(1 << 12) as i64;
+                    let resizes = r.stats().grows + r.stats().shrinks;
                     if draining && rng.below(8) != 0 {
                         len -= usize::from(r.remove_successor(k).is_some());
                     } else {
                         r.insert(k, k);
                         len += 1;
                     }
+                    if r.stats().grows + r.stats().shrinks > resizes
+                        && r.num_segments() >= r.segs_per_page()
+                    {
+                        page_resizes += 1;
+                    }
                     assert_footprint_bound(&r);
                 }
                 r.check_invariants();
                 prop_assert_eq!(r.len(), len);
             }
+            // Only the resizes that reached a page rewired — on memfd
+            // columns; heap columns copy every one.
             let st = r.stats();
             if r.backend_kind() == BackendKind::Mmap {
-                prop_assert!(st.rewired_commits > 500, "{:?}", st);
+                prop_assert!(page_resizes > 5, "{:?}", st);
+                prop_assert_eq!(st.rewired_commits, page_resizes, "{:?}", st);
             } else {
                 prop_assert_eq!(st.rewired_commits, 0, "{:?}", st);
             }
@@ -834,7 +847,7 @@ mod tests {
                 prop_assert_eq!(r.num_segments(), pages * spp);
 
                 // Fill, drain, fill: each phase ends at its resize.
-                let mut odd_rewires = 0;
+                let mut page_resizes = 0;
                 for (phase, resizes) in [(0, 1), (1, 2), (2, 2)] {
                     let draining = phase == 1;
                     let before = r.stats().grows + r.stats().shrinks;
@@ -845,7 +858,7 @@ mod tests {
                     while r.stats().grows + r.stats().shrinks < before + resizes {
                         ops += 1;
                         prop_assert!(ops < 200_000, "phase {} never resized", phase);
-                        let (segs, rewired) = (r.num_segments(), r.stats().rewired_commits);
+                        let segs = r.num_segments();
                         let k = if rng.below(4) == 0 {
                             rng.below(1 << 16) as i64
                         } else {
@@ -885,9 +898,8 @@ mod tests {
                                 segs.is_multiple_of(spp) || segs.is_power_of_two(),
                                 "{} segments", segs
                             );
+                            page_resizes += u64::from(segs >= spp);
                             r.check_invariants();
-                        } else if !segs.is_power_of_two() {
-                            odd_rewires += r.stats().rewired_commits - rewired;
                         }
                     }
                     r.check_invariants();
@@ -900,10 +912,10 @@ mod tests {
                 }
                 let st = r.stats();
                 prop_assert!(st.grows >= 3 && st.shrinks >= 2, "{:?}", st);
-                // Rebalances rewired while the page count was odd —
-                // on memfd columns; heap columns copy every one.
+                // Only the resizes that reached a page rewired — on memfd
+                // columns; heap columns copy every one.
                 if r.backend_kind() == BackendKind::Mmap {
-                    prop_assert!(odd_rewires > 0, "{:?}", st);
+                    prop_assert_eq!(st.rewired_commits, page_resizes, "{:?}", st);
                 } else {
                     prop_assert_eq!(st.rewired_commits, 0, "{:?}", st);
                 }

@@ -5,11 +5,13 @@ use crate::thresholds::Thresholds;
 /// Whether rebalances/resizes use true memory rewiring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewiringMode {
-    /// Rewire pages via `memfd` + `mmap(MAP_FIXED)` when the window is
-    /// at least one logical page; smaller windows fall back to the
-    /// copy path, as in the paper. `page_bytes` is the logical page
-    /// size (the paper uses 2 MB huge pages). Without a memfd
-    /// reservation every commit copies: see `Rma::backend_kind`.
+    /// Rewire pages via `memfd` + `mmap(MAP_FIXED)` when a resize takes
+    /// the array to one logical page or more; resizes below a page and
+    /// every window rebalance take the copy path (the paper rewires
+    /// windows too, which did not pay here: see the README's
+    /// "Rewiring"). `page_bytes` is the logical page size (the paper
+    /// uses 2 MB huge pages). Without a memfd reservation every commit
+    /// copies: see `Rma::backend_kind`.
     Enabled {
         /// Logical page size in bytes (power of two).
         page_bytes: usize,

@@ -16,13 +16,15 @@
 //! 3. **Static index** (§III "Index", Fig. 5): a pointer-eliminated
 //!    B+-tree over segment minima, rebuilt only at resizes; individual
 //!    separator updates during rebalances are O(1).
-//! 4. **Memory rewiring** (§III "Rebalancing", Fig. 6): rebalances and
-//!    resizes redistribute elements into spare physical pages and swap
-//!    virtual mappings — one copy per element instead of two. One
-//!    private function, `Rma::commit`, writes every rebalance and
-//!    every rewiring-mode resize: it makes the paper's one decision
-//!    (rewire whole pages, or copy through an auxiliary buffer) and
-//!    counts it in [`RmaStats`].
+//! 4. **Memory rewiring** (§III "Rebalancing", Fig. 6): a resize to a
+//!    logical page or more redistributes the elements into spare
+//!    physical pages and swaps the virtual mappings — one copy per
+//!    element instead of two. Window rebalances copy through an
+//!    auxiliary buffer, page-aligned or not: with 4 KiB kernel pages
+//!    behind each logical page, remapping a window cost more than the
+//!    copy it saved (the README's "Rewiring" section has the numbers).
+//!    `Rma::resize_to` makes the one rewire-or-copy decision, and
+//!    [`RmaStats`] counts every commit as one or the other.
 //! 5. **Adaptive rebalancing** (§IV): a per-segment Detector predicts
 //!    insertion/deletion hot spots; rebalances then place gaps where
 //!    new inserts are expected (marked intervals), fixing the APMA

@@ -21,7 +21,7 @@ const LOOKUP_GROUP: usize = 16;
 const INDEX_FANOUT: usize = 64;
 
 /// A sorted key/value container over a sparse array with fixed-size
-/// clustered segments, a static index, rewired rebalances and
+/// clustered segments, a static index, rewired resizes and
 /// adaptive rebalancing. See the crate docs for the feature overview.
 ///
 /// # Duplicate keys
@@ -118,9 +118,8 @@ impl Rma {
     }
 
     /// Segments in one logical page of a column: from this count up an
-    /// array is sized in whole pages, so that every calibrator window
-    /// of a page or more — the ragged last one included — starts and
-    /// ends on a page boundary and can be rewired.
+    /// array is sized in whole pages, the unit a memfd column wires it
+    /// in anyway.
     pub(crate) fn segs_per_page(&self) -> usize {
         (self.storage.keys.elems_per_page() / self.cfg.segment_size).max(1)
     }
@@ -613,25 +612,21 @@ impl Rma {
         cap_targets(&mut targets, b, total);
         self.stats.rebalances += 1;
         let src: Vec<Range<usize>> = segs.clone().map(|s| self.storage.seg_range(s)).collect();
-        self.commit_window(segs, &targets, Some(&src));
+        self.gather(&src);
+        self.commit_window(segs, &targets);
     }
 
-    /// Commits a rebalanced window `segs` into the layout `targets`
-    /// (see [`commit`](Self::commit) for `src`), then records its
+    /// Commits a rebalanced window `segs`, its elements waiting in
+    /// scratch, into the layout `targets`, then records its
     /// cardinalities and recomputes its separators: a non-empty
     /// segment's separator is its minimum; an empty one inherits the
     /// next non-empty minimum (or the window maximum for a trailing
     /// run, so only keys above it route into the run), keeping
     /// separators monotone.
-    pub(crate) fn commit_window(
-        &mut self,
-        segs: Range<usize>,
-        targets: &[usize],
-        src: Option<&[Range<usize>]>,
-    ) {
+    pub(crate) fn commit_window(&mut self, segs: Range<usize>, targets: &[usize]) {
         let b = self.cfg.segment_size;
         let dst = window_layout(segs.start, b, targets);
-        self.commit(segs.start * b, segs.len() * b, &dst, src, false);
+        self.commit(segs.start * b, segs.len() * b, &dst);
         for (s, &t) in segs.clone().zip(targets) {
             self.storage.cards[s] = t as u32;
         }
@@ -654,78 +649,37 @@ impl Rma {
         }
     }
 
-    /// The one commit of a reorganisation (§III): writes the elements
-    /// in order into the occupied ranges `dst` (relative to `first`)
-    /// of the `slots` slots from slot `first`, and counts itself as
-    /// rewired or copied. `src` is the array's own occupied slot
-    /// ranges, in order, or `None` when the elements wait in scratch.
-    ///
-    /// It rewires when the columns are memfd pages and the window is at
-    /// least a logical page, starts on a page boundary and — unless it
-    /// is a `resize` to `slots` slots, which swaps in whole pages
-    /// however the last one is filled — ends on one: the elements go
-    /// into buffer pages (one copy each) that are then swapped in.
-    /// Anything else, heap columns included, is copied: gathered into
-    /// scratch unless already there, then scattered back (the paper's
-    /// two-pass auxiliary-buffer scheme). A resize under a page thus
-    /// wires no buffer page that the kernel would zero and punch again,
-    /// and an array under a page — a heap array on a memfd column as
-    /// well — only ever takes the copy arm; the resize that takes it
-    /// to a page or more rewires, moving it onto pages.
-    fn commit(
-        &mut self,
-        first: usize,
-        slots: usize,
-        dst: &[Range<usize>],
-        src: Option<&[Range<usize>]>,
-        resize: bool,
-    ) {
-        let epp = self.storage.keys.elems_per_page();
-        let rewire = self.storage.backend_kind() == rewiring::BackendKind::Mmap
-            && slots >= epp
-            && first.is_multiple_of(epp)
-            && (resize || slots.is_multiple_of(epp));
-        self.stats.elements_moved += dst.iter().map(Range::len).sum::<usize>() as u64;
-        if rewire {
-            self.stats.rewired_commits += 1;
-        } else {
-            self.stats.copied_commits += 1;
-            if let Some(src) = src {
-                self.scratch_keys.clear();
-                self.scratch_vals.clear();
-                let (keys, vals) = (self.storage.keys.as_slice(), self.storage.vals.as_slice());
-                for r in src {
-                    self.scratch_keys.extend_from_slice(&keys[r.clone()]);
-                    self.scratch_vals.extend_from_slice(&vals[r.clone()]);
-                }
-            }
-            if resize {
-                self.storage.keys.resize_in_place(slots);
-                self.storage.vals.resize_in_place(slots);
-            }
+    /// Copies the elements of the array's occupied slot ranges `src`,
+    /// in order, into scratch: the first pass of the paper's two-pass
+    /// auxiliary-buffer scheme.
+    fn gather(&mut self, src: &[Range<usize>]) {
+        self.scratch_keys.clear();
+        self.scratch_vals.clear();
+        let (keys, vals) = (self.storage.keys.as_slice(), self.storage.vals.as_slice());
+        for r in src {
+            self.scratch_keys.extend_from_slice(&keys[r.clone()]);
+            self.scratch_vals.extend_from_slice(&vals[r.clone()]);
         }
+    }
+
+    /// The copy commit of a reorganisation (§III), the second pass:
+    /// writes the elements waiting in scratch, in order, into the
+    /// occupied ranges `dst` (relative to `first`) of the `slots` slots
+    /// from slot `first`, and counts a copied commit. Every window
+    /// rebalance ends here, page-aligned or not: rewiring a window cost
+    /// more than its second copy (the README's "Rewiring"), so only a
+    /// resize to a page or more rewires ([`resize_to`](Self::resize_to)).
+    fn commit(&mut self, first: usize, slots: usize, dst: &[Range<usize>]) {
+        self.stats.copied_commits += 1;
+        self.stats.elements_moved += dst.iter().map(Range::len).sum::<usize>() as u64;
+        let whole = 0..self.scratch_keys.len();
         let cols = [
             (&mut self.storage.keys, &self.scratch_keys),
             (&mut self.storage.vals, &self.scratch_vals),
         ];
         for (col, scratch) in cols {
-            let whole = 0..scratch.len();
-            let scratch_run = std::slice::from_ref(&whole);
-            if !rewire {
-                let window = &mut col.as_mut_slice()[first..first + slots];
-                copy_runs(scratch, scratch_run, window, dst);
-                continue;
-            }
-            let (arr, buf) = col.array_and_buffer_mut(slots);
-            match src {
-                Some(src) => copy_runs(arr, src, buf, dst),
-                None => copy_runs(scratch, scratch_run, buf, dst),
-            }
-            if resize {
-                col.commit_resize_swap(slots);
-            } else {
-                col.commit_window_swap(first, slots);
-            }
+            let window = &mut col.as_mut_slice()[first..first + slots];
+            copy_runs(scratch, std::slice::from_ref(&whole), window, dst);
         }
         self.trim_scratch();
     }
@@ -776,11 +730,17 @@ impl Rma {
         self.resize_to(new_segs);
     }
 
-    /// Rebuilds the array at `new_segs` segments with an even spread:
-    /// through [`commit`](Self::commit) when rewiring is enabled, or —
-    /// the paper's standard resize, which the `-RWR` ablation measures
-    /// — into fresh storage, one copy per element plus the OS-level
-    /// page zeroing the paper highlights.
+    /// Rebuilds the array at `new_segs` segments with an even spread.
+    /// On memfd columns a resize to a page or more is the one commit
+    /// that rewires (§III): the elements go into buffer pages of the new
+    /// capacity, one copy each, that are then swapped in whole however
+    /// the last one is filled — and an array below a page moves onto
+    /// pages. Any other resize with rewiring enabled — below a page, or
+    /// on heap columns — is copied through scratch, so it wires no buffer
+    /// page that the kernel would zero and punch again. With rewiring
+    /// disabled it is the paper's standard resize, which the `-RWR`
+    /// ablation measures: into fresh storage, one copy per element plus
+    /// the OS-level page zeroing the paper highlights.
     pub(crate) fn resize_to(&mut self, new_segs: usize) {
         let b = self.cfg.segment_size;
         debug_assert!(self.len <= new_segs * b, "resize target too small");
@@ -791,8 +751,21 @@ impl Rma {
             .collect();
         let dst = window_layout(0, b, &targets);
         let new_slots = new_segs * b;
-        if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
-            self.commit(0, new_slots, &dst, Some(&src), true);
+        let rewire = self.storage.backend_kind() == rewiring::BackendKind::Mmap
+            && new_slots >= self.storage.keys.elems_per_page();
+        if rewire {
+            self.stats.rewired_commits += 1;
+            self.stats.elements_moved += self.len as u64;
+            for col in [&mut self.storage.keys, &mut self.storage.vals] {
+                let (arr, buf) = col.array_and_buffer_mut(new_slots);
+                copy_runs(arr, &src, buf, &dst);
+                col.commit_resize_swap(new_slots);
+            }
+        } else if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
+            self.gather(&src);
+            self.storage.keys.resize_in_place(new_slots);
+            self.storage.vals.resize_in_place(new_slots);
+            self.commit(0, new_slots, &dst);
         } else {
             self.stats.copied_commits += 1;
             self.stats.elements_moved += self.len as u64;
@@ -1235,12 +1208,15 @@ mod tests {
                         ..Default::default()
                     });
                     let mut rng = proptest::TestRng::new(seed);
+                    let page = r.storage.keys.elems_per_page();
+                    let mut page_resizes = 0;
                     r.insert(0, 0);
                     for phase in 0..6 {
                         // Even phases fill, odd ones drain.
                         let draining = phase % 2 == 1;
                         for step in 0..3000i64 {
                             let k = rng.below(1 << 14) as i64;
+                            let resizes = r.stats().grows + r.stats().shrinks;
                             match rng.below(32) {
                                 0 => {
                                     let (n_ins, n_del) = if draining { (8, 128) } else { (128, 8) };
@@ -1270,15 +1246,20 @@ mod tests {
                                 st.reorganisations(),
                                 "{:?}", st
                             );
+                            if st.grows + st.shrinks > resizes && r.capacity() >= page {
+                                page_resizes += 1;
+                            }
                         }
                         r.check_invariants();
                     }
                     let st = r.stats();
                     proptest::prop_assert!(st.grows > 0 && st.shrinks > 0, "{:?}", st);
-                    // Only memfd columns rewire: `Disabled`, and
-                    // `Enabled` on a host without memfd, copy.
+                    // Only a resize that reaches a page rewires, and only
+                    // on memfd columns: `Disabled`, and `Enabled` on a
+                    // host without memfd, copy.
                     if r.backend_kind() == BackendKind::Mmap {
-                        proptest::prop_assert!(st.rewired_commits > 0, "{:?}", st);
+                        proptest::prop_assert!(page_resizes > 0, "{:?}", st);
+                        proptest::prop_assert_eq!(st.rewired_commits, page_resizes, "{:?}", st);
                     } else {
                         proptest::prop_assert_eq!(st.rewired_commits, 0, "{:?}", st);
                     }
@@ -1477,11 +1458,75 @@ mod tests {
         assert_eq!(r.iter().count(), r.len());
     }
 
+    /// The commit contract on memfd columns: a window rebalance copies,
+    /// page-aligned or not, and leaves no spare page wired; a resize to
+    /// a page or more rewires, one below a page copies.
+    #[test]
+    fn only_a_resize_to_a_page_rewires() {
+        let mut r = Rma::new(RmaConfig {
+            segment_size: 16,
+            rewiring: RewiringMode::Enabled { page_bytes: 4096 },
+            adaptive: false,
+            reserve_bytes: 1 << 22,
+            ..Default::default()
+        });
+        if r.backend_kind() != BackendKind::Mmap {
+            return;
+        }
+        let (page, spp) = (r.storage.keys.elems_per_page(), r.segs_per_page());
+        // Runs `op` and, when it resized the array, checks that the
+        // resize was one commit, rewired exactly when it reached a page.
+        let mut resizes = [0; 2];
+        let mut resize_by = |r: &mut Rma, op: &dyn Fn(&mut Rma)| {
+            let (before, cap) = (*r.stats(), r.capacity());
+            op(r);
+            if r.capacity() != cap {
+                let on_pages = usize::from(r.capacity() >= page);
+                resizes[on_pages] += 1;
+                let st = r.stats();
+                let rewired = st.rewired_commits - before.rewired_commits;
+                let copied = st.copied_commits - before.copied_commits;
+                assert_eq!((rewired, copied), (on_pages as u64, 1 - on_pages as u64));
+            }
+        };
+        let mut k = 0i64;
+        while r.capacity() < 4 * page {
+            resize_by(&mut r, &|r| r.insert(k * 7919 % 10_007, k));
+            k += 1;
+        }
+        let want: Vec<(Key, Value)> = r.iter().collect();
+        for window in [0..spp, spp..3 * spp, 0..r.num_segments()] {
+            let before = *r.stats();
+            r.rebalance_window(window.clone());
+            let st = r.stats();
+            assert_eq!(st.rewired_commits, before.rewired_commits, "{window:?}");
+            assert_eq!(st.copied_commits, before.copied_commits + 1, "{window:?}");
+            for col in [&r.storage.keys, &r.storage.vals] {
+                assert_eq!(col.spare_pages(), 0, "{window:?}");
+                assert_eq!(col.wired_bytes(), col.array_pages() * page * 8);
+            }
+            r.check_invariants();
+            assert_eq!(r.iter().collect::<Vec<_>>(), want, "{window:?}");
+        }
+        while r.capacity() >= page {
+            resize_by(&mut r, &|r| {
+                r.remove_successor(0);
+            });
+        }
+        r.check_invariants();
+        // Grows below and from a page, a shrink on pages and the one
+        // below a page.
+        assert!(resizes[0] >= 4 && resizes[1] >= 4, "{resizes:?}");
+    }
+
     /// Where a sub-page array's bytes live must not move a rewire
     /// decision. A sub-page array grows past a page three ways — by
     /// inserts, by a batch that overflows it, and by a direct build
     /// followed by inserts — and each ends with the exact commit counts
     /// it produced when every column wired its first page from birth.
+    /// Re-pinned when window rebalances stopped rewiring: each way's
+    /// rewired count fell to its resizes that reached a page, and its
+    /// commit total, grows and rebalances stayed.
     #[test]
     fn commits_across_the_page_floor_are_pinned() {
         let cfg = RmaConfig {
@@ -1513,7 +1558,7 @@ mod tests {
         ];
         /// (rewired commits, copied commits, grows, rebalances)
         type Counts = (u64, u64, u64, u64);
-        let want: [Counts; 3] = [(6, 183, 9, 180), (2, 9, 5, 6), (7, 154, 5, 157)];
+        let want: [Counts; 3] = [(5, 184, 9, 180), (1, 10, 5, 6), (4, 157, 5, 157)];
         for ((name, grow), want) in ways.into_iter().zip(want) {
             let mut r = Rma::new(cfg);
             grow(&mut r, &mut Rng::new(37));

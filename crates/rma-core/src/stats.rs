@@ -16,17 +16,18 @@ pub struct RmaStats {
     /// Elements copied during rebalances and resizes, and written by
     /// a bulk build into an empty array.
     pub elements_moved: u64,
-    /// Rebalances/resizes that committed through page rewiring. Every
-    /// rebalance and every rewiring-mode resize commits through one
-    /// function, `Rma::commit`, which makes the rewire-or-copy
-    /// decision and counts it here or in `copied_commits`; so
-    /// `rewired_commits + copied_commits == reorganisations()`. Always
-    /// 0 on heap columns. (A bulk build into an empty array writes in
-    /// place: it counts as a grow and as neither kind of commit.)
+    /// Resizes that committed through page rewiring: those that took
+    /// the array to a logical page or more on memfd columns. Window
+    /// rebalances always copy. Every rebalance and resize is one commit
+    /// counted here or in `copied_commits`, so `rewired_commits +
+    /// copied_commits == reorganisations()`. Always 0 on heap columns.
+    /// (A bulk build into an empty array writes in place: it counts as
+    /// a grow and as neither kind of commit.)
     pub rewired_commits: u64,
-    /// Rebalances/resizes that took the copy path: the copy arm of
-    /// `Rma::commit` (all of a heap column's), plus each resize with
-    /// rewiring disabled (one copy into fresh storage).
+    /// Rebalances/resizes that took the copy path: every window
+    /// rebalance, every resize below a page or on heap columns, and
+    /// each resize with rewiring disabled (one copy into fresh
+    /// storage).
     pub copied_commits: u64,
 }
 

@@ -134,8 +134,9 @@ fn get_batch_equals_get_on_the_named_shapes() {
         r.check_invariants();
         assert_batch_matches_get(&r, &probes);
 
-        // Memfd columns rewire; heap columns — copy mode, or rewired
-        // mode on a host without memfd — never do.
+        // Memfd columns rewire their resizes to a page or more; heap
+        // columns — copy mode, or rewired mode on a host without memfd
+        // — never do.
         let commits = (r.stats().rewired_commits, r.stats().copied_commits);
         if r.backend_kind() == BackendKind::Mmap {
             assert!(commits.0 > 0, "memfd columns never rewired: {commits:?}");

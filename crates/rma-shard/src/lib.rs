@@ -266,7 +266,7 @@ pub struct ShardStats {
     /// Elements the rebalances and resizes moved, counted like
     /// `rebalances`.
     pub elements_moved: u64,
-    /// Commits through page rewiring, counted like `rebalances`.
+    /// Commits through page rewiring (resizes only), counted like `rebalances`.
     pub rewired_commits: u64,
     /// Commits through the copy path, counted like `rebalances`.
     pub copied_commits: u64,

@@ -111,8 +111,8 @@ fn bulk_loaded_store_costs_its_array_and_little_more() {
     // more than six times over.
     load_and_measure(1 << 17, 40.0, 1 << 15);
     // 2^17 pairs a shard fill exactly one page: 2^18 slots, 2 MiB
-    // a column — 32 B of array at density 0.5, an eighth of that in
-    // spare pages at most, detector, index and cardinalities on top.
+    // a column — 32 B of array at density 0.5, no spare page, and
+    // detector, index and cardinalities on top.
     // The counter reads 33.26 B after the load: the detector's 64-byte
     // line a segment is 1 B of it.
     load_and_measure(1 << 20, 33.5, 1 << 18);
