@@ -2,14 +2,14 @@
 //!
 //! The durability subsystem: one group-committed write-ahead log (one
 //! LSN sequence, one fsync per commit barrier) behind
-//! [`rma_db::DbBuilder::durability`], checkpoints sealed per durability
-//! partition, and parallel crash recovery.
+//! [`rma_db::DbBuilder::durability`], checkpoints sealed one unit per
+//! shard, and parallel crash recovery.
 //! This driver answers the two questions that decide whether anyone
 //! turns it on:
 //!
 //! 1. **What does durable ingest cost?** An identical pipelined
 //!    insert stream (uniform random keys over the full 62-bit domain,
-//!    so every durability partition carries traffic) is driven
+//!    so every shard carries traffic) is driven
 //!    against three configurations of the same preloaded database
 //!    (a durable preload is sealed as a checkpoint, not logged):
 //!    `off` (no WAL), `group_commit` ([`CommitPolicy::Always`] — a
@@ -23,11 +23,11 @@
 //!    in the per-segment ratios (same pairing methodology as
 //!    `fig20_obs_overhead`).
 //! 2. **How fast is recovery?** After the measured run, the
-//!    group-commit database seals a checkpoint wave, ingests a log
-//!    tail of 65 536 more inserts, and is dropped mid-flight; the
-//!    timed region is `DbBuilder::recover()` — manifest read,
-//!    parallel per-partition checkpoint load, bulk rebuild, one scan
-//!    of the log, and each partition's committed tail replayed in
+//!    group-commit database seals a checkpoint (one unit per shard),
+//!    ingests a log tail of 65 536 more inserts, and is dropped
+//!    mid-flight; the timed region is `DbBuilder::recover()` —
+//!    manifest read, parallel per-unit checkpoint load, bulk rebuild,
+//!    one scan of the log, and each unit's committed tail replayed in
 //!    parallel — verified to reproduce the exact element count.
 //!
 //! The repository's acceptance bars: group-committed durable ingest ≥
@@ -39,7 +39,7 @@
 
 use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
 use rma_core::RmaConfig;
-use rma_db::{CommitPolicy, Db, DurabilityConfig, Op, Ticket, PARTITIONS};
+use rma_db::{CommitPolicy, Db, DurabilityConfig, Op, Ticket};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use workloads::SplitMix64;
@@ -93,7 +93,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Builds one preloaded database under the given policy; a durable
-/// `build_bulk` seals the preload as a checkpoint of every partition,
+/// `build_bulk` seals the preload as a checkpoint, one unit per shard,
 /// so the handle starts in the state a real durable deployment would.
 fn preloaded(cli: &Cli, policy: Policy, dir: &Path) -> Db {
     let mut base: Vec<(i64, i64)> = {
@@ -165,6 +165,7 @@ struct PolicyResult {
 struct Recovery {
     elements: usize,
     seconds: f64,
+    /// Units (shards) the one checkpoint sealed.
     checkpoints: usize,
 }
 
@@ -182,7 +183,7 @@ fn main() {
 
     println!(
         "# Fig. 21 — durability: N={} preloaded, N durable inserts, {SHARDS} shards, \
-         {PARTITIONS} durability partitions, batch {BATCH}, \
+         checkpoint units = shards, batch {BATCH}, \
          depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, cli.seg
     );
@@ -240,8 +241,8 @@ fn main() {
     println!("# bar: group_commit/off >= {RATIO_BAR} (median of per-segment ratios)");
 
     // ------------------------------------------------- recovery ----
-    // Seal a checkpoint wave on the group-commit database, ingest a
-    // log tail past it, crash (drop), and time the full reopen.
+    // Seal a checkpoint on the group-commit database, ingest a log
+    // tail past it, crash (drop), and time the full reopen.
     let group_db = &dbs[1];
     let sealed = group_db.engine().checkpoint();
     let tail = make_segment(&mut rng, TAIL_OPS);
@@ -271,7 +272,7 @@ fn main() {
         checkpoints: sealed,
     };
     println!(
-        "# recovery: {} elements ({} checkpoint seals, {TAIL_OPS} tail ops) in {:.3} s \
+        "# recovery: {} elements ({} checkpoint units sealed, {TAIL_OPS} tail ops) in {:.3} s \
          (bar <= {RECOVERY_BAR_SECS} s at 2^20)",
         recovery.elements, recovery.checkpoints, recovery.seconds
     );
@@ -303,7 +304,8 @@ fn write_json(
         cli.scale
     ));
     json.push_str(&format!(
-        "  \"partitions\": {PARTITIONS},\n  \"every_n\": {EVERY_N},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
+        "  \"partitions\": {},\n  \"every_n\": {EVERY_N},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n",
+        recovery.checkpoints
     ));
     json.push_str(&format!(
         "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",

@@ -244,24 +244,15 @@ impl RewiredVec {
     }
 
     /// Completes a resize-through-buffer: the array becomes the first
-    /// `new_len` buffer elements (holding the redistributed content) —
-    /// its pages swapped in from a page up, a heap copy of them below —
-    /// and the array length becomes `new_len`.
+    /// `new_len` buffer elements (holding the redistributed content),
+    /// their pages swapped in, and the array length becomes `new_len`.
+    /// Only a target of a page or more swaps: below one, the owner
+    /// copies ([`resize_in_place`](Self::resize_in_place)).
     pub fn commit_resize_swap(&mut self, new_len: usize) {
-        let epp = self.elems_per_page;
         let m = self.mapped.as_mut().expect(NO_PAGES);
-        if new_len >= epp {
-            m.commit_resize_swap(new_len);
-            self.heap = Vec::new();
-        } else {
-            assert!(
-                m.pages_for(new_len) <= m.spare_wired,
-                "resize buffer missing"
-            );
-            let (_, buf) = m.array_and_buffer_mut(new_len);
-            self.heap = buf.to_vec();
-            m.resize_in_place(0);
-        }
+        assert!(new_len >= self.elems_per_page, "a swap below one page");
+        m.commit_resize_swap(new_len);
+        self.heap = Vec::new();
     }
 }
 
@@ -568,10 +559,10 @@ mod tests {
     }
 
     /// Grows `v` from 128 slots through one page and back — by
-    /// `resize_in_place`, or through the buffer and a resize swap —
-    /// and checks after every step its content, its backend, and that
-    /// it holds exactly its heap array below a page and whole pages
-    /// from one page up.
+    /// `resize_in_place`, or through the buffer and a resize swap to
+    /// every target of a page or more — and checks after every step
+    /// its content, its backend, and that it holds exactly its heap
+    /// array below a page and whole pages from one page up.
     fn cross_the_page(mut v: RewiredVec, through_buffer: bool) {
         let (epp, kind) = (v.elems_per_page(), v.backend_kind());
         let lens = [128, 256, epp, 4 * epp + 7, 2 * epp, epp / 2, 3 * epp, 128];
@@ -580,7 +571,7 @@ mod tests {
             let kept = len.min(model.len());
             model.truncate(kept);
             model.extend((kept..len).map(|i| (step * 10_000 + i) as i64));
-            if through_buffer {
+            if through_buffer && len >= epp {
                 let (arr, buf) = v.array_and_buffer_mut(len);
                 buf[..kept].copy_from_slice(&arr[..kept]);
                 buf[kept..].copy_from_slice(&model[kept..]);
@@ -622,11 +613,12 @@ mod tests {
     }
 
     /// Drives a memfd column and a `Vec` model through `steps` random
-    /// grows and shrinks — through the buffer, and in place with or
-    /// without a buffer wired ahead — a quarter of them to below a
-    /// page, checking after each one the content, that no spare page
-    /// stays wired and that the wired pages are exactly the array —
-    /// none below a page, where the array is an exactly sized heap one.
+    /// grows and shrinks — through the buffer to a page or more, and
+    /// in place with or without a buffer wired ahead — a quarter of
+    /// them to below a page, checking after each one the content,
+    /// that no spare page stays wired and that the wired pages are
+    /// exactly the array — none below a page, where the array is an
+    /// exactly sized heap one.
     fn churn(opts: RewireOptions, seed: u64, steps: usize) {
         const MAX_PAGES: usize = 40;
         let Some(mut v) = mapped_vec(opts) else {
@@ -648,7 +640,7 @@ mod tests {
             model.resize_with(new_len, &mut fresh);
             match rng.below(4) {
                 // Through the buffer: keep a prefix, fill the rest.
-                0 | 1 => {
+                0 | 1 if new_len >= epp => {
                     let (arr, buf) = v.array_and_buffer_mut(new_len);
                     buf[..kept].copy_from_slice(&arr[..kept]);
                     buf[kept..].copy_from_slice(&model[kept..]);

@@ -177,7 +177,7 @@ impl DbBuilder {
     /// Opens a database bulk-loaded from a batch sorted by key;
     /// splitters are learned from the batch quantiles so the shards
     /// start balanced. With durability configured, the load is sealed
-    /// as a checkpoint of every partition before the handle is
+    /// as a checkpoint, one unit per shard, before the handle is
     /// returned, so the batch survives a crash without a log record
     /// and a reopen replays none of it. The seal is instrumented I/O
     /// (see [`DurabilityConfig::fault`]); if it fails, this returns
@@ -191,7 +191,7 @@ impl DbBuilder {
         let mut engine = ShardedRma::load_bulk(self.shard, batch);
         if let Some(w) = &wal {
             engine.set_durability(Arc::clone(w) as Arc<dyn DurabilitySink>);
-            if engine.checkpoint() < w.partitions() {
+            if engine.checkpoint() == 0 {
                 return Err(ConfigError::Durability(
                     "sealing the bulk load as a checkpoint failed".into(),
                 ));
@@ -206,7 +206,7 @@ impl DbBuilder {
     }
 
     /// Reopens a database from its WAL directory (set with
-    /// [`durability`](Self::durability)): loads every partition's
+    /// [`durability`](Self::durability)): loads every unit of the
     /// sealed checkpoint in parallel, replays the committed log tails
     /// (truncating a torn tail), and only then attaches the WAL so
     /// replayed operations are not re-logged. The recovered engine

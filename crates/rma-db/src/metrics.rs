@@ -149,7 +149,7 @@ pub struct WalMetrics {
     pub commit: HistogramSnapshot,
     /// `fsync`/`fdatasync` wall time, nanoseconds.
     pub fsync: HistogramSnapshot,
-    /// Per-partition log-tail replay wall time during recovery,
+    /// Per-unit log-tail replay wall time during recovery,
     /// nanoseconds.
     pub replay: HistogramSnapshot,
     /// True when a durability fault latched the database read-only.

@@ -32,8 +32,9 @@ pub enum EventKind {
     /// One background maintainer wake (plan and drain) planned
     /// work.
     MaintTick = 7,
-    /// A durability partition's checkpoint was sealed (segment +
-    /// manifest durable on disk).
+    /// One shard's unit of a checkpoint that committed (segments +
+    /// manifest durable on disk; `dur_ns` how long the shard was
+    /// locked to copy it out, `keys` its elements).
     Checkpoint = 8,
     /// Crash recovery completed (checkpoint load + log-tail replay).
     Recovery = 9,

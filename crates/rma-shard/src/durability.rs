@@ -8,18 +8,16 @@
 //! [`DurabilitySink::append`] **while still holding the shard write
 //! lock** of the mutations it describes (once per lock hold, from the
 //! one shard write section, with the mutations in apply order), and calls
-//! [`DurabilitySink::checkpoint_cut`] while holding every shard lock
-//! overlapping the partition being checkpointed — so the cut LSN
-//! cleanly separates "state of the partition's keys captured by the
-//! checkpoint" from "state only in the log tail".
+//! [`DurabilitySink::checkpoint_cut`] while holding the write lock of
+//! the shard being checkpointed — so the cut LSN cleanly separates
+//! "state of the shard's keys captured by the checkpoint" from "state
+//! only in the log tail".
 //!
-//! The sink logs every key in one LSN sequence. It cuts the key space
-//! into fixed durability partitions on its own splitter set (decoupled
-//! from the engine's dynamic topology, which splits and merges shards
-//! underneath it) only as checkpoint units: each partition is sealed
-//! on its own, at its own cut. [`ShardedRma::checkpoint`] asks for
-//! [`partition_range`](DurabilitySink::partition_range) to know which
-//! engine shards to lock.
+//! The sink logs every key in one LSN sequence. A checkpoint's units
+//! are the shards of the live topology: [`ShardedRma::checkpoint`]
+//! holds the topology still, hands the sink its splitters and then
+//! each shard's cut and content in turn, and the sink commits them as
+//! one checkpoint.
 
 use crate::shard::StepGuards;
 use crate::ShardedRma;
@@ -37,16 +35,6 @@ pub enum DurabilityOp {
     Insert(Key, Value),
     /// The front member of the key's stack was popped.
     Remove(Key),
-}
-
-impl DurabilityOp {
-    /// The key the operation acted on — what the sink routes by.
-    pub fn key(&self) -> Key {
-        match *self {
-            DurabilityOp::Insert(k, _) => k,
-            DurabilityOp::Remove(k) => k,
-        }
-    }
 }
 
 /// What the engine requires of a write-ahead log. Implemented by
@@ -69,29 +57,29 @@ pub trait DurabilitySink: Send + Sync {
     /// acknowledgement.
     fn append(&self, ops: &[DurabilityOp]);
 
-    /// Number of fixed durability partitions (checkpoint units).
-    fn partitions(&self) -> usize;
-
-    /// Inclusive lower / exclusive upper key bound of partition `p`
-    /// (`None` = unbounded), mirroring
-    /// [`Splitters::range_of`](crate::Splitters::range_of).
-    fn partition_range(&self, p: usize) -> (Option<Key>, Option<Key>);
-
-    /// Draws a partition's checkpoint cut, the highest LSN handed out
-    /// so far: every record of the partition's keys with LSN `<= cut`
-    /// is covered by the state the caller is about to capture; records
+    /// Draws a unit's checkpoint cut, the highest LSN handed out so
+    /// far: every record of the unit's keys with LSN `<= cut` is
+    /// covered by the state the caller is about to capture; records
     /// above it stay live in the log tail. Called while the caller
-    /// holds write locks on every engine shard overlapping the
-    /// partition, so no append of the partition's keys can race the
-    /// cut.
+    /// holds the write lock of the unit's shard, so no append of the
+    /// unit's keys can race the cut.
     fn checkpoint_cut(&self) -> u64;
 
-    /// Durably seals a checkpoint of partition `p`: `elems` is the
-    /// partition's full content at `cut`, sorted by key. Runs
-    /// *outside* the shard locks (sealing does file I/O). Returns
-    /// `false` when the seal failed (fault injection, disk error) —
-    /// the old checkpoint stays authoritative.
-    fn seal_checkpoint(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> bool;
+    /// Durably seals one checkpoint whose units are the key ranges
+    /// `splitters` cut. `units` yields each unit's `(cut, elements)`,
+    /// in key order, the elements sorted by key; the engine locks a
+    /// unit's shard only while the iterator produces it, and the sink
+    /// writes each unit out before it pulls the next, so one unit's
+    /// elements are in memory at a time. Runs outside every shard lock
+    /// but inside the engine's maintenance mutex (one seal at a time,
+    /// on a topology that holds still). Returns `false` when the seal
+    /// failed (fault injection, disk error) — the previous checkpoint
+    /// stays authoritative, whole.
+    fn seal_checkpoint(
+        &self,
+        splitters: &[Key],
+        units: &mut dyn Iterator<Item = (u64, Vec<(Key, Value)>)>,
+    ) -> bool;
 }
 
 /// The mutations one shard write section applied, staged in apply
@@ -107,42 +95,40 @@ impl Extend<DurabilityOp> for Staged {
 }
 
 impl ShardedRma {
-    /// Seals a checkpoint of every durability partition and returns
-    /// how many sealed (0 without a sink). Per partition: write-lock
-    /// every shard overlapping its key range, draw the cut LSN and
-    /// copy the residents out, then release the shard locks and seal.
-    /// Each seal holds the maintenance mutex throughout: two racing
-    /// seals of one partition could let the older cut replace the
-    /// newer manifest entry after the newer seal's log rotation
-    /// deleted the records between them. A checkpoint restructures
-    /// nothing, so it is not a maintenance step: it moves no
+    /// Seals a checkpoint whose units are the live shards and returns
+    /// how many it sealed: every shard, or 0 without a sink or when
+    /// the seal failed. The maintenance mutex is held throughout, so
+    /// the topology holds still and two seals never race; per shard,
+    /// only that shard is write-locked while its cut is drawn and its
+    /// residents are copied out, and the copy is handed to the sink
+    /// after the lock drops. A checkpoint restructures nothing, so it
+    /// is not a maintenance step: it moves no
     /// [`MaintenanceStats`](crate::MaintenanceStats) counter and no
-    /// step-duration sample, and journals one [`EventKind::Checkpoint`]
-    /// per seal (partition, wall time, elements sealed).
+    /// step-duration sample. Once the seal commits it journals one
+    /// [`EventKind::Checkpoint`] per shard, in shard order (shard,
+    /// time the shard was locked, elements sealed).
     pub fn checkpoint(&self) -> usize {
         let Some(sink) = self.durability() else {
             return 0;
         };
-        let seal = |p: usize| {
+        let _maint = self.maintenance_guard();
+        let topo = self.handle.load_exclusive();
+        // Per unit handed over: its lock time and its elements.
+        let mut handed: Vec<(u64, u64)> = Vec::with_capacity(topo.shards.len());
+        let mut units = (0..topo.shards.len()).map(|j| {
             let t0 = rma_obs::now_ns();
-            let _maint = self.maintenance_guard();
-            let (lo, hi) = sink.partition_range(p);
-            let topo = self.handle.load_exclusive();
-            let (j0, j1) = topo.splitters.overlapping(lo, hi);
-            let guards = StepGuards::lock(&topo.shards, j0..=j1);
-            let cut = sink.checkpoint_cut();
-            let mut elems = guards.collect_elems();
+            let guards = StepGuards::lock(&topo.shards, j..=j);
+            let unit = (sink.checkpoint_cut(), guards.collect_elems());
             drop(guards);
-            // Edge shards may straddle the partition boundary; the
-            // checkpoint owns exactly `[lo, hi)`.
-            elems.retain(|&(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h));
-            let sealed = sink.seal_checkpoint(p, cut, &elems);
-            if sealed {
-                let dur = rma_obs::now_ns().saturating_sub(t0);
-                (self.obs()).log(EventKind::Checkpoint, p as u32, dur, elems.len() as u64);
-            }
-            sealed
-        };
-        (0..sink.partitions()).filter(|&p| seal(p)).count()
+            handed.push((rma_obs::now_ns() - t0, unit.1.len() as u64));
+            unit
+        });
+        if !sink.seal_checkpoint(topo.splitters.keys(), &mut units) {
+            return 0;
+        }
+        for (j, &(dur, n)) in handed.iter().enumerate() {
+            (self.obs()).log(EventKind::Checkpoint, j as u32, dur, n);
+        }
+        handed.len()
     }
 }

@@ -1188,16 +1188,15 @@ mod tests {
                 .expect("recorder lock")
                 .push(ops.to_vec());
         }
-        fn partitions(&self) -> usize {
-            1
-        }
-        fn partition_range(&self, _: usize) -> (Option<Key>, Option<Key>) {
-            (None, None)
-        }
         fn checkpoint_cut(&self) -> u64 {
             0
         }
-        fn seal_checkpoint(&self, _: usize, _: u64, _: &[(Key, Value)]) -> bool {
+        fn seal_checkpoint(
+            &self,
+            _: &[Key],
+            units: &mut dyn Iterator<Item = (u64, Vec<(Key, Value)>)>,
+        ) -> bool {
+            units.for_each(drop);
             self.seals.fetch_add(1, Relaxed);
             true
         }

@@ -251,7 +251,7 @@ mod tests {
         await_polls(&m, 2);
         m.stop();
         assert_eq!(sink.seals(), 0, "the maintainer sealed a checkpoint");
-        assert_eq!(s.checkpoint(), 1);
+        assert_eq!(s.checkpoint(), s.num_shards());
         assert_eq!(sink.seals(), 1);
     }
 

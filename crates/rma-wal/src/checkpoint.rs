@@ -7,30 +7,37 @@
 //!
 //! ```text
 //! rma-wal v1
-//! partitions=4
-//! splitters=1152921504606846976,2305843009213693952,...
-//! ckpt=0,1732,ckpt_0_1732.seg,51200,9f1c0d2e
-//! ckpt=2,1698,ckpt_2_1698.seg,49926,0b44aa17
+//! partitions=3
+//! splitters=1152921504606846976,2305843009213693952
+//! ckpt=0,1732,ckpt_7_0.seg,51200,9f1c0d2e
+//! ckpt=1,1733,ckpt_7_1.seg,0,00000000
+//! ckpt=2,1740,ckpt_7_2.seg,49926,0b44aa17
 //! crc=5d1e00c3
 //! ```
 //!
-//! One `ckpt=` line per partition that has sealed a checkpoint:
-//! `partition, cut LSN, segment file, element count, segment CRC-32`.
-//! The final `crc=` line checksums every preceding byte, so a torn or
-//! bit-flipped manifest is detected, never trusted.
+//! The checkpoint's **units** are the key ranges `splitters=` cuts —
+//! the engine's shards when it was sealed — one `ckpt=` line each:
+//! `unit, cut LSN, segment file, element count, segment CRC-32`. A
+//! unit without one has cut 0 (a fresh WAL's one unit; an older
+//! directory's fixed partitions read as units). The final `crc=` line
+//! checksums every preceding byte, so a torn or bit-flipped manifest
+//! is detected, never trusted.
 //!
 //! The manifest is only ever replaced whole: write `MANIFEST.tmp`,
 //! fsync it, `rename(2)` over `MANIFEST`, fsync the directory. A crash
 //! anywhere in that sequence leaves either the old or the new manifest
-//! intact — the rename is the commit point.
+//! intact — the rename is the commit point, for a whole checkpoint at
+//! once.
 //!
 //! # Checkpoint segments
 //!
-//! `ckpt_<p>_<cut>.seg` holds partition `p`'s elements at cut LSN
-//! `<cut>` as raw little-endian `(key: i64, value: i64)` pairs in key
-//! order — loadable straight into the engine's bulk loader. Count and
-//! CRC live in the manifest line, not the segment, so a segment that
-//! doesn't match its manifest entry is detected at load.
+//! `ckpt_<gen>_<unit>.seg` holds a unit's elements at its cut LSN as
+//! raw little-endian `(key: i64, value: i64)` pairs in key order —
+//! loadable straight into the engine's bulk loader. A new `<gen>`
+//! ([`ManifestState::next_generation`]) keeps a checkpoint off every
+//! file the committed manifest names, even at unchanged cuts. Count
+//! and CRC live in the manifest line, not the segment, so a segment
+//! that doesn't match its manifest entry is detected at load.
 
 use std::fs::File;
 use std::io;
@@ -49,7 +56,7 @@ const HEADER: &str = "rma-wal v1";
 pub(crate) const MANIFEST: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
 
-/// One partition's sealed checkpoint, as recorded in the manifest.
+/// One unit's sealed checkpoint, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CkptEntry {
     /// Highest LSN the segment covers; replay applies only `lsn > cut`.
@@ -62,64 +69,63 @@ pub(crate) struct CkptEntry {
     pub crc: u32,
 }
 
-/// The decoded manifest: the durability partitioning plus whatever
-/// checkpoints have been sealed.
+/// The decoded manifest: the last checkpoint's units and segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ManifestState {
-    pub partitions: usize,
-    /// Interior splitter keys (`partitions - 1` of them) fixing each
-    /// partition's key range for the lifetime of the WAL directory.
+    /// Interior splitter keys (one fewer than `entries`) fixing each
+    /// unit's key range.
     pub splitters: Vec<Key>,
-    /// Indexed by partition; `None` until its first checkpoint seals.
+    /// Indexed by unit; `None` for a unit no segment covers.
     pub entries: Vec<Option<CkptEntry>>,
 }
 
 impl ManifestState {
-    pub fn new(partitions: usize, splitters: Vec<Key>) -> Self {
-        assert_eq!(splitters.len() + 1, partitions, "splitters/partitions");
+    /// A fresh WAL's manifest: one unit, no checkpoint.
+    pub fn empty() -> Self {
         ManifestState {
-            partitions,
-            splitters,
-            entries: vec![None; partitions],
+            splitters: Vec::new(),
+            entries: vec![None],
         }
     }
 
-    /// Partition `p`'s cut: the LSN its sealed segment covers, 0
-    /// before its first seal.
-    pub fn cut(&self, p: usize) -> u64 {
-        self.entries[p].as_ref().map_or(0, |e| e.cut)
+    /// Each unit's cut: the LSN its sealed segment covers, 0 without
+    /// one. Every log record at or below the smallest is in its unit's
+    /// segment.
+    pub fn cuts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|e| e.as_ref().map_or(0, |e| e.cut))
     }
 
-    /// The smallest partition cut: every log record at or below it is
-    /// in its partition's segment.
-    pub fn min_cut(&self) -> u64 {
-        (0..self.partitions).map(|p| self.cut(p)).min().unwrap_or(0)
+    /// The generation the next checkpoint names its segments with: one
+    /// past the first number of every segment name here (an older
+    /// version's `ckpt_<partition>_<cut>.seg` counts its partition), 0
+    /// when there is none.
+    pub fn next_generation(&self) -> u64 {
+        let gen = |e: &CkptEntry| e.file.split('_').nth(1)?.parse::<u64>().ok();
+        (self.entries.iter().flatten().filter_map(gen).max()).map_or(0, |g| g + 1)
     }
 }
 
-/// Segment file name for partition `p` sealed at `cut`.
-pub(crate) fn seg_name(p: usize, cut: u64) -> String {
-    format!("ckpt_{p}_{cut}.seg")
+/// Segment file name for unit `u` of checkpoint generation `gen`.
+pub(crate) fn seg_name(gen: u64, u: usize) -> String {
+    format!("ckpt_{gen}_{u}.seg")
 }
 
-/// Parses `ckpt_<p>_<cut>.seg`; `None` for anything else.
-pub(crate) fn parse_seg_name(name: &str) -> Option<(usize, u64)> {
-    let rest = name.strip_prefix("ckpt_")?.strip_suffix(".seg")?;
-    let (p, cut) = rest.split_once('_')?;
-    Some((p.parse().ok()?, cut.parse().ok()?))
+/// True for a checkpoint segment's name, of any generation.
+pub(crate) fn is_seg_name(name: &str) -> bool {
+    name.starts_with("ckpt_") && name.ends_with(".seg")
 }
 
 fn render(state: &ManifestState) -> Vec<u8> {
     let mut out = String::new();
     out.push_str(HEADER);
     out.push('\n');
-    out.push_str(&format!("partitions={}\n", state.partitions));
+    out.push_str(&format!("partitions={}\n", state.entries.len()));
     let keys: Vec<String> = state.splitters.iter().map(|k| k.to_string()).collect();
     out.push_str(&format!("splitters={}\n", keys.join(",")));
-    for (p, entry) in state.entries.iter().enumerate() {
+    for (u, entry) in state.entries.iter().enumerate() {
         if let Some(e) = entry {
             out.push_str(&format!(
-                "ckpt={p},{},{},{},{:08x}\n",
+                "ckpt={u},{},{},{},{:08x}\n",
                 e.cut, e.file, e.count, e.crc
             ));
         }
@@ -169,7 +175,7 @@ pub(crate) fn parse(bytes: &[u8]) -> Result<ManifestState, String> {
                 count: fields[3].parse().map_err(|_| "bad ckpt count")?,
                 crc: u32::from_str_radix(fields[4], 16).map_err(|_| "bad ckpt crc")?,
             };
-            ckpts.push((fields[0].parse().map_err(|_| "bad ckpt partition")?, entry));
+            ckpts.push((fields[0].parse().map_err(|_| "bad ckpt unit")?, entry));
         } else if !line.is_empty() {
             return Err(format!("unknown manifest line: {line}"));
         }
@@ -179,12 +185,15 @@ pub(crate) fn parse(bytes: &[u8]) -> Result<ManifestState, String> {
     if partitions == 0 || splitters.len() + 1 != partitions {
         return Err("partitions/splitters mismatch".to_string());
     }
-    let mut state = ManifestState::new(partitions, splitters);
-    for (p, entry) in ckpts {
-        if p >= partitions {
-            return Err(format!("ckpt line for partition {p} out of range"));
+    let mut state = ManifestState {
+        splitters,
+        entries: vec![None; partitions],
+    };
+    for (u, entry) in ckpts {
+        if u >= partitions {
+            return Err(format!("ckpt line for unit {u} out of range"));
         }
-        state.entries[p] = Some(entry);
+        state.entries[u] = Some(entry);
     }
     Ok(state)
 }
@@ -216,12 +225,12 @@ pub(crate) fn read_manifest(dir: &Path) -> io::Result<Option<Result<ManifestStat
     }
 }
 
-/// Writes the checkpoint segment for partition `p` at `cut` (tmp →
-/// fsync → rename → dir sync, like the manifest) and returns its
+/// Writes a unit's checkpoint segment as `name`, covering `cut` (tmp
+/// → fsync → rename → dir sync, like the manifest), and returns its
 /// manifest entry.
 pub(crate) fn seal_segment(
     dir: &Path,
-    p: usize,
+    name: String,
     cut: u64,
     elems: &[(Key, Value)],
     inj: &Option<Arc<FaultInjector>>,
@@ -232,7 +241,6 @@ pub(crate) fn seal_segment(
         bytes.extend_from_slice(&v.to_le_bytes());
     }
     let crc = crc32(&bytes);
-    let name = seg_name(p, cut);
     let tmp = dir.join(format!("{name}.tmp"));
     check_alive(inj)?;
     let mut file = File::create(&tmp)?;
@@ -290,10 +298,13 @@ mod tests {
     }
 
     fn sample_state() -> ManifestState {
-        let mut state = ManifestState::new(3, vec![-5, 1000]);
+        let mut state = ManifestState {
+            splitters: vec![-5, 1000],
+            entries: vec![None; 3],
+        };
         state.entries[1] = Some(CkptEntry {
             cut: 42,
-            file: seg_name(1, 42),
+            file: seg_name(4, 1),
             count: 7,
             crc: 0xDEAD_BEEF,
         });
@@ -305,6 +316,34 @@ mod tests {
         let state = sample_state();
         let parsed = parse(&render(&state)).expect("parse");
         assert_eq!(parsed, state);
+    }
+
+    /// A new checkpoint's generation is past every segment name the
+    /// manifest holds, an older version's `ckpt_<partition>_<cut>.seg`
+    /// ones too, so none of its names can be one the manifest needs.
+    #[test]
+    fn the_next_generation_is_past_every_named_segment() {
+        assert_eq!(ManifestState::empty().next_generation(), 0);
+        assert_eq!(sample_state().next_generation(), 5);
+        let mut older = ManifestState {
+            splitters: vec![1, 2, 3],
+            entries: vec![None; 4],
+        };
+        for (p, cut) in [(0, 1732), (2, 1698)] {
+            older.entries[p] = Some(CkptEntry {
+                cut,
+                file: format!("ckpt_{p}_{cut}.seg"),
+                count: 1,
+                crc: 0,
+            });
+        }
+        assert_eq!(older.next_generation(), 3);
+        let names: Vec<String> = (0..4).map(|u| seg_name(3, u)).collect();
+        assert!(older
+            .entries
+            .iter()
+            .flatten()
+            .all(|e| !names.contains(&e.file)));
     }
 
     #[test]
@@ -325,7 +364,7 @@ mod tests {
         let mut newer = old.clone();
         newer.entries[0] = Some(CkptEntry {
             cut: 99,
-            file: seg_name(0, 99),
+            file: seg_name(5, 0),
             count: 1,
             crc: 0,
         });
@@ -354,7 +393,7 @@ mod tests {
     fn segment_roundtrips_and_detects_corruption() {
         let dir = scratch("seg");
         let elems: Vec<(Key, Value)> = (0..100).map(|i| (i * 3 - 50, i)).collect();
-        let entry = seal_segment(&dir, 0, 17, &elems, &None).expect("seal");
+        let entry = seal_segment(&dir, seg_name(0, 0), 17, &elems, &None).expect("seal");
         assert_eq!(entry.count, 100);
         assert_eq!(load_segment(&dir, &entry).expect("load"), elems);
         // Flip a byte in the file: load must fail.

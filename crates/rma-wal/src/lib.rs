@@ -1,18 +1,15 @@
 //! Durability for the sharded RMA: one group-committed write-ahead
-//! log, sealed per-partition checkpoints, crash recovery, and
+//! log, checkpoints sealed per shard, crash recovery, and
 //! deterministic fault injection.
 //!
 //! # Shape
 //!
 //! There is one log: one staging buffer, one sequence of LSNs and one
-//! file at a time, whatever keys the records carry. The key space is
-//! also cut into a fixed number of **durability partitions** (uniform
-//! over the 62-bit workload domain, persisted in the manifest), but
-//! only as checkpoint units: a seal locks just the engine shards one
-//! partition overlaps, and recovery loads the partitions' segments in
-//! parallel. Partitions are deliberately decoupled from the engine's
-//! *dynamic* shard topology: shards split and merge continuously,
-//! while checkpoint files want stable ranges.
+//! file at a time, whatever keys the records carry. A checkpoint's
+//! units are the shards of the engine's topology when it is sealed:
+//! the manifest records that topology's splitters and one segment per
+//! shard, and recovery loads the segments in parallel. The WAL keeps
+//! no key partitioning of its own.
 //!
 //! The write path is two-phase:
 //!
@@ -27,15 +24,17 @@
 //!    `commit` returns may the caller acknowledge the writes.
 //!
 //! Checkpoints bound replay: the engine (`ShardedRma::checkpoint`)
-//! locks the shards covering one partition, draws the partition's **cut
-//! LSN** (the highest LSN handed out so far), snapshots its elements,
-//! and hands both to [`Wal::seal_checkpoint`], which writes a segment
-//! file, rotates the log so every record up to the cut is synced,
-//! commits the segment via an atomic manifest replacement, and deletes
-//! the log files the smallest partition cut covers. Recovery
-//! ([`Wal::recover`]) is then: bulk-load every partition's segment,
-//! replay only the log records above their own key's partition cut,
-//! truncate the torn tail.
+//! holds its topology still and, one shard at a time, locks the shard,
+//! draws its **cut LSN** (the highest LSN handed out so far) and
+//! snapshots its elements; [`Wal`]'s
+//! [`seal_checkpoint`](DurabilitySink::seal_checkpoint) writes each
+//! shard's segment file as it arrives, then rotates the log so every
+//! record up to the cuts is synced, commits the whole checkpoint via
+//! one atomic manifest replacement, and deletes the log files the
+//! smallest cut covers and the previous checkpoint's segments.
+//! Recovery ([`Wal::recover`]) is then: bulk-load every unit's
+//! segment, replay only the log records above their own key's unit
+//! cut, truncate the torn tail.
 //!
 //! # Failure model
 //!
@@ -55,7 +54,7 @@ use std::sync::{Arc, Mutex};
 
 use rma_core::{Key, Value};
 use rma_obs::Histogram;
-use rma_shard::{DurabilityOp, DurabilitySink, Splitters};
+use rma_shard::{DurabilityOp, DurabilitySink};
 
 mod checkpoint;
 pub mod fault;
@@ -80,11 +79,6 @@ pub enum CommitPolicy {
     /// sync — at most `n` acknowledged records are at risk.
     EveryN(u64),
 }
-
-/// Durability partitions of a WAL made by [`Wal::create`]. Recovery
-/// takes the count from the manifest, so a directory written with
-/// another count still opens.
-pub const PARTITIONS: usize = 4;
 
 /// Configuration for creating or recovering a WAL directory.
 #[derive(Debug, Clone)]
@@ -163,8 +157,6 @@ pub struct Wal {
     dir: PathBuf,
     inj: Option<Arc<FaultInjector>>,
     log: Log,
-    /// The durability partitions' key ranges (checkpoint units).
-    splitters: Splitters,
     manifest: Mutex<ManifestState>,
     degraded: AtomicBool,
     /// Latches the one-time degraded-mode announcement (journaling).
@@ -194,30 +186,23 @@ impl Wal {
                 cfg.dir.display()
             )));
         }
-        let splitters = Splitters::uniform(PARTITIONS);
         let log = Log::create(&cfg.dir, 1)?;
-        let manifest = ManifestState::new(PARTITIONS, splitters.keys().to_vec());
+        let manifest = ManifestState::empty();
         // Setup I/O is deliberately un-instrumented; see
         // `DurabilityConfig::fault`.
         checkpoint::write_manifest(&cfg.dir, &manifest, &None)?;
         fault::sync_dir(&cfg.dir)?;
-        Ok(Self::from_parts(cfg, log, splitters, manifest))
+        Ok(Self::from_parts(cfg, log, manifest))
     }
 
     /// A healthy WAL over an opened log — what [`Wal::create`] and
     /// [`Wal::recover`] both end with.
-    fn from_parts(
-        cfg: DurabilityConfig,
-        log: Log,
-        splitters: Splitters,
-        manifest: ManifestState,
-    ) -> Arc<Wal> {
+    fn from_parts(cfg: DurabilityConfig, log: Log, manifest: ManifestState) -> Arc<Wal> {
         Arc::new(Wal {
             policy: cfg.policy,
             dir: cfg.dir,
             inj: cfg.fault,
             log,
-            splitters,
             manifest: Mutex::new(manifest),
             degraded: AtomicBool::new(false),
             announced: AtomicBool::new(false),
@@ -283,11 +268,6 @@ impl Wal {
         self.degraded.store(true, Ordering::Release);
     }
 
-    /// Number of durability partitions.
-    pub fn partitions(&self) -> usize {
-        self.splitters.num_shards()
-    }
-
     /// Commit-barrier latency (whole-barrier, ns).
     pub fn commit_hist(&self) -> &Histogram {
         &self.commit_hist
@@ -298,33 +278,44 @@ impl Wal {
         &self.fsync_hist
     }
 
-    /// Recovery replay latency (per partition tail, ns).
+    /// Recovery replay latency (per unit's log tail, ns).
     pub fn replay_hist(&self) -> &Histogram {
         &self.replay_hist
     }
 
-    /// Seals one partition's checkpoint end to end; on an error
+    /// Seals one checkpoint end to end; on an error
     /// [`seal_checkpoint`](DurabilitySink::seal_checkpoint) degrades
-    /// the WAL and tells the engine the seal failed.
-    fn try_seal(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> io::Result<()> {
-        let entry = checkpoint::seal_segment(&self.dir, p, cut, elems, &self.inj)?;
-        let file = entry.file.clone();
-        // Every record up to the cut is synced before the manifest
-        // names the cut, so recovery's log never ends below a cut.
+    /// the WAL and tells the engine the seal failed. The manifest lock
+    /// is held throughout, so seals commit in the order they began.
+    fn try_seal(
+        &self,
+        splitters: &[Key],
+        units: &mut dyn Iterator<Item = (u64, Vec<(Key, Value)>)>,
+    ) -> io::Result<()> {
+        let mut m = self.manifest.lock().expect("manifest poisoned");
+        let gen = m.next_generation();
+        let mut entries = Vec::with_capacity(splitters.len() + 1);
+        for (u, (cut, elems)) in units.enumerate() {
+            let name = checkpoint::seg_name(gen, u);
+            entries.push(Some(checkpoint::seal_segment(
+                &self.dir, name, cut, &elems, &self.inj,
+            )?));
+        }
+        assert_eq!(entries.len(), splitters.len() + 1, "one unit per range");
+        // Every record up to the cuts is synced before the manifest
+        // names them, so recovery's log never ends below a cut.
         self.log.rotate(&self.inj)?;
-        let (old, min_cut) = {
-            let mut m = self.manifest.lock().expect("manifest poisoned");
-            let old = m.entries[p].replace(entry);
-            // Persist while holding the lock: manifest replacements
-            // must hit the disk in the same order they were composed.
-            checkpoint::write_manifest(&self.dir, &m, &self.inj)?;
-            (old, m.min_cut())
+        let next = ManifestState {
+            splitters: splitters.to_vec(),
+            entries,
         };
+        checkpoint::write_manifest(&self.dir, &next, &self.inj)?;
+        let old = std::mem::replace(&mut *m, next);
         // Only after the manifest commit is it safe to drop the log
-        // files every partition's cut covers...
-        self.log.prune(min_cut, &self.inj)?;
-        // ...and the previous segment.
-        if let Some(old) = old.filter(|old| old.file != file) {
+        // files every unit's cut covers...
+        self.log.prune(m.cuts().min().unwrap_or(0), &self.inj)?;
+        // ...and the previous checkpoint's segments.
+        for old in old.entries.into_iter().flatten() {
             check_alive(&self.inj)?;
             std::fs::remove_file(self.dir.join(&old.file)).ok();
         }
@@ -341,23 +332,19 @@ impl DurabilitySink for Wal {
         self.log.append(ops);
     }
 
-    fn partitions(&self) -> usize {
-        Wal::partitions(self)
-    }
-
-    fn partition_range(&self, p: usize) -> (Option<Key>, Option<Key>) {
-        self.splitters.range_of(p)
-    }
-
     fn checkpoint_cut(&self) -> u64 {
         self.log.appended()
     }
 
-    fn seal_checkpoint(&self, p: usize, cut: u64, elems: &[(Key, Value)]) -> bool {
+    fn seal_checkpoint(
+        &self,
+        splitters: &[Key],
+        units: &mut dyn Iterator<Item = (u64, Vec<(Key, Value)>)>,
+    ) -> bool {
         if self.is_degraded() {
             return false;
         }
-        match self.try_seal(p, cut, elems) {
+        match self.try_seal(splitters, units) {
             Ok(()) => true,
             Err(_) => {
                 self.degrade();
@@ -379,11 +366,20 @@ mod tests {
         ))
     }
 
+    /// Seals one checkpoint of `units` over the ranges `splitters` cut.
+    pub(crate) fn seal(wal: &Wal, splitters: &[Key], units: Vec<(u64, Vec<(Key, Value)>)>) -> bool {
+        wal.seal_checkpoint(splitters, &mut units.into_iter())
+    }
+
+    fn manifest(wal: &Wal) -> ManifestState {
+        wal.manifest.lock().expect("manifest").clone()
+    }
+
     #[test]
     fn create_rejects_existing_wal_and_bad_config() {
         let dir = scratch("create");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        assert_eq!(wal.partitions(), 4);
+        assert_eq!(manifest(&wal), ManifestState::empty(), "one unit, no cut");
         assert!(!wal.is_degraded());
         assert!(matches!(
             Wal::create(DurabilityConfig::new(&dir)),
@@ -396,23 +392,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// One key in each partition's range, in partition order.
-    const ONE_PER_PARTITION: [Key; PARTITIONS] = [1, (1 << 60) + 1, (1 << 61) + 1, (3 << 60) + 1];
+    /// Four units' interior bounds, and one key in each unit's range.
+    const SPLITTERS: [Key; 3] = [1 << 60, 1 << 61, 3 << 60];
+    const ONE_PER_UNIT: [Key; 4] = [1, (1 << 60) + 1, (1 << 61) + 1, (3 << 60) + 1];
 
     fn log_files(dir: &Path) -> Vec<u64> {
         segment::list_log_starts(dir).expect("list logs")
     }
 
+    fn segment_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = (std::fs::read_dir(dir).expect("wal dir"))
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .filter(|name| checkpoint::is_seg_name(name))
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn records_of_all_partitions_interleave_in_one_file() {
+    fn records_of_every_key_interleave_in_one_file() {
         let dir = scratch("interleave");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        for (p, &k) in ONE_PER_PARTITION.iter().enumerate() {
-            assert_eq!(wal.splitters.route(k), p);
-        }
-        let ops = ONE_PER_PARTITION.map(|k| DurabilityOp::Insert(k, k));
+        let ops = ONE_PER_UNIT.map(|k| DurabilityOp::Insert(k, k));
         wal.append(&ops);
-        wal.append(&[DurabilityOp::Remove(ONE_PER_PARTITION[0])]);
+        wal.append(&[DurabilityOp::Remove(ONE_PER_UNIT[0])]);
         assert_eq!((wal.appended(), wal.checkpoint_cut()), (5, 5));
         assert!(!wal.is_committed(5));
         wal.commit().expect("commit");
@@ -429,10 +432,10 @@ mod tests {
                 other => panic!("bad record {other:?}"),
             })
             .collect();
-        let mut want: Vec<_> = (ONE_PER_PARTITION.iter().enumerate())
+        let mut want: Vec<_> = (ONE_PER_UNIT.iter().enumerate())
             .map(|(i, &k)| (i as u64 + 1, rma_shard::PointOp::Insert(k, k)))
             .collect();
-        want.push((5, rma_shard::PointOp::Remove(ONE_PER_PARTITION[0])));
+        want.push((5, rma_shard::PointOp::Remove(ONE_PER_UNIT[0])));
         assert_eq!(records, want);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -441,21 +444,21 @@ mod tests {
     fn a_log_file_survives_until_the_smallest_cut_covers_it() {
         let dir = scratch("prune");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        wal.append(&ONE_PER_PARTITION.map(|k| DurabilityOp::Insert(k, k)));
+        wal.append(&ONE_PER_UNIT.map(|k| DurabilityOp::Insert(k, k)));
         wal.commit().expect("commit");
-        let cut = wal.checkpoint_cut();
-        for (p, &k) in ONE_PER_PARTITION[..PARTITIONS - 1].iter().enumerate() {
-            assert!(wal.seal_checkpoint(p, cut, &[(k, 0)]));
-            // The first seal rotated; partition 3's cut is still 0.
-            assert_eq!(log_files(&dir), [1, 5], "after sealing partition {p}");
-        }
-        wal.append(&[DurabilityOp::Insert(ONE_PER_PARTITION[3], 7)]);
-        assert!(wal.seal_checkpoint(3, 5, &[(ONE_PER_PARTITION[3], 0)]));
-        // The smallest cut (4) covers the first file but not the
-        // second, which holds record 5.
-        assert_eq!(log_files(&dir), [5, 6]);
-        assert!(wal.seal_checkpoint(0, 5, &[(ONE_PER_PARTITION[0], 0)]));
-        assert_eq!(log_files(&dir), [5, 6], "partitions 1 and 2 sit at 4");
+        // Unit 0's cut was drawn before the last two records.
+        let units = |cuts: [u64; 4]| {
+            (cuts.into_iter().zip(ONE_PER_UNIT))
+                .map(|(cut, k)| (cut, vec![(k, k)]))
+                .collect()
+        };
+        assert!(seal(&wal, &SPLITTERS, units([2, 4, 4, 4])));
+        // The seal rotated; file 1 holds records 3 and 4, above unit
+        // 0's cut.
+        assert_eq!(log_files(&dir), [1, 5]);
+        wal.append(&[DurabilityOp::Insert(ONE_PER_UNIT[3], 7)]);
+        assert!(seal(&wal, &SPLITTERS, units([5; 4])));
+        assert_eq!(log_files(&dir), [6], "the smallest cut (5) covers both");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -473,7 +476,7 @@ mod tests {
         // Degraded appends and checkpoints are inert.
         wal.append(&[DurabilityOp::Insert(2, 2)]);
         assert_eq!(wal.checkpoint_cut(), 1);
-        assert!(!wal.seal_checkpoint(0, 1, &[(1, 1)]));
+        assert!(!seal(&wal, &[], vec![(1, vec![(1, 1)])]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -487,14 +490,52 @@ mod tests {
         wal.commit().expect("commit");
         let cut = wal.checkpoint_cut();
         let elems: Vec<(Key, Value)> = (0..10).map(|i| (i, i)).collect();
-        assert!(wal.seal_checkpoint(0, cut, &elems));
-        assert!(dir.join("ckpt_0_10.seg").exists());
-        // Second seal at a later cut replaces the first segment.
+        assert!(seal(
+            &wal,
+            &[5],
+            vec![(cut, elems[..5].to_vec()), (cut, elems[5..].to_vec())]
+        ));
+        assert_eq!(segment_files(&dir), ["ckpt_0_0.seg", "ckpt_0_1.seg"]);
+        assert_eq!(log_files(&dir), [11]);
+        // A second seal at a later cut, over one unit, replaces both.
         wal.append(&[DurabilityOp::Insert(10, 10)]);
         wal.commit().expect("commit");
-        assert!(wal.seal_checkpoint(0, 11, &[(10, 10)]));
-        assert!(dir.join("ckpt_0_11.seg").exists());
-        assert!(!dir.join("ckpt_0_10.seg").exists(), "old segment pruned");
+        assert!(seal(&wal, &[], vec![(11, vec![(10, 10)])]));
+        assert_eq!(segment_files(&dir), ["ckpt_1_0.seg"], "old segments pruned");
+        let m = manifest(&wal);
+        assert_eq!((m.splitters.len(), m.cuts().collect()), (0, vec![11]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With no write in between, a second checkpoint draws the same
+    /// cuts over a re-cut topology: its segments still get names of
+    /// their own, so none is written over a file the committed
+    /// manifest names.
+    #[test]
+    fn a_checkpoint_at_unchanged_cuts_writes_new_files() {
+        let dir = scratch("same-cut");
+        let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
+        wal.append(&ONE_PER_UNIT.map(|k| DurabilityOp::Insert(k, k)));
+        wal.commit().expect("commit");
+        let pairs = ONE_PER_UNIT.map(|k| (k, k)).to_vec();
+        assert!(seal(
+            &wal,
+            &SPLITTERS[..1],
+            vec![(4, pairs[..1].to_vec()), (4, pairs[1..].to_vec())]
+        ));
+        let first = manifest(&wal);
+        assert!(seal(
+            &wal,
+            &SPLITTERS[1..2],
+            vec![(4, pairs[..2].to_vec()), (4, pairs[2..].to_vec())]
+        ));
+        let second = manifest(&wal);
+        let files = |m: &ManifestState| -> Vec<String> {
+            m.entries.iter().flatten().map(|e| e.file.clone()).collect()
+        };
+        assert_eq!(files(&first), ["ckpt_0_0.seg", "ckpt_0_1.seg"]);
+        assert_eq!(files(&second), ["ckpt_1_0.seg", "ckpt_1_1.seg"]);
+        assert_eq!(segment_files(&dir), files(&second));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,31 +2,34 @@
 //!
 //! Recovery rebuilds the pre-crash acknowledged state in three moves:
 //!
-//! 1. **Load** every partition's checkpoint segment (checksum-verified
-//!    against its manifest entry), in parallel. Partitions are
-//!    key-ordered and segments are key-sorted, so concatenating them
-//!    in partition order yields one globally sorted batch — exactly
-//!    what the engine's partitioned bulk loader wants.
+//! 1. **Load** every unit's checkpoint segment (checksum-verified
+//!    against its manifest entry), in parallel. The units are the
+//!    key ranges the manifest's splitters cut — the engine's shards
+//!    when the checkpoint was sealed — and segments are key-sorted,
+//!    so concatenating them in unit order yields one globally sorted
+//!    batch: exactly what the engine's partitioned bulk loader wants.
 //! 2. **Scan** the one log once, its files in start-LSN order,
-//!    skipping the files the smallest partition cut covers, and keep
-//!    a record only if its LSN is above its own key's partition cut,
-//!    in that partition's tail. LSNs must run contiguously; a torn or
-//!    corrupt record is legal only at the very tail of the *last*
-//!    file, where it marks the crash point — the file is truncated to
-//!    the clean prefix (an un-acknowledgeable half-append, discarded).
-//!    Anywhere else it means real corruption and recovery refuses, as
-//!    it does when the log ends below a cut: a seal syncs every record
-//!    up to its cut before the manifest names it.
+//!    skipping the files the smallest unit cut covers, and keep a
+//!    record only if its LSN is above its own key's unit cut, in that
+//!    unit's tail. LSNs must run contiguously; a torn or corrupt
+//!    record is legal only at the very tail of the *last* file, where
+//!    it marks the crash point — the file is truncated to the clean
+//!    prefix (an un-acknowledgeable half-append, discarded). Anywhere
+//!    else it means real corruption and recovery refuses, as it does
+//!    when the log ends below a cut: a seal syncs every record up to
+//!    its cuts before the manifest names them.
 //! 3. **Replay** the kept records against the freshly loaded engine,
-//!    each partition's tail as one `ShardedRma::apply_ops` call, the
-//!    partitions in parallel ([`Recovery::replay_into`]). A key always
-//!    falls in the same partition, and `apply_ops` keeps one key's ops
-//!    in order, so per-key operation order is preserved.
+//!    each unit's tail as one `ShardedRma::apply_ops` call, the units
+//!    in parallel ([`Recovery::replay_into`]). A key always falls in
+//!    the same unit, and `apply_ops` keeps one key's ops in order, so
+//!    per-key operation order is preserved.
 //!
-//! The directory is also healed: leftover `.tmp` staging files and
-//! checkpoint segments the manifest no longer references (both
-//! possible if the crash hit mid-seal) are deleted, and a fresh log
-//! file is opened one past the highest LSN seen.
+//! Both parallel moves run on at most `available_parallelism` scoped
+//! workers, however many units the manifest names. The directory is
+//! also healed: leftover `.tmp` staging files and checkpoint segments
+//! the manifest does not name (both possible if the crash hit
+//! mid-seal) are deleted, and a fresh log file is opened one past the
+//! highest LSN seen.
 
 use std::io;
 use std::path::Path;
@@ -45,7 +48,7 @@ use crate::{DurabilityConfig, Wal, WalError};
 pub struct Recovery {
     wal: Arc<Wal>,
     elems: Vec<(Key, Value)>,
-    /// Per partition, its records above its cut, in LSN order.
+    /// Per unit, its records above its cut, in LSN order.
     tails: Vec<Vec<PointOp>>,
 }
 
@@ -67,8 +70,8 @@ impl Recovery {
         self.tails.iter().map(|t| t.len() as u64).sum()
     }
 
-    /// Replays the log tails into `engine`, each partition's as one
-    /// `ShardedRma::apply_ops` call (the partitions in parallel), and
+    /// Replays the log tails into `engine`, each unit's as one
+    /// `ShardedRma::apply_ops` call (the units in parallel), and
     /// returns the record count.
     ///
     /// Call this *before* attaching the WAL via
@@ -76,26 +79,37 @@ impl Recovery {
     /// log, and replaying through an attached sink would re-append
     /// every record.
     pub fn replay_into(&self, engine: &ShardedRma) -> u64 {
-        std::thread::scope(|s| {
-            for tail in self.tails.iter().filter(|t| !t.is_empty()) {
-                let wal = &self.wal;
-                s.spawn(move || {
-                    let t0 = rewiring::monotonic_ns();
-                    engine.apply_ops(tail, &mut vec![None; tail.len()]);
-                    wal.replay_hist
-                        .record(rewiring::monotonic_ns().saturating_sub(t0));
-                });
-            }
+        let tails: Vec<&Vec<PointOp>> = self.tails.iter().filter(|t| !t.is_empty()).collect();
+        on_workers(&tails, |tail| {
+            let t0 = rewiring::monotonic_ns();
+            engine.apply_ops(tail, &mut vec![None; tail.len()]);
+            (self.wal.replay_hist).record(rewiring::monotonic_ns().saturating_sub(t0));
         });
         self.tail_ops()
     }
+}
+
+/// Runs `job` on every item on at most `available_parallelism`
+/// scoped workers, each taking a contiguous run of items, and returns
+/// the results in item order.
+fn on_workers<I: Sync, T: Send>(items: &[I], job: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let job = &job;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (items.chunks(items.len().div_ceil(hw).max(1)))
+            .map(|run| s.spawn(move || run.iter().map(job).collect::<Vec<_>>()))
+            .collect();
+        (workers.into_iter())
+            .flat_map(|w| w.join().expect("recovery worker panicked"))
+            .collect()
+    })
 }
 
 impl Wal {
     /// Recovers a WAL directory created by [`Wal::create`]: verifies
     /// the manifest, loads checkpoints, scans the log tail (truncating
     /// a torn tail), heals leftover staging files, and reopens a fresh
-    /// log file. The partition count is the manifest's.
+    /// log file. The units and their key ranges are the manifest's.
     pub fn recover(cfg: DurabilityConfig) -> Result<Recovery, WalError> {
         Wal::validate(&cfg)?;
         let manifest = match checkpoint::read_manifest(&cfg.dir)? {
@@ -110,22 +124,14 @@ impl Wal {
         };
         let splitters = Splitters::new(manifest.splitters.clone());
 
+        // The one log scan runs beside the segment loads.
         let (segments, scan) = std::thread::scope(|s| {
-            let loads: Vec<_> = (manifest.entries.iter())
-                .map(|entry| {
-                    let dir = cfg.dir.as_path();
-                    s.spawn(move || {
-                        entry
-                            .as_ref()
-                            .map_or(Ok(Vec::new()), |e| checkpoint::load_segment(dir, e))
-                    })
-                })
-                .collect();
-            let scan = scan_log(&cfg.dir, &manifest, &splitters);
-            let segments: Vec<_> = (loads.into_iter())
-                .map(|h| h.join().expect("segment load panicked"))
-                .collect();
-            (segments, scan)
+            let scan = s.spawn(|| scan_log(&cfg.dir, &manifest, &splitters));
+            let segments = on_workers(&manifest.entries, |entry| match entry {
+                Some(e) => checkpoint::load_segment(&cfg.dir, e),
+                None => Ok(Vec::new()),
+            });
+            (segments, scan.join().expect("log scan panicked"))
         });
         let mut elems = Vec::new();
         for segment in segments {
@@ -136,29 +142,29 @@ impl Wal {
         let log = Log::create(&cfg.dir, next_lsn)?;
         heal_directory(&cfg.dir, &manifest.entries)?;
         crate::fault::sync_dir(&cfg.dir)?;
-        let wal = Wal::from_parts(cfg, log, splitters, manifest);
+        let wal = Wal::from_parts(cfg, log, manifest);
         Ok(Recovery { wal, elems, tails })
     }
 }
 
-/// Scans the log files once: returns each partition's records above
-/// its cut and the LSN one past the log's last record.
+/// Scans the log files once: returns each unit's records above its
+/// cut and the LSN one past the log's last record.
 fn scan_log(
     dir: &Path,
     manifest: &ManifestState,
     splitters: &Splitters,
 ) -> Result<(Vec<Vec<PointOp>>, u64), WalError> {
-    let cuts: Vec<u64> = (0..manifest.partitions).map(|p| manifest.cut(p)).collect();
-    let min_cut = manifest.min_cut();
+    let cuts: Vec<u64> = manifest.cuts().collect();
+    let min_cut = cuts.iter().copied().min().unwrap_or(0);
     let max_cut = cuts.iter().copied().max().unwrap_or(0);
     let starts = segment::list_log_starts(dir)?;
     // A file whose successor starts at or below `min_cut + 1` holds
-    // only records every partition's checkpoint covers (it survived a
+    // only records every unit's checkpoint covers (it survived a
     // crash between manifest commit and log pruning).
     let first = (starts.windows(2))
         .take_while(|pair| pair[1] <= min_cut + 1)
         .count();
-    let mut tails = vec![Vec::new(); manifest.partitions];
+    let mut tails = vec![Vec::new(); cuts.len()];
     let mut next = starts.get(first).copied().unwrap_or(min_cut + 1);
     for (i, &start) in starts.iter().enumerate().skip(first) {
         let last = i + 1 == starts.len();
@@ -181,9 +187,9 @@ fn scan_log(
                         )));
                     }
                     next += 1;
-                    let p = splitters.route(r.op.key());
-                    if r.lsn > cuts[p] {
-                        tails[p].push(r.op);
+                    let u = splitters.route(r.op.key());
+                    if r.lsn > cuts[u] {
+                        tails[u].push(r.op);
                     }
                     off += record::FRAME_LEN;
                 }
@@ -214,20 +220,16 @@ fn scan_log(
     Ok((tails, next))
 }
 
-/// Deletes staging leftovers and checkpoint segments the manifest no
-/// longer references — debris a mid-seal crash can leave behind.
+/// Deletes staging leftovers and checkpoint segments the manifest
+/// does not name — debris a mid-seal crash can leave behind.
 fn heal_directory(dir: &Path, entries: &[Option<CkptEntry>]) -> io::Result<()> {
     for item in std::fs::read_dir(dir)? {
         let item = item?;
         let name = item.file_name();
         let Some(name) = name.to_str() else { continue };
         let stale_tmp = name.ends_with(".tmp");
-        let orphan_seg = checkpoint::parse_seg_name(name).is_some_and(|(p, _)| {
-            entries
-                .get(p)
-                .and_then(|e| e.as_ref())
-                .is_none_or(|e| e.file != name)
-        });
+        let orphan_seg =
+            checkpoint::is_seg_name(name) && !entries.iter().flatten().any(|e| e.file == name);
         if stale_tmp || orphan_seg {
             std::fs::remove_file(item.path()).ok();
         }
@@ -238,7 +240,8 @@ fn heal_directory(dir: &Path, entries: &[Option<CkptEntry>]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DurabilitySink, PARTITIONS};
+    use crate::tests::seal;
+    use crate::DurabilitySink;
     use rma_shard::DurabilityOp;
     use std::path::PathBuf;
 
@@ -261,7 +264,8 @@ mod tests {
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
         assert!(rec.elements().is_empty());
         assert_eq!(rec.tail_ops(), 0);
-        assert_eq!(rec.wal().partitions(), PARTITIONS);
+        let manifest = rec.wal.manifest.lock().expect("manifest").clone();
+        assert_eq!(manifest, ManifestState::empty(), "one unit, no cut");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -319,13 +323,14 @@ mod tests {
                 wal.append(&[DurabilityOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
-            let elems: Vec<(Key, Value)> = (0..4).map(|i| (i, i)).collect();
-            assert!(wal.seal_checkpoint(0, wal.checkpoint_cut(), &elems));
+            // Unit 1's cut was drawn after record 2, so file 1 stays.
+            let units = vec![(4, vec![(0, 0), (1, 1)]), (2, Vec::new())];
+            assert!(seal(&wal, &[2], units));
         }
         // Lose the file the seal rotated to and cut the one before it
-        // to records 1 and 2: the log now ends below partition 0's cut
-        // (4), and a log reopened at 3 would hide new records of its
-        // keys behind that cut.
+        // to records 1 and 2: the log now ends below unit 0's cut (4),
+        // and a log reopened at 3 would hide new records of its keys
+        // behind that cut.
         std::fs::remove_file(dir.join(segment::log_name(5))).expect("rm");
         let path = dir.join(segment::log_name(1));
         let f = std::fs::OpenOptions::new()
@@ -351,7 +356,7 @@ mod tests {
             }
             wal.commit().expect("commit");
             let elems: Vec<(Key, Value)> = (0..20).map(|i| (i, i)).collect();
-            assert!(wal.seal_checkpoint(0, wal.checkpoint_cut(), &elems));
+            assert!(seal(&wal, &[], vec![(wal.checkpoint_cut(), elems)]));
             // Post-checkpoint writes land in the rotated log.
             for i in 20..25 {
                 wal.append(&[DurabilityOp::Insert(i, i)]);
@@ -365,36 +370,42 @@ mod tests {
     }
 
     #[test]
-    fn recovery_keeps_the_records_above_their_own_partitions_cut() {
+    fn recovery_keeps_the_records_above_their_own_units_cut() {
         let dir = scratch("own-cut");
-        let key = |p: i64, i: i64| (p << 60) + i;
-        let sealed: Vec<(Key, Value)> = (0..3).map(|i| (key(1, i), i)).collect();
+        let key = |u: i64, i: i64| (u << 60) + i;
+        // Unit `u` covers `key(u, _)`; its cut was drawn after round
+        // `min(u, 2)` of the inserts below (four records a round).
+        let splitters = [key(1, 0), key(2, 0), key(3, 0)];
+        let rounds = |u: i64| u.min(2) + 1;
+        let sealed = |u: i64| (0..rounds(u)).map(|i| (key(u, i), i)).collect::<Vec<_>>();
         {
             let wal = fresh_wal(&dir);
             for i in 0..3 {
-                let ops: Vec<_> = (0..4).map(|p| DurabilityOp::Insert(key(p, i), i)).collect();
+                let ops: Vec<_> = (0..4).map(|u| DurabilityOp::Insert(key(u, i), i)).collect();
                 wal.append(&ops);
             }
             wal.commit().expect("commit");
-            assert!(wal.seal_checkpoint(1, wal.checkpoint_cut(), &sealed));
-            for p in 0..4 {
-                wal.append(&[DurabilityOp::Remove(key(p, 0))]);
+            let units = (0..4).map(|u| (4 * rounds(u) as u64, sealed(u))).collect();
+            assert!(seal(&wal, &splitters, units));
+            for u in 0..4 {
+                wal.append(&[DurabilityOp::Remove(key(u, 0))]);
             }
             wal.commit().expect("commit");
         }
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
-        assert_eq!(rec.elements(), &sealed[..]);
-        // Partition 1's cut is 12; the others never sealed (cut 0).
-        assert_eq!(rec.tails[1], [PointOp::Remove(key(1, 0))]);
-        for p in [0, 2, 3] {
-            let mut want: Vec<_> = (0..3).map(|i| PointOp::Insert(key(p, i), i)).collect();
-            want.push(PointOp::Remove(key(p, 0)));
-            assert_eq!(rec.tails[p as usize], want, "partition {p}");
+        let loaded: Vec<(Key, Value)> = (0..4).flat_map(sealed).collect();
+        assert_eq!(rec.elements(), &loaded[..]);
+        for u in 0..4 {
+            let mut want: Vec<_> = (rounds(u)..3)
+                .map(|i| PointOp::Insert(key(u, i), i))
+                .collect();
+            want.push(PointOp::Remove(key(u, 0)));
+            assert_eq!(rec.tails[u as usize], want, "unit {u}");
         }
         let engine = ShardedRma::load_bulk(rma_shard::ShardConfig::default(), rec.elements());
-        assert_eq!(rec.replay_into(&engine), 13);
+        assert_eq!(rec.replay_into(&engine), 7);
         assert_eq!(engine.len(), 8);
-        assert!((0..4).all(|p| engine.get(key(p, 0)).is_none()));
+        assert!((0..4).all(|u| engine.get(key(u, 0)).is_none()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -408,15 +419,15 @@ mod tests {
                 wal.append(&[DurabilityOp::Insert((i * 37 % 200) * step, i)]);
             }
             wal.commit().expect("commit");
-            for p in 0..PARTITIONS {
-                let (lo, hi) = wal.partition_range(p);
-                let mut elems: Vec<(Key, Value)> = (0..200)
-                    .map(|i| ((i * 37 % 200) * step, i))
-                    .filter(|&(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h))
-                    .collect();
-                elems.sort_unstable();
-                assert!(wal.seal_checkpoint(p, wal.checkpoint_cut(), &elems));
-            }
+            let mut elems: Vec<(Key, Value)> =
+                (0..200).map(|i| ((i * 37 % 200) * step, i)).collect();
+            elems.sort_unstable();
+            let splitters = Splitters::new(vec![50 * step, 100 * step, 150 * step]);
+            let cut = wal.checkpoint_cut();
+            let units = (splitters.partition_sorted(&elems).into_iter())
+                .map(|r| (cut, elems[r].to_vec()))
+                .collect();
+            assert!(seal(&wal, splitters.keys(), units));
         }
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
         assert_eq!(rec.elements().len(), 200);
@@ -456,15 +467,25 @@ mod tests {
             let wal = fresh_wal(&dir);
             wal.append(&[DurabilityOp::Insert(1, 1)]);
             wal.commit().expect("commit");
+            assert!(seal(&wal, &[], vec![(1, vec![(1, 1)])]));
+            wal.append(&[DurabilityOp::Insert(2, 2)]);
+            wal.commit().expect("commit");
         }
-        // Simulate a crash mid-seal: an orphan segment the manifest
-        // never adopted, plus a staging file.
-        std::fs::write(dir.join("ckpt_0_99.seg"), b"junk").expect("orphan");
+        // Simulate a crash mid-seal: segments the manifest never
+        // adopted — of the next generation, and beside the named one
+        // — plus a staging file.
+        for orphan in ["ckpt_1_0.seg", "ckpt_0_1.seg", "ckpt_0_99.seg"] {
+            std::fs::write(dir.join(orphan), b"junk").expect("orphan");
+        }
         std::fs::write(dir.join("MANIFEST.tmp"), b"junk").expect("tmp");
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
-        assert_eq!(rec.tail_ops(), 1);
-        assert!(!dir.join("ckpt_0_99.seg").exists());
-        assert!(!dir.join("MANIFEST.tmp").exists());
+        assert_eq!((rec.elements(), rec.tail_ops()), (&[(1, 1)][..], 1));
+        let mut left: Vec<String> = (std::fs::read_dir(&dir).expect("wal dir"))
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .filter(|name| name.starts_with("ckpt_") || name.ends_with(".tmp"))
+            .collect();
+        left.sort();
+        assert_eq!(left, ["ckpt_0_0.seg"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,16 +21,16 @@
 //!
 //! The log lives in files named `wal_<start>.log`, where `<start>` is
 //! the LSN of the first record the file may contain; records of every
-//! durability partition interleave in them. Sealing a checkpoint calls
-//! [`Log::rotate`] before it commits the manifest: write and sync the
-//! current file, then open a fresh one starting past everything
-//! appended so far, so every record at or below the cut just drawn is
-//! in a synced file. Once the manifest is committed, [`Log::prune`]
-//! deletes the files the smallest partition cut covers: a file goes
-//! iff its *successor's* start LSN is `<= cut + 1` — every record it
-//! holds then has `lsn <= cut` and is re-created by the checkpoint
-//! segment of its partition. The current file is never deleted;
-//! appends that raced past the cut live there.
+//! key interleave in them. Sealing a checkpoint calls [`Log::rotate`]
+//! before it commits the manifest: write and sync the current file,
+//! then open a fresh one starting past everything appended so far, so
+//! every record at or below the cuts just drawn is in a synced file.
+//! Once the manifest is committed, [`Log::prune`] deletes the files
+//! the smallest unit cut covers: a file goes iff its *successor's*
+//! start LSN is `<= cut + 1` — every record it holds then has
+//! `lsn <= cut` and is re-created by the checkpoint segment of its
+//! key's unit. The current file is never deleted; appends that raced
+//! past the cut live there.
 
 use std::fs::File;
 use std::io;
@@ -96,7 +96,7 @@ struct LogFile {
     since_fsync: u64,
 }
 
-/// The write-ahead log of every durability partition.
+/// The write-ahead log of every key.
 pub(crate) struct Log {
     dir: PathBuf,
     staging: Mutex<Staging>,
@@ -147,9 +147,9 @@ impl Log {
         last
     }
 
-    /// Highest LSN handed out. Meaningful as a partition's checkpoint
-    /// cut only while the engine shards covering the partition's key
-    /// range are locked (no append for its keys can race).
+    /// Highest LSN handed out. Meaningful as a unit's checkpoint cut
+    /// only while the engine shard that is the unit is locked (no
+    /// append for its keys can race).
     pub fn appended(&self) -> u64 {
         self.appended.load(Ordering::Acquire)
     }

@@ -40,8 +40,8 @@
 //!   timestamps — everything
 //!   [`Db::metrics`](rma_db::Db::metrics) is assembled from;
 //! * [`wal`] — the **durability subsystem**: one group-committed
-//!   write-ahead log (length-prefixed, checksummed records), sealed
-//!   per-partition checkpoints with an atomically
+//!   write-ahead log (length-prefixed, checksummed records),
+//!   checkpoints sealed one unit per shard with an atomically
 //!   replaced manifest, parallel crash recovery with torn-tail
 //!   truncation, and a deterministic fault-injection harness
 //!   (seeded kill-points, injected short writes and bit flips);

@@ -21,7 +21,6 @@
 
 use rma_repro::db::{
     CommitPolicy, Db, DbError, DurabilityConfig, FaultInjector, FaultMode, IoClass, Op, Reply,
-    PARTITIONS,
 };
 use rma_repro::obs::EventKind;
 use rma_repro::rma::{RewiringMode, RmaConfig};
@@ -117,8 +116,8 @@ impl CrashRun {
 
 /// Drives a deterministic workload against a durable `Db` with a
 /// fault armed at `fire_after`, stopping at the first refused write.
-/// A synchronous checkpoint wave (one seal per durability partition)
-/// runs after every `ckpt_every` ops.
+/// A synchronous checkpoint (one unit per shard) runs after every
+/// `ckpt_every` ops.
 fn run_until_crash(
     dir: &Path,
     inj: Arc<FaultInjector>,
@@ -144,9 +143,10 @@ fn run_until_crash(
     };
     for i in 0..total {
         // Spread the 512-key working set across the whole 62-bit
-        // positive domain so every durability partition sees traffic
-        // (uniform partitions split at multiples of 2^60; a compact
-        // 0..512 range would all land in partition 0).
+        // positive domain so every shard, and so every checkpoint
+        // unit, sees traffic (the four uniform shards split at
+        // multiples of 2^60; a compact 0..512 range would all land in
+        // shard 0).
         let k = ((gen.next() % 512) as i64) << 53;
         let op = if oracle.contains_key(&k) {
             Scripted::Remove(k)
@@ -172,8 +172,8 @@ fn run_until_crash(
             }
         }
         if (i + 1) % ckpt_every == 0 {
-            // On-demand checkpoint wave. A seal killed mid-I/O
-            // degrades the WAL; the next write above observes it.
+            // On-demand checkpoint. A seal killed mid-I/O degrades
+            // the WAL; the next write above observes it.
             db.engine().checkpoint();
         }
     }
@@ -373,7 +373,7 @@ fn a_checkpoint_shortens_the_replayed_tail() {
         .build()
         .expect("valid durable config");
     // Unique keys (7919 is odd, so `i -> 7919 i mod 4096` is a
-    // bijection) spread over all four durability partitions.
+    // bijection) spread over all four shards.
     let pairs: Vec<(i64, i64)> = (0..OPS as i64)
         .map(|i| ((i * 7919 % 4096) << 50, i))
         .collect();
@@ -384,7 +384,7 @@ fn a_checkpoint_shortens_the_replayed_tail() {
         assert!(replies.iter().all(|r| *r == Reply::Inserted), "{replies:?}");
     };
     pairs[..SEALED].chunks(50).for_each(&mut write);
-    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    assert_eq!(db.engine().checkpoint(), db.engine().num_shards());
     pairs[SEALED..].chunks(50).for_each(&mut write);
     drop(session);
     drop(db);
@@ -407,9 +407,9 @@ fn a_checkpoint_shortens_the_replayed_tail() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint is not a maintenance step: it seals every partition
-/// and journals one `checkpoint` event per seal, whose elements add up
-/// to the content, while the maintenance ledger and the step-duration
+/// A checkpoint is not a maintenance step: it seals every shard and
+/// journals one `checkpoint` event per shard, whose elements add up to
+/// the content, while the maintenance ledger and the step-duration
 /// histogram stay where they were.
 #[test]
 fn a_checkpoint_is_not_a_maintenance_step() {
@@ -419,13 +419,14 @@ fn a_checkpoint_is_not_a_maintenance_step() {
         .durability(DurabilityConfig::new(&dir))
         .build()
         .expect("valid durable config");
-    // Unique keys over all four partitions, as in the tail test.
+    // Unique keys over all four shards, as in the tail test.
     for i in 0..1000i64 {
         db.insert((i * 7919 % 4096) << 50, i);
     }
     let ledger = db.engine().maintenance_stats();
     let steps = db.metrics().step_duration.count();
-    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    let shards = db.engine().num_shards();
+    assert_eq!(db.engine().checkpoint(), shards);
     assert_eq!(
         db.engine().maintenance_stats(),
         ledger,
@@ -438,12 +439,112 @@ fn a_checkpoint_is_not_a_maintenance_step() {
         .collect();
     assert_eq!(
         seals.iter().map(|e| e.shard as usize).collect::<Vec<_>>(),
-        (0..PARTITIONS).collect::<Vec<_>>(),
-        "one event per partition, in partition order"
+        (0..shards).collect::<Vec<_>>(),
+        "one event per shard, in shard order"
     );
     assert_eq!(seals.iter().map(|e| e.keys).sum::<u64>(), 1000);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint's units are the live shards: over 2^16 sequential
+/// keys bulk-loaded into 8 shards, `checkpoint()` seals one unit per
+/// shard, journals one `checkpoint` event per shard in shard order,
+/// and no event carries more than the largest shard — where a fixed
+/// partitioning of the whole key domain would put every key in one
+/// unit and lock every shard to copy it.
+#[test]
+fn a_checkpoint_seals_one_unit_per_shard() {
+    let dir = scratch("per-shard");
+    let batch: Vec<(i64, i64)> = (0..1i64 << 16).map(|i| (i, i)).collect();
+    let db = Db::builder()
+        .shard_config(ShardConfig {
+            num_shards: 8,
+            ..small_shards()
+        })
+        .durability(DurabilityConfig::new(&dir))
+        .build_bulk(&batch)
+        .expect("durable bulk load");
+    let seals = |db: &Db| -> Vec<(usize, u64)> {
+        (db.metrics().journal.iter())
+            .filter(|e| e.kind == EventKind::Checkpoint)
+            .map(|e| (e.shard as usize, e.keys))
+            .collect()
+    };
+    let shards = db.engine().num_shards();
+    assert_eq!(shards, 8);
+    let before = seals(&db).len();
+    assert_eq!(db.engine().checkpoint(), shards);
+    let events = seals(&db).split_off(before);
+    assert_eq!(
+        events.iter().map(|&(j, _)| j).collect::<Vec<_>>(),
+        (0..shards).collect::<Vec<_>>(),
+        "one event per shard, in shard order"
+    );
+    let snapshot = db.engine().stats_snapshot();
+    let largest = snapshot.shards.iter().map(|s| s.len as u64).max();
+    assert!(
+        events.iter().all(|&(_, n)| Some(n) <= largest),
+        "{events:?}"
+    );
+    assert_eq!(events.iter().map(|&(_, n)| n).sum::<u64>(), db.len() as u64);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Maintenance may re-cut the shards without a single log record, so
+/// a second checkpoint can draw the very cuts of the first over a new
+/// topology. Killed at each of that checkpoint's I/O sites in turn, it
+/// never damages the committed one: every kill recovers exactly the
+/// acknowledged writes.
+#[test]
+fn a_checkpoint_after_a_recut_survives_a_kill_at_each_io_site() {
+    let keys: Vec<Op> = (0..1024i64).map(|k| Op::Insert(k, -k)).collect();
+    let oracle: Vec<(i64, i64)> = (0..1024i64).map(|k| (k, -k)).collect();
+    let (mut kills, mut units) = (0, 0);
+    for k in 1.. {
+        let dir = scratch(&format!("recut-kill-{k}"));
+        let inj = FaultInjector::new(k, FaultMode::Kill);
+        let db = Db::builder()
+            .shard_config(ShardConfig {
+                max_shard_len: Some(256),
+                ..small_shards()
+            })
+            .durability(DurabilityConfig::new(&dir).fault(Arc::clone(&inj)))
+            .build()
+            .expect("valid durable config");
+        db.session().submit(&keys).wait();
+        let before = db.engine().num_shards();
+        let first = db.engine().checkpoint();
+        if inj.fired().is_some() {
+            // The kill landed before the re-cut: the sweep above
+            // covers those sites.
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+            continue;
+        }
+        assert_eq!(first, before);
+        db.engine().maintain();
+        let after = db.engine().num_shards();
+        assert_ne!(after, before, "maintenance re-cut nothing");
+        let second = db.engine().checkpoint();
+        let fired = inj.fired();
+        drop(db);
+        let got = recover_pairs(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(got, oracle, "kill {k} ({fired:?})");
+        if fired.is_none() {
+            assert_eq!(second, after);
+            units = after;
+            break;
+        }
+        assert_eq!(second, 0, "a killed seal reports failure");
+        kills += 1;
+    }
+    // Each unit's segment: write, fsync, rename, directory sync; then
+    // the manifest's four. The rotation has no record to sync: none
+    // was appended since the first checkpoint's.
+    assert_eq!(kills, 4 * units + 4);
 }
 
 /// `Insert k`, `Remove k`, `Insert k` and a duplicate `Insert k` in
@@ -512,7 +613,7 @@ fn a_batch_and_its_replay_leave_the_same_stack() {
     drop(db);
     let db = Db::open(&dir).expect("reopen replays the log");
     assert_eq!((db.get(K), dump(&db)), before, "after replay");
-    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    assert_eq!(db.engine().checkpoint(), db.engine().num_shards());
     drop(db);
     let db = Db::open(&dir).expect("reopen loads the checkpoint");
     assert_eq!((db.get(K), dump(&db)), before, "after a checkpoint");
@@ -687,11 +788,14 @@ const FIXTURE_LOG: &[u8] = &[
 ];
 
 /// On-disk formats are value-compatible across checksum kernels: the
-/// same operations re-encode the older version's partition-0 files
-/// bit-for-bit, and those files recover. A fresh WAL has
-/// [`PARTITIONS`] partitions where the fixture has one, so only the
-/// manifest's partition-0 line re-encodes; its whole-file `crc=` value
-/// is checked by recovering the fixture.
+/// same operations re-encode the older version's unit-0 files
+/// bit-for-bit, and those files recover. A fresh database checkpoints
+/// one unit per shard (four) where the fixture has one, and names its
+/// segments `ckpt_<generation>_<unit>.seg`, so only the manifest's
+/// unit-0 line re-encodes — naming `ckpt_0_0.seg` where the fixture,
+/// written under `ckpt_<partition>_<cut>.seg` names, has
+/// `ckpt_0_3.seg`; its whole-file `crc=` value is checked by
+/// recovering the fixture.
 #[test]
 fn files_written_by_an_earlier_version_reencode_and_recover() {
     let files = [
@@ -710,27 +814,42 @@ fn files_written_by_an_earlier_version_reencode_and_recover() {
     for (k, v) in [pairs[0], pairs[1], pairs[3]] {
         db.try_insert(k, v).expect("healthy");
     }
-    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    assert_eq!(db.engine().checkpoint(), 4);
     db.try_insert(pairs[2].0, pairs[2].1).expect("healthy");
     drop(db);
     let mut left: Vec<String> = std::fs::read_dir(&fresh)
         .expect("wal dir")
         .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
-        .filter(|name| name.contains("_0_") || name.starts_with("wal_"))
         .collect();
     left.sort();
-    assert_eq!(left, ["ckpt_0_3.seg", "wal_4.log"]);
+    let segments = [
+        "ckpt_0_0.seg",
+        "ckpt_0_1.seg",
+        "ckpt_0_2.seg",
+        "ckpt_0_3.seg",
+    ];
+    assert_eq!(
+        left,
+        [["MANIFEST"].as_slice(), &segments, &["wal_4.log"]].concat()
+    );
     let manifest = std::fs::read_to_string(fresh.join("MANIFEST")).expect("readable");
     assert!(
-        manifest.contains("\nckpt=0,3,ckpt_0_3.seg,3,07d8cebf\n"),
+        manifest.contains("\nckpt=0,3,ckpt_0_0.seg,3,07d8cebf\n"),
         "{manifest}"
     );
-    for &(name, bytes) in &files[1..] {
+    for (name, bytes) in [
+        ("ckpt_0_0.seg", FIXTURE_SEGMENT),
+        ("wal_4.log", FIXTURE_LOG),
+    ] {
         assert_eq!(
             std::fs::read(fresh.join(name)).expect("readable"),
             bytes,
             "{name} differs from the earlier version's bytes"
         );
+    }
+    for name in &segments[1..] {
+        let empty = std::fs::read(fresh.join(name)).expect("readable");
+        assert!(empty.is_empty(), "{name}: the other shards hold nothing");
     }
     std::fs::remove_dir_all(&fresh).ok();
 

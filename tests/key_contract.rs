@@ -14,7 +14,7 @@
 //! `WireClient`, and a `Db` reopened from its log and its checkpoint.
 
 use proptest::prelude::*;
-use rma_repro::db::{Db, DurabilityConfig, Op, Reply, PARTITIONS};
+use rma_repro::db::{Db, DurabilityConfig, Op, Reply};
 use rma_repro::net::{NetConfig, NetServer, WireClient};
 use rma_repro::rma::{Key, RewiringMode, Rma, RmaConfig, Value};
 use rma_repro::shard::{MaintenanceStep, PointOp, ShardConfig, ShardedRma, Splitters};
@@ -660,7 +660,7 @@ fn a_reopened_db_keeps_every_stack() {
     // the checkpoint loaded and the tail after it replayed.
     let db = Db::open(&dir).expect("reopen replays the log");
     assert_db_matches(&db, &oracle, "after replay");
-    assert_eq!(db.engine().checkpoint(), PARTITIONS);
+    assert_eq!(db.engine().checkpoint(), db.engine().num_shards());
     drive_client(
         &db,
         &mut db.session(),
