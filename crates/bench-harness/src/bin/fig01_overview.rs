@@ -12,7 +12,7 @@
 //! (Fig. 1c).
 
 use bench_harness::stores::{
-    abtree_factory, dense_from_pairs, rma_factory, tpma_factory, StoreFactory,
+    abtree_factory, dense_from_pairs, filled, rma_factory, tpma_factory, StoreFactory,
 };
 use bench_harness::{median_of, random_start_key, throughput, time, zipf_beta, Cli};
 use pma_baseline::TpmaConfig;
@@ -54,23 +54,10 @@ fn main() {
         let mut base_scan = None;
         for (name, factory) in &lineup {
             let ins = median_of(cli.reps, || {
-                let mut s = factory();
-                let mut stream = KeyStream::new(pattern, cli.seed);
-                let (_, secs) = time(|| {
-                    for _ in 0..n {
-                        let (k, v) = stream.next_pair();
-                        s.insert(k, v);
-                    }
-                });
-                throughput(n, secs)
+                throughput(n, filled(factory, pattern, n, cli.seed).1)
             });
             // Build once more for the scan phase.
-            let mut s = factory();
-            let mut stream = KeyStream::new(pattern, cli.seed);
-            for _ in 0..n {
-                let (k, v) = stream.next_pair();
-                s.insert(k, v);
-            }
+            let (s, _) = filled(factory, pattern, n, cli.seed);
             let count = (n / 100).max(1);
             let scans = 32usize;
             let scan = median_of(cli.reps, || {

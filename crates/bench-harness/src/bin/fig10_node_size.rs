@@ -8,7 +8,7 @@
 //! Sweeps B ∈ {32, 128, 512, 2048} for both ART and RMA, exactly as
 //! the paper's legend.
 
-use bench_harness::stores::{art_factory, dense_from_pairs, rma_factory, StoreFactory};
+use bench_harness::stores::{art_factory, dense_from_pairs, filled, rma_factory, StoreFactory};
 use bench_harness::{median_of, throughput, time, Cli};
 use workloads::{KeyStream, Pattern, SplitMix64};
 
@@ -93,12 +93,7 @@ fn main() {
     println!();
     let mut dense_pairs = Vec::new();
     for (name, factory) in &lineup {
-        let mut s = factory();
-        let mut stream = KeyStream::new(Pattern::Uniform, cli.seed);
-        for _ in 0..n {
-            let (k, v) = stream.next_pair();
-            s.insert(k, v);
-        }
+        let (s, _) = filled(factory, Pattern::Uniform, n, cli.seed);
         if dense_pairs.is_empty() {
             let mut st = KeyStream::new(Pattern::Uniform, cli.seed);
             dense_pairs = st.take_pairs(n);

@@ -14,11 +14,35 @@
 //!    "Rewiring"), so it differs from `+Static index` in its resizes
 //!    and in where a column's pages live;
 //! 6. `+Adaptive`     — adaptive rebalancing (full RMA).
+//!
+//! Each cell is the median of `--reps` paired runs of the rung and the
+//! baseline that alternate which runs first ([`paired`]); the IQR of
+//! the per-pair ratios and the pairs the rung won follow it.
 
-use bench_harness::stores::{rma_factory, tpma_factory, StoreFactory};
-use bench_harness::{median_of, random_start_key, throughput, time, zipf_beta, Cli};
+use bench_harness::stores::{filled, rma_factory, tpma_factory, Store, StoreFactory};
+use bench_harness::{paired, random_start_key, throughput, time, zipf_beta, Cli, Paired};
 use pma_baseline::TpmaConfig;
-use workloads::{KeyStream, Pattern, SplitMix64};
+use workloads::{Pattern, SplitMix64};
+
+/// 32 random scans of `n / 100` elements each. Returns elements per
+/// second.
+fn scan_rate(s: &dyn Store, n: usize, seed: u64) -> f64 {
+    let count = (n / 100).max(1);
+    let mut rng = SplitMix64::new(seed ^ 0x5CA3);
+    let (visited, secs) = time(|| {
+        let mut visited = 0usize;
+        let mut checksum = 0i64;
+        for _ in 0..32 {
+            let start = random_start_key(Pattern::Uniform, &mut rng);
+            let (n, sum) = s.sum_range(start, count);
+            visited += n;
+            checksum = checksum.wrapping_add(sum);
+        }
+        std::hint::black_box(checksum);
+        visited
+    });
+    throughput(visited.max(1), secs)
+}
 
 fn main() {
     let cli = Cli::parse();
@@ -43,58 +67,43 @@ fn main() {
     println!("# Fig. 14 — N={n}, B={b}, reps={}", cli.reps);
     print!("{:<14}", "feature");
     for p in patterns {
-        print!(" {:>11}", p.label());
+        print!(" {:>20}", p.label());
     }
-    println!(" {:>11}", "scans");
+    println!(" {:>20}", "scans");
 
-    let mut base: Option<Vec<f64>> = None;
-    for (name, factory) in &ladder {
-        let mut row: Vec<f64> = Vec::new();
-        for pattern in patterns {
-            let tput = median_of(cli.reps, || {
-                let mut s = factory();
-                let mut stream = KeyStream::new(pattern, cli.seed);
-                let (_, secs) = time(|| {
-                    for _ in 0..n {
-                        let (k, v) = stream.next_pair();
-                        s.insert(k, v);
-                    }
-                });
-                throughput(n, secs)
-            });
-            row.push(tput);
-        }
-        // Scan column: uniform content, random 1% scans.
-        let mut s = factory();
-        let mut stream = KeyStream::new(Pattern::Uniform, cli.seed);
-        for _ in 0..n {
-            let (k, v) = stream.next_pair();
-            s.insert(k, v);
-        }
-        let count = (n / 100).max(1);
-        let scan = median_of(cli.reps, || {
-            let mut rng = SplitMix64::new(cli.seed ^ 0x5CA3);
-            let (visited, secs) = time(|| {
-                let mut visited = 0usize;
-                let mut checksum = 0i64;
-                for _ in 0..32 {
-                    let start = random_start_key(Pattern::Uniform, &mut rng);
-                    let (n, sum) = s.sum_range(start, count);
-                    visited += n;
-                    checksum = checksum.wrapping_add(sum);
-                }
-                std::hint::black_box(checksum);
-                visited
-            });
-            throughput(visited.max(1), secs)
-        });
-        row.push(scan);
-        let base_row = base.get_or_insert_with(|| row.clone());
+    let (base, rungs) = ladder.split_first().expect("a baseline");
+    let (base_scans, _) = filled(&base.1, Pattern::Uniform, n, cli.seed);
+    println!(
+        "{:<14}{}",
+        base.0,
+        format!(" {:>20}", "1.00x").repeat(patterns.len() + 1)
+    );
+    for (name, factory) in rungs {
+        let mut cells: Vec<Paired> = patterns
+            .iter()
+            .map(|&pattern| {
+                paired(
+                    cli.reps,
+                    || throughput(n, filled(&base.1, pattern, n, cli.seed).1),
+                    || throughput(n, filled(factory, pattern, n, cli.seed).1),
+                )
+            })
+            .collect();
+        let (scans, _) = filled(factory, Pattern::Uniform, n, cli.seed);
+        cells.push(paired(
+            cli.reps,
+            || scan_rate(base_scans.as_ref(), n, cli.seed),
+            || scan_rate(scans.as_ref(), n, cli.seed),
+        ));
         print!("{name:<14}");
-        for (v, b0) in row.iter().zip(base_row.iter()) {
-            print!(" {:>10.2}x", v / b0);
+        for p in &cells {
+            let cell = format!("{:.2}x ±{:.2} {}/{}", p.median, p.iqr, p.wins, p.pairs());
+            print!(" {cell:>20}");
         }
         println!();
     }
-    println!("\n(values are cumulative speedups w.r.t. the TPMA baseline, as on the Fig. 14 bars)");
+    println!(
+        "\n(cumulative speedups w.r.t. the TPMA baseline, as on the Fig. 14 bars: \
+         median of paired ratios, ± their IQR, pairs won)"
+    );
 }

@@ -12,7 +12,9 @@
 //! Shard count is fixed (4× the largest thread count) across all
 //! runs, so the sweep varies exactly one thing: client parallelism.
 
-use bench_harness::{fmt_throughput, median_of, throughput, time, zipf_beta, Cli};
+use bench_harness::{
+    fixed, fmt_throughput, hw_threads, json, median_of, rows, throughput, time, zipf_beta, Cli,
+};
 use rma_core::RmaConfig;
 use rma_db::Db;
 use workloads::{KeyStream, Pattern};
@@ -64,63 +66,22 @@ fn run_one(pattern: Pattern, threads: usize, cli: &Cli) -> f64 {
     })
 }
 
-fn write_json(path: &str, rows: &[Row], cli: &Cli) -> std::io::Result<()> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"shard_scaling\",\n  \"scale\": {},\n",
-        cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"shards\": {SHARDS},\n  \"segment_size\": {},\n",
-        cli.seg
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"reps\": {},\n",
-        cli.seed, cli.reps
-    ));
-    json.push_str(&format!("  \"hw_threads\": {hw},\n  \"results\": [\n"));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \"threads\": {}, \"ops_per_sec\": {:.1}}}{}\n",
-            r.pattern,
-            r.threads,
-            r.ops_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+fn write_json(table: &[Row], speedups: &[f64], cli: &Cli, hw: usize) {
+    let results = table.iter().map(|r| {
+        json! { "pattern": r.pattern.as_str(), "threads": r.threads, "ops_per_sec": fixed(r.ops_per_sec, 1) }
+    });
+    json! {
+        "bench": "shard_scaling", "scale": cli.scale, "shards": SHARDS, "segment_size": cli.seg,
+        "seed": cli.seed, "reps": cli.reps, "hw_threads": hw,
+        "results": rows(results),
+        "speedup_uniform_4t": fixed(speedups[0], 3), "speedup_zipf_4t": fixed(speedups[1], 3),
     }
-    let speedup = |pattern: &str, t: usize| -> Option<f64> {
-        let base = rows
-            .iter()
-            .find(|r| r.pattern == pattern && r.threads == 1)?
-            .ops_per_sec;
-        let at = rows
-            .iter()
-            .find(|r| r.pattern == pattern && r.threads == t)?
-            .ops_per_sec;
-        Some(at / base)
-    };
-    // Lookup keys come from the rows themselves (first label is the
-    // uniform sweep, second the Zipf sweep), not from re-typed label
-    // strings that could drift from Pattern::label().
-    let mut labels: Vec<&str> = Vec::new();
-    for r in rows {
-        if !labels.contains(&r.pattern.as_str()) {
-            labels.push(&r.pattern);
-        }
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"speedup_uniform_4t\": {:.3},\n  \"speedup_zipf_4t\": {:.3}\n}}\n",
-        labels.first().and_then(|l| speedup(l, 4)).unwrap_or(0.0),
-        labels.get(1).and_then(|l| speedup(l, 4)).unwrap_or(0.0)
-    ));
-    std::fs::write(path, json)
+    .write("BENCH_shard_scaling.json");
 }
 
 fn main() {
     let cli = Cli::parse();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = hw_threads();
     println!(
         "# Fig. 15 — sharded front-end scalability: N={} preloaded, N mixed ops (insert/lookup), {} shards, B={}, {} hw threads",
         cli.scale, SHARDS, cli.seg, hw
@@ -140,13 +101,17 @@ fn main() {
     println!(" {:>9}", "x @4thr");
 
     let mut rows = Vec::new();
+    // The 4-thread speedup over 1 thread, per pattern.
+    let mut speedups = Vec::new();
     for pattern in patterns {
         print!("{:<12}", pattern.label());
-        let mut base_rate = 0.0f64;
+        let (mut one, mut four) = (0.0, 0.0);
         for t in THREAD_COUNTS {
             let rate = run_one(pattern, t, &cli);
-            if t == 1 {
-                base_rate = rate;
+            match t {
+                1 => one = rate,
+                4 => four = rate,
+                _ => {}
             }
             print!(" {:>10}", fmt_throughput(rate as usize, 1.0).trim());
             rows.push(Row {
@@ -155,17 +120,8 @@ fn main() {
                 ops_per_sec: rate,
             });
         }
-        let four = rows
-            .iter()
-            .rev()
-            .find(|r| r.threads == 4)
-            .map_or(0.0, |r| r.ops_per_sec);
-        println!(" {:>8.2}x", four / base_rate.max(1e-9));
+        speedups.push(four / f64::max(one, 1e-9));
+        println!(" {:>8.2}x", speedups.last().expect("just pushed"));
     }
-
-    let path = "BENCH_shard_scaling.json";
-    match write_json(path, &rows, &cli) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
+    write_json(&rows, &speedups, &cli, hw);
 }

@@ -26,11 +26,11 @@
 //! Writes `BENCH_splitter_relearning.json`; the schema is documented
 //! in `crates/bench-harness/README.md`.
 
-use bench_harness::Cli;
+use bench_harness::{fixed, json, rows, Cli};
 use rma_core::RmaConfig;
 use rma_db::Db;
 use rma_shard::ShardConfig;
-use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
+use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot};
 
 const SHARDS: usize = 8;
 const PHASES: u64 = 6;
@@ -75,17 +75,10 @@ fn run_mode(cli: &Cli, mode: Mode, motion: HotspotMotion) -> Vec<PhaseRow> {
     };
     let mut ops = ShiftingHotspot::new(hotspot_cfg, cli.seed);
 
-    // Pre-load with uniform keys so every shard starts with residents.
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
+    // Pre-load uniform keys so every shard starts with residents.
     let db = Db::builder()
         .shard_config(shard_config(cli))
-        .build_bulk(&base)
+        .build_bulk(&cli.preload())
         .expect("static driver config is valid");
     let index = db.engine();
 
@@ -142,79 +135,44 @@ fn mean_after(rows: &[PhaseRow]) -> f64 {
     rows.iter().map(|r| r.imbalance_after).sum::<f64>() / rows.len() as f64
 }
 
-fn write_json(path: &str, modes: &[(&str, &[PhaseRow])], cli: &Cli) -> std::io::Result<()> {
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"splitter_relearning\",\n");
-    json.push_str(&format!(
-        "  \"scale\": {},\n  \"phases\": {PHASES},\n  \"shards\": {SHARDS},\n",
-        cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"segment_size\": {},\n",
-        cli.seed, cli.seg
-    ));
-    json.push_str("  \"hot_fraction\": 0.9,\n  \"hot_width_frac\": 0.015625,\n");
-    json.push_str("  \"results\": [\n");
-    let total_rows: usize = modes.iter().map(|(_, r)| r.len()).sum();
-    let mut emitted = 0usize;
-    for (mode, rows) in modes {
-        for r in *rows {
-            emitted += 1;
-            json.push_str(&format!(
-                "    {{\"mode\": \"{mode}\", \"phase\": {}, \"imbalance_before\": {:.4}, \
-                 \"imbalance_after\": {:.4}, \"splits\": {}, \"merges\": {}, \
-                 \"shards\": {}}}{}\n",
-                r.phase,
-                r.imbalance_before,
-                r.imbalance_after,
-                r.splits,
-                r.merges,
-                r.shards,
-                if emitted < total_rows { "," } else { "" }
-            ));
-        }
-    }
-    json.push_str("  ],\n");
-    let mean_of = |label: &str| {
+fn write_json(modes: &[(&str, &[PhaseRow])], cli: &Cli) {
+    let results = modes.iter().flat_map(|&(mode, rows)| {
+        rows.iter().map(move |r| {
+            json! {
+                "mode": mode, "phase": r.phase,
+                "imbalance_before": fixed(r.imbalance_before, 4),
+                "imbalance_after": fixed(r.imbalance_after, 4),
+                "splits": r.splits, "merges": r.merges, "shards": r.shards,
+            }
+        })
+    });
+    let rows_of = |label: &str| {
         modes
             .iter()
             .find(|(m, _)| *m == label)
-            .map(|(_, rows)| mean_after(rows))
             .expect("mode present")
+            .1
     };
-    let base = mean_of("static");
-    let maintained = mean_of("maintained");
-    json.push_str(&format!(
-        "  \"mean_imbalance_static\": {base:.4},\n  \"mean_imbalance_maintained\": {maintained:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"imbalance_ratio\": {:.4},\n",
-        maintained / base.max(1e-12)
-    ));
-    let compact = mean_of("compact");
-    let compact_final_shards = modes
-        .iter()
-        .find(|(m, _)| *m == "compact")
-        .and_then(|(_, rows)| rows.last())
-        .map(|r| r.shards)
-        .expect("compact mode present");
-    json.push_str(&format!(
-        "  \"mean_imbalance_compact\": {compact:.4},\n  \"compact_final_shards\": {compact_final_shards},\n"
-    ));
-    json.push_str(&format!(
-        "  \"imbalance_ratio_compact\": {:.4},\n",
-        compact / base.max(1e-12)
-    ));
-    let base_drift = mean_of("static_drift");
-    let maintained_drift = mean_of("maintained_drift");
-    json.push_str(&format!(
-        "  \"mean_imbalance_static_drift\": {base_drift:.4},\n  \"mean_imbalance_maintained_drift\": {maintained_drift:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"imbalance_ratio_drift\": {:.4}\n}}\n",
-        maintained_drift / base_drift.max(1e-12)
-    ));
-    std::fs::write(path, json)
+    let mean_of = |label: &str| mean_after(rows_of(label));
+    let (base, maintained, compact) =
+        (mean_of("static"), mean_of("maintained"), mean_of("compact"));
+    let (base_drift, maintained_drift) = (mean_of("static_drift"), mean_of("maintained_drift"));
+    json! {
+        "bench": "splitter_relearning", "scale": cli.scale, "phases": PHASES, "shards": SHARDS,
+        "seed": cli.seed, "segment_size": cli.seg,
+        "hot_fraction": fixed(0.9, 1), "hot_width_frac": fixed(0.015625, 6),
+        "results": rows(results),
+        "mean_imbalance_static": fixed(base, 4),
+        "mean_imbalance_maintained": fixed(maintained, 4),
+        "imbalance_ratio": fixed(maintained / base.max(1e-12), 4),
+        "mean_imbalance_compact": fixed(compact, 4),
+        "compact_final_shards": rows_of("compact").last().expect("phases ran").shards,
+        "imbalance_ratio_compact": fixed(compact / base.max(1e-12), 4),
+        "mean_imbalance_static_drift": fixed(base_drift, 4),
+        "mean_imbalance_maintained_drift": fixed(maintained_drift, 4),
+        "imbalance_ratio_drift": fixed(maintained_drift / base_drift.max(1e-12), 4),
+    }
+    .write("BENCH_splitter_relearning.json");
 }
 
 /// Drift step: half a hot-band width per phase, so the band slides
@@ -269,9 +227,7 @@ fn main() {
         dm / ds.max(1e-12)
     );
 
-    let path = "BENCH_splitter_relearning.json";
-    match write_json(
-        path,
+    write_json(
         &[
             ("static", &fixed),
             ("maintained", &maintained),
@@ -280,8 +236,5 @@ fn main() {
             ("maintained_drift", &maintained_drift),
         ],
         &cli,
-    ) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
+    );
 }

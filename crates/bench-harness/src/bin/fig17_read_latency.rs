@@ -20,15 +20,22 @@
 //! sanity baseline) and `hotspot` ([`workloads::ShiftingHotspot`],
 //! whose jumping hot band forces splits mid-measurement).
 //!
+//! Every run builds its own database. Each ratio is the median of
+//! `--reps` pairs of runs that alternate which mode runs first
+//! ([`paired`]): `background` against `off` per distribution, and
+//! `inline` against `background` under the hotspot. Each reported row
+//! is the run of its `(dist, mode)` with the median read p99.
+//!
 //! Writes `BENCH_read_latency.json`; the acceptance bar tracked by
 //! the repository is `p99_ratio_background_vs_off_* ≤ 2.0` (the
 //! background-maintenance read p99 stays within 2× the
 //! maintenance-off floor). Schema in `crates/bench-harness/README.md`.
 
-use bench_harness::Cli;
+use bench_harness::{fixed, hw_threads, json, paired, rows, Cli, Paired};
 use rma_core::RmaConfig;
 use rma_db::Db;
 use rma_shard::{MaintainerConfig, ShardConfig};
+use std::cell::RefCell;
 use std::time::Instant;
 use workloads::{
     drive_recorded, summarize, HotspotConfig, HotspotMotion, LatencySummary, ReadWriteMix,
@@ -92,13 +99,6 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
         rma: RmaConfig::with_segment_size(cli.seg),
         ..Default::default()
     };
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
     let mut builder = Db::builder().shard_config(cfg);
     if mode == Mode::Background {
         // The facade owns the maintainer: it starts with the handle
@@ -106,7 +106,7 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
         builder = builder.maintenance(MaintainerConfig);
     }
     builder
-        .build_bulk(&base)
+        .build_bulk(&cli.preload())
         .expect("static driver config is valid")
 }
 
@@ -186,119 +186,123 @@ fn run(cli: &Cli, dist: Dist, mode: Mode) -> Row {
     }
 }
 
-fn write_json(path: &str, rows: &[Row], cli: &Cli, hw: usize) -> std::io::Result<()> {
-    let p99_of = |dist: Dist, mode: Mode| {
-        rows.iter()
-            .find(|r| r.dist == dist && r.mode == mode)
-            .map(|r| r.reads.p99 as f64)
-            .unwrap_or(f64::NAN)
+/// The three paired ratios, in the JSON's order: the key of each, the
+/// suffix of its `iqr` / `wins` keys, and the pairs.
+type Ratios<'a> = [(&'a str, &'a str, Paired); 3];
+
+fn write_json(table: &[&Row], ratios: &Ratios, cli: &Cli, hw: usize) {
+    let results = table.iter().map(|r| {
+        let (rd, wr) = (&r.reads, &r.writes);
+        json! {
+            "dist": r.dist.label(), "mode": r.mode.label(),
+            "read_p50_ns": rd.p50, "read_p99_ns": rd.p99, "read_p999_ns": rd.p999,
+            "read_max_ns": rd.max, "read_mean_ns": fixed(rd.mean, 1), "reads": rd.samples,
+            "write_p50_ns": wr.p50, "write_p99_ns": wr.p99, "write_p999_ns": wr.p999,
+            "write_max_ns": wr.max, "writes": wr.samples,
+            "maintain_runs": r.maintain_runs, "steps": r.steps, "shards_after": r.shards_after,
+        }
+    });
+    let mut json = json! {
+        "bench": "read_latency", "scale": cli.scale, "ops": cli.scale,
+        "read_fraction": fixed(READ_FRACTION, 1), "shards": SHARDS, "phases": PHASES,
+        "seed": cli.seed, "segment_size": cli.seg, "hw_threads": hw,
+        "results": rows(results),
+        "pairs": cli.reps.max(1),
     };
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"read_latency\",\n");
-    json.push_str(&format!(
-        "  \"scale\": {},\n  \"ops\": {},\n  \"read_fraction\": {READ_FRACTION},\n",
-        cli.scale, cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"shards\": {SHARDS},\n  \"phases\": {PHASES},\n  \"seed\": {},\n  \"segment_size\": {},\n  \"hw_threads\": {hw},\n",
-        cli.seed, cli.seg
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"dist\": \"{}\", \"mode\": \"{}\", \"read_p50_ns\": {}, \"read_p99_ns\": {}, \
-             \"read_p999_ns\": {}, \"read_max_ns\": {}, \"read_mean_ns\": {:.1}, \
-             \"reads\": {}, \"write_p50_ns\": {}, \"write_p99_ns\": {}, \"write_p999_ns\": {}, \
-             \"write_max_ns\": {}, \"writes\": {}, \"maintain_runs\": {}, \"steps\": {}, \
-             \"shards_after\": {}}}{}\n",
-            r.dist.label(),
-            r.mode.label(),
-            r.reads.p50,
-            r.reads.p99,
-            r.reads.p999,
-            r.reads.max,
-            r.reads.mean,
-            r.reads.samples,
-            r.writes.p50,
-            r.writes.p99,
-            r.writes.p999,
-            r.writes.max,
-            r.writes.samples,
-            r.maintain_runs,
-            r.steps,
-            r.shards_after,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    for (key, suffix, p) in ratios {
+        json = json
+            .set(*key, fixed(p.median, 4))
+            .set(format!("iqr{suffix}"), fixed(p.iqr, 4))
+            .set(format!("wins{suffix}"), p.wins);
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"p99_ratio_background_vs_off_uniform\": {:.4},\n",
-        p99_of(Dist::Uniform, Mode::Background) / p99_of(Dist::Uniform, Mode::Off).max(1.0)
-    ));
-    json.push_str(&format!(
-        "  \"p99_ratio_background_vs_off_hotspot\": {:.4},\n",
-        p99_of(Dist::Hotspot, Mode::Background) / p99_of(Dist::Hotspot, Mode::Off).max(1.0)
-    ));
-    json.push_str(&format!(
-        "  \"p999_ratio_inline_vs_background_hotspot\": {:.4}\n}}\n",
-        rows.iter()
-            .find(|r| r.dist == Dist::Hotspot && r.mode == Mode::Inline)
-            .map(|r| r.reads.p999 as f64)
-            .unwrap_or(f64::NAN)
-            / rows
-                .iter()
-                .find(|r| r.dist == Dist::Hotspot && r.mode == Mode::Background)
-                .map(|r| r.reads.p999 as f64)
-                .unwrap_or(f64::NAN)
-                .max(1.0)
-    ));
-    std::fs::write(path, json)
+    json.write("BENCH_read_latency.json");
 }
 
 fn main() {
     let cli = Cli::parse();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = hw_threads();
+    let reps = cli.reps.max(1);
     println!(
         "# Fig. 17 — get tail latency under maintenance: N={} preloaded, {} ops, {READ_FRACTION} reads, {SHARDS} shards, B={}, hw_threads={hw}",
         cli.scale, cli.scale, cli.seg
     );
+    // Every run keeps its row; a pairing sees one read percentile,
+    // negated so that the lower one wins (see `paired`).
+    let runs = RefCell::new(Vec::new());
+    let rep = |dist: Dist, mode: Mode, pick: fn(&LatencySummary) -> u64| {
+        let row = run(&cli, dist, mode);
+        let x = pick(&row.reads);
+        runs.borrow_mut().push(row);
+        -(x as f64)
+    };
+    let p99: fn(&LatencySummary) -> u64 = |l| l.p99;
+    let p999: fn(&LatencySummary) -> u64 = |l| l.p999;
+    let ratios: Ratios = [
+        (
+            "p99_ratio_background_vs_off_uniform",
+            "_p99_uniform",
+            paired(
+                reps,
+                || rep(Dist::Uniform, Mode::Off, p99),
+                || rep(Dist::Uniform, Mode::Background, p99),
+            ),
+        ),
+        (
+            "p99_ratio_background_vs_off_hotspot",
+            "_p99_hotspot",
+            paired(
+                reps,
+                || rep(Dist::Hotspot, Mode::Off, p99),
+                || rep(Dist::Hotspot, Mode::Background, p99),
+            ),
+        ),
+        (
+            "p999_ratio_inline_vs_background_hotspot",
+            "_p999_hotspot",
+            paired(
+                reps,
+                || rep(Dist::Hotspot, Mode::Background, p999),
+                || rep(Dist::Hotspot, Mode::Inline, p999),
+            ),
+        ),
+    ];
+    // The uniform inline row pairs with nothing.
+    for _ in 0..reps {
+        rep(Dist::Uniform, Mode::Inline, p99);
+    }
+
+    let mut runs = runs.into_inner();
+    runs.sort_by_key(|r| (r.dist as u8, r.mode as u8, r.reads.p99));
+    let rows: Vec<&Row> = runs
+        .chunk_by(|a, b| (a.dist, a.mode) == (b.dist, b.mode))
+        .map(|reps| &reps[reps.len() / 2])
+        .collect();
     println!(
         "{:<9} {:<11} {:>9} {:>9} {:>10} {:>11} {:>7} {:>6}",
         "dist", "mode", "p50(ns)", "p99(ns)", "p999(ns)", "max(ns)", "maint", "shards"
     );
-    let mut rows = Vec::new();
-    for dist in [Dist::Uniform, Dist::Hotspot] {
-        for mode in [Mode::Off, Mode::Inline, Mode::Background] {
-            let row = run(&cli, dist, mode);
-            println!(
-                "{:<9} {:<11} {:>9} {:>9} {:>10} {:>11} {:>7} {:>6}",
-                row.dist.label(),
-                row.mode.label(),
-                row.reads.p50,
-                row.reads.p99,
-                row.reads.p999,
-                row.reads.max,
-                row.maintain_runs,
-                row.shards_after
-            );
-            rows.push(row);
-        }
+    for row in &rows {
+        println!(
+            "{:<9} {:<11} {:>9} {:>9} {:>10} {:>11} {:>7} {:>6}",
+            row.dist.label(),
+            row.mode.label(),
+            row.reads.p50,
+            row.reads.p99,
+            row.reads.p999,
+            row.reads.max,
+            row.maintain_runs,
+            row.shards_after
+        );
     }
-    let p99 = |d: Dist, m: Mode| {
-        rows.iter()
-            .find(|r| r.dist == d && r.mode == m)
-            .map(|r| r.reads.p99)
-            .unwrap_or(0)
-    };
-    println!(
-        "# background/off read p99 ratio: uniform {:.3}, hotspot {:.3} (bar: <= 2.0)",
-        p99(Dist::Uniform, Mode::Background) as f64 / p99(Dist::Uniform, Mode::Off).max(1) as f64,
-        p99(Dist::Hotspot, Mode::Background) as f64 / p99(Dist::Hotspot, Mode::Off).max(1) as f64,
-    );
-
-    let path = "BENCH_read_latency.json";
-    match write_json(path, &rows, &cli, hw) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
+    for (key, _, p) in &ratios {
+        println!(
+            "# {key}: {:.3} (iqr {:.3}, lower in {} of {} pairs)",
+            p.median,
+            p.iqr,
+            p.wins,
+            p.pairs()
+        );
     }
+    println!("# bar: p99_ratio_background_vs_off_hotspot <= 2.0");
+    write_json(&rows, &ratios, &cli, hw);
 }

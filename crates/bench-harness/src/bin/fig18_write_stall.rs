@@ -16,12 +16,14 @@
 //!   woken by the op clock, draining the split/merge plans' bounded
 //!   steps 500 µs apart.
 //!
-//! Each mode runs `--reps` times and the reported row is the rep
-//! with the **median worst-insert** — the paper's median-of-
-//! repetitions convention, which matters here because single-digit
-//! millisecond kernel hiccups (page-fault/mmap-lock noise on a
-//! 1-core host, visible in the maintenance-off floor's own `max`)
-//! would otherwise dominate a one-in-a-million statistic.
+//! The two modes run in `--reps` pairs that alternate which runs
+//! first ([`paired`]); the p99 ratio is the median of the per-pair
+//! ratios. Each mode's reported row is its rep with the **median
+//! worst-insert** — the paper's median-of-repetitions convention,
+//! which matters here because single-digit millisecond kernel hiccups
+//! (page-fault/mmap-lock noise on a 1-core host, visible in the
+//! maintenance-off floor's own `max`) would otherwise dominate a
+//! one-in-a-million statistic.
 //!
 //! Writes `BENCH_write_stall.json`. The acceptance bars tracked by
 //! the repository: with background maintenance active, insert p99
@@ -29,13 +31,13 @@
 //! ≤ 10 ms at 2^20 scale. Schema in
 //! `crates/bench-harness/README.md`.
 
-use bench_harness::Cli;
+use bench_harness::{fixed, hw_threads, json, paired, rows, Cli, Paired};
 use rma_core::RmaConfig;
 use rma_db::Db;
 use rma_shard::{MaintainerConfig, ShardConfig};
 use workloads::{
     drive_recorded, summarize, HotspotConfig, HotspotMotion, LatencySummary, ReadWriteMix,
-    ShiftingHotspot, SplitMix64,
+    ShiftingHotspot,
 };
 
 const SHARDS: usize = 32;
@@ -93,19 +95,12 @@ fn preloaded(cli: &Cli, mode: Mode) -> Db {
         // (unbounded) split that shrinks a hot shard fits the budget.
         max_shard_len: Some(1 << 15),
     };
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
     let mut builder = Db::builder().shard_config(cfg);
     if mode == Mode::Incremental {
         builder = builder.maintenance(MaintainerConfig);
     }
     builder
-        .build_bulk(&base)
+        .build_bulk(&cli.preload())
         .expect("static driver config is valid")
 }
 
@@ -141,60 +136,35 @@ fn run(cli: &Cli, mode: Mode) -> Row {
     }
 }
 
-fn write_json(path: &str, rows: &[Row], cli: &Cli, hw: usize) -> std::io::Result<()> {
-    let of = |mode: Mode| rows.iter().find(|r| r.mode == mode).expect("mode row");
-    let p99 = |mode: Mode| of(mode).writes.p99 as f64;
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"write_stall\",\n");
-    json.push_str(&format!(
-        "  \"scale\": {},\n  \"ops\": {},\n  \"shards\": {SHARDS},\n  \"phases\": {PHASES},\n",
-        cli.scale, cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"segment_size\": {},\n  \"hw_threads\": {hw},\n",
-        cli.seed, cli.seg
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"write_p50_ns\": {}, \"write_p99_ns\": {}, \
-             \"write_p999_ns\": {}, \"write_max_ns\": {}, \"write_mean_ns\": {:.1}, \
-             \"writes\": {}, \"maintain_runs\": {}, \"steps_executed\": {}, \
-             \"keys_migrated\": {}, \"max_step_wall_ns\": {}, \"topologies_published\": {}, \
-             \"shards_after\": {}}}{}\n",
-            r.mode.label(),
-            r.writes.p50,
-            r.writes.p99,
-            r.writes.p999,
-            r.writes.max,
-            r.writes.mean,
-            r.writes.samples,
-            r.maintain_runs,
-            r.steps_executed,
-            r.keys_migrated,
-            r.max_step_wall_ns,
-            r.topologies_published,
-            r.shards_after,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+fn write_json(table: &[Row], p: &Paired, cli: &Cli, hw: usize) {
+    let of = |mode: Mode| table.iter().find(|r| r.mode == mode).expect("mode row");
+    let results = table.iter().map(|r| {
+        let w = &r.writes;
+        json! {
+            "mode": r.mode.label(), "write_p50_ns": w.p50, "write_p99_ns": w.p99,
+            "write_p999_ns": w.p999, "write_max_ns": w.max, "write_mean_ns": fixed(w.mean, 1),
+            "writes": w.samples, "maintain_runs": r.maintain_runs,
+            "steps_executed": r.steps_executed, "keys_migrated": r.keys_migrated,
+            "max_step_wall_ns": r.max_step_wall_ns,
+            "topologies_published": r.topologies_published, "shards_after": r.shards_after,
+        }
+    });
+    json! {
+        "bench": "write_stall", "scale": cli.scale, "ops": cli.scale, "shards": SHARDS,
+        "phases": PHASES, "seed": cli.seed, "segment_size": cli.seg, "hw_threads": hw,
+        "results": rows(results),
+        "pairs": p.pairs(), "p99_ratio_incremental_vs_off": fixed(p.median, 4),
+        "iqr": fixed(p.iqr, 4), "wins": p.wins,
+        "max_stall_off_ns": of(Mode::Off).writes.max,
+        "max_stall_incremental_ns": of(Mode::Incremental).writes.max,
+        "stall_bar_ns": STALL_BAR_NS,
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"p99_ratio_incremental_vs_off\": {:.4},\n",
-        p99(Mode::Incremental) / p99(Mode::Off).max(1.0)
-    ));
-    json.push_str(&format!(
-        "  \"max_stall_off_ns\": {},\n  \"max_stall_incremental_ns\": {},\n",
-        of(Mode::Off).writes.max,
-        of(Mode::Incremental).writes.max
-    ));
-    json.push_str(&format!("  \"stall_bar_ns\": {STALL_BAR_NS}\n}}\n"));
-    std::fs::write(path, json)
+    .write("BENCH_write_stall.json");
 }
 
 fn main() {
     let cli = Cli::parse();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = hw_threads();
     println!(
         "# Fig. 18 — insert tail latency under background maintenance: N={} preloaded, {} inserts, {SHARDS} shards, B={}, steps 500 us apart, hw_threads={hw}",
         cli.scale, cli.scale, cli.seg
@@ -211,10 +181,23 @@ fn main() {
         "maxstep(ns)",
         "shards"
     );
+    // Each run keeps its row; the pairing sees the insert p99, negated
+    // so that the lower one wins (see `paired`).
+    let (mut offs, mut incs) = (Vec::new(), Vec::new());
+    let rep = |mode: Mode, reps: &mut Vec<Row>| {
+        let row = run(&cli, mode);
+        let p99 = row.writes.p99 as f64;
+        reps.push(row);
+        -p99
+    };
+    let p = paired(
+        cli.reps.max(1),
+        || rep(Mode::Off, &mut offs),
+        || rep(Mode::Incremental, &mut incs),
+    );
     let mut rows = Vec::new();
-    for mode in [Mode::Off, Mode::Incremental] {
+    for mut reps in [offs, incs] {
         // Median-of-reps by worst insert (see module docs).
-        let mut reps: Vec<Row> = (0..cli.reps.max(1)).map(|_| run(&cli, mode)).collect();
         reps.sort_by_key(|r| r.writes.max);
         let row = reps.remove(reps.len() / 2);
         println!(
@@ -233,8 +216,11 @@ fn main() {
     }
     let of = |mode: Mode| rows.iter().find(|r| r.mode == mode).expect("mode row");
     println!(
-        "# insert p99 ratio vs off: incremental {:.3} (bar: <= 5.0)",
-        of(Mode::Incremental).writes.p99 as f64 / of(Mode::Off).writes.p99.max(1) as f64,
+        "# insert p99 ratio vs off: incremental {:.3} (iqr {:.3}, lower in {} of {} pairs; bar: <= 5.0)",
+        p.median,
+        p.iqr,
+        p.wins,
+        p.pairs()
     );
     println!(
         "# worst single insert: off {} ns, incremental {} ns (bar: <= {} ns incremental)",
@@ -242,10 +228,5 @@ fn main() {
         of(Mode::Incremental).writes.max,
         STALL_BAR_NS
     );
-
-    let path = "BENCH_write_stall.json";
-    match write_json(path, &rows, &cli, hw) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
+    write_json(&rows, &p, &cli, hw);
 }

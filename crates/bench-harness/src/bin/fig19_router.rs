@@ -23,7 +23,9 @@
 //! Writes `BENCH_router_throughput.json`; schema in
 //! `crates/bench-harness/README.md`.
 
-use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
+use bench_harness::{
+    fixed, fmt_throughput, hw_threads, json, median, paired, rows, throughput, time, Cli, Paired,
+};
 use rma_core::RmaConfig;
 use rma_db::{Db, Op, Ticket};
 use std::collections::VecDeque;
@@ -43,33 +45,11 @@ enum Shape {
     Pipelined,
 }
 
-impl Shape {
-    fn label(self) -> &'static str {
-        match self {
-            Shape::Direct => "direct",
-            Shape::Pipelined => "pipelined",
-        }
-    }
-}
-
-struct Row {
-    shape: Shape,
-    sessions: usize,
-    ops_per_sec: f64,
-}
-
 fn preloaded(cli: &Cli) -> Db {
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
     Db::builder()
         .shards(SHARDS)
         .rma(RmaConfig::with_segment_size(cli.seg))
-        .build_bulk(&base)
+        .build_bulk(&cli.preload())
         .expect("static driver config is valid")
 }
 
@@ -82,151 +62,130 @@ fn mix_for(cli: &Cli, client: usize) -> ReadWriteMix<impl FnMut() -> i64> {
     )
 }
 
+/// One run of `shape` over a freshly preloaded database. Returns
+/// ops/second.
 fn run_one(cli: &Cli, shape: Shape, sessions: usize) -> f64 {
     let per_client = (cli.scale / sessions).max(1);
-    median_of(cli.reps, || {
-        let db = preloaded(cli);
-        let (_, secs) = time(|| {
-            std::thread::scope(|sc| {
-                for client in 0..sessions {
-                    let db = &db;
-                    sc.spawn(move || {
-                        let mut mix = mix_for(cli, client);
-                        match shape {
-                            Shape::Direct => {
-                                let mut checksum = 0i64;
-                                for _ in 0..per_client {
-                                    match mix.next_op() {
-                                        MixOp::Read(k) => {
-                                            checksum =
-                                                checksum.wrapping_add(db.get(k).unwrap_or(0));
-                                        }
-                                        MixOp::Write(k, v) => db.insert(k, v),
+    let db = preloaded(cli);
+    let (_, secs) = time(|| {
+        std::thread::scope(|sc| {
+            for client in 0..sessions {
+                let db = &db;
+                sc.spawn(move || {
+                    let mut mix = mix_for(cli, client);
+                    match shape {
+                        Shape::Direct => {
+                            let mut checksum = 0i64;
+                            for _ in 0..per_client {
+                                match mix.next_op() {
+                                    MixOp::Read(k) => {
+                                        checksum = checksum.wrapping_add(db.get(k).unwrap_or(0));
                                     }
+                                    MixOp::Write(k, v) => db.insert(k, v),
                                 }
-                                std::hint::black_box(checksum);
                             }
-                            Shape::Pipelined => {
-                                let mut session = db.session();
-                                let mut in_flight: VecDeque<Ticket> = VecDeque::new();
-                                let mut batch = Vec::with_capacity(BATCH);
-                                let mut submitted = 0usize;
-                                while submitted < per_client {
-                                    batch.clear();
-                                    while batch.len() < BATCH
-                                        && submitted + batch.len() < per_client
-                                    {
-                                        batch.push(match mix.next_op() {
-                                            MixOp::Read(k) => Op::Get(k),
-                                            MixOp::Write(k, v) => Op::Insert(k, v),
-                                        });
-                                    }
-                                    submitted += batch.len();
-                                    in_flight.push_back(session.submit(&batch));
-                                    if in_flight.len() >= DEPTH {
-                                        let replies =
-                                            in_flight.pop_front().expect("non-empty").wait();
-                                        std::hint::black_box(replies.len());
-                                    }
+                            std::hint::black_box(checksum);
+                        }
+                        Shape::Pipelined => {
+                            let mut session = db.session();
+                            let mut in_flight: VecDeque<Ticket> = VecDeque::new();
+                            let mut batch = Vec::with_capacity(BATCH);
+                            let mut submitted = 0usize;
+                            while submitted < per_client {
+                                batch.clear();
+                                while batch.len() < BATCH && submitted + batch.len() < per_client {
+                                    batch.push(match mix.next_op() {
+                                        MixOp::Read(k) => Op::Get(k),
+                                        MixOp::Write(k, v) => Op::Insert(k, v),
+                                    });
                                 }
-                                for ticket in in_flight {
-                                    std::hint::black_box(ticket.wait().len());
+                                submitted += batch.len();
+                                in_flight.push_back(session.submit(&batch));
+                                if in_flight.len() >= DEPTH {
+                                    let replies = in_flight.pop_front().expect("non-empty").wait();
+                                    std::hint::black_box(replies.len());
                                 }
+                            }
+                            for ticket in in_flight {
+                                std::hint::black_box(ticket.wait().len());
                             }
                         }
-                    });
-                }
-            });
+                    }
+                });
+            }
         });
-        throughput(per_client * sessions, secs)
-    })
+    });
+    throughput(per_client * sessions, secs)
 }
 
-fn write_json(path: &str, rows: &[Row], cli: &Cli, hw: usize) -> std::io::Result<()> {
-    let rate = |shape: Shape, sessions: usize| {
-        rows.iter()
-            .find(|r| r.shape == shape && r.sessions == sessions)
-            .map(|r| r.ops_per_sec)
-            .unwrap_or(f64::NAN)
+fn write_json(results: &[(usize, Paired)], cli: &Cli, hw: usize) {
+    let side = |label: &'static str, rates: fn(&Paired) -> &Vec<f64>| {
+        results.iter().map(move |(sessions, p)| {
+            json! { "mode": label, "sessions": *sessions, "ops_per_sec": fixed(median(rates(p).clone()), 1) }
+        })
+    };
+    let mut json = json! {
+        "bench": "router_throughput", "scale": cli.scale, "ops_per_sweep": cli.scale,
+        "batch": BATCH, "depth": DEPTH, "read_fraction": fixed(READ_FRACTION, 1),
+        "shards": SHARDS, "router_workers": 0, "seed": cli.seed, "segment_size": cli.seg,
+        "reps": cli.reps, "hw_threads": hw,
+        "results": rows(side("direct", |p| &p.a).chain(side("pipelined", |p| &p.b))),
+        "pairs": cli.reps,
     };
     let max_sessions = *SESSION_COUNTS.last().expect("non-empty sweep");
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"router_throughput\",\n");
-    json.push_str(&format!(
-        "  \"scale\": {},\n  \"ops_per_sweep\": {},\n  \"batch\": {BATCH},\n  \"depth\": {DEPTH},\n",
-        cli.scale, cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",
-        cli.seed, cli.seg, cli.reps
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"sessions\": {}, \"ops_per_sec\": {:.1}}}{}\n",
-            r.shape.label(),
-            r.sessions,
-            r.ops_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    for (sessions, p) in results
+        .iter()
+        .filter(|(s, _)| *s == 1 || *s == max_sessions)
+    {
+        json = json
+            .set(
+                format!("ratio_pipelined_vs_direct_{sessions}s"),
+                fixed(p.median, 4),
+            )
+            .set(format!("iqr_{sessions}s"), fixed(p.iqr, 4))
+            .set(format!("wins_{sessions}s"), p.wins);
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"ratio_pipelined_vs_direct_1s\": {:.4},\n",
-        rate(Shape::Pipelined, 1) / rate(Shape::Direct, 1)
-    ));
-    json.push_str(&format!(
-        "  \"ratio_pipelined_vs_direct_{max_sessions}s\": {:.4},\n",
-        rate(Shape::Pipelined, max_sessions) / rate(Shape::Direct, max_sessions)
-    ));
-    json.push_str("  \"ratio_bar_1s\": 0.8\n}\n");
-    std::fs::write(path, json)
+    json.set("ratio_bar_1s", fixed(0.8, 1))
+        .write("BENCH_router_throughput.json");
 }
 
 fn main() {
     let cli = Cli::parse();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = hw_threads();
     println!(
         "# Fig. 19 — session throughput: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, READ_FRACTION, cli.seg
     );
-    print!("{:<11}", "mode");
-    for s in SESSION_COUNTS {
-        print!(" {:>12}", format!("{s} session(s)"));
-    }
-    println!();
-
-    let mut rows = Vec::new();
-    for shape in [Shape::Direct, Shape::Pipelined] {
-        print!("{:<11}", shape.label());
-        for sessions in SESSION_COUNTS {
-            let rate = run_one(&cli, shape, sessions);
-            print!(" {:>12}", fmt_throughput(rate as usize, 1.0).trim());
-            rows.push(Row {
-                shape,
-                sessions,
-                ops_per_sec: rate,
-            });
-        }
-        println!();
-    }
-    let rate = |shape: Shape, sessions: usize| {
-        rows.iter()
-            .find(|r| r.shape == shape && r.sessions == sessions)
-            .map(|r| r.ops_per_sec)
-            .unwrap_or(0.0)
-    };
     println!(
-        "# pipelined/direct throughput ratio at 1 session: {:.3} (bar: >= 0.8)",
-        rate(Shape::Pipelined, 1) / rate(Shape::Direct, 1).max(1e-9)
+        "{:<9} {:>12} {:>12} {:>8} {:>8} {:>5}",
+        "sessions", "direct", "pipelined", "ratio", "iqr", "wins"
     );
-
-    let path = "BENCH_router_throughput.json";
-    match write_json(path, &rows, &cli, hw) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
+    // Per session count, `--reps` pairs of runs: pipelined against
+    // direct, alternating which runs first.
+    let results: Vec<(usize, Paired)> = SESSION_COUNTS
+        .iter()
+        .map(|&sessions| {
+            let p = paired(
+                cli.reps,
+                || run_one(&cli, Shape::Direct, sessions),
+                || run_one(&cli, Shape::Pipelined, sessions),
+            );
+            println!(
+                "{:<9} {:>12} {:>12} {:>8.3} {:>8.3} {:>3}/{}",
+                sessions,
+                fmt_throughput(median(p.a.clone()) as usize, 1.0).trim(),
+                fmt_throughput(median(p.b.clone()) as usize, 1.0).trim(),
+                p.median,
+                p.iqr,
+                p.wins,
+                p.pairs()
+            );
+            (sessions, p)
+        })
+        .collect();
+    println!(
+        "# pipelined/direct throughput ratio at 1 session: {:.3} (bar: >= 0.8; median of paired runs)",
+        results[0].1.median
+    );
+    write_json(&results, &cli, hw);
 }

@@ -24,14 +24,14 @@
 //! tightly as possible. Per mix, one `on` and one `off` database are
 //! built once from the same bulk load; the op stream is then cut into
 //! many short pre-generated segments, and each segment is timed
-//! against both handles back to back (order alternating, one
-//! discarded warm-up segment first) — pure pipelined submission, no
-//! generation or build cost in the timed region. Both databases see
-//! the same total op stream, so their contents evolve identically;
-//! host jitter lands on both sides of most adjacent pairs and
-//! cancels. The reported ratio is the median of the per-segment-pair
-//! ratios; the throughput columns are the medians of the individual
-//! timed segments.
+//! against both handles back to back ([`paired`], one discarded
+//! warm-up segment first) — pure pipelined submission, no generation
+//! or build cost in the timed region. Both databases see the same
+//! total op stream, so their contents evolve identically; host jitter
+//! lands on both sides of most adjacent pairs and cancels. The
+//! reported ratio is the median of the per-segment-pair ratios; the
+//! throughput columns are the medians of the individual timed
+//! segments.
 //!
 //! The repository's acceptance bar: instrumented throughput ≥
 //! **0.9×** uninstrumented on both mixes.
@@ -39,10 +39,11 @@
 //! Writes `BENCH_obs_overhead.json`; schema in
 //! `crates/bench-harness/README.md`.
 
-use bench_harness::{fmt_throughput, median_of, throughput, time, Cli};
+use bench_harness::{
+    batches, drive, fixed, fmt_throughput, hw_threads, json, median, paired, rows, Cli, Paired,
+};
 use rma_core::RmaConfig;
-use rma_db::{Db, ObsConfig, Op, Ticket};
-use std::collections::VecDeque;
+use rma_db::{Db, ObsConfig, Op};
 use workloads::{HotspotConfig, MixOp, ReadWriteMix, ShiftingHotspot, SplitMix64};
 
 const SHARDS: usize = 8;
@@ -69,18 +70,11 @@ impl Mix {
 }
 
 fn preloaded(cli: &Cli, obs_on: bool) -> Db {
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
     Db::builder()
         .shards(SHARDS)
         .rma(RmaConfig::with_segment_size(cli.seg))
         .observability(ObsConfig { enabled: obs_on })
-        .build_bulk(&base)
+        .build_bulk(&cli.preload())
         .expect("static driver config is valid")
 }
 
@@ -99,54 +93,14 @@ fn mix_for(cli: &Cli, mix: Mix) -> ReadWriteMix<Box<dyn FnMut() -> i64>> {
     ReadWriteMix::new(keys, READ_FRACTION, cli.seed ^ 0xC01D_0001)
 }
 
-/// Pre-generates one segment of `ops` mixed operations, already cut
-/// into submission batches, so generation cost stays outside the
-/// timed region and both databases replay the identical stream.
+/// Pre-generates one segment of `ops` mixed operations, so generation
+/// cost stays outside the timed region and both databases replay the
+/// identical stream.
 fn make_segment(source: &mut ReadWriteMix<Box<dyn FnMut() -> i64>>, ops: usize) -> Vec<Vec<Op>> {
-    let mut batches = Vec::with_capacity(ops.div_ceil(BATCH));
-    let mut remaining = ops;
-    while remaining > 0 {
-        let n = remaining.min(BATCH);
-        batches.push(
-            (0..n)
-                .map(|_| match source.next_op() {
-                    MixOp::Read(k) => Op::Get(k),
-                    MixOp::Write(k, v) => Op::Insert(k, v),
-                })
-                .collect(),
-        );
-        remaining -= n;
-    }
-    batches
-}
-
-/// Times one pipelined pass of a pre-generated segment. Returns
-/// ops/second.
-fn drive(db: &Db, segment: &[Vec<Op>]) -> f64 {
-    let ops: usize = segment.iter().map(Vec::len).sum();
-    let (_, secs) = time(|| {
-        let mut session = db.session();
-        let mut in_flight: VecDeque<Ticket> = VecDeque::new();
-        for batch in segment {
-            in_flight.push_back(session.submit(batch));
-            if in_flight.len() >= DEPTH {
-                let replies = in_flight.pop_front().expect("non-empty").wait();
-                std::hint::black_box(replies.len());
-            }
-        }
-        for ticket in in_flight {
-            std::hint::black_box(ticket.wait().len());
-        }
-    });
-    throughput(ops, secs)
-}
-
-/// Median throughput for each configuration plus the median of the
-/// per-repetition paired ratios.
-struct MixResult {
-    on: f64,
-    off: f64,
-    ratio: f64,
+    batches(ops, BATCH, || match source.next_op() {
+        MixOp::Read(k) => Op::Get(k),
+        MixOp::Write(k, v) => Op::Insert(k, v),
+    })
 }
 
 /// Paired segments per repetition. Short adjacent segments interleave
@@ -156,120 +110,94 @@ struct MixResult {
 /// converges where a handful of long runs does not.
 const PAIRS_PER_REP: usize = 8;
 
-/// Measures one mix with tightly paired repetitions over two
-/// identically built databases (see the module docs).
-fn run_mix(cli: &Cli, mix: Mix) -> MixResult {
+/// Segments timed per mix and the ops in each.
+fn segments(cli: &Cli) -> (usize, usize) {
+    let pairs = cli.reps.max(1) * PAIRS_PER_REP;
+    (pairs, (cli.scale / pairs).max(BATCH * DEPTH * 2))
+}
+
+/// Measures one mix: `b` instrumented against `a` uninstrumented,
+/// paired per segment over two identically built databases (see the
+/// module docs).
+fn run_mix(cli: &Cli, mix: Mix) -> Paired {
     let db_on = preloaded(cli, true);
     let db_off = preloaded(cli, false);
     let mut source = mix_for(cli, mix);
-    let pairs = cli.reps.max(1) * PAIRS_PER_REP;
-    let seg_ops = (cli.scale / pairs).max(BATCH * DEPTH * 2);
+    let (pairs, seg_ops) = segments(cli);
 
     let warm = make_segment(&mut source, seg_ops);
-    std::hint::black_box(drive(&db_on, &warm));
-    std::hint::black_box(drive(&db_off, &warm));
+    std::hint::black_box(drive(&db_on, &warm, DEPTH));
+    std::hint::black_box(drive(&db_off, &warm, DEPTH));
 
-    let mut ons = Vec::with_capacity(pairs);
-    let mut offs = Vec::with_capacity(pairs);
-    let mut ratios = Vec::with_capacity(pairs);
-    for pair in 0..pairs {
-        let segment = make_segment(&mut source, seg_ops);
-        let on_first = pair % 2 == 0;
-        let (on, off) = if on_first {
-            let a = drive(&db_on, &segment);
-            (a, drive(&db_off, &segment))
-        } else {
-            let b = drive(&db_off, &segment);
-            (drive(&db_on, &segment), b)
-        };
-        ons.push(on);
-        offs.push(off);
-        ratios.push(on / off);
-    }
-    let med = |xs: Vec<f64>| {
-        let n = xs.len();
-        median_of(n, {
-            let mut it = xs.into_iter();
-            move || it.next().expect("one value per rep")
-        })
-    };
-    MixResult {
-        on: med(ons),
-        off: med(offs),
-        ratio: med(ratios),
-    }
+    let segs: Vec<_> = (0..pairs)
+        .map(|_| make_segment(&mut source, seg_ops))
+        .collect();
+    let (mut off_segs, mut on_segs) = (segs.iter(), segs.iter());
+    paired(
+        pairs,
+        || drive(&db_off, off_segs.next().expect("one segment a pair"), DEPTH),
+        || drive(&db_on, on_segs.next().expect("one segment a pair"), DEPTH),
+    )
 }
 
-fn write_json(
-    path: &str,
-    results: &[(Mix, MixResult)],
-    cli: &Cli,
-    hw: usize,
-) -> std::io::Result<()> {
-    let mut json = String::from("{\n");
-    let pairs = cli.reps.max(1) * PAIRS_PER_REP;
-    let seg_ops = (cli.scale / pairs).max(BATCH * DEPTH * 2);
-    json.push_str("  \"bench\": \"obs_overhead\",\n");
-    json.push_str(&format!(
-        "  \"scale\": {},\n  \"paired_segments\": {pairs},\n  \"ops_per_segment\": {seg_ops},\n  \"batch\": {BATCH},\n  \"depth\": {DEPTH},\n",
-        cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"read_fraction\": {READ_FRACTION},\n  \"shards\": {SHARDS},\n  \"router_workers\": 0,\n"
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {hw},\n",
-        cli.seed, cli.seg, cli.reps
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, (mix, r)) in results.iter().enumerate() {
-        for (obs, rate) in [(true, r.on), (false, r.off)] {
-            let last = i + 1 == results.len() && !obs;
-            json.push_str(&format!(
-                "    {{\"mix\": \"{}\", \"obs\": {obs}, \"ops_per_sec\": {rate:.1}}}{}\n",
-                mix.label(),
-                if last { "" } else { "," }
-            ));
-        }
+fn write_json(results: &[(Mix, Paired)], cli: &Cli, hw: usize) {
+    let (pairs, seg_ops) = segments(cli);
+    let results_rows = results.iter().flat_map(|(mix, p)| {
+        [(true, &p.b), (false, &p.a)].map(|(obs, rates)| {
+            json! { "mix": mix.label(), "obs": obs, "ops_per_sec": fixed(median(rates.clone()), 1) }
+        })
+    });
+    let mut json = json! {
+        "bench": "obs_overhead", "scale": cli.scale, "paired_segments": pairs,
+        "ops_per_segment": seg_ops, "batch": BATCH, "depth": DEPTH,
+        "read_fraction": fixed(READ_FRACTION, 1), "shards": SHARDS, "router_workers": 0,
+        "seed": cli.seed, "segment_size": cli.seg, "reps": cli.reps, "hw_threads": hw,
+        "results": rows(results_rows),
+        "pairs": pairs,
+    };
+    for (mix, p) in results {
+        let mix = mix.label();
+        json = json
+            .set(
+                format!("ratio_instrumented_vs_off_{mix}"),
+                fixed(p.median, 4),
+            )
+            .set(format!("iqr_{mix}"), fixed(p.iqr, 4))
+            .set(format!("wins_{mix}"), p.wins);
     }
-    json.push_str("  ],\n");
-    for (mix, r) in results {
-        json.push_str(&format!(
-            "  \"ratio_instrumented_vs_off_{}\": {:.4},\n",
-            mix.label(),
-            r.ratio
-        ));
-    }
-    json.push_str(&format!("  \"ratio_bar\": {RATIO_BAR}\n}}\n"));
-    std::fs::write(path, json)
+    json.set("ratio_bar", fixed(RATIO_BAR, 1))
+        .write("BENCH_obs_overhead.json");
 }
 
 fn main() {
     let cli = Cli::parse();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = hw_threads();
     println!(
         "# Fig. 20 — observability overhead: N={} preloaded, N mixed ops ({} reads), {SHARDS} shards, batch {BATCH}, depth {DEPTH}, B={}, hw_threads={hw}",
         cli.scale, READ_FRACTION, cli.seg
     );
     println!(
-        "{:<9} {:>14} {:>14} {:>8}",
-        "mix", "obs on", "obs off", "ratio"
+        "{:<9} {:>14} {:>14} {:>8} {:>8} {:>5}",
+        "mix", "obs on", "obs off", "ratio", "iqr", "wins"
     );
 
     let mut results = Vec::new();
     for mix in [Mix::Uniform, Mix::Hotspot] {
-        let r = run_mix(&cli, mix);
+        let p = run_mix(&cli, mix);
         println!(
-            "{:<9} {:>14} {:>14} {:>8.3}",
+            "{:<9} {:>14} {:>14} {:>8.3} {:>8.3} {:>3}/{}",
             mix.label(),
-            fmt_throughput(r.on as usize, 1.0).trim(),
-            fmt_throughput(r.off as usize, 1.0).trim(),
-            r.ratio
+            fmt_throughput(median(p.b.clone()) as usize, 1.0).trim(),
+            fmt_throughput(median(p.a.clone()) as usize, 1.0).trim(),
+            p.median,
+            p.iqr,
+            p.wins,
+            p.pairs()
         );
-        results.push((mix, r));
+        results.push((mix, p));
     }
     println!(
-        "# bar: instrumented/off >= {RATIO_BAR} on both mixes (median of paired per-rep ratios)"
+        "# bar: instrumented/off >= {RATIO_BAR} on both mixes (median of paired per-segment ratios)"
     );
 
     // Demonstrate what the instrumented run actually buys: one small
@@ -294,9 +222,5 @@ fn main() {
     }
     print!("{}", db.metrics().render_text());
 
-    let path = "BENCH_obs_overhead.json";
-    match write_json(path, &results, &cli, hw) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
+    write_json(&results, &cli, hw);
 }

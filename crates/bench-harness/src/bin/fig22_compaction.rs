@@ -31,7 +31,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench_harness::{fmt_throughput, median, throughput, time, Cli};
+use bench_harness::{
+    fixed, fmt_throughput, hw_threads, json, median, paired, rows, throughput, time, Cli,
+};
 use rma_core::RmaConfig;
 use rma_shard::{ShardConfig, ShardedRma, Splitters};
 use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
@@ -96,13 +98,7 @@ fn measure(index: &ShardedRma, ops_per_sec: f64) -> Measurement {
 fn accrete(cli: &Cli) -> (Arc<ShardedRma>, Vec<TrajectoryRow>) {
     // Splitters at the preload quantiles, so every shard starts with
     // an equal resident share.
-    let mut base: Vec<(i64, i64)> = {
-        let mut rng = SplitMix64::new(cli.seed ^ 0xB00B_5EED);
-        (0..cli.scale)
-            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
-            .collect()
-    };
-    base.sort_unstable();
+    let base = cli.preload();
     let quantiles: Vec<i64> = (1..SHARDS)
         .map(|i| base[i * base.len() / SHARDS].0)
         .collect();
@@ -149,75 +145,6 @@ fn accrete(cli: &Cli) -> (Arc<ShardedRma>, Vec<TrajectoryRow>) {
         });
     }
     (index, trajectory)
-}
-
-/// What the quiet period accomplished, for the JSON report.
-struct QuietOutcome {
-    background_consolidations: u64,
-    compact_merges: usize,
-    quiet_ms: u64,
-    /// The median per-pair after ÷ before throughput ratio.
-    ratio: f64,
-}
-
-fn write_json(
-    path: &str,
-    cli: &Cli,
-    trajectory: &[TrajectoryRow],
-    before: Measurement,
-    after: Measurement,
-    quiet: &QuietOutcome,
-) -> std::io::Result<()> {
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"shard_compaction\",\n");
-    json.push_str(&format!(
-        "  \"scale\": {},\n  \"phases\": {PHASES},\n  \"shards\": {SHARDS},\n",
-        cli.scale
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"segment_size\": {},\n  \"reps\": {},\n  \"hw_threads\": {},\n",
-        cli.seed,
-        cli.seg,
-        cli.reps,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str(&format!("  \"quiet_ms\": {},\n", quiet.quiet_ms));
-    json.push_str("  \"trajectory\": [\n");
-    for (i, r) in trajectory.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"phase\": {}, \"shards\": {}, \"splitter_bytes\": {}}}{}\n",
-            r.phase,
-            r.shards,
-            r.splitter_bytes,
-            if i + 1 < trajectory.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    let emit = |label: &str, m: Measurement| {
-        format!(
-            "  \"{label}\": {{\"shards\": {}, \"splitter_bytes\": {}, \"ops_per_sec\": {:.1}}},\n",
-            m.shards, m.splitter_bytes, m.ops_per_sec
-        )
-    };
-    json.push_str(&emit("before", before));
-    json.push_str(&emit("after", after));
-    json.push_str(&format!(
-        "  \"background_consolidations\": {},\n",
-        quiet.background_consolidations
-    ));
-    json.push_str(&format!(
-        "  \"compact_merges\": {},\n",
-        quiet.compact_merges
-    ));
-    json.push_str(&format!(
-        "  \"throughput_ratio_after_vs_before\": {:.4},\n",
-        quiet.ratio
-    ));
-    json.push_str(&format!(
-        "  \"shards_after_compaction\": {}\n}}\n",
-        after.shards
-    ));
-    std::fs::write(path, json)
 }
 
 fn main() {
@@ -267,48 +194,47 @@ fn main() {
     );
 
     // --- routed throughput, bloated twin vs compacted twin, paired --
-    // Each pair times both twins on the same op stream; the first of
-    // the two alternates from pair to pair.
-    let (mut befores, mut afters, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..cli.reps {
-        let (b, a) = if pair % 2 == 0 {
-            let b = routed_throughput(&bloated, meas_ops, seed);
-            (b, routed_throughput(&index, meas_ops, seed))
-        } else {
-            let a = routed_throughput(&index, meas_ops, seed);
-            (routed_throughput(&bloated, meas_ops, seed), a)
-        };
-        println!(
-            "# pair {pair}: before {b:.0} ops/s, after {a:.0} ops/s, ratio {:.3}",
-            a / b
-        );
-        befores.push(b);
-        afters.push(a);
-        ratios.push(a / b.max(1e-12));
-    }
-    let before = measure(&bloated, median(befores));
-    let after = measure(&index, median(afters));
-    let ratio = median(ratios);
+    // Each pair times both twins on the same op stream.
+    let p = paired(
+        cli.reps,
+        || routed_throughput(&bloated, meas_ops, seed),
+        || routed_throughput(&index, meas_ops, seed),
+    );
+    let before = measure(&bloated, median(p.a.clone()));
+    let after = measure(&index, median(p.b.clone()));
     println!(
         "# before compaction: {} shards, {} routed ops/s",
         before.shards,
         fmt_throughput(meas_ops, meas_ops as f64 / before.ops_per_sec.max(1e-12))
     );
     println!(
-        "# after compaction: {} shards, {} routed ops/s (median pair ratio {ratio:.3})",
+        "# after compaction: {} shards, {} routed ops/s (median pair ratio {:.3}, iqr {:.3}, \
+         faster in {} of {} pairs)",
         after.shards,
         fmt_throughput(meas_ops, meas_ops as f64 / after.ops_per_sec.max(1e-12)),
+        p.median,
+        p.iqr,
+        p.wins,
+        p.pairs()
     );
 
-    let path = "BENCH_shard_compaction.json";
-    let quiet = QuietOutcome {
-        background_consolidations,
-        compact_merges,
-        quiet_ms,
-        ratio,
+    let twin = |m: Measurement| {
+        json! { "shards": m.shards, "splitter_bytes": m.splitter_bytes, "ops_per_sec": fixed(m.ops_per_sec, 1) }
     };
-    match write_json(path, &cli, &trajectory, before, after, &quiet) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
+    let trajectory = trajectory.iter().map(|r| {
+        json! { "phase": r.phase, "shards": r.shards, "splitter_bytes": r.splitter_bytes }
+    });
+    json! {
+        "bench": "shard_compaction", "scale": cli.scale, "phases": PHASES, "shards": SHARDS,
+        "seed": cli.seed, "segment_size": cli.seg, "reps": cli.reps, "hw_threads": hw_threads(),
+        "quiet_ms": quiet_ms,
+        "trajectory": rows(trajectory),
+        "before": twin(before), "after": twin(after),
+        "background_consolidations": background_consolidations,
+        "compact_merges": compact_merges,
+        "pairs": p.pairs(), "throughput_ratio_after_vs_before": fixed(p.median, 4),
+        "iqr": fixed(p.iqr, 4), "wins": p.wins,
+        "shards_after_compaction": after.shards,
     }
+    .write("BENCH_shard_compaction.json");
 }

@@ -3,9 +3,11 @@
 //! One binary per figure of "Packed Memory Arrays – Rewired" lives in
 //! `src/bin/`; each prints the rows/series of its figure in plain
 //! text. This library provides the shared plumbing: wall-clock
-//! timing, median-of-repetitions, throughput formatting, latency
-//! percentiles, and a tiny CLI argument parser so every driver accepts
-//! `--scale`, `--reps`, `--seed` and `--seg` without a dependency.
+//! timing, median-of-repetitions, paired runs for every ratio a
+//! driver reports, throughput formatting, pipelined session drives,
+//! the JSON writer of the `BENCH_*.json` files, and a tiny CLI argument
+//! parser so every driver accepts `--scale`, `--reps`, `--seed` and
+//! `--seg` without a dependency.
 
 use std::time::Instant;
 
@@ -26,8 +28,224 @@ pub fn median_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 
 /// The upper median of `xs`, which must not be empty.
 pub fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    sort(&mut xs);
     xs[xs.len() / 2]
+}
+
+fn sort(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+}
+
+/// The `q`-quantile of sorted, non-empty `xs`, interpolated linearly
+/// between the closest ranks.
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let x = q * (xs.len() - 1) as f64;
+    let lo = x.floor() as usize;
+    xs[lo] + (xs[x.ceil() as usize] - xs[lo]) * (x - lo as f64)
+}
+
+/// What [`paired`] measured: `b` against `a`, pair by pair.
+#[derive(Debug)]
+pub struct Paired {
+    /// `a`'s figure in each pair, in run order.
+    pub a: Vec<f64>,
+    /// `b`'s figure in each pair.
+    pub b: Vec<f64>,
+    /// `b / a` in each pair.
+    pub ratios: Vec<f64>,
+    /// The median of `ratios` (the upper one of an even count, as
+    /// [`median`]).
+    pub median: f64,
+    /// The interquartile range of `ratios`.
+    pub iqr: f64,
+    /// The pairs in which `b` beat `a`: its figure was the higher.
+    pub wins: usize,
+}
+
+impl Paired {
+    /// Derives the ratios and their statistics from the two sides'
+    /// figures, one per pair.
+    fn new(a: Vec<f64>, b: Vec<f64>) -> Self {
+        assert!(
+            !a.is_empty() && a.len() == b.len(),
+            "one figure a side per pair"
+        );
+        let ratios: Vec<f64> = a.iter().zip(&b).map(|(x, y)| y / x).collect();
+        let mut sorted = ratios.clone();
+        sort(&mut sorted);
+        Paired {
+            median: sorted[sorted.len() / 2],
+            iqr: quantile(&sorted, 0.75) - quantile(&sorted, 0.25),
+            wins: a.iter().zip(&b).filter(|(x, y)| y > x).count(),
+            a,
+            b,
+            ratios,
+        }
+    }
+
+    /// The number of pairs.
+    pub fn pairs(&self) -> usize {
+        self.ratios.len()
+    }
+}
+
+/// Runs `a` and `b` `reps` times each, in pairs: `a` first in even
+/// pairs, `b` first in odd ones, so neither side always runs on the
+/// colder or the warmer host. Each call returns one figure where
+/// higher is better (ops per second); a driver that pairs latencies
+/// negates them, which leaves `b / a` as it is and makes the lower
+/// latency the win.
+///
+/// One run a side cannot resolve a change that host noise moves by
+/// a quarter; the median of per-pair ratios can, and its spread and
+/// win count say how far to trust it.
+pub fn paired(reps: usize, mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Paired {
+    assert!(reps >= 1);
+    let (mut xs, mut ys) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for pair in 0..reps {
+        let (x, y) = if pair % 2 == 0 {
+            let x = a();
+            (x, b())
+        } else {
+            let y = b();
+            (a(), y)
+        };
+        xs.push(x);
+        ys.push(y);
+    }
+    Paired::new(xs, ys)
+}
+
+/// A value a [`Json`] field holds: a string, an integer, a boolean, a
+/// nested [`Json`] object (on one line), or [`Raw`] text from
+/// [`fixed`] or [`rows`].
+pub trait Value {
+    /// The value as JSON text.
+    fn render(self) -> String;
+}
+
+impl Value for &str {
+    fn render(self) -> String {
+        quote(self)
+    }
+}
+
+macro_rules! plain {
+    ($($t:ty)*) => { $(impl Value for $t { fn render(self) -> String { self.to_string() } })* };
+}
+plain!(bool u64 usize i32);
+
+impl Value for Json {
+    fn render(self) -> String {
+        self.line()
+    }
+}
+
+/// JSON text, written as it is.
+pub struct Raw(String);
+
+impl Value for Raw {
+    fn render(self) -> String {
+        self.0
+    }
+}
+
+/// `v` written with `places` decimals.
+pub fn fixed(v: f64, places: usize) -> Raw {
+    Raw(format!("{v:.places$}"))
+}
+
+/// The objects of `rows` as an array laid out one per line, for a
+/// file's top level.
+pub fn rows(rows: impl IntoIterator<Item = Json>) -> Raw {
+    let rows: Vec<String> = rows.into_iter().map(|r| r.line()).collect();
+    Raw(if rows.is_empty() {
+        "[]".to_string()
+    } else {
+        format!("[\n    {}\n  ]", rows.join(",\n    "))
+    })
+}
+
+/// One JSON object, its fields in insertion order: the writer of every
+/// `BENCH_*.json`, built with [`json!`]. A file is an object laid out
+/// one field per line at two spaces ([`write`](Self::write)).
+#[derive(Debug, Default)]
+pub struct Json {
+    fields: Vec<(String, String)>,
+}
+
+/// Builds a [`Json`] object: `json! { "key": value, ... }`, each value
+/// a [`Value`]. A key is a string literal or a parenthesised
+/// expression for a computed one.
+#[macro_export]
+macro_rules! json {
+    ($($key:tt: $value:expr),* $(,)?) => {{
+        let json = $crate::Json::new();
+        $(
+            // A computed key comes in parentheses.
+            #[allow(unused_parens)]
+            let json = json.set($key, $value);
+        )*
+        json
+    }};
+}
+
+impl Json {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends the field `key: v`.
+    pub fn set(mut self, key: impl AsRef<str>, v: impl Value) -> Self {
+        self.fields.push((quote(key.as_ref()), v.render()));
+        self
+    }
+
+    /// The object on one line.
+    pub fn line(&self) -> String {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("{k}: {v}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    /// The object one field per line, as a file holds it.
+    pub fn pretty(&self) -> String {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("  {k}: {v}"))
+            .collect();
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
+    }
+
+    /// Writes [`pretty`](Self::pretty) to `path` in the working
+    /// directory and says on the console whether it could.
+    pub fn write(&self, path: &str) {
+        match std::fs::write(path, self.pretty()) {
+            Ok(()) => println!("# wrote {path}"),
+            Err(e) => eprintln!("# could not write {path}: {e}"),
+        }
+    }
+}
+
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Elements per second, as "3.25M/s"-style text.
@@ -61,50 +279,48 @@ pub fn fmt_bytes(bytes: usize) -> String {
     format!("{:.2} {}", x, UNITS[u])
 }
 
-/// Streaming latency reservoir: per-op durations in nanoseconds go
-/// into the shared [`rma_obs::Histogram`] and come back out as
-/// percentiles (§V "costs of rebalances") — the same quantile
-/// implementation `Db::metrics()` reports, so driver output and
-/// production metrics agree. Quantiles carry the histogram's ≤ 1/16
-/// relative bucket error; `max` stays exact. O(1) memory regardless
-/// of sample count.
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    hist: rma_obs::Histogram,
+/// Cuts `ops` operations drawn from `next` into submission batches of
+/// `batch`, ahead of a timed region that replays them.
+pub fn batches(
+    ops: usize,
+    batch: usize,
+    mut next: impl FnMut() -> rma_db::Op,
+) -> Vec<Vec<rma_db::Op>> {
+    let mut out = Vec::with_capacity(ops.div_ceil(batch));
+    let mut remaining = ops;
+    while remaining > 0 {
+        let n = remaining.min(batch);
+        out.push((0..n).map(|_| next()).collect());
+        remaining -= n;
+    }
+    out
 }
 
-impl LatencyRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Times one pipelined pass of pre-cut `batches` through one session
+/// that keeps `depth` tickets open before waiting the oldest. Returns
+/// ops per second.
+pub fn drive(db: &rma_db::Db, batches: &[Vec<rma_db::Op>], depth: usize) -> f64 {
+    let ops: usize = batches.iter().map(Vec::len).sum();
+    let (_, secs) = time(|| {
+        let mut session = db.session();
+        let mut in_flight = std::collections::VecDeque::new();
+        for batch in batches {
+            in_flight.push_back(session.submit(batch));
+            if in_flight.len() >= depth {
+                let ticket: rma_db::Ticket = in_flight.pop_front().expect("non-empty");
+                std::hint::black_box(ticket.wait().len());
+            }
+        }
+        for ticket in in_flight {
+            std::hint::black_box(ticket.wait().len());
+        }
+    });
+    throughput(ops, secs)
+}
 
-    /// Records a sample in nanoseconds.
-    #[inline]
-    pub fn record(&mut self, nanos: u64) {
-        self.hist.record(nanos);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) in nanoseconds.
-    pub fn quantile(&mut self, q: f64) -> u64 {
-        assert!(!self.is_empty());
-        self.hist.snapshot().quantile(q)
-    }
-
-    /// The maximum sample in nanoseconds (exact).
-    pub fn max(&self) -> u64 {
-        self.hist.snapshot().max()
-    }
+/// Host parallelism, as every `BENCH_*.json` records it.
+pub fn hw_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Minimal CLI options shared by every driver.
@@ -138,6 +354,18 @@ impl Cli {
     /// process arguments. Accepts suffixes `k`/`m`/`g` on `--scale`.
     pub fn parse() -> Self {
         Self::parse_from(std::env::args().skip(1))
+    }
+
+    /// The scaling drivers' preload: `scale` keys drawn uniformly
+    /// from `[0, 2^62)` under the seed, each valued by its draw index,
+    /// sorted by key.
+    pub fn preload(&self) -> Vec<(i64, i64)> {
+        let mut rng = workloads::SplitMix64::new(self.seed ^ 0xB00B_5EED);
+        let mut base: Vec<(i64, i64)> = (0..self.scale)
+            .map(|i| ((rng.next_u64() >> 2) as i64, i as i64))
+            .collect();
+        base.sort_unstable();
+        base
     }
 
     /// Parses from an explicit iterator (testable).
@@ -217,18 +445,88 @@ mod tests {
     }
 
     #[test]
-    fn latency_percentiles() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100 {
-            r.record(i);
-        }
-        assert_eq!(r.quantile(0.0), 1);
-        assert_eq!(r.quantile(1.0), 100, "top quantile is the exact max");
-        // Interior quantiles carry the histogram's bucket error.
-        let p99 = r.quantile(0.99);
-        assert!((93..=99).contains(&p99), "p99 {p99} off by > 1/16");
-        assert_eq!(r.max(), 100);
-        assert_eq!(r.len(), 100);
+    fn paired_alternates_which_side_runs_first() {
+        let order = std::cell::RefCell::new(String::new());
+        let p = paired(
+            4,
+            || {
+                order.borrow_mut().push('a');
+                1.0
+            },
+            || {
+                order.borrow_mut().push('b');
+                2.0
+            },
+        );
+        assert_eq!(order.into_inner(), "abbaabba");
+        assert_eq!((p.a, p.b), (vec![1.0; 4], vec![2.0; 4]));
+    }
+
+    #[test]
+    fn paired_statistics_on_fixed_figures() {
+        let p = Paired::new(vec![2.0, 4.0, 1.0, 5.0, 2.0], vec![1.0, 6.0, 3.0, 5.0, 4.0]);
+        assert_eq!(p.ratios, [0.5, 1.5, 3.0, 1.0, 2.0]);
+        assert_eq!(p.median, 1.5);
+        // Quartiles of 0.5, 1, 1.5, 2, 3 at ranks 1 and 3.
+        assert_eq!(p.iqr, 1.0);
+        assert_eq!(p.wins, 3, "a tie is no win");
+        assert_eq!(p.pairs(), 5);
+        // An even count: the upper median, quartiles interpolated.
+        let p = Paired::new(vec![1.0; 4], vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((p.median, p.iqr, p.wins), (3.0, 1.5, 3));
+        // Negated latencies: the ratio stands, the lower one wins.
+        let p = Paired::new(vec![-100.0], vec![-80.0]);
+        assert_eq!((p.median, p.wins), (0.8, 1));
+    }
+
+    #[test]
+    fn json_escapes_strings() {
+        let j = json! { "say \"hi\"": "a\\b\n\t\u{1}é" };
+        assert_eq!(j.line(), r#"{"say \"hi\"": "a\\b\u000a\u0009\u0001é"}"#);
+    }
+
+    #[test]
+    fn json_fixed_decimals() {
+        let j = json! {
+            "a": fixed(0.9, 1), "b": fixed(2.0, 4), "c": fixed(1.23456, 4),
+            "d": fixed(5.0, 0), "e": fixed(2502466.84, 1),
+        };
+        assert_eq!(
+            j.line(),
+            r#"{"a": 0.9, "b": 2.0000, "c": 1.2346, "d": 5, "e": 2502466.8}"#
+        );
+    }
+
+    #[test]
+    fn json_lays_out_a_file() {
+        let row = |mode: &str, phase: u64, before: f64| {
+            json! {
+                "mode": mode, "phase": phase, "imbalance_before": fixed(before, 4),
+                "imbalance_after": fixed(7.3396, 4), "splits": 0, "merges": 0, "shards": 8,
+            }
+        };
+        let key = "imbalance_ratio".to_string();
+        let file = json! {
+            "bench": "splitter_relearning",
+            "results": rows([row("static", 0, 7.3321), row("static", 1, 4.5727)]),
+            "recovery": json! { "elements": 3usize, "ok": true },
+            "none": rows([]),
+            (&key): fixed(0.2919, 4),
+        };
+        assert_eq!(
+            file.pretty(),
+            r#"{
+  "bench": "splitter_relearning",
+  "results": [
+    {"mode": "static", "phase": 0, "imbalance_before": 7.3321, "imbalance_after": 7.3396, "splits": 0, "merges": 0, "shards": 8},
+    {"mode": "static", "phase": 1, "imbalance_before": 4.5727, "imbalance_after": 7.3396, "splits": 0, "merges": 0, "shards": 8}
+  ],
+  "recovery": {"elements": 3, "ok": true},
+  "none": [],
+  "imbalance_ratio": 0.2919
+}
+"#
+        );
     }
 
     #[test]

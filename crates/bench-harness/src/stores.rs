@@ -12,6 +12,25 @@ pub type Key = i64;
 /// Value scalar type.
 pub type Value = i64;
 
+/// A fresh store from `factory` holding the first `n` pairs of
+/// `pattern` under `seed`, and the seconds their inserts took.
+pub fn filled(
+    factory: &StoreFactory,
+    pattern: workloads::Pattern,
+    n: usize,
+    seed: u64,
+) -> (Box<dyn Store>, f64) {
+    let mut s = factory();
+    let mut stream = workloads::KeyStream::new(pattern, seed);
+    let (_, secs) = crate::time(|| {
+        for _ in 0..n {
+            let (k, v) = stream.next_pair();
+            s.insert(k, v);
+        }
+    });
+    (s, secs)
+}
+
 /// Common operations the experiments exercise.
 #[allow(clippy::len_without_is_empty)] // drivers never need is_empty
 pub trait Store {

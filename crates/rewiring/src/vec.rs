@@ -13,7 +13,8 @@
 //! page or more moves it onto pages — through the buffer
 //! ([`RewiredVec::commit_resize_swap`], one copy per element) or in
 //! place ([`RewiredVec::resize_in_place`]) — and one below a page
-//! moves it back. The reservation is made when the column is built, so
+//! moves it back, in place or copied into a fresh heap array
+//! ([`RewiredVec::resize_copy`]). The reservation is made when the column is built, so
 //! [`RewiredVec::backend_kind`] is fixed then: [`BackendKind::Mmap`]
 //! while the memfd reservation exists, whichever side of a page the
 //! array is on, and [`BackendKind::Heap`] for good when it was refused
@@ -182,30 +183,37 @@ impl RewiredVec {
     /// array, never by storage content. Crossing one page moves the
     /// array onto pages or back to the heap.
     pub fn resize_in_place(&mut self, new_len: usize) {
-        let on_pages = new_len >= self.elems_per_page;
         match &mut self.mapped {
-            Some(m) if on_pages => {
+            Some(m) if new_len >= self.elems_per_page => {
                 m.resize_in_place(new_len);
                 // From the heap, the heap array is the content to keep.
                 let kept = std::mem::take(&mut self.heap);
                 m.as_mut_slice()[..kept.len()].copy_from_slice(&kept);
             }
-            Some(m) if m.len > 0 => {
-                self.heap = m.as_slice()[..new_len].to_vec();
-                m.resize_in_place(0);
-            }
-            mapped => {
-                // Exactly `new_len` slots, so `wired_bytes` is the array.
-                let v = &mut self.heap;
-                v.reserve_exact(new_len.saturating_sub(v.len()));
-                v.resize(new_len, 0);
-                v.shrink_to_fit();
-                // A buffer wired ahead of a grow that did not come.
-                if let Some(m) = mapped {
-                    m.unwire_spares();
-                }
-            }
+            _ => self.resize_copy(new_len, |old, new| {
+                let kept = old.len().min(new.len());
+                new[..kept].copy_from_slice(&old[..kept]);
+            }),
         }
+    }
+
+    /// Resizes by copying: `fill(old, new)` writes the whole new array
+    /// of `new_len` elements from the old one, straight into a fresh,
+    /// exactly sized heap array (one copy per element), and whatever
+    /// array and spare pages were wired are released. The resize of
+    /// every array not on pages: any on a heap column, one below a
+    /// page on a memfd column.
+    pub fn resize_copy(&mut self, new_len: usize, fill: impl FnOnce(&[i64], &mut [i64])) {
+        assert!(
+            self.mapped.is_none() || new_len < self.elems_per_page,
+            "{NO_HEAP}"
+        );
+        let mut fresh = vec![0; new_len];
+        fill(self.as_slice(), &mut fresh);
+        if let Some(m) = &mut self.mapped {
+            m.resize_in_place(0);
+        }
+        self.heap = fresh;
     }
 
     /// The array contents.
@@ -258,6 +266,8 @@ impl RewiredVec {
 
 /// Why a heap column refuses to swap.
 const NO_PAGES: &str = "a heap column has no pages to swap: its owner copies";
+/// Why a memfd column refuses a heap array of a page or more.
+const NO_HEAP: &str = "on a memfd column an array of a page or more is on pages";
 
 impl Mapped {
     fn elems_per_page(&self) -> usize {
@@ -395,6 +405,28 @@ mod tests {
     fn mapped_vec(opts: RewireOptions) -> Option<RewiredVec> {
         let v = RewiredVec::new(opts);
         (v.backend_kind() == BackendKind::Mmap).then_some(v)
+    }
+
+    #[test]
+    fn resize_copy_fills_an_exact_heap_array_and_releases_pages() {
+        let epp = 4096 / 8;
+        let mut cols = vec![RewiredVec::heap(4096)];
+        cols.extend(mapped_vec(small_opts()));
+        for mut v in cols {
+            // On pages, with a buffer page wired, on a memfd column.
+            v.resize_in_place(2 * epp);
+            for (i, s) in v.as_mut_slice().iter_mut().enumerate() {
+                *s = i as i64;
+            }
+            v.wire_buffer(epp);
+            v.resize_copy(epp / 2, |old, new| {
+                new.copy_from_slice(&old[epp..epp + epp / 2])
+            });
+            let want: Vec<i64> = (epp as i64..).take(epp / 2).collect();
+            assert_eq!(v.as_slice(), want);
+            assert_eq!(v.wired_bytes(), epp / 2 * 8, "the array and nothing else");
+            assert_eq!(v.spare_pages(), 0);
+        }
     }
 
     #[test]

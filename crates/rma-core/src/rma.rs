@@ -2,7 +2,7 @@
 //! window search, rebalancing and resizing.
 
 use crate::adaptive::{adaptive_targets, compute_marked_intervals, MarkedInterval};
-use crate::config::{RewiringMode, RmaConfig};
+use crate::config::RmaConfig;
 use crate::detector::{self, Detector};
 use crate::index::StaticIndex;
 use crate::stats::RmaStats;
@@ -735,12 +735,13 @@ impl Rma {
     /// that rewires (§III): the elements go into buffer pages of the new
     /// capacity, one copy each, that are then swapped in whole however
     /// the last one is filled — and an array below a page moves onto
-    /// pages. Any other resize with rewiring enabled — below a page, or
-    /// on heap columns — is copied through scratch, so it wires no buffer
-    /// page that the kernel would zero and punch again. With rewiring
-    /// disabled it is the paper's standard resize, which the `-RWR`
-    /// ablation measures: into fresh storage, one copy per element plus
-    /// the OS-level page zeroing the paper highlights.
+    /// pages. Every other resize — below a page, on heap columns, or
+    /// with rewiring disabled — copies each element once, straight into
+    /// a fresh, exactly sized heap array, and wires no buffer page that
+    /// the kernel would zero and punch again. With rewiring disabled
+    /// that is the paper's standard resize, which the `-RWR` ablation
+    /// measures: into fresh storage, one copy per element plus the
+    /// OS-level page zeroing the paper highlights.
     pub(crate) fn resize_to(&mut self, new_segs: usize) {
         let b = self.cfg.segment_size;
         debug_assert!(self.len <= new_segs * b, "resize target too small");
@@ -761,24 +762,12 @@ impl Rma {
                 copy_runs(arr, &src, buf, &dst);
                 col.commit_resize_swap(new_slots);
             }
-        } else if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
-            self.gather(&src);
-            self.storage.keys.resize_in_place(new_slots);
-            self.storage.vals.resize_in_place(new_slots);
-            self.commit(0, new_slots, &dst);
         } else {
             self.stats.copied_commits += 1;
             self.stats.elements_moved += self.len as u64;
-            let mut fresh = Storage::new(&self.cfg);
-            let cols = [
-                (&self.storage.keys, &mut fresh.keys),
-                (&self.storage.vals, &mut fresh.vals),
-            ];
-            for (old, new) in cols {
-                new.resize_in_place(new_slots);
-                copy_runs(old.as_slice(), &src, new.as_mut_slice(), &dst);
+            for col in [&mut self.storage.keys, &mut self.storage.vals] {
+                col.resize_copy(new_slots, |old, new| copy_runs(old, &src, new, &dst));
             }
-            self.storage = fresh;
         }
         self.install_layout(&targets);
     }
@@ -911,6 +900,7 @@ pub(crate) fn window_layout(seg0: usize, b: usize, targets: &[usize]) -> Vec<Ran
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RewiringMode;
     use crate::thresholds::Thresholds;
     use rewiring::BackendKind;
 

@@ -91,7 +91,7 @@ pub use session::{Op, Reply, Session, Ticket};
 // The durability vocabulary callers need to configure
 // [`DbBuilder::durability`], re-exported so `rma-db` is a one-import
 // facade.
-pub use rma_wal::{CommitPolicy, DurabilityConfig, FaultInjector, FaultMode, IoClass};
+pub use rma_wal::{DurabilityConfig, FaultInjector, FaultMode, IoClass};
 
 use metrics::SessionObs;
 use rma_core::{Key, Value};

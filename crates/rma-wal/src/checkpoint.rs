@@ -47,7 +47,7 @@ use std::sync::Arc;
 use rewiring::crc::crc32;
 use rma_core::{Key, Value};
 
-use crate::fault::{inj_fsync, inj_rename, inj_write, FaultInjector, IoClass};
+use crate::fault::{inj_fsync, inj_rename, inj_sync_dir, inj_write, FaultInjector, IoClass};
 use crate::segment::check_alive;
 
 /// Magic first line; bump the version on any format change.
@@ -212,7 +212,8 @@ pub(crate) fn write_manifest(
     inj_write(inj, &mut file, &bytes, IoClass::SealWrite)?;
     inj_fsync(inj, &file)?;
     drop(file);
-    inj_rename(inj, &tmp, &dir.join(MANIFEST))
+    inj_rename(inj, &tmp, &dir.join(MANIFEST))?;
+    inj_sync_dir(inj, dir)
 }
 
 /// Reads and verifies the manifest; `Ok(None)` when no manifest exists
@@ -226,7 +227,8 @@ pub(crate) fn read_manifest(dir: &Path) -> io::Result<Option<Result<ManifestStat
 }
 
 /// Writes a unit's checkpoint segment as `name`, covering `cut` (tmp
-/// → fsync → rename → dir sync, like the manifest), and returns its
+/// → fsync → rename, like the manifest; the caller syncs the
+/// directory once after the last unit's rename), and returns its
 /// manifest entry.
 pub(crate) fn seal_segment(
     dir: &Path,

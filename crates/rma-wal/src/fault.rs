@@ -49,7 +49,8 @@ pub enum IoClass {
     Fsync,
     /// A checkpoint segment or manifest temp-file write.
     SealWrite,
-    /// The atomic manifest/segment rename (or its directory sync).
+    /// The atomic manifest/segment rename, or the directory sync that
+    /// makes renames durable.
     ManifestRename,
 }
 
@@ -155,33 +156,34 @@ pub(crate) fn inj_write(
     }
 }
 
-/// `fdatasync(file)` ([`File::sync_data`]), subject to injection
-/// ([`IoClass::Fsync`]). A `Kill` here skips the sync — for the
-/// in-process simulation the preceding write already reached the
-/// "disk" (the file), so the observable effect is just the crash
-/// point; a `BitFlip` has no payload to flip and syncs.
-pub(crate) fn inj_fdatasync(inj: &Option<Arc<FaultInjector>>, file: &File) -> io::Result<()> {
-    let Some(inj) = inj else {
-        return file.sync_data();
-    };
-    match inj.trip(IoClass::Fsync) {
-        Trip::Pass | Trip::BitFlip => file.sync_data(),
+/// Runs `op`, one instrumented I/O of `class`, unless the injector
+/// trips on it: a `Kill` or an `Error` replaces it, and a `BitFlip`,
+/// having no payload to flip here, lets it run.
+fn guarded(
+    inj: &Option<Arc<FaultInjector>>,
+    class: IoClass,
+    op: impl FnOnce() -> io::Result<()>,
+) -> io::Result<()> {
+    match inj.as_ref().map_or(Trip::Pass, |inj| inj.trip(class)) {
+        Trip::Pass | Trip::BitFlip => op(),
         Trip::Dead | Trip::Kill => Err(dead_err()),
         Trip::Error => Err(injected_err()),
     }
 }
 
+/// `fdatasync(file)` ([`File::sync_data`]), subject to injection
+/// ([`IoClass::Fsync`]). A `Kill` here skips the sync — for the
+/// in-process simulation the preceding write already reached the
+/// "disk" (the file), so the observable effect is just the crash
+/// point.
+pub(crate) fn inj_fdatasync(inj: &Option<Arc<FaultInjector>>, file: &File) -> io::Result<()> {
+    guarded(inj, IoClass::Fsync, || file.sync_data())
+}
+
 /// `fsync(file)` ([`File::sync_all`]), subject to injection
 /// ([`IoClass::Fsync`]).
 pub(crate) fn inj_fsync(inj: &Option<Arc<FaultInjector>>, file: &File) -> io::Result<()> {
-    let Some(inj) = inj else {
-        return file.sync_all();
-    };
-    match inj.trip(IoClass::Fsync) {
-        Trip::Pass | Trip::BitFlip => file.sync_all(),
-        Trip::Dead | Trip::Kill => Err(dead_err()),
-        Trip::Error => Err(injected_err()),
-    }
+    guarded(inj, IoClass::Fsync, || file.sync_all())
 }
 
 /// Fsyncs a directory so a just-completed `rename(2)` or file
@@ -190,28 +192,21 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// `rename(from, to)` + parent-directory sync, subject to injection
-/// (both steps are [`IoClass::ManifestRename`] — the rename is the
-/// atomic commit point, the dir sync makes it durable).
+/// `rename(from, to)`, subject to injection
+/// ([`IoClass::ManifestRename`]): the atomic commit point of a file,
+/// durable once [`inj_sync_dir`] has synced its directory.
 pub(crate) fn inj_rename(
     inj: &Option<Arc<FaultInjector>>,
     from: &Path,
     to: &Path,
 ) -> io::Result<()> {
-    let Some(inj) = inj else {
-        std::fs::rename(from, to)?;
-        return sync_dir(to.parent().unwrap_or(Path::new(".")));
-    };
-    match inj.trip(IoClass::ManifestRename) {
-        Trip::Pass | Trip::BitFlip => std::fs::rename(from, to)?,
-        Trip::Dead | Trip::Kill => return Err(dead_err()),
-        Trip::Error => return Err(injected_err()),
-    }
-    match inj.trip(IoClass::ManifestRename) {
-        Trip::Pass | Trip::BitFlip => sync_dir(to.parent().unwrap_or(Path::new("."))),
-        Trip::Dead | Trip::Kill => Err(dead_err()),
-        Trip::Error => Err(injected_err()),
-    }
+    guarded(inj, IoClass::ManifestRename, || std::fs::rename(from, to))
+}
+
+/// [`sync_dir`], subject to injection ([`IoClass::ManifestRename`]):
+/// it makes every rename before it in `dir` durable at once.
+pub(crate) fn inj_sync_dir(inj: &Option<Arc<FaultInjector>>, dir: &Path) -> io::Result<()> {
+    guarded(inj, IoClass::ManifestRename, || sync_dir(dir))
 }
 
 #[cfg(test)]

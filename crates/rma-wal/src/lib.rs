@@ -20,15 +20,16 @@
 //!    buffer. No I/O.
 //! 2. **commit** — the durability barrier, called once per op or once
 //!    per batch: drain the staging buffer to the log file and fsync
-//!    per [`CommitPolicy`], on the caller's thread. Only after
-//!    `commit` returns may the caller acknowledge the writes.
+//!    it, on the caller's thread. Only after `commit` returns may the
+//!    caller acknowledge the writes.
 //!
 //! Checkpoints bound replay: the engine (`ShardedRma::checkpoint`)
 //! holds its topology still and, one shard at a time, locks the shard,
 //! draws its **cut LSN** (the highest LSN handed out so far) and
 //! snapshots its elements; [`Wal`]'s
 //! [`seal_checkpoint`](DurabilitySink::seal_checkpoint) writes each
-//! shard's segment file as it arrives, then rotates the log so every
+//! shard's segment file as it arrives, syncs the directory once for
+//! all their renames, then rotates the log so every
 //! record up to the cuts is synced, commits the whole checkpoint via
 //! one atomic manifest replacement, and deletes the log files the
 //! smallest cut covers and the previous checkpoint's segments.
@@ -68,25 +69,11 @@ pub use recover::Recovery;
 use checkpoint::ManifestState;
 use segment::{check_alive, Log};
 
-/// When the commit barrier fsyncs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitPolicy {
-    /// fsync on every commit: an acknowledged write survives both
-    /// process and OS crashes.
-    Always,
-    /// fsync once every `n` records of the log: acknowledged writes
-    /// survive process crashes always, OS crashes only up to the last
-    /// sync — at most `n` acknowledged records are at risk.
-    EveryN(u64),
-}
-
 /// Configuration for creating or recovering a WAL directory.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding logs, segments, and the manifest.
     pub dir: PathBuf,
-    /// Commit barrier behaviour.
-    pub policy: CommitPolicy,
     /// Optional fault injector, armed on all durability I/O performed
     /// *after* creation/recovery (setup I/O is not instrumented, so a
     /// countdown seed indexes deterministically into workload I/O).
@@ -99,14 +86,8 @@ impl DurabilityConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            policy: CommitPolicy::Always,
             fault: None,
         }
-    }
-
-    pub fn policy(mut self, policy: CommitPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     pub fn fault(mut self, inj: Arc<FaultInjector>) -> Self {
@@ -153,7 +134,6 @@ impl From<io::Error> for WalError {
 /// `Arc`-style between the engine (as its [`DurabilitySink`]) and the
 /// database façade (for the commit barrier).
 pub struct Wal {
-    policy: CommitPolicy,
     dir: PathBuf,
     inj: Option<Arc<FaultInjector>>,
     log: Log,
@@ -178,7 +158,6 @@ impl Wal {
     /// manifest. Fails if the directory already holds a WAL
     /// (use [`Wal::recover`] for that).
     pub fn create(cfg: DurabilityConfig) -> Result<Arc<Wal>, WalError> {
-        Self::validate(&cfg)?;
         std::fs::create_dir_all(&cfg.dir)?;
         if checkpoint::read_manifest(&cfg.dir)?.is_some() {
             return Err(WalError::Config(format!(
@@ -199,7 +178,6 @@ impl Wal {
     /// [`Wal::recover`] both end with.
     fn from_parts(cfg: DurabilityConfig, log: Log, manifest: ManifestState) -> Arc<Wal> {
         Arc::new(Wal {
-            policy: cfg.policy,
             dir: cfg.dir,
             inj: cfg.fault,
             log,
@@ -212,17 +190,8 @@ impl Wal {
         })
     }
 
-    fn validate(cfg: &DurabilityConfig) -> Result<(), WalError> {
-        if cfg.policy == CommitPolicy::EveryN(0) {
-            return Err(WalError::Config(
-                "EveryN(0) is meaningless; use Always".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// The durability barrier: every operation appended before this
-    /// call is durable (per [`CommitPolicy`]) when it returns `Ok`.
+    /// call is written and fsynced when it returns `Ok`.
     /// Callers must not acknowledge writes until then. Any I/O failure
     /// degrades the WAL and the write must be refused.
     pub fn commit(&self) -> Result<(), WalError> {
@@ -230,7 +199,7 @@ impl Wal {
             return Err(WalError::Degraded);
         }
         let t0 = rewiring::monotonic_ns();
-        if let Err(e) = self.log.commit(self.policy, &self.inj, &self.fsync_hist) {
+        if let Err(e) = self.log.commit(&self.inj, &self.fsync_hist) {
             self.degrade();
             return Err(WalError::Io(e));
         }
@@ -302,6 +271,9 @@ impl Wal {
             )?));
         }
         assert_eq!(entries.len(), splitters.len() + 1, "one unit per range");
+        // One directory sync makes every segment's rename durable
+        // before the manifest names them.
+        fault::inj_sync_dir(&self.inj, &self.dir)?;
         // Every record up to the cuts is synced before the manifest
         // names them, so recovery's log never ends below a cut.
         self.log.rotate(&self.inj)?;
@@ -376,17 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn create_rejects_existing_wal_and_bad_config() {
+    fn create_rejects_an_existing_wal() {
         let dir = scratch("create");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
         assert_eq!(manifest(&wal), ManifestState::empty(), "one unit, no cut");
         assert!(!wal.is_degraded());
         assert!(matches!(
             Wal::create(DurabilityConfig::new(&dir)),
-            Err(WalError::Config(_))
-        ));
-        assert!(matches!(
-            Wal::create(DurabilityConfig::new(scratch("n0")).policy(CommitPolicy::EveryN(0))),
             Err(WalError::Config(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

@@ -111,7 +111,6 @@ impl Wal {
     /// a torn tail), heals leftover staging files, and reopens a fresh
     /// log file. The units and their key ranges are the manifest's.
     pub fn recover(cfg: DurabilityConfig) -> Result<Recovery, WalError> {
-        Wal::validate(&cfg)?;
         let manifest = match checkpoint::read_manifest(&cfg.dir)? {
             None => {
                 return Err(WalError::Config(format!(

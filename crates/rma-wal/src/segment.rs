@@ -43,7 +43,6 @@ use rma_shard::DurabilityOp;
 
 use crate::fault::{inj_fdatasync, inj_write, sync_dir, FaultInjector, IoClass};
 use crate::record;
-use crate::CommitPolicy;
 
 /// File name of the log file starting at LSN `start`.
 pub(crate) fn log_name(start: u64) -> String {
@@ -92,8 +91,6 @@ struct LogFile {
     file: File,
     /// LSN of the first record the file may hold.
     start: u64,
-    /// Records written since the last fsync (drives `EveryN`).
-    since_fsync: u64,
 }
 
 /// The write-ahead log of every key.
@@ -103,8 +100,7 @@ pub(crate) struct Log {
     sink: Mutex<LogFile>,
     /// Highest LSN handed out by `append` (0 = none yet).
     appended: AtomicU64,
-    /// Highest LSN known written (and synced, under `Always`) to the
-    /// log file.
+    /// Highest LSN known written and synced to the log file.
     committed: AtomicU64,
 }
 
@@ -124,7 +120,6 @@ impl Log {
             sink: Mutex::new(LogFile {
                 file,
                 start: next_lsn,
-                since_fsync: 0,
             }),
             appended: AtomicU64::new(next_lsn - 1),
             committed: AtomicU64::new(next_lsn - 1),
@@ -160,10 +155,9 @@ impl Log {
     }
 
     /// Durability barrier: everything appended before this call is in
-    /// the log file when it returns (and on disk, under `Always`).
+    /// the log file and on disk when it returns.
     pub fn commit(
         &self,
-        policy: CommitPolicy,
         inj: &Option<Arc<FaultInjector>>,
         fsync_hist: &Histogram,
     ) -> io::Result<()> {
@@ -180,18 +174,10 @@ impl Log {
         let (bytes, high) = self.drain();
         if !bytes.is_empty() {
             inj_write(inj, &mut sink.file, &bytes, IoClass::AppendWrite)?;
-            sink.since_fsync += (bytes.len() / record::FRAME_LEN) as u64;
         }
-        let need_sync = match policy {
-            CommitPolicy::Always => true,
-            CommitPolicy::EveryN(n) => sink.since_fsync >= n,
-        };
-        if need_sync {
-            let t0 = rewiring::monotonic_ns();
-            inj_fdatasync(inj, &sink.file)?;
-            fsync_hist.record(rewiring::monotonic_ns().saturating_sub(t0));
-            sink.since_fsync = 0;
-        }
+        let t0 = rewiring::monotonic_ns();
+        inj_fdatasync(inj, &sink.file)?;
+        fsync_hist.record(rewiring::monotonic_ns().saturating_sub(t0));
         self.committed.store(high, Ordering::Release);
         Ok(())
     }
@@ -222,7 +208,6 @@ impl Log {
         *sink = LogFile {
             file,
             start: high + 1,
-            since_fsync: 0,
         };
         self.committed.store(high, Ordering::Release);
         Ok(())
@@ -279,11 +264,9 @@ mod tests {
         let hist = Histogram::new();
         assert_eq!(log.append(&[DurabilityOp::Insert(10, 1)]), 1);
         assert_eq!(log.append(&[DurabilityOp::Remove(10)]), 2);
-        log.commit(CommitPolicy::Always, &None, &hist)
-            .expect("commit");
+        log.commit(&None, &hist).expect("commit");
         // A second commit with nothing staged is a no-op.
-        log.commit(CommitPolicy::Always, &None, &hist)
-            .expect("idle commit");
+        log.commit(&None, &hist).expect("idle commit");
         assert_eq!(hist.count(), 1, "idle commit must not fsync");
         let bytes = std::fs::read(dir.join(log_name(1))).expect("read log");
         assert_eq!(bytes.len(), 2 * FRAME_LEN);
@@ -294,24 +277,6 @@ mod tests {
             }
             other => panic!("bad first record: {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn every_n_defers_fsync() {
-        let dir = scratch("everyn");
-        let log = Log::create(&dir, 1).expect("create");
-        let hist = Histogram::new();
-        for i in 0..3 {
-            log.append(&[DurabilityOp::Insert(i, i)]);
-            log.commit(CommitPolicy::EveryN(4), &None, &hist)
-                .expect("commit");
-        }
-        assert_eq!(hist.count(), 0, "3 records < 4: no fsync yet");
-        log.append(&[DurabilityOp::Insert(3, 3)]);
-        log.commit(CommitPolicy::EveryN(4), &None, &hist)
-            .expect("commit");
-        assert_eq!(hist.count(), 1, "4th record crosses the threshold");
         std::fs::remove_dir_all(&dir).ok();
     }
 

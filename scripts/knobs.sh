@@ -10,7 +10,7 @@
 # says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-MAX_KNOBS=13
+MAX_KNOBS=12
 printf '%-18s %6s\n' struct fields
 total=0
 for name in ShardConfig MaintainerConfig NetConfig ObsConfig DurabilityConfig \

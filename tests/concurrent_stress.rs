@@ -18,7 +18,8 @@ use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::Barrier;
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use workloads::SplitMix64;
 
@@ -234,15 +235,17 @@ fn apply_batch_vs_maintenance_stress() {
     assert_eq!(index.collect_all(), want);
 }
 
-/// Writer progress while an incremental maintenance plan drains: no
-/// insert may block across more than one executed step. An insert
-/// that begins while step `k` holds its shard can at worst finish
-/// while step `k + 1` runs (it re-routes after `k` publishes), so the
-/// number of steps completed during any single insert is bounded by
-/// 2 — if a writer ever waited out the whole plan (a single-swap
-/// failure mode), the delta would be the plan length.
+/// Writer progress while an incremental maintenance plan drains: after
+/// every executed step a writer aimed mostly at the shards being
+/// restructured completes another insert. The drain runs on its own
+/// thread and hands each step to the test thread only once the writer
+/// has completed an insert after it; the test thread gives every step
+/// `HANDSHAKE_TIMEOUT`. A step that left its shards locked (or a
+/// writer that waited out the whole plan) fails the test by that
+/// timeout instead of hanging it: neither thread is joined then.
 #[test]
 fn writer_progress_during_incremental_drain() {
+    const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
     let base: Vec<(i64, i64)> = (0..40_000).map(|k| (k, k)).collect();
     // A step bound below two shards' length keeps every window to
     // one shard, as on an index too large for one step to re-cut.
@@ -250,10 +253,12 @@ fn writer_progress_during_incremental_drain() {
         max_shard_len: Some(8192),
         ..stress_cfg(8)
     };
-    let db = Db::builder()
-        .shard_config(cfg)
-        .build_bulk(&base)
-        .expect("valid stress config");
+    let db = Arc::new(
+        Db::builder()
+            .shard_config(cfg)
+            .build_bulk(&base)
+            .expect("valid stress config"),
+    );
     let index = db.engine();
     // Build a real multi-step plan: hammer two narrow bands so the
     // planner cuts each hot shard in its own step.
@@ -268,52 +273,59 @@ fn writer_progress_during_incremental_drain() {
         "hot band must yield a multi-step plan, got {plan:?}"
     );
 
-    let ops = stress_ops();
-    let done = AtomicBool::new(false);
-    let violations = AtomicU64::new(0);
-    std::thread::scope(|sc| {
-        let (index, done, violations) = (index, &done, &violations);
-        let writer = sc.spawn(move || {
+    let done = Arc::new(AtomicBool::new(false));
+    let inserted = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let (db, done, inserted) = (Arc::clone(&db), Arc::clone(&done), Arc::clone(&inserted));
+        std::thread::spawn(move || {
             let mut rng = SplitMix64::new(0xAB5E11);
-            let mut inserts = 0u64;
-            while !done.load(Relaxed) && inserts < ops {
+            while !done.load(Relaxed) {
                 // Mostly hot-band keys: the interesting case is an
                 // insert aimed at the shard being restructured.
-                let k = if rng.next_below(4) < 3 {
-                    rng.next_below(400) as i64
-                } else {
-                    rng.next_below(40_000) as i64
-                };
-                let before = index.maintenance_stats().steps_executed;
-                index.insert(k, k);
-                let after = index.maintenance_stats().steps_executed;
-                if after - before > 2 {
-                    violations.fetch_add(1, Relaxed);
-                }
-                inserts += 1;
+                let k = match rng.next_below(4) {
+                    0 => rng.next_below(40_000),
+                    band => (band - 1) % 2 * 20_000 + rng.next_below(400),
+                } as i64;
+                db.engine().insert(k, k);
+                inserted.fetch_add(1, Release);
             }
-            inserts
-        });
-        // Drain the plan step by step with pauses, like the
-        // background maintainer's tick budget. The pauses also make
-        // the steps-spanned assertion scheduler-robust on a 1-core
-        // host: with only these two threads alive, the writer is the
-        // sole runnable thread during every pause and completes its
-        // in-flight insert then, so an insert can overlap at most the
-        // step that blocked it plus the next one — observing three or
-        // more executed steps within one insert requires the insert
-        // to have actually waited across them.
-        while index.execute_step(&mut plan).is_some() {
-            std::thread::sleep(Duration::from_micros(500));
+        })
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drain = {
+        let (db, inserted) = (Arc::clone(&db), Arc::clone(&inserted));
+        std::thread::spawn(move || {
+            let one_more_insert = || {
+                let seen = inserted.load(Acquire);
+                while inserted.load(Acquire) == seen {
+                    std::thread::yield_now();
+                }
+            };
+            // The writer is under way before the first step.
+            one_more_insert();
+            while db.engine().execute_step(&mut plan).is_some() {
+                one_more_insert();
+                if tx.send(()).is_err() {
+                    return;
+                }
+            }
+        })
+    };
+    let mut steps = 0;
+    loop {
+        match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
+            Ok(()) => steps += 1,
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => panic!(
+                "no insert completed within {HANDSHAKE_TIMEOUT:?} of step {}",
+                steps + 1
+            ),
         }
-        done.store(true, Relaxed);
-        assert!(writer.join().unwrap() > 0, "writer made no progress");
-    });
-    assert_eq!(
-        violations.load(Relaxed),
-        0,
-        "an insert overlapped more than one executed maintenance step"
-    );
+    }
+    drain.join().expect("the drain panicked");
+    done.store(true, Relaxed);
+    writer.join().expect("the writer panicked");
+    assert!(steps >= 1, "no step executed");
     let stats = index.maintenance_stats();
     assert!(
         stats.steps_executed + stats.steps_skipped > 0,

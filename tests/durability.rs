@@ -19,9 +19,7 @@
 //! * **replay is idempotent** — recovering the same directory
 //!   repeatedly yields bit-identical state (proptest below).
 
-use rma_repro::db::{
-    CommitPolicy, Db, DbError, DurabilityConfig, FaultInjector, FaultMode, IoClass, Op, Reply,
-};
+use rma_repro::db::{Db, DbError, DurabilityConfig, FaultInjector, FaultMode, IoClass, Op, Reply};
 use rma_repro::obs::EventKind;
 use rma_repro::rma::{RewiringMode, RmaConfig};
 use rma_repro::shard::ShardConfig;
@@ -126,11 +124,7 @@ fn run_until_crash(
 ) -> CrashRun {
     let db = Db::builder()
         .shard_config(small_shards())
-        .durability(
-            DurabilityConfig::new(dir)
-                .policy(CommitPolicy::Always)
-                .fault(inj.clone()),
-        )
+        .durability(DurabilityConfig::new(dir).fault(inj.clone()))
         .build()
         .expect("valid durable config");
 
@@ -185,7 +179,7 @@ fn run_until_crash(
 fn recover_pairs(dir: &Path) -> Vec<(i64, i64)> {
     let db = Db::builder()
         .shard_config(small_shards())
-        .durability(DurabilityConfig::new(dir).policy(CommitPolicy::Always))
+        .durability(DurabilityConfig::new(dir))
         .recover()
         .expect("recovery after a crash must succeed");
     assert!(!db.is_read_only(), "a recovered handle starts healthy");
@@ -541,10 +535,11 @@ fn a_checkpoint_after_a_recut_survives_a_kill_at_each_io_site() {
         assert_eq!(second, 0, "a killed seal reports failure");
         kills += 1;
     }
-    // Each unit's segment: write, fsync, rename, directory sync; then
-    // the manifest's four. The rotation has no record to sync: none
-    // was appended since the first checkpoint's.
-    assert_eq!(kills, 4 * units + 4);
+    // Each unit's segment: write, fsync, rename; one directory sync
+    // for all the renames; then the manifest's four. The rotation has
+    // no record to sync: none was appended since the first
+    // checkpoint's.
+    assert_eq!(kills, 3 * units + 5);
 }
 
 /// `Insert k`, `Remove k`, `Insert k` and a duplicate `Insert k` in
@@ -678,11 +673,7 @@ fn degraded_mode_refuses_writes_serves_reads_and_journals() {
     let inj = FaultInjector::new(9, FaultMode::Kill);
     let db = Db::builder()
         .shard_config(small_shards())
-        .durability(
-            DurabilityConfig::new(&dir)
-                .policy(CommitPolicy::Always)
-                .fault(inj.clone()),
-        )
+        .durability(DurabilityConfig::new(&dir).fault(inj.clone()))
         .build()
         .expect("valid");
     let mut s = db.session();
@@ -729,7 +720,7 @@ fn degraded_mode_refuses_writes_serves_reads_and_journals() {
 fn a_pipeline_shares_one_barrier_and_a_failed_one_refuses_what_it_covered() {
     for fail in [false, true] {
         let dir = scratch("pipeline");
-        let mut cfg = DurabilityConfig::new(&dir).policy(CommitPolicy::Always);
+        let mut cfg = DurabilityConfig::new(&dir);
         // Every key sits in partition 0, so the first barrier is one
         // log write and then the first fsync.
         let inj = FaultInjector::new(2, FaultMode::Error);
@@ -808,7 +799,7 @@ fn files_written_by_an_earlier_version_reencode_and_recover() {
     let fresh = scratch("fixture-fresh");
     let db = Db::builder()
         .shard_config(small_shards())
-        .durability(DurabilityConfig::new(&fresh).policy(CommitPolicy::Always))
+        .durability(DurabilityConfig::new(&fresh))
         .build()
         .expect("valid durable config");
     for (k, v) in [pairs[0], pairs[1], pairs[3]] {
@@ -885,7 +876,6 @@ mod replay_idempotence {
                 .shard_config(small_shards())
                 .durability(
                     DurabilityConfig::new(&dir)
-                        .policy(CommitPolicy::Always)
                         .fault(inj),
                 )
                 .build()

@@ -7,7 +7,7 @@
 //! read-only mode surfacing as a typed protocol refusal instead of a
 //! dropped connection.
 
-use rma_repro::db::{CommitPolicy, Db, DurabilityConfig, FaultInjector, FaultMode, Op, Reply};
+use rma_repro::db::{Db, DurabilityConfig, FaultInjector, FaultMode, Op, Reply};
 use rma_repro::net::{wire, NetConfig, NetServer, WireClient};
 use rma_repro::rewiring::libc;
 use rma_repro::rma::{RewiringMode, RmaConfig};
@@ -673,11 +673,7 @@ fn degraded_read_only_surfaces_as_typed_refusal() {
                 },
                 ..Default::default()
             })
-            .durability(
-                DurabilityConfig::new(&dir)
-                    .policy(CommitPolicy::Always)
-                    .fault(inj),
-            )
+            .durability(DurabilityConfig::new(&dir).fault(inj))
             .build()
             .expect("valid config"),
     );
