@@ -47,7 +47,7 @@ use rma_db::{Db, ObsConfig, Op};
 use workloads::{HotspotConfig, MixOp, ReadWriteMix, ShiftingHotspot, SplitMix64};
 
 const SHARDS: usize = 8;
-/// Ops per submitted batch (amortizes the channel hop).
+/// Ops per submitted batch (amortizes a submit's fixed cost).
 const BATCH: usize = 1024;
 /// Tickets each session keeps in flight before collecting.
 const DEPTH: usize = 4;

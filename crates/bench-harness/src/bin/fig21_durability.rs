@@ -17,14 +17,16 @@
 //!    every batch submitted ahead of it in the pipeline, the classic
 //!    group commit). Each segment is timed against both back to back
 //!    ([`paired`]), so host jitter cancels in the per-segment ratios
-//!    (the methodology of `fig20_obs_overhead`).
+//!    (the methodology of `fig20_obs_overhead`). `log_bytes_per_op`
+//!    is what they added to the log files per op (33 at a frame an op).
 //! 2. **How fast is recovery?** After the measured run, the
 //!    group-commit database seals a checkpoint (one unit per shard),
 //!    ingests a log tail of 65 536 more inserts, and is dropped
 //!    mid-flight; the timed region is `DbBuilder::recover()` —
 //!    manifest read, parallel per-unit checkpoint load, bulk rebuild,
 //!    one scan of the log, and each unit's committed tail replayed in
-//!    parallel — verified to reproduce the exact element count.
+//!    parallel — verified to reproduce the exact element count. The
+//!    seal's longest and summed unit lock times are reported beside it.
 //!
 //! The repository's acceptance bars: group-committed durable ingest ≥
 //! **0.5×** durability-off at the default scale (2^20), and full
@@ -86,6 +88,14 @@ fn preloaded(cli: &Cli, dir: Option<&Path>) -> Db {
         .expect("static driver config is valid")
 }
 
+/// Bytes of every log file in `dir`.
+fn log_bytes(dir: &Path) -> u64 {
+    (std::fs::read_dir(dir).expect("the WAL directory").flatten())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("wal_"))
+        .map(|e| e.metadata().expect("a log file").len())
+        .sum()
+}
+
 /// Pre-generates one insert segment, so generation cost stays outside
 /// the timed region and both databases replay the identical stream.
 fn make_segment(rng: &mut SplitMix64, ops: usize) -> Vec<Vec<Op>> {
@@ -123,6 +133,7 @@ fn main() {
         std::hint::black_box(drive(db, &warm, DEPTH));
     }
     let segments: Vec<_> = (0..segs).map(|_| make_segment(&mut rng, seg_ops)).collect();
+    let logged_before = log_bytes(&dir);
     let (mut off_segs, mut group_segs) = (segments.iter(), segments.iter());
     let p = paired(
         segs,
@@ -136,6 +147,8 @@ fn main() {
         },
     );
     let (off_rate, group_rate) = (median(p.a.clone()), median(p.b.clone()));
+    let logged_ops: usize = segments.iter().flatten().map(Vec::len).sum();
+    let log_bytes_per_op = (log_bytes(&dir) - logged_before) as f64 / logged_ops as f64;
     println!("{:<14} {:>14} {:>10}", "policy", "inserts", "vs off");
     println!(
         "{:<14} {:>14} {:>10.3}",
@@ -153,11 +166,18 @@ fn main() {
         p.pairs()
     );
     println!("# bar: group_commit/off >= {RATIO_BAR} (median of per-segment ratios)");
+    println!("# log: {log_bytes_per_op:.2} B an op");
 
     // ------------------------------------------------- recovery ----
     // Seal a checkpoint on the group-commit database, ingest a log
     // tail past it, crash (drop), and time the full reopen.
     let sealed = group.engine().checkpoint();
+    // The seal journals one `checkpoint` event per unit, last.
+    let (max_unit_lock_ms, seal_lock_ms) = (group.metrics().journal.iter().rev())
+        .filter(|e| e.kind.name() == "checkpoint")
+        .take(sealed)
+        .map(|e| e.dur_ns as f64 / 1e6)
+        .fold((0f64, 0f64), |(max, sum), ms| (max.max(ms), sum + ms));
     let tail = make_segment(&mut rng, TAIL_OPS);
     std::hint::black_box(drive(&group, &tail, DEPTH));
     let elements = group.len();
@@ -179,7 +199,8 @@ fn main() {
     );
     println!(
         "# recovery: {elements} elements ({sealed} checkpoint units sealed, {TAIL_OPS} tail ops) \
-         in {seconds:.3} s (bar <= {RECOVERY_BAR_SECS} s at 2^20)"
+         in {seconds:.3} s (bar <= {RECOVERY_BAR_SECS} s at 2^20); the seal locked \
+         one unit for {max_unit_lock_ms:.3} ms at most, {seal_lock_ms:.3} ms in all"
     );
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
@@ -199,10 +220,11 @@ fn main() {
         "results": rows(results),
         "pairs": p.pairs(), "ratio_group_commit_vs_off": fixed(p.median, 4),
         "iqr": fixed(p.iqr, 4), "wins": p.wins,
-        "ratio_bar": fixed(RATIO_BAR, 1),
+        "ratio_bar": fixed(RATIO_BAR, 1), "log_bytes_per_op": fixed(log_bytes_per_op, 2),
         "recovery": json! {
             "elements": elements, "tail_ops": TAIL_OPS, "checkpoint_seals": sealed,
-            "seconds": fixed(seconds, 4),
+            "seconds": fixed(seconds, 4), "max_unit_lock_ms": fixed(max_unit_lock_ms, 3),
+            "seal_lock_ms": fixed(seal_lock_ms, 3),
         },
         "recovery_bar_seconds": fixed(RECOVERY_BAR_SECS, 0),
     }

@@ -15,7 +15,7 @@
 //!   Intel 2009 — the kernel zlib uses). Scan replies, bulk-insert
 //!   frames and checkpoint images take this path.
 //! * **Slicing-by-8** everywhere else — inputs too short to fill the
-//!   four accumulators (point-lookup frames, 25-byte WAL records), the
+//!   four accumulators (point-lookup frames, WAL frames of 1–3 ops), the
 //!   last `len % 16` bytes after folding, and hosts without the
 //!   instruction: eight table lookups per 8 input bytes, safe code.
 //!

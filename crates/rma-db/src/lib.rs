@@ -328,7 +328,7 @@ impl Db {
 
     /// Inserts a pair on the front of its key's stack, reporting a
     /// degraded (read-only) database instead of panicking. `Ok` means
-    /// the insert is durable under the configured commit policy.
+    /// the insert is durable: a commit barrier has fsynced its log frame.
     pub fn try_insert(&self, k: Key, v: Value) -> Result<(), DbError> {
         self.durable_write(|| self.engine.insert(k, v))
     }
@@ -342,7 +342,7 @@ impl Db {
 
     /// Pops the front member of `k`'s stack, reporting a degraded
     /// (read-only) database instead of panicking. `Ok` means the
-    /// remove is durable under the configured commit policy.
+    /// remove is durable: a commit barrier has fsynced its log frame.
     pub fn try_remove(&self, k: Key) -> Result<Option<Value>, DbError> {
         self.durable_write(|| self.engine.remove(k))
     }

@@ -37,12 +37,17 @@
 //!   reply chunk is a quarter of `WRITE_BUF_CAP` in bytes — 4096
 //!   entries, 64 KiB. A `Scan` asking for more is clamped to a
 //!   chunk, and each executed chunk schedules a continuation from the
-//!   last key seen, submitted by a later pass — but only while the
-//!   connection's write buffer is under its cap, so one huge scan to
-//!   a slow reader holds at most `cap + cap/4` reply bytes (plus a
-//!   frame's few header bytes) and never blocks other connections.
-//!   Every continuation costs a pass, which is why the chunk is as
-//!   large as the bound allows and not a knob of its own. Duplicates
+//!   last key seen, submitted by a later pass. A pass gives each
+//!   connection a byte budget, the cap less its unsent bytes, that
+//!   every scan chunk — inline or continued — spends while it is
+//!   positive, so a connection holds at most the cap plus one chunk
+//!   frame of scan replies and never blocks the others. A scan that
+//!   meets a spent budget is submitted for no entries and continues as
+//!   a plan (so its first chunk may see ops that come after it, as
+//!   every continuation may), and no request is parsed off the
+//!   connection until the budget recovers. Every continuation costs a
+//!   pass, which is why the chunk is as large as the bound allows and
+//!   not a knob of its own. Duplicates
 //!   of the boundary key already sent are dropped from the next chunk
 //!   (a scan meets a key's stack front first, so those are the members
 //!   sent); a run of duplicates of a *single* key longer than a chunk
@@ -77,9 +82,9 @@ pub struct NetConfig {
 }
 
 /// Unsent reply bytes one connection may buffer before its reads (and
-/// its scan continuations) pause. Also sizes a scan's reply chunk
+/// its scan chunks) pause. Also sizes a scan's reply chunk
 /// ([`SCAN_CHUNK`]), so a connection holds at most
-/// `WRITE_BUF_CAP + WRITE_BUF_CAP / 4` reply bytes for one scan. These
+/// `WRITE_BUF_CAP + WRITE_BUF_CAP / 4` scan reply bytes. These
 /// are the server's own bytes: the kernel's send buffer, autotuned,
 /// absorbs more before a slow reader's connection fills this one and
 /// pauses.
@@ -179,6 +184,9 @@ struct ScanPlan {
     /// Leading entries with key == `start` already emitted by earlier
     /// chunks (dropped from the next chunk's front).
     drop: usize,
+    /// Entries the latest chunk was submitted for: 0 when it met a
+    /// spent budget and read nothing.
+    count: usize,
 }
 
 /// One request's (or continuation's) span inside a submitted batch:
@@ -221,6 +229,8 @@ struct Conn {
     reqs: Vec<ReqState>,
     /// Scan continuations waiting for write-buffer headroom.
     conts: VecDeque<ScanPlan>,
+    /// Reply bytes scan chunks may still add in this pass.
+    budget: isize,
     /// Currently registered epoll interest bits.
     interest: u32,
     open_ns: u64,
@@ -242,11 +252,17 @@ impl Conn {
         self.reqs.iter().position(|r| r.corr == corr)
     }
 
-    /// Backpressure: no further request is parsed off this connection
-    /// while it has [`MAX_INFLIGHT`] unanswered ones or [`WRITE_BUF_CAP`]
-    /// unsent reply bytes.
-    fn paused(&self) -> bool {
-        self.reqs.len() >= MAX_INFLIGHT || self.unsent() >= WRITE_BUF_CAP
+    /// Entries the next chunk of a scan that wants `want` more may
+    /// read: up to a chunk while the pass's budget is positive, which
+    /// is charged all the bytes its frame can take (16 an entry, 23 of
+    /// framing); none once the budget is spent.
+    fn spend(&mut self, want: usize) -> usize {
+        if self.budget <= 0 {
+            return 0;
+        }
+        let count = want.min(SCAN_CHUNK);
+        self.budget -= (16 * count + 23) as isize;
+        count
     }
 }
 
@@ -341,13 +357,8 @@ fn flush(conn: &mut Conn, stats: &NetStats) {
 
 /// Applies one completed scan chunk to its plan: the part of `es` to
 /// emit now, and the continuation plan if the scan keeps streaming.
-fn scan_step(
-    plan: ScanPlan,
-    es: &[(i64, i64)],
-    scan_chunk: usize,
-) -> (&[(i64, i64)], Option<ScanPlan>) {
-    let submitted = plan.remaining.saturating_add(plan.drop).min(scan_chunk);
-    let exhausted = es.len() < submitted;
+fn scan_step(plan: ScanPlan, es: &[(i64, i64)]) -> (&[(i64, i64)], Option<ScanPlan>) {
+    let exhausted = es.len() < plan.count;
     let lead = es
         .iter()
         .take_while(|(k, _)| *k == plan.start)
@@ -359,6 +370,10 @@ fn scan_step(
     let remaining = plan.remaining - emitted;
     if exhausted || remaining == 0 {
         return (es, None);
+    }
+    if plan.count == 0 {
+        // A deferred chunk read nothing: resume where the scan was.
+        return (es, Some(plan));
     }
     if emitted == 0 {
         // A full chunk of nothing but already-emitted duplicates of
@@ -487,6 +502,7 @@ impl EventLoop<'_> {
                 wpos: 0,
                 reqs: Vec::with_capacity(MAX_INFLIGHT),
                 conts: VecDeque::new(),
+                budget: 0,
                 interest: EPOLLIN | EPOLLRDHUP,
                 open_ns: rma_obs::now_ns(),
                 frames_in: 0,
@@ -525,8 +541,10 @@ impl EventLoop<'_> {
                         // Entries; anything else is an engine bug.
                         unreachable!("scan answered with {reply:?}")
                     };
-                    let (emit, next) = scan_step(plan, &es, SCAN_CHUNK);
-                    frame.entries(&mut conn.wbuf, wire_slot, emit);
+                    let (emit, next) = scan_step(plan, &es);
+                    if !emit.is_empty() || next.is_none() {
+                        frame.entries(&mut conn.wbuf, wire_slot, emit);
+                    }
                     match next {
                         Some(plan) => conn.conts.push_back(plan),
                         None => finalized += 1,
@@ -597,9 +615,10 @@ impl EventLoop<'_> {
             if conn.close {
                 continue;
             }
+            conn.budget = WRITE_BUF_CAP as isize - conn.unsent() as isize;
             let mut at = 0usize;
             loop {
-                if conn.paused() {
+                if conn.reqs.len() >= MAX_INFLIGHT || conn.budget <= 0 {
                     break;
                 }
                 let (payload, consumed) = match wire::split_frame(&conn.rbuf.unparsed()[at..]) {
@@ -638,21 +657,18 @@ impl EventLoop<'_> {
                 let mut scans = Vec::new();
                 for (j, op) in ops.iter_mut().enumerate() {
                     if let Op::Scan { start, count } = *op {
-                        if count > SCAN_CHUNK {
-                            *op = Op::Scan {
+                        let sent = conn.spend(count);
+                        if sent < count {
+                            *op = Op::Scan { start, count: sent };
+                            let plan = ScanPlan {
+                                corr,
+                                slot: j as u16,
                                 start,
-                                count: SCAN_CHUNK,
+                                remaining: count,
+                                drop: 0,
+                                count: sent,
                             };
-                            scans.push((
-                                j,
-                                ScanPlan {
-                                    corr,
-                                    slot: j as u16,
-                                    start,
-                                    remaining: count,
-                                    drop: 0,
-                                },
-                            ));
+                            scans.push((j, plan));
                         }
                     }
                 }
@@ -680,8 +696,8 @@ impl EventLoop<'_> {
         }
         submit_batch(&mut batch, &mut parts);
 
-        // Scan continuations, gated on write-buffer headroom so a
-        // blocked reader holds bounded reply bytes.
+        // Scan continuations, on what the budget left, so a blocked
+        // reader holds bounded reply bytes.
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
@@ -689,15 +705,15 @@ impl EventLoop<'_> {
             if conn.close {
                 continue;
             }
-            while !conn.conts.is_empty() && conn.unsent() < WRITE_BUF_CAP {
-                let plan = conn.conts.pop_front().expect("non-empty");
+            while conn.budget > 0 && !conn.conts.is_empty() {
+                let mut plan = conn.conts.pop_front().expect("non-empty");
                 if conn.req(plan.corr).is_none() {
                     continue;
                 }
-                let count = plan.remaining.saturating_add(plan.drop).min(SCAN_CHUNK);
+                plan.count = conn.spend(plan.remaining.saturating_add(plan.drop));
                 let op = Op::Scan {
                     start: plan.start,
-                    count,
+                    count: plan.count,
                 };
                 NetStats::bump(&self.stats.scan_chunks);
                 let part = Part {
@@ -738,7 +754,10 @@ impl EventLoop<'_> {
                     flush(conn, &self.stats);
                 }
                 if !conn.close {
-                    let paused = conn.paused();
+                    // Backpressure: stop reading while the connection
+                    // has as many requests in flight or reply bytes
+                    // unsent as it may.
+                    let paused = conn.reqs.len() >= MAX_INFLIGHT || conn.unsent() >= WRITE_BUF_CAP;
                     let mut want = 0u32;
                     if !paused {
                         want |= EPOLLIN | EPOLLRDHUP;
@@ -807,13 +826,21 @@ mod tests {
             start,
             remaining,
             drop,
+            count: 0,
         }
+    }
+
+    /// `plan` as submitted for its next chunk of at most `chunk`
+    /// entries, with the budget to spare.
+    fn sent(plan: ScanPlan, chunk: usize) -> ScanPlan {
+        let count = plan.remaining.saturating_add(plan.drop).min(chunk);
+        ScanPlan { count, ..plan }
     }
 
     #[test]
     fn scan_step_finishes_on_short_chunk() {
         let es = vec![(1, 10), (2, 20)];
-        let (emit, next) = scan_step(plan(0, 100, 0), &es, 4);
+        let (emit, next) = scan_step(sent(plan(0, 100, 0), 4), &es);
         assert_eq!(emit, es);
         assert!(next.is_none(), "short chunk means the tree is exhausted");
     }
@@ -823,7 +850,7 @@ mod tests {
         // Chunk of 4 out of remaining 10: continue at key 4, which has
         // one emitted duplicate to drop next round.
         let es = vec![(1, 10), (2, 20), (4, 40), (4, 41)];
-        let (emit, next) = scan_step(plan(0, 10, 0), &es, 4);
+        let (emit, next) = scan_step(sent(plan(0, 10, 0), 4), &es);
         assert_eq!(emit, es);
         let next = next.expect("keeps streaming");
         assert_eq!(next.start, 4);
@@ -832,7 +859,7 @@ mod tests {
 
         // Next chunk re-reads the two dups, then advances.
         let es2 = vec![(4, 40), (4, 41), (5, 50), (6, 60)];
-        let (emit2, next2) = scan_step(next, &es2, 4);
+        let (emit2, next2) = scan_step(sent(next, 4), &es2);
         assert_eq!(emit2, vec![(5, 50), (6, 60)]);
         let next2 = next2.expect("still has remaining and full chunk");
         assert_eq!(next2.start, 6);
@@ -845,13 +872,13 @@ mod tests {
         // First chunk ends mid-run of key 7: drop counts grow across
         // consecutive chunks at the same boundary key.
         let es = vec![(7, 1), (7, 2)];
-        let (_, next) = scan_step(plan(7, 10, 0), &es, 2);
+        let (_, next) = scan_step(sent(plan(7, 10, 0), 2), &es);
         let next = next.expect("continues");
         assert_eq!((next.start, next.drop), (7, 2));
         let es2 = vec![(7, 1), (7, 2)];
         // Submitted = min(8 + 2, 4)... chunk 4: got only dups we
         // already sent and the chunk is short → exhausted → done.
-        let (emit, fin) = scan_step(next, &es2, 4);
+        let (emit, fin) = scan_step(sent(next, 4), &es2);
         assert!(emit.is_empty());
         assert!(fin.is_none());
     }
@@ -860,9 +887,9 @@ mod tests {
     fn scan_step_truncates_an_overlong_duplicate_run() {
         // Full chunk entirely of already-emitted dups: no progress is
         // possible at this key — step past it.
-        let (_, next) = scan_step(plan(7, 10, 0), &[(7, 1), (7, 2)], 2);
+        let (_, next) = scan_step(sent(plan(7, 10, 0), 2), &[(7, 1), (7, 2)]);
         let next = next.expect("continues");
-        let (emit, next2) = scan_step(next, &[(7, 1), (7, 2)], 2);
+        let (emit, next2) = scan_step(sent(next, 2), &[(7, 1), (7, 2)]);
         assert!(emit.is_empty());
         let next2 = next2.expect("skips forward");
         assert_eq!(next2.start, 8);
@@ -872,8 +899,17 @@ mod tests {
     #[test]
     fn scan_step_respects_remaining_budget() {
         let es = vec![(1, 10), (2, 20), (3, 30)];
-        let (emit, next) = scan_step(plan(0, 2, 0), &es, 3);
+        let (emit, next) = scan_step(sent(plan(0, 2, 0), 3), &es);
         assert_eq!(emit, vec![(1, 10), (2, 20)]);
         assert!(next.is_none(), "client budget exhausted");
+    }
+
+    #[test]
+    fn scan_step_of_a_deferred_chunk_keeps_the_scan_where_it_was() {
+        let deferred = plan(7, 10, 2);
+        let (emit, next) = scan_step(deferred, &[]);
+        assert!(emit.is_empty());
+        let next = next.expect("still streams");
+        assert_eq!((next.start, next.remaining, next.drop), (7, 10, 2));
     }
 }

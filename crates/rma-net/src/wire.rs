@@ -345,7 +345,7 @@ pub fn encode_response(out: &mut Vec<u8>, corr: u32, last: bool, items: &[(u16, 
     for (slot, reply) in items {
         frame.reply(out, *slot, reply);
     }
-    frame.finish(out, last);
+    frame.seal(out, last);
 }
 
 /// A response being written at the tail of a buffer, item by item:
@@ -459,8 +459,13 @@ impl ResponseEncoder {
     }
 
     /// Seals the open frame and returns how many frames the response
-    /// took.
-    pub(crate) fn finish(self, out: &mut [u8], last: bool) -> u64 {
+    /// took. An open frame with no item that is not `last` says
+    /// nothing: it is dropped.
+    pub(crate) fn finish(self, out: &mut Vec<u8>, last: bool) -> u64 {
+        if self.items == 0 && !last {
+            out.truncate(self.start - FRAME_HEADER);
+            return self.sealed;
+        }
         self.seal(out, last);
         self.sealed + 1
     }

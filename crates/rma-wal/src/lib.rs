@@ -16,8 +16,8 @@
 //! 1. **append** — called by the engine *under its shard write lock*
 //!    with the mutations of that lock hold, in apply order (see
 //!    `rma_shard::durability` for why that ordering contract
-//!    matters): stamp consecutive LSNs, encode into the staging
-//!    buffer. No I/O.
+//!    matters): stamp consecutive LSNs, encode the slice as one frame
+//!    into the staging buffer. No I/O.
 //! 2. **commit** — the durability barrier, called once per op or once
 //!    per batch: drain the staging buffer to the log file and fsync
 //!    it, on the caller's thread. Only after `commit` returns may the
@@ -296,7 +296,8 @@ impl Wal {
 }
 
 impl DurabilitySink for Wal {
-    /// Stages `ops` under one acquisition of the staging lock.
+    /// Stages `ops` as one frame under one acquisition of the staging
+    /// lock.
     fn append(&self, ops: &[DurabilityOp]) {
         if self.is_degraded() {
             return;
@@ -393,18 +394,19 @@ mod tests {
             (1, 1)
         );
         assert_eq!(log_files(&dir), [1]);
+        // One frame per append: the four inserts under LSNs 1..=4,
+        // then the remove under 5.
         let bytes = std::fs::read(dir.join(segment::log_name(1))).expect("read log");
-        let records: Vec<(u64, rma_shard::PointOp)> = (bytes.chunks(record::FRAME_LEN))
-            .map(|frame| match record::decode(frame) {
-                record::Decoded::Ok(r) => (r.lsn, r.op),
-                other => panic!("bad record {other:?}"),
-            })
-            .collect();
-        let mut want: Vec<_> = (ONE_PER_UNIT.iter().enumerate())
-            .map(|(i, &k)| (i as u64 + 1, rma_shard::PointOp::Insert(k, k)))
-            .collect();
-        want.push((5, rma_shard::PointOp::Remove(ONE_PER_UNIT[0])));
-        assert_eq!(records, want);
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let (lsn, ops, len) = record::decode(&bytes[at..]).expect("a clean frame");
+            frames.push((lsn, ops));
+            at += len;
+        }
+        let inserts = ONE_PER_UNIT.map(|k| rma_shard::PointOp::Insert(k, k));
+        let remove = rma_shard::PointOp::Remove(ONE_PER_UNIT[0]);
+        assert_eq!(frames, [(1, inserts.to_vec()), (5, vec![remove])]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

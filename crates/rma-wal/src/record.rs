@@ -1,140 +1,159 @@
-//! The on-disk log record: one [`rewiring::frame`] whose payload is
-//! `lsn u64 · kind u8 · key i64 · value i64`, all little-endian.
+//! The on-disk log frame: one [`rewiring::frame`] per slice the engine
+//! hands [`append`](rma_shard::DurabilitySink::append) — one shard
+//! write section — whose payload is
+//! `lsn u64 · (kind u8 · key i64 · value i64) × n`, all little-endian.
 //!
-//! `len` is today always [`PAYLOAD_LEN`] (the prefix exists so future
-//! record shapes stay readable). A reader that hits a record whose frame
-//! runs past the file, whose `len` is implausible, or whose checksum
-//! disagrees has found the **torn tail** (a crash mid-append) or a
-//! corrupted region (a bit flip) — either way, nothing after that
-//! point is trustworthy.
+//! The ops take consecutive LSNs from `lsn`, in slice order, and
+//! `n = (len − 8) / 17 ≥ 1`. A one-op frame is byte for byte the
+//! record every earlier version wrote, so one decoder opens every log.
+//! A reader that hits a frame that runs past the file, whose `len` is
+//! not `8 + 17n`, whose checksum disagrees or whose op kind is unknown
+//! has found the **torn tail** (a crash mid-append) or a corrupted
+//! region (a bit flip) — either way, nothing from that frame on is
+//! trustworthy, and the whole group it holds is dropped.
 
 use rewiring::frame;
 use rma_shard::{DurabilityOp, PointOp};
 
-/// Payload bytes of the one record shape in use.
-pub(crate) const PAYLOAD_LEN: usize = 8 + 1 + 8 + 8;
-/// Full framed size of one record.
-pub(crate) const FRAME_LEN: usize = frame::HEADER + PAYLOAD_LEN;
+/// Payload bytes before the ops: the first LSN.
+const LSN_LEN: usize = 8;
+/// Payload bytes of one op: `kind · key · value`.
+const OP_LEN: usize = 1 + 8 + 8;
 
-/// One decoded log record: the log's sequence number plus the
-/// operation it acknowledged, in the form replay applies it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Record {
-    pub lsn: u64,
-    pub op: PointOp,
-}
-
-/// Appends the framed encoding of `(lsn, op)` to `buf`.
-pub(crate) fn encode_into(buf: &mut Vec<u8>, lsn: u64, op: DurabilityOp) {
-    let (kind, key, value) = match op {
-        DurabilityOp::Insert(k, v) => (0u8, k, v),
-        DurabilityOp::Remove(k) => (1u8, k, 0i64),
-    };
+/// Appends one frame holding `ops` under the LSNs `lsn..` to `buf`.
+pub(crate) fn encode_into(buf: &mut Vec<u8>, lsn: u64, ops: &[DurabilityOp]) {
+    buf.reserve(frame::HEADER + LSN_LEN + OP_LEN * ops.len());
     buf.extend_from_slice(&[0; frame::HEADER]);
     let start = buf.len();
     buf.extend_from_slice(&lsn.to_le_bytes());
-    buf.push(kind);
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(&value.to_le_bytes());
+    for &op in ops {
+        let (kind, key, value) = match op {
+            DurabilityOp::Insert(k, v) => (0u8, k, v),
+            DurabilityOp::Remove(k) => (1u8, k, 0i64),
+        };
+        buf.push(kind);
+        buf.extend_from_slice(&key.to_le_bytes());
+        buf.extend_from_slice(&value.to_le_bytes());
+    }
     frame::seal(buf, start);
 }
 
-/// What decoding at some offset found.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Decoded {
-    /// A whole, checksum-clean record; the frame consumed
-    /// [`FRAME_LEN`] bytes.
-    Ok(Record),
-    /// The buffer ends mid-frame — a torn tail (crash mid-append).
-    Torn,
-    /// The frame is structurally whole but wrong: implausible length,
-    /// checksum mismatch, unknown op kind. Indistinguishable from a
-    /// torn tail overwritten by later garbage; readers treat it the
-    /// same way (truncate here) but report it distinctly so tests can
-    /// tell a clean cut from a detected corruption.
-    Corrupt,
-}
-
-/// Decodes the record starting at `buf[0]`.
-pub(crate) fn decode(buf: &[u8]) -> Decoded {
-    let Some(len) = frame::payload_len(buf) else {
-        return Decoded::Torn;
-    };
-    if len != PAYLOAD_LEN {
-        // Today there is exactly one record shape; any other length is
-        // garbage (an all-zero page reads as len 0 → Corrupt too).
-        return Decoded::Corrupt;
+/// Decodes the frame at the head of `buf`: its first LSN, its ops in
+/// LSN order and its length in bytes, or `None` for a torn or corrupt
+/// frame.
+pub(crate) fn decode(buf: &[u8]) -> Option<(u64, Vec<PointOp>, usize)> {
+    let len = frame::payload_len(buf)?;
+    if len < LSN_LEN + OP_LEN || !(len - LSN_LEN).is_multiple_of(OP_LEN) {
+        // No op, or not a whole number of them (an all-zero page reads
+        // as len 0).
+        return None;
     }
-    if buf.len() < FRAME_LEN {
-        return Decoded::Torn;
-    }
-    let Some(payload) = frame::verify(&buf[..FRAME_LEN]) else {
-        return Decoded::Corrupt;
-    };
-    let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    let key = i64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-    let value = i64::from_le_bytes(payload[17..25].try_into().expect("8 bytes"));
-    let op = match payload[8] {
-        0 => PointOp::Insert(key, value),
-        1 => PointOp::Remove(key),
-        _ => return Decoded::Corrupt,
-    };
-    Decoded::Ok(Record { lsn, op })
+    let whole = frame::HEADER + len;
+    let payload = frame::verify(buf.get(..whole)?)?;
+    let (lsn, ops) = payload.split_at(LSN_LEN);
+    let ops = (ops.chunks_exact(OP_LEN))
+        .map(|op| {
+            let word = |at: usize| i64::from_le_bytes(op[at..at + 8].try_into().expect("8 bytes"));
+            match op[0] {
+                0 => Some(PointOp::Insert(word(1), word(9))),
+                1 => Some(PointOp::Remove(word(1))),
+                _ => None,
+            }
+        })
+        .collect::<Option<_>>()?;
+    let lsn = u64::from_le_bytes(lsn.try_into().expect("8 bytes"));
+    Some((lsn, ops, whole))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Bytes of a one-op frame: the record of every earlier version.
+    const ONE_OP_FRAME: usize = 33;
+
+    fn group() -> Vec<u8> {
+        let mut buf = Vec::new();
+        let ops = [
+            DurabilityOp::Insert(456, 789),
+            DurabilityOp::Remove(-1),
+            DurabilityOp::Insert(i64::MIN, i64::MAX),
+        ];
+        encode_into(&mut buf, 123, &ops);
+        buf
+    }
+
     #[test]
     fn roundtrips_both_kinds() {
         let mut buf = Vec::new();
-        encode_into(&mut buf, 7, DurabilityOp::Insert(-42, 99));
-        encode_into(&mut buf, 8, DurabilityOp::Remove(i64::MAX));
-        assert_eq!(buf.len(), 2 * FRAME_LEN);
-        let first = decode(&buf);
+        encode_into(&mut buf, 7, &[DurabilityOp::Insert(-42, 99)]);
+        encode_into(&mut buf, 8, &[DurabilityOp::Remove(i64::MAX)]);
+        assert_eq!(buf.len(), 2 * ONE_OP_FRAME);
         assert_eq!(
-            first,
-            Decoded::Ok(Record {
-                lsn: 7,
-                op: PointOp::Insert(-42, 99)
-            })
+            decode(&buf),
+            Some((7, vec![PointOp::Insert(-42, 99)], ONE_OP_FRAME))
         );
         assert_eq!(
-            decode(&buf[FRAME_LEN..]),
-            Decoded::Ok(Record {
-                lsn: 8,
-                op: PointOp::Remove(i64::MAX)
-            })
+            decode(&buf[ONE_OP_FRAME..]),
+            Some((8, vec![PointOp::Remove(i64::MAX)], ONE_OP_FRAME))
         );
     }
 
     #[test]
+    fn a_group_is_one_frame_of_consecutive_ops() {
+        let buf = group();
+        assert_eq!(buf.len(), frame::HEADER + LSN_LEN + 3 * OP_LEN);
+        let want = vec![
+            PointOp::Insert(456, 789),
+            PointOp::Remove(-1),
+            PointOp::Insert(i64::MIN, i64::MAX),
+        ];
+        assert_eq!(decode(&buf), Some((123, want, buf.len())));
+    }
+
+    #[test]
     fn torn_tail_detected_at_every_cut() {
-        let mut buf = Vec::new();
-        encode_into(&mut buf, 1, DurabilityOp::Insert(1, 2));
-        for cut in 0..FRAME_LEN {
+        let buf = group();
+        for cut in 0..buf.len() {
             let d = decode(&buf[..cut]);
-            assert!(
-                d == Decoded::Torn || d == Decoded::Corrupt,
-                "cut {cut} decoded as {d:?}"
-            );
+            assert!(d.is_none(), "cut {cut} decoded as {d:?}");
         }
     }
 
     #[test]
     fn every_flipped_bit_is_caught() {
-        let mut clean = Vec::new();
-        encode_into(&mut clean, 123, DurabilityOp::Insert(456, 789));
+        let clean = group();
         for byte in 0..clean.len() {
             for bit in 0..8 {
                 let mut bad = clean.clone();
                 bad[byte] ^= 1 << bit;
-                match decode(&bad) {
-                    Decoded::Ok(r) => panic!("flip {byte}:{bit} accepted as {r:?}"),
-                    Decoded::Torn | Decoded::Corrupt => {}
+                if let Some(d) = decode(&bad) {
+                    panic!("flip {byte}:{bit} accepted as {d:?}");
                 }
             }
         }
+    }
+
+    /// Seals `payload` as a frame with a valid checksum.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0; frame::HEADER];
+        buf.extend_from_slice(payload);
+        frame::seal(&mut buf, frame::HEADER);
+        buf
+    }
+
+    #[test]
+    fn checksum_clean_frames_of_no_op_a_partial_op_or_an_unknown_kind_are_corrupt() {
+        let one = &group()[frame::HEADER..][..LSN_LEN + OP_LEN];
+        assert!(decode(&sealed(one)).is_some(), "a one-op payload decodes");
+        assert_eq!(decode(&sealed(&one[..LSN_LEN])), None, "len 8: no op");
+        for len in [LSN_LEN + 1, LSN_LEN + OP_LEN - 1, LSN_LEN + OP_LEN + 1] {
+            let payload = [one, one].concat();
+            assert_eq!(decode(&sealed(&payload[..len])), None, "len {len}");
+        }
+        let mut unknown = one.to_vec();
+        unknown[LSN_LEN] = 2;
+        assert_eq!(decode(&sealed(&unknown)), None, "kind 2");
+        assert_eq!(decode(&[0; 4096]), None, "an all-zero page");
     }
 }

@@ -9,12 +9,13 @@
 //!    so concatenating them in unit order yields one globally sorted
 //!    batch: exactly what the engine's partitioned bulk loader wants.
 //! 2. **Scan** the one log once, its files in start-LSN order,
-//!    skipping the files the smallest unit cut covers, and keep a
-//!    record only if its LSN is above its own key's unit cut, in that
-//!    unit's tail. LSNs must run contiguously; a torn or corrupt
-//!    record is legal only at the very tail of the *last* file, where
-//!    it marks the crash point — the file is truncated to the clean
-//!    prefix (an un-acknowledgeable half-append, discarded). Anywhere
+//!    skipping the files the smallest unit cut covers, and keep an op
+//!    only if its LSN is above its own key's unit cut, in that unit's
+//!    tail. LSNs must run contiguously from frame to frame; a torn or
+//!    corrupt frame is legal only at the very tail of the *last* file,
+//!    where it marks the crash point — the file is truncated to the
+//!    clean prefix (an un-acknowledgeable half-append, discarded with
+//!    every op of its group). Anywhere
 //!    else it means real corruption and recovery refuses, as it does
 //!    when the log ends below a cut: a seal syncs every record up to
 //!    its cuts before the manifest names them.
@@ -39,7 +40,7 @@ use rma_core::{Key, Value};
 use rma_shard::{PointOp, ShardedRma, Splitters};
 
 use crate::checkpoint::{self, CkptEntry, ManifestState};
-use crate::record::{self, Decoded};
+use crate::record;
 use crate::segment::{self, Log};
 use crate::{DurabilityConfig, Wal, WalError};
 
@@ -176,38 +177,35 @@ fn scan_log(
         let bytes = std::fs::read(&path)?;
         let mut off = 0;
         while off < bytes.len() {
-            match record::decode(&bytes[off..]) {
-                Decoded::Ok(r) => {
-                    if r.lsn != next {
-                        return Err(WalError::Corrupt(format!(
-                            "lsn {} where {next} expected in {}",
-                            r.lsn,
-                            path.display()
-                        )));
-                    }
-                    next += 1;
-                    let u = splitters.route(r.op.key());
-                    if r.lsn > cuts[u] {
-                        tails[u].push(r.op);
-                    }
-                    off += record::FRAME_LEN;
-                }
-                Decoded::Torn | Decoded::Corrupt if last => {
-                    // The crash point: drop the unacknowledgeable
-                    // half-record (and anything checksum-invalid after
-                    // it) by truncating to the clean prefix.
-                    let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-                    f.set_len(off as u64)?;
-                    f.sync_data()?;
-                    break;
-                }
-                Decoded::Torn | Decoded::Corrupt => {
+            let Some((lsn, ops, len)) = record::decode(&bytes[off..]) else {
+                if !last {
                     return Err(WalError::Corrupt(format!(
-                        "corrupt record mid-sequence in {}",
+                        "corrupt frame mid-sequence in {}",
                         path.display()
                     )));
                 }
+                // The crash point: drop the unacknowledgeable
+                // half-frame (and anything checksum-invalid after it)
+                // by truncating to the clean prefix.
+                let f = std::fs::OpenOptions::new().write(true).open(&path)?;
+                f.set_len(off as u64)?;
+                f.sync_data()?;
+                break;
+            };
+            if lsn != next {
+                return Err(WalError::Corrupt(format!(
+                    "lsn {lsn} where {next} expected in {}",
+                    path.display()
+                )));
             }
+            for op in ops {
+                let u = splitters.route(op.key());
+                if next > cuts[u] {
+                    tails[u].push(op);
+                }
+                next += 1;
+            }
+            off += len;
         }
     }
     if next <= max_cut {
@@ -295,15 +293,15 @@ mod tests {
             }
             wal.commit().expect("commit");
         }
-        // Tear the last record in half by hand.
+        // Tear the last record in half by hand: ten appends of one op
+        // are ten 33-byte frames.
         let path = dir.join(segment::log_name(1));
         let len = std::fs::metadata(&path).expect("stat").len();
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(&path)
             .expect("open");
-        f.set_len(len - (record::FRAME_LEN as u64 / 2))
-            .expect("tear");
+        f.set_len(len - 33 / 2).expect("tear");
         drop(f);
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
         assert_eq!(rec.tail_ops(), 9, "torn 10th record dropped");
@@ -336,7 +334,7 @@ mod tests {
             .write(true)
             .open(&path)
             .expect("open");
-        f.set_len(2 * record::FRAME_LEN as u64).expect("cut");
+        f.set_len(2 * 33).expect("cut"); // two one-op frames
         drop(f);
         assert!(matches!(
             Wal::recover(DurabilityConfig::new(&dir)),

@@ -5,13 +5,14 @@
 //!
 //! [`Log::append`] runs *inside* the engine's shard write guard, so it
 //! must be cheap: take the staging mutex once for the whole slice of
-//! ops, stamp consecutive LSNs from the one global sequence, encode ~33
-//! bytes each, done. No I/O ever happens under an engine lock.
+//! ops, stamp consecutive LSNs from the one global sequence, encode
+//! the slice as one frame (16 bytes plus 17 an op), done. No I/O ever
+//! happens under an engine lock.
 //!
 //! [`Log::commit`] is the durability barrier. It serialises on the
 //! sink mutex, drains whatever the staging buffer has accumulated,
-//! writes it in one `write(2)`, and fsyncs according to policy — one
-//! file, one fsync, on the caller's thread. The group-commit effect
+//! writes it in one `write(2)` and fsyncs it — one file, one fsync,
+//! on the caller's thread. The group-commit effect
 //! falls out of the double-check: a thread that blocks on the sink
 //! mutex while another thread is committing finds, once it gets the
 //! lock, that its target LSN is already durable and returns without
@@ -126,20 +127,20 @@ impl Log {
         })
     }
 
-    /// Stages `ops` under consecutive LSNs, in order, and returns the
-    /// last one handed out. One staging-lock acquisition and one
-    /// publication of `appended` for the whole slice. Called under the
-    /// engine's shard write guard; does no I/O.
+    /// Stages `ops` as one frame under consecutive LSNs, in order, and
+    /// returns the last LSN handed out; an empty slice stages nothing.
+    /// One staging-lock acquisition, one encoding and one publication
+    /// of `appended` for the whole slice. Called under the engine's
+    /// shard write guard; does no I/O.
     pub fn append(&self, ops: &[DurabilityOp]) -> u64 {
         let mut guard = self.staging.lock().expect("staging poisoned");
         let st = &mut *guard;
-        for &op in ops {
-            record::encode_into(&mut st.buf, st.next_lsn, op);
-            st.next_lsn += 1;
+        if !ops.is_empty() {
+            record::encode_into(&mut st.buf, st.next_lsn, ops);
+            st.next_lsn += ops.len() as u64;
+            self.appended.store(st.next_lsn - 1, Ordering::Release);
         }
-        let last = st.next_lsn - 1;
-        self.appended.store(last, Ordering::Release);
-        last
+        st.next_lsn - 1
     }
 
     /// Highest LSN handed out. Meaningful as a unit's checkpoint cut
@@ -227,7 +228,7 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{decode, Decoded, FRAME_LEN};
+    use crate::record::decode;
     use rma_shard::PointOp;
 
     fn scratch(name: &str) -> PathBuf {
@@ -264,19 +265,18 @@ mod tests {
         let hist = Histogram::new();
         assert_eq!(log.append(&[DurabilityOp::Insert(10, 1)]), 1);
         assert_eq!(log.append(&[DurabilityOp::Remove(10)]), 2);
+        assert_eq!(log.append(&[]), 2, "an empty slice stages nothing");
         log.commit(&None, &hist).expect("commit");
         // A second commit with nothing staged is a no-op.
         log.commit(&None, &hist).expect("idle commit");
         assert_eq!(hist.count(), 1, "idle commit must not fsync");
         let bytes = std::fs::read(dir.join(log_name(1))).expect("read log");
-        assert_eq!(bytes.len(), 2 * FRAME_LEN);
-        match decode(&bytes) {
-            Decoded::Ok(r) => {
-                assert_eq!(r.lsn, 1);
-                assert_eq!(r.op, PointOp::Insert(10, 1));
-            }
-            other => panic!("bad first record: {other:?}"),
-        }
+        let (lsn, ops, len) = decode(&bytes).expect("a clean first frame");
+        assert_eq!((lsn, ops), (1, vec![PointOp::Insert(10, 1)]));
+        assert_eq!(
+            decode(&bytes[len..]),
+            Some((2, vec![PointOp::Remove(10)], bytes.len() - len))
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

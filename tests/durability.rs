@@ -544,7 +544,7 @@ fn a_checkpoint_after_a_recut_survives_a_kill_at_each_io_site() {
 
 /// `Insert k`, `Remove k`, `Insert k` and a duplicate `Insert k` in
 /// one submit run as one shard group, staged with one append: the log
-/// holds them under consecutive LSNs in op order, and a reopen
+/// holds them as one frame under consecutive LSNs in op order, and a reopen
 /// restores the same stack, the newest member in front.
 #[test]
 fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
@@ -571,21 +571,48 @@ fn one_keys_ops_in_one_submit_log_consecutive_lsns_in_op_order() {
     assert_eq!(replies, want);
     assert_eq!((db.get(K), dump(&db)), (Some(3), vec![(K, 3), (K, 2)]));
     drop(db);
-    // A record is an 8-byte frame header, then `lsn u64 · kind u8 ·
-    // key i64 · value i64`, little-endian (kind 0 inserts, 1 removes).
+    // The group is one frame: an 8-byte header, the first LSN, then
+    // `kind u8 · key i64 · value i64` an op, little-endian (kind 0
+    // inserts, 1 removes); the ops take consecutive LSNs from it.
     let log = std::fs::read(dir.join("wal_1.log")).expect("the log");
-    let field =
-        |rec: &[u8], at: usize| i64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
-    let records: Vec<(i64, u8, i64, i64)> = (log.chunks(33))
-        .map(|rec| (field(rec, 8), rec[16], field(rec, 17), field(rec, 25)))
+    assert_eq!(log.len(), 8 + 8 + 4 * 17, "one frame of four ops");
+    let field = |at: usize| i64::from_le_bytes(log[at..at + 8].try_into().expect("8 bytes"));
+    assert_eq!(field(8), 1, "the group's first LSN");
+    let records: Vec<(u8, i64, i64)> = (0..4)
+        .map(|i| 16 + 17 * i)
+        .map(|at| (log[at], field(at + 1), field(at + 9)))
         .collect();
-    assert_eq!(
-        records,
-        [(1, 0, K, 1), (2, 1, K, 0), (3, 0, K, 2), (4, 0, K, 3)]
-    );
+    assert_eq!(records, [(0, K, 1), (1, K, 0), (0, K, 2), (0, K, 3)]);
     let db = Db::open(&dir).expect("reopen recovers");
     assert_eq!((db.get(K), dump(&db)), (Some(3), vec![(K, 3), (K, 2)]));
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A torn group vanishes whole: two submits, each of three keys in one
+/// shard, log one frame each; a crash that tears the second frame
+/// leaves every op of the first group and none of the second.
+#[test]
+fn a_torn_group_vanishes_whole() {
+    let dir = scratch("torn-group");
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .durability(DurabilityConfig::new(&dir))
+        .build()
+        .expect("valid durable config");
+    let mut s = db.session();
+    for group in [[1, 2, 3], [4, 5, 6]] {
+        let ops = group.map(|k| Op::Insert(k, -k));
+        assert_eq!(s.submit(&ops).wait(), [(); 3].map(|_| Reply::Inserted));
+    }
+    drop(s);
+    drop(db);
+    let path = dir.join("wal_1.log");
+    let frame = 8 + 8 + 3 * 17;
+    let log = std::fs::read(&path).expect("the log");
+    assert_eq!(log.len(), 2 * frame, "one frame a group");
+    std::fs::write(&path, &log[..frame + frame / 2]).expect("tear the second frame");
+    assert_eq!(recover_pairs(&dir), [(1, -1), (2, -2), (3, -3)]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

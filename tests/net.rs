@@ -525,6 +525,69 @@ fn big_scan_streams_in_bounded_chunks() {
     );
 }
 
+/// One request of 64 full-chunk scans asks for 4 MiB at once: the
+/// scans that meet the connection's spent budget wait as plans, so
+/// its reply bytes stay within the cap plus one chunk frame, and every
+/// entry still arrives once, in key order.
+#[test]
+fn many_full_chunk_scans_in_one_request_stay_within_the_bound() {
+    const SCANS: usize = 64;
+    let db = preloaded((SCANS * CHUNK) as i64, |k| k * 5);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
+    let mut c = WireClient::connect(srv.port()).expect("connect");
+    let scans: Vec<Op> = (0..SCANS)
+        .map(|i| Op::Scan {
+            start: (i * CHUNK) as i64,
+            count: CHUNK,
+        })
+        .collect();
+    let replies = c.call(&scans).expect("call");
+    for (i, reply) in replies.into_iter().enumerate() {
+        let keys = (i * CHUNK) as i64..((i + 1) * CHUNK) as i64;
+        let want: Vec<(i64, i64)> = keys.map(|k| (k, k * 5)).collect();
+        assert_eq!(reply, Reply::Entries(want), "scan {i}");
+    }
+    let peak = srv.stats().peak_conn_write_buf;
+    assert!(
+        peak <= WRITE_BUF_CAP + CHUNK_FRAME_BYTES,
+        "peak write buffer {peak} exceeds cap + one chunk frame"
+    );
+}
+
+/// Eight three-chunk scans in flight on one connection: the requests
+/// that find the budget spent stay unparsed until it recovers, so the
+/// connection's reply bytes stay within the cap plus one chunk frame,
+/// and every scan arrives whole and in key order.
+#[test]
+fn eight_streaming_scans_in_flight_stay_within_the_bound() {
+    const SCANS: usize = 8;
+    const EACH: usize = 3 * CHUNK;
+    let db = preloaded((SCANS * EACH) as i64, |k| -k);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
+    let mut c = WireClient::connect(srv.port()).expect("connect");
+    let corrs: Vec<u32> = (0..SCANS)
+        .map(|i| {
+            let start = (i * EACH) as i64;
+            c.send(&[Op::Scan { start, count: EACH }]).expect("send")
+        })
+        .collect();
+    for _ in 0..SCANS {
+        let done = c.recv().expect("recv");
+        let i = corrs
+            .iter()
+            .position(|&corr| corr == done.corr)
+            .expect("known corr");
+        let keys = (i * EACH) as i64..((i + 1) * EACH) as i64;
+        let want: Vec<(i64, i64)> = keys.map(|k| (k, -k)).collect();
+        assert_eq!(done.replies, vec![Reply::Entries(want)], "scan {i}");
+    }
+    let peak = srv.stats().peak_conn_write_buf;
+    assert!(
+        peak <= WRITE_BUF_CAP + CHUNK_FRAME_BYTES,
+        "peak write buffer {peak} exceeds cap + one chunk frame"
+    );
+}
+
 /// A blocking loopback socket whose receive buffer is clamped tiny
 /// *before* connecting, so the server's replies jam after a few
 /// kilobytes no matter how generous the kernel's autotuning is.
