@@ -35,7 +35,7 @@ use bench_harness::{
     fixed, fmt_throughput, hw_threads, json, median, paired, rows, throughput, time, Cli,
 };
 use rma_core::RmaConfig;
-use rma_shard::{ShardConfig, ShardedRma, Splitters};
+use rma_shard::{ShardConfig, ShardedRma};
 use workloads::{HotspotConfig, HotspotMotion, ShiftingHotspot, SplitMix64};
 
 const SHARDS: usize = 8;
@@ -97,16 +97,8 @@ fn measure(index: &ShardedRma, ops_per_sec: f64) -> Measurement {
 /// `cli` builds the same topology.
 fn accrete(cli: &Cli) -> (Arc<ShardedRma>, Vec<TrajectoryRow>) {
     // Splitters at the preload quantiles, so every shard starts with
-    // an equal resident share.
-    let base = cli.preload();
-    let quantiles: Vec<i64> = (1..SHARDS)
-        .map(|i| base[i * base.len() / SHARDS].0)
-        .collect();
-    let index = Arc::new(ShardedRma::with_splitters(
-        shard_config(cli),
-        Splitters::new(quantiles),
-    ));
-    index.apply_batch(&base, &[]);
+    // an equal resident share, and each shard bulk-loaded.
+    let index = Arc::new(ShardedRma::load_bulk(shard_config(cli), &cli.preload()));
 
     let phase_ops = cli.scale as u64;
     let mut ops = ShiftingHotspot::new(

@@ -371,10 +371,11 @@ impl Db {
         self.engine.scan(start, count, f)
     }
 
-    /// Applies a sorted insert batch and a delete-key set through the
-    /// parallel partitioned path (deletes pop, inserts land at the
-    /// front in batch order); returns the elements deleted. Panics if
-    /// the database is read-only.
+    /// Applies a sorted insert batch and a delete-key set as one
+    /// engine `apply_ops` run (deletes pop, inserts land at the front
+    /// in batch order), atomic per 64-op shard group like any run;
+    /// returns the elements deleted. Panics if the database is
+    /// read-only.
     pub fn apply_batch(&self, inserts: &[(Key, Value)], deletes: &[Key]) -> usize {
         self.durable_write(|| self.engine.apply_batch(inserts, deletes))
             .expect("database is read-only")

@@ -33,21 +33,22 @@
 //!   unsent reply bytes. The kernel socket buffer then fills and the
 //!   client's own writes block — backpressure propagates without the
 //!   server buffering unboundedly.
-//! * **Chunked scans, sized by the budget that bounds them.** One
-//!   reply chunk is a quarter of `WRITE_BUF_CAP` in bytes — 4096
-//!   entries, 64 KiB. A `Scan` asking for more is clamped to a
+//! * **Every reply spends one budget; scans come in chunks sized by
+//!   it.** One reply chunk is a quarter of `WRITE_BUF_CAP` in bytes —
+//!   4096 entries, 64 KiB. A `Scan` asking for more is clamped to a
 //!   chunk, and each executed chunk schedules a continuation from the
 //!   last key seen, submitted by a later pass. A pass gives each
-//!   connection a byte budget, the cap less its unsent bytes, that
-//!   every scan chunk — inline or continued — spends while it is
-//!   positive, so a connection holds at most the cap plus one chunk
-//!   frame of scan replies and never blocks the others. A scan that
-//!   meets a spent budget is submitted for no entries and continues as
-//!   a plan (so its first chunk may see ops that come after it, as
-//!   every continuation may), and no request is parsed off the
-//!   connection until the budget recovers. Every continuation costs a
-//!   pass, which is why the chunk is as large as the bound allows and
-//!   not a knob of its own. Duplicates
+//!   connection a byte budget, the cap less its unsent bytes. Each
+//!   parsed request spends its non-scan replies at their encoded size,
+//!   and every scan chunk — inline or continued — spends its frame
+//!   while the budget is positive. So a connection holds at most the
+//!   cap plus one request's replies plus one chunk frame, and never
+//!   blocks the others. A scan that meets a spent budget is submitted
+//!   for no entries and continues as a plan (so its first chunk may
+//!   see ops that come after it, as every continuation may), and no
+//!   request is parsed off the connection until the budget recovers.
+//!   Every continuation costs a pass, which is why the chunk is as
+//!   large as the bound allows and not a knob of its own. Duplicates
 //!   of the boundary key already sent are dropped from the next chunk
 //!   (a scan meets a key's stack front first, so those are the members
 //!   sent); a run of duplicates of a *single* key longer than a chunk
@@ -84,7 +85,7 @@ pub struct NetConfig {
 /// Unsent reply bytes one connection may buffer before its reads (and
 /// its scan chunks) pause. Also sizes a scan's reply chunk
 /// ([`SCAN_CHUNK`]), so a connection holds at most
-/// `WRITE_BUF_CAP + WRITE_BUF_CAP / 4` scan reply bytes. These
+/// `WRITE_BUF_CAP`, one request's replies and one chunk frame. These
 /// are the server's own bytes: the kernel's send buffer, autotuned,
 /// absorbs more before a slow reader's connection fills this one and
 /// pauses.
@@ -229,7 +230,8 @@ struct Conn {
     reqs: Vec<ReqState>,
     /// Scan continuations waiting for write-buffer headroom.
     conts: VecDeque<ScanPlan>,
-    /// Reply bytes scan chunks may still add in this pass.
+    /// Reply bytes this pass may still add: every parsed request's
+    /// non-scan replies and every scan chunk spend it.
     budget: isize,
     /// Currently registered epoll interest bits.
     interest: u32,
@@ -656,6 +658,7 @@ impl EventLoop<'_> {
                 }
                 let mut scans = Vec::new();
                 for (j, op) in ops.iter_mut().enumerate() {
+                    conn.budget -= wire::reply_bytes(op) as isize;
                     if let Op::Scan { start, count } = *op {
                         let sent = conn.spend(count);
                         if sent < count {

@@ -339,6 +339,21 @@ pub struct ResponseFrame {
     pub items: Vec<(u16, Reply)>,
 }
 
+/// Bytes of the largest reply item — slot, tag and body — that can
+/// answer `op`, for every op but a `Scan` (0 here), whose chunks the
+/// event loop charges as it sizes them: 12 for `Found` or `Removed`,
+/// 19 for `Sum`, 20 for `Entry`, and for an insert 4, a `Refused`
+/// (an `Inserted` is 3).
+pub(crate) fn reply_bytes(op: &Op) -> usize {
+    match op {
+        Op::Get(_) | Op::Remove(_) => 12,
+        Op::Insert(..) => 4,
+        Op::SumRange { .. } => 19,
+        Op::FirstGe(_) => 20,
+        Op::Scan { .. } => 0,
+    }
+}
+
 /// Appends one framed response to `out`.
 pub fn encode_response(out: &mut Vec<u8>, corr: u32, last: bool, items: &[(u16, Reply)]) {
     let mut frame = ResponseEncoder::begin(out, corr);

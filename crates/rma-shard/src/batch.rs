@@ -1,34 +1,40 @@
-//! Batch ingest: bulk construction and the parallel mixed-batch path.
+//! Batch ingest: the bulk build, the mixed batch, and the one pool
+//! of scoped workers.
 //!
-//! Both paths partition a sorted batch with the splitters (zero-copy
-//! sub-slices) and run the per-shard work on scoped threads. Shards
-//! are distributed round-robin over `min(available_parallelism,
-//! shards-with-work)` workers; each worker takes its shards' write
-//! locks one at a time, so workers never contend with each other and
-//! the paper's bottom-up bulk-load machinery runs unchanged inside
-//! each shard. A sub-batch is one shard write section like any other
-//! write; one that lands on a shard retired by concurrent maintenance
-//! re-enters [`ShardedRma::apply_batch`] on its own, against a fresh
-//! topology.
+//! [`ShardedRma::load_bulk`] partitions a sorted batch with the
+//! splitters (zero-copy sub-slices) and runs the paper's bottom-up
+//! bulk load of each shard on [`on_workers`]. A mixed batch after the
+//! build is no separate writer: [`ShardedRma::apply_batch`] is one
+//! [`ShardedRma::apply_ops`] run, in the order the log and replay
+//! already give a batch — its deletes, then its inserts reversed.
 
-use crate::optimistic::TopoGuard;
 use crate::shard::{LockStats, Shard, Topology};
 use crate::splitter::Splitters;
-use crate::{DurabilityOp, ShardConfig, ShardedRma};
+use crate::{PointOp, ShardConfig, ShardedRma, GET_MANY_BLOCK};
 use rma_core::{Key, Rma, Value};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Worker count for `n_jobs` independent shard jobs.
-fn workers_for(n_jobs: usize) -> usize {
+/// Runs `job` on every item on at most `available_parallelism`
+/// scoped workers, each taking a contiguous run of items, and returns
+/// the results in item order: the engine's and recovery's one pool of
+/// threads.
+pub fn on_workers<I: Sync, T: Send>(items: &[I], job: impl Fn(&I) -> T + Sync) -> Vec<T> {
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    hw.min(n_jobs).max(1)
+    let job = &job;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (items.chunks(items.len().div_ceil(hw).max(1)))
+            .map(|run| s.spawn(move || run.iter().map(job).collect::<Vec<_>>()))
+            .collect();
+        (workers.into_iter())
+            .flat_map(|w| w.join().expect("worker panicked"))
+            .collect()
+    })
 }
 
 impl ShardedRma {
     /// Builds a sharded index from a batch sorted by key: splitters
     /// are learned from the batch quantiles (so shards start balanced)
-    /// and the per-shard bulk loads run on parallel threads.
+    /// and the per-shard bulk loads run [`on_workers`].
     pub fn load_bulk(cfg: ShardConfig, batch: &[(Key, Value)]) -> Self {
         cfg.validate();
         assert!(
@@ -36,37 +42,16 @@ impl ShardedRma {
             "bulk batch must be sorted"
         );
         let splitters = Splitters::from_sorted_pairs(batch, cfg.num_shards);
-        let parts = splitters.partition_sorted(batch);
-        let n = splitters.num_shards();
-
-        let mut rmas: Vec<Option<Rma>> = (0..n).map(|_| None).collect();
-        let t = workers_for(n);
-        let chunk = n.div_ceil(t);
-        std::thread::scope(|sc| {
-            for (ci, slots) in rmas.chunks_mut(chunk).enumerate() {
-                let parts = &parts;
-                sc.spawn(move || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        let mut rma = Rma::new(cfg.rma);
-                        rma.load_bulk(&batch[parts[ci * chunk + j].clone()]);
-                        *slot = Some(rma);
-                    }
-                });
-            }
+        let rmas = on_workers(&splitters.partition_sorted(batch), |part| {
+            let mut rma = Rma::new(cfg.rma);
+            rma.load_bulk(&batch[part.clone()]);
+            rma
         });
-
         let lock_stats = Arc::new(LockStats::default());
-        let shards: Vec<Arc<Shard>> = rmas
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
+        let shards: Vec<Arc<Shard>> = (rmas.into_iter().enumerate())
+            .map(|(i, rma)| {
                 let (lo, hi) = splitters.range_of(i);
-                Arc::new(Shard::new(
-                    r.expect("worker filled every slot"),
-                    lo,
-                    hi,
-                    Arc::clone(&lock_stats),
-                ))
+                Arc::new(Shard::new(rma, lo, hi, Arc::clone(&lock_stats)))
             })
             .collect();
         Self::from_parts(cfg, Topology { splitters, shards }, lock_stats)
@@ -74,70 +59,38 @@ impl ShardedRma {
 
     /// Applies a mixed batch: `inserts` (sorted by key, duplicates
     /// kept) and `deletes` (exact keys, missing keys ignored), as
-    /// [`Rma::apply_batch`] means them. The batch is partitioned by
-    /// shard and the per-shard sub-batches are applied in parallel.
-    /// Returns the number of elements actually deleted.
+    /// [`Rma::apply_batch`] means them — each delete pops its key's
+    /// front, then the inserts land at the fronts of their stacks in
+    /// batch order. Returns the number of elements actually deleted.
     ///
-    /// Atomicity is per shard: a concurrent reader can observe one
-    /// shard's sub-batch applied while another's is still pending.
+    /// One [`apply_ops`](Self::apply_ops) run, fed a 64-op block at a
+    /// time: a `Remove` per delete, then an `Insert` per insert in
+    /// reverse, the order one-by-one pushes reach that state in. It is
+    /// atomic as any run is, one shard's 64-op group at a time, so a
+    /// concurrent reader can see part of a shard's share applied.
     pub fn apply_batch(&self, inserts: &[(Key, Value)], deletes: &[Key]) -> usize {
         assert!(
             inserts.windows(2).all(|w| w[0].0 <= w[1].0),
             "insert batch must be sorted"
         );
-        self.apply_batch_on(self.topo(), inserts, deletes)
-    }
-
-    /// [`apply_batch`](Self::apply_batch) routed against `topo`, which
-    /// maintenance may already have replaced. A sub-batch whose shard
-    /// was retired re-enters `apply_batch` on its own: its inserts are
-    /// a contiguous, still sorted sub-slice.
-    pub(crate) fn apply_batch_on<'s>(
-        &'s self,
-        topo: TopoGuard<'s>,
-        inserts: &[(Key, Value)],
-        deletes: &[Key],
-    ) -> usize {
-        let n = topo.shards.len();
-        let parts = topo.splitters.partition_sorted(inserts);
-        let mut dels: Vec<Vec<Key>> = vec![Vec::new(); n];
-        for &k in deletes {
-            dels[topo.splitters.route(k)].push(k);
-        }
-
-        let work: Vec<usize> = (0..n)
-            .filter(|&i| !parts[i].is_empty() || !dels[i].is_empty())
-            .collect();
-        if work.is_empty() {
-            return 0;
-        }
-        let deleted = AtomicUsize::new(0);
-        let t = workers_for(work.len());
-        std::thread::scope(|sc| {
-            for tid in 0..t {
-                let (topo, work, parts, dels, deleted) = (&topo, &work, &parts, &dels, &deleted);
-                sc.spawn(move || {
-                    for &i in work.iter().skip(tid).step_by(t) {
-                        let (ins, dels) = (&inserts[parts[i].clone()], &dels[i][..]);
-                        let keys = |_: Option<&usize>| {
-                            ins.iter().map(|&(k, _)| k).chain(dels.iter().copied())
-                        };
-                        let d = self.write_locked(topo, &topo.shards[i], [], keys, |rma, log| {
-                            // In replay order: the delete pass, then the
-                            // inserts reversed — they land at the fronts
-                            // of their stacks in batch order, which
-                            // one-by-one pushes reach only backwards.
-                            log.extend(dels.iter().map(|&k| DurabilityOp::Remove(k)));
-                            log.extend(ins.iter().rev().map(|&(k, v)| DurabilityOp::Insert(k, v)));
-                            rma.apply_batch(ins, dels)
-                        });
-                        let d = d.unwrap_or_else(|| self.apply_batch(ins, dels));
-                        deleted.fetch_add(d, Relaxed);
-                    }
-                });
+        let mut ops = (deletes.iter().map(|&k| PointOp::Remove(k)))
+            .chain(inserts.iter().rev().map(|&(k, v)| PointOp::Insert(k, v)));
+        // One block at a time on the stack, as `get_many` does.
+        let mut block = [PointOp::Get(0); GET_MANY_BLOCK];
+        let mut out = [None; GET_MANY_BLOCK];
+        let mut deleted = 0;
+        loop {
+            let n = (block.iter_mut().zip(&mut ops))
+                .map(|(slot, op)| *slot = op)
+                .count();
+            if n == 0 {
+                return deleted;
             }
-        });
-        deleted.load(Relaxed)
+            self.apply_ops(&block[..n], &mut out[..n]);
+            deleted += (block[..n].iter().zip(&out))
+                .filter(|(op, v)| matches!(op, PointOp::Remove(_)) && v.is_some())
+                .count();
+        }
     }
 }
 

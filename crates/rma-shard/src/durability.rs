@@ -44,8 +44,8 @@ pub enum DurabilityOp {
 pub trait DurabilitySink: Send + Sync {
     /// Records applied mutations, in replay order: a shard group's for
     /// [`ShardedRma::apply_ops`] (a single-key write is a one-op
-    /// group), a shard's sub-batch for [`ShardedRma::apply_batch`]
-    /// (its deletes, then its inserts reversed), the removed element for
+    /// group, and [`ShardedRma::apply_batch`] is a run of them: its
+    /// deletes, then its inserts reversed), the removed element for
     /// [`ShardedRma::remove_successor`]. The engine's one call site is
     /// the end of its shard write section, under the shard write lock
     /// of the mutations, so same-key records are logged in apply order

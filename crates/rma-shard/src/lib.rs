@@ -17,9 +17,11 @@
 //!   [`scan`](ShardedRma::scan) over it) /
 //!   [`sum_range`](ShardedRma::sum_range) stitch results across shard
 //!   boundaries;
-//! * [`apply_batch`](ShardedRma::apply_batch) partitions a sorted
-//!   batch by shard and applies the sub-batches on parallel threads
-//!   through the paper's bottom-up bulk-load machinery;
+//! * [`load_bulk`](ShardedRma::load_bulk) partitions a sorted batch
+//!   by shard and builds the shards on parallel threads through the
+//!   paper's bottom-up bulk-load machinery;
+//!   [`apply_batch`](ShardedRma::apply_batch) after the build is one
+//!   [`apply_ops`](ShardedRma::apply_ops) run;
 //! * every shard carries an [`AccessStats`] histogram — lock-free
 //!   `AtomicU64` bucket counters bumped on every operation and
 //!   periodically halved so stale hotspots fade;
@@ -126,6 +128,7 @@ mod shard;
 pub mod splitter;
 
 pub use access::AccessStats;
+pub use batch::on_workers;
 pub use config::{ConfigError, ShardConfig};
 pub use durability::{DurabilityOp, DurabilitySink};
 pub use maintainer::{Maintainer, MaintainerConfig, MaintainerStats};
@@ -375,8 +378,8 @@ pub struct MaintenanceStats {
     /// maintenance.
     pub max_step_wall_ns: u64,
     /// Writes that found their shard retired by a step and re-entered
-    /// their entry point on a fresh topology, once per bounce: point,
-    /// batch and successor writes alike.
+    /// their entry point on a fresh topology, once per bounce: point
+    /// (so batch) and successor writes alike.
     pub write_reroutes: u64,
 }
 
@@ -451,27 +454,23 @@ impl ShardedRma {
         self.maint_lock.lock().expect("maintenance lock poisoned")
     }
 
-    /// Advances the shared decay clock by `n` recorded operations;
-    /// for every [`DECAY_EVERY`] boundary the clock crosses, every
-    /// shard's histogram halves in one sweep. Capped at 64 halvings —
-    /// beyond that a u64 counter is zero anyway. A crossing changes
-    /// every access mass, so it then wakes the background maintainer,
-    /// if one runs, to plan.
+    /// Advances the shared decay clock by one [`DECAY_TICK_BATCH`];
+    /// when that carries it across a [`DECAY_EVERY`] mark, every
+    /// shard's histogram halves in one sweep. A crossing changes every
+    /// access mass, so it then wakes the background maintainer, if one
+    /// runs, to plan.
     ///
     /// [`record_access`](Self::record_access) calls this once per
     /// [`DECAY_TICK_BATCH`] shard-local operations, so the shared
     /// clock's cache line is touched ~64× less often than the shards'
     /// own counters.
-    pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
-        let prev = self.op_clock.fetch_add(n, Relaxed);
-        let crossings = ((prev + n) / DECAY_EVERY - prev / DECAY_EVERY).min(64);
-        if crossings == 0 {
+    pub(crate) fn tick_decay(&self, topo: &Topology) {
+        let prev = self.op_clock.fetch_add(DECAY_TICK_BATCH, Relaxed);
+        if (prev + DECAY_TICK_BATCH) / DECAY_EVERY == prev / DECAY_EVERY {
             return;
         }
-        for _ in 0..crossings {
-            for shard in &topo.shards {
-                shard.stats.decay();
-            }
+        for shard in &topo.shards {
+            shard.stats.decay();
         }
         if let Some(maintainer) = &*self.maintainer_slot() {
             maintainer.unpark();
@@ -827,9 +826,10 @@ impl ShardedRma {
 
     /// The one way an access is recorded: every key in the shard's
     /// histogram, their count on `counter` (the shard's `reads` or
-    /// `writes`) in one update, and one decay tick per
-    /// [`DECAY_TICK_BATCH`] boundary the shard-local count crossed.
-    /// No keys, no update.
+    /// `writes`) in one update, and one decay tick when the
+    /// shard-local count crossed a [`DECAY_TICK_BATCH`] boundary. No
+    /// keys, no update. At most one 64-op group's keys, so at most one
+    /// boundary.
     pub(crate) fn record_access(
         &self,
         topo: &Topology,
@@ -845,10 +845,10 @@ impl ShardedRma {
         if n == 0 {
             return;
         }
+        debug_assert!(n <= DECAY_TICK_BATCH, "one group's keys at a time");
         let prev = counter.fetch_add(n, Relaxed);
-        let crossed = (prev + n) / DECAY_TICK_BATCH - prev / DECAY_TICK_BATCH;
-        if crossed > 0 {
-            self.tick_decay(topo, crossed * DECAY_TICK_BATCH);
+        if (prev + n) / DECAY_TICK_BATCH > prev / DECAY_TICK_BATCH {
+            self.tick_decay(topo);
         }
     }
 
@@ -1031,9 +1031,11 @@ mod tests {
         let n = 4 * DECAY_EVERY;
         let inserts: Vec<(i64, i64)> = (0..n as i64).map(|v| (7, v)).collect();
         s.apply_batch(&inserts, &[]);
-        // One batch spanning four decay periods: the clock must apply
-        // all four halvings, not one.
-        assert_eq!(s.access_masses().iter().sum::<u64>(), n / 16);
+        // One batch spanning four decay periods, recorded a 64-op
+        // group at a time: the clock crosses all four marks and halves
+        // the mass at each: ((((n/4)/2 + n/4)/2 + n/4)/2 + n/4)/2.
+        assert_eq!(s.op_count(), n);
+        assert_eq!(s.access_masses().iter().sum::<u64>(), 15 * n / 64);
     }
 
     #[test]
@@ -1239,10 +1241,10 @@ mod tests {
         assert_eq!(out[..5], [None, Some(10), None, None, Some(11)]);
         let group = vec![Insert(1, 10), Insert(1, 11), Remove(1), Insert(2, 20)];
         assert_eq!(log.take(), [group]);
-        // A sub-batch: its deletes (absent keys too), then its inserts
-        // in the reverse order that one-by-one pushes replay it in.
+        // A batch: one `apply_ops` run of its deletes (a miss logs
+        // nothing), then its inserts in reverse.
         assert_eq!(s.apply_batch(&[(3, 3), (4, 4)], &[2, 7]), 1);
-        let batch = vec![Remove(2), Remove(7), Insert(4, 4), Insert(3, 3)];
+        let batch = vec![Remove(2), Insert(4, 4), Insert(3, 3)];
         assert_eq!(log.take(), [batch]);
         // The key `remove_successor` removed, not its probe.
         s.insert(600, 6);
@@ -1252,8 +1254,8 @@ mod tests {
     }
 
     /// Routed on a topology a split retires under them, `apply_ops_on`
-    /// and `apply_batch_on` log every write exactly once, and
-    /// `write_reroutes` moves by exactly the writes that bounced.
+    /// logs every write exactly once, and `write_reroutes` moves by
+    /// exactly the writes that bounced.
     #[test]
     fn writes_bounced_off_a_retired_shard_are_logged_once() {
         use DurabilityOp::{Insert, Remove};
@@ -1289,23 +1291,8 @@ mod tests {
             .chain([Remove(20), Insert(1500, -1)])
             .collect();
         assert_eq!(sorted(log.take().concat()), sorted(want));
-
-        // A batch: its sub-batch for the shard the split at 250
-        // retires (two inserts, two deletes) re-enters `apply_batch`.
-        let inserts = [(7, 0), (257, 1), (707, 2), (1507, 3)];
-        let deletes = [30, 260, 710, 99_999];
-        let before = reroutes();
-        let mut deleted = 0;
-        on_stale_topology(&s, 250, |stale| {
-            deleted = s.apply_batch_on(stale, &inserts, &deletes)
-        });
-        assert_eq!((deleted, reroutes() - before), (3, 4));
-        let want: Vec<DurabilityOp> = (deletes.iter().map(|&k| Remove(k)))
-            .chain(inserts.iter().map(|&(k, v)| Insert(k, v)))
-            .collect();
-        assert_eq!(sorted(log.take().concat()), sorted(want));
         s.check_invariants();
-        assert_eq!(s.len(), 100 + 62 - 1 + 4 - 3);
+        assert_eq!(s.len(), 100 + 62 - 1);
     }
 
     mod apply_ops_differential {

@@ -119,25 +119,6 @@ impl Splitters {
     pub fn partition_sorted(&self, batch: &[(Key, Value)]) -> Vec<std::ops::Range<usize>> {
         workloads::partition_sorted(batch, &self.keys)
     }
-
-    /// Splits shard `i` at `key`: `key` becomes a new splitter, so the
-    /// old shard range `[lo, hi)` becomes `[lo, key)` and `[key, hi)`.
-    /// `key` must lie strictly inside the shard's range. Routing of
-    /// keys outside shard `i` is unchanged (their index shifts by one
-    /// right of the split).
-    pub fn split_shard(&mut self, i: usize, key: Key) {
-        let (lo, hi) = self.range_of(i);
-        assert!(lo.is_none_or(|l| l < key), "split key at shard lower bound");
-        assert!(hi.is_none_or(|h| key < h), "split key beyond shard range");
-        self.keys.insert(i, key);
-    }
-
-    /// Merges shard `i` with shard `i + 1` by removing the splitter
-    /// between them.
-    pub fn merge_with_next(&mut self, i: usize) {
-        assert!(i + 1 < self.num_shards(), "no right neighbour to merge");
-        self.keys.remove(i);
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +195,5 @@ mod tests {
                 assert_eq!(s.route(k), i);
             }
         }
-    }
-
-    #[test]
-    fn split_and_merge_round_trip() {
-        let mut s = Splitters::new(vec![100]);
-        s.split_shard(0, 50);
-        assert_eq!(s.keys(), &[50, 100]);
-        s.split_shard(2, 200);
-        assert_eq!(s.keys(), &[50, 100, 200]);
-        s.merge_with_next(1);
-        assert_eq!(s.keys(), &[50, 200]);
     }
 }

@@ -25,19 +25,20 @@
 //!    the same unit, and `apply_ops` keeps one key's ops in order, so
 //!    per-key operation order is preserved.
 //!
-//! Both parallel moves run on at most `available_parallelism` scoped
-//! workers, however many units the manifest names. The directory is
-//! also healed: leftover `.tmp` staging files and checkpoint segments
-//! the manifest does not name (both possible if the crash hit
-//! mid-seal) are deleted, and a fresh log file is opened one past the
-//! highest LSN seen.
+//! Both parallel moves run on [`rma_shard::on_workers`], at most
+//! `available_parallelism` scoped workers however many units the
+//! manifest names; the log scan runs on one more thread beside the
+//! loads. The directory is also healed: leftover `.tmp` staging files
+//! and checkpoint segments the manifest does not name (both possible
+//! if the crash hit mid-seal) are deleted, and a fresh log file is
+//! opened one past the highest LSN seen.
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use rma_core::{Key, Value};
-use rma_shard::{PointOp, ShardedRma, Splitters};
+use rma_shard::{on_workers, PointOp, ShardedRma, Splitters};
 
 use crate::checkpoint::{self, CkptEntry, ManifestState};
 use crate::record;
@@ -88,22 +89,6 @@ impl Recovery {
         });
         self.tail_ops()
     }
-}
-
-/// Runs `job` on every item on at most `available_parallelism`
-/// scoped workers, each taking a contiguous run of items, and returns
-/// the results in item order.
-fn on_workers<I: Sync, T: Send>(items: &[I], job: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let job = &job;
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (items.chunks(items.len().div_ceil(hw).max(1)))
-            .map(|run| s.spawn(move || run.iter().map(job).collect::<Vec<_>>()))
-            .collect();
-        (workers.into_iter())
-            .flat_map(|w| w.join().expect("recovery worker panicked"))
-            .collect()
-    })
 }
 
 impl Wal {

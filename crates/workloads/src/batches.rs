@@ -2,7 +2,7 @@
 //!
 //! The bulk-loading workload of Fig. 13b feeds *sorted* batches; the
 //! sharded front-end additionally wants batches *pre-partitioned* by
-//! splitter keys so per-shard sub-batches can be applied on parallel
+//! splitter keys so per-shard bulk loads can run on parallel
 //! threads. A [`BatchStream`] turns any insertion [`Pattern`] into a
 //! deterministic sequence of sorted batches, and
 //! [`partition_sorted`] / [`BatchStream::next_partitioned`] cut a

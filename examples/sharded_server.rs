@@ -166,9 +166,8 @@ fn main() {
             });
         }
 
-        // Bulk ingest: sorted uniform batches through the parallel
-        // partitioned-batch path (in-process; batches have no wire
-        // op — they are the bulk-load interface, not the OLTP one).
+        // Batch ingest: sorted uniform batches, each one engine
+        // `apply_ops` run (in-process; batches have no wire op).
         {
             let db = &db;
             worker_handles.push(sc.spawn(move || {

@@ -25,7 +25,7 @@
 //!   sharding with branch-free routing, an **optimistic lock-free
 //!   read path** (pin-then-check shards behind an epoch-published
 //!   topology: point lookups and range sums take zero locks on the
-//!   happy path), stitched scans, parallel batch ingest, and
+//!   happy path), stitched scans, a parallel bulk build, and
 //!   **access-histogram-driven maintenance** — every shard carries a
 //!   lock-free decaying histogram of where operations land, hot
 //!   shards split at the equal-access point of their CDF and cold

@@ -193,8 +193,8 @@ fn readers_vs_background_maintainer_stress() {
     );
 }
 
-/// Mixed batched writes race maintenance; the retry/re-route path for
-/// retired shards must neither lose nor duplicate sub-batches.
+/// Mixed batched writes race maintenance; the re-route path for
+/// retired shards must neither lose nor duplicate a batch's ops.
 #[test]
 fn apply_batch_vs_maintenance_stress() {
     let rounds = (stress_ops() / 1000).clamp(8, 64);

@@ -588,6 +588,44 @@ fn eight_streaming_scans_in_flight_stay_within_the_bound() {
     );
 }
 
+/// Eight pipelined requests of 8 191 `FirstGe` probes each, in one
+/// write: 20 reply bytes a probe, 1.3 MB for all eight. Every reply
+/// spends the pass's budget, so the requests past it stay unparsed
+/// until it recovers, and the connection's reply bytes stay within
+/// the cap plus one request's replies plus one chunk frame.
+#[test]
+fn pipelined_point_replies_spend_the_budget() {
+    const REQS: usize = 8;
+    const PROBES: usize = 8191;
+    let db = preloaded((REQS * PROBES) as i64, |k| k ^ 1);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
+    let mut stream = TcpStream::connect(("127.0.0.1", srv.port())).expect("connect");
+    let mut burst = Vec::new();
+    for corr in 0..REQS {
+        let keys = (corr * PROBES) as i64..((corr + 1) * PROBES) as i64;
+        let probes: Vec<Op> = keys.map(Op::FirstGe).collect();
+        wire::encode_request(&mut burst, corr as u32, &probes);
+    }
+    stream.write_all(&burst).expect("send");
+    let mut buf = Vec::new();
+    for _ in 0..REQS {
+        let resp = read_response(&mut stream, &mut buf);
+        assert!(resp.last, "one frame a request");
+        assert_eq!(resp.items.len(), PROBES);
+        let first = (resp.corr as usize * PROBES) as i64;
+        for (slot, reply) in resp.items {
+            let k = first + i64::from(slot);
+            assert_eq!(reply, Reply::Entry(Some((k, k ^ 1))), "probe {k}");
+        }
+    }
+    let one_request = (20 * PROBES) as u64;
+    let peak = srv.stats().peak_conn_write_buf;
+    assert!(
+        peak <= WRITE_BUF_CAP + one_request + CHUNK_FRAME_BYTES,
+        "peak write buffer {peak} exceeds cap + one request's replies + one chunk frame"
+    );
+}
+
 /// A blocking loopback socket whose receive buffer is clamped tiny
 /// *before* connecting, so the server's replies jam after a few
 /// kilobytes no matter how generous the kernel's autotuning is.

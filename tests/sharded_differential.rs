@@ -512,8 +512,9 @@ proptest! {
         let hi_k = hi.map_or(1_000_000, |h| h - 1);
         if lo_k <= hi_k {
             let split_key = lo_k + key_sel.rem_euclid(hi_k - lo_k + 1);
-            let mut after = before.clone();
-            after.split_shard(i, split_key);
+            let mut keys_after = raw_splitters.clone();
+            keys_after.insert(i, split_key);
+            let after = Splitters::new(keys_after);
             prop_assert_eq!(after.num_shards(), before.num_shards() + 1);
             for &k in &keys {
                 let old = before.route(k);
