@@ -131,15 +131,36 @@ pub(crate) struct SessionCounters {
     pub(crate) ops_executed: AtomicU64,
 }
 
-/// Journals the WAL's one-time transition into degraded mode (the
-/// flag is a latch in the WAL, so exactly one caller journals it no
-/// matter which path notices first).
-pub(crate) fn journal_degraded(engine: &ShardedRma, wal: &Wal) {
+/// Journals the WAL's one-time transition into degraded mode, if it
+/// happened (the flag is a latch in the WAL, so exactly one caller
+/// journals it no matter which path notices first).
+fn journal_degraded(engine: &ShardedRma, wal: &Wal) {
     if wal.take_degraded_transition() {
         engine
             .obs()
             .log(EventKind::DegradedMode, rma_obs::Event::NO_SHARD, 0, 0);
     }
+}
+
+/// The write guard of both write paths, a session's submit and a
+/// direct call: true when the WAL is degraded and writes must be
+/// refused. The latch may have been set off-thread (a failed
+/// checkpoint), so whoever observes it first journals the transition.
+pub(crate) fn refuses_writes(engine: &ShardedRma, wal: &Wal) -> bool {
+    let degraded = wal.is_degraded();
+    journal_degraded(engine, wal);
+    degraded
+}
+
+/// The one ack barrier — a ticket's wait, a direct write, the drop:
+/// makes every op appended up to `mark` durable, committing unless an
+/// earlier barrier already covered it. False when the commit failed:
+/// the WAL is degraded (journaled here) and nothing up to `mark` may
+/// be acknowledged.
+pub(crate) fn barrier(engine: &ShardedRma, wal: &Wal, mark: u64) -> bool {
+    let durable = wal.is_committed(mark) || wal.commit().is_ok();
+    journal_degraded(engine, wal);
+    durable
 }
 
 impl Db {
@@ -298,19 +319,11 @@ impl Db {
         let Some(w) = &self.wal else {
             return Ok(op());
         };
-        if w.is_degraded() {
-            // The latch may have been set by a failing checkpoint on
-            // another thread; journal the one-time transition from
-            // whoever observes it first.
-            journal_degraded(&self.engine, w);
+        if refuses_writes(&self.engine, w) {
             return Err(DbError::ReadOnly);
         }
         let out = op();
-        if w.commit().is_err() {
-            journal_degraded(&self.engine, w);
-            return Err(DbError::ReadOnly);
-        }
-        Ok(out)
+        (barrier(&self.engine, w, w.appended()).then_some(out)).ok_or(DbError::ReadOnly)
     }
 
     /// Point lookup of the front member of `k`'s stack (lock-free on
@@ -398,9 +411,7 @@ impl Drop for Db {
     /// would have.
     fn drop(&mut self) {
         if let Some(w) = &self.wal {
-            if !w.is_committed(w.appended()) && w.commit().is_err() {
-                journal_degraded(&self.engine, w);
-            }
+            barrier(&self.engine, w, w.appended());
         }
     }
 }

@@ -50,7 +50,7 @@
 //! the batch's un-durable writes [`Reply::Refused`].
 
 use crate::metrics::{op_index, SessionObs, SAMPLE_EVERY};
-use crate::{journal_degraded, Db};
+use crate::{barrier, refuses_writes, Db};
 use rma_core::{Key, Value};
 use rma_shard::{PointOp, ShardedRma};
 use rma_wal::Wal;
@@ -205,8 +205,7 @@ impl Ticket {
     /// is read-only.
     pub fn wait(mut self) -> Vec<Reply> {
         if let Some(c) = &self.commit {
-            if !c.wal.is_committed(c.mark) && c.wal.commit().is_err() {
-                journal_degraded(&c.engine, &c.wal);
+            if !barrier(&c.engine, &c.wal, c.mark) {
                 unacknowledge(&mut self.replies);
             }
         }
@@ -302,16 +301,7 @@ impl<'db> Session<'db> {
         if db.obs.enabled {
             db.obs.batch_size.record(ops.len() as u64);
         }
-        let refuse = db.wal.as_ref().is_some_and(|w| {
-            let degraded = w.is_degraded();
-            if degraded {
-                // The latch may have been set off-thread (a failed
-                // checkpoint); journal the one-time transition from
-                // whoever observes it first.
-                journal_degraded(&db.engine, w);
-            }
-            degraded
-        });
+        let refuse = (db.wal.as_ref()).is_some_and(|w| refuses_writes(&db.engine, w));
         let replies = self.chunk(ops, refuse);
         db.counters
             .ops_executed

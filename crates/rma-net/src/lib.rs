@@ -11,11 +11,11 @@
 //! * [`wire`] — length-prefixed, CRC-32-checked frames carrying
 //!   batches of typed [`rma_db::Op`]s and streamed
 //!   [`rma_db::Reply`]s; see the module docs for the frame layout.
-//! * [`NetServer`] — a single-threaded epoll event loop that decodes
-//!   frames into [`rma_db::Session::submit`] and executes them on its
-//!   own thread, merges tiny requests from many connections into one
-//!   submit (wire-side group commit) and a pass's submits under one
-//!   commit barrier, pauses reading from connections that exceed their
+//! * [`NetServer`] — a single-threaded epoll event loop that executes
+//!   on its own thread: each pass decodes the frames of every
+//!   connection and the pass's scan continuations into one
+//!   [`rma_db::Session::submit`] under one commit barrier (wire-side
+//!   group commit), pauses reading from connections that exceed their
 //!   in-flight or write-buffer caps (backpressure), and streams big
 //!   scans in bounded chunks.
 //! * [`WireClient`] — a small blocking client used by the examples,

@@ -11,22 +11,27 @@
 //!   Execution therefore does not overlap with the socket work of a
 //!   pipelined client on a second core: serving more than one core's
 //!   worth of requests needs more than one loop.
-//! * **One pass, one barrier.** A pass parses what every readable
-//!   connection has buffered, executes it, then waits the pass's
-//!   tickets in order: on a durable database the first wait runs the
-//!   WAL's commit barrier for the whole pass and the others find their
-//!   writes covered. Only then are replies encoded, so a reply is
-//!   always an acknowledgement.
-//! * **Wire-side group commit.** All small requests decoded in one
-//!   pass — across *all* connections — are merged into a single
-//!   submit (up to `MERGE_WINDOW_OPS` = 1024 ops), so N tiny batches
-//!   pay one submit's fixed cost.
-//! * **Replies map back by position.** A merged submit remembers its
-//!   requests as `Part`s — one `(connection, corr)` each, disjoint
-//!   and in the order their ops sit in the batch; the ticket's replies
-//!   are in batch order, so each part takes the next `ops_len` of
-//!   them — no lookup per reply. A part's replies go out in as few
-//!   frames as [`wire::MAX_FRAME_PAYLOAD`] allows: usually one.
+//! * **One pass, one submit, one barrier.** A pass parses what every
+//!   readable connection has buffered — across *all* connections —
+//!   and appends every request to one batch, then every scan
+//!   continuation the byte budgets let through. It makes one submit
+//!   of that batch and waits its one ticket: on a durable database
+//!   that runs the WAL's commit barrier once for the pass. Only then
+//!   are replies encoded, so a reply is always an acknowledgement, and
+//!   N tiny requests pay one submit's fixed cost (wire-side group
+//!   commit). No op window cuts the batch: every reply of a pass
+//!   waits for its one barrier anyway, so a pass's reply latency and
+//!   transient memory scale with the whole pass, which holds at most
+//!   `MAX_INFLIGHT` requests a connection, fewer once the connection's
+//!   byte budget is spent.
+//! * **Replies map back by position.** The pass's batch remembers its
+//!   requests and continuations as `Part`s — one `(connection, corr)`
+//!   each, disjoint and in the order their ops sit in the batch; the
+//!   ticket's replies are in batch order, so each part takes the next
+//!   `ops_len` of them — no lookup per reply. A part's replies go out
+//!   in as few frames as [`wire::MAX_FRAME_PAYLOAD`] allows: usually
+//!   one. An empty request is a part with no ops, answered by one
+//!   frame with no item and `last` set.
 //! * **Backpressure, two ways.** A connection stops being read (its
 //!   `EPOLLIN` interest is dropped) while it has `MAX_INFLIGHT` = 8
 //!   unanswered requests or more than `WRITE_BUF_CAP` = 256 KiB
@@ -37,7 +42,7 @@
 //!   it.** One reply chunk is a quarter of `WRITE_BUF_CAP` in bytes —
 //!   4096 entries, 64 KiB. A `Scan` asking for more is clamped to a
 //!   chunk, and each executed chunk schedules a continuation from the
-//!   last key seen, submitted by a later pass. A pass gives each
+//!   last key seen, appended to a later pass's batch. A pass gives each
 //!   connection a byte budget, the cap less its unsent bytes. Each
 //!   parsed request spends its non-scan replies at their encoded size,
 //!   and every scan chunk — inline or continued — spends its frame
@@ -55,16 +60,17 @@
 //!   cannot make progress that way and is truncated at the chunk
 //!   boundary (the documented inexactness of chunked streaming —
 //!   chunks are not one snapshot, concurrent writers may interleave).
-//! * **An engine panic closes its batch's connections.** The loop
-//!   catches it around the submit, journals a `worker_panic` event,
-//!   closes every connection with a request in that batch and keeps
-//!   serving the rest.
+//! * **An engine panic closes the pass's connections.** The loop
+//!   catches it around the pass's one submit, journals a
+//!   `worker_panic` event, closes every connection with a part in the
+//!   pass — a request or a scan continuation, an empty request
+//!   included — and keeps serving the rest.
 
 use crate::stats::NetStats;
 use crate::sys::{Epoll, EventFd};
 use crate::wire::{self, Frame, RecvBuf, ResponseEncoder};
 use rewiring::libc::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use rma_db::{Db, Op, Reply, Session, Ticket};
+use rma_db::{Db, Op, Reply, Session};
 use rma_obs::EventKind;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read as _, Write as _};
@@ -409,23 +415,6 @@ fn scan_step(plan: ScanPlan, es: &[(i64, i64)]) -> (&[(i64, i64)], Option<ScanPl
     )
 }
 
-/// Ops merged into one submit by wire-side group commit, at
-/// most (a single larger request still goes out whole).
-const MERGE_WINDOW_OPS: usize = 1024;
-
-/// Executes one submit of a pass. An engine panic must not take the
-/// loop down: it is journaled and comes back as `None`, and the caller
-/// closes the batch's connections.
-fn execute(db: &Db, session: &mut Session<'_>, ops: &[Op]) -> Option<Ticket> {
-    let ticket = std::panic::catch_unwind(AssertUnwindSafe(|| session.submit(ops)));
-    if ticket.is_err() {
-        db.engine()
-            .obs()
-            .log(EventKind::WorkerPanic, rma_obs::Event::NO_SHARD, 0, 1);
-    }
-    ticket.ok()
-}
-
 impl EventLoop<'_> {
     fn run(&mut self) {
         let mut events: Vec<(u32, u64)> = Vec::new();
@@ -575,12 +564,11 @@ impl EventLoop<'_> {
         debug_assert!(replies.next().is_none(), "a reply beyond the last part");
     }
 
-    /// The per-iteration pass: parse newly read bytes into (merged)
-    /// submits and execute them, submit gated scan continuations, wait
-    /// the pass's tickets and encode their replies, flush write
-    /// buffers, recompute epoll interest, reap closed connections.
-    /// Returns whether it left work that no socket event will
-    /// announce.
+    /// The per-iteration pass: parse newly read bytes and gate scan
+    /// continuations into the pass's one batch, execute it, wait its
+    /// ticket and encode the replies, flush write buffers, recompute
+    /// epoll interest, reap closed connections. Returns whether it
+    /// left work that no socket event will announce.
     fn advance(&mut self) -> bool {
         // Flush before anything gated on write-buffer headroom
         // (parsing, scan continuations): frames the last pass encoded
@@ -591,25 +579,11 @@ impl EventLoop<'_> {
                 flush(conn, &self.stats);
             }
         }
-        // Every submit of the pass, with the parts mapping its replies
-        // back to connections; `None` for a batch whose execution
-        // panicked.
-        let mut pass: Vec<(Option<Ticket>, Vec<Part>)> = Vec::new();
+        // The pass's one batch, with the parts mapping its replies
+        // back to connections: every request parsed off every
+        // connection, then every scan continuation.
         let mut batch: Vec<Op> = Vec::new();
         let mut parts: Vec<Part> = Vec::new();
-        let (db, session, stats) = (self.db, &mut self.session, &*self.stats);
-        // One submit, one ticket, for the requests in `parts`.
-        let mut submit_batch = |batch: &mut Vec<Op>, parts: &mut Vec<Part>| {
-            if parts.is_empty() {
-                return;
-            }
-            if parts.len() > 1 {
-                NetStats::bump(&stats.merged_submits);
-                NetStats::add(&stats.merged_requests, parts.len() as u64);
-            }
-            pass.push((execute(db, session, batch), std::mem::take(parts)));
-            batch.clear();
-        };
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
@@ -650,12 +624,6 @@ impl EventLoop<'_> {
                     break;
                 }
                 let t0 = rma_obs::now_ns();
-                if ops.is_empty() {
-                    wire::encode_response(&mut conn.wbuf, corr, true, &[]);
-                    NetStats::bump(&self.stats.frames_out);
-                    self.stats.frame_service_ns.record(0);
-                    continue;
-                }
                 let mut scans = Vec::new();
                 for (j, op) in ops.iter_mut().enumerate() {
                     conn.budget -= wire::reply_bytes(op) as isize;
@@ -680,31 +648,24 @@ impl EventLoop<'_> {
                     unanswered: ops.len(),
                     t0,
                 });
-                if !batch.is_empty() && batch.len() + ops.len() > MERGE_WINDOW_OPS {
-                    submit_batch(&mut batch, &mut parts);
-                }
-                let ops_len = ops.len();
-                batch.append(&mut ops);
                 parts.push(Part {
                     token: conn.token,
                     corr,
-                    ops_len,
+                    ops_len: ops.len(),
                     wire_base: 0,
                     scans,
                 });
+                batch.append(&mut ops);
             }
             if at > 0 {
                 conn.rbuf.consume(at);
             }
         }
-        submit_batch(&mut batch, &mut parts);
 
         // Scan continuations, on what the budget left, so a blocked
-        // reader holds bounded reply bytes.
-        for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                continue;
-            };
+        // reader holds bounded reply bytes. Each is a range op after
+        // every request of the pass, so it sees the pass's writes.
+        for conn in self.conns.iter_mut().flatten() {
             if conn.close {
                 continue;
             }
@@ -714,33 +675,36 @@ impl EventLoop<'_> {
                     continue;
                 }
                 plan.count = conn.spend(plan.remaining.saturating_add(plan.drop));
-                let op = Op::Scan {
+                batch.push(Op::Scan {
                     start: plan.start,
                     count: plan.count,
-                };
+                });
                 NetStats::bump(&self.stats.scan_chunks);
-                let part = Part {
+                parts.push(Part {
                     token: conn.token,
                     corr: plan.corr,
                     ops_len: 1,
                     wire_base: plan.slot,
                     scans: vec![(0, plan)],
-                };
-                let ticket = execute(self.db, &mut self.session, &[op]);
-                pass.push((ticket, vec![part]));
+                });
             }
         }
 
-        // The pass's one barrier: the first wait commits what every
-        // submit above appended, the rest find their writes covered.
-        for (ticket, parts) in pass {
-            match ticket {
-                Some(ticket) => self.route(ticket.wait(), parts),
-                None => {
-                    for part in &parts {
-                        if let Some(conn) = lookup(&mut self.conns, part.token) {
-                            conn.close = true;
-                        }
+        // One submit, one ticket, one barrier for the whole pass. An
+        // engine panic must not take the loop down: it is journaled,
+        // and every connection with a part in the pass closes.
+        if parts.len() > 1 {
+            NetStats::bump(&self.stats.merged_submits);
+            NetStats::add(&self.stats.merged_requests, parts.len() as u64);
+        }
+        match std::panic::catch_unwind(AssertUnwindSafe(|| self.session.submit(&batch))) {
+            Ok(ticket) => self.route(ticket.wait(), parts),
+            Err(_) => {
+                let obs = self.db.engine().obs();
+                obs.log(EventKind::WorkerPanic, rma_obs::Event::NO_SHARD, 0, 1);
+                for part in &parts {
+                    if let Some(conn) = lookup(&mut self.conns, part.token) {
+                        conn.close = true;
                     }
                 }
             }

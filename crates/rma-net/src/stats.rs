@@ -32,10 +32,9 @@ pub struct NetStats {
     /// Ops answered [`Refused`](rma_db::Reply::Refused) (degraded
     /// read-only mode), reported as a typed wire error code.
     pub(crate) refused_ops: AtomicU64,
-    /// Router submits that carried requests from more than one
-    /// decode pass entry (wire-side group commit).
+    /// Submits that carried more than one part (wire-side group commit).
     pub(crate) merged_submits: AtomicU64,
-    /// Requests that travelled inside a merged submit.
+    /// Parts — requests, scan continuations — inside merged submits.
     pub(crate) merged_requests: AtomicU64,
     /// Scan continuation chunks submitted beyond each scan's first.
     pub(crate) scan_chunks: AtomicU64,
@@ -106,9 +105,11 @@ pub struct NetSnapshot {
     pub decode_errors: u64,
     /// Ops refused in degraded read-only mode.
     pub refused_ops: u64,
-    /// Submits that merged several requests (wire-side group commit).
+    /// Passes whose one submit carried more than one request or scan
+    /// continuation (wire-side group commit).
     pub merged_submits: u64,
-    /// Requests that travelled inside a merged submit.
+    /// Requests and scan continuations that travelled inside a merged
+    /// submit.
     pub merged_requests: u64,
     /// Scan continuation chunks beyond each scan's first.
     pub scan_chunks: u64,

@@ -18,7 +18,7 @@
 //! [`ShardedRma::scan`] is the same path with a `for` over the result.
 
 use crate::{DurabilityOp, ShardedRma};
-use rma_core::{Key, Value};
+use rma_core::{Key, Rma, Value};
 
 impl ShardedRma {
     /// Visits up to `count` elements in key order starting from the
@@ -42,57 +42,58 @@ impl ShardedRma {
     /// by [`Rma::scan_into`](rma_core::Rma::scan_into) in one look at
     /// the shard. What `out` held on entry stays below the result.
     pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
-        let topo = self.topo();
-        let first = topo.splitters.route(start);
-        let mut appended = 0usize;
-        for (i, shard) in topo.shards.iter().enumerate().skip(first) {
-            if appended >= count {
-                break;
-            }
-            let from = if i == first { start } else { Key::MIN };
-            self.record_access(&topo, shard, &shard.reads, [from]);
-            let want = count - appended;
-            appended += shard.peek(|rma| rma.scan_into(from, want, out));
-        }
-        appended
+        self.walk(start, count, |rma, from, n| rma.scan_into(from, n, out))
     }
 
     /// Sums up to `count` values starting at the first key `>= start`
     /// — the paper's scan kernel, stitched across shards. Lock-free
     /// on the happy path.
     pub fn sum_range(&self, start: Key, count: usize) -> (usize, i64) {
-        let topo = self.topo();
-        let first = topo.splitters.route(start);
-        let mut visited = 0usize;
         let mut sum = 0i64;
-        for (i, shard) in topo.shards.iter().enumerate().skip(first) {
-            if visited >= count {
-                break;
-            }
-            let from = if i == first { start } else { Key::MIN };
-            self.record_access(&topo, shard, &shard.reads, [from]);
-            let want = count - visited;
-            let (n, s) = shard.peek(|rma| rma.sum_range(from, want));
-            visited += n;
+        let visited = self.walk(start, count, |rma, from, n| {
+            let (n, s) = rma.sum_range(from, n);
             sum = sum.wrapping_add(s);
-        }
+            n
+        });
         (visited, sum)
     }
 
     /// First element with key `>= k` in sorted order. Lock-free on
     /// the happy path.
     pub fn first_ge(&self, k: Key) -> Option<(Key, Value)> {
+        let mut hit = None;
+        self.walk(k, 1, |rma, from, _| {
+            hit = rma.first_ge(from);
+            usize::from(hit.is_some())
+        });
+        hit
+    }
+
+    /// The one cross-shard range walk, as `Rma::runs` is the one
+    /// segment walk inside a shard: routes `start`, then, while fewer
+    /// than `count` elements were visited, gives the next shard
+    /// rightwards one read access and one pinned look in which `visit`
+    /// reads up to the `n` missing elements from its probe — `start`
+    /// in the first shard, `Key::MIN` after — and returns how many it
+    /// visited. A walk for no elements touches no shard.
+    fn walk(
+        &self,
+        start: Key,
+        count: usize,
+        mut visit: impl FnMut(&Rma, Key, usize) -> usize,
+    ) -> usize {
         let topo = self.topo();
-        let first = topo.splitters.route(k);
+        let first = topo.splitters.route(start);
+        let mut visited = 0usize;
         for (i, shard) in topo.shards.iter().enumerate().skip(first) {
-            let from = if i == first { k } else { Key::MIN };
-            self.record_access(&topo, shard, &shard.reads, [from]);
-            let hit = shard.peek(|rma| rma.first_ge(from));
-            if hit.is_some() {
-                return hit;
+            if visited >= count {
+                break;
             }
+            let from = if i == first { start } else { Key::MIN };
+            self.record_access(&topo, shard, &shard.reads, [from]);
+            visited += shard.peek(|rma| visit(rma, from, count - visited));
         }
-        None
+        visited
     }
 
     /// Removes the first element with key `>= k`, or the maximum when
@@ -225,6 +226,31 @@ mod tests {
         assert_eq!(s.scan_into(i64::MIN, usize::MAX, &mut out), n);
         assert_eq!(out, batch);
         assert_eq!(s.lock_acquisitions().0 - r0, 0);
+    }
+
+    /// A walk for no elements touches no shard: a zero-count scan or
+    /// sum — what the server submits for every scan chunk a spent
+    /// budget defers — leaves every access mass and read count as it
+    /// was, and a one-element scan records one read.
+    #[test]
+    fn a_zero_count_read_records_no_access() {
+        let s = populated();
+        s.reset_access_stats();
+        let reads = |s: &ShardedRma| -> Vec<u64> {
+            s.stats_snapshot()
+                .shards
+                .iter()
+                .map(|st| st.reads)
+                .collect()
+        };
+        let (masses, reads0) = (s.access_masses(), reads(&s));
+        assert_eq!(s.scan_into(240, 0, &mut Vec::new()), 0);
+        assert_eq!(s.sum_range(240, 0), (0, 0));
+        assert_eq!(s.access_masses(), masses);
+        assert_eq!(reads(&s), reads0);
+        assert_eq!(s.scan_into(240, 1, &mut Vec::new()), 1);
+        let total = |r: Vec<u64>| r.iter().sum::<u64>();
+        assert_eq!(total(reads(&s)), total(reads0) + 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 MAX_CORE=4029
-MAX_ENGINE=6949
+MAX_ENGINE=6916
 MAX_WAL=1341
 MAX_HARNESS=3498
 printf '%-16s %7s\n' crate lines

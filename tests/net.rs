@@ -378,6 +378,70 @@ fn a_request_that_arrives_in_pieces_is_answered_once() {
     assert_eq!(stats.decode_errors, 0);
 }
 
+/// A pass is one submit, whatever its op count: two 1 024-op `Get`
+/// requests that arrive in one write are parsed in one pass and
+/// answered from one submit — one merged submit of two requests, one
+/// session batch.
+#[test]
+fn a_pass_is_one_submit() {
+    let db = preloaded(2048, |k| k * 5);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
+    let mut s = TcpStream::connect(("127.0.0.1", srv.port())).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let batches = || db.stats().router.batches_submitted;
+    let before = batches();
+    let mut burst = Vec::new();
+    for corr in 0..2u32 {
+        let first = i64::from(corr) * 1024;
+        let gets: Vec<Op> = (first..first + 1024).map(Op::Get).collect();
+        wire::encode_request(&mut burst, corr, &gets);
+    }
+    s.write_all(&burst).expect("burst");
+    let mut buf = Vec::new();
+    for _ in 0..2 {
+        let resp = read_response(&mut s, &mut buf);
+        assert!(resp.last, "one frame a request");
+        assert_eq!(resp.items.len(), 1024);
+        let first = i64::from(resp.corr) * 1024;
+        for (slot, reply) in resp.items {
+            let k = first + i64::from(slot);
+            assert_eq!(reply, Reply::Found(Some(k * 5)), "key {k}");
+        }
+    }
+    let stats = srv.stats();
+    assert_eq!(stats.frames_in, 2);
+    assert_eq!((stats.merged_submits, stats.merged_requests), (1, 2));
+    assert_eq!(batches(), before + 1, "one submit for the pass");
+}
+
+/// An empty request is a part with no ops: it is answered by exactly
+/// one frame that carries no item, has `last` set and echoes its
+/// `corr`, and nothing else comes back.
+#[test]
+fn an_empty_request_is_answered_by_one_empty_last_frame() {
+    let db = preloaded(10, |k| k);
+    let srv = NetServer::spawn(Arc::clone(&db), NetConfig::default()).expect("spawn");
+    let mut s = TcpStream::connect(("127.0.0.1", srv.port())).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut req = Vec::new();
+    wire::encode_request(&mut req, 77, &[]);
+    s.write_all(&req).expect("empty request");
+    let mut buf = Vec::new();
+    let resp = read_response(&mut s, &mut buf);
+    assert_eq!((resp.corr, resp.last), (77, true));
+    assert!(resp.items.is_empty(), "no item: {:?}", resp.items);
+    assert!(buf.is_empty(), "no bytes beyond the one frame");
+    s.set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("timeout");
+    let mut more = [0u8; 64];
+    assert!(s.read(&mut more).is_err(), "no second frame");
+    let stats = srv.stats();
+    assert_eq!((stats.frames_in, stats.frames_out), (1, 1));
+    assert_eq!(stats.decode_errors, 0);
+}
+
 #[test]
 fn malformed_frames_close_only_the_offender() {
     let db = preloaded(100, |k| k);
