@@ -23,8 +23,10 @@
 //! syscalls, event loop, decode, reply streaming) costs at most half
 //! the serving capacity on this host. The in-process clients run on
 //! as many threads as there are connections, the server on one, so
-//! past one core the ratio also measures that. The JSON keeps its
-//! `router_workers` key, always 0.
+//! past one core the ratio also measures that. An A/A row pairs the
+//! pipelined side against itself at 4 connections: the spread of a
+//! ratio that should read 1.0. The JSON keeps its `router_workers`
+//! key, always 0.
 //!
 //! Writes `BENCH_network.json`; schema in
 //! `crates/bench-harness/README.md`.
@@ -40,8 +42,8 @@ use std::sync::Arc;
 use workloads::{MixOp, ReadWriteMix, SplitMix64};
 
 const SHARDS: usize = 8;
-/// Ops per submitted batch / request frame (amortizes the channel
-/// hop and the frame overhead identically).
+/// Ops per submitted batch / request frame (amortizes a submit's and
+/// a frame's fixed cost identically on both sides).
 const BATCH: usize = 1024;
 /// Batches each client keeps in flight before collecting.
 const DEPTH: usize = 4;
@@ -144,7 +146,7 @@ fn run_networked(cli: &Cli, clients: usize) -> (f64, NetSnapshot) {
     (throughput(per_client * clients, secs), srv.stats())
 }
 
-fn write_json(results: &[(usize, Paired)], net: &NetSnapshot, cli: &Cli, hw: usize) {
+fn write_json(results: &[(usize, Paired)], aa: &Paired, net: &NetSnapshot, cli: &Cli, hw: usize) {
     let side = |label: &'static str, rates: fn(&Paired) -> &Vec<f64>| {
         results.iter().map(move |(conns, p)| {
             json! { "mode": label, "connections": *conns, "ops_per_sec": fixed(median(rates(p).clone()), 1) }
@@ -176,6 +178,9 @@ fn write_json(results: &[(usize, Paired)], net: &NetSnapshot, cli: &Cli, hw: usi
             .set(format!("wins_{conns}c"), p.wins);
     }
     json.set(format!("ratio_bar_{max_conns}c"), fixed(0.5, 1))
+        .set(format!("aa_ratio_{max_conns}c"), fixed(aa.median, 4))
+        .set(format!("aa_iqr_{max_conns}c"), fixed(aa.iqr, 4))
+        .set(format!("aa_wins_{max_conns}c"), aa.wins)
         .write("BENCH_network.json");
 }
 
@@ -193,6 +198,18 @@ fn main() {
     // Per connection count, `--reps` pairs of runs: networked against
     // in-process pipelined, alternating which runs first. The wire
     // counters are the last networked run's at the largest count.
+    let row = |label: String, p: &Paired| {
+        println!(
+            "{:<12} {:>12} {:>12} {:>8.3} {:>8.3} {:>3}/{}",
+            label,
+            fmt_throughput(median(p.a.clone()) as usize, 1.0).trim(),
+            fmt_throughput(median(p.b.clone()) as usize, 1.0).trim(),
+            p.median,
+            p.iqr,
+            p.wins,
+            p.pairs()
+        )
+    };
     let mut net = None;
     let results: Vec<(usize, Paired)> = CONN_COUNTS
         .iter()
@@ -206,20 +223,19 @@ fn main() {
                     rate
                 },
             );
-            println!(
-                "{:<12} {:>12} {:>12} {:>8.3} {:>8.3} {:>3}/{}",
-                connections,
-                fmt_throughput(median(p.a.clone()) as usize, 1.0).trim(),
-                fmt_throughput(median(p.b.clone()) as usize, 1.0).trim(),
-                p.median,
-                p.iqr,
-                p.wins,
-                p.pairs()
-            );
+            row(connections.to_string(), &p);
             (connections, p)
         })
         .collect();
     let max_conns = *CONN_COUNTS.last().expect("non-empty sweep");
+    // The A/A control: the pipelined side paired against itself, the
+    // spread this host reads where nothing differs.
+    let aa = paired(
+        cli.reps,
+        || run_pipelined(&cli, max_conns),
+        || run_pipelined(&cli, max_conns),
+    );
+    row(format!("{max_conns} A/A"), &aa);
     println!(
         "# networked/pipelined throughput ratio at {max_conns} connections: {:.3} (bar: >= 0.5; median of paired runs)",
         results.last().expect("swept").1.median
@@ -229,5 +245,5 @@ fn main() {
         "# wire at {max_conns} connections: {} frames in, {} merged submits covering {} requests, {} decode errors",
         net.frames_in, net.merged_submits, net.merged_requests, net.decode_errors
     );
-    write_json(&results, &net, &cli, hw);
+    write_json(&results, &aa, &net, &cli, hw);
 }

@@ -1,11 +1,9 @@
 //! # rma-db — the database facade over the sharded Rewired Memory Array
 //!
-//! PRs 1–4 grew the paper's adaptive RMA into a sharded, lock-free,
-//! incrementally maintained concurrent engine
-//! ([`rma_shard::ShardedRma`]) — but its public surface grew by
-//! accretion: three constructors, a config struct, a separately held
-//! maintainer handle, and five stats getters. This crate is the
-//! front door that real deployments consume instead:
+//! The front door of the stack: one handle over the sharded,
+//! incrementally maintained engine ([`rma_shard::ShardedRma`] — the
+//! paper's adaptive RMA, one per key range), its background
+//! maintainer and its optional write-ahead log. It offers:
 //!
 //! * **one builder** — [`Db::builder`] configures everything
 //!   fluently (shard count, per-shard RMA, shard-length backstop,

@@ -11,19 +11,20 @@
 //!   Execution therefore does not overlap with the socket work of a
 //!   pipelined client on a second core: serving more than one core's
 //!   worth of requests needs more than one loop.
-//! * **One pass, one submit, one barrier.** A pass parses what every
-//!   readable connection has buffered — across *all* connections —
-//!   and appends every request to one batch, then every scan
-//!   continuation the byte budgets let through. It makes one submit
-//!   of that batch and waits its one ticket: on a durable database
-//!   that runs the WAL's commit barrier once for the pass. Only then
-//!   are replies encoded, so a reply is always an acknowledgement, and
-//!   N tiny requests pay one submit's fixed cost (wire-side group
-//!   commit). No op window cuts the batch: every reply of a pass
-//!   waits for its one barrier anyway, so a pass's reply latency and
-//!   transient memory scale with the whole pass, which holds at most
-//!   `MAX_INFLIGHT` requests a connection, fewer once the connection's
-//!   byte budget is spent.
+//! * **A pass is five stages, each run once.** `parse` appends every
+//!   request every readable connection has buffered — across *all*
+//!   connections — to one batch, then every scan continuation the byte
+//!   budgets let through; `execute` makes one submit of it; `commit`
+//!   waits its one ticket, which on a durable database runs the WAL's
+//!   commit barrier; `route` encodes the replies; `settle` flushes,
+//!   sets each connection's epoll interest and reaps. So a reply is
+//!   always an acknowledgement, and N tiny requests pay one submit's
+//!   fixed cost (wire-side group commit). No op window cuts the batch:
+//!   every reply waits for the pass's barrier anyway, so a pass's reply
+//!   latency and transient memory scale with the whole pass, at most
+//!   `MAX_INFLIGHT` requests a connection. `settle` is the one flush:
+//!   a connection it leaves bytes on gets `EPOLLOUT`, and the
+//!   level-triggered wait before the next pass flushes it.
 //! * **Replies map back by position.** The pass's batch remembers its
 //!   requests and continuations as `Part`s — one `(connection, corr)`
 //!   each, disjoint and in the order their ops sit in the batch; the
@@ -32,11 +33,11 @@
 //!   in as few frames as [`wire::MAX_FRAME_PAYLOAD`] allows: usually
 //!   one. An empty request is a part with no ops, answered by one
 //!   frame with no item and `last` set.
-//! * **Backpressure, two ways.** A connection stops being read (its
-//!   `EPOLLIN` interest is dropped) while it has `MAX_INFLIGHT` = 8
-//!   unanswered requests or more than `WRITE_BUF_CAP` = 256 KiB
-//!   unsent reply bytes. The kernel socket buffer then fills and the
-//!   client's own writes block — backpressure propagates without the
+//! * **Backpressure, one read gate.** A connection takes requests
+//!   while it has fewer than `MAX_INFLIGHT` = 8 unanswered and budget
+//!   left of `WRITE_BUF_CAP` = 256 KiB less its unsent bytes; `settle`
+//!   drops its `EPOLLIN` while the gate is shut. The kernel socket
+//!   buffer then fills and the client's own writes block — without the
 //!   server buffering unboundedly.
 //! * **Every reply spends one budget; scans come in chunks sized by
 //!   it.** One reply chunk is a quarter of `WRITE_BUF_CAP` in bytes —
@@ -70,7 +71,7 @@ use crate::stats::NetStats;
 use crate::sys::{Epoll, EventFd};
 use crate::wire::{self, Frame, RecvBuf, ResponseEncoder};
 use rewiring::libc::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use rma_db::{Db, Op, Reply, Session};
+use rma_db::{Db, Op, Reply, Session, Ticket};
 use rma_obs::EventKind;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read as _, Write as _};
@@ -133,17 +134,7 @@ impl NetServer {
         let join = std::thread::Builder::new()
             .name("rma-net".into())
             .spawn(move || {
-                let mut el = EventLoop {
-                    db: &db,
-                    session: db.session(),
-                    listener,
-                    epoll,
-                    stats: thread_stats,
-                    conns: Vec::new(),
-                    free: Vec::new(),
-                    next_gen: 1,
-                };
-                el.run();
+                EventLoop::new(&db, listener, epoll, thread_stats).run();
                 drop(thread_shutdown); // keep the registered fd alive until exit
             })?;
         Ok(NetServer {
@@ -209,8 +200,15 @@ struct Part {
     /// Wire slot of the part's first op (`0` for whole requests, the
     /// scan's slot for continuation parts).
     wire_base: u16,
-    /// Local op index → scan streaming state, for clamped scans.
+    /// Clamped scans' local op index → streaming state, in op order.
     scans: Vec<(usize, ScanPlan)>,
+}
+
+/// One loop pass's batch, as [`EventLoop::parse`] gathers it, and the
+/// parts that map its replies back.
+struct Pass {
+    batch: Vec<Op>,
+    parts: Vec<Part>,
 }
 
 /// Per-request bookkeeping until its final frame is sent.
@@ -253,6 +251,16 @@ const MAX_INFLIGHT: usize = 8;
 impl Conn {
     fn unsent(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// Starts a pass's byte budget: the cap less the unsent bytes.
+    fn rebudget(&mut self) {
+        self.budget = WRITE_BUF_CAP as isize - self.unsent() as isize;
+    }
+
+    /// The read gate: whether a request may be parsed off it now.
+    fn takes_requests(&self) -> bool {
+        self.reqs.len() < MAX_INFLIGHT && self.budget > 0
     }
 
     /// Where the in-flight request `corr` sits in `reqs`.
@@ -335,9 +343,9 @@ fn read_socket(conn: &mut Conn, stats: &NetStats) {
     }
 }
 
-/// Writes as much of `wbuf` as the socket accepts right now.
+/// Writes as much of `wbuf` as a live socket accepts right now.
 fn flush(conn: &mut Conn, stats: &NetStats) {
-    while conn.wpos < conn.wbuf.len() {
+    while !conn.close && conn.wpos < conn.wbuf.len() {
         match (&conn.stream).write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => break,
             Ok(n) => {
@@ -415,48 +423,66 @@ fn scan_step(plan: ScanPlan, es: &[(i64, i64)]) -> (&[(i64, i64)], Option<ScanPl
     )
 }
 
-impl EventLoop<'_> {
+impl<'db> EventLoop<'db> {
+    /// A loop over `db` with no connection yet; `epoll` holds
+    /// `listener` under [`TOKEN_LISTENER`].
+    fn new(db: &'db Db, listener: TcpListener, epoll: Epoll, stats: Arc<NetStats>) -> Self {
+        EventLoop {
+            db,
+            session: db.session(),
+            listener,
+            epoll,
+            stats,
+            conns: Vec::new(),
+            free: Vec::new(),
+            next_gen: 1,
+        }
+    }
+
     fn run(&mut self) {
         let mut events: Vec<(u32, u64)> = Vec::new();
         // A pass that left work no socket event will announce (a
         // parseable frame, a scan continuation) makes the next wait a
         // poll.
         let mut rearm = false;
-        'outer: loop {
-            events.clear();
-            if self
-                .epoll
-                .wait(&mut events, if rearm { 0 } else { -1 })
-                .is_err()
-            {
-                break;
-            }
-            for &(ev, token) in &events {
-                match token {
-                    TOKEN_SHUTDOWN => break 'outer,
-                    TOKEN_LISTENER => self.accept_all(),
-                    t => {
-                        let Some(conn) = lookup(&mut self.conns, t) else {
-                            continue;
-                        };
-                        if ev & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
-                            conn.close = true;
-                            continue;
-                        }
-                        if ev & EPOLLIN != 0 {
-                            read_socket(conn, &self.stats);
-                        }
-                        if ev & EPOLLOUT != 0 {
-                            flush(conn, &self.stats);
-                        }
-                    }
-                }
-            }
+        while self.wait(&mut events, if rearm { 0 } else { -1 }) {
             rearm = self.advance();
         }
         for idx in 0..self.conns.len() {
             self.close_conn(idx);
         }
+    }
+
+    /// Waits up to `timeout_ms` (`-1`: no limit) for socket events:
+    /// accepts, reads, flushes and marks hung-up connections closed.
+    /// False on shutdown or a failed wait.
+    fn wait(&mut self, events: &mut Vec<(u32, u64)>, timeout_ms: i32) -> bool {
+        events.clear();
+        if self.epoll.wait(events, timeout_ms).is_err() {
+            return false;
+        }
+        for &(ev, token) in events.iter() {
+            match token {
+                TOKEN_SHUTDOWN => return false,
+                TOKEN_LISTENER => self.accept_all(),
+                t => {
+                    let Some(conn) = lookup(&mut self.conns, t) else {
+                        continue;
+                    };
+                    if ev & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
+                        conn.close = true;
+                        continue;
+                    }
+                    if ev & EPOLLIN != 0 {
+                        read_socket(conn, &self.stats);
+                    }
+                    if ev & EPOLLOUT != 0 {
+                        flush(conn, &self.stats);
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Accepts every pending connection as a non-blocking,
@@ -508,105 +534,37 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Encodes one executed batch's replies into the write buffers of
-    /// its parts' connections, finalizes requests and queues scan
-    /// continuations. The replies are in batch order and the parts are
-    /// disjoint spans in that order, so each part takes the next
-    /// `ops_len` replies.
-    fn route(&mut self, replies: Vec<Reply>, parts: Vec<Part>) {
-        let mut replies = replies.into_iter();
-        for mut part in parts {
-            let mine = replies.by_ref().take(part.ops_len);
-            // Connections are reaped only between passes, and a part's
-            // request is in flight until its last frame.
-            let conn = lookup(&mut self.conns, part.token).expect("a part's connection is open");
-            let at = conn.req(part.corr).expect("a part's request is in flight");
-            let mut frame = ResponseEncoder::begin(&mut conn.wbuf, part.corr);
-            let mut finalized = 0;
-            for (local, reply) in mine.enumerate() {
-                let wire_slot = part.wire_base + local as u16;
-                if let Some(pos) = part.scans.iter().position(|(l, _)| *l == local) {
-                    let (_, plan) = part.scans.swap_remove(pos);
-                    let Reply::Entries(es) = reply else {
-                        // A clamped scan can only answer with
-                        // Entries; anything else is an engine bug.
-                        unreachable!("scan answered with {reply:?}")
-                    };
-                    let (emit, next) = scan_step(plan, &es);
-                    if !emit.is_empty() || next.is_none() {
-                        frame.entries(&mut conn.wbuf, wire_slot, emit);
-                    }
-                    match next {
-                        Some(plan) => conn.conts.push_back(plan),
-                        None => finalized += 1,
-                    }
-                } else {
-                    if reply == Reply::Refused {
-                        NetStats::bump(&self.stats.refused_ops);
-                    }
-                    frame.reply(&mut conn.wbuf, wire_slot, &reply);
-                    finalized += 1;
-                }
-            }
-            let req = &mut conn.reqs[at];
-            req.unanswered -= finalized;
-            let (last, t0) = (req.unanswered == 0, req.t0);
-            let frames = frame.finish(&mut conn.wbuf, last);
-            NetStats::add(&self.stats.frames_out, frames);
-            self.stats.track_peak(conn.unsent());
-            if last {
-                self.stats
-                    .frame_service_ns
-                    .record(rma_obs::now_ns().saturating_sub(t0));
-                conn.reqs.swap_remove(at);
-            }
+    /// One loop pass, in its five stages. Returns whether it left work
+    /// that no socket event will announce.
+    fn advance(&mut self) -> bool {
+        let pass = self.parse();
+        if let Some(ticket) = self.execute(&pass) {
+            let replies = self.commit(ticket);
+            self.route(replies, &pass.parts);
         }
-        debug_assert!(replies.next().is_none(), "a reply beyond the last part");
+        self.settle()
     }
 
-    /// The per-iteration pass: parse newly read bytes and gate scan
-    /// continuations into the pass's one batch, execute it, wait its
-    /// ticket and encode the replies, flush write buffers, recompute
-    /// epoll interest, reap closed connections. Returns whether it
-    /// left work that no socket event will announce.
-    fn advance(&mut self) -> bool {
-        // Flush before anything gated on write-buffer headroom
-        // (parsing, scan continuations): frames the last pass encoded
-        // must not keep the gates closed after the socket would have
-        // accepted them.
-        for conn in self.conns.iter_mut().flatten() {
-            if !conn.close {
-                flush(conn, &self.stats);
-            }
-        }
-        // The pass's one batch, with the parts mapping its replies
-        // back to connections: every request parsed off every
-        // connection, then every scan continuation.
-        let mut batch: Vec<Op> = Vec::new();
-        let mut parts: Vec<Part> = Vec::new();
+    /// Gathers the pass: every request each read gate lets through,
+    /// then every scan continuation on what the budgets left.
+    fn parse(&mut self) -> Pass {
+        let (mut batch, mut parts) = (Vec::new(), Vec::new());
         for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_mut() else {
+            let Some(conn) = self.conns[idx].as_mut().filter(|c| !c.close) else {
                 continue;
             };
-            if conn.close {
-                continue;
-            }
-            conn.budget = WRITE_BUF_CAP as isize - conn.unsent() as isize;
+            conn.rebudget();
             let mut at = 0usize;
-            loop {
-                if conn.reqs.len() >= MAX_INFLIGHT || conn.budget <= 0 {
-                    break;
-                }
-                let (payload, consumed) = match wire::split_frame(&conn.rbuf.unparsed()[at..]) {
+            while conn.takes_requests() {
+                let request = match wire::split_frame(&conn.rbuf.unparsed()[at..]) {
                     Ok(Frame::Incomplete) => break,
-                    Ok(Frame::Payload { payload, consumed }) => (payload, consumed),
-                    Err(e) => {
-                        reject(self.db, &self.stats, idx, conn, e);
-                        break;
+                    Ok(Frame::Payload { payload, consumed }) => {
+                        wire::decode_request(payload).map(|req| (req, consumed))
                     }
+                    Err(e) => Err(e),
                 };
-                let (corr, mut ops) = match wire::decode_request(payload) {
-                    Ok(req) => req,
+                let ((corr, mut ops), consumed) = match request {
+                    Ok(request) => request,
                     Err(e) => {
                         reject(self.db, &self.stats, idx, conn, e);
                         break;
@@ -665,10 +623,7 @@ impl EventLoop<'_> {
         // Scan continuations, on what the budget left, so a blocked
         // reader holds bounded reply bytes. Each is a range op after
         // every request of the pass, so it sees the pass's writes.
-        for conn in self.conns.iter_mut().flatten() {
-            if conn.close {
-                continue;
-            }
+        for conn in self.conns.iter_mut().flatten().filter(|c| !c.close) {
             while conn.budget > 0 && !conn.conts.is_empty() {
                 let mut plan = conn.conts.pop_front().expect("non-empty");
                 if conn.req(plan.corr).is_none() {
@@ -689,75 +644,120 @@ impl EventLoop<'_> {
                 });
             }
         }
+        Pass { batch, parts }
+    }
 
-        // One submit, one ticket, one barrier for the whole pass. An
-        // engine panic must not take the loop down: it is journaled,
-        // and every connection with a part in the pass closes.
-        if parts.len() > 1 {
+    /// Runs the pass's batch as one submit. An engine panic must not
+    /// take the loop down: it is journaled, every connection with a
+    /// part in the pass closes, and there is no ticket.
+    fn execute(&mut self, pass: &Pass) -> Option<Ticket> {
+        if pass.parts.len() > 1 {
             NetStats::bump(&self.stats.merged_submits);
-            NetStats::add(&self.stats.merged_requests, parts.len() as u64);
+            NetStats::add(&self.stats.merged_requests, pass.parts.len() as u64);
         }
-        match std::panic::catch_unwind(AssertUnwindSafe(|| self.session.submit(&batch))) {
-            Ok(ticket) => self.route(ticket.wait(), parts),
+        match std::panic::catch_unwind(AssertUnwindSafe(|| self.session.submit(&pass.batch))) {
+            Ok(ticket) => Some(ticket),
             Err(_) => {
                 let obs = self.db.engine().obs();
                 obs.log(EventKind::WorkerPanic, rma_obs::Event::NO_SHARD, 0, 1);
-                for part in &parts {
+                for part in &pass.parts {
                     if let Some(conn) = lookup(&mut self.conns, part.token) {
                         conn.close = true;
                     }
                 }
+                None
             }
         }
+    }
 
-        // Flush, recompute interest, reap.
+    /// The pass's one barrier: its replies, as acknowledgements.
+    fn commit(&self, ticket: Ticket) -> Vec<Reply> {
+        ticket.wait()
+    }
+
+    /// Encodes each part's replies — the next `ops_len` of them — into
+    /// its connection's write buffer, finalizes requests and queues
+    /// scan continuations.
+    fn route(&mut self, replies: Vec<Reply>, parts: &[Part]) {
+        let mut replies = replies.into_iter();
+        for part in parts {
+            // Connections are reaped only between passes, and a part's
+            // request is in flight until its last frame.
+            let conn = lookup(&mut self.conns, part.token).expect("a part's connection is open");
+            let at = conn.req(part.corr).expect("a part's request is in flight");
+            let mut frame = ResponseEncoder::begin(&mut conn.wbuf, part.corr);
+            let mut scans = part.scans.iter().peekable();
+            let mut finalized = 0;
+            for (local, reply) in replies.by_ref().take(part.ops_len).enumerate() {
+                let wire_slot = part.wire_base + local as u16;
+                if let Some(&(_, plan)) = scans.next_if(|(l, _)| *l == local) {
+                    let Reply::Entries(es) = reply else {
+                        // A clamped scan can only answer with
+                        // Entries; anything else is an engine bug.
+                        unreachable!("scan answered with {reply:?}")
+                    };
+                    let (emit, next) = scan_step(plan, &es);
+                    if !emit.is_empty() || next.is_none() {
+                        frame.entries(&mut conn.wbuf, wire_slot, emit);
+                    }
+                    match next {
+                        Some(plan) => conn.conts.push_back(plan),
+                        None => finalized += 1,
+                    }
+                } else {
+                    if reply == Reply::Refused {
+                        NetStats::bump(&self.stats.refused_ops);
+                    }
+                    frame.reply(&mut conn.wbuf, wire_slot, &reply);
+                    finalized += 1;
+                }
+            }
+            let req = &mut conn.reqs[at];
+            req.unanswered -= finalized;
+            let (last, t0) = (req.unanswered == 0, req.t0);
+            NetStats::add(&self.stats.frames_out, frame.finish(&mut conn.wbuf, last));
+            self.stats.track_peak(conn.unsent());
+            if last {
+                self.stats
+                    .frame_service_ns
+                    .record(rma_obs::now_ns().saturating_sub(t0));
+                conn.reqs.swap_remove(at);
+            }
+        }
+        debug_assert!(replies.next().is_none(), "a reply beyond the last part");
+    }
+
+    /// Flushes, sets epoll interest and reaps. Returns whether a
+    /// connection has work no socket event will announce.
+    fn settle(&mut self) -> bool {
         let mut rearm = false;
         for idx in 0..self.conns.len() {
-            let close = {
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    continue;
-                };
-                if !conn.close {
-                    flush(conn, &self.stats);
-                }
-                if !conn.close {
-                    // Backpressure: stop reading while the connection
-                    // has as many requests in flight or reply bytes
-                    // unsent as it may.
-                    let paused = conn.reqs.len() >= MAX_INFLIGHT || conn.unsent() >= WRITE_BUF_CAP;
-                    let mut want = 0u32;
-                    if !paused {
-                        want |= EPOLLIN | EPOLLRDHUP;
-                    }
-                    if conn.unsent() > 0 {
-                        want |= EPOLLOUT;
-                    }
-                    if want != conn.interest {
-                        if paused && conn.interest & EPOLLIN != 0 {
-                            NetStats::bump(&self.stats.backpressure_pauses);
-                        }
-                        if self.epoll.modify(&conn.stream, want, conn.token).is_ok() {
-                            conn.interest = want;
-                        } else {
-                            conn.close = true;
-                        }
-                    }
-                    // A queued continuation or a parseable frame with
-                    // headroom — left by this pass, or let through by
-                    // this flush re-opening a gate the earlier phases
-                    // saw closed — may have no further epoll event to
-                    // retry on. Schedule one more pass.
-                    if conn.unsent() < WRITE_BUF_CAP
-                        && (!conn.conts.is_empty()
-                            || (conn.reqs.len() < MAX_INFLIGHT
-                                && !matches!(wire::frame_len(conn.rbuf.unparsed()), Ok(None))))
-                    {
-                        rearm = true;
-                    }
-                }
-                conn.close
+            let Some(conn) = self.conns[idx].as_mut() else {
+                continue;
             };
-            if close {
+            flush(conn, &self.stats);
+            if !conn.close {
+                conn.rebudget();
+                let paused = !conn.takes_requests();
+                let reads = if paused { 0 } else { EPOLLIN | EPOLLRDHUP };
+                let want = reads | if conn.unsent() > 0 { EPOLLOUT } else { 0 };
+                if want != conn.interest {
+                    if paused && conn.interest & EPOLLIN != 0 {
+                        NetStats::bump(&self.stats.backpressure_pauses);
+                    }
+                    if self.epoll.modify(&conn.stream, want, conn.token).is_ok() {
+                        conn.interest = want;
+                    } else {
+                        conn.close = true;
+                    }
+                }
+                // A continuation with budget, or a parseable frame
+                // behind an open gate (maybe opened by this flush), may
+                // have no further epoll event to retry on.
+                rearm |= (conn.budget > 0 && !conn.conts.is_empty())
+                    || (!paused && !matches!(wire::frame_len(conn.rbuf.unparsed()), Ok(None)));
+            }
+            if conn.close {
                 self.close_conn(idx);
             }
         }
@@ -785,6 +785,94 @@ impl EventLoop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// Reads one response frame off a non-blocking socket, retrying a
+    /// read that would block for up to a second.
+    fn read_frame(stream: &mut TcpStream) -> wire::ResponseFrame {
+        let (mut buf, mut tmp) = (Vec::new(), [0u8; 256]);
+        for _ in 0..1000 {
+            if let Ok(Frame::Payload { payload, .. }) = wire::split_frame(&buf) {
+                return wire::decode_response(payload).expect("a response frame");
+            }
+            match stream.read(&mut tmp) {
+                Ok(n) => {
+                    assert_ne!(n, 0, "the server closed the connection");
+                    buf.extend_from_slice(&tmp[..n]);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        panic!("no response frame within a second")
+    }
+
+    /// One pass on a durable database, driven stage by stage over
+    /// non-blocking loopback sockets with no loop thread: `execute`
+    /// applies the pass's insert but runs no barrier and answers
+    /// nothing; the client's reply comes only after `commit` has run
+    /// the pass's one barrier and `route` and `settle` have sent it.
+    #[test]
+    fn a_reply_leaves_only_after_the_pass_barrier() {
+        let dir = std::env::temp_dir().join(format!(
+            "rma-net-stages-{}-{}",
+            std::process::id(),
+            rewiring::monotonic_ns()
+        ));
+        let db = Db::open(&dir).expect("a fresh durable database");
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        listener
+            .set_nonblocking(true)
+            .expect("non-blocking listener");
+        let port = listener.local_addr().expect("bound").port();
+        let epoll = Epoll::new().expect("epoll");
+        epoll
+            .add(&listener, EPOLLIN, TOKEN_LISTENER)
+            .expect("register");
+        let mut el = EventLoop::new(&db, listener, epoll, Arc::new(NetStats::default()));
+        let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        client.set_nonblocking(true).expect("non-blocking client");
+        let mut req = Vec::new();
+        wire::encode_request(&mut req, 9, &[Op::Insert(5, 50)]);
+        client.write_all(&req).expect("one small request");
+
+        // The first wait accepts, a later one reads the request.
+        let mut events = Vec::new();
+        let pass = (0..50)
+            .find_map(|_| {
+                assert!(el.wait(&mut events, 100), "no shutdown is signalled");
+                Some(el.parse()).filter(|pass| !pass.parts.is_empty())
+            })
+            .expect("the request is parsed");
+        assert_eq!(pass.batch, [Op::Insert(5, 50)]);
+
+        let commits = || db.metrics().wal.expect("durable").commit.count();
+        let before = commits();
+        let ticket = el.execute(&pass).expect("the engine does not panic");
+        assert_eq!(db.get(5), Some(50), "execute applies the insert");
+        assert_eq!(commits(), before, "execute runs no barrier");
+        let mut byte = [0u8; 1];
+        let early = client.read(&mut byte).map_err(|e| e.kind());
+        assert_eq!(
+            early,
+            Err(ErrorKind::WouldBlock),
+            "no reply before the barrier"
+        );
+
+        let replies = el.commit(ticket);
+        el.route(replies, &pass.parts);
+        el.settle();
+        let resp = read_frame(&mut client);
+        assert_eq!((resp.corr, resp.last), (9, true));
+        assert_eq!(resp.items, [(0, Reply::Inserted)]);
+        assert_eq!(commits(), before + 1, "the pass's one barrier");
+
+        drop(el);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     fn plan(start: i64, remaining: usize, drop: usize) -> ScanPlan {
         ScanPlan {
