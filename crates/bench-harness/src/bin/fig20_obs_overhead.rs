@@ -34,7 +34,9 @@
 //! segments.
 //!
 //! The repository's acceptance bar: instrumented throughput ≥
-//! **0.9×** uninstrumented on both mixes.
+//! **0.9×** uninstrumented on both mixes. An A/A row pairs the uniform
+//! mix's `off` database against a second `off` one built the same
+//! way: the spread of a ratio that should read 1.0.
 //!
 //! Writes `BENCH_obs_overhead.json`; schema in
 //! `crates/bench-harness/README.md`.
@@ -116,11 +118,11 @@ fn segments(cli: &Cli) -> (usize, usize) {
     (pairs, (cli.scale / pairs).max(BATCH * DEPTH * 2))
 }
 
-/// Measures one mix: `b` instrumented against `a` uninstrumented,
-/// paired per segment over two identically built databases (see the
-/// module docs).
-fn run_mix(cli: &Cli, mix: Mix) -> Paired {
-    let db_on = preloaded(cli, true);
+/// Measures one mix: `b` with observability `b_on` against `a`
+/// uninstrumented, paired per segment over two identically built
+/// databases (see the module docs).
+fn run_mix(cli: &Cli, mix: Mix, b_on: bool) -> Paired {
+    let db_on = preloaded(cli, b_on);
     let db_off = preloaded(cli, false);
     let mut source = mix_for(cli, mix);
     let (pairs, seg_ops) = segments(cli);
@@ -140,7 +142,7 @@ fn run_mix(cli: &Cli, mix: Mix) -> Paired {
     )
 }
 
-fn write_json(results: &[(Mix, Paired)], cli: &Cli, hw: usize) {
+fn write_json(results: &[(Mix, Paired)], aa: &Paired, cli: &Cli, hw: usize) {
     let (pairs, seg_ops) = segments(cli);
     let results_rows = results.iter().flat_map(|(mix, p)| {
         [(true, &p.b), (false, &p.a)].map(|(obs, rates)| {
@@ -166,6 +168,9 @@ fn write_json(results: &[(Mix, Paired)], cli: &Cli, hw: usize) {
             .set(format!("wins_{mix}"), p.wins);
     }
     json.set("ratio_bar", fixed(RATIO_BAR, 1))
+        .set("aa_ratio_uniform", fixed(aa.median, 4))
+        .set("aa_iqr_uniform", fixed(aa.iqr, 4))
+        .set("aa_wins_uniform", aa.wins)
         .write("BENCH_obs_overhead.json");
 }
 
@@ -181,21 +186,28 @@ fn main() {
         "mix", "obs on", "obs off", "ratio", "iqr", "wins"
     );
 
-    let mut results = Vec::new();
-    for mix in [Mix::Uniform, Mix::Hotspot] {
-        let p = run_mix(&cli, mix);
+    let row = |label: &str, p: &Paired| {
         println!(
             "{:<9} {:>14} {:>14} {:>8.3} {:>8.3} {:>3}/{}",
-            mix.label(),
+            label,
             fmt_throughput(median(p.b.clone()) as usize, 1.0).trim(),
             fmt_throughput(median(p.a.clone()) as usize, 1.0).trim(),
             p.median,
             p.iqr,
             p.wins,
             p.pairs()
-        );
+        )
+    };
+    let mut results = Vec::new();
+    for mix in [Mix::Uniform, Mix::Hotspot] {
+        let p = run_mix(&cli, mix, true);
+        row(mix.label(), &p);
         results.push((mix, p));
     }
+    // The A/A control: `off` against `off`, the spread this host reads
+    // where nothing differs.
+    let aa = run_mix(&cli, Mix::Uniform, false);
+    row("A/A", &aa);
     println!(
         "# bar: instrumented/off >= {RATIO_BAR} on both mixes (median of paired per-segment ratios)"
     );
@@ -222,5 +234,5 @@ fn main() {
     }
     print!("{}", db.metrics().render_text());
 
-    write_json(&results, &cli, hw);
+    write_json(&results, &aa, &cli, hw);
 }

@@ -23,7 +23,9 @@
 //!   side always runs on a colder or warmer host — the payoff of the
 //!   smaller splitter array and the restored shard locality;
 //! * how many merges starting the maintainer ran, and how many shards
-//!   they merged away.
+//!   they merged away;
+//! * an A/A row: the bloated twin's throughput paired against itself,
+//!   the spread of a ratio that should read 1.0.
 //!
 //! Writes `BENCH_shard_compaction.json`; the schema is documented in
 //! `crates/bench-harness/README.md`.
@@ -210,6 +212,21 @@ fn main() {
         p.pairs()
     );
 
+    // The A/A control: the bloated twin against itself, the spread
+    // this host reads where nothing differs.
+    let aa = paired(
+        cli.reps,
+        || routed_throughput(&bloated, meas_ops, seed),
+        || routed_throughput(&bloated, meas_ops, seed),
+    );
+    println!(
+        "# A/A, bloated twin against itself: median pair ratio {:.3}, iqr {:.3}, faster in {} of {} pairs",
+        aa.median,
+        aa.iqr,
+        aa.wins,
+        aa.pairs()
+    );
+
     let twin = |m: Measurement| {
         json! { "shards": m.shards, "splitter_bytes": m.splitter_bytes, "ops_per_sec": fixed(m.ops_per_sec, 1) }
     };
@@ -227,6 +244,7 @@ fn main() {
         "pairs": p.pairs(), "throughput_ratio_after_vs_before": fixed(p.median, 4),
         "iqr": fixed(p.iqr, 4), "wins": p.wins,
         "shards_after_compaction": after.shards,
+        "aa_ratio": fixed(aa.median, 4), "aa_iqr": fixed(aa.iqr, 4), "aa_wins": aa.wins,
     }
     .write("BENCH_shard_compaction.json");
 }

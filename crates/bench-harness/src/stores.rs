@@ -5,7 +5,6 @@ use abtree::{AbTree, AbTreeConfig, DenseArray};
 use art::ArtTree;
 use pma_baseline::{Tpma, TpmaConfig};
 use rma_core::{Rma, RmaConfig};
-use rma_db::Db;
 
 /// Key/value scalar type of the reproduction.
 pub type Key = i64;
@@ -147,34 +146,6 @@ impl Store for Tpma {
     }
 }
 
-impl Store for Db {
-    fn label(&self) -> String {
-        format!(
-            "Sharded-RMA n={} B={}",
-            self.engine().num_shards(),
-            self.engine().config().rma.segment_size
-        )
-    }
-    fn insert(&mut self, k: Key, v: Value) {
-        Db::insert(self, k, v)
-    }
-    fn remove_successor(&mut self, k: Key) -> bool {
-        Db::remove_successor(self, k).is_some()
-    }
-    fn get(&self, k: Key) -> Option<Value> {
-        Db::get(self, k)
-    }
-    fn sum_range(&self, start: Key, count: usize) -> (usize, i64) {
-        Db::sum_range(self, start, count)
-    }
-    fn len(&self) -> usize {
-        Db::len(self)
-    }
-    fn footprint(&self) -> usize {
-        self.engine().memory_footprint()
-    }
-}
-
 /// Factory closures for the structures a driver sweeps.
 pub type StoreFactory = Box<dyn Fn() -> Box<dyn Store>>;
 
@@ -186,21 +157,6 @@ pub fn rma_factory(b: usize, rewired: bool, adaptive: bool) -> StoreFactory {
                 .rewired(rewired)
                 .adaptive(adaptive),
         ))
-    })
-}
-
-/// Sharded-RMA factory: a [`Db`] of `shards` shards of
-/// segment-size-`b` RMAs with splitters spread over the uniform key
-/// domain, built through the facade's validating builder.
-pub fn sharded_rma_factory(b: usize, shards: usize) -> StoreFactory {
-    Box::new(move || {
-        Box::new(
-            Db::builder()
-                .shards(shards)
-                .rma(RmaConfig::with_segment_size(b))
-                .build()
-                .expect("static factory config is valid"),
-        )
     })
 }
 
@@ -236,7 +192,6 @@ mod tests {
         let factories: Vec<StoreFactory> = vec![
             rma_factory(32, false, false),
             rma_factory(32, true, true),
-            sharded_rma_factory(32, 4),
             abtree_factory(32),
             art_factory(32),
             tpma_factory(TpmaConfig::traditional()),

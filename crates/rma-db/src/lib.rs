@@ -358,14 +358,6 @@ impl Db {
         self.durable_write(|| self.engine.remove(k))
     }
 
-    /// Removes the first element with key `>= k` (or the maximum);
-    /// `None` only on an empty database. Panics if the database is
-    /// read-only.
-    pub fn remove_successor(&self, k: Key) -> Option<(Key, Value)> {
-        self.durable_write(|| self.engine.remove_successor(k))
-            .expect("database is read-only")
-    }
-
     /// Sums up to `count` values from the first key `>= start`.
     pub fn sum_range(&self, start: Key, count: usize) -> (usize, i64) {
         self.engine.sum_range(start, count)

@@ -7,7 +7,8 @@
 //! their effects landed in the index. The engine therefore calls
 //! [`DurabilitySink::append`] **while still holding the shard write
 //! lock** of the mutations it describes (once per lock hold, from the
-//! one shard write section, with the mutations in apply order), and calls
+//! one shard write section, an `apply_ops` group's, with the
+//! [`PointOp`]s it applied in apply order), and calls
 //! [`DurabilitySink::checkpoint_cut`] while holding the write lock of
 //! the shard being checkpointed — so the cut LSN cleanly separates
 //! "state of the shard's keys captured by the checkpoint" from "state
@@ -20,42 +21,29 @@
 //! one checkpoint.
 
 use crate::shard::StepGuards;
-use crate::ShardedRma;
+use crate::{PointOp, ShardedRma};
 use rma_core::{Key, Value};
 use rma_obs::EventKind;
-
-/// One logical mutation, as the log sees it. Replay applies these one
-/// by one through the ordinary entry points, where a key's members
-/// are a stack ([`PointOp`](crate::PointOp)), so the log holds them
-/// in replay order: a batch's inserts reversed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurabilityOp {
-    /// An element `(key, value)` was pushed onto the front of the
-    /// key's stack (duplicates kept).
-    Insert(Key, Value),
-    /// The front member of the key's stack was popped.
-    Remove(Key),
-}
 
 /// What the engine requires of a write-ahead log. Implemented by
 /// `rma_wal::Wal`; the engine only ever talks to the trait so the
 /// crates stay decoupled (`rma-wal` depends on `rma-shard`, not the
 /// other way around).
 pub trait DurabilitySink: Send + Sync {
-    /// Records applied mutations, in replay order: a shard group's for
-    /// [`ShardedRma::apply_ops`] (a single-key write is a one-op
-    /// group, and [`ShardedRma::apply_batch`] is a run of them: its
-    /// deletes, then its inserts reversed), the removed element for
-    /// [`ShardedRma::remove_successor`]. The engine's one call site is
-    /// the end of its shard write section, under the shard write lock
-    /// of the mutations, so same-key records are logged in apply order
-    /// and a checkpoint cut drawn under that lock sees all of them or
-    /// none. Must be cheap: implementations
-    /// stage into a buffer and defer fsync to their commit barrier. A
-    /// sink that has degraded (log device error) silently drops the
-    /// records — the commit barrier is what refuses the
-    /// acknowledgement.
-    fn append(&self, ops: &[DurabilityOp]);
+    /// Records the ops one [`ShardedRma::apply_ops`] group applied, in
+    /// apply order: every `Insert` and every `Remove` that found its
+    /// key, never a `Get`. A single-key write is a one-op group, and
+    /// [`ShardedRma::apply_batch`] is a run of them (its deletes, then
+    /// its inserts reversed). Replay runs the ops through `apply_ops`
+    /// again, so apply order is replay order. The engine's one call
+    /// site is the end of its shard write section, under the shard
+    /// write lock of the mutations, so same-key records are logged in
+    /// apply order and a checkpoint cut drawn under that lock sees all
+    /// of them or none. Must be cheap: implementations stage into a
+    /// buffer and defer fsync to their commit barrier. A sink that has
+    /// degraded (log device error) silently drops the records — the
+    /// commit barrier is what refuses the acknowledgement.
+    fn append(&self, ops: &[PointOp]);
 
     /// Draws a unit's checkpoint cut, the highest LSN handed out so
     /// far: every record of the unit's keys with LSN `<= cut` is
@@ -80,18 +68,6 @@ pub trait DurabilitySink: Send + Sync {
         splitters: &[Key],
         units: &mut dyn Iterator<Item = (u64, Vec<(Key, Value)>)>,
     ) -> bool;
-}
-
-/// The mutations one shard write section applied, staged in apply
-/// order for its one [`DurabilitySink::append`]; `None` without a sink.
-pub(crate) struct Staged(pub(crate) Option<Vec<DurabilityOp>>);
-
-impl Extend<DurabilityOp> for Staged {
-    fn extend<I: IntoIterator<Item = DurabilityOp>>(&mut self, ops: I) {
-        if let Some(staged) = &mut self.0 {
-            staged.extend(ops);
-        }
-    }
 }
 
 impl ShardedRma {

@@ -69,8 +69,8 @@
 //! insert under background maintenance to ≤ 10 ms at 2^20 scale).
 //! Readers observing a retired topology serve the pre-swap snapshot,
 //! which is linearizable at the instant they acquired the topology
-//! pointer. A write that reaches a retired shard re-enters its own
-//! entry point with only the bounced ops, on a fresh topology.
+//! pointer. Every write is an `apply_ops` group; one that reaches a
+//! retired shard re-enters `apply_ops` op by op, on a fresh topology.
 //! [`ShardedRma::lock_acquisitions`] is the test hook proving the
 //! happy path stays lock-free;
 //! [`ShardedRma::maintenance_stats`] is the one ledger of what
@@ -130,14 +130,13 @@ pub mod splitter;
 pub use access::AccessStats;
 pub use batch::on_workers;
 pub use config::{ConfigError, ShardConfig};
-pub use durability::{DurabilityOp, DurabilitySink};
+pub use durability::DurabilitySink;
 pub use maintainer::{Maintainer, MaintainerConfig, MaintainerStats};
 pub use maintenance::{DrainReport, MaintenancePlan, MaintenanceStep, StepReport};
 pub use obs::EngineObs;
 pub use shard::LockStats;
 pub use splitter::Splitters;
 
-use durability::Staged;
 use optimistic::{TopoGuard, TopoHandle};
 use rma_core::{Key, Value};
 use shard::{Shard, Topology};
@@ -377,9 +376,9 @@ pub struct MaintenanceStats {
     /// — the bound on how long a writer could have queued behind
     /// maintenance.
     pub max_step_wall_ns: u64,
-    /// Writes that found their shard retired by a step and re-entered
-    /// their entry point on a fresh topology, once per bounce: point
-    /// (so batch) and successor writes alike.
+    /// Write ops of an [`ShardedRma::apply_ops`] group (so of a batch
+    /// too) that found its shard retired by a step and re-entered
+    /// `apply_ops` on a fresh topology, once per bounce.
     pub write_reroutes: u64,
 }
 
@@ -742,11 +741,14 @@ impl ShardedRma {
         }
     }
 
-    /// A group with a write (`writes` masks them), in one
-    /// [`write_locked`](Self::write_locked) section that logs every
-    /// insert and every remove that found its key, in group order.
-    /// Returns `false` when the shard was retired and the group
-    /// re-entered `apply_ops` op by op.
+    /// A group with a write (`writes` masks them): the engine's one
+    /// shard write section. Takes `shard`'s write lock; if maintenance
+    /// retired the shard, counts the writes in `write_reroutes`,
+    /// re-enters `apply_ops` op by op on a fresh pin and returns
+    /// `false`. Otherwise records the reads, runs the group in one
+    /// `mutate` bracket, records the writes, and hands every insert
+    /// and every remove that found its key, in group order, to the
+    /// sink in one [`DurabilitySink::append`] before the lock drops.
     fn write_group(
         &self,
         topo: &Topology,
@@ -757,71 +759,43 @@ impl ShardedRma {
         out: &mut [Option<Value>],
     ) -> bool {
         let key = |i: usize| ops[i].key();
-        let reads = bits(group & !writes).map(key);
-        let written = |_: Option<&()>| bits(writes).map(key);
-        let applied = self.write_locked(topo, shard, reads, written, |rma, log| {
+        let mut guard = shard.write();
+        if guard.is_retired() {
+            let reroutes = &self.maint_counters.write_reroutes;
+            reroutes.fetch_add(u64::from(writes.count_ones()), Relaxed);
+            drop(guard);
+            for i in bits(group) {
+                self.apply_ops(std::slice::from_ref(&ops[i]), &mut out[i..=i]);
+            }
+            return false;
+        }
+        self.record_access(topo, shard, &shard.reads, bits(group & !writes).map(key));
+        // Bit `i` set: `ops[i]` changed the shard, so the log gets it.
+        let mut applied = 0u64;
+        guard.mutate(|rma| {
             for i in bits(group) {
                 out[i] = match ops[i] {
                     PointOp::Get(k) => rma.get(k),
                     PointOp::Insert(k, v) => {
                         rma.insert(k, v);
-                        log.extend([DurabilityOp::Insert(k, v)]);
+                        applied |= 1 << i;
                         None
                     }
                     PointOp::Remove(k) => {
                         let removed = rma.remove(k);
-                        log.extend(removed.map(|_| DurabilityOp::Remove(k)));
+                        applied |= u64::from(removed.is_some()) << i;
                         removed
                     }
                 };
             }
         });
-        if applied.is_none() {
-            for i in bits(group) {
-                self.apply_ops(std::slice::from_ref(&ops[i]), &mut out[i..=i]);
-            }
+        self.record_access(topo, shard, &shard.writes, bits(writes).map(key));
+        if let Some(wal) = self.wal.as_ref().filter(|_| applied != 0) {
+            let mut staged = Vec::with_capacity(applied.count_ones() as usize);
+            staged.extend(bits(applied).map(|i| ops[i]));
+            wal.append(&staged);
         }
-        applied.is_some()
-    }
-
-    /// The one shard write, which every write in this crate is: takes
-    /// `shard`'s write lock; if maintenance retired the shard, counts
-    /// the writes in `write_reroutes` and returns `None`, and the
-    /// caller re-enters its own entry point with just the bounced ops,
-    /// on a fresh pin. Otherwise records `reads`, runs `apply` in one
-    /// `mutate` bracket, records the writes, and hands what `apply`
-    /// staged to the sink in one [`DurabilitySink::append`] before the
-    /// lock drops. `writes` names the written keys from `apply`'s
-    /// result (a removal by range learns its key only there), or as
-    /// many keys as writes bounced, given `None`.
-    fn write_locked<R, W: IntoIterator<Item = Key>>(
-        &self,
-        topo: &Topology,
-        shard: &Shard,
-        reads: impl IntoIterator<Item = Key>,
-        writes: impl FnOnce(Option<&R>) -> W,
-        apply: impl FnOnce(&mut rma_core::Rma, &mut Staged) -> R,
-    ) -> Option<R> {
-        let mut guard = shard.write();
-        if guard.is_retired() {
-            let reroutes = &self.maint_counters.write_reroutes;
-            reroutes.fetch_add(writes(None).into_iter().count() as u64, Relaxed);
-            return None;
-        }
-        self.record_access(topo, shard, &shard.reads, reads);
-        let mut log = Staged(
-            self.wal
-                .is_some()
-                .then(|| Vec::with_capacity(GET_MANY_BLOCK)),
-        );
-        let out = guard.mutate(|rma| apply(rma, &mut log));
-        self.record_access(topo, shard, &shard.writes, writes(Some(&out)));
-        if let (Some(wal), Some(ops)) = (&self.wal, log.0) {
-            if !ops.is_empty() {
-                wal.append(&ops);
-            }
-        }
-        Some(out)
+        true
     }
 
     /// The one way an access is recorded: every key in the shard's
@@ -1167,13 +1141,13 @@ mod tests {
     /// counts its seals.
     #[derive(Default)]
     pub(crate) struct Recorder {
-        appends: Mutex<Vec<Vec<DurabilityOp>>>,
+        appends: Mutex<Vec<Vec<PointOp>>>,
         seals: AtomicUsize,
     }
 
     impl Recorder {
         /// The appends since the last call.
-        fn take(&self) -> Vec<Vec<DurabilityOp>> {
+        fn take(&self) -> Vec<Vec<PointOp>> {
             std::mem::take(&mut self.appends.lock().expect("recorder lock"))
         }
 
@@ -1184,7 +1158,7 @@ mod tests {
     }
 
     impl DurabilitySink for Recorder {
-        fn append(&self, ops: &[DurabilityOp]) {
+        fn append(&self, ops: &[PointOp]) {
             self.appends
                 .lock()
                 .expect("recorder lock")
@@ -1215,7 +1189,7 @@ mod tests {
 
     #[test]
     fn every_write_entry_point_logs_each_applied_mutation_once_in_apply_order() {
-        use DurabilityOp::{Insert, Remove};
+        use PointOp::{Insert, Remove};
         let (s, log) = recorded(vec![250, 500, 750]);
         s.insert(5, 50);
         assert_eq!(log.take(), [vec![Insert(5, 50)]]);
@@ -1224,7 +1198,7 @@ mod tests {
         assert_eq!(s.remove(5), None);
         assert_eq!(
             log.take(),
-            Vec::<Vec<DurabilityOp>>::new(),
+            Vec::<Vec<PointOp>>::new(),
             "a miss logs nothing"
         );
         // One group: its get and its missing remove log nothing.
@@ -1246,11 +1220,6 @@ mod tests {
         assert_eq!(s.apply_batch(&[(3, 3), (4, 4)], &[2, 7]), 1);
         let batch = vec![Remove(2), Insert(4, 4), Insert(3, 3)];
         assert_eq!(log.take(), [batch]);
-        // The key `remove_successor` removed, not its probe.
-        s.insert(600, 6);
-        log.take();
-        assert_eq!(s.remove_successor(300), Some((600, 6)));
-        assert_eq!(log.take(), [vec![Remove(600)]]);
     }
 
     /// Routed on a topology a split retires under them, `apply_ops_on`
@@ -1258,12 +1227,12 @@ mod tests {
     /// exactly the writes that bounced.
     #[test]
     fn writes_bounced_off_a_retired_shard_are_logged_once() {
-        use DurabilityOp::{Insert, Remove};
+        use PointOp::{Get, Insert, Remove};
         // What was logged, in an order that ignores which shard went first.
-        let sorted = |mut ops: Vec<DurabilityOp>| {
+        let sorted = |mut ops: Vec<PointOp>| {
             ops.sort_by_key(|&op| match op {
                 Insert(k, v) => (k, 1, v),
-                Remove(k) => (k, 0, 0),
+                Remove(k) | Get(k) => (k, 0, 0),
             });
             ops
         };
@@ -1286,7 +1255,7 @@ mod tests {
         on_stale_topology(&s, 500, |stale| s.apply_ops_on(stale, &ops, &mut out));
         assert_eq!(reroutes() - before, 62);
         assert_eq!(out[61..], [Some(1), Some(2), None]);
-        let want: Vec<DurabilityOp> = (0..61)
+        let want: Vec<PointOp> = (0..61)
             .map(|k| Insert(k * 10 + 5, k))
             .chain([Remove(20), Insert(1500, -1)])
             .collect();

@@ -1,5 +1,6 @@
-//! Cross-shard reads: scans, range sums and successor operations
-//! stitched across shard boundaries.
+//! Cross-shard reads: scans, range sums and successor lookups
+//! stitched across shard boundaries. Nothing here writes: every write
+//! is an [`ShardedRma::apply_ops`] group.
 //!
 //! Shards cover disjoint, contiguous key ranges in shard order, so a
 //! range operation starts at the routed shard and walks right,
@@ -17,7 +18,7 @@
 //! entry is moved once between the array and the wire encoder.
 //! [`ShardedRma::scan`] is the same path with a `for` over the result.
 
-use crate::{DurabilityOp, ShardedRma};
+use crate::ShardedRma;
 use rma_core::{Key, Rma, Value};
 
 impl ShardedRma {
@@ -96,44 +97,6 @@ impl ShardedRma {
         visited
     }
 
-    /// Removes the first element with key `>= k`, or the maximum when
-    /// every key is smaller (the mixed-workload delete operator).
-    /// Returns `None` only on an empty index.
-    ///
-    /// Walks one pinned topology rightwards from `k`'s shard for a
-    /// successor, then leftwards for the maximum; a lock-free look
-    /// skips every shard without a candidate. The first with one is a
-    /// shard write section that re-checks, removes, and files the key
-    /// it removed as the access. If the shard was retired or the
-    /// candidate is gone, nothing was removed and the walk restarts on
-    /// a fresh pin.
-    pub fn remove_successor(&self, k: Key) -> Option<(Key, Value)> {
-        loop {
-            let topo = self.topo();
-            let start = topo.splitters.route(k);
-            // (shard, probe, removal key): a shard holds a candidate
-            // when it has a key >= the probe. Leftwards the candidate
-            // is the shard's maximum, the successor of `Key::MAX`.
-            let probe_of = |i: usize| if i == start { k } else { Key::MIN };
-            let right = (start..topo.shards.len()).map(|i| (i, probe_of(i), probe_of(i)));
-            let left = (0..=start).rev().map(|i| (i, Key::MIN, Key::MAX));
-            let (i, probe, from) = (right.chain(left))
-                .find(|&(i, probe, _)| topo.shards[i].peek(|rma| rma.first_ge(probe).is_some()))?;
-            // A bounce counts one write; a removal files its own key.
-            let removed_key = |out: Option<&Option<(Key, Value)>>| {
-                out.map_or(Some(k), |removed| removed.map(|(rk, _)| rk))
-            };
-            let removed = self.write_locked(&topo, &topo.shards[i], [], removed_key, |rma, log| {
-                let out = rma.first_ge(probe).and_then(|_| rma.remove_successor(from));
-                log.extend(out.map(|(rk, _)| DurabilityOp::Remove(rk)));
-                out
-            });
-            if let Some(Some(out)) = removed {
-                return Some(out);
-            }
-        }
-    }
-
     /// Collects every element in key order — test/debug helper (holds
     /// one shard read lock at a time).
     pub fn collect_all(&self) -> Vec<(Key, Value)> {
@@ -149,7 +112,7 @@ impl ShardedRma {
 #[cfg(test)]
 mod tests {
     use crate::tests::small_cfg;
-    use crate::{AccessStats, ShardedRma, Splitters};
+    use crate::{ShardedRma, Splitters};
 
     fn populated() -> ShardedRma {
         let s = ShardedRma::with_splitters(small_cfg(4), Splitters::new(vec![250, 500, 750]));
@@ -268,42 +231,6 @@ mod tests {
         s.insert(900, 9);
         assert_eq!(s.first_ge(0), Some((900, 9)));
         assert_eq!(s.first_ge(901), None);
-    }
-
-    #[test]
-    fn remove_successor_semantics_match_rma() {
-        let s = ShardedRma::with_splitters(small_cfg(3), Splitters::new(vec![100, 200]));
-        for k in [10i64, 150, 250] {
-            s.insert(k, k);
-        }
-        assert_eq!(s.remove_successor(120), Some((150, 150)));
-        assert_eq!(s.remove_successor(1000), Some((250, 250))); // max fallback
-        assert_eq!(s.remove_successor(0), Some((10, 10)));
-        assert_eq!(s.remove_successor(0), None);
-    }
-
-    /// The access `remove_successor` files lands where the removed key
-    /// lives — not at the `Key::MIN` probe of a shard right of the
-    /// start, nor at the `Key::MAX` of the maximum fallback, which the
-    /// histogram files in its first and last buckets — and the walk
-    /// write-locks only the shard it removes from.
-    #[test]
-    fn remove_successor_records_the_removed_key() {
-        let s = ShardedRma::with_splitters(small_cfg(3), Splitters::new(vec![1000, 2000]));
-        for k in 1500..1510 {
-            s.insert(k, k);
-        }
-        s.reset_access_stats();
-        let (_, w0) = s.lock_acquisitions();
-        assert_eq!(s.remove_successor(10), Some((1500, 1500)));
-        assert_eq!(s.remove_successor(5000), Some((1509, 1509))); // max fallback
-        assert_eq!(s.lock_acquisitions().1 - w0, 2);
-        let topo = s.topo();
-        let hist = &topo.shards[1].stats;
-        let want = AccessStats::new(Some(1000), Some(2000), hist.snapshot().len());
-        want.record(1500);
-        want.record(1509);
-        assert_eq!(hist.snapshot(), want.snapshot());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex};
 
 use rma_core::{Key, Value};
 use rma_obs::Histogram;
-use rma_shard::{DurabilityOp, DurabilitySink};
+use rma_shard::{DurabilitySink, PointOp};
 
 mod checkpoint;
 pub mod fault;
@@ -298,7 +298,7 @@ impl Wal {
 impl DurabilitySink for Wal {
     /// Stages `ops` as one frame under one acquisition of the staging
     /// lock.
-    fn append(&self, ops: &[DurabilityOp]) {
+    fn append(&self, ops: &[PointOp]) {
         if self.is_degraded() {
             return;
         }
@@ -382,9 +382,9 @@ mod tests {
     fn records_of_every_key_interleave_in_one_file() {
         let dir = scratch("interleave");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        let ops = ONE_PER_UNIT.map(|k| DurabilityOp::Insert(k, k));
+        let ops = ONE_PER_UNIT.map(|k| PointOp::Insert(k, k));
         wal.append(&ops);
-        wal.append(&[DurabilityOp::Remove(ONE_PER_UNIT[0])]);
+        wal.append(&[PointOp::Remove(ONE_PER_UNIT[0])]);
         assert_eq!((wal.appended(), wal.checkpoint_cut()), (5, 5));
         assert!(!wal.is_committed(5));
         wal.commit().expect("commit");
@@ -404,8 +404,8 @@ mod tests {
             frames.push((lsn, ops));
             at += len;
         }
-        let inserts = ONE_PER_UNIT.map(|k| rma_shard::PointOp::Insert(k, k));
-        let remove = rma_shard::PointOp::Remove(ONE_PER_UNIT[0]);
+        let inserts = ONE_PER_UNIT.map(|k| PointOp::Insert(k, k));
+        let remove = PointOp::Remove(ONE_PER_UNIT[0]);
         assert_eq!(frames, [(1, inserts.to_vec()), (5, vec![remove])]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -414,7 +414,7 @@ mod tests {
     fn a_log_file_survives_until_the_smallest_cut_covers_it() {
         let dir = scratch("prune");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        wal.append(&ONE_PER_UNIT.map(|k| DurabilityOp::Insert(k, k)));
+        wal.append(&ONE_PER_UNIT.map(|k| PointOp::Insert(k, k)));
         wal.commit().expect("commit");
         // Unit 0's cut was drawn before the last two records.
         let units = |cuts: [u64; 4]| {
@@ -426,7 +426,7 @@ mod tests {
         // The seal rotated; file 1 holds records 3 and 4, above unit
         // 0's cut.
         assert_eq!(log_files(&dir), [1, 5]);
-        wal.append(&[DurabilityOp::Insert(ONE_PER_UNIT[3], 7)]);
+        wal.append(&[PointOp::Insert(ONE_PER_UNIT[3], 7)]);
         assert!(seal(&wal, &SPLITTERS, units([5; 4])));
         assert_eq!(log_files(&dir), [6], "the smallest cut (5) covers both");
         std::fs::remove_dir_all(&dir).ok();
@@ -437,14 +437,14 @@ mod tests {
         let dir = scratch("degrade");
         let inj = FaultInjector::new(1, FaultMode::Error);
         let wal = Wal::create(DurabilityConfig::new(&dir).fault(Arc::clone(&inj))).expect("create");
-        wal.append(&[DurabilityOp::Insert(1, 1)]);
+        wal.append(&[PointOp::Insert(1, 1)]);
         assert!(matches!(wal.commit(), Err(WalError::Io(_))));
         assert!(wal.is_degraded());
         assert!(wal.take_degraded_transition());
         assert!(!wal.take_degraded_transition(), "transition fires once");
         assert!(matches!(wal.commit(), Err(WalError::Degraded)));
         // Degraded appends and checkpoints are inert.
-        wal.append(&[DurabilityOp::Insert(2, 2)]);
+        wal.append(&[PointOp::Insert(2, 2)]);
         assert_eq!(wal.checkpoint_cut(), 1);
         assert!(!seal(&wal, &[], vec![(1, vec![(1, 1)])]));
         std::fs::remove_dir_all(&dir).ok();
@@ -455,7 +455,7 @@ mod tests {
         let dir = scratch("seal");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
         for i in 0..10 {
-            wal.append(&[DurabilityOp::Insert(i, i)]);
+            wal.append(&[PointOp::Insert(i, i)]);
         }
         wal.commit().expect("commit");
         let cut = wal.checkpoint_cut();
@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(segment_files(&dir), ["ckpt_0_0.seg", "ckpt_0_1.seg"]);
         assert_eq!(log_files(&dir), [11]);
         // A second seal at a later cut, over one unit, replaces both.
-        wal.append(&[DurabilityOp::Insert(10, 10)]);
+        wal.append(&[PointOp::Insert(10, 10)]);
         wal.commit().expect("commit");
         assert!(seal(&wal, &[], vec![(11, vec![(10, 10)])]));
         assert_eq!(segment_files(&dir), ["ckpt_1_0.seg"], "old segments pruned");
@@ -485,7 +485,7 @@ mod tests {
     fn a_checkpoint_at_unchanged_cuts_writes_new_files() {
         let dir = scratch("same-cut");
         let wal = Wal::create(DurabilityConfig::new(&dir)).expect("create");
-        wal.append(&ONE_PER_UNIT.map(|k| DurabilityOp::Insert(k, k)));
+        wal.append(&ONE_PER_UNIT.map(|k| PointOp::Insert(k, k)));
         wal.commit().expect("commit");
         let pairs = ONE_PER_UNIT.map(|k| (k, k)).to_vec();
         assert!(seal(

@@ -13,7 +13,7 @@
 //! trustworthy, and the whole group it holds is dropped.
 
 use rewiring::frame;
-use rma_shard::{DurabilityOp, PointOp};
+use rma_shard::PointOp;
 
 /// Payload bytes before the ops: the first LSN.
 const LSN_LEN: usize = 8;
@@ -21,15 +21,16 @@ const LSN_LEN: usize = 8;
 const OP_LEN: usize = 1 + 8 + 8;
 
 /// Appends one frame holding `ops` under the LSNs `lsn..` to `buf`.
-pub(crate) fn encode_into(buf: &mut Vec<u8>, lsn: u64, ops: &[DurabilityOp]) {
+pub(crate) fn encode_into(buf: &mut Vec<u8>, lsn: u64, ops: &[PointOp]) {
     buf.reserve(frame::HEADER + LSN_LEN + OP_LEN * ops.len());
     buf.extend_from_slice(&[0; frame::HEADER]);
     let start = buf.len();
     buf.extend_from_slice(&lsn.to_le_bytes());
     for &op in ops {
         let (kind, key, value) = match op {
-            DurabilityOp::Insert(k, v) => (0u8, k, v),
-            DurabilityOp::Remove(k) => (1u8, k, 0i64),
+            PointOp::Insert(k, v) => (0u8, k, v),
+            PointOp::Remove(k) => (1u8, k, 0i64),
+            PointOp::Get(_) => unreachable!("a read is never logged"),
         };
         buf.push(kind);
         buf.extend_from_slice(&key.to_le_bytes());
@@ -75,9 +76,9 @@ mod tests {
     fn group() -> Vec<u8> {
         let mut buf = Vec::new();
         let ops = [
-            DurabilityOp::Insert(456, 789),
-            DurabilityOp::Remove(-1),
-            DurabilityOp::Insert(i64::MIN, i64::MAX),
+            PointOp::Insert(456, 789),
+            PointOp::Remove(-1),
+            PointOp::Insert(i64::MIN, i64::MAX),
         ];
         encode_into(&mut buf, 123, &ops);
         buf
@@ -86,8 +87,8 @@ mod tests {
     #[test]
     fn roundtrips_both_kinds() {
         let mut buf = Vec::new();
-        encode_into(&mut buf, 7, &[DurabilityOp::Insert(-42, 99)]);
-        encode_into(&mut buf, 8, &[DurabilityOp::Remove(i64::MAX)]);
+        encode_into(&mut buf, 7, &[PointOp::Insert(-42, 99)]);
+        encode_into(&mut buf, 8, &[PointOp::Remove(i64::MAX)]);
         assert_eq!(buf.len(), 2 * ONE_OP_FRAME);
         assert_eq!(
             decode(&buf),

@@ -224,7 +224,6 @@ mod tests {
     use super::*;
     use crate::tests::seal;
     use crate::DurabilitySink;
-    use rma_shard::DurabilityOp;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -257,9 +256,9 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..50 {
-                wal.append(&[DurabilityOp::Insert(i * (1 << 56), i)]);
+                wal.append(&[PointOp::Insert(i * (1 << 56), i)]);
             }
-            wal.append(&[DurabilityOp::Remove(0)]);
+            wal.append(&[PointOp::Remove(0)]);
             wal.commit().expect("commit");
         }
         let rec = Wal::recover(DurabilityConfig::new(&dir)).expect("recover");
@@ -274,7 +273,7 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..10 {
-                wal.append(&[DurabilityOp::Insert(i, i)]);
+                wal.append(&[PointOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
         }
@@ -302,7 +301,7 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..4 {
-                wal.append(&[DurabilityOp::Insert(i, i)]);
+                wal.append(&[PointOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
             // Unit 1's cut was drawn after record 2, so file 1 stays.
@@ -334,14 +333,14 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..20 {
-                wal.append(&[DurabilityOp::Insert(i, i)]);
+                wal.append(&[PointOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
             let elems: Vec<(Key, Value)> = (0..20).map(|i| (i, i)).collect();
             assert!(seal(&wal, &[], vec![(wal.checkpoint_cut(), elems)]));
             // Post-checkpoint writes land in the rotated log.
             for i in 20..25 {
-                wal.append(&[DurabilityOp::Insert(i, i)]);
+                wal.append(&[PointOp::Insert(i, i)]);
             }
             wal.commit().expect("commit");
         }
@@ -363,14 +362,14 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..3 {
-                let ops: Vec<_> = (0..4).map(|u| DurabilityOp::Insert(key(u, i), i)).collect();
+                let ops: Vec<_> = (0..4).map(|u| PointOp::Insert(key(u, i), i)).collect();
                 wal.append(&ops);
             }
             wal.commit().expect("commit");
             let units = (0..4).map(|u| (4 * rounds(u) as u64, sealed(u))).collect();
             assert!(seal(&wal, &splitters, units));
             for u in 0..4 {
-                wal.append(&[DurabilityOp::Remove(key(u, 0))]);
+                wal.append(&[PointOp::Remove(key(u, 0))]);
             }
             wal.commit().expect("commit");
         }
@@ -398,7 +397,7 @@ mod tests {
             let wal = fresh_wal(&dir);
             let step = 1i64 << 55;
             for i in 0..200 {
-                wal.append(&[DurabilityOp::Insert((i * 37 % 200) * step, i)]);
+                wal.append(&[PointOp::Insert((i * 37 % 200) * step, i)]);
             }
             wal.commit().expect("commit");
             let mut elems: Vec<(Key, Value)> =
@@ -424,10 +423,10 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..100 {
-                wal.append(&[DurabilityOp::Insert(i * (1 << 55), i)]);
+                wal.append(&[PointOp::Insert(i * (1 << 55), i)]);
             }
             for i in 0..10 {
-                wal.append(&[DurabilityOp::Remove(i * (1 << 55))]);
+                wal.append(&[PointOp::Remove(i * (1 << 55))]);
             }
             wal.commit().expect("commit");
         }
@@ -447,10 +446,10 @@ mod tests {
         let dir = scratch("heal");
         {
             let wal = fresh_wal(&dir);
-            wal.append(&[DurabilityOp::Insert(1, 1)]);
+            wal.append(&[PointOp::Insert(1, 1)]);
             wal.commit().expect("commit");
             assert!(seal(&wal, &[], vec![(1, vec![(1, 1)])]));
-            wal.append(&[DurabilityOp::Insert(2, 2)]);
+            wal.append(&[PointOp::Insert(2, 2)]);
             wal.commit().expect("commit");
         }
         // Simulate a crash mid-seal: segments the manifest never
@@ -496,7 +495,7 @@ mod tests {
         {
             let wal = fresh_wal(&dir);
             for i in 0..30 {
-                wal.append(&[DurabilityOp::Insert(i * (1 << 56), i)]);
+                wal.append(&[PointOp::Insert(i * (1 << 56), i)]);
             }
             wal.commit().expect("commit");
         }

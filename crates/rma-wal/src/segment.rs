@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rma_obs::Histogram;
-use rma_shard::DurabilityOp;
+use rma_shard::PointOp;
 
 use crate::fault::{inj_fdatasync, inj_write, sync_dir, FaultInjector, IoClass};
 use crate::record;
@@ -132,7 +132,7 @@ impl Log {
     /// One staging-lock acquisition, one encoding and one publication
     /// of `appended` for the whole slice. Called under the engine's
     /// shard write guard; does no I/O.
-    pub fn append(&self, ops: &[DurabilityOp]) -> u64 {
+    pub fn append(&self, ops: &[PointOp]) -> u64 {
         let mut guard = self.staging.lock().expect("staging poisoned");
         let st = &mut *guard;
         if !ops.is_empty() {
@@ -229,7 +229,6 @@ impl Log {
 mod tests {
     use super::*;
     use crate::record::decode;
-    use rma_shard::PointOp;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -263,8 +262,8 @@ mod tests {
         let dir = scratch("commit");
         let log = Log::create(&dir, 1).expect("create");
         let hist = Histogram::new();
-        assert_eq!(log.append(&[DurabilityOp::Insert(10, 1)]), 1);
-        assert_eq!(log.append(&[DurabilityOp::Remove(10)]), 2);
+        assert_eq!(log.append(&[PointOp::Insert(10, 1)]), 1);
+        assert_eq!(log.append(&[PointOp::Remove(10)]), 2);
         assert_eq!(log.append(&[]), 2, "an empty slice stages nothing");
         log.commit(&None, &hist).expect("commit");
         // A second commit with nothing staged is a no-op.
@@ -285,7 +284,7 @@ mod tests {
         let dir = scratch("rotate");
         let log = Log::create(&dir, 1).expect("create");
         for i in 0..5 {
-            log.append(&[DurabilityOp::Insert(i, i)]);
+            log.append(&[PointOp::Insert(i, i)]);
         }
         // Rotation writes and syncs what no barrier committed yet.
         log.rotate(&None).expect("rotate");

@@ -58,10 +58,14 @@ fn main() {
             book.insert(order_key(price, next_id), rng.next_range(1, 500) as i64);
             next_id += 1;
         }
-        // Two cancellations near random levels (successor-delete).
+        // Two cancellations near random levels: the first order at or
+        // above the level, found, then removed by its key (this loop is
+        // the book's one writer, so the order is still there).
         for _ in 0..2 {
             let price = 10_000 + rng.next_below(4096) as i64;
-            book.remove_successor(order_key(price, 0));
+            if let Some((k, _)) = book.first_ge(order_key(price, 0)) {
+                book.remove(k);
+            }
         }
         // Analytics: open volume in a 32-tick price band.
         if round % 4 == 0 {

@@ -17,9 +17,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 MAX_CORE=4029
-MAX_ENGINE=6914
-MAX_WAL=1341
-MAX_HARNESS=3514
+MAX_ENGINE=6819
+MAX_WAL=1342
+MAX_HARNESS=3500
 printf '%-16s %7s\n' crate lines
 core=0
 engine=0
